@@ -16,6 +16,7 @@ package repro
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/facade"
 	"repro/internal/analysis"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/hyracks"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/offheap"
 	"repro/internal/vm"
@@ -300,6 +302,42 @@ func BenchmarkTransformSpeed(b *testing.B) {
 			if perOp > 0 {
 				b.ReportMetric(float64(n)/perOp, "instr/s")
 			}
+		})
+	}
+}
+
+// BenchmarkInlineShare prices the inliner on the daemon's cold-compile
+// path: per load scenario, the time analysis.Inline takes over a freshly
+// compiled P as a share of the facade.Compile that produced it. The pass
+// mutates its input, so each iteration compiles first and times the two
+// stages separately.
+func BenchmarkInlineShare(b *testing.B) {
+	for _, sc := range load.Scenarios() {
+		var data []string
+		for _, src := range sc.Sources {
+			data = append(data, facade.DataClassesDirective(src)...)
+		}
+		b.Run(sc.Name, func(b *testing.B) {
+			var compile, inline time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				p, err := facade.Compile(sc.Sources)
+				if err != nil {
+					b.Fatal(err)
+				}
+				compile += time.Since(start)
+				// The closure is the transform's own first step, computed
+				// early; it is not part of the pass.
+				closure, err := core.DataClosure(p, core.Options{DataClasses: data})
+				if err != nil {
+					b.Fatal(err)
+				}
+				start = time.Now()
+				analysis.Inline(p, closure)
+				inline += time.Since(start)
+			}
+			b.ReportMetric(float64(inline.Microseconds())/float64(b.N), "inline-us/op")
+			b.ReportMetric(100*inline.Seconds()/compile.Seconds(), "inline-%-of-compile")
 		})
 	}
 }

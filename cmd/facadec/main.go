@@ -67,27 +67,28 @@ func main() {
 		}
 		sources[path] = string(data)
 	}
-	prog, err := facade.Compile(sources)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("compiled %d classes, %d functions, %d IR instructions\n",
-		len(prog.H.ClassList), len(prog.FuncList), prog.NumInstrs())
 	if *checkOnly {
+		prog, err := facade.Compile(sources)
+		if err != nil {
+			fatal(err)
+		}
+		report(prog)
 		return
 	}
 	if *dataList == "" {
 		fatal(fmt.Errorf("-data is required (the user-provided data class list, §3.1)"))
 	}
-	classes := strings.Split(*dataList, ",")
 	start := time.Now()
-	p2, err := facade.Transform(prog, core.Options{DataClasses: classes, NoAutoClose: *strict})
+	prog, p2, err := facade.BuildWith(sources, core.Options{
+		DataClasses: strings.Split(*dataList, ","), NoAutoClose: *strict,
+	})
 	if err != nil {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
+	report(prog)
 	n := prog.InstrsInClasses(sortedKeys(p2.DataClasses))
-	fmt.Printf("transformed %d data-path instructions in %v (%.0f instr/sec)\n",
+	fmt.Printf("built %d data-path instructions in %v, parse to transform (%.0f instr/sec)\n",
 		n, elapsed, float64(n)/elapsed.Seconds())
 
 	var names []string
@@ -205,6 +206,11 @@ func vetMain(argv []string) int {
 	return status
 }
 
+func report(prog *ir.Program) {
+	fmt.Printf("compiled %d classes, %d functions, %d IR instructions\n",
+		len(prog.H.ClassList), len(prog.FuncList), prog.NumInstrs())
+}
+
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -218,5 +224,3 @@ func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "facadec: %v\n", err)
 	os.Exit(1)
 }
-
-var _ = ir.NoReg // keep ir linked for the dump format

@@ -21,10 +21,11 @@ import (
 var src string
 
 func main() {
-	// 1. Compile FJ to IR: this is program P.
-	prog, err := facade.Compile(map[string]string{"quickstart.fj": src})
+	// 1. Compile FJ to IR — program P — and FACADE-transform its data path
+	// — program P'.
+	prog, p2, err := facade.Build(map[string]string{"quickstart.fj": src}, facade.DataClassesDirective(src))
 	if err != nil {
-		log.Fatalf("compile: %v", err)
+		log.Fatalf("build: %v", err)
 	}
 
 	// 2. Run P on the managed heap (16 MB budget).
@@ -34,15 +35,7 @@ func main() {
 	}
 	defer resP.Close()
 
-	// 3. FACADE-transform the data path: this is program P'.
-	p2, err := facade.Transform(prog, facade.TransformOptions{
-		DataClasses: facade.DataClassesDirective(src),
-	})
-	if err != nil {
-		log.Fatalf("transform: %v", err)
-	}
-
-	// 4. Run P' with the same heap budget.
+	// 3. Run P' with the same heap budget.
 	resP2, err := facade.Run(p2, facade.WithHeapSize(16<<20))
 	if err != nil {
 		log.Fatalf("run P': %v", err)
@@ -56,7 +49,7 @@ func main() {
 		log.Fatal("outputs differ — the transform must be semantics-preserving")
 	}
 
-	// 5. Compare what the memory system did, via the public stats mirror.
+	// 4. Compare what the memory system did, via the public stats mirror.
 	st, st2 := resP.Stats(), resP2.Stats()
 	fmt.Println()
 	fmt.Printf("%-34s %12s %12s\n", "", "P (heap)", "P' (facade)")

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ir"
 )
 
@@ -18,7 +19,11 @@ import (
 //   - output is bit-identical between P and P' in every grid cell,
 //   - output is identical ACROSS cells (heap budget and GC parallelism
 //     are not allowed to be observable),
-//   - traps (NPE, bounds, cast) surface identically in both programs.
+//   - traps (NPE, bounds, cast) surface identically in both programs,
+//   - the inliner is invisible: the pair built through Build (inline, then
+//     transform) prints the same output and fails with the same error text
+//     as the un-inlined pair in every cell, and inlined P' allocates the
+//     same records in the same native footprint.
 //
 // The engines' thread-count axis is covered by the engine differential
 // tests (graphchi engine with 1 vs 4 workers, gps replay tests); FJ
@@ -153,6 +158,24 @@ class Main {
 		trap:        "NullPointerException",
 	},
 	{
+		name: "trap-npe-inlined-receiver",
+		// The null receiver of a call the inliner removes: the check that
+		// takes the call's place must raise the call's own message.
+		src: `
+class Cell { int v; Cell next; int get() { return this.v; } }
+class Main {
+    static void main() {
+        Cell c = new Cell();
+        Sys.println(c.get());
+        Cell gone = c.next;
+        Sys.println(gone.get());
+    }
+}
+`,
+		dataClasses: []string{"Cell", "Main"},
+		trap:        "NullPointerException",
+	},
+	{
 		name: "trap-bounds",
 		src: `
 class Main {
@@ -186,24 +209,49 @@ class Main {
 	},
 }
 
-// runCell executes one program in one grid cell, returning captured
-// output and the run error (nil for clean completion).
-func runCell(p *ir.Program, heapSize, gcWorkers int, lt LifetimeMode, extra ...Option) (string, error) {
+// cellResult is what one program did in one grid cell.
+type cellResult struct {
+	out        string
+	err        error
+	records    int64 // page records allocated (P' only)
+	nativePeak int64 // peak DRAM bytes of the page store (P' only)
+}
+
+// runCell executes one program in one grid cell (err is nil for clean
+// completion).
+func runCell(p *ir.Program, heapSize, gcWorkers int, lt LifetimeMode, extra ...Option) cellResult {
 	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers), WithLifetimes(lt)}, extra...)
 	res, err := Run(p, opts...)
-	out := ""
+	c := cellResult{err: err}
 	if res != nil {
-		out = res.Output()
+		c.out = res.Output()
+		if res.VM.RT != nil {
+			st := res.VM.RT.Stats()
+			c.records, c.nativePeak = st.Records, st.PeakBytes
+		}
 		res.Close()
 	}
-	return out, err
+	return c
+}
+
+// sameBehaviour requires the inlined run to be indistinguishable from the
+// un-inlined one: output and error text.
+func sameBehaviour(t *testing.T, cell, what string, plain, inlined cellResult) {
+	t.Helper()
+	if plain.out != inlined.out {
+		t.Fatalf("[%s] inlining changed %s output:\nplain:   %q\ninlined: %q", cell, what, plain.out, inlined.out)
+	}
+	if (plain.err == nil) != (inlined.err == nil) || plain.err != nil && plain.err.Error() != inlined.err.Error() {
+		t.Fatalf("[%s] inlining changed %s error:\nplain:   %v\ninlined: %v", cell, what, plain.err, inlined.err)
+	}
 }
 
 func TestDifferentialBattery(t *testing.T) {
 	for _, dp := range diffPrograms {
 		dp := dp
 		t.Run(dp.name, func(t *testing.T) {
-			prog, err := Compile(map[string]string{"diff.fj": dp.src})
+			sources := map[string]string{"diff.fj": dp.src}
+			prog, err := Compile(sources)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -211,15 +259,38 @@ func TestDifferentialBattery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("transform: %v", err)
 			}
+			ip, ip2, err := Build(sources, dp.dataClasses)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			for _, q := range []*ir.Program{ip, ip2} {
+				if err := analysis.VerifyProgram(q); err != nil {
+					t.Fatalf("inlined program fails IR verification: %v", err)
+				}
+			}
 			ref := ""
 			first := true
 			for _, heapSize := range diffGrid.heaps {
 				for _, gcw := range diffGrid.workers {
 					for _, lt := range diffGrid.lifetimes {
-						outP, errP := runCell(prog, heapSize, gcw, lt)
+						cP := runCell(prog, heapSize, gcw, lt)
+						sameBehaviour(t, fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%s", heapSize>>20, gcw, lt),
+							"P", cP, runCell(ip, heapSize, gcw, lt))
+						outP, errP := cP.out, cP.err
 						for _, tier := range diffGrid.tiers {
 							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%s,tier=%s", heapSize>>20, gcw, lt, tier)
-							outP2, errP2 := runCell(p2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							cP2 := runCell(p2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							cI2 := runCell(ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							sameBehaviour(t, cell, "P'", cP2, cI2)
+							// Inlining removes calls, never allocations. The
+							// DRAM peak is only comparable untiered: a tight
+							// watermark promotes on first touch, and the
+							// removed resolve was a touch.
+							if cP2.records != cI2.records || tier == "off" && cP2.nativePeak != cI2.nativePeak {
+								t.Fatalf("[%s] inlining changed P' native work: records %d -> %d, peak bytes %d -> %d",
+									cell, cP2.records, cI2.records, cP2.nativePeak, cI2.nativePeak)
+							}
+							outP2, errP2 := cP2.out, cP2.err
 							if dp.trap == "" {
 								if errP != nil {
 									t.Fatalf("[%s] P failed: %v", cell, errP)
@@ -282,10 +353,12 @@ func TestDifferentialExamples(t *testing.T) {
 			for _, heapSize := range []int{32 << 20, 64 << 20} {
 				for _, gcw := range diffGrid.workers {
 					for _, lt := range diffGrid.lifetimes {
-						outP, errP := runCell(r.P, heapSize, gcw, lt)
+						cP := runCell(r.P, heapSize, gcw, lt)
+						outP, errP := cP.out, cP.err
 						for _, tier := range diffGrid.tiers {
 							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%s,tier=%s", heapSize>>20, gcw, lt, tier)
-							outP2, errP2 := runCell(r.P2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							cP2 := runCell(r.P2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							outP2, errP2 := cP2.out, cP2.err
 							if errP != nil || errP2 != nil {
 								t.Fatalf("[%s] P err=%v, P' err=%v", cell, errP, errP2)
 							}

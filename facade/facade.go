@@ -4,10 +4,8 @@
 //
 // Typical use:
 //
-//	prog, err := facade.Compile(map[string]string{"app.fj": src})
-//	p2, err := facade.Transform(prog, facade.TransformOptions{
-//	    DataClasses: []string{"Vertex", "Edge"},
-//	})
+//	p, p2, err := facade.Build(map[string]string{"app.fj": src},
+//	    []string{"Vertex", "Edge"})
 //	res, err := facade.Run(p2, facade.WithHeapSize(64<<20))
 //	fmt.Print(res.Output())
 //	stats := res.Stats() // GC pauses, page counters, per-class allocs
@@ -70,6 +68,39 @@ type TransformOptions = core.Options
 // Transform applies the FACADE transform, producing program P'.
 func Transform(p *ir.Program, opts TransformOptions) (*ir.Program, error) {
 	return core.Transform(p, opts)
+}
+
+// Build is the one door from source to runnable programs: it compiles the
+// sources to P, runs the closed-world inliner over P (analysis.Inline),
+// and, when data classes are given, applies the FACADE transform to the
+// inlined P. p2 is nil when dataClasses is empty. Because the inliner runs
+// before the transform, P and P' carry the identical optimisation.
+//
+// Compile and Transform remain available separately and never inline; vet
+// uses them so its diagnostics describe the program as written.
+func Build(sources map[string]string, dataClasses []string) (p, p2 *ir.Program, err error) {
+	return BuildWith(sources, TransformOptions{DataClasses: dataClasses})
+}
+
+// BuildWith is Build with full transform options (facadec -strict).
+func BuildWith(sources map[string]string, opts TransformOptions) (p, p2 *ir.Program, err error) {
+	if p, err = Compile(sources); err != nil {
+		return nil, nil, err
+	}
+	transform := len(opts.DataClasses) > 0
+	var data map[string]bool // nil: no boundary, everything is control
+	if transform {
+		if data, err = core.DataClosure(p, opts); err != nil {
+			return nil, nil, err
+		}
+	}
+	analysis.Inline(p, data)
+	if transform {
+		if p2, err = core.Transform(p, opts); err != nil {
+			return nil, nil, err
+		}
+	}
+	return p, p2, nil
 }
 
 // Result carries the outcome of a run. The VM and thread remain exported

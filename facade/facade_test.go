@@ -5,51 +5,68 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/ir"
+	"repro/internal/offheap"
 )
 
 // runBoth compiles src, runs it as P, transforms it with the given data
-// classes, runs P', and requires identical output. Both programs must also
-// pass the IR verifier and the facade-safety linter — every corpus test is
-// a standing regression gate for the static analyses. It returns the
-// shared output.
+// classes, runs P', and requires identical output; then it does the same
+// through Build, whose inliner must change nothing observable. All four
+// programs must also pass the IR verifier and the facade-safety linter —
+// every corpus test is a standing regression gate for the static analyses.
+// It returns the shared output.
 func runBoth(t *testing.T, src string, dataClasses []string) string {
 	t.Helper()
-	prog, err := Compile(map[string]string{"test.fj": src})
+	sources := map[string]string{"test.fj": src}
+	prog, err := Compile(sources)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := analysis.VerifyProgram(prog); err != nil {
-		t.Fatalf("verify P: %v", err)
-	}
-	if fs := analysis.LintProgram(prog); len(fs) > 0 {
-		t.Fatalf("lint P: %d finding(s), first: %s", len(fs), fs[0])
-	}
-	resP, err := Run(prog, WithHeapSize(32<<20))
-	if err != nil {
-		t.Fatalf("run P: %v", err)
-	}
-	outP := resP.Output()
-	resP.Close()
-
 	p2, err := Transform(prog, TransformOptions{DataClasses: dataClasses})
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
-	if err := analysis.VerifyProgram(p2); err != nil {
-		t.Fatalf("verify P': %v", err)
-	}
-	if fs := analysis.LintProgram(p2); len(fs) > 0 {
-		t.Fatalf("lint P': %d finding(s), first: %s", len(fs), fs[0])
-	}
-	resP2, err := Run(p2, WithHeapSize(32<<20))
+	// The same program through Build: the inliner ran before the transform.
+	ip, ip2, err := Build(sources, dataClasses)
 	if err != nil {
-		t.Fatalf("run P': %v", err)
+		t.Fatalf("build: %v", err)
 	}
-	outP2 := resP2.Output()
-	resP2.Close()
-
+	run := func(name string, p *ir.Program) (string, offheap.Stats) {
+		t.Helper()
+		if err := analysis.VerifyProgram(p); err != nil {
+			t.Fatalf("verify %s: %v", name, err)
+		}
+		if fs := analysis.LintProgram(p); len(fs) > 0 {
+			t.Fatalf("lint %s: %d finding(s), first: %s", name, len(fs), fs[0])
+		}
+		res, err := Run(p, WithHeapSize(32<<20))
+		if err != nil {
+			t.Fatalf("run %s: %v", name, err)
+		}
+		defer res.Close()
+		var st offheap.Stats
+		if res.VM.RT != nil {
+			st = res.VM.RT.Stats()
+		}
+		return res.Output(), st
+	}
+	outP, _ := run("P", prog)
+	outP2, st2 := run("P'", p2)
 	if outP != outP2 {
 		t.Fatalf("P and P' disagree.\nP:\n%s\nP':\n%s", outP, outP2)
+	}
+	// Inlining is pure mechanism: same output from both programs, and the
+	// same records in the same native footprint from P'.
+	if out, _ := run("inlined P", ip); out != outP {
+		t.Fatalf("inlined P disagrees with P.\nP:\n%s\ninlined:\n%s", outP, out)
+	}
+	out, ist2 := run("inlined P'", ip2)
+	if out != outP {
+		t.Fatalf("inlined P' disagrees with P.\nP:\n%s\ninlined P':\n%s", outP, out)
+	}
+	if ist2.Records != st2.Records || ist2.PeakBytes != st2.PeakBytes {
+		t.Fatalf("inlining changed P' native work: records %d -> %d, peak bytes %d -> %d",
+			st2.Records, ist2.Records, st2.PeakBytes, ist2.PeakBytes)
 	}
 	return outP
 }

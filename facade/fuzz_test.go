@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/ir"
+	"repro/internal/offheap"
 )
 
 // Randomized semantic-equivalence testing: generate random FJ programs
@@ -232,10 +234,47 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("P': %v\n%s", err, src)
 			}
-			outP2 := resP2.Output()
+			outP2, st2 := resP2.Output(), resP2.VM.RT.Stats()
 			resP2.Close()
 			if outP != outP2 {
 				t.Fatalf("divergence (seed %d):\nP:  %q\nP': %q\nprogram:\n%s", seed, outP, outP2, src)
+			}
+			// Inliner oracle: the same source through Build (inline, then
+			// transform, here with devirtualization so the null-check text
+			// path is covered too) must verify, lint clean and behave
+			// exactly like the un-inlined pair — same output, and for P'
+			// the same records in the same native footprint.
+			ip, ip2, err := BuildWith(map[string]string{"fuzz.fj": src}, TransformOptions{
+				DataClasses: []string{"Node", "Leaf", "Main"}, Devirtualize: seed%2 == 1,
+			})
+			if err != nil {
+				t.Fatalf("build: %v\n%s", err, src)
+			}
+			for _, q := range []*ir.Program{ip, ip2} {
+				if err := analysis.VerifyProgram(q); err != nil {
+					t.Fatalf("inlined program fails IR verification (inliner bug): %v\n%s", err, src)
+				}
+				if fs := analysis.LintProgram(q); len(fs) > 0 {
+					t.Fatalf("inlined program fails facade-safety lint: %s\n%s", fs[0], src)
+				}
+				res, err := Run(q, WithHeapSize(16<<20), WithLifetimes(LifetimesEnforce))
+				if err != nil {
+					t.Fatalf("inlined (transformed=%v): %v\n%s", q.Transformed, err, src)
+				}
+				out := res.Output()
+				var st offheap.Stats
+				if q.Transformed {
+					st = res.VM.RT.Stats()
+				}
+				res.Close()
+				if out != outP {
+					t.Fatalf("inlining divergence (seed %d, transformed=%v):\nP:       %q\ninlined: %q\nprogram:\n%s",
+						seed, q.Transformed, outP, out, src)
+				}
+				if q.Transformed && (st.Records != st2.Records || st.PeakBytes != st2.PeakBytes) {
+					t.Fatalf("inlining changed P' native work (seed %d): records %d -> %d, peak bytes %d -> %d\n%s",
+						seed, st2.Records, st.Records, st2.PeakBytes, st.PeakBytes, src)
+				}
 			}
 			// Tiered leg: P' under a watermark tight enough that pages spill
 			// to disk mid-run. The disk tier is pure mechanism — residency

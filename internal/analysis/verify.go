@@ -422,6 +422,10 @@ func (v *verifier) instr(in *ir.Instr) error {
 		// Intrinsic signatures are checked by the front end; registers are
 		// validated structurally by ir.Func.Verify.
 		return nil
+	case ir.OpNullCheck:
+		// Ref in P; the transform leaves the op in place over the retyped
+		// (long) record register, which facade context merges with ref.
+		return v.want(in.A, cRef, "receiver")
 	case ir.OpMonEnter, ir.OpMonExit:
 		return v.want(in.A, cRef, "monitor")
 	case ir.OpPNew:

@@ -236,6 +236,18 @@ func (c *bodyCtx) instr(in *ir.Instr) error {
 		}
 		return c.pInstOf(in, &cp, true)
 
+	case ir.OpNullCheck:
+		if c.d(in.A) {
+			// The inlined call's receiver is a record: P' would have
+			// trapped in the resolve the inliner removed, so keep its text.
+			cp.Sym = "resolve on null record"
+			if tr.opts.Devirtualize {
+				cp.Sym = "devirtualized call on null record"
+			}
+		}
+		c.emit(cp)
+		return nil
+
 	case ir.OpMonEnter:
 		if c.d(in.A) {
 			cp.Op = ir.OpPMonEnter
@@ -426,21 +438,10 @@ func (c *bodyCtx) call(in *ir.Instr) error {
 // monomorphic reports whether class-hierarchy analysis proves that a call
 // of method name on a receiver of static type recvT always lands in the
 // same implementation: the receiver must be a concrete data class none of
-// whose data subclasses override the method.
+// whose subclasses (all data, by the type-closed world) override the method.
 func (tr *transformer) monomorphic(recvT *lang.Type, name string) bool {
-	if recvT.Kind != lang.TClass || !tr.data[recvT.Name] {
-		return false
-	}
-	base := tr.p.H.Class(recvT.Name)
-	for _, cls := range tr.p.H.ClassList {
-		if cls == base || !tr.data[cls.Name] || !cls.IsSubclassOf(base) {
-			continue
-		}
-		if _, overrides := cls.Methods[name]; overrides {
-			return false
-		}
-	}
-	return true
+	return recvT.Kind == lang.TClass && tr.data[recvT.Name] &&
+		!tr.p.H.Class(recvT.Name).Overridden(name)
 }
 
 // facadeMethod resolves the facade twin of method name on a data receiver

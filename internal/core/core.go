@@ -56,14 +56,30 @@ type Options struct {
 	TightenBounds bool
 }
 
-// Transform rewrites program p into its FACADE form.
-func Transform(p *ir.Program, opts Options) (*ir.Program, error) {
-	tr := &transformer{
+// DataClosure returns the closed set of data class names Transform would
+// use for p under opts (§3.1's closure over supers, subs and field types).
+// Passes that run before the transform and must respect the data/control
+// boundary (the inliner) ask for it here.
+func DataClosure(p *ir.Program, opts Options) (map[string]bool, error) {
+	tr := newTransformer(p, opts)
+	if err := tr.computeDataSet(); err != nil {
+		return nil, err
+	}
+	return tr.data, nil
+}
+
+func newTransformer(p *ir.Program, opts Options) *transformer {
+	return &transformer{
 		p:      p,
 		opts:   opts,
 		data:   make(map[string]bool),
 		dataIf: make(map[string]bool),
 	}
+}
+
+// Transform rewrites program p into its FACADE form.
+func Transform(p *ir.Program, opts Options) (*ir.Program, error) {
+	tr := newTransformer(p, opts)
 	if err := tr.computeDataSet(); err != nil {
 		return nil, err
 	}

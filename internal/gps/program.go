@@ -12,10 +12,7 @@
 package gps
 
 import (
-	"fmt"
-
 	"repro/facade"
-	"repro/internal/core"
 	"repro/internal/ir"
 )
 
@@ -219,15 +216,8 @@ class GPSDriver {
 // classes, 44 detected data classes, 13 boundary classes).
 var DataClasses = []string{"GPSVertex", "Message", "KPoint", "GPSDriver"}
 
-// BuildPrograms compiles the data path and returns (P, P').
+// BuildPrograms compiles the data path and returns (P, P'), both inlined
+// (facade.Build).
 func BuildPrograms() (*ir.Program, *ir.Program, error) {
-	p, err := facade.Compile(map[string]string{"gps.fj": Source})
-	if err != nil {
-		return nil, nil, fmt.Errorf("gps: compile: %w", err)
-	}
-	p2, err := core.Transform(p, core.Options{DataClasses: DataClasses})
-	if err != nil {
-		return nil, nil, fmt.Errorf("gps: transform: %w", err)
-	}
-	return p, p2, nil
+	return facade.Build(map[string]string{"gps.fj": Source}, DataClasses)
 }

@@ -11,10 +11,7 @@
 package graphchi
 
 import (
-	"fmt"
-
 	"repro/facade"
-	"repro/internal/core"
 	"repro/internal/ir"
 )
 
@@ -138,15 +135,8 @@ var DataClasses = []string{
 	"PageRankProgram", "ConnCompProgram", "GraphChiDriver",
 }
 
-// BuildPrograms compiles the data path and returns (P, P').
+// BuildPrograms compiles the data path and returns (P, P'), both inlined
+// (facade.Build).
 func BuildPrograms() (*ir.Program, *ir.Program, error) {
-	p, err := facade.Compile(map[string]string{"graphchi.fj": Source})
-	if err != nil {
-		return nil, nil, fmt.Errorf("graphchi: compile: %w", err)
-	}
-	p2, err := core.Transform(p, core.Options{DataClasses: DataClasses})
-	if err != nil {
-		return nil, nil, fmt.Errorf("graphchi: transform: %w", err)
-	}
-	return p, p2, nil
+	return facade.Build(map[string]string{"graphchi.fj": Source}, DataClasses)
 }

@@ -748,6 +748,14 @@ func (hp *Heap) WriteBody(a Addr, off int, data []byte) {
 	copy(hp.arena[base:], data)
 }
 
+// Body returns the first n body bytes of object a, in place. The view is
+// invalidated by the next collection (objects move), so callers use it
+// between safepoints only.
+func (hp *Heap) Body(a Addr, n int) []byte {
+	base := hp.FieldBase(a)
+	return hp.arena[base : base+Addr(n)]
+}
+
 // ReadBody copies n body bytes starting at off out of the object.
 func (hp *Heap) ReadBody(a Addr, off, n int) []byte {
 	base := hp.FieldBase(a) + Addr(off)

@@ -14,10 +14,7 @@
 package hyracks
 
 import (
-	"fmt"
-
 	"repro/facade"
-	"repro/internal/core"
 	"repro/internal/ir"
 )
 
@@ -271,15 +268,8 @@ var DataClasses = []string{
 	"HashMap", "MapEntry", "ArrayList",
 }
 
-// BuildPrograms compiles the data path and returns (P, P').
+// BuildPrograms compiles the data path and returns (P, P'), both inlined
+// (facade.Build).
 func BuildPrograms() (*ir.Program, *ir.Program, error) {
-	p, err := facade.Compile(map[string]string{"hyracks.fj": Source})
-	if err != nil {
-		return nil, nil, fmt.Errorf("hyracks: compile: %w", err)
-	}
-	p2, err := core.Transform(p, core.Options{DataClasses: DataClasses})
-	if err != nil {
-		return nil, nil, fmt.Errorf("hyracks: transform: %w", err)
-	}
-	return p, p2, nil
+	return facade.Build(map[string]string{"hyracks.fj": Source}, DataClasses)
 }

@@ -64,6 +64,7 @@ const (
 	OpJump       // goto Blk
 	OpBranch     // if A goto Blk else Blk2
 	OpIntr       // Dst = intrinsic Sym(Args...)
+	OpNullCheck  // trap with NullPointerException(Sym) if A is null; stands in for the receiver check of an inlined virtual call
 
 	// Monitors (program P uses the object lock word).
 	OpMonEnter
@@ -97,7 +98,7 @@ var opNames = [...]string{
 	OpALoad: "aload", OpAStore: "astore", OpALen: "alen",
 	OpInstOf: "instof", OpCast: "cast",
 	OpCall: "call", OpCallStatic: "callstatic", OpRet: "ret",
-	OpJump: "jump", OpBranch: "branch", OpIntr: "intr",
+	OpJump: "jump", OpBranch: "branch", OpIntr: "intr", OpNullCheck: "nullcheck",
 	OpMonEnter: "monenter", OpMonExit: "monexit",
 	OpPNew: "pnew", OpPNewArr: "pnewarr", OpPLoad: "pload",
 	OpPStore: "pstore", OpPALoad: "paload", OpPAStore: "pastore",

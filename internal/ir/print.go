@@ -162,6 +162,8 @@ func (in *Instr) String() string {
 		sb.WriteString(")")
 	case OpMonEnter, OpMonExit, OpPMonEnter, OpPMonExit:
 		fmt.Fprintf(&sb, " %s", regStr(in.A))
+	case OpNullCheck:
+		fmt.Fprintf(&sb, " %s %q", regStr(in.A), in.Sym)
 	case OpResolve:
 		fmt.Fprintf(&sb, " %s", regStr(in.A))
 	case OpPoolGet:

@@ -128,6 +128,9 @@ func TestInstrStringCoversEveryOpcode(t *testing.T) {
 	intr := mk(OpIntr)
 	intr.Dst, intr.Sym, intr.Args = 1, "println", []Reg{0}
 	put(intr)
+	nc := mk(OpNullCheck)
+	nc.A, nc.Sym = 0, "virtual call f"
+	put(nc)
 
 	for _, op := range []Op{OpMonEnter, OpMonExit, OpPMonEnter, OpPMonExit} {
 		in := mk(op)

@@ -235,6 +235,19 @@ func (c *Class) Resolve(name string) *Method {
 	return nil
 }
 
+// Overridden reports whether any proper subclass of c declares method
+// name. Class-hierarchy analysis: a call of name on a receiver of static
+// class type c is monomorphic exactly when this is false (the world is
+// closed — every class is in the hierarchy).
+func (c *Class) Overridden(name string) bool {
+	for _, s := range c.Subs {
+		if _, ok := s.Methods[name]; ok || s.Overridden(name) {
+			return true
+		}
+	}
+	return false
+}
+
 // FindField finds the instance field name in c or a superclass.
 func (c *Class) FindField(name string) *Field {
 	for x := c; x != nil; x = x.Super {

@@ -95,6 +95,14 @@ type PageManager struct {
 	pages    []*page
 	hwPages  int // most pages this manager has owned at once
 	released bool
+	// records counts this manager's allocations without touching shared
+	// state on the allocation path; ReleaseAll flushes it into the runtime
+	// and Stats folds in the managers still live, so the total stays exact.
+	// Deliberately not atomic: a per-manager atomic add is uncontended but
+	// still a locked instruction per record, measured at +10 % on
+	// graphchi_p2's unit time (24.9 vs 22.3 probes, six alternating pairs).
+	// The price is Stats' contract: see there.
+	records int64
 
 	// cache is the owning scope's page cache; nil for managers created
 	// outside a scope (e.g. the VM root manager), which always use the
@@ -111,6 +119,9 @@ type PageManager struct {
 func (rt *Runtime) NewManager(parent *PageManager, iterID, threadID int) *PageManager {
 	m := &PageManager{rt: rt, parent: parent, IterID: iterID, ThreadID: threadID}
 	rt.stats.managers.Add(1)
+	rt.mu.Lock()
+	rt.live[m] = struct{}{}
+	rt.mu.Unlock()
 	if parent != nil {
 		parent.childMu.Lock()
 		parent.children = append(parent.children, m)
@@ -119,11 +130,15 @@ func (rt *Runtime) NewManager(parent *PageManager, iterID, threadID int) *PageMa
 	return m
 }
 
-// alloc returns a page reference to size zeroed bytes. Allocation from a
-// released manager and page-acquire failures surface as typed errors
-// (ErrReleasedManager, ErrPageExhausted) rather than panics, so they can
-// propagate through the VM boundary and be recovered from.
-func (m *PageManager) alloc(size int) (PageRef, error) {
+// alloc carves size zeroed bytes, writes the record header into them —
+// the type word and, for arrays (arrLen >= 0), the length — and returns
+// their page reference. The header goes through the page in hand, while
+// the acquire or bump pin still holds it resident, so no second resolution
+// is needed. Allocation from a released manager and page-acquire failures
+// surface as typed errors (ErrReleasedManager, ErrPageExhausted) rather
+// than panics, so they can propagate through the VM boundary and be
+// recovered from.
+func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, error) {
 	if m.released {
 		return 0, fmt.Errorf("%w (iteration %d, thread %d)", ErrReleasedManager, m.IterID, m.ThreadID)
 	}
@@ -149,10 +164,11 @@ func (m *PageManager) alloc(size int) (PageRef, error) {
 		m.pages = append(m.pages, p)
 		m.notePages()
 		p.pos = size
-		zero(p.buf[:size])
+		initRecord(p.buf[:size], typeWord, arrLen)
 		// The acquire pin held the page resident through the init writes;
 		// from here on record accessors pin it per operation.
 		m.rt.unpinAcquire(p)
+		m.finishAlloc()
 		return MakeRef(p.idx, 0), nil
 	}
 	p := m.cur[ci]
@@ -172,8 +188,24 @@ func (m *PageManager) alloc(size int) (PageRef, error) {
 	}
 	off := p.pos
 	p.pos += size
-	zero(p.buf[off : off+size])
+	initRecord(p.buf[off:off+size], typeWord, arrLen)
+	m.finishAlloc()
 	return MakeRef(p.idx, off), nil
+}
+
+// initRecord zeroes a freshly carved record and writes its header.
+func initRecord(b []byte, typeWord uint16, arrLen int) {
+	zero(b)
+	putU16(b, typeWord)
+	if arrLen >= 0 {
+		putU32(b[4:], uint32(arrLen))
+	}
+}
+
+// finishAlloc counts the record and lets the tier rebalance.
+func (m *PageManager) finishAlloc() {
+	m.records++
+	m.rt.maybeEvict()
 }
 
 // acquirePage returns a PageSize page, preferring the scope cache (a pop
@@ -220,6 +252,10 @@ func (m *PageManager) ReleaseAll() {
 		return
 	}
 	m.released = true
+	m.rt.mu.Lock()
+	delete(m.rt.live, m)
+	m.rt.stats.records.Add(m.records)
+	m.rt.mu.Unlock()
 	m.rt.obs.Emit(obs.EvManagerRelease, "", int64(m.IterID), int64(m.ThreadID), int64(m.hwPages))
 	m.childMu.Lock()
 	children := m.children
@@ -269,20 +305,7 @@ func (m *PageManager) PageCount() int { return len(m.pages) }
 // AllocRecord allocates a zeroed scalar record with the given type ID and
 // body size and returns its page reference.
 func (m *PageManager) AllocRecord(typeID uint16, bodySize int) (PageRef, error) {
-	ref, err := m.alloc(ScalarHeader + bodySize)
-	if err != nil {
-		return 0, err
-	}
-	if m.rt.tier == nil {
-		putU16(m.rt.bytesFast(ref), typeID)
-	} else {
-		b, p := m.rt.bytesPinned(ref)
-		putU16(b, typeID)
-		m.rt.unpin(p)
-	}
-	m.rt.stats.records.Add(1)
-	m.rt.maybeEvict()
-	return ref, nil
+	return m.alloc(ScalarHeader+bodySize, typeID, -1)
 }
 
 // AllocArray allocates a zeroed array record for n elements of elemSize
@@ -295,23 +318,7 @@ func (m *PageManager) AllocArray(arrTypeIdx int, elemSize, n int) (PageRef, erro
 	if arrTypeIdx < 0 {
 		return 0, ErrTooManyArrayTypes
 	}
-	ref, err := m.alloc(ArrayHeader + n*elemSize)
-	if err != nil {
-		return 0, err
-	}
-	if m.rt.tier == nil {
-		b := m.rt.bytesFast(ref)
-		putU16(b, arrayTypeBit|uint16(arrTypeIdx))
-		putU32(b[4:], uint32(n))
-	} else {
-		b, p := m.rt.bytesPinned(ref)
-		putU16(b, arrayTypeBit|uint16(arrTypeIdx))
-		putU32(b[4:], uint32(n))
-		m.rt.unpin(p)
-	}
-	m.rt.stats.records.Add(1)
-	m.rt.maybeEvict()
-	return ref, nil
+	return m.alloc(ArrayHeader+n*elemSize, arrayTypeBit|uint16(arrTypeIdx), n)
 }
 
 // IterScope manages a thread's stack of page managers: the default

@@ -114,6 +114,9 @@ type Runtime struct {
 
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse
+	// live holds the managers not yet released; their record counts are
+	// folded into Stats.
+	live map[*PageManager]struct{}
 	// table is a copy-on-write page table so record accesses resolve page
 	// references without locking.
 	table atomic.Pointer[[]*page]
@@ -190,6 +193,7 @@ func NewRuntimeWith(reg *obs.Registry) *Runtime {
 		reg = obs.NewRegistry()
 	}
 	rt := &Runtime{
+		live:          make(map[*PageManager]struct{}),
 		arrIndex:      make(map[string]int),
 		Locks:         NewLockPool(defaultLockPoolSize),
 		obs:           reg,
@@ -277,6 +281,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.stats.pagesLive.Store(0)
 	rt.stats.oversize.Store(0)
 	rt.stats.records.Store(0)
+	rt.live = make(map[*PageManager]struct{})
 	rt.stats.bytesInUse.Store(0)
 	rt.stats.peakBytes.Store(0)
 	rt.stats.managers.Store(0)
@@ -303,15 +308,26 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	return nil
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. Every field but Records is
+// atomic and may be sampled at any time; Records folds in the unsynchronised
+// per-manager counts of managers still live, so call Stats only while no
+// thread is allocating (every caller reports after its run has finished).
+// A mid-run observer reads the page counters and gauges in the obs
+// registry instead.
 func (rt *Runtime) Stats() Stats {
+	rt.mu.Lock()
+	records := rt.stats.records.Load()
+	for m := range rt.live {
+		records += m.records
+	}
+	rt.mu.Unlock()
 	s := Stats{
 		PagesCreated:  rt.stats.pagesCreated.Load(),
 		PagesLive:     rt.stats.pagesLive.Load(),
 		PagesLiveHW:   rt.gPagesLive.HighWater(),
 		PagesRecycled: rt.stats.pagesRecycled.Load(),
 		Oversize:      rt.stats.oversize.Load(),
-		Records:       rt.stats.records.Load(),
+		Records:       records,
 		BytesInUse:    rt.stats.bytesInUse.Load(),
 		PeakBytes:     rt.stats.peakBytes.Load(),
 		Managers:      rt.stats.managers.Load(),

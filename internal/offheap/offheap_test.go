@@ -2,6 +2,7 @@ package offheap
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -24,6 +25,43 @@ func mustRecord(t testing.TB, m *PageManager, typeID uint16, size int) PageRef {
 	return ref
 }
 
+// get and put read and write one typed slot of a record body the way
+// production code does: one Resolve, the header skipped, the value decoded
+// in place. The store itself exports no per-type accessors.
+func get[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int) T {
+	b, pin := rt.Resolve(ref)
+	defer pin.Unpin()
+	b = body(b)[off:]
+	var v T
+	switch p := any(&v).(type) {
+	case *int8:
+		*p = int8(b[0])
+	case *int32:
+		*p = int32(getU32(b))
+	case *int64:
+		*p = int64(getU64(b))
+	case *float64:
+		*p = math.Float64frombits(getU64(b))
+	}
+	return v
+}
+
+func put[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int, v T) {
+	b, pin := rt.Resolve(ref)
+	defer pin.Unpin()
+	b = body(b)[off:]
+	switch v := any(v).(type) {
+	case int8:
+		b[0] = byte(v)
+	case int32:
+		putU32(b, uint32(v))
+	case int64:
+		putU64(b, uint64(v))
+	case float64:
+		putU64(b, math.Float64bits(v))
+	}
+}
+
 func TestRecordRoundtrip(t *testing.T) {
 	rt := NewRuntime()
 	ic := 0
@@ -33,13 +71,13 @@ func TestRecordRoundtrip(t *testing.T) {
 	if rt.ClassID(ref) != 7 || rt.IsArrayRecord(ref) {
 		t.Fatal("bad scalar header")
 	}
-	rt.SetInt(ref, 0, -123)
-	rt.SetLong(ref, 8, 1<<40)
-	rt.SetDouble(ref, 16, 3.25)
-	rt.SetByte(ref, 24, -5)
+	put(rt, ref, 0, int32(-123))
+	put(rt, ref, 8, int64(1<<40))
+	put(rt, ref, 16, 3.25)
+	put(rt, ref, 24, int8(-5))
 	rt.SetRef(ref, 32, ref)
-	if rt.GetInt(ref, 0) != -123 || rt.GetLong(ref, 8) != 1<<40 ||
-		rt.GetDouble(ref, 16) != 3.25 || rt.GetByte(ref, 24) != -5 ||
+	if get[int32](rt, ref, 0) != -123 || get[int64](rt, ref, 8) != 1<<40 ||
+		get[float64](rt, ref, 16) != 3.25 || get[int8](rt, ref, 24) != -5 ||
 		rt.GetRef(ref, 32) != ref {
 		t.Fatal("record field roundtrip failed")
 	}
@@ -59,10 +97,10 @@ func TestArrayRecord(t *testing.T) {
 		t.Fatal("bad array header")
 	}
 	for i := 0; i < 1000; i++ {
-		rt.SetInt(ref, i*4, int32(i))
+		put(rt, ref, i*4, int32(i))
 	}
 	for i := 0; i < 1000; i++ {
-		if rt.GetInt(ref, i*4) != int32(i) {
+		if get[int32](rt, ref, i*4) != int32(i) {
 			t.Fatalf("elem %d", i)
 		}
 	}
@@ -97,11 +135,11 @@ func TestRecordValuesSurviveRandomOps(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			sl := slot{refs[rng.Intn(len(refs))], rng.Intn(15) * 8}
 			v := rng.Int63()
-			rt.SetLong(sl.ref, sl.off, v)
+			put(rt, sl.ref, sl.off, v)
 			shadow[sl] = v
 		}
 		for sl, v := range shadow {
-			if rt.GetLong(sl.ref, sl.off) != v {
+			if get[int64](rt, sl.ref, sl.off) != v {
 				return false
 			}
 		}
@@ -146,7 +184,7 @@ func TestNestedIterations(t *testing.T) {
 	s.IterationStart()
 	outer := s.Current()
 	outerRec := mustRecord(t, outer, 1, 32)
-	rt.SetInt(outerRec, 0, 77)
+	put(rt, outerRec, 0, int32(77))
 	for sub := 0; sub < 5; sub++ {
 		s.IterationStart()
 		if s.Depth() != 2 {
@@ -158,7 +196,7 @@ func TestNestedIterations(t *testing.T) {
 		s.IterationEnd()
 	}
 	// Outer iteration's data is untouched by sub-iteration reclamation.
-	if rt.GetInt(outerRec, 0) != 77 {
+	if get[int32](rt, outerRec, 0) != 77 {
 		t.Fatal("outer record corrupted by sub-iteration release")
 	}
 	s.IterationEnd()
@@ -202,8 +240,8 @@ func TestOversizeAllocation(t *testing.T) {
 	if rt.ArrayLen(ref) != 5*PageSize {
 		t.Fatal("oversize length wrong")
 	}
-	rt.SetByte(ref, 5*PageSize-1, 42)
-	if rt.GetByte(ref, 5*PageSize-1) != 42 {
+	put(rt, ref, 5*PageSize-1, int8(42))
+	if get[int8](rt, ref, 5*PageSize-1) != 42 {
 		t.Fatal("oversize tail write failed")
 	}
 	if rt.Stats().Oversize != 1 {
@@ -253,7 +291,7 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 	s := newScope(rt, &ic, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
-	rt.SetInt(rec, 0, 0)
+	put(rt, rec, 0, int32(0))
 
 	const nThreads = 8
 	const perThread = 1000
@@ -262,14 +300,16 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			owner := &struct{}{}
+			// Not &struct{}{}: pointers to zero-size values may all be
+			// equal, which makes every goroutine the same (reentrant) owner.
+			owner := new(int)
 			for j := 0; j < perThread; j++ {
 				if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				v := rt.GetInt(rec, 0)
-				rt.SetInt(rec, 0, v+1)
+				v := get[int32](rt, rec, 0)
+				put(rt, rec, 0, v+1)
 				if err := rt.Locks.Exit(rt, rec, owner); err != nil {
 					t.Error(err)
 					return
@@ -278,7 +318,7 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := rt.GetInt(rec, 0); got != nThreads*perThread {
+	if got := get[int32](rt, rec, 0); got != nThreads*perThread {
 		t.Fatalf("counter = %d, want %d (lock pool does not exclude)", got, nThreads*perThread)
 	}
 	// After the last exit the lock returns to the pool and the record's
@@ -344,7 +384,7 @@ func TestLockPoolExitErrors(t *testing.T) {
 	if err := rt.Locks.Exit(rt, rec, &struct{}{}); err == nil {
 		t.Fatal("exit without enter must fail")
 	}
-	a, b := &struct{}{}, &struct{}{}
+	a, b := new(int), new(int) // distinct: zero-size pointers need not be
 	if err := rt.Locks.Enter(rt, rec, a, nil); err != nil {
 		t.Fatal(err)
 	}

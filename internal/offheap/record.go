@@ -1,21 +1,26 @@
 package offheap
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
-// Record accessors. Field offsets are the same byte offsets the managed
-// heap uses (computed once per class in internal/lang), so the synthesized
+// Record access. Field offsets are the same byte offsets the managed heap
+// uses (computed once per class in internal/lang), so the synthesized
 // conversion functions are field-by-field copies with no remapping.
 //
-// Every accessor branches on tier presence. Untiered (the common case) it
-// is the old lock-free copy-on-write table read — no pin, no atomics, and
-// small enough that the resolution inlines into the accessor. With a disk
-// tier attached it goes through bytesPinned/bodyPinned, which pin the page
-// resident for the duration of the operation (promoting it first when
-// spilled), so a reference resolves transparently whichever tier the page
-// is on.
+// Every access is one resolution of the page reference followed by reads
+// or writes of the resolved bytes, which start at the record header:
+//
+//   - Bytes is the untiered resolution: a lock-free copy-on-write table
+//     read, no pin, no atomics, small enough to inline at the call site.
+//   - Pin is the tiered resolution: it pins the page resident for the
+//     duration of the operation (promoting it first when spilled), so a
+//     reference resolves transparently whichever tier the page is on.
+//
+// A caller that issues many operations against one store — the VM's
+// dispatch loop — asks Tiered once and calls the matching one directly,
+// with the header size its operation implies (ScalarHeader for a field,
+// ArrayHeader for an element). Everyone else calls Resolve, which picks
+// per call, or the few whole-record helpers below (header words, reference
+// slots, body copies), which also read the header to find the body.
 
 func putU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
 func getU16(b []byte) uint16    { return binary.LittleEndian.Uint16(b) }
@@ -24,31 +29,66 @@ func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// bytesFast resolves ref without pinning. Only valid when rt.tier == nil:
-// with a tier attached an unpinned read races the evictor mid-spill.
-func (rt *Runtime) bytesFast(ref PageRef) []byte {
+// Pin keeps a record's page resident while its bytes are in use. The zero
+// Pin (untiered stores) holds nothing.
+type Pin struct{ p *page }
+
+// Unpin releases the pin. Pins must not leak: a leaked pin makes a page
+// unevictable for the rest of the run.
+func (p Pin) Unpin() {
+	if p.p != nil {
+		p.p.pinned.Add(-1)
+	}
+}
+
+// Bytes resolves ref, without pinning, to the record's bytes from its
+// header on. Only valid on an untiered store: with a tier attached an
+// unpinned read races the evictor mid-spill.
+func (rt *Runtime) Bytes(ref PageRef) []byte {
 	idx, off := splitRef(ref)
 	return (*rt.table.Load())[idx].buf[off:]
 }
 
-// bodyFast is bytesFast skipping the record header.
-func (rt *Runtime) bodyFast(ref PageRef) []byte {
-	b := rt.bytesFast(ref)
+// Pin resolves ref to the record's bytes from its header on and pins the
+// page until the returned Pin is released. A tier-load failure panics with
+// *TierFault, recovered at the VM call boundary.
+func (rt *Runtime) Pin(ref PageRef) ([]byte, Pin) {
+	b, p, err := rt.pinResident(ref)
+	if err != nil {
+		panic(&TierFault{Err: err})
+	}
+	return b, Pin{p}
+}
+
+// Resolve picks the resolution for one access: for callers that touch a
+// record now and then rather than per instruction.
+func (rt *Runtime) Resolve(ref PageRef) ([]byte, Pin) {
+	if rt.tier == nil {
+		return rt.Bytes(ref), Pin{}
+	}
+	return rt.Pin(ref)
+}
+
+// TypeWord reads the raw type word (class ID, or array bit | array type
+// index) from resolved record bytes.
+func TypeWord(b []byte) uint16 { return getU16(b) }
+
+// ArrayLength reads the length from the resolved bytes of an array record.
+func ArrayLength(b []byte) int { return int(getU32(b[4:])) }
+
+// body skips the header of resolved record bytes.
+func body(b []byte) []byte {
 	if getU16(b)&arrayTypeBit != 0 {
 		return b[ArrayHeader:]
 	}
 	return b[ScalarHeader:]
 }
 
-// TypeID returns the record's raw type word (class ID, or array bit |
-// array type index).
+// TypeID returns the record's raw type word.
 func (rt *Runtime) TypeID(ref PageRef) uint16 {
-	if rt.tier == nil {
-		return getU16(rt.bytesFast(ref))
-	}
-	b, p := rt.bytesPinned(ref)
+	b, pin := rt.Resolve(ref)
 	v := getU16(b)
-	rt.unpin(p)
+	pin.Unpin()
 	return v
 }
 
@@ -67,183 +107,73 @@ func (rt *Runtime) ArrayTypeOf(ref PageRef) int {
 
 // ArrayLen returns the length of an array record.
 func (rt *Runtime) ArrayLen(ref PageRef) int {
-	if rt.tier == nil {
-		return int(getU32(rt.bytesFast(ref)[4:]))
-	}
-	b, p := rt.bytesPinned(ref)
-	n := int(getU32(b[4:]))
-	rt.unpin(p)
+	b, pin := rt.Resolve(ref)
+	n := ArrayLength(b)
+	pin.Unpin()
 	return n
 }
 
 // GetLockID reads the record's 2-byte lock field.
 func (rt *Runtime) GetLockID(ref PageRef) uint16 {
-	if rt.tier == nil {
-		return getU16(rt.bytesFast(ref)[2:])
-	}
-	b, p := rt.bytesPinned(ref)
+	b, pin := rt.Resolve(ref)
 	v := getU16(b[2:])
-	rt.unpin(p)
+	pin.Unpin()
 	return v
 }
 
 // SetLockID writes the record's lock field. Callers serialize through the
 // lock pool.
 func (rt *Runtime) SetLockID(ref PageRef, id uint16) {
-	if rt.tier == nil {
-		putU16(rt.bytesFast(ref)[2:], id)
-		return
-	}
-	b, p := rt.bytesPinned(ref)
+	b, pin := rt.Resolve(ref)
 	putU16(b[2:], id)
-	rt.unpin(p)
-}
-
-// GetByte reads a byte/boolean slot.
-func (rt *Runtime) GetByte(ref PageRef, off int) int8 {
-	if rt.tier == nil {
-		return int8(rt.bodyFast(ref)[off])
-	}
-	b, p := rt.bodyPinned(ref)
-	v := int8(b[off])
-	rt.unpin(p)
-	return v
-}
-
-// SetByte writes a byte/boolean slot.
-func (rt *Runtime) SetByte(ref PageRef, off int, v int8) {
-	if rt.tier == nil {
-		rt.bodyFast(ref)[off] = byte(v)
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	b[off] = byte(v)
-	rt.unpin(p)
-}
-
-// GetInt reads an int slot.
-func (rt *Runtime) GetInt(ref PageRef, off int) int32 {
-	if rt.tier == nil {
-		return int32(getU32(rt.bodyFast(ref)[off:]))
-	}
-	b, p := rt.bodyPinned(ref)
-	v := int32(getU32(b[off:]))
-	rt.unpin(p)
-	return v
-}
-
-// SetInt writes an int slot.
-func (rt *Runtime) SetInt(ref PageRef, off int, v int32) {
-	if rt.tier == nil {
-		putU32(rt.bodyFast(ref)[off:], uint32(v))
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	putU32(b[off:], uint32(v))
-	rt.unpin(p)
-}
-
-// GetLong reads a long slot (also used for reference slots, which store
-// page references).
-func (rt *Runtime) GetLong(ref PageRef, off int) int64 {
-	if rt.tier == nil {
-		return int64(getU64(rt.bodyFast(ref)[off:]))
-	}
-	b, p := rt.bodyPinned(ref)
-	v := int64(getU64(b[off:]))
-	rt.unpin(p)
-	return v
-}
-
-// SetLong writes a long slot.
-func (rt *Runtime) SetLong(ref PageRef, off int, v int64) {
-	if rt.tier == nil {
-		putU64(rt.bodyFast(ref)[off:], uint64(v))
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	putU64(b[off:], uint64(v))
-	rt.unpin(p)
-}
-
-// GetDouble reads a double slot.
-func (rt *Runtime) GetDouble(ref PageRef, off int) float64 {
-	if rt.tier == nil {
-		return math.Float64frombits(getU64(rt.bodyFast(ref)[off:]))
-	}
-	b, p := rt.bodyPinned(ref)
-	v := math.Float64frombits(getU64(b[off:]))
-	rt.unpin(p)
-	return v
-}
-
-// SetDouble writes a double slot.
-func (rt *Runtime) SetDouble(ref PageRef, off int, v float64) {
-	if rt.tier == nil {
-		putU64(rt.bodyFast(ref)[off:], math.Float64bits(v))
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	putU64(b[off:], math.Float64bits(v))
-	rt.unpin(p)
+	pin.Unpin()
 }
 
 // GetRef reads a reference slot (a nested page reference).
-func (rt *Runtime) GetRef(ref PageRef, off int) PageRef { return rt.GetLong(ref, off) }
+func (rt *Runtime) GetRef(ref PageRef, off int) PageRef {
+	b, pin := rt.Resolve(ref)
+	v := PageRef(getU64(body(b)[off:]))
+	pin.Unpin()
+	return v
+}
 
 // SetRef writes a reference slot. There is no write barrier: nothing
 // traces these pages — that is the optimization.
-func (rt *Runtime) SetRef(ref PageRef, off int, v PageRef) { rt.SetLong(ref, off, v) }
+func (rt *Runtime) SetRef(ref PageRef, off int, v PageRef) {
+	b, pin := rt.Resolve(ref)
+	putU64(body(b)[off:], uint64(v))
+	pin.Unpin()
+}
 
 // WriteBody copies data into the record body at off (bulk byte-array
 // fills).
 func (rt *Runtime) WriteBody(ref PageRef, off int, data []byte) {
-	if rt.tier == nil {
-		copy(rt.bodyFast(ref)[off:], data)
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	copy(b[off:], data)
-	rt.unpin(p)
+	b, pin := rt.Resolve(ref)
+	copy(body(b)[off:], data)
+	pin.Unpin()
 }
 
 // ReadBody copies n body bytes starting at off out of the record.
 func (rt *Runtime) ReadBody(ref PageRef, off, n int) []byte {
 	out := make([]byte, n)
-	if rt.tier == nil {
-		copy(out, rt.bodyFast(ref)[off:])
-		return out
-	}
-	b, p := rt.bodyPinned(ref)
-	copy(out, b[off:])
-	rt.unpin(p)
+	b, pin := rt.Resolve(ref)
+	copy(out, body(b)[off:])
+	pin.Unpin()
 	return out
 }
 
 // ArrayCopy copies n elements of elemSize bytes between array records,
 // the native-memory model of System.arraycopy. Both pages stay pinned for
 // the copy; a tier-load failure on the second pin releases the first
-// before surfacing (pins must not leak — a leaked pin makes a page
-// unevictable for the rest of the run).
+// before surfacing.
 func (rt *Runtime) ArrayCopy(src PageRef, srcPos int, dst PageRef, dstPos, n, elemSize int) {
-	if rt.tier == nil {
-		sb := rt.bodyFast(src)
-		db := rt.bodyFast(dst)
-		copy(db[dstPos*elemSize:(dstPos+n)*elemSize], sb[srcPos*elemSize:(srcPos+n)*elemSize])
-		return
-	}
-	sb, sp := rt.bodyPinned(src)
+	sb, sp := rt.Resolve(src)
 	db, dp, err := rt.pinResident(dst)
 	if err != nil {
-		rt.unpin(sp)
+		sp.Unpin()
 		panic(&TierFault{Err: err})
 	}
-	if getU16(db)&arrayTypeBit != 0 {
-		db = db[ArrayHeader:]
-	} else {
-		db = db[ScalarHeader:]
-	}
-	copy(db[dstPos*elemSize:(dstPos+n)*elemSize], sb[srcPos*elemSize:(srcPos+n)*elemSize])
-	rt.unpin(dp)
-	rt.unpin(sp)
+	copy(body(db)[dstPos*elemSize:(dstPos+n)*elemSize], body(sb)[srcPos*elemSize:(srcPos+n)*elemSize])
+	Pin{dp}.Unpin()
+	sp.Unpin()
 }

@@ -164,6 +164,21 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 // Tiered reports whether the store has a disk tier attached.
 func (rt *Runtime) Tiered() bool { return rt.tier != nil }
 
+// Pins returns the number of pins currently held on the store's pages:
+// in-flight record operations plus the managers' bump-page pins. Every
+// record operation must leave it where it found it, and with every manager
+// released it is zero — a leaked pin makes a page unevictable for the rest
+// of the run. Always zero on an untiered store. Exported for the
+// interpreter's pin-balance test: the VM's record ops pin and unpin in
+// package vm, where a leak has no other observable.
+func (rt *Runtime) Pins() int64 {
+	var n int64
+	for _, p := range *rt.table.Load() {
+		n += int64(p.pinned.Load())
+	}
+	return n
+}
+
 // closeTier tears down the tier: unmap/close/remove the spill file and
 // detach. Pages still spilled lose their bodies — callers (Reset) ensure
 // no page is live.
@@ -434,7 +449,7 @@ func (rt *Runtime) promoteLocked(p *page) error {
 // --- pinned access ---
 
 // pinResident pins ref's page resident and returns the record bytes plus
-// the page to unpin (nil page when untiered — unpin is a no-op then).
+// the page to unpin (nil page when untiered — Pin.Unpin is a no-op then).
 //
 // The pin/evict handshake is a Dekker pair: the accessor stores its pin
 // and then loads evicting; the evictor stores evicting and then loads the
@@ -468,30 +483,4 @@ func (rt *Runtime) pinResident(ref PageRef) ([]byte, *page, error) {
 		}
 	}
 	return p.buf[off:], p, nil
-}
-
-// bytesPinned is pinResident for infallible callers: a tier-load failure
-// panics with *TierFault, recovered at the VM call boundary.
-func (rt *Runtime) bytesPinned(ref PageRef) ([]byte, *page) {
-	b, p, err := rt.pinResident(ref)
-	if err != nil {
-		panic(&TierFault{Err: err})
-	}
-	return b, p
-}
-
-// bodyPinned is bytesPinned skipping the record header.
-func (rt *Runtime) bodyPinned(ref PageRef) ([]byte, *page) {
-	b, p := rt.bytesPinned(ref)
-	if getU16(b)&arrayTypeBit != 0 {
-		return b[ArrayHeader:], p
-	}
-	return b[ScalarHeader:], p
-}
-
-// unpin releases a pin taken by bytesPinned/bodyPinned/pinResident.
-func (rt *Runtime) unpin(p *page) {
-	if p != nil {
-		p.pinned.Add(-1)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/lang"
 )
 
 // newTieredRuntime builds a store with a disk tier in a test temp dir.
@@ -57,8 +58,8 @@ func TestTierSpillPromoteRoundtrip(t *testing.T) {
 		refs := make([]PageRef, n)
 		for i := range refs {
 			refs[i] = dedicated(t, s.Current(), uint16(i+1))
-			rt.SetLong(refs[i], 0, int64(i)*1_000_003)
-			rt.SetDouble(refs[i], 8, float64(i)+0.5)
+			put(rt, refs[i], 0, int64(i)*1_000_003)
+			put(rt, refs[i], 8, float64(i)+0.5)
 			checkTierAccounting(t, rt)
 		}
 		st := rt.Stats()
@@ -71,10 +72,10 @@ func TestTierSpillPromoteRoundtrip(t *testing.T) {
 		// Reading every record promotes the spilled ones back; the data
 		// must be bit-identical to what was written.
 		for i, ref := range refs {
-			if got := rt.GetLong(ref, 0); got != int64(i)*1_000_003 {
+			if got := get[int64](rt, ref, 0); got != int64(i)*1_000_003 {
 				t.Fatalf("record %d long = %d after spill/promote", i, got)
 			}
-			if got := rt.GetDouble(ref, 8); got != float64(i)+0.5 {
+			if got := get[float64](rt, ref, 8); got != float64(i)+0.5 {
 				t.Fatalf("record %d double = %v after spill/promote", i, got)
 			}
 			checkTierAccounting(t, rt)
@@ -99,7 +100,7 @@ func TestTierNoDoubleSpillOrPromote(t *testing.T) {
 	// spill is either still on disk or was promoted back — never both.
 	for round := 0; round < 3; round++ {
 		for i, ref := range refs {
-			rt.SetInt(ref, 0, int32(round*100+i))
+			put(rt, ref, 0, int32(round*100+i))
 		}
 	}
 	st := rt.Stats()
@@ -108,7 +109,7 @@ func TestTierNoDoubleSpillOrPromote(t *testing.T) {
 			st.PagesSpilled, st.PagesPromoted, st.PagesDisk)
 	}
 	for i, ref := range refs {
-		if got := rt.GetInt(ref, 0); got != int32(200+i) {
+		if got := get[int32](rt, ref, 0); got != int32(200+i) {
 			t.Fatalf("record %d = %d after churn", i, got)
 		}
 	}
@@ -121,7 +122,7 @@ func TestTierPinnedPageNeverEvicted(t *testing.T) {
 	s := newScope(rt, &ic, 0)
 	defer s.Close()
 	ref := dedicated(t, s.Current(), 1)
-	rt.SetLong(ref, 0, 42)
+	put(rt, ref, 0, int64(42))
 	idx, _ := splitRef(ref)
 	p := (*rt.table.Load())[idx]
 	p.pinned.Add(1) // simulate an in-flight record operation
@@ -135,7 +136,7 @@ func TestTierPinnedPageNeverEvicted(t *testing.T) {
 	if spilled {
 		t.Fatal("evictor spilled a pinned page")
 	}
-	if got := rt.GetLong(ref, 0); got != 42 {
+	if got := get[int64](rt, ref, 0); got != 42 {
 		t.Fatalf("pinned page content = %d", got)
 	}
 	checkTierAccounting(t, rt)
@@ -150,7 +151,7 @@ func TestTierBumpPageNeverEvicted(t *testing.T) {
 	// acquire pin while it is the allocation target, so the eviction
 	// pressure from the dedicated pages must never select it.
 	ref := mustRecord(t, s.Current(), 1, 32)
-	rt.SetInt(ref, 0, 7)
+	put(rt, ref, 0, int32(7))
 	idx, _ := splitRef(ref)
 	bump := (*rt.table.Load())[idx]
 	for i := 0; i < 10; i++ {
@@ -163,12 +164,12 @@ func TestTierBumpPageNeverEvicted(t *testing.T) {
 		}
 		// Bump allocation into the page must keep working under pressure.
 		r2 := mustRecord(t, s.Current(), 1, 32)
-		rt.SetInt(r2, 0, int32(i))
-		if rt.GetInt(r2, 0) != int32(i) {
+		put(rt, r2, 0, int32(i))
+		if get[int32](rt, r2, 0) != int32(i) {
 			t.Fatal("bump allocation corrupted under eviction pressure")
 		}
 	}
-	if rt.GetInt(ref, 0) != 7 {
+	if get[int32](rt, ref, 0) != 7 {
 		t.Fatal("bump page content lost")
 	}
 }
@@ -210,7 +211,7 @@ func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
 		// Untiered, the 4th acquire would fail with ErrPageQuota; with a
 		// tier the store spills first — the new first rung of the ladder.
 		refs[i] = dedicated(t, s.Current(), 1)
-		rt.SetLong(refs[i], 0, int64(i))
+		put(rt, refs[i], 0, int64(i))
 	}
 	st := rt.Stats()
 	if st.PagesResident > 3 {
@@ -220,7 +221,7 @@ func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
 		t.Fatal("quota pressure did not spill")
 	}
 	for i, ref := range refs {
-		if got := rt.GetLong(ref, 0); got != int64(i) {
+		if got := get[int64](rt, ref, 0); got != int64(i) {
 			t.Fatalf("record %d = %d under quota spill", i, got)
 		}
 	}
@@ -236,7 +237,7 @@ func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 	refs := make([]PageRef, 6)
 	for i := range refs {
 		refs[i] = dedicated(t, s.Current(), 1)
-		rt.SetLong(refs[i], 0, int64(i))
+		put(rt, refs[i], 0, int64(i))
 	}
 	var tf *TierFault
 	func() {
@@ -251,7 +252,7 @@ func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 			}
 		}()
 		for _, ref := range refs {
-			rt.GetLong(ref, 0)
+			get[int64](rt, ref, 0)
 		}
 	}()
 	if !errors.Is(tf, ErrPageExhausted) {
@@ -260,7 +261,7 @@ func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 	// The schedule is one-shot: a retry of the same reads succeeds with
 	// the original values — the degradation ladder's replay contract.
 	for i, ref := range refs {
-		if got := rt.GetLong(ref, 0); got != int64(i) {
+		if got := get[int64](rt, ref, 0); got != int64(i) {
 			t.Fatalf("record %d = %d on retry after injected load fault", i, got)
 		}
 	}
@@ -276,10 +277,10 @@ func TestTierSpillFaultIsBestEffort(t *testing.T) {
 	refs := make([]PageRef, 8)
 	for i := range refs {
 		refs[i] = dedicated(t, s.Current(), 1) // first eviction attempt fails silently
-		rt.SetLong(refs[i], 0, int64(i))
+		put(rt, refs[i], 0, int64(i))
 	}
 	for i, ref := range refs {
-		if got := rt.GetLong(ref, 0); got != int64(i) {
+		if got := get[int64](rt, ref, 0); got != int64(i) {
 			t.Fatalf("record %d = %d after injected spill fault", i, got)
 		}
 	}
@@ -335,5 +336,148 @@ func TestEnableTieringValidation(t *testing.T) {
 	}
 	if err := rt.EnableTiering(TierConfig{Dir: dir, HighWater: 4, LowWater: 2}); err == nil {
 		t.Fatal("double enable accepted")
+	}
+}
+
+// TestRecordAccessTieredMatchesUntiered runs one script of writes and
+// reads over every slot kind (byte, int, long, double, reference), in
+// scalar and array records, against an untiered store and against a tiered
+// one under a watermark tight enough to spill between operations. Values
+// must agree, through the typed accessors and through the one-resolution
+// primitives (Bytes untiered, Pin tiered) the VM's record ops are built on,
+// and every operation must return the store's pin count to where it was.
+func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
+	type store struct {
+		rt   *Runtime
+		s    *IterScope
+		recs []PageRef
+		arrs []PageRef
+	}
+	const n = 8
+	build := func(rt *Runtime) *store {
+		ic := 0
+		st := &store{rt: rt, s: newScope(rt, &ic, 0)}
+		for i := 0; i < n; i++ {
+			// Big enough for a page each, so the tiered store keeps spilling.
+			st.recs = append(st.recs, mustRecord(t, st.s.Current(), uint16(i+1), 20000))
+			arr, err := st.s.Current().AllocArray(rt.ArrayTypeIndex(lang.LongType), 8, 2500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.arrs = append(st.arrs, arr)
+		}
+		return st
+	}
+	tieredRT, _ := newTieredRuntime(t, 3, 1, false)
+	plain, tiered := build(NewRuntime()), build(tieredRT)
+	defer plain.s.Close()
+	defer tiered.s.Close()
+
+	// balanced runs op on the tiered store and checks the pin count.
+	balanced := func(what string, op func(st *store)) {
+		t.Helper()
+		before := tieredRT.Pins()
+		op(tiered)
+		if after := tieredRT.Pins(); after != before {
+			t.Fatalf("%s: pins %d -> %d", what, before, after)
+		}
+		op(plain)
+	}
+	for i := 0; i < n; i++ {
+		i := i
+		balanced("writes", func(st *store) {
+			rt, rec, arr := st.rt, st.recs[i], st.arrs[i]
+			put(rt, rec, 0, int8(-i-1))
+			put(rt, rec, 4, int32(-1000*i-7))
+			put(rt, rec, 8, int64(i)<<40|5)
+			put(rt, rec, 16, float64(i)+0.25)
+			rt.SetRef(rec, 24, arr)
+			put(rt, arr, 8*(i+1), int64(i)*77)
+			put(rt, arr, 8*2400, int8(i))
+		})
+	}
+	if tieredRT.Stats().PagesSpilled == 0 {
+		t.Fatal("setup: the tiered store never spilled")
+	}
+	for i := 0; i < n; i++ {
+		got := map[*store][]int64{}
+		for _, st := range []*store{plain, tiered} {
+			st := st
+			rt, rec, arr := st.rt, st.recs[i], st.arrs[i]
+			before := rt.Pins()
+			vals := []int64{
+				int64(get[int8](rt, rec, 0)), int64(get[int32](rt, rec, 4)), get[int64](rt, rec, 8),
+				int64(get[float64](rt, rec, 16) * 4), int64(rt.ArrayLen(rt.GetRef(rec, 24))),
+				get[int64](rt, arr, 8*(i+1)), int64(get[int8](rt, arr, 8*2400)),
+				int64(rt.TypeID(rec)), int64(rt.ArrayTypeOf(arr)),
+			}
+			// The same slots through one resolution and the header size
+			// the operation implies, as the VM reads them.
+			var b []byte
+			var pin Pin
+			if rt.Tiered() {
+				b, pin = rt.Pin(rec)
+			} else {
+				b = rt.Bytes(rec)
+			}
+			vals = append(vals, int64(TypeWord(b)), int64(getU64(b[ScalarHeader+8:])))
+			pin.Unpin()
+			if rt.Tiered() {
+				b, pin = rt.Pin(arr)
+			} else {
+				b = rt.Bytes(arr)
+			}
+			vals = append(vals, int64(ArrayLength(b)), int64(getU64(b[ArrayHeader+8*(i+1):])))
+			pin.Unpin()
+			if after := rt.Pins(); after != before {
+				t.Fatalf("record %d reads: pins %d -> %d (tiered=%v)", i, before, after, rt.Tiered())
+			}
+			got[st] = vals
+		}
+		for k, want := range got[plain] {
+			if got[tiered][k] != want {
+				t.Fatalf("record %d value %d: untiered %d, tiered %d", i, k, want, got[tiered][k])
+			}
+		}
+	}
+	checkTierAccounting(t, tieredRT)
+}
+
+// TestRecordCountExactAcrossManagers pins the allocator's accounting:
+// records are counted per manager without shared writes, and Stats must
+// still be exact while managers are live, after they release, and for
+// managers in nested iterations.
+func TestRecordCountExactAcrossManagers(t *testing.T) {
+	rt := NewRuntime()
+	ic := 0
+	s := newScope(rt, &ic, 0)
+	want := int64(0)
+	alloc := func(k int) {
+		for i := 0; i < k; i++ {
+			mustRecord(t, s.Current(), 1, 16)
+			want++
+		}
+		if got := rt.Stats().Records; got != want {
+			t.Fatalf("records = %d, want %d (depth %d)", got, want, s.Depth())
+		}
+	}
+	alloc(3)
+	s.IterationStart()
+	alloc(5)
+	s.IterationStart()
+	alloc(7)
+	s.IterationEnd()
+	alloc(2)
+	s.IterationEnd()
+	alloc(1)
+	s.Close()
+	if got := rt.Stats().Records; got != want {
+		t.Fatalf("records after close = %d, want %d", got, want)
+	}
+	if len(rt.live) != 0 {
+		t.Fatalf("%d manager(s) still registered after close", len(rt.live))
+	}
+	if rt.Pins() != 0 {
+		t.Fatalf("untiered store reports %d pins", rt.Pins())
 	}
 }

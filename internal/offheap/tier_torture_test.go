@@ -28,8 +28,8 @@ func TestTierTorture(t *testing.T) {
 	shared := make([]PageRef, nShared)
 	for i := range shared {
 		shared[i] = dedicated(t, root.Current(), uint16(i+1))
-		rt.SetLong(shared[i], 0, int64(i)*7919)
-		rt.SetDouble(shared[i], 8, float64(i)+0.25)
+		put(rt, shared[i], 0, int64(i)*7919)
+		put(rt, shared[i], 8, float64(i)+0.25)
 	}
 
 	const (
@@ -66,20 +66,20 @@ func TestTierTorture(t *testing.T) {
 						failures.Add(1)
 						continue
 					}
-					rt.SetLong(ref, 0, int64(w*1_000_000+r*1_000+i))
+					put(rt, ref, 0, int64(w*1_000_000+r*1_000+i))
 					priv = append(priv, ref)
 				}
 				for i, ref := range priv {
-					if got := rt.GetLong(ref, 0); got != int64(w*1_000_000+r*1_000+i) {
+					if got := get[int64](rt, ref, 0); got != int64(w*1_000_000+r*1_000+i) {
 						t.Errorf("worker %d round %d: private record %d = %d", w, r, i, got)
 					}
 				}
 				// Shared records must read the same values from any tier.
 				for i, ref := range shared {
-					if got := rt.GetLong(ref, 0); got != int64(i)*7919 {
+					if got := get[int64](rt, ref, 0); got != int64(i)*7919 {
 						t.Errorf("worker %d round %d: shared record %d long = %d", w, r, i, got)
 					}
-					if got := rt.GetDouble(ref, 8); got != float64(i)+0.25 {
+					if got := get[float64](rt, ref, 8); got != float64(i)+0.25 {
 						t.Errorf("worker %d round %d: shared record %d double = %v", w, r, i, got)
 					}
 				}
@@ -95,7 +95,7 @@ func TestTierTorture(t *testing.T) {
 	}
 	checkTierAccounting(t, rt)
 	for i, ref := range shared {
-		if got := rt.GetLong(ref, 0); got != int64(i)*7919 {
+		if got := get[int64](rt, ref, 0); got != int64(i)*7919 {
 			t.Fatalf("shared record %d = %d after torture", i, got)
 		}
 	}

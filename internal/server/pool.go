@@ -97,16 +97,13 @@ func (pc *progCache) evictLRULocked(keep progKey) {
 	}
 }
 
-// compileRequest builds the program a submit request describes: compile
-// the sources, then optionally apply the FACADE transform using explicit
-// data classes or in-source directives.
+// compileRequest builds the program a submit request describes
+// (facade.Build): P, or P' when the FACADE transform is requested, using
+// explicit data classes or in-source directives.
 func compileRequest(req *SubmitRequest) (*ir.Program, error) {
-	prog, err := facade.Compile(req.Sources)
-	if err != nil {
-		return nil, err
-	}
 	if !req.Transform {
-		return prog, nil
+		prog, _, err := facade.Build(req.Sources, nil)
+		return prog, err
 	}
 	data := req.DataClasses
 	if len(data) == 0 {
@@ -117,7 +114,8 @@ func compileRequest(req *SubmitRequest) (*ir.Program, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("transform requested but no data classes given and no facadec directive found")
 	}
-	return facade.Transform(prog, facade.TransformOptions{DataClasses: data})
+	_, p2, err := facade.Build(req.Sources, data)
+	return p2, err
 }
 
 // vmKey identifies a warm-pool bucket: a VM is only reusable for runs of

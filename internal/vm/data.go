@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -570,7 +571,10 @@ func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
 		return 0, err
 	}
 	if t.vm.Prog.Transformed {
-		return loadRecField(t.vm.RT, offheap.PageRef(v), f), nil
+		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
+		val = loadSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind)
+		pin.Unpin()
+		return val, nil
 	}
 	return loadField(t.vm.Heap, heap.Addr(v), f), nil
 }
@@ -585,7 +589,9 @@ func (t *Thread) SetField(o Obj, class, field string, val Value) (err error) {
 		return err
 	}
 	if t.vm.Prog.Transformed {
-		storeRecField(t.vm.RT, offheap.PageRef(v), f, val)
+		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
+		storeSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind, val)
+		pin.Unpin()
 		return nil
 	}
 	storeField(t.vm.Heap, t.tc, heap.Addr(v), f, val)
@@ -634,12 +640,14 @@ func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 	defer recoverTier(&err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
-		rt := t.vm.RT
-		elem := rt.ArrayElemType(rt.ArrayTypeOf(offheap.PageRef(v)))
-		if i < 0 || i >= rt.ArrayLen(offheap.PageRef(v)) {
-			return 0, errBounds(i, rt.ArrayLen(offheap.PageRef(v)))
+		rt, ref := t.vm.RT, offheap.PageRef(v)
+		elem := rt.ArrayElemType(rt.ArrayTypeOf(ref))
+		b, pin := t.vm.RT.Resolve(ref)
+		defer pin.Unpin()
+		if n := offheap.ArrayLength(b); i < 0 || i >= n {
+			return 0, errBounds(i, n)
 		}
-		return loadRecElem(rt, offheap.PageRef(v), elem, i), nil
+		return loadSlot(b[offheap.ArrayHeader+i*elem.FieldSize():], elem.Kind), nil
 	}
 	hp := t.vm.Heap
 	a := heap.Addr(v)
@@ -656,12 +664,14 @@ func (t *Thread) ArrSet(o Obj, i int, val Value) (err error) {
 	defer recoverTier(&err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
-		rt := t.vm.RT
-		ref := offheap.PageRef(v)
-		if i < 0 || i >= rt.ArrayLen(ref) {
-			return errBounds(i, rt.ArrayLen(ref))
+		rt, ref := t.vm.RT, offheap.PageRef(v)
+		elem := rt.ArrayElemType(rt.ArrayTypeOf(ref))
+		b, pin := t.vm.RT.Resolve(ref)
+		defer pin.Unpin()
+		if n := offheap.ArrayLength(b); i < 0 || i >= n {
+			return errBounds(i, n)
 		}
-		storeRecElem(rt, ref, rt.ArrayElemType(rt.ArrayTypeOf(ref)), i, val)
+		storeSlot(b[offheap.ArrayHeader+i*elem.FieldSize():], elem.Kind, val)
 		return nil
 	}
 	hp := t.vm.Heap
@@ -698,32 +708,27 @@ func f64bits(f float64) Value { return math.Float64bits(f) }
 // ---------------------------------------------------------------------------
 // Bulk array transfer. Load paths move whole shards/partitions across the
 // boundary; element-at-a-time handle calls would dominate, so these
-// helpers copy the raw element bytes in one call (both representations use
-// little-endian layouts with identical element sizes).
+// helpers encode straight into (and decode straight out of) the array body
+// in one call — both representations use little-endian layouts with
+// identical element sizes.
 
-// arrBody returns raw write access parameters for a data array.
-func (t *Thread) arrCopyIn(o Obj, data []byte) (err error) {
+// withArrBody runs fn over the first n body bytes of a data array, in
+// place: the record body for P', the heap object body for P. The view is
+// only valid inside fn (a collection may move the heap object; a page may
+// be spilled once unpinned), and fn must not allocate.
+func (t *Thread) withArrBody(o Obj, n int, fn func(body []byte)) (err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
 	defer recoverTier(&err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
-		t.vm.RT.WriteBody(offheap.PageRef(v), 0, data)
+		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
+		fn(b[offheap.ArrayHeader : offheap.ArrayHeader+n])
+		pin.Unpin()
 		return nil
 	}
-	t.vm.Heap.WriteBody(heap.Addr(v), 0, data)
+	fn(t.vm.Heap.Body(heap.Addr(v), n))
 	return nil
-}
-
-func (t *Thread) arrCopyOut(o Obj, n int) (b []byte, err error) {
-	t.enterBoundary()
-	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
-	v := t.vm.Get(o)
-	if t.vm.Prog.Transformed {
-		return t.vm.RT.ReadBody(offheap.PageRef(v), 0, n), nil
-	}
-	return t.vm.Heap.ReadBody(heap.Addr(v), 0, n), nil
 }
 
 // NewIntArr builds an int[] data array initialized from vals.
@@ -732,11 +737,11 @@ func (t *Thread) NewIntArr(vals []int32) (Obj, error) {
 	if err != nil {
 		return NilObj, err
 	}
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putLE32(buf[4*i:], uint32(v))
-	}
-	return o, t.arrCopyIn(o, buf)
+	return o, t.withArrBody(o, 4*len(vals), func(b []byte) {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+	})
 }
 
 // NewDoubleArr builds a double[] data array initialized from vals.
@@ -745,11 +750,11 @@ func (t *Thread) NewDoubleArr(vals []float64) (Obj, error) {
 	if err != nil {
 		return NilObj, err
 	}
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		putLE64(buf[8*i:], math.Float64bits(v))
-	}
-	return o, t.arrCopyIn(o, buf)
+	return o, t.withArrBody(o, 8*len(vals), func(b []byte) {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+	})
 }
 
 // NewByteArr builds a byte[] data array initialized from vals.
@@ -758,7 +763,7 @@ func (t *Thread) NewByteArr(vals []byte) (Obj, error) {
 	if err != nil {
 		return NilObj, err
 	}
-	return o, t.arrCopyIn(o, vals)
+	return o, t.withArrBody(o, len(vals), func(b []byte) { copy(b, vals) })
 }
 
 // ReadByteArr copies a byte[] data array out to Go.
@@ -767,7 +772,8 @@ func (t *Thread) ReadByteArr(o Obj) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.arrCopyOut(o, n)
+	out := make([]byte, n)
+	return out, t.withArrBody(o, n, func(b []byte) { copy(out, b) })
 }
 
 // ReadIntArr copies an int[] data array out to Go.
@@ -776,15 +782,12 @@ func (t *Thread) ReadIntArr(o Obj) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := t.arrCopyOut(o, 4*n)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(getLE32(buf[4*i:]))
-	}
-	return out, nil
+	return out, t.withArrBody(o, 4*n, func(b []byte) {
+		for i := range out {
+			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	})
 }
 
 // ReadDoubleArr copies a double[] data array out to Go.
@@ -793,35 +796,12 @@ func (t *Thread) ReadDoubleArr(o Obj) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, err := t.arrCopyOut(o, 8*n)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(getLE64(buf[8*i:]))
-	}
-	return out, nil
-}
-
-func putLE32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getLE32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLE64(b []byte, v uint64) {
-	putLE32(b, uint32(v))
-	putLE32(b[4:], uint32(v>>32))
-}
-
-func getLE64(b []byte) uint64 {
-	return uint64(getLE32(b)) | uint64(getLE32(b[4:]))<<32
+	return out, t.withArrBody(o, 8*n, func(b []byte) {
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	})
 }
 
 // resolveArgs materializes boundary arguments for the untransformed

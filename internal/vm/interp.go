@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -195,6 +196,7 @@ func hPMonExit(t *Thread, regs []Value, in *ir.Instr) error {
 func (t *Thread) run(fn *ir.Func, regs []Value) (Value, error) {
 	vm := t.vm
 	hp := vm.Heap
+	rt, tiered := vm.RT, vm.tiered
 	bi := 0
 blocks:
 	for {
@@ -378,6 +380,10 @@ blocks:
 				if in.Dst != ir.NoReg {
 					regs[in.Dst] = v
 				}
+			case ir.OpNullCheck:
+				if regs[in.A] == 0 {
+					return 0, errNPE(in.Sym)
+				}
 			case ir.OpRet:
 				if in.A == ir.NoReg {
 					return 0, nil
@@ -433,46 +439,91 @@ blocks:
 					return 0, err
 				}
 				regs[in.Dst] = Value(ref)
+			// Each record op resolves its page reference exactly once —
+			// Bytes untiered, Pin tiered, chosen when the VM was built
+			// (vm.tiered) and spelled out per op because a helper holding
+			// both arms is past the compiler's inlining budget — and reads
+			// the header size its opcode implies.
 			case ir.OpPLoad:
 				ref := offheap.PageRef(regs[in.A])
 				if ref == 0 {
 					return 0, errNPE("record read " + in.Field.Name)
 				}
-				regs[in.Dst] = loadRecField(vm.RT, ref, in.Field)
+				var b []byte
+				var pin offheap.Pin
+				if tiered {
+					b, pin = rt.Pin(ref)
+				} else {
+					b = rt.Bytes(ref)
+				}
+				regs[in.Dst] = loadSlot(b[offheap.ScalarHeader+in.Field.Offset:], in.Field.Type.Kind)
+				pin.Unpin()
 			case ir.OpPStore:
 				ref := offheap.PageRef(regs[in.A])
 				if ref == 0 {
 					return 0, errNPE("record write " + in.Field.Name)
 				}
-				storeRecField(vm.RT, ref, in.Field, regs[in.B])
+				var b []byte
+				var pin offheap.Pin
+				if tiered {
+					b, pin = rt.Pin(ref)
+				} else {
+					b = rt.Bytes(ref)
+				}
+				storeSlot(b[offheap.ScalarHeader+in.Field.Offset:], in.Field.Type.Kind, regs[in.B])
+				pin.Unpin()
 			case ir.OpPALoad:
 				ref := offheap.PageRef(regs[in.A])
 				if ref == 0 {
 					return 0, errNPE("array record read")
 				}
 				i := int(int32(regs[in.B]))
-				n := vm.RT.ArrayLen(ref)
-				if i < 0 || i >= n {
+				var b []byte
+				var pin offheap.Pin
+				if tiered {
+					b, pin = rt.Pin(ref)
+				} else {
+					b = rt.Bytes(ref)
+				}
+				if n := offheap.ArrayLength(b); i < 0 || i >= n {
+					pin.Unpin()
 					return 0, errBounds(i, n)
 				}
-				regs[in.Dst] = loadRecElem(vm.RT, ref, in.Type, i)
+				regs[in.Dst] = loadSlot(b[offheap.ArrayHeader+i*in.Type.FieldSize():], in.Type.Kind)
+				pin.Unpin()
 			case ir.OpPAStore:
 				ref := offheap.PageRef(regs[in.A])
 				if ref == 0 {
 					return 0, errNPE("array record write")
 				}
 				i := int(int32(regs[in.B]))
-				n := vm.RT.ArrayLen(ref)
-				if i < 0 || i >= n {
+				var b []byte
+				var pin offheap.Pin
+				if tiered {
+					b, pin = rt.Pin(ref)
+				} else {
+					b = rt.Bytes(ref)
+				}
+				if n := offheap.ArrayLength(b); i < 0 || i >= n {
+					pin.Unpin()
 					return 0, errBounds(i, n)
 				}
-				storeRecElem(vm.RT, ref, in.Type, i, regs[in.C])
+				storeSlot(b[offheap.ArrayHeader+i*in.Type.FieldSize():], in.Type.Kind, regs[in.C])
+				pin.Unpin()
 			case ir.OpPALen:
 				ref := offheap.PageRef(regs[in.A])
 				if ref == 0 {
 					return 0, errNPE("array record length")
 				}
-				regs[in.Dst] = Value(uint32(vm.RT.ArrayLen(ref)))
+				var b []byte
+				var pin offheap.Pin
+				if tiered {
+					b, pin = rt.Pin(ref)
+				} else {
+					b = rt.Bytes(ref)
+				}
+				regs[in.Dst] = Value(uint32(offheap.ArrayLength(b)))
+				pin.Unpin()
 			case ir.OpResolve:
 				// Retrieve the receiver-pool facade for the record's
 				// runtime type and bind it (§3.2, "Resolving types").
@@ -480,7 +531,15 @@ blocks:
 				if ref == 0 {
 					return 0, errNPE("resolve on null record")
 				}
-				tw := vm.RT.TypeID(ref)
+				var b []byte
+				var pin offheap.Pin
+				if tiered {
+					b, pin = rt.Pin(ref)
+				} else {
+					b = rt.Bytes(ref)
+				}
+				tw := offheap.TypeWord(b)
+				pin.Unpin()
 				pe := t.pools[int(tw)]
 				if pe == nil {
 					return 0, fmt.Errorf("vm: no receiver pool for type id %d", tw)
@@ -643,65 +702,28 @@ func storeElem(hp *heap.Heap, tc *heap.ThreadCtx, arr heap.Addr, elem *lang.Type
 	}
 }
 
-func loadRecField(rt *offheap.Runtime, ref offheap.PageRef, f *lang.Field) Value {
-	switch f.Type.Kind {
+// loadSlot and storeSlot read and write one field or element slot of a
+// resolved record: b starts at the slot, whose position the caller derived
+// from the header size its operation implies.
+func loadSlot(b []byte, k lang.TypeKind) Value {
+	switch k {
 	case lang.TBool, lang.TByte:
-		return Value(int64(rt.GetByte(ref, f.Offset)))
+		return Value(int64(int8(b[0])))
 	case lang.TInt:
-		return Value(int64(rt.GetInt(ref, f.Offset)))
-	case lang.TLong:
-		return Value(rt.GetLong(ref, f.Offset))
-	case lang.TDouble:
-		return math.Float64bits(rt.GetDouble(ref, f.Offset))
-	default:
-		return Value(rt.GetRef(ref, f.Offset))
+		return Value(int64(int32(binary.LittleEndian.Uint32(b))))
+	default: // long, double bits, page references
+		return binary.LittleEndian.Uint64(b)
 	}
 }
 
-func storeRecField(rt *offheap.Runtime, ref offheap.PageRef, f *lang.Field, v Value) {
-	switch f.Type.Kind {
+func storeSlot(b []byte, k lang.TypeKind, v Value) {
+	switch k {
 	case lang.TBool, lang.TByte:
-		rt.SetByte(ref, f.Offset, int8(v))
+		b[0] = byte(v)
 	case lang.TInt:
-		rt.SetInt(ref, f.Offset, int32(v))
-	case lang.TLong:
-		rt.SetLong(ref, f.Offset, int64(v))
-	case lang.TDouble:
-		rt.SetDouble(ref, f.Offset, math.Float64frombits(v))
+		binary.LittleEndian.PutUint32(b, uint32(v))
 	default:
-		rt.SetRef(ref, f.Offset, offheap.PageRef(v))
-	}
-}
-
-func loadRecElem(rt *offheap.Runtime, ref offheap.PageRef, elem *lang.Type, i int) Value {
-	off := i * elem.FieldSize()
-	switch elem.Kind {
-	case lang.TBool, lang.TByte:
-		return Value(int64(rt.GetByte(ref, off)))
-	case lang.TInt:
-		return Value(int64(rt.GetInt(ref, off)))
-	case lang.TLong:
-		return Value(rt.GetLong(ref, off))
-	case lang.TDouble:
-		return math.Float64bits(rt.GetDouble(ref, off))
-	default:
-		return Value(rt.GetRef(ref, off))
-	}
-}
-
-func storeRecElem(rt *offheap.Runtime, ref offheap.PageRef, elem *lang.Type, i int, v Value) {
-	off := i * elem.FieldSize()
-	switch elem.Kind {
-	case lang.TBool, lang.TByte:
-		rt.SetByte(ref, off, int8(v))
-	case lang.TInt:
-		rt.SetInt(ref, off, int32(v))
-	case lang.TLong:
-		rt.SetLong(ref, off, int64(v))
-	case lang.TDouble:
-		rt.SetDouble(ref, off, math.Float64frombits(v))
-	default:
-		rt.SetRef(ref, off, offheap.PageRef(v))
+		binary.LittleEndian.PutUint64(b, v)
 	}
 }
 

@@ -93,6 +93,11 @@ type VM struct {
 	Prog *ir.Program
 	Heap *heap.Heap
 	RT   *offheap.Runtime // nil for untransformed programs
+	// tiered records, once per VM build and again on every reset
+	// (attachTier), whether RT has a disk tier: record ops resolve through
+	// offheap.Pin when set and through the pin-free offheap.Bytes
+	// otherwise, with no per-access test inside the store.
+	tiered bool
 
 	out io.Writer
 	inj *faults.Injector // the injector the VM was built with (may be nil)
@@ -190,18 +195,31 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 		if cfg.Faults != nil {
 			vm.RT.SetFaultInjector(cfg.Faults)
 		}
-		if cfg.Tiering != nil {
-			if err := vm.RT.EnableTiering(*cfg.Tiering); err != nil {
-				return nil, err
-			}
+		if err := vm.attachTier(cfg.Tiering); err != nil {
+			return nil, err
 		}
-		vm.rootScope = vm.RT.NewManager(nil, -2, -1)
 	}
 	if err := vm.link(); err != nil {
 		return nil, err
 	}
 	vm.Heap.AddRoots(heap.RootFunc(vm.visitRoots))
 	return vm, nil
+}
+
+// attachTier finishes a fresh or just-reset page store for one run: it
+// attaches the disk tier when the run asks for one, records in vm.tiered
+// which resolution path the record ops take, and opens the root scope. New
+// and ResetForReuse share it so a reused VM can never keep the previous
+// run's choice.
+func (vm *VM) attachTier(tc *offheap.TierConfig) error {
+	if tc != nil {
+		if err := vm.RT.EnableTiering(*tc); err != nil {
+			return err
+		}
+	}
+	vm.tiered = vm.RT.Tiered()
+	vm.rootScope = vm.RT.NewManager(nil, -2, -1)
+	return nil
 }
 
 // link builds vtables, the statics area, and caches per-instruction
@@ -463,12 +481,9 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 		if err := vm.RT.Reset(reg, cfg.Faults); err != nil {
 			return err
 		}
-		if cfg.Tiering != nil {
-			if err := vm.RT.EnableTiering(*cfg.Tiering); err != nil {
-				return err
-			}
+		if err := vm.attachTier(cfg.Tiering); err != nil {
+			return err
 		}
-		vm.rootScope = vm.RT.NewManager(nil, -2, -1)
 	}
 	vm.obs = reg
 	vm.cInstr = reg.Counter(obs.CtrInstructions)

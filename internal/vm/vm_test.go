@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
+	"repro/internal/offheap"
 	"repro/internal/stdlib"
 )
 
@@ -653,5 +655,162 @@ class Main {
 	out := runMain(t, compile(t, src), 8<<20)
 	if out != "110\n210\n230\n" {
 		t.Fatalf("got %q", out)
+	}
+}
+
+// recordOpsProgram touches fields and arrays of every element kind the
+// page ops distinguish (byte, int, long, double, reference), enough of
+// them that a tight tier watermark spills and promotes mid-run. body is
+// spliced into main after the traffic, for the trap cases.
+func recordOpsProgram(body string) string {
+	return `
+class Rec { byte b; int i; long l; double d; Rec next; int[] xs; }
+class Main {
+    static void main() {
+        byte[] bs = new byte[3000]; int[] is = new int[3000]; long[] ls = new long[3000];
+        double[] ds = new double[3000]; Rec[] rs = new Rec[3000];
+        for (int k = 0; k < 3000; k = k + 1) {
+            Rec r = new Rec();
+            r.b = (byte) (k % 100); r.i = k * 3; r.l = 1000000007L * k; r.d = 0.5 * k;
+            if (k > 0) { r.next = rs[k - 1]; }
+            r.xs = new int[4];
+            r.xs[k % 4] = k;
+            bs[k] = r.b; is[k] = r.i; ls[k] = r.l; ds[k] = r.d; rs[k] = r;
+        }
+        long sig = 0L;
+        for (int k = 0; k < 3000; k = k + 1) {
+            Rec r = rs[k];
+            sig = sig * 31L + bs[k] + is[k] + ls[k] + (long) ds[k] + r.xs[k % 4] + r.xs.length;
+            if (r.next != null) { sig = sig + r.next.i; }
+        }
+        Sys.println(sig);
+        Sys.println(bs.length + is.length + ls.length + ds.length + rs.length);
+        ` + body + `
+    }
+}
+`
+}
+
+// TestRecordOpsTieredMatchesUntiered runs the page half of the instruction
+// set with and without a disk tier: same output, the same null and bounds
+// messages for every element kind, and — once the thread has released its
+// managers — no pin left behind by any of the operations, including the
+// ones that trapped.
+func TestRecordOpsTieredMatchesUntiered(t *testing.T) {
+	run := func(src string, tiered bool) (string, error) {
+		t.Helper()
+		p2 := transform(t, compile(t, src), "Rec", "Main")
+		var out bytes.Buffer
+		cfg := Config{HeapSize: 8 << 20, Out: &out}
+		if tiered {
+			cfg.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 3, LowWater: 1}
+		}
+		m, err := New(p2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.NewThread(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := th.Call("MainFacade.main")
+		if tiered && runErr == nil && m.RT.Stats().PagesSpilled == 0 {
+			t.Fatal("the tiered run never spilled: the watermark is not exercising the pinned path")
+		}
+		th.Close()
+		m.rootScope.ReleaseAll()
+		if pins := m.RT.Pins(); pins != 0 {
+			t.Fatalf("%d pin(s) leaked (tiered=%v, err=%v)", pins, tiered, runErr)
+		}
+		return out.String(), runErr
+	}
+	cases := map[string]struct{ body, want string }{
+		"clean":        {"", ""},
+		"null-field-r": {"Rec z = rs[0].next; Sys.println(z.i);", "NullPointerException: record read i"},
+		"null-field-w": {"Rec z = rs[0].next; z.d = 1.0;", "NullPointerException: record write d"},
+		"null-arr-r":   {"int[] z = rs[0].next.xs; Sys.println(z[0]);", "NullPointerException: record read xs"},
+		"null-arr-len": {"long[] z = null; Sys.println(z.length);", "NullPointerException: array record length"},
+		"null-arr-w":   {"double[] z = null; z[0] = 1.0;", "NullPointerException: array record write"},
+		"bounds-byte":  {"Sys.println(bs[3000]);", "ArrayIndexOutOfBoundsException: index 3000, length 3000"},
+		"bounds-int":   {"is[0 - 1] = 1;", "ArrayIndexOutOfBoundsException: index -1, length 3000"},
+		"bounds-long":  {"Sys.println(ls[3001]);", "ArrayIndexOutOfBoundsException: index 3001, length 3000"},
+		"bounds-dbl":   {"ds[4000] = 1.0;", "ArrayIndexOutOfBoundsException: index 4000, length 3000"},
+		"bounds-ref":   {"Sys.println(rs[3000].i);", "ArrayIndexOutOfBoundsException: index 3000, length 3000"},
+	}
+	for name, c := range cases {
+		name, c := name, c
+		t.Run(name, func(t *testing.T) {
+			src := recordOpsProgram(c.body)
+			outU, errU := run(src, false)
+			outT, errT := run(src, true)
+			if outU != outT {
+				t.Fatalf("output differs:\nuntiered: %q\ntiered:   %q", outU, outT)
+			}
+			if c.want == "" {
+				if errU != nil || errT != nil {
+					t.Fatalf("untiered err=%v, tiered err=%v", errU, errT)
+				}
+				if want := runMain(t, compile(t, src), 8<<20); outU != want {
+					t.Fatalf("P' output %q, P output %q", outU, want)
+				}
+				return
+			}
+			if errU == nil || errU.Error() != c.want {
+				t.Fatalf("untiered error %v, want %q", errU, c.want)
+			}
+			if errT == nil || errT.Error() != errU.Error() {
+				t.Fatalf("tiered error %v, untiered %v", errT, errU)
+			}
+		})
+	}
+}
+
+// TestResetForReuseSwitchesTier drives one warm VM through jobs that differ
+// only in whether they ask for a disk tier, in both orders. The daemon pools
+// VMs by program and heap size, not by tiering, so a VM built untiered must
+// take the pinned record path when its next job spills pages, and a VM built
+// tiered must drop back to the pin-free path afterwards.
+func TestResetForReuseSwitchesTier(t *testing.T) {
+	p2 := transform(t, compile(t, recordOpsProgram("")), "Rec", "Main")
+	want := runMain(t, compile(t, recordOpsProgram("")), 8<<20)
+	for _, order := range [][]bool{{false, true, false}, {true, false, true}} {
+		t.Run(fmt.Sprint(order), func(t *testing.T) {
+			tier := func(on bool) *offheap.TierConfig {
+				if !on {
+					return nil
+				}
+				return &offheap.TierConfig{Dir: t.TempDir(), HighWater: 3, LowWater: 1}
+			}
+			var out bytes.Buffer
+			m, err := New(p2, Config{HeapSize: 8 << 20, Out: &out, Tiering: tier(order[0])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for job, tiered := range order {
+				if job > 0 {
+					out.Reset()
+					if err := m.ResetForReuse(ResetConfig{Out: &out, Tiering: tier(tiered)}); err != nil {
+						t.Fatalf("job %d: reset: %v", job, err)
+					}
+				}
+				if m.tiered != tiered || m.RT.Tiered() != tiered {
+					t.Fatalf("job %d: vm.tiered=%v, store tiered=%v, want %v", job, m.tiered, m.RT.Tiered(), tiered)
+				}
+				th, err := m.NewThread(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := th.Call("MainFacade.main"); err != nil {
+					t.Fatalf("job %d (tiered=%v): %v", job, tiered, err)
+				}
+				if spilled := m.RT.Stats().PagesSpilled; (spilled > 0) != tiered {
+					t.Fatalf("job %d (tiered=%v): %d pages spilled", job, tiered, spilled)
+				}
+				th.Close()
+				if out.String() != want {
+					t.Fatalf("job %d (tiered=%v): output %q, want %q", job, tiered, out.String(), want)
+				}
+			}
+		})
 	}
 }
