@@ -201,14 +201,11 @@ func benchHyracks(b *testing.B, app string) {
 	}
 }
 
+// Table 3 and Figures 4(b)/(c) are the same runs: ns/op, gc-ms/op and OME
+// are Table 3's columns, and the peakMB column is Figure 4(b) for ES and
+// Figure 4(c) for WC.
 func BenchmarkTable3HyracksES(b *testing.B) { benchHyracks(b, "ES") }
 func BenchmarkTable3HyracksWC(b *testing.B) { benchHyracks(b, "WC") }
-
-// Figures 4(b)/(c) report the same runs' peak memory; the peakMB metric of
-// the Table 3 benchmarks carries the series. These wrappers exist so every
-// figure has a named bench target.
-func BenchmarkFigure4bMemoryES(b *testing.B) { benchHyracks(b, "ES") }
-func BenchmarkFigure4cMemoryWC(b *testing.B) { benchHyracks(b, "WC") }
 
 // ---------------------------------------------------------------------------
 // §4.3: GPS.

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/load"
 	"repro/internal/server"
 )
@@ -19,14 +17,11 @@ import (
 // (internal/load) and reports sustained throughput, latency percentiles,
 // backpressure, and memory health. The -seed contract: two runs with the
 // same seed produce bit-identical per-job results (-results files diff
-// clean), so the harness doubles as a correctness check under load. With
-// -bench the run is also rendered as facade.bench/v1 sustained cases and,
-// with -baseline, gated against a committed baseline exactly like `repro
-// bench`. CI runs (see .github/workflows/ci.yml load-smoke):
+// clean), so the harness doubles as a correctness check under load. CI
+// runs (see .github/workflows/ci.yml load-smoke):
 //
 //	repro load -seed 7 -jobs 40 -clients 8 -results r1.txt
 //	repro load -seed 7 -jobs 40 -clients 8 -results r2.txt   # diff r1 r2
-//	repro load -seed 7 ... -bench LOAD_pr.json -baseline BENCH_main.json -report-only
 func loadCmd(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	portFile := fs.String("portfile", server.DefaultPortFile(), "daemon discovery file")
@@ -41,11 +36,6 @@ func loadCmd(args []string) error {
 	retries := fs.Int("retries", 16, "client-side resubmits per job on 429/503")
 	jsonPath := fs.String("json", "", "write the full facade.load/v1 report here")
 	resultsPath := fs.String("results", "", "write the deterministic per-job results file here")
-	benchPath := fs.String("bench", "", "write a facade.bench/v1 file with the sustained cases here")
-	profile := fs.String("profile", "smoke", "sustained-case profile name (namespaces the bench cases)")
-	baseline := fs.String("baseline", "", "baseline facade.bench/v1 file to gate the sustained cases against")
-	tolStr := fs.String("tolerance", "25%", "regression tolerance for the gate")
-	reportOnly := fs.Bool("report-only", false, "report gate regressions without failing")
 	list := fs.Bool("list", false, "list scenarios and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,10 +48,6 @@ func loadCmd(args []string) error {
 	}
 
 	mix, err := parseMix(*mixStr)
-	if err != nil {
-		return err
-	}
-	tol, err := parseTolerance(*tolStr)
 	if err != nil {
 		return err
 	}
@@ -101,48 +87,6 @@ func loadCmd(args []string) error {
 			return err
 		}
 	}
-
-	if *benchPath == "" && *baseline == "" {
-		return nil
-	}
-	f := &bench.File{Schema: bench.Schema, Rev: "load-" + *profile, Cases: rep.BenchCases(*profile)}
-	// Measure the calibration spin case in-process so the gate can
-	// normalize away machine speed, same as `repro bench`.
-	if cal, err := bench.Run(bench.Options{
-		Reps: 3, Filter: regexp.MustCompile("^" + regexp.QuoteMeta(bench.CalibrationCase) + "$"),
-	}); err == nil {
-		f.Cases = append(f.Cases, cal.Cases...)
-	}
-	if *benchPath != "" {
-		if err := f.WriteFile(*benchPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d sustained case(s) to %s\n", len(f.Cases), *benchPath)
-	}
-	if *baseline == "" {
-		return nil
-	}
-	base, err := bench.ReadFile(*baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	deltas, regressed := bench.Compare(base, f, tol)
-	fmt.Printf("\nvs %s (rev %s, tolerance %.0f%%):\n", *baseline, base.Rev, tol*100)
-	for _, d := range deltas {
-		mark := "  "
-		if d.Regressed {
-			mark = "!!"
-		}
-		fmt.Printf("%s %-28s %8.3fx (normalized %.3fx)\n", mark, d.Name, d.Ratio, d.NormRatio)
-	}
-	if regressed > 0 {
-		if *reportOnly {
-			fmt.Printf("%d case(s) regressed beyond %.0f%% (report-only, not failing)\n", regressed, tol*100)
-			return nil
-		}
-		return fmt.Errorf("%d sustained case(s) regressed beyond %.0f%%", regressed, tol*100)
-	}
-	fmt.Println("no sustained regressions")
 	return nil
 }
 

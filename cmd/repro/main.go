@@ -13,7 +13,6 @@
 //	repro gps      [flags]   GPS PR / k-means / random walk (§4.3)
 //	repro objcount [flags]   §4.1 object-bound census
 //	repro speed    [flags]   transform compilation speed (§4.1-4.3)
-//	repro bench    [flags]   measurement harness + regression gate (docs/PERFORMANCE.md)
 //	repro all                everything at default (small) scale
 //
 // Daemon mode (docs/SERVER.md):
@@ -22,7 +21,7 @@
 //	repro submit   [flags]   submit FJ sources to the daemon (auto-starts it)
 //	repro wait     [flags]   wait for submitted jobs and print their output
 //	repro status   [flags]   print daemon status (jobs, budgets, warm pool)
-//	repro load     [flags]   deterministic load harness + sustained-throughput gate
+//	repro load     [flags]   deterministic load harness (same seed, same per-job results)
 //	repro shutdown [flags]   stop the daemon (-drain for a graceful stop)
 package main
 
@@ -39,7 +38,6 @@ var commands = map[string]func([]string) error{
 	"gps":      gpsCmd,
 	"objcount": objcountCmd,
 	"speed":    speedCmd,
-	"bench":    benchCmd,
 	"serve":    serveCmd,
 	"submit":   submitCmd,
 	"wait":     waitCmd,
@@ -76,5 +74,5 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: repro {table2|fig4a|table3|fig4bc|gps|objcount|speed|bench|serve|submit|wait|status|load|shutdown|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: repro {table2|fig4a|table3|fig4bc|gps|objcount|speed|serve|submit|wait|status|load|shutdown|all} [flags]")
 }

@@ -76,9 +76,9 @@ type VetResult struct {
 	// LifetimeCounts tallies them per class name.
 	Lifetimes      []string
 	LifetimeCounts map[string]int
-	// Bounds are P2's §3.3 pool bounds; TightBounds the liveness-tightened
-	// bounds a TightenBounds build would use (computed on a copy — P2
-	// itself keeps signature-sized pools).
+	// Bounds are P2's §3.3 pool bounds; TightBounds what
+	// analysis.TightenBounds would shrink them to (computed on a copy —
+	// P2 itself keeps signature-sized pools).
 	Bounds, TightBounds map[string]int
 }
 

@@ -141,9 +141,10 @@ func coalescePass(c *CFG) int {
 
 // TightenBounds shrinks the §3.3 pool bounds of a transformed program to
 // the highest pool index actually fetched after DCE, per pool (never below
-// one slot). Opt-in: programs entered through the Go boundary
-// (vm.bindParamFacade) still size pools by signature, so only pure-FJ
-// programs should tighten. Returns the tightened bounds map.
+// one slot). The transform never calls it: programs entered through the Go
+// boundary (vm.bindParamFacade) size pools by signature, so only pure-FJ
+// programs could tighten; facade.Vet reports the result on a copy. Returns
+// the tightened bounds map.
 func TightenBounds(p *ir.Program) map[string]int {
 	if p.Bounds == nil {
 		return nil

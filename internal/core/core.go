@@ -49,11 +49,6 @@ type Options struct {
 	// otherwise prunes unreferenced instructions from the transformed
 	// program (internal/analysis).
 	DisableDCE bool
-	// TightenBounds shrinks the §3.3 pool bounds from max-over-signatures
-	// to the highest pool index surviving DCE. Opt-in: programs entered
-	// through the Go boundary (vm.BindParamFacade) size pools by
-	// signature, so only pure-FJ entry points should tighten.
-	TightenBounds bool
 }
 
 // DataClosure returns the closed set of data class names Transform would
@@ -95,9 +90,6 @@ func Transform(p *ir.Program, opts Options) (*ir.Program, error) {
 	}
 	if !opts.DisableDCE {
 		analysis.Eliminate(tr.out)
-	}
-	if opts.TightenBounds {
-		analysis.TightenBounds(tr.out)
 	}
 	if err := tr.out.Verify(); err != nil {
 		return nil, fmt.Errorf("facade transform produced invalid IR: %w", err)

@@ -2,19 +2,15 @@ package gps
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/faults"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/offheap"
 	"repro/internal/vm"
 )
 
@@ -457,7 +453,7 @@ func (e *engine) runSuperstep(step int) (int, error) {
 		return step + 1, nil
 	}
 	ne := cluster.FirstNodeError(err)
-	if e.ckpt == nil || ne == nil || !isOOM(ne.Err) {
+	if e.ckpt == nil || ne == nil || !vm.IsOOM(ne.Err) {
 		return 0, err
 	}
 	e.rec.OOMRecoveries++
@@ -629,15 +625,6 @@ func readValues(n *cluster.Node, st *nodeState) ([]float64, error) {
 		return nil, err
 	}
 	return t.ReadDoubleArr(out)
-}
-
-// isOOM classifies memory-exhaustion failures — real or injected, managed
-// heap or page store — which the engine recovers from; anything else is a
-// genuine bug and propagates.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrOutOfMemory) ||
-		errors.Is(err, offheap.ErrPageExhausted) ||
-		strings.Contains(err.Error(), "OutOfMemoryError")
 }
 
 // superstep runs one node's compute phase and sends one frame per peer.

@@ -3,12 +3,10 @@ package graphchi
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/offheap"
@@ -321,7 +319,7 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 			if rerr := e.restartPool(); rerr != nil {
 				return fmt.Errorf("rebuilding workers after crash: %w", rerr)
 			}
-		case isOOM(err):
+		case vm.IsOOM(err):
 			// Degradation ladder: halve the budget for this interval and
 			// re-split it; a single vertex that still does not fit is a
 			// genuine out-of-memory result.
@@ -492,15 +490,6 @@ func workerOf(err error) int {
 		return ce.worker
 	}
 	return -1
-}
-
-// isOOM classifies memory-exhaustion failures — real or injected, managed
-// heap or page store — which the engine recovers from; anything else is a
-// genuine bug and propagates.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrOutOfMemory) ||
-		errors.Is(err, offheap.ErrPageExhausted) ||
-		strings.Contains(err.Error(), "OutOfMemoryError")
 }
 
 // ---------------------------------------------------------------------------

@@ -477,7 +477,7 @@ func TestBudgetLadderExhaustionIsOME(t *testing.T) {
 	if err == nil {
 		t.Fatal("run survived unrecoverable allocation failure")
 	}
-	if !isOOM(err) {
+	if !vm.IsOOM(err) {
 		t.Fatalf("want an out-of-memory classification, got: %v", err)
 	}
 }

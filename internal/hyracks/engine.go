@@ -1,17 +1,14 @@
 package hyracks
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/offheap"
+	"repro/internal/vm"
 )
 
 // Job is a MapReduce-style Hyracks job: every node maps its local
@@ -238,7 +235,7 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 // should be classified (OME or real), (nil, nil) when the task eventually
 // succeeded, and (nil, err) for infrastructure errors.
 func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskErr error, peerErrs []error, run func(*cluster.Node) error) (error, error) {
-	if !isOOM(taskErr) {
+	if !vm.IsOOM(taskErr) {
 		return taskErr, nil
 	}
 	rec.OOMRecoveries++
@@ -255,7 +252,7 @@ func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskE
 	if retryErr == nil {
 		return nil, nil
 	}
-	if !isOOM(retryErr) {
+	if !vm.IsOOM(retryErr) {
 		return retryErr, nil
 	}
 	// Rung 2: drain the task to a healthy node (one whose own task did not
@@ -282,7 +279,7 @@ func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskE
 // failOrErr classifies a phase error: OutOfMemoryError becomes an OME
 // result (a Table 3 data point); anything else is a real error.
 func failOrErr(res *Result, rec *Recovery, err error, start time.Time, cl *cluster.Cluster) (*Result, error) {
-	if isOOM(err) {
+	if vm.IsOOM(err) {
 		res.OME = true
 		res.OMEAt = time.Since(start)
 		res.ET = res.OMEAt
@@ -299,13 +296,4 @@ func failOrErr(res *Result, rec *Recovery, err error, start time.Time, cl *clust
 		return res, nil
 	}
 	return nil, err
-}
-
-// isOOM classifies memory exhaustion across both memory systems: the
-// managed heap's sentinel, the page store's typed exhaustion error, and
-// the FJ-level OutOfMemoryError string.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrOutOfMemory) ||
-		errors.Is(err, offheap.ErrPageExhausted) ||
-		(err != nil && strings.Contains(err.Error(), "OutOfMemoryError"))
 }

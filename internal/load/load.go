@@ -11,9 +11,7 @@
 // seed. Two runs with the same seed therefore produce bit-identical
 // per-job outputs (Report.ResultsDigest) no matter how the daemon
 // interleaves them; only the timing sections of the report differ. That
-// is what lets the CI load smoke assert correctness under load, and what
-// makes the sustained facade.bench/v1 section a regression gate rather
-// than a one-off measurement (docs/PERFORMANCE.md).
+// is what lets the CI load smoke assert correctness under load.
 package load
 
 import (

@@ -158,33 +158,6 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-// TestBenchCases: the sustained section must carry the gate-relevant
-// numbers under stable names.
-func TestBenchCases(t *testing.T) {
-	rep := &Report{
-		Jobs:         10,
-		WallNS:       1_000_000_000,
-		LatencyP50NS: 40_000_000,
-		LatencyMADNS: 3_000_000,
-		LatencyP95NS: 80_000_000,
-		LatencyP99NS: 90_000_000,
-		JobsPerSec:   10,
-	}
-	cases := rep.BenchCases("smoke")
-	if len(cases) != 2 {
-		t.Fatalf("got %d cases", len(cases))
-	}
-	if cases[0].Name != "sustained/smoke/latency" || cases[0].MedianNS != 40_000_000 {
-		t.Fatalf("latency case wrong: %+v", cases[0])
-	}
-	if cases[1].Name != "sustained/smoke/job-cost" || cases[1].MedianNS != 100_000_000 {
-		t.Fatalf("job-cost case wrong: %+v", cases[1])
-	}
-	if cases[1].Metrics["jobs_per_sec"] != 10 {
-		t.Fatalf("job-cost metrics: %v", cases[1].Metrics)
-	}
-}
-
 // TestConfigValidation: unknown scenarios and bad weights are rejected
 // up front, not midway through a run.
 func TestConfigValidation(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 )
 
@@ -172,50 +171,4 @@ func (r *Report) WriteResults(w io.Writer) error {
 // float formatting); the measured values inside still vary run to run.
 func (r *Report) Encode(w io.Writer) error {
 	return obs.EncodeDeterministic(w, r)
-}
-
-// BenchCases renders the run as facade.bench/v1 sustained cases so the
-// existing -baseline/-tolerance machinery gates scale regressions:
-//
-//	sustained/<profile>/latency  — median submit→done latency (MedianNS),
-//	                               with p95/p99 and backpressure counters
-//	                               carried as metrics
-//	sustained/<profile>/job-cost — wall time per job (MedianNS), the
-//	                               inverse of sustained throughput
-//
-// The profile names the workload shape (e.g. "smoke", "mixed-300") so
-// differently-shaped runs never gate against each other's numbers.
-func (r *Report) BenchCases(profile string) []bench.Result {
-	latency := bench.Result{
-		Name:     "sustained/" + profile + "/latency",
-		Reps:     r.Jobs,
-		MedianNS: r.LatencyP50NS,
-		MADNS:    r.LatencyMADNS,
-		MinNS:    r.LatencyMinNS,
-		MaxNS:    r.LatencyMaxNS,
-		Metrics: map[string]float64{
-			"p95_ns":         float64(r.LatencyP95NS),
-			"p99_ns":         float64(r.LatencyP99NS),
-			"rejections":     float64(r.Rejections),
-			"warm_hit_rate":  r.WarmHitRate,
-			"gc_pause_share": r.GCPauseShare,
-			"ome_rate":       r.OMERate,
-		},
-	}
-	cost := bench.Result{
-		Name:     "sustained/" + profile + "/job-cost",
-		Reps:     r.Jobs,
-		MedianNS: 0,
-		MADNS:    r.LatencyMADNS,
-		MinNS:    r.LatencyMinNS,
-		MaxNS:    r.LatencyMaxNS,
-		Metrics: map[string]float64{
-			"jobs_per_sec":    r.JobsPerSec,
-			"queue_max_depth": float64(r.QueueMaxDepth),
-		},
-	}
-	if r.Jobs > 0 {
-		cost.MedianNS = r.WallNS / int64(r.Jobs)
-	}
-	return []bench.Result{latency, cost}
 }

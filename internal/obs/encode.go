@@ -16,7 +16,7 @@ import (
 // always serialize to the same bytes regardless of accumulated float
 // noise in the last bits. Integers pass through unrounded.
 //
-// Both the facade.run/v1 and facade.bench/v1 writers go through this
+// Both the facade.run/v1 and facade.load/v1 writers go through this
 // encoder, which is what makes golden-file schema tests and line-level
 // diffs of committed reports possible.
 func EncodeDeterministic(w io.Writer, v any) error {

@@ -213,7 +213,7 @@ func (m *PageManager) finishAlloc() {
 // fault injected at the cache-hit acquire point puts the page back, so the
 // cache's contents are unchanged by a failed acquire.
 func (m *PageManager) acquirePage() (*page, error) {
-	if m.cache != nil && !m.rt.DisablePageCache {
+	if m.cache != nil {
 		if e, ok := m.cache.pop(); ok {
 			if err := m.rt.noteCachedRecycle(e.p); err != nil {
 				m.cache.put(e.p, e.srcIter)
@@ -269,7 +269,7 @@ func (m *PageManager) ReleaseAll() {
 	}
 	tiered := m.rt.tier != nil
 	for _, p := range m.pages {
-		if m.cache != nil && !m.rt.DisablePageCache && !m.rt.DisableRecycle &&
+		if m.cache != nil && !m.rt.DisableRecycle &&
 			(tiered || len(p.buf) == PageSize) {
 			// Tiered: cacheRelease checks the size itself, under the page's
 			// tier lock — p.buf may be concurrently nil'd by the evictor.

@@ -108,9 +108,6 @@ type Runtime struct {
 	// released at an iteration end is dropped and later allocations get
 	// fresh pages).
 	DisableRecycle bool
-	// DisablePageCache turns off the per-scope page cache (ablation:
-	// every recycled page goes through the global pool and rt.mu).
-	DisablePageCache bool
 
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse

@@ -518,10 +518,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		sctx, stop := context.WithTimeout(ctx, 5*time.Second)
 		defer stop()
 		s.httpSrv.Shutdown(sctx)
-		close(s.stopped)
+		// Before close(stopped): Wait returning means the file is gone.
 		if s.cfg.PortFile != "" {
 			os.Remove(s.cfg.PortFile)
 		}
+		close(s.stopped)
 	})
 	// Wait for the scheduler and any running jobs to drain.
 	done := make(chan struct{})

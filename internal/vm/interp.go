@@ -2,8 +2,10 @@ package vm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/heap"
 	"repro/internal/ir"
@@ -18,6 +20,18 @@ func errNPE(what string) error { return fmt.Errorf("NullPointerException: %s", w
 
 func errBounds(i, n int) error {
 	return fmt.Errorf("ArrayIndexOutOfBoundsException: index %d, length %d", i, n)
+}
+
+// IsOOM classifies memory exhaustion — real or injected — across both
+// memory systems: the managed heap's sentinel, the page store's typed
+// exhaustion error (page quotas wrap it), and the FJ-level
+// OutOfMemoryError text of errors that crossed a string boundary. The
+// engines recover from these; anything else is a genuine bug and
+// propagates.
+func IsOOM(err error) bool {
+	return err != nil && (errors.Is(err, heap.ErrOutOfMemory) ||
+		errors.Is(err, offheap.ErrPageExhausted) ||
+		strings.Contains(err.Error(), "OutOfMemoryError"))
 }
 
 // exec interprets fn with the given arguments and returns its raw result.

@@ -2,12 +2,14 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
@@ -494,6 +496,33 @@ class Main {
 	_, err = th.InvokeStaticObj("Main", "build", I(1<<20))
 	if err == nil || !strings.Contains(err.Error(), "OutOfMemoryError") {
 		t.Fatalf("want OutOfMemoryError, got %v", err)
+	}
+}
+
+// TestIsOOM: the engines' recovery ladders all key on this one
+// classifier, so it must see both memory systems' sentinels through %w
+// wrapping, the FJ-level text once the chain is lost, and nothing else.
+func TestIsOOM(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("node 3: map phase: %w", err) }
+	for _, tc := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"heap", heap.ErrOutOfMemory, true},
+		{"heap wrapped", wrap(heap.ErrOutOfMemory), true},
+		{"page exhausted", offheap.ErrPageExhausted, true},
+		{"page exhausted wrapped", wrap(offheap.ErrPageExhausted), true},
+		{"page quota", offheap.ErrPageQuota, true},
+		{"page quota wrapped", wrap(offheap.ErrPageQuota), true},
+		{"FJ-level text", errors.New("job 12 failed: OutOfMemoryError: managed heap exhausted"), true},
+		{"unrelated", errNPE("field x of null"), false},
+		{"unrelated wrapped", wrap(errBounds(4, 4)), false},
+	} {
+		if got := IsOOM(tc.err); got != tc.want {
+			t.Errorf("IsOOM(%s: %v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
 	}
 }
 
