@@ -592,35 +592,29 @@ func BenchmarkAblationDCE(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLifetimes measures the lifetime pass's placement
-// machinery on the Table 2 workloads (GraphChi PageRank and Connected
-// Components): with lifetimes enforced, long-lived sites pretenure
-// straight into the old generation and epoch-local sites land in
-// bulk-reset regions, so the minor collector evacuates fewer young
-// objects. "promoted" counts young-gen evacuation copies; output is
-// identical in every mode (the differential battery pins that).
+// BenchmarkAblationLifetimes measures pretenuring, the lifetime pass's one
+// runtime consumer, on the Table 2 workloads (GraphChi PageRank and
+// Connected Components): un-placed (vm.Config.Lifetimes nil) against
+// placed, where long-lived sites allocate straight into the old generation
+// and the minor collector has nothing of theirs to evacuate. "promoted"
+// counts young-gen evacuation copies; output is identical on both legs
+// (the differential battery pins that).
 func BenchmarkAblationLifetimes(b *testing.B) {
 	p, err := facade.Compile(map[string]string{"graphchi.fj": graphchi.Source})
 	if err != nil {
 		b.Fatal(err)
 	}
-	lifetimes := analysis.Lifetimes(p)
 	g := datagen.PowerLawGraph(2000, 30000, 42)
 	for _, app := range []graphchi.App{graphchi.PageRank, graphchi.ConnectedComponents} {
 		sg := graphchi.Shard(g, 10, app == graphchi.ConnectedComponents)
-		for _, mode := range []struct {
-			name string
-			mode heap.LifetimeMode
-		}{{"off", heap.LifetimeOff}, {"enforce", heap.LifetimeEnforce}} {
-			b.Run(fmt.Sprintf("%s/%s", app, mode.name), func(b *testing.B) {
-				var promoted, pretenured, region float64
+		for _, leg := range []struct {
+			name      string
+			lifetimes []ir.Lifetime
+		}{{"unplaced", nil}, {"placed", analysis.Lifetimes(p)}} {
+			b.Run(fmt.Sprintf("%s/%s", app, leg.name), func(b *testing.B) {
+				var promoted, pretenured float64
 				for i := 0; i < b.N; i++ {
-					cfg := vm.Config{HeapSize: 10 << 20}
-					if mode.mode != heap.LifetimeOff {
-						cfg.Lifetimes = lifetimes
-						cfg.LifetimeMode = mode.mode
-					}
-					m, err := vm.New(p, cfg)
+					m, err := vm.New(p, vm.Config{HeapSize: 10 << 20, Lifetimes: leg.lifetimes})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -630,13 +624,10 @@ func BenchmarkAblationLifetimes(b *testing.B) {
 						b.Fatal(err)
 					}
 					promoted = float64(m.Heap.Stats().Promoted)
-					snap := m.Obs().Snapshot()
-					pretenured = float64(snap.Counters[obs.CtrLifetimePretenured])
-					region = float64(snap.Counters[obs.CtrLifetimeRegionAllocs])
+					pretenured = float64(m.Obs().Snapshot().Counters[obs.CtrLifetimePretenured])
 				}
 				b.ReportMetric(promoted, "promoted")
 				b.ReportMetric(pretenured, "pretenured")
-				b.ReportMetric(region, "region-allocs")
 			})
 		}
 	}

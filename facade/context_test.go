@@ -161,6 +161,69 @@ func TestWithReusedVMBitIdenticalAndReseeded(t *testing.T) {
 	}
 }
 
+// placementSrc keeps a list alive (an escaping, setup-phase site the
+// lifetime pass classes long-lived) while garbage arrays force minor
+// collections, so pretenuring the list nodes changes heap.promoted.
+const placementSrc = `
+class Node { long v; Node next; Node(long v) { this.v = v; } }
+class Main {
+    static void main() {
+        Node head = null;
+        long acc = 0L;
+        for (int i = 0; i < 4000; i = i + 1) {
+            Node n = new Node(i);
+            n.next = head;
+            head = n;
+            long[] junk = new long[64];
+            junk[0] = i;
+            acc = acc + junk[0];
+        }
+        Node c = head;
+        while (c != null) { acc = acc + c.v; c = c.next; }
+        Sys.println(acc);
+    }
+}
+`
+
+// TestWithReusedVMSwitchesPlacement runs placed -> un-placed -> placed on
+// one warm VM: ResetForReuse must install each job's own pretenure set, so
+// every run matches a fresh VM in output, promotions and pretenured count.
+func TestWithReusedVMSwitchesPlacement(t *testing.T) {
+	prog, err := Compile(map[string]string{"t.fj": placementSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		out                  string
+		promoted, pretenured int64
+	}
+	run := func(placed bool, extra ...Option) (outcome, *Result) {
+		t.Helper()
+		res, err := Run(prog, append([]Option{WithHeapSize(2 << 20), WithLifetimes(placed)}, extra...)...)
+		if err != nil {
+			t.Fatalf("placed=%v: %v", placed, err)
+		}
+		st := res.Stats()
+		res.Close()
+		return outcome{res.Output(), st.Heap.Promoted, st.Analysis.LifetimePretenured}, res
+	}
+	fresh := map[bool]outcome{}
+	for _, placed := range []bool{false, true} {
+		fresh[placed], _ = run(placed)
+	}
+	if fresh[true].pretenured == 0 || fresh[false].pretenured != 0 || fresh[true].promoted >= fresh[false].promoted {
+		t.Fatalf("program does not separate the legs: un-placed %+v, placed %+v", fresh[false], fresh[true])
+	}
+	var warm []Option
+	for i, placed := range []bool{true, false, true} {
+		got, res := run(placed, warm...)
+		if got != fresh[placed] {
+			t.Fatalf("warm run %d (placed=%v) = %+v, fresh VM = %+v", i, placed, got, fresh[placed])
+		}
+		warm = []Option{WithReusedVM(res.VM)}
+	}
+}
+
 // TestWithReusedVMClearsPageQuota guards cross-job isolation: a warm VM
 // used by a quota-bearing job must not carry that quota into a later job
 // that set none (the later job would spuriously hit ErrPageQuota).

@@ -13,8 +13,8 @@ import (
 
 // Differential P/P' battery: every program in the table runs as P and as
 // the FACADE-transformed P' across a grid of runtime configurations
-// (heap budget x GC mark workers). The §3.7 correctness oracle demands
-// more than "P' matched P once":
+// (heap budget x GC mark workers x pretenuring x page tiering). The §3.7
+// correctness oracle demands more than "P' matched P once":
 //
 //   - output is bit-identical between P and P' in every grid cell,
 //   - output is identical ACROSS cells (heap budget and GC parallelism
@@ -34,20 +34,24 @@ type diffProgram struct {
 	src         string
 	dataClasses []string
 	trap        string // non-empty: both P and P' must fail, message containing this
+	want        string // non-empty: the exact output every cell must print
+	pretenures  bool   // P must pretenure at least one object in every placed cell
 }
 
 var diffGrid = struct {
 	heaps     []int
 	workers   []int
-	lifetimes []LifetimeMode
+	lifetimes []bool
 	tiers     []string
 }{
 	heaps:   []int{3 << 20, 32 << 20},
 	workers: []int{1, 4},
-	// The lifetime axis pins the §3.7 oracle for the placement machinery
-	// too: pretenuring and epoch regions change only where objects live
-	// and how much the collector copies, never what the program prints.
-	lifetimes: []LifetimeMode{LifetimesOff, LifetimesObserve, LifetimesEnforce},
+	// The lifetime axis pins the §3.7 oracle for placement too: pretenuring
+	// (WithLifetimes, on by default) changes only where objects live and
+	// how much the collector copies, never what the program prints. The
+	// un-placed leg must pretenure nothing; programs marked pretenures
+	// keep the placed leg from being vacuous.
+	lifetimes: []bool{false, true},
 	// The tiering axis does the same for the disk tier: "tight" runs P'
 	// with a watermark small enough that pages spill and promote
 	// constantly, and the output must not move. P is untransformed (no
@@ -140,6 +144,35 @@ class Main {
 }
 `,
 		dataClasses: []string{"K", "HashMap", "MapEntry", "ArrayList", "Main"},
+		pretenures:  true,
+	},
+	{
+		name: "stale-register-across-iterations",
+		// r's register is dead after iteration 0 but stays a GC root, and
+		// the later iterations force full collections (9 at the 3 MiB
+		// heap) while it still holds the address. Placement that freed by
+		// a lifetime proof rather than by reachability would hand the
+		// collector a dangling root here.
+		src: `
+class Rec { long a; Rec(long a) { this.a = a; } }
+class Main { static void main() {
+    long acc = 0L;
+    for (int it = 0; it < 3; it = it + 1) {
+        Sys.iterStart();
+        if (it == 0) { Rec pad = new Rec(1L); Rec r = new Rec(7L); acc = acc + r.a + pad.a; }
+        else {
+            long[] arr = new long[400];
+            for (int i = 0; i < 400; i = i + 1) { arr[i] = 0L - 1L; }
+            acc = acc + arr[3];
+            for (int k = 0; k < 64; k = k + 1) { long[] big = new long[20000]; big[0] = k; acc = acc + big[0]; }
+        }
+        Sys.iterEnd();
+    }
+    Sys.println(acc);
+} }
+`,
+		dataClasses: []string{"Rec", "Main"},
+		want:        "4038\n",
 	},
 	{
 		name: "trap-npe",
@@ -215,16 +248,18 @@ type cellResult struct {
 	err        error
 	records    int64 // page records allocated (P' only)
 	nativePeak int64 // peak DRAM bytes of the page store (P' only)
+	pretenured int64 // allocations the heap placed old-gen by lifetime class
 }
 
 // runCell executes one program in one grid cell (err is nil for clean
 // completion).
-func runCell(p *ir.Program, heapSize, gcWorkers int, lt LifetimeMode, extra ...Option) cellResult {
-	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers), WithLifetimes(lt)}, extra...)
+func runCell(p *ir.Program, heapSize, gcWorkers int, placed bool, extra ...Option) cellResult {
+	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers), WithLifetimes(placed)}, extra...)
 	res, err := Run(p, opts...)
 	c := cellResult{err: err}
 	if res != nil {
 		c.out = res.Output()
+		c.pretenured = res.Stats().Analysis.LifetimePretenured
 		if res.VM.RT != nil {
 			st := res.VM.RT.Stats()
 			c.records, c.nativePeak = st.Records, st.PeakBytes
@@ -273,15 +308,21 @@ func TestDifferentialBattery(t *testing.T) {
 			for _, heapSize := range diffGrid.heaps {
 				for _, gcw := range diffGrid.workers {
 					for _, lt := range diffGrid.lifetimes {
-						cP := runCell(prog, heapSize, gcw, lt)
-						sameBehaviour(t, fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%s", heapSize>>20, gcw, lt),
-							"P", cP, runCell(ip, heapSize, gcw, lt))
+						cellP := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcw, lt)
+						cP, cI := runCell(prog, heapSize, gcw, lt), runCell(ip, heapSize, gcw, lt)
+						sameBehaviour(t, cellP, "P", cP, cI)
+						if dp.pretenures && lt && cP.pretenured == 0 {
+							t.Fatalf("[%s] P pretenured nothing: the placed leg is vacuous", cellP)
+						}
 						outP, errP := cP.out, cP.err
 						for _, tier := range diffGrid.tiers {
-							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%s,tier=%s", heapSize>>20, gcw, lt, tier)
+							cell := fmt.Sprintf("%s,tier=%s", cellP, tier)
 							cP2 := runCell(p2, heapSize, gcw, lt, tierOpts(t, tier)...)
 							cI2 := runCell(ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
 							sameBehaviour(t, cell, "P'", cP2, cI2)
+							if n := cP.pretenured + cI.pretenured + cP2.pretenured + cI2.pretenured; !lt && n != 0 {
+								t.Fatalf("[%s] un-placed leg pretenured %d objects", cell, n)
+							}
 							// Inlining removes calls, never allocations. The
 							// DRAM peak is only comparable untiered: a tight
 							// watermark promotes on first touch, and the
@@ -320,6 +361,9 @@ func TestDifferentialBattery(t *testing.T) {
 					}
 				}
 			}
+			if dp.want != "" && ref != dp.want {
+				t.Fatalf("output %q, want %q", ref, dp.want)
+			}
 		})
 	}
 }
@@ -356,7 +400,7 @@ func TestDifferentialExamples(t *testing.T) {
 						cP := runCell(r.P, heapSize, gcw, lt)
 						outP, errP := cP.out, cP.err
 						for _, tier := range diffGrid.tiers {
-							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%s,tier=%s", heapSize>>20, gcw, lt, tier)
+							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v,tier=%s", heapSize>>20, gcw, lt, tier)
 							cP2 := runCell(r.P2, heapSize, gcw, lt, tierOpts(t, tier)...)
 							outP2, errP2 := cP2.out, cP2.err
 							if errP != nil || errP2 != nil {

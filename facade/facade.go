@@ -35,7 +35,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
@@ -187,15 +186,10 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 	}
 	inj := faults.New(faultCfg)
 	var lifetimes []ir.Lifetime
-	var lifeMode heap.LifetimeMode
-	if o.lifetimes != LifetimesOff && p.NumSites > 0 {
+	if o.lifetimes && p.NumSites > 0 {
 		// Memoized on the program: repeated runs (benchmarks, the daemon's
 		// warm pool) pay for the analysis once.
 		lifetimes = analysis.Lifetimes(p)
-		lifeMode = heap.LifetimeObserve
-		if o.lifetimes == LifetimesEnforce {
-			lifeMode = heap.LifetimeEnforce
-		}
 	}
 	var tiering *offheap.TierConfig
 	if o.tierHigh > 0 && p.Transformed {
@@ -221,8 +215,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		}
 		if err := m.ResetForReuse(vm.ResetConfig{
 			Out: w, RandSeed: o.randSeed, Obs: reg, Faults: inj,
-			Lifetimes: lifetimes, LifetimeMode: lifeMode,
-			Tiering: tiering,
+			Lifetimes: lifetimes, Tiering: tiering,
 		}); err != nil {
 			return nil, err
 		}
@@ -230,11 +223,10 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		var err error
 		m, err = vm.New(p, vm.Config{
 			HeapSize: o.heapSize, Out: w, RandSeed: o.randSeed, Obs: reg,
-			GCWorkers:    o.gcWorkers,
-			Faults:       inj,
-			Lifetimes:    lifetimes,
-			LifetimeMode: lifeMode,
-			Tiering:      tiering,
+			GCWorkers: o.gcWorkers,
+			Faults:    inj,
+			Lifetimes: lifetimes,
+			Tiering:   tiering,
 		})
 		if err != nil {
 			return nil, err

@@ -25,7 +25,7 @@ type runOptions struct {
 	gcWorkers    int
 	reuseVM      *vm.VM
 	pageQuota    int64
-	lifetimes    LifetimeMode
+	lifetimes    bool
 	tierDir      string
 	tierHigh     int
 	tierLow      int
@@ -36,44 +36,20 @@ func defaultRunOptions() runOptions {
 		heapSize:  64 << 20,
 		entry:     "Main.main",
 		randSeed:  1,
-		lifetimes: LifetimesObserve,
+		lifetimes: true,
 	}
 }
 
-// LifetimeMode selects how a run consumes the lifetime-inference pass
-// (internal/analysis): off skips it, observe profiles allocation sites and
-// demotes mispredicted classifications without changing placement, and
-// enforce additionally pretenures long-lived sites into the old generation
-// and serves epoch-local sites from bulk-reset per-iteration regions.
-type LifetimeMode int
-
-// Lifetime modes for WithLifetimes.
-const (
-	LifetimesOff LifetimeMode = iota
-	LifetimesObserve
-	LifetimesEnforce
-)
-
-func (m LifetimeMode) String() string {
-	switch m {
-	case LifetimesObserve:
-		return "observe"
-	case LifetimesEnforce:
-		return "enforce"
-	default:
-		return "off"
-	}
-}
-
-// WithLifetimes sets the run's lifetime-inference mode. The default is
-// LifetimesObserve: the classification is computed (and cached on the
-// program) and the per-site profiler runs, but every allocation stays on
-// the default path, so heap behavior is identical to LifetimesOff.
-// LifetimesEnforce turns the classification into placement — program
-// output remains bit-identical (the differential battery enforces it);
-// only GC work changes.
-func WithLifetimes(mode LifetimeMode) Option {
-	return func(o *runOptions) { o.lifetimes = mode }
+// WithLifetimes switches lifetime-guided placement on or off. The default
+// is on: the lifetime-inference pass (internal/analysis) runs once per
+// program (cached on it), and allocation sites it classifies long-lived
+// allocate straight into the old generation instead of being copied there
+// by the first minor collection they survive. Program output is
+// bit-identical either way (the differential battery enforces it); only GC
+// work changes. WithLifetimes(false) is the un-placed reference leg for
+// that battery, the fuzz oracle and the ablation benchmark.
+func WithLifetimes(on bool) Option {
+	return func(o *runOptions) { o.lifetimes = on }
 }
 
 // WithHeapSize sets the managed heap budget in bytes (-Xmx). Default is

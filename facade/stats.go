@@ -24,12 +24,6 @@ type RunStats struct {
 	// allocations appear under "[]elem" keys.
 	ClassAllocs map[string]int64 `json:"class_allocs"`
 
-	// Lifetimes is the per-allocation-site runtime profile (sites with
-	// recorded activity only); empty unless the run had lifetimes enabled
-	// (WithLifetimes, on by default in observe mode for programs compiled
-	// with site IDs).
-	Lifetimes []SiteLifetime `json:"lifetimes,omitempty"`
-
 	Counters   map[string]int64     `json:"counters"`
 	Gauges     map[string]int64     `json:"gauges"`
 	Histograms map[string]Histogram `json:"histograms"`
@@ -103,26 +97,13 @@ type RecoveryStats struct {
 // the IR verifier and findings raised by the facade-safety linter (both
 // populated when the run used WithVerify), the instructions removed by
 // dead-code elimination when the program was transformed, and the lifetime
-// pass's runtime consumption (pretenured and region-placed allocations,
-// and sites the profiler demoted back to unknown).
+// pass's runtime consumption (allocations pretenured into the old
+// generation).
 type AnalysisStats struct {
-	VerifiedFuncs        int64 `json:"verify_funcs"`
-	LintFindings         int64 `json:"lint_findings"`
-	DCERemoved           int64 `json:"dce_removed"`
-	LifetimePretenured   int64 `json:"lifetime_pretenured"`
-	LifetimeRegionAllocs int64 `json:"lifetime_region_allocs"`
-	LifetimeDemotions    int64 `json:"lifetime_demotions"`
-}
-
-// SiteLifetime is one allocation site's runtime profile: what the static
-// pass predicted (possibly demoted since) and what the profiler measured.
-type SiteLifetime struct {
-	Site     int32  `json:"site"`
-	Class    string `json:"class"` // "epoch-local", "long-lived", "unknown"
-	Allocs   int64  `json:"allocs"`
-	Bytes    int64  `json:"bytes"`
-	Sampled  int64  `json:"sampled,omitempty"`
-	Survived int64  `json:"survived,omitempty"`
+	VerifiedFuncs      int64 `json:"verify_funcs"`
+	LintFindings       int64 `json:"lint_findings"`
+	DCERemoved         int64 `json:"dce_removed"`
+	LifetimePretenured int64 `json:"lifetime_pretenured"`
 }
 
 // VMStats mirrors the interpreter's execution counters.
@@ -245,22 +226,10 @@ func (r *Result) Stats() RunStats {
 		BudgetHalvings:     snap.Counters[obs.CtrBudgetHalvings],
 	}
 	st.Analysis = AnalysisStats{
-		VerifiedFuncs:        snap.Counters[obs.CtrVerifyFuncs],
-		LintFindings:         snap.Counters[obs.CtrLintFindings],
-		DCERemoved:           snap.Counters[obs.CtrDCERemoved],
-		LifetimePretenured:   snap.Counters[obs.CtrLifetimePretenured],
-		LifetimeRegionAllocs: snap.Counters[obs.CtrLifetimeRegionAllocs],
-		LifetimeDemotions:    snap.Counters[obs.CtrLifetimeDemotions],
-	}
-	for _, sp := range r.VM.Heap.SiteProfile() {
-		st.Lifetimes = append(st.Lifetimes, SiteLifetime{
-			Site:     sp.Site,
-			Class:    sp.Life.String(),
-			Allocs:   sp.Allocs,
-			Bytes:    sp.Bytes,
-			Sampled:  sp.Sampled,
-			Survived: sp.Survived,
-		})
+		VerifiedFuncs:      snap.Counters[obs.CtrVerifyFuncs],
+		LintFindings:       snap.Counters[obs.CtrLintFindings],
+		DCERemoved:         snap.Counters[obs.CtrDCERemoved],
+		LifetimePretenured: snap.Counters[obs.CtrLifetimePretenured],
 	}
 	st.Counters = snap.Counters
 	st.Gauges = snap.Gauges

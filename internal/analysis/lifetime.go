@@ -18,8 +18,8 @@ import (
 //     callee whose summary says the parameter escapes, no virtual call),
 //     and it is dead before every point that may cross an iteration
 //     boundary (a Sys.iterEnd, or a call into a function that transitively
-//     contains one). Such values can live in a per-epoch bump region that
-//     is bulk-reset at the boundary.
+//     contains one). The class is reported (facadec vet -lifetimes) but
+//     has no runtime consumer; see the note below.
 //
 //   - ir.LifetimeLongLived: the value escapes and the allocation is NOT
 //     proven inside an iteration — the shape of setup-phase allocations
@@ -37,14 +37,16 @@ import (
 // Virtual calls are resolved conservatively by selector name: every
 // same-name instance method is a possible target.
 //
-// Soundness note (what keeps enforce mode bit-identical): the epoch-local
-// proof only ever talks about the allocating thread's innermost epoch.
-// A value that never escapes lives only in this frame's registers (and
-// callees that provably do not retain or cross a boundary), so its whole
-// live range sits between two boundary crossings of its own thread — and
-// per-thread epoch regions are only reset at those crossings. If the site
-// executes while no epoch is active, the runtime falls back to the young
-// generation and the profiler demotes the site.
+// Why epoch-local is reported and not placed: the proof talks about the
+// allocating thread's innermost epoch — a value that never escapes lives
+// only in this frame's registers (and callees that provably do not retain
+// or cross a boundary), so its live range sits between two boundary
+// crossings of its own thread. Freeing it at the crossing would still be
+// unsound here, because the VM roots every ref-typed register without
+// liveness information: a dead register keeps the address past the
+// boundary and the collector would trace a dangling root. Long-lived is
+// the one class the heap acts on (pretenuring, internal/heap/lifetime.go),
+// and it carries no such obligation.
 
 // SiteClass is the classification of one allocation site, with enough
 // context to render a file:line report (facadec vet -lifetimes).

@@ -38,8 +38,6 @@ type Options struct {
 	// NoAutoClose disables closure expansion: assumption violations then
 	// surface as compilation errors, as the paper specifies.
 	NoAutoClose bool
-	// ExcludeString keeps String out of the data path even when present.
-	ExcludeString bool
 	// Devirtualize enables §3.6's "static resolution of virtual calls":
 	// when class-hierarchy analysis proves a data-receiver call site
 	// monomorphic, the receiver facade is drawn from the static type's
@@ -176,7 +174,7 @@ func (tr *transformer) computeDataSet() error {
 	if len(tr.data) == 0 {
 		return fmt.Errorf("facade: no data classes specified")
 	}
-	if !tr.opts.ExcludeString && h.Class("String") != nil {
+	if h.Class("String") != nil {
 		// String is a data class whenever the data path can touch it.
 		add("String")
 	}

@@ -22,7 +22,7 @@ func (hp *Heap) collectSTW(full bool) error {
 		// A minor collection promotes at most the used nursery bytes; if
 		// the old generation cannot absorb that, escalate to a full
 		// collection.
-		if int64(hp.oldEnd-hp.oldPos) < int64(hp.youngPos-hp.youngBase) {
+		if int64(hp.oldEnd-hp.oldPos) < int64(hp.youngPos-hp.oldEnd) {
 			full = true
 		}
 	}
@@ -34,9 +34,6 @@ func (hp *Heap) collectSTW(full bool) error {
 		hp.minorGC()
 		hp.stats.minorGCs.Add(1)
 	}
-	// Survival sampling reads the GC words of sampled nursery allocations
-	// (forwarded == survived) while the world is still stopped.
-	hp.sampleSurvival()
 	pause := time.Since(start).Nanoseconds()
 	hp.stats.gcNanos.Add(pause)
 	hp.hPause.Observe(pause)
@@ -132,14 +129,6 @@ func (hp *Heap) minorGC() {
 		v := Addr(hp.getU64(slot))
 		hp.setU64(slot, uint64(copyYoung(v)))
 	}
-	// Live epoch-region objects are extra roots: minor collections never
-	// move them, but they may hold the only reference to a young object.
-	hp.forEachRegionObject(func(a Addr) {
-		hp.refSlots(a, func(slot Addr) {
-			v := Addr(hp.getU64(slot))
-			hp.setU64(slot, uint64(copyYoung(v)))
-		})
-	})
 	// Cheney scan over the freshly promoted objects.
 	for scan := scanStart; scan < hp.oldPos; {
 		hp.refSlots(scan, func(slot Addr) {
@@ -149,7 +138,7 @@ func (hp *Heap) minorGC() {
 		scan += Addr(hp.objSize(scan))
 	}
 
-	hp.youngPos = hp.youngBase
+	hp.youngPos = hp.oldEnd
 	hp.remset = make(map[Addr]struct{})
 	hp.invalidateTLABs()
 	hp.notePeakLocked()
@@ -212,13 +201,6 @@ func (hp *Heap) markHeap() []Addr {
 			sh.stack = append(sh.stack, a)
 		}
 		return a
-	})
-	// Epoch-region objects are roots too: the full collector neither moves
-	// nor reclaims them (their space is reclaimed in bulk at EpochEnd).
-	hp.forEachRegionObject(func(a Addr) {
-		if hp.tryMark(a) {
-			sh.stack = append(sh.stack, a)
-		}
 	})
 
 	n := hp.gcWorkers
@@ -333,9 +315,8 @@ func (hp *Heap) fullGC() error {
 	// Phase 3: update references (roots and live-object slots) to
 	// forwarding addresses while objects are still in place.
 	fwd := func(a Addr) Addr {
-		if a == 0 || hp.inRegion(a) {
-			// Region objects never move; their GC word stays zero.
-			return a
+		if a == 0 {
+			return 0
 		}
 		return hp.getU32(a + hdrGC)
 	}
@@ -355,8 +336,6 @@ func (hp *Heap) fullGC() error {
 	for _, a := range liveYoung {
 		updateSlots(a)
 	}
-	// Region objects stay put but their referents may move.
-	hp.forEachRegionObject(updateSlots)
 
 	// Phase 4: move. Slide the old generation in address order (dest <=
 	// src), then evacuate nursery survivors.
@@ -383,7 +362,7 @@ func (hp *Heap) fullGC() error {
 	hp.cEvacuated.Add(movedBytes)
 
 	hp.oldPos = newPos
-	hp.youngPos = hp.youngBase
+	hp.youngPos = hp.oldEnd
 	hp.remset = make(map[Addr]struct{})
 	// Buffered barrier entries name pre-compaction slots; the nursery was
 	// evacuated, so they are all stale — drop them with the remset.

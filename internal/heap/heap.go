@@ -82,8 +82,8 @@ type Config struct {
 	// ErrOutOfMemory ahead of true exhaustion (deterministic OOM
 	// injection for robustness tests).
 	Faults *faults.Injector
-	// Lifetimes carries the static per-site lifetime classification (see
-	// lifetime.go). The zero value disables lifetime handling.
+	// Lifetimes names the allocation sites to pretenure (see lifetime.go).
+	// The zero value disables pretenuring.
 	Lifetimes LifetimeConfig
 }
 
@@ -110,14 +110,6 @@ type Heap struct {
 	oldBase  Addr
 	oldEnd   Addr
 	youngEnd Addr
-
-	// Epoch-region area: [regionBase, regionEnd) sits between the old
-	// generation and the nursery; the nursery proper starts at youngBase.
-	// With lifetimes off (or not enforced) the area is empty and
-	// youngBase == oldEnd, preserving the classic two-space layout.
-	regionBase Addr
-	regionEnd  Addr
-	youngBase  Addr
 
 	mu       sync.Mutex // guards oldPos, youngPos, remset, TLAB handout
 	oldPos   Addr
@@ -179,26 +171,10 @@ type Heap struct {
 	inj        *faults.Injector
 	cFaultsInj *obs.Counter
 
-	// Lifetime state (lifetime.go). lifeStatic is the immutable config;
-	// life is the working copy that runtime demotions mutate (read with
-	// atomics on the allocation path). The site* arrays hold the per-site
-	// allocation profile; freeChunks is the epoch-region chunk free list
-	// (guarded by mu).
-	lifeMode      LifetimeMode
-	lifeStatic    []Life
-	life          []uint32
-	siteAllocs    []int64
-	siteBytes     []int64
-	siteSampled   []int64
-	siteSurvived  []int64
-	freeChunks    []Addr
-	regionInUse   int64
-	verifyRegions bool
-	sampleActive  uint32 // survival sampling on while any long site lacks a verdict
-
+	// pretenure marks the allocation sites that go straight to the old
+	// generation (lifetime.go); written only while no thread allocates.
+	pretenure       []bool
 	cLifePretenured *obs.Counter // allocations routed old-gen by pretenuring
-	cLifeRegion     *obs.Counter // allocations served from epoch regions
-	cLifeDemoted    *obs.Counter // sites demoted to unknown at runtime
 
 	sp safepointState
 }
@@ -246,7 +222,7 @@ func New(cfg Config, h *lang.Hierarchy) *Heap {
 	hp.youngEnd = Addr(cfg.HeapSize)
 	hp.oldPos = hp.oldBase
 	hp.youngPos = hp.oldEnd
-	hp.SetLifetimes(cfg.Lifetimes) // sets youngBase/region and rewinds youngPos
+	hp.SetLifetimes(cfg.Lifetimes)
 	hp.gcWorkers = cfg.GCWorkers
 	if hp.gcWorkers <= 0 {
 		hp.gcWorkers = runtime.GOMAXPROCS(0)
@@ -279,8 +255,6 @@ func (hp *Heap) bindInstruments(reg *obs.Registry, inj *faults.Injector) {
 	hp.cEvacuated = reg.Counter(obs.CtrEvacuated)
 	hp.cRemsetScanned = reg.Counter(obs.CtrRemsetScanned)
 	hp.cLifePretenured = reg.Counter(obs.CtrLifetimePretenured)
-	hp.cLifeRegion = reg.Counter(obs.CtrLifetimeRegionAllocs)
-	hp.cLifeDemoted = reg.Counter(obs.CtrLifetimeDemotions)
 	hp.inj = inj
 	hp.cFaultsInj = reg.Counter(obs.CtrFaultHeapAlloc)
 }
@@ -302,11 +276,9 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	}
 	hp.mu.Lock()
 	hp.oldPos = hp.oldBase
+	hp.youngPos = hp.oldEnd
 	hp.remset = make(map[Addr]struct{})
 	hp.mu.Unlock()
-	// Re-derive the region layout and restore the static (pre-demotion)
-	// classification; also rewinds youngPos to youngBase.
-	hp.SetLifetimes(LifetimeConfig{Mode: hp.lifeMode, Sites: hp.lifeStatic})
 	for i := range hp.classCounts {
 		atomic.StoreInt64(&hp.classCounts[i], 0)
 	}
@@ -429,7 +401,7 @@ func (hp *Heap) ArrayElemOf(a Addr) *lang.Type {
 func (hp *Heap) ArrayLen(a Addr) int { return int(hp.getU32(a + 12)) }
 
 // inYoung reports whether a is in the nursery.
-func (hp *Heap) inYoung(a Addr) bool { return a >= hp.youngBase }
+func (hp *Heap) inYoung(a Addr) bool { return a >= hp.oldEnd }
 
 // inOld reports whether a is a non-null old-generation address.
 func (hp *Heap) inOld(a Addr) bool { return a != 0 && a < hp.oldEnd }
@@ -438,7 +410,7 @@ func (hp *Heap) inOld(a Addr) bool { return a != 0 && a < hp.oldEnd }
 // TLAB, collecting if needed. Accounting is thread-local (noteAlloc), so
 // the common path performs no atomic operation and takes no lock. site is
 // the static allocation-site ID (0 for unnumbered/runtime allocations);
-// with lifetimes enabled it selects pretenuring or epoch-region placement.
+// a site in the heap's pretenure set allocates in the old generation.
 func (hp *Heap) AllocObject(tc *ThreadCtx, cls *lang.Class, site int32) (Addr, error) {
 	size := roundUp8(ScalarHeader + cls.BodySize)
 	a, err := hp.allocSited(tc, size, site)
@@ -521,22 +493,9 @@ func (tc *ThreadCtx) flushAllocStats() {
 	tc.histSum = 0
 	tc.histMin = math.MaxInt64
 	tc.histMax = math.MinInt64
-	if tc.siteAllocs != nil && hp.siteAllocs != nil {
-		for site, c := range tc.siteAllocs {
-			if c != 0 {
-				atomic.AddInt64(&hp.siteAllocs[site], c)
-				atomic.AddInt64(&hp.siteBytes[site], tc.siteBytes[site])
-				tc.siteAllocs[site], tc.siteBytes[site] = 0, 0
-			}
-		}
-	}
 	if tc.pretenured != 0 {
 		hp.cLifePretenured.Add(tc.pretenured)
 		tc.pretenured = 0
-	}
-	if tc.regionAllocs != 0 {
-		hp.cLifeRegion.Add(tc.regionAllocs)
-		tc.regionAllocs = 0
 	}
 }
 
@@ -611,7 +570,7 @@ func (hp *Heap) allocLarge(tc *ThreadCtx, size int) (Addr, error) {
 // notePeakLocked updates the high-water mark; callers hold hp.mu or have
 // the world stopped.
 func (hp *Heap) notePeakLocked() {
-	used := int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.youngBase) + hp.regionInUse
+	used := int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.oldEnd)
 	for {
 		cur := hp.stats.peakUsed.Load()
 		if used <= cur || hp.stats.peakUsed.CompareAndSwap(cur, used) {
@@ -832,5 +791,5 @@ func (hp *Heap) ClassAllocCounts() map[string]int64 {
 func (hp *Heap) UsedBytes() int64 {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
-	return int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.youngBase) + hp.regionInUse
+	return int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.oldEnd)
 }

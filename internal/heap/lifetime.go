@@ -1,514 +1,44 @@
 package heap
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// Lifetime-guided allocation: pretenuring and per-epoch bump regions.
+// Pretenuring: the one runtime consumer of the lifetime classification.
 //
 // The static-analysis layer (internal/analysis) classifies every numbered
-// allocation site as epoch-local, long-lived, or unknown; the VM forwards
-// the classification here as a LifetimeConfig. The heap consumes it in two
-// ways:
-//
-//   - pretenuring (enforce mode): long-lived sites allocate straight into
-//     the old generation, skipping the nursery and therefore every minor-GC
-//     evacuation copy the object would otherwise pay (NG2C-style);
-//
-//   - epoch regions (enforce mode): epoch-local sites allocate from a
-//     per-thread bump arena tied to the innermost epoch (iteration). When
-//     the VM signals the iteration boundary (EpochEnd), the arena is
-//     bulk-reset — no tracing, no copying, exactly the reclamation model
-//     the off-heap page store uses for data objects (§2.2 of the paper),
-//     applied to the control heap.
+// allocation site as epoch-local, long-lived, or unknown. The VM hands the
+// heap the long-lived sites as a per-site set, and those sites allocate
+// straight into the old generation, skipping the nursery and therefore every
+// minor-GC evacuation copy the object would otherwise pay (NG2C-style).
+// Every other allocation takes the default path.
 //
 // Placement never changes program semantics: addresses are not program
-// values beyond identity, objects are never moved out from under a live
-// reference, and an epoch-local proof guarantees the value is dead before
-// its region resets. A lightweight profiler cross-checks the static story
-// at runtime: per-site allocation and survival counters, and demotion of
-// mispredicted sites back to unknown (observe mode measures and demotes
-// without changing placement; that is the default facade.Run mode).
+// values beyond identity, and a pretenured object that dies young is
+// ordinary old-generation garbage for the next full collection.
+//
+// Epoch-local is a class the analysis reports and the heap does not place.
+// Freeing an iteration's objects in bulk is sound only when nothing can
+// still reach them, and the VM roots every ref-typed register without
+// liveness information: a dead register outlives a correct epoch-local
+// proof and would leave the collector a dangling root.
 
-// LifetimeMode selects how much of the lifetime machinery is active.
-type LifetimeMode uint8
-
-// Lifetime modes.
-const (
-	// LifetimeOff disables classification consumption entirely.
-	LifetimeOff LifetimeMode = iota
-	// LifetimeObserve profiles sites and demotes mispredictions but keeps
-	// every allocation on the default path (bit-identical layout to off).
-	LifetimeObserve
-	// LifetimeEnforce additionally routes long-lived sites to the old
-	// generation and epoch-local sites to per-epoch regions.
-	LifetimeEnforce
-)
-
-func (m LifetimeMode) String() string {
-	switch m {
-	case LifetimeObserve:
-		return "observe"
-	case LifetimeEnforce:
-		return "enforce"
-	default:
-		return "off"
-	}
-}
-
-// Life is the heap's view of a site classification (kept free of an
-// internal/ir dependency; the VM converts).
-type Life uint8
-
-// Site lifetime classes.
-const (
-	LifeUnknown Life = iota
-	LifeEpoch
-	LifeLong
-)
-
-func (l Life) String() string {
-	switch l {
-	case LifeEpoch:
-		return "epoch-local"
-	case LifeLong:
-		return "long-lived"
-	default:
-		return "unknown"
-	}
-}
-
-// LifetimeConfig carries the per-site classification into the heap.
+// LifetimeConfig carries the classification into the heap.
 type LifetimeConfig struct {
-	Mode LifetimeMode
-	// Sites is indexed by allocation-site ID (index 0 unused). Nil or
-	// empty disables lifetime handling regardless of Mode.
-	Sites []Life
+	// Pretenure is indexed by allocation-site ID (index 0, the unnumbered
+	// site, is never set): sites marked true allocate in the old
+	// generation. Nil or empty disables pretenuring. The heap keeps the
+	// slice; callers must not modify it afterwards.
+	Pretenure []bool
 }
 
-// SiteStats is one site's runtime allocation profile.
-type SiteStats struct {
-	Site     int32
-	Life     Life  // current (post-demotion) classification
-	Allocs   int64 // objects allocated at the site
-	Bytes    int64 // bytes allocated at the site
-	Sampled  int64 // young allocations sampled for survival
-	Survived int64 // sampled allocations that survived a collection
-}
+// SetLifetimes installs the pretenure set. No thread may be allocating:
+// callers are New and the VM's reset between jobs (Reset itself keeps the
+// set, like the GC-worker configuration).
+func (hp *Heap) SetLifetimes(cfg LifetimeConfig) { hp.pretenure = cfg.Pretenure }
 
-// Region geometry. Chunks are handed to threads one at a time and walked
-// object-by-object by the collector, exactly like TLABs, so the chunk size
-// bounds both fragmentation and the largest region-allocable object.
-const (
-	regionChunkSize = 16 << 10
-	// maxSurvivalSamples bounds the per-thread survival sample buffer per
-	// GC cycle; sampling is for demotion decisions, not exact counts.
-	maxSurvivalSamples = 4096
-	// survivalSampleEvery subsamples the survival records: one young sited
-	// allocation in this many is tracked across a collection.
-	survivalSampleEvery = 8
-	// demoteSampleMin is the minimum sampled population before a
-	// long-lived site with zero survivors is demoted.
-	demoteSampleMin = 32
-)
-
-// regionChunk is one bump span carved out of the region area.
-type regionChunk struct {
-	base, pos, end Addr
-}
-
-// epochLevel is the per-thread state of one (possibly nested) epoch.
-type epochLevel struct {
-	chunks []regionChunk
-}
-
-// survivalSample records one young allocation for the GC-time survival
-// check.
-type survivalSample struct {
-	addr Addr
-	site int32
-}
-
-// SetLifetimes installs a lifetime configuration. The heap must be empty
-// (freshly created or Reset, no registered threads): enforce mode carves
-// the epoch-region area out of the nursery, which moves the young base.
-func (hp *Heap) SetLifetimes(cfg LifetimeConfig) {
-	hp.lifeMode = cfg.Mode
-	hp.lifeStatic = nil
-	hp.life = nil
-	hp.regionBase, hp.regionEnd = hp.oldEnd, hp.oldEnd
-	hp.youngBase = hp.oldEnd
-	hp.freeChunks = hp.freeChunks[:0]
-	hp.regionInUse = 0
-	if cfg.Mode == LifetimeOff || len(cfg.Sites) == 0 {
-		hp.siteAllocs, hp.siteBytes, hp.siteSampled, hp.siteSurvived = nil, nil, nil, nil
-		hp.mu.Lock()
-		hp.youngPos = hp.youngBase
-		hp.mu.Unlock()
-		return
-	}
-	hp.lifeStatic = append([]Life(nil), cfg.Sites...)
-	hp.life = make([]uint32, len(cfg.Sites))
-	hasEpoch, hasLong := false, false
-	for i, l := range cfg.Sites {
-		hp.life[i] = uint32(l)
-		if l == LifeEpoch {
-			hasEpoch = true
-		}
-		if l == LifeLong {
-			hasLong = true
-		}
-	}
-	// Survival sampling exists to give every long-lived prediction a
-	// runtime verdict; with no long sites there is nothing to decide.
-	hp.sampleActive = 0
-	if hasLong {
-		hp.sampleActive = 1
-	}
-	n := len(cfg.Sites)
-	hp.siteAllocs = make([]int64, n)
-	hp.siteBytes = make([]int64, n)
-	hp.siteSampled = make([]int64, n)
-	hp.siteSurvived = make([]int64, n)
-	if cfg.Mode == LifetimeEnforce && hasEpoch {
-		young := int(hp.youngEnd - hp.oldEnd)
-		region := (young / 4) / regionChunkSize * regionChunkSize
-		if young >= 512<<10 && region > 0 {
-			hp.regionEnd = hp.regionBase + Addr(region)
-			hp.youngBase = hp.regionEnd
-			for c := hp.regionBase; c < hp.regionEnd; c += regionChunkSize {
-				hp.freeChunks = append(hp.freeChunks, c)
-			}
-		}
-	}
-	hp.mu.Lock()
-	hp.youngPos = hp.youngBase
-	hp.mu.Unlock()
-}
-
-// inRegion reports whether a lies in the epoch-region area.
-func (hp *Heap) inRegion(a Addr) bool { return a >= hp.regionBase && a < hp.regionEnd }
-
-// lifeOf returns the current (post-demotion) classification of a site, or
-// LifeUnknown when lifetimes are off or the site is unnumbered.
-func (hp *Heap) lifeOf(site int32) Life {
-	if hp.life == nil || site <= 0 || int(site) >= len(hp.life) {
-		return LifeUnknown
-	}
-	return Life(atomic.LoadUint32(&hp.life[int(site)]))
-}
-
-// demoteSite drops a mispredicted site to unknown (once) and counts it.
-func (hp *Heap) demoteSite(site int32) {
-	was := atomic.LoadUint32(&hp.life[int(site)])
-	if was == uint32(LifeUnknown) {
-		return
-	}
-	if atomic.CompareAndSwapUint32(&hp.life[int(site)], was, uint32(LifeUnknown)) {
-		hp.cLifeDemoted.Inc()
-	}
-}
-
-// allocSited is the classification-aware allocation path. The first guard
-// is the whole cost for unsited allocations and lifetimes-off heaps; the
-// observe path adds one atomic load, the thread-local site counters, and a
-// subsampled survival record.
+// allocSited is the classification-aware allocation path: one bounds check
+// for unsited allocations and heaps without a pretenure set.
 func (hp *Heap) allocSited(tc *ThreadCtx, size int, site int32) (Addr, error) {
-	if hp.life == nil || site <= 0 || int(site) >= len(hp.life) {
-		return hp.allocRaw(tc, size)
+	if site > 0 && int(site) < len(hp.pretenure) && hp.pretenure[site] {
+		tc.pretenured++
+		return hp.allocLarge(tc, size)
 	}
-	// Per-site profile counters; tc.siteAllocs is sized with hp.life, so
-	// the guard above covers both.
-	tc.siteAllocs[site]++
-	tc.siteBytes[site] += int64(size)
-	switch Life(atomic.LoadUint32(&hp.life[site])) {
-	case LifeEpoch:
-		if tc.epochDepth == 0 {
-			// The static proof said "inside an iteration"; the runtime
-			// disagrees (e.g. a function the engine calls outside its
-			// epoch). Demote and fall through to the default path.
-			hp.demoteSite(site)
-		} else if hp.lifeMode == LifetimeEnforce {
-			if a, err, ok := hp.regionAlloc(tc, size); ok {
-				tc.regionAllocs++
-				return a, err
-			}
-			// Region overflow: silent fallback to the nursery.
-		}
-	case LifeLong:
-		if hp.lifeMode == LifetimeEnforce {
-			tc.pretenured++
-			return hp.allocLarge(tc, size)
-		}
-	}
-	a, err := hp.allocRaw(tc, size)
-	// Survival sampling is for demotion decisions, not exact counts: 1 in
-	// survivalSampleEvery sited allocations is plenty, and sampling shuts
-	// off entirely once every long-lived site has a verdict.
-	if err == nil && atomic.LoadUint32(&hp.sampleActive) != 0 && hp.inYoung(a) {
-		if tc.sampleTick++; tc.sampleTick%survivalSampleEvery == 0 &&
-			len(tc.samples) < maxSurvivalSamples {
-			tc.samples = append(tc.samples, survivalSample{addr: a, site: site})
-		}
-	}
-	return a, err
-}
-
-// regionAlloc bump-allocates size bytes in the innermost epoch's current
-// chunk, grabbing a fresh chunk when needed. ok=false means the request
-// cannot be served from the region (no epoch, oversized, or exhausted) and
-// the caller should fall back to the nursery.
-func (hp *Heap) regionAlloc(tc *ThreadCtx, size int) (Addr, error, bool) {
-	if len(tc.epochs) == 0 || size > regionChunkSize {
-		return 0, nil, false
-	}
-	lvl := &tc.epochs[len(tc.epochs)-1]
-	if n := len(lvl.chunks); n > 0 {
-		c := &lvl.chunks[n-1]
-		if c.pos+Addr(size) <= c.end {
-			a := c.pos
-			c.pos += Addr(size)
-			return a, nil, true
-		}
-	}
-	hp.mu.Lock()
-	if len(hp.freeChunks) == 0 {
-		hp.mu.Unlock()
-		return 0, nil, false
-	}
-	base := hp.freeChunks[len(hp.freeChunks)-1]
-	hp.freeChunks = hp.freeChunks[:len(hp.freeChunks)-1]
-	hp.regionInUse += regionChunkSize
-	hp.notePeakLocked()
-	hp.mu.Unlock()
-	// Zero the whole chunk once at handout, like a TLAB, so region bumps
-	// need no per-object zeroing and retired chunks are walkable.
-	hp.zero(base, regionChunkSize)
-	lvl.chunks = append(lvl.chunks, regionChunk{base: base, pos: base + Addr(size), end: base + regionChunkSize})
-	return base, nil, true
-}
-
-// EpochBegin marks the start of an iteration on tc's thread. Cheap enough
-// to call unconditionally from the VM's iteration hooks.
-func (hp *Heap) EpochBegin(tc *ThreadCtx) {
-	tc.epochDepth++
-	if hp.lifeMode == LifetimeEnforce && hp.regionEnd > hp.regionBase {
-		tc.epochs = append(tc.epochs, epochLevel{})
-	}
-}
-
-// EpochEnd marks the end of an iteration: the innermost epoch's chunks are
-// bulk-returned to the free list — reclamation is pointer arithmetic, no
-// tracing. With region verification enabled, the dying span is first
-// checked for dangling references from roots, old, and young.
-func (hp *Heap) EpochEnd(tc *ThreadCtx) {
-	if tc.epochDepth > 0 {
-		tc.epochDepth--
-	}
-	if len(tc.epochs) == 0 {
-		return
-	}
-	lvl := tc.epochs[len(tc.epochs)-1]
-	tc.epochs = tc.epochs[:len(tc.epochs)-1]
-	if len(lvl.chunks) == 0 {
-		return
-	}
-	if hp.verifyRegions {
-		if v := hp.checkDeadRegionRefs(lvl.chunks); v != nil {
-			panic(v)
-		}
-	}
-	hp.mu.Lock()
-	for _, c := range lvl.chunks {
-		hp.freeChunks = append(hp.freeChunks, c.base)
-	}
-	hp.regionInUse -= int64(len(lvl.chunks)) * regionChunkSize
-	hp.mu.Unlock()
-}
-
-// releaseEpochs force-returns every chunk a thread still holds (thread
-// unregister without balanced EpochEnd calls).
-func (tc *ThreadCtx) releaseEpochs() {
-	if len(tc.epochs) == 0 {
-		tc.epochDepth = 0
-		return
-	}
-	hp := tc.hp
-	hp.mu.Lock()
-	for _, lvl := range tc.epochs {
-		for _, c := range lvl.chunks {
-			hp.freeChunks = append(hp.freeChunks, c.base)
-		}
-		hp.regionInUse -= int64(len(lvl.chunks)) * regionChunkSize
-	}
-	hp.mu.Unlock()
-	tc.epochs = nil
-	tc.epochDepth = 0
-}
-
-// forEachRegionObject walks every object in every live (not yet freed)
-// region chunk. Called with the world stopped.
-func (hp *Heap) forEachRegionObject(f func(a Addr)) {
-	for tc := range hp.sp.threads {
-		for li := range tc.epochs {
-			for ci := range tc.epochs[li].chunks {
-				c := &tc.epochs[li].chunks[ci]
-				for a := c.base; a < c.pos; {
-					f(a)
-					a += Addr(hp.objSize(a))
-				}
-			}
-		}
-	}
-}
-
-// sampleSurvival runs at the end of a collection, world still stopped:
-// every sampled young allocation's GC word tells whether it was evacuated
-// (survived) or died in place. Long-lived predictions with a sampled
-// population and zero survivors are demoted.
-func (hp *Heap) sampleSurvival() {
-	if hp.life == nil || atomic.LoadUint32(&hp.sampleActive) == 0 {
-		return
-	}
-	for tc := range hp.sp.threads {
-		for _, s := range tc.samples {
-			atomic.AddInt64(&hp.siteSampled[s.site], 1)
-			if hp.getU32(s.addr+hdrGC) != 0 {
-				atomic.AddInt64(&hp.siteSurvived[s.site], 1)
-			}
-		}
-		tc.samples = tc.samples[:0]
-	}
-	// Demote long predictions that died wholesale, and shut sampling off
-	// once every long site has a verdict: a demoted site leaves the class,
-	// a site with demoteSampleMin samples and a survivor is confirmed.
-	undecided := false
-	for site := 1; site < len(hp.life); site++ {
-		if Life(atomic.LoadUint32(&hp.life[site])) != LifeLong {
-			continue
-		}
-		sampled := atomic.LoadInt64(&hp.siteSampled[site])
-		survived := atomic.LoadInt64(&hp.siteSurvived[site])
-		if sampled >= demoteSampleMin && survived == 0 {
-			hp.demoteSite(int32(site))
-		} else if sampled < demoteSampleMin && hp.lifeMode != LifetimeEnforce {
-			// Enforce mode pretenures long sites past the nursery, so they
-			// can never accumulate samples; don't wait on them.
-			undecided = true
-		}
-	}
-	if !undecided {
-		atomic.StoreUint32(&hp.sampleActive, 0)
-	}
-}
-
-// SiteProfile returns the per-site allocation profile (sites with any
-// recorded activity only), in site order. Threads still running should be
-// flushed first (FlushStats).
-func (hp *Heap) SiteProfile() []SiteStats {
-	if hp.life == nil {
-		return nil
-	}
-	var out []SiteStats
-	for site := 1; site < len(hp.life); site++ {
-		s := SiteStats{
-			Site:     int32(site),
-			Life:     Life(atomic.LoadUint32(&hp.life[site])),
-			Allocs:   atomic.LoadInt64(&hp.siteAllocs[site]),
-			Bytes:    atomic.LoadInt64(&hp.siteBytes[site]),
-			Sampled:  atomic.LoadInt64(&hp.siteSampled[site]),
-			Survived: atomic.LoadInt64(&hp.siteSurvived[site]),
-		}
-		if s.Allocs != 0 || s.Sampled != 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// --- dead-region reference verifier ----------------------------------------
-
-// RegionViolation is the witness produced when a reference into a dying
-// epoch region survives the region's reset — the region analogue of
-// analysis.SeedViolation, used by golden tests.
-type RegionViolation struct {
-	// From is the object (or 0 for a root) holding the dangling reference.
-	From Addr
-	// Slot is the absolute address of the offending reference slot (0 for
-	// roots).
-	Slot Addr
-	// To is the dangling region address.
-	To Addr
-	// Source describes where the reference was found: "root", "old",
-	// "young".
-	Source string
-}
-
-func (v *RegionViolation) Error() string {
-	if v.Source == "root" {
-		return fmt.Sprintf("heap: root still references dead epoch region address %#x", v.To)
-	}
-	return fmt.Sprintf("heap: %s-generation object %#x slot %#x still references dead epoch region address %#x",
-		v.Source, v.From, v.Slot, v.To)
-}
-
-// SetVerifyRegions toggles the dead-region reference check run at every
-// EpochEnd. The scan walks roots and both generations, so it is meant for
-// tests (and assumes a quiescent heap: single mutator or stopped world).
-func (hp *Heap) SetVerifyRegions(on bool) { hp.verifyRegions = on }
-
-// checkDeadRegionRefs scans roots, the old generation, and the nursery for
-// references into the chunks about to be freed and returns a witness for
-// the first one found.
-func (hp *Heap) checkDeadRegionRefs(dead []regionChunk) *RegionViolation {
-	inDead := func(a Addr) bool {
-		for _, c := range dead {
-			if a >= c.base && a < c.pos {
-				return true
-			}
-		}
-		return false
-	}
-	var v *RegionViolation
-	hp.visitAllRoots(func(a Addr) Addr {
-		if v == nil && inDead(a) {
-			v = &RegionViolation{To: a, Source: "root"}
-		}
-		return a
-	})
-	if v != nil {
-		return v
-	}
-	check := func(a Addr, source string) {
-		hp.refSlots(a, func(slot Addr) {
-			if v != nil {
-				return
-			}
-			if to := Addr(hp.getU64(slot)); inDead(to) {
-				v = &RegionViolation{From: a, Slot: slot, To: to, Source: source}
-			}
-		})
-	}
-	hp.mu.Lock()
-	oldPos, youngPos := hp.oldPos, hp.youngPos
-	hp.mu.Unlock()
-	for a := hp.oldBase; a < oldPos && v == nil; {
-		check(a, "old")
-		a += Addr(hp.objSize(a))
-	}
-	// The nursery is only walkable up to each thread's TLAB frontier; walk
-	// the handed-out span conservatively and stop at the first zero type
-	// word (unallocated TLAB remainder is zeroed at handout).
-	for a := hp.youngBase; a < youngPos && v == nil; {
-		if hp.getU32(a+hdrType) == 0 && hp.getU32(a+12) == 0 {
-			// Unused, zeroed TLAB tail: skip to the next TLAB boundary.
-			next := (a-hp.youngBase)/tlabSize*tlabSize + tlabSize + hp.youngBase
-			a = next
-			continue
-		}
-		check(a, "young")
-		a += Addr(hp.objSize(a))
-	}
-	return v
+	return hp.allocRaw(tc, size)
 }

@@ -1,18 +1,13 @@
 package heap
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"repro/internal/lang"
-)
-
-// newLifetimeHeap builds a heap with the given per-site classification in
-// enforce mode (sites index 1..len).
-func newLifetimeHeap(t *testing.T, size int, mode LifetimeMode, sites []Life) (*Heap, *ThreadCtx) {
+// newLifetimeHeap builds a heap that pretenures the marked sites (index =
+// site ID) and registers one running thread on it.
+func newLifetimeHeap(t *testing.T, size int, pretenure []bool) (*Heap, *ThreadCtx) {
 	t.Helper()
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: size, Lifetimes: LifetimeConfig{Mode: mode, Sites: sites}}, h)
+	hp := New(Config{HeapSize: size, Lifetimes: LifetimeConfig{Pretenure: pretenure}}, h)
 	tc := hp.RegisterThread()
 	tc.EndExternal()
 	t.Cleanup(func() {
@@ -22,34 +17,8 @@ func newLifetimeHeap(t *testing.T, size int, mode LifetimeMode, sites []Life) (*
 	return hp, tc
 }
 
-func TestRegionLayoutCarvedOnlyWhenEnforcing(t *testing.T) {
-	sites := []Life{LifeUnknown, LifeEpoch}
-	h := testHierarchy(t)
-	for _, tc := range []struct {
-		mode       LifetimeMode
-		wantRegion bool
-	}{
-		{LifetimeOff, false},
-		{LifetimeObserve, false},
-		{LifetimeEnforce, true},
-	} {
-		hp := New(Config{HeapSize: 16 << 20, Lifetimes: LifetimeConfig{Mode: tc.mode, Sites: sites}}, h)
-		hasRegion := hp.regionEnd > hp.regionBase
-		if hasRegion != tc.wantRegion {
-			t.Errorf("mode %v: region carved = %v, want %v", tc.mode, hasRegion, tc.wantRegion)
-		}
-		if !hasRegion && hp.youngBase != hp.oldEnd {
-			t.Errorf("mode %v: youngBase %#x != oldEnd %#x with no region", tc.mode, hp.youngBase, hp.oldEnd)
-		}
-		if hasRegion && (hp.youngBase != hp.regionEnd || hp.regionBase != hp.oldEnd) {
-			t.Errorf("mode %v: bad region geometry [%#x,%#x) youngBase %#x oldEnd %#x",
-				tc.mode, hp.regionBase, hp.regionEnd, hp.youngBase, hp.oldEnd)
-		}
-	}
-}
-
 func TestPretenuredSiteAllocatesOld(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeLong})
+	hp, tc := newLifetimeHeap(t, 16<<20, []bool{false, true, false})
 	node := hp.Hierarchy().Class("Node")
 	a, err := hp.AllocObject(tc, node, 1)
 	if err != nil {
@@ -58,10 +27,12 @@ func TestPretenuredSiteAllocatesOld(t *testing.T) {
 	if !hp.inOld(a) {
 		t.Fatalf("long-lived site allocated at %#x, not in old gen", a)
 	}
-	// An unknown site still goes young.
-	b, _ := hp.AllocObject(tc, node, 0)
-	if !hp.inYoung(b) {
-		t.Fatalf("unsited allocation at %#x, not in nursery", b)
+	// Unsited, unmarked and out-of-range sites all go young.
+	for _, site := range []int32{0, 2, 3, -1} {
+		b, _ := hp.AllocObject(tc, node, site)
+		if !hp.inYoung(b) {
+			t.Fatalf("site %d allocated at %#x, not in nursery", site, b)
+		}
 	}
 	tc.flushAllocStats()
 	if got := hp.cLifePretenured.Load(); got != 1 {
@@ -69,244 +40,39 @@ func TestPretenuredSiteAllocatesOld(t *testing.T) {
 	}
 }
 
-func TestEpochRegionBulkReset(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	node := hp.Hierarchy().Class("Node")
-
-	// Outside any epoch the site falls back to the nursery and is demoted.
-	a, _ := hp.AllocObject(tc, node, 1)
-	if !hp.inYoung(a) {
-		t.Fatalf("epoch site outside epoch allocated at %#x, want nursery", a)
-	}
-	if got := hp.cLifeDemoted.Load(); got != 1 {
-		t.Fatalf("demotions = %d, want 1 (allocation at epoch depth 0)", got)
-	}
-
-	// A fresh heap (site not demoted): inside an epoch the site allocates
-	// in the region, and EpochEnd returns the chunks.
-	hp2, tc2 := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	node2 := hp2.Hierarchy().Class("Node")
-	free0 := len(hp2.freeChunks)
-	hp2.EpochBegin(tc2)
-	b, err := hp2.AllocObject(tc2, node2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hp2.inRegion(b) {
-		t.Fatalf("epoch-local allocation at %#x, not in region [%#x,%#x)", b, hp2.regionBase, hp2.regionEnd)
-	}
-	if len(hp2.freeChunks) != free0-1 {
-		t.Fatalf("free chunks %d, want %d after first region alloc", len(hp2.freeChunks), free0-1)
-	}
-	hp2.EpochEnd(tc2)
-	if len(hp2.freeChunks) != free0 {
-		t.Fatalf("free chunks %d, want %d after EpochEnd", len(hp2.freeChunks), free0)
-	}
-	tc2.flushAllocStats()
-	if got := hp2.cLifeRegion.Load(); got != 1 {
-		t.Fatalf("region alloc counter = %d, want 1", got)
-	}
-	if tc2.epochDepth != 0 || len(tc2.epochs) != 0 {
-		t.Fatalf("epoch state not reset: depth %d, %d levels", tc2.epochDepth, len(tc2.epochs))
-	}
-}
-
-func TestNestedEpochsResetInnermostOnly(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	node := hp.Hierarchy().Class("Node")
-	hp.EpochBegin(tc)
-	outer, _ := hp.AllocObject(tc, node, 1)
-	hp.EpochBegin(tc)
-	inner, _ := hp.AllocObject(tc, node, 1)
-	if !hp.inRegion(outer) || !hp.inRegion(inner) {
-		t.Fatalf("nested epoch allocs not in region: %#x %#x", outer, inner)
-	}
-	hp.SetInt(outer, hp.Hierarchy().Class("Node").FindField("val").Offset, 7)
-	hp.EpochEnd(tc) // inner dies
-	if got := hp.GetInt(outer, hp.Hierarchy().Class("Node").FindField("val").Offset); got != 7 {
-		t.Fatalf("outer-epoch object corrupted by inner EpochEnd: val = %d", got)
-	}
-	hp.EpochEnd(tc)
-}
-
-func TestRegionSurvivesMinorGC(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	node := hp.Hierarchy().Class("Node")
-	next := node.FindField("next")
-	val := node.FindField("val")
-
-	hp.EpochBegin(tc)
-	r, _ := hp.AllocObject(tc, node, 1) // region object
-	y, _ := hp.AllocObject(tc, node, 0) // young object, only ref held by r
-	hp.SetInt(y, val.Offset, 99)
-	hp.SetRefTC(tc, r, next.Offset, y)
-
-	if err := hp.ForceGC(tc, false); err != nil {
-		t.Fatal(err)
-	}
-	// The region object must not have moved; its young referent must have
-	// been promoted (region chunks are minor-GC roots) and the slot updated.
-	if !hp.inRegion(r) {
-		t.Fatalf("region object moved by minor GC: %#x", r)
-	}
-	y2 := hp.GetRef(r, next.Offset)
-	if !hp.inOld(y2) {
-		t.Fatalf("young referent of region object at %#x, want promoted to old", y2)
-	}
-	if got := hp.GetInt(y2, val.Offset); got != 99 {
-		t.Fatalf("promoted object corrupted: val = %d", got)
-	}
-	hp.EpochEnd(tc)
-}
-
-func TestRegionSurvivesFullGC(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	node := hp.Hierarchy().Class("Node")
-	next := node.FindField("next")
-	val := node.FindField("val")
-
-	hp.EpochBegin(tc)
-	r, _ := hp.AllocObject(tc, node, 1)
-	y, _ := hp.AllocObject(tc, node, 0)
-	hp.SetInt(y, val.Offset, 123)
-	hp.SetRefTC(tc, r, next.Offset, y)
-	hp.SetInt(r, val.Offset, 321)
-
-	if err := hp.ForceGC(tc, true); err != nil {
-		t.Fatal(err)
-	}
-	if !hp.inRegion(r) {
-		t.Fatalf("region object moved by full GC: %#x", r)
-	}
-	if got := hp.GetInt(r, val.Offset); got != 321 {
-		t.Fatalf("region object corrupted by full GC: val = %d", got)
-	}
-	y2 := hp.GetRef(r, next.Offset)
-	if y2 == 0 || hp.inRegion(y2) {
-		t.Fatalf("region object's referent slot %#x not updated to evacuated copy", y2)
-	}
-	if got := hp.GetInt(y2, val.Offset); got != 123 {
-		t.Fatalf("referent corrupted: val = %d", got)
-	}
-	hp.EpochEnd(tc)
-}
-
-func TestRegionOverflowFallsBackToNursery(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	hp.EpochBegin(tc)
-	// Exhaust every chunk, then keep allocating: no error, nursery takes
-	// the spill.
-	chunks := len(hp.freeChunks) + 1
-	perChunk := regionChunkSize / roundUp8(ArrayHeader+1024*4)
-	sawYoung := false
-	for i := 0; i < chunks*(perChunk+1); i++ {
-		a, err := hp.AllocArray(tc, lang.IntType, 1024, 1)
+func TestResetRestoresStaticClassification(t *testing.T) {
+	h := testHierarchy(t)
+	hp := New(Config{HeapSize: 16 << 20, Lifetimes: LifetimeConfig{Pretenure: []bool{false, false, true}}}, h)
+	// allocSite2 allocates one Node at site 2 on a thread of its own, so
+	// the heap is quiescent (and the counters flushed) between steps.
+	allocSite2 := func() Addr {
+		t.Helper()
+		tc := hp.RegisterThread()
+		tc.EndExternal()
+		a, err := hp.AllocObject(tc, h.Class("Node"), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hp.inYoung(a) {
-			sawYoung = true
-		}
+		tc.BeginExternal()
+		hp.UnregisterThread(tc)
+		return a
 	}
-	if !sawYoung {
-		t.Fatal("region exhaustion never spilled into the nursery")
+	allocSite2()
+	if got := hp.cLifePretenured.Load(); got != 1 {
+		t.Fatalf("pretenured = %d before reset, want 1", got)
 	}
-	hp.EpochEnd(tc)
-}
-
-func TestSurvivalSamplingDemotesDeadLongSites(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeObserve, []Life{LifeUnknown, LifeLong})
-	node := hp.Hierarchy().Class("Node")
-	// In observe mode the long-lived site allocates young; none of the
-	// objects survive, so after a GC with >= demoteSampleMin samples the
-	// site must be demoted. Survival records are subsampled 1 in
-	// survivalSampleEvery, so over-allocate accordingly.
-	for i := 0; i < demoteSampleMin*survivalSampleEvery*2; i++ {
-		if _, err := hp.AllocObject(tc, node, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := hp.ForceGC(tc, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := hp.lifeOf(1); got != LifeUnknown {
-		t.Fatalf("dead long-lived site not demoted: %v", got)
-	}
-	if hp.cLifeDemoted.Load() == 0 {
-		t.Fatal("demotion counter not bumped")
-	}
-	prof := hp.SiteProfile()
-	if len(prof) != 1 || prof[0].Site != 1 {
-		t.Fatalf("site profile = %+v, want site 1 only", prof)
-	}
-	if prof[0].Sampled < demoteSampleMin || prof[0].Survived != 0 {
-		t.Fatalf("profile sampled/survived = %d/%d", prof[0].Sampled, prof[0].Survived)
-	}
-}
-
-func TestRegionViolationWitness(t *testing.T) {
-	hp, tc := newLifetimeHeap(t, 16<<20, LifetimeEnforce, []Life{LifeUnknown, LifeEpoch})
-	hp.SetVerifyRegions(true)
-	node := hp.Hierarchy().Class("Node")
-
-	// Plant a dangling reference: an old-generation object points at an
-	// epoch-local object whose region is about to die. (A correct static
-	// classification makes this impossible; the verifier is the witness
-	// for the golden test.)
-	old, _ := hp.AllocArray(tc, lang.ClassType("Node"), 8192, 0) // large => old gen
-	if !hp.inOld(old) {
-		t.Fatalf("setup: array at %#x not in old gen", old)
-	}
-	hp.EpochBegin(tc)
-	r, _ := hp.AllocObject(tc, node, 1)
-	if !hp.inRegion(r) {
-		t.Fatalf("setup: %#x not in region", r)
-	}
-	hp.SetRefTC(tc, old, 0, r)
-
-	defer func() {
-		v, ok := recover().(*RegionViolation)
-		if !ok {
-			t.Fatalf("EpochEnd did not panic with *RegionViolation")
-		}
-		if v.To != r || v.From != old || v.Source != "old" {
-			t.Fatalf("witness = %+v, want From=%#x To=%#x Source=old", v, old, r)
-		}
-		if !strings.Contains(v.Error(), "still references dead epoch region") {
-			t.Fatalf("witness message = %q", v.Error())
-		}
-		// Clean up the dangling slot so the deferred UnregisterThread's
-		// releaseEpochs does not trip anything else.
-		hp.SetRef(old, 0, 0)
-	}()
-	hp.EpochEnd(tc)
-}
-
-func TestResetRestoresStaticClassification(t *testing.T) {
-	h := testHierarchy(t)
-	hp := New(Config{HeapSize: 16 << 20, Lifetimes: LifetimeConfig{Mode: LifetimeEnforce, Sites: []Life{LifeUnknown, LifeEpoch, LifeLong}}}, h)
-	tc := hp.RegisterThread()
-	tc.EndExternal()
-	node := h.Class("Node")
-	// Demote site 1 by allocating outside an epoch.
-	if _, err := hp.AllocObject(tc, node, 1); err != nil {
-		t.Fatal(err)
-	}
-	if hp.lifeOf(1) != LifeUnknown {
-		t.Fatal("site 1 not demoted")
-	}
-	tc.BeginExternal()
-	hp.UnregisterThread(tc)
 	if err := hp.Reset(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if hp.lifeOf(1) != LifeEpoch || hp.lifeOf(2) != LifeLong {
-		t.Fatalf("reset did not restore static classification: %v %v", hp.lifeOf(1), hp.lifeOf(2))
+	if got := hp.cLifePretenured.Load(); got != 0 {
+		t.Fatalf("counters not rebound on reset: pretenured = %d", got)
 	}
-	if got := hp.cLifeDemoted.Load(); got != 0 {
-		t.Fatalf("counters not rebound on reset: demotions = %d", got)
+	// Reset keeps the set; SetLifetimes replaces it for the next job.
+	if a := allocSite2(); a != hp.oldBase {
+		t.Fatalf("after reset site 2 allocated at %#x, want the rewound old base %#x", a, hp.oldBase)
 	}
-	if free, want := len(hp.freeChunks), int(hp.regionEnd-hp.regionBase)/regionChunkSize; free != want {
-		t.Fatalf("free chunks %d, want %d after reset", free, want)
+	hp.SetLifetimes(LifetimeConfig{})
+	if a := allocSite2(); !hp.inYoung(a) {
+		t.Fatalf("with the set cleared site 2 allocated at %#x, want nursery", a)
 	}
 }

@@ -55,18 +55,9 @@ type ThreadCtx struct {
 	// barrier (SetRefTC) since the last drain.
 	remBuf []Addr
 
-	// Lifetime state (lifetime.go): the epoch nesting depth, the stack of
-	// live epoch regions (enforce mode), the per-site allocation profile
-	// (nil when lifetimes are off), the bounded survival-sample buffer
-	// consumed by the collector, and batched placement counters.
-	epochDepth   int
-	epochs       []epochLevel
-	siteAllocs   []int64
-	siteBytes    []int64
-	samples      []survivalSample
-	sampleTick   uint32
-	pretenured   int64
-	regionAllocs int64
+	// pretenured batches the count of allocations lifetime.go routed to the
+	// old generation.
+	pretenured int64
 }
 
 // RegisterThread creates a thread context. The context starts external;
@@ -80,10 +71,6 @@ func (hp *Heap) RegisterThread() *ThreadCtx {
 		histMin:     math.MaxInt64,
 		histMax:     math.MinInt64,
 	}
-	if n := len(hp.life); n > 0 {
-		tc.siteAllocs = make([]int64, n)
-		tc.siteBytes = make([]int64, n)
-	}
 	sp := &hp.sp
 	sp.mu.Lock()
 	sp.threads[tc] = struct{}{}
@@ -95,8 +82,6 @@ func (hp *Heap) RegisterThread() *ThreadCtx {
 func (hp *Heap) UnregisterThread(tc *ThreadCtx) {
 	tc.flushAllocStats()
 	tc.flushRemBuf()
-	tc.releaseEpochs()
-	tc.samples = nil
 	sp := &hp.sp
 	sp.mu.Lock()
 	if tc.running {

@@ -316,11 +316,11 @@ type Program struct {
 // interprocedural lifetime pass (internal/analysis).
 type Lifetime uint8
 
-// Lifetime classes. The lattice is deliberately three-valued: the two
-// actionable classes carry a soundness obligation (epoch-local sites are
-// bulk-freed at iteration boundaries; long-lived sites skip the nursery),
-// and everything the analysis cannot prove stays LifetimeUnknown, which
-// allocates exactly as before.
+// Lifetime classes. The lattice is deliberately three-valued: long-lived
+// sites skip the nursery (the heap pretenures them), epoch-local is a
+// proof the pass reports but the runtime does not act on, and everything
+// the analysis cannot prove stays LifetimeUnknown. Only long-lived changes
+// where an object is allocated.
 const (
 	LifetimeUnknown    Lifetime = iota // no proof either way; default young-gen path
 	LifetimeEpochLocal                 // provably unreachable past the iteration boundary

@@ -260,10 +260,8 @@ const (
 	CtrDCERemoved   = "analysis.dce_removed"   // instructions removed by dead-code elimination
 
 	// Lifetime inference (internal/analysis lifetime pass, consumed by
-	// internal/heap pretenuring and epoch regions).
-	CtrLifetimePretenured   = "analysis.lifetime_pretenured"    // allocations placed old-gen by pretenuring
-	CtrLifetimeRegionAllocs = "analysis.lifetime_region_allocs" // allocations served from epoch regions
-	CtrLifetimeDemotions    = "analysis.lifetime_demotions"     // sites demoted to unknown at runtime
+	// internal/heap pretenuring).
+	CtrLifetimePretenured = "analysis.lifetime_pretenured" // allocations placed old-gen by pretenuring
 
 	// Daemon (internal/server, the repro serve runtime-as-a-service layer).
 	CtrServerSubmitted  = "server.jobs_submitted"      // jobs accepted into the queue

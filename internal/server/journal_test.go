@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +129,47 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 	jobs2, maxSeq2 := replayJournal(compact)
 	if maxSeq2 != maxSeq || len(jobs2) != len(jobs) {
 		t.Fatalf("compacted journal replays differently: %d/%d", len(jobs2), maxSeq2)
+	}
+}
+
+// TestJournalReplayIgnoresRemovedKeys pins that no decoder on the replay
+// path is strict: a facade.journal/v1 record still carrying keys a later
+// daemon no longer knows (here the lifetime profile facade.run/v1 dropped:
+// lifetime_region_allocs, lifetime_demotions, the lifetimes array) is read
+// as a whole record, not taken for a torn tail, and replays to the same job
+// results as the journal without them.
+func TestJournalReplayIgnoresRemovedKeys(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "journal_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const done = `"state":"done","output":"42\n"}`
+	const removed = `"state":"done","output":"42\n","stats":{"analysis":{"lifetime_pretenured":0,` +
+		`"lifetime_region_allocs":3,"lifetime_demotions":1},` +
+		`"lifetimes":[{"site":1,"class":"epoch-local","allocs":2,"bytes":48}]}}`
+	if strings.Count(string(golden), done) != 1 {
+		t.Fatalf("golden journal no longer has exactly one %s record", done)
+	}
+	replay := func(content string) []*replayedJob {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "j.journal")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		events, err := readJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(events) != len(fixtureEvents()) {
+			t.Fatalf("read %d events, want %d", len(events), len(fixtureEvents()))
+		}
+		jobs, _ := replayJournal(events)
+		return jobs
+	}
+	want := replay(string(golden))
+	got := replay(strings.Replace(string(golden), done, removed, 1))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("record with removed keys replays to different jobs (%d vs %d)", len(got), len(want))
 	}
 }
 

@@ -153,7 +153,6 @@ func (t *Thread) visitRoots(visit func(heap.Addr) heap.Addr) {
 // path. For untransformed programs this is a no-op; for transformed
 // programs it opens a child page manager (§3.6).
 func (t *Thread) IterationStart() {
-	t.vm.Heap.EpochBegin(t.tc)
 	if t.iter != nil {
 		iterIDMu.Lock()
 		t.iter.IterationStart()
@@ -161,11 +160,8 @@ func (t *Thread) IterationStart() {
 	}
 }
 
-// IterationEnd ends the innermost iteration, bulk-releasing its pages
-// (transformed programs) and resetting the epoch's heap region (enforced
-// lifetimes; see heap.EpochEnd).
+// IterationEnd ends the innermost iteration, bulk-releasing its pages.
 func (t *Thread) IterationEnd() {
-	t.vm.Heap.EpochEnd(t.tc)
 	if t.iter != nil {
 		t.iter.IterationEnd()
 	}

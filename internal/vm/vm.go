@@ -62,30 +62,20 @@ type Config struct {
 	// the heap and the page store (internal/faults).
 	Faults *faults.Injector
 	// Lifetimes is the static per-allocation-site lifetime classification
-	// (indexed by site ID; from analysis.Lifetimes). Nil disables
-	// lifetime-guided allocation.
+	// (indexed by site ID; from analysis.Lifetimes): long-lived sites are
+	// pretenured into the old generation. Nil leaves every allocation on
+	// the default path.
 	Lifetimes []ir.Lifetime
-	// LifetimeMode selects how the heap consumes Lifetimes (off, observe,
-	// enforce).
-	LifetimeMode heap.LifetimeMode
 }
 
 // lifetimeHeapConfig converts the IR-level classification to the heap's
-// dependency-free form.
-func lifetimeHeapConfig(mode heap.LifetimeMode, lifetimes []ir.Lifetime) heap.LifetimeConfig {
-	if mode == heap.LifetimeOff || len(lifetimes) == 0 {
-		return heap.LifetimeConfig{}
-	}
-	sites := make([]heap.Life, len(lifetimes))
+// dependency-free form: the set of sites to pretenure.
+func lifetimeHeapConfig(lifetimes []ir.Lifetime) heap.LifetimeConfig {
+	pretenure := make([]bool, len(lifetimes))
 	for i, l := range lifetimes {
-		switch l {
-		case ir.LifetimeEpochLocal:
-			sites[i] = heap.LifeEpoch
-		case ir.LifetimeLongLived:
-			sites[i] = heap.LifeLong
-		}
+		pretenure[i] = l == ir.LifetimeLongLived
 	}
-	return heap.LifetimeConfig{Mode: mode, Sites: sites}
+	return heap.LifetimeConfig{Pretenure: pretenure}
 }
 
 // VM executes one linked program.
@@ -185,7 +175,7 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 		GCWorkers: cfg.GCWorkers,
 		Obs:       reg,
 		Faults:    cfg.Faults,
-		Lifetimes: lifetimeHeapConfig(cfg.LifetimeMode, cfg.Lifetimes),
+		Lifetimes: lifetimeHeapConfig(cfg.Lifetimes),
 	}, prog.H)
 	if prog.Transformed {
 		vm.RT = cfg.NativeRT
@@ -436,10 +426,9 @@ type ResetConfig struct {
 	Obs *obs.Registry
 	// Faults installs the next job's fault injector (nil disables).
 	Faults *faults.Injector
-	// Lifetimes and LifetimeMode install the next job's lifetime
-	// classification (see Config); nil/off disables it for the job.
-	Lifetimes    []ir.Lifetime
-	LifetimeMode heap.LifetimeMode
+	// Lifetimes installs the next job's lifetime classification (see
+	// Config); nil disables pretenuring for the job.
+	Lifetimes []ir.Lifetime
 	// Tiering attaches a disk tier to the page store for the next job
 	// (see Config.Tiering); nil leaves the store DRAM-only. The previous
 	// job's tier was torn down by the store reset either way.
@@ -476,7 +465,7 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 	if err := vm.Heap.Reset(reg, cfg.Faults); err != nil {
 		return err
 	}
-	vm.Heap.SetLifetimes(lifetimeHeapConfig(cfg.LifetimeMode, cfg.Lifetimes))
+	vm.Heap.SetLifetimes(lifetimeHeapConfig(cfg.Lifetimes))
 	if vm.RT != nil {
 		if err := vm.RT.Reset(reg, cfg.Faults); err != nil {
 			return err
