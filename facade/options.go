@@ -127,9 +127,11 @@ func WithPageQuota(pages int64) Option {
 	return func(o *runOptions) { o.pageQuota = pages }
 }
 
-// WithTiering spills cold off-heap pages to a file-backed store under dir
-// (mmap on linux, pread/pwrite elsewhere) once more than highPages pages
-// are resident in DRAM, evicting down to lowPages. Spilled pages promote
+// WithTiering spills cold off-heap pages to a spill file under dir once
+// more than highPages pages are resident in DRAM, evicting down to
+// lowPages. The file is read and written with plain pread/pwrite on every
+// platform: page bodies are copied under the tier lock either way, so a
+// mapping measured no faster (docs/OFFHEAP.md). Spilled pages promote
 // back transparently on access, and iteration-end bulk release drops them
 // without reading them back. Program output is bit-identical with tiering
 // on or off (the tier-equivalence battery enforces it); only residency

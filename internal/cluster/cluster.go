@@ -137,16 +137,8 @@ func (n *Network) nextSeq(from, to int) uint64 {
 	return n.seqs[link]
 }
 
-// mix64 is the splitmix64 output function, used to derive per-frame fault
-// keys that differ across attempts.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 func frameKey(from, to int, seq uint64) uint64 {
-	return mix64(uint64(from+1)<<40 ^ uint64(to+1)<<20 ^ seq)
+	return faults.Mix64(uint64(from+1)<<40 ^ uint64(to+1)<<20 ^ seq)
 }
 
 // Send delivers a frame to its destination mailbox, surviving injected
@@ -167,7 +159,7 @@ func (n *Network) Send(f Frame) {
 	// retried until one gets through (the ack/timeout/retry loop of a real
 	// transport, collapsed into the sender).
 	for attempt := 1; attempt < maxSendAttempts; attempt++ {
-		if !inj.FireKeyed(faults.NetDrop, mix64(key^uint64(attempt))) {
+		if !inj.FireKeyed(faults.NetDrop, faults.Mix64(key^uint64(attempt))) {
 			break
 		}
 		n.drops.Add(1)

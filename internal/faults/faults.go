@@ -28,12 +28,24 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+)
+
+// The two failure classes the daemon's retry taxonomy treats as transient
+// (docs/ROBUSTNESS.md). Producers wrap them with %w in place of the same
+// words in their messages; consumers classify with errors.Is.
+var (
+	// ErrInjected marks a failure manufactured by an Injector.
+	ErrInjected = errors.New("injected fault")
+	// ErrNotReusable marks a failed warm-VM reset (leaked threads or pages,
+	// a spill file that would not close): the VM is poisoned, the job is not.
+	ErrNotReusable = errors.New("reset")
 )
 
 // Point names one fault-injection site.
@@ -332,7 +344,7 @@ func (i *Injector) Fire(p Point) bool {
 		fired = true
 	}
 	s.rng += 0x9E3779B97F4A7C15
-	if !fired && prob > 0 && unit(mix(s.rng)) < prob {
+	if !fired && prob > 0 && unit(Mix64(s.rng)) < prob {
 		fired = true
 	}
 	if fired {
@@ -352,7 +364,7 @@ func (i *Injector) FireKeyed(p Point, key uint64) bool {
 	if prob == 0 {
 		return false
 	}
-	h := mix(uint64(i.cfg.Seed) ^ hashString(string(p)) ^ mix(key))
+	h := Mix64(uint64(i.cfg.Seed) ^ hashString(string(p)) ^ Mix64(key))
 	fired := unit(h) < prob
 	if fired {
 		i.mu.Lock()
@@ -370,7 +382,7 @@ func (i *Injector) DelayKeyed(key uint64) time.Duration {
 	if i == nil || i.cfg.DelayMax <= 0 {
 		return 0
 	}
-	h := mix(uint64(i.cfg.Seed) ^ hashString("net.delay.len") ^ mix(key))
+	h := Mix64(uint64(i.cfg.Seed) ^ hashString("net.delay.len") ^ Mix64(key))
 	d := time.Duration(unit(h) * float64(i.cfg.DelayMax))
 	if d <= 0 {
 		d = time.Nanosecond
@@ -393,13 +405,13 @@ func (i *Injector) CrashPlan(occasions, nodes int) []Crash {
 	var plan []Crash
 	for j := 0; j < i.cfg.Crashes; j++ {
 		rng += 0x9E3779B97F4A7C15
-		occ := 1 + int(mix(rng)%uint64(occasions-1))
+		occ := 1 + int(Mix64(rng)%uint64(occasions-1))
 		for tries := 0; used[occ] && tries < occasions; tries++ {
 			occ = 1 + (occ % (occasions - 1))
 		}
 		used[occ] = true
 		rng += 0x9E3779B97F4A7C15
-		plan = append(plan, Crash{Occasion: occ, Node: int(mix(rng) % uint64(nodes))})
+		plan = append(plan, Crash{Occasion: occ, Node: int(Mix64(rng) % uint64(nodes))})
 	}
 	sort.Slice(plan, func(a, b int) bool { return plan[a].Occasion < plan[b].Occasion })
 	return plan
@@ -423,8 +435,10 @@ func (i *Injector) Fires() map[string]int64 {
 	return out
 }
 
-// mix is the splitmix64 output function.
-func mix(z uint64) uint64 {
+// Mix64 is the splitmix64 output function — the repo's one deterministic
+// hash for decorrelated per-index values (fault streams, frame keys, retry
+// jitter, load plans); callers keep their own seeding arithmetic.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

@@ -272,7 +272,7 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	live := len(hp.sp.threads)
 	hp.sp.mu.Unlock()
 	if live != 0 {
-		return fmt.Errorf("heap: reset with %d registered thread(s)", live)
+		return fmt.Errorf("heap: %w with %d registered thread(s)", faults.ErrNotReusable, live)
 	}
 	hp.mu.Lock()
 	hp.oldPos = hp.oldBase
@@ -311,7 +311,7 @@ func (hp *Heap) injectAllocFault() error {
 	n := hp.cFaultsInj.Load() + 1
 	hp.cFaultsInj.Inc()
 	hp.obs.Emit(obs.EvFault, string(faults.HeapAlloc), n, 0, 0)
-	return fmt.Errorf("%w (injected fault)", ErrOutOfMemory)
+	return fmt.Errorf("%w (%w)", ErrOutOfMemory, faults.ErrInjected)
 }
 
 // Obs returns the heap's observability registry.

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/server"
 )
 
@@ -136,10 +137,7 @@ type Sample struct {
 // splitmix64 is the repo's standard deterministic hash for decorrelated
 // per-index values (same construction as the daemon's retry jitter).
 func splitmix64(seed int64, k int64) uint64 {
-	z := uint64(seed) + uint64(k)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return faults.Mix64(uint64(seed) + uint64(k)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15)
 }
 
 // Plan computes job k's deterministic assignment under cfg. Exported so

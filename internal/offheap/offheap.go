@@ -262,7 +262,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if live := rt.stats.pagesLive.Load(); live != 0 {
-		return fmt.Errorf("offheap: reset with %d live page(s)", live)
+		return fmt.Errorf("offheap: %w with %d live page(s)", faults.ErrNotReusable, live)
 	}
 	next := make([]*page, len(rt.free))
 	for i, p := range rt.free {
@@ -300,7 +300,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	// Tear down the disk tier: a pooled warm VM must not leak spill files
 	// (or tier counters) across tenant jobs.
 	if err := rt.closeTier(); err != nil {
-		return fmt.Errorf("offheap: reset: %w", err)
+		return fmt.Errorf("offheap: %w: %w", faults.ErrNotReusable, err)
 	}
 	return nil
 }
@@ -375,7 +375,7 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
-		return nil, fmt.Errorf("%w (injected fault)", ErrPageExhausted)
+		return nil, fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
 	}
 	if err := rt.checkQuota(); err != nil {
 		return nil, err
@@ -423,7 +423,7 @@ func (rt *Runtime) noteCachedRecycle(p *page) error {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
-		return fmt.Errorf("%w (injected fault)", ErrPageExhausted)
+		return fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
 	}
 	if err := rt.checkQuota(); err != nil {
 		return err

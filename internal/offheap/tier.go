@@ -42,9 +42,6 @@ type TierConfig struct {
 	// HighWater.
 	HighWater int
 	LowWater  int
-	// ForcePortable selects the pread/pwrite backend even on platforms
-	// with an mmap backend (tests exercise both on linux).
-	ForcePortable bool
 }
 
 // TierFault carries a disk-tier I/O failure across the infallible record
@@ -56,45 +53,15 @@ type TierFault struct{ Err error }
 func (f *TierFault) Error() string { return "offheap: tier fault: " + f.Err.Error() }
 func (f *TierFault) Unwrap() error { return f.Err }
 
-// tierBackend is the spill-file I/O abstraction: fixed PageSize slots.
-// All calls are serialized under tier.mu.
-type tierBackend interface {
-	writeSlot(slot int, buf []byte) error
-	readSlot(slot int, buf []byte) error
-	close(remove bool) error
-}
-
-// fileBackend is the portable pread/pwrite backend.
-type fileBackend struct{ f *os.File }
-
-func (b *fileBackend) writeSlot(slot int, buf []byte) error {
-	_, err := b.f.WriteAt(buf, int64(slot)*PageSize)
-	return err
-}
-
-func (b *fileBackend) readSlot(slot int, buf []byte) error {
-	_, err := b.f.ReadAt(buf, int64(slot)*PageSize)
-	return err
-}
-
-func (b *fileBackend) close(remove bool) error {
-	name := b.f.Name()
-	err := b.f.Close()
-	if remove {
-		if rerr := os.Remove(name); err == nil {
-			err = rerr
-		}
-	}
-	return err
-}
-
-// tier is the disk tier's state: the backend, the slot allocator, and the
-// eviction candidate list (live resident PageSize pages).
+// tier is the disk tier's state: the spill file (fixed PageSize slots,
+// pread/pwrite on every platform — bodies are copied under tier.mu either
+// way, so a mapping measured no faster: docs/OFFHEAP.md), the slot
+// allocator, and the eviction candidate list (live resident PageSize pages).
 type tier struct {
 	cfg TierConfig
 
 	mu         sync.Mutex
-	backend    tierBackend
+	file       *os.File
 	freeSlots  []int
 	nextSlot   int
 	candidates []*page
@@ -137,16 +104,10 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 	if err != nil {
 		return fmt.Errorf("offheap: spill file: %w", err)
 	}
-	var backend tierBackend
-	if cfg.ForcePortable {
-		backend = &fileBackend{f: f}
-	} else {
-		backend = newMmapBackend(f)
-	}
 	reg := rt.obs
 	rt.tier = &tier{
 		cfg:           cfg,
-		backend:       backend,
+		file:          f,
 		cSpilled:      reg.Counter(obs.CtrPagesSpilled),
 		cPromoted:     reg.Counter(obs.CtrPagesPromoted),
 		cSpillBytes:   reg.Counter(obs.CtrSpillBytes),
@@ -179,7 +140,7 @@ func (rt *Runtime) Pins() int64 {
 	return n
 }
 
-// closeTier tears down the tier: unmap/close/remove the spill file and
+// closeTier tears down the tier: close and remove the spill file and
 // detach. Pages still spilled lose their bodies — callers (Reset) ensure
 // no page is live.
 func (rt *Runtime) closeTier() error {
@@ -191,7 +152,7 @@ func (rt *Runtime) closeTier() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.candidates = nil
-	return t.backend.close(true)
+	return errors.Join(t.file.Close(), os.Remove(t.file.Name()))
 }
 
 // --- candidate list (tier.mu held) ---
@@ -373,7 +334,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 		t.cFaultSpill.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.TierSpill), n, 0, 0)
 		p.evicting.Store(false)
-		return fmt.Errorf("offheap: tier spill: injected fault")
+		return fmt.Errorf("offheap: tier spill: %w", faults.ErrInjected)
 	}
 	start := time.Now()
 	t.mu.Lock()
@@ -385,7 +346,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 		slot = t.nextSlot
 		t.nextSlot++
 	}
-	err := t.backend.writeSlot(slot, p.buf)
+	_, err := t.file.WriteAt(p.buf, int64(slot)*PageSize)
 	if err != nil {
 		t.freeSlots = append(t.freeSlots, slot)
 		t.mu.Unlock()
@@ -423,7 +384,7 @@ func (rt *Runtime) promoteLocked(p *page) error {
 	buf := make([]byte, PageSize)
 	start := time.Now()
 	t.mu.Lock()
-	if err := t.backend.readSlot(p.slot, buf); err != nil {
+	if _, err := t.file.ReadAt(buf, int64(p.slot)*PageSize); err != nil {
 		t.mu.Unlock()
 		return fmt.Errorf("%w (tier load: %v)", ErrPageExhausted, err)
 	}

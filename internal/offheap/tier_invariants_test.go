@@ -12,11 +12,11 @@ import (
 // newTieredRuntime builds a store with a disk tier in a test temp dir.
 // The dir is checked empty at test end: a tier must clean up its spill
 // file on Reset.
-func newTieredRuntime(t *testing.T, high, low int, portable bool) (*Runtime, string) {
+func newTieredRuntime(t *testing.T, high, low int) (*Runtime, string) {
 	t.Helper()
 	dir := t.TempDir()
 	rt := NewRuntime()
-	if err := rt.EnableTiering(TierConfig{Dir: dir, HighWater: high, LowWater: low, ForcePortable: portable}); err != nil {
+	if err := rt.EnableTiering(TierConfig{Dir: dir, HighWater: high, LowWater: low}); err != nil {
 		t.Fatal(err)
 	}
 	return rt, dir
@@ -43,14 +43,16 @@ func dedicated(t *testing.T, m *PageManager, typeID uint16) PageRef {
 	return mustRecord(t, m, typeID, 20000)
 }
 
-func forBothBackends(t *testing.T, f func(t *testing.T, portable bool)) {
-	t.Run("mmap", func(t *testing.T) { f(t, false) })
-	t.Run("portable", func(t *testing.T) { f(t, true) })
+// portableLeg runs f as the "portable" subtest. The name is what the
+// pread/pwrite leg was called while an mmap backend existed beside it; it
+// stays so these tests keep their IDs.
+func portableLeg(t *testing.T, f func(t *testing.T)) {
+	t.Run("portable", f)
 }
 
 func TestTierSpillPromoteRoundtrip(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, portable bool) {
-		rt, _ := newTieredRuntime(t, 4, 2, portable)
+	portableLeg(t, func(t *testing.T) {
+		rt, _ := newTieredRuntime(t, 4, 2)
 		ic := 0
 		s := newScope(rt, &ic, 0)
 		defer s.Close()
@@ -87,7 +89,7 @@ func TestTierSpillPromoteRoundtrip(t *testing.T) {
 }
 
 func TestTierNoDoubleSpillOrPromote(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 3, 1, false)
+	rt, _ := newTieredRuntime(t, 3, 1)
 	ic := 0
 	s := newScope(rt, &ic, 0)
 	defer s.Close()
@@ -117,7 +119,7 @@ func TestTierNoDoubleSpillOrPromote(t *testing.T) {
 }
 
 func TestTierPinnedPageNeverEvicted(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1, false)
+	rt, _ := newTieredRuntime(t, 2, 1)
 	ic := 0
 	s := newScope(rt, &ic, 0)
 	defer s.Close()
@@ -143,7 +145,7 @@ func TestTierPinnedPageNeverEvicted(t *testing.T) {
 }
 
 func TestTierBumpPageNeverEvicted(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1, false)
+	rt, _ := newTieredRuntime(t, 2, 1)
 	ic := 0
 	s := newScope(rt, &ic, 0)
 	defer s.Close()
@@ -175,8 +177,8 @@ func TestTierBumpPageNeverEvicted(t *testing.T) {
 }
 
 func TestTierIterationReleaseSkipsReadback(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, portable bool) {
-		rt, _ := newTieredRuntime(t, 2, 1, portable)
+	portableLeg(t, func(t *testing.T) {
+		rt, _ := newTieredRuntime(t, 2, 1)
 		ic := 0
 		s := newScope(rt, &ic, 0)
 		defer s.Close()
@@ -201,7 +203,7 @@ func TestTierIterationReleaseSkipsReadback(t *testing.T) {
 }
 
 func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 1000, 999, false)
+	rt, _ := newTieredRuntime(t, 1000, 999)
 	rt.SetPageQuota(3) // caps DRAM-resident pages when tiered
 	ic := 0
 	s := newScope(rt, &ic, 0)
@@ -229,7 +231,7 @@ func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
 }
 
 func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1, false)
+	rt, _ := newTieredRuntime(t, 2, 1)
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierLoadAt: 1}))
 	ic := 0
 	s := newScope(rt, &ic, 0)
@@ -269,7 +271,7 @@ func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 }
 
 func TestTierSpillFaultIsBestEffort(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1, false)
+	rt, _ := newTieredRuntime(t, 2, 1)
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierSpillAt: 1}))
 	ic := 0
 	s := newScope(rt, &ic, 0)
@@ -291,8 +293,8 @@ func TestTierSpillFaultIsBestEffort(t *testing.T) {
 }
 
 func TestTierResetTearsDownSpillFile(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, portable bool) {
-		rt, dir := newTieredRuntime(t, 2, 1, portable)
+	portableLeg(t, func(t *testing.T) {
+		rt, dir := newTieredRuntime(t, 2, 1)
 		ic := 0
 		s := newScope(rt, &ic, 0)
 		for i := 0; i < 6; i++ {
@@ -368,7 +370,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 		}
 		return st
 	}
-	tieredRT, _ := newTieredRuntime(t, 3, 1, false)
+	tieredRT, _ := newTieredRuntime(t, 3, 1)
 	plain, tiered := build(NewRuntime()), build(tieredRT)
 	defer plain.s.Close()
 	defer tiered.s.Close()

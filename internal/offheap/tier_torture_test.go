@@ -17,7 +17,7 @@ func TestTierTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short")
 	}
-	rt, _ := newTieredRuntime(t, 6, 3, false)
+	rt, _ := newTieredRuntime(t, 6, 3)
 	ic := 0
 	root := newScope(rt, &ic, 0)
 	defer root.Close()

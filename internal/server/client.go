@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,8 +11,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // DefaultPortFile returns the per-user default discovery path:
@@ -99,10 +103,7 @@ func EnsureServer(portFile string, opts StartOptions) (*Client, error) {
 	if c, err := Discover(portFile); err == nil {
 		return c, nil
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
+	timeout := cmp.Or(opts.Timeout, 10*time.Second)
 	deadline := time.Now().Add(timeout)
 
 	lockFile := portFile + ".lock"
@@ -165,10 +166,7 @@ func launchDaemon(portFile string, opts StartOptions) error {
 	if err != nil {
 		return fmt.Errorf("auto-start: %w", err)
 	}
-	idle := opts.IdleTimeout
-	if idle == 0 {
-		idle = 5 * time.Minute
-	}
+	idle := cmp.Or(opts.IdleTimeout, 5*time.Minute)
 	args := append([]string{"serve", "-portfile", portFile, "-idle", idle.String()}, opts.Args...)
 	cmd := exec.Command(exe, args...)
 	cmd.Stdout = io.Discard
@@ -220,14 +218,8 @@ type SubmitOptions struct {
 // hint the client falls back to capped exponential backoff. Any other
 // error, including a protocol or transport error, fails immediately.
 func (c *Client) SubmitWithRetry(req SubmitRequest, opts SubmitOptions) (SubmitResponse, error) {
-	base := opts.BaseBackoff
-	if base == 0 {
-		base = 100 * time.Millisecond
-	}
-	maxB := opts.MaxBackoff
-	if maxB == 0 {
-		maxB = 5 * time.Second
-	}
+	base := cmp.Or(opts.BaseBackoff, 100*time.Millisecond)
+	maxB := cmp.Or(opts.MaxBackoff, 5*time.Second)
 	sleep := opts.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -247,22 +239,30 @@ func (c *Client) SubmitWithRetry(req SubmitRequest, opts SubmitOptions) (SubmitR
 		delay := rej.RetryAfter
 		if delay <= 0 {
 			// No hint from the daemon: capped exponential backoff.
-			delay = base << uint(attempt)
-			if delay <= 0 || delay > maxB {
-				delay = maxB
-			}
+			delay = backoff(base, maxB, attempt)
 		}
-		// Deterministic jitter in [0, delay/2]: decorrelates a burst of
-		// rejected clients without losing reproducibility.
-		z := uint64(opts.Seed)<<8 ^ uint64(attempt+1)
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		if half := uint64(delay / 2); half > 0 {
-			delay += time.Duration(z % (half + 1))
-		}
-		sleep(delay)
+		sleep(jittered(delay, opts.Seed, attempt+1))
 	}
+}
+
+// backoff is base doubled the given number of times, clamped to max — the
+// schedule shared by the client's resubmissions and the daemon's re-runs.
+func backoff(base, max time.Duration, doublings int) time.Duration {
+	d := base << uint(doublings)
+	if d <= 0 || d > max {
+		d = max
+	}
+	return d
+}
+
+// jittered adds to d a deterministic jitter in [0, d/2] drawn from a
+// splitmix64 hash of (seed, n): reproducible run to run, but decorrelated
+// across a burst of clients rejected, or jobs failing, together.
+func jittered(d time.Duration, seed int64, n int) time.Duration {
+	if half := uint64(d / 2); half > 0 {
+		d += time.Duration(faults.Mix64(uint64(seed)<<8^uint64(n)) % (half + 1))
+	}
+	return d
 }
 
 // Job fetches one job's status.
@@ -316,29 +316,7 @@ func (c *Client) Status() (ServerStatus, error) {
 // an error: the daemon's 503 decodes into ReadyStatus like the 200 does.
 func (c *Client) Ready() (ReadyStatus, error) {
 	var rs ReadyStatus
-	d := c.Timeout
-	if d == 0 {
-		d = 60 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", c.BaseURL+"/v1/readyz", nil)
-	if err != nil {
-		return rs, err
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return rs, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return rs, fmt.Errorf("GET /v1/readyz: HTTP %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&rs)
+	err := c.doTimeout("GET", "/v1/readyz", nil, &rs, c.timeout(), http.StatusServiceUnavailable)
 	return rs, err
 }
 
@@ -354,15 +332,15 @@ func (c *Client) Drain() error {
 	return c.do("POST", "/v1/shutdown?drain=1", nil, nil)
 }
 
+func (c *Client) timeout() time.Duration { return cmp.Or(c.Timeout, 60*time.Second) }
+
 func (c *Client) do(method, path string, body, out any) error {
-	d := c.Timeout
-	if d == 0 {
-		d = 60 * time.Second
-	}
-	return c.doTimeout(method, path, body, out, d)
+	return c.doTimeout(method, path, body, out, c.timeout())
 }
 
-func (c *Client) doTimeout(method, path string, body, out any, d time.Duration) error {
+// doTimeout performs one request within d. A status of 400 or above is an
+// error unless listed in bodyToo, whose replies decode into out like a 2xx.
+func (c *Client) doTimeout(method, path string, body, out any, d time.Duration, bodyToo ...int) error {
 	var rd io.Reader
 	if body != nil {
 		buf := &bytes.Buffer{}
@@ -389,7 +367,7 @@ func (c *Client) doTimeout(method, path string, body, out any, d time.Duration) 
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
+	if resp.StatusCode >= 400 && !slices.Contains(bodyToo, resp.StatusCode) {
 		var er ErrorResponse
 		data, _ := io.ReadAll(resp.Body)
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {

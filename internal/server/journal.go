@@ -252,36 +252,35 @@ func readJournal(path string) ([]journalEvent, error) {
 // rewriteJournal atomically replaces the journal with a compacted event
 // list (write temp + fsync + rename) — run at startup after replay so
 // restarts do not grow the log without bound.
-func rewriteJournal(path string, events []journalEvent) error {
+func rewriteJournal(path string, events []journalEvent) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			f.Close() // harmless after the checked Close below
+			os.Remove(tmp)
+		}
+	}()
 	w := bufio.NewWriter(f)
 	for _, ev := range events {
 		ev.Schema = JournalSchema
 		line, err := json.Marshal(ev)
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
 			return err
 		}
 		w.Write(line)
 		w.WriteByte('\n')
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -291,14 +290,11 @@ func rewriteJournal(path string, events []journalEvent) error {
 // keep their recorded outcome (still queryable after a restart);
 // non-terminal jobs carry the request to re-enqueue.
 type replayedJob struct {
-	seq     int64
-	id      string
-	tenant  string
-	req     SubmitRequest
-	state   string // "" means non-terminal: re-enqueue and re-run
-	errKind string
-	output  string
-	errMsg  string
+	seq    int64
+	id     string
+	tenant string
+	req    SubmitRequest
+	result // state "" means non-terminal: re-enqueue and re-run
 }
 
 // replayJournal folds an event list into per-job outcomes plus the
@@ -322,10 +318,7 @@ func replayJournal(events []journalEvent) (jobs []*replayedJob, maxSeq int64) {
 			jobs = append(jobs, rj)
 		case jevDone:
 			if rj, ok := byID[ev.JobID]; ok {
-				rj.state = ev.State
-				rj.errKind = ev.ErrKind
-				rj.output = ev.Output
-				rj.errMsg = ev.Error
+				rj.result = result{state: ev.State, errKind: ev.ErrKind, output: ev.Output, errMsg: ev.Error}
 			}
 		}
 	}

@@ -68,7 +68,10 @@ func TestRetryHintScalesWithLoad(t *testing.T) {
 	if light <= 0 || light >= time.Second {
 		t.Fatalf("light hint %v outside millisecond-precision range", light)
 	}
-	if hint := s.retryHint(); hint > retryHintMax*int64(time.Millisecond) {
+	s.mu.Lock()
+	hint := s.retryHintLocked()
+	s.mu.Unlock()
+	if hint > retryHintMax*int64(time.Millisecond) {
 		t.Fatalf("hint %d above cap", hint)
 	}
 
@@ -142,7 +145,7 @@ func TestPruneKeepsUnfetchedTerminalJob(t *testing.T) {
 		t.Fatalf("submit A: %v", err)
 	}
 	s.mu.Lock()
-	jA := s.jobs[respA.JobID]
+	jA := s.jobs.byID[respA.JobID]
 	s.mu.Unlock()
 	select {
 	case <-jA.done:

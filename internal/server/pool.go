@@ -38,15 +38,16 @@ func programKey(req *SubmitRequest) progKey {
 
 // progCache compiles each distinct source set once and reuses the
 // resulting *ir.Program for every later job, concurrent compiles of the
-// same key collapsing into one. Bounded: past cap entries, the least
-// recently used program is evicted so a daemon serving many distinct
+// same key collapsing into one. Bounded: past progCacheCap entries, the
+// least recently used program is evicted so a daemon serving many distinct
 // source sets does not retain them all forever.
 type progCache struct {
 	mu      sync.Mutex
-	cap     int
 	tick    int64
 	entries map[progKey]*progEntry
 }
+
+const progCacheCap = 32
 
 type progEntry struct {
 	once sync.Once
@@ -55,8 +56,8 @@ type progEntry struct {
 	last int64 // recency stamp, guarded by progCache.mu
 }
 
-func newProgCache(capacity int) *progCache {
-	return &progCache{cap: capacity, entries: make(map[progKey]*progEntry)}
+func newProgCache() *progCache {
+	return &progCache{entries: make(map[progKey]*progEntry)}
 }
 
 func (pc *progCache) get(key progKey, build func() (*ir.Program, error)) (*ir.Program, error) {
@@ -65,12 +66,12 @@ func (pc *progCache) get(key progKey, build func() (*ir.Program, error)) (*ir.Pr
 	if !ok {
 		e = &progEntry{}
 		pc.entries[key] = e
-		if pc.cap > 0 && len(pc.entries) > pc.cap {
-			pc.evictLRULocked(key)
-		}
 	}
 	pc.tick++
 	e.last = pc.tick
+	if len(pc.entries) > progCacheCap {
+		pc.evictLRULocked()
+	}
 	pc.mu.Unlock()
 	// An evicted entry still completes its build for the goroutines
 	// holding it; the result just is not cached for later jobs.
@@ -78,23 +79,17 @@ func (pc *progCache) get(key progKey, build func() (*ir.Program, error)) (*ir.Pr
 	return e.prog, e.err
 }
 
-// evictLRULocked removes the least recently used entry other than keep.
-// Caller holds pc.mu.
-func (pc *progCache) evictLRULocked(keep progKey) {
+// evictLRULocked removes the least recently used entry — never the one
+// just stamped, which carries the highest tick. Caller holds pc.mu.
+func (pc *progCache) evictLRULocked() {
 	var victim progKey
-	found := false
-	var min int64
+	oldest := pc.tick
 	for k, e := range pc.entries {
-		if k == keep {
-			continue
-		}
-		if !found || e.last < min {
-			found, min, victim = true, e.last, k
+		if e.last < oldest {
+			oldest, victim = e.last, k
 		}
 	}
-	if found {
-		delete(pc.entries, victim)
-	}
+	delete(pc.entries, victim)
 }
 
 // compileRequest builds the program a submit request describes

@@ -84,7 +84,7 @@ type VM struct {
 	Heap *heap.Heap
 	RT   *offheap.Runtime // nil for untransformed programs
 	// tiered records, once per VM build and again on every reset
-	// (attachTier), whether RT has a disk tier: record ops resolve through
+	// (arm), whether RT has a disk tier: record ops resolve through
 	// offheap.Pin when set and through the pin-free offheap.Bytes
 	// otherwise, with no per-access test inside the store.
 	tiered bool
@@ -149,45 +149,37 @@ type VM struct {
 
 // New creates a VM for prog and links dispatch tables.
 func New(prog *ir.Program, cfg Config) (*VM, error) {
-	if cfg.Out == nil {
-		cfg.Out = io.Discard
+	job := ResetConfig{
+		Out: cfg.Out, RandSeed: cfg.RandSeed, Obs: cfg.Obs, Faults: cfg.Faults,
+		Lifetimes: cfg.Lifetimes, Tiering: cfg.Tiering,
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if job.Obs == nil {
+		job.Obs = obs.NewRegistry()
 	}
 	vm := &VM{
 		Prog:      prog,
-		out:       cfg.Out,
-		inj:       cfg.Faults,
 		byKey:     make(map[string]*ir.Func),
 		monitors:  make(map[uint32]*monitor),
 		threads:   make(map[*Thread]struct{}),
-		rngSt:     uint64(cfg.RandSeed)*2862933555777941757 + 3037000493,
 		selectors: make(map[string]int),
-		obs:       reg,
-		cInstr:    reg.Counter(obs.CtrInstructions),
-		cBoundary: reg.Counter(obs.CtrBoundaryCalls),
-		cPoolHits: reg.Counter(obs.CtrFacadePoolHits),
 	}
 	vm.Heap = heap.New(heap.Config{
 		HeapSize:  cfg.HeapSize,
 		GCWorkers: cfg.GCWorkers,
-		Obs:       reg,
-		Faults:    cfg.Faults,
-		Lifetimes: lifetimeHeapConfig(cfg.Lifetimes),
+		Obs:       job.Obs,
+		Faults:    job.Faults,
 	}, prog.H)
 	if prog.Transformed {
 		vm.RT = cfg.NativeRT
 		if vm.RT == nil {
-			vm.RT = offheap.NewRuntimeWith(reg)
+			vm.RT = offheap.NewRuntimeWith(job.Obs)
 		}
-		if cfg.Faults != nil {
-			vm.RT.SetFaultInjector(cfg.Faults)
+		if job.Faults != nil {
+			vm.RT.SetFaultInjector(job.Faults)
 		}
-		if err := vm.attachTier(cfg.Tiering); err != nil {
-			return nil, err
-		}
+	}
+	if err := vm.arm(job); err != nil {
+		return nil, err
 	}
 	if err := vm.link(); err != nil {
 		return nil, err
@@ -196,14 +188,34 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 	return vm, nil
 }
 
-// attachTier finishes a fresh or just-reset page store for one run: it
-// attaches the disk tier when the run asks for one, records in vm.tiered
-// which resolution path the record ops take, and opens the root scope. New
-// and ResetForReuse share it so a reused VM can never keep the previous
-// run's choice.
-func (vm *VM) attachTier(tc *offheap.TierConfig) error {
-	if tc != nil {
-		if err := vm.RT.EnableTiering(*tc); err != nil {
+// arm installs one job's settings on a VM whose heap and page store are
+// fresh or just reset and already bound to job.Obs (non-nil): counters,
+// output sink, injector, Sys.rand seed, pretenure set, and — on a
+// transformed program — the disk tier, the resolution path the record ops
+// take (vm.tiered) and the root scope. New and ResetForReuse both arm
+// through here, so a reused VM cannot keep what a fresh one would not have.
+func (vm *VM) arm(job ResetConfig) error {
+	vm.obs = job.Obs
+	vm.cInstr = job.Obs.Counter(obs.CtrInstructions)
+	vm.cBoundary = job.Obs.Counter(obs.CtrBoundaryCalls)
+	vm.cPoolHits = job.Obs.Counter(obs.CtrFacadePoolHits)
+	out := job.Out
+	if out == nil {
+		out = io.Discard
+	}
+	vm.outMu.Lock()
+	vm.out = out
+	vm.outMu.Unlock()
+	vm.inj = job.Faults
+	vm.rngMu.Lock()
+	vm.rngSt = uint64(job.RandSeed)*2862933555777941757 + 3037000493
+	vm.rngMu.Unlock()
+	vm.Heap.SetLifetimes(lifetimeHeapConfig(job.Lifetimes))
+	if vm.RT == nil {
+		return nil
+	}
+	if job.Tiering != nil {
+		if err := vm.RT.EnableTiering(*job.Tiering); err != nil {
 			return err
 		}
 	}
@@ -453,39 +465,25 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 	live := len(vm.threads)
 	vm.threadsMu.Unlock()
 	if live != 0 {
-		return fmt.Errorf("vm: reset with %d live thread(s)", live)
+		return fmt.Errorf("vm: %w with %d live thread(s)", faults.ErrNotReusable, live)
 	}
 	if vm.rootScope != nil {
 		vm.rootScope.ReleaseAll()
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
 	}
-	if err := vm.Heap.Reset(reg, cfg.Faults); err != nil {
+	if err := vm.Heap.Reset(cfg.Obs, cfg.Faults); err != nil {
 		return err
 	}
-	vm.Heap.SetLifetimes(lifetimeHeapConfig(cfg.Lifetimes))
 	if vm.RT != nil {
-		if err := vm.RT.Reset(reg, cfg.Faults); err != nil {
-			return err
-		}
-		if err := vm.attachTier(cfg.Tiering); err != nil {
+		if err := vm.RT.Reset(cfg.Obs, cfg.Faults); err != nil {
 			return err
 		}
 	}
-	vm.obs = reg
-	vm.cInstr = reg.Counter(obs.CtrInstructions)
-	vm.cBoundary = reg.Counter(obs.CtrBoundaryCalls)
-	vm.cPoolHits = reg.Counter(obs.CtrFacadePoolHits)
-	out := cfg.Out
-	if out == nil {
-		out = io.Discard
+	if err := vm.arm(cfg); err != nil {
+		return err
 	}
-	vm.outMu.Lock()
-	vm.out = out
-	vm.outMu.Unlock()
-	vm.inj = cfg.Faults
 	for i := range vm.statics {
 		vm.statics[i] = 0
 	}
@@ -500,9 +498,6 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 	vm.nextMonID = 0
 	vm.monMu.Unlock()
 	vm.handles.reset()
-	vm.rngMu.Lock()
-	vm.rngSt = uint64(cfg.RandSeed)*2862933555777941757 + 3037000493
-	vm.rngMu.Unlock()
 	vm.threadsMu.Lock()
 	vm.nextTID = 0
 	vm.threadsMu.Unlock()
@@ -535,9 +530,7 @@ func (vm *VM) rand() uint64 {
 	vm.rngSt += 0x9e3779b97f4a7c15
 	z := vm.rngSt
 	vm.rngMu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return faults.Mix64(z)
 }
 
 // handleTable stores Go-side references into the heap so framework code
