@@ -342,29 +342,31 @@ func BenchmarkInlineShare(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations (§2.4, §3.6 design choices).
 
-// BenchmarkAblationPageRecycling measures iteration-based reclamation with
-// and without the free-page pool.
+// BenchmarkAblationPageRecycling shows §2.1's "by recycling pages, we often
+// need only a small number of pages" without a knob: ten times the iterations
+// create the same pages and recycle ten times as many.
 func BenchmarkAblationPageRecycling(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"recycle", false}, {"no-recycle", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			rt := offheap.NewRuntime()
-			rt.DisableRecycle = mode.disable
-			ic := 0
-			s := rt.NewIterScope(nil, &ic, 0)
-			defer s.Close()
-			b.ResetTimer()
+	for _, iters := range []int{10, 100} {
+		b.Run(fmt.Sprintf("iters-%d", iters), func(b *testing.B) {
+			var st offheap.Stats
 			for i := 0; i < b.N; i++ {
-				s.IterationStart()
-				for j := 0; j < 1000; j++ {
-					s.Current().AllocRecord(1, 48)
+				rt := offheap.NewRuntime()
+				ic := 0
+				s := rt.NewIterScope(nil, &ic, 0)
+				for it := 0; it < iters; it++ {
+					s.IterationStart()
+					for j := 0; j < 1000; j++ {
+						if _, err := s.Current().AllocRecord(1, 48); err != nil {
+							b.Fatal(err)
+						}
+					}
+					s.IterationEnd()
 				}
-				s.IterationEnd()
+				s.Close()
+				st = rt.Stats()
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(rt.Stats().PagesCreated), "pagesCreated")
+			b.ReportMetric(float64(st.PagesCreated), "pagesCreated")
+			b.ReportMetric(float64(st.PagesRecycled), "pagesRecycled")
 		})
 	}
 }
@@ -502,8 +504,8 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				hp.SetRef(a, next.Offset, c)
-				hp.SetRef(root, i*8, a)
+				hp.SetRefTC(tc, a, next.Offset, c)
+				hp.SetRefTC(tc, root, i*8, a)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

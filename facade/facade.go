@@ -18,7 +18,7 @@
 // run measured, so reporting code needs no internal packages.
 //
 // Framework integrations (GraphChi, Hyracks, GPS in internal/...) create a
-// VM directly with NewVM and drive the data path through vm.Thread's
+// VM directly with vm.New and drive the data path through vm.Thread's
 // boundary helpers. Long-lived callers (the repro serve daemon,
 // internal/server) reuse a VM across runs with WithReusedVM, which keeps
 // the heap arena, dispatch tables, and recycled page pool warm.
@@ -301,6 +301,3 @@ func (r *Result) Close() {
 		r.Thread.Close()
 	}
 }
-
-// NewVM builds a VM for a compiled or transformed program.
-func NewVM(p *ir.Program, cfg vm.Config) (*vm.VM, error) { return vm.New(p, cfg) }

@@ -16,11 +16,10 @@ import (
 type VetOption func(*vetOptions)
 
 type vetOptions struct {
-	dataClasses  []string
-	strict       bool
-	seed         string
-	devirtualize bool
-	lifetimes    bool
+	dataClasses []string
+	strict      bool
+	seed        string
+	lifetimes   bool
 }
 
 // VetWithDataClasses names the data classes for the FACADE transform. When
@@ -40,11 +39,6 @@ func VetStrict() VetOption {
 // for exercising the linter against a clean program.
 func VetWithSeedViolation(kind string) VetOption {
 	return func(o *vetOptions) { o.seed = kind }
-}
-
-// VetDevirtualize forwards core.Options.Devirtualize.
-func VetDevirtualize() VetOption {
-	return func(o *vetOptions) { o.devirtualize = true }
 }
 
 // VetLifetimes runs the lifetime-inference pass over program P and includes
@@ -160,7 +154,7 @@ func Vet(sources map[string]string, vopts ...VetOption) (*VetResult, error) {
 		return nil, fmt.Errorf("no data classes: pass -data or add a \"// facadec: data=C1,C2\" directive")
 	}
 	p2, err := Transform(p, TransformOptions{
-		DataClasses: data, NoAutoClose: opts.strict, Devirtualize: opts.devirtualize,
+		DataClasses: data, NoAutoClose: opts.strict,
 	})
 	if err != nil {
 		return nil, err

@@ -122,14 +122,6 @@ func VerifyProgram(p *ir.Program) error {
 	return nil
 }
 
-// VerifyFunc type-checks a single function of p.
-func VerifyFunc(p *ir.Program, f *ir.Func) error {
-	if err := f.Verify(); err != nil {
-		return err
-	}
-	return verifyFunc(p, f, FacadeClasses(p))
-}
-
 func verifyFunc(p *ir.Program, f *ir.Func, facade map[string]bool) error {
 	v := &verifier{p: p, f: f, facade: facade}
 	v.merged = p.Transformed && f.Class != nil && facade[f.Class.Name]

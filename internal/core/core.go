@@ -45,7 +45,11 @@ type Options struct {
 	Devirtualize bool
 	// DisableDCE skips the liveness-driven dead-code elimination pass that
 	// otherwise prunes unreferenced instructions from the transformed
-	// program (internal/analysis).
+	// program (internal/analysis). Nothing in production sets it: the
+	// un-eliminated P′ is the reference leg that
+	// TestDCEPreservesOutputAndRemovesInstructions and
+	// TestTransformIdempotentOnControlPath compare against (and
+	// BenchmarkAblationDCE's baseline).
 	DisableDCE bool
 }
 

@@ -88,11 +88,6 @@ func PowerLawGraph(v, e int, seed uint64) *Graph {
 	return g
 }
 
-// Scale returns a subgraph with roughly the given number of edges, built
-// by regenerating at smaller size with the same seed family — used by the
-// Figure 4(a) throughput sweep.
-func Scale(v, e int, seed uint64) *Graph { return PowerLawGraph(v, e, seed) }
-
 // Words is the vocabulary used by Corpus, with Zipf-like draw weights.
 var words = []string{
 	"the", "of", "and", "to", "in", "a", "is", "that", "for", "it",

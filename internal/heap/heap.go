@@ -647,19 +647,6 @@ func (hp *Heap) GetRef(a Addr, off int) Addr {
 	return Addr(hp.getU64(hp.FieldBase(a) + Addr(off)))
 }
 
-// SetRef writes a reference field, applying the generational write barrier.
-// Callers with a ThreadCtx in hand should prefer SetRefTC, which batches
-// barrier entries thread-locally instead of taking mu per store.
-func (hp *Heap) SetRef(a Addr, off int, v Addr) {
-	slot := hp.FieldBase(a) + Addr(off)
-	hp.setU64(slot, uint64(v))
-	if hp.inOld(a) && hp.inYoung(v) {
-		hp.mu.Lock()
-		hp.remset[slot] = struct{}{}
-		hp.mu.Unlock()
-	}
-}
-
 // remBufSpill bounds the per-thread write-barrier buffer; a full buffer
 // spills into the shared remset under mu.
 const remBufSpill = 1024
@@ -695,10 +682,6 @@ func (tc *ThreadCtx) flushRemBuf() {
 	hp.mu.Unlock()
 	tc.remBuf = tc.remBuf[:0]
 }
-
-// ElemOffset computes the byte offset of array element i for element size
-// es.
-func ElemOffset(i, es int) int { return i * es }
 
 // WriteBody copies data into the object body at off (bulk byte-array
 // fills; no reference slots may be written this way).
@@ -785,11 +768,4 @@ func (hp *Heap) ClassAllocCounts() map[string]int64 {
 	}
 	hp.arrMu.Unlock()
 	return out
-}
-
-// UsedBytes returns the bytes currently occupied (live + garbage).
-func (hp *Heap) UsedBytes() int64 {
-	hp.mu.Lock()
-	defer hp.mu.Unlock()
-	return int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.oldEnd)
 }

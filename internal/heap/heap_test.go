@@ -63,7 +63,7 @@ func TestAllocAndFieldAccess(t *testing.T) {
 		t.Fatal("fresh ref field not null")
 	}
 	b, _ := hp.AllocObject(tc, node, 0)
-	hp.SetRef(a, next.Offset, b)
+	hp.SetRefTC(tc, a, next.Offset, b)
 	if hp.GetRef(a, next.Offset) != b {
 		t.Fatal("ref field roundtrip failed")
 	}
@@ -134,7 +134,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 					return false
 				}
 				hp.SetInt(b, val.Offset, int32(i*1000+d))
-				hp.SetRef(cur, next.Offset, b)
+				hp.SetRefTC(tc, cur, next.Offset, b)
 				cur = b
 			}
 			// Allocate garbage in between.
@@ -227,13 +227,13 @@ func TestGCShadowModel(t *testing.T) {
 				if len(shadow) > 1 {
 					i := rng.Intn(len(shadow))
 					j := rng.Intn(len(shadow))
-					hp.SetRef(addrs[i], nextF.Offset, addrs[j])
+					hp.SetRefTC(tc, addrs[i], nextF.Offset, addrs[j])
 					shadow[i].next = j
 				}
 			case 6: // null out a pointer
 				if len(shadow) > 0 {
 					i := rng.Intn(len(shadow))
-					hp.SetRef(addrs[i], nextF.Offset, 0)
+					hp.SetRefTC(tc, addrs[i], nextF.Offset, 0)
 					shadow[i].next = -1
 				}
 			case 7: // garbage
@@ -291,15 +291,15 @@ func TestParallelAndSerialMarkAgree(t *testing.T) {
 		for i := range roots {
 			a, _ := hp.AllocObject(tc, node, 0)
 			hp.SetInt(a, val.Offset, int32(i))
-			hp.SetRef(a, kids.Offset, arr)
+			hp.SetRefTC(tc, a, kids.Offset, arr)
 			roots[i] = a
 			cur := a
 			for d := 0; d < 200; d++ {
 				b, _ := hp.AllocObject(tc, node, 0)
 				hp.SetInt(b, val.Offset, int32(i*1000+d))
-				hp.SetRef(cur, next.Offset, b)
+				hp.SetRefTC(tc, cur, next.Offset, b)
 				if d%17 == 0 {
-					hp.SetRef(arr, (d%16)*8, b)
+					hp.SetRefTC(tc, arr, (d%16)*8, b)
 				}
 				cur = b
 			}
@@ -376,7 +376,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	// barrier must keep it alive across a minor collection.
 	b, _ := hp.AllocObject(tc, node, 0)
 	hp.SetInt(b, val.Offset, 13)
-	hp.SetRef(root, next.Offset, b)
+	hp.SetRefTC(tc, root, next.Offset, b)
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
 	}
@@ -416,8 +416,8 @@ func TestOutOfMemory(t *testing.T) {
 			}
 			return
 		}
-		hp.SetRef(n, kids.Offset, arr)
-		hp.SetRef(n, node.FindField("next").Offset, root)
+		hp.SetRefTC(tc, n, kids.Offset, arr)
+		hp.SetRefTC(tc, n, node.FindField("next").Offset, root)
 		root = n
 		if i > 10000 {
 			t.Fatal("never ran out of memory")
@@ -490,7 +490,7 @@ func TestArrayElementWriteBarrier(t *testing.T) {
 	arr = root
 	young, _ := hp.AllocObject(tc, node, 0)
 	hp.SetInt(young, val.Offset, 99)
-	hp.SetRef(arr, 3*8, young) // old array -> young element
+	hp.SetRefTC(tc, arr, 3*8, young) // old array -> young element
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
 	}

@@ -226,14 +226,6 @@ func (p *Parser) parseParams() ([]Param, error) {
 	return params, nil
 }
 
-func isTypeStart(k TokKind) bool {
-	switch k {
-	case TokBooleanKw, TokByteKw, TokIntKw, TokLongKw, TokDoubleKw, TokVoidKw, TokIdent:
-		return true
-	}
-	return false
-}
-
 func (p *Parser) parseTypeExpr() (TypeExpr, error) {
 	t := p.cur()
 	te := TypeExpr{Pos: t.Pos}

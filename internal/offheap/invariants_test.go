@@ -3,13 +3,14 @@ package offheap
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // Invariant tests for the native store: size-class boundary behavior,
-// page high-water monotonicity, release idempotence, and the page-cache
-// iteration-isolation property the per-scope cache relies on.
+// page high-water monotonicity, release idempotence, and the pool's
+// one-owner-per-page property under concurrent scopes.
 
 func TestSizeClassBoundaries(t *testing.T) {
 	// classFor operates on the full record size (header + body, rounded to
@@ -156,69 +157,114 @@ func TestDoubleReleaseIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestCacheNeverCrossesOpenIterations is the page-cache isolation property:
-// the scope cache only ever holds pages released by *closed* iterations, so
-// a pop can never hand an iteration back a page that a still-live iteration
-// (including itself) is using. Checked against random open/alloc/close walks.
-func TestCacheNeverCrossesOpenIterations(t *testing.T) {
-	check := func(seed int64) bool {
-		rt := NewRuntime()
-		ic := 0
-		s := newScope(rt, &ic, 0)
-		defer s.Close()
-		rng := rand.New(rand.NewSource(seed))
+// TestPoolNeverSharesAPage is the pool's isolation property: with several
+// threads acquiring from and releasing to the one free list at once, a page
+// is owned by at most one live manager, a page on the free list is owned by
+// none, and once every scope has closed the books balance — nothing live,
+// and every page ever created is either back on the free list or was a
+// dropped oversize page. Checked against random open/alloc/close walks on
+// one goroutine per scope; the -race run in CI checks the locking itself.
+func TestPoolNeverSharesAPage(t *testing.T) {
+	const (
+		workers = 3
+		ops     = 300
+	)
+	rt := NewRuntime()
+	ic := 0
+	var iterMu sync.Mutex // the iteration-ID counter is shared and plain
+	scopes := make([]*IterScope, workers)
+	for w := range scopes {
+		scopes[w] = newScope(rt, &ic, w)
+	}
 
-		assertIsolated := func(op int) bool {
-			open := map[int]bool{}
+	// Workers mutate their scope under world.RLock, so they run concurrently
+	// with each other; a check takes world.Lock and sees every scope at rest.
+	var world sync.RWMutex
+	assertUnshared := func(w, op int) {
+		world.Lock()
+		defer world.Unlock()
+		owner := map[*page]*PageManager{}
+		for _, s := range scopes {
 			for _, m := range s.stack {
-				open[m.IterID] = true
-			}
-			s.cache.mu.Lock()
-			defer s.cache.mu.Unlock()
-			for _, e := range s.cache.entries {
-				if open[e.srcIter] {
-					t.Errorf("seed %d op %d: cache holds page from open iteration %d", seed, op, e.srcIter)
-					return false
-				}
-				if e.srcIter >= ic && e.srcIter != -1 {
-					t.Errorf("seed %d op %d: cache entry from unissued iteration %d", seed, op, e.srcIter)
-					return false
+				for _, p := range m.pages {
+					if p.released.Load() {
+						continue // oversize page freed early; its manager only keeps the slot
+					}
+					if prev, ok := owner[p]; ok {
+						t.Errorf("worker %d op %d: page %d owned by ⟨%d,%d⟩ and ⟨%d,%d⟩",
+							w, op, p.idx, prev.IterID, prev.ThreadID, m.IterID, m.ThreadID)
+					}
+					owner[p] = m
 				}
 			}
-			return true
 		}
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		for _, p := range rt.free {
+			if m, ok := owner[p]; ok {
+				t.Errorf("worker %d op %d: free-list page %d owned by ⟨%d,%d⟩", w, op, p.idx, m.IterID, m.ThreadID)
+			}
+		}
+	}
 
-		for op := 0; op < 400; op++ {
-			switch rng.Intn(5) {
-			case 0:
-				if s.Depth() < 4 {
-					s.IterationStart()
-				}
-			case 1:
-				if s.Depth() > 0 {
-					s.IterationEnd()
-				}
-			default:
-				// Enough churn that iterations routinely span pages and
-				// the cache sees real traffic.
-				body := []int{32, 512, 3000}[rng.Intn(3)]
-				for i := 0; i < 30; i++ {
-					if _, err := s.Current().AllocRecord(1, body); err != nil {
-						t.Fatal(err)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := scopes[w]
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for op := 0; op < ops; op++ {
+				world.RLock()
+				switch rng.Intn(6) {
+				case 0:
+					if s.Depth() < 4 {
+						iterMu.Lock()
+						s.IterationStart()
+						iterMu.Unlock()
+					}
+				case 1:
+					if s.Depth() > 0 {
+						s.IterationEnd()
+					}
+				case 2:
+					// An oversize page, freed early half the time.
+					ref, err := s.Current().AllocRecord(1, PageSize+rng.Intn(PageSize))
+					if err != nil {
+						t.Error(err)
+					} else if rng.Intn(2) == 0 && !rt.ReleaseOversize(ref) {
+						t.Errorf("worker %d op %d: oversize record not releasable", w, op)
+					}
+				default:
+					// Enough churn that iterations routinely span pages.
+					body := []int{32, 512, 3000, 20000}[rng.Intn(4)]
+					for i := 0; i < 30; i++ {
+						if _, err := s.Current().AllocRecord(1, body); err != nil {
+							t.Error(err)
+						}
 					}
 				}
+				world.RUnlock()
+				if op%10 == 0 {
+					assertUnshared(w, op)
+				}
 			}
-			if !assertIsolated(op) {
-				return false
-			}
-		}
-		if s.CachedPages() == 0 && rt.Stats().PagesRecycled == 0 {
-			t.Errorf("seed %d: walk never exercised the cache", seed)
-			return false
-		}
-		return true
+			world.RLock()
+			s.Close()
+			world.RUnlock()
+			assertUnshared(w, ops)
+		}(w)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+
+	st := rt.Stats()
+	if st.PagesLive != 0 {
+		t.Errorf("%d page(s) live after every scope closed", st.PagesLive)
+	}
+	if st.PagesRecycled == 0 || st.Oversize == 0 {
+		t.Errorf("walk never exercised the pool: %+v", st)
+	}
+	if free := int64(len(rt.free)); st.PagesCreated != free+st.Oversize {
+		t.Errorf("created %d != free %d + dropped oversize %d", st.PagesCreated, free, st.Oversize)
 	}
 }

@@ -24,57 +24,6 @@ func classFor(size int) int {
 	return -1 // dedicated or oversize page
 }
 
-// pageCacheCap bounds the per-scope page cache. Iterative workloads churn
-// a handful of pages per iteration per thread; 32 pages (1 MB) covers that
-// while keeping the worst-case memory parked in caches negligible.
-const pageCacheCap = 32
-
-// pageCache is a small per-IterScope stash of recycled PageSize pages.
-// When an iteration ends, its manager parks recyclable pages here instead
-// of pushing them through the runtime's global pool; the next iteration in
-// the same scope pops them back without touching rt.mu. The mutex exists
-// only because ReleaseAll can run on a different thread than the scope's
-// owner (a parent iteration releasing a spawned thread's managers); it is
-// scope-local, so it is uncontended in steady state.
-type pageCache struct {
-	mu      sync.Mutex
-	entries []cachedPage
-}
-
-// cachedPage remembers which iteration released the page. IterIDs are
-// globally unique and a manager never allocates after release, so a cached
-// page can only be served to a *different* (later) iteration — the
-// invariant the property test in offheap_test.go checks.
-type cachedPage struct {
-	p       *page
-	srcIter int
-}
-
-// pop removes and returns the most recently cached page.
-func (c *pageCache) pop() (cachedPage, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	if n == 0 {
-		return cachedPage{}, false
-	}
-	e := c.entries[n-1]
-	c.entries[n-1] = cachedPage{}
-	c.entries = c.entries[:n-1]
-	return e, true
-}
-
-// put parks a page in the cache; reports false when the cache is full.
-func (c *pageCache) put(p *page, srcIter int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) >= pageCacheCap {
-		return false
-	}
-	c.entries = append(c.entries, cachedPage{p: p, srcIter: srcIter})
-	return true
-}
-
 // PageManager allocates records for one ⟨iterationID, thread⟩ pair and
 // owns the pages it allocates from. Managers form the runtime tree of
 // §3.6: a sub-iteration's manager is a child of the enclosing iteration's
@@ -103,11 +52,6 @@ type PageManager struct {
 	// graphchi_p2's unit time (24.9 vs 22.3 probes, six alternating pairs).
 	// The price is Stats' contract: see there.
 	records int64
-
-	// cache is the owning scope's page cache; nil for managers created
-	// outside a scope (e.g. the VM root manager), which always use the
-	// global pool.
-	cache *pageCache
 
 	// IterID identifies the iteration this manager serves; -1 is the
 	// thread-default manager ⟨⊥, t⟩. ThreadID identifies the owning thread.
@@ -147,17 +91,7 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 	if ci < 0 || size > PageSize/2 {
 		// Large record: an empty page of its own ("large arrays are
 		// allocated on empty pages"), oversize if it exceeds PageSize.
-		want := size
-		if want < PageSize {
-			want = PageSize
-		}
-		var p *page
-		var err error
-		if want == PageSize {
-			p, err = m.acquirePage()
-		} else {
-			p, err = m.rt.getPage(want)
-		}
+		p, err := m.rt.getPage(size)
 		if err != nil {
 			return 0, err
 		}
@@ -174,7 +108,7 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 	p := m.cur[ci]
 	if p == nil || p.pos+size > len(p.buf) {
 		var err error
-		p, err = m.acquirePage()
+		p, err = m.rt.getPage(PageSize)
 		if err != nil {
 			return 0, err
 		}
@@ -206,23 +140,6 @@ func initRecord(b []byte, typeWord uint16, arrLen int) {
 func (m *PageManager) finishAlloc() {
 	m.records++
 	m.rt.maybeEvict()
-}
-
-// acquirePage returns a PageSize page, preferring the scope cache (a pop
-// plus lock-free stat updates) over the runtime's locked getPage path. A
-// fault injected at the cache-hit acquire point puts the page back, so the
-// cache's contents are unchanged by a failed acquire.
-func (m *PageManager) acquirePage() (*page, error) {
-	if m.cache != nil {
-		if e, ok := m.cache.pop(); ok {
-			if err := m.rt.noteCachedRecycle(e.p); err != nil {
-				m.cache.put(e.p, e.srcIter)
-				return nil, err
-			}
-			return e.p, nil
-		}
-	}
-	return m.rt.getPage(PageSize)
 }
 
 func zero(b []byte) {
@@ -267,16 +184,7 @@ func (m *PageManager) ReleaseAll() {
 	for i := range m.cur {
 		m.rt.unpinAcquire(m.cur[i]) // drop the bump-page pins before releasing
 	}
-	tiered := m.rt.tier != nil
 	for _, p := range m.pages {
-		if m.cache != nil && !m.rt.DisableRecycle &&
-			(tiered || len(p.buf) == PageSize) {
-			// Tiered: cacheRelease checks the size itself, under the page's
-			// tier lock — p.buf may be concurrently nil'd by the evictor.
-			if m.rt.cacheRelease(m.cache, p, m.IterID) {
-				continue
-			}
-		}
 		m.rt.releasePage(p)
 	}
 	m.pages = nil
@@ -328,7 +236,6 @@ type IterScope struct {
 	stack    []*PageManager
 	nextIter *int
 	threadID int
-	cache    *pageCache
 }
 
 // NewIterScope creates the scope for a thread whose default manager is a
@@ -336,9 +243,7 @@ type IterScope struct {
 // first thread). nextIter supplies global iteration IDs.
 func (rt *Runtime) NewIterScope(parent *PageManager, nextIter *int, threadID int) *IterScope {
 	def := rt.NewManager(parent, -1, threadID)
-	c := &pageCache{}
-	def.cache = c
-	return &IterScope{rt: rt, stack: []*PageManager{def}, nextIter: nextIter, threadID: threadID, cache: c}
+	return &IterScope{rt: rt, stack: []*PageManager{def}, nextIter: nextIter, threadID: threadID}
 }
 
 // Current returns the manager new records should be allocated from.
@@ -352,9 +257,7 @@ func (s *IterScope) Default() *PageManager { return s.stack[0] }
 func (s *IterScope) IterationStart() {
 	id := *s.nextIter
 	*s.nextIter = id + 1
-	m := s.rt.NewManager(s.Current(), id, s.threadID)
-	m.cache = s.cache
-	s.stack = append(s.stack, m)
+	s.stack = append(s.stack, s.rt.NewManager(s.Current(), id, s.threadID))
 }
 
 // IterationEnd closes the innermost iteration and releases its pages (and
@@ -368,41 +271,12 @@ func (s *IterScope) IterationEnd() {
 	m.ReleaseAll()
 }
 
-// Close releases the thread's default manager (thread termination) and
-// hands the scope's cached pages back to the global pool.
+// Close releases the thread's default manager (thread termination).
 func (s *IterScope) Close() {
 	for len(s.stack) > 1 {
 		s.IterationEnd()
 	}
 	s.stack[0].ReleaseAll()
-	s.drainCache()
-}
-
-// drainCache moves cached pages to the runtime free pool. The pages were
-// already stat-released when they entered the cache, so only the free-list
-// append remains (they are simply dropped under DisableRecycle, like any
-// released page).
-func (s *IterScope) drainCache() {
-	s.cache.mu.Lock()
-	entries := s.cache.entries
-	s.cache.entries = nil
-	s.cache.mu.Unlock()
-	if len(entries) == 0 || s.rt.DisableRecycle {
-		return
-	}
-	s.rt.mu.Lock()
-	for _, e := range entries {
-		s.rt.free = append(s.rt.free, e.p)
-	}
-	s.rt.mu.Unlock()
-}
-
-// CachedPages returns the number of pages parked in the scope cache
-// (observability and tests).
-func (s *IterScope) CachedPages() int {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	return len(s.cache.entries)
 }
 
 // Depth returns the number of open iterations.

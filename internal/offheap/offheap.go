@@ -104,11 +104,6 @@ type page struct {
 // Runtime owns all pages, the free-page pool, the array type registry, and
 // the shared lock pool.
 type Runtime struct {
-	// DisableRecycle turns off the free-page pool (ablation: every page
-	// released at an iteration end is dropped and later allocations get
-	// fresh pages).
-	DisableRecycle bool
-
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse
 	// live holds the managers not yet released; their record counts are
@@ -124,18 +119,20 @@ type Runtime struct {
 
 	Locks *LockPool
 
+	// stats holds the counts that have no obs instrument; live, recycled,
+	// resident and spilled pages are kept by the instruments alone.
 	stats struct {
-		pagesCreated  atomic.Int64
-		pagesRecycled atomic.Int64
-		pagesLive     atomic.Int64
-		oversize      atomic.Int64
-		records       atomic.Int64
-		bytesInUse    atomic.Int64
-		peakBytes     atomic.Int64
-		managers      atomic.Int64
+		pagesCreated atomic.Int64
+		oversize     atomic.Int64
+		records      atomic.Int64
+		bytesInUse   atomic.Int64
+		peakBytes    atomic.Int64
+		managers     atomic.Int64
 	}
 
-	// Observability instruments (internal/obs).
+	// Observability instruments (internal/obs). The page instruments are
+	// the store's own books (quota, watermarks, Stats and Reset read them),
+	// so a registry serves one store at a time.
 	obs           *obs.Registry
 	cPageAcquires *obs.Counter
 	cPageReleases *obs.Counter
@@ -238,15 +235,15 @@ func (rt *Runtime) checkQuota() error {
 		return nil
 	}
 	if t := rt.tier; t != nil {
-		if t.resident.Load() >= q {
+		if t.gResident.Load() >= q {
 			rt.evictTo(q - 1)
 		}
-		if t.resident.Load() >= q {
+		if t.gResident.Load() >= q {
 			return fmt.Errorf("%w (quota %d resident pages)", ErrPageQuota, q)
 		}
 		return nil
 	}
-	if rt.stats.pagesLive.Load() >= q {
+	if rt.gPagesLive.Load() >= q {
 		return fmt.Errorf("%w (quota %d pages)", ErrPageQuota, q)
 	}
 	return nil
@@ -255,13 +252,14 @@ func (rt *Runtime) checkQuota() error {
 // Reset returns the store to its post-New state for reuse by another job,
 // keeping the recycled-page free pool warm: free pages are re-indexed into
 // a fresh page table so the table does not grow without bound across jobs,
-// counters rewind to zero, and the instruments rebind to reg. It fails if
-// any page is still live — a job that leaked pages poisons the store, and
-// the daemon rebuilds instead of reusing it.
+// counters rewind to zero, and the instruments rebind to reg (the next
+// job's registry, whose fresh instruments are how the page counts rewind).
+// It fails if any page is still live — a job that leaked pages poisons the
+// store, and the daemon rebuilds instead of reusing it.
 func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if live := rt.stats.pagesLive.Load(); live != 0 {
+	if live := rt.gPagesLive.Load(); live != 0 {
 		return fmt.Errorf("offheap: %w with %d live page(s)", faults.ErrNotReusable, live)
 	}
 	next := make([]*page, len(rt.free))
@@ -274,8 +272,6 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	}
 	rt.table.Store(&next)
 	rt.stats.pagesCreated.Store(0)
-	rt.stats.pagesRecycled.Store(0)
-	rt.stats.pagesLive.Store(0)
 	rt.stats.oversize.Store(0)
 	rt.stats.records.Store(0)
 	rt.live = make(map[*PageManager]struct{})
@@ -320,9 +316,9 @@ func (rt *Runtime) Stats() Stats {
 	rt.mu.Unlock()
 	s := Stats{
 		PagesCreated:  rt.stats.pagesCreated.Load(),
-		PagesLive:     rt.stats.pagesLive.Load(),
+		PagesLive:     rt.gPagesLive.Load(),
 		PagesLiveHW:   rt.gPagesLive.HighWater(),
-		PagesRecycled: rt.stats.pagesRecycled.Load(),
+		PagesRecycled: rt.cPageRecycles.Load(),
 		Oversize:      rt.stats.oversize.Load(),
 		Records:       records,
 		BytesInUse:    rt.stats.bytesInUse.Load(),
@@ -332,8 +328,8 @@ func (rt *Runtime) Stats() Stats {
 	if t := rt.tier; t != nil {
 		s.PagesSpilled = t.cSpilled.Load()
 		s.PagesPromoted = t.cPromoted.Load()
-		s.PagesResident = t.resident.Load()
-		s.PagesDisk = t.disk.Load()
+		s.PagesResident = t.gResident.Load()
+		s.PagesDisk = t.gDisk.Load()
 		s.SpillBytes = t.cSpillBytes.Load()
 		s.PromoteBytes = t.cPromoteBytes.Load()
 	}
@@ -366,10 +362,11 @@ func (rt *Runtime) ArrayElemType(idx int) *lang.Type {
 	return rt.arrTypes[idx]
 }
 
-// getPage allocates or recycles a page of at least size bytes. Pages
-// larger than PageSize ("oversize") are never recycled through the pool.
-// The faults.PageAcquire point is evaluated first: a firing point fails
-// the acquire with ErrPageExhausted, modeling native allocation failure.
+// getPage allocates or recycles a page of at least size bytes — the one
+// acquire path: every page a manager owns came through here. Pages larger
+// than PageSize ("oversize") are never recycled through the pool. The
+// faults.PageAcquire point is evaluated first: a firing point fails the
+// acquire with ErrPageExhausted, modeling native allocation failure.
 func (rt *Runtime) getPage(size int) (*page, error) {
 	if rt.inj != nil && rt.inj.Fire(faults.PageAcquire) {
 		n := rt.cFaultsInj.Load() + 1
@@ -382,7 +379,6 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.stats.pagesLive.Add(1)
 	rt.cPageAcquires.Inc()
 	rt.gPagesLive.Add(1)
 	if size <= PageSize {
@@ -391,7 +387,6 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 			p := rt.free[n-1]
 			rt.free = rt.free[:n-1]
 			p.pos = 0
-			rt.stats.pagesRecycled.Add(1)
 			rt.cPageRecycles.Inc()
 			rt.addBytes(int64(len(p.buf)))
 			rt.tierAcquire(p)
@@ -412,33 +407,6 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 	return p, nil
 }
 
-// noteCachedRecycle replicates getPage's fault point and statistics for a
-// PageSize page served from a scope-local cache, so fault schedules and
-// observability counters are identical whether a recycled page came from
-// the global pool or a cache. Unlike getPage it never takes rt.mu: the
-// counters are atomics and no free-list or page-table access is needed —
-// this is the lock-free fast path the cache exists for.
-func (rt *Runtime) noteCachedRecycle(p *page) error {
-	if rt.inj != nil && rt.inj.Fire(faults.PageAcquire) {
-		n := rt.cFaultsInj.Load() + 1
-		rt.cFaultsInj.Inc()
-		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
-		return fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
-	}
-	if err := rt.checkQuota(); err != nil {
-		return err
-	}
-	rt.stats.pagesLive.Add(1)
-	rt.cPageAcquires.Inc()
-	rt.gPagesLive.Add(1)
-	rt.stats.pagesRecycled.Add(1)
-	rt.cPageRecycles.Inc()
-	rt.addBytes(int64(len(p.buf)))
-	p.pos = 0
-	rt.tierAcquire(p)
-	return nil
-}
-
 // releasePage returns a page to the free pool (or drops oversize pages
 // entirely; their table slot keeps the buffer reachable until Go reclaims
 // it on table growth, mirroring free() of a large malloc block).
@@ -454,54 +422,13 @@ func (rt *Runtime) releasePage(p *page) {
 	// and frees a spilled page's disk slot without reading it back. After
 	// it returns no evictor can touch p, so the buf reads below are safe.
 	rt.tierRelease(p)
-	rt.stats.pagesLive.Add(-1)
 	rt.cPageReleases.Inc()
 	rt.gPagesLive.Add(-1)
 	rt.addBytes(-int64(len(p.buf))) // 0 for a spilled page: its DRAM was freed at spill
-	if len(p.buf) == PageSize && !rt.DisableRecycle {
+	if len(p.buf) == PageSize {
 		p.released.Store(false) // recyclable pages are reborn via the pool
 		rt.free = append(rt.free, p)
 	}
-}
-
-// cacheRelease parks a recyclable PageSize page in a scope cache instead
-// of the global pool, replicating releasePage's statistics without taking
-// rt.mu. Reports false when the page is not cacheable (oversize, spilled,
-// or the cache is full), in which case the caller falls back to
-// releasePage. The page's released flag stays false, exactly like a page
-// reborn through the pool.
-func (rt *Runtime) cacheRelease(c *pageCache, p *page, srcIter int) bool {
-	if p.released.Load() {
-		return true // freed early; nothing left to release
-	}
-	if t := rt.tier; t != nil {
-		// tierMu serializes against an evictor mid-spill: once acquired,
-		// the page is either still resident (cache it, deregistered so no
-		// future sweep can take it) or spilled (release it through
-		// releasePage, which frees the slot without a read-back).
-		p.tierMu.Lock()
-		if p.spilled || len(p.buf) != PageSize {
-			p.tierMu.Unlock()
-			return false
-		}
-		if !c.put(p, srcIter) {
-			p.tierMu.Unlock()
-			return false
-		}
-		t.mu.Lock()
-		t.removeCandidateLocked(p)
-		t.mu.Unlock()
-		t.resident.Add(-1)
-		t.gResident.Add(-1)
-		p.tierMu.Unlock()
-	} else if len(p.buf) != PageSize || !c.put(p, srcIter) {
-		return false
-	}
-	rt.stats.pagesLive.Add(-1)
-	rt.cPageReleases.Inc()
-	rt.gPagesLive.Add(-1)
-	rt.addBytes(-int64(len(p.buf)))
-	return true
 }
 
 // ReleaseOversize frees the oversize page backing ref before its iteration

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -67,14 +66,12 @@ type tier struct {
 	candidates []*page
 	hand       int // clock hand into candidates
 
-	// resident/disk split of pagesLive (resident + disk == live).
-	resident atomic.Int64
-	disk     atomic.Int64
-
 	cSpilled      *obs.Counter
 	cPromoted     *obs.Counter
 	cSpillBytes   *obs.Counter
 	cPromoteBytes *obs.Counter
+	// gResident + gDisk == the store's live-page gauge; the watermark and
+	// quota checks read gResident.
 	gResident     *obs.Gauge
 	gDisk         *obs.Gauge
 	hSpillStall   *obs.Histogram
@@ -97,7 +94,7 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 	if cfg.LowWater <= 0 || cfg.LowWater > cfg.HighWater {
 		return fmt.Errorf("offheap: low watermark %d must be in 1..%d", cfg.LowWater, cfg.HighWater)
 	}
-	if rt.stats.pagesLive.Load() != 0 {
+	if rt.gPagesLive.Load() != 0 {
 		return errors.New("offheap: tiering must be enabled before pages are live")
 	}
 	f, err := os.CreateTemp(cfg.Dir, "spill-*.pages")
@@ -194,7 +191,6 @@ func (rt *Runtime) tierAcquire(p *page) {
 	}
 	p.pinned.Add(1)
 	p.accessed.Store(true)
-	t.resident.Add(1)
 	t.gResident.Add(1)
 	if len(p.buf) == PageSize {
 		t.mu.Lock()
@@ -232,11 +228,9 @@ func (rt *Runtime) tierRelease(p *page) {
 		p.spilled = false
 		p.slot = -1
 		p.evicting.Store(false)
-		t.disk.Add(-1)
 		t.gDisk.Add(-1)
 		return
 	}
-	t.resident.Add(-1)
 	t.gResident.Add(-1)
 	t.mu.Lock()
 	t.removeCandidateLocked(p)
@@ -258,7 +252,7 @@ func (rt *Runtime) maybeEvict() {
 
 func (rt *Runtime) evictIfOver() {
 	t := rt.tier
-	if t.resident.Load() <= int64(t.cfg.HighWater) {
+	if t.gResident.Load() <= int64(t.cfg.HighWater) {
 		return
 	}
 	rt.evictTo(int64(t.cfg.LowWater))
@@ -271,7 +265,7 @@ func (rt *Runtime) evictTo(target int64) {
 	if target < 0 {
 		target = 0
 	}
-	for t.resident.Load() > target {
+	for t.gResident.Load() > target {
 		p := t.selectVictim()
 		if p == nil {
 			return
@@ -359,9 +353,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 	p.slot = slot
 	p.spilled = true
 	p.buf = nil
-	t.resident.Add(-1)
 	t.gResident.Add(-1)
-	t.disk.Add(1)
 	t.gDisk.Add(1)
 	t.cSpilled.Inc()
 	t.cSpillBytes.Add(PageSize)
@@ -397,9 +389,7 @@ func (rt *Runtime) promoteLocked(p *page) error {
 	p.spilled = false
 	p.evicting.Store(false)
 	p.accessed.Store(true)
-	t.disk.Add(-1)
 	t.gDisk.Add(-1)
-	t.resident.Add(1)
 	t.gResident.Add(1)
 	t.cPromoted.Inc()
 	t.cPromoteBytes.Add(PageSize)

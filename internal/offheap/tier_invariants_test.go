@@ -2,11 +2,13 @@ package offheap
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/lang"
+	"repro/internal/obs"
 )
 
 // newTieredRuntime builds a store with a disk tier in a test temp dir.
@@ -481,5 +483,82 @@ func TestRecordCountExactAcrossManagers(t *testing.T) {
 	}
 	if rt.Pins() != 0 {
 		t.Fatalf("untiered store reports %d pins", rt.Pins())
+	}
+}
+
+// TestStatsReadTheInstruments pins the one-book rule: every Stats field
+// that has an obs instrument reports that instrument's value — mid-run on a
+// tiered store, after release, and after Reset rebinds the store to the next
+// job's registry (whose page counters start at zero while the pool stays
+// warm).
+func TestStatsReadTheInstruments(t *testing.T) {
+	check := func(when string, rt *Runtime) {
+		t.Helper()
+		st, snap := rt.Stats(), rt.Obs().Snapshot()
+		for _, c := range []struct {
+			field      string
+			got, instr int64
+		}{
+			{"PagesLive", st.PagesLive, snap.Gauges[obs.GaugePagesLive]},
+			{"PagesLiveHW", st.PagesLiveHW, snap.Gauges[obs.GaugePagesLive+".hw"]},
+			{"PagesRecycled", st.PagesRecycled, snap.Counters[obs.CtrPageRecycles]},
+			{"PagesSpilled", st.PagesSpilled, snap.Counters[obs.CtrPagesSpilled]},
+			{"PagesPromoted", st.PagesPromoted, snap.Counters[obs.CtrPagesPromoted]},
+			{"PagesResident", st.PagesResident, snap.Gauges[obs.GaugePagesResident]},
+			{"PagesDisk", st.PagesDisk, snap.Gauges[obs.GaugePagesDisk]},
+			{"SpillBytes", st.SpillBytes, snap.Counters[obs.CtrSpillBytes]},
+			{"PromoteBytes", st.PromoteBytes, snap.Counters[obs.CtrPromoteBytes]},
+		} {
+			if c.got != c.instr {
+				t.Errorf("%s: Stats.%s = %d, instrument = %d", when, c.field, c.got, c.instr)
+			}
+		}
+		if acq, rel := snap.Counters[obs.CtrPageAcquires], snap.Counters[obs.CtrPageReleases]; acq-rel != st.PagesLive {
+			t.Errorf("%s: acquires %d - releases %d != live %d", when, acq, rel, st.PagesLive)
+		}
+	}
+
+	rt, _ := newTieredRuntime(t, 4, 2)
+	ic := 0
+	s := newScope(rt, &ic, 0)
+	for iter := 0; iter < 3; iter++ {
+		s.IterationStart()
+		refs := make([]PageRef, 10)
+		for i := range refs {
+			refs[i] = dedicated(t, s.Current(), 1)
+			put(rt, refs[i], 0, int64(i))
+		}
+		for i, ref := range refs { // read back: the early ones promote
+			if got := get[int64](rt, ref, 0); got != int64(i) {
+				t.Fatalf("iteration %d record %d = %d", iter, i, got)
+			}
+		}
+		check(fmt.Sprintf("iteration %d open", iter), rt)
+		s.IterationEnd()
+	}
+	s.Close()
+	st := rt.Stats()
+	if st.PagesSpilled == 0 || st.PagesPromoted == 0 || st.PagesRecycled == 0 {
+		t.Fatalf("run never spilled, promoted and recycled: %+v", st)
+	}
+	check("after close", rt)
+
+	first := rt.Obs()
+	if err := rt.Reset(obs.NewRegistry(), nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after reset", rt)
+	if got := rt.Stats(); got.PagesLiveHW != 0 || got.PagesRecycled != 0 {
+		t.Fatalf("Reset kept the previous job's page counts: %+v", got)
+	}
+	s = newScope(rt, &ic, 0)
+	dedicated(t, s.Current(), 1)
+	check("second job", rt)
+	if got := rt.Stats(); got.PagesCreated != 0 || got.PagesRecycled != 1 {
+		t.Fatalf("second job did not draw from the warm pool: %+v", got)
+	}
+	s.Close()
+	if got := first.Snapshot().Counters[obs.CtrPageRecycles]; got != st.PagesRecycled {
+		t.Fatalf("second job moved the first job's registry: recycles %d, want %d", got, st.PagesRecycled)
 	}
 }

@@ -83,9 +83,6 @@ func (t *Thread) FreeObj(o Obj) {
 	}
 }
 
-// IsTransformed reports whether this VM runs a FACADE-transformed program.
-func (t *Thread) IsTransformed() bool { return t.vm.Prog.Transformed }
-
 // makeString builds a String value in mutator state (the thread must be
 // running). Used for S() arguments and literals crossing the boundary.
 func (t *Thread) makeString(s string) (Value, error) {
@@ -394,23 +391,12 @@ func (t *Thread) parseTypeName(name string) (*lang.Type, error) {
 
 // Invoke calls a method on a data object (virtual dispatch on its runtime
 // type) and returns the raw primitive result.
-func (t *Thread) Invoke(o Obj, method string, args ...Arg) (Value, error) {
-	v, _, err := t.invokeBoundary(o, method, args, false)
-	return v, err
-}
-
-// InvokeObj is Invoke for methods returning a data reference.
-func (t *Thread) InvokeObj(o Obj, method string, args ...Arg) (Obj, error) {
-	_, ro, err := t.invokeBoundary(o, method, args, true)
-	return ro, err
-}
-
-func (t *Thread) invokeBoundary(o Obj, method string, args []Arg, retObj bool) (v0 Value, o0 Obj, err error) {
+func (t *Thread) Invoke(o Obj, method string, args ...Arg) (v Value, err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
 	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if o == NilObj {
-		return 0, NilObj, errNPE("boundary call " + method)
+		return 0, errNPE("boundary call " + method)
 	}
 	recv := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
@@ -423,44 +409,30 @@ func (t *Thread) invokeBoundary(o Obj, method string, args []Arg, retObj bool) (
 			}
 		}
 		if fn == nil {
-			return 0, NilObj, fmt.Errorf("vm: %s has no method %s", fc.Name, method)
+			return 0, fmt.Errorf("vm: %s has no method %s", fc.Name, method)
 		}
-		v, err := t.facadeCall(fn, ref, args)
-		if err != nil {
-			return 0, NilObj, err
-		}
-		if retObj {
-			return 0, t.wrapObj(v), nil
-		}
-		return v, NilObj, nil
+		return t.facadeCall(fn, ref, args)
 	}
 	cls := t.vm.Heap.ClassOf(heap.Addr(recv))
 	if cls == nil {
-		return 0, NilObj, fmt.Errorf("vm: boundary call on array")
+		return 0, fmt.Errorf("vm: boundary call on array")
 	}
 	m := cls.Resolve(method)
 	if m == nil {
-		return 0, NilObj, fmt.Errorf("vm: %s has no method %s", cls.Name, method)
+		return 0, fmt.Errorf("vm: %s has no method %s", cls.Name, method)
 	}
 	fn := t.vm.byKey[ir.FuncKey(m.Owner.Name, method)]
 	hh := t.vm.NewHandle(recv, true)
 	defer t.vm.Drop(hh)
 	argVals, cleanup, err := t.resolveArgs(args)
 	if err != nil {
-		return 0, NilObj, err
+		return 0, err
 	}
 	defer cleanup()
 	vals := make([]Value, 0, len(argVals)+1)
 	vals = append(vals, t.vm.Get(hh))
 	vals = append(vals, argVals...)
-	v, err := t.exec(fn, vals)
-	if err != nil {
-		return 0, NilObj, err
-	}
-	if retObj {
-		return 0, t.wrapObj(v), nil
-	}
-	return v, NilObj, nil
+	return t.exec(fn, vals)
 }
 
 // InvokeStatic calls a static data-path method.
@@ -579,45 +551,6 @@ func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
 	return loadField(t.vm.Heap, heap.Addr(v), f), nil
 }
 
-// SetField writes a primitive field.
-func (t *Thread) SetField(o Obj, class, field string, val Value) (err error) {
-	t.enterBoundary()
-	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
-	f, v, err := t.fieldOf(o, class, field)
-	if err != nil {
-		return err
-	}
-	if t.vm.Prog.Transformed {
-		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
-		storeSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind, val)
-		pin.Unpin()
-		return nil
-	}
-	storeField(t.vm.Heap, t.tc, heap.Addr(v), f, val)
-	return nil
-}
-
-// GetObjField reads a reference field into a new handle.
-func (t *Thread) GetObjField(o Obj, class, field string) (Obj, error) {
-	v, err := t.GetField(o, class, field)
-	if err != nil {
-		return NilObj, err
-	}
-	t.enterBoundary()
-	defer t.tc.BeginExternal()
-	return t.wrapObj(v), nil
-}
-
-// SetObjField writes a reference field.
-func (t *Thread) SetObjField(o Obj, class, field string, val Obj) error {
-	var v Value
-	if val != NilObj {
-		v = t.vm.Get(val)
-	}
-	return t.SetField(o, class, field, v)
-}
-
 // ArrLen returns the length of a data array.
 func (t *Thread) ArrLen(o Obj) (n int, err error) {
 	t.enterBoundary()
@@ -657,32 +590,6 @@ func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 	return loadElem(hp, a, hp.ArrayElemOf(a), i), nil
 }
 
-// ArrSet writes element i of a data array.
-func (t *Thread) ArrSet(o Obj, i int, val Value) (err error) {
-	t.enterBoundary()
-	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
-	v := t.vm.Get(o)
-	if t.vm.Prog.Transformed {
-		rt, ref := t.vm.RT, offheap.PageRef(v)
-		elem := rt.ArrayElemType(rt.ArrayTypeOf(ref))
-		b, pin := t.vm.RT.Resolve(ref)
-		defer pin.Unpin()
-		if n := offheap.ArrayLength(b); i < 0 || i >= n {
-			return errBounds(i, n)
-		}
-		storeSlot(b[offheap.ArrayHeader+i*elem.FieldSize():], elem.Kind, val)
-		return nil
-	}
-	hp := t.vm.Heap
-	a := heap.Addr(v)
-	if i < 0 || i >= hp.ArrayLen(a) {
-		return errBounds(i, hp.ArrayLen(a))
-	}
-	storeElem(hp, t.tc, a, hp.ArrayElemOf(a), i, val)
-	return nil
-}
-
 // ArrGetObj reads a reference element into a handle.
 func (t *Thread) ArrGetObj(o Obj, i int) (Obj, error) {
 	v, err := t.ArrGet(o, i)
@@ -692,15 +599,6 @@ func (t *Thread) ArrGetObj(o Obj, i int) (Obj, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
 	return t.wrapObj(v), nil
-}
-
-// ArrSetObj writes a reference element.
-func (t *Thread) ArrSetObj(o Obj, i int, val Obj) error {
-	var v Value
-	if val != NilObj {
-		v = t.vm.Get(val)
-	}
-	return t.ArrSet(o, i, v)
 }
 
 func f64bits(f float64) Value { return math.Float64bits(f) }

@@ -309,7 +309,7 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 	}
 	arr = heap.Addr(t.vm.Get(h))
 	t.vm.Drop(h)
-	hp.SetRef(obj, t.vm.strField.Offset, arr)
+	hp.SetRefTC(t.tc, obj, t.vm.strField.Offset, arr)
 	return Value(obj), nil
 }
 

@@ -254,14 +254,6 @@ func (t *Thread) Call(key string, args ...Value) (v Value, err error) {
 	return t.exec(fn, args)
 }
 
-// CallFunc is Call with a pre-resolved function.
-func (t *Thread) CallFunc(fn *ir.Func, args ...Value) (v Value, err error) {
-	t.enterBoundary()
-	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
-	return t.exec(fn, args)
-}
-
 // ---------------------------------------------------------------------------
 // Monitors for heap objects (program P's intrinsic locks). The object's
 // lock word holds a monitor ID; monitors are reentrant.

@@ -843,3 +843,42 @@ func TestResetForReuseSwitchesTier(t *testing.T) {
 		})
 	}
 }
+
+// TestResetForReuseKeepsThePoolWarm runs the same job twice on one VM: the
+// second job's pages must all come off the store's free list — the pool the
+// daemon's warm path relies on survives the reset, and nothing else holds
+// pages back from it.
+func TestResetForReuseKeepsThePoolWarm(t *testing.T) {
+	p2 := transform(t, compile(t, recordOpsProgram("")), "Rec", "Main")
+	var out bytes.Buffer
+	m, err := New(p2, Config{HeapSize: 8 << 20, Out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() offheap.Stats {
+		t.Helper()
+		th, err := m.NewThread(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.Call("MainFacade.main"); err != nil {
+			t.Fatal(err)
+		}
+		th.Close()
+		return m.RT.Stats()
+	}
+	cold := job()
+	if cold.PagesCreated == 0 {
+		t.Fatalf("first job created no pages: %+v", cold)
+	}
+	if err := m.ResetForReuse(ResetConfig{Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	warm := job()
+	if warm.PagesCreated != 0 {
+		t.Fatalf("second job created %d page(s) on a warm store", warm.PagesCreated)
+	}
+	if acquires := cold.PagesCreated + cold.PagesRecycled; warm.PagesRecycled != acquires {
+		t.Fatalf("second job recycled %d page(s), want all %d acquires", warm.PagesRecycled, acquires)
+	}
+}
