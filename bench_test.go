@@ -527,34 +527,6 @@ func stdlibFreeParse(src string) (*lang.Hierarchy, error) {
 	return lang.BuildHierarchy(f)
 }
 
-// BenchmarkAblationDevirt measures §3.6's static call resolution on the
-// GPS PageRank data path: resolve-per-call vs pool access by static type.
-func BenchmarkAblationDevirt(b *testing.B) {
-	p, err := facade.Compile(map[string]string{"gps.fj": gps.Source})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := datagen.PowerLawGraph(4000, 60000, 100)
-	for _, mode := range []struct {
-		name   string
-		devirt bool
-	}{{"resolve", false}, {"devirt", true}} {
-		p2, err := core.Transform(p, core.Options{DataClasses: gps.DataClasses, Devirtualize: mode.devirt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := gps.Run(p2, g, gps.Config{
-					App: gps.PageRank, Nodes: 2, HeapPerNode: 16 << 20, Supersteps: 4, Seed: 7,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDCE measures liveness-driven dead-code elimination on
 // the GraphChi PageRank data path (Table 2's workload): interpreted
 // instruction count with and without DCE, same output either way.

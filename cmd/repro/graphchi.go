@@ -39,13 +39,7 @@ func table2Cmd(args []string) error {
 	}
 	var tiering *offheap.TierConfig
 	if *tierHigh > 0 {
-		low := *tierLow
-		if low <= 0 || low > *tierHigh {
-			if low = *tierHigh / 2; low < 1 {
-				low = 1
-			}
-		}
-		tiering = &offheap.TierConfig{Dir: *tierDir, HighWater: *tierHigh, LowWater: low}
+		tiering = &offheap.TierConfig{Dir: *tierDir, HighWater: *tierHigh, LowWater: *tierLow}
 	}
 	heaps := []int64{*baseHeap, *baseHeap * 6 / 8, *baseHeap * 4 / 8}
 	labels := []string{"8g", "6g", "4g"} // paper-relative labels
@@ -92,8 +86,8 @@ func table2Cmd(args []string) error {
 			rec.IntervalRetries, rec.WorkerCrashes, rec.WorkerRestarts, rec.OOMRecoveries, rec.BudgetHalvings)
 	}
 	if tiering != nil {
-		fmt.Printf("disk tier (watermark %d/%d pages): %d pages spilled, %d promoted across P' runs\n",
-			tiering.HighWater, tiering.LowWater, tierSpilled, tierPromoted)
+		fmt.Printf("disk tier (high watermark %d pages): %d pages spilled, %d promoted across P' runs\n",
+			tiering.HighWater, tierSpilled, tierPromoted)
 	}
 	return rpt.flush()
 }

@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/gps"
 	"repro/internal/graphchi"
+	"repro/internal/hyracks"
 	"repro/internal/metrics"
 
 	"repro/facade"
@@ -70,8 +72,9 @@ func speedCmd(args []string) error {
 
 	targets := []speedTarget{
 		{"GraphChi", map[string]string{"graphchi.fj": graphchi.Source}, graphchi.DataClasses},
+		{"Hyracks", map[string]string{"hyracks.fj": hyracks.Source}, hyracks.DataClasses},
+		{"GPS", map[string]string{"gps.fj": gps.Source}, gps.DataClasses},
 	}
-	targets = append(targets, extraSpeedTargets()...)
 
 	tbl := metrics.NewTable("Transform compilation speed (paper: 753-1102 instr/s on Soot)",
 		"framework", "instructions", "time(ms)", "instr/sec")

@@ -1,6 +1,7 @@
 package facade
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -181,6 +182,21 @@ func TestRunTransformedStats(t *testing.T) {
 	}
 	if st.VM.FacadePoolHits == 0 {
 		t.Fatal("facade pool hits not counted on transformed run")
+	}
+}
+
+// TestAliasedStatsFieldsCarryJSONTags: HeapStats and OffheapStats are the
+// internal snapshot types, so a field added there lands in facade.run/v1
+// and facade.job/v1 — it must at least choose its key, not default to the
+// Go field name.
+func TestAliasedStatsFieldsCarryJSONTags(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(HeapStats{}), reflect.TypeOf(OffheapStats{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" {
+				t.Errorf("%s.%s has no json key", typ, f.Name)
+			}
+		}
 	}
 }
 

@@ -477,48 +477,3 @@ class Main {
 		t.Fatalf("bytes in use %d suggests superseded arrays were not released", st.BytesInUse)
 	}
 }
-
-func TestDevirtualizedRunEquivalence(t *testing.T) {
-	src := `
-class P2 {
-    double x;
-    double y;
-    P2(double x, double y) { this.x = x; this.y = y; }
-    double dot(P2 o) { return this.x * o.x + this.y * o.y; }
-}
-class Main {
-    static void main() {
-        double acc = 0.0;
-        for (int i = 0; i < 2000; i = i + 1) {
-            P2 a = new P2(i, i + 1);
-            P2 b = new P2(i + 2, i + 3);
-            acc = acc + a.dot(b);
-        }
-        Sys.println(acc);
-    }
-}
-`
-	prog, err := Compile(map[string]string{"t.fj": src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := Run(prog, WithHeapSize(16<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outP := r1.Output()
-	r1.Close()
-	p3, err := Transform(prog, TransformOptions{DataClasses: []string{"P2", "Main"}, Devirtualize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := Run(p3, WithHeapSize(16<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outP3 := r3.Output()
-	r3.Close()
-	if outP != outP3 {
-		t.Fatalf("devirtualized run diverges: %q vs %q", outP, outP3)
-	}
-}

@@ -34,6 +34,7 @@ type diffProgram struct {
 	src         string
 	dataClasses []string
 	trap        string // non-empty: both P and P' must fail, message containing this
+	trapP2      string // non-empty: P' must fail with this text instead of trap
 	want        string // non-empty: the exact output every cell must print
 	pretenures  bool   // P must pretenure at least one object in every placed cell
 }
@@ -209,6 +210,33 @@ class Main {
 		trap:        "NullPointerException",
 	},
 	{
+		name: "trap-npe-devirtualized-receiver",
+		// The null receiver of a monomorphic call that stays a call (depth
+		// is recursive, so the inliner leaves it): P traps in the virtual
+		// call, P' drawing the receiver facade by static type (§3.6).
+		src: `
+class Cell {
+    Cell next;
+    int depth() {
+        if (this.next == null) { return 1; }
+        return 1 + this.next.depth();
+    }
+}
+class Main {
+    static void main() {
+        Cell c = new Cell();
+        c.next = new Cell();
+        Sys.println(c.depth());
+        Cell gone = c.next.next;
+        Sys.println(gone.depth());
+    }
+}
+`,
+		dataClasses: []string{"Cell", "Main"},
+		trap:        "NullPointerException: virtual call depth",
+		trapP2:      "NullPointerException: devirtualized call on null record",
+	},
+	{
 		name: "trap-bounds",
 		src: `
 class Main {
@@ -343,8 +371,12 @@ func TestDifferentialBattery(t *testing.T) {
 								if errP == nil || !strings.Contains(errP.Error(), dp.trap) {
 									t.Fatalf("[%s] P trap = %v, want %q", cell, errP, dp.trap)
 								}
-								if errP2 == nil || !strings.Contains(errP2.Error(), dp.trap) {
-									t.Fatalf("[%s] P' trap = %v, want %q", cell, errP2, dp.trap)
+								trapP2 := dp.trapP2
+								if trapP2 == "" {
+									trapP2 = dp.trap
+								}
+								if errP2 == nil || !strings.Contains(errP2.Error(), trapP2) {
+									t.Fatalf("[%s] P' trap = %v, want %q", cell, errP2, trapP2)
 								}
 								// Same trap class is required; the message detail may
 								// differ (P' names facade twins and page records).

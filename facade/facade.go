@@ -162,10 +162,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		return nil, o.faultsErr
 	}
 	reg := obs.NewRegistry()
-	if o.observer != nil {
-		fn := o.observer
-		reg.SetEventSink(func(e obs.Event) { fn(publicEvent(e)) })
-	}
+	reg.SetEventSink(o.observer) // nil: no sink
 	if o.verify {
 		if err := analysis.VerifyProgram(p); err != nil {
 			return nil, fmt.Errorf("facade verify: %w", err)
@@ -193,15 +190,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 	}
 	var tiering *offheap.TierConfig
 	if o.tierHigh > 0 && p.Transformed {
-		low := o.tierLow
-		if low <= 0 || low > o.tierHigh {
-			// Default hysteresis: evict down to half the high watermark so
-			// one crossing doesn't immediately re-trigger the evictor.
-			if low = o.tierHigh / 2; low < 1 {
-				low = 1
-			}
-		}
-		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh, LowWater: low}
+		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh, LowWater: o.tierLow}
 	}
 	var m *vm.VM
 	if o.reuseVM != nil {

@@ -238,13 +238,10 @@ func TestRandomProgramEquivalence(t *testing.T) {
 				t.Fatalf("divergence (seed %d):\nP:  %q\nP': %q\nprogram:\n%s", seed, outP, outP2, src)
 			}
 			// Inliner oracle: the same source through Build (inline, then
-			// transform, here with devirtualization so the null-check text
-			// path is covered too) must verify, lint clean and behave
-			// exactly like the un-inlined pair — same output, and for P'
-			// the same records in the same native footprint.
-			ip, ip2, err := BuildWith(map[string]string{"fuzz.fj": src}, TransformOptions{
-				DataClasses: []string{"Node", "Leaf", "Main"}, Devirtualize: seed%2 == 1,
-			})
+			// transform) must verify, lint clean and behave exactly like
+			// the un-inlined pair — same output, and for P' the same
+			// records in the same native footprint.
+			ip, ip2, err := Build(map[string]string{"fuzz.fj": src}, []string{"Node", "Leaf", "Main"})
 			if err != nil {
 				t.Fatalf("build: %v\n%s", err, src)
 			}
@@ -286,26 +283,6 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			if outP != outPT {
 				t.Fatalf("tiering divergence (seed %d):\nP:        %q\nP' tiered: %q\nprogram:\n%s",
 					seed, outP, outPT, src)
-			}
-			// Third variant: the devirtualizing transform (§3.6) must also
-			// preserve semantics.
-			p3, err := Transform(prog, TransformOptions{
-				DataClasses: []string{"Node", "Leaf", "Main"}, Devirtualize: true,
-			})
-			if err != nil {
-				t.Fatalf("devirt transform: %v\n%s", err, src)
-			}
-			if err := analysis.VerifyProgram(p3); err != nil {
-				t.Fatalf("P'' fails IR verification (devirt bug): %v\n%s", err, src)
-			}
-			resP3, err := Run(p3, WithHeapSize(16<<20))
-			if err != nil {
-				t.Fatalf("P'' (devirt): %v\n%s", err, src)
-			}
-			outP3 := resP3.Output()
-			resP3.Close()
-			if outP != outP3 {
-				t.Fatalf("devirt divergence (seed %d):\nP:   %q\nP'': %q\nprogram:\n%s", seed, outP, outP3, src)
 			}
 		})
 	}

@@ -129,7 +129,8 @@ func WithPageQuota(pages int64) Option {
 
 // WithTiering spills cold off-heap pages to a spill file under dir once
 // more than highPages pages are resident in DRAM, evicting down to
-// lowPages. The file is read and written with plain pread/pwrite on every
+// lowPages (half of highPages when lowPages is outside 1..highPages). The
+// file is read and written with plain pread/pwrite on every
 // platform: page bodies are copied under the tier lock either way, so a
 // mapping measured no faster (docs/OFFHEAP.md). Spilled pages promote
 // back transparently on access, and iteration-end bulk release drops them

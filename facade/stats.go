@@ -1,17 +1,17 @@
 package facade
 
 import (
-	"time"
-
+	"repro/internal/heap"
 	"repro/internal/obs"
+	"repro/internal/offheap"
 )
 
-// RunStats is the public, JSON-marshalable mirror of everything a run
+// RunStats is the public, JSON-marshalable view of everything a run
 // measured: heap and collector counters, off-heap page-store counters,
 // interpreter counters, per-class allocation counts, and the full
 // observability snapshot (named counters, gauges, histograms, events).
-// It contains no internal types, so callers can report on a run without
-// importing internal/vm or internal/heap.
+// Every type is reachable under a facade name, so callers can report on a
+// run without importing internal/vm or internal/heap.
 type RunStats struct {
 	Heap     HeapStats     `json:"heap"`
 	Offheap  OffheapStats  `json:"offheap"`
@@ -30,42 +30,13 @@ type RunStats struct {
 	Events     []Event              `json:"events,omitempty"`
 }
 
-// HeapStats mirrors the managed heap's counters.
-type HeapStats struct {
-	AllocBytes   int64         `json:"alloc_bytes"`
-	AllocObjects int64         `json:"alloc_objects"`
-	MinorGCs     int64         `json:"minor_gcs"`
-	FullGCs      int64         `json:"full_gcs"`
-	GCTime       time.Duration `json:"gc_time_ns"`
-	Promoted     int64         `json:"promoted"`
-	MarkedNodes  int64         `json:"marked_nodes"`
-	PeakUsed     int64         `json:"peak_used"`
-	LiveAfterGC  int64         `json:"live_after_gc"`
-	HeapSize     int64         `json:"heap_size"`
-}
+// HeapStats is the managed heap's counter snapshot.
+type HeapStats = heap.Stats
 
-// OffheapStats mirrors the native page store's counters; zero for
-// untransformed programs.
-type OffheapStats struct {
-	PagesCreated  int64 `json:"pages_created"`
-	PagesLive     int64 `json:"pages_live"`
-	PagesLiveHW   int64 `json:"pages_live_hw"`
-	PagesRecycled int64 `json:"pages_recycled"`
-	Oversize      int64 `json:"oversize"`
-	Records       int64 `json:"records"`
-	BytesInUse    int64 `json:"bytes_in_use"`
-	PeakBytes     int64 `json:"peak_bytes"`
-	Managers      int64 `json:"managers"`
-
-	// Tiering counters (WithTiering); all zero — and omitted from the
-	// JSON encoding — when the run had no disk tier.
-	PagesSpilled  int64 `json:"pages_spilled,omitempty"`
-	PagesPromoted int64 `json:"pages_promoted,omitempty"`
-	PagesResident int64 `json:"pages_resident,omitempty"`
-	PagesDisk     int64 `json:"pages_disk,omitempty"`
-	SpillBytes    int64 `json:"spill_bytes,omitempty"`
-	PromoteBytes  int64 `json:"promote_bytes,omitempty"`
-}
+// OffheapStats is the native page store's counter snapshot; zero for
+// untransformed programs. The tiering counters are all zero — and omitted
+// from the JSON encoding — when the run had no disk tier (WithTiering).
+type OffheapStats = offheap.Stats
 
 // FaultStats counts the injected faults a run absorbed (all zero unless
 // the run was configured with WithFaults).
@@ -141,21 +112,12 @@ func (h Histogram) snap() obs.HistogramSnapshot {
 	}
 }
 
-// Event is one entry of the run's bounded event stream.
-type Event struct {
-	// Seq is a global sequence number (gaps mean the ring buffer
-	// overwrote older events).
-	Seq uint64 `json:"seq"`
-	// Nanos is the emission time relative to the start of the run.
-	Nanos int64 `json:"t_ns"`
-	// Kind is the event kind: "gc", "iteration", "phase", "pm_release".
-	Kind  string `json:"kind"`
-	Label string `json:"label,omitempty"`
-	// A, B, C are kind-specific payloads (for "gc": pause ns and bytes).
-	A int64 `json:"a,omitempty"`
-	B int64 `json:"b,omitempty"`
-	C int64 `json:"c,omitempty"`
-}
+// Event is one entry of the run's bounded event stream. Seq is a global
+// sequence number (gaps mean the ring buffer overwrote older events), Nanos
+// the emission time relative to the start of the run, Kind one of "gc",
+// "iteration", "phase", "pm_release"; A, B, C are kind-specific payloads
+// (for "gc": pause ns and bytes).
+type Event = obs.Event
 
 // GCPauses returns the overall GC pause histogram (nanoseconds), covering
 // minor and full collections. Quantile gives p50/p95/... pause times.
@@ -165,41 +127,12 @@ func (s RunStats) GCPauses() Histogram { return s.Histograms[obs.HistGCPause] }
 // internally consistent but the run should be complete (Call returned)
 // for totals to be final.
 func (r *Result) Stats() RunStats {
-	hs := r.VM.Heap.Stats()
 	st := RunStats{
-		Heap: HeapStats{
-			AllocBytes:   hs.AllocBytes,
-			AllocObjects: hs.AllocObjects,
-			MinorGCs:     hs.MinorGCs,
-			FullGCs:      hs.FullGCs,
-			GCTime:       hs.GCTime,
-			Promoted:     hs.Promoted,
-			MarkedNodes:  hs.MarkedNodes,
-			PeakUsed:     hs.PeakUsed,
-			LiveAfterGC:  hs.LiveAfterGC,
-			HeapSize:     hs.HeapSize,
-		},
+		Heap:        r.VM.Heap.Stats(),
 		ClassAllocs: r.VM.Heap.ClassAllocCounts(),
 	}
 	if r.VM.RT != nil {
-		ns := r.VM.RT.Stats()
-		st.Offheap = OffheapStats{
-			PagesCreated:  ns.PagesCreated,
-			PagesLive:     ns.PagesLive,
-			PagesLiveHW:   ns.PagesLiveHW,
-			PagesRecycled: ns.PagesRecycled,
-			Oversize:      ns.Oversize,
-			Records:       ns.Records,
-			BytesInUse:    ns.BytesInUse,
-			PeakBytes:     ns.PeakBytes,
-			Managers:      ns.Managers,
-			PagesSpilled:  ns.PagesSpilled,
-			PagesPromoted: ns.PagesPromoted,
-			PagesResident: ns.PagesResident,
-			PagesDisk:     ns.PagesDisk,
-			SpillBytes:    ns.SpillBytes,
-			PromoteBytes:  ns.PromoteBytes,
-		}
+		st.Offheap = r.VM.RT.Stats()
 	}
 	snap := r.VM.Obs().Snapshot()
 	st.VM = VMStats{
@@ -240,13 +173,6 @@ func (r *Result) Stats() RunStats {
 			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
 		}
 	}
-	st.Events = make([]Event, len(snap.Events))
-	for i, e := range snap.Events {
-		st.Events[i] = publicEvent(e)
-	}
+	st.Events = snap.Events
 	return st
-}
-
-func publicEvent(e obs.Event) Event {
-	return Event{Seq: e.Seq, Nanos: e.Nanos, Kind: e.Kind, Label: e.Label, A: e.A, B: e.B, C: e.C}
 }

@@ -1,5 +1,5 @@
 // Package analysis provides static analyses over the FACADE IR: CFG
-// utilities (predecessors/successors, reverse postorder, dominators), a
+// utilities (predecessors/successors, reverse postorder, witness paths), a
 // generic worklist dataflow solver with liveness / reaching-definitions /
 // must-defined instances, an IR verifier, a facade-safety linter, and a
 // liveness-driven dead-code eliminator.
@@ -92,71 +92,6 @@ func BuildCFG(f *ir.Func) *CFG {
 
 // Reachable reports whether block b is reachable from the entry block.
 func (c *CFG) Reachable(b int) bool { return c.rpoIndex[b] >= 0 }
-
-// Dominators computes the immediate-dominator array using the iterative
-// algorithm of Cooper, Harvey, and Kennedy over the reverse postorder.
-// idom[0] == 0; unreachable blocks get idom -1.
-func (c *CFG) Dominators() []int {
-	n := len(c.F.Blocks)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[0] = 0
-	intersect := func(a, b int) int {
-		for a != b {
-			for c.rpoIndex[a] > c.rpoIndex[b] {
-				a = idom[a]
-			}
-			for c.rpoIndex[b] > c.rpoIndex[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.RPO {
-			if b == 0 {
-				continue
-			}
-			newIdom := -1
-			for _, p := range c.Preds[b] {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != -1 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether block a dominates block b given an idom array
-// from Dominators.
-func Dominates(idom []int, a, b int) bool {
-	if a == 0 {
-		return idom[b] != -1 || b == 0
-	}
-	for b != 0 && idom[b] != -1 {
-		if b == a {
-			return true
-		}
-		if b == idom[b] {
-			break
-		}
-		b = idom[b]
-	}
-	return b == a
-}
 
 // WitnessPath returns a shortest path of block IDs from block `from` to
 // block `to` following CFG edges, or nil if `to` is unreachable from

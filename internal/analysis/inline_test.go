@@ -142,7 +142,7 @@ class Main {
 		want           string
 	}{
 		{"P", plain, inl, "NullPointerException: virtual call get"},
-		{"P'", plain2, inl2, "NullPointerException: resolve on null record"},
+		{"P'", plain2, inl2, "NullPointerException: devirtualized call on null record"},
 	} {
 		_, errPlain := facade.Run(c.plain)
 		_, errInl := facade.Run(c.inlined)

@@ -411,7 +411,7 @@ func (c *Cluster) Injector() *faults.Injector { return c.inj }
 
 // CrashPlan returns the planned node crashes for an engine with the given
 // number of recovery occasions (GPS supersteps, Hyracks phases).
-func (c *Cluster) CrashPlan(occasions int) []faults.Crash {
+func (c *Cluster) CrashPlan(occasions int) faults.Plan {
 	return c.inj.CrashPlan(occasions, len(c.Nodes))
 }
 

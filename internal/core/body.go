@@ -239,11 +239,9 @@ func (c *bodyCtx) instr(in *ir.Instr) error {
 	case ir.OpNullCheck:
 		if c.d(in.A) {
 			// The inlined call's receiver is a record: P' would have
-			// trapped in the resolve the inliner removed, so keep its text.
-			cp.Sym = "resolve on null record"
-			if tr.opts.Devirtualize {
-				cp.Sym = "devirtualized call on null record"
-			}
+			// trapped drawing the facade for the monomorphic call the
+			// inliner removed, so keep that text.
+			cp.Sym = "devirtualized call on null record"
 		}
 		c.emit(cp)
 		return nil
@@ -416,7 +414,9 @@ func (c *bodyCtx) call(in *ir.Instr) error {
 		afType = tr.mapType(recvT)
 	}
 	af := c.newReg(afType)
-	if tr.opts.Devirtualize && tr.monomorphic(recvT, in.M.Name) {
+	// §3.6 static resolution of virtual calls: a monomorphic site draws its
+	// facade by static type, every other site consults the record's type tag.
+	if tr.monomorphic(recvT, in.M.Name) {
 		c.emit(ir.Instr{Op: ir.OpRecvPool, Dst: af, A: in.A, B: ir.NoReg, C: ir.NoReg,
 			Cls: tr.facades[recvT.Name]})
 	} else {

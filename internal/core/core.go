@@ -38,11 +38,6 @@ type Options struct {
 	// NoAutoClose disables closure expansion: assumption violations then
 	// surface as compilation errors, as the paper specifies.
 	NoAutoClose bool
-	// Devirtualize enables §3.6's "static resolution of virtual calls":
-	// when class-hierarchy analysis proves a data-receiver call site
-	// monomorphic, the receiver facade is drawn from the static type's
-	// receiver pool without consulting the record's type tag.
-	Devirtualize bool
 	// DisableDCE skips the liveness-driven dead-code elimination pass that
 	// otherwise prunes unreferenced instructions from the transformed
 	// program (internal/analysis). Nothing in production sets it: the

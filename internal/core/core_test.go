@@ -254,13 +254,13 @@ class Main { static void main() { } }
 	p := compile(t, src)
 	p2 := mustTransform(t, p, Options{DataClasses: []string{"T"}})
 	f := p2.Funcs[ir.FuncKey("TFacade", "chain")]
-	var resolves, poolGets, unwraps int
+	var recvPools, poolGets, unwraps int
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			switch in.Op {
-			case ir.OpResolve:
-				resolves++
+			case ir.OpRecvPool:
+				recvPools++
 			case ir.OpPoolGet:
 				poolGets++
 			case ir.OpLoad:
@@ -270,10 +270,11 @@ class Main { static void main() { } }
 			}
 		}
 	}
-	// Two virtual calls => two resolves; one data arg => >=1 pool get;
-	// one data return => >=1 unwrap (plus the receiver prologue load).
-	if resolves != 2 {
-		t.Fatalf("resolves = %d want 2", resolves)
+	// Two virtual calls, neither overridden => two receiver facades drawn
+	// by static type; one data arg => >=1 pool get; one data return => >=1
+	// unwrap (plus the receiver prologue load).
+	if recvPools != 2 {
+		t.Fatalf("recvPools = %d want 2", recvPools)
 	}
 	if poolGets < 1 {
 		t.Fatal("no parameter pool access emitted")

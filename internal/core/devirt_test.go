@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ir"
@@ -16,46 +17,53 @@ class Base {
 class Sub extends Base {
     int poly() { return 2; }
 }
+class Item {
+    int w;
+    int weight() { return this.w; }
+}
+class BigItem extends Item {
+    int weight() { return this.w * 2; }
+}
 class Driver {
+    Item it;
     int drive(Base b) {
-        return b.poly() + b.mono();
+        return b.poly() + b.mono() + this.it.weight();
     }
 }
 class Main { static void main() { } }
 `
 
+// TestDevirtualization pins the per-site static decision of §3.6 in one
+// transformed program: a monomorphic data-receiver call draws its facade
+// from the static type's receiver pool, an overridden one keeps the dynamic
+// resolve — also when the receiver class (Item) and its overriding subclass
+// are data only because §3.1 closure expansion pulled them in.
 func TestDevirtualization(t *testing.T) {
 	p := compile(t, devirtSrc)
-	p2 := mustTransform(t, p, Options{DataClasses: []string{"Base", "Driver"}, Devirtualize: true})
+	p2 := mustTransform(t, p, Options{DataClasses: []string{"Base", "Driver"}})
 	f := p2.Funcs[ir.FuncKey("DriverFacade", "drive")]
-	var resolves, recvPools int
+	draw := map[string]string{} // called method -> how its receiver facade was drawn
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			switch b.Instrs[i].Op {
-			case ir.OpResolve:
-				resolves++
-			case ir.OpRecvPool:
-				recvPools++
-				if b.Instrs[i].Cls.Name != "BaseFacade" {
-					t.Fatalf("devirt pool class %s", b.Instrs[i].Cls.Name)
+			in := &b.Instrs[i]
+			if in.Op != ir.OpResolve && in.Op != ir.OpRecvPool {
+				continue
+			}
+			how := "resolve"
+			if in.Op == ir.OpRecvPool {
+				how = "recvpool " + in.Cls.Name
+			}
+			for _, call := range b.Instrs[i+1:] {
+				if call.Op == ir.OpCall && call.A == in.Dst {
+					draw[call.M.Name] = how
+					break
 				}
 			}
 		}
 	}
-	// poly is overridden by Sub -> must keep the dynamic resolve; mono is
-	// monomorphic -> devirtualized.
-	if resolves != 1 || recvPools != 1 {
-		t.Fatalf("resolves=%d recvPools=%d (want 1/1)", resolves, recvPools)
-	}
-	// Without the option nothing is devirtualized.
-	p2off := mustTransform(t, compile(t, devirtSrc), Options{DataClasses: []string{"Base", "Driver"}})
-	foff := p2off.Funcs[ir.FuncKey("DriverFacade", "drive")]
-	for _, b := range foff.Blocks {
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpRecvPool {
-				t.Fatal("devirtualization ran without being enabled")
-			}
-		}
+	want := map[string]string{"mono": "recvpool BaseFacade", "poly": "resolve", "weight": "resolve"}
+	if !reflect.DeepEqual(draw, want) {
+		t.Fatalf("receiver draws %v, want %v", draw, want)
 	}
 }
 

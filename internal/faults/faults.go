@@ -251,6 +251,23 @@ func Parse(spec string) (Config, error) {
 type Crash struct {
 	Occasion int
 	Node     int
+	taken    bool // handed out by Plan.Take
+}
+
+// Plan is the crash schedule CrashPlan returns, sorted by occasion.
+type Plan []Crash
+
+// Take hands out the node planned to crash at occasion, once: an engine
+// that replays an occasion (an interval retry, a multi-step rewind) asks
+// again and must not re-fire the crash.
+func (p Plan) Take(occasion int) (node int, ok bool) {
+	for i := range p {
+		if c := &p[i]; c.Occasion == occasion && !c.taken {
+			c.taken = true
+			return c.Node, true
+		}
+	}
+	return 0, false
 }
 
 // Injector evaluates fault points against a Config. All methods are safe
@@ -396,13 +413,13 @@ func (i *Injector) DelayKeyed(key uint64) time.Duration {
 // pre-crash state to checkpoint — and distinct while free occasions
 // remain; nodes are chosen uniformly. The plan is a pure function of the
 // seed, sorted by occasion.
-func (i *Injector) CrashPlan(occasions, nodes int) []Crash {
+func (i *Injector) CrashPlan(occasions, nodes int) Plan {
 	if i == nil || i.cfg.Crashes <= 0 || occasions < 2 || nodes < 1 {
 		return nil
 	}
 	rng := uint64(i.cfg.Seed) ^ hashString("node.crash")
 	used := make(map[int]bool)
-	var plan []Crash
+	var plan Plan
 	for j := 0; j < i.cfg.Crashes; j++ {
 		rng += 0x9E3779B97F4A7C15
 		occ := 1 + int(Mix64(rng)%uint64(occasions-1))

@@ -147,6 +147,32 @@ func TestCrashPlanMidRunAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlanTakeConsumesOnce: an engine that replays an occasion asks the
+// plan again and must get nothing — the crash fired the first time.
+func TestPlanTakeConsumesOnce(t *testing.T) {
+	plan := New(&Config{Seed: 11, Crashes: 2}).CrashPlan(8, 4)
+	want := append(Plan(nil), plan...)
+	for occ := 0; occ < 8; occ++ {
+		node, ok := plan.Take(occ)
+		planned := len(want) > 0 && want[0].Occasion == occ
+		if ok != planned || planned && node != want[0].Node {
+			t.Fatalf("occasion %d: Take = (%d, %v), plan %+v", occ, node, ok, want)
+		}
+		if planned {
+			want = want[1:]
+		}
+		if _, again := plan.Take(occ); again {
+			t.Fatalf("occasion %d re-fired on replay", occ)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("crashes never handed out: %+v", want)
+	}
+	if _, ok := Plan(nil).Take(1); ok {
+		t.Fatal("empty plan handed out a crash")
+	}
+}
+
 func TestForNodeDistinctStreams(t *testing.T) {
 	base := Config{Seed: 5, AllocProb: 0.5}
 	a := New(&Config{Seed: base.ForNode(0).Seed, AllocProb: 0.5})

@@ -189,8 +189,7 @@ type engine struct {
 	parts    []*partition
 	states   []*nodeState
 	vertices int // graph vertex count (walker seeding)
-	plan     []faults.Crash
-	planned  []bool // plan entries already fired (a crash fires once)
+	plan     faults.Plan
 	ckpt     *checkpoint
 	replays  map[int]int // recovery attempts per failing superstep
 	rec      Recovery
@@ -245,7 +244,6 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 		plan:     cl.CrashPlan(cfg.Supersteps),
 		replays:  make(map[int]int),
 	}
-	e.planned = make([]bool, len(e.plan))
 	start := time.Now()
 
 	// Build partitions inside the VMs (before any iteration: vertex
@@ -297,19 +295,6 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 // tolerant reports whether the run checkpoints and recovers (any fault
 // injection enabled). A fault-free run pays nothing for the machinery.
 func (e *engine) tolerant() bool { return e.cl.Injector() != nil }
-
-// takeCrash returns the planned crash for this superstep, if any,
-// consuming the plan entry: a replay of the same superstep after a
-// multi-step rewind must not re-fire it.
-func (e *engine) takeCrash(step int) *faults.Crash {
-	for i := range e.plan {
-		if e.plan[i].Occasion == step && !e.planned[i] {
-			e.planned[i] = true
-			return &e.plan[i]
-		}
-	}
-	return nil
-}
 
 // seedWalkers plants cfg.Walkers walkers round-robin across vertices by
 // calling GPSDriver.seedWalkers on each owning node. Seeded walkers live
@@ -434,16 +419,18 @@ func (e *engine) runSuperstep(step int) (int, error) {
 		}
 		e.retain(c)
 	}
-	if crash := e.takeCrash(step); crash != nil {
+	// Taking the planned crash consumes it: a replay of this superstep
+	// after a multi-step rewind must not re-fire it.
+	if node, ok := e.plan.Take(step); ok {
 		// The node dies mid-superstep: it computes nothing and its
 		// mailbox black-holes, while the surviving nodes finish their
 		// compute and send into the void.
 		e.rec.Crashes++
-		e.cl.Net.Crash(crash.Node)
-		if err := e.compute(step, crash.Node); err != nil {
+		e.cl.Net.Crash(node)
+		if err := e.compute(step, node); err != nil {
 			return 0, err
 		}
-		return e.recoverAndRewind(step, crash.Node, "crash")
+		return e.recoverAndRewind(step, node, "crash")
 	}
 	err := e.compute(step, -1)
 	if err == nil {

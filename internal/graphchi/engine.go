@@ -136,9 +136,8 @@ type engine struct {
 	cfg     Config
 
 	inj     *faults.Injector
-	plan    []faults.Crash // planned worker crashes, by sub-iteration ordinal
-	planned []bool         // plan entries already fired
-	subIter int            // global sub-iteration ordinal (crash occasions)
+	plan    faults.Plan // planned worker crashes, by sub-iteration ordinal
+	subIter int         // global sub-iteration ordinal (crash occasions)
 
 	rec Recovery
 }
@@ -192,7 +191,6 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 
 	intervals := sg.Intervals(cfg.MemoryBudget / cfg.BytesPerEdge)
 	e.plan = e.inj.CrashPlan(cfg.Iterations*len(intervals), cfg.Workers)
-	e.planned = make([]bool, len(e.plan))
 	met := &Metrics{Edges: int64(sg.NumEdges()) * int64(cfg.Iterations)}
 	start := time.Now()
 
@@ -268,18 +266,6 @@ func countDataObjects(machine *vm.VM) int64 {
 	return n
 }
 
-// takeCrash returns the planned worker crash for this sub-iteration, if
-// any, consuming the plan entry so a replay does not re-fire it.
-func (e *engine) takeCrash() *faults.Crash {
-	for i := range e.plan {
-		if e.plan[i].Occasion == e.subIter && !e.planned[i] {
-			e.planned[i] = true
-			return &e.plan[i]
-		}
-	}
-	return nil
-}
-
 // runInterval executes one sub-iteration with recovery: the ShardedGraph
 // plus values[a:b] at entry are a complete checkpoint, so a failed attempt
 // is replayed from them — with fresh worker threads after a crash, and at
@@ -293,9 +279,11 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 		return nil
 	}
 	budget := e.cfg.MemoryBudget
+	// Taking the planned worker crash consumes it, so a replay of this
+	// sub-iteration does not re-fire it.
 	crashChunk := -1
-	if crash := e.takeCrash(); crash != nil {
-		crashChunk = crash.Node
+	if chunk, ok := e.plan.Take(e.subIter); ok {
+		crashChunk = chunk
 	}
 	reg := e.machine.Obs()
 	for attempt := 0; ; attempt++ {

@@ -393,20 +393,3 @@ func (hp *Heap) clearMarks(liveYoung []Addr) {
 func (hp *Heap) ForceGC(tc *ThreadCtx, full bool) error {
 	return hp.Collect(tc, full)
 }
-
-// LiveDataTypeObjects counts live objects whose class is in the given name
-// set by walking the old generation; nursery objects are not counted (call
-// after ForceGC for exact results). Used by the object-bound experiments.
-func (hp *Heap) LiveDataTypeObjects(classes map[string]bool) int64 {
-	hp.mu.Lock()
-	defer hp.mu.Unlock()
-	n := int64(0)
-	for a := hp.oldBase; a < hp.oldPos; {
-		size := Addr(hp.objSize(a))
-		if cls := hp.ClassOf(a); cls != nil && classes[cls.Name] {
-			n++
-		}
-		a += size
-	}
-	return n
-}

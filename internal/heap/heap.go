@@ -66,9 +66,6 @@ var ErrOutOfMemory = fmt.Errorf("OutOfMemoryError: managed heap exhausted")
 type Config struct {
 	// HeapSize is the maximum heap size in bytes (the -Xmx of the run).
 	HeapSize int
-	// YoungSize is the nursery size; defaults to HeapSize/4, clamped to
-	// [256 KiB, 64 MiB].
-	YoungSize int
 	// GCWorkers is the number of goroutines used by the full collector's
 	// mark phase (the paper's runs use HotSpot's parallel collector).
 	// Defaults to min(GOMAXPROCS, 4); 1 forces single-threaded marking.
@@ -87,18 +84,20 @@ type Config struct {
 	Lifetimes LifetimeConfig
 }
 
-// Stats is a snapshot of allocation and collection counters.
+// Stats is a snapshot of allocation and collection counters. It is
+// facade.HeapStats: the JSON tags are part of the facade.run/v1 and
+// facade.job/v1 schemas.
 type Stats struct {
-	AllocBytes   int64 // total bytes ever allocated
-	AllocObjects int64 // total objects ever allocated
-	MinorGCs     int64
-	FullGCs      int64
-	GCTime       time.Duration // total stop-the-world collection time
-	Promoted     int64         // objects promoted young -> old
-	MarkedNodes  int64         // objects traced across all collections
-	PeakUsed     int64         // high-water mark of live+garbage bytes present
-	LiveAfterGC  int64         // live bytes measured at the last full GC
-	HeapSize     int64
+	AllocBytes   int64         `json:"alloc_bytes"`   // total bytes ever allocated
+	AllocObjects int64         `json:"alloc_objects"` // total objects ever allocated
+	MinorGCs     int64         `json:"minor_gcs"`
+	FullGCs      int64         `json:"full_gcs"`
+	GCTime       time.Duration `json:"gc_time_ns"`    // total stop-the-world collection time
+	Promoted     int64         `json:"promoted"`      // objects promoted young -> old
+	MarkedNodes  int64         `json:"marked_nodes"`  // objects traced across all collections
+	PeakUsed     int64         `json:"peak_used"`     // high-water mark of live+garbage bytes present
+	LiveAfterGC  int64         `json:"live_after_gc"` // live bytes measured at the last full GC
+	HeapSize     int64         `json:"heap_size"`
 }
 
 // Heap is the managed heap. All exported methods are safe for use from
@@ -197,18 +196,11 @@ func New(cfg Config, h *lang.Hierarchy) *Heap {
 	if cfg.HeapSize < 1<<20 {
 		cfg.HeapSize = 1 << 20
 	}
-	young := cfg.YoungSize
-	if young == 0 {
-		young = cfg.HeapSize / 4
-		if young > 64<<20 {
-			young = 64 << 20
-		}
-	}
-	if young < 256<<10 {
-		young = 256 << 10
-	}
-	if young > cfg.HeapSize/2 {
-		young = cfg.HeapSize / 2
+	// The nursery is a quarter of the heap (so at least 256 KiB), at most
+	// 64 MiB.
+	young := cfg.HeapSize / 4
+	if young > 64<<20 {
+		young = 64 << 20
 	}
 	hp := &Heap{
 		arena:       make([]byte, cfg.HeapSize),
@@ -740,13 +732,6 @@ func (hp *Heap) Stats() Stats {
 // ClassAllocCount returns how many instances of cls were ever allocated.
 func (hp *Heap) ClassAllocCount(cls *lang.Class) int64 {
 	return atomic.LoadInt64(&hp.classCounts[cls.ID])
-}
-
-// ArrayAllocCount returns how many arrays with element type elem were ever
-// allocated.
-func (hp *Heap) ArrayAllocCount(elem *lang.Type) int64 {
-	idx := hp.ArrayTypeIndex(elem)
-	return atomic.LoadInt64(&hp.arrCounts[idx])
 }
 
 // ClassAllocCounts returns the allocation count per class name (plus

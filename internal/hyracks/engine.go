@@ -208,13 +208,7 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 	}
 
 	res.ET = time.Since(start)
-	st := cl.Stats()
-	res.GT = st.GCTime
-	res.HeapPeak = st.MaxHeapPeak
-	res.NativePeak = st.MaxNative
-	res.PM = st.MaxTotal
-	res.MinorGCs = st.MinorGCs
-	res.FullGCs = st.FullGCs
+	res.fill(cl, rec)
 	res.ShuffledMB = float64(cl.Net.BytesSent()) / (1 << 20)
 	for _, p := range fs.List(fmt.Sprintf("/out/%s/", job.Name())) {
 		res.OutputBytes += int64(fs.Size(p))
@@ -223,10 +217,23 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		res.OME = true
 		res.OMEAt = res.ET
 	}
+	return res, nil
+}
+
+// fill records what the cluster measured — memory and GC books, network
+// and recovery activity, per-node observability — on a finished or
+// OME-failed run alike.
+func (res *Result) fill(cl *cluster.Cluster, rec Recovery) {
+	st := cl.Stats()
+	res.GT = st.GCTime
+	res.HeapPeak = st.MaxHeapPeak
+	res.NativePeak = st.MaxNative
+	res.PM = st.MaxTotal
+	res.MinorGCs = st.MinorGCs
+	res.FullGCs = st.FullGCs
 	res.Recovery = rec
 	res.Net = cl.Net.Stats()
 	res.NodeObs = cl.ObsSnapshots()
-	return res, nil
 }
 
 // recoverTask runs the degradation ladder for a failed task: retry once on
@@ -283,16 +290,7 @@ func failOrErr(res *Result, rec *Recovery, err error, start time.Time, cl *clust
 		res.OME = true
 		res.OMEAt = time.Since(start)
 		res.ET = res.OMEAt
-		st := cl.Stats()
-		res.GT = st.GCTime
-		res.HeapPeak = st.MaxHeapPeak
-		res.NativePeak = st.MaxNative
-		res.PM = st.MaxTotal
-		res.MinorGCs = st.MinorGCs
-		res.FullGCs = st.FullGCs
-		res.Recovery = *rec
-		res.Net = cl.Net.Stats()
-		res.NodeObs = cl.ObsSnapshots()
+		res.fill(cl, *rec)
 		return res, nil
 	}
 	return nil, err

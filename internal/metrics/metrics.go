@@ -125,20 +125,3 @@ func MB(b int64) string {
 	}
 	return fmt.Sprintf("%.1f", float64(b)/(1<<20))
 }
-
-// Ratio formats a/b as "N.Nx". Degenerate inputs render as placeholders:
-// a negative duration on either side gives "-" (clocks went backwards or
-// the measurement is missing), 0/0 gives "-", and a positive a over a zero
-// b gives "inf".
-func Ratio(a, b time.Duration) string {
-	if a < 0 || b < 0 {
-		return "-"
-	}
-	if b == 0 {
-		if a == 0 {
-			return "-"
-		}
-		return "inf"
-	}
-	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
-}

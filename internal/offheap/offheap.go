@@ -155,25 +155,28 @@ type Runtime struct {
 	tier *tier
 }
 
-// Stats is a snapshot of the native store counters.
+// Stats is a snapshot of the native store counters. It is
+// facade.OffheapStats: the JSON tags are part of the facade.run/v1 and
+// facade.job/v1 schemas.
 type Stats struct {
-	PagesCreated  int64 // distinct page allocations from the OS (Go) side
-	PagesLive     int64 // pages currently owned by some manager
-	PagesLiveHW   int64 // high-water mark of simultaneously live pages
-	PagesRecycled int64 // page reuses through the free pool
-	Oversize      int64 // oversize allocations (> PageSize records)
-	Records       int64 // records ever allocated
-	BytesInUse    int64 // DRAM bytes held by live pages (spilled bodies excluded)
-	PeakBytes     int64
-	Managers      int64 // page managers ever created
+	PagesCreated  int64 `json:"pages_created"`  // distinct page allocations from the OS (Go) side
+	PagesLive     int64 `json:"pages_live"`     // pages currently owned by some manager
+	PagesLiveHW   int64 `json:"pages_live_hw"`  // high-water mark of simultaneously live pages
+	PagesRecycled int64 `json:"pages_recycled"` // page reuses through the free pool
+	Oversize      int64 `json:"oversize"`       // oversize allocations (> PageSize records)
+	Records       int64 `json:"records"`        // records ever allocated
+	BytesInUse    int64 `json:"bytes_in_use"`   // DRAM bytes held by live pages (spilled bodies excluded)
+	PeakBytes     int64 `json:"peak_bytes"`
+	Managers      int64 `json:"managers"` // page managers ever created
 
-	// Disk tier (all zero when no tier is attached).
-	PagesSpilled  int64 // evictions DRAM -> disk
-	PagesPromoted int64 // promotions disk -> DRAM
-	PagesResident int64 // live pages currently in DRAM
-	PagesDisk     int64 // live pages currently spilled
-	SpillBytes    int64
-	PromoteBytes  int64
+	// Disk tier (all zero, and omitted from the encoding, when no tier is
+	// attached).
+	PagesSpilled  int64 `json:"pages_spilled,omitempty"`  // evictions DRAM -> disk
+	PagesPromoted int64 `json:"pages_promoted,omitempty"` // promotions disk -> DRAM
+	PagesResident int64 `json:"pages_resident,omitempty"` // live pages currently in DRAM
+	PagesDisk     int64 `json:"pages_disk,omitempty"`     // live pages currently spilled
+	SpillBytes    int64 `json:"spill_bytes,omitempty"`
+	PromoteBytes  int64 `json:"promote_bytes,omitempty"`
 }
 
 // NewRuntime creates an empty native store with a private observability
@@ -183,22 +186,32 @@ func NewRuntime() *Runtime { return NewRuntimeWith(nil) }
 // NewRuntimeWith creates an empty native store publishing its instruments
 // to reg (a fresh private registry when nil).
 func NewRuntimeWith(reg *obs.Registry) *Runtime {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	rt := &Runtime{
-		live:          make(map[*PageManager]struct{}),
-		arrIndex:      make(map[string]int),
-		Locks:         NewLockPool(defaultLockPoolSize),
-		obs:           reg,
-		cPageAcquires: reg.Counter(obs.CtrPageAcquires),
-		cPageReleases: reg.Counter(obs.CtrPageReleases),
-		cPageRecycles: reg.Counter(obs.CtrPageRecycles),
-		gPagesLive:    reg.Gauge(obs.GaugePagesLive),
+		live:     make(map[*PageManager]struct{}),
+		arrIndex: make(map[string]int),
+		Locks:    NewLockPool(defaultLockPoolSize),
 	}
+	rt.bindInstruments(reg, nil)
 	empty := make([]*page, 0)
 	rt.table.Store(&empty)
 	return rt
+}
+
+// bindInstruments points the store's page instruments at reg (a fresh
+// private registry when nil) and installs the fault injector. Called at
+// construction and again by Reset so a reused store reports into the new
+// job's registry.
+func (rt *Runtime) bindInstruments(reg *obs.Registry, inj *faults.Injector) {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	rt.obs = reg
+	rt.cPageAcquires = reg.Counter(obs.CtrPageAcquires)
+	rt.cPageReleases = reg.Counter(obs.CtrPageReleases)
+	rt.cPageRecycles = reg.Counter(obs.CtrPageRecycles)
+	rt.gPagesLive = reg.Gauge(obs.GaugePagesLive)
+	rt.cFaultsInj = nil
+	rt.SetFaultInjector(inj)
 }
 
 // Obs returns the store's observability registry.
@@ -280,19 +293,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.stats.managers.Store(0)
 	rt.quota.Store(0) // a reused store must not inherit the previous job's cap
 	rt.Locks = NewLockPool(defaultLockPoolSize)
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	rt.obs = reg
-	rt.cPageAcquires = reg.Counter(obs.CtrPageAcquires)
-	rt.cPageReleases = reg.Counter(obs.CtrPageReleases)
-	rt.cPageRecycles = reg.Counter(obs.CtrPageRecycles)
-	rt.gPagesLive = reg.Gauge(obs.GaugePagesLive)
-	rt.inj = inj
-	rt.cFaultsInj = nil
-	if inj != nil {
-		rt.cFaultsInj = reg.Counter(obs.CtrFaultPageAcquire)
-	}
+	rt.bindInstruments(reg, inj)
 	// Tear down the disk tier: a pooled warm VM must not leak spill files
 	// (or tier counters) across tenant jobs.
 	if err := rt.closeTier(); err != nil {

@@ -37,8 +37,8 @@ type TierConfig struct {
 	// os.CreateTemp, removed at Reset/teardown). Empty means os.TempDir.
 	Dir string
 	// HighWater is the DRAM-resident page count that triggers eviction;
-	// LowWater is the count eviction drains down to. 0 < LowWater <=
-	// HighWater.
+	// LowWater is the count eviction drains down to. A LowWater outside
+	// 1..HighWater selects the default hysteresis, half of HighWater.
 	HighWater int
 	LowWater  int
 }
@@ -92,7 +92,9 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 		return errors.New("offheap: tiering needs a positive high watermark")
 	}
 	if cfg.LowWater <= 0 || cfg.LowWater > cfg.HighWater {
-		return fmt.Errorf("offheap: low watermark %d must be in 1..%d", cfg.LowWater, cfg.HighWater)
+		// Default hysteresis: evict down to half the high watermark so one
+		// crossing doesn't immediately re-trigger the evictor.
+		cfg.LowWater = max(cfg.HighWater/2, 1)
 	}
 	if rt.gPagesLive.Load() != 0 {
 		return errors.New("offheap: tiering must be enabled before pages are live")

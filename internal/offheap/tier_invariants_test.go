@@ -331,8 +331,18 @@ func TestEnableTieringValidation(t *testing.T) {
 	if err := rt.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: 0, LowWater: 0}); err == nil {
 		t.Fatal("zero high watermark accepted")
 	}
-	if err := rt.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: 2, LowWater: 5}); err == nil {
-		t.Fatal("low watermark above high accepted")
+	// A low watermark outside 1..high selects the default, half of high.
+	for _, c := range []struct{ high, low, want int }{{2, 5, 1}, {64, 0, 32}, {1, 0, 1}, {8, 8, 8}} {
+		d := NewRuntime()
+		if err := d.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: c.high, LowWater: c.low}); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.tier.cfg.LowWater; got != c.want {
+			t.Fatalf("watermark %d/%d: evicts down to %d, want %d", c.high, c.low, got, c.want)
+		}
+		if err := d.Reset(nil, nil); err != nil { // removes the spill file
+			t.Fatal(err)
+		}
 	}
 	dir := t.TempDir()
 	if err := rt.EnableTiering(TierConfig{Dir: dir, HighWater: 4, LowWater: 2}); err != nil {

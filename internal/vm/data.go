@@ -226,22 +226,23 @@ func (t *Thread) newValue(class string, args []Arg) (Value, error) {
 	return t.vm.Get(hh), nil
 }
 
-// facadeCall invokes a facade-class function with the receiver bound to a
-// page record, mirroring the generated call protocol (resolve + pool
-// binding).
+// facadeCall invokes a facade-class function, mirroring the generated call
+// protocol (resolve + pool binding): an instance method gets its receiver
+// facade bound to the page record recv; a static method ignores recv.
 func (t *Thread) facadeCall(fn *ir.Func, recv offheap.PageRef, args []Arg) (Value, error) {
-	vals := make([]Value, 0, len(args)+1)
-	// Bind the receiver facade from the receiver pool of the record's
-	// runtime type.
-	tw := t.vm.RT.TypeID(recv)
-	pe := t.pools[int(tw)]
-	if pe == nil {
-		return 0, fmt.Errorf("vm: no receiver pool for record type %d", tw)
-	}
-	t.vm.Heap.SetLong(heap.Addr(pe.recv), t.vm.pageRefField.Offset, int64(recv))
-	vals = append(vals, pe.recv)
-
 	m := fn.Method
+	vals := make([]Value, 0, len(args)+1)
+	if !m.Static {
+		// Bind the receiver facade from the receiver pool of the record's
+		// runtime type.
+		tw := t.vm.RT.TypeID(recv)
+		pe := t.pools[int(tw)]
+		if pe == nil {
+			return 0, fmt.Errorf("vm: no receiver pool for record type %d", tw)
+		}
+		t.vm.Heap.SetLong(heap.Addr(pe.recv), t.vm.pageRefField.Offset, int64(recv))
+		vals = append(vals, pe.recv)
+	}
 	perClass := make(map[int]int)
 	for i, ag := range args {
 		v, err := t.argValue(ag)
@@ -466,7 +467,7 @@ func (t *Thread) invokeStatic(class, method string, args []Arg, retObj bool) (v0
 	var vals []Value
 	var v Value
 	if t.vm.Prog.Transformed {
-		v, err = t.staticFacadeCall(fn, args)
+		v, err = t.facadeCall(fn, 0, args)
 	} else {
 		var cleanup func()
 		vals, cleanup, err = t.resolveArgs(args)
@@ -483,36 +484,6 @@ func (t *Thread) invokeStatic(class, method string, args []Arg, retObj bool) (v0
 		return 0, t.wrapObj(v), nil
 	}
 	return v, NilObj, nil
-}
-
-// staticFacadeCall is facadeCall without a receiver.
-func (t *Thread) staticFacadeCall(fn *ir.Func, args []Arg) (Value, error) {
-	m := fn.Method
-	vals := make([]Value, 0, len(args))
-	perClass := make(map[int]int)
-	for i, ag := range args {
-		v, err := t.argValue(ag)
-		if err != nil {
-			return 0, err
-		}
-		if i < len(m.Params) && t.isFacadeType(m.Params[i]) {
-			fa, err := t.bindParamFacade(m.Params[i], offheap.PageRef(v), perClass)
-			if err != nil {
-				return 0, err
-			}
-			vals = append(vals, fa)
-			continue
-		}
-		vals = append(vals, v)
-	}
-	ret, err := t.exec(fn, vals)
-	if err != nil {
-		return 0, err
-	}
-	if t.isFacadeType(m.Ret) && ret != 0 {
-		ret = Value(t.vm.Heap.GetLong(heap.Addr(ret), t.vm.pageRefField.Offset))
-	}
-	return ret, nil
 }
 
 // ---------------------------------------------------------------------------

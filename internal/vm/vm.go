@@ -46,9 +46,6 @@ type Config struct {
 	// GCWorkers is the heap full-collection mark parallelism
 	// (heap.Config.GCWorkers); 0 picks the heap's default.
 	GCWorkers int
-	// NativeRT supplies the page store for transformed programs; a fresh
-	// one is created when nil and the program is transformed.
-	NativeRT *offheap.Runtime
 	// Tiering, when non-nil, attaches a disk tier to the page store
 	// (offheap.EnableTiering): cold pages spill to a file under the
 	// configured watermarks and promote back on access. Ignored for
@@ -170,10 +167,7 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 		Faults:    job.Faults,
 	}, prog.H)
 	if prog.Transformed {
-		vm.RT = cfg.NativeRT
-		if vm.RT == nil {
-			vm.RT = offheap.NewRuntimeWith(job.Obs)
-		}
+		vm.RT = offheap.NewRuntimeWith(job.Obs)
 		if job.Faults != nil {
 			vm.RT.SetFaultInjector(job.Faults)
 		}
