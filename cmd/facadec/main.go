@@ -104,7 +104,7 @@ func main() {
 	}
 	sort.Strings(bnames)
 	for _, c := range bnames {
-		fmt.Printf("  %-20s %d\n", core.FacadeName(c), p2.Bounds[c])
+		fmt.Printf("  %-20s %d\n", ir.FacadeName(c), p2.Bounds[c])
 	}
 	conv := 0
 	for _, f := range p2.FuncList {
@@ -116,7 +116,10 @@ func main() {
 
 	if *dump {
 		for _, f := range p2.FuncList {
-			if f.Class != nil && strings.HasSuffix(f.Class.Name, "Facade") {
+			if f.Class == nil {
+				continue
+			}
+			if _, ok := ir.FacadeOrig(f.Class.Name); ok {
 				fmt.Println()
 				fmt.Print(f.String())
 			}

@@ -260,7 +260,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		if dot := strings.IndexByte(entry, '.'); dot > 0 {
 			cls, meth := entry[:dot], entry[dot+1:]
 			if p.DataClasses[cls] {
-				entry = cls + "Facade." + meth
+				entry = ir.FuncKey(ir.FacadeName(cls), meth)
 			}
 		}
 	}

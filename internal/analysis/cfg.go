@@ -1,7 +1,10 @@
 // Package analysis provides static analyses over the FACADE IR: CFG
 // utilities (predecessors/successors, reverse postorder, witness paths), a
 // generic worklist dataflow solver with liveness / reaching-definitions /
-// must-defined instances, an IR verifier, a facade-safety linter, and a
+// must-defined instances, one forward may-taint engine (taint.go: abstract
+// state, iteration-region machine, fixpoint-and-replay driver) with its two
+// clients — the facade-safety linter's leak check and the interprocedural
+// lifetime pass — an IR verifier, a closed-world inliner, and a
 // liveness-driven dead-code eliminator.
 //
 // The package depends only on internal/ir and internal/lang so that every

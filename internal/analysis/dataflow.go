@@ -64,6 +64,16 @@ func (s BitSet) IntersectWith(t BitSet) bool {
 	return changed
 }
 
+// intersects reports whether s and t, of equal capacity, share a bit.
+func intersects(s, t BitSet) bool {
+	for i := range s {
+		if s[i]&t[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Fill sets the first n bits (the universal set for capacity n).
 func (s BitSet) Fill(n int) {
 	full := n / 64

@@ -157,7 +157,7 @@ func TightenBounds(p *ir.Program) map[string]int {
 				if in.Op != ir.OpPoolGet || in.Cls == nil {
 					continue
 				}
-				orig := origPoolName(in.Cls.Name)
+				orig, _ := ir.FacadeOrig(in.Cls.Name)
 				if n := int(in.Imm) + 1; n > maxIdx[orig] {
 					maxIdx[orig] = n
 				}

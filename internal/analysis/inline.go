@@ -375,13 +375,6 @@ func (s *splicer) adopt(b *ir.Block) *ir.Block {
 	return b
 }
 
-func (s *splicer) newReg(t *lang.Type) ir.Reg {
-	r := ir.Reg(s.f.NumRegs)
-	s.f.NumRegs++
-	s.f.RegTypes = append(s.f.RegTypes, t)
-	return r
-}
-
 // nonNull reports whether caller register r provably never holds null
 // where it is read: it is the receiver of an instance method (the caller's
 // own caller checked it) or its only assignment is an allocation, a string
@@ -457,12 +450,12 @@ func (s *splicer) splice(cur *ir.Block, call *ir.Instr, callee *inlineFunc) *ir.
 			regs[pr] = args[i]
 			continue
 		}
-		regs[pr] = s.newReg(g.RegTypes[pr])
+		regs[pr] = s.f.NewReg(g.RegTypes[pr])
 		emit(cur, ir.Instr{Op: ir.OpMove, Dst: regs[pr], A: args[i], B: ir.NoReg, C: ir.NoReg})
 	}
 	for r := range regs {
 		if regs[r] == ir.NoReg {
-			regs[r] = s.newReg(g.RegTypes[r])
+			regs[r] = s.f.NewReg(g.RegTypes[r])
 		}
 	}
 	mapReg := func(r ir.Reg) ir.Reg {

@@ -12,8 +12,8 @@ import (
 // a three-valued lattice:
 //
 //   - ir.LifetimeEpochLocal: the allocation happens at a program point
-//     provably inside an iteration (the same canIn/canOut region machine
-//     the facade-leak lint runs), the value never escapes the allocating
+//     provably inside an iteration (the region machine of taint.go, which
+//     the facade-leak lint shares), the value never escapes the allocating
 //     frame (no field/array/static store, not returned, not passed to a
 //     callee whose summary says the parameter escapes, no virtual call),
 //     and it is dead before every point that may cross an iteration
@@ -87,16 +87,27 @@ func LifetimeReport(p *ir.Program) []SiteClass {
 	la.solveSummaries()
 	la.refineEntries()
 	var out []SiteClass
-	for _, f := range p.FuncList {
-		out = append(out, la.classifyFunc(f)...)
+	for _, fn := range la.funcs {
+		out = append(out, fn.classify()...)
 	}
 	return out
 }
 
 // --- interprocedural summaries ---------------------------------------------
 
-// funcSummary is the conservative interprocedural summary of one function.
-type funcSummary struct {
+// ltFunc is everything the pass holds about one function: the facts that
+// never change during a LifetimeReport call (CFG, live-after sets, the
+// tracked sites), built once; its conservative interprocedural summary; the
+// entry region assumed for it; and the result of its latest analysis. All
+// of it is garbage once LifetimeReport returns.
+type ltFunc struct {
+	f     *ir.Func
+	c     *CFG
+	after [][]BitSet
+	// sites lists the numbered allocations in reachable blocks, in (block,
+	// index) order. Tracked values are the parameters (0..len(Params)-1)
+	// followed by the sites.
+	sites []*ir.Instr
 	// paramEsc[i] reports whether parameter i may escape: stored into a
 	// field/array/static, returned, passed to an escaping parameter of a
 	// callee, or passed to any virtual call.
@@ -104,49 +115,56 @@ type funcSummary struct {
 	// touches reports whether the function may execute an iteration
 	// boundary (Sys.iterStart/iterEnd), directly or transitively.
 	touches bool
+	// entry is the region assumed on entry; unknown unless proven otherwise.
+	entry region
+	res   *ltResult
 }
 
 type lifetimeAnalysis struct {
-	p    *ir.Program
-	sums map[string]*funcSummary
+	funcs []*ltFunc          // in p.FuncList order
+	byKey map[string]*ltFunc // by ir.Func.Name, which is calleeSummaryKey's form
 	// virtTouches[name] reports whether any instance method with that
 	// selector name touches an epoch (conservative virtual dispatch).
 	virtTouches map[string]bool
 	// virtTargets holds selector names invoked by some OpCall; functions
 	// implementing one can be entered without a visible IR call site.
 	virtTargets map[string]bool
-	// entry holds the region-machine entry state (canIn, canOut) assumed
-	// for each function. Default is the unknown (true, true).
-	entry map[string][2]bool
-	cfgs  map[string]*CFG
 }
 
 func newLifetimeAnalysis(p *ir.Program) *lifetimeAnalysis {
 	la := &lifetimeAnalysis{
-		p:           p,
-		sums:        make(map[string]*funcSummary, len(p.FuncList)),
+		funcs:       make([]*ltFunc, 0, len(p.FuncList)),
+		byKey:       make(map[string]*ltFunc, len(p.FuncList)),
 		virtTouches: make(map[string]bool),
 		virtTargets: make(map[string]bool),
-		entry:       make(map[string][2]bool, len(p.FuncList)),
-		cfgs:        make(map[string]*CFG, len(p.FuncList)),
 	}
 	for _, f := range p.FuncList {
-		la.sums[f.Name] = &funcSummary{paramEsc: make([]bool, len(f.Params))}
-		la.entry[f.Name] = [2]bool{true, true}
-		la.cfgs[f.Name] = BuildCFG(f)
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].M != nil {
-					la.virtTargets[b.Instrs[i].M.Name] = true
+		c := BuildCFG(f)
+		_, liveOut := Liveness(c)
+		fn := &ltFunc{
+			f: f, c: c, after: liveAfterAll(c, liveOut),
+			paramEsc: make([]bool, len(f.Params)),
+			entry:    regionUnknown,
+		}
+		for b, blk := range f.Blocks {
+			for j := range blk.Instrs {
+				in := &blk.Instrs[j]
+				if (in.Op == ir.OpNew || in.Op == ir.OpNewArr) && in.Site != 0 && c.Reachable(b) {
+					fn.sites = append(fn.sites, in)
+				}
+				if in.Op == ir.OpCall && in.M != nil {
+					la.virtTargets[in.M.Name] = true
 				}
 			}
 		}
+		la.funcs = append(la.funcs, fn)
+		la.byKey[f.Name] = fn
 	}
 	// The program entry starts outside any iteration. Everything else —
 	// including functions the Go-side engines call across the boundary —
 	// keeps the unknown entry state.
-	if _, ok := la.entry["Main.main"]; ok {
-		la.entry["Main.main"] = [2]bool{false, true}
+	if fn := la.byKey["Main.main"]; fn != nil {
+		fn.entry = regionOutside
 	}
 	return la
 }
@@ -159,29 +177,29 @@ func calleeSummaryKey(m *lang.Method) string {
 }
 
 // solveSummaries iterates escape + touchesEpoch summaries to a fixpoint.
-// All facts are monotone booleans, so iteration terminates.
+// All facts are monotone booleans, so iteration terminates. The last round
+// changes nothing, so every function's stored result is its analysis under
+// the final summaries.
 func (la *lifetimeAnalysis) solveSummaries() {
 	for changed := true; changed; {
 		changed = false
 		// Selector-level touches: union over same-name instance methods.
-		for _, f := range la.p.FuncList {
-			if f.Method != nil && !f.Method.Static && la.sums[f.Name].touches &&
-				!la.virtTouches[f.Method.Name] {
-				la.virtTouches[f.Method.Name] = true
+		for _, fn := range la.funcs {
+			if m := fn.f.Method; m != nil && !m.Static && fn.touches && !la.virtTouches[m.Name] {
+				la.virtTouches[m.Name] = true
 				changed = true
 			}
 		}
-		for _, f := range la.p.FuncList {
-			r := la.analyzeFunc(f, nil)
-			sum := la.sums[f.Name]
-			for i := range f.Params {
-				if r.escaped[i] && !sum.paramEsc[i] {
-					sum.paramEsc[i] = true
+		for _, fn := range la.funcs {
+			r := la.analyze(fn)
+			for i := range fn.paramEsc {
+				if r.escaped[i] && !fn.paramEsc[i] {
+					fn.paramEsc[i] = true
 					changed = true
 				}
 			}
-			if r.touches && !sum.touches {
-				sum.touches = true
+			if r.touches && !fn.touches {
+				fn.touches = true
 				changed = true
 			}
 		}
@@ -191,50 +209,43 @@ func (la *lifetimeAnalysis) solveSummaries() {
 // refineEntries runs one sound refinement round over entry contexts: a
 // function that is never a virtual-dispatch target, is not the program
 // entry, and whose every static call site sits at a proven-inside region
-// state inherits the proven-inside entry (true, false). One round only —
-// refined facts are derived purely from the conservative round.
+// state inherits the proven-inside entry, and is analysed once more under
+// it. One round only — the call-site states are read from the conservative
+// results, and a function's result depends on no entry but its own.
 func (la *lifetimeAnalysis) refineEntries() {
-	type callCtx struct{ seen, allInside bool }
-	calls := make(map[string]*callCtx)
-	for _, f := range la.p.FuncList {
-		r := la.analyzeFunc(f, nil)
-		for key, inside := range r.calleeInside {
-			c := calls[key]
-			if c == nil {
-				c = &callCtx{allInside: true}
-				calls[key] = c
-			}
-			c.seen = true
-			c.allInside = c.allInside && inside
+	outside := make(map[string]bool) // callee key -> some call site not proven inside
+	for _, fn := range la.funcs {
+		for key, out := range fn.res.calleeOutside {
+			outside[key] = outside[key] || out
 		}
 	}
-	for _, f := range la.p.FuncList {
-		if f.Name == "Main.main" {
+	for _, fn := range la.funcs {
+		if fn.f.Name == "Main.main" {
 			continue
 		}
-		if f.Method != nil && !f.Method.Static && la.virtTargets[f.Method.Name] {
+		if m := fn.f.Method; m != nil && !m.Static && la.virtTargets[m.Name] {
 			continue
 		}
-		if c := calls[f.Name]; c != nil && c.seen && c.allInside {
-			la.entry[f.Name] = [2]bool{true, false}
+		if anyOutside, called := outside[fn.f.Name]; called && !anyOutside {
+			fn.entry = regionInside
+			la.analyze(fn)
 		}
 	}
 }
 
-// classifyFunc produces the final per-site classification for f.
-func (la *lifetimeAnalysis) classifyFunc(f *ir.Func) []SiteClass {
-	r := la.analyzeFunc(f, nil)
-	out := make([]SiteClass, 0, len(r.sites))
-	for i, site := range r.sites {
-		ti := len(f.Params) + i
-		in := &f.Blocks[site.block].Instrs[site.index]
+// classify renders fn's stored result as its per-site classification.
+func (fn *ltFunc) classify() []SiteClass {
+	r := fn.res
+	out := make([]SiteClass, 0, len(fn.sites))
+	for i, in := range fn.sites {
+		ti := len(fn.f.Params) + i
 		what := "new ?"
 		if in.Op == ir.OpNew && in.Cls != nil {
 			what = "new " + in.Cls.Name
 		} else if in.Op == ir.OpNewArr && in.Type != nil {
 			what = "new " + in.Type.String() + "[]"
 		}
-		sc := SiteClass{Site: in.Site, Func: f.Name, Pos: in.Pos, What: what}
+		sc := SiteClass{Site: in.Site, Func: fn.f.Name, Pos: in.Pos, What: what}
 		switch {
 		case !r.escaped[ti] && !r.crossed[ti] && r.inside[i]:
 			sc.Class = ir.LifetimeEpochLocal
@@ -259,62 +270,17 @@ func (la *lifetimeAnalysis) classifyFunc(f *ir.Func) []SiteClass {
 
 // --- intra-function flow analysis ------------------------------------------
 
-// ltSite is one numbered allocation site within a function.
-type ltSite struct {
-	block, index int
-}
-
 // ltResult is everything one intra-function pass learns about its tracked
-// values. Tracked indices are parameters first (0..len(Params)-1), then
-// sites in (block, index) order.
+// values.
 type ltResult struct {
-	sites     []ltSite
 	escaped   []bool   // per tracked value
 	escapeWhy []string // first escape reason, per tracked value
 	crossed   []bool   // per tracked value: live across a possible boundary
 	inside    []bool   // per site: region state proven inside at the alloc
 	touches   bool     // function contains/reaches an iteration boundary
-	// calleeInside maps each statically called function key to whether
-	// every call to it from this function sits at a proven-inside state.
-	calleeInside map[string]bool
-}
-
-// ltState is the per-block abstract state: one may-alias register set per
-// tracked value plus the two-bit iteration region state.
-type ltState struct {
-	taint         []BitSet
-	canIn, canOut bool
-}
-
-func newLtState(n, regs int) *ltState {
-	s := &ltState{taint: make([]BitSet, n)}
-	for i := range s.taint {
-		s.taint[i] = NewBitSet(regs)
-	}
-	return s
-}
-
-func (s *ltState) copyFrom(t *ltState) {
-	for i := range s.taint {
-		s.taint[i].CopyFrom(t.taint[i])
-	}
-	s.canIn, s.canOut = t.canIn, t.canOut
-}
-
-func (s *ltState) mergeFrom(t *ltState) bool {
-	changed := false
-	for i := range s.taint {
-		changed = s.taint[i].UnionWith(t.taint[i]) || changed
-	}
-	if t.canIn && !s.canIn {
-		s.canIn = true
-		changed = true
-	}
-	if t.canOut && !s.canOut {
-		s.canOut = true
-		changed = true
-	}
-	return changed
+	// calleeOutside has a key per statically called function: whether some
+	// call to it from this function sits at a state not proven inside.
+	calleeOutside map[string]bool
 }
 
 // epochUnsafe reports whether executing in may cross an iteration boundary
@@ -328,232 +294,156 @@ func (la *lifetimeAnalysis) epochUnsafe(in *ir.Instr) bool {
 		if in.M == nil {
 			return true
 		}
-		sum := la.sums[calleeSummaryKey(in.M)]
-		return sum == nil || sum.touches
+		callee := la.byKey[calleeSummaryKey(in.M)]
+		return callee == nil || callee.touches
 	}
 	return false
 }
 
-// step advances the abstract state across one instruction. sites lists the
-// function's tracked sites so the defining instruction regenerates its own
-// taint.
-func (la *lifetimeAnalysis) step(s *ltState, f *ir.Func, b, j int, sites []ltSite, nParams int) {
-	in := &f.Blocks[b].Instrs[j]
-	if in.Op == ir.OpIntr {
-		switch in.Sym {
-		case "iterStart":
-			s.canIn, s.canOut = true, false
-		case "iterEnd":
-			s.canIn, s.canOut = false, true
-		}
-	}
-	if la.epochUnsafe(in) {
-		// The callee may leave us in either region.
-		s.canIn, s.canOut = true, true
-	}
-	d := Def(in)
-	if d == ir.NoReg {
-		return
-	}
-	for t := range s.taint {
-		gen := false
-		switch in.Op {
-		case ir.OpMove, ir.OpCast:
-			gen = s.taint[t].Has(int(in.A))
-		case ir.OpNew, ir.OpNewArr:
-			if t >= nParams {
-				site := sites[t-nParams]
-				gen = site.block == b && site.index == j
-			}
-		}
-		if gen {
-			s.taint[t].Set(int(d))
-		} else {
-			s.taint[t].Clear(int(d))
-		}
-	}
-}
-
-// analyzeFunc runs the intra-function fixpoint + replay for f under the
-// current summaries and entry contexts. The result is deterministic for a
-// given analysis state. entryOverride, if non-nil, replaces the recorded
-// entry region state (used by tests).
-func (la *lifetimeAnalysis) analyzeFunc(f *ir.Func, entryOverride *[2]bool) *ltResult {
-	c := la.cfgs[f.Name]
-	_, liveOut := Liveness(c)
-
-	var sites []ltSite
-	for b, blk := range f.Blocks {
-		if !c.Reachable(b) {
-			continue
-		}
-		for j := range blk.Instrs {
-			in := &blk.Instrs[j]
-			if (in.Op == ir.OpNew || in.Op == ir.OpNewArr) && in.Site != 0 {
-				sites = append(sites, ltSite{block: b, index: j})
-			}
-		}
-	}
+// analyze runs the taint engine over fn — one register set per tracked
+// value — under the current summaries and fn's entry region, and stores
+// and returns the result. It is deterministic for a given analysis state.
+func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
+	f, sites := fn.f, fn.sites
 	nParams := len(f.Params)
 	nTracked := nParams + len(sites)
 	r := &ltResult{
-		sites:        sites,
-		escaped:      make([]bool, nTracked),
-		escapeWhy:    make([]string, nTracked),
-		crossed:      make([]bool, nTracked),
-		inside:       make([]bool, len(sites)),
-		calleeInside: make(map[string]bool),
+		escaped:       make([]bool, nTracked),
+		escapeWhy:     make([]string, nTracked),
+		crossed:       make([]bool, nTracked),
+		inside:        make([]bool, len(sites)),
+		calleeOutside: make(map[string]bool),
+	}
+	fn.res = r
+	// siteOf returns the tracked index of allocation in, or -1.
+	siteOf := func(in *ir.Instr) int {
+		for i, site := range sites {
+			if site == in {
+				return nParams + i
+			}
+		}
+		return -1
 	}
 
-	n := len(f.Blocks)
-	if n == 0 {
-		return r
-	}
-	ins := make([]*ltState, n)
-	outs := make([]*ltState, n)
-	for i := 0; i < n; i++ {
-		ins[i] = newLtState(nTracked, f.NumRegs)
-		outs[i] = newLtState(nTracked, f.NumRegs)
-	}
-	ent := la.entry[f.Name]
-	if entryOverride != nil {
-		ent = *entryOverride
-	}
-	ins[0].canIn, ins[0].canOut = ent[0], ent[1]
-	for i, pr := range f.Params {
-		ins[0].taint[i].Set(int(pr))
-	}
-
-	tmp := newLtState(nTracked, f.NumRegs)
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.RPO {
-			for _, pred := range c.Preds[b] {
-				if c.Reachable(pred) {
-					ins[b].mergeFrom(outs[pred])
-				}
-			}
-			tmp.copyFrom(ins[b])
-			for j := range f.Blocks[b].Instrs {
-				la.step(tmp, f, b, j, sites, nParams)
-			}
-			if outs[b].mergeFrom(tmp) {
-				changed = true
-			}
+	seed := func(entry *taintState) {
+		entry.at = fn.entry
+		for i, pr := range f.Params {
+			entry.sets[i].Set(int(pr))
 		}
 	}
 
-	// Replay each reachable block from its fixpoint in-state, recording
-	// escapes, boundary crossings, proven-inside alloc states, and the
-	// region state at every static call site.
-	escape := func(st *ltState, reg ir.Reg, why string) {
-		if reg == ir.NoReg {
+	step := func(s *taintState, in *ir.Instr) {
+		if la.epochUnsafe(in) {
+			// The callee may leave us in either region.
+			s.at = regionUnknown
+		}
+		d := Def(in)
+		if d == ir.NoReg {
 			return
 		}
-		for t := 0; t < nTracked; t++ {
-			if st.taint[t].Has(int(reg)) && !r.escaped[t] {
-				r.escaped[t] = true
-				r.escapeWhy[t] = why
+		// Moves and casts carry their source's taint, the defining
+		// allocation generates its own, everything else kills.
+		carries := in.Op == ir.OpMove || in.Op == ir.OpCast
+		for _, set := range s.sets {
+			if carries && set.Has(int(in.A)) {
+				set.Set(int(d))
+			} else {
+				set.Clear(int(d))
+			}
+		}
+		if in.Op == ir.OpNew || in.Op == ir.OpNewArr {
+			if t := siteOf(in); t >= 0 {
+				s.sets[t].Set(int(d))
 			}
 		}
 	}
-	st := newLtState(nTracked, f.NumRegs)
-	for _, b := range c.RPO {
-		st.copyFrom(ins[b])
-		after := LiveAfter(c, liveOut, b)
-		for j := range f.Blocks[b].Instrs {
-			in := &f.Blocks[b].Instrs[j]
-			switch in.Op {
-			case ir.OpNew, ir.OpNewArr:
-				if in.Site != 0 {
-					for i, site := range sites {
-						if site.block == b && site.index == j {
-							r.inside[i] = r.inside[i] || (st.canIn && !st.canOut)
-						}
-					}
-				}
-			case ir.OpStore:
-				escape(st, in.B, "stored into a field")
-			case ir.OpAStore:
-				escape(st, in.C, "stored into an array")
-			case ir.OpStoreStatic:
-				escape(st, in.A, "stored into a static")
-			case ir.OpRet:
-				escape(st, in.A, "returned")
-			case ir.OpCall:
-				// Conservative virtual dispatch: every argument escapes.
-				escape(st, in.A, "passed to a virtual call")
-				for _, a := range in.Args {
-					escape(st, a, "passed to a virtual call")
-				}
-			case ir.OpCallStatic:
-				if in.M != nil {
-					key := calleeSummaryKey(in.M)
-					inside := st.canIn && !st.canOut
-					if prev, seen := r.calleeInside[key]; seen {
-						r.calleeInside[key] = prev && inside
-					} else {
-						r.calleeInside[key] = inside
-					}
-					sum := la.sums[key]
-					// Effective parameter order mirrors the call
-					// convention: receiver (if any) first, then Args.
-					args := in.Args
-					if in.A != ir.NoReg {
-						args = append([]ir.Reg{in.A}, in.Args...)
-					}
-					for i, a := range args {
-						if sum == nil || i >= len(sum.paramEsc) || sum.paramEsc[i] {
-							escape(st, a, "passed to "+key)
-						}
-					}
-				} else {
-					escape(st, in.A, "passed to an unresolved call")
-					for _, a := range in.Args {
-						escape(st, a, "passed to an unresolved call")
-					}
-				}
-			case ir.OpIntr:
-				if in.Sym == "iterStart" || in.Sym == "iterEnd" {
-					r.touches = true
+
+	// visit records escapes, boundary crossings, proven-inside alloc states
+	// and the region state at every static call site.
+	visit := func(s *taintState, in *ir.Instr, live BitSet) {
+		escape := func(reg ir.Reg, why string) {
+			if reg == ir.NoReg {
+				return
+			}
+			for t, set := range s.sets {
+				if set.Has(int(reg)) && !r.escaped[t] {
+					r.escaped[t] = true
+					r.escapeWhy[t] = why
 				}
 			}
-			// Boundary crossings: a value live across Sys.iterEnd, or live
-			// across / passed into a call that may reach a boundary, is not
-			// epoch-local.
-			boundary := in.Op == ir.OpIntr && in.Sym == "iterEnd"
-			unsafe := la.epochUnsafe(in)
-			if unsafe {
+		}
+		switch in.Op {
+		case ir.OpNew, ir.OpNewArr:
+			if t := siteOf(in); t >= 0 && s.at.inside() {
+				r.inside[t-nParams] = true
+			}
+		case ir.OpStore:
+			escape(in.B, "stored into a field")
+		case ir.OpAStore:
+			escape(in.C, "stored into an array")
+		case ir.OpStoreStatic:
+			escape(in.A, "stored into a static")
+		case ir.OpRet:
+			escape(in.A, "returned")
+		case ir.OpCall:
+			// Conservative virtual dispatch: every argument escapes.
+			escape(in.A, "passed to a virtual call")
+			for _, a := range in.Args {
+				escape(a, "passed to a virtual call")
+			}
+		case ir.OpCallStatic:
+			if in.M != nil {
+				key := calleeSummaryKey(in.M)
+				r.calleeOutside[key] = r.calleeOutside[key] || !s.at.inside()
+				callee := la.byKey[key]
+				// Effective parameter order mirrors the call
+				// convention: receiver (if any) first, then Args.
+				args := in.Args
+				if in.A != ir.NoReg {
+					args = append([]ir.Reg{in.A}, in.Args...)
+				}
+				for i, a := range args {
+					if callee == nil || i >= len(callee.paramEsc) || callee.paramEsc[i] {
+						escape(a, "passed to "+key)
+					}
+				}
+			} else {
+				escape(in.A, "passed to an unresolved call")
+				for _, a := range in.Args {
+					escape(a, "passed to an unresolved call")
+				}
+			}
+		case ir.OpIntr:
+			if in.Sym == "iterStart" || in.Sym == "iterEnd" {
 				r.touches = true
 			}
-			if boundary || unsafe {
-				for t := 0; t < nTracked; t++ {
-					if r.crossed[t] {
-						continue
-					}
-					live := false
-					for reg := 0; reg < f.NumRegs && !live; reg++ {
-						if st.taint[t].Has(reg) && after[j].Has(reg) {
-							live = true
-						}
-					}
-					if !live && unsafe {
-						if in.A != ir.NoReg && st.taint[t].Has(int(in.A)) {
-							live = true
-						}
-						for _, a := range in.Args {
-							if a != ir.NoReg && st.taint[t].Has(int(a)) {
-								live = true
-							}
-						}
-					}
-					if live {
-						r.crossed[t] = true
-					}
+		}
+		// Boundary crossings: a value live across Sys.iterEnd, or live
+		// across / passed into a call that may reach a boundary, is not
+		// epoch-local.
+		boundary := in.Op == ir.OpIntr && in.Sym == "iterEnd"
+		unsafe := la.epochUnsafe(in)
+		if unsafe {
+			r.touches = true
+		}
+		if !boundary && !unsafe {
+			return
+		}
+		for t, set := range s.sets {
+			if r.crossed[t] {
+				continue
+			}
+			crossed := intersects(set, live)
+			if !crossed && unsafe {
+				crossed = in.A != ir.NoReg && set.Has(int(in.A))
+				for _, a := range in.Args {
+					crossed = crossed || (a != ir.NoReg && set.Has(int(a)))
 				}
 			}
-			la.step(st, f, b, j, sites, nParams)
+			r.crossed[t] = crossed
 		}
 	}
+
+	runTaint(fn.c, fn.after, nTracked, seed, step, visit)
 	return r
 }

@@ -79,6 +79,26 @@ func TestGoldenLifetimes(t *testing.T) {
 	}
 }
 
+// TestGoldenLifetimeEntryRefinement pins the one path lifetime.fj does not
+// reach: a helper called only from inside iterations is re-analysed under a
+// proven-inside entry, its twin that is also called from outside is not.
+func TestGoldenLifetimeEntryRefinement(t *testing.T) {
+	r := vetFile(t, "lifetime_refine.fj", facade.VetLifetimes())
+	if !r.Clean() {
+		t.Fatalf("lifetime_refine.fj should vet clean: %v %v", r.VerifyErrs, r.Diagnostics)
+	}
+	checkGoldenText(t, "lifetime_refine.want", strings.Join(r.Lifetimes, "\n")+"\n")
+	joined := strings.Join(r.Lifetimes, "\n")
+	for _, sub := range []string{
+		"new Node: unknown (escapes (returned) inside an iteration, in Main.insideOnly)",
+		"new Node: long-lived (escapes (returned) outside any proven iteration, in Main.bothSides)",
+	} {
+		if !strings.Contains(joined, sub) {
+			t.Errorf("missing expected classification %q", sub)
+		}
+	}
+}
+
 func TestGoldenLifetimesOffByDefault(t *testing.T) {
 	r := vetFile(t, "lifetime.fj")
 	if r.Lifetimes != nil || r.LifetimeCounts != nil {

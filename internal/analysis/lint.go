@@ -62,13 +62,12 @@ func LintFunc(p *ir.Program, f *ir.Func, facade map[string]bool) []Finding {
 		facade = FacadeClasses(p)
 	}
 	c := BuildCFG(f)
-	liveIn, liveOut := Liveness(c)
-	_ = liveIn
-	var out []Finding
-	out = append(out, lintUseBeforeDef(c)...)
+	out := lintUseBeforeDef(c)
 	if p.Transformed && f.Class != nil && facade[f.Class.Name] {
-		out = append(out, lintLeaks(p, c, liveOut, facade)...)
-		out = append(out, lintPoolClobber(c, liveOut)...)
+		_, liveOut := Liveness(c)
+		after := liveAfterAll(c, liveOut)
+		out = append(out, lintLeaks(p, c, after, facade)...)
+		out = append(out, lintPoolClobber(c, after)...)
 	}
 	return out
 }
@@ -107,38 +106,14 @@ func lintUseBeforeDef(c *CFG) []Finding {
 
 // --- facade-leak ----------------------------------------------------------
 
-// leakState is the per-block abstract state of the leak analysis: the set
-// of registers that may hold a raw page reference (taint), the subset
-// whose record was provably allocated inside the current iteration
-// (itaint), and the two-bit iteration region state.
-type leakState struct {
-	taint, itaint BitSet
-	canIn, canOut bool
-}
-
-func newLeakState(n int) *leakState {
-	return &leakState{taint: NewBitSet(n), itaint: NewBitSet(n)}
-}
-
-func (s *leakState) copyFrom(t *leakState) {
-	s.taint.CopyFrom(t.taint)
-	s.itaint.CopyFrom(t.itaint)
-	s.canIn, s.canOut = t.canIn, t.canOut
-}
-
-func (s *leakState) mergeFrom(t *leakState) bool {
-	changed := s.taint.UnionWith(t.taint)
-	changed = s.itaint.UnionWith(t.itaint) || changed
-	if t.canIn && !s.canIn {
-		s.canIn = true
-		changed = true
-	}
-	if t.canOut && !s.canOut {
-		s.canOut = true
-		changed = true
-	}
-	return changed
-}
+// The leak analysis is a client of the taint engine (taint.go) with two
+// register sets: the registers that may hold a raw page reference, and the
+// subset whose record was provably allocated inside the current iteration.
+const (
+	leakTaint = iota
+	leakIter
+	leakSets
+)
 
 // taintGen reports whether in's destination receives a raw page reference.
 func taintGen(p *ir.Program, in *ir.Instr) bool {
@@ -175,42 +150,36 @@ func isDataArrayType(p *ir.Program, t *lang.Type) bool {
 	return e != nil && e.Kind == lang.TClass && (p.DataClasses[e.Name] || e.Name == "Object")
 }
 
-// step applies one instruction to the leak state.
-func (s *leakState) step(p *ir.Program, in *ir.Instr) {
-	if in.Op == ir.OpIntr {
-		switch in.Sym {
-		case "iterStart":
-			s.canIn, s.canOut = true, false
-		case "iterEnd":
-			s.canIn, s.canOut = false, true
-		}
-	}
+// leakStep is the leak analysis's transfer function; the engine has
+// already moved s.at across in.
+func leakStep(p *ir.Program, s *taintState, in *ir.Instr) {
 	d := Def(in)
 	if d == ir.NoReg {
 		return
 	}
+	taint, itaint := s.sets[leakTaint], s.sets[leakIter]
 	gen := taintGen(p, in)
 	genIter := false
 	switch in.Op {
 	case ir.OpPNew, ir.OpPNewArr:
 		// Allocations provably inside an iteration produce iteration-scoped
 		// records (§2.2): the record is reclaimed at Sys.iterEnd.
-		genIter = s.canIn && !s.canOut
+		genIter = s.at.inside()
 	case ir.OpMove:
-		gen = s.taint.Has(int(in.A))
-		genIter = s.itaint.Has(int(in.A))
+		gen = taint.Has(int(in.A))
+		genIter = itaint.Has(int(in.A))
 	case ir.OpPCast:
-		genIter = s.itaint.Has(int(in.A))
+		genIter = itaint.Has(int(in.A))
 	}
 	if gen {
-		s.taint.Set(int(d))
+		taint.Set(int(d))
 	} else {
-		s.taint.Clear(int(d))
+		taint.Clear(int(d))
 	}
 	if genIter {
-		s.itaint.Set(int(d))
+		itaint.Set(int(d))
 	} else {
-		s.itaint.Clear(int(d))
+		itaint.Clear(int(d))
 	}
 }
 
@@ -218,94 +187,52 @@ func (s *leakState) step(p *ir.Program, in *ir.Instr) {
 // into control-heap fields/statics/arrays, raw references passed to
 // control-path methods, and iteration-scoped records still live after
 // Sys.iterEnd.
-func lintLeaks(p *ir.Program, c *CFG, liveOut []BitSet, facade map[string]bool) []Finding {
+func lintLeaks(p *ir.Program, c *CFG, after [][]BitSet, facade map[string]bool) []Finding {
 	f := c.F
-	n := len(f.Blocks)
-	ins := make([]*leakState, n)
-	outs := make([]*leakState, n)
-	for i := 0; i < n; i++ {
-		ins[i] = newLeakState(f.NumRegs)
-		outs[i] = newLeakState(f.NumRegs)
-	}
-	// The entry is conservative: the function may be invoked either inside
-	// or outside an iteration, so neither region is proven.
-	ins[0].canIn, ins[0].canOut = true, true
-	// Union meet: in-states only ever grow, so merging predecessor
-	// out-states into the persistent in-state is monotone and converges.
-	tmp := newLeakState(f.NumRegs)
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.RPO {
-			for _, pred := range c.Preds[b] {
-				if c.Reachable(pred) {
-					ins[b].mergeFrom(outs[pred])
-				}
-			}
-			tmp.copyFrom(ins[b])
-			for j := range f.Blocks[b].Instrs {
-				tmp.step(p, &f.Blocks[b].Instrs[j])
-			}
-			if outs[b].mergeFrom(tmp) {
-				changed = true
-			}
-		}
-	}
-	// Findings pass: replay each reachable block from its fixpoint in-state.
 	var out []Finding
-	st := newLeakState(f.NumRegs)
-	for _, b := range c.RPO {
-		st.copyFrom(ins[b])
-		after := LiveAfter(c, liveOut, b)
-		for j := range f.Blocks[b].Instrs {
-			in := &f.Blocks[b].Instrs[j]
+	leak := func(in *ir.Instr, format string, args ...any) {
+		out = append(out, Finding{
+			Check: "facade-leak", Func: f.Name, Pos: in.Pos, Msg: fmt.Sprintf(format, args...),
+		})
+	}
+	runTaint(c, after, leakSets,
+		// The entry is conservative: the function may be invoked either
+		// inside or outside an iteration, so neither region is proven.
+		func(entry *taintState) { entry.at = regionUnknown },
+		func(s *taintState, in *ir.Instr) { leakStep(p, s, in) },
+		func(s *taintState, in *ir.Instr, live BitSet) {
+			tainted := func(r ir.Reg) bool { return r != ir.NoReg && s.sets[leakTaint].Has(int(r)) }
 			switch in.Op {
 			case ir.OpStore:
-				if in.B != ir.NoReg && st.taint.Has(int(in.B)) && in.Field != nil && in.Field.Name != "pageRef" {
-					out = append(out, Finding{
-						Check: "facade-leak", Func: f.Name, Pos: in.Pos,
-						Msg: fmt.Sprintf("page reference (r%d) stored into control-heap field %s.%s", in.B, ownerName(in.Field), in.Field.Name),
-					})
+				if tainted(in.B) && in.Field != nil && in.Field.Name != "pageRef" {
+					leak(in, "page reference (r%d) stored into control-heap field %s.%s", in.B, ownerName(in.Field), in.Field.Name)
 				}
 			case ir.OpStoreStatic:
-				if in.A != ir.NoReg && st.taint.Has(int(in.A)) && in.Field != nil && (in.Field.Owner == nil || !facade[in.Field.Owner.Name]) {
-					out = append(out, Finding{
-						Check: "facade-leak", Func: f.Name, Pos: in.Pos,
-						Msg: fmt.Sprintf("page reference (r%d) stored into static field %s.%s", in.A, ownerName(in.Field), in.Field.Name),
-					})
+				if tainted(in.A) && in.Field != nil && (in.Field.Owner == nil || !facade[in.Field.Owner.Name]) {
+					leak(in, "page reference (r%d) stored into static field %s.%s", in.A, ownerName(in.Field), in.Field.Name)
 				}
 			case ir.OpAStore:
-				if in.C != ir.NoReg && st.taint.Has(int(in.C)) {
-					out = append(out, Finding{
-						Check: "facade-leak", Func: f.Name, Pos: in.Pos,
-						Msg: fmt.Sprintf("page reference (r%d) stored into a managed-heap array", in.C),
-					})
+				if tainted(in.C) {
+					leak(in, "page reference (r%d) stored into a managed-heap array", in.C)
 				}
 			case ir.OpCall, ir.OpCallStatic:
 				if in.M != nil && in.M.Owner != nil && !facade[in.M.Owner.Name] {
 					for _, a := range in.Args {
-						if a != ir.NoReg && st.taint.Has(int(a)) {
-							out = append(out, Finding{
-								Check: "facade-leak", Func: f.Name, Pos: in.Pos,
-								Msg: fmt.Sprintf("page reference (r%d) passed to control-path method %s.%s", a, in.M.Owner.Name, in.M.Name),
-							})
+						if tainted(a) {
+							leak(in, "page reference (r%d) passed to control-path method %s.%s", a, in.M.Owner.Name, in.M.Name)
 						}
 					}
 				}
 			case ir.OpIntr:
 				if in.Sym == "iterEnd" {
 					for r := 0; r < f.NumRegs; r++ {
-						if st.itaint.Has(r) && after[j].Has(r) {
-							out = append(out, Finding{
-								Check: "facade-leak", Func: f.Name, Pos: in.Pos,
-								Msg: fmt.Sprintf("page record in r%d, allocated inside the iteration, is still live after Sys.iterEnd (reclaimed storage escapes its iteration, §2.2)", r),
-							})
+						if s.sets[leakIter].Has(r) && live.Has(r) {
+							leak(in, "page record in r%d, allocated inside the iteration, is still live after Sys.iterEnd (reclaimed storage escapes its iteration, §2.2)", r)
 						}
 					}
 				}
 			}
-			st.step(p, in)
-		}
-	}
+		})
 	return out
 }
 
@@ -323,7 +250,7 @@ func ownerName(fl *lang.Field) string {
 // the singleton facade at that slot, so the earlier register would see its
 // record silently swapped. A witness path of block IDs accompanies each
 // finding. (Fetches above the §3.3 bound are a verifier error, not a lint.)
-func lintPoolClobber(c *CFG, liveOut []BitSet) []Finding {
+func lintPoolClobber(c *CFG, after [][]BitSet) []Finding {
 	f := c.F
 	var sites []DefSite
 	slot := func(in *ir.Instr) string {
@@ -350,7 +277,6 @@ func lintPoolClobber(c *CFG, liveOut []BitSet) []Finding {
 	var out []Finding
 	for _, b := range c.RPO {
 		reach := reachIn[b].Copy()
-		after := LiveAfter(c, liveOut, b)
 		for j := range f.Blocks[b].Instrs {
 			in := &f.Blocks[b].Instrs[j]
 			if in.Op == ir.OpPoolGet {
@@ -362,7 +288,7 @@ func lintPoolClobber(c *CFG, liveOut []BitSet) []Finding {
 					if slot(s1) != slot(in) || s1.Dst == in.Dst {
 						continue
 					}
-					if after[j].Has(int(s1.Dst)) {
+					if after[b][j].Has(int(s1.Dst)) {
 						// PoolGets are transform-synthesized and usually carry
 						// no source position; fall back to the earlier fetch's,
 						// then to the function's first, so the diagnostic still

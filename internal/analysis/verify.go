@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -76,26 +75,9 @@ func classOfType(t *lang.Type) kclass {
 func FacadeClasses(p *ir.Program) map[string]bool {
 	set := map[string]bool{"Facade": true, "FacadeBridge": true}
 	for name := range p.DataClasses {
-		set[facadeName(name)] = true
+		set[ir.FacadeName(name)] = true
 	}
 	return set
-}
-
-// facadeName mirrors core.FacadeName without importing internal/core.
-func facadeName(orig string) string {
-	if orig == "Object" {
-		return "Facade"
-	}
-	return orig + "Facade"
-}
-
-// origPoolName maps a facade class name back to the §3.3 pool key (the
-// original class name; the shared base pool is keyed "Object").
-func origPoolName(facadeCls string) string {
-	if facadeCls == "Facade" {
-		return "Object"
-	}
-	return strings.TrimSuffix(facadeCls, "Facade")
 }
 
 type verifier struct {
@@ -513,7 +495,8 @@ func (v *verifier) instr(in *ir.Instr) error {
 			return fmt.Errorf("negative pool index %d", in.Imm)
 		}
 		if v.p.Bounds != nil {
-			if bound, ok := v.p.Bounds[origPoolName(in.Cls.Name)]; ok && in.Imm >= int64(bound) {
+			orig, _ := ir.FacadeOrig(in.Cls.Name)
+			if bound, ok := v.p.Bounds[orig]; ok && in.Imm >= int64(bound) {
 				return fmt.Errorf("pool index %d exceeds §3.3 bound %d for %s", in.Imm, bound, in.Cls.Name)
 			}
 		}

@@ -55,7 +55,7 @@ func (tr *transformer) transformBody(of *ir.Func, fc *lang.Class, nm *lang.Metho
 			if !isStatic && i == 0 {
 				ft = lang.ClassType(fc.Name)
 			}
-			fp := c.newReg(ft)
+			fp := c.nf.NewReg(ft)
 			nf.Params = append(nf.Params, fp)
 			prologue = append(prologue, ir.Instr{
 				Op: ir.OpLoad, Dst: p, A: fp, B: ir.NoReg, C: ir.NoReg,
@@ -90,13 +90,6 @@ type bodyCtx struct {
 	nf *ir.Func
 	ot []*lang.Type // original register types
 	b  *ir.Block
-}
-
-func (c *bodyCtx) newReg(t *lang.Type) ir.Reg {
-	r := ir.Reg(c.nf.NumRegs)
-	c.nf.NumRegs++
-	c.nf.RegTypes = append(c.nf.RegTypes, t)
-	return r
 }
 
 func (c *bodyCtx) emit(in ir.Instr) { c.b.Instrs = append(c.b.Instrs, in) }
@@ -156,7 +149,7 @@ func (c *bodyCtx) instr(in *ir.Instr) error {
 		if tr.isDataType(in.Field.Type) {
 			// Case 4.3, interaction point: a heap object yields a data
 			// value; convert it into a page record.
-			tmp := c.newReg(in.Field.Type)
+			tmp := c.nf.NewReg(in.Field.Type)
 			c.emit(ir.Instr{Op: ir.OpLoad, Dst: tmp, A: in.A, B: ir.NoReg, C: ir.NoReg, Field: in.Field})
 			return c.emitConvertFrom(in.Field.Type, tmp, in.Dst)
 		}
@@ -195,7 +188,7 @@ func (c *bodyCtx) instr(in *ir.Instr) error {
 			// A control class exposing a data-typed static: interaction
 			// point; handled like 4.3/3.3.
 			if in.Op == ir.OpLoadStatic {
-				tmp := c.newReg(in.Field.Type)
+				tmp := c.nf.NewReg(in.Field.Type)
 				c.emit(ir.Instr{Op: ir.OpLoadStatic, Dst: tmp, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Field: in.Field})
 				return c.emitConvertFrom(in.Field.Type, tmp, in.Dst)
 			}
@@ -292,7 +285,7 @@ func (c *bodyCtx) pInstOf(in *ir.Instr, cp *ir.Instr, asCast bool) error {
 		cp.Type = nil
 	case target.Kind == lang.TIface && tr.dataIf[target.Name]:
 		cp.Cls = nil
-		cp.Type = lang.IfaceType(target.Name + "Facade")
+		cp.Type = lang.IfaceType(ir.FacadeName(target.Name))
 	case target.Kind == lang.TArray:
 		cp.Cls = nil // case 7.2: compare array type IDs
 	default:
@@ -349,7 +342,7 @@ func (c *bodyCtx) ret(in *ir.Instr) error {
 		return err
 	}
 	fcls := tr.facades[pool]
-	af := c.newReg(lang.ClassType(fcls.Name))
+	af := c.nf.NewReg(lang.ClassType(fcls.Name))
 	c.emit(ir.Instr{Op: ir.OpPoolGet, Dst: af, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Cls: fcls, Imm: 0})
 	c.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, A: af, B: in.A, C: ir.NoReg, Field: tr.pageRefField()})
 	c.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: af, B: ir.NoReg, C: ir.NoReg})
@@ -372,7 +365,7 @@ func (c *bodyCtx) bindArgs(m *lang.Method, args []ir.Reg) ([]ir.Reg, map[string]
 			fcls := tr.facades[pool]
 			idx := perPool[pool]
 			perPool[pool]++
-			bf := c.newReg(lang.ClassType(fcls.Name))
+			bf := c.nf.NewReg(lang.ClassType(fcls.Name))
 			c.emit(ir.Instr{Op: ir.OpPoolGet, Dst: bf, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Cls: fcls, Imm: int64(idx)})
 			c.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, A: bf, B: r, C: ir.NoReg, Field: tr.pageRefField()})
 			out[i] = bf
@@ -409,11 +402,11 @@ func (c *bodyCtx) call(in *ir.Instr) error {
 	}
 	var afType *lang.Type
 	if recvT.Kind == lang.TClass {
-		afType = lang.ClassType(FacadeName(recvT.Name))
+		afType = lang.ClassType(ir.FacadeName(recvT.Name))
 	} else {
 		afType = tr.mapType(recvT)
 	}
-	af := c.newReg(afType)
+	af := c.nf.NewReg(afType)
 	// §3.6 static resolution of virtual calls: a monomorphic site draws its
 	// facade by static type, every other site consults the record's type tag.
 	if tr.monomorphic(recvT, in.M.Name) {
@@ -425,7 +418,7 @@ func (c *bodyCtx) call(in *ir.Instr) error {
 	callDst := in.Dst
 	unwrap := false
 	if in.Dst != ir.NoReg && tr.isDataScalar(in.M.Ret) {
-		callDst = c.newReg(tr.mapType(in.M.Ret))
+		callDst = c.nf.NewReg(tr.mapType(in.M.Ret))
 		unwrap = true
 	}
 	c.emit(ir.Instr{Op: ir.OpCall, Dst: callDst, A: af, B: ir.NoReg, C: ir.NoReg, M: fm, Args: args})
@@ -487,7 +480,7 @@ func (c *bodyCtx) controlCall(in *ir.Instr, isStatic bool) error {
 		}
 	}
 	if in.Dst != ir.NoReg && tr.isDataType(in.M.Ret) {
-		tmp := c.newReg(in.M.Ret)
+		tmp := c.nf.NewReg(in.M.Ret)
 		cp.Dst = tmp
 		c.emit(cp)
 		return c.emitConvertFrom(in.M.Ret, tmp, in.Dst)
@@ -514,7 +507,7 @@ func (c *bodyCtx) callStatic(in *ir.Instr) error {
 		// Receiver facade: next free slot of the owner's pool (the bound
 		// computation reserved it).
 		idx := perPool[m.Owner.Name]
-		sf := c.newReg(lang.ClassType(fc.Name))
+		sf := c.nf.NewReg(lang.ClassType(fc.Name))
 		c.emit(ir.Instr{Op: ir.OpPoolGet, Dst: sf, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Cls: fc, Imm: int64(idx)})
 		c.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, A: sf, B: in.A, C: ir.NoReg, Field: tr.pageRefField()})
 		c.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ir.NoReg, A: sf, B: ir.NoReg, C: ir.NoReg, M: fc.Ctor, Args: args})
@@ -531,7 +524,7 @@ func (c *bodyCtx) callStatic(in *ir.Instr) error {
 	callDst := in.Dst
 	unwrap := false
 	if in.Dst != ir.NoReg && tr.isDataScalar(m.Ret) {
-		callDst = c.newReg(tr.mapType(m.Ret))
+		callDst = c.nf.NewReg(tr.mapType(m.Ret))
 		unwrap = true
 	}
 	c.emit(ir.Instr{Op: ir.OpCallStatic, Dst: callDst, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: fm, Args: args})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -19,11 +20,11 @@ func (tr *transformer) mapType(t *lang.Type) *lang.Type {
 			return lang.ClassType("Facade")
 		}
 		if tr.data[t.Name] {
-			return lang.ClassType(FacadeName(t.Name))
+			return lang.ClassType(ir.FacadeName(t.Name))
 		}
 	case lang.TIface:
 		if tr.dataIf[t.Name] {
-			return lang.IfaceType(t.Name + "Facade")
+			return lang.IfaceType(ir.FacadeName(t.Name))
 		}
 	}
 	return t
@@ -102,7 +103,7 @@ func (tr *transformer) buildHierarchy() error {
 		if oldIf == nil {
 			continue
 		}
-		ni := &lang.Iface{Name: iname + "Facade", Methods: make(map[string]*lang.Method)}
+		ni := &lang.Iface{Name: ir.FacadeName(iname), Methods: make(map[string]*lang.Method)}
 		for mn, m := range oldIf.Methods {
 			ni.Methods[mn] = tr.mapMethod(m, nil, ni)
 		}
@@ -121,7 +122,7 @@ func (tr *transformer) buildHierarchy() error {
 			continue
 		}
 		fc := &lang.Class{
-			Name:    FacadeName(c.Name),
+			Name:    ir.FacadeName(c.Name),
 			Methods: make(map[string]*lang.Method),
 		}
 		if c.Super != nil && tr.data[c.Super.Name] {
@@ -203,16 +204,13 @@ func (tr *transformer) mapMethod(m *lang.Method, owner *lang.Class, ownerIf *lan
 	return nm
 }
 
-func sortedKeys(m map[string]bool) []string {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -260,7 +258,7 @@ func (tr *transformer) buildProgram() error {
 			}
 			out.AddFunc(nf)
 		}
-		for _, mn := range sortedMethodNames(c) {
+		for _, mn := range sortedKeys(c.Methods) {
 			nf, err := tr.transformBody(tr.p.Funcs[ir.FuncKey(c.Name, mn)], fc, fc.Methods[mn], ir.FuncKey(fc.Name, mn))
 			if err != nil {
 				return err
@@ -317,12 +315,11 @@ func (tr *transformer) synthFacadeHashCode() *ir.Func {
 		Synthetic: true,
 	}
 	b := newFuncBuilder(f)
-	this := b.addReg(lang.ClassType("Facade"))
+	this := b.f.NewReg(lang.ClassType("Facade"))
 	f.Params = []ir.Reg{this}
-	zero := b.addReg(lang.IntType)
+	zero := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: zero, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KInt, Type: lang.IntType})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: zero, B: ir.NoReg, C: ir.NoReg})
-	b.finish()
 	return f
 }
 
@@ -337,18 +334,17 @@ func (tr *transformer) synthFacadeEquals() *ir.Func {
 		Synthetic: true,
 	}
 	b := newFuncBuilder(f)
-	this := b.addReg(lang.ClassType("Facade"))
-	other := b.addReg(lang.ClassType("Facade"))
+	this := b.f.NewReg(lang.ClassType("Facade"))
+	other := b.f.NewReg(lang.ClassType("Facade"))
 	f.Params = []ir.Reg{this, other}
 	pr := tr.facadeBase.Fields[0]
-	tRef := b.addReg(lang.LongType)
-	oRef := b.addReg(lang.LongType)
+	tRef := b.f.NewReg(lang.LongType)
+	oRef := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpLoad, Dst: tRef, A: this, B: ir.NoReg, C: ir.NoReg, Field: pr})
 	b.emit(ir.Instr{Op: ir.OpLoad, Dst: oRef, A: other, B: ir.NoReg, C: ir.NoReg, Field: pr})
-	eq := b.addReg(lang.BoolType)
+	eq := b.f.NewReg(lang.BoolType)
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinEq, NumKind: ir.KLong, Dst: eq, A: tRef, B: oRef, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: eq, B: ir.NoReg, C: ir.NoReg})
-	b.finish()
 	return f
 }
 
@@ -366,13 +362,6 @@ func newFuncBuilder(f *ir.Func) *funcBuilder {
 	return b
 }
 
-func (b *funcBuilder) addReg(t *lang.Type) ir.Reg {
-	r := ir.Reg(b.f.NumRegs)
-	b.f.NumRegs++
-	b.f.RegTypes = append(b.f.RegTypes, t)
-	return r
-}
-
 func (b *funcBuilder) emit(in ir.Instr) { b.cur.Instrs = append(b.cur.Instrs, in) }
 
 // newBlock appends a block and makes it current.
@@ -385,5 +374,3 @@ func (b *funcBuilder) newBlock() int {
 
 // useBlock switches the current block.
 func (b *funcBuilder) useBlock(id int) { b.cur = b.f.Blocks[id] }
-
-func (b *funcBuilder) finish() {}

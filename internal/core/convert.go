@@ -53,7 +53,7 @@ func (c *bodyCtx) convertToTmp(t *lang.Type, src ir.Reg) (ir.Reg, error) {
 	if err != nil {
 		return ir.NoReg, err
 	}
-	tmp := c.newReg(tmpType)
+	tmp := c.nf.NewReg(tmpType)
 	c.emit(ir.Instr{Op: ir.OpCallStatic, Dst: tmp, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{src}})
 	return tmp, nil
 }
@@ -142,11 +142,11 @@ func (tr *transformer) dataClassesMostDerivedFirst() []*lang.Class {
 // fromC1(x); ... ; trap.
 func (tr *transformer) genFromAny(f *ir.Func) error {
 	b := newFuncBuilder(f)
-	x := b.addReg(lang.ClassType("Object"))
+	x := b.f.NewReg(lang.ClassType("Object"))
 	f.Params = []ir.Reg{x}
-	nullRet := b.addReg(lang.LongType)
-	isNull := b.addReg(lang.BoolType)
-	zero := b.addReg(lang.NullType)
+	nullRet := b.f.NewReg(lang.LongType)
+	isNull := b.f.NewReg(lang.BoolType)
+	zero := b.f.NewReg(lang.NullType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: zero, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KRef, Type: lang.NullType})
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinEq, NumKind: ir.KRef, Dst: isNull, A: x, B: zero, C: ir.NoReg})
 	// Blocks are appended as we go; block 0 branches to 1 (null) or 2.
@@ -163,13 +163,13 @@ func (tr *transformer) genFromAny(f *ir.Func) error {
 			return err
 		}
 		b.useBlock(cur)
-		is := b.addReg(lang.BoolType)
+		is := b.f.NewReg(lang.BoolType)
 		b.emit(ir.Instr{Op: ir.OpInstOf, Dst: is, A: x, B: ir.NoReg, C: ir.NoReg, Type: lang.ClassType(cls.Name)})
 		hit := len(f.Blocks)
 		next := hit + 1
 		b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: is, B: ir.NoReg, C: ir.NoReg, Blk: hit, Blk2: next})
 		b.newBlock() // hit
-		ret := b.addReg(lang.LongType)
+		ret := b.f.NewReg(lang.LongType)
 		b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ret, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{x}})
 		b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: ret, B: ir.NoReg, C: ir.NoReg})
 		cur = b.newBlock() // next
@@ -183,15 +183,15 @@ func (tr *transformer) genFromAny(f *ir.Func) error {
 // genToAny builds the record->heap dispatcher over record type IDs.
 func (tr *transformer) genToAny(f *ir.Func) error {
 	b := newFuncBuilder(f)
-	x := b.addReg(lang.LongType)
+	x := b.f.NewReg(lang.LongType)
 	f.Params = []ir.Reg{x}
-	isNull := b.addReg(lang.BoolType)
-	zero := b.addReg(lang.LongType)
+	isNull := b.f.NewReg(lang.BoolType)
+	zero := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: zero, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KLong, Type: lang.LongType})
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinEq, NumKind: ir.KLong, Dst: isNull, A: x, B: zero, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: isNull, B: ir.NoReg, C: ir.NoReg, Blk: 1, Blk2: 2})
 	b.newBlock() // 1: return null
-	nul := b.addReg(lang.NullType)
+	nul := b.f.NewReg(lang.NullType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: nul, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KRef, Type: lang.NullType})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: nul, B: ir.NoReg, C: ir.NoReg})
 
@@ -203,13 +203,13 @@ func (tr *transformer) genToAny(f *ir.Func) error {
 			return err
 		}
 		b.useBlock(cur)
-		is := b.addReg(lang.BoolType)
+		is := b.f.NewReg(lang.BoolType)
 		b.emit(ir.Instr{Op: ir.OpPInstOf, Dst: is, A: x, B: ir.NoReg, C: ir.NoReg, Cls: tr.facades[cls.Name]})
 		hit := len(f.Blocks)
 		next := hit + 1
 		b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: is, B: ir.NoReg, C: ir.NoReg, Blk: hit, Blk2: next})
 		b.newBlock()
-		ret := b.addReg(lang.ClassType("Object"))
+		ret := b.f.NewReg(lang.ClassType("Object"))
 		b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ret, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{x}})
 		b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: ret, B: ir.NoReg, C: ir.NoReg})
 		cur = b.newBlock()
@@ -227,14 +227,14 @@ func (tr *transformer) genFromClass(f *ir.Func, name string) error {
 	cls := tr.p.H.Class(name)
 	fc := tr.facades[name]
 	b := newFuncBuilder(f)
-	x := b.addReg(lang.ClassType("Object"))
+	x := b.f.NewReg(lang.ClassType("Object"))
 	f.Params = []ir.Reg{x}
-	rec := b.addReg(lang.LongType)
+	rec := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpPNew, Dst: rec, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Cls: fc, Imm: int64(cls.BodySize)})
 	for _, fl := range cls.AllFields {
 		switch {
 		case !fl.Type.IsRef():
-			tmp := b.addReg(fl.Type)
+			tmp := b.f.NewReg(fl.Type)
 			b.emit(ir.Instr{Op: ir.OpLoad, Dst: tmp, A: x, B: ir.NoReg, C: ir.NoReg, Field: fl})
 			b.emit(ir.Instr{Op: ir.OpPStore, Dst: ir.NoReg, A: rec, B: tmp, C: ir.NoReg, Field: fl})
 		case fl.Type.Kind == lang.TArray:
@@ -242,9 +242,9 @@ func (tr *transformer) genFromClass(f *ir.Func, name string) error {
 			if err != nil {
 				return err
 			}
-			tmp := b.addReg(fl.Type)
+			tmp := b.f.NewReg(fl.Type)
 			b.emit(ir.Instr{Op: ir.OpLoad, Dst: tmp, A: x, B: ir.NoReg, C: ir.NoReg, Field: fl})
-			ref := b.addReg(lang.LongType)
+			ref := b.f.NewReg(lang.LongType)
 			b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ref, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{tmp}})
 			b.emit(ir.Instr{Op: ir.OpPStore, Dst: ir.NoReg, A: rec, B: ref, C: ir.NoReg, Field: fl})
 		default:
@@ -252,9 +252,9 @@ func (tr *transformer) genFromClass(f *ir.Func, name string) error {
 			if err != nil {
 				return err
 			}
-			tmp := b.addReg(fl.Type)
+			tmp := b.f.NewReg(fl.Type)
 			b.emit(ir.Instr{Op: ir.OpLoad, Dst: tmp, A: x, B: ir.NoReg, C: ir.NoReg, Field: fl})
-			ref := b.addReg(lang.LongType)
+			ref := b.f.NewReg(lang.LongType)
 			b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ref, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{tmp}})
 			b.emit(ir.Instr{Op: ir.OpPStore, Dst: ir.NoReg, A: rec, B: ref, C: ir.NoReg, Field: fl})
 		}
@@ -267,14 +267,14 @@ func (tr *transformer) genFromClass(f *ir.Func, name string) error {
 func (tr *transformer) genToClass(f *ir.Func, name string) error {
 	cls := tr.p.H.Class(name)
 	b := newFuncBuilder(f)
-	x := b.addReg(lang.LongType)
+	x := b.f.NewReg(lang.LongType)
 	f.Params = []ir.Reg{x}
-	obj := b.addReg(lang.ClassType(name))
+	obj := b.f.NewReg(lang.ClassType(name))
 	b.emit(ir.Instr{Op: ir.OpNew, Dst: obj, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Cls: cls})
 	for _, fl := range cls.AllFields {
 		switch {
 		case !fl.Type.IsRef():
-			tmp := b.addReg(fl.Type)
+			tmp := b.f.NewReg(fl.Type)
 			b.emit(ir.Instr{Op: ir.OpPLoad, Dst: tmp, A: x, B: ir.NoReg, C: ir.NoReg, Field: fl})
 			b.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, A: obj, B: tmp, C: ir.NoReg, Field: fl})
 		case fl.Type.Kind == lang.TArray:
@@ -282,9 +282,9 @@ func (tr *transformer) genToClass(f *ir.Func, name string) error {
 			if err != nil {
 				return err
 			}
-			ref := b.addReg(lang.LongType)
+			ref := b.f.NewReg(lang.LongType)
 			b.emit(ir.Instr{Op: ir.OpPLoad, Dst: ref, A: x, B: ir.NoReg, C: ir.NoReg, Field: fl})
-			tmp := b.addReg(fl.Type)
+			tmp := b.f.NewReg(fl.Type)
 			b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: tmp, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{ref}})
 			b.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, A: obj, B: tmp, C: ir.NoReg, Field: fl})
 		default:
@@ -292,9 +292,9 @@ func (tr *transformer) genToClass(f *ir.Func, name string) error {
 			if err != nil {
 				return err
 			}
-			ref := b.addReg(lang.LongType)
+			ref := b.f.NewReg(lang.LongType)
 			b.emit(ir.Instr{Op: ir.OpPLoad, Dst: ref, A: x, B: ir.NoReg, C: ir.NoReg, Field: fl})
-			tmp := b.addReg(lang.ClassType("Object"))
+			tmp := b.f.NewReg(lang.ClassType("Object"))
 			b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: tmp, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{ref}})
 			b.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, A: obj, B: tmp, C: ir.NoReg, Field: fl})
 		}
@@ -307,32 +307,32 @@ func (tr *transformer) genToClass(f *ir.Func, name string) error {
 func (tr *transformer) genFromArr(f *ir.Func, t *lang.Type) error {
 	elem := t.Elem
 	b := newFuncBuilder(f)
-	x := b.addReg(t)
+	x := b.f.NewReg(t)
 	f.Params = []ir.Reg{x}
 	// if (x == null) return 0;
-	isNull := b.addReg(lang.BoolType)
-	zero := b.addReg(lang.NullType)
+	isNull := b.f.NewReg(lang.BoolType)
+	zero := b.f.NewReg(lang.NullType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: zero, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KRef, Type: lang.NullType})
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinEq, NumKind: ir.KRef, Dst: isNull, A: x, B: zero, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: isNull, B: ir.NoReg, C: ir.NoReg, Blk: 1, Blk2: 2})
 	b.newBlock() // 1
-	z := b.addReg(lang.LongType)
+	z := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: z, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KLong, Type: lang.LongType})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: z, B: ir.NoReg, C: ir.NoReg})
 	b.newBlock() // 2: allocate and loop
-	n := b.addReg(lang.IntType)
+	n := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpALen, Dst: n, A: x, B: ir.NoReg, C: ir.NoReg, Type: elem})
-	rec := b.addReg(lang.LongType)
+	rec := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpPNewArr, Dst: rec, A: n, B: ir.NoReg, C: ir.NoReg, Type: elem})
-	i := b.addReg(lang.IntType)
+	i := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: i, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KInt, Type: lang.IntType})
 	b.emit(ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: 3})
 	b.newBlock() // 3: head
-	cond := b.addReg(lang.BoolType)
+	cond := b.f.NewReg(lang.BoolType)
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinLt, NumKind: ir.KInt, Dst: cond, A: i, B: n, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: cond, B: ir.NoReg, C: ir.NoReg, Blk: 4, Blk2: 5})
 	b.newBlock() // 4: body
-	ev := b.addReg(elem)
+	ev := b.f.NewReg(elem)
 	b.emit(ir.Instr{Op: ir.OpALoad, Dst: ev, A: x, B: i, C: ir.NoReg, Type: elem})
 	store := ev
 	if elem.IsRef() {
@@ -346,12 +346,12 @@ func (tr *transformer) genFromArr(f *ir.Func, t *lang.Type) error {
 		if err != nil {
 			return err
 		}
-		cv := b.addReg(lang.LongType)
+		cv := b.f.NewReg(lang.LongType)
 		b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: cv, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{ev}})
 		store = cv
 	}
 	b.emit(ir.Instr{Op: ir.OpPAStore, Dst: ir.NoReg, A: rec, B: i, C: store, Type: elem})
-	one := b.addReg(lang.IntType)
+	one := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: one, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 1, NumKind: ir.KInt, Type: lang.IntType})
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinAdd, NumKind: ir.KInt, Dst: i, A: i, B: one, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: 3})
@@ -364,31 +364,31 @@ func (tr *transformer) genFromArr(f *ir.Func, t *lang.Type) error {
 func (tr *transformer) genToArr(f *ir.Func, t *lang.Type) error {
 	elem := t.Elem
 	b := newFuncBuilder(f)
-	x := b.addReg(lang.LongType)
+	x := b.f.NewReg(lang.LongType)
 	f.Params = []ir.Reg{x}
-	isNull := b.addReg(lang.BoolType)
-	zero := b.addReg(lang.LongType)
+	isNull := b.f.NewReg(lang.BoolType)
+	zero := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: zero, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KLong, Type: lang.LongType})
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinEq, NumKind: ir.KLong, Dst: isNull, A: x, B: zero, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: isNull, B: ir.NoReg, C: ir.NoReg, Blk: 1, Blk2: 2})
 	b.newBlock() // 1
-	nul := b.addReg(lang.NullType)
+	nul := b.f.NewReg(lang.NullType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: nul, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KRef, Type: lang.NullType})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: nul, B: ir.NoReg, C: ir.NoReg})
 	b.newBlock() // 2
-	n := b.addReg(lang.IntType)
+	n := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpPALen, Dst: n, A: x, B: ir.NoReg, C: ir.NoReg, Type: elem})
-	arr := b.addReg(t)
+	arr := b.f.NewReg(t)
 	b.emit(ir.Instr{Op: ir.OpNewArr, Dst: arr, A: n, B: ir.NoReg, C: ir.NoReg, Type: elem})
-	i := b.addReg(lang.IntType)
+	i := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: i, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KInt, Type: lang.IntType})
 	b.emit(ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: 3})
 	b.newBlock() // 3
-	cond := b.addReg(lang.BoolType)
+	cond := b.f.NewReg(lang.BoolType)
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinLt, NumKind: ir.KInt, Dst: cond, A: i, B: n, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: cond, B: ir.NoReg, C: ir.NoReg, Blk: 4, Blk2: 5})
 	b.newBlock() // 4
-	ev := b.addReg(lang.LongType)
+	ev := b.f.NewReg(lang.LongType)
 	b.emit(ir.Instr{Op: ir.OpPALoad, Dst: ev, A: x, B: i, C: ir.NoReg, Type: elem})
 	store := ev
 	if elem.IsRef() {
@@ -405,7 +405,7 @@ func (tr *transformer) genToArr(f *ir.Func, t *lang.Type) error {
 		if err != nil {
 			return err
 		}
-		cv := b.addReg(tmpType)
+		cv := b.f.NewReg(tmpType)
 		b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: cv, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{ev}})
 		store = cv
 	} else {
@@ -413,12 +413,12 @@ func (tr *transformer) genToArr(f *ir.Func, t *lang.Type) error {
 		// destination register above was typed long; retype it to the
 		// element type for correctness of later truncation. Values are
 		// already normalized by loadRecElem, so a move suffices.
-		ev2 := b.addReg(elem)
+		ev2 := b.f.NewReg(elem)
 		b.emit(ir.Instr{Op: ir.OpMove, Dst: ev2, A: ev, B: ir.NoReg, C: ir.NoReg})
 		store = ev2
 	}
 	b.emit(ir.Instr{Op: ir.OpAStore, Dst: ir.NoReg, A: arr, B: i, C: store, Type: elem})
-	one := b.addReg(lang.IntType)
+	one := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: one, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 1, NumKind: ir.KInt, Type: lang.IntType})
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinAdd, NumKind: ir.KInt, Dst: i, A: i, B: one, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: 3})

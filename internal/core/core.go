@@ -339,25 +339,8 @@ func (tr *transformer) computeBounds() {
 		if c.Ctor != nil {
 			note(c.Ctor, name)
 		}
-		for _, mn := range sortedMethodNames(c) {
+		for _, mn := range sortedKeys(c.Methods) {
 			note(c.Methods[mn], "")
 		}
 	}
-}
-
-func sortedMethodNames(c *lang.Class) []string {
-	names := make([]string, 0, len(c.Methods))
-	for n := range c.Methods {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// FacadeName returns the facade class name for an original data class.
-func FacadeName(orig string) string {
-	if orig == "Object" {
-		return "Facade"
-	}
-	return orig + "Facade"
 }

@@ -432,9 +432,3 @@ func TestRecordSizesOnAllocationSites(t *testing.T) {
 		t.Fatal("no PNew of TupleFacade found")
 	}
 }
-
-func TestFacadeNameMapping(t *testing.T) {
-	if FacadeName("Object") != "Facade" || FacadeName("Tuple") != "TupleFacade" {
-		t.Fatal("FacadeName mapping wrong")
-	}
-}

@@ -259,7 +259,7 @@ func countDataObjects(machine *vm.VM) int64 {
 		if c := machine.Prog.H.Class(name); c != nil && !machine.Prog.Transformed {
 			n += machine.Heap.ClassAllocCount(c)
 		}
-		if c := machine.Prog.H.Class(name + "Facade"); c != nil {
+		if c := machine.Prog.H.Class(ir.FacadeName(name)); c != nil {
 			n += machine.Heap.ClassAllocCount(c)
 		}
 	}

@@ -89,12 +89,12 @@ func (hp *Heap) visitAllRoots(visit func(Addr) Addr) {
 // remset. Runs with the world stopped: parked threads publish their
 // buffers via the safepoint mutex, so the reads here are race-free.
 func (hp *Heap) drainRemBuffers() {
-	for tc := range hp.sp.threads {
+	hp.sp.eachThread(func(tc *ThreadCtx) {
 		for _, s := range tc.remBuf {
 			hp.remset[s] = struct{}{}
 		}
 		tc.remBuf = tc.remBuf[:0]
-	}
+	})
 }
 
 func (hp *Heap) minorGC() {
@@ -366,9 +366,7 @@ func (hp *Heap) fullGC() error {
 	hp.remset = make(map[Addr]struct{})
 	// Buffered barrier entries name pre-compaction slots; the nursery was
 	// evacuated, so they are all stale — drop them with the remset.
-	for tc := range hp.sp.threads {
-		tc.remBuf = tc.remBuf[:0]
-	}
+	hp.sp.eachThread(func(tc *ThreadCtx) { tc.remBuf = tc.remBuf[:0] })
 	hp.invalidateTLABs()
 	hp.stats.liveAfterGC.Store(liveBytes)
 	hp.notePeakLocked()

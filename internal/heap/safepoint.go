@@ -78,19 +78,19 @@ func (hp *Heap) RegisterThread() *ThreadCtx {
 	return tc
 }
 
-// UnregisterThread removes the context; the thread must be external.
+// UnregisterThread removes the context, leaving mutator state first if the
+// thread was still running. It waits out a collection in progress (gcMu):
+// the thread's buffered barrier entries merge into the remembered set, which
+// a collector owns for as long as the world is stopped.
 func (hp *Heap) UnregisterThread(tc *ThreadCtx) {
-	tc.flushAllocStats()
-	tc.flushRemBuf()
+	tc.BeginExternal()
 	sp := &hp.sp
+	sp.gcMu.Lock()
+	tc.flushRemBuf()
 	sp.mu.Lock()
-	if tc.running {
-		sp.running--
-		tc.running = false
-		sp.cond.Broadcast()
-	}
 	delete(sp.threads, tc)
 	sp.mu.Unlock()
+	sp.gcMu.Unlock()
 }
 
 // BeginExternal marks the thread as not mutating (framework code, blocking
@@ -177,7 +177,16 @@ func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
 // invalidateTLABs resets every thread's TLAB after the nursery has been
 // recycled. Called with the world stopped.
 func (hp *Heap) invalidateTLABs() {
-	for tc := range hp.sp.threads {
-		tc.tlab = TLAB{}
+	hp.sp.eachThread(func(tc *ThreadCtx) { tc.tlab = TLAB{} })
+}
+
+// eachThread calls f on every registered thread context, under mu: a
+// stopped world keeps mutators off the heap, not off the thread list — an
+// external thread may register or unregister during a collection.
+func (sp *safepointState) eachThread(f func(tc *ThreadCtx)) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for tc := range sp.threads {
+		f(tc)
 	}
 }

@@ -198,3 +198,52 @@ func TestGCTorture(t *testing.T) {
 		t.Fatalf("only %d collections ran; torture was not tortuous", st.MinorGCs+st.FullGCs)
 	}
 }
+
+// TestRegisterDuringCollection pins the thread-list handshake: a stopped
+// world keeps mutators off the heap, not off the list, so external threads
+// may register and unregister while the collector walks it (drainRemBuffers,
+// the full collection's stale-buffer drop, invalidateTLABs). Before the walks
+// took sp.mu this died of "concurrent map iteration and map write" within a
+// few hundred iterations; CI runs it under -race.
+func TestRegisterDuringCollection(t *testing.T) {
+	hp := New(Config{HeapSize: 4 << 20}, testHierarchy(t))
+	const nRegistrars = 3
+	iters := 5000
+	if testing.Short() {
+		iters = 1000
+	}
+
+	var stop atomic.Bool
+	var collector sync.WaitGroup
+	collector.Add(1)
+	go func() {
+		defer collector.Done()
+		tc := hp.RegisterThread()
+		defer hp.UnregisterThread(tc)
+		for full := false; !stop.Load(); full = !full {
+			if err := hp.ForceGC(tc, full); err != nil {
+				t.Errorf("forced GC: %v", err)
+				return
+			}
+		}
+	}()
+
+	var registrars sync.WaitGroup
+	for i := 0; i < nRegistrars; i++ {
+		registrars.Add(1)
+		go func() {
+			defer registrars.Done()
+			for j := 0; j < iters; j++ {
+				hp.UnregisterThread(hp.RegisterThread())
+			}
+		}()
+	}
+	registrars.Wait()
+	stop.Store(true)
+	collector.Wait()
+
+	st := hp.Stats()
+	if st.MinorGCs == 0 || st.FullGCs == 0 {
+		t.Fatalf("collector ran %d minor + %d full collections; want both kinds", st.MinorGCs, st.FullGCs)
+	}
+}

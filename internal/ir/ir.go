@@ -18,6 +18,7 @@ package ir
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/lang"
@@ -262,6 +263,14 @@ type Func struct {
 	Synthetic bool
 }
 
+// NewReg adds a virtual register of static type t and returns it.
+func (f *Func) NewReg(t *lang.Type) Reg {
+	r := Reg(f.NumRegs)
+	f.NumRegs++
+	f.RegTypes = append(f.RegTypes, t)
+	return r
+}
+
 // NumInstrs returns the total instruction count, the unit the paper's
 // compilation-speed numbers (instructions per second) are measured in.
 func (f *Func) NumInstrs() int {
@@ -360,6 +369,24 @@ func FuncKey(class, method string) string { return class + "." + method }
 
 // CtorKey builds the key of a constructor function.
 func CtorKey(class string) string { return class + ".<init>" }
+
+// FacadeName returns the name of the facade twin the transform generates
+// for data class or interface orig; Object's twin is the base class Facade,
+// whose §3.3 pool is keyed "Object".
+func FacadeName(orig string) string {
+	if orig == "Object" {
+		return "Facade"
+	}
+	return orig + "Facade"
+}
+
+// FacadeOrig inverts FacadeName; ok is false when name is no twin's name.
+func FacadeOrig(name string) (orig string, ok bool) {
+	if name == "Facade" {
+		return "Object", true
+	}
+	return strings.CutSuffix(name, "Facade")
+}
 
 // AddFunc registers f, keeping FuncList ordered by insertion.
 func (p *Program) AddFunc(f *Func) {

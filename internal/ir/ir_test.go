@@ -182,3 +182,19 @@ func TestOpAndSubStrings(t *testing.T) {
 		t.Fatal("unknown op formatting")
 	}
 }
+
+func TestFacadeNameMapping(t *testing.T) {
+	for _, c := range []struct{ orig, name string }{{"Object", "Facade"}, {"Tuple", "TupleFacade"}} {
+		if got := FacadeName(c.orig); got != c.name {
+			t.Errorf("FacadeName(%q) = %q, want %q", c.orig, got, c.name)
+		}
+		if got, ok := FacadeOrig(c.name); !ok || got != c.orig {
+			t.Errorf("FacadeOrig(%q) = %q, %v, want %q, true", c.name, got, ok, c.orig)
+		}
+	}
+	for _, name := range []string{"Tuple", "FacadeBridge", ""} {
+		if orig, ok := FacadeOrig(name); ok {
+			t.Errorf("FacadeOrig(%q) = %q, true; want not a facade name", name, orig)
+		}
+	}
+}

@@ -7,6 +7,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -43,11 +44,7 @@ func sortedMethodNames(c *lang.Class) []string {
 	for n := range c.Methods {
 		names = append(names, n)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	return names
 }
 
@@ -80,12 +77,12 @@ func lowerMethod(p *ir.Program, c *lang.Class, m *lang.Method, key string) (*ir.
 	}
 	b.pushScope()
 	if !m.Static {
-		this := b.newReg(lang.ClassType(c.Name))
+		this := b.fn.NewReg(lang.ClassType(c.Name))
 		b.fn.Params = append(b.fn.Params, this)
 		b.scope()["this"] = this
 	}
 	for i, pn := range m.ParamNames {
-		r := b.newReg(m.Params[i])
+		r := b.fn.NewReg(m.Params[i])
 		b.fn.Params = append(b.fn.Params, r)
 		b.scope()[pn] = r
 	}
@@ -119,13 +116,6 @@ func (b *builder) lookup(name string) (ir.Reg, bool) {
 		}
 	}
 	return ir.NoReg, false
-}
-
-func (b *builder) newReg(t *lang.Type) ir.Reg {
-	r := ir.Reg(b.fn.NumRegs)
-	b.fn.NumRegs++
-	b.fn.RegTypes = append(b.fn.RegTypes, t)
-	return r
 }
 
 // newSite numbers an allocation site. Lowering order is deterministic
@@ -212,7 +202,7 @@ func (b *builder) stmt(s lang.Stmt) error {
 		b.popScope()
 		return nil
 	case *lang.VarDeclStmt:
-		r := b.newReg(st.T)
+		r := b.fn.NewReg(st.T)
 		if st.Init != nil {
 			v, err := b.expr(st.Init)
 			if err != nil {
@@ -486,7 +476,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 	}
 	switch x := e.(type) {
 	case *lang.IntLit:
-		r := b.newReg(lang.IntType)
+		r := b.fn.NewReg(lang.IntType)
 		in := instr(ir.OpConst)
 		in.Dst = r
 		in.Imm = int64(x.Val)
@@ -495,7 +485,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		b.emit(in)
 		return r, nil
 	case *lang.LongLit:
-		r := b.newReg(lang.LongType)
+		r := b.fn.NewReg(lang.LongType)
 		in := instr(ir.OpConst)
 		in.Dst = r
 		in.Imm = x.Val
@@ -504,7 +494,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		b.emit(in)
 		return r, nil
 	case *lang.DoubleLit:
-		r := b.newReg(lang.DoubleType)
+		r := b.fn.NewReg(lang.DoubleType)
 		in := instr(ir.OpConst)
 		in.Dst = r
 		in.F = x.Val
@@ -513,7 +503,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		b.emit(in)
 		return r, nil
 	case *lang.BoolLit:
-		r := b.newReg(lang.BoolType)
+		r := b.fn.NewReg(lang.BoolType)
 		in := instr(ir.OpConst)
 		in.Dst = r
 		if x.Val {
@@ -524,7 +514,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		b.emit(in)
 		return r, nil
 	case *lang.NullLit:
-		r := b.newReg(lang.NullType)
+		r := b.fn.NewReg(lang.NullType)
 		in := instr(ir.OpConst)
 		in.Dst = r
 		in.NumKind = ir.KRef
@@ -532,7 +522,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		b.emit(in)
 		return r, nil
 	case *lang.StringLit:
-		r := b.newReg(lang.ClassType("String"))
+		r := b.fn.NewReg(lang.ClassType("String"))
 		in := instr(ir.OpStrLit)
 		in.Dst = r
 		in.Imm = int64(b.p.Intern(x.Val))
@@ -559,7 +549,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		if err != nil {
 			return ir.NoReg, err
 		}
-		r := b.newReg(x.Type())
+		r := b.fn.NewReg(x.Type())
 		in := instr(ir.OpALoad)
 		in.Dst = r
 		in.A = arr
@@ -576,7 +566,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		if err != nil {
 			return ir.NoReg, err
 		}
-		r := b.newReg(lang.ArrayOf(x.ElemT))
+		r := b.fn.NewReg(lang.ArrayOf(x.ElemT))
 		in := instr(ir.OpNewArr)
 		in.Dst = r
 		in.A = n
@@ -589,7 +579,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		if err != nil {
 			return ir.NoReg, err
 		}
-		r := b.newReg(x.Type())
+		r := b.fn.NewReg(x.Type())
 		in := instr(ir.OpUn)
 		in.Dst = r
 		in.A = v
@@ -610,7 +600,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		if err != nil {
 			return ir.NoReg, err
 		}
-		r := b.newReg(lang.BoolType)
+		r := b.fn.NewReg(lang.BoolType)
 		in := instr(ir.OpInstOf)
 		in.Dst = r
 		in.A = v
@@ -625,7 +615,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 
 func (b *builder) fieldExpr(x *lang.FieldExpr) (ir.Reg, error) {
 	if x.ClassName != "" {
-		r := b.newReg(x.Type())
+		r := b.fn.NewReg(x.Type())
 		in := instr(ir.OpLoadStatic)
 		in.Dst = r
 		in.Field = x.Resolved
@@ -637,7 +627,7 @@ func (b *builder) fieldExpr(x *lang.FieldExpr) (ir.Reg, error) {
 		return ir.NoReg, err
 	}
 	if x.IsLen {
-		r := b.newReg(lang.IntType)
+		r := b.fn.NewReg(lang.IntType)
 		in := instr(ir.OpALen)
 		in.Dst = r
 		in.A = obj
@@ -645,7 +635,7 @@ func (b *builder) fieldExpr(x *lang.FieldExpr) (ir.Reg, error) {
 		b.emit(in)
 		return r, nil
 	}
-	r := b.newReg(x.Type())
+	r := b.fn.NewReg(x.Type())
 	in := instr(ir.OpLoad)
 	in.Dst = r
 	in.A = obj
@@ -668,7 +658,7 @@ func (b *builder) callExpr(x *lang.CallExpr) (ir.Reg, error) {
 		in.Sym = x.Intrinsic
 		in.Args = args
 		if x.Type() != lang.VoidType {
-			in.Dst = b.newReg(x.Type())
+			in.Dst = b.fn.NewReg(x.Type())
 			// Record argument type for polymorphic intrinsics (print).
 			if len(x.Args) > 0 {
 				in.Type = x.Args[0].Type()
@@ -703,14 +693,14 @@ func (b *builder) callExpr(x *lang.CallExpr) (ir.Reg, error) {
 	in.Args = args
 	in.M = x.Resolved
 	if x.Resolved.Ret != lang.VoidType {
-		in.Dst = b.newReg(x.Resolved.Ret)
+		in.Dst = b.fn.NewReg(x.Resolved.Ret)
 	}
 	b.emit(in)
 	return in.Dst, nil
 }
 
 func (b *builder) newExpr(x *lang.NewExpr) (ir.Reg, error) {
-	r := b.newReg(lang.ClassType(x.Class))
+	r := b.fn.NewReg(lang.ClassType(x.Class))
 	in := instr(ir.OpNew)
 	in.Dst = r
 	in.Cls = x.Cls
@@ -746,7 +736,7 @@ func (b *builder) castExpr(x *lang.CastExpr) (ir.Reg, error) {
 		if sk == dk {
 			return v, nil
 		}
-		r := b.newReg(dst)
+		r := b.fn.NewReg(dst)
 		in := instr(ir.OpConv)
 		in.Dst = r
 		in.A = v
@@ -758,14 +748,14 @@ func (b *builder) castExpr(x *lang.CastExpr) (ir.Reg, error) {
 	// Reference casts: upcasts need no check; downcasts are checked.
 	if b.h.IsAssignable(dst, src) || src.Kind == lang.TNull ||
 		(dst.Kind == lang.TClass && dst.Name == "Object") {
-		r := b.newReg(dst)
+		r := b.fn.NewReg(dst)
 		in := instr(ir.OpMove)
 		in.Dst = r
 		in.A = v
 		b.emit(in)
 		return r, nil
 	}
-	r := b.newReg(dst)
+	r := b.fn.NewReg(dst)
 	in := instr(ir.OpCast)
 	in.Dst = r
 	in.A = v
@@ -777,7 +767,7 @@ func (b *builder) castExpr(x *lang.CastExpr) (ir.Reg, error) {
 func (b *builder) binaryExpr(x *lang.BinaryExpr) (ir.Reg, error) {
 	// Short-circuit && and ||.
 	if x.Op == lang.TokAndAnd || x.Op == lang.TokOrOr {
-		r := b.newReg(lang.BoolType)
+		r := b.fn.NewReg(lang.BoolType)
 		lhs, err := b.expr(x.X)
 		if err != nil {
 			return ir.NoReg, err
@@ -814,7 +804,7 @@ func (b *builder) binaryExpr(x *lang.BinaryExpr) (ir.Reg, error) {
 	if err != nil {
 		return ir.NoReg, err
 	}
-	r := b.newReg(x.Type())
+	r := b.fn.NewReg(x.Type())
 	in := instr(ir.OpBin)
 	in.Dst = r
 	in.A = lhs

@@ -7,6 +7,7 @@ package stdlib
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lang"
 )
@@ -228,11 +229,7 @@ func ParseWith(sources map[string]string) ([]*lang.File, error) {
 	for n := range sources {
 		names = append(names, n)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	for _, n := range names {
 		f, err := lang.Parse(n, sources[n])
 		if err != nil {

@@ -318,7 +318,7 @@ func (t *Thread) isFacadeType(ty *lang.Type) bool {
 	}
 	if ty.Kind == lang.TIface {
 		// Transformed interfaces are the IFacade twins.
-		_, ok := facadeOrig(ty.Name)
+		_, ok := ir.FacadeOrig(ty.Name)
 		return ok
 	}
 	c := t.vm.Prog.H.Class(ty.Name)

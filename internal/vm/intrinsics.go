@@ -151,11 +151,11 @@ func (t *Thread) formatValue(typ *lang.Type, v Value, rec bool) (string, error) 
 			return rt.ArrayElemType(rt.ArrayTypeOf(ref)).String() + "[]", nil
 		}
 		cls := t.vm.Prog.H.ClassList[rt.ClassID(ref)]
-		if orig, ok := facadeOrig(cls.Name); ok && orig == "String" || cls.Name == "StringFacade" {
+		if cls.Name == ir.FacadeName("String") {
 			return t.recStringContents(ref)
 		}
 		name := cls.Name
-		if orig, ok := facadeOrig(name); ok {
+		if orig, ok := ir.FacadeOrig(name); ok {
 			name = orig
 		}
 		return name, nil
@@ -170,14 +170,6 @@ func (t *Thread) formatValue(typ *lang.Type, v Value, rec bool) (string, error) 
 		return t.heapStringContents(a)
 	}
 	return cls.Name, nil
-}
-
-func facadeOrig(name string) (string, bool) {
-	const suf = "Facade"
-	if len(name) > len(suf) && name[len(name)-len(suf):] == suf {
-		return name[:len(name)-len(suf)], true
-	}
-	return "", false
 }
 
 // formatDouble prints doubles deterministically; both P and P' use this,

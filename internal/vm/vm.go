@@ -294,10 +294,7 @@ func (vm *VM) link() error {
 			return fmt.Errorf("vm: Facade class lacks pageRef field")
 		}
 		for orig, bound := range vm.Prog.Bounds {
-			fc := h.Class(orig + "Facade")
-			if orig == "Object" {
-				fc = fb
-			}
+			fc := h.Class(ir.FacadeName(orig))
 			if fc == nil {
 				return fmt.Errorf("vm: missing facade class for %s", orig)
 			}
