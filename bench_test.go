@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -351,8 +352,7 @@ func BenchmarkAblationPageRecycling(b *testing.B) {
 			var st offheap.Stats
 			for i := 0; i < b.N; i++ {
 				rt := offheap.NewRuntime()
-				ic := 0
-				s := rt.NewIterScope(nil, &ic, 0)
+				s := rt.NewIterScope(nil, 0)
 				for it := 0; it < iters; it++ {
 					s.IterationStart()
 					for j := 0; j < 1000; j++ {
@@ -495,6 +495,10 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 				b.Fatal(err)
 			}
 			root = arr
+			putRef := func(obj heap.Addr, off int, v heap.Addr) {
+				binary.LittleEndian.PutUint64(hp.Bytes(obj)[off:], uint64(v))
+				hp.Barrier(tc, obj+heap.Addr(off), v)
+			}
 			for i := 0; i < fanout; i++ {
 				a, err := hp.AllocObject(tc, node, 0)
 				if err != nil {
@@ -504,8 +508,8 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				hp.SetRefTC(tc, a, next.Offset, c)
-				hp.SetRefTC(tc, root, i*8, a)
+				putRef(a, heap.ScalarHeader+next.Offset, c)
+				putRef(root, heap.ArrayHeader+i*8, a)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -15,7 +15,6 @@ type runOptions struct {
 	heapSize     int
 	entry        string
 	randSeed     int64
-	seedSet      bool
 	out          io.Writer
 	observer     func(Event)
 	faults       *faults.Config
@@ -65,14 +64,10 @@ func WithEntry(key string) Option {
 	return func(o *runOptions) { o.entry = key }
 }
 
-// WithRandSeed seeds the deterministic Sys.rand source. Unlike the legacy
-// RunConfig.RandSeed (whose zero value silently meant 1), the seed given
-// here is honored exactly, including 0.
+// WithRandSeed seeds the deterministic Sys.rand source. The seed is honored
+// exactly, including 0; a run without this option uses seed 1.
 func WithRandSeed(seed int64) Option {
-	return func(o *runOptions) {
-		o.randSeed = seed
-		o.seedSet = true
-	}
+	return func(o *runOptions) { o.randSeed = seed }
 }
 
 // WithGCWorkers sets the full-collection mark parallelism (number of

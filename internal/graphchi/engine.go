@@ -37,6 +37,11 @@ func (a App) progClass() string {
 	return "ConnCompProgram"
 }
 
+// bytesPerEdge is the load estimator used to convert the memory budget into
+// an edge count per interval: a ChiPointer record plus its array slot plus
+// amortized vertex overhead.
+const bytesPerEdge = 48
+
 // Config drives one engine run.
 type Config struct {
 	App        App
@@ -46,10 +51,6 @@ type Config struct {
 	// sub-iteration; GraphChi derives it from the maximum heap size, so
 	// callers pass a value proportional to the configured heap.
 	MemoryBudget int64
-	// BytesPerEdge is the load estimator used to convert the budget into
-	// an edge count per interval (default 48: a ChiPointer record plus
-	// its array slot plus amortized vertex overhead).
-	BytesPerEdge int64
 
 	// Faults configures deterministic fault injection (nil disables).
 	// RunProgram threads the derived injector into the VM so heap-alloc
@@ -153,9 +154,6 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 3
 	}
-	if cfg.BytesPerEdge <= 0 {
-		cfg.BytesPerEdge = 48
-	}
 	if cfg.MemoryBudget <= 0 {
 		cfg.MemoryBudget = 8 << 20
 	}
@@ -189,7 +187,7 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 		}
 	}
 
-	intervals := sg.Intervals(cfg.MemoryBudget / cfg.BytesPerEdge)
+	intervals := sg.Intervals(cfg.MemoryBudget / bytesPerEdge)
 	e.plan = e.inj.CrashPlan(cfg.Iterations*len(intervals), cfg.Workers)
 	met := &Metrics{Edges: int64(sg.NumEdges()) * int64(cfg.Iterations)}
 	start := time.Now()
@@ -315,13 +313,13 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 			e.rec.IntervalRetries++
 			reg.Counter(obs.CtrIntervalRetries).Inc()
 			reg.Emit(obs.EvRecovery, "oom", -1, int64(e.subIter), int64(attempt))
-			if budget/2/e.cfg.BytesPerEdge < 1 {
+			if budget/2/bytesPerEdge < 1 {
 				return fmt.Errorf("out of memory with budget ladder exhausted (budget %d): %w", budget, err)
 			}
 			budget /= 2
 			e.rec.BudgetHalvings++
 			reg.Counter(obs.CtrBudgetHalvings).Inc()
-			reg.Emit(obs.EvDegraded, "interval", int64(iv[0]), budget/e.cfg.BytesPerEdge, int64(e.subIter))
+			reg.Emit(obs.EvDegraded, "interval", int64(iv[0]), budget/bytesPerEdge, int64(e.subIter))
 		default:
 			return err
 		}
@@ -334,7 +332,7 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 // bit-identical whatever the split.
 func (e *engine) runIntervalAt(iv [2]int, values []float64, budget int64, crashChunk int, met *Metrics) ([]float64, error) {
 	out := make([]float64, iv[1]-iv[0])
-	for _, sub := range e.sg.IntervalsIn(iv[0], iv[1], budget/e.cfg.BytesPerEdge) {
+	for _, sub := range e.sg.IntervalsIn(iv[0], iv[1], budget/bytesPerEdge) {
 		o, err := e.runIntervalOnce(sub, values, crashChunk, met)
 		if err != nil {
 			return nil, err

@@ -472,7 +472,7 @@ func TestBudgetLadderExhaustionIsOME(t *testing.T) {
 	// on: every replay re-fails, and the ladder must bottom out.
 	fc := faults.Config{Seed: 7, AllocProb: 1, AllocAt: 0}
 	cfg := Config{App: PageRank, Workers: 1, Iterations: 1,
-		MemoryBudget: 96, BytesPerEdge: 48, Faults: &fc}
+		MemoryBudget: 96, Faults: &fc}
 	_, _, err = RunProgram(p, 48<<20, sg, cfg)
 	if err == nil {
 		t.Fatal("run survived unrecoverable allocation failure")

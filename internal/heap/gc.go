@@ -52,7 +52,7 @@ func (hp *Heap) collectSTW(full bool) error {
 func (hp *Heap) refSlots(a Addr, f func(slot Addr)) {
 	tw := hp.getU32(a + hdrType)
 	if tw&arrayBit != 0 {
-		elem := hp.arrTypes[int(tw&^arrayBit)]
+		elem := hp.arrTypes.Elem(int(tw &^ arrayBit))
 		if !elem.IsRef() {
 			return
 		}

@@ -24,6 +24,12 @@
 // followed by the field/element body laid out per lang.Class offsets —
 // the same offsets the off-heap page records use, which is what makes the
 // synthesized conversion functions straight memory copies.
+//
+// Bytes is the access path: it resolves an address to the object's bytes
+// from the header on, and the caller adds the header size its operation
+// implies (ScalarHeader for a field, ArrayHeader for an element) — the same
+// discipline offheap.Runtime.Bytes gives page records. A reference store is
+// the slot write followed by Barrier.
 package heap
 
 import (
@@ -123,17 +129,16 @@ type Heap struct {
 
 	// Array type registry: array types are assigned dense indices so the
 	// type word can describe them.
-	arrMu    sync.Mutex
-	arrTypes []*lang.Type
-	arrIndex map[string]int
+	arrTypes lang.ArrayTypes
 
 	// Static reference slots registered as roots by the VM.
 	rootsMu sync.Mutex
 	roots   []RootSource
 
-	// Allocation counters per class ID and per array type index, for the
-	// paper's object-count experiment (§4.1).
+	// Allocation counters per class ID and per array type index (the
+	// latter under arrMu), for the paper's object-count experiment (§4.1).
 	classCounts []int64
+	arrMu       sync.Mutex
 	arrCounts   []int64
 
 	// gcWorkers is the mark-phase parallelism; markBits is the side mark
@@ -206,7 +211,6 @@ func New(cfg Config, h *lang.Hierarchy) *Heap {
 		arena:       make([]byte, cfg.HeapSize),
 		h:           h,
 		remset:      make(map[Addr]struct{}),
-		arrIndex:    make(map[string]int),
 		classCounts: make([]int64, len(h.ClassList)),
 	}
 	hp.oldBase = 8 // reserve null
@@ -275,9 +279,7 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 		atomic.StoreInt64(&hp.classCounts[i], 0)
 	}
 	hp.arrMu.Lock()
-	for i := range hp.arrCounts {
-		atomic.StoreInt64(&hp.arrCounts[i], 0)
-	}
+	clear(hp.arrCounts)
 	hp.arrMu.Unlock()
 	hp.clearMarkBits()
 	hp.stats.allocBytes.Store(0)
@@ -322,31 +324,6 @@ func (hp *Heap) AddRoots(r RootSource) {
 	hp.rootsMu.Unlock()
 }
 
-// ArrayTypeIndex returns the dense index for an array's element type,
-// registering it on first use.
-func (hp *Heap) ArrayTypeIndex(elem *lang.Type) int {
-	key := elem.String()
-	hp.arrMu.Lock()
-	defer hp.arrMu.Unlock()
-	if i, ok := hp.arrIndex[key]; ok {
-		return i
-	}
-	i := len(hp.arrTypes)
-	hp.arrTypes = append(hp.arrTypes, elem)
-	hp.arrIndex[key] = i
-	for len(hp.arrCounts) <= i {
-		hp.arrCounts = append(hp.arrCounts, 0)
-	}
-	return i
-}
-
-// ArrayElemType returns the element type for an array type index.
-func (hp *Heap) ArrayElemType(idx int) *lang.Type {
-	hp.arrMu.Lock()
-	defer hp.arrMu.Unlock()
-	return hp.arrTypes[idx]
-}
-
 func roundUp8(n int) int { return (n + 7) &^ 7 }
 
 // TLAB is a thread-local allocation buffer handed out from the nursery.
@@ -361,7 +338,7 @@ const tlabSize = 32 << 10
 func (hp *Heap) objSize(a Addr) int {
 	tw := hp.getU32(a + hdrType)
 	if tw&arrayBit != 0 {
-		elem := hp.arrTypes[int(tw&^arrayBit)]
+		elem := hp.arrTypes.Elem(int(tw &^ arrayBit))
 		n := int(hp.getU32(a + 12))
 		return roundUp8(ArrayHeader + n*elem.FieldSize())
 	}
@@ -386,11 +363,8 @@ func (hp *Heap) ClassOf(a Addr) *lang.Class {
 // ArrayElemOf returns the element type of an array object.
 func (hp *Heap) ArrayElemOf(a Addr) *lang.Type {
 	tw := hp.getU32(a + hdrType)
-	return hp.arrTypes[int(tw&^arrayBit)]
+	return hp.arrTypes.Elem(int(tw &^ arrayBit))
 }
-
-// ArrayLen returns the length of the array at a.
-func (hp *Heap) ArrayLen(a Addr) int { return int(hp.getU32(a + 12)) }
 
 // inYoung reports whether a is in the nursery.
 func (hp *Heap) inYoung(a Addr) bool { return a >= hp.oldEnd }
@@ -420,7 +394,7 @@ func (hp *Heap) AllocArray(tc *ThreadCtx, elem *lang.Type, n int, site int32) (A
 	if n < 0 {
 		return 0, fmt.Errorf("negative array size %d", n)
 	}
-	idx := hp.ArrayTypeIndex(elem)
+	idx := hp.arrTypes.Index(elem)
 	size := roundUp8(ArrayHeader + n*elem.FieldSize())
 	a, err := hp.allocSited(tc, size, site)
 	if err != nil {
@@ -470,6 +444,9 @@ func (tc *ThreadCtx) flushAllocStats() {
 	}
 	if len(tc.arrCounts) > 0 {
 		hp.arrMu.Lock()
+		for len(hp.arrCounts) < len(tc.arrCounts) {
+			hp.arrCounts = append(hp.arrCounts, 0)
+		}
 		for idx, c := range tc.arrCounts {
 			if c != 0 {
 				hp.arrCounts[idx] += c
@@ -579,7 +556,7 @@ func (hp *Heap) zero(a Addr, size int) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed accessors. off is the field offset within the object body.
+// Object access.
 
 func (hp *Heap) getU32(a Addr) uint32 { return binary.LittleEndian.Uint32(hp.arena[a:]) }
 func (hp *Heap) setU32(a Addr, v uint32) {
@@ -590,68 +567,25 @@ func (hp *Heap) setU64(a Addr, v uint64) {
 	binary.LittleEndian.PutUint64(hp.arena[a:], v)
 }
 
-// FieldBase returns the absolute address of the body of object a.
-func (hp *Heap) FieldBase(a Addr) Addr {
-	if hp.IsArray(a) {
-		return a + ArrayHeader
-	}
-	return a + ScalarHeader
-}
+// Bytes resolves a to the object's bytes from its header on, in place. The
+// view is invalidated by the next collection (objects move), so callers use
+// it between safepoints only.
+func (hp *Heap) Bytes(a Addr) []byte { return hp.arena[a:] }
 
-// GetByte reads a byte/boolean field.
-func (hp *Heap) GetByte(a Addr, off int) int8 { return int8(hp.arena[hp.FieldBase(a)+Addr(off)]) }
-
-// SetByte writes a byte/boolean field.
-func (hp *Heap) SetByte(a Addr, off int, v int8) { hp.arena[hp.FieldBase(a)+Addr(off)] = byte(v) }
-
-// GetInt reads an int field.
-func (hp *Heap) GetInt(a Addr, off int) int32 {
-	return int32(hp.getU32(hp.FieldBase(a) + Addr(off)))
-}
-
-// SetInt writes an int field.
-func (hp *Heap) SetInt(a Addr, off int, v int32) {
-	hp.setU32(hp.FieldBase(a)+Addr(off), uint32(v))
-}
-
-// GetLong reads a long field.
-func (hp *Heap) GetLong(a Addr, off int) int64 {
-	return int64(hp.getU64(hp.FieldBase(a) + Addr(off)))
-}
-
-// SetLong writes a long field.
-func (hp *Heap) SetLong(a Addr, off int, v int64) {
-	hp.setU64(hp.FieldBase(a)+Addr(off), uint64(v))
-}
-
-// GetDouble reads a double field.
-func (hp *Heap) GetDouble(a Addr, off int) float64 {
-	return math.Float64frombits(hp.getU64(hp.FieldBase(a) + Addr(off)))
-}
-
-// SetDouble writes a double field.
-func (hp *Heap) SetDouble(a Addr, off int, v float64) {
-	hp.setU64(hp.FieldBase(a)+Addr(off), math.Float64bits(v))
-}
-
-// GetRef reads a reference field.
-func (hp *Heap) GetRef(a Addr, off int) Addr {
-	return Addr(hp.getU64(hp.FieldBase(a) + Addr(off)))
-}
+// ArrayLength reads the length from the resolved bytes of an array object.
+func ArrayLength(b []byte) int { return int(binary.LittleEndian.Uint32(b[12:])) }
 
 // remBufSpill bounds the per-thread write-barrier buffer; a full buffer
 // spills into the shared remset under mu.
 const remBufSpill = 1024
 
-// SetRefTC writes a reference field from mutator code. The generational
-// write barrier records old->young slots in the thread's local buffer;
-// buffers merge into the remset when a collection stops the world
-// (drainRemBuffers) or when the buffer fills, so the hot store path takes
-// no lock.
-func (hp *Heap) SetRefTC(tc *ThreadCtx, a Addr, off int, v Addr) {
-	slot := hp.FieldBase(a) + Addr(off)
-	hp.setU64(slot, uint64(v))
-	if hp.inOld(a) && hp.inYoung(v) {
+// Barrier is the generational write barrier. Mutator code calls it after
+// writing reference v into the slot at absolute address slot: old->young
+// slots go to the thread's local buffer; buffers merge into the remset when
+// a collection stops the world (drainRemBuffers) or when the buffer fills,
+// so the hot store path takes no lock.
+func (hp *Heap) Barrier(tc *ThreadCtx, slot, v Addr) {
+	if hp.inOld(slot) && hp.inYoung(v) {
 		tc.remBuf = append(tc.remBuf, slot)
 		if len(tc.remBuf) >= remBufSpill {
 			tc.flushRemBuf()
@@ -673,37 +607,6 @@ func (tc *ThreadCtx) flushRemBuf() {
 	}
 	hp.mu.Unlock()
 	tc.remBuf = tc.remBuf[:0]
-}
-
-// WriteBody copies data into the object body at off (bulk byte-array
-// fills; no reference slots may be written this way).
-func (hp *Heap) WriteBody(a Addr, off int, data []byte) {
-	base := hp.FieldBase(a) + Addr(off)
-	copy(hp.arena[base:], data)
-}
-
-// Body returns the first n body bytes of object a, in place. The view is
-// invalidated by the next collection (objects move), so callers use it
-// between safepoints only.
-func (hp *Heap) Body(a Addr, n int) []byte {
-	base := hp.FieldBase(a)
-	return hp.arena[base : base+Addr(n)]
-}
-
-// ReadBody copies n body bytes starting at off out of the object.
-func (hp *Heap) ReadBody(a Addr, off, n int) []byte {
-	base := hp.FieldBase(a) + Addr(off)
-	out := make([]byte, n)
-	copy(out, hp.arena[base:])
-	return out
-}
-
-// CopyBody copies n body bytes between two objects (System.arraycopy for
-// primitive arrays).
-func (hp *Heap) CopyBody(src Addr, srcOff int, dst Addr, dstOff, n int) {
-	sb := hp.FieldBase(src) + Addr(srcOff)
-	db := hp.FieldBase(dst) + Addr(dstOff)
-	copy(hp.arena[db:db+Addr(n)], hp.arena[sb:sb+Addr(n)])
 }
 
 // GetLock reads the lock word of object a. Callers (the VM's monitor
@@ -746,9 +649,9 @@ func (hp *Heap) ClassAllocCounts() map[string]int64 {
 		}
 	}
 	hp.arrMu.Lock()
-	for idx, elem := range hp.arrTypes {
-		if c := atomic.LoadInt64(&hp.arrCounts[idx]); c != 0 {
-			out["[]"+elem.String()] = c
+	for idx, c := range hp.arrCounts {
+		if c != 0 {
+			out["[]"+hp.arrTypes.Elem(idx).String()] = c
 		}
 	}
 	hp.arrMu.Unlock()

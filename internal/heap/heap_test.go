@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sync"
@@ -46,6 +47,39 @@ func newTestHeap(t *testing.T, size int) (*Heap, *ThreadCtx) {
 	return hp, tc
 }
 
+// get and put read and write one typed slot of an object the way production
+// code does: Bytes, then the offset from the header on, which the caller
+// builds from the header size its access implies (ScalarHeader for a field,
+// ArrayHeader for an element). An Addr is an 8-byte reference slot. The heap
+// itself exports no per-type accessors.
+func get[T int32 | Addr](hp *Heap, a Addr, off int) T {
+	b := hp.Bytes(a)[off:]
+	var v T
+	switch p := any(&v).(type) {
+	case *int32:
+		*p = int32(binary.LittleEndian.Uint32(b))
+	case *Addr:
+		*p = Addr(binary.LittleEndian.Uint64(b))
+	}
+	return v
+}
+
+func put[T int32 | Addr](hp *Heap, a Addr, off int, v T) {
+	b := hp.Bytes(a)[off:]
+	switch v := any(v).(type) {
+	case int32:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case Addr:
+		binary.LittleEndian.PutUint64(b, uint64(v))
+	}
+}
+
+// putRef is a mutator's reference store: the slot write, then the barrier.
+func putRef(hp *Heap, tc *ThreadCtx, a Addr, off int, v Addr) {
+	put(hp, a, off, v)
+	hp.Barrier(tc, a+Addr(off), v)
+}
+
 func TestAllocAndFieldAccess(t *testing.T) {
 	hp, tc := newTestHeap(t, 4<<20)
 	node := hp.Hierarchy().Class("Node")
@@ -55,16 +89,16 @@ func TestAllocAndFieldAccess(t *testing.T) {
 	}
 	val := node.FindField("val")
 	next := node.FindField("next")
-	hp.SetInt(a, val.Offset, -42)
-	if got := hp.GetInt(a, val.Offset); got != -42 {
+	put[int32](hp, a, ScalarHeader+val.Offset, -42)
+	if got := get[int32](hp, a, ScalarHeader+val.Offset); got != -42 {
 		t.Fatalf("val = %d", got)
 	}
-	if hp.GetRef(a, next.Offset) != 0 {
+	if get[Addr](hp, a, ScalarHeader+next.Offset) != 0 {
 		t.Fatal("fresh ref field not null")
 	}
 	b, _ := hp.AllocObject(tc, node, 0)
-	hp.SetRefTC(tc, a, next.Offset, b)
-	if hp.GetRef(a, next.Offset) != b {
+	putRef(hp, tc, a, ScalarHeader+next.Offset, b)
+	if get[Addr](hp, a, ScalarHeader+next.Offset) != b {
 		t.Fatal("ref field roundtrip failed")
 	}
 	if hp.ClassOf(a) != node {
@@ -78,14 +112,14 @@ func TestArrayAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hp.IsArray(arr) || hp.ArrayLen(arr) != 100 {
+	if !hp.IsArray(arr) || ArrayLength(hp.Bytes(arr)) != 100 {
 		t.Fatal("bad array header")
 	}
 	for i := 0; i < 100; i++ {
-		hp.SetInt(arr, i*4, int32(i*i))
+		put[int32](hp, arr, ArrayHeader+i*4, int32(i*i))
 	}
 	for i := 0; i < 100; i++ {
-		if hp.GetInt(arr, i*4) != int32(i*i) {
+		if get[int32](hp, arr, ArrayHeader+i*4) != int32(i*i) {
 			t.Fatalf("elem %d wrong", i)
 		}
 	}
@@ -124,7 +158,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			hp.SetInt(a, val.Offset, int32(i*1000))
+			put[int32](hp, a, ScalarHeader+val.Offset, int32(i*1000))
 			roots[i] = a
 			cur := a
 			depth := rng.Intn(10)
@@ -133,8 +167,8 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				hp.SetInt(b, val.Offset, int32(i*1000+d))
-				hp.SetRefTC(tc, cur, next.Offset, b)
+				put[int32](hp, b, ScalarHeader+val.Offset, int32(i*1000+d))
+				putRef(hp, tc, cur, ScalarHeader+next.Offset, b)
 				cur = b
 			}
 			// Allocate garbage in between.
@@ -155,11 +189,11 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 			cur := roots[i]
 			d := 0
 			for cur != 0 {
-				if hp.GetInt(cur, val.Offset) != int32(i*1000+d) {
+				if get[int32](hp, cur, ScalarHeader+val.Offset) != int32(i*1000+d) {
 					t.Logf("seed %d: chain %d depth %d corrupted", seed, i, d)
 					return false
 				}
-				cur = hp.GetRef(cur, next.Offset)
+				cur = get[Addr](hp, cur, ScalarHeader+next.Offset)
 				d++
 			}
 		}
@@ -197,11 +231,11 @@ func TestGCShadowModel(t *testing.T) {
 		verify := func(step int) {
 			for i := range shadow {
 				a := addrs[i]
-				if hp.GetInt(a, valF.Offset) != shadow[i].val {
+				if get[int32](hp, a, ScalarHeader+valF.Offset) != shadow[i].val {
 					t.Fatalf("seed %d step %d: node %d val %d want %d",
-						seed, step, i, hp.GetInt(a, valF.Offset), shadow[i].val)
+						seed, step, i, get[int32](hp, a, ScalarHeader+valF.Offset), shadow[i].val)
 				}
-				got := hp.GetRef(a, nextF.Offset)
+				got := get[Addr](hp, a, ScalarHeader+nextF.Offset)
 				if shadow[i].next == -1 {
 					if got != 0 {
 						t.Fatalf("seed %d step %d: node %d next not null", seed, step, i)
@@ -220,20 +254,20 @@ func TestGCShadowModel(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				v := int32(rng.Int31())
-				hp.SetInt(a, valF.Offset, v)
+				put[int32](hp, a, ScalarHeader+valF.Offset, v)
 				addrs = append(addrs, a)
 				shadow = append(shadow, shadowNode{val: v, next: -1})
 			case 4, 5: // mutate a next pointer
 				if len(shadow) > 1 {
 					i := rng.Intn(len(shadow))
 					j := rng.Intn(len(shadow))
-					hp.SetRefTC(tc, addrs[i], nextF.Offset, addrs[j])
+					putRef(hp, tc, addrs[i], ScalarHeader+nextF.Offset, addrs[j])
 					shadow[i].next = j
 				}
 			case 6: // null out a pointer
 				if len(shadow) > 0 {
 					i := rng.Intn(len(shadow))
-					hp.SetRefTC(tc, addrs[i], nextF.Offset, 0)
+					putRef(hp, tc, addrs[i], ScalarHeader+nextF.Offset, 0)
 					shadow[i].next = -1
 				}
 			case 7: // garbage
@@ -290,16 +324,16 @@ func TestParallelAndSerialMarkAgree(t *testing.T) {
 		arr, _ := hp.AllocArray(tc, lang.ClassType("Node"), 16, 0)
 		for i := range roots {
 			a, _ := hp.AllocObject(tc, node, 0)
-			hp.SetInt(a, val.Offset, int32(i))
-			hp.SetRefTC(tc, a, kids.Offset, arr)
+			put[int32](hp, a, ScalarHeader+val.Offset, int32(i))
+			putRef(hp, tc, a, ScalarHeader+kids.Offset, arr)
 			roots[i] = a
 			cur := a
 			for d := 0; d < 200; d++ {
 				b, _ := hp.AllocObject(tc, node, 0)
-				hp.SetInt(b, val.Offset, int32(i*1000+d))
-				hp.SetRefTC(tc, cur, next.Offset, b)
+				put[int32](hp, b, ScalarHeader+val.Offset, int32(i*1000+d))
+				putRef(hp, tc, cur, ScalarHeader+next.Offset, b)
 				if d%17 == 0 {
-					hp.SetRefTC(tc, arr, (d%16)*8, b)
+					putRef(hp, tc, arr, ArrayHeader+(d%16)*8, b)
 				}
 				cur = b
 			}
@@ -310,16 +344,16 @@ func TestParallelAndSerialMarkAgree(t *testing.T) {
 		// Verify chains.
 		for i := range roots {
 			cur := roots[i]
-			if hp.GetInt(cur, val.Offset) != int32(i) {
+			if get[int32](hp, cur, ScalarHeader+val.Offset) != int32(i) {
 				t.Fatalf("workers=%d: root %d corrupted", workers, i)
 			}
-			cur = hp.GetRef(cur, next.Offset)
+			cur = get[Addr](hp, cur, ScalarHeader+next.Offset)
 			d := 0
 			for cur != 0 {
-				if hp.GetInt(cur, val.Offset) != int32(i*1000+d) {
+				if get[int32](hp, cur, ScalarHeader+val.Offset) != int32(i*1000+d) {
 					t.Fatalf("workers=%d: chain %d depth %d corrupted", workers, i, d)
 				}
-				cur = hp.GetRef(cur, next.Offset)
+				cur = get[Addr](hp, cur, ScalarHeader+next.Offset)
 				d++
 			}
 			if d != 200 {
@@ -367,7 +401,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	}))
 	a, _ := hp.AllocObject(tc, node, 0)
 	root = a
-	hp.SetInt(root, val.Offset, 7)
+	put[int32](hp, root, ScalarHeader+val.Offset, 7)
 	// Promote root to the old generation.
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
@@ -375,13 +409,13 @@ func TestOldToYoungBarrier(t *testing.T) {
 	// New young object referenced ONLY from the old object: the write
 	// barrier must keep it alive across a minor collection.
 	b, _ := hp.AllocObject(tc, node, 0)
-	hp.SetInt(b, val.Offset, 13)
-	hp.SetRefTC(tc, root, next.Offset, b)
+	put[int32](hp, b, ScalarHeader+val.Offset, 13)
+	putRef(hp, tc, root, ScalarHeader+next.Offset, b)
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
 	}
-	got := hp.GetRef(root, next.Offset)
-	if got == 0 || hp.GetInt(got, val.Offset) != 13 {
+	got := get[Addr](hp, root, ScalarHeader+next.Offset)
+	if got == 0 || get[int32](hp, got, ScalarHeader+val.Offset) != 13 {
 		t.Fatal("write barrier lost an old->young reference")
 	}
 }
@@ -416,8 +450,8 @@ func TestOutOfMemory(t *testing.T) {
 			}
 			return
 		}
-		hp.SetRefTC(tc, n, kids.Offset, arr)
-		hp.SetRefTC(tc, n, node.FindField("next").Offset, root)
+		putRef(hp, tc, n, ScalarHeader+kids.Offset, arr)
+		putRef(hp, tc, n, ScalarHeader+node.FindField("next").Offset, root)
 		root = n
 		if i > 10000 {
 			t.Fatal("never ran out of memory")
@@ -451,8 +485,8 @@ func TestConcurrentAllocAndGC(t *testing.T) {
 					errs <- err
 					return
 				}
-				hp.SetInt(a, val.Offset, int32(id))
-				if hp.GetInt(a, val.Offset) != int32(id) {
+				put[int32](hp, a, ScalarHeader+val.Offset, int32(id))
+				if get[int32](hp, a, ScalarHeader+val.Offset) != int32(id) {
 					errs <- ErrOutOfMemory
 					return
 				}
@@ -489,13 +523,13 @@ func TestArrayElementWriteBarrier(t *testing.T) {
 	}
 	arr = root
 	young, _ := hp.AllocObject(tc, node, 0)
-	hp.SetInt(young, val.Offset, 99)
-	hp.SetRefTC(tc, arr, 3*8, young) // old array -> young element
+	put[int32](hp, young, ScalarHeader+val.Offset, 99)
+	putRef(hp, tc, arr, ArrayHeader+3*8, young) // old array -> young element
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
 	}
-	got := hp.GetRef(root, 3*8)
-	if got == 0 || hp.GetInt(got, val.Offset) != 99 {
+	got := get[Addr](hp, root, ArrayHeader+3*8)
+	if got == 0 || get[int32](hp, got, ScalarHeader+val.Offset) != 99 {
 		t.Fatal("array element barrier lost old->young reference")
 	}
 }

@@ -52,7 +52,7 @@ type ThreadCtx struct {
 	histMax      int64
 
 	// remBuf holds old->young reference slots recorded by the write
-	// barrier (SetRefTC) since the last drain.
+	// barrier (Barrier) since the last drain.
 	remBuf []Addr
 
 	// pretenured batches the count of allocations lifetime.go routed to the

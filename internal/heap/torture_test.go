@@ -115,7 +115,7 @@ func TestGCTorture(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			hp.SetInt(a, val.Offset, int32(w.id))
+			put[int32](hp, a, ScalarHeader+val.Offset, int32(w.id))
 			w.anchor = a
 			// Run the planned rounds, then keep churning (bounded) until
 			// the collector has met its quota: collections are much slower
@@ -136,8 +136,8 @@ func TestGCTorture(t *testing.T) {
 						return
 					}
 					v := int32(w.id*1_000_000 + round*1000 + i)
-					hp.SetInt(n, val.Offset, v)
-					hp.SetRefTC(tc, n, next.Offset, w.head)
+					put[int32](hp, n, ScalarHeader+val.Offset, v)
+					putRef(hp, tc, n, ScalarHeader+next.Offset, w.head)
 					w.head = n
 					want += int64(v)
 					if i%64 == 0 {
@@ -149,9 +149,9 @@ func TestGCTorture(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						hp.SetRefTC(tc, arr, 0, n)
-						hp.SetRefTC(tc, n, kids.Offset, arr)
-						hp.SetRefTC(tc, w.anchor, next.Offset, n)
+						putRef(hp, tc, arr, ArrayHeader, n)
+						putRef(hp, tc, n, ScalarHeader+kids.Offset, arr)
+						putRef(hp, tc, w.anchor, ScalarHeader+next.Offset, n)
 						tc.Safepoint()
 					}
 				}
@@ -159,10 +159,10 @@ func TestGCTorture(t *testing.T) {
 				// Verify after the safepoint: everything may have moved.
 				got := int64(0)
 				cnt := 0
-				for c := w.head; c != 0; c = hp.GetRef(c, next.Offset) {
-					got += int64(hp.GetInt(c, val.Offset))
-					if arr := hp.GetRef(c, kids.Offset); arr != 0 {
-						if hp.GetRef(arr, 0) != c {
+				for c := w.head; c != 0; c = get[Addr](hp, c, ScalarHeader+next.Offset) {
+					got += int64(get[int32](hp, c, ScalarHeader+val.Offset))
+					if arr := get[Addr](hp, c, ScalarHeader+kids.Offset); arr != 0 {
+						if get[Addr](hp, arr, ArrayHeader) != c {
 							t.Errorf("worker %d round %d: kids[0] no longer points at owner", w.id, round)
 							return
 						}
@@ -174,13 +174,13 @@ func TestGCTorture(t *testing.T) {
 						w.id, round, got, want, cnt, tortureList)
 					return
 				}
-				if hp.GetInt(w.anchor, val.Offset) != int32(w.id) {
+				if get[int32](hp, w.anchor, ScalarHeader+val.Offset) != int32(w.id) {
 					t.Errorf("worker %d round %d: anchor payload corrupted", w.id, round)
 					return
 				}
 				// The anchor's old->young edge must survive the buffered
 				// write barrier across any number of collections.
-				if hp.GetRef(w.anchor, next.Offset) == 0 {
+				if get[Addr](hp, w.anchor, ScalarHeader+next.Offset) == 0 {
 					t.Errorf("worker %d round %d: anchor lost its old->young edge", w.id, round)
 					return
 				}

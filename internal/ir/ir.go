@@ -232,11 +232,11 @@ type Instr struct {
 	// site classified on P applies to the control-heap allocations P'
 	// retains.
 	Site int32
-	// Cache holds VM link data (resolved callee for OpCallStatic,
-	// intrinsic index for OpIntr). Owned by the VM that linked the
-	// program; programs are deep-copied by the transform so P and P'
-	// never share instructions.
-	Cache any
+	// Callee is the resolved target of an OpCallStatic, written once per
+	// program by the VM's linker (LinkInstrs) along with the selector or
+	// intrinsic index it leaves in Imm. Programs are deep-copied by the
+	// transform so P and P' never share instructions.
+	Callee *Func
 }
 
 // Block is a basic block; the last instruction is always a terminator
@@ -304,7 +304,7 @@ type Program struct {
 	NumSites int
 
 	// linkOnce serializes the one-time, in-place population of
-	// per-instruction dispatch caches (Instr.Imm/Instr.Cache, written by
+	// per-instruction dispatch caches (Instr.Imm/Instr.Callee, written by
 	// the VM's linker). The cached values are pure functions of the
 	// program, so every VM sharing this program sees identical caches;
 	// the Once provides the happens-before edge that makes concurrent

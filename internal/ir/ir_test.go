@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lang"
 )
@@ -88,6 +89,14 @@ func TestInstrsInClasses(t *testing.T) {
 	}
 	if p.InstrsInClasses([]string{"T", "U"}) != 6 {
 		t.Fatal("filter by both")
+	}
+}
+
+// TestInstrSize pins the interpreter's unit of work: every field added to
+// Instr is paid for on each dispatched instruction (ROADMAP item 2).
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n > 176 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want <= 176", n)
 	}
 }
 

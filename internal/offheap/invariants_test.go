@@ -38,8 +38,7 @@ func TestSizeClassBoundaries(t *testing.T) {
 	// PageSize/2 must share one page; one byte more forces a dedicated
 	// empty page; more than a page is oversize and counted as such.
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	m := s.Current()
 
@@ -79,8 +78,7 @@ func TestPageHighWaterMonotonic(t *testing.T) {
 	// ReleaseAll as a record of the peak.
 	check := func(seed int64) bool {
 		rt := NewRuntime()
-		ic := 0
-		s := newScope(rt, &ic, 0)
+		s := newScope(rt, 0)
 		defer s.Close()
 		s.IterationStart()
 		m := s.Current()
@@ -128,8 +126,7 @@ func TestPageHighWaterMonotonic(t *testing.T) {
 
 func TestDoubleReleaseIsIdempotent(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	s.IterationStart()
 	m := s.Current()
 	for i := 0; i < 50; i++ {
@@ -170,11 +167,10 @@ func TestPoolNeverSharesAPage(t *testing.T) {
 		ops     = 300
 	)
 	rt := NewRuntime()
-	ic := 0
 	var iterMu sync.Mutex // the iteration-ID counter is shared and plain
 	scopes := make([]*IterScope, workers)
 	for w := range scopes {
-		scopes[w] = newScope(rt, &ic, w)
+		scopes[w] = newScope(rt, w)
 	}
 
 	// Workers mutate their scope under world.RLock, so they run concurrently

@@ -234,16 +234,15 @@ func (m *PageManager) AllocArray(arrTypeIdx int, elemSize, n int) (PageRef, erro
 type IterScope struct {
 	rt       *Runtime
 	stack    []*PageManager
-	nextIter *int
 	threadID int
 }
 
 // NewIterScope creates the scope for a thread whose default manager is a
 // child of parent (the manager current in the creating thread; nil for the
-// first thread). nextIter supplies global iteration IDs.
-func (rt *Runtime) NewIterScope(parent *PageManager, nextIter *int, threadID int) *IterScope {
+// first thread).
+func (rt *Runtime) NewIterScope(parent *PageManager, threadID int) *IterScope {
 	def := rt.NewManager(parent, -1, threadID)
-	return &IterScope{rt: rt, stack: []*PageManager{def}, nextIter: nextIter, threadID: threadID}
+	return &IterScope{rt: rt, stack: []*PageManager{def}, threadID: threadID}
 }
 
 // Current returns the manager new records should be allocated from.
@@ -253,10 +252,9 @@ func (s *IterScope) Current() *PageManager { return s.stack[len(s.stack)-1] }
 func (s *IterScope) Default() *PageManager { return s.stack[0] }
 
 // IterationStart opens a (sub-)iteration: a child manager of the current
-// one becomes the allocation target.
+// one becomes the allocation target, under the store's next iteration ID.
 func (s *IterScope) IterationStart() {
-	id := *s.nextIter
-	*s.nextIter = id + 1
+	id := int(s.rt.nextIter.Add(1) - 1)
 	s.stack = append(s.stack, s.rt.NewManager(s.Current(), id, s.threadID))
 }
 

@@ -113,9 +113,12 @@ type Runtime struct {
 	// references without locking.
 	table atomic.Pointer[[]*page]
 
-	arrMu    sync.Mutex
-	arrTypes []*lang.Type
-	arrIndex map[string]int
+	// arrTypes is the array type registry; the type word leaves 14 bits
+	// for its indices.
+	arrTypes lang.ArrayTypes
+
+	// nextIter supplies this store's iteration IDs, dense from 0.
+	nextIter atomic.Int64
 
 	Locks *LockPool
 
@@ -187,10 +190,10 @@ func NewRuntime() *Runtime { return NewRuntimeWith(nil) }
 // to reg (a fresh private registry when nil).
 func NewRuntimeWith(reg *obs.Registry) *Runtime {
 	rt := &Runtime{
-		live:     make(map[*PageManager]struct{}),
-		arrIndex: make(map[string]int),
-		Locks:    NewLockPool(defaultLockPoolSize),
+		live:  make(map[*PageManager]struct{}),
+		Locks: NewLockPool(defaultLockPoolSize),
 	}
+	rt.arrTypes.Limit = int(arrayTypeBit)
 	rt.bindInstruments(reg, nil)
 	empty := make([]*page, 0)
 	rt.table.Store(&empty)
@@ -291,6 +294,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.stats.bytesInUse.Store(0)
 	rt.stats.peakBytes.Store(0)
 	rt.stats.managers.Store(0)
+	rt.nextIter.Store(0)
 	rt.quota.Store(0) // a reused store must not inherit the previous job's cap
 	rt.Locks = NewLockPool(defaultLockPoolSize)
 	rt.bindInstruments(reg, inj)
@@ -340,28 +344,10 @@ func (rt *Runtime) Stats() Stats {
 // ArrayTypeIndex returns the dense index for an array element type, or -1
 // when the registry is exhausted (the allocation sites turn -1 into
 // ErrTooManyArrayTypes; lookups of already-registered types never fail).
-func (rt *Runtime) ArrayTypeIndex(elem *lang.Type) int {
-	key := elem.String()
-	rt.arrMu.Lock()
-	defer rt.arrMu.Unlock()
-	if i, ok := rt.arrIndex[key]; ok {
-		return i
-	}
-	i := len(rt.arrTypes)
-	if i >= int(arrayTypeBit) {
-		return -1
-	}
-	rt.arrTypes = append(rt.arrTypes, elem)
-	rt.arrIndex[key] = i
-	return i
-}
+func (rt *Runtime) ArrayTypeIndex(elem *lang.Type) int { return rt.arrTypes.Index(elem) }
 
 // ArrayElemType returns the element type registered under idx.
-func (rt *Runtime) ArrayElemType(idx int) *lang.Type {
-	rt.arrMu.Lock()
-	defer rt.arrMu.Unlock()
-	return rt.arrTypes[idx]
-}
+func (rt *Runtime) ArrayElemType(idx int) *lang.Type { return rt.arrTypes.Elem(idx) }
 
 // getPage allocates or recycles a page of at least size bytes — the one
 // acquire path: every page a manager owns came through here. Pages larger

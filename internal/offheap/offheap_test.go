@@ -12,8 +12,8 @@ import (
 	"repro/internal/lang"
 )
 
-func newScope(rt *Runtime, iterCounter *int, tid int) *IterScope {
-	return rt.NewIterScope(nil, iterCounter, tid)
+func newScope(rt *Runtime, tid int) *IterScope {
+	return rt.NewIterScope(nil, tid)
 }
 
 func mustRecord(t testing.TB, m *PageManager, typeID uint16, size int) PageRef {
@@ -64,8 +64,7 @@ func put[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int, v 
 
 func TestRecordRoundtrip(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	ref := mustRecord(t, s.Current(), 7, 64)
 	if rt.ClassID(ref) != 7 || rt.IsArrayRecord(ref) {
@@ -85,8 +84,7 @@ func TestRecordRoundtrip(t *testing.T) {
 
 func TestArrayRecord(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	idx := rt.ArrayTypeIndex(lang.IntType)
 	ref, err := s.Current().AllocArray(idx, 4, 1000)
@@ -119,8 +117,7 @@ func TestHeaderSizesMatchPaper(t *testing.T) {
 func TestRecordValuesSurviveRandomOps(t *testing.T) {
 	check := func(seed int64) bool {
 		rt := NewRuntime()
-		ic := 0
-		s := newScope(rt, &ic, 0)
+		s := newScope(rt, 0)
 		defer s.Close()
 		rng := rand.New(rand.NewSource(seed))
 		type slot struct {
@@ -152,8 +149,7 @@ func TestRecordValuesSurviveRandomOps(t *testing.T) {
 
 func TestIterationReclaimsPages(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	for iter := 0; iter < 10; iter++ {
 		s.IterationStart()
@@ -178,8 +174,7 @@ func TestIterationReclaimsPages(t *testing.T) {
 
 func TestNestedIterations(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
 	outer := s.Current()
@@ -210,11 +205,10 @@ func TestThreadManagerParentedUnderIteration(t *testing.T) {
 	// that iteration's manager; ending the iteration reclaims the
 	// (closed) thread's pages too.
 	rt := NewRuntime()
-	ic := 0
-	main := newScope(rt, &ic, 0)
+	main := newScope(rt, 0)
 	defer main.Close()
 	main.IterationStart()
-	child := rt.NewIterScope(main.Current(), &ic, 1)
+	child := rt.NewIterScope(main.Current(), 1)
 	child.Current().AllocRecord(3, 64)
 	// Thread finishes without closing explicitly: the subtree release at
 	// iteration end must still reclaim it.
@@ -229,8 +223,7 @@ func TestThreadManagerParentedUnderIteration(t *testing.T) {
 
 func TestOversizeAllocation(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	idx := rt.ArrayTypeIndex(lang.ByteType)
 	ref, err := s.Current().AllocArray(idx, 1, 5*PageSize)
@@ -251,8 +244,7 @@ func TestOversizeAllocation(t *testing.T) {
 
 func TestLargeRecordGetsOwnPage(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	// Two large-but-not-oversize arrays must land on distinct pages
 	// ("large arrays are allocated on empty pages").
@@ -268,8 +260,7 @@ func TestLargeRecordGetsOwnPage(t *testing.T) {
 
 func TestContiguousSmallAllocations(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	// Policy 1: consecutive small records of the same size class are
 	// contiguous within a page.
@@ -287,8 +278,7 @@ func TestContiguousSmallAllocations(t *testing.T) {
 
 func TestLockPoolMutualExclusion(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
 	put(rt, rec, 0, int32(0))
@@ -333,8 +323,7 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 
 func TestLockPoolReentrancy(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
 	owner := &struct{}{}
@@ -357,8 +346,7 @@ func TestLockPoolBound(t *testing.T) {
 	// The number of pool locks in use is bounded by concurrent
 	// synchronization, not by the number of records ever locked.
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	owner := &struct{}{}
 	for i := 0; i < 10000; i++ {
@@ -377,8 +365,7 @@ func TestLockPoolBound(t *testing.T) {
 
 func TestLockPoolExitErrors(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
 	if err := rt.Locks.Exit(rt, rec, &struct{}{}); err == nil {
@@ -398,8 +385,7 @@ func TestLockPoolExitErrors(t *testing.T) {
 
 func TestReleaseOversizeEarly(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
 	idx := rt.ArrayTypeIndex(lang.ByteType)
@@ -428,8 +414,7 @@ func TestReleaseOversizeEarly(t *testing.T) {
 
 func TestReleasedManagerAllocError(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
 	m := s.Current()
@@ -444,8 +429,7 @@ func TestReleasedManagerAllocError(t *testing.T) {
 
 func TestAllocArrayRejectsExhaustedTypeRegistry(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	// -1 is ArrayTypeIndex's "registry full" answer.
 	if _, err := s.Current().AllocArray(-1, 4, 10); !errors.Is(err, ErrTooManyArrayTypes) {
@@ -456,8 +440,7 @@ func TestAllocArrayRejectsExhaustedTypeRegistry(t *testing.T) {
 func TestInjectedPageFault(t *testing.T) {
 	rt := NewRuntime()
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 3, PageAt: 1}))
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	_, err := s.Current().AllocRecord(1, 16)
 	if !errors.Is(err, ErrPageExhausted) {

@@ -55,8 +55,7 @@ func portableLeg(t *testing.T, f func(t *testing.T)) {
 func TestTierSpillPromoteRoundtrip(t *testing.T) {
 	portableLeg(t, func(t *testing.T) {
 		rt, _ := newTieredRuntime(t, 4, 2)
-		ic := 0
-		s := newScope(rt, &ic, 0)
+		s := newScope(rt, 0)
 		defer s.Close()
 		const n = 12
 		refs := make([]PageRef, n)
@@ -92,8 +91,7 @@ func TestTierSpillPromoteRoundtrip(t *testing.T) {
 
 func TestTierNoDoubleSpillOrPromote(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 3, 1)
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	refs := make([]PageRef, 10)
 	for i := range refs {
@@ -122,8 +120,7 @@ func TestTierNoDoubleSpillOrPromote(t *testing.T) {
 
 func TestTierPinnedPageNeverEvicted(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 2, 1)
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	ref := dedicated(t, s.Current(), 1)
 	put(rt, ref, 0, int64(42))
@@ -148,8 +145,7 @@ func TestTierPinnedPageNeverEvicted(t *testing.T) {
 
 func TestTierBumpPageNeverEvicted(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 2, 1)
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	// A small record opens a class-0 bump page; the manager holds its
 	// acquire pin while it is the allocation target, so the eviction
@@ -181,8 +177,7 @@ func TestTierBumpPageNeverEvicted(t *testing.T) {
 func TestTierIterationReleaseSkipsReadback(t *testing.T) {
 	portableLeg(t, func(t *testing.T) {
 		rt, _ := newTieredRuntime(t, 2, 1)
-		ic := 0
-		s := newScope(rt, &ic, 0)
+		s := newScope(rt, 0)
 		defer s.Close()
 		s.IterationStart()
 		for i := 0; i < 8; i++ {
@@ -207,8 +202,7 @@ func TestTierIterationReleaseSkipsReadback(t *testing.T) {
 func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 1000, 999)
 	rt.SetPageQuota(3) // caps DRAM-resident pages when tiered
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	refs := make([]PageRef, 10)
 	for i := range refs {
@@ -235,8 +229,7 @@ func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
 func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 2, 1)
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierLoadAt: 1}))
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	refs := make([]PageRef, 6)
 	for i := range refs {
@@ -275,8 +268,7 @@ func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 func TestTierSpillFaultIsBestEffort(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 2, 1)
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierSpillAt: 1}))
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	defer s.Close()
 	refs := make([]PageRef, 8)
 	for i := range refs {
@@ -297,8 +289,7 @@ func TestTierSpillFaultIsBestEffort(t *testing.T) {
 func TestTierResetTearsDownSpillFile(t *testing.T) {
 	portableLeg(t, func(t *testing.T) {
 		rt, dir := newTieredRuntime(t, 2, 1)
-		ic := 0
-		s := newScope(rt, &ic, 0)
+		s := newScope(rt, 0)
 		for i := 0; i < 6; i++ {
 			dedicated(t, s.Current(), 1)
 		}
@@ -369,8 +360,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 	}
 	const n = 8
 	build := func(rt *Runtime) *store {
-		ic := 0
-		st := &store{rt: rt, s: newScope(rt, &ic, 0)}
+		st := &store{rt: rt, s: newScope(rt, 0)}
 		for i := 0; i < n; i++ {
 			// Big enough for a page each, so the tiered store keeps spilling.
 			st.recs = append(st.recs, mustRecord(t, st.s.Current(), uint16(i+1), 20000))
@@ -463,8 +453,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 // managers in nested iterations.
 func TestRecordCountExactAcrossManagers(t *testing.T) {
 	rt := NewRuntime()
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	want := int64(0)
 	alloc := func(k int) {
 		for i := 0; i < k; i++ {
@@ -529,8 +518,7 @@ func TestStatsReadTheInstruments(t *testing.T) {
 	}
 
 	rt, _ := newTieredRuntime(t, 4, 2)
-	ic := 0
-	s := newScope(rt, &ic, 0)
+	s := newScope(rt, 0)
 	for iter := 0; iter < 3; iter++ {
 		s.IterationStart()
 		refs := make([]PageRef, 10)
@@ -561,7 +549,7 @@ func TestStatsReadTheInstruments(t *testing.T) {
 	if got := rt.Stats(); got.PagesLiveHW != 0 || got.PagesRecycled != 0 {
 		t.Fatalf("Reset kept the previous job's page counts: %+v", got)
 	}
-	s = newScope(rt, &ic, 0)
+	s = newScope(rt, 0)
 	dedicated(t, s.Current(), 1)
 	check("second job", rt)
 	if got := rt.Stats(); got.PagesCreated != 0 || got.PagesRecycled != 1 {

@@ -18,8 +18,7 @@ func TestTierTorture(t *testing.T) {
 		t.Skip("torture test skipped in -short")
 	}
 	rt, _ := newTieredRuntime(t, 6, 3)
-	ic := 0
-	root := newScope(rt, &ic, 0)
+	root := newScope(rt, 0)
 	defer root.Close()
 
 	// Shared records, one dedicated page each, written once and read by
@@ -46,7 +45,7 @@ func TestTierTorture(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			iterMu.Lock()
-			s := rt.NewIterScope(root.Current(), &ic, w+1)
+			s := rt.NewIterScope(root.Current(), w+1)
 			iterMu.Unlock()
 			defer func() {
 				iterMu.Lock()

@@ -84,54 +84,20 @@ func (t *Thread) FreeObj(o Obj) {
 }
 
 // makeString builds a String value in mutator state (the thread must be
-// running). Used for S() arguments and literals crossing the boundary.
+// running). Used for S() arguments and literals crossing the boundary;
+// record strings are allocated in the thread's current iteration scope.
 func (t *Thread) makeString(s string) (Value, error) {
 	if t.vm.Prog.Transformed {
-		// Record strings crossing the boundary are allocated in the
-		// thread's current iteration scope.
-		rt := t.vm.RT
-		sf := t.vm.facadeOf("String")
-		if sf == nil {
-			return 0, fmt.Errorf("vm: no String facade")
-		}
-		pm := t.iter.Current()
-		arr, err := pm.AllocArray(rt.ArrayTypeIndex(lang.ByteType), 1, len(s))
-		if err != nil {
-			return 0, err
-		}
-		rt.WriteBody(arr, 0, []byte(s))
-		rec, err := pm.AllocRecord(uint16(sf.ID), t.vm.stringBodySize())
-		if err != nil {
-			return 0, err
-		}
-		rt.SetRef(rec, t.vm.strField.Offset, arr)
-		return Value(rec), nil
+		return t.vm.recString(t.iter.Current(), s)
 	}
 	return t.makeHeapString(s)
-}
-
-// recoverTier converts an *offheap.TierFault panic — a disk-tier
-// promotion failure escaping an infallible record accessor — into its
-// wrapped error, for boundary helpers that do not push interpreter frames
-// (those go through recoverTierFault, which also rewinds the thread
-// stacks). Any other panic propagates.
-func recoverTier(err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	tf, ok := r.(*offheap.TierFault)
-	if !ok {
-		panic(r)
-	}
-	*err = tf.Err
 }
 
 // NewString converts a Go string at the boundary and returns a handle.
 func (t *Thread) NewString(s string) (o Obj, err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v, err := t.makeString(s)
 	if err != nil {
 		return NilObj, err
@@ -144,7 +110,7 @@ func (t *Thread) NewString(s string) (o Obj, err error) {
 func (t *Thread) GoString(o Obj) (s string, err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if o == NilObj {
 		return "", nil
 	}
@@ -240,7 +206,7 @@ func (t *Thread) facadeCall(fn *ir.Func, recv offheap.PageRef, args []Arg) (Valu
 		if pe == nil {
 			return 0, fmt.Errorf("vm: no receiver pool for record type %d", tw)
 		}
-		t.vm.Heap.SetLong(heap.Addr(pe.recv), t.vm.pageRefField.Offset, int64(recv))
+		t.bindFacade(pe.recv, recv)
 		vals = append(vals, pe.recv)
 	}
 	perClass := make(map[int]int)
@@ -267,7 +233,8 @@ func (t *Thread) facadeCall(fn *ir.Func, recv offheap.PageRef, args []Arg) (Valu
 	// Data-typed returns come back as a bound facade; unwrap to the page
 	// reference.
 	if t.isFacadeType(m.Ret) && ret != 0 {
-		ret = Value(t.vm.Heap.GetLong(heap.Addr(ret), t.vm.pageRefField.Offset))
+		b := t.vm.Heap.Bytes(heap.Addr(ret))
+		ret = loadSlot(b[heap.ScalarHeader+t.vm.pageRefField.Offset:], lang.TLong)
 	}
 	return ret, nil
 }
@@ -306,7 +273,7 @@ func (t *Thread) bindParamFacade(declared *lang.Type, ref offheap.PageRef, perCl
 		return 0, fmt.Errorf("vm: parameter pool overflow for type id %d (bound %d)", poolID, len(ppe.params))
 	}
 	fa := ppe.params[idx]
-	t.vm.Heap.SetLong(heap.Addr(fa), t.vm.pageRefField.Offset, int64(ref))
+	t.bindFacade(fa, ref)
 	return fa, nil
 }
 
@@ -339,7 +306,7 @@ func (t *Thread) NewArr(elem string, n int) (o Obj, err error) {
 	}
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if t.vm.Prog.Transformed {
 		ref, err := t.iter.Current().AllocArray(t.vm.RT.ArrayTypeIndex(ty), ty.FieldSize(), n)
 		if err != nil {
@@ -508,7 +475,7 @@ func (t *Thread) fieldOf(o Obj, class, field string) (*lang.Field, Value, error)
 func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	f, v, err := t.fieldOf(o, class, field)
 	if err != nil {
 		return 0, err
@@ -519,14 +486,15 @@ func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
 		pin.Unpin()
 		return val, nil
 	}
-	return loadField(t.vm.Heap, heap.Addr(v), f), nil
+	b := t.vm.Heap.Bytes(heap.Addr(v))
+	return loadSlot(b[heap.ScalarHeader+f.Offset:], f.Type.Kind), nil
 }
 
 // ArrLen returns the length of a data array.
 func (t *Thread) ArrLen(o Obj) (n int, err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if o == NilObj {
 		return 0, errNPE("array length")
 	}
@@ -534,14 +502,14 @@ func (t *Thread) ArrLen(o Obj) (n int, err error) {
 	if t.vm.Prog.Transformed {
 		return t.vm.RT.ArrayLen(offheap.PageRef(v)), nil
 	}
-	return t.vm.Heap.ArrayLen(heap.Addr(v)), nil
+	return heap.ArrayLength(t.vm.Heap.Bytes(heap.Addr(v))), nil
 }
 
 // ArrGet reads element i of a data array as a raw value.
 func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
 		rt, ref := t.vm.RT, offheap.PageRef(v)
@@ -553,12 +521,12 @@ func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 		}
 		return loadSlot(b[offheap.ArrayHeader+i*elem.FieldSize():], elem.Kind), nil
 	}
-	hp := t.vm.Heap
-	a := heap.Addr(v)
-	if i < 0 || i >= hp.ArrayLen(a) {
-		return 0, errBounds(i, hp.ArrayLen(a))
+	hp, a := t.vm.Heap, heap.Addr(v)
+	elem, b := hp.ArrayElemOf(a), hp.Bytes(a)
+	if n := heap.ArrayLength(b); i < 0 || i >= n {
+		return 0, errBounds(i, n)
 	}
-	return loadElem(hp, a, hp.ArrayElemOf(a), i), nil
+	return loadSlot(b[heap.ArrayHeader+i*elem.FieldSize():], elem.Kind), nil
 }
 
 // ArrGetObj reads a reference element into a handle.
@@ -588,7 +556,7 @@ func f64bits(f float64) Value { return math.Float64bits(f) }
 func (t *Thread) withArrBody(o Obj, n int, fn func(body []byte)) (err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer recoverTier(&err)
+	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
 		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
@@ -596,7 +564,7 @@ func (t *Thread) withArrBody(o Obj, n int, fn func(body []byte)) (err error) {
 		pin.Unpin()
 		return nil
 	}
-	fn(t.vm.Heap.Body(heap.Addr(v), n))
+	fn(t.vm.Heap.Bytes(heap.Addr(v))[heap.ArrayHeader : heap.ArrayHeader+n])
 	return nil
 }
 

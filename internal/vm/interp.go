@@ -311,46 +311,57 @@ blocks:
 					return 0, err
 				}
 				regs[in.Dst] = Value(a)
+			// Each object op resolves its address once (Bytes) and reads the
+			// header size its opcode implies, exactly as the page half below
+			// does for records; a reference store adds the write barrier.
 			case ir.OpLoad:
 				obj := heap.Addr(regs[in.A])
 				if obj == 0 {
 					return 0, errNPE("field read " + in.Field.Name)
 				}
-				regs[in.Dst] = loadField(hp, obj, in.Field)
+				regs[in.Dst] = loadSlot(hp.Bytes(obj)[heap.ScalarHeader+in.Field.Offset:], in.Field.Type.Kind)
 			case ir.OpStore:
 				obj := heap.Addr(regs[in.A])
 				if obj == 0 {
 					return 0, errNPE("field write " + in.Field.Name)
 				}
-				storeField(hp, t.tc, obj, in.Field, regs[in.B])
+				off := heap.ScalarHeader + in.Field.Offset
+				storeSlot(hp.Bytes(obj)[off:], in.Field.Type.Kind, regs[in.B])
+				if in.Field.Type.IsRef() {
+					hp.Barrier(t.tc, obj+heap.Addr(off), heap.Addr(regs[in.B]))
+				}
 			case ir.OpALoad:
 				arr := heap.Addr(regs[in.A])
 				if arr == 0 {
 					return 0, errNPE("array read")
 				}
 				i := int(int32(regs[in.B]))
-				n := hp.ArrayLen(arr)
-				if i < 0 || i >= n {
+				b := hp.Bytes(arr)
+				if n := heap.ArrayLength(b); i < 0 || i >= n {
 					return 0, errBounds(i, n)
 				}
-				regs[in.Dst] = loadElem(hp, arr, in.Type, i)
+				regs[in.Dst] = loadSlot(b[heap.ArrayHeader+i*in.Type.FieldSize():], in.Type.Kind)
 			case ir.OpAStore:
 				arr := heap.Addr(regs[in.A])
 				if arr == 0 {
 					return 0, errNPE("array write")
 				}
 				i := int(int32(regs[in.B]))
-				n := hp.ArrayLen(arr)
-				if i < 0 || i >= n {
+				b := hp.Bytes(arr)
+				if n := heap.ArrayLength(b); i < 0 || i >= n {
 					return 0, errBounds(i, n)
 				}
-				storeElem(hp, t.tc, arr, in.Type, i, regs[in.C])
+				off := heap.ArrayHeader + i*in.Type.FieldSize()
+				storeSlot(b[off:], in.Type.Kind, regs[in.C])
+				if in.Type.IsRef() {
+					hp.Barrier(t.tc, arr+heap.Addr(off), heap.Addr(regs[in.C]))
+				}
 			case ir.OpALen:
 				arr := heap.Addr(regs[in.A])
 				if arr == 0 {
 					return 0, errNPE("array length")
 				}
-				regs[in.Dst] = Value(uint32(hp.ArrayLen(arr)))
+				regs[in.Dst] = Value(uint32(heap.ArrayLength(hp.Bytes(arr))))
 
 			case ir.OpCall:
 				t.tc.Safepoint()
@@ -381,13 +392,12 @@ blocks:
 				if p := vm.cancel.Load(); p != nil {
 					return 0, *p
 				}
-				callee := in.Cache.(*ir.Func)
 				hasRecv := in.A != ir.NoReg
 				var recv Value
 				if hasRecv {
 					recv = regs[in.A]
 				}
-				v, err := t.callFn(callee, regs, in, recv, hasRecv)
+				v, err := t.callFn(in.Callee, regs, in, recv, hasRecv)
 				if err != nil {
 					return 0, err
 				}
@@ -558,7 +568,7 @@ blocks:
 				if pe == nil {
 					return 0, fmt.Errorf("vm: no receiver pool for type id %d", tw)
 				}
-				hp.SetLong(heap.Addr(pe.recv), vm.pageRefField.Offset, int64(ref))
+				t.bindFacade(pe.recv, ref)
 				t.poolHits++
 				regs[in.Dst] = pe.recv
 			case ir.OpPoolGet:
@@ -580,7 +590,7 @@ blocks:
 				if pe == nil {
 					return 0, fmt.Errorf("vm: no receiver pool for %s", in.Cls.Name)
 				}
-				hp.SetLong(heap.Addr(pe.recv), vm.pageRefField.Offset, int64(ref))
+				t.bindFacade(pe.recv, ref)
 				t.poolHits++
 				regs[in.Dst] = pe.recv
 
@@ -652,80 +662,25 @@ func boolVal(b bool) Value {
 }
 
 // ---------------------------------------------------------------------------
-// Field and element access helpers shared by both halves.
+// Slot access, shared by both halves and by the boundary.
 
-func loadField(hp *heap.Heap, obj heap.Addr, f *lang.Field) Value {
-	switch f.Type.Kind {
-	case lang.TBool, lang.TByte:
-		return Value(int64(hp.GetByte(obj, f.Offset)))
-	case lang.TInt:
-		return Value(int64(hp.GetInt(obj, f.Offset)))
-	case lang.TLong:
-		return Value(hp.GetLong(obj, f.Offset))
-	case lang.TDouble:
-		return math.Float64bits(hp.GetDouble(obj, f.Offset))
-	default:
-		return Value(hp.GetRef(obj, f.Offset))
-	}
-}
-
-func storeField(hp *heap.Heap, tc *heap.ThreadCtx, obj heap.Addr, f *lang.Field, v Value) {
-	switch f.Type.Kind {
-	case lang.TBool, lang.TByte:
-		hp.SetByte(obj, f.Offset, int8(v))
-	case lang.TInt:
-		hp.SetInt(obj, f.Offset, int32(v))
-	case lang.TLong:
-		hp.SetLong(obj, f.Offset, int64(v))
-	case lang.TDouble:
-		hp.SetDouble(obj, f.Offset, math.Float64frombits(v))
-	default:
-		hp.SetRefTC(tc, obj, f.Offset, heap.Addr(v))
-	}
-}
-
-func loadElem(hp *heap.Heap, arr heap.Addr, elem *lang.Type, i int) Value {
-	off := i * elem.FieldSize()
-	switch elem.Kind {
-	case lang.TBool, lang.TByte:
-		return Value(int64(hp.GetByte(arr, off)))
-	case lang.TInt:
-		return Value(int64(hp.GetInt(arr, off)))
-	case lang.TLong:
-		return Value(hp.GetLong(arr, off))
-	case lang.TDouble:
-		return math.Float64bits(hp.GetDouble(arr, off))
-	default:
-		return Value(hp.GetRef(arr, off))
-	}
-}
-
-func storeElem(hp *heap.Heap, tc *heap.ThreadCtx, arr heap.Addr, elem *lang.Type, i int, v Value) {
-	off := i * elem.FieldSize()
-	switch elem.Kind {
-	case lang.TBool, lang.TByte:
-		hp.SetByte(arr, off, int8(v))
-	case lang.TInt:
-		hp.SetInt(arr, off, int32(v))
-	case lang.TLong:
-		hp.SetLong(arr, off, int64(v))
-	case lang.TDouble:
-		hp.SetDouble(arr, off, math.Float64frombits(v))
-	default:
-		hp.SetRefTC(tc, arr, off, heap.Addr(v))
-	}
+// bindFacade points facade fa, an ordinary heap object, at page record ref:
+// the store to Facade.pageRef that generated call sites perform (§3.2).
+func (t *Thread) bindFacade(fa Value, ref offheap.PageRef) {
+	b := t.vm.Heap.Bytes(heap.Addr(fa))
+	storeSlot(b[heap.ScalarHeader+t.vm.pageRefField.Offset:], lang.TLong, Value(ref))
 }
 
 // loadSlot and storeSlot read and write one field or element slot of a
-// resolved record: b starts at the slot, whose position the caller derived
-// from the header size its operation implies.
+// resolved heap object or page record: b starts at the slot, whose position
+// the caller derived from the header size its operation implies.
 func loadSlot(b []byte, k lang.TypeKind) Value {
 	switch k {
 	case lang.TBool, lang.TByte:
 		return Value(int64(int8(b[0])))
 	case lang.TInt:
 		return Value(int64(int32(binary.LittleEndian.Uint32(b))))
-	default: // long, double bits, page references
+	default: // long, double bits, heap and page references
 		return binary.LittleEndian.Uint64(b)
 	}
 }

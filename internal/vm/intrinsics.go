@@ -11,10 +11,11 @@ import (
 	"repro/internal/offheap"
 )
 
-// Intrinsic indices, resolved once at link time and cached on the
-// instruction so the interpreter dispatches on an int.
+// Intrinsic indices, resolved once at link time and left in the
+// instruction's Imm so the interpreter dispatches on an int. They start at
+// 1: an Imm of 0 is an instruction the linker never saw.
 const (
-	inPrint = iota
+	inPrint = iota + 1
 	inPrintln
 	inPrintRec
 	inPrintlnRec
@@ -47,8 +48,8 @@ var intrinsicIndex = map[string]int{
 // and OpStrLit's transformed twin handled in stringLiteral).
 func (t *Thread) intrinsic(in *ir.Instr, regs []Value) (Value, error) {
 	vm := t.vm
-	idx, ok := in.Cache.(int)
-	if !ok {
+	idx := int(in.Imm)
+	if idx == 0 {
 		return 0, fmt.Errorf("vm: unlinked intrinsic %s", in.Sym)
 	}
 	switch idx {
@@ -181,13 +182,13 @@ func formatDouble(f float64) string {
 
 // heapStringContents reads a managed String object's bytes.
 func (t *Thread) heapStringContents(a heap.Addr) (string, error) {
-	hp := t.vm.Heap
-	arr := hp.GetRef(a, t.vm.strField.Offset)
+	hp, f := t.vm.Heap, t.vm.strField
+	arr := heap.Addr(loadSlot(hp.Bytes(a)[heap.ScalarHeader+f.Offset:], f.Type.Kind))
 	if arr == 0 {
 		return "", nil
 	}
-	n := hp.ArrayLen(arr)
-	return string(hp.ReadBody(arr, 0, n)), nil
+	b := hp.Bytes(arr)
+	return string(b[heap.ArrayHeader : heap.ArrayHeader+heap.ArrayLength(b)]), nil
 }
 
 // recStringContents reads a String page record's bytes.
@@ -211,27 +212,34 @@ func (t *Thread) arraycopyHeap(in *ir.Instr, regs []Value) error {
 	if src == 0 || dst == 0 {
 		return errNPE("arraycopy")
 	}
+	sb, db := hp.Bytes(src), hp.Bytes(dst)
 	if n < 0 || srcPos < 0 || dstPos < 0 ||
-		srcPos+n > hp.ArrayLen(src) || dstPos+n > hp.ArrayLen(dst) {
-		return errBounds(srcPos+n, hp.ArrayLen(src))
+		srcPos+n > heap.ArrayLength(sb) || dstPos+n > heap.ArrayLength(db) {
+		return errBounds(srcPos+n, heap.ArrayLength(sb))
 	}
 	elem := hp.ArrayElemOf(src)
 	es := elem.FieldSize()
-	if elem.IsRef() {
-		// Element-wise with the write barrier. Handle overlap like
-		// System.arraycopy (memmove semantics).
-		if src == dst && dstPos > srcPos {
-			for i := n - 1; i >= 0; i-- {
-				hp.SetRefTC(t.tc, dst, (dstPos+i)*es, hp.GetRef(src, (srcPos+i)*es))
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				hp.SetRefTC(t.tc, dst, (dstPos+i)*es, hp.GetRef(src, (srcPos+i)*es))
-			}
-		}
+	so, do := heap.ArrayHeader+srcPos*es, heap.ArrayHeader+dstPos*es
+	if !elem.IsRef() {
+		copy(db[do:do+n*es], sb[so:so+n*es])
 		return nil
 	}
-	hp.CopyBody(src, srcPos*es, dst, dstPos*es, n*es)
+	// Element-wise with the write barrier. Handle overlap like
+	// System.arraycopy (memmove semantics).
+	move := func(i int) {
+		v := loadSlot(sb[so+i*es:], elem.Kind)
+		storeSlot(db[do+i*es:], elem.Kind, v)
+		hp.Barrier(t.tc, dst+heap.Addr(do+i*es), heap.Addr(v))
+	}
+	if src == dst && dstPos > srcPos {
+		for i := n - 1; i >= 0; i-- {
+			move(i)
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			move(i)
+		}
+	}
 	return nil
 }
 
@@ -273,7 +281,8 @@ func (t *Thread) stringLiteral(idx int) (Value, error) {
 	var v Value
 	var err error
 	if vm.Prog.Transformed {
-		v, err = vm.makeRecString(s)
+		// Literals live for the program: the VM's root scope.
+		v, err = vm.recString(vm.rootScope, s)
 	} else {
 		v, err = t.makeHeapString(s)
 	}
@@ -292,7 +301,7 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 	if err != nil {
 		return 0, err
 	}
-	hp.WriteBody(arr, 0, []byte(s))
+	copy(hp.Bytes(arr)[heap.ArrayHeader:], s)
 	h := t.vm.NewHandle(Value(arr), true)
 	obj, err := hp.AllocObject(t.tc, t.vm.strClass, 0)
 	if err != nil {
@@ -301,23 +310,25 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 	}
 	arr = heap.Addr(t.vm.Get(h))
 	t.vm.Drop(h)
-	hp.SetRefTC(t.tc, obj, t.vm.strField.Offset, arr)
+	off := heap.ScalarHeader + t.vm.strField.Offset
+	storeSlot(hp.Bytes(obj)[off:], t.vm.strField.Type.Kind, Value(arr))
+	hp.Barrier(t.tc, obj+heap.Addr(off), arr)
 	return Value(obj), nil
 }
 
-// makeRecString builds a String page record in the VM root scope.
-func (vm *VM) makeRecString(s string) (Value, error) {
+// recString builds a String page record (byte[] + String) in pm.
+func (vm *VM) recString(pm *offheap.PageManager, s string) (Value, error) {
 	rt := vm.RT
 	sf := vm.facadeOf("String")
 	if sf == nil {
 		return 0, fmt.Errorf("vm: transformed program has no String facade")
 	}
-	arr, err := vm.rootScope.AllocArray(rt.ArrayTypeIndex(lang.ByteType), 1, len(s))
+	arr, err := pm.AllocArray(rt.ArrayTypeIndex(lang.ByteType), 1, len(s))
 	if err != nil {
 		return 0, err
 	}
 	rt.WriteBody(arr, 0, []byte(s))
-	rec, err := vm.rootScope.AllocRecord(uint16(sf.ID), vm.stringBodySize())
+	rec, err := pm.AllocRecord(uint16(sf.ID), vm.stringBodySize())
 	if err != nil {
 		return 0, err
 	}

@@ -57,8 +57,6 @@ type Thread struct {
 	poolHits int64
 }
 
-var iterIDMu sync.Mutex
-
 // NewThread registers a new VM thread. parent (may be nil) supplies the
 // page-manager parent for transformed programs: a thread's default manager
 // is a child of the manager current in the creating thread (§3.6).
@@ -76,9 +74,7 @@ func (vm *VM) NewThread(parent *Thread) (*Thread, error) {
 		} else {
 			pm = vm.rootScope
 		}
-		iterIDMu.Lock()
-		t.iter = vm.RT.NewIterScope(pm, &vm.iterCounter, t.id)
-		iterIDMu.Unlock()
+		t.iter = vm.RT.NewIterScope(pm, t.id)
 		if err := t.initPools(); err != nil {
 			t.Close()
 			return nil, err
@@ -154,9 +150,7 @@ func (t *Thread) visitRoots(visit func(heap.Addr) heap.Addr) {
 // programs it opens a child page manager (§3.6).
 func (t *Thread) IterationStart() {
 	if t.iter != nil {
-		iterIDMu.Lock()
 		t.iter.IterationStart()
-		iterIDMu.Unlock()
 	}
 }
 

@@ -110,8 +110,7 @@ type VM struct {
 	facadeByName map[string]*lang.Class // facade class per original data class
 	pageRefField *lang.Field            // Facade.pageRef
 	bounds       map[int]int            // facade class ID -> pool bound
-	iterCounter  int
-	rootScope    *offheap.PageManager // allocation scope for literals/globals
+	rootScope    *offheap.PageManager   // allocation scope for literals/globals
 
 	// Monitor table for heap objects (program P's intrinsic locks).
 	monMu     sync.Mutex
@@ -304,8 +303,9 @@ func (vm *VM) link() error {
 	}
 
 	// Per-instruction caches: selector IDs for OpCall, direct functions
-	// for OpCallStatic. These write into the instruction stream shared by
-	// every VM built over this program, so they run exactly once per
+	// for OpCallStatic, intrinsic indices for OpIntr (Imm is otherwise
+	// unused by all three). These write into the instruction stream shared
+	// by every VM built over this program, so they run exactly once per
 	// program: selector IDs (sorted method names), callee pointers (the
 	// program's own *ir.Func values), and intrinsic indices are all pure
 	// functions of the program, and LinkInstrs' Once gives later VMs the
@@ -328,17 +328,13 @@ func (vm *VM) link() error {
 						if callee == nil {
 							return fmt.Errorf("vm: %s: missing callee %s", f.Name, key)
 						}
-						in.Cache = callee
+						in.Callee = callee
 					case ir.OpIntr:
 						idx, ok := intrinsicIndex[in.Sym]
 						if !ok {
 							return fmt.Errorf("vm: %s: unknown intrinsic %s", f.Name, in.Sym)
 						}
-						// Imm is unused by OpIntr, so it carries the index for
-						// the dispatch loop's inline fast path; Cache keeps the
-						// boxed copy as the "linked" marker for the slow path.
 						in.Imm = int64(idx)
-						in.Cache = idx
 					}
 				}
 			}
@@ -492,7 +488,6 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 	vm.threadsMu.Lock()
 	vm.nextTID = 0
 	vm.threadsMu.Unlock()
-	vm.iterCounter = 0
 	vm.cancel.Store(nil)
 	return nil
 }
