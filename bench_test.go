@@ -611,10 +611,14 @@ func BenchmarkAblationLifetimes(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreter is a plain VM baseline (recursive fib), useful for
-// normalizing the framework numbers against interpreter speed.
+// BenchmarkInterpreter is the dispatch layer's own case (north-star 1): two
+// plain-VM programs with no page store and next to no GC — recursive fib,
+// which is calls and frames, and a sieve over an int array, which is the
+// counted loops and element accesses the engines' inner loops are made of —
+// each reporting nanoseconds per IR instruction beside the wall clock.
 func BenchmarkInterpreter(b *testing.B) {
-	src := `
+	cases := []struct{ name, src string }{
+		{"fib", `
 class Main {
     static int fib(int n) {
         if (n < 2) { return n; }
@@ -623,17 +627,45 @@ class Main {
     static void main() { Sys.println(Main.fib(22)); }
 }
 class D { int x; }
-`
-	prog, err := facade.Compile(map[string]string{"f.fj": src})
-	if err != nil {
-		b.Fatal(err)
+`},
+		{"loop-array", `
+class Main {
+    static void main() {
+        int n = 200000;
+        int[] sieve = new int[n];
+        int primes = 0;
+        for (int i = 2; i < n; i = i + 1) {
+            if (sieve[i] == 0) {
+                primes = primes + 1;
+                for (int j = i + i; j < n; j = j + i) { sieve[j] = 1; }
+            }
+        }
+        double mean = 0.0;
+        for (int i = 0; i < n; i = i + 1) { mean = mean + sieve[i]; }
+        Sys.println(primes);
+        Sys.println(mean / n);
+    }
+}
+class D { int x; }
+`},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := facade.Run(prog, facade.WithHeapSize(8<<20))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Close()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			prog, err := facade.Compile(map[string]string{"f.fj": c.src})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var instrs int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := facade.Run(prog, facade.WithHeapSize(8<<20))
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += res.Stats().VM.Instructions
+				res.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+		})
 	}
 }

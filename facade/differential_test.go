@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // Differential P/P' battery: every program in the table runs as P and as
@@ -174,6 +175,132 @@ class Main { static void main() {
 `,
 		dataClasses: []string{"Rec", "Main"},
 		want:        "4038\n",
+	},
+	{
+		name: "forms-integer",
+		// Every int and long opcode of the execution form, the fused
+		// counted loop around them, and the unary ops.
+		src: `
+class Main {
+    static void main() {
+        int acc = 0;
+        long lacc = 0L;
+        for (int i = 1; i < 40; i = i + 1) {
+            int j = 41 - i;
+            acc = acc + (i + j) - (i * j) + (j / i) + (j % i) + (i & j) + (i | j) + (i ^ j) + (i << 3) + ((0 - j) >> 2);
+            if (i < j) { acc = acc + 1; }
+            if (i <= j) { acc = acc + 2; }
+            if (i > j) { acc = acc + 4; }
+            if (i >= j) { acc = acc + 8; }
+            if (i == j) { acc = acc + 16; }
+            if (i != j) { acc = acc + 32; }
+            boolean odd = (i % 2) == 1;
+            boolean low = i < j;
+            if (!odd) { acc = -acc; }
+            if (low) { acc = acc + 64; }
+            long a = 1000000007L * i;
+            long b = 998244353L * j;
+            lacc = lacc + (a + b) - (a * b) + (b / a) + (b % a) + (a & b) + (a | b) + (a ^ b) + (a << 5) + ((0L - b) >> 7);
+            if (a < b) { lacc = lacc + 1L; }
+            if (a <= b) { lacc = lacc + 2L; }
+            if (a > b) { lacc = lacc + 4L; }
+            if (a >= b) { lacc = lacc + 8L; }
+            if (a == b) { lacc = lacc + 16L; }
+            if (a != b) { lacc = -lacc; }
+        }
+        Sys.println(acc);
+        Sys.println(lacc);
+        Sys.println((int) lacc);
+        Sys.println((byte) acc);
+    }
+}
+class D { int x; }
+`,
+		dataClasses: []string{"D", "Main"},
+	},
+	{
+		name: "forms-double",
+		// Every double opcode, the fused double compare-and-branch, and the
+		// two intrinsics that run inline.
+		src: `
+class Main {
+    static void main() {
+        double acc = 0.0;
+        int flags = 0;
+        double d = 0.25;
+        while (d < 9.0) {
+            double e = 4.5 - d;
+            acc = acc + d * e - d / (e + 10.0) + Sys.sqrt(d) + Sys.abs(e) + -e;
+            if (d <= e) { flags = flags + 1; }
+            if (d > e) { flags = flags + 2; }
+            if (d >= e) { flags = flags + 4; }
+            if (d == e) { flags = flags + 8; }
+            if (d != e) { flags = flags + 16; }
+            boolean low = d < e;
+            d = d + 0.25;
+            if (low) { flags = flags + 32; }
+        }
+        Sys.println(acc);
+        Sys.println(flags);
+        Sys.println((long) (acc * 1000.0));
+        Sys.println(Sys.exp(1.0) + Sys.log(2.0));
+    }
+}
+class D { int x; }
+`,
+		dataClasses: []string{"D", "Main"},
+	},
+	{
+		name: "forms-objects",
+		// Every slot width through fields and arrays, in both halves, and
+		// the operations run executes off the side table: statics, string
+		// literals, type tests, casts, monitors, array allocation; a
+		// polymorphic receiver (resolve), a recursive monomorphic one
+		// (receiver pool) and a data-typed parameter (parameter pool).
+		src: `
+class Shape { int id; int area() { return this.id; } }
+class Sq extends Shape { int s; int area() { return this.s * this.s; } }
+class Circ extends Shape { int r; int area() { return 3 * this.r * this.r; } }
+class Rec {
+    boolean flag; byte b; int i; long l; double d; Rec next; Shape sh;
+    int depth() { if (this.next == null) { return 1; } return 1 + this.next.depth(); }
+    int plus(Rec o) { if (o == null) { return this.i; } return this.i + o.i + this.plus(null); }
+}
+class Main {
+    static int made;
+    static long sum(long[] xs) { long t = 0L; for (int k = 0; k < xs.length; k = k + 1) { t = t + xs[k]; } return t; }
+    static void bump() { Main.made = Main.made + 1; }
+    static void main() {
+        boolean[] fs = new boolean[6]; byte[] bs = new byte[6]; int[] is = new int[6];
+        long[] ls = new long[6]; double[] ds = new double[6]; Rec[] rs = new Rec[6];
+        Object lock = new Rec();
+        Rec prev = null;
+        for (int k = 0; k < 6; k = k + 1) {
+            Rec r = new Rec();
+            r.flag = (k % 2) == 0; r.b = (byte) (k - 3); r.i = k * 7; r.l = 1000000007L * k; r.d = 0.5 * k;
+            r.next = prev;
+            if (r.flag) { Sq q = new Sq(); q.s = k; r.sh = q; } else { Circ c = new Circ(); c.r = k; r.sh = c; }
+            fs[k] = r.flag; bs[k] = r.b; is[k] = r.i; ls[k] = r.l; ds[k] = r.d; rs[k] = r;
+            prev = r;
+            synchronized (lock) { Main.bump(); }
+        }
+        long sig = 0L;
+        for (int k = 0; k < rs.length; k = k + 1) {
+            Rec r = rs[k];
+            if (fs[k]) { sig = sig + 1L; }
+            sig = sig * 31L + bs[k] + is[k] + ls[k] + (long) ds[k] + r.sh.area() + r.depth() + r.plus(r.next);
+            Object o = r.sh;
+            if (o instanceof Sq) { sig = sig + ((Sq) o).s; }
+            if (r.flag) { sig = sig + r.b + (long) r.d; }
+        }
+        Sys.println(sig);
+        Sys.println(Main.sum(ls));
+        Sys.println(Main.made);
+        Sys.println("done");
+    }
+}
+`,
+		dataClasses: []string{"Shape", "Sq", "Circ", "Rec", "Main"},
 	},
 	{
 		name: "trap-npe",
@@ -397,6 +524,45 @@ func TestDifferentialBattery(t *testing.T) {
 				t.Fatalf("output %q, want %q", ref, dp.want)
 			}
 		})
+	}
+}
+
+// TestBatteryReachesEveryOpcode is the static half of the battery's claim on
+// the interpreter: every execution-form opcode occurs in the linked code of
+// some battery program — as written or inlined, P or P' — so the grid above
+// has executed (or, for a slot behind a trap, at least decoded) each case
+// of the dispatch switch against its twin.
+func TestBatteryReachesEveryOpcode(t *testing.T) {
+	var seen [vm.NumOpcodes]bool
+	for _, dp := range diffPrograms {
+		sources := map[string]string{"diff.fj": dp.src}
+		prog, err := Compile(sources)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", dp.name, err)
+		}
+		p2, err := Transform(prog, TransformOptions{DataClasses: dp.dataClasses})
+		if err != nil {
+			t.Fatalf("%s: transform: %v", dp.name, err)
+		}
+		ip, ip2, err := Build(sources, dp.dataClasses)
+		if err != nil {
+			t.Fatalf("%s: build: %v", dp.name, err)
+		}
+		for _, q := range []*ir.Program{prog, p2, ip, ip2} {
+			if _, err := vm.New(q, vm.Config{HeapSize: 1 << 20}); err != nil {
+				t.Fatalf("%s: link: %v", dp.name, err)
+			}
+			for _, f := range q.FuncList {
+				for _, s := range f.Code.Slots {
+					seen[s.Op] = true
+				}
+			}
+		}
+	}
+	for op := 1; op < vm.NumOpcodes; op++ {
+		if !seen[op] {
+			t.Errorf("opcode %d (internal/vm/lower.go numbers them) occurs in no battery program", op)
+		}
 	}
 }
 

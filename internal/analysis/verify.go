@@ -241,7 +241,11 @@ func (v *verifier) instr(in *ir.Instr) error {
 		if err := v.want(in.A, k, "lhs"); err != nil {
 			return err
 		}
-		if err := v.want(in.B, k, "rhs"); err != nil {
+		rk := k
+		if in.Sub == ir.BinShl || in.Sub == ir.BinShr {
+			rk = cInt // lang.Check: the shift count is an int whatever is shifted
+		}
+		if err := v.want(in.B, rk, "rhs"); err != nil {
 			return err
 		}
 		dk := k

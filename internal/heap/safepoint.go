@@ -140,12 +140,18 @@ func (tc *ThreadCtx) FlushStats() {
 }
 
 // Safepoint parks the thread if a collection has been requested. The check
-// is a single atomic load when no collection is pending.
+// is a single atomic load when no collection is pending, and the parking
+// lives in its own function so that the check inlines into the
+// interpreter's back-edge poll.
 func (tc *ThreadCtx) Safepoint() {
 	if tc.hp.sp.wanted.Load() {
-		tc.BeginExternal()
-		tc.EndExternal()
+		tc.park()
 	}
+}
+
+func (tc *ThreadCtx) park() {
+	tc.BeginExternal()
+	tc.EndExternal()
 }
 
 // Collect runs a collection (minor, or full when full is true) with the

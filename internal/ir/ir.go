@@ -204,8 +204,9 @@ func KindOf(t *lang.Type) NumKind {
 	}
 }
 
-// Instr is one IR instruction. A single fat struct keeps interpretation
-// simple and cache-friendly; unused operands are zero/NoReg.
+// Instr is one IR instruction, as the compiler passes see it: a single fat
+// struct, unused operands zero/NoReg. The VM does not execute it; it lowers
+// each function once to a Code and reads Instr only through Code.Src.
 type Instr struct {
 	Op       Op
 	Sub      Sub
@@ -232,11 +233,6 @@ type Instr struct {
 	// site classified on P applies to the control-heap allocations P'
 	// retains.
 	Site int32
-	// Callee is the resolved target of an OpCallStatic, written once per
-	// program by the VM's linker (LinkInstrs) along with the selector or
-	// intrinsic index it leaves in Imm. Programs are deep-copied by the
-	// transform so P and P' never share instructions.
-	Callee *Func
 }
 
 // Block is a basic block; the last instruction is always a terminator
@@ -261,6 +257,9 @@ type Func struct {
 	// Synthetic marks compiler-generated functions (conversion functions,
 	// facade constructors).
 	Synthetic bool
+	// Code is the function's execution form, set once by the VM's linker
+	// under Program.LinkInstrs and never written again.
+	Code *Code
 }
 
 // NewReg adds a virtual register of static type t and returns it.
@@ -303,12 +302,11 @@ type Program struct {
 	// FACADE transform so site IDs stay aligned between P and P'.
 	NumSites int
 
-	// linkOnce serializes the one-time, in-place population of
-	// per-instruction dispatch caches (Instr.Imm/Instr.Callee, written by
-	// the VM's linker). The cached values are pure functions of the
-	// program, so every VM sharing this program sees identical caches;
-	// the Once provides the happens-before edge that makes concurrent
-	// VM construction over one shared program race-free.
+	// linkOnce serializes the one-time lowering of every function to its
+	// execution form (Func.Code, built by the VM's linker). The form is a
+	// pure function of the program, so every VM sharing this program runs
+	// the same code; the Once provides the happens-before edge that makes
+	// concurrent VM construction over one shared program race-free.
 	linkOnce sync.Once
 	linkErr  error
 
@@ -356,9 +354,9 @@ func (p *Program) SiteLifetimes(fn func() []Lifetime) []Lifetime {
 }
 
 // LinkInstrs runs fn at most once per program, memoizing its error. The
-// VM uses it to populate shared per-instruction caches exactly once, so
+// VM uses it to build the shared execution form exactly once, so
 // concurrent VM construction and interpretation over the same program
-// never race on the instruction stream.
+// never race on it. The instruction stream itself is never written.
 func (p *Program) LinkInstrs(fn func() error) error {
 	p.linkOnce.Do(func() { p.linkErr = fn() })
 	return p.linkErr

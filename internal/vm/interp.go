@@ -47,7 +47,7 @@ func (t *Thread) exec(fn *ir.Func, args []Value) (Value, error) {
 		regs[p] = args[i]
 	}
 	t.frames = append(t.frames, frame{fn: fn, regs: regs})
-	v, err := t.run(fn, regs)
+	v, err := t.run(fn.Code, regs)
 	t.frames = t.frames[:len(t.frames)-1]
 	if len(t.frames) == 0 {
 		t.flushObsCounters()
@@ -59,552 +59,754 @@ func (t *Thread) exec(fn *ir.Func, args []Value) (Value, error) {
 	return v, nil
 }
 
-// callFn dispatches an interpreted call instruction: the callee's register
-// window comes from the thread stack, arguments are copied directly from
-// the caller's registers, and the frame is pushed by value into reserved
-// capacity — the hot call path allocates nothing.
-func (t *Thread) callFn(callee *ir.Func, regs []Value, in *ir.Instr, recv Value, hasRecv bool) (Value, error) {
+// callFn dispatches an interpreted call: the callee's register window comes
+// from the thread stack, arguments are copied directly from the caller's
+// registers, and the frame is pushed by value into reserved capacity — the
+// hot call path allocates nothing. The linker has checked that args (and
+// the receiver) are as many as the callee's parameters.
+func (t *Thread) callFn(callee *ir.Func, regs []Value, args []ir.Reg, recv Value, hasRecv bool) (Value, error) {
 	params := callee.Params
+	cregs, onStack := t.allocRegs(callee.NumRegs)
 	pi := 0
 	if hasRecv {
+		cregs[params[0]] = recv
 		pi = 1
 	}
-	if len(in.Args)+pi != len(params) {
-		return 0, fmt.Errorf("vm: %s expects %d args, got %d", callee.Name, len(params), len(in.Args)+pi)
-	}
-	cregs, onStack := t.allocRegs(callee.NumRegs)
-	if hasRecv {
-		cregs[params[0]] = recv
-	}
-	for _, r := range in.Args {
+	for _, r := range args {
 		cregs[params[pi]] = regs[r]
 		pi++
 	}
 	t.frames = append(t.frames, frame{fn: callee, regs: cregs})
-	v, err := t.run(callee, cregs)
+	v, err := t.run(callee.Code, cregs)
 	t.frames = t.frames[:len(t.frames)-1]
 	t.freeRegs(callee.NumRegs, onStack)
 	return v, err
 }
 
-// opHandler executes one instruction outside the dispatch loop's inline
-// fast path. The table below is precomputed at package init, so cold ops
-// dispatch through one indirect call while the hot ops stay inline in run.
-type opHandler func(t *Thread, regs []Value, in *ir.Instr) error
-
-var opHandlers [ir.NumOps]opHandler
-
-func init() {
-	opHandlers[ir.OpNop] = func(t *Thread, regs []Value, in *ir.Instr) error { return nil }
-	opHandlers[ir.OpStrLit] = hStrLit
-	opHandlers[ir.OpNewArr] = hNewArr
-	opHandlers[ir.OpLoadStatic] = hLoadStatic
-	opHandlers[ir.OpStoreStatic] = hStoreStatic
-	opHandlers[ir.OpInstOf] = hInstOf
-	opHandlers[ir.OpCast] = hCast
-	opHandlers[ir.OpMonEnter] = hMonEnter
-	opHandlers[ir.OpMonExit] = hMonExit
-	opHandlers[ir.OpPNewArr] = hPNewArr
-	opHandlers[ir.OpPInstOf] = hPInstOf
-	opHandlers[ir.OpPCast] = hPCast
-	opHandlers[ir.OpPMonEnter] = hPMonEnter
-	opHandlers[ir.OpPMonExit] = hPMonExit
-}
-
-func hStrLit(t *Thread, regs []Value, in *ir.Instr) error {
-	a, err := t.stringLiteral(int(in.Imm))
-	if err != nil {
-		return err
-	}
-	regs[in.Dst] = a
-	return nil
-}
-
-func hNewArr(t *Thread, regs []Value, in *ir.Instr) error {
-	n := int(int32(regs[in.A]))
-	if n < 0 {
-		return fmt.Errorf("NegativeArraySizeException: %d", n)
-	}
-	a, err := t.vm.Heap.AllocArray(t.tc, in.Type, n, in.Site)
-	if err != nil {
-		return err
-	}
-	regs[in.Dst] = Value(a)
-	return nil
-}
-
-func hLoadStatic(t *Thread, regs []Value, in *ir.Instr) error {
-	regs[in.Dst] = t.vm.statics[in.Field.StaticIndex]
-	return nil
-}
-
-func hStoreStatic(t *Thread, regs []Value, in *ir.Instr) error {
-	t.vm.statics[in.Field.StaticIndex] = regs[in.A]
-	return nil
-}
-
-func hInstOf(t *Thread, regs []Value, in *ir.Instr) error {
-	regs[in.Dst] = boolVal(t.instanceOf(heap.Addr(regs[in.A]), in.Type))
-	return nil
-}
-
-func hCast(t *Thread, regs []Value, in *ir.Instr) error {
-	a := heap.Addr(regs[in.A])
-	if a != 0 && !t.instanceOf(a, in.Type) {
-		return fmt.Errorf("ClassCastException: cannot cast to %s", in.Type)
-	}
-	regs[in.Dst] = regs[in.A]
-	return nil
-}
-
-func hMonEnter(t *Thread, regs []Value, in *ir.Instr) error {
-	return t.monEnter(heap.Addr(regs[in.A]))
-}
-
-func hMonExit(t *Thread, regs []Value, in *ir.Instr) error {
-	return t.monExit(heap.Addr(regs[in.A]))
-}
-
-func hPNewArr(t *Thread, regs []Value, in *ir.Instr) error {
-	vm := t.vm
-	n := int(int32(regs[in.A]))
-	ref, err := t.iter.Current().AllocArray(vm.RT.ArrayTypeIndex(in.Type), in.Type.FieldSize(), n)
-	if err != nil {
-		return err
-	}
-	regs[in.Dst] = Value(ref)
-	return nil
-}
-
-func hPInstOf(t *Thread, regs []Value, in *ir.Instr) error {
-	regs[in.Dst] = boolVal(t.recInstanceOf(offheap.PageRef(regs[in.A]), in))
-	return nil
-}
-
-func hPCast(t *Thread, regs []Value, in *ir.Instr) error {
-	ref := offheap.PageRef(regs[in.A])
-	if ref != 0 && !t.recInstanceOf(ref, in) {
-		return fmt.Errorf("ClassCastException: record is not a %s", in.Cls.Name)
-	}
-	regs[in.Dst] = regs[in.A]
-	return nil
-}
-
-func hPMonEnter(t *Thread, regs []Value, in *ir.Instr) error {
-	vm := t.vm
-	return vm.RT.Locks.Enter(vm.RT, offheap.PageRef(regs[in.A]), t, parker{t})
-}
-
-func hPMonExit(t *Thread, regs []Value, in *ir.Instr) error {
-	vm := t.vm
-	return vm.RT.Locks.Exit(vm.RT, offheap.PageRef(regs[in.A]), t)
-}
-
-// run interprets fn until it returns. Dispatch is two-level: the hottest
-// ops are inline cases of the dense switch (compiled to a jump table),
-// with integer and double arithmetic fully unboxed in the loop; everything
-// else goes through the precomputed opHandlers table. Safepoints are
-// polled on calls and backward control-flow edges only — every loop must
-// take a backward edge, so GC latency is unchanged while forward branches
-// skip the atomic load.
-func (t *Thread) run(fn *ir.Func, regs []Value) (Value, error) {
+// run interprets one activation of c until it returns: a pc loop over the
+// function's execution form (lower.go), one switch level, every operand
+// pre-decoded. A slot that can trap, call or do cold work reads its
+// ir.Instr through c.Src[pc-1] (pc has already stepped past it). Control
+// slots count the IR instructions of the block they enter, so
+// vm.instructions is the IR count whatever was fused, and poll the GC
+// safepoint and vm.cancel on backward edges only — every loop must take
+// one, so GC latency is unchanged while forward branches skip the atomic
+// loads. Calls poll too.
+func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 	vm := t.vm
 	hp := vm.Heap
 	rt, tiered := vm.RT, vm.tiered
-	bi := 0
-blocks:
+	code := c.Slots
+	t.instrs += int64(c.Entry)
+	pc := 0
+	// The control slots leave their chosen edge here and meet at edge.
+	var tgt int32
+	var cnt uint16
 	for {
-		instrs := fn.Blocks[bi].Instrs
-		t.instrs += int64(len(instrs))
-		for ii := range instrs {
-			in := &instrs[ii]
-			switch in.Op {
-			case ir.OpConst:
-				if in.NumKind == ir.KDouble {
-					regs[in.Dst] = math.Float64bits(in.F)
-				} else {
-					regs[in.Dst] = Value(in.Imm)
-				}
-			case ir.OpMove:
-				regs[in.Dst] = regs[in.A]
-			case ir.OpBin:
-				a, b := regs[in.A], regs[in.B]
-				switch in.NumKind {
-				case ir.KInt, ir.KByte, ir.KBool:
-					x, y := int32(a), int32(b)
-					var v Value
-					switch in.Sub {
-					case ir.BinAdd:
-						v = Value(uint32(x + y))
-					case ir.BinSub:
-						v = Value(uint32(x - y))
-					case ir.BinMul:
-						v = Value(uint32(x * y))
-					case ir.BinLt:
-						v = boolVal(x < y)
-					case ir.BinLe:
-						v = boolVal(x <= y)
-					case ir.BinGt:
-						v = boolVal(x > y)
-					case ir.BinGe:
-						v = boolVal(x >= y)
-					case ir.BinEq:
-						v = boolVal(x == y)
-					case ir.BinNe:
-						v = boolVal(x != y)
-					default:
-						// Div/rem (zero checks) and bit ops share evalBin.
-						var err error
-						v, err = evalBin(in, a, b)
-						if err != nil {
-							return 0, err
-						}
-					}
-					regs[in.Dst] = v
-				case ir.KDouble:
-					x, y := math.Float64frombits(a), math.Float64frombits(b)
-					var v Value
-					switch in.Sub {
-					case ir.BinAdd:
-						v = math.Float64bits(x + y)
-					case ir.BinSub:
-						v = math.Float64bits(x - y)
-					case ir.BinMul:
-						v = math.Float64bits(x * y)
-					case ir.BinDiv:
-						v = math.Float64bits(x / y)
-					case ir.BinLt:
-						v = boolVal(x < y)
-					case ir.BinLe:
-						v = boolVal(x <= y)
-					case ir.BinGt:
-						v = boolVal(x > y)
-					case ir.BinGe:
-						v = boolVal(x >= y)
-					case ir.BinEq:
-						v = boolVal(x == y)
-					case ir.BinNe:
-						v = boolVal(x != y)
-					default:
-						var err error
-						v, err = evalBin(in, a, b)
-						if err != nil {
-							return 0, err
-						}
-					}
-					regs[in.Dst] = v
-				default:
-					v, err := evalBin(in, a, b)
-					if err != nil {
-						return 0, err
-					}
-					regs[in.Dst] = v
-				}
-			case ir.OpUn:
-				regs[in.Dst] = evalUn(in, regs[in.A])
-			case ir.OpConv:
-				regs[in.Dst] = evalConv(in.NumKind, in.NumKind2, regs[in.A])
+		in := &code[pc]
+		pc++
+		switch in.Op {
+		case xConst:
+			regs[in.Dst] = Value(in.Imm)
+		case xMove:
+			regs[in.Dst] = regs[in.A]
 
-			case ir.OpNew:
-				a, err := hp.AllocObject(t.tc, in.Cls, in.Site)
-				if err != nil {
-					return 0, err
-				}
-				regs[in.Dst] = Value(a)
-			// Each object op resolves its address once (Bytes) and reads the
-			// header size its opcode implies, exactly as the page half below
-			// does for records; a reference store adds the write barrier.
-			case ir.OpLoad:
-				obj := heap.Addr(regs[in.A])
-				if obj == 0 {
-					return 0, errNPE("field read " + in.Field.Name)
-				}
-				regs[in.Dst] = loadSlot(hp.Bytes(obj)[heap.ScalarHeader+in.Field.Offset:], in.Field.Type.Kind)
-			case ir.OpStore:
-				obj := heap.Addr(regs[in.A])
-				if obj == 0 {
-					return 0, errNPE("field write " + in.Field.Name)
-				}
-				off := heap.ScalarHeader + in.Field.Offset
-				storeSlot(hp.Bytes(obj)[off:], in.Field.Type.Kind, regs[in.B])
-				if in.Field.Type.IsRef() {
-					hp.Barrier(t.tc, obj+heap.Addr(off), heap.Addr(regs[in.B]))
-				}
-			case ir.OpALoad:
-				arr := heap.Addr(regs[in.A])
-				if arr == 0 {
-					return 0, errNPE("array read")
-				}
-				i := int(int32(regs[in.B]))
-				b := hp.Bytes(arr)
-				if n := heap.ArrayLength(b); i < 0 || i >= n {
-					return 0, errBounds(i, n)
-				}
-				regs[in.Dst] = loadSlot(b[heap.ArrayHeader+i*in.Type.FieldSize():], in.Type.Kind)
-			case ir.OpAStore:
-				arr := heap.Addr(regs[in.A])
-				if arr == 0 {
-					return 0, errNPE("array write")
-				}
-				i := int(int32(regs[in.B]))
-				b := hp.Bytes(arr)
-				if n := heap.ArrayLength(b); i < 0 || i >= n {
-					return 0, errBounds(i, n)
-				}
-				off := heap.ArrayHeader + i*in.Type.FieldSize()
-				storeSlot(b[off:], in.Type.Kind, regs[in.C])
-				if in.Type.IsRef() {
-					hp.Barrier(t.tc, arr+heap.Addr(off), heap.Addr(regs[in.C]))
-				}
-			case ir.OpALen:
-				arr := heap.Addr(regs[in.A])
-				if arr == 0 {
-					return 0, errNPE("array length")
-				}
-				regs[in.Dst] = Value(uint32(heap.ArrayLength(hp.Bytes(arr))))
+		case xAddI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) + int32(regs[in.B])))
+		case xSubI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) - int32(regs[in.B])))
+		case xMulI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) * int32(regs[in.B])))
+		case xDivI32:
+			y := int32(regs[in.B])
+			if y == 0 {
+				return 0, fmt.Errorf("ArithmeticException: / by zero")
+			}
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) / y))
+		case xRemI32:
+			y := int32(regs[in.B])
+			if y == 0 {
+				return 0, fmt.Errorf("ArithmeticException: %% by zero")
+			}
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) % y))
+		case xAndI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) & int32(regs[in.B])))
+		case xOrI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) | int32(regs[in.B])))
+		case xXorI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) ^ int32(regs[in.B])))
+		case xShlI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) << (uint32(regs[in.B]) & 31)))
+		case xShrI32:
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) >> (uint32(regs[in.B]) & 31)))
+		case xLtI32:
+			regs[in.Dst] = boolVal(int32(regs[in.A]) < int32(regs[in.B]))
+		case xLeI32:
+			regs[in.Dst] = boolVal(int32(regs[in.A]) <= int32(regs[in.B]))
+		case xGtI32:
+			regs[in.Dst] = boolVal(int32(regs[in.A]) > int32(regs[in.B]))
+		case xGeI32:
+			regs[in.Dst] = boolVal(int32(regs[in.A]) >= int32(regs[in.B]))
+		case xEqI32:
+			regs[in.Dst] = boolVal(int32(regs[in.A]) == int32(regs[in.B]))
+		case xNeI32:
+			regs[in.Dst] = boolVal(int32(regs[in.A]) != int32(regs[in.B]))
 
-			case ir.OpCall:
-				t.tc.Safepoint()
-				if p := vm.cancel.Load(); p != nil {
-					return 0, *p
-				}
-				recv := heap.Addr(regs[in.A])
-				if recv == 0 {
-					return 0, errNPE("virtual call " + in.M.Name)
-				}
-				cls := hp.ClassOf(recv)
-				if cls == nil {
-					return 0, fmt.Errorf("vm: virtual call on array receiver")
-				}
-				callee := vm.vtables[cls.ID][int(in.Imm)]
-				if callee == nil {
-					return 0, fmt.Errorf("vm: %s has no implementation of %s", cls.Name, in.M.Name)
-				}
-				v, err := t.callFn(callee, regs, in, Value(recv), true)
-				if err != nil {
-					return 0, err
-				}
-				if in.Dst != ir.NoReg {
-					regs[in.Dst] = v
-				}
-			case ir.OpCallStatic:
-				t.tc.Safepoint()
-				if p := vm.cancel.Load(); p != nil {
-					return 0, *p
-				}
-				hasRecv := in.A != ir.NoReg
-				var recv Value
-				if hasRecv {
-					recv = regs[in.A]
-				}
-				v, err := t.callFn(in.Callee, regs, in, recv, hasRecv)
-				if err != nil {
-					return 0, err
-				}
-				if in.Dst != ir.NoReg {
-					regs[in.Dst] = v
-				}
-			case ir.OpNullCheck:
-				if regs[in.A] == 0 {
-					return 0, errNPE(in.Sym)
-				}
-			case ir.OpRet:
-				if in.A == ir.NoReg {
-					return 0, nil
-				}
-				return regs[in.A], nil
-			case ir.OpJump:
-				if in.Blk <= bi {
-					t.tc.Safepoint()
-					if p := vm.cancel.Load(); p != nil {
-						return 0, *p
-					}
-				}
-				bi = in.Blk
-				continue blocks
-			case ir.OpBranch:
-				nxt := in.Blk2
-				if regs[in.A] != 0 {
-					nxt = in.Blk
-				}
-				if nxt <= bi {
-					t.tc.Safepoint()
-					if p := vm.cancel.Load(); p != nil {
-						return 0, *p
-					}
-				}
-				bi = nxt
-				continue blocks
-			case ir.OpIntr:
-				// Pure-math intrinsics run inline; everything else (I/O,
-				// iteration control, arraycopy) pays the intrinsic call.
-				if in.Dst != ir.NoReg {
-					switch int(in.Imm) {
-					case inSqrt:
-						regs[in.Dst] = math.Float64bits(math.Sqrt(math.Float64frombits(regs[in.Args[0]])))
-						continue
-					case inAbs:
-						regs[in.Dst] = math.Float64bits(math.Abs(math.Float64frombits(regs[in.Args[0]])))
-						continue
-					}
-				}
-				v, err := t.intrinsic(in, regs)
-				if err != nil {
-					return 0, err
-				}
-				if in.Dst != ir.NoReg {
-					regs[in.Dst] = v
-				}
+		case xAddI64:
+			regs[in.Dst] = regs[in.A] + regs[in.B]
+		case xSubI64:
+			regs[in.Dst] = regs[in.A] - regs[in.B]
+		case xMulI64:
+			regs[in.Dst] = regs[in.A] * regs[in.B]
+		case xDivI64:
+			y := int64(regs[in.B])
+			if y == 0 {
+				return 0, fmt.Errorf("ArithmeticException: / by zero")
+			}
+			regs[in.Dst] = Value(int64(regs[in.A]) / y)
+		case xRemI64:
+			y := int64(regs[in.B])
+			if y == 0 {
+				return 0, fmt.Errorf("ArithmeticException: %% by zero")
+			}
+			regs[in.Dst] = Value(int64(regs[in.A]) % y)
+		case xAndI64:
+			regs[in.Dst] = regs[in.A] & regs[in.B]
+		case xOrI64:
+			regs[in.Dst] = regs[in.A] | regs[in.B]
+		case xXorI64:
+			regs[in.Dst] = regs[in.A] ^ regs[in.B]
+		case xShlI64:
+			regs[in.Dst] = regs[in.A] << (regs[in.B] & 63)
+		case xShrI64:
+			regs[in.Dst] = Value(int64(regs[in.A]) >> (regs[in.B] & 63))
+		case xLtI64:
+			regs[in.Dst] = boolVal(int64(regs[in.A]) < int64(regs[in.B]))
+		case xLeI64:
+			regs[in.Dst] = boolVal(int64(regs[in.A]) <= int64(regs[in.B]))
+		case xGtI64:
+			regs[in.Dst] = boolVal(int64(regs[in.A]) > int64(regs[in.B]))
+		case xGeI64:
+			regs[in.Dst] = boolVal(int64(regs[in.A]) >= int64(regs[in.B]))
+		case xEqI64:
+			regs[in.Dst] = boolVal(regs[in.A] == regs[in.B])
+		case xNeI64:
+			regs[in.Dst] = boolVal(regs[in.A] != regs[in.B])
 
-			// --- Page half (program P') ---
-			case ir.OpPNew:
-				ref, err := t.iter.Current().AllocRecord(uint16(in.Cls.ID), int(in.Imm))
-				if err != nil {
-					return 0, err
-				}
-				regs[in.Dst] = Value(ref)
-			// Each record op resolves its page reference exactly once —
-			// Bytes untiered, Pin tiered, chosen when the VM was built
-			// (vm.tiered) and spelled out per op because a helper holding
-			// both arms is past the compiler's inlining budget — and reads
-			// the header size its opcode implies.
-			case ir.OpPLoad:
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("record read " + in.Field.Name)
-				}
-				var b []byte
-				var pin offheap.Pin
-				if tiered {
-					b, pin = rt.Pin(ref)
-				} else {
-					b = rt.Bytes(ref)
-				}
-				regs[in.Dst] = loadSlot(b[offheap.ScalarHeader+in.Field.Offset:], in.Field.Type.Kind)
-				pin.Unpin()
-			case ir.OpPStore:
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("record write " + in.Field.Name)
-				}
-				var b []byte
-				var pin offheap.Pin
-				if tiered {
-					b, pin = rt.Pin(ref)
-				} else {
-					b = rt.Bytes(ref)
-				}
-				storeSlot(b[offheap.ScalarHeader+in.Field.Offset:], in.Field.Type.Kind, regs[in.B])
-				pin.Unpin()
-			case ir.OpPALoad:
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("array record read")
-				}
-				i := int(int32(regs[in.B]))
-				var b []byte
-				var pin offheap.Pin
-				if tiered {
-					b, pin = rt.Pin(ref)
-				} else {
-					b = rt.Bytes(ref)
-				}
-				if n := offheap.ArrayLength(b); i < 0 || i >= n {
-					pin.Unpin()
-					return 0, errBounds(i, n)
-				}
-				regs[in.Dst] = loadSlot(b[offheap.ArrayHeader+i*in.Type.FieldSize():], in.Type.Kind)
-				pin.Unpin()
-			case ir.OpPAStore:
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("array record write")
-				}
-				i := int(int32(regs[in.B]))
-				var b []byte
-				var pin offheap.Pin
-				if tiered {
-					b, pin = rt.Pin(ref)
-				} else {
-					b = rt.Bytes(ref)
-				}
-				if n := offheap.ArrayLength(b); i < 0 || i >= n {
-					pin.Unpin()
-					return 0, errBounds(i, n)
-				}
-				storeSlot(b[offheap.ArrayHeader+i*in.Type.FieldSize():], in.Type.Kind, regs[in.C])
-				pin.Unpin()
-			case ir.OpPALen:
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("array record length")
-				}
-				var b []byte
-				var pin offheap.Pin
-				if tiered {
-					b, pin = rt.Pin(ref)
-				} else {
-					b = rt.Bytes(ref)
-				}
-				regs[in.Dst] = Value(uint32(offheap.ArrayLength(b)))
-				pin.Unpin()
-			case ir.OpResolve:
-				// Retrieve the receiver-pool facade for the record's
-				// runtime type and bind it (§3.2, "Resolving types").
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("resolve on null record")
-				}
-				var b []byte
-				var pin offheap.Pin
-				if tiered {
-					b, pin = rt.Pin(ref)
-				} else {
-					b = rt.Bytes(ref)
-				}
-				tw := offheap.TypeWord(b)
-				pin.Unpin()
-				pe := t.pools[int(tw)]
-				if pe == nil {
-					return 0, fmt.Errorf("vm: no receiver pool for type id %d", tw)
-				}
-				t.bindFacade(pe.recv, ref)
-				t.poolHits++
-				regs[in.Dst] = pe.recv
-			case ir.OpPoolGet:
-				pe := t.pools[in.Cls.ID]
-				if pe == nil {
-					return 0, fmt.Errorf("vm: no parameter pool for %s", in.Cls.Name)
-				}
-				t.poolHits++
-				regs[in.Dst] = pe.params[int(in.Imm)]
-			case ir.OpRecvPool:
-				// Devirtualized resolve (§3.6 optimization): the callee is
-				// statically known, so the receiver facade comes from the
-				// static type's pool without reading the record type tag.
-				ref := offheap.PageRef(regs[in.A])
-				if ref == 0 {
-					return 0, errNPE("devirtualized call on null record")
-				}
-				pe := t.pools[in.Cls.ID]
-				if pe == nil {
-					return 0, fmt.Errorf("vm: no receiver pool for %s", in.Cls.Name)
-				}
-				t.bindFacade(pe.recv, ref)
-				t.poolHits++
-				regs[in.Dst] = pe.recv
+		case xAddF64:
+			regs[in.Dst] = math.Float64bits(math.Float64frombits(regs[in.A]) + math.Float64frombits(regs[in.B]))
+		case xSubF64:
+			regs[in.Dst] = math.Float64bits(math.Float64frombits(regs[in.A]) - math.Float64frombits(regs[in.B]))
+		case xMulF64:
+			regs[in.Dst] = math.Float64bits(math.Float64frombits(regs[in.A]) * math.Float64frombits(regs[in.B]))
+		case xDivF64:
+			regs[in.Dst] = math.Float64bits(math.Float64frombits(regs[in.A]) / math.Float64frombits(regs[in.B]))
+		case xLtF64:
+			regs[in.Dst] = boolVal(math.Float64frombits(regs[in.A]) < math.Float64frombits(regs[in.B]))
+		case xLeF64:
+			regs[in.Dst] = boolVal(math.Float64frombits(regs[in.A]) <= math.Float64frombits(regs[in.B]))
+		case xGtF64:
+			regs[in.Dst] = boolVal(math.Float64frombits(regs[in.A]) > math.Float64frombits(regs[in.B]))
+		case xGeF64:
+			regs[in.Dst] = boolVal(math.Float64frombits(regs[in.A]) >= math.Float64frombits(regs[in.B]))
+		case xEqF64:
+			regs[in.Dst] = boolVal(math.Float64frombits(regs[in.A]) == math.Float64frombits(regs[in.B]))
+		case xNeF64:
+			regs[in.Dst] = boolVal(math.Float64frombits(regs[in.A]) != math.Float64frombits(regs[in.B]))
 
-			default:
-				if h := opHandlers[in.Op]; h != nil {
-					if err := h(t, regs, in); err != nil {
-						return 0, err
-					}
-					continue
-				}
-				return 0, fmt.Errorf("vm: %s: unimplemented op %s", fn.Name, in.Op)
+		case xNegI32:
+			regs[in.Dst] = Value(uint32(-int32(regs[in.A])))
+		case xNegI64:
+			regs[in.Dst] = -regs[in.A]
+		case xNegF64:
+			regs[in.Dst] = math.Float64bits(-math.Float64frombits(regs[in.A]))
+		case xNot:
+			regs[in.Dst] = boolVal(regs[in.A] == 0)
+		case xConv:
+			regs[in.Dst] = evalConv(ir.NumKind(in.B), ir.NumKind(in.C), regs[in.A])
+
+		case xAddI32Imm:
+			regs[in.B] = Value(in.Imm)
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) + int32(in.Imm)))
+		case xAddI32ImmJmp:
+			regs[in.B] = Value(in.Imm)
+			regs[in.Dst] = Value(uint32(int32(regs[in.A]) + int32(in.Imm)))
+			tgt, cnt = in.C, in.N
+			goto edge
+		case xMoveJmp:
+			regs[in.Dst] = regs[in.A]
+			tgt, cnt = in.C, in.N
+			goto edge
+		case xLtI32Br:
+			if int32(regs[in.A]) < int32(regs[in.B]) {
+				regs[in.Dst] = 1
+				tgt, cnt = in.C, in.N
+			} else {
+				regs[in.Dst] = 0
+				tgt, cnt = int32(in.Imm), in.N2
+			}
+			goto edge
+		case xLtF64Br:
+			if math.Float64frombits(regs[in.A]) < math.Float64frombits(regs[in.B]) {
+				regs[in.Dst] = 1
+				tgt, cnt = in.C, in.N
+			} else {
+				regs[in.Dst] = 0
+				tgt, cnt = int32(in.Imm), in.N2
+			}
+			goto edge
+
+		// --- Heap half (program P) ---
+		// Each object op resolves its address once (Bytes) at the offset
+		// the linker derived from the header size its opcode implies,
+		// exactly as the page half below does for records; a reference
+		// store adds the write barrier.
+		case xNew:
+			src := c.Src[pc-1]
+			a, err := hp.AllocObject(t.tc, src.Cls, src.Site)
+			if err != nil {
+				return 0, err
+			}
+			regs[in.Dst] = Value(a)
+		case xLoad1:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field read " + c.Src[pc-1].Field.Name)
+			}
+			regs[in.Dst] = load1(hp.Bytes(obj)[in.Imm:])
+		case xLoad4:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field read " + c.Src[pc-1].Field.Name)
+			}
+			regs[in.Dst] = load4(hp.Bytes(obj)[in.Imm:])
+		case xLoad8:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field read " + c.Src[pc-1].Field.Name)
+			}
+			regs[in.Dst] = load8(hp.Bytes(obj)[in.Imm:])
+		case xStore1:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field write " + c.Src[pc-1].Field.Name)
+			}
+			hp.Bytes(obj)[in.Imm] = byte(regs[in.B])
+		case xStore4:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field write " + c.Src[pc-1].Field.Name)
+			}
+			binary.LittleEndian.PutUint32(hp.Bytes(obj)[in.Imm:], uint32(regs[in.B]))
+		case xStore8:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field write " + c.Src[pc-1].Field.Name)
+			}
+			binary.LittleEndian.PutUint64(hp.Bytes(obj)[in.Imm:], regs[in.B])
+		case xStoreRef:
+			obj := heap.Addr(regs[in.A])
+			if obj == 0 {
+				return 0, errNPE("field write " + c.Src[pc-1].Field.Name)
+			}
+			binary.LittleEndian.PutUint64(hp.Bytes(obj)[in.Imm:], regs[in.B])
+			hp.Barrier(t.tc, obj+heap.Addr(in.Imm), heap.Addr(regs[in.B]))
+		case xALoad1:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array read")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			regs[in.Dst] = load1(b[heap.ArrayHeader+i:])
+		case xALoad4:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array read")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			regs[in.Dst] = load4(b[heap.ArrayHeader+i*4:])
+		case xALoad8:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array read")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			regs[in.Dst] = load8(b[heap.ArrayHeader+i*8:])
+		case xAStore1:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array write")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			b[heap.ArrayHeader+i] = byte(regs[in.C])
+		case xAStore4:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array write")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			binary.LittleEndian.PutUint32(b[heap.ArrayHeader+i*4:], uint32(regs[in.C]))
+		case xAStore8:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array write")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			binary.LittleEndian.PutUint64(b[heap.ArrayHeader+i*8:], regs[in.C])
+		case xAStoreRef:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array write")
+			}
+			i, b := int(int32(regs[in.B])), hp.Bytes(arr)
+			if n := heap.ArrayLength(b); uint(i) >= uint(n) {
+				return 0, errBounds(i, n)
+			}
+			binary.LittleEndian.PutUint64(b[heap.ArrayHeader+i*8:], regs[in.C])
+			hp.Barrier(t.tc, arr+heap.Addr(heap.ArrayHeader+i*8), heap.Addr(regs[in.C]))
+		case xALen:
+			arr := heap.Addr(regs[in.A])
+			if arr == 0 {
+				return 0, errNPE("array length")
+			}
+			regs[in.Dst] = Value(uint32(heap.ArrayLength(hp.Bytes(arr))))
+
+		case xCall:
+			t.tc.Safepoint()
+			if p := vm.cancel.Load(); p != nil {
+				return 0, *p
+			}
+			src := c.Src[pc-1]
+			recv := heap.Addr(regs[in.A])
+			if recv == 0 {
+				return 0, errNPE("virtual call " + src.M.Name)
+			}
+			cls := hp.ClassOf(recv)
+			if cls == nil {
+				return 0, fmt.Errorf("vm: virtual call on array receiver")
+			}
+			callee := vm.vtables[cls.ID][in.Imm]
+			if callee == nil {
+				return 0, fmt.Errorf("vm: %s has no implementation of %s", cls.Name, src.M.Name)
+			}
+			v, err := t.callFn(callee, regs, src.Args, Value(recv), true)
+			if err != nil {
+				return 0, err
+			}
+			if in.Dst >= 0 {
+				regs[in.Dst] = v
+			}
+		case xCallStatic:
+			t.tc.Safepoint()
+			if p := vm.cancel.Load(); p != nil {
+				return 0, *p
+			}
+			var recv Value
+			if in.A >= 0 {
+				recv = regs[in.A]
+			}
+			v, err := t.callFn(vm.Prog.FuncList[in.Imm], regs, c.Src[pc-1].Args, recv, in.A >= 0)
+			if err != nil {
+				return 0, err
+			}
+			if in.Dst >= 0 {
+				regs[in.Dst] = v
+			}
+		case xRet:
+			return regs[in.A], nil
+		case xRetVoid:
+			return 0, nil
+		case xNullCheck:
+			if regs[in.A] == 0 {
+				return 0, errNPE(c.Src[pc-1].Sym)
+			}
+		case xJump:
+			tgt, cnt = in.C, in.N
+			goto edge
+		case xBranch:
+			if regs[in.A] != 0 {
+				tgt, cnt = in.C, in.N
+			} else {
+				tgt, cnt = int32(in.Imm), in.N2
+			}
+			goto edge
+		case xSqrt:
+			regs[in.Dst] = math.Float64bits(math.Sqrt(math.Float64frombits(regs[in.A])))
+		case xAbs:
+			regs[in.Dst] = math.Float64bits(math.Abs(math.Float64frombits(regs[in.A])))
+		case xIntr:
+			// I/O, iteration control, arraycopy: these pay the call.
+			v, err := t.intrinsic(int(in.Imm), c.Src[pc-1], regs)
+			if err != nil {
+				return 0, err
+			}
+			if in.Dst >= 0 {
+				regs[in.Dst] = v
+			}
+
+		// --- Page half (program P') ---
+		// Each record op resolves its page reference exactly once — Bytes
+		// untiered, Pin tiered, chosen when the VM was built (vm.tiered)
+		// and spelled out per op because a helper holding both arms is
+		// past the compiler's inlining budget.
+		case xPNew:
+			ref, err := t.iter.Current().AllocRecord(uint16(in.A), int(in.Imm))
+			if err != nil {
+				return 0, err
+			}
+			regs[in.Dst] = Value(ref)
+		case xPLoad1:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("record read " + c.Src[pc-1].Field.Name)
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			regs[in.Dst] = load1(b[in.Imm:])
+			pin.Unpin()
+		case xPLoad4:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("record read " + c.Src[pc-1].Field.Name)
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			regs[in.Dst] = load4(b[in.Imm:])
+			pin.Unpin()
+		case xPLoad8:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("record read " + c.Src[pc-1].Field.Name)
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			regs[in.Dst] = load8(b[in.Imm:])
+			pin.Unpin()
+		case xPStore1:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("record write " + c.Src[pc-1].Field.Name)
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			b[in.Imm] = byte(regs[in.B])
+			pin.Unpin()
+		case xPStore4:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("record write " + c.Src[pc-1].Field.Name)
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			binary.LittleEndian.PutUint32(b[in.Imm:], uint32(regs[in.B]))
+			pin.Unpin()
+		case xPStore8:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("record write " + c.Src[pc-1].Field.Name)
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			binary.LittleEndian.PutUint64(b[in.Imm:], regs[in.B])
+			pin.Unpin()
+		case xPALoad1:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record read")
+			}
+			i := int(int32(regs[in.B]))
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
+				pin.Unpin()
+				return 0, errBounds(i, n)
+			}
+			regs[in.Dst] = load1(b[offheap.ArrayHeader+i:])
+			pin.Unpin()
+		case xPALoad4:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record read")
+			}
+			i := int(int32(regs[in.B]))
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
+				pin.Unpin()
+				return 0, errBounds(i, n)
+			}
+			regs[in.Dst] = load4(b[offheap.ArrayHeader+i*4:])
+			pin.Unpin()
+		case xPALoad8:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record read")
+			}
+			i := int(int32(regs[in.B]))
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
+				pin.Unpin()
+				return 0, errBounds(i, n)
+			}
+			regs[in.Dst] = load8(b[offheap.ArrayHeader+i*8:])
+			pin.Unpin()
+		case xPAStore1:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record write")
+			}
+			i := int(int32(regs[in.B]))
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
+				pin.Unpin()
+				return 0, errBounds(i, n)
+			}
+			b[offheap.ArrayHeader+i] = byte(regs[in.C])
+			pin.Unpin()
+		case xPAStore4:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record write")
+			}
+			i := int(int32(regs[in.B]))
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
+				pin.Unpin()
+				return 0, errBounds(i, n)
+			}
+			binary.LittleEndian.PutUint32(b[offheap.ArrayHeader+i*4:], uint32(regs[in.C]))
+			pin.Unpin()
+		case xPAStore8:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record write")
+			}
+			i := int(int32(regs[in.B]))
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
+				pin.Unpin()
+				return 0, errBounds(i, n)
+			}
+			binary.LittleEndian.PutUint64(b[offheap.ArrayHeader+i*8:], regs[in.C])
+			pin.Unpin()
+		case xPALen:
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("array record length")
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			regs[in.Dst] = Value(uint32(offheap.ArrayLength(b)))
+			pin.Unpin()
+		case xResolve:
+			// Retrieve the receiver-pool facade for the record's runtime
+			// type and bind it (§3.2, "Resolving types").
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("resolve on null record")
+			}
+			var b []byte
+			var pin offheap.Pin
+			if tiered {
+				b, pin = rt.Pin(ref)
+			} else {
+				b = rt.Bytes(ref)
+			}
+			tw := offheap.TypeWord(b)
+			pin.Unpin()
+			pe := t.pools[int(tw)]
+			if pe == nil {
+				return 0, fmt.Errorf("vm: no receiver pool for type id %d", tw)
+			}
+			t.bindFacade(pe.recv, ref)
+			t.poolHits++
+			regs[in.Dst] = pe.recv
+		case xPoolGet:
+			pe := t.pools[in.A]
+			if pe == nil {
+				return 0, fmt.Errorf("vm: no parameter pool for %s", c.Src[pc-1].Cls.Name)
+			}
+			t.poolHits++
+			regs[in.Dst] = pe.params[in.Imm]
+		case xRecvPool:
+			// Devirtualized resolve (§3.6 optimization): the callee is
+			// statically known, so the receiver facade comes from the
+			// static type's pool without reading the record type tag.
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("devirtualized call on null record")
+			}
+			pe := t.pools[in.B]
+			if pe == nil {
+				return 0, fmt.Errorf("vm: no receiver pool for %s", c.Src[pc-1].Cls.Name)
+			}
+			t.bindFacade(pe.recv, ref)
+			t.poolHits++
+			regs[in.Dst] = pe.recv
+
+		// --- Cold operations, off the ir.Instr ---
+		case xStrLit:
+			a, err := t.stringLiteral(int(c.Src[pc-1].Imm))
+			if err != nil {
+				return 0, err
+			}
+			regs[in.Dst] = a
+		case xNewArr:
+			src := c.Src[pc-1]
+			n := int(int32(regs[in.A]))
+			if n < 0 {
+				return 0, fmt.Errorf("NegativeArraySizeException: %d", n)
+			}
+			a, err := hp.AllocArray(t.tc, src.Type, n, src.Site)
+			if err != nil {
+				return 0, err
+			}
+			regs[in.Dst] = Value(a)
+		case xLoadStatic:
+			regs[in.Dst] = vm.statics[c.Src[pc-1].Field.StaticIndex]
+		case xStoreStatic:
+			vm.statics[c.Src[pc-1].Field.StaticIndex] = regs[in.A]
+		case xInstOf:
+			regs[in.Dst] = boolVal(t.instanceOf(heap.Addr(regs[in.A]), c.Src[pc-1].Type))
+		case xCast:
+			src := c.Src[pc-1]
+			a := heap.Addr(regs[in.A])
+			if a != 0 && !t.instanceOf(a, src.Type) {
+				return 0, fmt.Errorf("ClassCastException: cannot cast to %s", src.Type)
+			}
+			regs[in.Dst] = regs[in.A]
+		case xMonEnter:
+			if err := t.monEnter(heap.Addr(regs[in.A])); err != nil {
+				return 0, err
+			}
+		case xMonExit:
+			if err := t.monExit(heap.Addr(regs[in.A])); err != nil {
+				return 0, err
+			}
+		case xPNewArr:
+			src := c.Src[pc-1]
+			ref, err := t.iter.Current().AllocArray(rt.ArrayTypeIndex(src.Type), src.Type.FieldSize(), int(int32(regs[in.A])))
+			if err != nil {
+				return 0, err
+			}
+			regs[in.Dst] = Value(ref)
+		case xPInstOf:
+			regs[in.Dst] = boolVal(t.recInstanceOf(offheap.PageRef(regs[in.A]), c.Src[pc-1]))
+		case xPCast:
+			src := c.Src[pc-1]
+			ref := offheap.PageRef(regs[in.A])
+			if ref != 0 && !t.recInstanceOf(ref, src) {
+				return 0, fmt.Errorf("ClassCastException: record is not a %s", src.Cls.Name)
+			}
+			regs[in.Dst] = regs[in.A]
+		case xPMonEnter:
+			if err := rt.Locks.Enter(rt, offheap.PageRef(regs[in.A]), t, parker{t}); err != nil {
+				return 0, err
+			}
+		case xPMonExit:
+			if err := rt.Locks.Exit(rt, offheap.PageRef(regs[in.A]), t); err != nil {
+				return 0, err
+			}
+		default:
+			panic(fmt.Sprintf("vm: opcode %d at pc %d is not one the linker emits", in.Op, pc-1))
+		}
+		continue
+	edge:
+		if int(tgt) < pc {
+			t.tc.Safepoint()
+			if p := vm.cancel.Load(); p != nil {
+				return 0, *p
 			}
 		}
-		return 0, fmt.Errorf("vm: %s: fell off block b%d", fn.Name, bi)
+		t.instrs += int64(cnt)
+		pc = int(tgt)
 	}
 }
 
@@ -673,17 +875,23 @@ func (t *Thread) bindFacade(fa Value, ref offheap.PageRef) {
 
 // loadSlot and storeSlot read and write one field or element slot of a
 // resolved heap object or page record: b starts at the slot, whose position
-// the caller derived from the header size its operation implies.
+// the caller derived from the header size its operation implies. The
+// boundary uses them; run picked the width when the program was linked and
+// calls load1/load4/load8 directly.
 func loadSlot(b []byte, k lang.TypeKind) Value {
 	switch k {
 	case lang.TBool, lang.TByte:
-		return Value(int64(int8(b[0])))
+		return load1(b)
 	case lang.TInt:
-		return Value(int64(int32(binary.LittleEndian.Uint32(b))))
+		return load4(b)
 	default: // long, double bits, heap and page references
-		return binary.LittleEndian.Uint64(b)
+		return load8(b)
 	}
 }
+
+func load1(b []byte) Value { return Value(int64(int8(b[0]))) }
+func load4(b []byte) Value { return Value(int64(int32(binary.LittleEndian.Uint32(b)))) }
+func load8(b []byte) Value { return binary.LittleEndian.Uint64(b) }
 
 func storeSlot(b []byte, k lang.TypeKind, v Value) {
 	switch k {
@@ -698,144 +906,6 @@ func storeSlot(b []byte, k lang.TypeKind, v Value) {
 
 // ---------------------------------------------------------------------------
 // Arithmetic
-
-func evalBin(in *ir.Instr, a, b Value) (Value, error) {
-	switch in.NumKind {
-	case ir.KInt, ir.KByte, ir.KBool:
-		x, y := int32(a), int32(b)
-		switch in.Sub {
-		case ir.BinAdd:
-			return Value(uint32(x + y)), nil
-		case ir.BinSub:
-			return Value(uint32(x - y)), nil
-		case ir.BinMul:
-			return Value(uint32(x * y)), nil
-		case ir.BinDiv:
-			if y == 0 {
-				return 0, fmt.Errorf("ArithmeticException: / by zero")
-			}
-			return Value(uint32(x / y)), nil
-		case ir.BinRem:
-			if y == 0 {
-				return 0, fmt.Errorf("ArithmeticException: %% by zero")
-			}
-			return Value(uint32(x % y)), nil
-		case ir.BinAnd:
-			return Value(uint32(x & y)), nil
-		case ir.BinOr:
-			return Value(uint32(x | y)), nil
-		case ir.BinXor:
-			return Value(uint32(x ^ y)), nil
-		case ir.BinShl:
-			return Value(uint32(x << (uint32(y) & 31))), nil
-		case ir.BinShr:
-			return Value(uint32(x >> (uint32(y) & 31))), nil
-		case ir.BinLt:
-			return boolVal(x < y), nil
-		case ir.BinLe:
-			return boolVal(x <= y), nil
-		case ir.BinGt:
-			return boolVal(x > y), nil
-		case ir.BinGe:
-			return boolVal(x >= y), nil
-		case ir.BinEq:
-			return boolVal(x == y), nil
-		case ir.BinNe:
-			return boolVal(x != y), nil
-		}
-	case ir.KLong:
-		x, y := int64(a), int64(b)
-		switch in.Sub {
-		case ir.BinAdd:
-			return Value(x + y), nil
-		case ir.BinSub:
-			return Value(x - y), nil
-		case ir.BinMul:
-			return Value(x * y), nil
-		case ir.BinDiv:
-			if y == 0 {
-				return 0, fmt.Errorf("ArithmeticException: / by zero")
-			}
-			return Value(x / y), nil
-		case ir.BinRem:
-			if y == 0 {
-				return 0, fmt.Errorf("ArithmeticException: %% by zero")
-			}
-			return Value(x % y), nil
-		case ir.BinAnd:
-			return Value(x & y), nil
-		case ir.BinOr:
-			return Value(x | y), nil
-		case ir.BinXor:
-			return Value(x ^ y), nil
-		case ir.BinShl:
-			return Value(x << (uint64(y) & 63)), nil
-		case ir.BinShr:
-			return Value(x >> (uint64(y) & 63)), nil
-		case ir.BinLt:
-			return boolVal(x < y), nil
-		case ir.BinLe:
-			return boolVal(x <= y), nil
-		case ir.BinGt:
-			return boolVal(x > y), nil
-		case ir.BinGe:
-			return boolVal(x >= y), nil
-		case ir.BinEq:
-			return boolVal(x == y), nil
-		case ir.BinNe:
-			return boolVal(x != y), nil
-		}
-	case ir.KDouble:
-		x, y := math.Float64frombits(a), math.Float64frombits(b)
-		switch in.Sub {
-		case ir.BinAdd:
-			return math.Float64bits(x + y), nil
-		case ir.BinSub:
-			return math.Float64bits(x - y), nil
-		case ir.BinMul:
-			return math.Float64bits(x * y), nil
-		case ir.BinDiv:
-			return math.Float64bits(x / y), nil
-		case ir.BinLt:
-			return boolVal(x < y), nil
-		case ir.BinLe:
-			return boolVal(x <= y), nil
-		case ir.BinGt:
-			return boolVal(x > y), nil
-		case ir.BinGe:
-			return boolVal(x >= y), nil
-		case ir.BinEq:
-			return boolVal(x == y), nil
-		case ir.BinNe:
-			return boolVal(x != y), nil
-		}
-	case ir.KRef:
-		switch in.Sub {
-		case ir.BinEq:
-			return boolVal(a == b), nil
-		case ir.BinNe:
-			return boolVal(a != b), nil
-		}
-	}
-	return 0, fmt.Errorf("vm: bad binary op %s on %s", in.Sub, in.NumKind)
-}
-
-func evalUn(in *ir.Instr, a Value) Value {
-	switch in.Sub {
-	case ir.UnNeg:
-		switch in.NumKind {
-		case ir.KInt, ir.KByte:
-			return Value(uint32(-int32(a)))
-		case ir.KLong:
-			return Value(-int64(a))
-		case ir.KDouble:
-			return math.Float64bits(-math.Float64frombits(a))
-		}
-	case ir.UnNot:
-		return boolVal(a == 0)
-	}
-	return 0
-}
 
 func evalConv(from, to ir.NumKind, a Value) Value {
 	// Normalize the source to int64 or float64.

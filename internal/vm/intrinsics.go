@@ -11,9 +11,8 @@ import (
 	"repro/internal/offheap"
 )
 
-// Intrinsic indices, resolved once at link time and left in the
-// instruction's Imm so the interpreter dispatches on an int. They start at
-// 1: an Imm of 0 is an instruction the linker never saw.
+// Intrinsic indices, resolved by name once at link time and carried in the
+// execution slot's Imm so the interpreter dispatches on an int.
 const (
 	inPrint = iota + 1
 	inPrintln
@@ -33,25 +32,24 @@ const (
 	inTrapNoReturn
 )
 
-var intrinsicIndex = map[string]int{
-	"print": inPrint, "println": inPrintln,
-	"printRec": inPrintRec, "printlnRec": inPrintlnRec,
-	"sqrt": inSqrt, "abs": inAbs, "exp": inExp, "log": inLog,
-	"rand": inRand, "arraycopy": inArraycopy, "arraycopyRec": inArraycopyRec,
-	"release": inRelease, "releaseRec": inReleaseRec,
-	"iterStart": inIterStart, "iterEnd": inIterEnd,
-	"trapNoReturn": inTrapNoReturn,
+// intrinsics gives each Sys.* builtin its index and the argument count the
+// linker holds every call site to.
+var intrinsics = map[string]struct{ index, args int }{
+	"print": {inPrint, 1}, "println": {inPrintln, 1},
+	"printRec": {inPrintRec, 1}, "printlnRec": {inPrintlnRec, 1},
+	"sqrt": {inSqrt, 1}, "abs": {inAbs, 1}, "exp": {inExp, 1}, "log": {inLog, 1},
+	"rand": {inRand, 1}, "arraycopy": {inArraycopy, 5}, "arraycopyRec": {inArraycopyRec, 5},
+	"release": {inRelease, 1}, "releaseRec": {inReleaseRec, 1},
+	"iterStart": {inIterStart, 0}, "iterEnd": {inIterEnd, 0},
+	"trapNoReturn": {inTrapNoReturn, 0},
 }
 
 // intrinsic dispatches the Sys.* builtins plus the page-half variants the
 // FACADE transform substitutes ("arraycopyRec", "printRec"/"printlnRec",
-// and OpStrLit's transformed twin handled in stringLiteral).
-func (t *Thread) intrinsic(in *ir.Instr, regs []Value) (Value, error) {
+// and OpStrLit's transformed twin handled in stringLiteral). idx is the
+// index the linker found for in.Sym.
+func (t *Thread) intrinsic(idx int, in *ir.Instr, regs []Value) (Value, error) {
 	vm := t.vm
-	idx := int(in.Imm)
-	if idx == 0 {
-		return 0, fmt.Errorf("vm: unlinked intrinsic %s", in.Sym)
-	}
 	switch idx {
 	case inPrint, inPrintln:
 		s, err := t.formatValue(in.Type, regs[in.Args[0]], false)
@@ -102,7 +100,7 @@ func (t *Thread) intrinsic(in *ir.Instr, regs []Value) (Value, error) {
 	case inTrapNoReturn:
 		return 0, fmt.Errorf("vm: missing return in value-returning method")
 	}
-	return 0, fmt.Errorf("vm: unknown intrinsic %s", in.Sym)
+	panic(fmt.Sprintf("vm: intrinsic index %d out of the linker's table", idx))
 }
 
 func (t *Thread) writeOut(s string, nl bool) {

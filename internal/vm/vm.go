@@ -217,8 +217,8 @@ func (vm *VM) arm(job ResetConfig) error {
 	return nil
 }
 
-// link builds vtables, the statics area, and caches per-instruction
-// dispatch information.
+// link builds vtables and the statics area and, the first time a VM is
+// built over the program, lowers it to its execution form.
 func (vm *VM) link() error {
 	h := vm.Prog.H
 	// Selector assignment: one slot per distinct instance method name.
@@ -302,45 +302,8 @@ func (vm *VM) link() error {
 		}
 	}
 
-	// Per-instruction caches: selector IDs for OpCall, direct functions
-	// for OpCallStatic, intrinsic indices for OpIntr (Imm is otherwise
-	// unused by all three). These write into the instruction stream shared
-	// by every VM built over this program, so they run exactly once per
-	// program: selector IDs (sorted method names), callee pointers (the
-	// program's own *ir.Func values), and intrinsic indices are all pure
-	// functions of the program, and LinkInstrs' Once gives later VMs the
-	// happens-before edge on the cached values.
-	return vm.Prog.LinkInstrs(func() error {
-		for _, f := range vm.Prog.FuncList {
-			for _, b := range f.Blocks {
-				for i := range b.Instrs {
-					in := &b.Instrs[i]
-					switch in.Op {
-					case ir.OpCall:
-						sel, ok := vm.selectors[in.M.Name]
-						if !ok {
-							return fmt.Errorf("vm: %s: no selector for %s", f.Name, in.M.Name)
-						}
-						in.Imm = int64(sel)
-					case ir.OpCallStatic:
-						key := calleeKey(in.M)
-						callee := vm.byKey[key]
-						if callee == nil {
-							return fmt.Errorf("vm: %s: missing callee %s", f.Name, key)
-						}
-						in.Callee = callee
-					case ir.OpIntr:
-						idx, ok := intrinsicIndex[in.Sym]
-						if !ok {
-							return fmt.Errorf("vm: %s: unknown intrinsic %s", f.Name, in.Sym)
-						}
-						in.Imm = int64(idx)
-					}
-				}
-			}
-		}
-		return nil
-	})
+	// The execution form: built once per program, shared by every VM over it.
+	return vm.Prog.LinkInstrs(vm.lowerProgram)
 }
 
 func calleeKey(m *lang.Method) string {
