@@ -16,6 +16,7 @@ package repro
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -668,4 +669,77 @@ class D { int x; }
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 		})
 	}
+
+	// The capacity probe (ROADMAP 3(b)): loop-array-2t runs the loop-array
+	// kernel on one thread of a VM, then on two threads of the same VM at
+	// once, and reports the two-thread time per thread's IR instruction and
+	// scaling = two-thread time / one-thread time (1.0 is perfect).
+	// xorshift-2g is the same measurement of a pure-Go dependent ALU loop:
+	// the runner's own two-goroutine ratio. Near 2 on both is a runner
+	// delivering one core. xorshift is one dependent chain and misses some
+	// lost capacity — the VM leg has read ~2 beside a xorshift of ~1 right
+	// after the machine idled (docs/PERFORMANCE.md, "The capacity probe") —
+	// so take several readings before blaming the VM.
+	b.Run("loop-array-2t", func(b *testing.B) {
+		prog, err := facade.Compile(map[string]string{"f.fj": cases[1].src})
+		if err != nil {
+			b.Fatal(err)
+		}
+		machine, err := vm.New(prog, vm.Config{HeapSize: 8 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var threads [2]*vm.Thread
+		for i := range threads {
+			if threads[i], err = machine.NewThread(nil); err != nil {
+				b.Fatal(err)
+			}
+			defer threads[i].Close()
+		}
+		kernel := func(t *vm.Thread) {
+			if _, err := t.InvokeStatic("Main", "main"); err != nil {
+				b.Error(err)
+			}
+		}
+		kernel(threads[0])
+		instrs := machine.Obs().Snapshot().Counters[obs.CtrInstructions]
+		kernel(threads[1]) // both stacks and heap pages touched before timing
+		one, two := scaling(b, func() { kernel(threads[0]) }, func(i int) { kernel(threads[i]) })
+		b.ReportMetric(float64(two.Nanoseconds())/float64(int64(b.N)*instrs), "ns/instr")
+		b.ReportMetric(float64(two)/float64(one), "scaling")
+	})
+	b.Run("xorshift-2g", func(b *testing.B) {
+		var sink [2]uint64
+		loop := func(i int) {
+			x := uint64(88172645463325252) + uint64(i)
+			for k := 0; k < 1e8; k++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+			}
+			sink[i] = x
+		}
+		one, two := scaling(b, func() { loop(0) }, loop)
+		b.ReportMetric(float64(two)/float64(one), "scaling")
+	})
+}
+
+// scaling times b.N runs of solo on one goroutine and b.N runs of duo(0)
+// and duo(1) on two goroutines at once, and returns the two totals.
+func scaling(b *testing.B, solo func(), duo func(i int)) (one, two time.Duration) {
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		start := time.Now()
+		solo()
+		one += time.Since(start)
+		start = time.Now()
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); duo(i) }()
+		}
+		wg.Wait()
+		two += time.Since(start)
+	}
+	return one, two
 }

@@ -19,7 +19,7 @@ func table2Cmd(args []string) error {
 	v := fs.Int("v", 20000, "vertices of the synthetic twitter-like graph")
 	e := fs.Int("e", 300000, "edges")
 	iters := fs.Int("iters", 2, "graph iterations")
-	workers := fs.Int("workers", 4, "update workers")
+	workers := fs.Int("workers", 4, "worker threads (load, update, extract)")
 	baseHeap := fs.Int64("heap", 32<<20, "largest heap budget in bytes (scaled 8:6:4)")
 	seed := fs.Uint64("seed", 42, "graph seed")
 	faultSpec := fs.String("faults", "", `deterministic fault-injection spec (e.g. "crash=1,allocat=8,seed=7")`)
@@ -100,7 +100,7 @@ func fig4aCmd(args []string) error {
 	baseE := fs.Int("e", 60000, "edges of the smallest graph")
 	steps := fs.Int("steps", 4, "number of graph sizes")
 	iters := fs.Int("iters", 3, "graph iterations")
-	workers := fs.Int("workers", 4, "update workers")
+	workers := fs.Int("workers", 4, "worker threads (load, update, extract)")
 	heap := fs.Int64("heap", 16<<20, "heap budget")
 	reps := fs.Int("reps", 3, "repetitions (throughput averaged)")
 	fs.Parse(args)

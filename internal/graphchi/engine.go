@@ -45,7 +45,7 @@ const bytesPerEdge = 48
 // Config drives one engine run.
 type Config struct {
 	App        App
-	Workers    int // update worker threads (paper: two pools of 16)
+	Workers    int // worker threads that load, update and extract (paper: two pools of 16)
 	Iterations int // full passes over the graph
 	// MemoryBudget bounds the bytes of vertex/edge objects loaded per
 	// sub-iteration; GraphChi derives it from the maximum heap size, so
@@ -141,6 +141,11 @@ type engine struct {
 	subIter int         // global sub-iteration ordinal (crash occasions)
 
 	rec Recovery
+
+	// afterSubIter, when set (tests), runs after every sub-iteration
+	// attempt on the vertex range iv, failed or not, once its page managers
+	// are closed.
+	afterSubIter func(iv [2]int, err error)
 }
 
 // Run executes cfg.Iterations passes of the vertex program over sg on the
@@ -148,6 +153,11 @@ type engine struct {
 // values. Fault injection draws from the injector the VM was built with
 // (vm.Config.Faults); RunProgram wires cfg.Faults there.
 func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, error) {
+	return run(machine, sg, cfg, nil)
+}
+
+// run is Run with the engine's afterSubIter probe.
+func run(machine *vm.VM, sg *ShardedGraph, cfg Config, afterSubIter func([2]int, error)) (*Metrics, []float64, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -164,7 +174,7 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 	}
 	defer main.Close()
 
-	e := &engine{machine: machine, main: main, sg: sg, cfg: cfg, inj: machine.Injector()}
+	e := &engine{machine: machine, main: main, sg: sg, cfg: cfg, inj: machine.Injector(), afterSubIter: afterSubIter}
 	e.pool, err = newWorkerPool(machine, main, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
@@ -334,6 +344,9 @@ func (e *engine) runIntervalAt(iv [2]int, values []float64, budget int64, crashC
 	out := make([]float64, iv[1]-iv[0])
 	for _, sub := range e.sg.IntervalsIn(iv[0], iv[1], budget/bytesPerEdge) {
 		o, err := e.runIntervalOnce(sub, values, crashChunk, met)
+		if e.afterSubIter != nil {
+			e.afterSubIter(sub, err)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -343,9 +356,10 @@ func (e *engine) runIntervalAt(iv [2]int, values []float64, budget int64, crashC
 	return out, nil
 }
 
-// runIntervalOnce loads [a, b) from the shard into the data path, runs the
-// parallel update, and returns the extracted values for the range. The
-// caller owns the write-back; on any error the values slice is untouched.
+// runIntervalOnce loads [a, b) from the shard into the data path, updates
+// it and extracts the values, each phase on the worker pool over the same
+// chunks, and returns the values for the range. The caller owns the
+// write-back; on any error the values slice is untouched.
 func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, met *Metrics) ([]float64, error) {
 	main, sg, cfg := e.main, e.sg, e.cfg
 	a, b := iv[0], iv[1]
@@ -377,62 +391,84 @@ func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, me
 		}
 	}
 
-	// Boundary: ship the shard slice into the data path and build the
-	// subgraph there.
-	oInCounts, err := main.NewIntArr(inCounts)
+	// Boundary: ship the shard slice into the data path, in the main
+	// thread's sub-iteration manager with the vertex array.
+	var objs []vm.Obj
+	defer func() {
+		for _, o := range objs {
+			main.FreeObj(o)
+		}
+	}()
+	ship := func(o vm.Obj, err error) (vm.Obj, error) {
+		objs = append(objs, o)
+		return o, err
+	}
+	oInCounts, err := ship(main.NewIntArr(inCounts))
 	if err != nil {
 		return nil, err
 	}
-	defer main.FreeObj(oInCounts)
-	oOutDegs, err := main.NewIntArr(outDegs)
+	oOutDegs, err := ship(main.NewIntArr(outDegs))
 	if err != nil {
 		return nil, err
 	}
-	defer main.FreeObj(oOutDegs)
-	oSrcs, err := main.NewIntArr(srcs)
+	oSrcs, err := ship(main.NewIntArr(srcs))
 	if err != nil {
 		return nil, err
 	}
-	defer main.FreeObj(oSrcs)
-	oSrcVals, err := main.NewDoubleArr(srcVals)
+	oSrcVals, err := ship(main.NewDoubleArr(srcVals))
 	if err != nil {
 		return nil, err
 	}
-	defer main.FreeObj(oSrcVals)
+	oInit, err := ship(main.NewDoubleArr(initVals))
+	if err != nil {
+		return nil, err
+	}
+	vs, err := ship(main.NewArr("ChiVertex", n))
+	if err != nil {
+		return nil, err
+	}
 
-	vs, err := main.InvokeStaticObj("GraphChiDriver", "build",
-		vm.I(int64(a)), vm.I(int64(n)), vm.O(oInCounts), vm.O(oOutDegs), vm.O(oSrcs), vm.O(oSrcVals))
-	if err != nil {
-		return nil, err
+	// Build on the pool: each worker allocates its chunks' vertices and
+	// edges in its own sub-iteration manager, closed (deferred, so on every
+	// path) before the main thread's. Build, update and extract share one
+	// chunking.
+	e.pool.iterationStart()
+	defer e.pool.iterationEnd()
+	chunks := sg.chunks(iv, cfg.Workers)
+	if crashChunk >= 0 {
+		crashChunk %= len(chunks)
 	}
-	defer main.FreeObj(vs)
-	oInit, err := main.NewDoubleArr(initVals)
+	err = e.pool.each("buildRange", chunks, crashChunk, func(c [2]int) []vm.Arg {
+		return []vm.Arg{vm.O(vs), vm.I(int64(a)), vm.I(int64(c[0])), vm.I(int64(c[1])), vm.I(sg.InStart[a+c[0]] - eStart),
+			vm.O(oInCounts), vm.O(oOutDegs), vm.O(oSrcs), vm.O(oSrcVals), vm.O(oInit)}
+	})
 	if err != nil {
-		return nil, err
-	}
-	defer main.FreeObj(oInit)
-	if _, err := main.InvokeStatic("GraphChiDriver", "initValues", vm.O(vs), vm.O(oInit)); err != nil {
 		return nil, err
 	}
 	met.LT += time.Since(loadStart)
 
-	// Parallel update.
+	// Parallel update, on the same chunks.
 	updStart := time.Now()
-	if err := e.pool.runRange(e.prog, vs, n, crashChunk); err != nil {
-		met.UT += time.Since(updStart)
-		return nil, err
-	}
+	err = e.pool.each("runRange", chunks, -1, func(c [2]int) []vm.Arg {
+		return []vm.Arg{vm.O(e.prog), vm.O(vs), vm.I(int64(c[0])), vm.I(int64(c[1]))}
+	})
 	met.UT += time.Since(updStart)
-
-	// Extract the updated values (exit conversion); the caller commits
-	// them to the vertex data file only after the whole interval succeeds.
-	storeStart := time.Now()
-	oOut, err := main.NewArr("double", n)
 	if err != nil {
 		return nil, err
 	}
-	defer main.FreeObj(oOut)
-	if _, err := main.InvokeStatic("GraphChiDriver", "extract", vm.O(vs), vm.O(oOut)); err != nil {
+
+	// Extract the updated values (exit conversion), on the same chunks;
+	// the caller commits them to the vertex data file only after the whole
+	// interval succeeds.
+	storeStart := time.Now()
+	oOut, err := ship(main.NewArr("double", n))
+	if err != nil {
+		return nil, err
+	}
+	err = e.pool.each("extractRange", chunks, -1, func(c [2]int) []vm.Arg {
+		return []vm.Arg{vm.O(vs), vm.O(oOut), vm.I(int64(c[0])), vm.I(int64(c[1]))}
+	})
+	if err != nil {
 		return nil, err
 	}
 	out, err := main.ReadDoubleArr(oOut)
@@ -479,28 +515,26 @@ func workerOf(err error) int {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool: long-lived VM threads updating vertex ranges in parallel.
+// Worker pool: long-lived VM threads running one chunk of an interval each,
+// for the build, the update and the extract alike.
 
 type workerTask struct {
-	prog, vs vm.Obj
-	from, to int
-	crash    int // worker index to crash instead of running, or -1
-	err      chan error
+	run func(t *vm.Thread) error
+	err chan<- error
 }
 
 type workerPool struct {
 	tasks   chan workerTask
 	wg      sync.WaitGroup
 	threads []*vm.Thread
-	n       int
 }
 
-// newWorkerPool spawns n update threads. parent may be nil (threads then
+// newWorkerPool spawns n worker threads. parent may be nil (threads then
 // parent their page managers at the VM root scope), which is what crash
 // recovery uses: the pool must be rebuildable while the main thread is
 // inside an iteration scope that will be released before the pool is.
 func newWorkerPool(machine *vm.VM, parent *vm.Thread, n int) (*workerPool, error) {
-	p := &workerPool{tasks: make(chan workerTask), n: n}
+	p := &workerPool{tasks: make(chan workerTask)}
 	for i := 0; i < n; i++ {
 		t, err := machine.NewThread(parent)
 		if err != nil {
@@ -512,59 +546,59 @@ func newWorkerPool(machine *vm.VM, parent *vm.Thread, n int) (*workerPool, error
 		go func(t *vm.Thread) {
 			defer p.wg.Done()
 			for task := range p.tasks {
-				if task.crash >= 0 {
-					// The thread assigned this chunk dies mid-update: its
-					// chunk is lost and the engine rebuilds the fleet.
-					task.err <- &crashError{worker: task.crash}
-					continue
-				}
-				_, err := t.InvokeStatic("GraphChiDriver", "runRange",
-					vm.O(task.prog), vm.O(task.vs), vm.I(int64(task.from)), vm.I(int64(task.to)))
-				task.err <- err
+				task.err <- task.run(t)
 			}
 		}(t)
 	}
 	return p, nil
 }
 
-// runRange splits [0, n) across the workers and waits for completion.
-// crashChunk >= 0 marks the chunk whose worker dies instead of updating
-// (the planned worker-crash fault point): chunk assignment is a pure
-// function of (n, workers), so the same chunk is lost on every run with
-// the same seed, and the replay recomputes it deterministically.
-func (p *workerPool) runRange(prog, vs vm.Obj, n int, crashChunk int) error {
-	chunks := p.n
-	if chunks > n {
-		chunks = n
-	}
-	if chunks == 0 {
-		return nil
-	}
-	if crashChunk >= 0 {
-		crashChunk %= chunks
-	}
-	errs := make(chan error, chunks)
-	per := (n + chunks - 1) / chunks
-	sent := 0
-	for from := 0; from < n; from += per {
-		to := from + per
-		if to > n {
-			to = n
-		}
-		crash := -1
-		if sent == crashChunk {
-			crash = crashChunk
-		}
-		p.tasks <- workerTask{prog: prog, vs: vs, from: from, to: to, crash: crash, err: errs}
-		sent++
+// each invokes GraphChiDriver.method once per chunk on the pool, with the
+// arguments args builds for the chunk, waits for every chunk and returns the
+// first error, tagged with the method and chunk. The worker that draws
+// chunk crash (-1: none) is the planned crash: it dies halfway through its
+// chunk, leaving what it allocated to the sub-iteration's release, and the
+// engine rebuilds the fleet.
+func (p *workerPool) each(method string, chunks [][2]int, crash int, args func(c [2]int) []vm.Arg) error {
+	errs := make(chan error, len(chunks))
+	for ci, c := range chunks {
+		p.tasks <- workerTask{err: errs, run: func(t *vm.Thread) error {
+			if ci == crash {
+				c[1] = c[0] + (c[1]-c[0])/2
+			}
+			_, err := t.InvokeStatic("GraphChiDriver", method, args(c)...)
+			if err == nil && ci == crash {
+				err = &crashError{worker: ci}
+			}
+			if err != nil {
+				return fmt.Errorf("%s %v: %w", method, c, err)
+			}
+			return nil
+		}}
 	}
 	var first error
-	for i := 0; i < sent; i++ {
+	for range chunks {
 		if err := <-errs; err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// iterationStart opens one page manager per ⟨sub-iteration, worker⟩
+// (§3.6), a child of the worker's current manager; iterationEnd releases
+// them. The main goroutine does both while every worker is idle — the
+// channel hand-offs of each order them against the workers' use.
+func (p *workerPool) iterationStart() {
+	for _, t := range p.threads {
+		t.IterationStart()
+	}
+}
+
+func (p *workerPool) iterationEnd() {
+	for _, t := range p.threads {
+		t.IterationEnd()
+	}
 }
 
 func (p *workerPool) close() {

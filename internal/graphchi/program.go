@@ -83,27 +83,22 @@ class ConnCompProgram implements VertexProgram {
     }
 }
 
-// GraphChiDriver hosts the batch entry points the engine calls across the
-// boundary: subgraph construction, the update loop, and value extraction.
+// GraphChiDriver hosts the batch entry points the engine's workers call
+// across the boundary, each over one chunk [from, to) of an interval:
+// subgraph construction, the update loop, and value extraction.
 class GraphChiDriver {
-    static ChiVertex[] build(int first, int n, int[] inCounts, int[] outDegs, int[] srcs, double[] srcVals) {
-        ChiVertex[] vs = new ChiVertex[n];
-        int e = 0;
-        for (int i = 0; i < n; i = i + 1) {
+    static void buildRange(ChiVertex[] vs, int first, int from, int to, int e0,
+            int[] inCounts, int[] outDegs, int[] srcs, double[] srcVals, double[] init) {
+        int e = e0;
+        for (int i = from; i < to; i = i + 1) {
             int nIn = inCounts[i];
             ChiVertex v = new ChiVertex(first + i, nIn, outDegs[i]);
             for (int k = 0; k < nIn; k = k + 1) {
                 v.addInEdge(k, srcs[e], srcVals[e]);
                 e = e + 1;
             }
+            v.setValue(init[i]);
             vs[i] = v;
-        }
-        return vs;
-    }
-
-    static void initValues(ChiVertex[] vs, double[] init) {
-        for (int i = 0; i < vs.length; i = i + 1) {
-            vs[i].setValue(init[i]);
         }
     }
 
@@ -113,8 +108,8 @@ class GraphChiDriver {
         }
     }
 
-    static void extract(ChiVertex[] vs, double[] out) {
-        for (int i = 0; i < vs.length; i = i + 1) {
+    static void extractRange(ChiVertex[] vs, double[] out, int from, int to) {
+        for (int i = from; i < to; i = i + 1) {
             out[i] = vs[i].getValue();
         }
     }

@@ -119,3 +119,33 @@ func (sg *ShardedGraph) IntervalsIn(lo, hi int, budgetEdges int64) [][2]int {
 	out = append(out, [2]int{start, hi})
 	return out
 }
+
+// chunks splits the interval iv into at most workers contiguous vertex
+// ranges of equal weight — a vertex weighs its in-degree + 1, the edges it
+// brings to the build and the update plus itself — for the worker pool's
+// build, update and extract alike. Ranges are offsets into the interval;
+// they tile [0, n) exactly once, each non-empty, and are a pure function of
+// (iv, workers), so a planned crash lands on the same chunk on every run
+// with the same seed. Chunk j ends at the first vertex whose prefix weight
+// reaches (j+1)/k of the total, so no chunk outweighs the ideal share by as
+// much as its heaviest vertex.
+func (sg *ShardedGraph) chunks(iv [2]int, workers int) [][2]int {
+	a, n := iv[0], iv[1]-iv[0]
+	k := min(workers, n)
+	if k <= 0 {
+		return nil
+	}
+	// prefix is the weight of the interval's first i vertices.
+	prefix := func(i int) int64 { return sg.InStart[a+i] - sg.InStart[a] + int64(i) }
+	total := prefix(n)
+	out := make([][2]int, 0, k)
+	from := 0
+	for j := 1; j <= k; j++ {
+		to := from + sort.Search(n-from, func(d int) bool { return prefix(from+d)*int64(k) >= int64(j)*total })
+		if to > from {
+			out = append(out, [2]int{from, to})
+		}
+		from = to
+	}
+	return out
+}

@@ -33,17 +33,20 @@ func classFor(size int) int {
 //
 // Alloc is single-threaded by construction (a manager belongs to one
 // thread); the children list is the only shared state.
+//
+// The allocation state is written on every record, and the managers of
+// two threads are often allocated back to back, so every field sits
+// between two 128-byte pads: no cache line pair holding one reaches
+// another object (the same layout as vm.Thread, for the same reason).
 type PageManager struct {
-	rt     *Runtime
-	parent *PageManager
+	_ [cacheLinePair]byte
 
-	childMu  sync.Mutex
-	children []*PageManager
-
-	cur      [numClasses]*page
-	pages    []*page
-	hwPages  int // most pages this manager has owned at once
-	released bool
+	// cur is the bump page of each size class and pos the offset of its
+	// next free byte; only the owning manager allocates from it.
+	cur     [numClasses]*page
+	pos     [numClasses]int
+	pages   []*page
+	hwPages int // most pages this manager has owned at once
 	// records counts this manager's allocations without touching shared
 	// state on the allocation path; ReleaseAll flushes it into the runtime
 	// and Stats folds in the managers still live, so the total stays exact.
@@ -51,13 +54,26 @@ type PageManager struct {
 	// still a locked instruction per record, measured at +10 % on
 	// graphchi_p2's unit time (24.9 vs 22.3 probes, six alternating pairs).
 	// The price is Stats' contract: see there.
-	records int64
+	records  int64
+	released bool
+
+	rt     *Runtime
+	parent *PageManager
+
+	childMu  sync.Mutex
+	children []*PageManager
 
 	// IterID identifies the iteration this manager serves; -1 is the
 	// thread-default manager ⟨⊥, t⟩. ThreadID identifies the owning thread.
 	IterID   int
 	ThreadID int
+
+	_ [cacheLinePair]byte
 }
+
+// cacheLinePair is the span false sharing reaches: a 64-byte line plus the
+// adjacent one the spatial prefetcher fetches with it.
+const cacheLinePair = 128
 
 // NewManager creates a page manager. parent may be nil for a root manager.
 func (rt *Runtime) NewManager(parent *PageManager, iterID, threadID int) *PageManager {
@@ -97,7 +113,6 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 		}
 		m.pages = append(m.pages, p)
 		m.notePages()
-		p.pos = size
 		initRecord(p.buf[:size], typeWord, arrLen)
 		// The acquire pin held the page resident through the init writes;
 		// from here on record accessors pin it per operation.
@@ -106,7 +121,7 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 		return MakeRef(p.idx, 0), nil
 	}
 	p := m.cur[ci]
-	if p == nil || p.pos+size > len(p.buf) {
+	if p == nil || m.pos[ci]+size > len(p.buf) {
 		var err error
 		p, err = m.rt.getPage(PageSize)
 		if err != nil {
@@ -118,10 +133,10 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 		m.rt.unpinAcquire(m.cur[ci])
 		m.pages = append(m.pages, p)
 		m.notePages()
-		m.cur[ci] = p
+		m.cur[ci], m.pos[ci] = p, 0
 	}
-	off := p.pos
-	p.pos += size
+	off := m.pos[ci]
+	m.pos[ci] += size
 	initRecord(p.buf[off:off+size], typeWord, arrLen)
 	m.finishAlloc()
 	return MakeRef(p.idx, off), nil
@@ -201,6 +216,15 @@ func (m *PageManager) ReleaseAll() {
 		}
 		m.parent.childMu.Unlock()
 	}
+}
+
+// LiveManagers returns how many page managers have not been released — with
+// Pins, the store's leak probe: once a (sub-)iteration ends, only thread
+// defaults, the root scope and still-open iterations remain.
+func (rt *Runtime) LiveManagers() int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.live)
 }
 
 // Released reports whether the manager's pages have been reclaimed.

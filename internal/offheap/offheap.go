@@ -84,7 +84,6 @@ func splitRef(r PageRef) (pageIdx, off int) {
 // page is one native memory block.
 type page struct {
 	buf []byte
-	pos int // bump pointer, owned by the manager currently holding the page
 	idx int // index in the runtime page table
 	// released guards against double release: oversize pages can be freed
 	// early (§3.6) and would otherwise be freed again at iteration end.
@@ -281,7 +280,6 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	next := make([]*page, len(rt.free))
 	for i, p := range rt.free {
 		p.idx = i
-		p.pos = 0
 		p.released.Store(false)
 		p.candIdx = -1
 		next[i] = p
@@ -373,7 +371,6 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 		if n := len(rt.free); n > 0 {
 			p := rt.free[n-1]
 			rt.free = rt.free[:n-1]
-			p.pos = 0
 			rt.cPageRecycles.Inc()
 			rt.addBytes(int64(len(p.buf)))
 			rt.tierAcquire(p)

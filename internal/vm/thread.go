@@ -30,10 +30,21 @@ type poolEntry struct {
 // Thread is a VM execution thread. Framework code obtains one per worker
 // goroutine; the thread starts "external" (not blocking collections) and
 // enters the mutator state for the duration of each Call.
+//
+// Every field sits between two cache-line-pair pads. run writes instrs on
+// every control edge and poolHits on every facade resolution, callFn writes
+// sp and frames on every call, and the rest is read just as often; Go
+// cannot align a heap object, but with 128 bytes on each side no
+// 128-byte-aligned line pair holding a field reaches another object. Two
+// worker threads allocated back to back otherwise wrote one line pair on
+// every back edge (docs/PERFORMANCE.md, "Parallel load").
 type Thread struct {
-	vm *VM
-	tc *heap.ThreadCtx
-	id int
+	_ [cacheLinePair]byte
+
+	// Execution counters accumulated without atomics on the hot path and
+	// flushed to the VM's shared registry when the outermost frame pops.
+	instrs   int64
+	poolHits int64
 
 	frames []frame
 
@@ -41,6 +52,10 @@ type Thread struct {
 	// fall back to fresh slices.
 	stack []Value
 	sp    int
+
+	vm *VM
+	tc *heap.ThreadCtx
+	id int
 
 	// Transformed programs: per-thread page-manager scope and facade
 	// pools indexed by facade class ID.
@@ -51,11 +66,12 @@ type Thread struct {
 	// at pool initialization (the paper's per-thread facade census).
 	FacadeCount int
 
-	// Execution counters accumulated without atomics on the hot path and
-	// flushed to the VM's shared registry when the outermost frame pops.
-	instrs   int64
-	poolHits int64
+	_ [cacheLinePair]byte
 }
+
+// cacheLinePair is the span false sharing reaches: a 64-byte line plus the
+// adjacent one the spatial prefetcher fetches with it.
+const cacheLinePair = 128
 
 // NewThread registers a new VM thread. parent (may be nil) supplies the
 // page-manager parent for transformed programs: a thread's default manager
