@@ -357,7 +357,7 @@ func BenchmarkAblationPageRecycling(b *testing.B) {
 				for it := 0; it < iters; it++ {
 					s.IterationStart()
 					for j := 0; j < 1000; j++ {
-						if _, err := s.Current().AllocRecord(1, 48); err != nil {
+						if _, err := s.Current().AllocRecord(nil, 1, 48); err != nil {
 							b.Fatal(err)
 						}
 					}

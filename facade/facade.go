@@ -284,9 +284,15 @@ func (r *Result) Output() string {
 	return r.out.String()
 }
 
-// Close releases the run's thread.
+// Close releases the run's thread and what its VM still holds for the job
+// outside the Go heap: the root scope's pages and the disk tier's spill
+// file. Take Stats before Close. The VM can still be handed to
+// WithReusedVM.
 func (r *Result) Close() {
 	if r.Thread != nil {
 		r.Thread.Close()
+	}
+	if r.VM != nil {
+		_ = r.VM.Release() // fails only while other threads run; reuse then fails in ResetForReuse
 	}
 }

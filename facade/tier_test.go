@@ -51,6 +51,27 @@ class Main {
 }
 `
 
+// closeClean closes a tiered run and checks the leak postcondition every
+// tiered leg ends with: no pinned page, no live page manager, and no spill
+// file left in the tier's directory.
+func closeClean(t *testing.T, res *Result, dir string) {
+	t.Helper()
+	res.Close()
+	if n := res.VM.RT.Pins(); n != 0 {
+		t.Errorf("%d pin(s) left after Close", n)
+	}
+	if n := res.VM.RT.LiveManagers(); n != 0 {
+		t.Errorf("%d live page manager(s) left after Close", n)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "spill-*.pages"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Errorf("spill file(s) left after Close: %v", files)
+	}
+}
+
 func TestTierEquivalence(t *testing.T) {
 	prog, err := Compile(map[string]string{"tier.fj": tierSrc})
 	if err != nil {
@@ -86,7 +107,7 @@ func TestTierEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tiered: %v", err)
 			}
-			defer res.Close()
+			defer closeClean(t, res, dir)
 			if out := res.Output(); out != refOut {
 				t.Fatalf("tiered output diverges:\nDRAM: %q\ntier: %q", refOut, out)
 			}
@@ -144,11 +165,12 @@ func TestTierEquivalenceExamples(t *testing.T) {
 			}
 			refOut := ref.Output()
 			ref.Close()
-			res, err := Run(r.P2, WithHeapSize(64<<20), WithTiering(t.TempDir(), 2, 1))
+			dir := t.TempDir()
+			res, err := Run(r.P2, WithHeapSize(64<<20), WithTiering(dir, 2, 1))
 			if err != nil {
 				t.Fatalf("tiered: %v", err)
 			}
-			defer res.Close()
+			defer closeClean(t, res, dir)
 			if out := res.Output(); out != refOut {
 				t.Fatalf("tiered output diverges:\nDRAM: %q\ntier: %q", refOut, out)
 			}
@@ -189,7 +211,7 @@ func TestTierReusedVMTearsDownSpill(t *testing.T) {
 	if n := spillFiles(dir1); n != 1 {
 		t.Fatalf("expected 1 spill file during VM lifetime, found %d", n)
 	}
-	r1.Close()
+	closeClean(t, r1, dir1)
 
 	// Reuse tiered into a different directory: the reset must drop the
 	// old spill file before the new job starts.
@@ -204,7 +226,7 @@ func TestTierReusedVMTearsDownSpill(t *testing.T) {
 	if n := spillFiles(dir1); n != 0 {
 		t.Fatalf("previous job's spill file leaked across reuse: %d left in %s", n, dir1)
 	}
-	r2.Close()
+	closeClean(t, r2, dir2)
 
 	// Reuse untiered: no tier may carry over, and dir2's file is gone.
 	r3, err := Run(p2, WithHeapSize(16<<20), WithReusedVM(r2.VM))

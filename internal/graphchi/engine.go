@@ -256,6 +256,10 @@ func RunProgram(prog *ir.Program, heapSize int, sg *ShardedGraph, cfg Config) (*
 	if err != nil {
 		return nil, nil, err
 	}
+	// Metrics are taken inside Run; what Release frees (the spill file
+	// above all) has no reader after it, and a run that leaked a thread
+	// already reports its own error.
+	defer func() { _ = machine.Release() }()
 	return Run(machine, sg, cfg)
 }
 

@@ -10,13 +10,14 @@ import (
 // Stop-the-world coordination. Mutator threads are either "running"
 // (executing IR and touching the heap) or "external" (parked at a
 // safepoint, or executing framework Go code that only reaches the heap
-// through handles). A collection may proceed only when every registered
-// thread except the collector is external.
+// through handles). A collection — or any other stop of the world — may
+// proceed only when every registered thread except the one stopping it is
+// external.
 
 type safepointState struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	gcMu    sync.Mutex // ownership of a collection
+	gcMu    sync.Mutex // ownership of a stopped world (a collection or a spill)
 	wanted  atomic.Bool
 	running int
 	threads map[*ThreadCtx]struct{}
@@ -154,10 +155,13 @@ func (tc *ThreadCtx) park() {
 	tc.EndExternal()
 }
 
-// Collect runs a collection (minor, or full when full is true) with the
-// calling thread as the collector. It returns ErrOutOfMemory if a full
-// collection cannot fit the live set.
-func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
+// StopTheWorld runs f with every other registered thread parked: the
+// calling thread leaves the running state, waits out any stop already in
+// progress, asks the others to park at their next safepoint, runs f once
+// none is running, and resumes them all, itself included. Collections and
+// the page store's disk spills (offheap.Parker) both run under it, so one
+// protocol guards every move of data a mutator may hold.
+func (hp *Heap) StopTheWorld(tc *ThreadCtx, f func()) {
 	sp := &hp.sp
 	tc.BeginExternal()
 	sp.gcMu.Lock()
@@ -169,7 +173,7 @@ func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
 	}
 	sp.mu.Unlock()
 
-	err := hp.collectSTW(full)
+	f()
 
 	sp.wanted.Store(false)
 	sp.mu.Lock()
@@ -177,6 +181,14 @@ func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
 	sp.mu.Unlock()
 	sp.gcMu.Unlock()
 	tc.EndExternal()
+}
+
+// Collect runs a collection (minor, or full when full is true) with the
+// calling thread as the collector. It returns ErrOutOfMemory if a full
+// collection cannot fit the live set.
+func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
+	var err error
+	hp.StopTheWorld(tc, func() { err = hp.collectSTW(full) })
 	return err
 }
 

@@ -87,7 +87,7 @@ func TestPageHighWaterMonotonic(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			// Mix of class sizes so several cur[] pages are in flight.
 			body := []int{16, 200, 900, 4000, PageSize / 2}[rng.Intn(5)]
-			if _, err := m.AllocRecord(1, body); err != nil {
+			if _, err := m.AllocRecord(nil, 1, body); err != nil {
 				t.Fatal(err)
 			}
 			hw := m.PageHighWater()
@@ -145,7 +145,7 @@ func TestDoubleReleaseIsIdempotent(t *testing.T) {
 		t.Fatalf("double release changed stats:\nfirst:  %+v\nsecond: %+v", after, again)
 	}
 	// And allocation from the released manager fails with the typed error.
-	if _, err := m.AllocRecord(1, 8); !errors.Is(err, ErrReleasedManager) {
+	if _, err := m.AllocRecord(nil, 1, 8); !errors.Is(err, ErrReleasedManager) {
 		t.Fatalf("alloc after release: %v, want ErrReleasedManager", err)
 	}
 	s.Close()
@@ -225,7 +225,7 @@ func TestPoolNeverSharesAPage(t *testing.T) {
 					}
 				case 2:
 					// An oversize page, freed early half the time.
-					ref, err := s.Current().AllocRecord(1, PageSize+rng.Intn(PageSize))
+					ref, err := s.Current().AllocRecord(nil, 1, PageSize+rng.Intn(PageSize))
 					if err != nil {
 						t.Error(err)
 					} else if rng.Intn(2) == 0 && !rt.ReleaseOversize(ref) {
@@ -235,7 +235,7 @@ func TestPoolNeverSharesAPage(t *testing.T) {
 					// Enough churn that iterations routinely span pages.
 					body := []int{32, 512, 3000, 20000}[rng.Intn(4)]
 					for i := 0; i < 30; i++ {
-						if _, err := s.Current().AllocRecord(1, body); err != nil {
+						if _, err := s.Current().AllocRecord(nil, 1, body); err != nil {
 							t.Error(err)
 						}
 					}

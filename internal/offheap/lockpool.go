@@ -14,11 +14,16 @@ import (
 // O(threads × nesting), not O(records).
 const defaultLockPoolSize = 4096
 
-// Parker lets a blocking monitor operation mark its thread as parked (at a
-// GC safepoint) for the duration of the wait. A nil Parker is allowed.
+// Parker is the calling thread's hook into the heap's safepoint protocol: a
+// blocking monitor operation marks the thread parked for the duration of
+// the wait, and a disk spill runs with every other mutator parked
+// (StopTheWorld), so no thread holds the bytes of a page while it moves. A
+// nil Parker is allowed: monitor waits then park nothing and spills run
+// inline, which is only safe on a store one thread uses.
 type Parker interface {
 	BeginExternal()
 	EndExternal()
+	StopTheWorld(f func())
 }
 
 type poolLock struct {

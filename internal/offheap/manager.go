@@ -94,11 +94,12 @@ func (rt *Runtime) NewManager(parent *PageManager, iterID, threadID int) *PageMa
 // the type word and, for arrays (arrLen >= 0), the length — and returns
 // their page reference. The header goes through the page in hand, while
 // the acquire or bump pin still holds it resident, so no second resolution
-// is needed. Allocation from a released manager and page-acquire failures
-// surface as typed errors (ErrReleasedManager, ErrPageExhausted) rather
-// than panics, so they can propagate through the VM boundary and be
-// recovered from.
-func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, error) {
+// is needed. pk is the allocating thread's Parker, handed to the spill a
+// page acquire or the allocation's end may start. Allocation from a
+// released manager and page-acquire failures surface as typed errors
+// (ErrReleasedManager, ErrPageExhausted) rather than panics, so they can
+// propagate through the VM boundary and be recovered from.
+func (m *PageManager) alloc(pk Parker, size int, typeWord uint16, arrLen int) (PageRef, error) {
 	if m.released {
 		return 0, fmt.Errorf("%w (iteration %d, thread %d)", ErrReleasedManager, m.IterID, m.ThreadID)
 	}
@@ -107,28 +108,28 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 	if ci < 0 || size > PageSize/2 {
 		// Large record: an empty page of its own ("large arrays are
 		// allocated on empty pages"), oversize if it exceeds PageSize.
-		p, err := m.rt.getPage(size)
+		p, err := m.rt.getPage(size, pk)
 		if err != nil {
 			return 0, err
 		}
 		m.pages = append(m.pages, p)
 		m.notePages()
-		initRecord(p.buf[:size], typeWord, arrLen)
+		initRecord(p.bytes()[:size], typeWord, arrLen)
 		// The acquire pin held the page resident through the init writes;
-		// from here on record accessors pin it per operation.
+		// from here on it may spill like any other.
 		m.rt.unpinAcquire(p)
-		m.finishAlloc()
+		m.finishAlloc(pk)
 		return MakeRef(p.idx, 0), nil
 	}
 	p := m.cur[ci]
-	if p == nil || m.pos[ci]+size > len(p.buf) {
+	if p == nil || m.pos[ci]+size > PageSize {
 		var err error
-		p, err = m.rt.getPage(PageSize)
+		p, err = m.rt.getPage(PageSize, pk)
 		if err != nil {
 			return 0, err
 		}
 		// The new page keeps its acquire pin as the bump-page pin: the
-		// evictor must never target the page a manager is bump-allocating
+		// evictor must never take the page a manager is bump-allocating
 		// into. The replaced page's pin is dropped here.
 		m.rt.unpinAcquire(m.cur[ci])
 		m.pages = append(m.pages, p)
@@ -137,8 +138,8 @@ func (m *PageManager) alloc(size int, typeWord uint16, arrLen int) (PageRef, err
 	}
 	off := m.pos[ci]
 	m.pos[ci] += size
-	initRecord(p.buf[off:off+size], typeWord, arrLen)
-	m.finishAlloc()
+	initRecord(p.bytes()[off:off+size], typeWord, arrLen)
+	m.finishAlloc(pk)
 	return MakeRef(p.idx, off), nil
 }
 
@@ -152,9 +153,9 @@ func initRecord(b []byte, typeWord uint16, arrLen int) {
 }
 
 // finishAlloc counts the record and lets the tier rebalance.
-func (m *PageManager) finishAlloc() {
+func (m *PageManager) finishAlloc(pk Parker) {
 	m.records++
-	m.rt.maybeEvict()
+	m.rt.maybeEvict(pk)
 }
 
 func zero(b []byte) {
@@ -235,22 +236,23 @@ func (m *PageManager) Released() bool { return m.released }
 func (m *PageManager) PageCount() int { return len(m.pages) }
 
 // AllocRecord allocates a zeroed scalar record with the given type ID and
-// body size and returns its page reference.
-func (m *PageManager) AllocRecord(typeID uint16, bodySize int) (PageRef, error) {
-	return m.alloc(ScalarHeader+bodySize, typeID, -1)
+// body size and returns its page reference. pk parks the allocating thread
+// for a spill the allocation starts (nil: spill inline).
+func (m *PageManager) AllocRecord(pk Parker, typeID uint16, bodySize int) (PageRef, error) {
+	return m.alloc(pk, ScalarHeader+bodySize, typeID, -1)
 }
 
 // AllocArray allocates a zeroed array record for n elements of elemSize
 // bytes, tagged with the array type index (-1, from an exhausted
 // ArrayTypeIndex registry, is rejected with ErrTooManyArrayTypes).
-func (m *PageManager) AllocArray(arrTypeIdx int, elemSize, n int) (PageRef, error) {
+func (m *PageManager) AllocArray(pk Parker, arrTypeIdx int, elemSize, n int) (PageRef, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("offheap: negative array size %d", n)
 	}
 	if arrTypeIdx < 0 {
 		return 0, ErrTooManyArrayTypes
 	}
-	return m.alloc(ArrayHeader+n*elemSize, arrayTypeBit|uint16(arrTypeIdx), n)
+	return m.alloc(pk, ArrayHeader+n*elemSize, arrayTypeBit|uint16(arrTypeIdx), n)
 }
 
 // IterScope manages a thread's stack of page managers: the default

@@ -83,7 +83,10 @@ func splitRef(r PageRef) (pageIdx, off int) {
 
 // page is one native memory block.
 type page struct {
-	buf []byte
+	// buf is the page body, nil while it lives in the spill file. A spill
+	// clears it with the world stopped; a promotion publishes a whole new
+	// body while other threads run, so a reader sees nil or the full page.
+	buf atomic.Pointer[[]byte]
 	idx int // index in the runtime page table
 	// released guards against double release: oversize pages can be freed
 	// early (§3.6) and would otherwise be freed again at iteration end.
@@ -91,13 +94,20 @@ type page struct {
 
 	// Disk-tier state; only touched when the runtime has a tier attached
 	// (see tier.go for the locking protocol).
-	pinned   atomic.Int32 // in-flight record ops + the manager's bump-page pin
-	evicting atomic.Bool  // spill in progress or completed (Dekker flag vs pinners)
+	pinned   atomic.Int32 // the acquire pin, kept while the page is a manager's bump page
 	accessed atomic.Bool  // second-chance bit for the clock sweep
 	tierMu   sync.Mutex   // serializes spill/promote/release transitions
 	spilled  bool         // under tierMu: the body lives in the spill file
 	slot     int          // under tierMu: spill-file slot while spilled
 	candIdx  int          // under tier.mu: index in the candidate list, -1 if absent
+}
+
+// bytes returns the page's body, nil while it is spilled.
+func (p *page) bytes() []byte {
+	if b := p.buf.Load(); b != nil {
+		return *b
+	}
+	return nil
 }
 
 // Runtime owns all pages, the free-page pool, the array type registry, and
@@ -241,17 +251,17 @@ func (rt *Runtime) SetPageQuota(pages int64) { rt.quota.Store(pages) }
 func (rt *Runtime) PageQuota() int64 { return rt.quota.Load() }
 
 // checkQuota admits one more live page or returns ErrPageQuota. With a
-// disk tier the quota caps DRAM-resident pages, and eviction runs first —
-// spill is the new first rung of the degradation ladder, before
-// budget-halving, before OME.
-func (rt *Runtime) checkQuota() error {
+// disk tier the quota caps DRAM-resident pages, and a spill (pk parks the
+// caller for it) runs first — spill is the first rung of the degradation
+// ladder, before budget-halving, before OME.
+func (rt *Runtime) checkQuota(pk Parker) error {
 	q := rt.quota.Load()
 	if q <= 0 {
 		return nil
 	}
 	if t := rt.tier; t != nil {
 		if t.gResident.Load() >= q {
-			rt.evictTo(q - 1)
+			rt.spill(pk, q-1, nil)
 		}
 		if t.gResident.Load() >= q {
 			return fmt.Errorf("%w (quota %d resident pages)", ErrPageQuota, q)
@@ -298,7 +308,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.bindInstruments(reg, inj)
 	// Tear down the disk tier: a pooled warm VM must not leak spill files
 	// (or tier counters) across tenant jobs.
-	if err := rt.closeTier(); err != nil {
+	if err := rt.CloseTier(); err != nil {
 		return fmt.Errorf("offheap: %w: %w", faults.ErrNotReusable, err)
 	}
 	return nil
@@ -352,14 +362,14 @@ func (rt *Runtime) ArrayElemType(idx int) *lang.Type { return rt.arrTypes.Elem(i
 // than PageSize ("oversize") are never recycled through the pool. The
 // faults.PageAcquire point is evaluated first: a firing point fails the
 // acquire with ErrPageExhausted, modeling native allocation failure.
-func (rt *Runtime) getPage(size int) (*page, error) {
+func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	if rt.inj != nil && rt.inj.Fire(faults.PageAcquire) {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
 		return nil, fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
 	}
-	if err := rt.checkQuota(); err != nil {
+	if err := rt.checkQuota(pk); err != nil {
 		return nil, err
 	}
 	rt.mu.Lock()
@@ -372,7 +382,7 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 			p := rt.free[n-1]
 			rt.free = rt.free[:n-1]
 			rt.cPageRecycles.Inc()
-			rt.addBytes(int64(len(p.buf)))
+			rt.addBytes(PageSize)
 			rt.tierAcquire(p)
 			return p, nil
 		}
@@ -380,7 +390,9 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 		rt.stats.oversize.Add(1)
 	}
 	old := *rt.table.Load()
-	p := &page{buf: make([]byte, size), idx: len(old), candIdx: -1}
+	p := &page{idx: len(old), candIdx: -1}
+	buf := make([]byte, size)
+	p.buf.Store(&buf)
 	next := make([]*page, len(old)+1)
 	copy(next, old)
 	next[len(old)] = p
@@ -408,8 +420,9 @@ func (rt *Runtime) releasePage(p *page) {
 	rt.tierRelease(p)
 	rt.cPageReleases.Inc()
 	rt.gPagesLive.Add(-1)
-	rt.addBytes(-int64(len(p.buf))) // 0 for a spilled page: its DRAM was freed at spill
-	if len(p.buf) == PageSize {
+	n := len(p.bytes())
+	rt.addBytes(-int64(n)) // 0 for a spilled page: its DRAM was freed at spill
+	if n == PageSize {
 		p.released.Store(false) // recyclable pages are reborn via the pool
 		rt.free = append(rt.free, p)
 	}
@@ -428,7 +441,7 @@ func (rt *Runtime) ReleaseOversize(ref PageRef) bool {
 		return false // not the first record of a page => shared page
 	}
 	p := (*rt.table.Load())[idx]
-	if len(p.buf) <= PageSize {
+	if len(p.bytes()) <= PageSize {
 		return false
 	}
 	rt.releasePage(p)

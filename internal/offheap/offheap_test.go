@@ -18,7 +18,7 @@ func newScope(rt *Runtime, tid int) *IterScope {
 
 func mustRecord(t testing.TB, m *PageManager, typeID uint16, size int) PageRef {
 	t.Helper()
-	ref, err := m.AllocRecord(typeID, size)
+	ref, err := m.AllocRecord(nil, typeID, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +26,11 @@ func mustRecord(t testing.TB, m *PageManager, typeID uint16, size int) PageRef {
 }
 
 // get and put read and write one typed slot of a record body the way
-// production code does: one Resolve, the header skipped, the value decoded
-// in place. The store itself exports no per-type accessors.
+// production code does: one resolution (promoting a spilled page), the
+// header skipped, the value decoded in place. The store itself exports no
+// per-type accessors.
 func get[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int) T {
-	b, pin := rt.Resolve(ref)
-	defer pin.Unpin()
-	b = body(b)[off:]
+	b := body(rt.resolve(ref))[off:]
 	var v T
 	switch p := any(&v).(type) {
 	case *int8:
@@ -47,9 +46,7 @@ func get[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int) T 
 }
 
 func put[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int, v T) {
-	b, pin := rt.Resolve(ref)
-	defer pin.Unpin()
-	b = body(b)[off:]
+	b := body(rt.resolve(ref))[off:]
 	switch v := any(v).(type) {
 	case int8:
 		b[0] = byte(v)
@@ -87,7 +84,7 @@ func TestArrayRecord(t *testing.T) {
 	s := newScope(rt, 0)
 	defer s.Close()
 	idx := rt.ArrayTypeIndex(lang.IntType)
-	ref, err := s.Current().AllocArray(idx, 4, 1000)
+	ref, err := s.Current().AllocArray(nil, idx, 4, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestIterationReclaimsPages(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		s.IterationStart()
 		for i := 0; i < 10000; i++ {
-			s.Current().AllocRecord(1, 48)
+			s.Current().AllocRecord(nil, 1, 48)
 		}
 		s.IterationEnd()
 	}
@@ -186,7 +183,7 @@ func TestNestedIterations(t *testing.T) {
 			t.Fatalf("depth %d", s.Depth())
 		}
 		for i := 0; i < 5000; i++ {
-			s.Current().AllocRecord(2, 64)
+			s.Current().AllocRecord(nil, 2, 64)
 		}
 		s.IterationEnd()
 	}
@@ -209,7 +206,7 @@ func TestThreadManagerParentedUnderIteration(t *testing.T) {
 	defer main.Close()
 	main.IterationStart()
 	child := rt.NewIterScope(main.Current(), 1)
-	child.Current().AllocRecord(3, 64)
+	child.Current().AllocRecord(nil, 3, 64)
 	// Thread finishes without closing explicitly: the subtree release at
 	// iteration end must still reclaim it.
 	main.IterationEnd()
@@ -226,7 +223,7 @@ func TestOversizeAllocation(t *testing.T) {
 	s := newScope(rt, 0)
 	defer s.Close()
 	idx := rt.ArrayTypeIndex(lang.ByteType)
-	ref, err := s.Current().AllocArray(idx, 1, 5*PageSize)
+	ref, err := s.Current().AllocArray(nil, idx, 1, 5*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +246,8 @@ func TestLargeRecordGetsOwnPage(t *testing.T) {
 	// Two large-but-not-oversize arrays must land on distinct pages
 	// ("large arrays are allocated on empty pages").
 	idx := rt.ArrayTypeIndex(lang.ByteType)
-	a, _ := s.Current().AllocArray(idx, 1, PageSize*3/4)
-	b, _ := s.Current().AllocArray(idx, 1, PageSize*3/4)
+	a, _ := s.Current().AllocArray(nil, idx, 1, PageSize*3/4)
+	b, _ := s.Current().AllocArray(nil, idx, 1, PageSize*3/4)
 	pa, _ := splitRef(a)
 	pb, _ := splitRef(b)
 	if pa == pb {
@@ -389,7 +386,7 @@ func TestReleaseOversizeEarly(t *testing.T) {
 	defer s.Close()
 	s.IterationStart()
 	idx := rt.ArrayTypeIndex(lang.ByteType)
-	big, _ := s.Current().AllocArray(idx, 1, 4*PageSize)
+	big, _ := s.Current().AllocArray(nil, idx, 1, 4*PageSize)
 	small := mustRecord(t, s.Current(), 1, 32)
 	before := rt.Stats().BytesInUse
 	if !rt.ReleaseOversize(big) {
@@ -419,10 +416,10 @@ func TestReleasedManagerAllocError(t *testing.T) {
 	s.IterationStart()
 	m := s.Current()
 	s.IterationEnd()
-	if _, err := m.AllocRecord(1, 16); !errors.Is(err, ErrReleasedManager) {
+	if _, err := m.AllocRecord(nil, 1, 16); !errors.Is(err, ErrReleasedManager) {
 		t.Fatalf("err = %v, want ErrReleasedManager", err)
 	}
-	if _, err := m.AllocArray(0, 4, 10); !errors.Is(err, ErrReleasedManager) {
+	if _, err := m.AllocArray(nil, 0, 4, 10); !errors.Is(err, ErrReleasedManager) {
 		t.Fatalf("array err = %v, want ErrReleasedManager", err)
 	}
 }
@@ -432,7 +429,7 @@ func TestAllocArrayRejectsExhaustedTypeRegistry(t *testing.T) {
 	s := newScope(rt, 0)
 	defer s.Close()
 	// -1 is ArrayTypeIndex's "registry full" answer.
-	if _, err := s.Current().AllocArray(-1, 4, 10); !errors.Is(err, ErrTooManyArrayTypes) {
+	if _, err := s.Current().AllocArray(nil, -1, 4, 10); !errors.Is(err, ErrTooManyArrayTypes) {
 		t.Fatalf("err = %v, want ErrTooManyArrayTypes", err)
 	}
 }
@@ -442,13 +439,13 @@ func TestInjectedPageFault(t *testing.T) {
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 3, PageAt: 1}))
 	s := newScope(rt, 0)
 	defer s.Close()
-	_, err := s.Current().AllocRecord(1, 16)
+	_, err := s.Current().AllocRecord(nil, 1, 16)
 	if !errors.Is(err, ErrPageExhausted) {
 		t.Fatalf("err = %v, want ErrPageExhausted", err)
 	}
 	// The schedule was one-shot; the next acquire succeeds and the store
 	// is unharmed.
-	if _, err := s.Current().AllocRecord(1, 16); err != nil {
+	if _, err := s.Current().AllocRecord(nil, 1, 16); err != nil {
 		t.Fatal(err)
 	}
 	if rt.Stats().PagesLive != 1 {

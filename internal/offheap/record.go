@@ -7,20 +7,16 @@ import "encoding/binary"
 // conversion functions are field-by-field copies with no remapping.
 //
 // Every access is one resolution of the page reference followed by reads
-// or writes of the resolved bytes, which start at the record header:
-//
-//   - Bytes is the untiered resolution: a lock-free copy-on-write table
-//     read, no pin, no atomics, small enough to inline at the call site.
-//   - Pin is the tiered resolution: it pins the page resident for the
-//     duration of the operation (promoting it first when spilled), so a
-//     reference resolves transparently whichever tier the page is on.
-//
-// A caller that issues many operations against one store — the VM's
-// dispatch loop — asks Tiered once and calls the matching one directly,
-// with the header size its operation implies (ScalarHeader for a field,
-// ArrayHeader for an element). Everyone else calls Resolve, which picks
-// per call, or the few whole-record helpers below (header words, reference
-// slots, body copies), which also read the header to find the body.
+// or writes of the resolved bytes, which start at the record header. Bytes
+// is that resolution on every store, tiered or not: a lock-free
+// copy-on-write table read, no pin, no atomic write, small enough to inline
+// at the call site. It returns nil for a page that is on disk, and the
+// caller then faults the page in and resolves again: the VM's dispatch
+// loop and boundary through Fault, which may also spill, the whole-record
+// helpers below (header words, reference slots, body copies) through
+// resolve, which never does. A caller passes the header size its
+// operation implies (ScalarHeader for a field, ArrayHeader for an
+// element); the helpers read the header to find the body.
 
 func putU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
 func getU16(b []byte) uint16    { return binary.LittleEndian.Uint16(b) }
@@ -29,44 +25,33 @@ func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// Pin keeps a record's page resident while its bytes are in use. The zero
-// Pin (untiered stores) holds nothing.
-type Pin struct{ p *page }
-
-// Unpin releases the pin. Pins must not leak: a leaked pin makes a page
-// unevictable for the rest of the run.
-func (p Pin) Unpin() {
-	if p.p != nil {
-		p.p.pinned.Add(-1)
-	}
-}
-
-// Bytes resolves ref, without pinning, to the record's bytes from its
-// header on. Only valid on an untiered store: with a tier attached an
-// unpinned read races the evictor mid-spill.
+// Bytes resolves ref to the record's bytes from its header on, or to nil
+// while the record's page is spilled (see Fault). The bytes stay valid
+// until the calling thread next reaches a safepoint, allocates or faults:
+// only then can its page be spilled.
 func (rt *Runtime) Bytes(ref PageRef) []byte {
 	idx, off := splitRef(ref)
-	return (*rt.table.Load())[idx].buf[off:]
+	if b := (*rt.table.Load())[idx].buf.Load(); b != nil {
+		return (*b)[off:]
+	}
+	return nil
 }
 
-// Pin resolves ref to the record's bytes from its header on and pins the
-// page until the returned Pin is released. A tier-load failure panics with
-// *TierFault, recovered at the VM call boundary.
-func (rt *Runtime) Pin(ref PageRef) ([]byte, Pin) {
-	b, p, err := rt.pinResident(ref)
-	if err != nil {
-		panic(&TierFault{Err: err})
+// resolve is Bytes with the fault folded in, for the whole-record helpers:
+// a spilled page is promoted on the spot. It never spills — ArrayCopy
+// holds the source's bytes while it resolves the destination — so a
+// promotion here may leave the store over its high watermark until the
+// next allocation end or Fault. A failed promotion panics with *TierFault,
+// recovered at the VM call boundary.
+func (rt *Runtime) resolve(ref PageRef) []byte {
+	for {
+		if b := rt.Bytes(ref); b != nil {
+			return b
+		}
+		if _, err := rt.promote(ref); err != nil {
+			panic(&TierFault{Err: err})
+		}
 	}
-	return b, Pin{p}
-}
-
-// Resolve picks the resolution for one access: for callers that touch a
-// record now and then rather than per instruction.
-func (rt *Runtime) Resolve(ref PageRef) ([]byte, Pin) {
-	if rt.tier == nil {
-		return rt.Bytes(ref), Pin{}
-	}
-	return rt.Pin(ref)
 }
 
 // TypeWord reads the raw type word (class ID, or array bit | array type
@@ -86,10 +71,7 @@ func body(b []byte) []byte {
 
 // TypeID returns the record's raw type word.
 func (rt *Runtime) TypeID(ref PageRef) uint16 {
-	b, pin := rt.Resolve(ref)
-	v := getU16(b)
-	pin.Unpin()
-	return v
+	return getU16(rt.resolve(ref))
 }
 
 // IsArrayRecord reports whether ref names an array record.
@@ -107,73 +89,47 @@ func (rt *Runtime) ArrayTypeOf(ref PageRef) int {
 
 // ArrayLen returns the length of an array record.
 func (rt *Runtime) ArrayLen(ref PageRef) int {
-	b, pin := rt.Resolve(ref)
-	n := ArrayLength(b)
-	pin.Unpin()
-	return n
+	return ArrayLength(rt.resolve(ref))
 }
 
 // GetLockID reads the record's 2-byte lock field.
 func (rt *Runtime) GetLockID(ref PageRef) uint16 {
-	b, pin := rt.Resolve(ref)
-	v := getU16(b[2:])
-	pin.Unpin()
-	return v
+	return getU16(rt.resolve(ref)[2:])
 }
 
 // SetLockID writes the record's lock field. Callers serialize through the
 // lock pool.
 func (rt *Runtime) SetLockID(ref PageRef, id uint16) {
-	b, pin := rt.Resolve(ref)
-	putU16(b[2:], id)
-	pin.Unpin()
+	putU16(rt.resolve(ref)[2:], id)
 }
 
 // GetRef reads a reference slot (a nested page reference).
 func (rt *Runtime) GetRef(ref PageRef, off int) PageRef {
-	b, pin := rt.Resolve(ref)
-	v := PageRef(getU64(body(b)[off:]))
-	pin.Unpin()
-	return v
+	return PageRef(getU64(body(rt.resolve(ref))[off:]))
 }
 
 // SetRef writes a reference slot. There is no write barrier: nothing
 // traces these pages — that is the optimization.
 func (rt *Runtime) SetRef(ref PageRef, off int, v PageRef) {
-	b, pin := rt.Resolve(ref)
-	putU64(body(b)[off:], uint64(v))
-	pin.Unpin()
+	putU64(body(rt.resolve(ref))[off:], uint64(v))
 }
 
 // WriteBody copies data into the record body at off (bulk byte-array
 // fills).
 func (rt *Runtime) WriteBody(ref PageRef, off int, data []byte) {
-	b, pin := rt.Resolve(ref)
-	copy(body(b)[off:], data)
-	pin.Unpin()
+	copy(body(rt.resolve(ref))[off:], data)
 }
 
 // ReadBody copies n body bytes starting at off out of the record.
 func (rt *Runtime) ReadBody(ref PageRef, off, n int) []byte {
 	out := make([]byte, n)
-	b, pin := rt.Resolve(ref)
-	copy(out, body(b)[off:])
-	pin.Unpin()
+	copy(out, body(rt.resolve(ref))[off:])
 	return out
 }
 
 // ArrayCopy copies n elements of elemSize bytes between array records,
-// the native-memory model of System.arraycopy. Both pages stay pinned for
-// the copy; a tier-load failure on the second pin releases the first
-// before surfacing.
+// the native-memory model of System.arraycopy.
 func (rt *Runtime) ArrayCopy(src PageRef, srcPos int, dst PageRef, dstPos, n, elemSize int) {
-	sb, sp := rt.Resolve(src)
-	db, dp, err := rt.pinResident(dst)
-	if err != nil {
-		sp.Unpin()
-		panic(&TierFault{Err: err})
-	}
+	sb, db := rt.resolve(src), rt.resolve(dst)
 	copy(body(db)[dstPos*elemSize:(dstPos+n)*elemSize], body(sb)[srcPos*elemSize:(srcPos+n)*elemSize])
-	Pin{dp}.Unpin()
-	sp.Unpin()
 }

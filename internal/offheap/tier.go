@@ -18,18 +18,25 @@ import (
 // is a PageSize copy, not a serialization pass — "move the data, don't
 // serialize it".
 //
-// Resolution stays transparent: a PageRef is valid whether its page is in
-// DRAM or on disk. Record accessors pin the page (a per-page counter)
-// before touching its bytes and promote it first when spilled; the evictor
-// only takes unpinned pages, selected by a second-chance clock sweep over
-// per-page access bits. The watermark policy is synchronous — eviction
-// runs at allocation and promotion points on the allocating thread, never
-// on a background goroutine — so a single-threaded run spills and promotes
-// on a deterministic schedule.
+// A PageRef is valid whichever tier its page is on, and both tiers share
+// one record resolution: Bytes, which returns nil for a spilled page. The
+// reader that meets nil takes the one slow path, a page fault: Fault (or
+// resolve, inside the whole-record helpers) reads the body back under the
+// page's tierMu, publishes it whole, and the reader resolves again. Pages
+// go to disk only while the world is stopped — the heap's safepoint
+// protocol, reached through the thread's Parker — and a thread holds record
+// bytes only while it runs between two safepoints, so no reader ever sees
+// its bytes spilled. The one pin left is a manager's on its bump page,
+// which it writes without resolving. Spills run on the thread that crosses
+// the high watermark, at an allocation end, a quota check or a fault,
+// never on a background goroutine, so a single-threaded run spills and
+// promotes on a deterministic schedule.
 //
 // Lock order: rt.mu → page.tierMu → tier.mu. The victim sweep holds
 // tier.mu and TryLocks page.tierMu (reverse order, non-blocking, so it
-// cannot deadlock). All spill-file I/O happens under tier.mu.
+// cannot deadlock). All spill-file I/O happens under tier.mu. Iteration-end
+// release can run on a thread outside the safepoint protocol and still
+// serialises with a spill on tierMu.
 
 // TierConfig configures the disk tier (EnableTiering).
 type TierConfig struct {
@@ -43,10 +50,11 @@ type TierConfig struct {
 	LowWater  int
 }
 
-// TierFault carries a disk-tier I/O failure across the infallible record
-// accessors: a failed promotion panics with *TierFault, which the VM call
-// boundary recovers into the wrapped error. Err wraps ErrPageExhausted, so
-// engines walk the same degradation ladder they use for memory exhaustion.
+// TierFault carries a failed promotion across the infallible whole-record
+// helpers: they panic with *TierFault, which the VM call boundary recovers
+// into the wrapped error. A disk-tier I/O failure wraps ErrPageExhausted,
+// so engines walk the same degradation ladder they use for memory
+// exhaustion.
 type TierFault struct{ Err error }
 
 func (f *TierFault) Error() string { return "offheap: tier fault: " + f.Err.Error() }
@@ -124,13 +132,10 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 // Tiered reports whether the store has a disk tier attached.
 func (rt *Runtime) Tiered() bool { return rt.tier != nil }
 
-// Pins returns the number of pins currently held on the store's pages:
-// in-flight record operations plus the managers' bump-page pins. Every
-// record operation must leave it where it found it, and with every manager
-// released it is zero — a leaked pin makes a page unevictable for the rest
-// of the run. Always zero on an untiered store. Exported for the
-// interpreter's pin-balance test: the VM's record ops pin and unpin in
-// package vm, where a leak has no other observable.
+// Pins returns the number of pins held on the store's pages: one per bump
+// page a live manager allocates into. With every manager released it is
+// zero — a leaked pin makes a page unevictable for the rest of the run.
+// Always zero on an untiered store.
 func (rt *Runtime) Pins() int64 {
 	var n int64
 	for _, p := range *rt.table.Load() {
@@ -139,10 +144,10 @@ func (rt *Runtime) Pins() int64 {
 	return n
 }
 
-// closeTier tears down the tier: close and remove the spill file and
-// detach. Pages still spilled lose their bodies — callers (Reset) ensure
-// no page is live.
-func (rt *Runtime) closeTier() error {
+// CloseTier detaches the disk tier and removes its spill file: the end of
+// a tiered job (Reset calls it too). Pages still spilled lose their bodies,
+// so callers first release every page.
+func (rt *Runtime) CloseTier() error {
 	t := rt.tier
 	if t == nil {
 		return nil
@@ -194,7 +199,7 @@ func (rt *Runtime) tierAcquire(p *page) {
 	p.pinned.Add(1)
 	p.accessed.Store(true)
 	t.gResident.Add(1)
-	if len(p.buf) == PageSize {
+	if len(p.bytes()) == PageSize {
 		t.mu.Lock()
 		t.addCandidateLocked(p)
 		t.mu.Unlock()
@@ -229,7 +234,6 @@ func (rt *Runtime) tierRelease(p *page) {
 		t.mu.Unlock()
 		p.spilled = false
 		p.slot = -1
-		p.evicting.Store(false)
 		t.gDisk.Add(-1)
 		return
 	}
@@ -242,33 +246,45 @@ func (rt *Runtime) tierRelease(p *page) {
 // --- eviction ---
 
 // maybeEvict spills cold pages down to the low watermark when the
-// resident count crosses the high watermark. Callers must hold no page
-// tierMu and not rt.mu.
+// resident count crosses the high watermark. Callers hold no page tierMu,
+// not rt.mu and no record bytes; pk parks them for the spill.
 // maybeEvict is split from evictIfOver so the untiered fast path inlines
 // into the allocators; the tiered path can afford the extra call.
-func (rt *Runtime) maybeEvict() {
+func (rt *Runtime) maybeEvict(pk Parker) {
 	if rt.tier != nil {
-		rt.evictIfOver()
+		rt.evictIfOver(pk, nil)
 	}
 }
 
-func (rt *Runtime) evictIfOver() {
+func (rt *Runtime) evictIfOver(pk Parker, keep *page) {
 	t := rt.tier
-	if t.gResident.Load() <= int64(t.cfg.HighWater) {
+	if t.gResident.Load() > int64(t.cfg.HighWater) {
+		rt.spill(pk, int64(t.cfg.LowWater), keep)
+	}
+}
+
+// spill evicts down to target resident pages, sparing keep, while every
+// other mutator is parked: through pk's StopTheWorld, or inline when pk is
+// nil (a store one thread uses).
+func (rt *Runtime) spill(pk Parker, target int64, keep *page) {
+	if pk == nil {
+		rt.evictTo(target, keep)
 		return
 	}
-	rt.evictTo(int64(t.cfg.LowWater))
+	pk.StopTheWorld(func() { rt.evictTo(target, keep) })
 }
 
-// evictTo spills candidates until at most target pages are resident or
-// nothing evictable remains (everything pinned or spill failing).
-func (rt *Runtime) evictTo(target int64) {
+// evictTo spills candidates other than keep until at most target pages are
+// resident or nothing evictable remains (everything pinned or spill
+// failing). The count is read again here, inside the stopped world: another
+// thread's spill may have drained the store while this one waited for it.
+func (rt *Runtime) evictTo(target int64, keep *page) {
 	t := rt.tier
 	if target < 0 {
 		target = 0
 	}
 	for t.gResident.Load() > target {
-		p := t.selectVictim()
+		p := t.selectVictim(keep)
 		if p == nil {
 			return
 		}
@@ -281,11 +297,12 @@ func (rt *Runtime) evictTo(target int64) {
 }
 
 // selectVictim runs the second-chance clock sweep and returns an unpinned
-// resident candidate with its tierMu held and evicting set, or nil when a
-// full sweep finds nothing evictable. The pinned check under both
-// tier.mu-TryLock(tierMu) and the evicting flag close the race against
-// accessors pinning concurrently (see pinResident).
-func (t *tier) selectVictim() *page {
+// resident candidate other than keep with its tierMu held, or nil when a
+// full sweep finds nothing evictable. The world is stopped, so no thread
+// holds a candidate's bytes; tierMu still orders the spill against an
+// iteration-end release, which the TryLock skips and the released check
+// catches once it has begun.
+func (t *tier) selectVictim(keep *page) *page {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := 2 * len(t.candidates); i > 0; i-- {
@@ -297,7 +314,7 @@ func (t *tier) selectVictim() *page {
 		}
 		p := t.candidates[t.hand]
 		t.hand++
-		if p.pinned.Load() > 0 {
+		if p == keep || p.pinned.Load() > 0 {
 			continue
 		}
 		if p.accessed.Load() {
@@ -307,9 +324,7 @@ func (t *tier) selectVictim() *page {
 		if !p.tierMu.TryLock() {
 			continue // busy; treat like pinned
 		}
-		p.evicting.Store(true)
-		if p.pinned.Load() > 0 || p.spilled || p.released.Load() {
-			p.evicting.Store(false)
+		if p.released.Load() {
 			p.tierMu.Unlock()
 			continue
 		}
@@ -319,9 +334,8 @@ func (t *tier) selectVictim() *page {
 }
 
 // spillLocked writes p's body to a disk slot and drops the DRAM buffer.
-// p.tierMu is held, evicting is set, and p is a validated victim. On error
-// the page stays resident (the caller clears nothing; evicting is reset
-// here) — spill is best effort, the store degrades toward the quota/OME
+// p.tierMu is held and p is a validated victim. On error the page stays
+// resident — spill is best effort, the store degrades toward the quota/OME
 // rungs instead.
 func (rt *Runtime) spillLocked(p *page) error {
 	t := rt.tier
@@ -329,7 +343,6 @@ func (rt *Runtime) spillLocked(p *page) error {
 		n := t.cFaultSpill.Load() + 1
 		t.cFaultSpill.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.TierSpill), n, 0, 0)
-		p.evicting.Store(false)
 		return fmt.Errorf("offheap: tier spill: %w", faults.ErrInjected)
 	}
 	start := time.Now()
@@ -342,11 +355,10 @@ func (rt *Runtime) spillLocked(p *page) error {
 		slot = t.nextSlot
 		t.nextSlot++
 	}
-	_, err := t.file.WriteAt(p.buf, int64(slot)*PageSize)
+	_, err := t.file.WriteAt(p.bytes(), int64(slot)*PageSize)
 	if err != nil {
 		t.freeSlots = append(t.freeSlots, slot)
 		t.mu.Unlock()
-		p.evicting.Store(false)
 		return fmt.Errorf("offheap: tier spill: %w", err)
 	}
 	t.removeCandidateLocked(p)
@@ -354,7 +366,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 	t.hSpillStall.Observe(time.Since(start).Nanoseconds())
 	p.slot = slot
 	p.spilled = true
-	p.buf = nil
+	p.buf.Store(nil)
 	t.gResident.Add(-1)
 	t.gDisk.Add(1)
 	t.cSpilled.Inc()
@@ -363,10 +375,10 @@ func (rt *Runtime) spillLocked(p *page) error {
 	return nil
 }
 
-// promoteLocked reads p's body back from its disk slot. p.tierMu is held
-// and p.spilled is true. A failed read (injected TierLoad or real I/O
-// error) leaves the page spilled and returns an error wrapping
-// ErrPageExhausted so the caller's panic rides the OOM degradation rails.
+// promoteLocked reads p's body back from its disk slot and publishes it.
+// p.tierMu is held and p.spilled is true. A failed read (injected TierLoad
+// or real I/O error) leaves the page spilled and returns an error wrapping
+// ErrPageExhausted so the caller's error rides the OOM degradation rails.
 func (rt *Runtime) promoteLocked(p *page) error {
 	t := rt.tier
 	if rt.inj != nil && rt.inj.Fire(faults.TierLoad) {
@@ -387,10 +399,9 @@ func (rt *Runtime) promoteLocked(p *page) error {
 	t.mu.Unlock()
 	t.hPromoteStall.Observe(time.Since(start).Nanoseconds())
 	p.slot = -1
-	p.buf = buf
 	p.spilled = false
-	p.evicting.Store(false)
 	p.accessed.Store(true)
+	p.buf.Store(&buf) // the whole body, read in full, becomes visible at once
 	t.gDisk.Add(-1)
 	t.gResident.Add(1)
 	t.cPromoted.Inc()
@@ -399,41 +410,41 @@ func (rt *Runtime) promoteLocked(p *page) error {
 	return nil
 }
 
-// --- pinned access ---
+// --- page faults ---
 
-// pinResident pins ref's page resident and returns the record bytes plus
-// the page to unpin (nil page when untiered — Pin.Unpin is a no-op then).
-//
-// The pin/evict handshake is a Dekker pair: the accessor stores its pin
-// and then loads evicting; the evictor stores evicting and then loads the
-// pin (both under seq-cst atomics). Whichever ordering the race resolves
-// to, either the evictor sees the pin and skips, or the accessor sees
-// evicting and takes the slow path, serializing on tierMu behind the
-// spill and promoting the page back. There is no interleaving where the
-// accessor reads a buffer the evictor is tearing down.
-func (rt *Runtime) pinResident(ref PageRef) ([]byte, *page, error) {
-	idx, off := splitRef(ref)
+// errReleasedPage is an access through a reference whose page was released
+// while spilled; the iteration discipline of §3.7 rules it out.
+var errReleasedPage = errors.New("offheap: record access on a released page")
+
+// promote brings ref's page back into DRAM if it is spilled and returns
+// it. A thread that lost the race to another promoter finds the body
+// already published.
+func (rt *Runtime) promote(ref PageRef) (*page, error) {
+	idx, _ := splitRef(ref)
 	p := (*rt.table.Load())[idx]
-	if rt.tier == nil {
-		return p.buf[off:], nil, nil
+	p.tierMu.Lock()
+	defer p.tierMu.Unlock()
+	if p.buf.Load() != nil {
+		return p, nil
 	}
-	p.pinned.Add(1)
-	p.accessed.Store(true)
-	if p.evicting.Load() {
-		p.tierMu.Lock()
-		if p.spilled {
-			if err := rt.promoteLocked(p); err != nil {
-				p.tierMu.Unlock()
-				p.pinned.Add(-1)
-				return nil, nil, err
-			}
-			p.tierMu.Unlock()
-			// Promotion raised the resident count; rebalance. The pin
-			// keeps this page out of the sweep.
-			rt.maybeEvict()
-		} else {
-			p.tierMu.Unlock()
-		}
+	if !p.spilled {
+		return nil, errReleasedPage
 	}
-	return p.buf[off:], p, nil
+	return p, rt.promoteLocked(p)
+}
+
+// Fault is the slow path of record access, for a reference Bytes resolved
+// to nil: it promotes the page and, if that left the store over its high
+// watermark, spills down to the low one with the world stopped (pk parks
+// the caller; nil spills inline), sparing the page just promoted. The
+// caller holds no record bytes and resolves ref again afterwards; should
+// another thread's spill have taken the page meanwhile, it faults again. A
+// failed read returns an error wrapping ErrPageExhausted.
+func (rt *Runtime) Fault(ref PageRef, pk Parker) error {
+	p, err := rt.promote(ref)
+	if err != nil {
+		return err
+	}
+	rt.evictIfOver(pk, p)
+	return nil
 }

@@ -118,31 +118,6 @@ func TestTierNoDoubleSpillOrPromote(t *testing.T) {
 	checkTierAccounting(t, rt)
 }
 
-func TestTierPinnedPageNeverEvicted(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1)
-	s := newScope(rt, 0)
-	defer s.Close()
-	ref := dedicated(t, s.Current(), 1)
-	put(rt, ref, 0, int64(42))
-	idx, _ := splitRef(ref)
-	p := (*rt.table.Load())[idx]
-	p.pinned.Add(1) // simulate an in-flight record operation
-	defer p.pinned.Add(-1)
-	for i := 0; i < 8; i++ {
-		dedicated(t, s.Current(), 2)
-	}
-	p.tierMu.Lock()
-	spilled := p.spilled
-	p.tierMu.Unlock()
-	if spilled {
-		t.Fatal("evictor spilled a pinned page")
-	}
-	if got := get[int64](rt, ref, 0); got != 42 {
-		t.Fatalf("pinned page content = %d", got)
-	}
-	checkTierAccounting(t, rt)
-}
-
 func TestTierBumpPageNeverEvicted(t *testing.T) {
 	rt, _ := newTieredRuntime(t, 2, 1)
 	s := newScope(rt, 0)
@@ -347,10 +322,11 @@ func TestEnableTieringValidation(t *testing.T) {
 // TestRecordAccessTieredMatchesUntiered runs one script of writes and
 // reads over every slot kind (byte, int, long, double, reference), in
 // scalar and array records, against an untiered store and against a tiered
-// one under a watermark tight enough to spill between operations. Values
-// must agree, through the typed accessors and through the one-resolution
-// primitives (Bytes untiered, Pin tiered) the VM's record ops are built on,
-// and every operation must return the store's pin count to where it was.
+// one that spills every page it can before each read. Values must agree,
+// through the whole-record helpers (each resolving a spilled page by
+// promotion) and through the one resolution the VM's record ops are built
+// on (Bytes, and Fault while it returns nil), and no operation may leave a
+// pin behind.
 func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 	type store struct {
 		rt   *Runtime
@@ -364,7 +340,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// Big enough for a page each, so the tiered store keeps spilling.
 			st.recs = append(st.recs, mustRecord(t, st.s.Current(), uint16(i+1), 20000))
-			arr, err := st.s.Current().AllocArray(rt.ArrayTypeIndex(lang.LongType), 8, 2500)
+			arr, err := st.s.Current().AllocArray(nil, rt.ArrayTypeIndex(lang.LongType), 8, 2500)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,7 +353,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 	defer plain.s.Close()
 	defer tiered.s.Close()
 
-	// balanced runs op on the tiered store and checks the pin count.
+	// balanced runs op on both stores and checks the tiered pin count.
 	balanced := func(what string, op func(st *store)) {
 		t.Helper()
 		before := tieredRT.Pins()
@@ -396,51 +372,66 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 			put(rt, rec, 8, int64(i)<<40|5)
 			put(rt, rec, 16, float64(i)+0.25)
 			rt.SetRef(rec, 24, arr)
+			rt.SetLockID(rec, uint16(i+1))
 			put(rt, arr, 8*(i+1), int64(i)*77)
 			put(rt, arr, 8*2400, int8(i))
+			rt.ArrayCopy(arr, i+1, arr, 2000, 1, 8)
 		})
 	}
 	if tieredRT.Stats().PagesSpilled == 0 {
 		t.Fatal("setup: the tiered store never spilled")
 	}
-	for i := 0; i < n; i++ {
-		got := map[*store][]int64{}
-		for _, st := range []*store{plain, tiered} {
-			st := st
-			rt, rec, arr := st.rt, st.recs[i], st.arrs[i]
-			before := rt.Pins()
-			vals := []int64{
-				int64(get[int8](rt, rec, 0)), int64(get[int32](rt, rec, 4)), get[int64](rt, rec, 8),
-				int64(get[float64](rt, rec, 16) * 4), int64(rt.ArrayLen(rt.GetRef(rec, 24))),
-				get[int64](rt, arr, 8*(i+1)), int64(get[int8](rt, arr, 8*2400)),
-				int64(rt.TypeID(rec)), int64(rt.ArrayTypeOf(arr)),
+	// bytesOf resolves the way the VM's record ops do.
+	bytesOf := func(rt *Runtime, ref PageRef) []byte {
+		for {
+			if b := rt.Bytes(ref); b != nil {
+				return b
 			}
+			if err := rt.Fault(ref, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		rec := func(st *store) PageRef { return st.recs[i] }
+		arr := func(st *store) PageRef { return st.arrs[i] }
+		reads := []func(st *store) int64{
+			func(st *store) int64 { return int64(get[int8](st.rt, rec(st), 0)) },
+			func(st *store) int64 { return int64(get[int32](st.rt, rec(st), 4)) },
+			func(st *store) int64 { return get[int64](st.rt, rec(st), 8) },
+			func(st *store) int64 { return int64(get[float64](st.rt, rec(st), 16) * 4) },
+			func(st *store) int64 { return int64(st.rt.GetRef(rec(st), 24)) - int64(arr(st)) },
+			func(st *store) int64 { return int64(st.rt.GetLockID(rec(st))) },
+			func(st *store) int64 { return int64(st.rt.TypeID(rec(st))) },
+			func(st *store) int64 { return int64(st.rt.ArrayLen(arr(st))) },
+			func(st *store) int64 { return int64(st.rt.ArrayTypeOf(arr(st))) },
+			func(st *store) int64 { return get[int64](st.rt, arr(st), 8*(i+1)) },
+			func(st *store) int64 { return int64(get[int8](st.rt, arr(st), 8*2400)) },
+			func(st *store) int64 { return int64(getU64(st.rt.ReadBody(arr(st), 8*2000, 8))) },
 			// The same slots through one resolution and the header size
 			// the operation implies, as the VM reads them.
-			var b []byte
-			var pin Pin
-			if rt.Tiered() {
-				b, pin = rt.Pin(rec)
-			} else {
-				b = rt.Bytes(rec)
-			}
-			vals = append(vals, int64(TypeWord(b)), int64(getU64(b[ScalarHeader+8:])))
-			pin.Unpin()
-			if rt.Tiered() {
-				b, pin = rt.Pin(arr)
-			} else {
-				b = rt.Bytes(arr)
-			}
-			vals = append(vals, int64(ArrayLength(b)), int64(getU64(b[ArrayHeader+8*(i+1):])))
-			pin.Unpin()
-			if after := rt.Pins(); after != before {
-				t.Fatalf("record %d reads: pins %d -> %d (tiered=%v)", i, before, after, rt.Tiered())
-			}
-			got[st] = vals
+			func(st *store) int64 { return int64(TypeWord(bytesOf(st.rt, rec(st)))) },
+			func(st *store) int64 { return int64(getU64(bytesOf(st.rt, rec(st))[ScalarHeader+8:])) },
+			func(st *store) int64 { return int64(ArrayLength(bytesOf(st.rt, arr(st)))) },
+			func(st *store) int64 {
+				return int64(getU64(bytesOf(st.rt, arr(st))[ArrayHeader+8*(i+1):]))
+			},
 		}
-		for k, want := range got[plain] {
-			if got[tiered][k] != want {
-				t.Fatalf("record %d value %d: untiered %d, tiered %d", i, k, want, got[tiered][k])
+		for k, read := range reads {
+			tieredRT.evictTo(0, nil)
+			if tieredRT.Bytes(rec(tiered)) != nil || tieredRT.Bytes(arr(tiered)) != nil {
+				t.Fatalf("record %d read %d: setup left the pages resident", i, k)
+			}
+			var got, want int64
+			balanced(fmt.Sprintf("record %d read %d", i, k), func(st *store) {
+				if st == tiered {
+					got = read(st)
+				} else {
+					want = read(st)
+				}
+			})
+			if got != want {
+				t.Fatalf("record %d read %d: untiered %d, tiered %d", i, k, want, got)
 			}
 		}
 	}

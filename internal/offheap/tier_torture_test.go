@@ -4,19 +4,44 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/heap"
+	"repro/internal/lang"
 )
+
+// threadParker parks a registered heap thread: the offheap.Parker a VM
+// thread hands the store, without the VM.
+type threadParker struct {
+	hp *heap.Heap
+	tc *heap.ThreadCtx
+}
+
+func (p threadParker) BeginExternal()        { p.tc.BeginExternal() }
+func (p threadParker) EndExternal()          { p.tc.EndExternal() }
+func (p threadParker) StopTheWorld(f func()) { p.hp.StopTheWorld(p.tc, f) }
 
 // TestTierTorture churns allocation, spill, promotion, and iteration
 // release from several goroutines at once under a watermark tight enough
-// that the evictor runs constantly. Every goroutine re-verifies a shared
-// set of pinned-by-access records each round, so a lost page body, a
-// double spill, or a promote racing an eviction shows up as a value
-// mismatch — and the -race run in CI checks the locking protocol itself.
-// Sibling of internal/heap's GC torture test, one storage level down.
+// that the evictor runs constantly. Each worker is a registered
+// heap.ThreadCtx whose spills stop the world, and it polls the safepoint
+// between rounds, where it holds no record bytes. Every worker re-verifies
+// a shared set of records each round, so a lost page body, a double spill,
+// or a promote racing an eviction shows up as a value mismatch — and the
+// -race run in CI checks the protocol itself. Sibling of internal/heap's
+// GC torture test, one storage level down.
 func TestTierTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short")
 	}
+	f, err := lang.Parse("t.fj", "class Object { }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := lang.BuildHierarchy(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := heap.New(heap.Config{HeapSize: 1 << 20}, h)
 	rt, _ := newTieredRuntime(t, 6, 3)
 	root := newScope(rt, 0)
 	defer root.Close()
@@ -35,32 +60,25 @@ func TestTierTorture(t *testing.T) {
 		workers = 4
 		rounds  = 60
 	)
-	// iterMu serializes scope/iteration transitions: the iteration-ID
-	// counter is shared and plain (the VM serializes it the same way).
-	var iterMu sync.Mutex
 	var failures atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			iterMu.Lock()
+			pk := threadParker{hp, hp.RegisterThread()}
+			defer hp.UnregisterThread(pk.tc)
+			pk.tc.EndExternal()
 			s := rt.NewIterScope(root.Current(), w+1)
-			iterMu.Unlock()
-			defer func() {
-				iterMu.Lock()
-				s.Close()
-				iterMu.Unlock()
-			}()
+			defer s.Close()
 			for r := 0; r < rounds; r++ {
-				iterMu.Lock()
+				pk.tc.Safepoint()
 				s.IterationStart()
-				iterMu.Unlock()
 				// Private churn: allocations that force eviction, written
 				// and immediately re-read.
 				priv := make([]PageRef, 0, 6)
 				for i := 0; i < 6; i++ {
-					ref, err := s.Current().AllocRecord(100, 20000)
+					ref, err := s.Current().AllocRecord(pk, 100, 20000)
 					if err != nil {
 						failures.Add(1)
 						continue
@@ -82,15 +100,16 @@ func TestTierTorture(t *testing.T) {
 						t.Errorf("worker %d round %d: shared record %d double = %v", w, r, i, got)
 					}
 				}
-				iterMu.Lock()
 				s.IterationEnd()
-				iterMu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d allocation failures without fault injection", n)
+	}
+	if rt.Stats().PagesSpilled == 0 {
+		t.Fatal("the workers never spilled")
 	}
 	checkTierAccounting(t, rt)
 	for i, ref := range shared {

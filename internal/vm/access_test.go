@@ -62,11 +62,11 @@ class Main { static void main() { } }`)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prec, err := pm.Current().AllocRecord(uint16(rec.ID), rec.BodySize)
+			prec, err := pm.Current().AllocRecord(nil, uint16(rec.ID), rec.BodySize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parr, err := pm.Current().AllocArray(rt.ArrayTypeIndex(f.Type), f.Type.FieldSize(), 3)
+			parr, err := pm.Current().AllocArray(nil, rt.ArrayTypeIndex(f.Type), f.Type.FieldSize(), 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,7 +88,7 @@ func (t *Thread) FreeObj(o Obj) {
 // record strings are allocated in the thread's current iteration scope.
 func (t *Thread) makeString(s string) (Value, error) {
 	if t.vm.Prog.Transformed {
-		return t.vm.recString(t.iter.Current(), s)
+		return t.recString(t.iter.Current(), s)
 	}
 	return t.makeHeapString(s)
 }
@@ -145,7 +145,7 @@ func (t *Thread) newValue(class string, args []Arg) (Value, error) {
 			return 0, fmt.Errorf("vm: %s is not a data class of the transformed program", class)
 		}
 		oc := h.Class(class)
-		ref, err := t.iter.Current().AllocRecord(uint16(fc.ID), oc.BodySize)
+		ref, err := t.iter.Current().AllocRecord(parker{t}, uint16(fc.ID), oc.BodySize)
 		if err != nil {
 			return 0, err
 		}
@@ -308,7 +308,7 @@ func (t *Thread) NewArr(elem string, n int) (o Obj, err error) {
 	defer t.tc.BeginExternal()
 	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if t.vm.Prog.Transformed {
-		ref, err := t.iter.Current().AllocArray(t.vm.RT.ArrayTypeIndex(ty), ty.FieldSize(), n)
+		ref, err := t.iter.Current().AllocArray(parker{t}, t.vm.RT.ArrayTypeIndex(ty), ty.FieldSize(), n)
 		if err != nil {
 			return NilObj, err
 		}
@@ -370,12 +370,7 @@ func (t *Thread) Invoke(o Obj, method string, args ...Arg) (v Value, err error) 
 	if t.vm.Prog.Transformed {
 		ref := offheap.PageRef(recv)
 		fc := t.vm.Prog.H.ClassList[t.vm.RT.ClassID(ref)]
-		fn := t.vm.byKey[ir.FuncKey(fc.Name, method)]
-		if fn == nil {
-			if m := fc.Resolve(method); m != nil {
-				fn = t.vm.byKey[ir.FuncKey(m.Owner.Name, method)]
-			}
-		}
+		fn := t.vm.method(fc, method)
 		if fn == nil {
 			return 0, fmt.Errorf("vm: %s has no method %s", fc.Name, method)
 		}
@@ -385,11 +380,10 @@ func (t *Thread) Invoke(o Obj, method string, args ...Arg) (v Value, err error) 
 	if cls == nil {
 		return 0, fmt.Errorf("vm: boundary call on array")
 	}
-	m := cls.Resolve(method)
-	if m == nil {
+	fn := t.vm.method(cls, method)
+	if fn == nil {
 		return 0, fmt.Errorf("vm: %s has no method %s", cls.Name, method)
 	}
-	fn := t.vm.byKey[ir.FuncKey(m.Owner.Name, method)]
 	hh := t.vm.NewHandle(recv, true)
 	defer t.vm.Drop(hh)
 	argVals, cleanup, err := t.resolveArgs(args)
@@ -481,10 +475,11 @@ func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
 		return 0, err
 	}
 	if t.vm.Prog.Transformed {
-		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
-		val = loadSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind)
-		pin.Unpin()
-		return val, nil
+		b, err := t.record(offheap.PageRef(v))
+		if err != nil {
+			return 0, err
+		}
+		return loadSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind), nil
 	}
 	b := t.vm.Heap.Bytes(heap.Addr(v))
 	return loadSlot(b[heap.ScalarHeader+f.Offset:], f.Type.Kind), nil
@@ -514,8 +509,10 @@ func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 	if t.vm.Prog.Transformed {
 		rt, ref := t.vm.RT, offheap.PageRef(v)
 		elem := rt.ArrayElemType(rt.ArrayTypeOf(ref))
-		b, pin := t.vm.RT.Resolve(ref)
-		defer pin.Unpin()
+		b, err := t.record(ref)
+		if err != nil {
+			return 0, err
+		}
 		if n := offheap.ArrayLength(b); i < 0 || i >= n {
 			return 0, errBounds(i, n)
 		}
@@ -527,6 +524,19 @@ func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 		return 0, errBounds(i, n)
 	}
 	return loadSlot(b[heap.ArrayHeader+i*elem.FieldSize():], elem.Kind), nil
+}
+
+// record resolves a page reference for the boundary the way run's page ops
+// do: Bytes, and the fault path for as long as the page is on disk.
+func (t *Thread) record(ref offheap.PageRef) ([]byte, error) {
+	for {
+		if b := t.vm.RT.Bytes(ref); b != nil {
+			return b, nil
+		}
+		if err := t.vm.RT.Fault(ref, parker{t}); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // ArrGetObj reads a reference element into a handle.
@@ -551,17 +561,19 @@ func f64bits(f float64) Value { return math.Float64bits(f) }
 
 // withArrBody runs fn over the first n body bytes of a data array, in
 // place: the record body for P', the heap object body for P. The view is
-// only valid inside fn (a collection may move the heap object; a page may
-// be spilled once unpinned), and fn must not allocate.
+// only valid inside fn, and fn must not allocate or reach a safepoint:
+// either could move the heap object (a collection) or the page (a spill).
 func (t *Thread) withArrBody(o Obj, n int, fn func(body []byte)) (err error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
 	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
-		b, pin := t.vm.RT.Resolve(offheap.PageRef(v))
+		b, err := t.record(offheap.PageRef(v))
+		if err != nil {
+			return err
+		}
 		fn(b[offheap.ArrayHeader : offheap.ArrayHeader+n])
-		pin.Unpin()
 		return nil
 	}
 	fn(t.vm.Heap.Bytes(heap.Addr(v))[heap.ArrayHeader : heap.ArrayHeader+n])

@@ -95,7 +95,7 @@ func (t *Thread) callFn(callee *ir.Func, regs []Value, args []ir.Reg, recv Value
 func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 	vm := t.vm
 	hp := vm.Heap
-	rt, tiered := vm.RT, vm.tiered
+	rt := vm.RT
 	code := c.Slots
 	t.instrs += int64(c.Entry)
 	pc := 0
@@ -463,12 +463,12 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			}
 
 		// --- Page half (program P') ---
-		// Each record op resolves its page reference exactly once — Bytes
-		// untiered, Pin tiered, chosen when the VM was built (vm.tiered)
-		// and spelled out per op because a helper holding both arms is
-		// past the compiler's inlining budget.
+		// Each record op resolves its page reference exactly once, with
+		// Bytes, on every store. A page on disk resolves to nil and the op
+		// jumps to the fault tail below, which brings regs[in.A]'s page
+		// back and runs the op again.
 		case xPNew:
-			ref, err := t.iter.Current().AllocRecord(uint16(in.A), int(in.Imm))
+			ref, err := t.iter.Current().AllocRecord(parker{t}, uint16(in.A), int(in.Imm))
 			if err != nil {
 				return 0, err
 			}
@@ -478,213 +478,155 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			if ref == 0 {
 				return 0, errNPE("record read " + c.Src[pc-1].Field.Name)
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			regs[in.Dst] = load1(b[in.Imm:])
-			pin.Unpin()
 		case xPLoad4:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("record read " + c.Src[pc-1].Field.Name)
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			regs[in.Dst] = load4(b[in.Imm:])
-			pin.Unpin()
 		case xPLoad8:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("record read " + c.Src[pc-1].Field.Name)
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			regs[in.Dst] = load8(b[in.Imm:])
-			pin.Unpin()
 		case xPStore1:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("record write " + c.Src[pc-1].Field.Name)
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			b[in.Imm] = byte(regs[in.B])
-			pin.Unpin()
 		case xPStore4:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("record write " + c.Src[pc-1].Field.Name)
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			binary.LittleEndian.PutUint32(b[in.Imm:], uint32(regs[in.B]))
-			pin.Unpin()
 		case xPStore8:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("record write " + c.Src[pc-1].Field.Name)
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			binary.LittleEndian.PutUint64(b[in.Imm:], regs[in.B])
-			pin.Unpin()
 		case xPALoad1:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record read")
 			}
 			i := int(int32(regs[in.B]))
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
-				pin.Unpin()
 				return 0, errBounds(i, n)
 			}
 			regs[in.Dst] = load1(b[offheap.ArrayHeader+i:])
-			pin.Unpin()
 		case xPALoad4:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record read")
 			}
 			i := int(int32(regs[in.B]))
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
-				pin.Unpin()
 				return 0, errBounds(i, n)
 			}
 			regs[in.Dst] = load4(b[offheap.ArrayHeader+i*4:])
-			pin.Unpin()
 		case xPALoad8:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record read")
 			}
 			i := int(int32(regs[in.B]))
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
-				pin.Unpin()
 				return 0, errBounds(i, n)
 			}
 			regs[in.Dst] = load8(b[offheap.ArrayHeader+i*8:])
-			pin.Unpin()
 		case xPAStore1:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record write")
 			}
 			i := int(int32(regs[in.B]))
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
-				pin.Unpin()
 				return 0, errBounds(i, n)
 			}
 			b[offheap.ArrayHeader+i] = byte(regs[in.C])
-			pin.Unpin()
 		case xPAStore4:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record write")
 			}
 			i := int(int32(regs[in.B]))
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
-				pin.Unpin()
 				return 0, errBounds(i, n)
 			}
 			binary.LittleEndian.PutUint32(b[offheap.ArrayHeader+i*4:], uint32(regs[in.C]))
-			pin.Unpin()
 		case xPAStore8:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record write")
 			}
 			i := int(int32(regs[in.B]))
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			if n := offheap.ArrayLength(b); uint(i) >= uint(n) {
-				pin.Unpin()
 				return 0, errBounds(i, n)
 			}
 			binary.LittleEndian.PutUint64(b[offheap.ArrayHeader+i*8:], regs[in.C])
-			pin.Unpin()
 		case xPALen:
 			ref := offheap.PageRef(regs[in.A])
 			if ref == 0 {
 				return 0, errNPE("array record length")
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			regs[in.Dst] = Value(uint32(offheap.ArrayLength(b)))
-			pin.Unpin()
 		case xResolve:
 			// Retrieve the receiver-pool facade for the record's runtime
 			// type and bind it (§3.2, "Resolving types").
@@ -692,15 +634,11 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			if ref == 0 {
 				return 0, errNPE("resolve on null record")
 			}
-			var b []byte
-			var pin offheap.Pin
-			if tiered {
-				b, pin = rt.Pin(ref)
-			} else {
-				b = rt.Bytes(ref)
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
 			}
 			tw := offheap.TypeWord(b)
-			pin.Unpin()
 			pe := t.pools[int(tw)]
 			if pe == nil {
 				return 0, fmt.Errorf("vm: no receiver pool for type id %d", tw)
@@ -772,7 +710,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			}
 		case xPNewArr:
 			src := c.Src[pc-1]
-			ref, err := t.iter.Current().AllocArray(rt.ArrayTypeIndex(src.Type), src.Type.FieldSize(), int(int32(regs[in.A])))
+			ref, err := t.iter.Current().AllocArray(parker{t}, rt.ArrayTypeIndex(src.Type), src.Type.FieldSize(), int(int32(regs[in.A])))
 			if err != nil {
 				return 0, err
 			}
@@ -807,6 +745,17 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 		}
 		t.instrs += int64(cnt)
 		pc = int(tgt)
+		continue
+	fault:
+		// A page fault: the op's record is on disk. The op has written
+		// nothing and this thread holds no record bytes, so promoting the
+		// page (and spilling others with the world stopped, should that
+		// cross the high watermark) is safe here; then the slot runs again.
+		// Only control slots count instructions, so the restart counts none.
+		if err := rt.Fault(offheap.PageRef(regs[in.A]), parker{t}); err != nil {
+			return 0, err
+		}
+		pc--
 	}
 }
 

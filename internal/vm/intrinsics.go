@@ -280,7 +280,7 @@ func (t *Thread) stringLiteral(idx int) (Value, error) {
 	var err error
 	if vm.Prog.Transformed {
 		// Literals live for the program: the VM's root scope.
-		v, err = vm.recString(vm.rootScope, s)
+		v, err = t.recString(vm.rootScope, s)
 	} else {
 		v, err = t.makeHeapString(s)
 	}
@@ -315,18 +315,18 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 }
 
 // recString builds a String page record (byte[] + String) in pm.
-func (vm *VM) recString(pm *offheap.PageManager, s string) (Value, error) {
-	rt := vm.RT
+func (t *Thread) recString(pm *offheap.PageManager, s string) (Value, error) {
+	vm, rt := t.vm, t.vm.RT
 	sf := vm.facadeOf("String")
 	if sf == nil {
 		return 0, fmt.Errorf("vm: transformed program has no String facade")
 	}
-	arr, err := pm.AllocArray(rt.ArrayTypeIndex(lang.ByteType), 1, len(s))
+	arr, err := pm.AllocArray(parker{t}, rt.ArrayTypeIndex(lang.ByteType), 1, len(s))
 	if err != nil {
 		return 0, err
 	}
 	rt.WriteBody(arr, 0, []byte(s))
-	rec, err := pm.AllocRecord(uint16(sf.ID), vm.stringBodySize())
+	rec, err := pm.AllocRecord(parker{t}, uint16(sf.ID), vm.stringBodySize())
 	if err != nil {
 		return 0, err
 	}

@@ -336,11 +336,14 @@ func (t *Thread) monExit(obj heap.Addr) error {
 	return nil
 }
 
-// parker adapts the thread to offheap.Parker for lock-pool waits.
+// parker adapts the thread to offheap.Parker: lock-pool waits park it, and
+// the disk spills it starts run while the heap has every other thread
+// parked, under the same stop the collector uses.
 type parker struct{ t *Thread }
 
-func (p parker) BeginExternal() { p.t.tc.BeginExternal() }
-func (p parker) EndExternal()   { p.t.tc.EndExternal() }
+func (p parker) BeginExternal()        { p.t.tc.BeginExternal() }
+func (p parker) EndExternal()          { p.t.tc.EndExternal() }
+func (p parker) StopTheWorld(f func()) { p.t.vm.Heap.StopTheWorld(p.t.tc, f) }
 
 // facadeOf returns the facade class registered for an original data class
 // name.

@@ -80,11 +80,6 @@ type VM struct {
 	Prog *ir.Program
 	Heap *heap.Heap
 	RT   *offheap.Runtime // nil for untransformed programs
-	// tiered records, once per VM build and again on every reset
-	// (arm), whether RT has a disk tier: record ops resolve through
-	// offheap.Pin when set and through the pin-free offheap.Bytes
-	// otherwise, with no per-access test inside the store.
-	tiered bool
 
 	out io.Writer
 	inj *faults.Injector // the injector the VM was built with (may be nil)
@@ -184,9 +179,9 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 // arm installs one job's settings on a VM whose heap and page store are
 // fresh or just reset and already bound to job.Obs (non-nil): counters,
 // output sink, injector, Sys.rand seed, pretenure set, and — on a
-// transformed program — the disk tier, the resolution path the record ops
-// take (vm.tiered) and the root scope. New and ResetForReuse both arm
-// through here, so a reused VM cannot keep what a fresh one would not have.
+// transformed program — the disk tier and the root scope. New and
+// ResetForReuse both arm through here, so a reused VM cannot keep what a
+// fresh one would not have.
 func (vm *VM) arm(job ResetConfig) error {
 	vm.obs = job.Obs
 	vm.cInstr = job.Obs.Counter(obs.CtrInstructions)
@@ -212,7 +207,6 @@ func (vm *VM) arm(job ResetConfig) error {
 			return err
 		}
 	}
-	vm.tiered = vm.RT.Tiered()
 	vm.rootScope = vm.RT.NewManager(nil, -2, -1)
 	return nil
 }
@@ -316,6 +310,17 @@ func calleeKey(m *lang.Method) string {
 // Func returns the function with the given key, or nil.
 func (vm *VM) Func(key string) *ir.Func { return vm.byKey[key] }
 
+// method returns the function that runs name on an object of class c: c's
+// own, or the nearest superclass's; nil if none has one.
+func (vm *VM) method(c *lang.Class, name string) *ir.Func {
+	for ; c != nil; c = c.Super {
+		if f := vm.byKey[ir.FuncKey(c.Name, name)]; f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // Out returns the VM's output writer.
 func (vm *VM) Out() io.Writer { return vm.out }
 
@@ -411,14 +416,8 @@ type ResetConfig struct {
 // rebuild (this is how the daemon keeps a crashed tenant job from
 // poisoning the warm pool).
 func (vm *VM) ResetForReuse(cfg ResetConfig) error {
-	vm.threadsMu.Lock()
-	live := len(vm.threads)
-	vm.threadsMu.Unlock()
-	if live != 0 {
-		return fmt.Errorf("vm: %w with %d live thread(s)", faults.ErrNotReusable, live)
-	}
-	if vm.rootScope != nil {
-		vm.rootScope.ReleaseAll()
+	if err := vm.Release(); err != nil {
+		return err
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
@@ -452,6 +451,28 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 	vm.nextTID = 0
 	vm.threadsMu.Unlock()
 	vm.cancel.Store(nil)
+	return nil
+}
+
+// Release frees what a finished job left outside the Go heap once every
+// thread is closed: the root scope's records and the page store's disk
+// tier, spill file included. Read the store's Stats first: without a tier
+// it reports no tier counts (the obs registry keeps them). ResetForReuse
+// re-arms a released VM for another job.
+func (vm *VM) Release() error {
+	vm.threadsMu.Lock()
+	live := len(vm.threads)
+	vm.threadsMu.Unlock()
+	if live != 0 {
+		return fmt.Errorf("vm: %w with %d live thread(s)", faults.ErrNotReusable, live)
+	}
+	if vm.RT == nil {
+		return nil
+	}
+	vm.rootScope.ReleaseAll()
+	if err := vm.RT.CloseTier(); err != nil {
+		return fmt.Errorf("vm: %w: %w", faults.ErrNotReusable, err)
+	}
 	return nil
 }
 

@@ -2,17 +2,21 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
+	"repro/internal/obs"
 	"repro/internal/offheap"
 	"repro/internal/stdlib"
 )
@@ -724,7 +728,8 @@ class Main {
 // set with and without a disk tier: same output, the same null and bounds
 // messages for every element kind, and — once the thread has released its
 // managers — no pin left behind by any of the operations, including the
-// ones that trapped.
+// ones that trapped. The spill-each-op leg then sends every page op through
+// the fault path.
 func TestRecordOpsTieredMatchesUntiered(t *testing.T) {
 	run := func(src string, tiered bool) (string, error) {
 		t.Helper()
@@ -792,13 +797,255 @@ func TestRecordOpsTieredMatchesUntiered(t *testing.T) {
 			}
 		})
 	}
+	t.Run("spill-each-op", testSpillEachOp)
+}
+
+// spillOpsProgram keeps a record of each shape the page ops distinguish in
+// Main's statics, off any page a manager bump-allocates into, and gives
+// every operation under test a method that performs it once.
+const spillOpsProgram = `
+class Rec { byte b; int i; long l; double d; Rec next; int get() { return this.i; } }
+class Sub extends Rec { int get() { return this.i + 1; } }
+class Main {
+    static Rec r; static Rec s; static Rec chain; static String str;
+    static byte[] bs; static int[] is; static long[] ls; static double[] ds; static Rec[] rs; static int[] to;
+    static void setup(String x) {
+        Main.str = x;
+        Main.r = new Rec(); Main.r.b = (byte) 7; Main.r.i = 11; Main.r.l = 1000000007L; Main.r.d = 0.25; Main.r.next = Main.r;
+        Main.s = new Sub(); Main.s.i = 20;
+        Main.bs = new byte[20000]; Main.is = new int[5000]; Main.ls = new long[3000]; Main.ds = new double[3000];
+        Main.rs = new Rec[3000]; Main.to = new int[5000];
+        for (int k = 0; k < 3000; k = k + 1) { Main.bs[k] = (byte) k; Main.is[k] = k * 3; Main.ls[k] = 7L * k; Main.ds[k] = 0.5 * k; }
+        Main.rs[1] = Main.s;
+        // Fill the size class r, s and str came from: the page a manager
+        // bump-allocates into stays pinned resident.
+        for (int k = 0; k < 2000; k = k + 1) { Rec f = new Rec(); f.next = Main.chain; Main.chain = f; }
+    }
+    static void pload1() { Sys.println(Main.r.b); }
+    static void pload4() { Sys.println(Main.r.i); }
+    static void pload8() { Sys.println(Main.r.d); }
+    static void pstore1() { Main.r.b = (byte) 9; }
+    static void pstore4() { Main.r.i = 41; }
+    static void pstore8() { Main.r.l = 99L; }
+    static void paload1() { Sys.println(Main.bs[2999]); }
+    static void paload4() { Sys.println(Main.is[2999]); }
+    static void paload8() { Sys.println(Main.ds[2999]); }
+    static void pastore1() { Main.bs[3] = (byte) 5; }
+    static void pastore4() { Main.is[4] = 44; }
+    static void pastore8() { Main.ls[5] = 55L; }
+    static void palen() { Sys.println(Main.rs.length); }
+    static void resolve() { Sys.println(Main.s.get()); }
+    static void boundsRead() { Sys.println(Main.is[5000]); }
+    static void boundsWrite() { Main.rs[3000] = Main.r; }
+    static void copy() { Sys.arraycopy(Main.is, 0, Main.to, 0, 100); Sys.println(Main.to[99]); }
+    static void lock() { synchronized (Main.r) { Sys.println(Main.r.i); } }
+    static void print() { Sys.println(Main.str); }
+    static void check() { Sys.println(Main.r.b + Main.r.i + Main.r.l + Main.bs[3] + Main.is[4] + Main.ls[5] + Main.rs[1].i); }
+}`
+
+// testSpillEachOp runs each method of spillOpsProgram on an untiered store
+// and on a tiered one that spills every page it can before each call, so
+// that each call's first record access meets its page on disk: the 14 page
+// opcodes through run's fault tail, arraycopy, the lock-ID calls and the
+// string helpers (GetRef, ArrayLen, ReadBody) through the helpers' own
+// promotion. Output, trap texts and vm.instructions must match, so a
+// restarted slot counts nothing twice.
+func testSpillEachOp(t *testing.T) {
+	p2 := transform(t, compile(t, spillOpsProgram), "Rec", "Sub", "Main")
+	ops := []struct {
+		fn   string
+		op   uint16 // the page opcode the method must contain; 0 for intrinsics
+		want string
+	}{
+		{"pload1", xPLoad1, ""}, {"pload4", xPLoad4, ""}, {"pload8", xPLoad8, ""},
+		{"pstore1", xPStore1, ""}, {"pstore4", xPStore4, ""}, {"pstore8", xPStore8, ""},
+		{"paload1", xPALoad1, ""}, {"paload4", xPALoad4, ""}, {"paload8", xPALoad8, ""},
+		{"pastore1", xPAStore1, ""}, {"pastore4", xPAStore4, ""}, {"pastore8", xPAStore8, ""},
+		{"palen", xPALen, ""}, {"resolve", xResolve, ""},
+		{"boundsRead", xPALoad4, "ArrayIndexOutOfBoundsException: index 5000, length 5000"},
+		{"boundsWrite", xPAStore8, "ArrayIndexOutOfBoundsException: index 3000, length 3000"},
+		{"copy", 0, ""}, {"lock", xPMonEnter, ""}, {"print", 0, ""}, {"check", 0, ""},
+	}
+	type result struct {
+		out    string
+		errs   []string
+		instrs []int64
+	}
+	run := func(spill bool) result {
+		var out bytes.Buffer
+		cfg := Config{HeapSize: 8 << 20, Out: &out}
+		if spill {
+			// One resident page: every fault and allocation end spills all
+			// the others it may.
+			cfg.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 1, LowWater: 1}
+		}
+		m, err := New(p2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.NewThread(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.InvokeStatic("Main", "setup", S("spilled, then promoted")); err != nil {
+			t.Fatal(err)
+		}
+		// Faulting in a page of its own spills every other unpinned page.
+		var spillAll func()
+		if spill {
+			pad, err := m.rootScope.AllocArray(nil, m.RT.ArrayTypeIndex(lang.LongType), 8, 3000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spillAll = func() {
+				if err := m.RT.Fault(pad, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		instrs := func() int64 { return m.Obs().Snapshot().Counters[obs.CtrInstructions] }
+		var res result
+		for _, o := range ops {
+			fn := m.Func(ir.FuncKey("MainFacade", o.fn))
+			if fn == nil {
+				t.Fatalf("no MainFacade.%s", o.fn)
+			}
+			if o.op != 0 && !slices.ContainsFunc(fn.Code.Slots, func(s ir.Slot) bool { return s.Op == o.op }) {
+				t.Fatalf("%s lowers to no %s slot:\n%s", o.fn, xopNames[o.op], disasm(fn))
+			}
+			var promoted int64
+			if spill {
+				spillAll()
+				promoted = m.RT.Stats().PagesPromoted
+			}
+			before := instrs()
+			_, err := th.InvokeStatic("Main", o.fn)
+			res.instrs = append(res.instrs, instrs()-before)
+			if spill && m.RT.Stats().PagesPromoted == promoted {
+				t.Fatalf("%s: no page was on disk when it ran", o.fn)
+			}
+			msg := ""
+			if err != nil {
+				msg = err.Error()
+			}
+			if msg != o.want {
+				t.Fatalf("%s (spill=%v): error %q, want %q", o.fn, spill, msg, o.want)
+			}
+			res.errs = append(res.errs, msg)
+		}
+		th.Close()
+		m.rootScope.ReleaseAll()
+		if pins := m.RT.Pins(); pins != 0 {
+			t.Fatalf("%d pin(s) leaked (spill=%v)", pins, spill)
+		}
+		res.out = out.String()
+		return res
+	}
+	plain, spilled := run(false), run(true)
+	if plain.out != spilled.out {
+		t.Fatalf("output differs:\nuntiered: %q\nspilled:  %q", plain.out, spilled.out)
+	}
+	for i, o := range ops {
+		if plain.instrs[i] != spilled.instrs[i] {
+			t.Fatalf("%s: %d instructions untiered, %d with every page spilled", o.fn, plain.instrs[i], spilled.instrs[i])
+		}
+	}
+}
+
+// stopSignal is a thread's Parker that reports when the thread asks for the
+// world to stop and when the stopped world's work begins.
+type stopSignal struct {
+	parker
+	requested, started chan struct{}
+}
+
+func (p stopSignal) StopTheWorld(f func()) {
+	close(p.requested)
+	p.parker.StopTheWorld(func() { close(p.started); f() })
+}
+
+// TestSpillWaitsForRunningThreads holds thread A inside a withArrBody
+// callback — running, with a record's bytes in hand — while thread B
+// allocates across the high watermark. B's spill must not start before A
+// returns and parks, and A's writes through those bytes must survive it.
+func TestSpillWaitsForRunningThreads(t *testing.T) {
+	p2 := transform(t, compile(t, recordOpsProgram("")), "Rec", "Main")
+	m, err := New(p2, Config{HeapSize: 8 << 20,
+		Tiering: &offheap.TierConfig{Dir: t.TempDir(), HighWater: 2, LowWater: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.NewThread(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := m.NewThread(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	const n = 5000 // a page of its own
+	arr, err := a.NewIntArr(make([]int32, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := stopSignal{parker{b}, make(chan struct{}), make(chan struct{})}
+	done := make(chan error, 1)
+	err = a.withArrBody(arr, 4*n, func(body []byte) {
+		go func() {
+			// Two more pages of their own put three over a high watermark
+			// of two: the second allocation's end asks for a spill.
+			b.enterBoundary()
+			defer b.tc.BeginExternal()
+			for i := 0; i < 2; i++ {
+				if _, err := b.iter.Current().AllocArray(pk, m.RT.ArrayTypeIndex(lang.IntType), 4, n); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		<-pk.requested
+		select {
+		case <-pk.started:
+			t.Error("a spill started while thread A held record bytes")
+		case <-time.After(50 * time.Millisecond):
+		}
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(body[4*i:], uint32(7*i))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-pk.started:
+	default:
+		t.Fatal("thread B never spilled")
+	}
+	if m.RT.Bytes(offheap.PageRef(m.Get(arr))) != nil {
+		t.Fatal("the spill left thread A's page resident: nothing was tested")
+	}
+	got, err := a.ReadIntArr(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != int32(7*i) {
+			t.Fatalf("element %d = %d after the spill, want %d", i, v, 7*i)
+		}
+	}
 }
 
 // TestResetForReuseSwitchesTier drives one warm VM through jobs that differ
 // only in whether they ask for a disk tier, in both orders. The daemon pools
 // VMs by program and heap size, not by tiering, so a VM built untiered must
-// take the pinned record path when its next job spills pages, and a VM built
-// tiered must drop back to the pin-free path afterwards.
+// spill and fault pages back when its next job asks for a tier, and a VM
+// built tiered must leave no tier behind for the job after.
 func TestResetForReuseSwitchesTier(t *testing.T) {
 	p2 := transform(t, compile(t, recordOpsProgram("")), "Rec", "Main")
 	want := runMain(t, compile(t, recordOpsProgram("")), 8<<20)
@@ -822,8 +1069,8 @@ func TestResetForReuseSwitchesTier(t *testing.T) {
 						t.Fatalf("job %d: reset: %v", job, err)
 					}
 				}
-				if m.tiered != tiered || m.RT.Tiered() != tiered {
-					t.Fatalf("job %d: vm.tiered=%v, store tiered=%v, want %v", job, m.tiered, m.RT.Tiered(), tiered)
+				if m.RT.Tiered() != tiered {
+					t.Fatalf("job %d: store tiered=%v, want %v", job, m.RT.Tiered(), tiered)
 				}
 				th, err := m.NewThread(nil)
 				if err != nil {
