@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -337,6 +338,59 @@ func BenchmarkInlineShare(b *testing.B) {
 			}
 			b.ReportMetric(float64(inline.Microseconds())/float64(b.N), "inline-us/op")
 			b.ReportMetric(100*inline.Seconds()/compile.Seconds(), "inline-%-of-compile")
+		})
+	}
+}
+
+// BenchmarkWarmJob prices one daemon-sized job without the daemon: each op
+// runs the next of the four load scenarios (built as the daemon builds
+// them) through facade.RunContext, on that scenario's warm VM ("warm", the
+// daemon's path after a job's first run) or on a fresh VM ("cold"). ns, B
+// and allocs are per job; docs/PERFORMANCE.md ("Per-job setup") profiles
+// the warm leg.
+func BenchmarkWarmJob(b *testing.B) {
+	type job struct {
+		prog *ir.Program
+		heap int
+		warm *vm.VM
+	}
+	var jobs []*job
+	for _, sc := range load.Scenarios() {
+		var data []string
+		for _, src := range sc.Sources {
+			data = append(data, facade.DataClassesDirective(src)...)
+		}
+		_, p2 := programs(b, "load/"+sc.Name, func() (*ir.Program, *ir.Program, error) {
+			return facade.Build(sc.Sources, data)
+		})
+		jobs = append(jobs, &job{prog: p2, heap: sc.HeapSize})
+	}
+	run := func(b *testing.B, j *job, warm bool) {
+		opts := []facade.Option{facade.WithHeapSize(j.heap), facade.WithRandSeed(1)}
+		if warm && j.warm != nil {
+			opts = append(opts, facade.WithReusedVM(j.warm))
+		}
+		res, err := facade.RunContext(context.Background(), j.prog, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Close()
+		j.warm = res.VM
+	}
+	for _, warm := range []bool{true, false} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			for _, j := range jobs {
+				run(b, j, warm) // builds each warm VM outside the timer
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(b, jobs[i%len(jobs)], warm)
+			}
 		})
 	}
 }

@@ -151,6 +151,46 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToItsLimit: a ring that grows as events arrive retains
+// exactly what a preallocated one did — the newest DefaultRingCapacity
+// events, oldest first, with global sequence numbers — and never holds
+// more storage than its limit.
+func TestRingGrowsToItsLimit(t *testing.T) {
+	const extra = 10
+	r := NewRing(DefaultRingCapacity)
+	for i := 0; i < DefaultRingCapacity+extra; i++ {
+		r.Append(Event{Kind: "k", A: int64(i)})
+		if n := min(i+1, DefaultRingCapacity); r.Len() != n {
+			t.Fatalf("after %d appends Len = %d, want %d", i+1, r.Len(), n)
+		}
+	}
+	if r.Total() != DefaultRingCapacity+extra {
+		t.Fatalf("total = %d, want %d", r.Total(), DefaultRingCapacity+extra)
+	}
+	if cap(r.buf) != DefaultRingCapacity {
+		t.Fatalf("full ring holds %d slots, want %d", cap(r.buf), DefaultRingCapacity)
+	}
+	s := r.Snapshot()
+	if len(s) != DefaultRingCapacity {
+		t.Fatalf("snapshot len = %d, want %d", len(s), DefaultRingCapacity)
+	}
+	for i, e := range s {
+		if want := int64(extra + i); e.A != want || e.Seq != uint64(want) {
+			t.Fatalf("event %d = %+v, want A=Seq=%d", i, e, want)
+		}
+	}
+}
+
+// TestQuietRegistryHoldsNoEvents: a registry nothing emits into allocates
+// no event storage.
+func TestQuietRegistryHoldsNoEvents(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(CtrInstructions).Add(1)
+	if r.Events().Len() != 0 || r.Events().buf != nil {
+		t.Fatalf("fresh registry holds %d events in %d slots", r.Events().Len(), cap(r.Events().buf))
+	}
+}
+
 func TestEventSink(t *testing.T) {
 	r := NewRegistry()
 	var got []Event

@@ -2,9 +2,10 @@ package obs
 
 import "sync"
 
-// DefaultRingCapacity bounds the event ring of a fresh Registry. At ~64
-// bytes per event the default ring holds the full GC and iteration event
-// stream of a typical repro run in under 256 KB.
+// DefaultRingCapacity bounds the event ring of a fresh Registry. It holds
+// the full GC and iteration event stream of a typical repro run; at 72
+// bytes per Event a full ring is about 295 KB, allocated only as events
+// arrive.
 const DefaultRingCapacity = 4096
 
 // Event is one runtime occurrence: a collection, an iteration boundary, a
@@ -24,27 +25,36 @@ type Event struct {
 // oldest. Sequence numbers are global, so a snapshot reveals how many
 // events were dropped.
 type Ring struct {
-	mu   sync.Mutex
-	buf  []Event
-	next uint64 // total events ever appended
+	mu    sync.Mutex
+	buf   []Event // grows to limit as events arrive
+	limit int
+	next  uint64 // total events ever appended
 }
 
-// NewRing creates a ring holding up to capacity events.
+// NewRing creates a ring holding up to capacity events. It allocates no
+// event storage until the first Append.
 func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{limit: capacity}
 }
 
 // Append records an event, assigning its sequence number.
 func (r *Ring) Append(e Event) {
 	r.mu.Lock()
 	e.Seq = r.next
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.limit {
+		if len(r.buf) == cap(r.buf) {
+			// Double, but never past the limit: append's own growth
+			// would overshoot it on the last step.
+			grown := make([]Event, len(r.buf), min(max(2*len(r.buf), 16), r.limit))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
 		r.buf = append(r.buf, e)
 	} else {
-		r.buf[int(r.next)%cap(r.buf)] = e
+		r.buf[r.next%uint64(r.limit)] = e
 	}
 	r.next++
 	r.mu.Unlock()
@@ -70,11 +80,11 @@ func (r *Ring) Snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, len(r.buf))
-	if len(r.buf) < cap(r.buf) || r.next == 0 {
+	if len(r.buf) < r.limit {
 		copy(out, r.buf)
 		return out
 	}
-	head := int(r.next) % cap(r.buf) // oldest element
+	head := int(r.next % uint64(r.limit)) // oldest element
 	n := copy(out, r.buf[head:])
 	copy(out[n:], r.buf[:head])
 	return out

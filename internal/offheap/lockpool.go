@@ -2,7 +2,10 @@ package offheap
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+
+	"repro/internal/faults"
 )
 
 // LockPool is the shared pool of reentrant monitor locks backing
@@ -11,7 +14,8 @@ import (
 // or 0. A bit vector tracks which pool locks are in use; when the last
 // thread using a lock exits, the lock is returned to the pool and the
 // record's lock field is zeroed, so the number of live lock objects is
-// O(threads × nesting), not O(records).
+// O(threads × nesting), not O(records). A lock is built only when every
+// built one is in use, and defaultLockPoolSize caps how many ever are.
 const defaultLockPoolSize = 4096
 
 // Parker is the calling thread's hook into the heap's safepoint protocol: a
@@ -38,26 +42,21 @@ type poolLock struct {
 
 // LockPool is safe for concurrent use.
 type LockPool struct {
-	mu    sync.Mutex
-	bits  []uint64 // in-use bit vector, bit i == lock i in use
-	locks []*poolLock
+	mu   sync.Mutex
+	bits []uint64 // in-use bit vector, bit i == lock i in use
+	// locks holds pointers so that growing the slice never moves a lock a
+	// thread is blocked on.
+	locks    []*poolLock
+	capacity int // most locks the pool will build
 	// InUse is maintained for stats/tests.
 	inUse int
 	peak  int
 }
 
-// NewLockPool creates a pool with capacity locks.
+// NewLockPool creates a pool that builds up to capacity locks, each on
+// the first acquire that finds every built lock in use.
 func NewLockPool(capacity int) *LockPool {
-	lp := &LockPool{
-		bits:  make([]uint64, (capacity+63)/64),
-		locks: make([]*poolLock, capacity),
-	}
-	for i := range lp.locks {
-		l := &poolLock{}
-		l.cond = sync.NewCond(&l.mu)
-		lp.locks[i] = l
-	}
-	return lp
+	return &LockPool{capacity: capacity}
 }
 
 // InUse returns the number of pool locks currently assigned to records.
@@ -74,27 +73,54 @@ func (lp *LockPool) PeakInUse() int {
 	return lp.peak
 }
 
+// Built returns the number of pool locks constructed so far.
+func (lp *LockPool) Built() int {
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	return len(lp.locks)
+}
+
+// rewind readies the pool for the next job on a reused store: the built
+// locks stay (all unowned once none is in use) and the peak restarts. It
+// refuses while a lock is still in use, as Reset refuses live pages.
+func (lp *LockPool) rewind() error {
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	if lp.inUse != 0 {
+		return fmt.Errorf("offheap: %w with %d pool lock(s) in use", faults.ErrNotReusable, lp.inUse)
+	}
+	lp.peak = 0
+	return nil
+}
+
+// acquireFreeLocked takes the lowest free lock index, building lock
+// len(locks) when every built lock is in use: that index is then the
+// lowest free one, so IDs are those of a pool built up front.
 func (lp *LockPool) acquireFreeLocked() (uint16, error) {
+	i := len(lp.locks)
 	for wi, w := range lp.bits {
-		if w == ^uint64(0) {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) == 0 {
-				i := wi*64 + b
-				if i >= len(lp.locks) {
-					break
-				}
-				lp.bits[wi] |= 1 << b
-				lp.inUse++
-				if lp.inUse > lp.peak {
-					lp.peak = lp.inUse
-				}
-				return uint16(i + 1), nil
-			}
+		if w != ^uint64(0) {
+			i = min(wi*64+bits.TrailingZeros64(^w), len(lp.locks))
+			break
 		}
 	}
-	return 0, fmt.Errorf("offheap: lock pool exhausted (%d locks)", len(lp.locks))
+	if i == len(lp.locks) {
+		if i == lp.capacity {
+			return 0, fmt.Errorf("offheap: lock pool exhausted (%d locks)", lp.capacity)
+		}
+		l := &poolLock{}
+		l.cond = sync.NewCond(&l.mu)
+		lp.locks = append(lp.locks, l)
+		if i/64 == len(lp.bits) {
+			lp.bits = append(lp.bits, 0)
+		}
+	}
+	lp.bits[i/64] |= 1 << (i % 64)
+	lp.inUse++
+	if lp.inUse > lp.peak {
+		lp.peak = lp.inUse
+	}
+	return uint16(i + 1), nil
 }
 
 func (lp *LockPool) freeLocked(id uint16) {

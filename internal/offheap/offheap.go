@@ -275,17 +275,21 @@ func (rt *Runtime) checkQuota(pk Parker) error {
 }
 
 // Reset returns the store to its post-New state for reuse by another job,
-// keeping the recycled-page free pool warm: free pages are re-indexed into
-// a fresh page table so the table does not grow without bound across jobs,
-// counters rewind to zero, and the instruments rebind to reg (the next
-// job's registry, whose fresh instruments are how the page counts rewind).
-// It fails if any page is still live — a job that leaked pages poisons the
-// store, and the daemon rebuilds instead of reusing it.
+// keeping the recycled-page free pool and the built pool locks warm: free
+// pages are re-indexed into a fresh page table so the table does not grow
+// without bound across jobs, counters rewind to zero, and the instruments
+// rebind to reg (the next job's registry, whose fresh instruments are how
+// the page counts rewind). It fails if any page or pool lock is still live
+// — a job that leaked either poisons the store, and the daemon rebuilds
+// instead of reusing it.
 func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if live := rt.gPagesLive.Load(); live != 0 {
 		return fmt.Errorf("offheap: %w with %d live page(s)", faults.ErrNotReusable, live)
+	}
+	if err := rt.Locks.rewind(); err != nil {
+		return err
 	}
 	next := make([]*page, len(rt.free))
 	for i, p := range rt.free {
@@ -304,7 +308,6 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.stats.managers.Store(0)
 	rt.nextIter.Store(0)
 	rt.quota.Store(0) // a reused store must not inherit the previous job's cap
-	rt.Locks = NewLockPool(defaultLockPoolSize)
 	rt.bindInstruments(reg, inj)
 	// Tear down the disk tier: a pooled warm VM must not leak spill files
 	// (or tier counters) across tenant jobs.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -377,6 +378,158 @@ func TestLockPoolExitErrors(t *testing.T) {
 	}
 	if err := rt.Locks.Exit(rt, rec, a); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nestLocks enters the monitors of recs in order on behalf of owner,
+// returning the lock ID each record was given, then exits them in reverse.
+func nestLocks(t *testing.T, rt *Runtime, owner any, recs []PageRef) []uint16 {
+	t.Helper()
+	ids := make([]uint16, len(recs))
+	for i, rec := range recs {
+		if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = rt.GetLockID(rec)
+	}
+	for i := len(recs) - 1; i >= 0; i-- {
+		if err := rt.Locks.Exit(rt, recs[i], owner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// TestLockPoolBuildsOnDemand: a store whose job never enters a monitor
+// builds no pool lock; the locks one job builds serve the next job after
+// Reset, under the same IDs and without growing.
+func TestLockPoolBuildsOnDemand(t *testing.T) {
+	rt := NewRuntime()
+	job := func(lock bool) []uint16 {
+		t.Helper()
+		s := newScope(rt, 0)
+		defer s.Close()
+		recs := make([]PageRef, 3)
+		for i := range recs {
+			recs[i] = mustRecord(t, s.Current(), 1, 16)
+		}
+		if !lock {
+			return nil
+		}
+		return nestLocks(t, rt, new(int), recs)
+	}
+	job(false)
+	if n := rt.Locks.Built(); n != 0 {
+		t.Fatalf("a monitor-free job built %d pool lock(s)", n)
+	}
+	pool := rt.Locks
+	for round := 0; round < 2; round++ {
+		if err := rt.Reset(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Locks != pool {
+			t.Fatalf("round %d: Reset replaced the lock pool", round)
+		}
+		if peak := rt.Locks.PeakInUse(); peak != 0 {
+			t.Fatalf("round %d: peak %d survived Reset", round, peak)
+		}
+		if ids := job(true); !slices.Equal(ids, []uint16{1, 2, 3}) {
+			t.Fatalf("round %d: lock IDs %v, want [1 2 3]", round, ids)
+		}
+		if n := rt.Locks.Built(); n != 3 {
+			t.Fatalf("round %d: %d pool locks built, want 3", round, n)
+		}
+	}
+}
+
+// TestResetRefusesLockInUse: a job that ends holding a pool lock poisons the
+// store the way a leaked page does.
+func TestResetRefusesLockInUse(t *testing.T) {
+	rt := NewRuntime()
+	s := newScope(rt, 0)
+	rec := mustRecord(t, s.Current(), 1, 16)
+	if err := rt.Locks.Enter(rt, rec, new(int), nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // no live page left: only the lock can refuse
+	if err := rt.Reset(nil, nil); !errors.Is(err, faults.ErrNotReusable) {
+		t.Fatalf("Reset with a lock in use = %v, want ErrNotReusable", err)
+	}
+}
+
+// TestLockPoolExhaustion: the pool builds up to its cap and the next
+// concurrent lock fails with the cap in the message.
+func TestLockPoolExhaustion(t *testing.T) {
+	rt := NewRuntime()
+	s := newScope(rt, 0)
+	defer s.Close()
+	owner := new(int)
+	recs := make([]PageRef, defaultLockPoolSize+1)
+	for i := range recs {
+		recs[i] = mustRecord(t, s.Current(), 1, 16)
+	}
+	for _, rec := range recs[:defaultLockPoolSize] {
+		if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := rt.Locks.Enter(rt, recs[defaultLockPoolSize], owner, nil)
+	if err == nil || err.Error() != "offheap: lock pool exhausted (4096 locks)" {
+		t.Fatalf("lock %d: %v, want the exhaustion error", defaultLockPoolSize+1, err)
+	}
+	for _, rec := range recs[:defaultLockPoolSize] {
+		if err := rt.Locks.Exit(rt, rec, owner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rt.Locks.InUse() != 0 || rt.Locks.Built() != defaultLockPoolSize {
+		t.Fatalf("in use %d, built %d after exhaustion", rt.Locks.InUse(), rt.Locks.Built())
+	}
+}
+
+// TestLockPoolGrowsUnderContention has eight goroutines nest monitors on
+// records of their own while the pool builds locks for them: run under
+// -race, it checks that growing the lock slice and the bit vector never
+// races with another thread's Enter or Exit.
+func TestLockPoolGrowsUnderContention(t *testing.T) {
+	rt := NewRuntime()
+	s := newScope(rt, 0)
+	defer s.Close()
+	const workers, nest = 8, 4
+	recs := make([][]PageRef, workers)
+	for w := range recs {
+		for i := 0; i < nest; i++ {
+			recs[w] = append(recs[w], mustRecord(t, s.Current(), 1, 16))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(recs []PageRef) {
+			defer wg.Done()
+			owner := new(int)
+			for j := 0; j < 200; j++ {
+				for _, rec := range recs {
+					if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for i := len(recs) - 1; i >= 0; i-- {
+					if err := rt.Locks.Exit(rt, recs[i], owner); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(recs[w])
+	}
+	wg.Wait()
+	if rt.Locks.InUse() != 0 {
+		t.Fatalf("%d locks still in use", rt.Locks.InUse())
+	}
+	if n, peak := rt.Locks.Built(), rt.Locks.PeakInUse(); n != peak || n > workers*nest {
+		t.Fatalf("built %d locks for a peak of %d (at most %d held at once)", n, peak, workers*nest)
 	}
 }
 

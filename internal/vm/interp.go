@@ -42,6 +42,9 @@ func (t *Thread) exec(fn *ir.Func, args []Value) (Value, error) {
 	if len(args) != len(fn.Params) {
 		return 0, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.Params), len(args))
 	}
+	if t.stack == nil {
+		t.stack = t.vm.takeStack()
+	}
 	regs, onStack := t.allocRegs(fn.NumRegs)
 	for i, p := range fn.Params {
 		regs[p] = args[i]

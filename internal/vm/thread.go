@@ -128,15 +128,22 @@ func (t *Thread) initPools() error {
 	return nil
 }
 
-// Close unregisters the thread and releases its default page manager.
+// Close unregisters the thread, releases its default page manager and
+// hands its register stack to the VM for the next thread. The stack is
+// handed over once, however often Close is called.
 func (t *Thread) Close() {
 	if t.iter != nil {
 		t.iter.Close()
 	}
-	t.vm.threadsMu.Lock()
-	delete(t.vm.threads, t)
-	t.vm.threadsMu.Unlock()
-	t.vm.Heap.UnregisterThread(t.tc)
+	vm := t.vm
+	vm.threadsMu.Lock()
+	delete(vm.threads, t)
+	if t.stack != nil {
+		vm.spareStacks = append(vm.spareStacks, t.stack)
+		t.stack = nil
+	}
+	vm.threadsMu.Unlock()
+	vm.Heap.UnregisterThread(t.tc)
 }
 
 // visitRoots scans the thread's frame registers and facade pools. Runs
@@ -182,11 +189,9 @@ const stackSize = 16 << 10
 
 // allocRegs carves a zeroed register window from the thread stack,
 // falling back to a fresh slice on overflow. The second result reports
-// whether the window came from the stack.
+// whether the window came from the stack. exec gives the thread its stack,
+// so this calls nothing and stays small enough to inline into callFn.
 func (t *Thread) allocRegs(n int) ([]Value, bool) {
-	if t.stack == nil {
-		t.stack = make([]Value, stackSize)
-	}
 	if t.sp+n > len(t.stack) {
 		return make([]Value, n), false
 	}
@@ -196,6 +201,21 @@ func (t *Thread) allocRegs(n int) ([]Value, bool) {
 	}
 	t.sp += n
 	return s, true
+}
+
+// takeStack returns a closed thread's register stack, or a new one when
+// none is spare. A reused stack keeps its old values: allocRegs zeroes each
+// window it carves.
+func (vm *VM) takeStack() []Value {
+	vm.threadsMu.Lock()
+	defer vm.threadsMu.Unlock()
+	n := len(vm.spareStacks)
+	if n == 0 {
+		return make([]Value, stackSize)
+	}
+	s := vm.spareStacks[n-1]
+	vm.spareStacks = vm.spareStacks[:n-1]
+	return s
 }
 
 func (t *Thread) freeRegs(n int, onStack bool) {

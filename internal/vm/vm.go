@@ -115,10 +115,12 @@ type VM struct {
 	// Handles: Go-side roots for framework code.
 	handles handleTable
 
-	// Threads registry for root scanning.
-	threadsMu sync.Mutex
-	threads   map[*Thread]struct{}
-	nextTID   int
+	// Threads registry for root scanning, and the register stacks of
+	// closed threads, kept across ResetForReuse for the next ones.
+	threadsMu   sync.Mutex
+	threads     map[*Thread]struct{}
+	nextTID     int
+	spareStacks [][]Value
 
 	rngMu sync.Mutex
 	rngSt uint64

@@ -1129,3 +1129,164 @@ func TestResetForReuseKeepsThePoolWarm(t *testing.T) {
 		t.Fatalf("second job recycled %d page(s), want all %d acquires", warm.PagesRecycled, acquires)
 	}
 }
+
+// TestRegisterStacksAreRecycled: two live threads never share a register
+// stack, a closed thread's stack serves the next NewThread, and a thread
+// closed twice hands its stack over once. The concurrent leg, under -race,
+// checks the hand-off between goroutines.
+func TestRegisterStacksAreRecycled(t *testing.T) {
+	p := compile(t, `
+class Main {
+    static void main() {
+        long acc = 0L;
+        for (int i = 0; i < 100; i = i + 1) { acc = acc + (long) i; }
+    }
+}`)
+	m, err := New(p, Config{HeapSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*Thread, error) {
+		th, err := m.NewThread(nil)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := th.Call("Main.main"); err != nil {
+			th.Close()
+			return nil, err
+		}
+		return th, nil
+	}
+	must := func() *Thread {
+		t.Helper()
+		th, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	a, b := must(), must()
+	stackA := &a.stack[0]
+	if stackA == &b.stack[0] {
+		t.Fatal("two live threads share a register stack")
+	}
+	a.Close()
+	a.Close()
+	if n := len(m.spareStacks); n != 1 {
+		t.Fatalf("closing a thread twice left %d spare stacks, want 1", n)
+	}
+	c, d := must(), must()
+	if &c.stack[0] != stackA {
+		t.Fatal("the next thread did not take the closed thread's stack")
+	}
+	if &d.stack[0] == stackA || &d.stack[0] == &b.stack[0] {
+		t.Fatal("a stack was handed to two live threads")
+	}
+	for _, th := range []*Thread{b, c, d} {
+		th.Close()
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				th, err := run()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				th.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(m.spareStacks); n > 4 {
+		t.Fatalf("%d spare stacks, but at most 4 threads were ever live at once", n)
+	}
+}
+
+// synchronizedSrc nests record monitors and draws Sys.rand inside them, so
+// a warm run differs from a fresh one if the lock pool or the random
+// stream leaks across ResetForReuse.
+const synchronizedSrc = `
+class Rec {
+    long v;
+    Rec(long v) { this.v = v; }
+    void add(Rec o) {
+        synchronized (this) {
+            synchronized (o) {
+                this.v = this.v + o.v + (long) Sys.rand(10);
+            }
+        }
+    }
+}
+class Main {
+    static void main() {
+        Rec[] rs = new Rec[8];
+        for (int i = 0; i < 8; i = i + 1) { rs[i] = new Rec((long) i); }
+        long acc = 0L;
+        for (int i = 0; i < 100; i = i + 1) {
+            Rec a = rs[i % 8];
+            a.add(rs[(i + 3) % 8]);
+            acc = acc + a.v;
+        }
+        Sys.println(acc);
+    }
+}`
+
+// TestWarmSynchronizedMatchesFresh runs a synchronized P' program twice on
+// one warm VM: each run matches a fresh VM with the same seed in output,
+// instructions and records, and the second run builds no pool lock.
+func TestWarmSynchronizedMatchesFresh(t *testing.T) {
+	p2 := transform(t, compile(t, synchronizedSrc), "Rec", "Main")
+	type outcome struct {
+		out             string
+		instrs, records int64
+	}
+	job := func(m *VM, out *bytes.Buffer) outcome {
+		t.Helper()
+		th, err := m.NewThread(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.Call("MainFacade.main"); err != nil {
+			t.Fatal(err)
+		}
+		th.Close()
+		return outcome{out.String(), m.Obs().Snapshot().Counters[obs.CtrInstructions], m.RT.Stats().Records}
+	}
+	fresh := func(seed int64) outcome {
+		var out bytes.Buffer
+		m, err := New(p2, Config{HeapSize: 8 << 20, Out: &out, RandSeed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job(m, &out)
+	}
+	var out bytes.Buffer
+	m, err := New(p2, Config{HeapSize: 8 << 20, Out: &out, RandSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, pool := 0, m.RT.Locks
+	for run, seed := range []int64{1, 2} {
+		if run > 0 {
+			out.Reset()
+			if err := m.ResetForReuse(ResetConfig{Out: &out, RandSeed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := job(m, &out), fresh(seed); got != want {
+			t.Fatalf("run %d: warm %+v, fresh %+v", run, got, want)
+		}
+		if run == 0 {
+			if built = m.RT.Locks.Built(); built != 2 {
+				t.Fatalf("nested monitors built %d pool locks, want 2", built)
+			}
+		} else if n := m.RT.Locks.Built(); m.RT.Locks != pool || n != built {
+			t.Fatalf("the warm run rebuilt or grew the lock pool (%d locks, then %d)", built, n)
+		}
+	}
+}
