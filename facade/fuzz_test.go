@@ -14,9 +14,10 @@ import (
 // Randomized semantic-equivalence testing: generate random FJ programs
 // over a fixed data-class schema — object creation, field traffic, array
 // traffic, virtual calls, casts, instanceof, nested loops, iteration
-// markers — run them as P and as P', and require identical output. This is
-// the transform's strongest correctness evidence beyond the hand-written
-// corpus: every generated statement exercises some row of Table 1.
+// markers, §3.5 bulk conversion from columns (Sys.fillNew) — run them as P
+// and as P', and require identical output. This is the transform's
+// strongest correctness evidence beyond the hand-written corpus: every
+// generated statement exercises some row of Table 1.
 
 // progGen builds a random but well-typed Main.main body.
 type progGen struct {
@@ -49,7 +50,15 @@ class Leaf extends Node {
     int weight() { return this.key * 3; }
     int kind() { return 2; }
 }
+class Cell {
+    int n;
+    double w;
+}
 `
+
+// fuzzData is the data-class set every transform of a generated program
+// uses.
+var fuzzData = []string{"Node", "Leaf", "Cell", "Main"}
 
 func (g *progGen) fresh(prefix string) string {
 	g.nVar++
@@ -84,7 +93,7 @@ func (g *progGen) intExpr() string {
 }
 
 func (g *progGen) stmt() {
-	switch g.rng.Intn(12) {
+	switch g.rng.Intn(13) {
 	case 0: // new int local
 		v := g.fresh("i")
 		fmt.Fprintf(&g.sb, "int %s = %s;\n", v, g.intExpr())
@@ -165,6 +174,18 @@ func (g *progGen) stmt() {
 			fmt.Fprintf(&g.sb, "for (int z = 0; z < %d; z = z + 1) { Node tz = new Node(z); sum = sum + tz.weight(); }\n", 5+g.rng.Intn(30))
 			fmt.Fprintf(&g.sb, "Sys.iterEnd();\n")
 		}
+	case 12: // bulk conversion of generated columns, then read back
+		cols := 1 + g.rng.Intn(12)
+		from := g.rng.Intn(cols)
+		n := g.rng.Intn(cols - from + 1)
+		cx, cw, cs, q := g.fresh("cx"), g.fresh("cw"), g.fresh("cs"), g.fresh("q")
+		fmt.Fprintf(&g.sb, "{ int[] %s = new int[%d]; double[] %s = new double[%d];\n", cx, cols, cw, cols)
+		fmt.Fprintf(&g.sb, "  for (int %s = 0; %s < %d; %s = %s + 1) { %s[%s] = %s + %s; %s[%s] = 0.25 * %s - %d.5; }\n",
+			q, q, cols, q, q, cx, q, g.intExpr(), q, cw, q, q, g.rng.Intn(10))
+		fmt.Fprintf(&g.sb, "  Cell[] %s = new Cell[%d];\n", cs, n)
+		fmt.Fprintf(&g.sb, "  Sys.fillNew(%s, %d, %s, %s);\n", cs, from, cx, cw)
+		fmt.Fprintf(&g.sb, "  for (int %s = 0; %s < %s.length; %s = %s + 1) { sum = sum + %s[%s].n + (int) (%s[%s].w * 4.0); } }\n",
+			q, q, cs, q, q, cs, q, cs, q)
 	}
 }
 
@@ -218,7 +239,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 				t.Fatalf("pretenuring divergence (seed %d):\nP:          %q\nP un-placed: %q\nprogram:\n%s",
 					seed, outP, outPL, src)
 			}
-			p2, err := Transform(prog, TransformOptions{DataClasses: []string{"Node", "Leaf", "Main"}})
+			p2, err := Transform(prog, TransformOptions{DataClasses: fuzzData})
 			if err != nil {
 				t.Fatalf("transform: %v\n%s", err, src)
 			}
@@ -241,7 +262,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			// transform) must verify, lint clean and behave exactly like
 			// the un-inlined pair — same output, and for P' the same
 			// records in the same native footprint.
-			ip, ip2, err := Build(map[string]string{"fuzz.fj": src}, []string{"Node", "Leaf", "Main"})
+			ip, ip2, err := Build(map[string]string{"fuzz.fj": src}, fuzzData)
 			if err != nil {
 				t.Fatalf("build: %v\n%s", err, src)
 			}

@@ -41,9 +41,9 @@ import (
 //     blocks keep their relative order, and any cycle in any numbering has
 //     such an edge (the poll at the call itself goes away with the call);
 //   - source positions: copied instructions keep the callee's positions;
-//   - one lifetime class per allocation site: every copied OpNew/OpNewArr
-//     gets a fresh Site number, because the copy may be classified
-//     differently in its new context.
+//   - one lifetime class per allocation site: every copied allocation
+//     (OpNew, OpNewArr, Sys.fillNew) gets a fresh Site number, because the
+//     copy may be classified differently in its new context.
 //
 // Callee bodies stay in the program: the Go-side engines enter them across
 // the boundary, and polymorphic call sites still dispatch to them.
@@ -519,11 +519,10 @@ func (s *splicer) splice(cur *ir.Block, call *ir.Instr, callee *inlineFunc) *ir.
 				in.Blk = blocks[in.Blk].ID
 			case ir.OpBranch:
 				in.Blk, in.Blk2 = blocks[in.Blk].ID, blocks[in.Blk2].ID
-			case ir.OpNew, ir.OpNewArr:
-				if in.Site != 0 {
-					s.il.p.NumSites++
-					in.Site = int32(s.il.p.NumSites)
-				}
+			}
+			if in.Site != 0 {
+				s.il.p.NumSites++
+				in.Site = int32(s.il.p.NumSites)
 			}
 			dst.Instrs = append(dst.Instrs, in)
 		}

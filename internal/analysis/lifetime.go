@@ -8,8 +8,9 @@ import (
 )
 
 // This file implements the interprocedural allocation-site lifetime pass.
-// Every OpNew/OpNewArr the lowering pass numbered (Instr.Site) is placed in
-// a three-valued lattice:
+// Every heap allocation the lowering pass numbered (Instr.Site: OpNew,
+// OpNewArr, and the Sys.fillNew bulk conversion) is placed in a three-valued
+// lattice:
 //
 //   - ir.LifetimeEpochLocal: the allocation happens at a program point
 //     provably inside an iteration (the region machine of taint.go, which
@@ -149,7 +150,7 @@ func newLifetimeAnalysis(p *ir.Program) *lifetimeAnalysis {
 		for b, blk := range f.Blocks {
 			for j := range blk.Instrs {
 				in := &blk.Instrs[j]
-				if (in.Op == ir.OpNew || in.Op == ir.OpNewArr) && in.Site != 0 && c.Reachable(b) {
+				if heapSite(in) && c.Reachable(b) {
 					fn.sites = append(fn.sites, in)
 				}
 				if in.Op == ir.OpCall && in.M != nil {
@@ -167,6 +168,20 @@ func newLifetimeAnalysis(p *ir.Program) *lifetimeAnalysis {
 		fn.entry = regionOutside
 	}
 	return la
+}
+
+// heapSite reports whether in is a numbered allocation of heap objects:
+// new, new[], or a Sys.fillNew, which allocates an instance of Cls per
+// element of its destination. The page-half twins the transform emits
+// allocate records, not objects, and are not classified.
+func heapSite(in *ir.Instr) bool {
+	switch in.Op {
+	case ir.OpNew, ir.OpNewArr:
+		return in.Site != 0
+	case ir.OpIntr:
+		return in.Site != 0 && in.Sym == "fillNew"
+	}
+	return false
 }
 
 func calleeSummaryKey(m *lang.Method) string {
@@ -240,10 +255,13 @@ func (fn *ltFunc) classify() []SiteClass {
 	for i, in := range fn.sites {
 		ti := len(fn.f.Params) + i
 		what := "new ?"
-		if in.Op == ir.OpNew && in.Cls != nil {
+		switch {
+		case in.Op == ir.OpNew && in.Cls != nil:
 			what = "new " + in.Cls.Name
-		} else if in.Op == ir.OpNewArr && in.Type != nil {
+		case in.Op == ir.OpNewArr && in.Type != nil:
 			what = "new " + in.Type.String() + "[]"
+		case in.Op == ir.OpIntr && in.Cls != nil:
+			what = "Sys.fillNew " + in.Cls.Name
 		}
 		sc := SiteClass{Site: in.Site, Func: fn.f.Name, Pos: in.Pos, What: what}
 		switch {
@@ -416,6 +434,17 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 		case ir.OpIntr:
 			if in.Sym == "iterStart" || in.Sym == "iterEnd" {
 				r.touches = true
+			}
+			if t := siteOf(in); t >= 0 {
+				// Sys.fillNew stores each object it allocates into its
+				// destination: the escape of dst[i] = new C.
+				if s.at.inside() {
+					r.inside[t-nParams] = true
+				}
+				if !r.escaped[t] {
+					r.escaped[t] = true
+					r.escapeWhy[t] = "stored into an array"
+				}
 			}
 		}
 		// Boundary crossings: a value live across Sys.iterEnd, or live

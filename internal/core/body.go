@@ -314,6 +314,13 @@ func (c *bodyCtx) intr(in *ir.Instr, cp *ir.Instr) error {
 	case "arraycopy":
 		// Arrays in the data path are page arrays.
 		cp.Sym = "arraycopyRec"
+	case "fillNew":
+		// §3.5's conversion at the interaction point, in bulk: the columns
+		// become records of the destination's class, which must be data.
+		if !c.tr.data[in.Cls.Name] {
+			return fmt.Errorf("facade: assumption violation: Sys.fillNew of control class %s in the data path", in.Cls.Name)
+		}
+		cp.Sym = "fillNewRec"
 	case "release":
 		if len(in.Args) == 1 && c.d(in.Args[0]) {
 			cp.Sym = "releaseRec"

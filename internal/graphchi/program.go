@@ -43,13 +43,6 @@ class ChiVertex {
         this.inEdges = new ChiPointer[nIn];
     }
 
-    void addInEdge(int i, int src, double v) {
-        ChiPointer p = new ChiPointer();
-        p.srcId = src;
-        p.value = v;
-        this.inEdges[i] = p;
-    }
-
     double getValue() { return this.value; }
     void setValue(double v) { this.value = v; }
     int numIn() { return this.numInEdges; }
@@ -85,7 +78,9 @@ class ConnCompProgram implements VertexProgram {
 
 // GraphChiDriver hosts the batch entry points the engine's workers call
 // across the boundary, each over one chunk [from, to) of an interval:
-// subgraph construction, the update loop, and value extraction.
+// subgraph construction, the update loop, and value extraction. A vertex's
+// in-edges are converted from the shard's columns in one Sys.fillNew, the
+// §3.5 conversion at the interaction point done in bulk.
 class GraphChiDriver {
     static void buildRange(ChiVertex[] vs, int first, int from, int to, int e0,
             int[] inCounts, int[] outDegs, int[] srcs, double[] srcVals, double[] init) {
@@ -93,10 +88,8 @@ class GraphChiDriver {
         for (int i = from; i < to; i = i + 1) {
             int nIn = inCounts[i];
             ChiVertex v = new ChiVertex(first + i, nIn, outDegs[i]);
-            for (int k = 0; k < nIn; k = k + 1) {
-                v.addInEdge(k, srcs[e], srcVals[e]);
-                e = e + 1;
-            }
+            Sys.fillNew(v.inEdges, e, srcs, srcVals);
+            e = e + nIn;
             v.setValue(init[i]);
             vs[i] = v;
         }

@@ -225,8 +225,9 @@ type Instr struct {
 	Blk      int
 	Blk2     int
 	Pos      lang.Pos
-	// Site is the stable allocation-site ID of an OpNew/OpNewArr emitted
-	// by the lowering pass (1..Program.NumSites). 0 means "no site":
+	// Site is the stable allocation-site ID of an OpNew/OpNewArr or a
+	// Sys.fillNew OpIntr (which allocates instances of Cls) emitted by the
+	// lowering pass (1..Program.NumSites). 0 means "no site":
 	// either the instruction is not an allocation or it was synthesized
 	// after lowering (transform helpers), in which case lifetime analysis
 	// treats it as unknown. Site IDs survive the FACADE transform, so a

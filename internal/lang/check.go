@@ -882,6 +882,11 @@ func (ck *checker) sysCall(x *CallExpr, sc *scope) (*Type, error) {
 			}
 		}
 		return VoidType, nil
+	case "fillNew":
+		if err := ck.fillNew(x, argTypes); err != nil {
+			return nil, err
+		}
+		return VoidType, nil
 	case "release":
 		// §3.6: hint that a large (oversize-paged) data structure is dead
 		// before its iteration ends — e.g. the old array after a resize.
@@ -903,6 +908,36 @@ func (ck *checker) sysCall(x *CallExpr, sc *scope) (*Type, error) {
 		return VoidType, nil
 	}
 	return nil, ck.errf(x.Pos, "unknown builtin Sys.%s", x.Method)
+}
+
+// fillNew checks Sys.fillNew(C[] dst, int from, col_1, ..., col_k), §3.5's
+// conversion at the interaction point done in bulk: dst[i] becomes a new C
+// whose j-th instance field (AllFields order) is col_j[from+i]. Every field
+// of C is primitive, and column j is an array of exactly field j's type.
+func (ck *checker) fillNew(x *CallExpr, argTypes []*Type) error {
+	if len(argTypes) < 2 {
+		return ck.errf(x.Pos, "Sys.fillNew expects a destination array, a start position and one column per field")
+	}
+	dt := argTypes[0]
+	if dt.Kind != TArray || dt.Elem.Kind != TClass {
+		return ck.errf(x.Pos, "Sys.fillNew needs an array of a class, got %s", dt)
+	}
+	cls := ck.h.Class(dt.Elem.Name)
+	if argTypes[1] != IntType {
+		return ck.errf(x.Pos, "Sys.fillNew start position must be int")
+	}
+	if cols := len(argTypes) - 2; cols != len(cls.AllFields) {
+		return ck.errf(x.Pos, "Sys.fillNew of %s needs %d columns, one per field, got %d", cls.Name, len(cls.AllFields), cols)
+	}
+	for j, f := range cls.AllFields {
+		if f.Type.IsRef() {
+			return ck.errf(x.Pos, "Sys.fillNew of %s: field %s is a reference; every field must be primitive", cls.Name, f.Name)
+		}
+		if want := ArrayOf(f.Type); !argTypes[2+j].Equals(want) {
+			return ck.errf(x.Pos, "Sys.fillNew of %s: column %d (field %s) must be %s, got %s", cls.Name, j+1, f.Name, want, argTypes[2+j])
+		}
+	}
+	return nil
 }
 
 func (ck *checker) newExpr(x *NewExpr, sc *scope) (*Type, error) {

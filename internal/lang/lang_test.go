@@ -240,6 +240,46 @@ func TestCheckerErrors(t *testing.T) {
 	}
 }
 
+// TestFillNewChecks holds Sys.fillNew to its signature: an array of a class
+// whose fields are all primitive, an int start, and one column per field,
+// in AllFields order (superclass first), each an array of exactly the
+// field's type.
+func TestFillNewChecks(t *testing.T) {
+	const classes = `
+class Base { long l; }
+class P extends Base { byte b; double d; }
+class R { int x; R next; }
+`
+	buildChecked(t, classes+`class A { void m(P[] ps, long[] ls, byte[] bs, double[] ds) { Sys.fillNew(ps, 0, ls, bs, ds); } }`)
+	cases := map[string]struct{ body, want string }{
+		"reference field": {"R[] rs = new R[2]; int[] xs = new int[2]; R[] ns = new R[2]; Sys.fillNew(rs, 0, xs, ns);",
+			"field next is a reference"},
+		"too few columns": {"P[] ps = new P[2]; long[] ls = new long[2]; byte[] bs = new byte[2]; Sys.fillNew(ps, 0, ls, bs);",
+			"needs 3 columns, one per field, got 2"},
+		"too many columns": {"P[] ps = new P[2]; long[] ls = new long[2]; Sys.fillNew(ps, 0, ls, ls, ls, ls);",
+			"needs 3 columns, one per field, got 4"},
+		"wrong element type": {"P[] ps = new P[2]; long[] ls = new long[2]; int[] is = new int[2]; double[] ds = new double[2]; Sys.fillNew(ps, 0, ls, is, ds);",
+			"column 2 (field b) must be byte[], got int[]"},
+		"columns out of order": {"P[] ps = new P[2]; long[] ls = new long[2]; byte[] bs = new byte[2]; double[] ds = new double[2]; Sys.fillNew(ps, 0, bs, ls, ds);",
+			"column 1 (field l) must be long[], got byte[]"},
+		"not an array": {"P p = new P(); long[] ls = new long[2]; byte[] bs = new byte[2]; double[] ds = new double[2]; Sys.fillNew(p, 0, ls, bs, ds);",
+			"needs an array of a class, got P"},
+		"primitive array": {"int[] xs = new int[2]; Sys.fillNew(xs, 0, xs);", "needs an array of a class, got int[]"},
+		"start not int": {"P[] ps = new P[2]; long[] ls = new long[2]; byte[] bs = new byte[2]; double[] ds = new double[2]; Sys.fillNew(ps, 1L, ls, bs, ds);",
+			"start position must be int"},
+	}
+	for name, c := range cases {
+		f := mustParse(t, "class Object { }\n"+classes+"class A { void m() { "+c.body+" } }")
+		h, err := BuildHierarchy(f)
+		if err != nil {
+			t.Fatalf("%s: hierarchy: %v", name, err)
+		}
+		if err := Check(h); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: check error %v, want one containing %q", name, err, c.want)
+		}
+	}
+}
+
 func TestWideningInserted(t *testing.T) {
 	h := buildChecked(t, `
 class A {

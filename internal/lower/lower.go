@@ -666,6 +666,12 @@ func (b *builder) callExpr(x *lang.CallExpr) (ir.Reg, error) {
 		} else if len(x.Args) > 0 {
 			in.Type = x.Args[0].Type()
 		}
+		if x.Intrinsic == "fillNew" {
+			// A bulk allocation of the destination's element class: one
+			// site, like the new it stands for.
+			in.Cls = b.h.Class(in.Type.Elem.Name)
+			in.Site = b.newSite()
+		}
 		b.emit(in)
 		return in.Dst, nil
 	}

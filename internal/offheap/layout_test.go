@@ -27,3 +27,33 @@ func TestManagerAllocFieldsOwnTheirLines(t *testing.T) {
 		}
 	}
 }
+
+// TestRuntimeTableOwnsItsLines is the layout guard for Runtime.table, which
+// every record access of every thread loads: the fields written on page
+// acquires (mu, free, live) and on array allocations (arrTypes' lock) and
+// every other field of the store lie at least a cache-line pair away from
+// it, so none of those writes invalidates the line the readers hold.
+func TestRuntimeTableOwnsItsLines(t *testing.T) {
+	var rt Runtime
+	lo := unsafe.Offsetof(rt.table)
+	hi := lo + unsafe.Sizeof(rt.table)
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"mu", unsafe.Offsetof(rt.mu), unsafe.Sizeof(rt.mu)},
+		{"free", unsafe.Offsetof(rt.free), unsafe.Sizeof(rt.free)},
+		{"live", unsafe.Offsetof(rt.live), unsafe.Sizeof(rt.live)},
+		{"arrTypes", unsafe.Offsetof(rt.arrTypes), unsafe.Sizeof(rt.arrTypes)},
+		{"nextIter", unsafe.Offsetof(rt.nextIter), unsafe.Sizeof(rt.nextIter)},
+		{"Locks", unsafe.Offsetof(rt.Locks), unsafe.Sizeof(rt.Locks)},
+		{"stats", unsafe.Offsetof(rt.stats), unsafe.Sizeof(rt.stats)},
+		{"quota", unsafe.Offsetof(rt.quota), unsafe.Sizeof(rt.quota)},
+		{"tier", unsafe.Offsetof(rt.tier), unsafe.Sizeof(rt.tier)},
+	} {
+		if f.off+f.size+cacheLinePair > lo && f.off < hi+cacheLinePair {
+			t.Errorf("Runtime.%s at [%d, %d) is within %d bytes of table at [%d, %d)",
+				f.name, f.off, f.off+f.size, cacheLinePair, lo, hi)
+		}
+	}
+}

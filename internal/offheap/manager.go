@@ -92,16 +92,18 @@ func (rt *Runtime) NewManager(parent *PageManager, iterID, threadID int) *PageMa
 
 // alloc carves size zeroed bytes, writes the record header into them —
 // the type word and, for arrays (arrLen >= 0), the length — and returns
-// their page reference. The header goes through the page in hand, while
-// the acquire or bump pin still holds it resident, so no second resolution
-// is needed. pk is the allocating thread's Parker, handed to the spill a
-// page acquire or the allocation's end may start. Allocation from a
+// their page reference and the bytes Bytes would resolve it to. The header
+// goes through the page in hand, while the acquire or bump pin still holds
+// it resident, so no second resolution is needed. A bump page stays pinned;
+// a large record's page may be spilled by the allocation's own end, and its
+// bytes are then nil. pk is the allocating thread's Parker, handed to the
+// spill a page acquire or the allocation's end may start. Allocation from a
 // released manager and page-acquire failures surface as typed errors
 // (ErrReleasedManager, ErrPageExhausted) rather than panics, so they can
 // propagate through the VM boundary and be recovered from.
-func (m *PageManager) alloc(pk Parker, size int, typeWord uint16, arrLen int) (PageRef, error) {
+func (m *PageManager) alloc(pk Parker, size int, typeWord uint16, arrLen int) (PageRef, []byte, error) {
 	if m.released {
-		return 0, fmt.Errorf("%w (iteration %d, thread %d)", ErrReleasedManager, m.IterID, m.ThreadID)
+		return 0, nil, fmt.Errorf("%w (iteration %d, thread %d)", ErrReleasedManager, m.IterID, m.ThreadID)
 	}
 	size = (size + 7) &^ 7
 	ci := classFor(size)
@@ -110,7 +112,7 @@ func (m *PageManager) alloc(pk Parker, size int, typeWord uint16, arrLen int) (P
 		// allocated on empty pages"), oversize if it exceeds PageSize.
 		p, err := m.rt.getPage(size, pk)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		m.pages = append(m.pages, p)
 		m.notePages()
@@ -119,14 +121,14 @@ func (m *PageManager) alloc(pk Parker, size int, typeWord uint16, arrLen int) (P
 		// from here on it may spill like any other.
 		m.rt.unpinAcquire(p)
 		m.finishAlloc(pk)
-		return MakeRef(p.idx, 0), nil
+		return MakeRef(p.idx, 0), p.bytes(), nil
 	}
 	p := m.cur[ci]
 	if p == nil || m.pos[ci]+size > PageSize {
 		var err error
 		p, err = m.rt.getPage(PageSize, pk)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		// The new page keeps its acquire pin as the bump-page pin: the
 		// evictor must never take the page a manager is bump-allocating
@@ -138,9 +140,10 @@ func (m *PageManager) alloc(pk Parker, size int, typeWord uint16, arrLen int) (P
 	}
 	off := m.pos[ci]
 	m.pos[ci] += size
-	initRecord(p.bytes()[off:off+size], typeWord, arrLen)
+	b := p.bytes()[off:]
+	initRecord(b[:size], typeWord, arrLen)
 	m.finishAlloc(pk)
-	return MakeRef(p.idx, off), nil
+	return MakeRef(p.idx, off), b, nil
 }
 
 // initRecord zeroes a freshly carved record and writes its header.
@@ -239,6 +242,15 @@ func (m *PageManager) PageCount() int { return len(m.pages) }
 // body size and returns its page reference. pk parks the allocating thread
 // for a spill the allocation starts (nil: spill inline).
 func (m *PageManager) AllocRecord(pk Parker, typeID uint16, bodySize int) (PageRef, error) {
+	ref, _, err := m.alloc(pk, ScalarHeader+bodySize, typeID, -1)
+	return ref, err
+}
+
+// NewRecord is AllocRecord for a caller that writes the record at once: it
+// also returns the record's bytes, valid as Bytes' are, or nil when the
+// allocation's own spill took the page (only a record over half a page
+// has one of its own).
+func (m *PageManager) NewRecord(pk Parker, typeID uint16, bodySize int) (PageRef, []byte, error) {
 	return m.alloc(pk, ScalarHeader+bodySize, typeID, -1)
 }
 
@@ -252,7 +264,8 @@ func (m *PageManager) AllocArray(pk Parker, arrTypeIdx int, elemSize, n int) (Pa
 	if arrTypeIdx < 0 {
 		return 0, ErrTooManyArrayTypes
 	}
-	return m.alloc(pk, ArrayHeader+n*elemSize, arrayTypeBit|uint16(arrTypeIdx), n)
+	ref, _, err := m.alloc(pk, ArrayHeader+n*elemSize, arrayTypeBit|uint16(arrTypeIdx), n)
+	return ref, err
 }
 
 // IterScope manages a thread's stack of page managers: the default

@@ -118,9 +118,15 @@ type Runtime struct {
 	// live holds the managers not yet released; their record counts are
 	// folded into Stats.
 	live map[*PageManager]struct{}
+
+	_ [cacheLinePair]byte
 	// table is a copy-on-write page table so record accesses resolve page
-	// references without locking.
+	// references without locking. Every record access of every thread
+	// loads it, while mu, free and live above are written on each page
+	// acquire and arrTypes' lock below on each array allocation, so it keeps
+	// a cache-line pair to itself on both sides (vm.Thread's reason again).
 	table atomic.Pointer[[]*page]
+	_     [cacheLinePair]byte
 
 	// arrTypes is the array type registry; the type word leaves 14 bits
 	// for its indices.

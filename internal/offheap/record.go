@@ -14,7 +14,8 @@ import "encoding/binary"
 // caller then faults the page in and resolves again: the VM's dispatch
 // loop and boundary through Fault, which may also spill, the whole-record
 // helpers below (header words, reference slots, body copies) through
-// resolve, which never does. A caller passes the header size its
+// resolve, which never does (nor does Resident, its error-returning form
+// for the VM's bulk conversion). A caller passes the header size its
 // operation implies (ScalarHeader for a field, ArrayHeader for an
 // element); the helpers read the header to find the body.
 
@@ -37,21 +38,38 @@ func (rt *Runtime) Bytes(ref PageRef) []byte {
 	return nil
 }
 
-// resolve is Bytes with the fault folded in, for the whole-record helpers:
-// a spilled page is promoted on the spot. It never spills — ArrayCopy
-// holds the source's bytes while it resolves the destination — so a
-// promotion here may leave the store over its high watermark until the
-// next allocation end or Fault. A failed promotion panics with *TierFault,
-// recovered at the VM call boundary.
-func (rt *Runtime) resolve(ref PageRef) []byte {
+// Resident is Bytes with the fault folded in, for a caller that holds the
+// bytes of several records at once: a spilled page is promoted on the spot,
+// and no other page is spilled, so bytes resolved before stay valid. A
+// promotion may therefore leave the store over its high watermark until the
+// next allocation end or Fault. A failed promotion is returned.
+func (rt *Runtime) Resident(ref PageRef) ([]byte, error) {
 	for {
 		if b := rt.Bytes(ref); b != nil {
-			return b
+			return b, nil
 		}
 		if _, err := rt.promote(ref); err != nil {
-			panic(&TierFault{Err: err})
+			return nil, err
 		}
 	}
+}
+
+// resolve is Resident for the whole-record helpers (ArrayCopy holds the
+// source's bytes while it resolves the destination). A failed promotion
+// panics with *TierFault, recovered at the VM call boundary. It tests the
+// resident case itself rather than only wrapping Resident: a bare wrapper
+// would inline into the one-line helpers that call it (TypeID, ArrayLen, …)
+// and push them over the inliner's budget, and the VM's hot paths inline
+// those helpers.
+func (rt *Runtime) resolve(ref PageRef) []byte {
+	if b := rt.Bytes(ref); b != nil {
+		return b
+	}
+	b, err := rt.Resident(ref)
+	if err != nil {
+		panic(&TierFault{Err: err})
+	}
+	return b
 }
 
 // TypeWord reads the raw type word (class ID, or array bit | array type

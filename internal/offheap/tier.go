@@ -132,6 +132,18 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 // Tiered reports whether the store has a disk tier attached.
 func (rt *Runtime) Tiered() bool { return rt.tier != nil }
 
+// Spills returns how many pages the store has spilled so far (zero without
+// a tier). The count only grows, and a page leaves DRAM only by a spill, so
+// record bytes a thread resolved stay valid for as long as Spills reads the
+// same: a caller holding bytes across an allocation, which may spill,
+// resolves again only when the count has moved.
+func (rt *Runtime) Spills() int64 {
+	if t := rt.tier; t != nil {
+		return t.cSpilled.Load()
+	}
+	return 0
+}
+
 // Pins returns the number of pins held on the store's pages: one per bump
 // page a live manager allocates into. With every manager released it is
 // zero — a leaked pin makes a page unevictable for the rest of the run.

@@ -22,7 +22,7 @@ func TestEngineCensus(t *testing.T) {
 		build func() (*ir.Program, *ir.Program, error)
 		p, p2 census
 	}{
-		{"graphchi", graphchi.BuildPrograms, census{539, 460}, census{716, 633}},
+		{"graphchi", graphchi.BuildPrograms, census{515, 442}, census{675, 602}},
 		{"hyracks", hyracks.BuildPrograms, census{967, 835}, census{1837, 1661}},
 		{"gps", gps.BuildPrograms, census{766, 653}, census{1095, 970}},
 	}

@@ -456,8 +456,8 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 		case xAbs:
 			regs[in.Dst] = math.Float64bits(math.Abs(math.Float64frombits(regs[in.A])))
 		case xIntr:
-			// I/O, iteration control, arraycopy: these pay the call.
-			v, err := t.intrinsic(int(in.Imm), c.Src[pc-1], regs)
+			// I/O, iteration control, the bulk array ops: these pay the call.
+			v, err := t.intrinsic(in, c.Src[pc-1], regs)
 			if err != nil {
 				return 0, err
 			}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -25,6 +26,8 @@ const (
 	inRand
 	inArraycopy
 	inArraycopyRec
+	inFillNew
+	inFillNewRec
 	inRelease
 	inReleaseRec
 	inIterStart
@@ -33,24 +36,29 @@ const (
 )
 
 // intrinsics gives each Sys.* builtin its index and the argument count the
-// linker holds every call site to.
+// linker holds every call site to; perClass marks Sys.fillNew's, which is
+// its class's: a destination, a start and one column per field of Cls.
+const perClass = -1
+
 var intrinsics = map[string]struct{ index, args int }{
 	"print": {inPrint, 1}, "println": {inPrintln, 1},
 	"printRec": {inPrintRec, 1}, "printlnRec": {inPrintlnRec, 1},
 	"sqrt": {inSqrt, 1}, "abs": {inAbs, 1}, "exp": {inExp, 1}, "log": {inLog, 1},
 	"rand": {inRand, 1}, "arraycopy": {inArraycopy, 5}, "arraycopyRec": {inArraycopyRec, 5},
+	"fillNew": {inFillNew, perClass}, "fillNewRec": {inFillNewRec, perClass},
 	"release": {inRelease, 1}, "releaseRec": {inReleaseRec, 1},
 	"iterStart": {inIterStart, 0}, "iterEnd": {inIterEnd, 0},
 	"trapNoReturn": {inTrapNoReturn, 0},
 }
 
 // intrinsic dispatches the Sys.* builtins plus the page-half variants the
-// FACADE transform substitutes ("arraycopyRec", "printRec"/"printlnRec",
-// and OpStrLit's transformed twin handled in stringLiteral). idx is the
-// index the linker found for in.Sym.
-func (t *Thread) intrinsic(idx int, in *ir.Instr, regs []Value) (Value, error) {
+// FACADE transform substitutes ("arraycopyRec", "fillNewRec",
+// "printRec"/"printlnRec", and OpStrLit's transformed twin handled in
+// stringLiteral). s is the slot the linker built for in: Imm holds the
+// index it found for in.Sym.
+func (t *Thread) intrinsic(s *ir.Slot, in *ir.Instr, regs []Value) (Value, error) {
 	vm := t.vm
-	switch idx {
+	switch idx := int(s.Imm); idx {
 	case inPrint, inPrintln:
 		s, err := t.formatValue(in.Type, regs[in.Args[0]], false)
 		if err != nil {
@@ -83,6 +91,10 @@ func (t *Thread) intrinsic(idx int, in *ir.Instr, regs []Value) (Value, error) {
 		return 0, t.arraycopyHeap(in, regs)
 	case inArraycopyRec:
 		return 0, t.arraycopyRec(in, regs)
+	case inFillNew:
+		return 0, t.fillHeap(in, regs)
+	case inFillNewRec:
+		return 0, t.fillRec(uint16(s.A), in, regs)
 	case inRelease:
 		// Heap objects are the collector's business; nothing to do in P.
 		return 0, nil
@@ -100,7 +112,7 @@ func (t *Thread) intrinsic(idx int, in *ir.Instr, regs []Value) (Value, error) {
 	case inTrapNoReturn:
 		return 0, fmt.Errorf("vm: missing return in value-returning method")
 	}
-	panic(fmt.Sprintf("vm: intrinsic index %d out of the linker's table", idx))
+	panic(fmt.Sprintf("vm: intrinsic index %d out of the linker's table", s.Imm))
 }
 
 func (t *Thread) writeOut(s string, nl bool) {
@@ -211,9 +223,8 @@ func (t *Thread) arraycopyHeap(in *ir.Instr, regs []Value) error {
 		return errNPE("arraycopy")
 	}
 	sb, db := hp.Bytes(src), hp.Bytes(dst)
-	if n < 0 || srcPos < 0 || dstPos < 0 ||
-		srcPos+n > heap.ArrayLength(sb) || dstPos+n > heap.ArrayLength(db) {
-		return errBounds(srcPos+n, heap.ArrayLength(sb))
+	if err := checkCopy(srcPos, dstPos, n, heap.ArrayLength(sb), heap.ArrayLength(db)); err != nil {
+		return err
 	}
 	elem := hp.ArrayElemOf(src)
 	es := elem.FieldSize()
@@ -251,12 +262,191 @@ func (t *Thread) arraycopyRec(in *ir.Instr, regs []Value) error {
 	if src == 0 || dst == 0 {
 		return errNPE("arraycopy")
 	}
-	if n < 0 || srcPos < 0 || dstPos < 0 ||
-		srcPos+n > rt.ArrayLen(src) || dstPos+n > rt.ArrayLen(dst) {
-		return errBounds(srcPos+n, rt.ArrayLen(src))
+	if err := checkCopy(srcPos, dstPos, n, rt.ArrayLen(src), rt.ArrayLen(dst)); err != nil {
+		return err
 	}
 	es := rt.ArrayElemType(rt.ArrayTypeOf(src)).FieldSize()
 	rt.ArrayCopy(src, srcPos, dst, dstPos, n, es)
+	return nil
+}
+
+// checkRun is the bounds check of a bulk operation over a run of an array:
+// the n elements from pos must lie inside its length. The message names the
+// operation and the array (what), so that an operation over several arrays
+// blames the one that overflowed; a negative n is the operation's fault,
+// not an array's.
+func checkRun(op, what string, pos, n, length int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("ArrayIndexOutOfBoundsException: %s length %d is negative", op, n)
+	case pos < 0 || pos > length-n:
+		return fmt.Errorf("ArrayIndexOutOfBoundsException: %s %s [%d, %d) out of bounds for length %d",
+			op, what, pos, pos+n, length)
+	}
+	return nil
+}
+
+// checkCopy checks both runs of Sys.arraycopy, the same in P and P'.
+func checkCopy(srcPos, dstPos, n, srcLen, dstLen int) error {
+	if err := checkRun("arraycopy", "source", srcPos, n, srcLen); err != nil {
+		return err
+	}
+	return checkRun("arraycopy", "destination", dstPos, n, dstLen)
+}
+
+// Sys.fillNew(C[] dst, int from, col_1, ..., col_k) is §3.5's conversion at
+// the interaction point, done in one call: dst[i] becomes a new C (in.Cls)
+// whose j-th field, in AllFields order, is col_j[from+i]. Both halves run
+// every check before the first allocation, so a trap leaves dst untouched
+// and reads the same in P and P'; the call then makes exactly len(dst)
+// allocations, as the loop of news it replaces did. A field and its column
+// element have one slot layout in both memories, so each field moves through
+// the loadSlot/storeSlot codec.
+
+// fillSlot is one field of a fill: its offset in the body, its kind, and its
+// width, which is also its column's element width. The halves lay the
+// class out once per call, not once per element.
+type fillSlot struct {
+	off, width int
+	kind       lang.TypeKind
+}
+
+// fillLayout lays in.Cls's fields out into buf, which is grown if short.
+func fillLayout(in *ir.Instr, buf []fillSlot) []fillSlot {
+	buf = buf[:0]
+	for _, f := range in.Cls.AllFields {
+		buf = append(buf, fillSlot{f.Offset, f.Type.FieldSize(), f.Type.Kind})
+	}
+	return buf
+}
+
+// fillNulls is Sys.fillNew's null check of its destination and columns.
+func fillNulls(in *ir.Instr, regs []Value) error {
+	if regs[in.Args[0]] == 0 {
+		return errNPE("fillNew destination")
+	}
+	for j, f := range in.Cls.AllFields {
+		if regs[in.Args[2+j]] == 0 {
+			return errNPE("fillNew column " + f.Name)
+		}
+	}
+	return nil
+}
+
+// fillRuns checks that every column holds the n elements from from, given
+// its length.
+func fillRuns(in *ir.Instr, from, n int, length func(j int) int) error {
+	for j, f := range in.Cls.AllFields {
+		if err := checkRun("fillNew column", f.Name, from, n, length(j)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fillHeap is Sys.fillNew on the heap (program P). An allocation may
+// collect and move dst and the columns; the collector updates the frame's
+// registers as roots, so every address is read from regs again after each
+// allocation, and the new object goes into dst through the write barrier.
+func (t *Thread) fillHeap(in *ir.Instr, regs []Value) error {
+	hp := t.vm.Heap
+	if err := fillNulls(in, regs); err != nil {
+		return err
+	}
+	args := in.Args
+	length := func(r ir.Reg) int { return heap.ArrayLength(hp.Bytes(heap.Addr(regs[r]))) }
+	from, n := int(int32(regs[args[1]])), length(args[0])
+	if err := fillRuns(in, from, n, func(j int) int { return length(args[2+j]) }); err != nil {
+		return err
+	}
+	var buf [8]fillSlot
+	slots := fillLayout(in, buf[:])
+	for i := 0; i < n; i++ {
+		obj, err := hp.AllocObject(t.tc, in.Cls, in.Site)
+		if err != nil {
+			return err
+		}
+		body := hp.Bytes(obj)[heap.ScalarHeader:]
+		for j, f := range slots {
+			col := hp.Bytes(heap.Addr(regs[args[2+j]]))[heap.ArrayHeader+(from+i)*f.width:]
+			storeSlot(body[f.off:], f.kind, loadSlot(col, f.kind))
+		}
+		dst, slot := heap.Addr(regs[args[0]]), heap.ArrayHeader+i*8
+		binary.LittleEndian.PutUint64(hp.Bytes(dst)[slot:], uint64(obj))
+		hp.Barrier(t.tc, dst+heap.Addr(slot), obj)
+	}
+	return nil
+}
+
+// fillRec is Sys.fillNew on the page store (program P'): each record is
+// allocated from the thread's current manager with type word tw, the
+// facade class the linker found for in.Cls, and written through the bytes
+// the allocation returns. dst and the columns are resolved once, into views
+// indexed like in.Args (views[1], the start, is unused), with Resident: no
+// promotion spills a page another view points into. Only an allocation can
+// spill one — with the world stopped — so the views are resolved again only
+// when the store's spill count has moved.
+func (t *Thread) fillRec(tw uint16, in *ir.Instr, regs []Value) error {
+	rt := t.vm.RT
+	if err := fillNulls(in, regs); err != nil {
+		return err
+	}
+	args := in.Args
+	var buf [8][]byte
+	views := buf[:]
+	if len(args) > len(buf) {
+		views = make([][]byte, len(args))
+	}
+	views = views[:len(args)]
+	spills := rt.Spills()
+	if err := t.fillViews(args, regs, views); err != nil {
+		return err
+	}
+	from, n := int(int32(regs[args[1]])), offheap.ArrayLength(views[0])
+	if err := fillRuns(in, from, n, func(j int) int { return offheap.ArrayLength(views[2+j]) }); err != nil {
+		return err
+	}
+	var sbuf [8]fillSlot
+	slots := fillLayout(in, sbuf[:])
+	pm := t.iter.Current()
+	for i := 0; i < n; i++ {
+		ref, rec, err := pm.NewRecord(parker{t}, tw, in.Cls.BodySize)
+		if err != nil {
+			return err
+		}
+		if now := rt.Spills(); now != spills {
+			spills = now
+			if err := t.fillViews(args, regs, views); err != nil {
+				return err
+			}
+		}
+		if rec == nil {
+			if rec, err = rt.Resident(ref); err != nil {
+				return err
+			}
+		}
+		body := rec[offheap.ScalarHeader:]
+		for j, f := range slots {
+			col := views[2+j][offheap.ArrayHeader+(from+i)*f.width:]
+			storeSlot(body[f.off:], f.kind, loadSlot(col, f.kind))
+		}
+		binary.LittleEndian.PutUint64(views[0][offheap.ArrayHeader+i*8:], uint64(ref))
+	}
+	return nil
+}
+
+// fillViews resolves fillRec's destination and columns into views.
+func (t *Thread) fillViews(args []ir.Reg, regs []Value, views [][]byte) error {
+	for k, r := range args {
+		if k == 1 {
+			continue
+		}
+		b, err := t.vm.RT.Resident(offheap.PageRef(regs[r]))
+		if err != nil {
+			return err
+		}
+		views[k] = b
+	}
 	return nil
 }
 

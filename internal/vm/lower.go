@@ -111,7 +111,7 @@ const (
 	xBranch // A != 0 selects C, else Imm
 	xSqrt   // Dst = sqrt(A)
 	xAbs
-	xIntr // Imm = intrinsic index
+	xIntr // Imm = intrinsic index; A = fillNewRec's record type word
 
 	// Page half.
 	xPNew // A = class ID, Imm = record size
@@ -461,10 +461,30 @@ func (vm *VM) lowerInstr(f *ir.Func, in *ir.Instr, index map[*ir.Func]int64) (ir
 		if !ok {
 			return bad("unknown intrinsic %s", in.Sym)
 		}
-		if len(in.Args) != intr.args {
-			return bad("intrinsic %s expects %d args, got %d", in.Sym, intr.args, len(in.Args))
+		want := intr.args
+		if want == perClass {
+			if in.Cls == nil {
+				return bad("intrinsic %s without a class", in.Sym)
+			}
+			for _, f := range in.Cls.AllFields {
+				if f.Type.IsRef() {
+					return bad("intrinsic %s of %s: field %s is a reference", in.Sym, in.Cls.Name, f.Name)
+				}
+			}
+			want = 2 + len(in.Cls.AllFields)
+		}
+		if len(in.Args) != want {
+			return bad("intrinsic %s expects %d args, got %d", in.Sym, want, len(in.Args))
 		}
 		s.Op, s.Imm = xIntr, int64(intr.index)
+		if intr.index == inFillNewRec {
+			// The records' type word, as a pnew's: the facade class of Cls.
+			fc := vm.Prog.H.Class(ir.FacadeName(in.Cls.Name))
+			if fc == nil {
+				return bad("intrinsic %s: no facade class for %s", in.Sym, in.Cls.Name)
+			}
+			s.A = int32(fc.ID)
+		}
 		// The pure-math intrinsics the engines' inner loops call run inline.
 		switch {
 		case in.Dst == ir.NoReg:
