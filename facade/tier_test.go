@@ -52,8 +52,8 @@ class Main {
 `
 
 // closeClean closes a tiered run and checks the leak postcondition every
-// tiered leg ends with: no pinned page, no live page manager, and no spill
-// file left in the tier's directory.
+// tiered leg ends with: no pinned page, no live page manager, no pool lock
+// in use, and no spill file left in the tier's directory.
 func closeClean(t *testing.T, res *Result, dir string) {
 	t.Helper()
 	res.Close()
@@ -62,6 +62,9 @@ func closeClean(t *testing.T, res *Result, dir string) {
 	}
 	if n := res.VM.RT.LiveManagers(); n != 0 {
 		t.Errorf("%d live page manager(s) left after Close", n)
+	}
+	if n := res.VM.RT.Locks.InUse(); n != 0 {
+		t.Errorf("%d pool lock(s) in use after Close", n)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "spill-*.pages"))
 	if err != nil {

@@ -16,6 +16,10 @@ import (
 // record's lock field is zeroed, so the number of live lock objects is
 // O(threads × nesting), not O(records). A lock is built only when every
 // built one is in use, and defaultLockPoolSize caps how many ever are.
+//
+// The pool never resolves a record: Enter and Exit take the record bytes
+// their caller resolved, so nothing under the pool mutex can promote, spill
+// or fail on a page fault.
 const defaultLockPoolSize = 4096
 
 // Parker is the calling thread's hook into the heap's safepoint protocol: a
@@ -129,12 +133,14 @@ func (lp *LockPool) freeLocked(id uint16) {
 	lp.inUse--
 }
 
-// Enter implements enterMonitor(record): it binds a pool lock to the
-// record if none is bound, then acquires it reentrantly on behalf of
-// owner. The Parker, if non-nil, marks the thread parked while blocked.
-func (lp *LockPool) Enter(rt *Runtime, ref PageRef, owner any, pk Parker) error {
+// Enter implements enterMonitor(record) over rec, the record's resolved
+// bytes: it binds a pool lock to the record if none is bound, then acquires
+// it reentrantly on behalf of owner. The Parker, if non-nil, marks the
+// thread parked while blocked; rec is not touched after that, since a
+// parked thread's pages may be spilled.
+func (lp *LockPool) Enter(rec []byte, owner any, pk Parker) error {
 	lp.mu.Lock()
-	id := rt.GetLockID(ref)
+	id := getU16(rec[2:])
 	if id == 0 {
 		var err error
 		id, err = lp.acquireFreeLocked()
@@ -142,7 +148,7 @@ func (lp *LockPool) Enter(rt *Runtime, ref PageRef, owner any, pk Parker) error 
 			lp.mu.Unlock()
 			return err
 		}
-		rt.SetLockID(ref, id)
+		putU16(rec[2:], id)
 	}
 	l := lp.locks[id-1]
 	l.users++
@@ -166,11 +172,12 @@ func (lp *LockPool) Enter(rt *Runtime, ref PageRef, owner any, pk Parker) error 
 	return nil
 }
 
-// Exit implements exitMonitor(record). When the last user releases the
-// lock it is returned to the pool and the record's lock field is zeroed.
-func (lp *LockPool) Exit(rt *Runtime, ref PageRef, owner any) error {
+// Exit implements exitMonitor(record) over rec, the record's resolved
+// bytes. When the last user releases the lock it is returned to the pool
+// and the record's lock field is zeroed.
+func (lp *LockPool) Exit(rec []byte, owner any) error {
 	lp.mu.Lock()
-	id := rt.GetLockID(ref)
+	id := getU16(rec[2:])
 	if id == 0 {
 		lp.mu.Unlock()
 		return fmt.Errorf("offheap: exitMonitor on unlocked record")
@@ -195,7 +202,7 @@ func (lp *LockPool) Exit(rt *Runtime, ref PageRef, owner any) error {
 	if l.users == 0 {
 		// No thread holds or waits on this lock: recycle it.
 		if l.owner == nil {
-			rt.SetLockID(ref, 0)
+			putU16(rec[2:], 0)
 			lp.freeLocked(id)
 		}
 	}

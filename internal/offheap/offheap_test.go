@@ -26,12 +26,31 @@ func mustRecord(t testing.TB, m *PageManager, typeID uint16, size int) PageRef {
 	return ref
 }
 
+// resident resolves ref with Resident, which promotes a spilled page and
+// spills none, so the tests may hold the bytes of several records at once.
+// A failed promotion fails the test: the tests that inject one call
+// Resident and Fault themselves.
+func resident(rt *Runtime, ref PageRef) []byte {
+	b, err := rt.Resident(ref)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// recordBody skips the header of resolved record bytes.
+func recordBody(b []byte) []byte {
+	if _, ok := ArrayType(TypeWord(b)); ok {
+		return b[ArrayHeader:]
+	}
+	return b[ScalarHeader:]
+}
+
 // get and put read and write one typed slot of a record body the way
-// production code does: one resolution (promoting a spilled page), the
-// header skipped, the value decoded in place. The store itself exports no
-// per-type accessors.
+// production code does: one resolution, the header skipped, the value
+// decoded in place. The store itself exports no per-type accessors.
 func get[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int) T {
-	b := body(rt.resolve(ref))[off:]
+	b := recordBody(resident(rt, ref))[off:]
 	var v T
 	switch p := any(&v).(type) {
 	case *int8:
@@ -47,7 +66,7 @@ func get[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int) T 
 }
 
 func put[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int, v T) {
-	b := body(rt.resolve(ref))[off:]
+	b := recordBody(resident(rt, ref))[off:]
 	switch v := any(v).(type) {
 	case int8:
 		b[0] = byte(v)
@@ -65,17 +84,17 @@ func TestRecordRoundtrip(t *testing.T) {
 	s := newScope(rt, 0)
 	defer s.Close()
 	ref := mustRecord(t, s.Current(), 7, 64)
-	if rt.ClassID(ref) != 7 || rt.IsArrayRecord(ref) {
-		t.Fatal("bad scalar header")
+	if tw := TypeWord(rt.Bytes(ref)); tw != 7 {
+		t.Fatalf("bad scalar header: type word %#x", tw)
 	}
 	put(rt, ref, 0, int32(-123))
 	put(rt, ref, 8, int64(1<<40))
 	put(rt, ref, 16, 3.25)
 	put(rt, ref, 24, int8(-5))
-	rt.SetRef(ref, 32, ref)
+	put(rt, ref, 32, ref)
 	if get[int32](rt, ref, 0) != -123 || get[int64](rt, ref, 8) != 1<<40 ||
 		get[float64](rt, ref, 16) != 3.25 || get[int8](rt, ref, 24) != -5 ||
-		rt.GetRef(ref, 32) != ref {
+		get[PageRef](rt, ref, 32) != ref {
 		t.Fatal("record field roundtrip failed")
 	}
 }
@@ -89,7 +108,8 @@ func TestArrayRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rt.IsArrayRecord(ref) || rt.ArrayLen(ref) != 1000 || rt.ArrayTypeOf(ref) != idx {
+	b := rt.Bytes(ref)
+	if got, ok := ArrayType(TypeWord(b)); !ok || got != idx || ArrayLength(b) != 1000 {
 		t.Fatal("bad array header")
 	}
 	for i := 0; i < 1000; i++ {
@@ -228,7 +248,7 @@ func TestOversizeAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.ArrayLen(ref) != 5*PageSize {
+	if ArrayLength(rt.Bytes(ref)) != 5*PageSize {
 		t.Fatal("oversize length wrong")
 	}
 	put(rt, ref, 5*PageSize-1, int8(42))
@@ -292,13 +312,13 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 			// equal, which makes every goroutine the same (reentrant) owner.
 			owner := new(int)
 			for j := 0; j < perThread; j++ {
-				if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+				if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
 					t.Error(err)
 					return
 				}
 				v := get[int32](rt, rec, 0)
 				put(rt, rec, 0, v+1)
-				if err := rt.Locks.Exit(rt, rec, owner); err != nil {
+				if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
 					t.Error(err)
 					return
 				}
@@ -311,7 +331,7 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 	}
 	// After the last exit the lock returns to the pool and the record's
 	// lock field is zeroed (§3.4).
-	if rt.GetLockID(rec) != 0 {
+	if getU16(rt.Bytes(rec)[2:]) != 0 {
 		t.Fatal("record lock field not zeroed after release")
 	}
 	if rt.Locks.InUse() != 0 {
@@ -326,12 +346,12 @@ func TestLockPoolReentrancy(t *testing.T) {
 	rec := mustRecord(t, s.Current(), 1, 16)
 	owner := &struct{}{}
 	for i := 0; i < 3; i++ {
-		if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := rt.Locks.Exit(rt, rec, owner); err != nil {
+		if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,10 +369,10 @@ func TestLockPoolBound(t *testing.T) {
 	owner := &struct{}{}
 	for i := 0; i < 10000; i++ {
 		rec := mustRecord(t, s.Current(), 1, 16)
-		if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Locks.Exit(rt, rec, owner); err != nil {
+		if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,17 +386,17 @@ func TestLockPoolExitErrors(t *testing.T) {
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
-	if err := rt.Locks.Exit(rt, rec, &struct{}{}); err == nil {
+	if err := rt.Locks.Exit(rt.Bytes(rec), &struct{}{}); err == nil {
 		t.Fatal("exit without enter must fail")
 	}
 	a, b := new(int), new(int) // distinct: zero-size pointers need not be
-	if err := rt.Locks.Enter(rt, rec, a, nil); err != nil {
+	if err := rt.Locks.Enter(rt.Bytes(rec), a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Locks.Exit(rt, rec, b); err == nil {
+	if err := rt.Locks.Exit(rt.Bytes(rec), b); err == nil {
 		t.Fatal("exit by non-owner must fail")
 	}
-	if err := rt.Locks.Exit(rt, rec, a); err != nil {
+	if err := rt.Locks.Exit(rt.Bytes(rec), a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -387,13 +407,13 @@ func nestLocks(t *testing.T, rt *Runtime, owner any, recs []PageRef) []uint16 {
 	t.Helper()
 	ids := make([]uint16, len(recs))
 	for i, rec := range recs {
-		if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = rt.GetLockID(rec)
+		ids[i] = getU16(rt.Bytes(rec)[2:])
 	}
 	for i := len(recs) - 1; i >= 0; i-- {
-		if err := rt.Locks.Exit(rt, recs[i], owner); err != nil {
+		if err := rt.Locks.Exit(rt.Bytes(recs[i]), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,7 +468,7 @@ func TestResetRefusesLockInUse(t *testing.T) {
 	rt := NewRuntime()
 	s := newScope(rt, 0)
 	rec := mustRecord(t, s.Current(), 1, 16)
-	if err := rt.Locks.Enter(rt, rec, new(int), nil); err != nil {
+	if err := rt.Locks.Enter(rt.Bytes(rec), new(int), nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close() // no live page left: only the lock can refuse
@@ -469,16 +489,16 @@ func TestLockPoolExhaustion(t *testing.T) {
 		recs[i] = mustRecord(t, s.Current(), 1, 16)
 	}
 	for _, rec := range recs[:defaultLockPoolSize] {
-		if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := rt.Locks.Enter(rt, recs[defaultLockPoolSize], owner, nil)
+	err := rt.Locks.Enter(rt.Bytes(recs[defaultLockPoolSize]), owner, nil)
 	if err == nil || err.Error() != "offheap: lock pool exhausted (4096 locks)" {
 		t.Fatalf("lock %d: %v, want the exhaustion error", defaultLockPoolSize+1, err)
 	}
 	for _, rec := range recs[:defaultLockPoolSize] {
-		if err := rt.Locks.Exit(rt, rec, owner); err != nil {
+		if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -510,13 +530,13 @@ func TestLockPoolGrowsUnderContention(t *testing.T) {
 			owner := new(int)
 			for j := 0; j < 200; j++ {
 				for _, rec := range recs {
-					if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
+					if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				for i := len(recs) - 1; i >= 0; i-- {
-					if err := rt.Locks.Exit(rt, recs[i], owner); err != nil {
+					if err := rt.Locks.Exit(rt.Bytes(recs[i]), owner); err != nil {
 						t.Error(err)
 						return
 					}

@@ -21,9 +21,11 @@ import (
 // A PageRef is valid whichever tier its page is on, and both tiers share
 // one record resolution: Bytes, which returns nil for a spilled page. The
 // reader that meets nil takes the one slow path, a page fault: Fault (or
-// resolve, inside the whole-record helpers) reads the body back under the
-// page's tierMu, publishes it whole, and the reader resolves again. Pages
-// go to disk only while the world is stopped — the heap's safepoint
+// Resident, for a reader holding other records' bytes) reads the body back
+// under the page's tierMu, publishes it whole, and the reader resolves
+// again. A failed read is returned as an error wrapping ErrPageExhausted,
+// so engines walk the degradation ladder they use for memory exhaustion.
+// Pages go to disk only while the world is stopped — the heap's safepoint
 // protocol, reached through the thread's Parker — and a thread holds record
 // bytes only while it runs between two safepoints, so no reader ever sees
 // its bytes spilled. The one pin left is a manager's on its bump page,
@@ -49,16 +51,6 @@ type TierConfig struct {
 	HighWater int
 	LowWater  int
 }
-
-// TierFault carries a failed promotion across the infallible whole-record
-// helpers: they panic with *TierFault, which the VM call boundary recovers
-// into the wrapped error. A disk-tier I/O failure wraps ErrPageExhausted,
-// so engines walk the same degradation ladder they use for memory
-// exhaustion.
-type TierFault struct{ Err error }
-
-func (f *TierFault) Error() string { return "offheap: tier fault: " + f.Err.Error() }
-func (f *TierFault) Unwrap() error { return f.Err }
 
 // tier is the disk tier's state: the spill file (fixed PageSize slots,
 // pread/pwrite on every platform — bodies are copied under tier.mu either

@@ -201,43 +201,55 @@ func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
 	checkTierAccounting(t, rt)
 }
 
+// TestTierLoadFaultSurfacesAsPageExhausted fails the first promotion read
+// and requires both slow paths of a record resolution, Fault and Resident,
+// to return it as an error wrapping ErrPageExhausted, with the page left on
+// disk.
 func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1)
-	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierLoadAt: 1}))
-	s := newScope(rt, 0)
-	defer s.Close()
-	refs := make([]PageRef, 6)
-	for i := range refs {
-		refs[i] = dedicated(t, s.Current(), 1)
-		put(rt, refs[i], 0, int64(i))
-	}
-	var tf *TierFault
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("injected TierLoad did not fire on the first promotion")
+	for _, c := range []struct {
+		name    string
+		resolve func(rt *Runtime, ref PageRef) error
+	}{
+		{"Fault", func(rt *Runtime, ref PageRef) error { return rt.Fault(ref, nil) }},
+		{"Resident", func(rt *Runtime, ref PageRef) error { _, err := rt.Resident(ref); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, _ := newTieredRuntime(t, 2, 1)
+			rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierLoadAt: 1}))
+			s := newScope(rt, 0)
+			defer s.Close()
+			refs := make([]PageRef, 6)
+			var spilled PageRef
+			for i := range refs {
+				refs[i] = dedicated(t, s.Current(), 1)
+				put(rt, refs[i], 0, int64(i))
 			}
-			var ok bool
-			if tf, ok = r.(*TierFault); !ok {
-				panic(r)
+			for _, ref := range refs {
+				if rt.Bytes(ref) == nil {
+					spilled = ref
+					break
+				}
 			}
-		}()
-		for _, ref := range refs {
-			get[int64](rt, ref, 0)
-		}
-	}()
-	if !errors.Is(tf, ErrPageExhausted) {
-		t.Fatalf("TierFault %v does not wrap ErrPageExhausted", tf)
+			if spilled == 0 {
+				t.Fatal("setup: no page was spilled")
+			}
+			if err := c.resolve(rt, spilled); !errors.Is(err, ErrPageExhausted) {
+				t.Fatalf("%s under an injected TierLoad = %v, want an error wrapping ErrPageExhausted", c.name, err)
+			}
+			if rt.Bytes(spilled) != nil {
+				t.Fatal("a failed promotion published the page")
+			}
+			// The schedule is one-shot: a retry of the same reads succeeds
+			// with the original values — the degradation ladder's replay
+			// contract.
+			for i, ref := range refs {
+				if got := get[int64](rt, ref, 0); got != int64(i) {
+					t.Fatalf("record %d = %d on retry after injected load fault", i, got)
+				}
+			}
+			checkTierAccounting(t, rt)
+		})
 	}
-	// The schedule is one-shot: a retry of the same reads succeeds with
-	// the original values — the degradation ladder's replay contract.
-	for i, ref := range refs {
-		if got := get[int64](rt, ref, 0); got != int64(i) {
-			t.Fatalf("record %d = %d on retry after injected load fault", i, got)
-		}
-	}
-	checkTierAccounting(t, rt)
 }
 
 func TestTierSpillFaultIsBestEffort(t *testing.T) {
@@ -323,10 +335,9 @@ func TestEnableTieringValidation(t *testing.T) {
 // reads over every slot kind (byte, int, long, double, reference), in
 // scalar and array records, against an untiered store and against a tiered
 // one that spills every page it can before each read. Values must agree,
-// through the whole-record helpers (each resolving a spilled page by
-// promotion) and through the one resolution the VM's record ops are built
-// on (Bytes, and Fault while it returns nil), and no operation may leave a
-// pin behind.
+// through both slow paths of the one resolution (Resident, which promotes
+// a spilled page on the spot, and Fault while Bytes returns nil), and no
+// operation may leave a pin behind.
 func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 	type store struct {
 		rt   *Runtime
@@ -371,11 +382,12 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 			put(rt, rec, 4, int32(-1000*i-7))
 			put(rt, rec, 8, int64(i)<<40|5)
 			put(rt, rec, 16, float64(i)+0.25)
-			rt.SetRef(rec, 24, arr)
-			rt.SetLockID(rec, uint16(i+1))
+			put(rt, rec, 24, arr)
+			putU16(resident(rt, rec)[2:], uint16(i+1)) // the lock field
 			put(rt, arr, 8*(i+1), int64(i)*77)
 			put(rt, arr, 8*2400, int8(i))
-			rt.ArrayCopy(arr, i+1, arr, 2000, 1, 8)
+			b := recordBody(resident(rt, arr))
+			copy(b[8*2000:8*2001], b[8*(i+1):8*(i+2)])
 		})
 	}
 	if tieredRT.Stats().PagesSpilled == 0 {
@@ -400,14 +412,17 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 			func(st *store) int64 { return int64(get[int32](st.rt, rec(st), 4)) },
 			func(st *store) int64 { return get[int64](st.rt, rec(st), 8) },
 			func(st *store) int64 { return int64(get[float64](st.rt, rec(st), 16) * 4) },
-			func(st *store) int64 { return int64(st.rt.GetRef(rec(st), 24)) - int64(arr(st)) },
-			func(st *store) int64 { return int64(st.rt.GetLockID(rec(st))) },
-			func(st *store) int64 { return int64(st.rt.TypeID(rec(st))) },
-			func(st *store) int64 { return int64(st.rt.ArrayLen(arr(st))) },
-			func(st *store) int64 { return int64(st.rt.ArrayTypeOf(arr(st))) },
+			func(st *store) int64 { return get[int64](st.rt, rec(st), 24) - int64(arr(st)) },
+			func(st *store) int64 { return int64(getU16(resident(st.rt, rec(st))[2:])) },
+			func(st *store) int64 { return int64(TypeWord(resident(st.rt, rec(st)))) },
+			func(st *store) int64 { return int64(ArrayLength(resident(st.rt, arr(st)))) },
+			func(st *store) int64 {
+				idx, _ := ArrayType(TypeWord(resident(st.rt, arr(st))))
+				return int64(idx)
+			},
 			func(st *store) int64 { return get[int64](st.rt, arr(st), 8*(i+1)) },
 			func(st *store) int64 { return int64(get[int8](st.rt, arr(st), 8*2400)) },
-			func(st *store) int64 { return int64(getU64(st.rt.ReadBody(arr(st), 8*2000, 8))) },
+			func(st *store) int64 { return get[int64](st.rt, arr(st), 8*2000) },
 			// The same slots through one resolution and the header size
 			// the operation implies, as the VM reads them.
 			func(st *store) int64 { return int64(TypeWord(bytesOf(st.rt, rec(st)))) },

@@ -94,10 +94,9 @@ func (t *Thread) makeString(s string) (Value, error) {
 }
 
 // NewString converts a Go string at the boundary and returns a handle.
-func (t *Thread) NewString(s string) (o Obj, err error) {
+func (t *Thread) NewString(s string) (Obj, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v, err := t.makeString(s)
 	if err != nil {
 		return NilObj, err
@@ -107,10 +106,9 @@ func (t *Thread) NewString(s string) (o Obj, err error) {
 
 // GoString reads a String object/record back into a Go string (an
 // exit-point conversion).
-func (t *Thread) GoString(o Obj) (s string, err error) {
+func (t *Thread) GoString(o Obj) (string, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if o == NilObj {
 		return "", nil
 	}
@@ -126,10 +124,9 @@ func (t *Thread) GoString(o Obj) (s string, err error) {
 
 // NewObj allocates a data object of class and runs its constructor with
 // the given arguments.
-func (t *Thread) NewObj(class string, args ...Arg) (o Obj, err error) {
+func (t *Thread) NewObj(class string, args ...Arg) (Obj, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v, err := t.newValue(class, args)
 	if err != nil {
 		return NilObj, err
@@ -201,7 +198,11 @@ func (t *Thread) facadeCall(fn *ir.Func, recv offheap.PageRef, args []Arg) (Valu
 	if !m.Static {
 		// Bind the receiver facade from the receiver pool of the record's
 		// runtime type.
-		tw := t.vm.RT.TypeID(recv)
+		b, err := t.record(recv)
+		if err != nil {
+			return 0, err
+		}
+		tw := offheap.TypeWord(b)
 		pe := t.pools[int(tw)]
 		if pe == nil {
 			return 0, fmt.Errorf("vm: no receiver pool for record type %d", tw)
@@ -260,7 +261,11 @@ func (t *Thread) bindParamFacade(declared *lang.Type, ref offheap.PageRef, perCl
 				return 0, fmt.Errorf("vm: no pool for null %s argument", declared)
 			}
 		} else {
-			poolID = int(t.vm.RT.TypeID(ref))
+			b, err := t.record(ref)
+			if err != nil {
+				return 0, err
+			}
+			poolID = int(offheap.TypeWord(b))
 		}
 	}
 	ppe := t.pools[poolID]
@@ -299,14 +304,13 @@ func (t *Thread) isFacadeType(ty *lang.Type) bool {
 // NewArr allocates a data array with the given element type ("int",
 // "byte", "double", "long", "boolean", or a class name, with optional []
 // suffixes).
-func (t *Thread) NewArr(elem string, n int) (o Obj, err error) {
+func (t *Thread) NewArr(elem string, n int) (Obj, error) {
 	ty, err := t.parseTypeName(elem)
 	if err != nil {
 		return NilObj, err
 	}
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if t.vm.Prog.Transformed {
 		ref, err := t.iter.Current().AllocArray(parker{t}, t.vm.RT.ArrayTypeIndex(ty), ty.FieldSize(), n)
 		if err != nil {
@@ -359,17 +363,20 @@ func (t *Thread) parseTypeName(name string) (*lang.Type, error) {
 
 // Invoke calls a method on a data object (virtual dispatch on its runtime
 // type) and returns the raw primitive result.
-func (t *Thread) Invoke(o Obj, method string, args ...Arg) (v Value, err error) {
+func (t *Thread) Invoke(o Obj, method string, args ...Arg) (Value, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if o == NilObj {
 		return 0, errNPE("boundary call " + method)
 	}
 	recv := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
 		ref := offheap.PageRef(recv)
-		fc := t.vm.Prog.H.ClassList[t.vm.RT.ClassID(ref)]
+		b, err := t.record(ref)
+		if err != nil {
+			return 0, err
+		}
+		fc := t.vm.Prog.H.ClassList[offheap.TypeWord(b)]
 		fn := t.vm.method(fc, method)
 		if fn == nil {
 			return 0, fmt.Errorf("vm: %s has no method %s", fc.Name, method)
@@ -409,10 +416,9 @@ func (t *Thread) InvokeStaticObj(class, method string, args ...Arg) (Obj, error)
 	return ro, err
 }
 
-func (t *Thread) invokeStatic(class, method string, args []Arg, retObj bool) (v0 Value, o0 Obj, err error) {
+func (t *Thread) invokeStatic(class, method string, args []Arg, retObj bool) (Value, Obj, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	key := ir.FuncKey(class, method)
 	if t.vm.Prog.Transformed {
 		if fc := t.vm.facadeOf(class); fc != nil {
@@ -427,6 +433,7 @@ func (t *Thread) invokeStatic(class, method string, args []Arg, retObj bool) (v0
 	}
 	var vals []Value
 	var v Value
+	var err error
 	if t.vm.Prog.Transformed {
 		v, err = t.facadeCall(fn, 0, args)
 	} else {
@@ -466,10 +473,9 @@ func (t *Thread) fieldOf(o Obj, class, field string) (*lang.Field, Value, error)
 }
 
 // GetField reads a primitive field as a raw value.
-func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
+func (t *Thread) GetField(o Obj, class, field string) (Value, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	f, v, err := t.fieldOf(o, class, field)
 	if err != nil {
 		return 0, err
@@ -486,33 +492,35 @@ func (t *Thread) GetField(o Obj, class, field string) (val Value, err error) {
 }
 
 // ArrLen returns the length of a data array.
-func (t *Thread) ArrLen(o Obj) (n int, err error) {
+func (t *Thread) ArrLen(o Obj) (int, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	if o == NilObj {
 		return 0, errNPE("array length")
 	}
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
-		return t.vm.RT.ArrayLen(offheap.PageRef(v)), nil
+		b, err := t.record(offheap.PageRef(v))
+		if err != nil {
+			return 0, err
+		}
+		return offheap.ArrayLength(b), nil
 	}
 	return heap.ArrayLength(t.vm.Heap.Bytes(heap.Addr(v))), nil
 }
 
 // ArrGet reads element i of a data array as a raw value.
-func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
+func (t *Thread) ArrGet(o Obj, i int) (Value, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
-		rt, ref := t.vm.RT, offheap.PageRef(v)
-		elem := rt.ArrayElemType(rt.ArrayTypeOf(ref))
-		b, err := t.record(ref)
+		b, err := t.record(offheap.PageRef(v))
 		if err != nil {
 			return 0, err
 		}
+		idx, _ := offheap.ArrayType(offheap.TypeWord(b))
+		elem := t.vm.RT.ArrayElemType(idx)
 		if n := offheap.ArrayLength(b); i < 0 || i >= n {
 			return 0, errBounds(i, n)
 		}
@@ -526,8 +534,9 @@ func (t *Thread) ArrGet(o Obj, i int) (val Value, err error) {
 	return loadSlot(b[heap.ArrayHeader+i*elem.FieldSize():], elem.Kind), nil
 }
 
-// record resolves a page reference for the boundary the way run's page ops
-// do: Bytes, and the fault path for as long as the page is on disk.
+// record resolves a page reference the way run's page ops do: Bytes, and
+// Fault for as long as the page is on disk. The caller holds no other
+// record's bytes, since Fault may spill them; one that does uses Resident.
 func (t *Thread) record(ref offheap.PageRef) ([]byte, error) {
 	for {
 		if b := t.vm.RT.Bytes(ref); b != nil {
@@ -563,10 +572,9 @@ func f64bits(f float64) Value { return math.Float64bits(f) }
 // place: the record body for P', the heap object body for P. The view is
 // only valid inside fn, and fn must not allocate or reach a safepoint:
 // either could move the heap object (a collection) or the page (a spill).
-func (t *Thread) withArrBody(o Obj, n int, fn func(body []byte)) (err error) {
+func (t *Thread) withArrBody(o Obj, n int, fn func(body []byte)) error {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	v := t.vm.Get(o)
 	if t.vm.Prog.Transformed {
 		b, err := t.record(offheap.PageRef(v))

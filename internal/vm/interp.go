@@ -719,20 +719,45 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			}
 			regs[in.Dst] = Value(ref)
 		case xPInstOf:
-			regs[in.Dst] = boolVal(t.recInstanceOf(offheap.PageRef(regs[in.A]), c.Src[pc-1]))
+			is := false
+			if ref := offheap.PageRef(regs[in.A]); ref != 0 {
+				b := rt.Bytes(ref)
+				if b == nil {
+					goto fault
+				}
+				is = t.recInstanceOf(offheap.TypeWord(b), c.Src[pc-1])
+			}
+			regs[in.Dst] = boolVal(is)
 		case xPCast:
-			src := c.Src[pc-1]
-			ref := offheap.PageRef(regs[in.A])
-			if ref != 0 && !t.recInstanceOf(ref, src) {
-				return 0, fmt.Errorf("ClassCastException: record is not a %s", src.Cls.Name)
+			if ref := offheap.PageRef(regs[in.A]); ref != 0 {
+				b := rt.Bytes(ref)
+				if b == nil {
+					goto fault
+				}
+				if src := c.Src[pc-1]; !t.recInstanceOf(offheap.TypeWord(b), src) {
+					return 0, fmt.Errorf("ClassCastException: record is not a %s", src.Cls.Name)
+				}
 			}
 			regs[in.Dst] = regs[in.A]
 		case xPMonEnter:
-			if err := rt.Locks.Enter(rt, offheap.PageRef(regs[in.A]), t, parker{t}); err != nil {
+			ref := offheap.PageRef(regs[in.A])
+			if ref == 0 {
+				return 0, errNPE("synchronized on null")
+			}
+			b := rt.Bytes(ref)
+			if b == nil {
+				goto fault
+			}
+			if err := rt.Locks.Enter(b, t, parker{t}); err != nil {
 				return 0, err
 			}
 		case xPMonExit:
-			if err := rt.Locks.Exit(rt, offheap.PageRef(regs[in.A]), t); err != nil {
+			// The enter of the same register has trapped on null.
+			b := rt.Bytes(offheap.PageRef(regs[in.A]))
+			if b == nil {
+				goto fault
+			}
+			if err := rt.Locks.Exit(b, t); err != nil {
 				return 0, err
 			}
 		default:
@@ -787,25 +812,21 @@ func (t *Thread) instanceOf(a heap.Addr, target *lang.Type) bool {
 	return false
 }
 
-// recInstanceOf implements the page-record type test: scalar targets check
-// the record's facade class against the instruction's facade class (case
-// 7.1); array targets compare array type IDs (case 7.2).
-func (t *Thread) recInstanceOf(ref offheap.PageRef, in *ir.Instr) bool {
-	if ref == 0 {
-		return false
-	}
-	rt := t.vm.RT
-	if rt.IsArrayRecord(ref) {
+// recInstanceOf implements the page-record type test on a non-null
+// record's type word tw: scalar targets check the record's facade class
+// against the instruction's facade class (case 7.1); array targets compare
+// array type IDs (case 7.2).
+func (t *Thread) recInstanceOf(tw uint16, in *ir.Instr) bool {
+	if idx, ok := offheap.ArrayType(tw); ok {
 		if in.Type == nil || in.Type.Kind != lang.TArray {
 			return in.Cls != nil && in.Cls.Name == "Facade"
 		}
-		return rt.ArrayTypeOf(ref) == rt.ArrayTypeIndex(in.Type.Elem)
+		return idx == t.vm.RT.ArrayTypeIndex(in.Type.Elem)
 	}
 	if in.Cls == nil {
 		return false
 	}
-	cls := t.vm.Prog.H.ClassList[rt.ClassID(ref)]
-	return cls.IsSubclassOf(in.Cls)
+	return t.vm.Prog.H.ClassList[tw].IsSubclassOf(in.Cls)
 }
 
 func boolVal(b bool) Value {

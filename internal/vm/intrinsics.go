@@ -157,11 +157,15 @@ func (t *Thread) formatValue(typ *lang.Type, v Value, rec bool) (string, error) 
 	}
 	if rec {
 		ref := offheap.PageRef(v)
-		rt := t.vm.RT
-		if rt.IsArrayRecord(ref) {
-			return rt.ArrayElemType(rt.ArrayTypeOf(ref)).String() + "[]", nil
+		b, err := t.record(ref)
+		if err != nil {
+			return "", err
 		}
-		cls := t.vm.Prog.H.ClassList[rt.ClassID(ref)]
+		tw := offheap.TypeWord(b)
+		if idx, ok := offheap.ArrayType(tw); ok {
+			return t.vm.RT.ArrayElemType(idx).String() + "[]", nil
+		}
+		cls := t.vm.Prog.H.ClassList[tw]
 		if cls.Name == ir.FacadeName("String") {
 			return t.recStringContents(ref)
 		}
@@ -203,13 +207,19 @@ func (t *Thread) heapStringContents(a heap.Addr) (string, error) {
 
 // recStringContents reads a String page record's bytes.
 func (t *Thread) recStringContents(ref offheap.PageRef) (string, error) {
-	rt := t.vm.RT
-	arr := rt.GetRef(ref, t.vm.strField.Offset)
+	f := t.vm.strField
+	b, err := t.record(ref)
+	if err != nil {
+		return "", err
+	}
+	arr := offheap.PageRef(loadSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind))
 	if arr == 0 {
 		return "", nil
 	}
-	n := rt.ArrayLen(arr)
-	return string(rt.ReadBody(arr, 0, n)), nil
+	if b, err = t.record(arr); err != nil {
+		return "", err
+	}
+	return string(b[offheap.ArrayHeader : offheap.ArrayHeader+offheap.ArrayLength(b)]), nil
 }
 
 func (t *Thread) arraycopyHeap(in *ir.Instr, regs []Value) error {
@@ -252,6 +262,9 @@ func (t *Thread) arraycopyHeap(in *ir.Instr, regs []Value) error {
 	return nil
 }
 
+// arraycopyRec is Sys.arraycopy on the page store (program P'). It holds
+// both arrays' bytes at once, so the destination is resolved with Resident,
+// which spills no page, after the source.
 func (t *Thread) arraycopyRec(in *ir.Instr, regs []Value) error {
 	rt := t.vm.RT
 	src := offheap.PageRef(regs[in.Args[0]])
@@ -262,11 +275,21 @@ func (t *Thread) arraycopyRec(in *ir.Instr, regs []Value) error {
 	if src == 0 || dst == 0 {
 		return errNPE("arraycopy")
 	}
-	if err := checkCopy(srcPos, dstPos, n, rt.ArrayLen(src), rt.ArrayLen(dst)); err != nil {
+	sb, err := t.record(src)
+	if err != nil {
 		return err
 	}
-	es := rt.ArrayElemType(rt.ArrayTypeOf(src)).FieldSize()
-	rt.ArrayCopy(src, srcPos, dst, dstPos, n, es)
+	db, err := rt.Resident(dst)
+	if err != nil {
+		return err
+	}
+	if err := checkCopy(srcPos, dstPos, n, offheap.ArrayLength(sb), offheap.ArrayLength(db)); err != nil {
+		return err
+	}
+	idx, _ := offheap.ArrayType(offheap.TypeWord(sb))
+	es := rt.ArrayElemType(idx).FieldSize()
+	so, do := offheap.ArrayHeader+srcPos*es, offheap.ArrayHeader+dstPos*es
+	copy(db[do:do+n*es], sb[so:so+n*es])
 	return nil
 }
 
@@ -515,12 +538,20 @@ func (t *Thread) recString(pm *offheap.PageManager, s string) (Value, error) {
 	if err != nil {
 		return 0, err
 	}
-	rt.WriteBody(arr, 0, []byte(s))
+	b, err := t.record(arr)
+	if err != nil {
+		return 0, err
+	}
+	copy(b[offheap.ArrayHeader:], s)
 	rec, err := pm.AllocRecord(parker{t}, uint16(sf.ID), vm.stringBodySize())
 	if err != nil {
 		return 0, err
 	}
-	rt.SetRef(rec, vm.strField.Offset, arr)
+	if b, err = t.record(rec); err != nil {
+		return 0, err
+	}
+	f := vm.strField
+	storeSlot(b[offheap.ScalarHeader+f.Offset:], f.Type.Kind, Value(arr))
 	return Value(rec), nil
 }
 

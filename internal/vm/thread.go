@@ -247,40 +247,17 @@ func (t *Thread) flushObsCounters() {
 	}
 }
 
-// recoverTierFault converts an *offheap.TierFault panic — a disk-tier
-// promotion failure surfacing through the infallible record accessors —
-// into its wrapped error (which wraps offheap.ErrPageExhausted, so the
-// engines' OOM degradation ladders pick it up like any allocation
-// failure). The thread's frame and register stacks rewind to the call
-// boundary and the local counters flush, leaving the thread reusable for
-// the retry. Any other panic propagates untouched.
-func (t *Thread) recoverTierFault(frames, sp int, err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	tf, ok := r.(*offheap.TierFault)
-	if !ok {
-		panic(r)
-	}
-	t.frames = t.frames[:frames]
-	t.sp = sp
-	t.flushObsCounters()
-	*err = tf.Err
-}
-
 // Call executes the function with the given key. The caller supplies raw
 // argument values matching the function's parameter registers (for
 // instance methods, the receiver first). The thread enters the mutator
 // state for the duration of the call.
-func (t *Thread) Call(key string, args ...Value) (v Value, err error) {
+func (t *Thread) Call(key string, args ...Value) (Value, error) {
 	fn := t.vm.byKey[key]
 	if fn == nil {
 		return 0, fmt.Errorf("vm: no function %s", key)
 	}
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
-	defer t.recoverTierFault(len(t.frames), t.sp, &err)
 	return t.exec(fn, args)
 }
 

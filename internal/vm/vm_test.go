@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -765,6 +766,7 @@ func TestRecordOpsTieredMatchesUntiered(t *testing.T) {
 		"null-arr-r":   {"int[] z = rs[0].next.xs; Sys.println(z[0]);", "NullPointerException: record read xs"},
 		"null-arr-len": {"long[] z = null; Sys.println(z.length);", "NullPointerException: array record length"},
 		"null-arr-w":   {"double[] z = null; z[0] = 1.0;", "NullPointerException: array record write"},
+		"null-lock":    {"Rec z = rs[0].next; synchronized (z) { Sys.println(1); }", "NullPointerException: synchronized on null"},
 		"bounds-byte":  {"Sys.println(bs[3000]);", "ArrayIndexOutOfBoundsException: index 3000, length 3000"},
 		"bounds-int":   {"is[0 - 1] = 1;", "ArrayIndexOutOfBoundsException: index -1, length 3000"},
 		"bounds-long":  {"Sys.println(ls[3001]);", "ArrayIndexOutOfBoundsException: index 3001, length 3000"},
@@ -808,7 +810,7 @@ class Rec { byte b; int i; long l; double d; Rec next; int get() { return this.i
 class Sub extends Rec { int get() { return this.i + 1; } }
 class Main {
     static Rec r; static Rec s; static Rec chain; static String str;
-    static byte[] bs; static int[] is; static long[] ls; static double[] ds; static Rec[] rs; static int[] to;
+    static byte[] bs; static int[] is; static long[] ls; static double[] ds; static Rec[] rs; static int[] to; static long[] big;
     static void setup(String x) {
         Main.str = x;
         Main.r = new Rec(); Main.r.b = (byte) 7; Main.r.i = 11; Main.r.l = 1000000007L; Main.r.d = 0.25; Main.r.next = Main.r;
@@ -835,21 +837,68 @@ class Main {
     static void pastore8() { Main.ls[5] = 55L; }
     static void palen() { Sys.println(Main.rs.length); }
     static void resolve() { Sys.println(Main.s.get()); }
+    static void instof() { Sys.println(Main.s instanceof Sub); }
+    static void cast() { Sub x = (Sub) Main.s; Sys.println(x.i); }
     static void boundsRead() { Sys.println(Main.is[5000]); }
     static void boundsWrite() { Main.rs[3000] = Main.r; }
     static void copy() { Sys.arraycopy(Main.is, 0, Main.to, 0, 100); Sys.println(Main.to[99]); }
     static void lock() { synchronized (Main.r) { Sys.println(Main.r.i); } }
+    // An array of a page of its own spills r's page while r's monitor is
+    // held, so the exit meets it on disk.
+    static void unlock() { synchronized (Main.r) { Main.big = new long[3000]; } }
     static void print() { Sys.println(Main.str); }
     static void check() { Sys.println(Main.r.b + Main.r.i + Main.r.l + Main.bs[3] + Main.is[4] + Main.ls[5] + Main.rs[1].i); }
 }`
 
-// testSpillEachOp runs each method of spillOpsProgram on an untiered store
-// and on a tiered one that spills every page it can before each call, so
-// that each call's first record access meets its page on disk: the 14 page
-// opcodes through run's fault tail, arraycopy, the lock-ID calls and the
-// string helpers (GetRef, ArrayLen, ReadBody) through the helpers' own
-// promotion. Output, trap texts and vm.instructions must match, so a
-// restarted slot counts nothing twice.
+// spillOpsVM builds spillOpsProgram's P' on a VM writing to out, tiered
+// with a single resident page when spill is set, and runs Main.setup on a
+// new thread. The returned spillAll faults in a page of its own, which
+// spills every other unpinned page (nil when untiered).
+func spillOpsVM(t *testing.T, p2 *ir.Program, out *bytes.Buffer, spill bool) (m *VM, th *Thread, spillAll func()) {
+	t.Helper()
+	cfg := Config{HeapSize: 8 << 20, Out: out}
+	if spill {
+		cfg.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 1, LowWater: 1}
+	}
+	m, err := New(p2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th, err = m.NewThread(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := th.InvokeStatic("Main", "setup", S("spilled, then promoted")); err != nil {
+		t.Fatal(err)
+	}
+	return m, th, spillAllFunc(t, m)
+}
+
+// spillAllFunc returns a function that spills every unpinned page of m's
+// store by faulting in a page of its own, or nil when m is untiered.
+func spillAllFunc(t *testing.T, m *VM) func() {
+	if !m.RT.Tiered() {
+		return nil
+	}
+	pad, err := m.rootScope.AllocArray(nil, m.RT.ArrayTypeIndex(lang.LongType), 8, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := m.RT.Fault(pad, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// testSpillEachOp runs each method of spillOpsProgram in three legs: on an
+// untiered store; on a tiered one that spills every page it can before
+// each call, so that each call's first record access meets its page on
+// disk (the page opcodes through run's fault tail, arraycopy, the monitor
+// ops and the string helpers through Thread.record and Resident); and on
+// that tiered store with the call's first promotion failing. A failed call
+// must return an error wrapping ErrPageExhausted with no pool lock held,
+// and the call run again must behave as untiered. Output, trap texts and
+// vm.instructions must match, so a restarted slot counts nothing twice.
 func testSpillEachOp(t *testing.T) {
 	p2 := transform(t, compile(t, spillOpsProgram), "Rec", "Sub", "Main")
 	ops := []struct {
@@ -862,48 +911,32 @@ func testSpillEachOp(t *testing.T) {
 		{"paload1", xPALoad1, ""}, {"paload4", xPALoad4, ""}, {"paload8", xPALoad8, ""},
 		{"pastore1", xPAStore1, ""}, {"pastore4", xPAStore4, ""}, {"pastore8", xPAStore8, ""},
 		{"palen", xPALen, ""}, {"resolve", xResolve, ""},
+		{"instof", xPInstOf, ""}, {"cast", xPCast, ""},
 		{"boundsRead", xPALoad4, "ArrayIndexOutOfBoundsException: index 5000, length 5000"},
 		{"boundsWrite", xPAStore8, "ArrayIndexOutOfBoundsException: index 3000, length 3000"},
-		{"copy", 0, ""}, {"lock", xPMonEnter, ""}, {"print", 0, ""}, {"check", 0, ""},
+		{"copy", 0, ""}, {"lock", xPMonEnter, ""}, {"unlock", xPMonExit, ""},
+		{"print", 0, ""}, {"check", 0, ""},
 	}
 	type result struct {
 		out    string
-		errs   []string
 		instrs []int64
 	}
-	run := func(spill bool) result {
+	const plain, spill, fail = "untiered", "spill", "fail"
+	run := func(leg string) result {
 		var out bytes.Buffer
-		cfg := Config{HeapSize: 8 << 20, Out: &out}
-		if spill {
-			// One resident page: every fault and allocation end spills all
-			// the others it may.
-			cfg.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 1, LowWater: 1}
-		}
-		m, err := New(p2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, err := m.NewThread(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := th.InvokeStatic("Main", "setup", S("spilled, then promoted")); err != nil {
-			t.Fatal(err)
-		}
-		// Faulting in a page of its own spills every other unpinned page.
-		var spillAll func()
-		if spill {
-			pad, err := m.rootScope.AllocArray(nil, m.RT.ArrayTypeIndex(lang.LongType), 8, 3000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spillAll = func() {
-				if err := m.RT.Fault(pad, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		m, th, spillAll := spillOpsVM(t, p2, &out, leg != plain)
 		instrs := func() int64 { return m.Obs().Snapshot().Counters[obs.CtrInstructions] }
+		call := func(fn string) (int64, error) {
+			if spillAll != nil {
+				spillAll()
+			}
+			promoted, before := m.RT.Stats().PagesPromoted, instrs()
+			_, err := th.InvokeStatic("Main", fn)
+			if spillAll != nil && m.RT.Stats().PagesPromoted == promoted {
+				t.Fatalf("%s (%s): no page was on disk when it ran", fn, leg)
+			}
+			return instrs() - before, err
+		}
 		var res result
 		for _, o := range ops {
 			fn := m.Func(ir.FuncKey("MainFacade", o.fn))
@@ -913,42 +946,116 @@ func testSpillEachOp(t *testing.T) {
 			if o.op != 0 && !slices.ContainsFunc(fn.Code.Slots, func(s ir.Slot) bool { return s.Op == o.op }) {
 				t.Fatalf("%s lowers to no %s slot:\n%s", o.fn, xopNames[o.op], disasm(fn))
 			}
-			var promoted int64
-			if spill {
+			if leg == fail {
+				// The first promotion the call makes fails.
 				spillAll()
-				promoted = m.RT.Stats().PagesPromoted
+				m.RT.SetFaultInjector(faults.New(&faults.Config{TierLoadAt: 1}))
+				_, err := th.InvokeStatic("Main", o.fn)
+				m.RT.SetFaultInjector(nil)
+				if !errors.Is(err, offheap.ErrPageExhausted) {
+					t.Fatalf("%s under a failed promotion: error %v, want one wrapping ErrPageExhausted", o.fn, err)
+				}
+				if n := m.RT.Locks.InUse(); n != 0 {
+					t.Fatalf("%s: %d pool lock(s) held after a failed promotion", o.fn, n)
+				}
 			}
-			before := instrs()
-			_, err := th.InvokeStatic("Main", o.fn)
-			res.instrs = append(res.instrs, instrs()-before)
-			if spill && m.RT.Stats().PagesPromoted == promoted {
-				t.Fatalf("%s: no page was on disk when it ran", o.fn)
-			}
+			n, err := call(o.fn)
+			res.instrs = append(res.instrs, n)
 			msg := ""
 			if err != nil {
 				msg = err.Error()
 			}
 			if msg != o.want {
-				t.Fatalf("%s (spill=%v): error %q, want %q", o.fn, spill, msg, o.want)
+				t.Fatalf("%s (%s): error %q, want %q", o.fn, leg, msg, o.want)
 			}
-			res.errs = append(res.errs, msg)
 		}
 		th.Close()
 		m.rootScope.ReleaseAll()
-		if pins := m.RT.Pins(); pins != 0 {
-			t.Fatalf("%d pin(s) leaked (spill=%v)", pins, spill)
+		if pins, locks := m.RT.Pins(), m.RT.Locks.InUse(); pins != 0 || locks != 0 {
+			t.Fatalf("%s: %d pin(s) and %d pool lock(s) leaked", leg, pins, locks)
 		}
 		res.out = out.String()
 		return res
 	}
-	plain, spilled := run(false), run(true)
-	if plain.out != spilled.out {
-		t.Fatalf("output differs:\nuntiered: %q\nspilled:  %q", plain.out, spilled.out)
-	}
-	for i, o := range ops {
-		if plain.instrs[i] != spilled.instrs[i] {
-			t.Fatalf("%s: %d instructions untiered, %d with every page spilled", o.fn, plain.instrs[i], spilled.instrs[i])
+	want := run(plain)
+	for _, leg := range []string{spill, fail} {
+		got := run(leg)
+		if got.out != want.out {
+			t.Fatalf("output differs:\nuntiered: %q\n%s: %q", want.out, leg, got.out)
 		}
+		for i, o := range ops {
+			if got.instrs[i] != want.instrs[i] {
+				t.Fatalf("%s: %d instructions untiered, %d in the %s leg", o.fn, want.instrs[i], got.instrs[i], leg)
+			}
+		}
+	}
+}
+
+// TestFailedPromotionLeavesNoLockHeld enters a monitor on a record whose
+// page is on disk while the store fails its first promotion. The call must
+// return the failure as an error wrapping ErrPageExhausted and leave no
+// pool lock in use, the VM must reset for reuse, and the same call on the
+// reset VM must print what an untiered run prints. Each step runs under a
+// deadline: a pool mutex a failed promotion left locked blocks them all.
+func TestFailedPromotionLeavesNoLockHeld(t *testing.T) {
+	p2 := transform(t, compile(t, spillOpsProgram), "Rec", "Sub", "Main")
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return within 10s", what)
+		}
+	}
+	var want bytes.Buffer
+	_, th, _ := spillOpsVM(t, p2, &want, false)
+	if _, err := th.InvokeStatic("Main", "lock"); err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+
+	var out bytes.Buffer
+	m, th, spillAll := spillOpsVM(t, p2, &out, true)
+	spillAll()
+	m.RT.SetFaultInjector(faults.New(&faults.Config{TierLoadAt: 1}))
+	var err error
+	within("the failing call", func() { _, err = th.InvokeStatic("Main", "lock") })
+	if !errors.Is(err, offheap.ErrPageExhausted) {
+		t.Fatalf("synchronized on a spilled record under a failed promotion: %v, want an error wrapping ErrPageExhausted", err)
+	}
+	within("Locks.InUse", func() {
+		if n := m.RT.Locks.InUse(); n != 0 {
+			t.Errorf("%d pool lock(s) in use after the failed call", n)
+		}
+	})
+	th.Close()
+	out.Reset()
+	within("ResetForReuse", func() {
+		err = m.ResetForReuse(ResetConfig{Out: &out,
+			Tiering: &offheap.TierConfig{Dir: t.TempDir(), HighWater: 1, LowWater: 1}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th, err = m.NewThread(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer th.Close()
+	if _, err := th.InvokeStatic("Main", "setup", S("spilled, then promoted")); err != nil {
+		t.Fatal(err)
+	}
+	spillAllFunc(t, m)()
+	within("the retry", func() { _, err = th.InvokeStatic("Main", "lock") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Fatalf("retry on the reset VM printed %q, the untiered run %q", out.String(), want.String())
 	}
 }
 
