@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -88,5 +89,45 @@ func TestGoldenRunSchema(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("facade.run/v1 encoding changed:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	}
+}
+
+// concNode is encoded only by TestEncodeDeterministicConcurrent, so its
+// encoders are built while goroutines race for them.
+type concNode struct {
+	Name string               `json:"name"`
+	Kids []*concNode          `json:"kids,omitempty"`
+	Tags map[string]*concNode `json:"tags,omitempty"`
+	W    float64              `json:"w"`
+}
+
+// TestEncodeDeterministicConcurrent: goroutines sharing the encoder cache
+// and the state pool, one of them building a recursive type's encoder
+// while the others wait on it, all write the sequential bytes.
+func TestEncodeDeterministicConcurrent(t *testing.T) {
+	leaf := &concNode{Name: "leaf", W: 0.1 + 0.2}
+	v := concNode{Name: "root", Kids: []*concNode{leaf, {Name: "mid", Kids: []*concNode{leaf}}}, Tags: map[string]*concNode{"b": leaf, "a": nil}}
+	const n = 8
+	got := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var buf bytes.Buffer
+			errs[i] = EncodeDeterministic(&buf, v)
+			got[i] = buf.Bytes()
+		}(i)
+	}
+	wg.Wait()
+	want, err := encodeRoundTrip(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if errs[i] != nil || !bytes.Equal(got[i], want) {
+			t.Fatalf("goroutine %d: err %v, bytes:\n%s\nwant:\n%s", i, errs[i], got[i], want)
+		}
 	}
 }

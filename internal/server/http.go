@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -217,8 +219,22 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string, retryMi
 	writeJSON(w, code, ErrorResponse{Schema: Schema, Error: msg, RetryAfterMillis: retryMillis})
 }
 
+// responseBufs recycles the buffers writeJSON encodes into.
+var responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before it commits to a status, so a value that
+// cannot be encoded is answered with a 500 and an ErrorResponse rather
+// than code and an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := responseBufs.Get().(*bytes.Buffer)
+	defer responseBufs.Put(buf)
+	buf.Reset()
+	if err := EncodeJob(buf, v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		EncodeJob(buf, ErrorResponse{Schema: Schema, Error: "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	EncodeJob(w, v)
+	w.Write(buf.Bytes())
 }

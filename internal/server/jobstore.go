@@ -112,31 +112,47 @@ func (st *jobStore) finish(j *job) { st.finished = append(st.finished, j) }
 // oldest-first overflow past maxHistory — except that a job whose terminal
 // status has never been served is immune to the cap (not to aging) for
 // fetchGrace after it finished.
+//
+// finished is in finishedAt order, so aged jobs form its head and the
+// oldest unprotected job is usually the head too: prune pops the head
+// while it is evictable, which makes a call amortised O(1) once the
+// history is full. Only while a protected job heads the slice does prune
+// scan past it.
 func (st *jobStore) prune(now time.Time) {
 	excess := 0
 	if st.maxHistory > 0 && len(st.finished) > st.maxHistory {
 		excess = len(st.finished) - st.maxHistory
 	}
-	// finished is in finishedAt order, so if its head has not aged out
-	// nothing has.
-	if excess == 0 && (len(st.finished) == 0 || now.Sub(st.finished[0].finishedAt) < jobRetention) {
+	for len(st.finished) > 0 && st.evict(st.finished[0], now, &excess) {
+		st.finished[0] = nil
+		st.finished = st.finished[1:]
+	}
+	if excess == 0 || len(st.finished) == 0 {
 		return
 	}
 	kept := st.finished[:0]
 	for _, j := range st.finished {
-		aged := now.Sub(j.finishedAt) >= jobRetention
-		protected := !j.fetched && now.Sub(j.finishedAt) < fetchGrace
-		if aged || (excess > 0 && !protected) {
-			if excess > 0 {
-				excess--
-			}
-			delete(st.byID, j.id)
-			continue
+		if !st.evict(j, now, &excess) {
+			kept = append(kept, j)
 		}
-		kept = append(kept, j)
 	}
 	clear(st.finished[len(kept):])
 	st.finished = kept
+}
+
+// evict forgets j if it has aged out, or if the history is excess jobs
+// over its cap and j is not protected; an eviction counts against excess.
+func (st *jobStore) evict(j *job, now time.Time, excess *int) bool {
+	age := now.Sub(j.finishedAt)
+	protected := !j.fetched && age < fetchGrace
+	if age < jobRetention && (*excess == 0 || protected) {
+		return false
+	}
+	if *excess > 0 {
+		*excess--
+	}
+	delete(st.byID, j.id)
+	return true
 }
 
 // replay folds the write-ahead log left by the previous daemon incarnation

@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -69,6 +72,82 @@ func TestPruneCapHonoursFetchGrace(t *testing.T) {
 	}
 	if len(st.finished) != 2 || len(st.byID) != 2 {
 		t.Fatalf("store holds %d finished / %d by id, want 2 / 2", len(st.finished), len(st.byID))
+	}
+}
+
+// pruneByScan is the prune that walked and compacted the whole history on
+// every call, kept as the oracle for the head-popping one.
+func pruneByScan(st *jobStore, now time.Time) {
+	excess := 0
+	if st.maxHistory > 0 && len(st.finished) > st.maxHistory {
+		excess = len(st.finished) - st.maxHistory
+	}
+	if excess == 0 && (len(st.finished) == 0 || now.Sub(st.finished[0].finishedAt) < jobRetention) {
+		return
+	}
+	kept := st.finished[:0]
+	for _, j := range st.finished {
+		aged := now.Sub(j.finishedAt) >= jobRetention
+		protected := !j.fetched && now.Sub(j.finishedAt) < fetchGrace
+		if aged || (excess > 0 && !protected) {
+			if excess > 0 {
+				excess--
+			}
+			delete(st.byID, j.id)
+			continue
+		}
+		kept = append(kept, j)
+	}
+	clear(st.finished[len(kept):])
+	st.finished = kept
+}
+
+func finishedIDs(st *jobStore) []string {
+	ids := make([]string, len(st.finished))
+	for i, j := range st.finished {
+		ids[i] = j.id
+	}
+	return ids
+}
+
+// TestPruneMatchesFullScan drives two stores through one random history of
+// finishes, fetches and prunes — small caps, clocks that step past
+// fetchGrace and jobRetention — and prunes one with prune, the other with
+// the full scan: they must keep the same jobs in the same order.
+func TestPruneMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	for trial := 0; trial < 300; trial++ {
+		maxHistory := rng.IntN(6) // 0: no cap
+		got, want := newJobStore(maxHistory), newJobStore(maxHistory)
+		now := time.Now()
+		for step := 0; step < 200; step++ {
+			if rng.IntN(10) == 0 {
+				now = now.Add(time.Duration(rng.Int64N(int64(2 * jobRetention))))
+			} else {
+				now = now.Add(time.Duration(rng.Int64N(int64(fetchGrace))))
+			}
+			switch rng.IntN(3) {
+			case 0:
+				id, fetched := strconv.Itoa(step), rng.IntN(3) == 0
+				finishedJob(&got, id, now, fetched)
+				finishedJob(&want, id, now, fetched)
+			case 1:
+				if n := len(got.finished); n > 0 {
+					j := got.finished[rng.IntN(n)]
+					j.fetched = true
+					want.byID[j.id].fetched = true
+				}
+			default:
+				got.prune(now)
+				pruneByScan(&want, now)
+				if g, w := finishedIDs(&got), finishedIDs(&want); !slices.Equal(g, w) {
+					t.Fatalf("trial %d step %d (cap %d): prune kept %v, the full scan %v", trial, step, maxHistory, g, w)
+				}
+				if len(got.byID) != len(got.finished) || len(want.byID) != len(want.finished) {
+					t.Fatalf("trial %d step %d: byID out of step with finished", trial, step)
+				}
+			}
+		}
 	}
 }
 

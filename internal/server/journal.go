@@ -53,7 +53,8 @@ var errJournalClosed = errors.New("journal closed")
 // journal is the append side of the write-ahead log. Appends serialize
 // under mu; durability is group-committed — concurrent durable appenders
 // share one fsync issued by a background loop, so a submission burst pays
-// one disk flush, not one per job.
+// one disk flush, not one per job. Only durable appends wake the loop; the
+// non-durable lines written before a flush ride along with it.
 type journal struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -98,9 +99,10 @@ func createJournal(path string, reg *obs.Registry) (*journal, error) {
 // append writes one event. With durable set it does not return until an
 // fsync covers the write — the submitted path uses this, so an
 // acknowledged job is never lost to a crash. Non-durable appends
-// (started, done) return immediately: losing one to a crash only means
-// the job is re-run on recovery, which is deterministic and therefore
-// harmless.
+// (started, done, drain) return immediately and do not wake the sync
+// loop: the next durable append's fsync covers them, or seal does. Losing
+// one to a crash only means the job is re-run on recovery, which is
+// deterministic and therefore harmless.
 func (j *journal) append(ev journalEvent, durable bool) error {
 	ev.Schema = JournalSchema
 	line, err := json.Marshal(ev)
@@ -124,9 +126,11 @@ func (j *journal) append(ev journalEvent, durable bool) error {
 	j.mu.Unlock()
 	j.cEvents.Add(1)
 
-	select {
-	case j.wake <- struct{}{}:
-	default:
+	if durable {
+		select {
+		case j.wake <- struct{}{}:
+		default:
+		}
 	}
 	if hook != nil {
 		hook()
@@ -202,13 +206,15 @@ func (j *journal) shut(flush bool) {
 	j.mu.Unlock()
 	j.quitOnce.Do(func() { close(j.quit) })
 	<-j.loopDone
-	if flush {
-		f.Sync()
-	}
-	f.Close()
 	j.mu.Lock()
+	// The flush covers the non-durable tail no submission's fsync reached.
+	if flush && j.syncGen < j.writeGen && f.Sync() == nil {
+		j.syncGen = j.writeGen
+		j.cSyncs.Add(1)
+	}
 	j.synced.Broadcast()
 	j.mu.Unlock()
+	f.Close()
 }
 
 // readJournal loads every event from a journal file, tolerating a torn

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -263,5 +264,68 @@ func TestJournalGroupCommit(t *testing.T) {
 	}
 	if syncs := snap.Counters[obs.CtrServerJournalSyncs]; syncs < 1 || syncs > n {
 		t.Fatalf("journal_syncs = %d, want within [1,%d]", syncs, n)
+	}
+}
+
+// TestNonDurableAppendsRideTheNextCommit: started/done lines do not wake
+// the sync loop. The next submission's fsync covers them, and seal covers
+// whatever no submission followed.
+func TestNonDurableAppendsRideTheNextCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.journal")
+	reg := obs.NewRegistry()
+	jl, err := createJournal(path, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := func() int64 { return reg.Snapshot().Counters[obs.CtrServerJournalSyncs] }
+	covered := func() bool {
+		jl.mu.Lock()
+		defer jl.mu.Unlock()
+		return jl.syncGen == jl.writeGen
+	}
+	done := func(seq int64) {
+		t.Helper()
+		if err := jl.append(journalEvent{Kind: jevDone, Seq: seq, JobID: fmt.Sprintf("job-%06d", seq), State: StateDone}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// idle gives a woken sync loop time to flush: a wrongly woken loop
+	// shows up as a count that moved, a correct one never moves.
+	idle := func() { time.Sleep(50 * time.Millisecond) }
+	const n = 8
+	for i := int64(1); i <= n; i++ {
+		done(i)
+	}
+	idle()
+	if got := syncs(); got != 0 {
+		t.Fatalf("%d non-durable appends issued %d fsyncs, want 0", n, got)
+	}
+	if err := jl.append(journalEvent{
+		Kind: jevSubmitted, Seq: n + 1, JobID: "job-000009",
+		Req: &SubmitRequest{Schema: Schema, Sources: map[string]string{"a.fj": "x"}},
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs(); got != 1 {
+		t.Fatalf("one submission issued %d fsyncs, want 1", got)
+	}
+	if !covered() {
+		t.Fatal("the submission's fsync left earlier lines uncovered")
+	}
+	done(n + 1)
+	idle()
+	if covered() || syncs() != 1 {
+		t.Fatal("a done append after the commit was flushed on its own")
+	}
+	jl.seal()
+	if !covered() || syncs() != 2 {
+		t.Fatalf("seal left the tail uncovered (journal_syncs = %d, want 2)", syncs())
+	}
+	events, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != n+2 {
+		t.Fatalf("journal holds %d events, want %d", len(events), n+2)
 	}
 }
