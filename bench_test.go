@@ -529,7 +529,8 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			hp := heap.New(heap.Config{HeapSize: 96 << 20, GCWorkers: workers}, files)
+			nodeArr := lang.NewArrayTypes([]*lang.Type{lang.ClassType("Node")}) // Node[] at 0
+			hp := heap.New(heap.Config{HeapSize: 96 << 20, GCWorkers: workers}, files, nodeArr)
 			tc := hp.RegisterThread()
 			tc.EndExternal()
 			defer func() {
@@ -545,7 +546,7 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 			// Wide graph: one root array fanning out to 150k short chains
 			// (marking a single linked list cannot parallelize).
 			const fanout = 150000
-			arr, err := hp.AllocArray(tc, lang.ClassType("Node"), fanout, 0)
+			arr, err := hp.AllocArray(tc, 0, fanout, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

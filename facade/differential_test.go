@@ -407,8 +407,9 @@ type cellResult struct {
 }
 
 // runCell executes one program in one grid cell (err is nil for clean
-// completion).
-func runCell(p *ir.Program, heapSize, gcWorkers int, placed bool, extra ...Option) cellResult {
+// completion). A P' cell, trapped or not, must close without a leak.
+func runCell(t *testing.T, p *ir.Program, heapSize, gcWorkers int, placed bool, extra ...Option) cellResult {
+	t.Helper()
 	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers), WithLifetimes(placed)}, extra...)
 	res, err := Run(p, opts...)
 	c := cellResult{err: err}
@@ -420,6 +421,9 @@ func runCell(p *ir.Program, heapSize, gcWorkers int, placed bool, extra ...Optio
 			c.records, c.nativePeak = st.Records, st.PeakBytes
 		}
 		res.Close()
+		if res.VM.RT != nil {
+			noLeaks(t, fmt.Sprintf("P' cell heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcWorkers, placed), res.VM.RT)
+		}
 	}
 	return c
 }
@@ -464,7 +468,7 @@ func TestDifferentialBattery(t *testing.T) {
 				for _, gcw := range diffGrid.workers {
 					for _, lt := range diffGrid.lifetimes {
 						cellP := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcw, lt)
-						cP, cI := runCell(prog, heapSize, gcw, lt), runCell(ip, heapSize, gcw, lt)
+						cP, cI := runCell(t, prog, heapSize, gcw, lt), runCell(t, ip, heapSize, gcw, lt)
 						sameBehaviour(t, cellP, "P", cP, cI)
 						if dp.pretenures && lt && cP.pretenured == 0 {
 							t.Fatalf("[%s] P pretenured nothing: the placed leg is vacuous", cellP)
@@ -472,8 +476,8 @@ func TestDifferentialBattery(t *testing.T) {
 						outP, errP := cP.out, cP.err
 						for _, tier := range diffGrid.tiers {
 							cell := fmt.Sprintf("%s,tier=%s", cellP, tier)
-							cP2 := runCell(p2, heapSize, gcw, lt, tierOpts(t, tier)...)
-							cI2 := runCell(ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							cP2 := runCell(t, p2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							cI2 := runCell(t, ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
 							sameBehaviour(t, cell, "P'", cP2, cI2)
 							if n := cP.pretenured + cI.pretenured + cP2.pretenured + cI2.pretenured; !lt && n != 0 {
 								t.Fatalf("[%s] un-placed leg pretenured %d objects", cell, n)
@@ -595,11 +599,11 @@ func TestDifferentialExamples(t *testing.T) {
 			for _, heapSize := range []int{32 << 20, 64 << 20} {
 				for _, gcw := range diffGrid.workers {
 					for _, lt := range diffGrid.lifetimes {
-						cP := runCell(r.P, heapSize, gcw, lt)
+						cP := runCell(t, r.P, heapSize, gcw, lt)
 						outP, errP := cP.out, cP.err
 						for _, tier := range diffGrid.tiers {
 							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v,tier=%s", heapSize>>20, gcw, lt, tier)
-							cP2 := runCell(r.P2, heapSize, gcw, lt, tierOpts(t, tier)...)
+							cP2 := runCell(t, r.P2, heapSize, gcw, lt, tierOpts(t, tier)...)
 							outP2, errP2 := cP2.out, cP2.err
 							if errP != nil || errP2 != nil {
 								t.Fatalf("[%s] P err=%v, P' err=%v", cell, errP, errP2)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/offheap"
 )
 
 // Tier-equivalence battery: the disk tier is mechanism, not semantics.
@@ -51,21 +52,27 @@ class Main {
 }
 `
 
-// closeClean closes a tiered run and checks the leak postcondition every
-// tiered leg ends with: no pinned page, no live page manager, no pool lock
-// in use, and no spill file left in the tier's directory.
+// noLeaks is the postcondition of every closed P' run: no pinned page, no
+// live page manager and no pool lock in use. what names the run.
+func noLeaks(t *testing.T, what string, rt *offheap.Runtime) {
+	t.Helper()
+	if n := rt.Pins(); n != 0 {
+		t.Errorf("%s: %d pin(s) left after Close", what, n)
+	}
+	if n := rt.LiveManagers(); n != 0 {
+		t.Errorf("%s: %d live page manager(s) left after Close", what, n)
+	}
+	if n := rt.Locks.InUse(); n != 0 {
+		t.Errorf("%s: %d pool lock(s) in use after Close", what, n)
+	}
+}
+
+// closeClean closes a tiered run and checks noLeaks and that no spill file
+// is left in the tier's directory.
 func closeClean(t *testing.T, res *Result, dir string) {
 	t.Helper()
 	res.Close()
-	if n := res.VM.RT.Pins(); n != 0 {
-		t.Errorf("%d pin(s) left after Close", n)
-	}
-	if n := res.VM.RT.LiveManagers(); n != 0 {
-		t.Errorf("%d live page manager(s) left after Close", n)
-	}
-	if n := res.VM.RT.Locks.InUse(); n != 0 {
-		t.Errorf("%d pool lock(s) in use after Close", n)
-	}
+	noLeaks(t, "tiered run", res.VM.RT)
 	files, err := filepath.Glob(filepath.Join(dir, "spill-*.pages"))
 	if err != nil {
 		t.Fatal(err)

@@ -29,13 +29,10 @@ func (hp *Heap) collectSTW(full bool) error {
 	promotedBefore := hp.stats.promoted.Load()
 	if full {
 		err = hp.fullGC()
-		hp.stats.fullGCs.Add(1)
 	} else {
 		hp.minorGC()
-		hp.stats.minorGCs.Add(1)
 	}
 	pause := time.Since(start).Nanoseconds()
-	hp.stats.gcNanos.Add(pause)
 	hp.hPause.Observe(pause)
 	if full {
 		hp.hPauseFull.Observe(pause)

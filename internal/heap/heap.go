@@ -126,42 +126,37 @@ type Heap struct {
 	remset map[Addr]struct{}
 
 	h *lang.Hierarchy
-
-	// Array type registry: array types are assigned dense indices so the
-	// type word can describe them.
-	arrTypes lang.ArrayTypes
+	// arrTypes is the program's array type table: an array's type word
+	// holds its element type's index.
+	arrTypes *lang.ArrayTypes
 
 	// Static reference slots registered as roots by the VM.
 	rootsMu sync.Mutex
 	roots   []RootSource
 
-	// Allocation counters per class ID and per array type index (the
-	// latter under arrMu), for the paper's object-count experiment (§4.1).
-	classCounts []int64
-	arrMu       sync.Mutex
-	arrCounts   []int64
+	// allocCounts counts allocations per class ID, then per array type at
+	// len(h.ClassList) + its index, for the paper's object-count experiment
+	// (§4.1).
+	allocCounts []int64
 
 	// gcWorkers is the mark-phase parallelism; markBits is the side mark
 	// bitmap (one bit per 8 heap bytes) CAS-set by concurrent markers.
 	gcWorkers int
 	markBits  []uint32
 
+	// stats holds the counts that have no obs instrument; allocations and
+	// collections are counted by the instruments alone.
 	stats struct {
-		allocBytes   atomic.Int64
-		allocObjects atomic.Int64
-		minorGCs     atomic.Int64
-		fullGCs      atomic.Int64
-		gcNanos      atomic.Int64
-		promoted     atomic.Int64
-		marked       atomic.Int64
-		peakUsed     atomic.Int64
-		liveAfterGC  atomic.Int64
+		promoted    atomic.Int64
+		marked      atomic.Int64
+		peakUsed    atomic.Int64
+		liveAfterGC atomic.Int64
 	}
 
 	// Observability instruments (internal/obs). Hot paths use the direct
 	// pointers; the registry is only consulted at creation/snapshot time.
 	obs            *obs.Registry
-	hPause         *obs.Histogram // every stop-the-world pause, ns
+	hPause         *obs.Histogram // every collection pause, ns
 	hPauseMinor    *obs.Histogram
 	hPauseFull     *obs.Histogram
 	hSafepointWait *obs.Histogram // mutator wait entering the VM during GC, ns
@@ -196,8 +191,9 @@ type RootFunc func(visit func(Addr) Addr)
 // VisitRoots implements RootSource.
 func (f RootFunc) VisitRoots(visit func(Addr) Addr) { f(visit) }
 
-// New creates a heap of the configured size for the given class hierarchy.
-func New(cfg Config, h *lang.Hierarchy) *Heap {
+// New creates a heap of the configured size for a program's class
+// hierarchy and array type table.
+func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	if cfg.HeapSize < 1<<20 {
 		cfg.HeapSize = 1 << 20
 	}
@@ -210,8 +206,9 @@ func New(cfg Config, h *lang.Hierarchy) *Heap {
 	hp := &Heap{
 		arena:       make([]byte, cfg.HeapSize),
 		h:           h,
+		arrTypes:    arrTypes,
 		remset:      make(map[Addr]struct{}),
-		classCounts: make([]int64, len(h.ClassList)),
+		allocCounts: make([]int64, len(h.ClassList)+arrTypes.Len()),
 	}
 	hp.oldBase = 8 // reserve null
 	hp.oldEnd = Addr(cfg.HeapSize - young)
@@ -275,18 +272,10 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	hp.youngPos = hp.oldEnd
 	hp.remset = make(map[Addr]struct{})
 	hp.mu.Unlock()
-	for i := range hp.classCounts {
-		atomic.StoreInt64(&hp.classCounts[i], 0)
+	for i := range hp.allocCounts {
+		atomic.StoreInt64(&hp.allocCounts[i], 0)
 	}
-	hp.arrMu.Lock()
-	clear(hp.arrCounts)
-	hp.arrMu.Unlock()
 	hp.clearMarkBits()
-	hp.stats.allocBytes.Store(0)
-	hp.stats.allocObjects.Store(0)
-	hp.stats.minorGCs.Store(0)
-	hp.stats.fullGCs.Store(0)
-	hp.stats.gcNanos.Store(0)
 	hp.stats.promoted.Store(0)
 	hp.stats.marked.Store(0)
 	hp.stats.peakUsed.Store(0)
@@ -384,37 +373,32 @@ func (hp *Heap) AllocObject(tc *ThreadCtx, cls *lang.Class, site int32) (Addr, e
 		return 0, err
 	}
 	hp.setU32(a+hdrType, uint32(cls.ID))
-	tc.classCounts[cls.ID]++
+	tc.allocCounts[cls.ID]++
 	tc.noteAlloc(int64(size))
 	return a, nil
 }
 
-// AllocArray allocates a zeroed array with the given element type.
-func (hp *Heap) AllocArray(tc *ThreadCtx, elem *lang.Type, n int, site int32) (Addr, error) {
+// AllocArray allocates a zeroed array of n elements of the type at index
+// arrType of the heap's array type table.
+func (hp *Heap) AllocArray(tc *ThreadCtx, arrType, n int, site int32) (Addr, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("negative array size %d", n)
 	}
-	idx := hp.arrTypes.Index(elem)
-	size := roundUp8(ArrayHeader + n*elem.FieldSize())
+	size := roundUp8(ArrayHeader + n*hp.arrTypes.Elem(arrType).FieldSize())
 	a, err := hp.allocSited(tc, size, site)
 	if err != nil {
 		return 0, err
 	}
-	hp.setU32(a+hdrType, arrayBit|uint32(idx))
+	hp.setU32(a+hdrType, arrayBit|uint32(arrType))
 	hp.setU32(a+12, uint32(n))
-	for len(tc.arrCounts) <= idx {
-		tc.arrCounts = append(tc.arrCounts, 0)
-	}
-	tc.arrCounts[idx]++
+	tc.allocCounts[len(hp.h.ClassList)+arrType]++
 	tc.noteAlloc(int64(size))
 	return a, nil
 }
 
-// noteAlloc records one allocation in the thread-local counters; they
-// flush to the shared atomics at the next boundary crossing.
+// noteAlloc records one allocation in the thread-local batch of the
+// allocation-size histogram; it flushes at the next boundary crossing.
 func (tc *ThreadCtx) noteAlloc(size int64) {
-	tc.allocObjects++
-	tc.allocBytes += size
 	tc.histCounts[tc.hp.hAllocSize.BucketIndex(size)]++
 	tc.histSum += size
 	if size < tc.histMin {
@@ -429,31 +413,15 @@ func (tc *ThreadCtx) noteAlloc(size int64) {
 // heap's shared counters. Called at boundary crossings (BeginExternal) and
 // on UnregisterThread; safe to call at any time from the owning thread.
 func (tc *ThreadCtx) flushAllocStats() {
-	if tc.allocObjects == 0 {
+	if tc.histSum == 0 { // no allocation since the last flush
 		return
 	}
 	hp := tc.hp
-	hp.stats.allocObjects.Add(tc.allocObjects)
-	hp.stats.allocBytes.Add(tc.allocBytes)
-	tc.allocObjects, tc.allocBytes = 0, 0
-	for id, c := range tc.classCounts {
+	for id, c := range tc.allocCounts {
 		if c != 0 {
-			atomic.AddInt64(&hp.classCounts[id], c)
-			tc.classCounts[id] = 0
+			atomic.AddInt64(&hp.allocCounts[id], c)
+			tc.allocCounts[id] = 0
 		}
-	}
-	if len(tc.arrCounts) > 0 {
-		hp.arrMu.Lock()
-		for len(hp.arrCounts) < len(tc.arrCounts) {
-			hp.arrCounts = append(hp.arrCounts, 0)
-		}
-		for idx, c := range tc.arrCounts {
-			if c != 0 {
-				hp.arrCounts[idx] += c
-				tc.arrCounts[idx] = 0
-			}
-		}
-		hp.arrMu.Unlock()
 	}
 	hp.hAllocSize.ObserveBatch(tc.histCounts, tc.histSum, tc.histMin, tc.histMax)
 	for i := range tc.histCounts {
@@ -616,14 +584,16 @@ func (hp *Heap) GetLock(a Addr) uint32 { return hp.getU32(a + hdrLock) }
 // SetLock stores the lock word of object a.
 func (hp *Heap) SetLock(a Addr, v uint32) { hp.setU32(a+hdrLock, v) }
 
-// Stats returns a snapshot of the heap counters.
+// Stats returns a snapshot of the heap counters. Allocations and
+// collections are read off the instruments that count them: the
+// allocation-size histogram and the pause histograms.
 func (hp *Heap) Stats() Stats {
 	return Stats{
-		AllocBytes:   hp.stats.allocBytes.Load(),
-		AllocObjects: hp.stats.allocObjects.Load(),
-		MinorGCs:     hp.stats.minorGCs.Load(),
-		FullGCs:      hp.stats.fullGCs.Load(),
-		GCTime:       time.Duration(hp.stats.gcNanos.Load()),
+		AllocBytes:   hp.hAllocSize.Sum(),
+		AllocObjects: hp.hAllocSize.Count(),
+		MinorGCs:     hp.hPauseMinor.Count(),
+		FullGCs:      hp.hPauseFull.Count(),
+		GCTime:       time.Duration(hp.hPause.Sum()),
 		Promoted:     hp.stats.promoted.Load(),
 		MarkedNodes:  hp.stats.marked.Load(),
 		PeakUsed:     hp.stats.peakUsed.Load(),
@@ -634,7 +604,7 @@ func (hp *Heap) Stats() Stats {
 
 // ClassAllocCount returns how many instances of cls were ever allocated.
 func (hp *Heap) ClassAllocCount(cls *lang.Class) int64 {
-	return atomic.LoadInt64(&hp.classCounts[cls.ID])
+	return atomic.LoadInt64(&hp.allocCounts[cls.ID])
 }
 
 // ClassAllocCounts returns the allocation count per class name (plus
@@ -643,17 +613,16 @@ func (hp *Heap) ClassAllocCount(cls *lang.Class) int64 {
 // run report embeds.
 func (hp *Heap) ClassAllocCounts() map[string]int64 {
 	out := make(map[string]int64)
-	for id := range hp.classCounts {
-		if c := atomic.LoadInt64(&hp.classCounts[id]); c != 0 {
+	classes := len(hp.h.ClassList)
+	for id := range hp.allocCounts {
+		c := atomic.LoadInt64(&hp.allocCounts[id])
+		switch {
+		case c == 0:
+		case id < classes:
 			out[hp.h.ClassList[id].Name] = c
+		default:
+			out["[]"+hp.arrTypes.Elem(id-classes).String()] = c
 		}
 	}
-	hp.arrMu.Lock()
-	for idx, c := range hp.arrCounts {
-		if c != 0 {
-			out["[]"+hp.arrTypes.Elem(idx).String()] = c
-		}
-	}
-	hp.arrMu.Unlock()
 	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/lang"
+	"repro/internal/obs"
 )
 
 // testHierarchy builds a tiny hierarchy: Object, Node{int val; Node next;
@@ -35,9 +36,18 @@ class Node {
 	return h
 }
 
+// testArrayTypes is the array type table of the tests' heaps: int[] at
+// intArr, Node[] at nodeArr.
+var testArrayTypes = lang.NewArrayTypes([]*lang.Type{lang.IntType, lang.ClassType("Node")})
+
+const (
+	intArr = iota
+	nodeArr
+)
+
 func newTestHeap(t *testing.T, size int) (*Heap, *ThreadCtx) {
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: size}, h)
+	hp := New(Config{HeapSize: size}, h, testArrayTypes)
 	tc := hp.RegisterThread()
 	tc.EndExternal()
 	t.Cleanup(func() {
@@ -108,7 +118,7 @@ func TestAllocAndFieldAccess(t *testing.T) {
 
 func TestArrayAlloc(t *testing.T) {
 	hp, tc := newTestHeap(t, 4<<20)
-	arr, err := hp.AllocArray(tc, lang.IntType, 100, 0)
+	arr, err := hp.AllocArray(tc, intArr, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +313,7 @@ func TestParallelAndSerialMarkAgree(t *testing.T) {
 	// preserve identical structure and report the same live size.
 	build := func(workers int) (*Heap, int64) {
 		h := testHierarchy(t)
-		hp := New(Config{HeapSize: 8 << 20, GCWorkers: workers}, h)
+		hp := New(Config{HeapSize: 8 << 20, GCWorkers: workers}, h, testArrayTypes)
 		tc := hp.RegisterThread()
 		tc.EndExternal()
 		defer func() {
@@ -321,7 +331,7 @@ func TestParallelAndSerialMarkAgree(t *testing.T) {
 			}
 		}))
 		// A dag: chains with cross links and a shared array.
-		arr, _ := hp.AllocArray(tc, lang.ClassType("Node"), 16, 0)
+		arr, _ := hp.AllocArray(tc, nodeArr, 16, 0)
 		for i := range roots {
 			a, _ := hp.AllocObject(tc, node, 0)
 			put[int32](hp, a, ScalarHeader+val.Offset, int32(i))
@@ -435,7 +445,7 @@ func TestOutOfMemory(t *testing.T) {
 	root = a
 	// Keep a growing live array chain until the heap cannot hold it.
 	for i := 0; ; i++ {
-		arr, err := hp.AllocArray(tc, lang.ClassType("Node"), 4096, 0)
+		arr, err := hp.AllocArray(tc, nodeArr, 4096, 0)
 		if err != nil {
 			if err != ErrOutOfMemory {
 				t.Fatalf("wrong error: %v", err)
@@ -461,7 +471,7 @@ func TestOutOfMemory(t *testing.T) {
 
 func TestConcurrentAllocAndGC(t *testing.T) {
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: 16 << 20}, h)
+	hp := New(Config{HeapSize: 16 << 20}, h, testArrayTypes)
 	node := h.Class("Node")
 	val := node.FindField("val")
 
@@ -516,7 +526,7 @@ func TestArrayElementWriteBarrier(t *testing.T) {
 	hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 		root = visit(root)
 	}))
-	arr, _ := hp.AllocArray(tc, lang.ClassType("Node"), 8, 0)
+	arr, _ := hp.AllocArray(tc, nodeArr, 8, 0)
 	root = arr
 	if err := hp.ForceGC(tc, false); err != nil { // promote the array
 		t.Fatal(err)
@@ -543,7 +553,7 @@ func TestAllocationCounters(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := hp.AllocArray(tc, lang.IntType, 4, 0); err != nil {
+		if _, err := hp.AllocArray(tc, intArr, 4, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -553,6 +563,79 @@ func TestAllocationCounters(t *testing.T) {
 	}
 	if n := hp.ClassAllocCounts()["[]int"]; n != 3 {
 		t.Fatalf("array count %d", n)
+	}
+}
+
+// TestHeapStatsReadTheInstruments checks that the heap keeps one set of
+// books: Stats reads allocations off the allocation-size histogram and
+// collections and their time off the pause histograms, for a first job,
+// after Reset and for a second job, which leaves the first job's registry
+// as it was.
+func TestHeapStatsReadTheInstruments(t *testing.T) {
+	check := func(when string, hp *Heap) Stats {
+		t.Helper()
+		st, snap := hp.Stats(), hp.Obs().Snapshot()
+		for _, c := range []struct {
+			field      string
+			got, instr int64
+		}{
+			{"AllocObjects", st.AllocObjects, snap.Histograms[obs.HistAllocSize].Count},
+			{"AllocBytes", st.AllocBytes, snap.Histograms[obs.HistAllocSize].Sum},
+			{"MinorGCs", st.MinorGCs, snap.Histograms[obs.HistGCPauseMinor].Count},
+			{"FullGCs", st.FullGCs, snap.Histograms[obs.HistGCPauseFull].Count},
+			{"GCTime", int64(st.GCTime), snap.Histograms[obs.HistGCPause].Sum},
+		} {
+			if c.got != c.instr {
+				t.Errorf("%s: Stats.%s = %d, instrument = %d", when, c.field, c.got, c.instr)
+			}
+		}
+		if n := snap.Histograms[obs.HistGCPause].Count; st.MinorGCs+st.FullGCs != n {
+			t.Errorf("%s: %d minor + %d full collections, %d pauses", when, st.MinorGCs, st.FullGCs, n)
+		}
+		return st
+	}
+	// A job: 100 Nodes and one int[10], a minor and a full collection.
+	job := func(hp *Heap) {
+		tc := hp.RegisterThread()
+		tc.EndExternal()
+		node := hp.Hierarchy().Class("Node")
+		for i := 0; i < 100; i++ {
+			if _, err := hp.AllocObject(tc, node, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := hp.AllocArray(tc, intArr, 10, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, full := range []bool{false, true} {
+			if err := hp.ForceGC(tc, full); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hp.UnregisterThread(tc)
+	}
+
+	hp := New(Config{HeapSize: 8 << 20}, testHierarchy(t), testArrayTypes)
+	job(hp)
+	first := check("first job", hp)
+	bytes := int64(100*roundUp8(ScalarHeader+hp.Hierarchy().Class("Node").BodySize) + roundUp8(ArrayHeader+10*4))
+	if first.AllocObjects != 101 || first.AllocBytes != bytes || first.MinorGCs != 1 || first.FullGCs != 1 || first.GCTime <= 0 {
+		t.Fatalf("first job: %+v, want 101 objects of %d bytes, one minor and one full collection", first, bytes)
+	}
+	reg := hp.Obs()
+	if err := hp.Reset(obs.NewRegistry(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := check("after reset", hp); st.AllocObjects != 0 || st.AllocBytes != 0 || st.MinorGCs != 0 || st.FullGCs != 0 || st.GCTime != 0 {
+		t.Fatalf("Reset kept the previous job's counts: %+v", st)
+	}
+	job(hp)
+	second := check("second job", hp)
+	if second.AllocObjects != first.AllocObjects || second.AllocBytes != first.AllocBytes || second.MinorGCs != 1 || second.FullGCs != 1 {
+		t.Fatalf("second job: %+v, first: %+v", second, first)
+	}
+	if got := reg.Snapshot().Histograms[obs.HistAllocSize].Count; got != first.AllocObjects {
+		t.Fatalf("second job moved the first job's registry: %d allocations, want %d", got, first.AllocObjects)
 	}
 }
 
@@ -572,7 +655,7 @@ func TestPeakTracksUsage(t *testing.T) {
 func TestInjectedAllocFault(t *testing.T) {
 	h := testHierarchy(t)
 	inj := faults.New(&faults.Config{Seed: 7, AllocAt: 1})
-	hp := New(Config{HeapSize: 4 << 20, Faults: inj}, h)
+	hp := New(Config{HeapSize: 4 << 20, Faults: inj}, h, testArrayTypes)
 	tc := hp.RegisterThread()
 	tc.EndExternal()
 	defer func() {

@@ -7,7 +7,7 @@ import "testing"
 func newLifetimeHeap(t *testing.T, size int, pretenure []bool) (*Heap, *ThreadCtx) {
 	t.Helper()
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: size, Lifetimes: LifetimeConfig{Pretenure: pretenure}}, h)
+	hp := New(Config{HeapSize: size, Lifetimes: LifetimeConfig{Pretenure: pretenure}}, h, testArrayTypes)
 	tc := hp.RegisterThread()
 	tc.EndExternal()
 	t.Cleanup(func() {
@@ -42,7 +42,7 @@ func TestPretenuredSiteAllocatesOld(t *testing.T) {
 
 func TestResetRestoresStaticClassification(t *testing.T) {
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: 16 << 20, Lifetimes: LifetimeConfig{Pretenure: []bool{false, false, true}}}, h)
+	hp := New(Config{HeapSize: 16 << 20, Lifetimes: LifetimeConfig{Pretenure: []bool{false, false, true}}}, h, testArrayTypes)
 	// allocSite2 allocates one Node at site 2 on a thread of its own, so
 	// the heap is quiescent (and the counters flushed) between steps.
 	allocSite2 := func() Addr {

@@ -43,14 +43,11 @@ type ThreadCtx struct {
 	running bool
 
 	// Allocation accounting (flushed by flushAllocStats).
-	allocBytes   int64
-	allocObjects int64
-	classCounts  []int64 // per class ID, same indexing as hp.classCounts
-	arrCounts    []int64 // per array type index, grown on demand
-	histCounts   []int64 // hp.hAllocSize buckets
-	histSum      int64
-	histMin      int64
-	histMax      int64
+	allocCounts []int64 // same indexing as hp.allocCounts
+	histCounts  []int64 // hp.hAllocSize buckets
+	histSum     int64
+	histMin     int64
+	histMax     int64
 
 	// remBuf holds old->young reference slots recorded by the write
 	// barrier (Barrier) since the last drain.
@@ -67,7 +64,7 @@ type ThreadCtx struct {
 func (hp *Heap) RegisterThread() *ThreadCtx {
 	tc := &ThreadCtx{
 		hp:          hp,
-		classCounts: make([]int64, len(hp.classCounts)),
+		allocCounts: make([]int64, len(hp.allocCounts)),
 		histCounts:  make([]int64, hp.hAllocSize.NumBuckets()),
 		histMin:     math.MaxInt64,
 		histMax:     math.MinInt64,

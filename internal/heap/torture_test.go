@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/lang"
 )
 
 // GC torture test: several mutator goroutines churn linked object graphs
@@ -47,7 +45,7 @@ func TestGCTorture(t *testing.T) {
 		rounds = 15
 	}
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: 48 << 20}, h)
+	hp := New(Config{HeapSize: 48 << 20}, h, testArrayTypes)
 	node := h.Class("Node")
 	val := node.FindField("val")
 	next := node.FindField("next")
@@ -144,7 +142,7 @@ func TestGCTorture(t *testing.T) {
 						// Array fan-out pointing back into the list, plus
 						// an old->young edge through the anchor: exactly
 						// the stores the batched barrier buffers.
-						arr, err := hp.AllocArray(tc, lang.ClassType("Node"), 4, 0)
+						arr, err := hp.AllocArray(tc, nodeArr, 4, 0)
 						if err != nil {
 							t.Error(err)
 							return
@@ -206,7 +204,7 @@ func TestGCTorture(t *testing.T) {
 // took sp.mu this died of "concurrent map iteration and map write" within a
 // few hundred iterations; CI runs it under -race.
 func TestRegisterDuringCollection(t *testing.T) {
-	hp := New(Config{HeapSize: 4 << 20}, testHierarchy(t))
+	hp := New(Config{HeapSize: 4 << 20}, testHierarchy(t), testArrayTypes)
 	const nRegistrars = 3
 	iters := 5000
 	if testing.Short() {

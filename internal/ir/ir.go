@@ -303,6 +303,12 @@ type Program struct {
 	// FACADE transform so site IDs stay aligned between P and P'.
 	NumSites int
 
+	// ArrayTypes is the table of every array element type the program
+	// names, built by the VM's linker under LinkInstrs and never written
+	// again; the newarr, pnewarr, pinstanceof and pcast slots carry their
+	// index into it.
+	ArrayTypes *lang.ArrayTypes
+
 	// linkOnce serializes the one-time lowering of every function to its
 	// execution form (Func.Code, built by the VM's linker). The form is a
 	// pure function of the program, so every VM sharing this program runs

@@ -1,50 +1,40 @@
 package lang
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// ArrayTypes assigns dense indices to array element types, so an object or
-// record header can name its array type in a few bits. The managed heap and
-// the page store each own one. The zero value is an empty, unlimited table.
+// ArrayTypes is a program's table of array element types. Each type gets a
+// dense index, so an object or record header can name its array type in a
+// few bits. The VM's linker builds the table once per program, from every
+// element type the program names, and it is never written again: the heap
+// and the page store of every VM over the program share it and read it
+// without a lock.
 type ArrayTypes struct {
-	// Limit caps the number of distinct element types (0 = no cap): the
-	// width the owner's type word leaves for the index.
-	Limit int
-
-	mu    sync.Mutex
+	types []*Type
 	index map[string]int
-	// types is republished on every registration; the backing array only
-	// ever grows past the published length, so Elem reads without the lock.
-	types atomic.Pointer[[]*Type]
 }
 
-// Index returns the dense index of elem, registering it on first use, or -1
-// when the table is full. Lookups of registered types never fail.
-func (t *ArrayTypes) Index(elem *Type) int {
-	key := elem.String()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i, ok := t.index[key]; ok {
-		return i
+// NewArrayTypes builds the table over elems: one entry per distinct type
+// (two types are one when their String forms are), indexed in order of
+// first appearance.
+func NewArrayTypes(elems []*Type) *ArrayTypes {
+	t := &ArrayTypes{index: make(map[string]int, len(elems))}
+	for _, e := range elems {
+		key := e.String()
+		if _, ok := t.index[key]; !ok {
+			t.index[key] = len(t.types)
+			t.types = append(t.types, e)
+		}
 	}
-	var types []*Type
-	if p := t.types.Load(); p != nil {
-		types = *p
-	}
-	i := len(types)
-	if t.Limit > 0 && i >= t.Limit {
-		return -1
-	}
-	if t.index == nil {
-		t.index = make(map[string]int)
-	}
-	types = append(types, elem)
-	t.types.Store(&types)
-	t.index[key] = i
-	return i
+	return t
 }
 
-// Elem returns the element type registered under idx.
-func (t *ArrayTypes) Elem(idx int) *Type { return (*t.types.Load())[idx] }
+// Index returns the dense index of the element type spelled name (its
+// String form), false when the table lacks it.
+func (t *ArrayTypes) Index(name string) (int, bool) {
+	i, ok := t.index[name]
+	return i, ok
+}
+
+// Elem returns the element type under idx.
+func (t *ArrayTypes) Elem(idx int) *Type { return t.types[idx] }
+
+// Len returns the number of element types in the table.
+func (t *ArrayTypes) Len() int { return len(t.types) }

@@ -104,6 +104,9 @@ func (h *Histogram) ObserveBatch(counts []int64, sum, min, max int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
+// Sum returns the sum of the observations.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
 // Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{

@@ -30,8 +30,8 @@ func TestManagerAllocFieldsOwnTheirLines(t *testing.T) {
 
 // TestRuntimeTableOwnsItsLines is the layout guard for Runtime.table, which
 // every record access of every thread loads: the fields written on page
-// acquires (mu, free, live) and on array allocations (arrTypes' lock) and
-// every other field of the store lie at least a cache-line pair away from
+// acquires (mu, free, live) and on iteration starts (nextIter) and every
+// other field of the store lie at least a cache-line pair away from
 // it, so none of those writes invalidates the line the readers hold.
 func TestRuntimeTableOwnsItsLines(t *testing.T) {
 	var rt Runtime
@@ -44,7 +44,6 @@ func TestRuntimeTableOwnsItsLines(t *testing.T) {
 		{"mu", unsafe.Offsetof(rt.mu), unsafe.Sizeof(rt.mu)},
 		{"free", unsafe.Offsetof(rt.free), unsafe.Sizeof(rt.free)},
 		{"live", unsafe.Offsetof(rt.live), unsafe.Sizeof(rt.live)},
-		{"arrTypes", unsafe.Offsetof(rt.arrTypes), unsafe.Sizeof(rt.arrTypes)},
 		{"nextIter", unsafe.Offsetof(rt.nextIter), unsafe.Sizeof(rt.nextIter)},
 		{"Locks", unsafe.Offsetof(rt.Locks), unsafe.Sizeof(rt.Locks)},
 		{"stats", unsafe.Offsetof(rt.stats), unsafe.Sizeof(rt.stats)},

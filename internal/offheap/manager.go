@@ -255,14 +255,11 @@ func (m *PageManager) NewRecord(pk Parker, typeID uint16, bodySize int) (PageRef
 }
 
 // AllocArray allocates a zeroed array record for n elements of elemSize
-// bytes, tagged with the array type index (-1, from an exhausted
-// ArrayTypeIndex registry, is rejected with ErrTooManyArrayTypes).
+// bytes, tagged with the array type index: the element type's index in the
+// program's table, below MaxArrayTypes.
 func (m *PageManager) AllocArray(pk Parker, arrTypeIdx int, elemSize, n int) (PageRef, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("offheap: negative array size %d", n)
-	}
-	if arrTypeIdx < 0 {
-		return 0, ErrTooManyArrayTypes
 	}
 	ref, _, err := m.alloc(pk, ArrayHeader+n*elemSize, arrayTypeBit|uint16(arrTypeIdx), n)
 	return ref, err

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faults"
-	"repro/internal/lang"
 	"repro/internal/obs"
 )
 
@@ -41,8 +40,8 @@ var (
 	// manager whose iteration has already been released (§3.6: a record
 	// must not outlive its iteration).
 	ErrReleasedManager = errors.New("offheap: allocation from a released page manager")
-	// ErrTooManyArrayTypes is returned when the dense array-type registry
-	// is exhausted (the type word reserves 14 bits for the index).
+	// ErrTooManyArrayTypes is returned when a program names more array
+	// element types than a record's type word can index (MaxArrayTypes).
 	ErrTooManyArrayTypes = errors.New("offheap: too many distinct array element types")
 	// ErrPageExhausted is returned when a page acquire fails — via
 	// injected faults or an exceeded page quota, standing in for native
@@ -70,6 +69,10 @@ const (
 	ArrayHeader  = 8
 
 	arrayTypeBit uint16 = 1 << 14
+
+	// MaxArrayTypes bounds the array type indices a record's type word
+	// holds, in the 14 bits below arrayTypeBit.
+	MaxArrayTypes = int(arrayTypeBit)
 )
 
 // MakeRef builds a PageRef from a page index and offset.
@@ -110,8 +113,7 @@ func (p *page) bytes() []byte {
 	return nil
 }
 
-// Runtime owns all pages, the free-page pool, the array type registry, and
-// the shared lock pool.
+// Runtime owns all pages, the free-page pool and the shared lock pool.
 type Runtime struct {
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse
@@ -123,14 +125,10 @@ type Runtime struct {
 	// table is a copy-on-write page table so record accesses resolve page
 	// references without locking. Every record access of every thread
 	// loads it, while mu, free and live above are written on each page
-	// acquire and arrTypes' lock below on each array allocation, so it keeps
-	// a cache-line pair to itself on both sides (vm.Thread's reason again).
+	// acquire and nextIter below on each iteration start, so it keeps a
+	// cache-line pair to itself on both sides (vm.Thread's reason again).
 	table atomic.Pointer[[]*page]
 	_     [cacheLinePair]byte
-
-	// arrTypes is the array type registry; the type word leaves 14 bits
-	// for its indices.
-	arrTypes lang.ArrayTypes
 
 	// nextIter supplies this store's iteration IDs, dense from 0.
 	nextIter atomic.Int64
@@ -208,7 +206,6 @@ func NewRuntimeWith(reg *obs.Registry) *Runtime {
 		live:  make(map[*PageManager]struct{}),
 		Locks: NewLockPool(defaultLockPoolSize),
 	}
-	rt.arrTypes.Limit = int(arrayTypeBit)
 	rt.bindInstruments(reg, nil)
 	empty := make([]*page, 0)
 	rt.table.Store(&empty)
@@ -357,14 +354,6 @@ func (rt *Runtime) Stats() Stats {
 	}
 	return s
 }
-
-// ArrayTypeIndex returns the dense index for an array element type, or -1
-// when the registry is exhausted (the allocation sites turn -1 into
-// ErrTooManyArrayTypes; lookups of already-registered types never fail).
-func (rt *Runtime) ArrayTypeIndex(elem *lang.Type) int { return rt.arrTypes.Index(elem) }
-
-// ArrayElemType returns the element type registered under idx.
-func (rt *Runtime) ArrayElemType(idx int) *lang.Type { return rt.arrTypes.Elem(idx) }
 
 // getPage allocates or recycles a page of at least size bytes — the one
 // acquire path: every page a manager owns came through here. Pages larger

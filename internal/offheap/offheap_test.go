@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/faults"
-	"repro/internal/lang"
 )
 
 func newScope(rt *Runtime, tid int) *IterScope {
@@ -103,7 +102,7 @@ func TestArrayRecord(t *testing.T) {
 	rt := NewRuntime()
 	s := newScope(rt, 0)
 	defer s.Close()
-	idx := rt.ArrayTypeIndex(lang.IntType)
+	idx := MaxArrayTypes - 1 // the store keeps the index it is handed, up to the type word's last
 	ref, err := s.Current().AllocArray(nil, idx, 4, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +242,7 @@ func TestOversizeAllocation(t *testing.T) {
 	rt := NewRuntime()
 	s := newScope(rt, 0)
 	defer s.Close()
-	idx := rt.ArrayTypeIndex(lang.ByteType)
-	ref, err := s.Current().AllocArray(nil, idx, 1, 5*PageSize)
+	ref, err := s.Current().AllocArray(nil, 0, 1, 5*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +264,8 @@ func TestLargeRecordGetsOwnPage(t *testing.T) {
 	defer s.Close()
 	// Two large-but-not-oversize arrays must land on distinct pages
 	// ("large arrays are allocated on empty pages").
-	idx := rt.ArrayTypeIndex(lang.ByteType)
-	a, _ := s.Current().AllocArray(nil, idx, 1, PageSize*3/4)
-	b, _ := s.Current().AllocArray(nil, idx, 1, PageSize*3/4)
+	a, _ := s.Current().AllocArray(nil, 0, 1, PageSize*3/4)
+	b, _ := s.Current().AllocArray(nil, 0, 1, PageSize*3/4)
 	pa, _ := splitRef(a)
 	pb, _ := splitRef(b)
 	if pa == pb {
@@ -558,8 +555,7 @@ func TestReleaseOversizeEarly(t *testing.T) {
 	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
-	idx := rt.ArrayTypeIndex(lang.ByteType)
-	big, _ := s.Current().AllocArray(nil, idx, 1, 4*PageSize)
+	big, _ := s.Current().AllocArray(nil, 0, 1, 4*PageSize)
 	small := mustRecord(t, s.Current(), 1, 32)
 	before := rt.Stats().BytesInUse
 	if !rt.ReleaseOversize(big) {
@@ -594,16 +590,6 @@ func TestReleasedManagerAllocError(t *testing.T) {
 	}
 	if _, err := m.AllocArray(nil, 0, 4, 10); !errors.Is(err, ErrReleasedManager) {
 		t.Fatalf("array err = %v, want ErrReleasedManager", err)
-	}
-}
-
-func TestAllocArrayRejectsExhaustedTypeRegistry(t *testing.T) {
-	rt := NewRuntime()
-	s := newScope(rt, 0)
-	defer s.Close()
-	// -1 is ArrayTypeIndex's "registry full" answer.
-	if _, err := s.Current().AllocArray(nil, -1, 4, 10); !errors.Is(err, ErrTooManyArrayTypes) {
-		t.Fatalf("err = %v, want ErrTooManyArrayTypes", err)
 	}
 }
 

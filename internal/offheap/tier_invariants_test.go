@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/lang"
 	"repro/internal/obs"
 )
 
@@ -351,7 +350,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// Big enough for a page each, so the tiered store keeps spilling.
 			st.recs = append(st.recs, mustRecord(t, st.s.Current(), uint16(i+1), 20000))
-			arr, err := st.s.Current().AllocArray(nil, rt.ArrayTypeIndex(lang.LongType), 8, 2500)
+			arr, err := st.s.Current().AllocArray(nil, 3, 8, 2500)
 			if err != nil {
 				t.Fatal(err)
 			}

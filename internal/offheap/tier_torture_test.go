@@ -41,7 +41,7 @@ func TestTierTorture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp := heap.New(heap.Config{HeapSize: 1 << 20}, h)
+	hp := heap.New(heap.Config{HeapSize: 1 << 20}, h, lang.NewArrayTypes(nil))
 	rt, _ := newTieredRuntime(t, 6, 3)
 	root := newScope(rt, 0)
 	defer root.Close()

@@ -18,7 +18,7 @@ import (
 // element: the two halves share one codec, so all four must agree.
 func TestSlotCodecSharedByBothHalves(t *testing.T) {
 	p := compile(t, `
-class Rec { boolean z; byte b; int i; long l; double d; Rec r; }
+class Rec { boolean z; byte b; int i; long l; double d; Rec r; Rec[] rs; }
 class Main { static void main() { } }`)
 	m, err := New(p, Config{HeapSize: 4 << 20})
 	if err != nil {
@@ -58,7 +58,11 @@ class Main { static void main() { } }`)
 			if err != nil {
 				t.Fatal(err)
 			}
-			arr, err := hp.AllocArray(th.tc, f.Type, 3, 0)
+			idx, ok := p.ArrayTypes.Index(f.Type.String())
+			if !ok {
+				t.Fatalf("the program's array type table lacks %s", f.Type)
+			}
+			arr, err := hp.AllocArray(th.tc, idx, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +70,7 @@ class Main { static void main() { } }`)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parr, err := pm.Current().AllocArray(nil, rt.ArrayTypeIndex(f.Type), f.Type.FieldSize(), 3)
+			parr, err := pm.Current().AllocArray(nil, idx, f.Type.FieldSize(), 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/obs"
@@ -277,47 +279,144 @@ func TestLinkLeavesTheIRUntouched(t *testing.T) {
 	}
 }
 
-// TestConcurrentLinkSharesOneForm builds and runs several VMs over one
-// never-linked program at once: exactly one of them lowers it, all of them
-// run the same code arrays, and the race detector sees no write they share.
+// TestConcurrentLinkSharesOneForm builds four VMs over one never-linked
+// program at once, a fifth after the link, and runs the first again after
+// ResetForReuse: exactly one lowers the program, every one runs the same
+// execution form over the same array type table and tags a Rec[] built at
+// the boundary with the same index, and the race detector sees no write
+// they share. Both halves.
 func TestConcurrentLinkSharesOneForm(t *testing.T) {
 	src := recordOpsProgram("")
 	want := runMain(t, compile(t, src), 8<<20)
 	for _, q := range []*ir.Program{compile(t, src), transform(t, compile(t, src), "Rec", "Main")} {
+		type seen struct {
+			out  string
+			code *ir.Code
+			arr  int // the array type index in the Rec[]'s header
+		}
+		run := func(m *VM, out *bytes.Buffer) (seen, error) {
+			th, err := m.NewThread(nil)
+			if err != nil {
+				return seen{}, err
+			}
+			defer th.Close()
+			if _, err := th.Call(mainOf(q)); err != nil {
+				return seen{}, err
+			}
+			o, err := th.NewArr("Rec", 2)
+			if err != nil {
+				return seen{}, err
+			}
+			return seen{out.String(), m.Func(mainOf(q)).Code, arrTypeOf(m, m.Get(o))}, nil
+		}
 		var wg sync.WaitGroup
-		outs := make([]string, 4)
-		codes := make([]*ir.Code, len(outs))
-		for i := range outs {
+		vms := make([]*VM, 4)
+		outs := make([]bytes.Buffer, len(vms)+1)
+		got := make([]seen, len(vms), len(vms)+2)
+		for i := range vms {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				var out bytes.Buffer
-				m, err := New(q, Config{HeapSize: 8 << 20, Out: &out})
+				m, err := New(q, Config{HeapSize: 8 << 20, Out: &outs[i]})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				th, err := m.NewThread(nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer th.Close()
-				if _, err := th.Call(mainOf(q)); err != nil {
+				vms[i] = m
+				if got[i], err = run(m, &outs[i]); err != nil {
 					t.Error(err)
 				}
-				outs[i], codes[i] = out.String(), m.Func(mainOf(q)).Code
 			}(i)
 		}
 		wg.Wait()
-		for i := range outs {
-			if outs[i] != want {
-				t.Errorf("VM %d printed %q, want %q", i, outs[i], want)
+		if t.Failed() {
+			t.FailNow()
+		}
+		fresh, err := New(q, Config{HeapSize: 8 << 20, Out: &outs[len(vms)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := run(fresh, &outs[len(vms)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, s)
+		outs[0].Reset()
+		if err := vms[0].ResetForReuse(ResetConfig{Out: &outs[0]}); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = run(vms[0], &outs[0]); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, s)
+
+		rec, ok := q.ArrayTypes.Index("Rec")
+		if !ok {
+			t.Fatal("the program's array type table lacks Rec")
+		}
+		for i, s := range got {
+			if s.out != want {
+				t.Errorf("run %d printed %q, want %q", i, s.out, want)
 			}
-			if codes[i] == nil || codes[i] != codes[0] {
-				t.Errorf("VM %d saw a different execution form than VM 0", i)
+			if s.code == nil || s.code != got[0].code {
+				t.Errorf("run %d saw a different execution form than run 0", i)
+			}
+			if s.arr != rec {
+				t.Errorf("run %d tagged a Rec[] with array type %d, the table has %d", i, s.arr, rec)
 			}
 		}
+	}
+}
+
+// arrTypeOf reads the array type index from the header of array v.
+func arrTypeOf(m *VM, v Value) int {
+	if m.Prog.Transformed {
+		idx, _ := offheap.ArrayType(offheap.TypeWord(m.RT.Bytes(offheap.PageRef(v))))
+		return idx
+	}
+	return int(binary.LittleEndian.Uint32(m.Heap.Bytes(heap.Addr(v))) &^ (1 << 31))
+}
+
+// TestNewArrOfAnUnnamedType asks the boundary for an array whose element
+// type the program never names: the table was fixed at link, so NewArr
+// returns an error naming the type, and the thread goes on allocating the
+// arrays the table has.
+func TestNewArrOfAnUnnamedType(t *testing.T) {
+	src := `
+class Rec { int i; }
+class Main { static void main() { Rec r = new Rec(); r.i = 1; } }`
+	for _, q := range []*ir.Program{compile(t, src), transform(t, compile(t, src), "Rec", "Main")} {
+		m, err := New(q, Config{HeapSize: 4 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.NewThread(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.NewArr("Rec", 3); err == nil || !strings.Contains(err.Error(), "Rec") {
+			t.Errorf("transformed=%v: NewArr(Rec) = %v, want an error naming Rec", q.Transformed, err)
+		}
+		if _, err := th.NewArr("double", 3); err != nil {
+			t.Errorf("transformed=%v: NewArr(double) after the refusal: %v", q.Transformed, err)
+		}
+		th.Close()
+	}
+}
+
+// TestArrayTableOverTheTypeWordFails builds the table over synthetic type
+// lists: as many types as a record's type word indexes link, one more fails
+// with ErrTooManyArrayTypes.
+func TestArrayTableOverTheTypeWordFails(t *testing.T) {
+	elems := make([]*lang.Type, offheap.MaxArrayTypes+1)
+	for i := range elems {
+		elems[i] = lang.ClassType(fmt.Sprintf("C%d", i))
+	}
+	if tab, err := newArrayTable(elems[:offheap.MaxArrayTypes]); err != nil || tab.Len() != offheap.MaxArrayTypes {
+		t.Fatalf("a full table: %v", err)
+	}
+	if _, err := newArrayTable(elems); !errors.Is(err, offheap.ErrTooManyArrayTypes) {
+		t.Fatalf("one type past the type word: err = %v, want ErrTooManyArrayTypes", err)
 	}
 }
 

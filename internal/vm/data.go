@@ -301,61 +301,30 @@ func (t *Thread) isFacadeType(ty *lang.Type) bool {
 	return fb != nil && c.IsSubclassOf(fb)
 }
 
-// NewArr allocates a data array with the given element type ("int",
-// "byte", "double", "long", "boolean", or a class name, with optional []
-// suffixes).
+// NewArr allocates a data array of n elements of the type spelled elem
+// ("int", "byte", "double", "long", "boolean", or a class name, with
+// optional [] suffixes). The program must name an array of it: array types
+// are fixed when the program is linked.
 func (t *Thread) NewArr(elem string, n int) (Obj, error) {
-	ty, err := t.parseTypeName(elem)
-	if err != nil {
-		return NilObj, err
+	types := t.vm.Prog.ArrayTypes
+	idx, ok := types.Index(elem)
+	if !ok {
+		return NilObj, fmt.Errorf("vm: NewArr: the program names no array of %s", elem)
 	}
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
 	if t.vm.Prog.Transformed {
-		ref, err := t.iter.Current().AllocArray(parker{t}, t.vm.RT.ArrayTypeIndex(ty), ty.FieldSize(), n)
+		ref, err := t.iter.Current().AllocArray(parker{t}, idx, types.Elem(idx).FieldSize(), n)
 		if err != nil {
 			return NilObj, err
 		}
 		return t.wrapObj(Value(ref)), nil
 	}
-	a, err := t.vm.Heap.AllocArray(t.tc, ty, n, 0)
+	a, err := t.vm.Heap.AllocArray(t.tc, idx, n, 0)
 	if err != nil {
 		return NilObj, err
 	}
 	return t.wrapObj(Value(a)), nil
-}
-
-func (t *Thread) parseTypeName(name string) (*lang.Type, error) {
-	dims := 0
-	for len(name) > 2 && name[len(name)-2:] == "[]" {
-		dims++
-		name = name[:len(name)-2]
-	}
-	var ty *lang.Type
-	switch name {
-	case "boolean":
-		ty = lang.BoolType
-	case "byte":
-		ty = lang.ByteType
-	case "int":
-		ty = lang.IntType
-	case "long":
-		ty = lang.LongType
-	case "double":
-		ty = lang.DoubleType
-	default:
-		if c := t.vm.Prog.H.Class(name); c != nil {
-			ty = lang.ClassType(name)
-		} else if i := t.vm.Prog.H.Iface(name); i != nil {
-			ty = lang.IfaceType(name)
-		} else {
-			return nil, fmt.Errorf("vm: unknown type %s", name)
-		}
-	}
-	for i := 0; i < dims; i++ {
-		ty = lang.ArrayOf(ty)
-	}
-	return ty, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +489,7 @@ func (t *Thread) ArrGet(o Obj, i int) (Value, error) {
 			return 0, err
 		}
 		idx, _ := offheap.ArrayType(offheap.TypeWord(b))
-		elem := t.vm.RT.ArrayElemType(idx)
+		elem := t.vm.Prog.ArrayTypes.Elem(idx)
 		if n := offheap.ArrayLength(b); i < 0 || i >= n {
 			return 0, errBounds(i, n)
 		}

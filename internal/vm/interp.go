@@ -685,7 +685,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			if n < 0 {
 				return 0, fmt.Errorf("NegativeArraySizeException: %d", n)
 			}
-			a, err := hp.AllocArray(t.tc, src.Type, n, src.Site)
+			a, err := hp.AllocArray(t.tc, int(in.Imm), n, src.Site)
 			if err != nil {
 				return 0, err
 			}
@@ -712,8 +712,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 				return 0, err
 			}
 		case xPNewArr:
-			src := c.Src[pc-1]
-			ref, err := t.iter.Current().AllocArray(parker{t}, rt.ArrayTypeIndex(src.Type), src.Type.FieldSize(), int(int32(regs[in.A])))
+			ref, err := t.iter.Current().AllocArray(parker{t}, int(in.Imm), c.Src[pc-1].Type.FieldSize(), int(int32(regs[in.A])))
 			if err != nil {
 				return 0, err
 			}
@@ -725,7 +724,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 				if b == nil {
 					goto fault
 				}
-				is = t.recInstanceOf(offheap.TypeWord(b), c.Src[pc-1])
+				is = t.recInstanceOf(offheap.TypeWord(b), c.Src[pc-1], in.Imm)
 			}
 			regs[in.Dst] = boolVal(is)
 		case xPCast:
@@ -734,7 +733,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 				if b == nil {
 					goto fault
 				}
-				if src := c.Src[pc-1]; !t.recInstanceOf(offheap.TypeWord(b), src) {
+				if src := c.Src[pc-1]; !t.recInstanceOf(offheap.TypeWord(b), src, in.Imm) {
 					return 0, fmt.Errorf("ClassCastException: record is not a %s", src.Cls.Name)
 				}
 			}
@@ -815,13 +814,13 @@ func (t *Thread) instanceOf(a heap.Addr, target *lang.Type) bool {
 // recInstanceOf implements the page-record type test on a non-null
 // record's type word tw: scalar targets check the record's facade class
 // against the instruction's facade class (case 7.1); array targets compare
-// array type IDs (case 7.2).
-func (t *Thread) recInstanceOf(tw uint16, in *ir.Instr) bool {
+// array type IDs (case 7.2), the target's being arr, from the slot.
+func (t *Thread) recInstanceOf(tw uint16, in *ir.Instr, arr int64) bool {
 	if idx, ok := offheap.ArrayType(tw); ok {
 		if in.Type == nil || in.Type.Kind != lang.TArray {
 			return in.Cls != nil && in.Cls.Name == "Facade"
 		}
-		return idx == t.vm.RT.ArrayTypeIndex(in.Type.Elem)
+		return int64(idx) == arr
 	}
 	if in.Cls == nil {
 		return false

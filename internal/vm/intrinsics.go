@@ -163,7 +163,7 @@ func (t *Thread) formatValue(typ *lang.Type, v Value, rec bool) (string, error) 
 		}
 		tw := offheap.TypeWord(b)
 		if idx, ok := offheap.ArrayType(tw); ok {
-			return t.vm.RT.ArrayElemType(idx).String() + "[]", nil
+			return t.vm.Prog.ArrayTypes.Elem(idx).String() + "[]", nil
 		}
 		cls := t.vm.Prog.H.ClassList[tw]
 		if cls.Name == ir.FacadeName("String") {
@@ -287,7 +287,7 @@ func (t *Thread) arraycopyRec(in *ir.Instr, regs []Value) error {
 		return err
 	}
 	idx, _ := offheap.ArrayType(offheap.TypeWord(sb))
-	es := rt.ArrayElemType(idx).FieldSize()
+	es := t.vm.Prog.ArrayTypes.Elem(idx).FieldSize()
 	so, do := offheap.ArrayHeader+srcPos*es, offheap.ArrayHeader+dstPos*es
 	copy(db[do:do+n*es], sb[so:so+n*es])
 	return nil
@@ -508,7 +508,7 @@ func (t *Thread) stringLiteral(idx int) (Value, error) {
 // makeHeapString builds a managed String object (byte[] + String).
 func (t *Thread) makeHeapString(s string) (Value, error) {
 	hp := t.vm.Heap
-	arr, err := hp.AllocArray(t.tc, lang.ByteType, len(s), 0)
+	arr, err := hp.AllocArray(t.tc, byteArr, len(s), 0)
 	if err != nil {
 		return 0, err
 	}
@@ -529,12 +529,12 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 
 // recString builds a String page record (byte[] + String) in pm.
 func (t *Thread) recString(pm *offheap.PageManager, s string) (Value, error) {
-	vm, rt := t.vm, t.vm.RT
+	vm := t.vm
 	sf := vm.facadeOf("String")
 	if sf == nil {
 		return 0, fmt.Errorf("vm: transformed program has no String facade")
 	}
-	arr, err := pm.AllocArray(parker{t}, rt.ArrayTypeIndex(lang.ByteType), 1, len(s))
+	arr, err := pm.AllocArray(parker{t}, byteArr, 1, len(s))
 	if err != nil {
 		return 0, err
 	}

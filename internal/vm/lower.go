@@ -132,7 +132,9 @@ const (
 	xPoolGet  // A = class ID, Imm = pool index
 	xRecvPool // B = class ID
 
-	// Cold operations: executed off the ir.Instr in Code.Src.
+	// Cold operations: executed off the ir.Instr in Code.Src. An array
+	// allocation's Imm is its element type's index in Program.ArrayTypes,
+	// a record array test's the target's, as the type word holds them.
 	xStrLit
 	xNewArr
 	xLoadStatic
@@ -222,6 +224,11 @@ func edges(op uint16) int {
 // Every check on a program's shape lives here, so that a malformed program
 // fails vm.New and run needs none.
 func (vm *VM) lowerProgram() error {
+	arrTypes, err := newArrayTable(arrayElems(vm.Prog))
+	if err != nil {
+		return err
+	}
+	vm.Prog.ArrayTypes = arrTypes
 	index := make(map[*ir.Func]int64, len(vm.Prog.FuncList))
 	for i, f := range vm.Prog.FuncList {
 		index[f] = int64(i)
@@ -234,6 +241,57 @@ func (vm *VM) lowerProgram() error {
 		f.Code = code
 	}
 	return nil
+}
+
+// byteArr is the table index of byte, the element type of every string's
+// array: arrayElems lists it first.
+const byteArr = 0
+
+// arrayElems lists every array element type p names: byte and the other
+// primitives, which the boundary may allocate arrays of, then the element
+// types of the arrays in field, register and instruction types and the
+// elements newarr and pnewarr allocate, in program order.
+func arrayElems(p *ir.Program) []*lang.Type {
+	elems := []*lang.Type{lang.ByteType, lang.BoolType, lang.IntType, lang.LongType, lang.DoubleType}
+	add := func(t *lang.Type) {
+		for ; t != nil && t.Kind == lang.TArray; t = t.Elem {
+			elems = append(elems, t.Elem)
+		}
+	}
+	for _, c := range p.H.ClassList {
+		for _, f := range c.AllFields {
+			add(f.Type)
+		}
+		for _, f := range c.Statics {
+			add(f.Type)
+		}
+	}
+	for _, f := range p.FuncList {
+		for _, t := range f.RegTypes {
+			add(t)
+		}
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				if (in.Op == ir.OpNewArr || in.Op == ir.OpPNewArr) && in.Type != nil {
+					elems = append(elems, in.Type)
+				}
+				add(in.Type)
+			}
+		}
+	}
+	return elems
+}
+
+// newArrayTable builds a program's array type table over elems. A record's
+// type word holds the index in 14 bits, so a table past that fails.
+func newArrayTable(elems []*lang.Type) (*lang.ArrayTypes, error) {
+	t := lang.NewArrayTypes(elems)
+	if t.Len() > offheap.MaxArrayTypes {
+		return nil, fmt.Errorf("vm: %w: the program names %d, a record's type word holds %d",
+			offheap.ErrTooManyArrayTypes, t.Len(), offheap.MaxArrayTypes)
+	}
+	return t, nil
 }
 
 func (vm *VM) lowerFunc(f *ir.Func, index map[*ir.Func]int64) (*ir.Code, error) {
@@ -365,6 +423,21 @@ func (vm *VM) lowerInstr(f *ir.Func, in *ir.Instr, index map[*ir.Func]int64) (ir
 	}
 	if int(in.Op) < len(coldOps) && coldOps[in.Op] != 0 {
 		s.Op = coldOps[in.Op]
+		// An array allocation or record array test carries its element
+		// type's table index, which arrayElems entered.
+		var elem *lang.Type
+		switch {
+		case in.Op == ir.OpNewArr || in.Op == ir.OpPNewArr:
+			if elem = in.Type; elem == nil {
+				return bad("%s without an element type", in.Op)
+			}
+		case (in.Op == ir.OpPInstOf || in.Op == ir.OpPCast) && in.Type != nil && in.Type.Kind == lang.TArray:
+			elem = in.Type.Elem
+		}
+		if elem != nil {
+			i, _ := vm.Prog.ArrayTypes.Index(elem.String())
+			s.Imm = int64(i)
+		}
 		return s, nil
 	}
 	switch in.Op {

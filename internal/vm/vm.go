@@ -156,12 +156,15 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 		threads:   make(map[*Thread]struct{}),
 		selectors: make(map[string]int),
 	}
+	if err := vm.link(); err != nil {
+		return nil, err
+	}
 	vm.Heap = heap.New(heap.Config{
 		HeapSize:  cfg.HeapSize,
 		GCWorkers: cfg.GCWorkers,
 		Obs:       job.Obs,
 		Faults:    job.Faults,
-	}, prog.H)
+	}, prog.H, prog.ArrayTypes)
 	if prog.Transformed {
 		vm.RT = offheap.NewRuntimeWith(job.Obs)
 		if job.Faults != nil {
@@ -169,9 +172,6 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 		}
 	}
 	if err := vm.arm(job); err != nil {
-		return nil, err
-	}
-	if err := vm.link(); err != nil {
 		return nil, err
 	}
 	vm.Heap.AddRoots(heap.RootFunc(vm.visitRoots))
@@ -214,7 +214,8 @@ func (vm *VM) arm(job ResetConfig) error {
 }
 
 // link builds vtables and the statics area and, the first time a VM is
-// built over the program, lowers it to its execution form.
+// built over the program, lowers it to its execution form and fixes its
+// array type table, which the heap and the page store are built over.
 func (vm *VM) link() error {
 	h := vm.Prog.H
 	// Selector assignment: one slot per distinct instance method name.

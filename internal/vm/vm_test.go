@@ -879,7 +879,8 @@ func spillAllFunc(t *testing.T, m *VM) func() {
 	if !m.RT.Tiered() {
 		return nil
 	}
-	pad, err := m.rootScope.AllocArray(nil, m.RT.ArrayTypeIndex(lang.LongType), 8, 3000)
+	long, _ := m.Prog.ArrayTypes.Index("long")
+	pad, err := m.rootScope.AllocArray(nil, long, 8, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1105,8 +1106,9 @@ func TestSpillWaitsForRunningThreads(t *testing.T) {
 			// of two: the second allocation's end asks for a spill.
 			b.enterBoundary()
 			defer b.tc.BeginExternal()
+			intArr, _ := m.Prog.ArrayTypes.Index("int")
 			for i := 0; i < 2; i++ {
-				if _, err := b.iter.Current().AllocArray(pk, m.RT.ArrayTypeIndex(lang.IntType), 4, n); err != nil {
+				if _, err := b.iter.Current().AllocArray(pk, intArr, 4, n); err != nil {
 					done <- err
 					return
 				}
