@@ -172,7 +172,7 @@ func TestLiveness(t *testing.T) {
 	if !liveOut[0].Has(0) || liveOut[0].Has(1) {
 		t.Fatalf("liveOut(b0): r0=%v r1=%v, want true,false", liveOut[0].Has(0), liveOut[0].Has(1))
 	}
-	after := LiveAfter(c, liveOut, 0)
+	after := liveAfterAll(c, liveOut)[0]
 	if !after[0].Has(0) {
 		t.Fatal("r0 must be live after its def")
 	}
@@ -214,7 +214,7 @@ func TestDCERemovesDeadPure(t *testing.T) {
 	f := mkFunc(2,
 		[]ir.Instr{konst(0, 7), konst(1, 8), ret(0)},
 	)
-	if n := EliminateFunc(f); n != 1 {
+	if n := eliminateFunc(f); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	if got := f.Blocks[0].Instrs; len(got) != 2 || got[0].Op != ir.OpConst || got[0].Dst != 0 {
@@ -231,7 +231,7 @@ func TestDCEKeepsTrappingAndImpure(t *testing.T) {
 	f := mkFunc(3,
 		[]ir.Instr{konst(0, 7), konst(1, 0), div, ret(ir.NoReg)},
 	)
-	if n := EliminateFunc(f); n != 0 {
+	if n := eliminateFunc(f); n != 0 {
 		t.Fatalf("removed %d, want 0 (int div may trap)", n)
 	}
 }
@@ -241,7 +241,7 @@ func TestDCECoalescesMoves(t *testing.T) {
 	f := mkFunc(4,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), ret(3)},
 	)
-	if n := EliminateFunc(f); n != 1 {
+	if n := eliminateFunc(f); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -254,8 +254,59 @@ func TestDCERemovesSelfMove(t *testing.T) {
 	f := mkFunc(1,
 		[]ir.Instr{konst(0, 1), mov(0, 0), ret(0)},
 	)
-	if n := EliminateFunc(f); n != 1 {
+	if n := eliminateFunc(f); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
+	}
+}
+
+func TestSweepFoldsEveryPairInABlock(t *testing.T) {
+	// Two foldable pairs in one block: one sweep folds both.
+	//   r2 = r0 + r1; r3 = move r2; r4 = r3 + r3; r5 = move r4; ret r5
+	f := mkFunc(6,
+		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), add(4, 3, 3), mov(5, 4), ret(5)},
+	)
+	if n := sweep(BuildCFG(f)); n != 2 {
+		t.Fatalf("one sweep removed %d, want 2", n)
+	}
+	got := f.Blocks[0].Instrs
+	if len(got) != 5 || got[2].Dst != 3 || got[3].Dst != 5 || got[3].A != 3 {
+		t.Fatalf("block after sweep: %v", got)
+	}
+}
+
+func TestSweepCollapsesAMoveChain(t *testing.T) {
+	// r2 = r0 + r1; r3 = move r2; r4 = move r3  ==>  r4 = r0 + r1
+	f := mkFunc(5,
+		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), mov(4, 3), ret(4)},
+	)
+	if n := sweep(BuildCFG(f)); n != 2 {
+		t.Fatalf("one sweep removed %d, want 2", n)
+	}
+	got := f.Blocks[0].Instrs
+	if len(got) != 4 || got[2].Op != ir.OpBin || got[2].Dst != 4 {
+		t.Fatalf("block after sweep: %v", got)
+	}
+}
+
+func TestSweepNeedsASecondRoundAcrossBlocks(t *testing.T) {
+	// b0 defines r2 for b1's dead move only. The first sweep's liveness
+	// still has r2 live out of b0, so only the move goes; the next sweep
+	// sees r2 dead and drops its definition. This is why the rounds stay.
+	f := mkFunc(4,
+		[]ir.Instr{konst(0, 1), add(2, 0, 0), jmp(1)},
+		[]ir.Instr{mov(3, 2), ret(0)},
+	)
+	c := BuildCFG(f)
+	for round, want := range []int{1, 1, 0} {
+		if n := sweep(c); n != want {
+			t.Fatalf("sweep %d removed %d, want %d", round+1, n, want)
+		}
+	}
+	if got := f.Blocks[0].Instrs; len(got) != 2 || got[0].Dst != 0 {
+		t.Fatalf("b0 after DCE: %v", got)
+	}
+	if got := f.Blocks[1].Instrs; len(got) != 1 || got[0].Op != ir.OpRet {
+		t.Fatalf("b1 after DCE: %v", got)
 	}
 }
 

@@ -286,19 +286,6 @@ func StepBack(live BitSet, in *ir.Instr) {
 	}
 }
 
-// LiveAfter returns, for block b, the register set live immediately after
-// each instruction index (i.e. before the next instruction executes).
-func LiveAfter(c *CFG, liveOut []BitSet, b int) []BitSet {
-	instrs := c.F.Blocks[b].Instrs
-	after := make([]BitSet, len(instrs))
-	live := liveOut[b].Copy()
-	for j := len(instrs) - 1; j >= 0; j-- {
-		after[j] = live.Copy()
-		StepBack(live, &instrs[j])
-	}
-	return after
-}
-
 // MustDefined computes, per block, the set of registers guaranteed to be
 // defined on entry (forward must problem). The entry boundary is the
 // parameter set; unreachable blocks keep the universal set, so dead code

@@ -29,7 +29,7 @@ func pure(in *ir.Instr) bool {
 	return false
 }
 
-// regClassOf mirrors the verifier's machine classes for the coalescing
+// regClassOf mirrors the verifier's machine classes for the move-folding
 // safety gate: moves are only folded between registers of the same class
 // so that GC root scanning (which walks ref-typed registers) is unchanged.
 func regClassOf(f *ir.Func, r ir.Reg) kclass {
@@ -45,20 +45,22 @@ func regClassOf(f *ir.Func, r ir.Reg) kclass {
 func Eliminate(p *ir.Program) int {
 	total := 0
 	for _, f := range p.FuncList {
-		total += EliminateFunc(f)
+		total += eliminateFunc(f)
 	}
 	p.DCERemoved += total
 	return total
 }
 
-// EliminateFunc runs the DCE fixpoint on one function and returns the
-// number of instructions removed.
-func EliminateFunc(f *ir.Func) int {
+// eliminateFunc sweeps one function until a sweep removes nothing and
+// returns the number of instructions removed. A sweep's live set is exact
+// within a block, but a removal can end the last use of a value that a
+// predecessor defines, or bring a producer next to its move, and only the
+// next sweep sees that.
+func eliminateFunc(f *ir.Func) int {
 	removed := 0
 	c := BuildCFG(f) // CFG shape never changes: terminators are not pure
 	for {
-		n := deadPass(c)
-		n += coalescePass(c)
+		n := sweep(c)
 		if n == 0 {
 			return removed
 		}
@@ -66,74 +68,46 @@ func EliminateFunc(f *ir.Func) int {
 	}
 }
 
-// deadPass removes pure instructions whose destination is dead, plus
-// self-moves, in one liveness round. Returns the number removed.
-func deadPass(c *CFG) int {
+// sweep solves liveness once, then walks each block backward keeping the
+// live set current. On the way it drops self-moves and pure instructions
+// whose destination is dead, and folds
+//
+//	t = <producer> ; v = move t   (t dead after the move)
+//
+// into one instruction writing v, when t and v share a machine register
+// class. The folded producer is visited next with the same live set, so a
+// chain of moves collapses in one walk. Returns the number removed.
+func sweep(c *CFG) int {
 	f := c.F
 	_, liveOut := Liveness(c)
+	live := NewBitSet(f.NumRegs)
 	removed := 0
 	for b, blk := range f.Blocks {
-		live := liveOut[b].Copy()
-		dead := make([]bool, len(blk.Instrs))
-		for j := len(blk.Instrs) - 1; j >= 0; j-- {
-			in := &blk.Instrs[j]
-			if in.Op == ir.OpMove && in.Dst == in.A {
-				dead[j] = true
-				continue // a self-move neither defines nor uses anew
-			}
-			if pure(in) && in.Dst != ir.NoReg && !live.Has(int(in.Dst)) {
-				dead[j] = true
-				continue // skip StepBack: its uses stay dead
-			}
-			StepBack(live, in)
-		}
-		kept := blk.Instrs[:0]
-		for j := range blk.Instrs {
-			if dead[j] {
-				removed++
-			} else {
-				kept = append(kept, blk.Instrs[j])
-			}
-		}
-		blk.Instrs = kept
-	}
-	return removed
-}
-
-// coalescePass folds the pattern
-//
-//	t = <pure-or-call producer> ; v = move t   (t dead after the move)
-//
-// into a single instruction writing v directly, when t and v share a
-// machine register class. One fold per block per round keeps the liveness
-// information it relies on valid. Returns the number of moves removed.
-func coalescePass(c *CFG) int {
-	f := c.F
-	_, liveOut := Liveness(c)
-	removed := 0
-	for b, blk := range f.Blocks {
-		after := LiveAfter(c, liveOut, b)
-		for j := 0; j+1 < len(blk.Instrs); j++ {
-			prod := &blk.Instrs[j]
-			mv := &blk.Instrs[j+1]
-			if mv.Op != ir.OpMove || prod.Dst == ir.NoReg || prod.Dst != mv.A || mv.Dst == mv.A {
+		live.CopyFrom(liveOut[b])
+		instrs := blk.Instrs
+		w := len(instrs) // kept instructions fill instrs[w:], back to front
+		for j := len(instrs) - 1; j >= 0; j-- {
+			in := &instrs[j]
+			switch {
+			case in.Op == ir.OpMove && in.Dst == in.A:
+				// A self-move neither defines nor uses anew.
+			case pure(in) && in.Dst != ir.NoReg && !live.Has(int(in.Dst)):
+				// Dead: skip StepBack, its uses stay dead.
+			case in.Op == ir.OpMove && j > 0 && instrs[j-1].Dst == in.A &&
+				!live.Has(int(in.A)) && regClassOf(f, in.A) == regClassOf(f, in.Dst):
+				// Operands are read before the destination is written, so
+				// the producer may write v even if it reads v.
+				instrs[j-1].Dst = in.Dst
+			default:
+				StepBack(live, in)
+				w--
+				instrs[w] = *in
 				continue
 			}
-			if prod.Op == ir.OpJump || prod.Op == ir.OpBranch || prod.Op == ir.OpRet {
-				continue
-			}
-			if after[j+1].Has(int(prod.Dst)) {
-				continue // t still read somewhere after the move
-			}
-			if regClassOf(f, prod.Dst) != regClassOf(f, mv.Dst) {
-				continue
-			}
-			// Operands are read before the destination is written, so
-			// rewriting the producer's Dst is safe even if it reads mv.Dst.
-			prod.Dst = mv.Dst
-			blk.Instrs = append(blk.Instrs[:j+1], blk.Instrs[j+2:]...)
 			removed++
-			break
+		}
+		if w > 0 {
+			blk.Instrs = instrs[:copy(instrs, instrs[w:])]
 		}
 	}
 	return removed

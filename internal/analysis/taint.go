@@ -86,12 +86,19 @@ func (s *taintState) mergeFrom(t *taintState) bool {
 	return changed
 }
 
-// liveAfterAll returns LiveAfter for every reachable block of c, indexed by
-// block ID (unreachable blocks stay nil).
+// liveAfterAll returns, for every reachable block of c, the register set
+// live immediately after each instruction (i.e. before the next one
+// executes), indexed by block ID; unreachable blocks stay nil.
 func liveAfterAll(c *CFG, liveOut []BitSet) [][]BitSet {
 	after := make([][]BitSet, len(c.F.Blocks))
 	for _, b := range c.RPO {
-		after[b] = LiveAfter(c, liveOut, b)
+		instrs := c.F.Blocks[b].Instrs
+		after[b] = make([]BitSet, len(instrs))
+		live := liveOut[b].Copy()
+		for j := len(instrs) - 1; j >= 0; j-- {
+			after[b][j] = live.Copy()
+			StepBack(live, &instrs[j])
+		}
 	}
 	return after
 }

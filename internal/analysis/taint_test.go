@@ -82,16 +82,19 @@ func TestRunTaint(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := BuildCFG(tc.f)
 			_, liveOut := Liveness(c)
+			after := liveAfterAll(c, liveOut)
 			at := map[*ir.Instr]string{}
 			liveAt := map[*ir.Instr]BitSet{}
 			for b, blk := range tc.f.Blocks {
 				for j := range blk.Instrs {
 					at[&blk.Instrs[j]] = fmt.Sprintf("%d.%d", b, j)
-					liveAt[&blk.Instrs[j]] = LiveAfter(c, liveOut, b)[j]
+					if after[b] != nil {
+						liveAt[&blk.Instrs[j]] = after[b][j]
+					}
 				}
 			}
 			var replay []string
-			ins, outs := runTaint(c, liveAfterAll(c, liveOut), 1,
+			ins, outs := runTaint(c, after, 1,
 				func(entry *taintState) { entry.at = regionOutside },
 				func(s *taintState, in *ir.Instr) {
 					switch {

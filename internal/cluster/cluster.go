@@ -340,7 +340,8 @@ type Cluster struct {
 	inj     *faults.Injector   // shared keyed injector (network, crash plan)
 
 	// retired accumulates the stats of VMs replaced by RestartNode so a
-	// crash does not erase the dead node's GC history from the books.
+	// crash does not erase the dead node's GC history or peaks from the
+	// books.
 	retiredMu sync.Mutex
 	retired   Stats
 	restarts  int64
@@ -416,16 +417,13 @@ func (c *Cluster) CrashPlan(occasions int) faults.Plan {
 }
 
 // RestartNode replaces a crashed node with a fresh VM (empty heap, empty
-// page store) and re-opens its mailbox. The dead VM's memory/GC statistics
-// are folded into the cluster's retired books first, so aggregate stats
-// span the whole run, not just the surviving incarnations.
+// page store) and re-opens its mailbox. The dead VM's GC statistics and
+// memory peaks are folded into the cluster's retired books first, so
+// aggregate stats span the whole run, not just the surviving incarnations.
 func (c *Cluster) RestartNode(id int) error {
 	old := c.Nodes[id]
 	c.retiredMu.Lock()
-	hs := old.VM.Heap.Stats()
-	c.retired.GCTime += hs.GCTime
-	c.retired.MinorGCs += hs.MinorGCs
-	c.retired.FullGCs += hs.FullGCs
+	c.retired.add(old)
 	c.restarts++
 	c.retiredMu.Unlock()
 	old.Main.Close()
@@ -468,26 +466,26 @@ func (c *Cluster) Stats() Stats {
 	s := c.retired
 	c.retiredMu.Unlock()
 	for _, n := range c.Nodes {
-		hs := n.VM.Heap.Stats()
-		s.GCTime += hs.GCTime
-		s.MinorGCs += hs.MinorGCs
-		s.FullGCs += hs.FullGCs
-		total := hs.PeakUsed
-		if hs.PeakUsed > s.MaxHeapPeak {
-			s.MaxHeapPeak = hs.PeakUsed
-		}
-		if n.VM.RT != nil {
-			ns := n.VM.RT.Stats()
-			total += ns.PeakBytes
-			if ns.PeakBytes > s.MaxNative {
-				s.MaxNative = ns.PeakBytes
-			}
-		}
-		if total > s.MaxTotal {
-			s.MaxTotal = total
-		}
+		s.add(n)
 	}
 	return s
+}
+
+// add folds one node's VM into s: GC time and counts sum, peaks take the
+// max, so a retired VM's peak still bounds the run's worst node.
+func (s *Stats) add(n *Node) {
+	hs := n.VM.Heap.Stats()
+	s.GCTime += hs.GCTime
+	s.MinorGCs += hs.MinorGCs
+	s.FullGCs += hs.FullGCs
+	s.MaxHeapPeak = max(s.MaxHeapPeak, hs.PeakUsed)
+	total := hs.PeakUsed
+	if n.VM.RT != nil {
+		ns := n.VM.RT.Stats()
+		total += ns.PeakBytes
+		s.MaxNative = max(s.MaxNative, ns.PeakBytes)
+	}
+	s.MaxTotal = max(s.MaxTotal, total)
 }
 
 // ObsSnapshots returns every node's observability snapshot, indexed by

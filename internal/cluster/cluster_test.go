@@ -167,6 +167,40 @@ func TestStatsAggregate(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsPeaks: restarting a node must not lose its memory peak;
+// the retired VM still bounds the worst node.
+func TestRestartKeepsPeaks(t *testing.T) {
+	p := testProgram(t)
+	cl, err := New(p, Config{NumNodes: 2, HeapPerNode: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	n := cl.Nodes[0]
+	for i := 0; i < 100; i++ {
+		o, err := n.Main.NewArr("int", 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Main.FreeObj(o)
+	}
+	before := cl.Stats()
+	if before.MaxHeapPeak == 0 || before.MaxTotal == 0 {
+		t.Fatalf("no peak recorded: %+v", before)
+	}
+	cl.Net.Crash(0)
+	if err := cl.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	after := cl.Stats()
+	if after.MaxHeapPeak < before.MaxHeapPeak || after.MaxNative < before.MaxNative || after.MaxTotal < before.MaxTotal {
+		t.Fatalf("restart lost peaks: before %+v, after %+v", before, after)
+	}
+	if after.GCTime < before.GCTime || after.MinorGCs < before.MinorGCs || after.FullGCs < before.FullGCs {
+		t.Fatalf("restart lost GC history: before %+v, after %+v", before, after)
+	}
+}
+
 // TestUnboundedMailboxNoDeadlock is the regression test for the fixed-cap
 // mailbox deadlock: a sender flooding far more frames than the old 1024
 // channel capacity must never block, even with no consumer running.
