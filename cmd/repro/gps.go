@@ -37,7 +37,7 @@ func gpsCmd(args []string) error {
 	}
 	tbl := metrics.NewTable("§4.3: GPS on LiveJournal-like graphs (P vs P')",
 		"app", "graph", "ET(s)", "ET'(s)", "ΔET%", "GT(s)", "GT'(s)", "ΔGT%", "PM(MB)", "PM'(MB)", "ΔPM%")
-	var rec gps.Recovery
+	rec := recoveryBook{}
 	for _, app := range []gps.App{gps.PageRank, gps.KMeans, gps.RandomWalk} {
 		for s := 1; s <= *scales; s++ {
 			g := datagen.PowerLawGraph(*v*s, *e*s, uint64(100+s))
@@ -53,14 +53,7 @@ func gpsCmd(args []string) error {
 			name := fmt.Sprintf("gps/%s-x%d", app, s)
 			rpt.add(gpsReport(name, "P", cfg, g.NumEdges(), r1))
 			rpt.add(gpsReport(name, "P'", cfg, g.NumEdges(), r2))
-			for _, r := range []*gps.Result{r1, r2} {
-				rec.Checkpoints += r.Recovery.Checkpoints
-				rec.CheckpointsDropped += r.Recovery.CheckpointsDropped
-				rec.Restores += r.Recovery.Restores
-				rec.NodeRestarts += r.Recovery.NodeRestarts
-				rec.Crashes += r.Recovery.Crashes
-				rec.OOMRecoveries += r.Recovery.OOMRecoveries
-			}
+			rec.add(r1.Obs, r2.Obs)
 			tbl.Row(app.String(), fmt.Sprintf("x%d(%dE)", s, g.NumEdges()),
 				r1.ET, r2.ET, pct(r1.ET.Seconds(), r2.ET.Seconds()),
 				r1.GT, r2.GT, pct(r1.GT.Seconds(), r2.GT.Seconds()),
@@ -69,8 +62,7 @@ func gpsCmd(args []string) error {
 	}
 	tbl.Render(os.Stdout)
 	if fcfg != nil {
-		fmt.Printf("fault injection: %d checkpoints (%d dropped), %d crashes, %d node restarts, %d restores, %d OOM recoveries\n",
-			rec.Checkpoints, rec.CheckpointsDropped, rec.Crashes, rec.NodeRestarts, rec.Restores, rec.OOMRecoveries)
+		rec.print()
 	}
 	return rpt.flush()
 }

@@ -46,7 +46,7 @@ func table2Cmd(args []string) error {
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Table 2: GraphChi on synthetic twitter-like graph (%dV/%dE, scaled heaps)", *v, *e),
 		"App", "ET(s)", "UT(s)", "LT(s)", "GT(s)", "PM(MB)", "dataObjs", "subIters")
-	var rec graphchi.Recovery
+	rec := recoveryBook{}
 	var tierSpilled, tierPromoted int64
 
 	for _, app := range []graphchi.App{graphchi.PageRank, graphchi.ConnectedComponents} {
@@ -71,19 +71,12 @@ func table2Cmd(args []string) error {
 			rpt.add(graphchiReport(fmt.Sprintf("table2/%s'-%s", app, labels[hi]), "P'", cfg, heap, m2))
 			tierSpilled += m2.PagesSpilled
 			tierPromoted += m2.PagesPromoted
-			for _, m := range []*graphchi.Metrics{m1, m2} {
-				rec.IntervalRetries += m.Recovery.IntervalRetries
-				rec.WorkerCrashes += m.Recovery.WorkerCrashes
-				rec.WorkerRestarts += m.Recovery.WorkerRestarts
-				rec.OOMRecoveries += m.Recovery.OOMRecoveries
-				rec.BudgetHalvings += m.Recovery.BudgetHalvings
-			}
+			rec.add(m1.Obs, m2.Obs)
 		}
 	}
 	tbl.Render(os.Stdout)
 	if fcfg != nil {
-		fmt.Printf("fault injection: %d interval replays, %d worker crashes, %d worker restarts, %d OOM recoveries, %d budget halvings\n",
-			rec.IntervalRetries, rec.WorkerCrashes, rec.WorkerRestarts, rec.OOMRecoveries, rec.BudgetHalvings)
+		rec.print()
 	}
 	if tiering != nil {
 		fmt.Printf("disk tier (high watermark %d pages): %d pages spilled, %d promoted across P' runs\n",

@@ -116,7 +116,7 @@ func table3Cmd(args []string) error {
 	}
 	runs := []runSet{{"", p, 0}, {"'", p2, s.heap * 8}}
 	results := map[string][]hyracksPoint{}
-	var rec hyracks.Recovery
+	rec := recoveryBook{}
 	for _, app := range []string{"ES", "WC"} {
 		for _, rs := range runs {
 			pts, err := runHyracks(rs.prog, app, s, rs.cap, fcfg)
@@ -126,11 +126,7 @@ func table3Cmd(args []string) error {
 			prgName := "P" + rs.label
 			for _, pt := range pts {
 				rpt.add(hyracksReport(fmt.Sprintf("table3/%s-%dGB", app, pt.size), prgName, pt.size, pt.res))
-				rec.Crashes += pt.res.Recovery.Crashes
-				rec.NodeRestarts += pt.res.Recovery.NodeRestarts
-				rec.TaskRetries += pt.res.Recovery.TaskRetries
-				rec.TasksDegraded += pt.res.Recovery.TasksDegraded
-				rec.OOMRecoveries += pt.res.Recovery.OOMRecoveries
+				rec.add(pt.res.Obs)
 			}
 			results[app+rs.label] = pts
 		}
@@ -148,8 +144,7 @@ func table3Cmd(args []string) error {
 	}
 	tbl.Render(os.Stdout)
 	if fcfg != nil {
-		fmt.Printf("fault injection: %d crashes, %d node restarts, %d task retries, %d tasks degraded, %d OOM recoveries\n",
-			rec.Crashes, rec.NodeRestarts, rec.TaskRetries, rec.TasksDegraded, rec.OOMRecoveries)
+		rec.print()
 	}
 	return rpt.flush()
 }

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/gps"
@@ -68,21 +70,16 @@ func gpsReport(name, program string, cfg gps.Config, edges int, r *gps.Result) o
 	}
 	rep.WallNanos = r.ET.Nanoseconds()
 	rep.Metrics = map[string]float64{
-		"et_s":                r.ET.Seconds(),
-		"gt_s":                r.GT.Seconds(),
-		"pm_bytes":            float64(r.PM),
-		"heap_peak":           float64(r.HeapPeak),
-		"native_peak":         float64(r.NativePeak),
-		"minor_gcs":           float64(r.MinorGCs),
-		"full_gcs":            float64(r.FullGCs),
-		"checkpoints":         float64(r.Recovery.Checkpoints),
-		"checkpoint_bytes":    float64(r.Recovery.CheckpointBytes),
-		"checkpoints_dropped": float64(r.Recovery.CheckpointsDropped),
-		"restores":            float64(r.Recovery.Restores),
-		"node_restarts":       float64(r.Recovery.NodeRestarts),
-		"crashes":             float64(r.Recovery.Crashes),
-		"oom_recoveries":      float64(r.Recovery.OOMRecoveries),
+		"et_s":        r.ET.Seconds(),
+		"gt_s":        r.GT.Seconds(),
+		"pm_bytes":    float64(r.PM),
+		"heap_peak":   float64(r.HeapPeak),
+		"native_peak": float64(r.NativePeak),
+		"minor_gcs":   float64(r.MinorGCs),
+		"full_gcs":    float64(r.FullGCs),
 	}
+	addRecoveryMetrics(rep.Metrics, r.Obs, obs.CtrCheckpoints, obs.CtrCheckpointBytes, obs.CtrCheckpointsDropped,
+		obs.CtrRestores, obs.CtrNodeRestarts, obs.CtrCrashes, obs.CtrOOMRecoveries)
 	addNetMetrics(rep.Metrics, r.Net)
 	if len(r.NodeObs) > 0 {
 		rep.Obs = r.NodeObs[0]
@@ -104,27 +101,59 @@ func hyracksReport(name, program string, sizeGB int, r *hyracks.Result) obs.RunR
 		ome = 1
 	}
 	rep.Metrics = map[string]float64{
-		"et_s":           r.ET.Seconds(),
-		"gt_s":           r.GT.Seconds(),
-		"ome":            ome,
-		"pm_bytes":       float64(r.PM),
-		"heap_peak":      float64(r.HeapPeak),
-		"native_peak":    float64(r.NativePeak),
-		"minor_gcs":      float64(r.MinorGCs),
-		"full_gcs":       float64(r.FullGCs),
-		"shuffled_mb":    r.ShuffledMB,
-		"output_bytes":   float64(r.OutputBytes),
-		"crashes":        float64(r.Recovery.Crashes),
-		"node_restarts":  float64(r.Recovery.NodeRestarts),
-		"task_retries":   float64(r.Recovery.TaskRetries),
-		"tasks_degraded": float64(r.Recovery.TasksDegraded),
-		"oom_recoveries": float64(r.Recovery.OOMRecoveries),
+		"et_s":         r.ET.Seconds(),
+		"gt_s":         r.GT.Seconds(),
+		"ome":          ome,
+		"pm_bytes":     float64(r.PM),
+		"heap_peak":    float64(r.HeapPeak),
+		"native_peak":  float64(r.NativePeak),
+		"minor_gcs":    float64(r.MinorGCs),
+		"full_gcs":     float64(r.FullGCs),
+		"shuffled_mb":  r.ShuffledMB,
+		"output_bytes": float64(r.OutputBytes),
 	}
+	addRecoveryMetrics(rep.Metrics, r.Obs, obs.CtrCrashes, obs.CtrNodeRestarts, obs.CtrTaskRetries,
+		obs.CtrTasksDegraded, obs.CtrOOMRecoveries)
 	addNetMetrics(rep.Metrics, r.Net)
 	if len(r.NodeObs) > 0 {
 		rep.Obs = r.NodeObs[0]
 	}
 	return rep
+}
+
+// addRecoveryMetrics copies the named recovery.* counters of a run's
+// snapshot into a metrics map, each under its name without the
+// "recovery." prefix.
+func addRecoveryMetrics(m map[string]float64, s obs.Snapshot, names ...string) {
+	for _, name := range names {
+		m[strings.TrimPrefix(name, "recovery.")] = float64(s.Counters[name])
+	}
+}
+
+// recoveryBook sums a command's recovery.* counters over its runs, for
+// the line it prints after its table when faults were injected.
+type recoveryBook map[string]int64
+
+func (b recoveryBook) add(snaps ...obs.Snapshot) {
+	for _, s := range snaps {
+		for name, v := range s.Counters {
+			if strings.HasPrefix(name, "recovery.") {
+				b[strings.TrimPrefix(name, "recovery.")] += v
+			}
+		}
+	}
+}
+
+func (b recoveryBook) print() {
+	parts := []string{}
+	for name, v := range b {
+		parts = append(parts, fmt.Sprintf("%s %d", name, v))
+	}
+	if len(parts) == 0 {
+		parts = append(parts, "no recovery work")
+	}
+	sort.Strings(parts)
+	fmt.Printf("fault injection: %s\n", strings.Join(parts, ", "))
 }
 
 // addNetMetrics folds the cluster network counters into a metrics map.
@@ -155,28 +184,25 @@ func graphchiReport(name, program string, cfg graphchi.Config, heapBytes int64, 
 	}
 	rep.WallNanos = m.ET.Nanoseconds()
 	rep.Metrics = map[string]float64{
-		"et_s":             m.ET.Seconds(),
-		"ut_s":             m.UT.Seconds(),
-		"lt_s":             m.LT.Seconds(),
-		"gt_s":             m.GT.Seconds(),
-		"pm_bytes":         float64(m.PM),
-		"heap_peak":        float64(m.HeapPeak),
-		"native_peak":      float64(m.NativePeak),
-		"minor_gcs":        float64(m.MinorGCs),
-		"full_gcs":         float64(m.FullGCs),
-		"sub_iters":        float64(m.SubIters),
-		"data_objects":     float64(m.DataObjects),
-		"pages":            float64(m.Pages),
-		"pages_live_hw":    float64(m.PagesLiveHW),
-		"records":          float64(m.Records),
-		"edges":            float64(m.Edges),
-		"throughput_eps":   m.Throughput(),
-		"interval_retries": float64(m.Recovery.IntervalRetries),
-		"worker_crashes":   float64(m.Recovery.WorkerCrashes),
-		"worker_restarts":  float64(m.Recovery.WorkerRestarts),
-		"oom_recoveries":   float64(m.Recovery.OOMRecoveries),
-		"budget_halvings":  float64(m.Recovery.BudgetHalvings),
+		"et_s":           m.ET.Seconds(),
+		"ut_s":           m.UT.Seconds(),
+		"lt_s":           m.LT.Seconds(),
+		"gt_s":           m.GT.Seconds(),
+		"pm_bytes":       float64(m.PM),
+		"heap_peak":      float64(m.HeapPeak),
+		"native_peak":    float64(m.NativePeak),
+		"minor_gcs":      float64(m.MinorGCs),
+		"full_gcs":       float64(m.FullGCs),
+		"sub_iters":      float64(m.SubIters),
+		"data_objects":   float64(m.DataObjects),
+		"pages":          float64(m.Pages),
+		"pages_live_hw":  float64(m.PagesLiveHW),
+		"records":        float64(m.Records),
+		"edges":          float64(m.Edges),
+		"throughput_eps": m.Throughput(),
 	}
+	addRecoveryMetrics(rep.Metrics, m.Obs, obs.CtrIntervalRetries, obs.CtrCrashes, obs.CtrWorkerRestarts,
+		obs.CtrOOMRecoveries, obs.CtrBudgetHalvings)
 	rep.ClassAllocs = m.ClassAllocs
 	rep.Obs = m.Obs
 	return rep

@@ -47,10 +47,11 @@ type FaultStats struct {
 	TierLoadInjected    int64 `json:"tier_load_injected,omitempty"`
 }
 
-// RecoveryStats mirrors the runtime's recovery.* counters: the
-// fault-tolerance work the engines performed on this VM (checkpoints and
-// restores for the cluster engines, interval replays, worker rebuilds,
-// and budget degradations for GraphChi). All zero for a failure-free run.
+// RecoveryStats reads the recovery.* counters of the run's VM registry.
+// The engines count recovery in their own per-run registries (the
+// cluster's for GPS and Hyracks, the engine VM's for GraphChi) and none
+// runs under Run, so these are always zero here; the struct stays
+// because facade.job/v1 carries it.
 type RecoveryStats struct {
 	Checkpoints        int64 `json:"checkpoints"`
 	CheckpointBytes    int64 `json:"checkpoint_bytes"`

@@ -248,6 +248,23 @@ func (n *Network) stallError(id int) error {
 		id, n.recvTimeout, quiet, min, counts)
 }
 
+// Gather receives one frame from every node for node to and returns the
+// payloads indexed by sender. Walking them in index order visits the
+// senders in ID order, however injected delays and reorders shuffled
+// their arrival, so whatever the caller folds them into comes out the
+// same on every run.
+func (n *Network) Gather(to int) ([][]byte, error) {
+	byFrom := make([][]byte, len(n.boxes))
+	for range n.boxes {
+		f, err := n.Recv(to)
+		if err != nil {
+			return nil, err
+		}
+		byFrom[f.From] = f.Data
+	}
+	return byFrom, nil
+}
+
 // TryRecv returns a pending frame without blocking; ok is false when the
 // mailbox is empty. Used by recovery code to drain delivered-but-unconsumed
 // frames into a checkpoint.
@@ -344,7 +361,11 @@ type Cluster struct {
 	// books.
 	retiredMu sync.Mutex
 	retired   Stats
-	restarts  int64
+
+	// obs is the run's cluster-level registry: the engines' recovery
+	// counters and events, which must outlive the node VMs a restart
+	// replaces.
+	obs *obs.Registry
 }
 
 // Config sizes the cluster.
@@ -369,7 +390,7 @@ func New(prog *ir.Program, cfg Config) (*Cluster, error) {
 	if cfg.NumNodes <= 0 {
 		cfg.NumNodes = 1
 	}
-	c := &Cluster{prog: prog, cfg: cfg}
+	c := &Cluster{prog: prog, cfg: cfg, obs: obs.NewRegistry()}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		c.inj = faults.New(cfg.Faults)
 		for i := 0; i < cfg.NumNodes; i++ {
@@ -416,15 +437,19 @@ func (c *Cluster) CrashPlan(occasions int) faults.Plan {
 	return c.inj.CrashPlan(occasions, len(c.Nodes))
 }
 
+// Obs returns the cluster's registry. Recovery is counted here, once per
+// run, and not in the node VMs' registries, which a restart replaces.
+func (c *Cluster) Obs() *obs.Registry { return c.obs }
+
 // RestartNode replaces a crashed node with a fresh VM (empty heap, empty
-// page store) and re-opens its mailbox. The dead VM's GC statistics and
-// memory peaks are folded into the cluster's retired books first, so
-// aggregate stats span the whole run, not just the surviving incarnations.
+// page store) and re-opens its mailbox, counting recovery.node_restarts.
+// The dead VM's GC statistics and memory peaks are folded into the
+// cluster's retired books first, so aggregate stats span the whole run,
+// not just the surviving incarnations.
 func (c *Cluster) RestartNode(id int) error {
 	old := c.Nodes[id]
 	c.retiredMu.Lock()
 	c.retired.add(old)
-	c.restarts++
 	c.retiredMu.Unlock()
 	old.Main.Close()
 	n, err := c.newNode(id)
@@ -433,14 +458,8 @@ func (c *Cluster) RestartNode(id int) error {
 	}
 	c.Nodes[id] = n
 	c.Net.Revive(id)
+	c.obs.Counter(obs.CtrNodeRestarts).Inc()
 	return nil
-}
-
-// Restarts returns how many nodes have been rebuilt by RestartNode.
-func (c *Cluster) Restarts() int64 {
-	c.retiredMu.Lock()
-	defer c.retiredMu.Unlock()
-	return c.restarts
 }
 
 // Close releases node threads.

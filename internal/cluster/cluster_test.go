@@ -10,6 +10,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
+	"repro/internal/obs"
 	"repro/internal/stdlib"
 	"repro/internal/vm"
 )
@@ -254,6 +255,39 @@ func TestRecvStallNamesNodes(t *testing.T) {
 
 // TestFaultyLinkStillDeliversExactlyOnce: drop/dup/reorder injection must
 // not lose or duplicate frames as seen by the receiver.
+// TestGatherFilesBySender: whatever order reordering and duplication
+// deliver a round in, Gather returns one payload per sender, indexed by
+// sender, and a duplicate never stands in for the next round's frame.
+func TestGatherFilesBySender(t *testing.T) {
+	p := testProgram(t)
+	fc, err := faults.Parse("dup=0.5,reorder=0.5,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(p, Config{NumNodes: 4, HeapPerNode: 4 << 20, Faults: &fc, RecvTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for round := 0; round < 8; round++ {
+		for from := 3; from >= 0; from-- {
+			cl.Net.Send(Frame{From: from, To: 2, Data: []byte{byte(round), byte(from)}})
+		}
+		byFrom, err := cl.Net.Gather(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from, d := range byFrom {
+			if string(d) != string([]byte{byte(round), byte(from)}) {
+				t.Fatalf("round %d: sender %d's slot holds %v", round, from, d)
+			}
+		}
+	}
+	if st := cl.Net.Stats(); st.Reorders == 0 || st.Deduped == 0 {
+		t.Fatalf("injection had no effect: %+v", st)
+	}
+}
+
 func TestFaultyLinkStillDeliversExactlyOnce(t *testing.T) {
 	p := testProgram(t)
 	fc, err := faults.Parse("drop=0.3,dup=0.3,reorder=0.3,seed=99")
@@ -310,8 +344,8 @@ func TestCrashBlackHolesAndRestartRevives(t *testing.T) {
 	if cl.Nodes[1].VM == oldVM {
 		t.Fatal("restart did not build a fresh VM")
 	}
-	if cl.Restarts() != 1 {
-		t.Fatalf("restarts = %d", cl.Restarts())
+	if n := cl.Obs().Snapshot().Counters[obs.CtrNodeRestarts]; n != 1 {
+		t.Fatalf("restarts = %d", n)
 	}
 	// Both the pre-crash queued frame and the black-holed frame are gone.
 	if f, ok := cl.Net.TryRecv(1); ok {

@@ -65,23 +65,6 @@ type Config struct {
 	RecvTimeout time.Duration
 }
 
-// Recovery counts the fault-tolerance work a run performed.
-type Recovery struct {
-	Checkpoints        int64 // superstep checkpoints taken
-	CheckpointBytes    int64 // codec-encoded checkpoint payload, summed
-	CheckpointsDropped int64 // superseded checkpoints released
-	Restores           int64 // checkpoint restores (one per recovery)
-	NodeRestarts       int64 // node VMs rebuilt from scratch
-	Crashes            int64 // planned whole-node crashes survived
-	OOMRecoveries      int64 // out-of-memory failures recovered
-
-	// RetainedCheckpointsHW is the largest number of checkpoints held at
-	// once. The engine keeps only the newest, so it never exceeds 1 —
-	// the retention bug this field guards against was holding one full
-	// snapshot per superstep for the whole run.
-	RetainedCheckpointsHW int64
-}
-
 // Result reports one run (§4.3's ET/GT/space comparison).
 type Result struct {
 	ET         time.Duration
@@ -94,10 +77,13 @@ type Result struct {
 	Values     []float64 // final vertex values / point assignments
 	Centroids  [][2]float64
 
-	// Recovery and Net report the run's fault-tolerance activity; both
-	// are zero for a fault-free run.
-	Recovery Recovery
-	Net      cluster.NetStats
+	// Net reports the network's traffic and injected misbehaviour.
+	Net cluster.NetStats
+
+	// Obs is the cluster registry's snapshot: the run's recovery.*
+	// counters and its checkpoint and recovery events. A fault-free run
+	// has none.
+	Obs obs.Snapshot
 
 	// NodeObs holds each node's observability snapshot (indexed by node
 	// ID); supersteps appear as EvIteration events in each.
@@ -154,8 +140,8 @@ type nodeState struct {
 	part     *partition
 	vm       *vm.VM // incarnation the handles below belong to
 	built    bool
-	vsObj    vm.Obj // GPSVertex[] (or KPoint[])
-	adjObj   vm.Obj
+	vsObj    vm.Obj // GPSVertex[] (k-means: KPoint[])
+	adjObj   vm.Obj // NilObj for k-means, as are the two buffers
 	outT     vm.Obj // reusable out-target buffer
 	outV     vm.Obj // reusable out-value buffer
 	incoming [][]byte
@@ -163,36 +149,46 @@ type nodeState struct {
 
 // msg frame format: n × (u32 globalTarget, f64 value). Checkpoints reuse
 // the exact same codec: a node's vertex state serializes to n × (u32
-// globalID, f64 value).
+// globalID, f64 value). A k-means sums frame is 3k f64s (sum x, sum y,
+// count per cluster), and a checkpoint's centroids are 2k (every x, then
+// every y).
 
 // checkpoint is the superstep-boundary recovery state: every node's
 // codec-encoded vertex values, the frames it was about to consume, and
 // its VM rng cursor (the Sys.rand stream RandomWalk draws from — without
 // it a replay would re-roll different walks and recovery would only be
-// walker-conserving, not bit-identical). Restoring it and re-running the
-// supersteps since replays the computation exactly.
+// walker-conserving, not bit-identical), plus the k-means master's
+// centroids. A k-means node holds nothing a superstep reads: every
+// superstep re-assigns every point from the centroids. Restoring the
+// checkpoint and re-running the supersteps since replays the computation
+// exactly.
 type checkpoint struct {
 	step     int
-	vals     [][]byte   // per node: n × (u32 id, f64 value)
+	vals     [][]byte   // per node: n × (u32 id, f64 value); nil for k-means
 	incoming [][][]byte // per node: the superstep's undelivered frames
 	rng      []uint64   // per node: Sys.rand cursor (vm rng state)
+	cents    []byte     // k-means: the centroids; nil otherwise
 }
 
 // maxReplays bounds recovery attempts for a single superstep, so a fault
 // storm degenerates into an error instead of an infinite replay loop.
 const maxReplays = 4
 
-// engine carries one PR/RW run's cluster-side state.
+// engine carries one run's cluster-side state. Recovery is counted in
+// the cluster's registry.
 type engine struct {
-	cl       *cluster.Cluster
-	cfg      Config
-	parts    []*partition
-	states   []*nodeState
-	vertices int // graph vertex count (walker seeding)
-	plan     faults.Plan
-	ckpt     *checkpoint
-	replays  map[int]int // recovery attempts per failing superstep
-	rec      Recovery
+	cl      *cluster.Cluster
+	cfg     Config
+	g       *datagen.Graph
+	parts   []*partition
+	states  []*nodeState
+	plan    faults.Plan
+	ckpt    *checkpoint
+	replays map[int]int // recovery attempts per failing superstep
+
+	// cents are the k-means centroids (every x, then every y): the global
+	// object GPS's master computes between supersteps and broadcasts.
+	cents []float64
 }
 
 // Run executes the job and returns metrics plus final values (vertex
@@ -225,10 +221,6 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 	}
 	defer cl.Close()
 
-	if cfg.App == KMeans {
-		return runKMeans(cl, g, cfg)
-	}
-
 	initVal := func(v int) float64 {
 		if cfg.App == PageRank {
 			return 1.0
@@ -236,13 +228,21 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 		return 0.0
 	}
 	e := &engine{
-		cl:       cl,
-		cfg:      cfg,
-		parts:    partitionGraph(g, cfg.Nodes, initVal),
-		states:   make([]*nodeState, cfg.Nodes),
-		vertices: g.NumVertices,
-		plan:     cl.CrashPlan(cfg.Supersteps),
-		replays:  make(map[int]int),
+		cl:      cl,
+		cfg:     cfg,
+		g:       g,
+		parts:   partitionGraph(g, cfg.Nodes, initVal),
+		states:  make([]*nodeState, cfg.Nodes),
+		plan:    cl.CrashPlan(cfg.Supersteps),
+		replays: make(map[int]int),
+	}
+	if cfg.App == KMeans {
+		// Spread the initial centroids over the embedding's range.
+		e.cents = make([]float64, 2*cfg.K)
+		for c := 0; c < cfg.K; c++ {
+			e.cents[c] = float64(c * 7)
+			e.cents[cfg.K+c] = float64(c * 11)
+		}
 	}
 	start := time.Now()
 
@@ -273,12 +273,11 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 	// Extract final values.
 	values := make([]float64, g.NumVertices)
 	err = cl.ParallelEach(func(n *cluster.Node) error {
-		st := e.states[n.ID]
-		vals, err := readValues(n, st)
+		vals, err := e.readValues(n)
 		if err != nil {
 			return err
 		}
-		for i, id := range st.part.ids {
+		for i, id := range e.states[n.ID].part.ids {
 			values[id] = vals[i]
 		}
 		return nil
@@ -288,7 +287,12 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 	}
 	res := resultFrom(cl, start)
 	res.Values = values
-	res.Recovery = e.rec
+	if cfg.App == KMeans {
+		res.Centroids = make([][2]float64, cfg.K)
+		for c := range res.Centroids {
+			res.Centroids[c] = [2]float64{e.cents[c], e.cents[cfg.K+c]}
+		}
+	}
 	return res, nil
 }
 
@@ -303,7 +307,7 @@ func (e *engine) tolerant() bool { return e.cl.Injector() != nil }
 func (e *engine) seedWalkers() error {
 	seedByNode := make([][]int32, e.cfg.Nodes)
 	for w := 0; w < e.cfg.Walkers; w++ {
-		v := int32((w * 7919) % e.vertices)
+		v := int32((w * 7919) % e.g.NumVertices)
 		node := int(v) % e.cfg.Nodes
 		seedByNode[node] = append(seedByNode[node], e.parts[node].local[v])
 	}
@@ -328,17 +332,13 @@ func (e *engine) seedWalkers() error {
 // superstep count.
 func (e *engine) retain(c *checkpoint) {
 	if old := e.ckpt; old != nil {
-		e.rec.CheckpointsDropped++
-		for _, n := range e.cl.Nodes {
-			reg := n.VM.Obs()
-			reg.Counter(obs.CtrCheckpointsDropped).Inc()
-			reg.Emit(obs.EvCheckpoint, "drop", int64(old.step), int64(len(old.vals[n.ID])), int64(n.ID))
+		reg := e.cl.Obs()
+		reg.Counter(obs.CtrCheckpointsDropped).Inc()
+		for id, b := range old.vals {
+			reg.Emit(obs.EvCheckpoint, "drop", int64(old.step), int64(len(b)), int64(id))
 		}
 	}
 	e.ckpt = c
-	if e.rec.RetainedCheckpointsHW < 1 {
-		e.rec.RetainedCheckpointsHW = 1
-	}
 }
 
 // buildNodeState (re)builds one node's VM-side partition state. vals
@@ -361,6 +361,9 @@ func (e *engine) buildNodeState(n *cluster.Node, vals []float64) error {
 	}
 	st.built = false
 	st.vm = n.VM
+	if e.cfg.App == KMeans {
+		return e.buildPoints(n, st)
+	}
 	if vals == nil {
 		vals = st.part.vals
 	}
@@ -406,6 +409,35 @@ func (e *engine) buildNodeState(n *cluster.Node, vals []float64) error {
 	return nil
 }
 
+// buildPoints builds a k-means node's points: each vertex embedded in 2-D
+// by its degrees, offset by its hashed ID.
+func (e *engine) buildPoints(n *cluster.Node, st *nodeState) error {
+	t := n.Main
+	xs := make([]float64, len(st.part.ids))
+	ys := make([]float64, len(st.part.ids))
+	for i, v := range st.part.ids {
+		xs[i] = float64(e.g.OutDeg[v]) + float64(v%17)*0.1
+		ys[i] = float64(e.g.InDeg[v]) + float64(v%23)*0.1
+	}
+	ox, err := t.NewDoubleArr(xs)
+	if err != nil {
+		return err
+	}
+	defer t.FreeObj(ox)
+	oy, err := t.NewDoubleArr(ys)
+	if err != nil {
+		return err
+	}
+	defer t.FreeObj(oy)
+	st.vsObj, err = t.InvokeStaticObj("GPSDriver", "buildPoints", vm.O(ox), vm.O(oy))
+	if err != nil {
+		return err
+	}
+	st.adjObj, st.outT, st.outV = vm.NilObj, vm.NilObj, vm.NilObj
+	st.built = true
+	return nil
+}
+
 // runSuperstep drives one superstep through checkpointing, compute,
 // recovery (if a crash was planned or a node OOMed), and the frame
 // barrier. It returns the next superstep to run: step+1 on success, or
@@ -425,7 +457,7 @@ func (e *engine) runSuperstep(step int) (int, error) {
 		// The node dies mid-superstep: it computes nothing and its
 		// mailbox black-holes, while the surviving nodes finish their
 		// compute and send into the void.
-		e.rec.Crashes++
+		e.cl.Obs().Counter(obs.CtrCrashes).Inc()
 		e.cl.Net.Crash(node)
 		if err := e.compute(step, node); err != nil {
 			return 0, err
@@ -443,7 +475,7 @@ func (e *engine) runSuperstep(step int) (int, error) {
 	if e.ckpt == nil || ne == nil || !vm.IsOOM(ne.Err) {
 		return 0, err
 	}
-	e.rec.OOMRecoveries++
+	e.cl.Obs().Counter(obs.CtrOOMRecoveries).Inc()
 	return e.recoverAndRewind(step, ne.ID, "oom")
 }
 
@@ -466,29 +498,28 @@ func (e *engine) recoverAndRewind(step, failed int, kind string) (int, error) {
 
 // compute runs the superstep's compute phase on every node except skip.
 func (e *engine) compute(step, skip int) error {
-	first := step == 0
-	last := step == e.cfg.Supersteps-1
 	return e.cl.ParallelEach(func(n *cluster.Node) error {
 		if n.ID == skip {
 			return nil
 		}
-		return superstep(e.cl, n, e.states[n.ID], e.cfg, step, first, last)
+		return e.superstep(n, step)
 	})
 }
 
-// barrier collects one frame per peer for every node. Frames are filed by
-// sender ID, so the next superstep delivers them in a canonical order no
-// matter how injected delays and reorders shuffled their arrival — this is
-// what makes a faulty run's result bit-identical to the fault-free one.
+// barrier ends a superstep. For PageRank and random walk every node
+// gathers one frame per peer; for k-means node 0, standing in for GPS's
+// master, gathers every node's partial sums and moves the centroids.
+// Either way frames are taken in sender order, not arrival order — this
+// is what makes a faulty run's result bit-identical to the fault-free
+// one, and a k-means run's centroids the same on every run.
 func (e *engine) barrier() error {
+	if e.cfg.App == KMeans {
+		return e.moveCentroids()
+	}
 	for _, n := range e.cl.Nodes {
-		byFrom := make([][]byte, len(e.cl.Nodes))
-		for i := 0; i < len(e.cl.Nodes); i++ {
-			f, err := e.cl.Net.Recv(n.ID)
-			if err != nil {
-				return err
-			}
-			byFrom[f.From] = f.Data
+		byFrom, err := e.cl.Net.Gather(n.ID)
+		if err != nil {
+			return err
 		}
 		st := e.states[n.ID]
 		st.incoming = nil
@@ -501,8 +532,33 @@ func (e *engine) barrier() error {
 	return nil
 }
 
+// moveCentroids is the k-means master compute: it adds the nodes' partial
+// sums in sender order and moves every non-empty cluster's centroid to
+// its points' mean.
+func (e *engine) moveCentroids() error {
+	frames, err := e.cl.Net.Gather(0)
+	if err != nil {
+		return err
+	}
+	k := e.cfg.K
+	sums := make([]float64, 3*k)
+	for _, f := range frames {
+		for i, v := range getFloats(f) {
+			sums[i] += v
+		}
+	}
+	for c := 0; c < k; c++ {
+		if cnt := sums[c*3+2]; cnt > 0 {
+			e.cents[c] = sums[c*3] / cnt
+			e.cents[k+c] = sums[c*3+1] / cnt
+		}
+	}
+	return nil
+}
+
 // takeCheckpoint serializes every node's vertex state through the frame
-// codec and snapshots its undelivered frames and Sys.rand cursor.
+// codec and snapshots its undelivered frames and Sys.rand cursor, and the
+// k-means centroids.
 func (e *engine) takeCheckpoint(step int) (*checkpoint, error) {
 	ck := &checkpoint{
 		step:     step,
@@ -512,32 +568,33 @@ func (e *engine) takeCheckpoint(step int) (*checkpoint, error) {
 	}
 	err := e.cl.ParallelEach(func(n *cluster.Node) error {
 		st := e.states[n.ID]
-		vals, err := readValues(n, st)
+		ck.incoming[n.ID] = append([][]byte(nil), st.incoming...)
+		ck.rng[n.ID] = n.VM.RandState()
+		if e.cfg.App == KMeans {
+			return nil
+		}
+		vals, err := e.readValues(n)
 		if err != nil {
 			return err
 		}
 		buf := make([]byte, 0, len(vals)*12)
 		for i, v := range vals {
-			var b [12]byte
-			binary.LittleEndian.PutUint32(b[0:], uint32(st.part.ids[i]))
-			binary.LittleEndian.PutUint64(b[4:], math.Float64bits(v))
-			buf = append(buf, b[:]...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(st.part.ids[i]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 		ck.vals[n.ID] = buf
-		ck.incoming[n.ID] = append([][]byte(nil), st.incoming...)
-		ck.rng[n.ID] = n.VM.RandState()
-		reg := n.VM.Obs()
-		reg.Counter(obs.CtrCheckpoints).Inc()
-		reg.Counter(obs.CtrCheckpointBytes).Add(int64(len(buf)))
-		reg.Emit(obs.EvCheckpoint, "save", int64(step), int64(len(buf)), int64(n.ID))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.rec.Checkpoints++
-	for _, b := range ck.vals {
-		e.rec.CheckpointBytes += int64(len(b))
+	ck.cents = putFloats(nil, e.cents)
+	reg := e.cl.Obs()
+	reg.Counter(obs.CtrCheckpoints).Inc()
+	reg.Counter(obs.CtrCheckpointBytes).Add(int64(len(ck.cents)))
+	for id, b := range ck.vals {
+		reg.Counter(obs.CtrCheckpointBytes).Add(int64(len(b)))
+		reg.Emit(obs.EvCheckpoint, "save", int64(step), int64(len(b)), int64(id))
 	}
 	return ck, nil
 }
@@ -549,11 +606,7 @@ func (e *engine) recover(step int, ckpt *checkpoint, failed int, kind string) er
 	if err := e.cl.RestartNode(failed); err != nil {
 		return err
 	}
-	e.rec.NodeRestarts++
-	e.rec.Restores++
-	reg := e.cl.Nodes[failed].VM.Obs()
-	reg.Counter(obs.CtrNodeRestarts).Inc()
-	reg.Emit(obs.EvRecovery, kind, int64(failed), int64(step), 0)
+	e.cl.Obs().Emit(obs.EvRecovery, kind, int64(failed), int64(step), 0)
 	// The aborted attempt's frames (sent by surviving nodes before the
 	// failure surfaced) are stale: the replay will resend them.
 	for id := range e.cl.Nodes {
@@ -567,11 +620,12 @@ func (e *engine) recover(step int, ckpt *checkpoint, failed int, kind string) er
 }
 
 // restore rebuilds every node's vertex state, incoming frames, and
-// Sys.rand cursor from the checkpoint. All nodes are rebuilt, not just
-// the failed one: survivors already consumed their incoming frames,
-// advanced their vertex values, and drew from their rng streams during
-// the aborted attempt. Restoring the rng cursor is what makes a
-// RandomWalk replay bit-identical rather than merely walker-conserving.
+// Sys.rand cursor, and the k-means centroids, from the checkpoint. All
+// nodes are rebuilt, not just the failed one: survivors already consumed
+// their incoming frames, advanced their vertex values, and drew from
+// their rng streams during the aborted attempt. Restoring the rng cursor
+// is what makes a RandomWalk replay bit-identical rather than merely
+// walker-conserving.
 func (e *engine) restore(ckpt *checkpoint) error {
 	err := e.cl.ParallelEach(func(n *cluster.Node) error {
 		buf := ckpt.vals[n.ID]
@@ -584,13 +638,16 @@ func (e *engine) restore(ckpt *checkpoint) error {
 		}
 		e.states[n.ID].incoming = ckpt.incoming[n.ID]
 		n.VM.SetRandState(ckpt.rng[n.ID])
-		reg := n.VM.Obs()
-		reg.Counter(obs.CtrRestores).Inc()
-		reg.Emit(obs.EvCheckpoint, "restore", int64(ckpt.step), int64(len(buf)), int64(n.ID))
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	e.cents = getFloats(ckpt.cents)
+	reg := e.cl.Obs()
+	reg.Counter(obs.CtrRestores).Inc()
+	for id, b := range ckpt.vals {
+		reg.Emit(obs.EvCheckpoint, "restore", int64(ckpt.step), int64(len(b)), int64(id))
 	}
 	// Seeded walkers live in vertex message lists, which buildNodeState
 	// rebuilds empty; a rewind to the pre-step-0 state must replant them.
@@ -600,9 +657,27 @@ func (e *engine) restore(ckpt *checkpoint) error {
 	return nil
 }
 
-// readValues extracts a node's current vertex values in partition order.
-func readValues(n *cluster.Node, st *nodeState) ([]float64, error) {
+// readValues extracts a node's current vertex values (k-means: its points'
+// clusters) in partition order.
+func (e *engine) readValues(n *cluster.Node) ([]float64, error) {
+	st := e.states[n.ID]
 	t := n.Main
+	if e.cfg.App == KMeans {
+		vals := make([]float64, len(st.part.ids))
+		for i := range vals {
+			p, err := t.ArrGetObj(st.vsObj, i)
+			if err != nil {
+				return nil, err
+			}
+			cv, err := t.GetField(p, "KPoint", "cluster")
+			t.FreeObj(p)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = float64(int32(cv))
+		}
+		return vals, nil
+	}
 	out, err := t.NewArr("double", len(st.part.ids))
 	if err != nil {
 		return nil, err
@@ -614,9 +689,13 @@ func readValues(n *cluster.Node, st *nodeState) ([]float64, error) {
 	return t.ReadDoubleArr(out)
 }
 
-// superstep runs one node's compute phase and sends one frame per peer.
-func superstep(cl *cluster.Cluster, n *cluster.Node, st *nodeState, cfg Config, step int, first, last bool) error {
+// superstep runs one node's compute phase and sends its frames: one per
+// peer, or for k-means its partial sums to the master.
+func (e *engine) superstep(n *cluster.Node, step int) error {
 	stepStart := time.Now()
+	st := e.states[n.ID]
+	first := step == 0
+	last := step == e.cfg.Supersteps-1
 	t := n.Main
 	t.IterationStart()
 	defer t.IterationEnd()
@@ -655,7 +734,7 @@ func superstep(cl *cluster.Cluster, n *cluster.Node, st *nodeState, cfg Config, 
 	var emitted int
 	var targets []int32
 	var vals []float64
-	switch cfg.App {
+	switch e.cfg.App {
 	case PageRank:
 		ev, err := t.InvokeStatic("GPSDriver", "prStep",
 			vm.O(st.vsObj), vm.O(st.adjObj), vm.O(st.outT), vm.O(st.outV),
@@ -692,22 +771,72 @@ func superstep(cl *cluster.Cluster, n *cluster.Node, st *nodeState, cfg Config, 
 				vals[i] = 1.0
 			}
 		}
+	case KMeans:
+		sums, err := e.kmeansAssign(t, st)
+		if err != nil {
+			return err
+		}
+		e.cl.Net.Send(cluster.Frame{From: n.ID, To: 0, Tag: "sums", Data: putFloats(nil, sums)})
+		return nil
 	}
 
 	// Group by destination node and send frames (the serialization
 	// boundary between machines).
-	frames := make([][]byte, len(cl.Nodes))
+	frames := make([][]byte, len(e.cl.Nodes))
 	for i := 0; i < emitted; i++ {
-		dst := int(targets[i]) % len(cl.Nodes)
+		dst := int(targets[i]) % len(e.cl.Nodes)
 		var buf [12]byte
 		binary.LittleEndian.PutUint32(buf[0:], uint32(targets[i]))
 		binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(vals[i]))
 		frames[dst] = append(frames[dst], buf[:]...)
 	}
 	for d, f := range frames {
-		cl.Net.Send(cluster.Frame{From: n.ID, To: d, Tag: "msgs", Data: f})
+		e.cl.Net.Send(cluster.Frame{From: n.ID, To: d, Tag: "msgs", Data: f})
 	}
 	return nil
+}
+
+// kmeansAssign assigns the node's points to their nearest centroids and
+// returns the node's per-cluster partial sums.
+func (e *engine) kmeansAssign(t *vm.Thread, st *nodeState) ([]float64, error) {
+	k := e.cfg.K
+	ocx, err := t.NewDoubleArr(e.cents[:k])
+	if err != nil {
+		return nil, err
+	}
+	defer t.FreeObj(ocx)
+	ocy, err := t.NewDoubleArr(e.cents[k:])
+	if err != nil {
+		return nil, err
+	}
+	defer t.FreeObj(ocy)
+	osums, err := t.NewArr("double", 3*k)
+	if err != nil {
+		return nil, err
+	}
+	defer t.FreeObj(osums)
+	if _, err := t.InvokeStatic("GPSDriver", "kmeansAssign",
+		vm.O(st.vsObj), vm.O(ocx), vm.O(ocy), vm.O(osums)); err != nil {
+		return nil, err
+	}
+	return t.ReadDoubleArr(osums)
+}
+
+// putFloats appends vals to buf as little-endian f64s.
+func putFloats(buf []byte, vals []float64) []byte {
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// getFloats decodes what putFloats encoded.
+func getFloats(b []byte) []float64 {
+	vals := make([]float64, len(b)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return vals
 }
 
 func b2i(b bool) int64 {
@@ -744,139 +873,7 @@ func resultFrom(cl *cluster.Cluster, start time.Time) *Result {
 		MinorGCs:   st.MinorGCs,
 		FullGCs:    st.FullGCs,
 		Net:        cl.Net.Stats(),
+		Obs:        cl.Obs().Snapshot(),
 		NodeObs:    cl.ObsSnapshots(),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// k-means: points are graph vertices embedded deterministically in 2-D;
-// centroids are broadcast by the master each superstep and partial sums
-// reduced from the nodes (the Pregel "master.compute" aggregation).
-
-func runKMeans(cl *cluster.Cluster, g *datagen.Graph, cfg Config) (*Result, error) {
-	nodes := len(cl.Nodes)
-	xs := make([][]float64, nodes)
-	ys := make([][]float64, nodes)
-	owner := make([]int, g.NumVertices)
-	localIdx := make([]int, g.NumVertices)
-	for v := 0; v < g.NumVertices; v++ {
-		n := v % nodes
-		owner[v] = n
-		localIdx[v] = len(xs[n])
-		// Deterministic embedding: degree vs hashed position.
-		xs[n] = append(xs[n], float64(g.OutDeg[v])+float64(v%17)*0.1)
-		ys[n] = append(ys[n], float64(g.InDeg[v])+float64(v%23)*0.1)
-	}
-	ptObjs := make([]vm.Obj, nodes)
-	start := time.Now()
-	err := cl.ParallelEach(func(n *cluster.Node) error {
-		t := n.Main
-		ox, err := t.NewDoubleArr(xs[n.ID])
-		if err != nil {
-			return err
-		}
-		defer t.FreeObj(ox)
-		oy, err := t.NewDoubleArr(ys[n.ID])
-		if err != nil {
-			return err
-		}
-		defer t.FreeObj(oy)
-		ptObjs[n.ID], err = t.InvokeStaticObj("GPSDriver", "buildPoints", vm.O(ox), vm.O(oy))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	k := cfg.K
-	cx := make([]float64, k)
-	cy := make([]float64, k)
-	for c := 0; c < k; c++ {
-		// Spread initial centroids over the embedding range.
-		cx[c] = float64(c * 7)
-		cy[c] = float64(c * 11)
-	}
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	for step := 0; step < cfg.Supersteps; step++ {
-		step := step
-		sums := make([]float64, 3*k)
-		err := cl.ParallelEach(func(n *cluster.Node) error {
-			stepStart := time.Now()
-			t := n.Main
-			t.IterationStart()
-			defer t.IterationEnd()
-			defer func() {
-				n.VM.Obs().Emit(obs.EvIteration, "superstep", int64(step), time.Since(stepStart).Nanoseconds(), int64(n.ID))
-			}()
-			ocx, err := t.NewDoubleArr(cx)
-			if err != nil {
-				return err
-			}
-			defer t.FreeObj(ocx)
-			ocy, err := t.NewDoubleArr(cy)
-			if err != nil {
-				return err
-			}
-			defer t.FreeObj(ocy)
-			osums, err := t.NewArr("double", 3*k)
-			if err != nil {
-				return err
-			}
-			defer t.FreeObj(osums)
-			if _, err := t.InvokeStatic("GPSDriver", "kmeansAssign",
-				vm.O(ptObjs[n.ID]), vm.O(ocx), vm.O(ocy), vm.O(osums)); err != nil {
-				return err
-			}
-			part, err := t.ReadDoubleArr(osums)
-			if err != nil {
-				return err
-			}
-			<-mu
-			for i := range sums {
-				sums[i] += part[i]
-			}
-			mu <- struct{}{}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for c := 0; c < k; c++ {
-			if cnt := sums[c*3+2]; cnt > 0 {
-				cx[c] = sums[c*3] / cnt
-				cy[c] = sums[c*3+1] / cnt
-			}
-		}
-	}
-	// Extract assignments: vertex v lives at node v%nodes, local v/nodes.
-	values := make([]float64, g.NumVertices)
-	err = cl.ParallelEach(func(n *cluster.Node) error {
-		t := n.Main
-		cnt := len(xs[n.ID])
-		for i := 0; i < cnt; i++ {
-			p, err := t.ArrGetObj(ptObjs[n.ID], i)
-			if err != nil {
-				return err
-			}
-			cv, err := t.GetField(p, "KPoint", "cluster")
-			t.FreeObj(p)
-			if err != nil {
-				return err
-			}
-			values[i*nodes+n.ID] = float64(int32(cv))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := resultFrom(cl, start)
-	res.Values = values
-	cents := make([][2]float64, k)
-	for c := 0; c < k; c++ {
-		cents[c] = [2]float64{cx[c], cy[c]}
-	}
-	res.Centroids = cents
-	return res, nil
 }

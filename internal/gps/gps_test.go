@@ -1,13 +1,17 @@
 package gps
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 var cachedP, cachedP2 *ir.Program
@@ -124,19 +128,13 @@ func TestKMeansAssignsAllPoints(t *testing.T) {
 		if c < 0 || c >= cfg.K {
 			t.Fatalf("P: vertex %d assigned to cluster %d", v, c)
 		}
-		if resP.Values[v] != resP2.Values[v] {
-			t.Fatalf("vertex %d: P cluster %v, P' cluster %v", v, resP.Values[v], resP2.Values[v])
-		}
 	}
 	if len(resP.Centroids) != cfg.K {
 		t.Fatalf("got %d centroids", len(resP.Centroids))
 	}
-	for c := range resP.Centroids {
-		if math.Abs(resP.Centroids[c][0]-resP2.Centroids[c][0]) > 1e-9 ||
-			math.Abs(resP.Centroids[c][1]-resP2.Centroids[c][1]) > 1e-9 {
-			t.Fatalf("centroid %d differs between P and P'", c)
-		}
-	}
+	// The master adds the partial sums in sender order, so P and P′
+	// agree to the bit.
+	sameBits(t, "P' against P", resP, resP2)
 }
 
 func TestGPSGCProfileModest(t *testing.T) {
@@ -161,28 +159,51 @@ func TestGPSGCProfileModest(t *testing.T) {
 // run: retries, dedup, canonical barrier ordering, and checkpoint/replay
 // must make injected faults invisible to the computation.
 func TestPageRankFaultMatrix(t *testing.T) {
-	p, p2 := programs(t)
-	g := datagen.PowerLawGraph(250, 2000, 7)
-	base := Config{App: PageRank, Nodes: 3, HeapPerNode: 16 << 20, Supersteps: 4}
+	faultMatrix(t, datagen.PowerLawGraph(250, 2000, 7),
+		Config{App: PageRank, Nodes: 3, HeapPerNode: 16 << 20, Supersteps: 4},
+		[]faultCase{
+			{"drop", "drop=0.1,seed=11"},
+			{"dup", "dup=0.15,seed=12"},
+			{"delay", "delay=2ms,delayp=0.2,seed=13"},
+			{"reorder", "reorder=0.3,seed=14"},
+			{"crash", "crash=1,seed=15"},
+			{"all", "drop=0.05,dup=0.1,delay=1ms,delayp=0.1,reorder=0.1,crash=1,seed=42"},
+		})
+}
 
-	cases := []struct {
-		name string
-		spec string
-	}{
-		{"drop", "drop=0.1,seed=11"},
-		{"dup", "dup=0.15,seed=12"},
-		{"delay", "delay=2ms,delayp=0.2,seed=13"},
-		{"reorder", "reorder=0.3,seed=14"},
-		{"crash", "crash=1,seed=15"},
-		{"all", "drop=0.05,dup=0.1,delay=1ms,delayp=0.1,reorder=0.1,crash=1,seed=42"},
-	}
+// TestKMeansFaultMatrix is the same matrix for k-means: the master's
+// centroids ride the checkpoint, and its sender-ordered reduce makes
+// centroids and assignments bit-identical to the fault-free run. A
+// k-means superstep sends one frame per node, so the per-frame
+// probabilities run high enough for each fault class to fire.
+func TestKMeansFaultMatrix(t *testing.T) {
+	faultMatrix(t, datagen.PowerLawGraph(240, 2000, 13),
+		Config{App: KMeans, Nodes: 3, HeapPerNode: 16 << 20, Supersteps: 4, K: 4},
+		[]faultCase{
+			{"drop", "drop=0.3,seed=11"},
+			{"dup", "dup=0.5,seed=12"},
+			{"delay", "delay=2ms,delayp=0.5,seed=13"},
+			{"reorder", "reorder=0.5,seed=14"},
+			{"crash", "crash=1,seed=15"},
+			{"all", "drop=0.2,dup=0.5,delay=1ms,delayp=0.3,reorder=0.3,crash=1,seed=42"},
+		})
+}
+
+type faultCase struct{ name, spec string }
+
+// faultMatrix runs base fault-free and then under each fault case, on P
+// and P′, and requires the faulty runs' results to be bit-identical and
+// their recovery to be counted.
+func faultMatrix(t *testing.T, g *datagen.Graph, base Config, cases []faultCase) {
+	t.Helper()
+	p, p2 := programs(t)
 	for name, prog := range map[string]*ir.Program{"P": p, "P'": p2} {
 		clean, err := Run(prog, g, base)
 		if err != nil {
 			t.Fatalf("%s fault-free: %v", name, err)
 		}
-		if clean.Recovery != (Recovery{}) {
-			t.Fatalf("%s fault-free run reports recovery work: %+v", name, clean.Recovery)
+		if rec := recoveryWork(clean.Obs); len(rec) > 0 {
+			t.Fatalf("%s fault-free run reports recovery work: %v", name, rec)
 		}
 		for _, tc := range cases {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
@@ -197,26 +218,22 @@ func TestPageRankFaultMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("faulty run: %v", err)
 				}
-				for v := range clean.Values {
-					if res.Values[v] != clean.Values[v] {
-						t.Fatalf("vertex %d diverged: fault-free=%v faulty=%v",
-							v, clean.Values[v], res.Values[v])
-					}
-				}
-				if res.Recovery.Checkpoints != int64(base.Supersteps) {
+				sameBits(t, "faulty", clean, res)
+				rec := res.Obs.Counters
+				if rec[obs.CtrCheckpoints] != int64(base.Supersteps) {
 					t.Fatalf("checkpoints = %d, want one per superstep (%d)",
-						res.Recovery.Checkpoints, base.Supersteps)
+						rec[obs.CtrCheckpoints], base.Supersteps)
 				}
 				if fc.Drop > 0 && res.Net.Retries == 0 {
 					t.Fatal("drop injection produced no retries")
 				}
 				if fc.Dup > 0 && res.Net.Deduped == 0 {
-					t.Fatal("dup injection produced no dedups")
+					t.Fatalf("dup injection produced no dedups: %+v", res.Net)
 				}
 				if fc.Crashes > 0 {
-					if res.Recovery.Crashes < 1 || res.Recovery.NodeRestarts < 1 ||
-						res.Recovery.Restores < 1 {
-						t.Fatalf("crash not reflected in recovery stats: %+v", res.Recovery)
+					if rec[obs.CtrCrashes] < 1 || rec[obs.CtrNodeRestarts] != rec[obs.CtrCrashes] ||
+						rec[obs.CtrRestores] != rec[obs.CtrCrashes] {
+						t.Fatalf("crash not reflected in recovery counters: %v", rec)
 					}
 				}
 			})
@@ -250,8 +267,8 @@ func TestPageRankOOMNodeRecovers(t *testing.T) {
 				v, clean.Values[v], res.Values[v])
 		}
 	}
-	if res.Recovery.OOMRecoveries < 1 || res.Recovery.Restores < 1 {
-		t.Fatalf("expected OOM recovery in stats: %+v", res.Recovery)
+	if rec := res.Obs.Counters; rec[obs.CtrOOMRecoveries] < 1 || rec[obs.CtrRestores] != rec[obs.CtrOOMRecoveries] {
+		t.Fatalf("expected one restore per OOM recovery: %v", rec)
 	}
 }
 
@@ -281,8 +298,8 @@ func TestRandomWalkCrashReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, spec, err)
 			}
-			if res.Recovery.Crashes < int64(fc.Crashes) {
-				t.Fatalf("%s %s: planned crashes not fired: %+v", name, spec, res.Recovery)
+			if rec := res.Obs.Counters; rec[obs.CtrCrashes] < int64(fc.Crashes) {
+				t.Fatalf("%s %s: planned crashes not fired: %v", name, spec, rec)
 			}
 			for v := range clean.Values {
 				if res.Values[v] != clean.Values[v] {
@@ -307,13 +324,11 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery.RetainedCheckpointsHW > 1 {
-		t.Fatalf("retained-checkpoint high-water = %d, want <= 1", res.Recovery.RetainedCheckpointsHW)
-	}
 	// Every checkpoint but the final one must have been dropped.
-	if want := res.Recovery.Checkpoints - 1; res.Recovery.CheckpointsDropped != want {
+	rec := res.Obs.Counters
+	if want := rec[obs.CtrCheckpoints] - 1; rec[obs.CtrCheckpointsDropped] != want {
 		t.Fatalf("checkpoints dropped = %d, want %d (of %d taken)",
-			res.Recovery.CheckpointsDropped, want, res.Recovery.Checkpoints)
+			rec[obs.CtrCheckpointsDropped], want, rec[obs.CtrCheckpoints])
 	}
 }
 
@@ -329,7 +344,7 @@ func TestCheckpointIntervalReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range []App{PageRank, RandomWalk} {
+	for _, app := range []App{PageRank, RandomWalk, KMeans} {
 		fc := faults.Config{Seed: 15, Crashes: 1}
 		cfg := base
 		cfg.App = app
@@ -346,39 +361,120 @@ func TestCheckpointIntervalReplays(t *testing.T) {
 		}
 		// Supersteps 0 and 2 checkpoint; the crash replays from one of
 		// them without re-taking it.
-		if res.Recovery.Checkpoints != 2 {
-			t.Fatalf("%v: checkpoints = %d, want 2 (every 2nd superstep)", app, res.Recovery.Checkpoints)
+		rec := res.Obs.Counters
+		if rec[obs.CtrCheckpoints] != 2 {
+			t.Fatalf("%v: checkpoints = %d, want 2 (every 2nd superstep)", app, rec[obs.CtrCheckpoints])
 		}
-		if res.Recovery.CheckpointsDropped != 1 {
-			t.Fatalf("%v: checkpoints dropped = %d, want 1", app, res.Recovery.CheckpointsDropped)
+		if rec[obs.CtrCheckpointsDropped] != 1 {
+			t.Fatalf("%v: checkpoints dropped = %d, want 1", app, rec[obs.CtrCheckpointsDropped])
 		}
-		if res.Recovery.RetainedCheckpointsHW > 1 {
-			t.Fatalf("%v: retained high-water = %d, want <= 1", app, res.Recovery.RetainedCheckpointsHW)
+		if rec[obs.CtrCrashes] != 1 || rec[obs.CtrRestores] != 1 {
+			t.Fatalf("%v: crash recovery missing from counters: %v", app, rec)
 		}
-		if res.Recovery.Crashes != 1 || res.Recovery.Restores < 1 {
-			t.Fatalf("%v: crash recovery missing from stats: %+v", app, res.Recovery)
-		}
-		if app == PageRank {
-			for v := range clean.Values {
-				if res.Values[v] != clean.Values[v] {
-					t.Fatalf("vertex %d diverged under interval checkpointing: %v vs %v",
-						v, clean.Values[v], res.Values[v])
-				}
+		ref := clean
+		if app != PageRank {
+			cleanCfg := cfg
+			cleanCfg.Faults = nil
+			cleanCfg.CheckpointInterval = 0
+			if ref, err = Run(p, g, cleanCfg); err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			cleanRW := cfg
-			cleanRW.Faults = nil
-			cleanRW.CheckpointInterval = 0
-			ref, err := Run(p, g, cleanRW)
+		}
+		sameBits(t, app.String()+" under interval checkpointing", ref, res)
+	}
+}
+
+// TestCrashRecoveryCountsOnce reads a 2-node PageRank crash recovery off
+// the cluster registry: every recovery action is counted once per run,
+// and the crashed node's restart does not take its share of the books
+// with it.
+func TestCrashRecoveryCountsOnce(t *testing.T) {
+	p, _ := programs(t)
+	g := datagen.PowerLawGraph(250, 2000, 7)
+	fc := faults.Config{Seed: 15, Crashes: 1}
+	cfg := Config{App: PageRank, Nodes: 2, HeapPerNode: 16 << 20, Supersteps: 4,
+		Faults: &fc, RecvTimeout: 5 * time.Second}
+	res, err := Run(p, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		obs.CtrCheckpoints:        4,
+		obs.CtrCheckpointBytes:    4 * 12 * int64(g.NumVertices),
+		obs.CtrCheckpointsDropped: 3,
+		obs.CtrCrashes:            1,
+		obs.CtrNodeRestarts:       1,
+		obs.CtrRestores:           1,
+	}
+	if got := recoveryWork(res.Obs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovery counters = %v, want %v", got, want)
+	}
+	saves := 0
+	for _, e := range res.Obs.Events {
+		if e.Kind == obs.EvCheckpoint && e.Label == "save" {
+			saves++
+		}
+	}
+	if saves != 4*cfg.Nodes {
+		t.Fatalf("%d checkpoint save events, want one per node per checkpoint (%d)", saves, 4*cfg.Nodes)
+	}
+	for id, snap := range res.NodeObs {
+		if rec := recoveryWork(snap); len(rec) > 0 {
+			t.Fatalf("node %d's registry counts recovery too: %v", id, rec)
+		}
+	}
+}
+
+// TestKMeansIsDeterministic runs k-means repeatedly with one seed: the
+// master adds the partial sums in sender order, so every run gives the
+// same centroid bits, at any node count.
+func TestKMeansIsDeterministic(t *testing.T) {
+	p, _ := programs(t)
+	g := datagen.PowerLawGraph(2000, 20000, 13)
+	for _, nodes := range []int{3, 8} {
+		cfg := Config{App: KMeans, Nodes: nodes, HeapPerNode: 1 << 20, Supersteps: 5, K: 4}
+		ref, err := Run(p, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run < 100; run++ {
+			res, err := Run(p, g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range ref.Values {
-				if res.Values[v] != ref.Values[v] {
-					t.Fatalf("RW vertex %d diverged under interval checkpointing: %v vs %v",
-						v, ref.Values[v], res.Values[v])
-				}
+			sameBits(t, fmt.Sprintf("%d nodes, run %d", nodes, run), ref, res)
+		}
+	}
+}
+
+// sameBits fails unless got's values and centroids are bit-identical to
+// want's.
+func sameBits(t *testing.T, what string, want, got *Result) {
+	t.Helper()
+	for v := range want.Values {
+		if math.Float64bits(got.Values[v]) != math.Float64bits(want.Values[v]) {
+			t.Fatalf("%s: vertex %d = %v, want %v", what, v, got.Values[v], want.Values[v])
+		}
+	}
+	if len(got.Centroids) != len(want.Centroids) {
+		t.Fatalf("%s: %d centroids, want %d", what, len(got.Centroids), len(want.Centroids))
+	}
+	for c := range want.Centroids {
+		for d := 0; d < 2; d++ {
+			if math.Float64bits(got.Centroids[c][d]) != math.Float64bits(want.Centroids[c][d]) {
+				t.Fatalf("%s: centroid %d = %v, want %v", what, c, got.Centroids[c], want.Centroids[c])
 			}
 		}
 	}
+}
+
+// recoveryWork returns the nonzero recovery.* counters of a snapshot.
+func recoveryWork(s obs.Snapshot) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "recovery.") && v != 0 {
+			out[name] = v
+		}
+	}
+	return out
 }

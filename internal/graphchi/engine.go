@@ -68,17 +68,6 @@ type Config struct {
 	Tiering *offheap.TierConfig
 }
 
-// Recovery counts the fault-tolerance work a run performed. The shard
-// files plus the vertex values at the interval boundary are a complete
-// checkpoint, so every recovery here is a replay from that state.
-type Recovery struct {
-	IntervalRetries int64 // failed sub-iterations replayed from the shard
-	WorkerCrashes   int64 // planned worker-thread crashes survived
-	WorkerRestarts  int64 // update worker threads rebuilt
-	OOMRecoveries   int64 // memory-exhaustion failures recovered
-	BudgetHalvings  int64 // degradation-ladder budget halvings
-}
-
 // Metrics are the measurements Table 2 reports, plus the object counters
 // behind the paper's §4.1 object-bound claim.
 type Metrics struct {
@@ -103,12 +92,10 @@ type Metrics struct {
 	PagesPromoted int64
 	Edges         int64 // edges processed (NumEdges * Iterations)
 
-	// Recovery reports the run's fault-tolerance activity (all zero for
-	// a failure-free run).
-	Recovery Recovery
-
 	// Obs is the run's full observability snapshot (GC pause histograms,
 	// safepoint waits, page counters, interpreter counters, event ring).
+	// Its recovery.* counters are the run's fault-tolerance activity; a
+	// failure-free run has none.
 	Obs obs.Snapshot
 	// ClassAllocs counts heap allocations per class/array type.
 	ClassAllocs map[string]int64
@@ -126,8 +113,8 @@ func (m *Metrics) Throughput() float64 {
 // so a fault storm degenerates into an error instead of an endless replay.
 const maxIntervalReplays = 64
 
-// engine carries one run's control-path state: the VM boundary objects,
-// the worker pool, and the recovery books.
+// engine carries one run's control-path state: the VM boundary objects
+// and the worker pool. Recovery is counted in the VM's registry.
 type engine struct {
 	machine *vm.VM
 	main    *vm.Thread
@@ -139,8 +126,6 @@ type engine struct {
 	inj     *faults.Injector
 	plan    faults.Plan // planned worker crashes, by sub-iteration ordinal
 	subIter int         // global sub-iteration ordinal (crash occasions)
-
-	rec Recovery
 
 	// afterSubIter, when set (tests), runs after every sub-iteration
 	// attempt on the vertex range iv, failed or not, once its page managers
@@ -236,7 +221,6 @@ func run(machine *vm.VM, sg *ShardedGraph, cfg Config, afterSubIter func([2]int,
 	met.PM = met.HeapPeak + met.NativePeak
 	met.DataObjects = countDataObjects(machine)
 	met.ClassAllocs = machine.Heap.ClassAllocCounts()
-	met.Recovery = e.rec
 	met.Obs = reg.Snapshot()
 	return met, values, nil
 }
@@ -312,8 +296,7 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 		case errors.Is(err, errWorkerCrashed):
 			// Rebuild the update fleet from scratch and replay the
 			// sub-iteration from the shard.
-			e.rec.WorkerCrashes++
-			e.rec.IntervalRetries++
+			reg.Counter(obs.CtrCrashes).Inc()
 			reg.Counter(obs.CtrIntervalRetries).Inc()
 			reg.Emit(obs.EvRecovery, "crash", int64(workerOf(err)), int64(e.subIter), int64(attempt))
 			if rerr := e.restartPool(); rerr != nil {
@@ -323,15 +306,13 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 			// Degradation ladder: halve the budget for this interval and
 			// re-split it; a single vertex that still does not fit is a
 			// genuine out-of-memory result.
-			e.rec.OOMRecoveries++
-			e.rec.IntervalRetries++
+			reg.Counter(obs.CtrOOMRecoveries).Inc()
 			reg.Counter(obs.CtrIntervalRetries).Inc()
 			reg.Emit(obs.EvRecovery, "oom", -1, int64(e.subIter), int64(attempt))
 			if budget/2/bytesPerEdge < 1 {
 				return fmt.Errorf("out of memory with budget ladder exhausted (budget %d): %w", budget, err)
 			}
 			budget /= 2
-			e.rec.BudgetHalvings++
 			reg.Counter(obs.CtrBudgetHalvings).Inc()
 			reg.Emit(obs.EvDegraded, "interval", int64(iv[0]), budget/bytesPerEdge, int64(e.subIter))
 		default:
@@ -494,9 +475,7 @@ func (e *engine) restartPool() error {
 		return err
 	}
 	e.pool = pool
-	e.rec.WorkerRestarts += int64(e.cfg.Workers)
-	reg := e.machine.Obs()
-	reg.Counter(obs.CtrWorkerRestarts).Add(int64(e.cfg.Workers))
+	e.machine.Obs().Counter(obs.CtrWorkerRestarts).Add(int64(e.cfg.Workers))
 	return nil
 }
 

@@ -2,11 +2,13 @@ package graphchi
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/offheap"
 	"repro/internal/vm"
 )
@@ -361,8 +363,8 @@ func TestFaultMatrixIntervalRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s fault-free: %v", ac.app, name, err)
 			}
-			if clean.Recovery != (Recovery{}) {
-				t.Fatalf("%v/%s fault-free run reports recovery work: %+v", ac.app, name, clean.Recovery)
+			if rec := recoveryWork(clean.Obs); len(rec) > 0 {
+				t.Fatalf("%v/%s fault-free run reports recovery work: %v", ac.app, name, rec)
 			}
 			for _, tc := range cases {
 				if tc.only != "" && tc.only != name {
@@ -388,23 +390,31 @@ func TestFaultMatrixIntervalRecovery(t *testing.T) {
 								v, cleanVals[v], vals[v])
 						}
 					}
-					rec := met.Recovery
-					if rec.IntervalRetries < 1 {
-						t.Fatalf("no interval replayed: %+v", rec)
+					rec := met.Obs.Counters
+					if rec[obs.CtrIntervalRetries] < 1 {
+						t.Fatalf("no interval replayed: %v", rec)
 					}
 					if fc.Crashes > 0 {
-						if rec.WorkerCrashes < int64(fc.Crashes) || rec.WorkerRestarts < int64(cfg.Workers) {
-							t.Fatalf("crash not reflected in recovery stats: %+v", rec)
+						if rec[obs.CtrCrashes] < int64(fc.Crashes) || rec[obs.CtrWorkerRestarts] < int64(cfg.Workers) {
+							t.Fatalf("crash not reflected in recovery counters: %v", rec)
+						}
+						// Each crash replays its sub-iteration once and
+						// rebuilds the whole fleet once.
+						if rec[obs.CtrIntervalRetries] != rec[obs.CtrCrashes] ||
+							rec[obs.CtrWorkerRestarts] != rec[obs.CtrCrashes]*int64(cfg.Workers) {
+							t.Fatalf("crash recovery miscounted: %v", rec)
 						}
 					}
 					if fc.AllocAt > 0 || fc.PageAt > 0 || fc.TierLoadAt > 0 {
-						if rec.OOMRecoveries < 1 || rec.BudgetHalvings < 1 {
-							t.Fatalf("OOM degradation ladder not exercised: %+v", rec)
+						if rec[obs.CtrOOMRecoveries] < 1 || rec[obs.CtrBudgetHalvings] < 1 {
+							t.Fatalf("OOM degradation ladder not exercised: %v", rec)
 						}
-					}
-					// The counters surface through obs too.
-					if c := met.Obs.Counters["recovery.interval_retries"]; c != rec.IntervalRetries {
-						t.Fatalf("obs interval_retries = %d, Recovery says %d", c, rec.IntervalRetries)
+						// Every OOM replays its sub-iteration once at half
+						// the budget; no crash is counted.
+						if rec[obs.CtrIntervalRetries] != rec[obs.CtrOOMRecoveries] ||
+							rec[obs.CtrBudgetHalvings] != rec[obs.CtrOOMRecoveries] || rec[obs.CtrCrashes] != 0 {
+							t.Fatalf("OOM recovery miscounted: %v", rec)
+						}
 					}
 				})
 			}
@@ -582,4 +592,15 @@ func TestIntervalsTileExactlyOnce(t *testing.T) {
 	if next != 300 {
 		t.Fatalf("sub-range intervals end at %d, want 300", next)
 	}
+}
+
+// recoveryWork returns the nonzero recovery.* counters of a snapshot.
+func recoveryWork(s obs.Snapshot) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "recovery.") && v != 0 {
+			out[name] = v
+		}
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/offheap"
 	"repro/internal/vm"
 )
@@ -203,16 +204,16 @@ func TestRecoveryUnderParallelLoad(t *testing.T) {
 					if !inBuild {
 						t.Fatalf("no failure inside a worker's buildRange: %v", failed)
 					}
-					rec := met.Recovery
+					rec := met.Obs.Counters
 					if fc.Crashes > 0 {
-						if rec.WorkerCrashes != 1 || rec.WorkerRestarts != int64(workers) {
-							t.Errorf("crash not recovered as one crash and a new fleet: %+v", rec)
+						if rec[obs.CtrCrashes] != 1 || rec[obs.CtrWorkerRestarts] != int64(workers) {
+							t.Errorf("crash not recovered as one crash and a new fleet: %v", rec)
 						}
-					} else if rec.OOMRecoveries < 1 || rec.BudgetHalvings != rec.OOMRecoveries {
-						t.Errorf("memory exhaustion not recovered by halving: %+v", rec)
+					} else if rec[obs.CtrOOMRecoveries] < 1 || rec[obs.CtrBudgetHalvings] != rec[obs.CtrOOMRecoveries] {
+						t.Errorf("memory exhaustion not recovered by halving: %v", rec)
 					}
 					if tc.exhaust && !resplit {
-						t.Errorf("no interval was re-split and replayed in pieces: %+v", rec)
+						t.Errorf("no interval was re-split and replayed in pieces: %v", rec)
 					}
 				})
 			}

@@ -25,15 +25,6 @@ type Job interface {
 	Reduce(n *cluster.Node, frames [][]byte) ([]byte, error)
 }
 
-// Recovery counts the fault-tolerance work a job performed.
-type Recovery struct {
-	Crashes       int64 // planned whole-node crashes survived
-	NodeRestarts  int64 // node VMs rebuilt from scratch
-	TaskRetries   int64 // map/reduce tasks re-executed (same logical task)
-	TasksDegraded int64 // tasks drained to a healthy helper node
-	OOMRecoveries int64 // out-of-memory failures recovered
-}
-
 // Result reports one job run (a row of Table 3 plus the memory points of
 // Figure 4b/4c).
 type Result struct {
@@ -52,10 +43,13 @@ type Result struct {
 	ShuffledMB  float64
 	OutputBytes int64
 
-	// Recovery and Net report the run's fault-tolerance activity; both
-	// are zero for a fault-free run.
-	Recovery Recovery
-	Net      cluster.NetStats
+	// Net reports the network's traffic and injected misbehaviour.
+	Net cluster.NetStats
+
+	// Obs is the cluster registry's snapshot: the run's recovery.*
+	// counters and its recovery and degraded events. A fault-free run
+	// has none.
+	Obs obs.Snapshot
 
 	// NodeObs holds each node's observability snapshot (indexed by node
 	// ID); the map/reduce phases appear as EvPhase events in each.
@@ -90,7 +84,7 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 	res := &Result{Job: job.Name()}
 	start := time.Now()
 	reducers := len(cl.Nodes)
-	var rec Recovery
+	reg := cl.Obs()
 
 	mapTask := func(n *cluster.Node, logical int) error {
 		part := []byte{}
@@ -127,13 +121,13 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		if merr == nil {
 			continue
 		}
-		final, err := recoverTask(cl, &rec, "map", id, merr, mapErrs,
+		final, err := recoverTask(cl, "map", id, merr, mapErrs,
 			func(n *cluster.Node) error { return mapTask(n, id) })
 		if err != nil {
 			return nil, err
 		}
 		if final != nil {
-			return failOrErr(res, &rec, final, start, cl)
+			return failOrErr(res, final, start, cl)
 		}
 	}
 
@@ -143,15 +137,9 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 	// crashed reducer's task can replay without re-running its mappers.
 	shuffle := make([][][]byte, reducers)
 	for r := range cl.Nodes {
-		byFrom := make([][]byte, len(cl.Nodes))
-		for i := 0; i < len(cl.Nodes); i++ {
-			f, err := cl.Net.Recv(r)
-			if err != nil {
-				return nil, err
-			}
-			byFrom[f.From] = f.Data
+		if shuffle[r], err = cl.Net.Gather(r); err != nil {
+			return nil, err
 		}
-		shuffle[r] = byFrom
 	}
 
 	reduceTask := func(n *cluster.Node, logical int) error {
@@ -180,35 +168,31 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		return nil
 	})
 	for id := range crashed {
-		rec.Crashes++
+		reg.Counter(obs.CtrCrashes).Inc()
 		cl.Net.Crash(id)
 		if err := cl.RestartNode(id); err != nil {
 			return nil, err
 		}
-		rec.NodeRestarts++
-		reg := cl.Nodes[id].VM.Obs()
-		reg.Counter(obs.CtrNodeRestarts).Inc()
 		reg.Counter(obs.CtrTaskRetries).Inc()
 		reg.Emit(obs.EvRecovery, "crash", int64(id), 1, 0)
-		rec.TaskRetries++
 		redErrs[id] = reduceTask(cl.Nodes[id], id)
 	}
 	for id, rerr := range redErrs {
 		if rerr == nil {
 			continue
 		}
-		final, err := recoverTask(cl, &rec, "reduce", id, rerr, redErrs,
+		final, err := recoverTask(cl, "reduce", id, rerr, redErrs,
 			func(n *cluster.Node) error { return reduceTask(n, id) })
 		if err != nil {
 			return nil, err
 		}
 		if final != nil {
-			return failOrErr(res, &rec, final, start, cl)
+			return failOrErr(res, final, start, cl)
 		}
 	}
 
 	res.ET = time.Since(start)
-	res.fill(cl, rec)
+	res.fill(cl)
 	res.ShuffledMB = float64(cl.Net.BytesSent()) / (1 << 20)
 	for _, p := range fs.List(fmt.Sprintf("/out/%s/", job.Name())) {
 		res.OutputBytes += int64(fs.Size(p))
@@ -223,7 +207,7 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 // fill records what the cluster measured — memory and GC books, network
 // and recovery activity, per-node observability — on a finished or
 // OME-failed run alike.
-func (res *Result) fill(cl *cluster.Cluster, rec Recovery) {
+func (res *Result) fill(cl *cluster.Cluster) {
 	st := cl.Stats()
 	res.GT = st.GCTime
 	res.HeapPeak = st.MaxHeapPeak
@@ -231,8 +215,8 @@ func (res *Result) fill(cl *cluster.Cluster, rec Recovery) {
 	res.PM = st.MaxTotal
 	res.MinorGCs = st.MinorGCs
 	res.FullGCs = st.FullGCs
-	res.Recovery = rec
 	res.Net = cl.Net.Stats()
+	res.Obs = cl.Obs().Snapshot()
 	res.NodeObs = cl.ObsSnapshots()
 }
 
@@ -241,21 +225,19 @@ func (res *Result) fill(cl *cluster.Cluster, rec Recovery) {
 // returns (finalErr, nil) when the ladder is exhausted and the failure
 // should be classified (OME or real), (nil, nil) when the task eventually
 // succeeded, and (nil, err) for infrastructure errors.
-func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskErr error, peerErrs []error, run func(*cluster.Node) error) (error, error) {
+func recoverTask(cl *cluster.Cluster, phase string, id int, taskErr error, peerErrs []error, run func(*cluster.Node) error) (error, error) {
 	if !vm.IsOOM(taskErr) {
 		return taskErr, nil
 	}
-	rec.OOMRecoveries++
+	reg := cl.Obs()
+	reg.Counter(obs.CtrOOMRecoveries).Inc()
 	// Rung 1: retry on the same node. For transformed programs the failed
 	// attempt's iteration already released its pages (the forced
 	// page-recycle boundary); for P the dead attempt's objects are
 	// collectible garbage.
-	n := cl.Nodes[id]
-	reg := n.VM.Obs()
 	reg.Counter(obs.CtrTaskRetries).Inc()
 	reg.Emit(obs.EvRecovery, "oom", int64(id), 0, 0)
-	rec.TaskRetries++
-	retryErr := run(n)
+	retryErr := run(cl.Nodes[id])
 	if retryErr == nil {
 		return nil, nil
 	}
@@ -269,12 +251,9 @@ func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskE
 		if h == id || (h < len(peerErrs) && peerErrs[h] != nil) {
 			continue
 		}
-		helper := cl.Nodes[h]
-		hreg := helper.VM.Obs()
-		hreg.Counter(obs.CtrTasksDegraded).Inc()
-		hreg.Emit(obs.EvDegraded, phase, int64(id), int64(h), 0)
-		rec.TasksDegraded++
-		helpErr := run(helper)
+		reg.Counter(obs.CtrTasksDegraded).Inc()
+		reg.Emit(obs.EvDegraded, phase, int64(id), int64(h), 0)
+		helpErr := run(cl.Nodes[h])
 		if helpErr == nil {
 			return nil, nil
 		}
@@ -285,12 +264,12 @@ func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskE
 
 // failOrErr classifies a phase error: OutOfMemoryError becomes an OME
 // result (a Table 3 data point); anything else is a real error.
-func failOrErr(res *Result, rec *Recovery, err error, start time.Time, cl *cluster.Cluster) (*Result, error) {
+func failOrErr(res *Result, err error, start time.Time, cl *cluster.Cluster) (*Result, error) {
 	if vm.IsOOM(err) {
 		res.OME = true
 		res.OMEAt = time.Since(start)
 		res.ET = res.OMEAt
-		res.fill(cl, *rec)
+		res.fill(cl)
 		return res, nil
 	}
 	return nil, err

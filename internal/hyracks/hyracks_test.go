@@ -12,6 +12,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 var progP, progP2 *ir.Program
@@ -246,9 +247,9 @@ func TestFaultMatrixJobsMatchBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s fault-free: %v", name, j.name, err)
 			}
-			if cleanRes.OME || cleanRes.Recovery != (Recovery{}) {
-				t.Fatalf("%s/%s fault-free run not clean: OME=%v rec=%+v",
-					name, j.name, cleanRes.OME, cleanRes.Recovery)
+			if rec := recoveryWork(cleanRes.Obs); cleanRes.OME || len(rec) > 0 {
+				t.Fatalf("%s/%s fault-free run not clean: OME=%v rec=%v",
+					name, j.name, cleanRes.OME, rec)
 			}
 			want := outputFiles(t, cleanFS, "/out/"+j.name+"/")
 
@@ -284,9 +285,13 @@ func TestFaultMatrixJobsMatchBaseline(t *testing.T) {
 					if fc.Dup > 0 && res.Net.Deduped == 0 {
 						t.Fatal("dup injection produced no dedups")
 					}
-					if fc.Crashes > 0 &&
-						(res.Recovery.Crashes < 1 || res.Recovery.NodeRestarts < 1) {
-						t.Fatalf("crash not reflected in recovery stats: %+v", res.Recovery)
+					if rec := res.Obs.Counters; fc.Crashes > 0 {
+						// Each crash rebuilds its node and re-runs its
+						// reduce task once.
+						if rec[obs.CtrCrashes] < 1 || rec[obs.CtrNodeRestarts] != rec[obs.CtrCrashes] ||
+							rec[obs.CtrTaskRetries] != rec[obs.CtrCrashes] {
+							t.Fatalf("crash not reflected in recovery counters: %v", rec)
+						}
 					}
 				})
 			}
@@ -311,11 +316,12 @@ func TestMapOOMRetriesOnSameNode(t *testing.T) {
 	if res.OME {
 		t.Fatal("retryable alloc fault escalated to OME")
 	}
-	if res.Recovery.OOMRecoveries < 1 || res.Recovery.TaskRetries < 1 {
-		t.Fatalf("expected same-node retries in recovery stats: %+v", res.Recovery)
+	rec := res.Obs.Counters
+	if rec[obs.CtrOOMRecoveries] < 1 || rec[obs.CtrTaskRetries] != rec[obs.CtrOOMRecoveries] {
+		t.Fatalf("expected one same-node retry per OOM in recovery counters: %v", rec)
 	}
-	if res.Recovery.TasksDegraded != 0 {
-		t.Fatalf("one-shot fault should not reach the helper rung: %+v", res.Recovery)
+	if rec[obs.CtrTasksDegraded] != 0 {
+		t.Fatalf("one-shot fault should not reach the helper rung: %v", rec)
 	}
 	want := goWordCount(corpus)
 	got := parseWCOutput(t, fs)
@@ -344,8 +350,8 @@ func TestTaskDrainsToHelperNode(t *testing.T) {
 	if res.OME {
 		t.Fatal("degradable fault escalated to OME")
 	}
-	if res.Recovery.TasksDegraded < 1 {
-		t.Fatalf("expected a task drained to a helper node: %+v", res.Recovery)
+	if rec := res.Obs.Counters; rec[obs.CtrTasksDegraded] < 1 {
+		t.Fatalf("expected a task drained to a helper node: %v", rec)
 	}
 	want := goWordCount(corpus)
 	got := parseWCOutput(t, fs)
@@ -357,4 +363,15 @@ func TestTaskDrainsToHelperNode(t *testing.T) {
 			t.Fatalf("count[%q] = %d want %d", w, got[w], c)
 		}
 	}
+}
+
+// recoveryWork returns the nonzero recovery.* counters of a snapshot.
+func recoveryWork(s obs.Snapshot) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "recovery.") && v != 0 {
+			out[name] = v
+		}
+	}
+	return out
 }

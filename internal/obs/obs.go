@@ -242,7 +242,8 @@ const (
 	CtrFaultTierSpill   = "faults.tier_spill_injected"   // injected spill-write failures
 	CtrFaultTierLoad    = "faults.tier_load_injected"    // injected promotion-read failures
 
-	// Recovery (cluster engines and the single-machine GraphChi engine).
+	// Recovery, counted once per run: in the cluster's registry for GPS
+	// and Hyracks, in the VM's for GraphChi.
 	CtrCheckpoints        = "recovery.checkpoints"         // superstep checkpoints taken
 	CtrCheckpointBytes    = "recovery.checkpoint_bytes"    // codec-encoded checkpoint payload
 	CtrCheckpointsDropped = "recovery.checkpoints_dropped" // superseded checkpoints released
@@ -253,6 +254,8 @@ const (
 	CtrIntervalRetries    = "recovery.interval_retries"    // GraphChi sub-iterations replayed from shard
 	CtrWorkerRestarts     = "recovery.worker_restarts"     // GraphChi update workers rebuilt
 	CtrBudgetHalvings     = "recovery.budget_halvings"     // GraphChi memory-budget degradations
+	CtrCrashes            = "recovery.crashes"             // planned node/worker crashes survived
+	CtrOOMRecoveries      = "recovery.oom_recoveries"      // out-of-memory failures recovered
 
 	// Static analysis (internal/analysis via facade.Run / facadec vet).
 	CtrVerifyFuncs  = "analysis.verify_funcs"  // functions checked by the IR verifier
