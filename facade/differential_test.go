@@ -443,92 +443,103 @@ func sameBehaviour(t *testing.T, cell, what string, plain, inlined cellResult) {
 func TestDifferentialBattery(t *testing.T) {
 	for _, dp := range diffPrograms {
 		dp := dp
-		t.Run(dp.name, func(t *testing.T) {
-			sources := map[string]string{"diff.fj": dp.src}
-			prog, err := Compile(sources)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			p2, err := Transform(prog, TransformOptions{DataClasses: dp.dataClasses})
-			if err != nil {
-				t.Fatalf("transform: %v", err)
-			}
-			ip, ip2, err := Build(sources, dp.dataClasses)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			for _, q := range []*ir.Program{ip, ip2} {
-				if err := analysis.VerifyProgram(q); err != nil {
-					t.Fatalf("inlined program fails IR verification: %v", err)
+		t.Run(dp.name, func(t *testing.T) { runBattery(t, dp) })
+	}
+}
+
+// runBattery runs one battery program over the whole grid and checks the
+// oracle. It returns one line per P cell (output, error) and per P' cell
+// (output, error, records, native peak) so that whole battery runs can be
+// compared.
+func runBattery(t *testing.T, dp diffProgram) []string {
+	t.Helper()
+	var cells []string
+	sources := map[string]string{"diff.fj": dp.src}
+	prog, err := Compile(sources)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	p2, err := Transform(prog, TransformOptions{DataClasses: dp.dataClasses})
+	if err != nil {
+		t.Fatalf("transform: %v", err)
+	}
+	ip, ip2, err := Build(sources, dp.dataClasses)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	for _, q := range []*ir.Program{ip, ip2} {
+		if err := analysis.VerifyProgram(q); err != nil {
+			t.Fatalf("inlined program fails IR verification: %v", err)
+		}
+	}
+	ref := ""
+	first := true
+	for _, heapSize := range diffGrid.heaps {
+		for _, gcw := range diffGrid.workers {
+			for _, lt := range diffGrid.lifetimes {
+				cellP := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcw, lt)
+				cP, cI := runCell(t, prog, heapSize, gcw, lt), runCell(t, ip, heapSize, gcw, lt)
+				sameBehaviour(t, cellP, "P", cP, cI)
+				cells = append(cells, fmt.Sprintf("%s P: %q %v", cellP, cP.out, cP.err))
+				if dp.pretenures && lt && cP.pretenured == 0 {
+					t.Fatalf("[%s] P pretenured nothing: the placed leg is vacuous", cellP)
 				}
-			}
-			ref := ""
-			first := true
-			for _, heapSize := range diffGrid.heaps {
-				for _, gcw := range diffGrid.workers {
-					for _, lt := range diffGrid.lifetimes {
-						cellP := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcw, lt)
-						cP, cI := runCell(t, prog, heapSize, gcw, lt), runCell(t, ip, heapSize, gcw, lt)
-						sameBehaviour(t, cellP, "P", cP, cI)
-						if dp.pretenures && lt && cP.pretenured == 0 {
-							t.Fatalf("[%s] P pretenured nothing: the placed leg is vacuous", cellP)
+				outP, errP := cP.out, cP.err
+				for _, tier := range diffGrid.tiers {
+					cell := fmt.Sprintf("%s,tier=%s", cellP, tier)
+					cP2 := runCell(t, p2, heapSize, gcw, lt, tierOpts(t, tier)...)
+					cells = append(cells, fmt.Sprintf("%s: %q %v records=%d peak=%d", cell, cP2.out, cP2.err, cP2.records, cP2.nativePeak))
+					cI2 := runCell(t, ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
+					sameBehaviour(t, cell, "P'", cP2, cI2)
+					if n := cP.pretenured + cI.pretenured + cP2.pretenured + cI2.pretenured; !lt && n != 0 {
+						t.Fatalf("[%s] un-placed leg pretenured %d objects", cell, n)
+					}
+					// Inlining removes calls, never allocations. The
+					// DRAM peak is only comparable untiered: a tight
+					// watermark promotes on first touch, and the
+					// removed resolve was a touch.
+					if cP2.records != cI2.records || tier == "off" && cP2.nativePeak != cI2.nativePeak {
+						t.Fatalf("[%s] inlining changed P' native work: records %d -> %d, peak bytes %d -> %d",
+							cell, cP2.records, cI2.records, cP2.nativePeak, cI2.nativePeak)
+					}
+					outP2, errP2 := cP2.out, cP2.err
+					if dp.trap == "" {
+						if errP != nil {
+							t.Fatalf("[%s] P failed: %v", cell, errP)
 						}
-						outP, errP := cP.out, cP.err
-						for _, tier := range diffGrid.tiers {
-							cell := fmt.Sprintf("%s,tier=%s", cellP, tier)
-							cP2 := runCell(t, p2, heapSize, gcw, lt, tierOpts(t, tier)...)
-							cI2 := runCell(t, ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
-							sameBehaviour(t, cell, "P'", cP2, cI2)
-							if n := cP.pretenured + cI.pretenured + cP2.pretenured + cI2.pretenured; !lt && n != 0 {
-								t.Fatalf("[%s] un-placed leg pretenured %d objects", cell, n)
-							}
-							// Inlining removes calls, never allocations. The
-							// DRAM peak is only comparable untiered: a tight
-							// watermark promotes on first touch, and the
-							// removed resolve was a touch.
-							if cP2.records != cI2.records || tier == "off" && cP2.nativePeak != cI2.nativePeak {
-								t.Fatalf("[%s] inlining changed P' native work: records %d -> %d, peak bytes %d -> %d",
-									cell, cP2.records, cI2.records, cP2.nativePeak, cI2.nativePeak)
-							}
-							outP2, errP2 := cP2.out, cP2.err
-							if dp.trap == "" {
-								if errP != nil {
-									t.Fatalf("[%s] P failed: %v", cell, errP)
-								}
-								if errP2 != nil {
-									t.Fatalf("[%s] P' failed: %v", cell, errP2)
-								}
-							} else {
-								if errP == nil || !strings.Contains(errP.Error(), dp.trap) {
-									t.Fatalf("[%s] P trap = %v, want %q", cell, errP, dp.trap)
-								}
-								trapP2 := dp.trapP2
-								if trapP2 == "" {
-									trapP2 = dp.trap
-								}
-								if errP2 == nil || !strings.Contains(errP2.Error(), trapP2) {
-									t.Fatalf("[%s] P' trap = %v, want %q", cell, errP2, trapP2)
-								}
-								// Same trap class is required; the message detail may
-								// differ (P' names facade twins and page records).
-							}
-							if outP != outP2 {
-								t.Fatalf("[%s] output diverges:\nP:  %q\nP': %q", cell, outP, outP2)
-							}
-							if first {
-								ref, first = outP, false
-							} else if outP != ref {
-								t.Fatalf("[%s] output depends on the grid cell:\nthis: %q\nref:  %q", cell, outP, ref)
-							}
+						if errP2 != nil {
+							t.Fatalf("[%s] P' failed: %v", cell, errP2)
 						}
+					} else {
+						if errP == nil || !strings.Contains(errP.Error(), dp.trap) {
+							t.Fatalf("[%s] P trap = %v, want %q", cell, errP, dp.trap)
+						}
+						trapP2 := dp.trapP2
+						if trapP2 == "" {
+							trapP2 = dp.trap
+						}
+						if errP2 == nil || !strings.Contains(errP2.Error(), trapP2) {
+							t.Fatalf("[%s] P' trap = %v, want %q", cell, errP2, trapP2)
+						}
+						// Same trap class is required; the message detail may
+						// differ (P' names facade twins and page records).
+					}
+					if outP != outP2 {
+						t.Fatalf("[%s] output diverges:\nP:  %q\nP': %q", cell, outP, outP2)
+					}
+					if first {
+						ref, first = outP, false
+					} else if outP != ref {
+						t.Fatalf("[%s] output depends on the grid cell:\nthis: %q\nref:  %q", cell, outP, ref)
 					}
 				}
 			}
-			if dp.want != "" && ref != dp.want {
-				t.Fatalf("output %q, want %q", ref, dp.want)
-			}
-		})
+		}
 	}
+	if dp.want != "" && ref != dp.want {
+		t.Fatalf("output %q, want %q", ref, dp.want)
+	}
+	return cells
 }
 
 // TestBatteryReachesEveryOpcode is the static half of the battery's claim on

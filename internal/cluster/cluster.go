@@ -445,28 +445,45 @@ func (c *Cluster) Obs() *obs.Registry { return c.obs }
 // page store) and re-opens its mailbox, counting recovery.node_restarts.
 // The dead VM's GC statistics and memory peaks are folded into the
 // cluster's retired books first, so aggregate stats span the whole run,
-// not just the surviving incarnations.
+// not just the surviving incarnations; then the dead VM is released. A
+// release that fails is the restart's error, with the new node in place.
 func (c *Cluster) RestartNode(id int) error {
 	old := c.Nodes[id]
 	c.retiredMu.Lock()
 	c.retired.add(old)
 	c.retiredMu.Unlock()
-	old.Main.Close()
+	relErr := old.close()
 	n, err := c.newNode(id)
 	if err != nil {
-		return err
+		return errors.Join(relErr, err)
 	}
 	c.Nodes[id] = n
 	c.Net.Revive(id)
 	c.obs.Counter(obs.CtrNodeRestarts).Inc()
-	return nil
+	return relErr
 }
 
-// Close releases node threads.
-func (c *Cluster) Close() {
+// Close closes every node's thread and releases its VM: the root scope's
+// records and any spill file go now, not when Go's collector finds the VM.
+// It returns every node's release error. Read Stats and the node
+// registries first.
+func (c *Cluster) Close() error {
+	var errs []error
 	for _, n := range c.Nodes {
-		n.Main.Close()
+		errs = append(errs, n.close())
 	}
+	return errors.Join(errs...)
+}
+
+// close ends a node: its main thread, then its VM. Release fails while
+// another of the node's threads is open or when the spill file will not
+// close.
+func (n *Node) close() error {
+	n.Main.Close()
+	if err := n.VM.Release(); err != nil {
+		return &NodeError{ID: n.ID, Err: err}
+	}
+	return nil
 }
 
 // Stats aggregates per-node memory/GC statistics.

@@ -1,16 +1,20 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/facade"
 	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
 	"repro/internal/obs"
+	"repro/internal/offheap"
 	"repro/internal/stdlib"
 	"repro/internal/vm"
 )
@@ -360,5 +364,85 @@ func TestCrashBlackHolesAndRestartRevives(t *testing.T) {
 	v, err := cl.Nodes[1].Main.InvokeStatic("Work", "square", vm.I(9))
 	if err != nil || int32(v) != 81 {
 		t.Fatalf("restarted VM broken: %v %d", err, int32(v))
+	}
+}
+
+// TestCloseReleasesEveryNode runs a P' program that leaves records in each
+// node's root scope and spills them to a disk tier, crashes and restarts
+// one node, and closes the cluster: every VM it built, the crashed one
+// included, must hold no live page manager and leave no spill file. A node
+// with a thread still open must make Close fail, naming the node.
+func TestCloseReleasesEveryNode(t *testing.T) {
+	_, p2, err := facade.Build(map[string]string{"keep.fj": `
+class Cell { int v; Cell next; Cell(int v) { this.v = v; } }
+class Main {
+    static int main() {
+        Cell head = null;
+        for (int i = 0; i < 20000; i = i + 1) { Cell c = new Cell(i); c.next = head; head = c; }
+        int sum = 0;
+        for (Cell c = head; c != null; c = c.next) { sum = sum + c.v; }
+        return sum;
+    }
+}
+`}, []string{"Cell", "Main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(p2, Config{NumNodes: 2, HeapPerNode: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[*vm.VM]string{}
+	fill := func(n *Node) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := n.VM.RT.EnableTiering(offheap.TierConfig{Dir: dir, HighWater: 3, LowWater: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Main.Call("MainFacade.main"); err != nil {
+			t.Fatal(err)
+		}
+		if n.VM.RT.Stats().PagesSpilled == 0 || n.VM.RT.LiveManagers() == 0 {
+			t.Fatalf("node %d: the run left no spilled record behind to release: %+v, %d live", n.ID, n.VM.RT.Stats(), n.VM.RT.LiveManagers())
+		}
+		dirs[n.VM] = dir
+	}
+	for _, n := range cl.Nodes {
+		fill(n)
+	}
+	crashed := cl.Nodes[0]
+	cl.Net.Crash(0)
+	if err := cl.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	fill(cl.Nodes[0])
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for m, dir := range dirs {
+		if n := m.RT.LiveManagers(); n != 0 {
+			t.Errorf("a node VM (crashed: %v) holds %d live page manager(s) after Close", m == crashed.VM, n)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("a node VM (crashed: %v) left %d file(s) in its tier directory", m == crashed.VM, len(left))
+		}
+	}
+
+	cl, err = New(p2, Config{NumNodes: 2, HeapPerNode: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := cl.Nodes[1].VM.NewThread(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl.Close()
+	var ne *NodeError
+	if !errors.As(err, &ne) || ne.ID != 1 || !errors.Is(err, faults.ErrNotReusable) {
+		t.Fatalf("Close with a thread open on node 1 returned %v", err)
+	}
+	extra.Close()
+	if err := cl.Nodes[1].VM.Release(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package gps
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -193,7 +194,7 @@ type engine struct {
 
 // Run executes the job and returns metrics plus final values (vertex
 // values for PR/RW, assignments for k-means).
-func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
+func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (_ *Result, err error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
@@ -219,7 +220,8 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
+	// A node VM that will not release is an error of the run.
+	defer func() { err = errors.Join(err, cl.Close()) }()
 
 	initVal := func(v int) float64 {
 		if cfg.App == PageRank {

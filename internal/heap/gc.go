@@ -172,12 +172,6 @@ func (hp *Heap) tryMark(a Addr) bool {
 	}
 }
 
-func (hp *Heap) clearMarkBits() {
-	for i := range hp.markBits {
-		hp.markBits[i] = 0
-	}
-}
-
 // markHeap traces the live set into the mark bitmap using hp.gcWorkers
 // goroutines and returns the live nursery objects (for evacuation).
 func (hp *Heap) markHeap() []Addr {
@@ -277,10 +271,10 @@ func (hp *Heap) markHeap() []Addr {
 }
 
 func (hp *Heap) fullGC() error {
-	// Phase 1: parallel mark into the bitmap; live nursery objects are
-	// recorded for evacuation.
+	// Phase 1: parallel mark into the cleared bitmap; live nursery objects
+	// are recorded for evacuation.
+	clear(hp.markBits)
 	liveYoung := hp.markHeap()
-	defer hp.clearMarkBits()
 
 	// Phase 2: compute forwarding addresses (stored in the whole GC
 	// header word; liveness lives in the bitmap). Old generation slides
@@ -372,7 +366,7 @@ func (hp *Heap) fullGC() error {
 
 // clearMarks undoes forwarding words after a failed full collection so the
 // heap remains walkable (the VM is about to fail with OOM anyway); the
-// bitmap is cleared by fullGC's defer.
+// next full collection clears the bitmap before it marks.
 func (hp *Heap) clearMarks(liveYoung []Addr) {
 	for a := hp.oldBase; a < hp.oldPos; {
 		size := Addr(hp.objSize(a))

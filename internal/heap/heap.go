@@ -8,12 +8,13 @@
 // # Layout
 //
 // The heap is one contiguous byte arena addressed by 32-bit offsets
-// (Addr); address 0 is null. The low part of the arena is the old
-// generation, the high part is the nursery (young generation). Objects are
-// allocated in the nursery through per-thread TLABs; a minor collection
-// evacuates live nursery objects into the old generation (promotion on
-// first survival); a full collection marks both generations and slides the
-// old generation (Lisp-2 compaction).
+// (Addr); address 0 is null. The arena is memory Go neither zeroes nor
+// scans, unmapped once the heap is unreachable (arena.go). The low part of
+// the arena is the old generation, the high part is the nursery (young
+// generation). Objects are allocated in the nursery through per-thread
+// TLABs; a minor collection evacuates live nursery objects into the old
+// generation (promotion on first survival); a full collection marks both
+// generations and slides the old generation (Lisp-2 compaction).
 //
 // Object layout mirrors a 64-bit HotSpot-style JVM, which is what gives
 // program P its per-object overhead (§2.4 of the paper):
@@ -110,7 +111,10 @@ type Stats struct {
 // multiple VM threads; collections stop the world via the safepoint
 // protocol in safepoint.go.
 type Heap struct {
-	arena []byte
+	// arena and markBits are views of mapping, which only the heap
+	// references; it is unmapped once the heap is unreachable (arena.go).
+	arena   []byte
+	mapping *arenaMapping
 
 	oldBase  Addr
 	oldEnd   Addr
@@ -140,7 +144,8 @@ type Heap struct {
 	allocCounts []int64
 
 	// gcWorkers is the mark-phase parallelism; markBits is the side mark
-	// bitmap (one bit per 8 heap bytes) CAS-set by concurrent markers.
+	// bitmap (one bit per 8 heap bytes) CAS-set by concurrent markers,
+	// cleared at the start of each full collection.
 	gcWorkers int
 	markBits  []uint32
 
@@ -204,7 +209,6 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 		young = 64 << 20
 	}
 	hp := &Heap{
-		arena:       make([]byte, cfg.HeapSize),
 		h:           h,
 		arrTypes:    arrTypes,
 		remset:      make(map[Addr]struct{}),
@@ -223,8 +227,7 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 			hp.gcWorkers = 4
 		}
 	}
-	// One mark bit per 8 bytes of heap.
-	hp.markBits = make([]uint32, (cfg.HeapSize/8+31)/32)
+	hp.mapping, hp.arena, hp.markBits = newArenaMapping(cfg.HeapSize)
 	hp.bindInstruments(cfg.Obs, cfg.Faults)
 	hp.sp.init()
 	return hp
@@ -275,7 +278,6 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	for i := range hp.allocCounts {
 		atomic.StoreInt64(&hp.allocCounts[i], 0)
 	}
-	hp.clearMarkBits()
 	hp.stats.promoted.Store(0)
 	hp.stats.marked.Store(0)
 	hp.stats.peakUsed.Store(0)
@@ -517,10 +519,7 @@ func (hp *Heap) notePeakLocked() {
 }
 
 func (hp *Heap) zero(a Addr, size int) {
-	b := hp.arena[a : int(a)+size]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(hp.arena[a : int(a)+size])
 }
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,17 @@ type tortureWorker struct {
 	anchor Addr // long-lived node carrying old->young edges (GC root)
 }
 
-func TestGCTorture(t *testing.T) {
+func TestGCTorture(t *testing.T) { gcTorture(t) }
+
+// TestGCTortureOnPoisonedArena runs the torture on an arena and mark bitmap
+// that start out filled with 0xAA: the heap must read no byte it did not
+// write or zero, so every checksum holds as it does on zeroed memory.
+func TestGCTortureOnPoisonedArena(t *testing.T) {
+	defer PoisonArenas(0xAA)()
+	gcTorture(t)
+}
+
+func gcTorture(t *testing.T) {
 	rounds := tortureRounds
 	if testing.Short() {
 		rounds = 15

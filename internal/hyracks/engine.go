@@ -1,6 +1,7 @@
 package hyracks
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -75,12 +76,13 @@ const crashOccasions = 2
 // reduce phase is recovered by rebuilding the node and re-running its
 // task from the engine-held shuffle frames. Map tasks send no frames until
 // they succeed, so a retried task never double-delivers.
-func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fairCap int64, fs *dfs.FS) (*Result, error) {
+func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fairCap int64, fs *dfs.FS) (_ *Result, err error) {
 	cl, err := cluster.New(prog, ccfg)
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
+	// A node VM that will not release is an error of the run.
+	defer func() { err = errors.Join(err, cl.Close()) }()
 	res := &Result{Job: job.Name()}
 	start := time.Now()
 	reducers := len(cl.Nodes)

@@ -193,6 +193,7 @@ type Stats struct {
 	PagesDisk     int64 `json:"pages_disk,omitempty"`     // live pages currently spilled
 	SpillBytes    int64 `json:"spill_bytes,omitempty"`
 	PromoteBytes  int64 `json:"promote_bytes,omitempty"`
+	Frames        int64 `json:"frames,omitempty"` // spilled bodies kept in DRAM for reuse
 }
 
 // NewRuntime creates an empty native store with a private observability
@@ -351,6 +352,9 @@ func (rt *Runtime) Stats() Stats {
 		s.PagesDisk = t.gDisk.Load()
 		s.SpillBytes = t.cSpillBytes.Load()
 		s.PromoteBytes = t.cPromoteBytes.Load()
+		t.mu.Lock()
+		s.Frames = int64(len(t.frames))
+		t.mu.Unlock()
 	}
 	return s
 }
@@ -389,7 +393,7 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	}
 	old := *rt.table.Load()
 	p := &page{idx: len(old), candIdx: -1}
-	buf := make([]byte, size)
+	buf := rt.newBody(size)
 	p.buf.Store(&buf)
 	next := make([]*page, len(old)+1)
 	copy(next, old)
@@ -399,6 +403,46 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	rt.addBytes(int64(size))
 	rt.tierAcquire(p)
 	return p, nil
+}
+
+// newBody returns a body for a page entering DRAM: a frame a spill left
+// behind when the tier holds one and the page is a standard one, else
+// fresh memory. A frame keeps its old bytes, which nobody reads: a
+// promotion overwrites the whole body and a manager zeroes every record it
+// carves (initRecord), as it does on a page recycled through the pool.
+// Callers hold no tier.mu.
+func (rt *Runtime) newBody(size int) []byte {
+	if t := rt.tier; t != nil && size == PageSize {
+		t.mu.Lock()
+		n := len(t.frames)
+		if n > 0 {
+			b := t.frames[n-1]
+			t.frames[n-1] = nil
+			t.frames = t.frames[:n-1]
+			t.mu.Unlock()
+			if p := byte(framePoison.Load()); p != 0 {
+				for i := range b {
+					b[i] = p
+				}
+			}
+			return b
+		}
+		t.mu.Unlock()
+	}
+	return make([]byte, size)
+}
+
+// framePoison, when nonzero, is the byte written over every frame newBody
+// hands out again (PoisonFrames).
+var framePoison atomic.Uint32
+
+// PoisonFrames makes every reused frame reach its new page filled with b,
+// until the returned function restores the previous setting. It is a test
+// hook: a poisoned run that matches a clean one bit for bit shows the page
+// store reads no byte it did not write or zero. No run sets it.
+func PoisonFrames(b byte) (restore func()) {
+	old := framePoison.Swap(uint32(b))
+	return func() { framePoison.Store(old) }
 }
 
 // releasePage returns a page to the free pool (or drops oversize pages

@@ -55,7 +55,10 @@ type TierConfig struct {
 // tier is the disk tier's state: the spill file (fixed PageSize slots,
 // pread/pwrite on every platform — bodies are copied under tier.mu either
 // way, so a mapping measured no faster: docs/OFFHEAP.md), the slot
-// allocator, and the eviction candidate list (live resident PageSize pages).
+// allocator, the eviction candidate list (live resident PageSize pages) and
+// the frames: the bodies spills took out of DRAM, which promotions and
+// fresh standard pages reuse (newBody), so the tier's DRAM is a bounded set
+// of frames rather than Go garbage.
 type tier struct {
 	cfg TierConfig
 
@@ -65,6 +68,7 @@ type tier struct {
 	nextSlot   int
 	candidates []*page
 	hand       int // clock hand into candidates
+	frames     [][]byte
 
 	cSpilled      *obs.Counter
 	cPromoted     *obs.Counter
@@ -160,6 +164,7 @@ func (rt *Runtime) CloseTier() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.candidates = nil
+	t.frames = nil
 	return errors.Join(t.file.Close(), os.Remove(t.file.Name()))
 }
 
@@ -337,10 +342,10 @@ func (t *tier) selectVictim(keep *page) *page {
 	return nil
 }
 
-// spillLocked writes p's body to a disk slot and drops the DRAM buffer.
-// p.tierMu is held and p is a validated victim. On error the page stays
-// resident — spill is best effort, the store degrades toward the quota/OME
-// rungs instead.
+// spillLocked writes p's body to a disk slot and keeps the body as a
+// frame: the world is stopped, so no thread holds it. p.tierMu is held and
+// p is a validated victim. On error the page stays resident — spill is best
+// effort, the store degrades toward the quota/OME rungs instead.
 func (rt *Runtime) spillLocked(p *page) error {
 	t := rt.tier
 	if rt.inj != nil && rt.inj.Fire(faults.TierSpill) {
@@ -366,6 +371,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 		return fmt.Errorf("offheap: tier spill: %w", err)
 	}
 	t.removeCandidateLocked(p)
+	t.frames = append(t.frames, p.bytes())
 	t.mu.Unlock()
 	t.hSpillStall.Observe(time.Since(start).Nanoseconds())
 	p.slot = slot
@@ -379,9 +385,10 @@ func (rt *Runtime) spillLocked(p *page) error {
 	return nil
 }
 
-// promoteLocked reads p's body back from its disk slot and publishes it.
-// p.tierMu is held and p.spilled is true. A failed read (injected TierLoad
-// or real I/O error) leaves the page spilled and returns an error wrapping
+// promoteLocked reads p's body back from its disk slot into a frame, which
+// the read overwrites whole, and publishes it. p.tierMu is held and
+// p.spilled is true. A failed read (injected TierLoad or real I/O error)
+// returns the frame, leaves the page spilled and returns an error wrapping
 // ErrPageExhausted so the caller's error rides the OOM degradation rails.
 func (rt *Runtime) promoteLocked(p *page) error {
 	t := rt.tier
@@ -391,10 +398,11 @@ func (rt *Runtime) promoteLocked(p *page) error {
 		rt.obs.Emit(obs.EvFault, string(faults.TierLoad), n, 0, 0)
 		return fmt.Errorf("%w (injected tier load fault)", ErrPageExhausted)
 	}
-	buf := make([]byte, PageSize)
+	buf := rt.newBody(PageSize)
 	start := time.Now()
 	t.mu.Lock()
 	if _, err := t.file.ReadAt(buf, int64(p.slot)*PageSize); err != nil {
+		t.frames = append(t.frames, buf)
 		t.mu.Unlock()
 		return fmt.Errorf("%w (tier load: %v)", ErrPageExhausted, err)
 	}

@@ -29,7 +29,19 @@ func (p threadParker) StopTheWorld(f func()) { p.hp.StopTheWorld(p.tc, f) }
 // or a promote racing an eviction shows up as a value mismatch — and the
 // -race run in CI checks the protocol itself. Sibling of internal/heap's
 // GC torture test, one storage level down.
-func TestTierTorture(t *testing.T) {
+func TestTierTorture(t *testing.T) { tierTorture(t) }
+
+// TestTierTortureOnPoisonedFrames runs the torture with every frame a
+// spill left behind filled with 0xAA before a promotion or a fresh page
+// reuses it: the store must read no byte it did not write or zero, so every
+// record reads back as it does on fresh memory.
+func TestTierTortureOnPoisonedFrames(t *testing.T) {
+	defer PoisonFrames(0xAA)()
+	defer heap.PoisonArenas(0xAA)()
+	tierTorture(t)
+}
+
+func tierTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short")
 	}

@@ -799,7 +799,18 @@ func TestRecordOpsTieredMatchesUntiered(t *testing.T) {
 			}
 		})
 	}
-	t.Run("spill-each-op", testSpillEachOp)
+	var clean spillOpsResult
+	t.Run("spill-each-op", func(t *testing.T) { clean = spillEachOp(t) })
+	// The same legs on poisoned memory: every fresh heap arena and every
+	// frame a spill left behind start out filled with 0xAA, and the output
+	// and per-op instruction counts must not move.
+	t.Run("spill-each-op-poisoned", func(t *testing.T) {
+		defer heap.PoisonArenas(0xAA)()
+		defer offheap.PoisonFrames(0xAA)()
+		if got := spillEachOp(t); got.out != clean.out || !slices.Equal(got.instrs, clean.instrs) {
+			t.Fatalf("poisoned memory changed the run:\nclean:    %q %v\npoisoned: %q %v", clean.out, clean.instrs, got.out, got.instrs)
+		}
+	})
 }
 
 // spillOpsProgram keeps a record of each shape the page ops distinguish in
@@ -891,7 +902,14 @@ func spillAllFunc(t *testing.T, m *VM) func() {
 	}
 }
 
-// testSpillEachOp runs each method of spillOpsProgram in three legs: on an
+// spillOpsResult is what spillEachOp's legs agree on: the output and each
+// op's instruction count.
+type spillOpsResult struct {
+	out    string
+	instrs []int64
+}
+
+// spillEachOp runs each method of spillOpsProgram in three legs: on an
 // untiered store; on a tiered one that spills every page it can before
 // each call, so that each call's first record access meets its page on
 // disk (the page opcodes through run's fault tail, arraycopy, the monitor
@@ -900,7 +918,7 @@ func spillAllFunc(t *testing.T, m *VM) func() {
 // must return an error wrapping ErrPageExhausted with no pool lock held,
 // and the call run again must behave as untiered. Output, trap texts and
 // vm.instructions must match, so a restarted slot counts nothing twice.
-func testSpillEachOp(t *testing.T) {
+func spillEachOp(t *testing.T) spillOpsResult {
 	p2 := transform(t, compile(t, spillOpsProgram), "Rec", "Sub", "Main")
 	ops := []struct {
 		fn   string
@@ -918,12 +936,8 @@ func testSpillEachOp(t *testing.T) {
 		{"copy", 0, ""}, {"lock", xPMonEnter, ""}, {"unlock", xPMonExit, ""},
 		{"print", 0, ""}, {"check", 0, ""},
 	}
-	type result struct {
-		out    string
-		instrs []int64
-	}
 	const plain, spill, fail = "untiered", "spill", "fail"
-	run := func(leg string) result {
+	run := func(leg string) spillOpsResult {
 		var out bytes.Buffer
 		m, th, spillAll := spillOpsVM(t, p2, &out, leg != plain)
 		instrs := func() int64 { return m.Obs().Snapshot().Counters[obs.CtrInstructions] }
@@ -938,7 +952,7 @@ func testSpillEachOp(t *testing.T) {
 			}
 			return instrs() - before, err
 		}
-		var res result
+		var res spillOpsResult
 		for _, o := range ops {
 			fn := m.Func(ir.FuncKey("MainFacade", o.fn))
 			if fn == nil {
@@ -990,6 +1004,7 @@ func testSpillEachOp(t *testing.T) {
 			}
 		}
 	}
+	return want
 }
 
 // TestFailedPromotionLeavesNoLockHeld enters a monitor on a record whose
