@@ -214,7 +214,7 @@ func TestDCERemovesDeadPure(t *testing.T) {
 	f := mkFunc(2,
 		[]ir.Instr{konst(0, 7), konst(1, 8), ret(0)},
 	)
-	if n := eliminateFunc(f); n != 1 {
+	if n, _ := eliminateFunc(f); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	if got := f.Blocks[0].Instrs; len(got) != 2 || got[0].Op != ir.OpConst || got[0].Dst != 0 {
@@ -231,7 +231,7 @@ func TestDCEKeepsTrappingAndImpure(t *testing.T) {
 	f := mkFunc(3,
 		[]ir.Instr{konst(0, 7), konst(1, 0), div, ret(ir.NoReg)},
 	)
-	if n := eliminateFunc(f); n != 0 {
+	if n, _ := eliminateFunc(f); n != 0 {
 		t.Fatalf("removed %d, want 0 (int div may trap)", n)
 	}
 }
@@ -241,7 +241,7 @@ func TestDCECoalescesMoves(t *testing.T) {
 	f := mkFunc(4,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), ret(3)},
 	)
-	if n := eliminateFunc(f); n != 1 {
+	if n, _ := eliminateFunc(f); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -254,7 +254,7 @@ func TestDCERemovesSelfMove(t *testing.T) {
 	f := mkFunc(1,
 		[]ir.Instr{konst(0, 1), mov(0, 0), ret(0)},
 	)
-	if n := eliminateFunc(f); n != 1 {
+	if n, _ := eliminateFunc(f); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 }
@@ -265,7 +265,7 @@ func TestSweepFoldsEveryPairInABlock(t *testing.T) {
 	f := mkFunc(6,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), add(4, 3, 3), mov(5, 4), ret(5)},
 	)
-	if n := sweep(BuildCFG(f)); n != 2 {
+	if n, _ := sweep(BuildCFG(f)); n != 2 {
 		t.Fatalf("one sweep removed %d, want 2", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -279,7 +279,7 @@ func TestSweepCollapsesAMoveChain(t *testing.T) {
 	f := mkFunc(5,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), mov(4, 3), ret(4)},
 	)
-	if n := sweep(BuildCFG(f)); n != 2 {
+	if n, _ := sweep(BuildCFG(f)); n != 2 {
 		t.Fatalf("one sweep removed %d, want 2", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -298,7 +298,7 @@ func TestSweepNeedsASecondRoundAcrossBlocks(t *testing.T) {
 	)
 	c := BuildCFG(f)
 	for round, want := range []int{1, 1, 0} {
-		if n := sweep(c); n != want {
+		if n, _ := sweep(c); n != want {
 			t.Fatalf("sweep %d removed %d, want %d", round+1, n, want)
 		}
 	}

@@ -41,28 +41,33 @@ func regClassOf(f *ir.Func, r ir.Reg) kclass {
 
 // Eliminate removes dead pure instructions and folds single-use retype
 // moves across the whole program, returning the number of instructions
-// removed. The count is also recorded in p.DCERemoved.
+// removed. The count is also recorded in p.DCERemoved, and the facts of
+// each function's last sweep are handed forward on p (facts.go).
 func Eliminate(p *ir.Program) int {
 	total := 0
-	for _, f := range p.FuncList {
-		total += eliminateFunc(f)
+	facts := make(programFacts, len(p.FuncList))
+	for i, f := range p.FuncList {
+		var n int
+		n, facts[i] = eliminateFunc(f)
+		total += n
 	}
 	p.DCERemoved += total
+	p.StoreFacts(facts)
 	return total
 }
 
 // eliminateFunc sweeps one function until a sweep removes nothing and
-// returns the number of instructions removed. A sweep's live set is exact
-// within a block, but a removal can end the last use of a value that a
-// predecessor defines, or bring a producer next to its move, and only the
-// next sweep sees that.
-func eliminateFunc(f *ir.Func) int {
+// returns the number of instructions removed, with the CFG and the live-out
+// sets of that last sweep. A sweep's live set is exact within a block, but
+// a removal can end the last use of a value that a predecessor defines, or
+// bring a producer next to its move, and only the next sweep sees that.
+func eliminateFunc(f *ir.Func) (int, flowFacts) {
 	removed := 0
 	c := BuildCFG(f) // CFG shape never changes: terminators are not pure
 	for {
-		n := sweep(c)
+		n, liveOut := sweep(c)
 		if n == 0 {
-			return removed
+			return removed, flowFacts{c: c, liveOut: liveOut}
 		}
 		removed += n
 	}
@@ -76,8 +81,9 @@ func eliminateFunc(f *ir.Func) int {
 //
 // into one instruction writing v, when t and v share a machine register
 // class. The folded producer is visited next with the same live set, so a
-// chain of moves collapses in one walk. Returns the number removed.
-func sweep(c *CFG) int {
+// chain of moves collapses in one walk. Returns the number removed and the
+// live-out sets it started from.
+func sweep(c *CFG) (int, []BitSet) {
 	f := c.F
 	_, liveOut := Liveness(c)
 	live := NewBitSet(f.NumRegs)
@@ -110,7 +116,7 @@ func sweep(c *CFG) int {
 			blk.Instrs = instrs[:copy(instrs, instrs[w:])]
 		}
 	}
-	return removed
+	return removed, liveOut
 }
 
 // TightenBounds shrinks the §3.3 pool bounds of a transformed program to

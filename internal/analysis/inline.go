@@ -74,7 +74,9 @@ func Inline(p *ir.Program, data map[string]bool) int {
 	// Tarjan emits strongly connected components callees-first, which is
 	// the order that lets a leaf be folded into a mid-level function before
 	// that function is considered for its own callers.
-	il.components(func(scc []int) {
+	calls := func(fi int) []boundCall { return il.funcs[fi].calls }
+	callee := func(c boundCall) int { return c.callee }
+	sccs(len(il.funcs), calls, callee, func(scc []int) {
 		for _, fi := range scc {
 			if n := il.rewrite(fi); n > 0 {
 				total += n
@@ -191,54 +193,6 @@ func (il *inliner) bindCalls() {
 
 func (il *inliner) sameSide(f, g *ir.Func) bool {
 	return f.Class != nil && g.Class != nil && il.data[f.Class.Name] == il.data[g.Class.Name]
-}
-
-// components hands the strongly connected components of the statically
-// bound call graph to emit in reverse topological order (Tarjan's
-// algorithm, iterating FuncList so the order is deterministic). The slice
-// is only valid during the call.
-func (il *inliner) components(emit func(scc []int)) {
-	n := len(il.funcs)
-	index := make([]int, 2*n) // 0 = unvisited
-	low := index[n:]
-	onStack := make([]bool, n)
-	stack := make([]int, 0, n)
-	next := 0
-	var visit func(fi int)
-	visit = func(fi int) {
-		next++
-		index[fi], low[fi] = next, next
-		stack = append(stack, fi)
-		onStack[fi] = true
-		for _, c := range il.funcs[fi].calls {
-			g := c.callee
-			if index[g] == 0 {
-				visit(g)
-				if low[g] < low[fi] {
-					low[fi] = low[g]
-				}
-			} else if onStack[g] && index[g] < low[fi] {
-				low[fi] = index[g]
-			}
-		}
-		if low[fi] != index[fi] {
-			return
-		}
-		first := len(stack) - 1
-		for stack[first] != fi {
-			first--
-		}
-		for _, g := range stack[first:] {
-			onStack[g] = false
-		}
-		emit(stack[first:])
-		stack = stack[:first]
-	}
-	for fi := range il.funcs {
-		if index[fi] == 0 {
-			visit(fi)
-		}
-	}
 }
 
 // measure takes the callee-side measurements of the function's current

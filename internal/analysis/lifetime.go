@@ -36,7 +36,9 @@ import (
 // returned, or passed along an escaping path), and whether the function
 // may transitively execute an iteration boundary ("touchesEpoch").
 // Virtual calls are resolved conservatively by selector name: every
-// same-name instance method is a possible target.
+// same-name instance method is a possible target. The fixpoint is solved
+// bottom-up over the call graph's strongly connected components, so a
+// function is analysed again only inside a recursive component.
 //
 // Why epoch-local is reported and not placed: the proof talks about the
 // allocating thread's innermost epoch — a value that never escapes lives
@@ -70,11 +72,14 @@ func (s SiteClass) String() string {
 }
 
 // Lifetimes returns the per-site lifetime classification of p, indexed by
-// Instr.Site (index 0 unused). The result is memoized on the program.
+// Instr.Site (index 0 unused). The result is memoized on the program, and
+// the one computation takes the facts DCE handed forward on p (facts.go),
+// which releases them.
 func Lifetimes(p *ir.Program) []ir.Lifetime {
 	return p.SiteLifetimes(func() []ir.Lifetime {
+		pf, _ := p.TakeFacts().(programFacts)
 		out := make([]ir.Lifetime, p.NumSites+1)
-		for _, sc := range LifetimeReport(p) {
+		for _, sc := range newLifetimeAnalysis(p, pf).report() {
 			out[sc.Site] = sc.Class
 		}
 		return out
@@ -83,8 +88,12 @@ func Lifetimes(p *ir.Program) []ir.Lifetime {
 
 // LifetimeReport runs the full analysis and returns every numbered site's
 // classification in deterministic (function, block, instruction) order.
+// It solves its own control-flow facts.
 func LifetimeReport(p *ir.Program) []SiteClass {
-	la := newLifetimeAnalysis(p)
+	return newLifetimeAnalysis(p, nil).report()
+}
+
+func (la *lifetimeAnalysis) report() []SiteClass {
 	la.solveSummaries()
 	la.refineEntries()
 	var out []SiteClass
@@ -119,6 +128,12 @@ type ltFunc struct {
 	// entry is the region assumed on entry; unknown unless proven otherwise.
 	entry region
 	res   *ltResult
+	// callees are the indices in lifetimeAnalysis.funcs of the functions
+	// this one's summaries read: every static callee and, for a virtual
+	// call, every instance method of its selector (virtTouches is per
+	// selector). selfCall reports whether the function is among them.
+	callees  []int
+	selfCall bool
 }
 
 type lifetimeAnalysis struct {
@@ -130,27 +145,33 @@ type lifetimeAnalysis struct {
 	// virtTargets holds selector names invoked by some OpCall; functions
 	// implementing one can be entered without a visible IR call site.
 	virtTargets map[string]bool
+	// analyses counts analyze calls; repeats counts those that re-analyse
+	// a member of a recursive component after its first round.
+	analyses, repeats int
 }
 
-func newLifetimeAnalysis(p *ir.Program) *lifetimeAnalysis {
+// newLifetimeAnalysis sets the pass up over p, taking each function's CFG
+// and live-out sets from pf where it holds them.
+func newLifetimeAnalysis(p *ir.Program, pf programFacts) *lifetimeAnalysis {
 	la := &lifetimeAnalysis{
 		funcs:       make([]*ltFunc, 0, len(p.FuncList)),
 		byKey:       make(map[string]*ltFunc, len(p.FuncList)),
 		virtTouches: make(map[string]bool),
 		virtTargets: make(map[string]bool),
 	}
-	for _, f := range p.FuncList {
-		c := BuildCFG(f)
-		_, liveOut := Liveness(c)
+	indexOf := make(map[string]int, len(p.FuncList)) // by byKey's key
+	methods := make(map[string][]int)                // instance methods, by selector
+	for i, f := range p.FuncList {
+		ff := pf.factsOf(p, i)
 		fn := &ltFunc{
-			f: f, c: c, after: liveAfterAll(c, liveOut),
+			f: f, c: ff.c, after: liveAfterAll(ff.c, ff.live()),
 			paramEsc: make([]bool, len(f.Params)),
 			entry:    regionUnknown,
 		}
 		for b, blk := range f.Blocks {
 			for j := range blk.Instrs {
 				in := &blk.Instrs[j]
-				if heapSite(in) && c.Reachable(b) {
+				if heapSite(in) && ff.c.Reachable(b) {
 					fn.sites = append(fn.sites, in)
 				}
 				if in.Op == ir.OpCall && in.M != nil {
@@ -158,8 +179,39 @@ func newLifetimeAnalysis(p *ir.Program) *lifetimeAnalysis {
 				}
 			}
 		}
+		if m := f.Method; m != nil && !m.Static {
+			methods[m.Name] = append(methods[m.Name], i)
+		}
 		la.funcs = append(la.funcs, fn)
 		la.byKey[f.Name] = fn
+		indexOf[f.Name] = i
+	}
+	// The call graph, with each edge once.
+	seen := make([]int, len(la.funcs)) // caller index + 1 of the last edge
+	for i, fn := range la.funcs {
+		edge := func(g int) {
+			if seen[g] != i+1 {
+				seen[g] = i + 1
+				fn.callees = append(fn.callees, g)
+				fn.selfCall = fn.selfCall || g == i
+			}
+		}
+		for _, blk := range fn.f.Blocks {
+			for j := range blk.Instrs {
+				in := &blk.Instrs[j]
+				switch {
+				case in.M == nil:
+				case in.Op == ir.OpCallStatic:
+					if g, ok := indexOf[calleeSummaryKey(in.M)]; ok {
+						edge(g)
+					}
+				case in.Op == ir.OpCall:
+					for _, g := range methods[in.M.Name] {
+						edge(g)
+					}
+				}
+			}
+		}
 	}
 	// The program entry starts outside any iteration. Everything else —
 	// including functions the Go-side engines call across the boundary —
@@ -191,34 +243,49 @@ func calleeSummaryKey(m *lang.Method) string {
 	return ir.FuncKey(m.Owner.Name, m.Name)
 }
 
-// solveSummaries iterates escape + touchesEpoch summaries to a fixpoint.
-// All facts are monotone booleans, so iteration terminates. The last round
-// changes nothing, so every function's stored result is its analysis under
-// the final summaries.
+// solveSummaries computes the escape and touchesEpoch summaries bottom-up
+// over the call graph's strongly connected components, callees first. A
+// function's summaries read only its callees', so the members of a
+// component whose callees are all final are analysed once. A recursive
+// component is analysed round after round until a round changes nothing,
+// so every member's stored result is its analysis under the final
+// summaries. All facts are monotone booleans: this reaches the same least
+// fixpoint as iterating the whole program until nothing changes, and so
+// the same results.
 func (la *lifetimeAnalysis) solveSummaries() {
-	for changed := true; changed; {
-		changed = false
-		// Selector-level touches: union over same-name instance methods.
-		for _, fn := range la.funcs {
-			if m := fn.f.Method; m != nil && !m.Static && fn.touches && !la.virtTouches[m.Name] {
-				la.virtTouches[m.Name] = true
-				changed = true
-			}
-		}
-		for _, fn := range la.funcs {
-			r := la.analyze(fn)
-			for i := range fn.paramEsc {
-				if r.escaped[i] && !fn.paramEsc[i] {
-					fn.paramEsc[i] = true
+	callees := func(i int) []int { return la.funcs[i].callees }
+	sccs(len(la.funcs), callees, func(g int) int { return g }, func(scc []int) {
+		recursive := len(scc) > 1 || la.funcs[scc[0]].selfCall
+		for round := 0; ; round++ {
+			changed := false
+			for _, v := range scc {
+				fn := la.funcs[v]
+				if round > 0 {
+					la.repeats++
+				}
+				r := la.analyze(fn)
+				for i := range fn.paramEsc {
+					if r.escaped[i] && !fn.paramEsc[i] {
+						fn.paramEsc[i] = true
+						changed = true
+					}
+				}
+				if r.touches && !fn.touches {
+					fn.touches = true
 					changed = true
+					// Selector-level touches: union over same-name
+					// instance methods, every one of them a callee of
+					// every virtual call to the selector.
+					if m := fn.f.Method; m != nil && !m.Static {
+						la.virtTouches[m.Name] = true
+					}
 				}
 			}
-			if r.touches && !fn.touches {
-				fn.touches = true
-				changed = true
+			if !recursive || !changed {
+				return
 			}
 		}
-	}
+	})
 }
 
 // refineEntries runs one sound refinement round over entry contexts: a
@@ -322,6 +389,7 @@ func (la *lifetimeAnalysis) epochUnsafe(in *ir.Instr) bool {
 // value — under the current summaries and fn's entry region, and stores
 // and returns the result. It is deterministic for a given analysis state.
 func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
+	la.analyses++
 	f, sites := fn.f, fn.sites
 	nParams := len(f.Params)
 	nTracked := nParams + len(sites)

@@ -45,29 +45,20 @@ func (f Finding) String() string {
 // LintProgram runs the facade-safety lints over every function:
 // use-before-def on all programs, plus the facade-leak and pool-clobber
 // checks on facade-context functions of transformed programs. Findings
-// come back in deterministic (function, block, instruction) order.
+// come back in deterministic (function, block, instruction) order. The
+// facts DCE handed forward on p are read, not taken.
 func LintProgram(p *ir.Program) []Finding {
 	facade := FacadeClasses(p)
+	pf, _ := p.Facts().(programFacts)
 	var out []Finding
-	for _, f := range p.FuncList {
-		out = append(out, LintFunc(p, f, facade)...)
-	}
-	return out
-}
-
-// LintFunc lints a single function. facade may be nil, in which case it is
-// recomputed from p.
-func LintFunc(p *ir.Program, f *ir.Func, facade map[string]bool) []Finding {
-	if facade == nil {
-		facade = FacadeClasses(p)
-	}
-	c := BuildCFG(f)
-	out := lintUseBeforeDef(c)
-	if p.Transformed && f.Class != nil && facade[f.Class.Name] {
-		_, liveOut := Liveness(c)
-		after := liveAfterAll(c, liveOut)
-		out = append(out, lintLeaks(p, c, after, facade)...)
-		out = append(out, lintPoolClobber(c, after)...)
+	for i, f := range p.FuncList {
+		ff := pf.factsOf(p, i)
+		out = append(out, lintUseBeforeDef(ff.c)...)
+		if p.Transformed && f.Class != nil && facade[f.Class.Name] {
+			after := liveAfterAll(ff.c, ff.live())
+			out = append(out, lintLeaks(p, ff.c, after, facade)...)
+			out = append(out, lintPoolClobber(ff.c, after)...)
+		}
 	}
 	return out
 }

@@ -16,6 +16,7 @@ import (
 //
 // Kinds: "use-before-def", "pool-clobber".
 func SeedViolation(p *ir.Program, kind string) error {
+	p.TakeFacts() // the facts DCE handed forward describe the unseeded code
 	switch kind {
 	case "use-before-def":
 		return seedUseBeforeDef(p)

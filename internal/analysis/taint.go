@@ -88,15 +88,28 @@ func (s *taintState) mergeFrom(t *taintState) bool {
 
 // liveAfterAll returns, for every reachable block of c, the register set
 // live immediately after each instruction (i.e. before the next one
-// executes), indexed by block ID; unreachable blocks stay nil.
+// executes), indexed by block ID; unreachable blocks stay nil. Like
+// newTaintStates, it carves every set out of one backing array.
 func liveAfterAll(c *CFG, liveOut []BitSet) [][]BitSet {
-	after := make([][]BitSet, len(c.F.Blocks))
+	f := c.F
+	n := 0
 	for _, b := range c.RPO {
-		instrs := c.F.Blocks[b].Instrs
-		after[b] = make([]BitSet, len(instrs))
-		live := liveOut[b].Copy()
+		n += len(f.Blocks[b].Instrs)
+	}
+	w := (f.NumRegs + 63) / 64 // NewBitSet's word count
+	words := make([]uint64, n*w)
+	sets := make([]BitSet, n)
+	after := make([][]BitSet, len(f.Blocks))
+	live := NewBitSet(f.NumRegs)
+	for _, b := range c.RPO {
+		instrs := f.Blocks[b].Instrs
+		after[b], sets = sets[:len(instrs):len(instrs)], sets[len(instrs):]
+		live.CopyFrom(liveOut[b])
 		for j := len(instrs) - 1; j >= 0; j-- {
-			after[b][j] = live.Copy()
+			s := BitSet(words[:w:w])
+			words = words[w:]
+			s.CopyFrom(live)
+			after[b][j] = s
 			StepBack(live, &instrs[j])
 		}
 	}

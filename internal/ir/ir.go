@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lang"
 )
@@ -324,6 +325,13 @@ type Program struct {
 	// pools, benchmarks — pay for the analysis once.
 	lifetimeOnce sync.Once
 	lifetimes    []Lifetime
+
+	// facts is what internal/analysis hands from one pass to the next over
+	// a finished program: dead-code elimination stores the control-flow
+	// facts of P′ as it leaves the transform, the linter reads them and the
+	// lifetime pass takes them. A stored value is never written; nil means
+	// none.
+	facts atomic.Pointer[any]
 }
 
 // Lifetime is the allocation-site lifetime class inferred by the
@@ -358,6 +366,26 @@ func (l Lifetime) String() string {
 func (p *Program) SiteLifetimes(fn func() []Lifetime) []Lifetime {
 	p.lifetimeOnce.Do(func() { p.lifetimes = fn() })
 	return p.lifetimes
+}
+
+// StoreFacts publishes v, which its owner (internal/analysis) never writes
+// again, for later passes over the program.
+func (p *Program) StoreFacts(v any) { p.facts.Store(&v) }
+
+// Facts returns the published facts, or nil.
+func (p *Program) Facts() any {
+	if v := p.facts.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// TakeFacts returns the published facts, or nil, and clears them.
+func (p *Program) TakeFacts() any {
+	if v := p.facts.Swap(nil); v != nil {
+		return *v
+	}
+	return nil
 }
 
 // LinkInstrs runs fn at most once per program, memoizing its error. The

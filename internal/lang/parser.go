@@ -18,6 +18,15 @@ func Parse(file, src string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(file, toks)
+}
+
+// ParseTokens parses one FJ compilation unit from its token stream, as Lex
+// returns it (ending in the EOF token). The parser only reads toks, so one
+// token slice may be parsed any number of times, by any number of
+// goroutines at once: internal/stdlib lexes the standard library once per
+// process and parses it from the same tokens on every compile.
+func ParseTokens(file string, toks []Token) (*File, error) {
 	p := &Parser{toks: toks, file: file}
 	return p.parseFile()
 }

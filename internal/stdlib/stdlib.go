@@ -8,6 +8,7 @@ package stdlib
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/lang"
 )
@@ -210,10 +211,29 @@ class HashMap {
 }
 `
 
-// Parse returns the parsed stdlib file. It panics on error: the source is
-// a compile-time constant validated by tests.
+// tokens is the stdlib's token stream, lexed once per process. Parsing
+// only reads it, so every compile parses from the same slice; its capacity
+// is clipped so that no append can write into it either.
+//
+// Only the lexing is shared. Check writes into the AST it is given
+// (resolved symbols, expression types, coercions), class IDs and site
+// numbers depend on how the user's classes interleave with the stdlib's,
+// and the IR points into the per-program hierarchy, so each compile still
+// parses, checks and lowers its own copy.
+var tokens = sync.OnceValue(func() []lang.Token {
+	toks, err := lang.Lex(fileName, Source)
+	if err != nil {
+		panic(fmt.Sprintf("stdlib does not lex: %v", err))
+	}
+	return slices.Clip(toks)
+})
+
+const fileName = "stdlib.fj"
+
+// Parse returns a freshly parsed stdlib file. It panics on error: the
+// source is a compile-time constant validated by tests.
 func Parse() *lang.File {
-	f, err := lang.Parse("stdlib.fj", Source)
+	f, err := lang.ParseTokens(fileName, tokens())
 	if err != nil {
 		panic(fmt.Sprintf("stdlib does not parse: %v", err))
 	}
@@ -231,7 +251,11 @@ func ParseWith(sources map[string]string) ([]*lang.File, error) {
 	}
 	slices.Sort(names)
 	for _, n := range names {
-		f, err := lang.Parse(n, sources[n])
+		toks, err := lang.Lex(n, sources[n])
+		if err != nil {
+			return nil, err
+		}
+		f, err := lang.ParseTokens(n, toks)
 		if err != nil {
 			return nil, err
 		}
