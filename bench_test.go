@@ -546,7 +546,7 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 			// Wide graph: one root array fanning out to 150k short chains
 			// (marking a single linked list cannot parallelize).
 			const fanout = 150000
-			arr, err := hp.AllocArray(tc, 0, fanout, 0)
+			arr, err := hp.AllocArray(tc, 0, fanout)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -556,11 +556,11 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 				hp.Barrier(tc, obj+heap.Addr(off), v)
 			}
 			for i := 0; i < fanout; i++ {
-				a, err := hp.AllocObject(tc, node, 0)
+				a, err := hp.AllocObject(tc, node)
 				if err != nil {
 					b.Fatal(err)
 				}
-				c, err := hp.AllocObject(tc, node, 0)
+				c, err := hp.AllocObject(tc, node)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -623,47 +623,6 @@ func BenchmarkAblationDCE(b *testing.B) {
 			b.ReportMetric(float64(last.Obs.Counters[obs.CtrInstructions]), "interp-instrs")
 			b.ReportMetric(float64(p2.DCERemoved), "dce-removed")
 		})
-	}
-}
-
-// BenchmarkAblationLifetimes measures pretenuring, the lifetime pass's one
-// runtime consumer, on the Table 2 workloads (GraphChi PageRank and
-// Connected Components): un-placed (vm.Config.Lifetimes nil) against
-// placed, where long-lived sites allocate straight into the old generation
-// and the minor collector has nothing of theirs to evacuate. "promoted"
-// counts young-gen evacuation copies; output is identical on both legs
-// (the differential battery pins that).
-func BenchmarkAblationLifetimes(b *testing.B) {
-	p, err := facade.Compile(map[string]string{"graphchi.fj": graphchi.Source})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := datagen.PowerLawGraph(2000, 30000, 42)
-	for _, app := range []graphchi.App{graphchi.PageRank, graphchi.ConnectedComponents} {
-		sg := graphchi.Shard(g, 10, app == graphchi.ConnectedComponents)
-		for _, leg := range []struct {
-			name      string
-			lifetimes []ir.Lifetime
-		}{{"unplaced", nil}, {"placed", analysis.Lifetimes(p)}} {
-			b.Run(fmt.Sprintf("%s/%s", app, leg.name), func(b *testing.B) {
-				var promoted, pretenured float64
-				for i := 0; i < b.N; i++ {
-					m, err := vm.New(p, vm.Config{HeapSize: 10 << 20, Lifetimes: leg.lifetimes})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := graphchi.Run(m, sg, graphchi.Config{
-						App: app, Workers: 2, Iterations: 2, MemoryBudget: 8 << 20,
-					}); err != nil {
-						b.Fatal(err)
-					}
-					promoted = float64(m.Heap.Stats().Promoted)
-					pretenured = float64(m.Obs().Snapshot().Counters[obs.CtrLifetimePretenured])
-				}
-				b.ReportMetric(promoted, "promoted")
-				b.ReportMetric(pretenured, "pretenured")
-			})
-		}
 	}
 }
 

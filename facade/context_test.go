@@ -161,10 +161,9 @@ func TestWithReusedVMBitIdenticalAndReseeded(t *testing.T) {
 	}
 }
 
-// placementSrc keeps a list alive (an escaping, setup-phase site the
-// lifetime pass classes long-lived) while garbage arrays force minor
-// collections, so pretenuring the list nodes changes heap.promoted.
-const placementSrc = `
+// promotionSrc keeps a list alive while garbage arrays force minor
+// collections, so every run promotes list nodes into the old generation.
+const promotionSrc = `
 class Node { long v; Node next; Node(long v) { this.v = v; } }
 class Main {
     static void main() {
@@ -185,40 +184,37 @@ class Main {
 }
 `
 
-// TestWithReusedVMSwitchesPlacement runs placed -> un-placed -> placed on
-// one warm VM: ResetForReuse must install each job's own pretenure set, so
-// every run matches a fresh VM in output, promotions and pretenured count.
-func TestWithReusedVMSwitchesPlacement(t *testing.T) {
-	prog, err := Compile(map[string]string{"t.fj": placementSrc})
+// TestWithReusedVMMatchesFreshHeap runs promotionSrc three times on one
+// warm VM: ResetForReuse must leave the heap as a fresh VM's, so every run
+// matches a fresh VM in output, promotions and minor collections.
+func TestWithReusedVMMatchesFreshHeap(t *testing.T) {
+	prog, err := Compile(map[string]string{"t.fj": promotionSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		out                  string
-		promoted, pretenured int64
+		out                string
+		promoted, minorGCs int64
 	}
-	run := func(placed bool, extra ...Option) (outcome, *Result) {
+	run := func(extra ...Option) (outcome, *Result) {
 		t.Helper()
-		res, err := Run(prog, append([]Option{WithHeapSize(2 << 20), WithLifetimes(placed)}, extra...)...)
+		res, err := Run(prog, append([]Option{WithHeapSize(2 << 20)}, extra...)...)
 		if err != nil {
-			t.Fatalf("placed=%v: %v", placed, err)
+			t.Fatal(err)
 		}
 		st := res.Stats()
 		res.Close()
-		return outcome{res.Output(), st.Heap.Promoted, st.Analysis.LifetimePretenured}, res
+		return outcome{res.Output(), st.Heap.Promoted, st.Heap.MinorGCs}, res
 	}
-	fresh := map[bool]outcome{}
-	for _, placed := range []bool{false, true} {
-		fresh[placed], _ = run(placed)
-	}
-	if fresh[true].pretenured == 0 || fresh[false].pretenured != 0 || fresh[true].promoted >= fresh[false].promoted {
-		t.Fatalf("program does not separate the legs: un-placed %+v, placed %+v", fresh[false], fresh[true])
+	fresh, _ := run()
+	if fresh.promoted == 0 || fresh.minorGCs == 0 {
+		t.Fatalf("program neither collects nor promotes: %+v", fresh)
 	}
 	var warm []Option
-	for i, placed := range []bool{true, false, true} {
-		got, res := run(placed, warm...)
-		if got != fresh[placed] {
-			t.Fatalf("warm run %d (placed=%v) = %+v, fresh VM = %+v", i, placed, got, fresh[placed])
+	for i := 0; i < 3; i++ {
+		got, res := run(warm...)
+		if got != fresh {
+			t.Fatalf("run %d (warm=%v) = %+v, fresh VM = %+v", i, i > 0, got, fresh)
 		}
 		warm = []Option{WithReusedVM(res.VM)}
 	}

@@ -14,7 +14,7 @@ import (
 
 // Differential P/P' battery: every program in the table runs as P and as
 // the FACADE-transformed P' across a grid of runtime configurations
-// (heap budget x GC mark workers x pretenuring x page tiering). The §3.7
+// (heap budget x GC mark workers x page tiering). The §3.7
 // correctness oracle demands more than "P' matched P once":
 //
 //   - output is bit-identical between P and P' in every grid cell,
@@ -37,24 +37,16 @@ type diffProgram struct {
 	trap        string // non-empty: both P and P' must fail, message containing this
 	trapP2      string // non-empty: P' must fail with this text instead of trap
 	want        string // non-empty: the exact output every cell must print
-	pretenures  bool   // P must pretenure at least one object in every placed cell
 }
 
 var diffGrid = struct {
-	heaps     []int
-	workers   []int
-	lifetimes []bool
-	tiers     []string
+	heaps   []int
+	workers []int
+	tiers   []string
 }{
 	heaps:   []int{3 << 20, 32 << 20},
 	workers: []int{1, 4},
-	// The lifetime axis pins the §3.7 oracle for placement too: pretenuring
-	// (WithLifetimes, on by default) changes only where objects live and
-	// how much the collector copies, never what the program prints. The
-	// un-placed leg must pretenure nothing; programs marked pretenures
-	// keep the placed leg from being vacuous.
-	lifetimes: []bool{false, true},
-	// The tiering axis does the same for the disk tier: "tight" runs P'
+	// The tiering axis pins the §3.7 oracle for the disk tier: "tight" runs P'
 	// with a watermark small enough that pages spill and promote
 	// constantly, and the output must not move. P is untransformed (no
 	// pages), so the axis applies to P' only.
@@ -146,7 +138,6 @@ class Main {
 }
 `,
 		dataClasses: []string{"K", "HashMap", "MapEntry", "ArrayList", "Main"},
-		pretenures:  true,
 	},
 	{
 		name: "stale-register-across-iterations",
@@ -403,26 +394,24 @@ type cellResult struct {
 	err        error
 	records    int64 // page records allocated (P' only)
 	nativePeak int64 // peak DRAM bytes of the page store (P' only)
-	pretenured int64 // allocations the heap placed old-gen by lifetime class
 }
 
 // runCell executes one program in one grid cell (err is nil for clean
 // completion). A P' cell, trapped or not, must close without a leak.
-func runCell(t *testing.T, p *ir.Program, heapSize, gcWorkers int, placed bool, extra ...Option) cellResult {
+func runCell(t *testing.T, p *ir.Program, heapSize, gcWorkers int, extra ...Option) cellResult {
 	t.Helper()
-	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers), WithLifetimes(placed)}, extra...)
+	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers)}, extra...)
 	res, err := Run(p, opts...)
 	c := cellResult{err: err}
 	if res != nil {
 		c.out = res.Output()
-		c.pretenured = res.Stats().Analysis.LifetimePretenured
 		if res.VM.RT != nil {
 			st := res.VM.RT.Stats()
 			c.records, c.nativePeak = st.Records, st.PeakBytes
 		}
 		res.Close()
 		if res.VM.RT != nil {
-			noLeaks(t, fmt.Sprintf("P' cell heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcWorkers, placed), res.VM.RT)
+			noLeaks(t, fmt.Sprintf("P' cell heap=%dMiB,gcworkers=%d", heapSize>>20, gcWorkers), res.VM.RT)
 		}
 	}
 	return c
@@ -476,62 +465,54 @@ func runBattery(t *testing.T, dp diffProgram) []string {
 	first := true
 	for _, heapSize := range diffGrid.heaps {
 		for _, gcw := range diffGrid.workers {
-			for _, lt := range diffGrid.lifetimes {
-				cellP := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v", heapSize>>20, gcw, lt)
-				cP, cI := runCell(t, prog, heapSize, gcw, lt), runCell(t, ip, heapSize, gcw, lt)
-				sameBehaviour(t, cellP, "P", cP, cI)
-				cells = append(cells, fmt.Sprintf("%s P: %q %v", cellP, cP.out, cP.err))
-				if dp.pretenures && lt && cP.pretenured == 0 {
-					t.Fatalf("[%s] P pretenured nothing: the placed leg is vacuous", cellP)
+			cellP := fmt.Sprintf("heap=%dMiB,gcworkers=%d", heapSize>>20, gcw)
+			cP, cI := runCell(t, prog, heapSize, gcw), runCell(t, ip, heapSize, gcw)
+			sameBehaviour(t, cellP, "P", cP, cI)
+			cells = append(cells, fmt.Sprintf("%s P: %q %v", cellP, cP.out, cP.err))
+			outP, errP := cP.out, cP.err
+			for _, tier := range diffGrid.tiers {
+				cell := fmt.Sprintf("%s,tier=%s", cellP, tier)
+				cP2 := runCell(t, p2, heapSize, gcw, tierOpts(t, tier)...)
+				cells = append(cells, fmt.Sprintf("%s: %q %v records=%d peak=%d", cell, cP2.out, cP2.err, cP2.records, cP2.nativePeak))
+				cI2 := runCell(t, ip2, heapSize, gcw, tierOpts(t, tier)...)
+				sameBehaviour(t, cell, "P'", cP2, cI2)
+				// Inlining removes calls, never allocations. The
+				// DRAM peak is only comparable untiered: a tight
+				// watermark promotes on first touch, and the
+				// removed resolve was a touch.
+				if cP2.records != cI2.records || tier == "off" && cP2.nativePeak != cI2.nativePeak {
+					t.Fatalf("[%s] inlining changed P' native work: records %d -> %d, peak bytes %d -> %d",
+						cell, cP2.records, cI2.records, cP2.nativePeak, cI2.nativePeak)
 				}
-				outP, errP := cP.out, cP.err
-				for _, tier := range diffGrid.tiers {
-					cell := fmt.Sprintf("%s,tier=%s", cellP, tier)
-					cP2 := runCell(t, p2, heapSize, gcw, lt, tierOpts(t, tier)...)
-					cells = append(cells, fmt.Sprintf("%s: %q %v records=%d peak=%d", cell, cP2.out, cP2.err, cP2.records, cP2.nativePeak))
-					cI2 := runCell(t, ip2, heapSize, gcw, lt, tierOpts(t, tier)...)
-					sameBehaviour(t, cell, "P'", cP2, cI2)
-					if n := cP.pretenured + cI.pretenured + cP2.pretenured + cI2.pretenured; !lt && n != 0 {
-						t.Fatalf("[%s] un-placed leg pretenured %d objects", cell, n)
+				outP2, errP2 := cP2.out, cP2.err
+				if dp.trap == "" {
+					if errP != nil {
+						t.Fatalf("[%s] P failed: %v", cell, errP)
 					}
-					// Inlining removes calls, never allocations. The
-					// DRAM peak is only comparable untiered: a tight
-					// watermark promotes on first touch, and the
-					// removed resolve was a touch.
-					if cP2.records != cI2.records || tier == "off" && cP2.nativePeak != cI2.nativePeak {
-						t.Fatalf("[%s] inlining changed P' native work: records %d -> %d, peak bytes %d -> %d",
-							cell, cP2.records, cI2.records, cP2.nativePeak, cI2.nativePeak)
+					if errP2 != nil {
+						t.Fatalf("[%s] P' failed: %v", cell, errP2)
 					}
-					outP2, errP2 := cP2.out, cP2.err
-					if dp.trap == "" {
-						if errP != nil {
-							t.Fatalf("[%s] P failed: %v", cell, errP)
-						}
-						if errP2 != nil {
-							t.Fatalf("[%s] P' failed: %v", cell, errP2)
-						}
-					} else {
-						if errP == nil || !strings.Contains(errP.Error(), dp.trap) {
-							t.Fatalf("[%s] P trap = %v, want %q", cell, errP, dp.trap)
-						}
-						trapP2 := dp.trapP2
-						if trapP2 == "" {
-							trapP2 = dp.trap
-						}
-						if errP2 == nil || !strings.Contains(errP2.Error(), trapP2) {
-							t.Fatalf("[%s] P' trap = %v, want %q", cell, errP2, trapP2)
-						}
-						// Same trap class is required; the message detail may
-						// differ (P' names facade twins and page records).
+				} else {
+					if errP == nil || !strings.Contains(errP.Error(), dp.trap) {
+						t.Fatalf("[%s] P trap = %v, want %q", cell, errP, dp.trap)
 					}
-					if outP != outP2 {
-						t.Fatalf("[%s] output diverges:\nP:  %q\nP': %q", cell, outP, outP2)
+					trapP2 := dp.trapP2
+					if trapP2 == "" {
+						trapP2 = dp.trap
 					}
-					if first {
-						ref, first = outP, false
-					} else if outP != ref {
-						t.Fatalf("[%s] output depends on the grid cell:\nthis: %q\nref:  %q", cell, outP, ref)
+					if errP2 == nil || !strings.Contains(errP2.Error(), trapP2) {
+						t.Fatalf("[%s] P' trap = %v, want %q", cell, errP2, trapP2)
 					}
+					// Same trap class is required; the message detail may
+					// differ (P' names facade twins and page records).
+				}
+				if outP != outP2 {
+					t.Fatalf("[%s] output diverges:\nP:  %q\nP': %q", cell, outP, outP2)
+				}
+				if first {
+					ref, first = outP, false
+				} else if outP != ref {
+					t.Fatalf("[%s] output depends on the grid cell:\nthis: %q\nref:  %q", cell, outP, ref)
 				}
 			}
 		}
@@ -609,24 +590,22 @@ func TestDifferentialExamples(t *testing.T) {
 			first := true
 			for _, heapSize := range []int{32 << 20, 64 << 20} {
 				for _, gcw := range diffGrid.workers {
-					for _, lt := range diffGrid.lifetimes {
-						cP := runCell(t, r.P, heapSize, gcw, lt)
-						outP, errP := cP.out, cP.err
-						for _, tier := range diffGrid.tiers {
-							cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,lifetimes=%v,tier=%s", heapSize>>20, gcw, lt, tier)
-							cP2 := runCell(t, r.P2, heapSize, gcw, lt, tierOpts(t, tier)...)
-							outP2, errP2 := cP2.out, cP2.err
-							if errP != nil || errP2 != nil {
-								t.Fatalf("[%s] P err=%v, P' err=%v", cell, errP, errP2)
-							}
-							if outP != outP2 {
-								t.Fatalf("[%s] output diverges:\nP:  %q\nP': %q", cell, outP, outP2)
-							}
-							if first {
-								ref, first = outP, false
-							} else if outP != ref {
-								t.Fatalf("[%s] output depends on the grid cell", cell)
-							}
+					cP := runCell(t, r.P, heapSize, gcw)
+					outP, errP := cP.out, cP.err
+					for _, tier := range diffGrid.tiers {
+						cell := fmt.Sprintf("heap=%dMiB,gcworkers=%d,tier=%s", heapSize>>20, gcw, tier)
+						cP2 := runCell(t, r.P2, heapSize, gcw, tierOpts(t, tier)...)
+						outP2, errP2 := cP2.out, cP2.err
+						if errP != nil || errP2 != nil {
+							t.Fatalf("[%s] P err=%v, P' err=%v", cell, errP, errP2)
+						}
+						if outP != outP2 {
+							t.Fatalf("[%s] output diverges:\nP:  %q\nP': %q", cell, outP, outP2)
+						}
+						if first {
+							ref, first = outP, false
+						} else if outP != ref {
+							t.Fatalf("[%s] output depends on the grid cell", cell)
 						}
 					}
 				}

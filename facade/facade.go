@@ -98,6 +98,10 @@ func BuildWith(sources map[string]string, opts TransformOptions) (p, p2 *ir.Prog
 		if p2, err = core.Transform(p, opts); err != nil {
 			return nil, nil, err
 		}
+		// Nothing on the run path reads the facts DCE handed forward, and
+		// a built program may live as long as the process (the daemon's
+		// program cache): a later LintProgram solves its own.
+		p2.TakeFacts()
 	}
 	return p, p2, nil
 }
@@ -182,12 +186,6 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		faultCfg = &derived
 	}
 	inj := faults.New(faultCfg)
-	var lifetimes []ir.Lifetime
-	if o.lifetimes && p.NumSites > 0 {
-		// Memoized on the program: repeated runs (benchmarks, the daemon's
-		// warm pool) pay for the analysis once.
-		lifetimes = analysis.Lifetimes(p)
-	}
 	var tiering *offheap.TierConfig
 	if o.tierHigh > 0 && p.Transformed {
 		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh, LowWater: o.tierLow}
@@ -204,7 +202,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		}
 		if err := m.ResetForReuse(vm.ResetConfig{
 			Out: w, RandSeed: o.randSeed, Obs: reg, Faults: inj,
-			Lifetimes: lifetimes, Tiering: tiering,
+			Tiering: tiering,
 		}); err != nil {
 			return nil, err
 		}
@@ -214,7 +212,6 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 			HeapSize: o.heapSize, Out: w, RandSeed: o.randSeed, Obs: reg,
 			GCWorkers: o.gcWorkers,
 			Faults:    inj,
-			Lifetimes: lifetimes,
 			Tiering:   tiering,
 		})
 		if err != nil {

@@ -24,7 +24,6 @@ type runOptions struct {
 	gcWorkers    int
 	reuseVM      *vm.VM
 	pageQuota    int64
-	lifetimes    bool
 	tierDir      string
 	tierHigh     int
 	tierLow      int
@@ -32,23 +31,10 @@ type runOptions struct {
 
 func defaultRunOptions() runOptions {
 	return runOptions{
-		heapSize:  64 << 20,
-		entry:     "Main.main",
-		randSeed:  1,
-		lifetimes: true,
+		heapSize: 64 << 20,
+		entry:    "Main.main",
+		randSeed: 1,
 	}
-}
-
-// WithLifetimes switches lifetime-guided placement on or off. The default
-// is on: the lifetime-inference pass (internal/analysis) runs once per
-// program (cached on it), and allocation sites it classifies long-lived
-// allocate straight into the old generation instead of being copied there
-// by the first minor collection they survive. Program output is
-// bit-identical either way (the differential battery enforces it); only GC
-// work changes. WithLifetimes(false) is the un-placed reference leg for
-// that battery, the fuzz oracle and the ablation benchmark.
-func WithLifetimes(on bool) Option {
-	return func(o *runOptions) { o.lifetimes = on }
 }
 
 // WithHeapSize sets the managed heap budget in bytes (-Xmx). Default is

@@ -68,14 +68,11 @@ type RecoveryStats struct {
 // AnalysisStats mirrors the static-analysis counters: functions checked by
 // the IR verifier and findings raised by the facade-safety linter (both
 // populated when the run used WithVerify), the instructions removed by
-// dead-code elimination when the program was transformed, and the lifetime
-// pass's runtime consumption (allocations pretenured into the old
-// generation).
+// dead-code elimination when the program was transformed.
 type AnalysisStats struct {
-	VerifiedFuncs      int64 `json:"verify_funcs"`
-	LintFindings       int64 `json:"lint_findings"`
-	DCERemoved         int64 `json:"dce_removed"`
-	LifetimePretenured int64 `json:"lifetime_pretenured"`
+	VerifiedFuncs int64 `json:"verify_funcs"`
+	LintFindings  int64 `json:"lint_findings"`
+	DCERemoved    int64 `json:"dce_removed"`
 }
 
 // VMStats mirrors the interpreter's execution counters.
@@ -160,10 +157,9 @@ func (r *Result) Stats() RunStats {
 		BudgetHalvings:     snap.Counters[obs.CtrBudgetHalvings],
 	}
 	st.Analysis = AnalysisStats{
-		VerifiedFuncs:      snap.Counters[obs.CtrVerifyFuncs],
-		LintFindings:       snap.Counters[obs.CtrLintFindings],
-		DCERemoved:         snap.Counters[obs.CtrDCERemoved],
-		LifetimePretenured: snap.Counters[obs.CtrLifetimePretenured],
+		VerifiedFuncs: snap.Counters[obs.CtrVerifyFuncs],
+		LintFindings:  snap.Counters[obs.CtrLintFindings],
+		DCERemoved:    snap.Counters[obs.CtrDCERemoved],
 	}
 	st.Counters = snap.Counters
 	st.Gauges = snap.Gauges

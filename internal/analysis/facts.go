@@ -9,13 +9,14 @@ import "repro/internal/ir"
 // Eliminate hands them forward on the program (ir.Program.StoreFacts):
 //
 //   - LintProgram reads them and leaves them in place;
-//   - Lifetimes takes them, inside the program's memo, and so releases them;
-//   - SeedViolation, the one in-tree rewrite of a finished P′, drops them.
+//   - Lifetimes takes them, and so releases them;
+//   - SeedViolation, the one in-tree rewrite of a finished P′, drops them;
+//   - facade.Build drops them before it returns its programs.
 //
-// They are valid only until the program is rewritten, and a program that is
-// never classified keeps them as long as it lives: P and P′ of the engines
-// and daemon scenarios then retain 4.5 % more Go heap
-// (TestClassifiedProgramsRetainNoFacts).
+// They are valid only until the program is rewritten, and a program that
+// nobody releases them from keeps them as long as it lives: P and P′ of the
+// engines and daemon scenarios then retain about 5–8 % more Go heap
+// (TestClassifiedProgramsRetainNoFacts, TestBuiltProgramsRetainNoFacts).
 
 // flowFacts is one function's CFG and, once solved, its per-block live-out
 // register sets.

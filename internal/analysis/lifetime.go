@@ -19,17 +19,13 @@ import (
 //     callee whose summary says the parameter escapes, no virtual call),
 //     and it is dead before every point that may cross an iteration
 //     boundary (a Sys.iterEnd, or a call into a function that transitively
-//     contains one). The class is reported (facadec vet -lifetimes) but
-//     has no runtime consumer; see the note below.
+//     contains one).
 //
 //   - ir.LifetimeLongLived: the value escapes and the allocation is NOT
 //     proven inside an iteration — the shape of setup-phase allocations
 //     (graph vertices, edge tables) that survive into the steady state.
-//     These pretenure straight into the old generation, skipping scavenge
-//     copies. Placement is a pure performance hint; a mispredicted
-//     long-lived object is still collected correctly by the full GC.
 //
-//   - ir.LifetimeUnknown: everything else; allocates exactly as before.
+//   - ir.LifetimeUnknown: everything else.
 //
 // Escape summaries are computed per function by a monotone fixpoint over
 // the whole program: for each parameter, whether it may escape (stored,
@@ -40,16 +36,15 @@ import (
 // bottom-up over the call graph's strongly connected components, so a
 // function is analysed again only inside a recursive component.
 //
-// Why epoch-local is reported and not placed: the proof talks about the
-// allocating thread's innermost epoch — a value that never escapes lives
-// only in this frame's registers (and callees that provably do not retain
-// or cross a boundary), so its live range sits between two boundary
-// crossings of its own thread. Freeing it at the crossing would still be
-// unsound here, because the VM roots every ref-typed register without
-// liveness information: a dead register keeps the address past the
-// boundary and the collector would trace a dangling root. Long-lived is
-// the one class the heap acts on (pretenuring, internal/heap/lifetime.go),
-// and it carries no such obligation.
+// The classes are reported (facadec vet -lifetimes) and no runtime acts on
+// them. Placing long-lived sites in the old generation (pretenuring) was
+// measured and removed: an old-generation allocation takes the heap lock,
+// so the placed runs were slower (docs/PERFORMANCE.md). Freeing an
+// epoch-local object at its iteration boundary would be unsound here: the
+// proof talks about the allocating thread's innermost epoch, but the VM
+// roots every ref-typed register without liveness information, so a dead
+// register keeps the address past the boundary and the collector would
+// trace a dangling root.
 
 // SiteClass is the classification of one allocation site, with enough
 // context to render a file:line report (facadec vet -lifetimes).
@@ -72,18 +67,15 @@ func (s SiteClass) String() string {
 }
 
 // Lifetimes returns the per-site lifetime classification of p, indexed by
-// Instr.Site (index 0 unused). The result is memoized on the program, and
-// the one computation takes the facts DCE handed forward on p (facts.go),
-// which releases them.
+// Instr.Site (index 0 unused). Each call computes it afresh; the first
+// takes the facts DCE handed forward on p (facts.go), which releases them.
 func Lifetimes(p *ir.Program) []ir.Lifetime {
-	return p.SiteLifetimes(func() []ir.Lifetime {
-		pf, _ := p.TakeFacts().(programFacts)
-		out := make([]ir.Lifetime, p.NumSites+1)
-		for _, sc := range newLifetimeAnalysis(p, pf).report() {
-			out[sc.Site] = sc.Class
-		}
-		return out
-	})
+	pf, _ := p.TakeFacts().(programFacts)
+	out := make([]ir.Lifetime, p.NumSites+1)
+	for _, sc := range newLifetimeAnalysis(p, pf).report() {
+		out[sc.Site] = sc.Class
+	}
+	return out
 }
 
 // LifetimeReport runs the full analysis and returns every numbered site's

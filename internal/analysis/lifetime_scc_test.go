@@ -182,19 +182,32 @@ func TestSeedViolationDropsTheFacts(t *testing.T) {
 	}
 }
 
-// TestClassifiedProgramsRetainNoFacts builds, lints and classifies P′ of
-// every engine and daemon scenario, the way facade.Run and the compile
-// benchmark do, and holds the Go heap they retain to that of the same
-// programs whose facts were dropped as soon as the transform returned:
-// the hand-off must not outlive the lifetime pass.
-func TestClassifiedProgramsRetainNoFacts(t *testing.T) {
+// retainedHeap returns the Go heap that the programs build makes for every
+// engine and daemon scenario still hold after a collection.
+func retainedHeap(t *testing.T, build func(in dceInput) []*ir.Program) int64 {
+	t.Helper()
 	inputs := dceInputs(t)[:7]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var progs []*ir.Program
+	for _, in := range inputs {
+		progs = append(progs, build(in)...)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(progs)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestClassifiedProgramsRetainNoFacts builds, lints and classifies P′ of
+// every engine and daemon scenario, the way the compile benchmark does, and
+// holds the Go heap they retain to that of the same programs whose facts
+// were dropped as soon as the transform returned: the hand-off must not
+// outlive the lifetime pass.
+func TestClassifiedProgramsRetainNoFacts(t *testing.T) {
 	retained := func(drop, classify bool) int64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		var progs []*ir.Program
-		for _, in := range inputs {
+		return retainedHeap(t, func(in dceInput) []*ir.Program {
 			p, err := facade.Compile(in.sources)
 			if err != nil {
 				t.Fatal(err)
@@ -210,12 +223,8 @@ func TestClassifiedProgramsRetainNoFacts(t *testing.T) {
 			if classify {
 				analysis.Lifetimes(p2)
 			}
-			progs = append(progs, p, p2)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(progs)
-		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			return []*ir.Program{p, p2}
+		})
 	}
 	retained(true, true) // the stdlib's tokens, and any other first-use state
 	dropped, handedOver, held := retained(true, true), retained(false, true), retained(false, false)
@@ -226,5 +235,53 @@ func TestClassifiedProgramsRetainNoFacts(t *testing.T) {
 	}
 	if held <= dropped+dropped/100 {
 		t.Errorf("programs that hold their facts retain %d B, with them dropped %d B: the measurement cannot see the facts", held, dropped)
+	}
+}
+
+// TestBuiltProgramsRetainNoFacts holds facade.Build's P and P′ of every
+// engine and daemon scenario to no facts, and to no more Go heap than the
+// same inlined pair retains once the lifetime pass has taken DCE's facts,
+// which is what a run used to leave on a built program.
+func TestBuiltProgramsRetainNoFacts(t *testing.T) {
+	built := func(in dceInput) []*ir.Program {
+		p, p2, err := facade.Build(in.sources, in.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if analysis.HoldsFacts(p) || analysis.HoldsFacts(p2) {
+			t.Fatalf("%s: a built program holds facts", in.name)
+		}
+		return []*ir.Program{p, p2}
+	}
+	inlined := func(classify bool) func(in dceInput) []*ir.Program {
+		return func(in dceInput) []*ir.Program {
+			p, err := facade.Compile(in.sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.Options{DataClasses: in.data}
+			data, err := core.DataClosure(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analysis.Inline(p, data)
+			p2, err := core.Transform(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if classify {
+				analysis.Lifetimes(p2)
+			}
+			return []*ir.Program{p, p2}
+		}
+	}
+	retainedHeap(t, built) // the stdlib's tokens, and any other first-use state
+	b, classified, held := retainedHeap(t, built), retainedHeap(t, inlined(true)), retainedHeap(t, inlined(false))
+	t.Logf("retained Go heap: built %d B, classified %d B, holding facts %d B", b, classified, held)
+	if slack := classified / 100; b > classified+slack {
+		t.Errorf("built programs retain %d B, %d B more than classified ones", b, b-classified)
+	}
+	if held <= b+b/100 {
+		t.Errorf("programs that hold their facts retain %d B, built ones %d B: the measurement cannot see the facts", held, b)
 	}
 }

@@ -86,9 +86,6 @@ type Config struct {
 	// ErrOutOfMemory ahead of true exhaustion (deterministic OOM
 	// injection for robustness tests).
 	Faults *faults.Injector
-	// Lifetimes names the allocation sites to pretenure (see lifetime.go).
-	// The zero value disables pretenuring.
-	Lifetimes LifetimeConfig
 }
 
 // Stats is a snapshot of allocation and collection counters. It is
@@ -175,11 +172,6 @@ type Heap struct {
 	inj        *faults.Injector
 	cFaultsInj *obs.Counter
 
-	// pretenure marks the allocation sites that go straight to the old
-	// generation (lifetime.go); written only while no thread allocates.
-	pretenure       []bool
-	cLifePretenured *obs.Counter // allocations routed old-gen by pretenuring
-
 	sp safepointState
 }
 
@@ -219,7 +211,6 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	hp.youngEnd = Addr(cfg.HeapSize)
 	hp.oldPos = hp.oldBase
 	hp.youngPos = hp.oldEnd
-	hp.SetLifetimes(cfg.Lifetimes)
 	hp.gcWorkers = cfg.GCWorkers
 	if hp.gcWorkers <= 0 {
 		hp.gcWorkers = runtime.GOMAXPROCS(0)
@@ -250,7 +241,6 @@ func (hp *Heap) bindInstruments(reg *obs.Registry, inj *faults.Injector) {
 	hp.cPromotedBytes = reg.Counter(obs.CtrPromotedBytes)
 	hp.cEvacuated = reg.Counter(obs.CtrEvacuated)
 	hp.cRemsetScanned = reg.Counter(obs.CtrRemsetScanned)
-	hp.cLifePretenured = reg.Counter(obs.CtrLifetimePretenured)
 	hp.inj = inj
 	hp.cFaultsInj = reg.Counter(obs.CtrFaultHeapAlloc)
 }
@@ -365,12 +355,10 @@ func (hp *Heap) inOld(a Addr) bool { return a != 0 && a < hp.oldEnd }
 
 // AllocObject allocates a zeroed instance of cls using the thread context's
 // TLAB, collecting if needed. Accounting is thread-local (noteAlloc), so
-// the common path performs no atomic operation and takes no lock. site is
-// the static allocation-site ID (0 for unnumbered/runtime allocations);
-// a site in the heap's pretenure set allocates in the old generation.
-func (hp *Heap) AllocObject(tc *ThreadCtx, cls *lang.Class, site int32) (Addr, error) {
+// the common path performs no atomic operation and takes no lock.
+func (hp *Heap) AllocObject(tc *ThreadCtx, cls *lang.Class) (Addr, error) {
 	size := roundUp8(ScalarHeader + cls.BodySize)
-	a, err := hp.allocSited(tc, size, site)
+	a, err := hp.allocRaw(tc, size)
 	if err != nil {
 		return 0, err
 	}
@@ -382,12 +370,12 @@ func (hp *Heap) AllocObject(tc *ThreadCtx, cls *lang.Class, site int32) (Addr, e
 
 // AllocArray allocates a zeroed array of n elements of the type at index
 // arrType of the heap's array type table.
-func (hp *Heap) AllocArray(tc *ThreadCtx, arrType, n int, site int32) (Addr, error) {
+func (hp *Heap) AllocArray(tc *ThreadCtx, arrType, n int) (Addr, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("negative array size %d", n)
 	}
 	size := roundUp8(ArrayHeader + n*hp.arrTypes.Elem(arrType).FieldSize())
-	a, err := hp.allocSited(tc, size, site)
+	a, err := hp.allocRaw(tc, size)
 	if err != nil {
 		return 0, err
 	}
@@ -432,10 +420,6 @@ func (tc *ThreadCtx) flushAllocStats() {
 	tc.histSum = 0
 	tc.histMin = math.MaxInt64
 	tc.histMax = math.MinInt64
-	if tc.pretenured != 0 {
-		hp.cLifePretenured.Add(tc.pretenured)
-		tc.pretenured = 0
-	}
 }
 
 // allocRaw returns size zeroed bytes. Small allocations come from the

@@ -93,7 +93,7 @@ func putRef(hp *Heap, tc *ThreadCtx, a Addr, off int, v Addr) {
 func TestAllocAndFieldAccess(t *testing.T) {
 	hp, tc := newTestHeap(t, 4<<20)
 	node := hp.Hierarchy().Class("Node")
-	a, err := hp.AllocObject(tc, node, 0)
+	a, err := hp.AllocObject(tc, node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAllocAndFieldAccess(t *testing.T) {
 	if get[Addr](hp, a, ScalarHeader+next.Offset) != 0 {
 		t.Fatal("fresh ref field not null")
 	}
-	b, _ := hp.AllocObject(tc, node, 0)
+	b, _ := hp.AllocObject(tc, node)
 	putRef(hp, tc, a, ScalarHeader+next.Offset, b)
 	if get[Addr](hp, a, ScalarHeader+next.Offset) != b {
 		t.Fatal("ref field roundtrip failed")
@@ -118,7 +118,7 @@ func TestAllocAndFieldAccess(t *testing.T) {
 
 func TestArrayAlloc(t *testing.T) {
 	hp, tc := newTestHeap(t, 4<<20)
-	arr, err := hp.AllocArray(tc, intArr, 100, 0)
+	arr, err := hp.AllocArray(tc, intArr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 
 		// Build chains hanging off each root with known values.
 		for i := range roots {
-			a, err := hp.AllocObject(tc, node, 0)
+			a, err := hp.AllocObject(tc, node)
 			if err != nil {
 				return false
 			}
@@ -173,7 +173,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 			cur := a
 			depth := rng.Intn(10)
 			for d := 1; d <= depth; d++ {
-				b, err := hp.AllocObject(tc, node, 0)
+				b, err := hp.AllocObject(tc, node)
 				if err != nil {
 					return false
 				}
@@ -183,7 +183,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 			}
 			// Allocate garbage in between.
 			for g := 0; g < rng.Intn(20); g++ {
-				if _, err := hp.AllocObject(tc, node, 0); err != nil {
+				if _, err := hp.AllocObject(tc, node); err != nil {
 					return false
 				}
 			}
@@ -259,7 +259,7 @@ func TestGCShadowModel(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3: // allocate a tracked node
-				a, err := hp.AllocObject(tc, node, 0)
+				a, err := hp.AllocObject(tc, node)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -282,7 +282,7 @@ func TestGCShadowModel(t *testing.T) {
 				}
 			case 7: // garbage
 				for k := 0; k < rng.Intn(30); k++ {
-					if _, err := hp.AllocObject(tc, node, 0); err != nil {
+					if _, err := hp.AllocObject(tc, node); err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}
@@ -331,15 +331,15 @@ func TestParallelAndSerialMarkAgree(t *testing.T) {
 			}
 		}))
 		// A dag: chains with cross links and a shared array.
-		arr, _ := hp.AllocArray(tc, nodeArr, 16, 0)
+		arr, _ := hp.AllocArray(tc, nodeArr, 16)
 		for i := range roots {
-			a, _ := hp.AllocObject(tc, node, 0)
+			a, _ := hp.AllocObject(tc, node)
 			put[int32](hp, a, ScalarHeader+val.Offset, int32(i))
 			putRef(hp, tc, a, ScalarHeader+kids.Offset, arr)
 			roots[i] = a
 			cur := a
 			for d := 0; d < 200; d++ {
-				b, _ := hp.AllocObject(tc, node, 0)
+				b, _ := hp.AllocObject(tc, node)
 				put[int32](hp, b, ScalarHeader+val.Offset, int32(i*1000+d))
 				putRef(hp, tc, cur, ScalarHeader+next.Offset, b)
 				if d%17 == 0 {
@@ -384,7 +384,7 @@ func TestGCReclaimsGarbage(t *testing.T) {
 	node := hp.Hierarchy().Class("Node")
 	// No roots: everything is garbage.
 	for i := 0; i < 100000; i++ {
-		if _, err := hp.AllocObject(tc, node, 0); err != nil {
+		if _, err := hp.AllocObject(tc, node); err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
@@ -409,7 +409,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 		root = visit(root)
 	}))
-	a, _ := hp.AllocObject(tc, node, 0)
+	a, _ := hp.AllocObject(tc, node)
 	root = a
 	put[int32](hp, root, ScalarHeader+val.Offset, 7)
 	// Promote root to the old generation.
@@ -418,7 +418,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	}
 	// New young object referenced ONLY from the old object: the write
 	// barrier must keep it alive across a minor collection.
-	b, _ := hp.AllocObject(tc, node, 0)
+	b, _ := hp.AllocObject(tc, node)
 	put[int32](hp, b, ScalarHeader+val.Offset, 13)
 	putRef(hp, tc, root, ScalarHeader+next.Offset, b)
 	if err := hp.ForceGC(tc, false); err != nil {
@@ -438,14 +438,14 @@ func TestOutOfMemory(t *testing.T) {
 	hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 		root = visit(root)
 	}))
-	a, err := hp.AllocObject(tc, node, 0)
+	a, err := hp.AllocObject(tc, node)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root = a
 	// Keep a growing live array chain until the heap cannot hold it.
 	for i := 0; ; i++ {
-		arr, err := hp.AllocArray(tc, nodeArr, 4096, 0)
+		arr, err := hp.AllocArray(tc, nodeArr, 4096)
 		if err != nil {
 			if err != ErrOutOfMemory {
 				t.Fatalf("wrong error: %v", err)
@@ -453,7 +453,7 @@ func TestOutOfMemory(t *testing.T) {
 			return
 		}
 		// Link to keep alive: kids field of a fresh node.
-		n, err := hp.AllocObject(tc, node, 0)
+		n, err := hp.AllocObject(tc, node)
 		if err != nil {
 			if err != ErrOutOfMemory {
 				t.Fatalf("wrong error: %v", err)
@@ -490,7 +490,7 @@ func TestConcurrentAllocAndGC(t *testing.T) {
 				hp.UnregisterThread(tc)
 			}()
 			for j := 0; j < perThread; j++ {
-				a, err := hp.AllocObject(tc, node, 0)
+				a, err := hp.AllocObject(tc, node)
 				if err != nil {
 					errs <- err
 					return
@@ -526,13 +526,13 @@ func TestArrayElementWriteBarrier(t *testing.T) {
 	hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 		root = visit(root)
 	}))
-	arr, _ := hp.AllocArray(tc, nodeArr, 8, 0)
+	arr, _ := hp.AllocArray(tc, nodeArr, 8)
 	root = arr
 	if err := hp.ForceGC(tc, false); err != nil { // promote the array
 		t.Fatal(err)
 	}
 	arr = root
-	young, _ := hp.AllocObject(tc, node, 0)
+	young, _ := hp.AllocObject(tc, node)
 	put[int32](hp, young, ScalarHeader+val.Offset, 99)
 	putRef(hp, tc, arr, ArrayHeader+3*8, young) // old array -> young element
 	if err := hp.ForceGC(tc, false); err != nil {
@@ -548,12 +548,12 @@ func TestAllocationCounters(t *testing.T) {
 	hp, tc := newTestHeap(t, 8<<20)
 	node := hp.Hierarchy().Class("Node")
 	for i := 0; i < 7; i++ {
-		if _, err := hp.AllocObject(tc, node, 0); err != nil {
+		if _, err := hp.AllocObject(tc, node); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := hp.AllocArray(tc, intArr, 4, 0); err != nil {
+		if _, err := hp.AllocArray(tc, intArr, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -600,11 +600,11 @@ func TestHeapStatsReadTheInstruments(t *testing.T) {
 		tc.EndExternal()
 		node := hp.Hierarchy().Class("Node")
 		for i := 0; i < 100; i++ {
-			if _, err := hp.AllocObject(tc, node, 0); err != nil {
+			if _, err := hp.AllocObject(tc, node); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := hp.AllocArray(tc, intArr, 10, 0); err != nil {
+		if _, err := hp.AllocArray(tc, intArr, 10); err != nil {
 			t.Fatal(err)
 		}
 		for _, full := range []bool{false, true} {
@@ -639,11 +639,44 @@ func TestHeapStatsReadTheInstruments(t *testing.T) {
 	}
 }
 
+// TestResetRewindsTheOldGeneration: a reused heap places its first
+// old-generation object where a fresh heap would.
+func TestResetRewindsTheOldGeneration(t *testing.T) {
+	hp := New(Config{HeapSize: 8 << 20}, testHierarchy(t), testArrayTypes)
+	// large allocates past half a TLAB, which goes straight to the old
+	// generation, on a thread of its own so the heap is quiescent between
+	// steps.
+	large := func() Addr {
+		t.Helper()
+		tc := hp.RegisterThread()
+		tc.EndExternal()
+		a, err := hp.AllocArray(tc, intArr, tlabSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.BeginExternal()
+		hp.UnregisterThread(tc)
+		return a
+	}
+	if a := large(); a != hp.oldBase {
+		t.Fatalf("first large array at %#x, want the old base %#x", a, hp.oldBase)
+	}
+	if a := large(); a == hp.oldBase {
+		t.Fatal("second large array reused the old base")
+	}
+	if err := hp.Reset(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if a := large(); a != hp.oldBase {
+		t.Fatalf("after reset the large array is at %#x, want the rewound old base %#x", a, hp.oldBase)
+	}
+}
+
 func TestPeakTracksUsage(t *testing.T) {
 	hp, tc := newTestHeap(t, 8<<20)
 	node := hp.Hierarchy().Class("Node")
 	for i := 0; i < 1000; i++ {
-		if _, err := hp.AllocObject(tc, node, 0); err != nil {
+		if _, err := hp.AllocObject(tc, node); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -665,12 +698,12 @@ func TestInjectedAllocFault(t *testing.T) {
 	node := hp.Hierarchy().Class("Node")
 	// The first slow-path allocation is the scheduled fault: it must fail
 	// with the same sentinel a real exhaustion produces.
-	_, err := hp.AllocObject(tc, node, 0)
+	_, err := hp.AllocObject(tc, node)
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
 	// A one-shot schedule leaves the heap fully usable afterwards.
-	if _, err := hp.AllocObject(tc, node, 0); err != nil {
+	if _, err := hp.AllocObject(tc, node); err != nil {
 		t.Fatal(err)
 	}
 	if got := inj.Fires()[string(faults.HeapAlloc)]; got != 1 {

@@ -52,10 +52,6 @@ type ThreadCtx struct {
 	// remBuf holds old->young reference slots recorded by the write
 	// barrier (Barrier) since the last drain.
 	remBuf []Addr
-
-	// pretenured batches the count of allocations lifetime.go routed to the
-	// old generation.
-	pretenured int64
 }
 
 // RegisterThread creates a thread context. The context starts external;

@@ -74,10 +74,10 @@ func gcTorture(t *testing.T) {
 	// alloc retries once after a forced full collection, so transient
 	// nursery exhaustion under GC pressure is not a test failure.
 	alloc := func(tc *ThreadCtx) (Addr, error) {
-		a, err := hp.AllocObject(tc, node, 0)
+		a, err := hp.AllocObject(tc, node)
 		if errors.Is(err, ErrOutOfMemory) {
 			if err = hp.ForceGC(tc, true); err == nil {
-				a, err = hp.AllocObject(tc, node, 0)
+				a, err = hp.AllocObject(tc, node)
 			}
 		}
 		return a, err
@@ -152,7 +152,7 @@ func gcTorture(t *testing.T) {
 						// Array fan-out pointing back into the list, plus
 						// an old->young edge through the anchor: exactly
 						// the stores the batched barrier buffers.
-						arr, err := hp.AllocArray(tc, nodeArr, 4, 0)
+						arr, err := hp.AllocArray(tc, nodeArr, 4)
 						if err != nil {
 							t.Error(err)
 							return

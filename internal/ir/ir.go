@@ -318,14 +318,6 @@ type Program struct {
 	linkOnce sync.Once
 	linkErr  error
 
-	// lifetimeOnce memoizes the allocation-site lifetime classification
-	// (internal/analysis computes it; facade.Run consumes it). Like the
-	// link caches, the classification is a pure function of the program,
-	// so memoizing it on the program makes repeated runs — warm daemon
-	// pools, benchmarks — pay for the analysis once.
-	lifetimeOnce sync.Once
-	lifetimes    []Lifetime
-
 	// facts is what internal/analysis hands from one pass to the next over
 	// a finished program: dead-code elimination stores the control-flow
 	// facts of P′ as it leaves the transform, the linter reads them and the
@@ -339,12 +331,12 @@ type Program struct {
 type Lifetime uint8
 
 // Lifetime classes. The lattice is deliberately three-valued: long-lived
-// sites skip the nursery (the heap pretenures them), epoch-local is a
-// proof the pass reports but the runtime does not act on, and everything
-// the analysis cannot prove stays LifetimeUnknown. Only long-lived changes
-// where an object is allocated.
+// sites escape into the steady state, epoch-local sites provably die
+// within their iteration, and everything the analysis cannot prove stays
+// LifetimeUnknown. The classes are reported (facadec vet -lifetimes); no
+// runtime acts on them, so none changes where an object is allocated.
 const (
-	LifetimeUnknown    Lifetime = iota // no proof either way; default young-gen path
+	LifetimeUnknown    Lifetime = iota // no proof either way
 	LifetimeEpochLocal                 // provably unreachable past the iteration boundary
 	LifetimeLongLived                  // escapes and is not bounded by any epoch
 )
@@ -358,14 +350,6 @@ func (l Lifetime) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// SiteLifetimes returns the memoized per-site lifetime classification,
-// computing it with fn on first use. The returned slice is indexed by
-// Instr.Site (index 0 is unused) and must not be mutated.
-func (p *Program) SiteLifetimes(fn func() []Lifetime) []Lifetime {
-	p.lifetimeOnce.Do(func() { p.lifetimes = fn() })
-	return p.lifetimes
 }
 
 // StoreFacts publishes v, which its owner (internal/analysis) never writes

@@ -262,10 +262,6 @@ const (
 	CtrLintFindings = "analysis.lint_findings" // facade-safety lint findings
 	CtrDCERemoved   = "analysis.dce_removed"   // instructions removed by dead-code elimination
 
-	// Lifetime inference (internal/analysis lifetime pass, consumed by
-	// internal/heap pretenuring).
-	CtrLifetimePretenured = "analysis.lifetime_pretenured" // allocations placed old-gen by pretenuring
-
 	// Daemon (internal/server, the repro serve runtime-as-a-service layer).
 	CtrServerSubmitted  = "server.jobs_submitted"      // jobs accepted into the queue
 	CtrServerDone       = "server.jobs_done"           // jobs finished successfully

@@ -54,7 +54,7 @@ class Main { static void main() { } }`)
 	for _, c := range cases {
 		f := rec.FindField(c.field)
 		t.Run(fmt.Sprintf("%s/%#x", f.Type, c.in), func(t *testing.T) {
-			obj, err := hp.AllocObject(th.tc, rec, 0)
+			obj, err := hp.AllocObject(th.tc, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ class Main { static void main() { } }`)
 			if !ok {
 				t.Fatalf("the program's array type table lacks %s", f.Type)
 			}
-			arr, err := hp.AllocArray(th.tc, idx, 3, 0)
+			arr, err := hp.AllocArray(th.tc, idx, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -160,7 +160,7 @@ func (t *Thread) newValue(class string, args []Arg) (Value, error) {
 	if oc == nil {
 		return 0, fmt.Errorf("vm: unknown class %s", class)
 	}
-	a, err := t.vm.Heap.AllocObject(t.tc, oc, 0)
+	a, err := t.vm.Heap.AllocObject(t.tc, oc)
 	if err != nil {
 		return 0, err
 	}
@@ -320,7 +320,7 @@ func (t *Thread) NewArr(elem string, n int) (Obj, error) {
 		}
 		return t.wrapObj(Value(ref)), nil
 	}
-	a, err := t.vm.Heap.AllocArray(t.tc, idx, n, 0)
+	a, err := t.vm.Heap.AllocArray(t.tc, idx, n)
 	if err != nil {
 		return NilObj, err
 	}

@@ -265,8 +265,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 		// exactly as the page half below does for records; a reference
 		// store adds the write barrier.
 		case xNew:
-			src := c.Src[pc-1]
-			a, err := hp.AllocObject(t.tc, src.Cls, src.Site)
+			a, err := hp.AllocObject(t.tc, c.Src[pc-1].Cls)
 			if err != nil {
 				return 0, err
 			}
@@ -680,12 +679,11 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			}
 			regs[in.Dst] = a
 		case xNewArr:
-			src := c.Src[pc-1]
 			n := int(int32(regs[in.A]))
 			if n < 0 {
 				return 0, fmt.Errorf("NegativeArraySizeException: %d", n)
 			}
-			a, err := hp.AllocArray(t.tc, int(in.Imm), n, src.Site)
+			a, err := hp.AllocArray(t.tc, int(in.Imm), n)
 			if err != nil {
 				return 0, err
 			}

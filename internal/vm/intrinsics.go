@@ -385,7 +385,7 @@ func (t *Thread) fillHeap(in *ir.Instr, regs []Value) error {
 	var buf [8]fillSlot
 	slots := fillLayout(in, buf[:])
 	for i := 0; i < n; i++ {
-		obj, err := hp.AllocObject(t.tc, in.Cls, in.Site)
+		obj, err := hp.AllocObject(t.tc, in.Cls)
 		if err != nil {
 			return err
 		}
@@ -508,13 +508,13 @@ func (t *Thread) stringLiteral(idx int) (Value, error) {
 // makeHeapString builds a managed String object (byte[] + String).
 func (t *Thread) makeHeapString(s string) (Value, error) {
 	hp := t.vm.Heap
-	arr, err := hp.AllocArray(t.tc, byteArr, len(s), 0)
+	arr, err := hp.AllocArray(t.tc, byteArr, len(s))
 	if err != nil {
 		return 0, err
 	}
 	copy(hp.Bytes(arr)[heap.ArrayHeader:], s)
 	h := t.vm.NewHandle(Value(arr), true)
-	obj, err := hp.AllocObject(t.tc, t.vm.strClass, 0)
+	obj, err := hp.AllocObject(t.tc, t.vm.strClass)
 	if err != nil {
 		t.vm.Drop(h)
 		return 0, err

@@ -111,13 +111,13 @@ func (t *Thread) initPools() error {
 		fc := vm.Prog.H.ClassList[fcID]
 		pe := &poolEntry{params: make([]Value, bound)}
 		for i := 0; i < bound; i++ {
-			a, err := vm.Heap.AllocObject(t.tc, fc, 0)
+			a, err := vm.Heap.AllocObject(t.tc, fc)
 			if err != nil {
 				return err
 			}
 			pe.params[i] = Value(a)
 		}
-		a, err := vm.Heap.AllocObject(t.tc, fc, 0)
+		a, err := vm.Heap.AllocObject(t.tc, fc)
 		if err != nil {
 			return err
 		}

@@ -58,21 +58,6 @@ type Config struct {
 	// Faults, when non-nil, injects deterministic allocation failures into
 	// the heap and the page store (internal/faults).
 	Faults *faults.Injector
-	// Lifetimes is the static per-allocation-site lifetime classification
-	// (indexed by site ID; from analysis.Lifetimes): long-lived sites are
-	// pretenured into the old generation. Nil leaves every allocation on
-	// the default path.
-	Lifetimes []ir.Lifetime
-}
-
-// lifetimeHeapConfig converts the IR-level classification to the heap's
-// dependency-free form: the set of sites to pretenure.
-func lifetimeHeapConfig(lifetimes []ir.Lifetime) heap.LifetimeConfig {
-	pretenure := make([]bool, len(lifetimes))
-	for i, l := range lifetimes {
-		pretenure[i] = l == ir.LifetimeLongLived
-	}
-	return heap.LifetimeConfig{Pretenure: pretenure}
 }
 
 // VM executes one linked program.
@@ -144,7 +129,7 @@ type VM struct {
 func New(prog *ir.Program, cfg Config) (*VM, error) {
 	job := ResetConfig{
 		Out: cfg.Out, RandSeed: cfg.RandSeed, Obs: cfg.Obs, Faults: cfg.Faults,
-		Lifetimes: cfg.Lifetimes, Tiering: cfg.Tiering,
+		Tiering: cfg.Tiering,
 	}
 	if job.Obs == nil {
 		job.Obs = obs.NewRegistry()
@@ -180,10 +165,9 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 
 // arm installs one job's settings on a VM whose heap and page store are
 // fresh or just reset and already bound to job.Obs (non-nil): counters,
-// output sink, injector, Sys.rand seed, pretenure set, and — on a
-// transformed program — the disk tier and the root scope. New and
-// ResetForReuse both arm through here, so a reused VM cannot keep what a
-// fresh one would not have.
+// output sink, injector, Sys.rand seed, and — on a transformed program —
+// the disk tier and the root scope. New and ResetForReuse both arm through
+// here, so a reused VM cannot keep what a fresh one would not have.
 func (vm *VM) arm(job ResetConfig) error {
 	vm.obs = job.Obs
 	vm.cInstr = job.Obs.Counter(obs.CtrInstructions)
@@ -200,7 +184,6 @@ func (vm *VM) arm(job ResetConfig) error {
 	vm.rngMu.Lock()
 	vm.rngSt = uint64(job.RandSeed)*2862933555777941757 + 3037000493
 	vm.rngMu.Unlock()
-	vm.Heap.SetLifetimes(lifetimeHeapConfig(job.Lifetimes))
 	if vm.RT == nil {
 		return nil
 	}
@@ -396,9 +379,6 @@ type ResetConfig struct {
 	Obs *obs.Registry
 	// Faults installs the next job's fault injector (nil disables).
 	Faults *faults.Injector
-	// Lifetimes installs the next job's lifetime classification (see
-	// Config); nil disables pretenuring for the job.
-	Lifetimes []ir.Lifetime
 	// Tiering attaches a disk tier to the page store for the next job
 	// (see Config.Tiering); nil leaves the store DRAM-only. The previous
 	// job's tier was torn down by the store reset either way.
