@@ -518,62 +518,85 @@ class Main {
 	}
 }
 
-// BenchmarkAblationParallelMark measures the full collector over a large
-// live object graph with 1 vs 4 mark workers (the paper's runs use
-// HotSpot's parallel collector).
+// BenchmarkAblationParallelMark measures the whole collector on 1 vs 4 GC
+// workers (the paper's runs use HotSpot's parallel collector) over a wide
+// live graph: one old-generation root array fanning out to 150k short
+// chains (marking a single linked list cannot parallelize). "full" times a
+// full collection — the mark, the chunked forwarding and reference update
+// over the mark bitmap, and the serial slide; "minor" times the scavenge
+// of the 300k chains from the nursery, found through the root array's
+// remembered-set slots.
 func BenchmarkAblationParallelMark(b *testing.B) {
 	src := "class Object { }\nclass Node { int v; Node next; }\n"
 	files, err := stdlibFreeParse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			nodeArr := lang.NewArrayTypes([]*lang.Type{lang.ClassType("Node")}) // Node[] at 0
-			hp := heap.New(heap.Config{HeapSize: 96 << 20, GCWorkers: workers}, files, nodeArr)
-			tc := hp.RegisterThread()
-			tc.EndExternal()
-			defer func() {
-				tc.BeginExternal()
-				hp.UnregisterThread(tc)
-			}()
-			node := files.Class("Node")
-			next := node.FindField("next")
-			var root heap.Addr
-			hp.AddRoots(heap.RootFunc(func(visit func(heap.Addr) heap.Addr) {
-				root = visit(root)
-			}))
-			// Wide graph: one root array fanning out to 150k short chains
-			// (marking a single linked list cannot parallelize).
-			const fanout = 150000
-			arr, err := hp.AllocArray(tc, 0, fanout)
-			if err != nil {
-				b.Fatal(err)
-			}
-			root = arr
-			putRef := func(obj heap.Addr, off int, v heap.Addr) {
-				binary.LittleEndian.PutUint64(hp.Bytes(obj)[off:], uint64(v))
-				hp.Barrier(tc, obj+heap.Addr(off), v)
-			}
-			for i := 0; i < fanout; i++ {
-				a, err := hp.AllocObject(tc, node)
+	for _, kind := range []string{"full", "minor"} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/workers-%d", kind, workers), func(b *testing.B) {
+				nodeArr := lang.NewArrayTypes([]*lang.Type{lang.ClassType("Node")}) // Node[] at 0
+				hp := heap.New(heap.Config{HeapSize: 96 << 20, GCWorkers: workers}, files, nodeArr)
+				tc := hp.RegisterThread()
+				tc.EndExternal()
+				defer func() {
+					tc.BeginExternal()
+					hp.UnregisterThread(tc)
+				}()
+				node := files.Class("Node")
+				next := node.FindField("next")
+				var root heap.Addr
+				hp.AddRoots(heap.RootFunc(func(visit func(heap.Addr) heap.Addr) {
+					root = visit(root)
+				}))
+				const fanout = 150000
+				arr, err := hp.AllocArray(tc, 0, fanout) // large: the old generation
 				if err != nil {
 					b.Fatal(err)
 				}
-				c, err := hp.AllocObject(tc, node)
-				if err != nil {
-					b.Fatal(err)
+				root = arr
+				putRef := func(obj heap.Addr, off int, v heap.Addr) {
+					binary.LittleEndian.PutUint64(hp.Bytes(obj)[off:], uint64(v))
+					hp.Barrier(tc, obj+heap.Addr(off), v)
 				}
-				putRef(a, heap.ScalarHeader+next.Offset, c)
-				putRef(root, heap.ArrayHeader+i*8, a)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := hp.ForceGC(tc, true); err != nil {
-					b.Fatal(err)
+				// build hangs a fresh two-node chain off every array slot.
+				build := func() {
+					for i := 0; i < fanout; i++ {
+						a, err := hp.AllocObject(tc, node)
+						if err != nil {
+							b.Fatal(err)
+						}
+						c, err := hp.AllocObject(tc, node)
+						if err != nil {
+							b.Fatal(err)
+						}
+						putRef(a, heap.ScalarHeader+next.Offset, c)
+						putRef(root, heap.ArrayHeader+i*8, a)
+					}
 				}
-			}
-		})
+				build()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if kind == "minor" {
+						// Drop the last chains and compact them away, then
+						// build fresh ones in the nursery, all untimed.
+						b.StopTimer()
+						clear(hp.Bytes(root)[heap.ArrayHeader : heap.ArrayHeader+fanout*8])
+						if err := hp.ForceGC(tc, true); err != nil {
+							b.Fatal(err)
+						}
+						build()
+						b.StartTimer()
+					}
+					if err := hp.ForceGC(tc, kind == "full"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if st := hp.Stats(); kind == "minor" && st.MinorGCs != int64(b.N) {
+					b.Fatalf("%d minor collections for %d iterations: one escalated", st.MinorGCs, b.N)
+				}
+			})
+		}
 	}
 }
 

@@ -56,9 +56,9 @@ func WithRandSeed(seed int64) Option {
 	return func(o *runOptions) { o.randSeed = seed }
 }
 
-// WithGCWorkers sets the full-collection mark parallelism (number of
-// goroutines tracing the heap during a stop-the-world full GC). 0 picks
-// the collector's default. Program output must not depend on this — the
+// WithGCWorkers sets the collector's parallelism: the number of workers
+// every stop-the-world collection (scavenge, mark and compaction) runs on.
+// 0 picks the collector's default. Program output must not depend on this — the
 // differential test battery runs the corpus across worker counts to
 // enforce exactly that.
 func WithGCWorkers(n int) Option {

@@ -14,7 +14,12 @@
 // generation). Objects are allocated in the nursery through per-thread
 // TLABs; a minor collection evacuates live nursery objects into the old
 // generation (promotion on first survival); a full collection marks both
-// generations and slides the old generation (Lisp-2 compaction).
+// generations and slides the old generation (Lisp-2 compaction). Both run
+// on every GC worker (gc.go).
+//
+// Neither generation is address-walkable: the collector finds objects
+// through references and the mark bitmap only, so the gaps that promotion
+// buffers leave in the old generation are never read.
 //
 // Object layout mirrors a 64-bit HotSpot-style JVM, which is what gives
 // program P its per-object overhead (§2.4 of the paper):
@@ -73,9 +78,10 @@ var ErrOutOfMemory = fmt.Errorf("OutOfMemoryError: managed heap exhausted")
 type Config struct {
 	// HeapSize is the maximum heap size in bytes (the -Xmx of the run).
 	HeapSize int
-	// GCWorkers is the number of goroutines used by the full collector's
-	// mark phase (the paper's runs use HotSpot's parallel collector).
-	// Defaults to min(GOMAXPROCS, 4); 1 forces single-threaded marking.
+	// GCWorkers is the number of workers every collection runs on: the
+	// scavenge, the mark and the compaction (the paper's runs use
+	// HotSpot's parallel collector). Defaults to min(GOMAXPROCS, 4); 1
+	// runs the whole collector inline on the collecting thread.
 	GCWorkers int
 	// Obs receives the heap's observability instruments (pause and
 	// allocation-size histograms, promotion counters). A fresh private
@@ -130,6 +136,10 @@ type Heap struct {
 	// arrTypes is the program's array type table: an array's type word
 	// holds its element type's index.
 	arrTypes *lang.ArrayTypes
+	// classes and arrays are the layout tables the allocator and the
+	// collector read, indexed by class ID and by array type index.
+	classes []classLayout
+	arrays  []arrayLayout
 
 	// Static reference slots registered as roots by the VM.
 	rootsMu sync.Mutex
@@ -140,11 +150,20 @@ type Heap struct {
 	// (§4.1).
 	allocCounts []int64
 
-	// gcWorkers is the mark-phase parallelism; markBits is the side mark
-	// bitmap (one bit per 8 heap bytes) CAS-set by concurrent markers,
-	// cleared at the start of each full collection.
+	// gcWorkers is the collector's parallelism and workers their private
+	// state (gc.go); markBits is the side mark bitmap (one bit per 8 heap
+	// bytes) CAS-set by concurrent markers, cleared at the start of each
+	// full collection.
 	gcWorkers int
+	workers   []gcWorker
 	markBits  []uint32
+	// Working state that collections reuse: the work-sharing stack, the
+	// promotion cursor, the remembered set as a slice and the full
+	// collection's chunks.
+	work       workStack
+	promoteTop atomic.Uint32
+	remSlots   []Addr
+	chunks     []chunk
 
 	// stats holds the counts that have no obs instrument; allocations and
 	// collections are counted by the instruments alone.
@@ -164,7 +183,7 @@ type Heap struct {
 	hSafepointWait *obs.Histogram // mutator wait entering the VM during GC, ns
 	hAllocSize     *obs.Histogram // per-allocation sizes, bytes
 	cPromotedBytes *obs.Counter   // bytes evacuated young -> old
-	cEvacuated     *obs.Counter   // objects evacuated by minor collections
+	cEvacuated     *obs.Counter   // bytes moved by full-collection compaction
 	cRemsetScanned *obs.Counter   // remembered-set slots scanned by minor GCs
 
 	// Fault injection: nil when disabled, so the slow path pays one nil
@@ -207,7 +226,10 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 		allocCounts: make([]int64, len(h.ClassList)+arrTypes.Len()),
 	}
 	hp.oldBase = 8 // reserve null
-	hp.oldEnd = Addr(cfg.HeapSize - young)
+	// The nursery starts on a mark-bitmap word (256 heap bytes) whatever
+	// the heap size, so every nursery object is 8-aligned and the full
+	// collection's bitmap walk stays inside the bitmap.
+	hp.oldEnd = Addr(cfg.HeapSize-young) &^ 255
 	hp.youngEnd = Addr(cfg.HeapSize)
 	hp.oldPos = hp.oldBase
 	hp.youngPos = hp.oldEnd
@@ -218,10 +240,52 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 			hp.gcWorkers = 4
 		}
 	}
+	hp.workers = make([]gcWorker, hp.gcWorkers)
+	hp.work.cond.L = &hp.work.mu
 	hp.mapping, hp.arena, hp.markBits = newArenaMapping(cfg.HeapSize)
 	hp.bindInstruments(cfg.Obs, cfg.Faults)
+	hp.buildLayouts()
 	hp.sp.init()
 	return hp
+}
+
+// classLayout is what the allocator and the collector need of a class.
+type classLayout struct {
+	size   Addr   // object size, header included, rounded up to 8
+	bucket int    // the alloc-size histogram bucket of size
+	refs   []Addr // reference slot offsets from the object start
+}
+
+// arrayLayout is what the allocator and the collector need of an array
+// type.
+type arrayLayout struct {
+	elemSize Addr
+	refs     bool // elements are references
+}
+
+// buildLayouts fills the layout tables from the class hierarchy and the
+// array type table. Buckets are read off the alloc-size histogram; every
+// registry's has the bounds obs.AllocSizeBounds, so they outlive Reset.
+func (hp *Heap) buildLayouts() {
+	hp.classes = make([]classLayout, len(hp.h.ClassList))
+	var refs []Addr // one backing array for every class's offsets
+	for id, cls := range hp.h.ClassList {
+		l := &hp.classes[id]
+		l.size = Addr(roundUp8(ScalarHeader + cls.BodySize))
+		l.bucket = hp.hAllocSize.BucketIndex(int64(l.size))
+		from := len(refs)
+		for _, f := range cls.AllFields {
+			if f.Type.IsRef() {
+				refs = append(refs, ScalarHeader+Addr(f.Offset))
+			}
+		}
+		l.refs = refs[from:len(refs):len(refs)]
+	}
+	hp.arrays = make([]arrayLayout, hp.arrTypes.Len())
+	for i := range hp.arrays {
+		e := hp.arrTypes.Elem(i)
+		hp.arrays[i] = arrayLayout{elemSize: Addr(e.FieldSize()), refs: e.IsRef()}
+	}
 }
 
 // bindInstruments points the heap's hot-path instrument pointers at reg (a
@@ -314,17 +378,15 @@ type TLAB struct {
 
 const tlabSize = 32 << 10
 
-// objSize returns the total size of the object at a, derived from its
-// header (the heap is address-walkable).
-func (hp *Heap) objSize(a Addr) int {
+// objSize returns the total size of the object at a, read off its header
+// and the layout tables.
+func (hp *Heap) objSize(a Addr) Addr {
 	tw := hp.getU32(a + hdrType)
 	if tw&arrayBit != 0 {
-		elem := hp.arrTypes.Elem(int(tw &^ arrayBit))
 		n := int(hp.getU32(a + 12))
-		return roundUp8(ArrayHeader + n*elem.FieldSize())
+		return Addr(roundUp8(ArrayHeader + n*int(hp.arrays[tw&^arrayBit].elemSize)))
 	}
-	cls := hp.h.ClassList[int(tw)]
-	return roundUp8(ScalarHeader + cls.BodySize)
+	return hp.classes[tw].size
 }
 
 // IsArray reports whether the object at a is an array.
@@ -357,14 +419,14 @@ func (hp *Heap) inOld(a Addr) bool { return a != 0 && a < hp.oldEnd }
 // TLAB, collecting if needed. Accounting is thread-local (noteAlloc), so
 // the common path performs no atomic operation and takes no lock.
 func (hp *Heap) AllocObject(tc *ThreadCtx, cls *lang.Class) (Addr, error) {
-	size := roundUp8(ScalarHeader + cls.BodySize)
-	a, err := hp.allocRaw(tc, size)
+	l := &hp.classes[cls.ID]
+	a, err := hp.allocRaw(tc, int(l.size))
 	if err != nil {
 		return 0, err
 	}
 	hp.setU32(a+hdrType, uint32(cls.ID))
 	tc.allocCounts[cls.ID]++
-	tc.noteAlloc(int64(size))
+	tc.noteAlloc(int64(l.size), l.bucket)
 	return a, nil
 }
 
@@ -374,7 +436,7 @@ func (hp *Heap) AllocArray(tc *ThreadCtx, arrType, n int) (Addr, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("negative array size %d", n)
 	}
-	size := roundUp8(ArrayHeader + n*hp.arrTypes.Elem(arrType).FieldSize())
+	size := roundUp8(ArrayHeader + n*int(hp.arrays[arrType].elemSize))
 	a, err := hp.allocRaw(tc, size)
 	if err != nil {
 		return 0, err
@@ -382,14 +444,15 @@ func (hp *Heap) AllocArray(tc *ThreadCtx, arrType, n int) (Addr, error) {
 	hp.setU32(a+hdrType, arrayBit|uint32(arrType))
 	hp.setU32(a+12, uint32(n))
 	tc.allocCounts[len(hp.h.ClassList)+arrType]++
-	tc.noteAlloc(int64(size))
+	tc.noteAlloc(int64(size), hp.hAllocSize.BucketIndex(int64(size)))
 	return a, nil
 }
 
-// noteAlloc records one allocation in the thread-local batch of the
-// allocation-size histogram; it flushes at the next boundary crossing.
-func (tc *ThreadCtx) noteAlloc(size int64) {
-	tc.histCounts[tc.hp.hAllocSize.BucketIndex(size)]++
+// noteAlloc records one allocation of size bytes, which falls in the given
+// bucket, in the thread-local batch of the allocation-size histogram; it
+// flushes at the next boundary crossing.
+func (tc *ThreadCtx) noteAlloc(size int64, bucket int) {
+	tc.histCounts[bucket]++
 	tc.histSum += size
 	if size < tc.histMin {
 		tc.histMin = size

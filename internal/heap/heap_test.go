@@ -3,7 +3,9 @@ package heap
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -46,8 +48,13 @@ const (
 )
 
 func newTestHeap(t *testing.T, size int) (*Heap, *ThreadCtx) {
+	return newTestHeapOn(t, size, 0)
+}
+
+// newTestHeapOn is newTestHeap with workers GC workers (0: the default).
+func newTestHeapOn(t *testing.T, size, workers int) (*Heap, *ThreadCtx) {
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: size}, h, testArrayTypes)
+	hp := New(Config{HeapSize: size, GCWorkers: workers}, h, testArrayTypes)
 	tc := hp.RegisterThread()
 	tc.EndExternal()
 	t.Cleanup(func() {
@@ -223,8 +230,8 @@ func TestGCShadowModel(t *testing.T) {
 		val  int32
 		next int // shadow index of next, -1 for null
 	}
-	run := func(seed int64) {
-		hp, tc := newTestHeap(t, 8<<20)
+	run := func(t *testing.T, size, workers int, seed int64) {
+		hp, tc := newTestHeapOn(t, size, workers)
 		node := hp.Hierarchy().Class("Node")
 		valF := node.FindField("val")
 		nextF := node.FindField("next")
@@ -303,79 +310,381 @@ func TestGCShadowModel(t *testing.T) {
 		}
 		verify(-1)
 	}
-	for seed := int64(0); seed < 15; seed++ {
-		run(seed)
+	// The second size is not a multiple of 8: the generations' bounds
+	// must still put every object, and so its mark bit, on an 8-byte
+	// boundary.
+	for _, size := range []int{8 << 20, 8<<20 + 3} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("size=%d,workers=%d", size, workers), func(t *testing.T) {
+				for seed := int64(0); seed < 15; seed++ {
+					run(t, size, workers, seed)
+				}
+			})
+		}
 	}
 }
 
-func TestParallelAndSerialMarkAgree(t *testing.T) {
-	// The same object graph collected with 1 and with 4 mark workers must
-	// preserve identical structure and report the same live size.
-	build := func(workers int) (*Heap, int64) {
-		h := testHierarchy(t)
-		hp := New(Config{HeapSize: 8 << 20, GCWorkers: workers}, h, testArrayTypes)
-		tc := hp.RegisterThread()
-		tc.EndExternal()
-		defer func() {
-			tc.BeginExternal()
-			hp.UnregisterThread(tc)
-		}()
-		node := h.Class("Node")
+// TestCollectorsAgreeAcrossWorkers runs one program of allocations,
+// stores and collections on 1, 2 and 4 GC workers. Promotion order and so
+// addresses differ with the workers, but after every minor and every full
+// collection the graph reachable from the roots must be the same graph,
+// and the collections must count the same promotions and live bytes. The
+// graph spans many compaction chunks in both generations, with garbage
+// between the live objects and old->young edges through the barrier.
+func TestCollectorsAgreeAcrossWorkers(t *testing.T) {
+	type outcome struct {
+		graphs             [][]int64
+		promoted, liveFull int64
+	}
+	run := func(workers int) outcome {
+		hp, tc := newTestHeapOn(t, 8<<20, workers)
+		node := hp.Hierarchy().Class("Node")
 		val := node.FindField("val")
 		next := node.FindField("next")
 		kids := node.FindField("kids")
-		roots := make([]Addr, 8)
+		roots := make([]Addr, 16)
 		hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 			for i := range roots {
 				roots[i] = visit(roots[i])
 			}
 		}))
-		// A dag: chains with cross links and a shared array.
-		arr, _ := hp.AllocArray(tc, nodeArr, 16)
-		for i := range roots {
-			a, _ := hp.AllocObject(tc, node)
-			put[int32](hp, a, ScalarHeader+val.Offset, int32(i))
-			putRef(hp, tc, a, ScalarHeader+kids.Offset, arr)
-			roots[i] = a
-			cur := a
-			for d := 0; d < 200; d++ {
-				b, _ := hp.AllocObject(tc, node)
-				put[int32](hp, b, ScalarHeader+val.Offset, int32(i*1000+d))
-				putRef(hp, tc, cur, ScalarHeader+next.Offset, b)
-				if d%17 == 0 {
-					putRef(hp, tc, arr, ArrayHeader+(d%16)*8, b)
+		alloc := func() Addr {
+			a, err := hp.AllocObject(tc, node)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			return a
+		}
+		// grow hangs n nodes off the front of every root's chain, sharing
+		// a Node[] every 50 nodes and leaving garbage between them.
+		grow := func(round, n int) {
+			for i := range roots {
+				for d := 0; d < n; d++ {
+					b := alloc()
+					put[int32](hp, b, ScalarHeader+val.Offset, int32(round<<20|i<<12|d))
+					putRef(hp, tc, b, ScalarHeader+next.Offset, roots[i])
+					if d%50 == 0 {
+						arr, err := hp.AllocArray(tc, nodeArr, 8)
+						if err != nil {
+							t.Fatal(err)
+						}
+						putRef(hp, tc, arr, ArrayHeader+(d%8)*8, roots[i])
+						putRef(hp, tc, b, ScalarHeader+kids.Offset, arr)
+					}
+					roots[i] = b
+					for g := 0; g < d%3; g++ {
+						alloc()
+					}
 				}
-				cur = b
 			}
 		}
-		if err := hp.ForceGC(tc, true); err != nil {
+		var out outcome
+		collect := func(full bool) {
+			if err := hp.ForceGC(tc, full); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			out.graphs = append(out.graphs, canonicalGraph(hp, roots))
+		}
+		grow(0, 1500)
+		collect(false)
+		// Old->young edges: every old chain head gets a young tail.
+		for i := range roots {
+			b := alloc()
+			put[int32](hp, b, ScalarHeader+val.Offset, int32(-i))
+			arr, err := hp.AllocArray(tc, nodeArr, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putRef(hp, tc, arr, ArrayHeader, b)
+			putRef(hp, tc, roots[i], ScalarHeader+kids.Offset, arr)
+		}
+		grow(1, 400)
+		collect(false)
+		// Cut every other chain in half: old garbage for the compaction.
+		for i := 0; i < len(roots); i += 2 {
+			c := roots[i]
+			for d := 0; d < 900; d++ {
+				c = get[Addr](hp, c, ScalarHeader+next.Offset)
+			}
+			putRef(hp, tc, c, ScalarHeader+next.Offset, 0)
+		}
+		grow(2, 300)
+		collect(true)
+		grow(3, 200)
+		collect(false)
+		collect(true)
+		st := hp.Stats()
+		out.promoted, out.liveFull = st.Promoted, st.LiveAfterGC
+		return out
+	}
+	want := run(1)
+	if want.promoted == 0 || want.liveFull < 8*chunkBytes {
+		t.Fatalf("promoted %d objects and kept %d live bytes: the program exercises too little", want.promoted, want.liveFull)
+	}
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
+		for i := range want.graphs {
+			if !slices.Equal(got.graphs[i], want.graphs[i]) {
+				t.Fatalf("collection %d: the graph on %d workers differs from the graph on 1", i, workers)
+			}
+		}
+		if got.promoted != want.promoted || got.liveFull != want.liveFull {
+			t.Fatalf("%d workers promoted %d and kept %d live bytes; 1 worker promoted %d and kept %d",
+				workers, got.promoted, got.liveFull, want.promoted, want.liveFull)
+		}
+	}
+}
+
+// canonicalGraph encodes the graph reachable from roots without its
+// addresses: objects are numbered in breadth-first order, and each is
+// written as its type word, its int field or array length, and the numbers
+// of the objects its reference slots name (-1 for null).
+func canonicalGraph(hp *Heap, roots []Addr) []int64 {
+	ids := map[Addr]int64{}
+	var queue []Addr
+	id := func(a Addr) int64 {
+		if a == 0 {
+			return -1
+		}
+		n, ok := ids[a]
+		if !ok {
+			n = int64(len(ids))
+			ids[a] = n
+			queue = append(queue, a)
+		}
+		return n
+	}
+	var enc []int64
+	for _, r := range roots {
+		enc = append(enc, id(r))
+	}
+	for len(queue) > 0 {
+		a := queue[0]
+		queue = queue[1:]
+		b := hp.Bytes(a)
+		enc = append(enc, int64(binary.LittleEndian.Uint32(b)))
+		if hp.IsArray(a) {
+			enc = append(enc, int64(ArrayLength(b)))
+		} else {
+			enc = append(enc, int64(get[int32](hp, a, ScalarHeader+hp.ClassOf(a).FindField("val").Offset)))
+		}
+		hp.refSlots(a, func(slot Addr) {
+			enc = append(enc, id(Addr(binary.LittleEndian.Uint64(hp.arena[slot:]))))
+		})
+	}
+	return enc
+}
+
+// TestFailedFullCollectionLeavesTheHeapAlone fills the old generation with
+// rooted large arrays and the nursery with a rooted chain until the live
+// set no longer fits: the full collection fails with ErrOutOfMemory before
+// it writes anything, so every rooted object still reads as it was written,
+// and once half the arrays are dropped the next full collection succeeds.
+func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			hp, tc := newTestHeapOn(t, 2<<20, workers)
+			node := hp.Hierarchy().Class("Node")
+			val := node.FindField("val")
+			next := node.FindField("next")
+			arrays := make([]Addr, 40)
+			var chain Addr
+			hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
+				for i := range arrays {
+					arrays[i] = visit(arrays[i])
+				}
+				chain = visit(chain)
+			}))
+			const elems = 8192 // 32 KiB: large, so allocated in the old generation
+			for i := range arrays {
+				a, err := hp.AllocArray(tc, intArr, elems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < elems; j += 97 {
+					put[int32](hp, a, ArrayHeader+4*j, int32(i*elems+j))
+				}
+				arrays[i] = a
+			}
+			const nodes = 10000 // 400 KB, within the 512 KiB nursery
+			for d := 0; d < nodes; d++ {
+				b, err := hp.AllocObject(tc, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				put[int32](hp, b, ScalarHeader+val.Offset, int32(d))
+				putRef(hp, tc, b, ScalarHeader+next.Offset, chain)
+				chain = b
+			}
+			check := func(when string) {
+				t.Helper()
+				for i, a := range arrays {
+					if a == 0 {
+						continue
+					}
+					for j := 0; j < elems; j += 97 {
+						if got := get[int32](hp, a, ArrayHeader+4*j); got != int32(i*elems+j) {
+							t.Fatalf("%s: array %d element %d = %d", when, i, j, got)
+						}
+					}
+				}
+				d := nodes
+				for c := chain; c != 0; c = get[Addr](hp, c, ScalarHeader+next.Offset) {
+					d--
+					if got := get[int32](hp, c, ScalarHeader+val.Offset); got != int32(d) {
+						t.Fatalf("%s: chain node %d reads %d", when, d, got)
+					}
+				}
+				if d != 0 {
+					t.Fatalf("%s: chain lost %d nodes", when, d)
+				}
+			}
+			if err := hp.ForceGC(tc, true); !errors.Is(err, ErrOutOfMemory) {
+				t.Fatalf("full collection of an oversized live set: %v, want ErrOutOfMemory", err)
+			}
+			check("after the failed collection")
+			for i := 0; i < len(arrays); i += 2 {
+				arrays[i] = 0
+			}
+			if err := hp.ForceGC(tc, true); err != nil {
+				t.Fatal(err)
+			}
+			check("after the next full collection")
+		})
+	}
+}
+
+// TestScavengeNarrowsToTheRoom fills half a 4 MiB heap's nursery with
+// rooted nodes and sets the old generation's free space against it. With
+// room for the used nursery plus half of four workers' promotion slack,
+// a minor request on four workers scavenges on two and every node
+// survives; with room for less than the used nursery, it collects in full
+// on any number of workers.
+func TestScavengeNarrowsToTheRoom(t *testing.T) {
+	for _, c := range []struct {
+		workers, wantScavengers int
+		extra                   int64 // free old bytes beyond the used nursery
+		wantMinor, wantFull     int64
+	}{
+		{1, 1, promotionSlack(4) / 2, 1, 0},
+		{4, 2, promotionSlack(4) / 2, 1, 0},
+		{16, 2, promotionSlack(4) / 2, 1, 0},
+		{1, 0, -tlabSize, 0, 1},
+		{4, 0, -tlabSize, 0, 1},
+	} {
+		t.Run(fmt.Sprintf("workers=%d,extra=%d", c.workers, c.extra), func(t *testing.T) {
+			hp, tc := newTestHeapOn(t, 4<<20, c.workers)
+			node := hp.Hierarchy().Class("Node")
+			val := node.FindField("val")
+			var nodes []Addr
+			hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
+				for i := range nodes {
+					nodes[i] = visit(nodes[i])
+				}
+			}))
+			for hp.youngPos-hp.oldEnd < (hp.youngEnd-hp.oldEnd)/2 {
+				a, err := hp.AllocObject(tc, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				put[int32](hp, a, ScalarHeader+val.Offset, int32(len(nodes)))
+				nodes = append(nodes, a)
+			}
+			used := int64(hp.youngPos - hp.oldEnd)
+			filler := int64(hp.oldEnd-hp.oldPos) - used - c.extra
+			if _, err := hp.AllocArray(tc, intArr, int(filler-ArrayHeader)/4); err != nil {
+				t.Fatal(err)
+			}
+			if n := hp.scavengeWorkers(); n != c.wantScavengers {
+				t.Fatalf("%d free old bytes for %d used nursery bytes give %d scavenging workers, want %d",
+					hp.oldEnd-hp.oldPos, used, n, c.wantScavengers)
+			}
+			if err := hp.ForceGC(tc, false); err != nil {
+				t.Fatal(err)
+			}
+			if st := hp.Stats(); st.MinorGCs != c.wantMinor || st.FullGCs != c.wantFull {
+				t.Fatalf("a minor request ran %d minor and %d full collections, want %d and %d",
+					st.MinorGCs, st.FullGCs, c.wantMinor, c.wantFull)
+			}
+			if hp.oldPos > hp.oldEnd {
+				t.Fatalf("the old generation's cursor %#x ran past its end %#x", hp.oldPos, hp.oldEnd)
+			}
+			for i, a := range nodes {
+				if got := get[int32](hp, a, ScalarHeader+val.Offset); got != int32(i) || hp.inYoung(a) {
+					t.Fatalf("node %d at %#x reads %d", i, a, got)
+				}
+			}
+		})
+	}
+}
+
+// TestPromotionFitsTheSlack scavenges a nursery packed with live objects,
+// on four workers, into an old generation with exactly the used nursery
+// plus the promotion slack free: the promotion cursor must stay inside the
+// old generation and every object must survive. The roots name arrays of
+// about 3.3 KiB first, which a 16 KiB buffer holds four of before it
+// retires a 3 KiB tail, and then the nodes that fill each TLAB's tail, so
+// the nursery's used bytes are nearly all promoted.
+func TestPromotionFitsTheSlack(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		hp, tc := newTestHeapOn(t, 4<<20, 4)
+		node := hp.Hierarchy().Class("Node")
+		val := node.FindField("val")
+		var arrays, nodes []Addr
+		hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
+			for _, rs := range [][]Addr{arrays, nodes} {
+				for i := range rs {
+					rs[i] = visit(rs[i])
+				}
+			}
+		}))
+		rng := rand.New(rand.NewSource(seed))
+		nodeSize := hp.classes[node.ID].size
+		for hp.youngEnd-hp.youngPos >= tlabSize || tc.tlab.end-tc.tlab.pos >= nodeSize {
+			n := 830 + rng.Intn(20)
+			if rest := tc.tlab.end - tc.tlab.pos; rest >= nodeSize && rest < Addr(roundUp8(ArrayHeader+4*n)) {
+				a, err := hp.AllocObject(tc, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				put[int32](hp, a, ScalarHeader+val.Offset, int32(len(nodes)))
+				nodes = append(nodes, a)
+				continue
+			}
+			a, err := hp.AllocArray(tc, intArr, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put[int32](hp, a, ArrayHeader, int32(len(arrays)))
+			arrays = append(arrays, a)
+		}
+		used := int64(hp.youngPos - hp.oldEnd)
+		filler := int64(hp.oldEnd-hp.oldPos) - used - promotionSlack(4)
+		if _, err := hp.AllocArray(tc, intArr, int(filler-ArrayHeader)/4); err != nil {
 			t.Fatal(err)
 		}
-		// Verify chains.
-		for i := range roots {
-			cur := roots[i]
-			if get[int32](hp, cur, ScalarHeader+val.Offset) != int32(i) {
-				t.Fatalf("workers=%d: root %d corrupted", workers, i)
-			}
-			cur = get[Addr](hp, cur, ScalarHeader+next.Offset)
-			d := 0
-			for cur != 0 {
-				if get[int32](hp, cur, ScalarHeader+val.Offset) != int32(i*1000+d) {
-					t.Fatalf("workers=%d: chain %d depth %d corrupted", workers, i, d)
+		if n := hp.scavengeWorkers(); n != 4 {
+			t.Fatalf("seed %d: the scavenge runs on %d workers, want 4", seed, n)
+		}
+		if err := hp.ForceGC(tc, false); err != nil {
+			t.Fatal(err)
+		}
+		if st := hp.Stats(); st.MinorGCs != 1 || st.FullGCs != 0 {
+			t.Fatalf("seed %d: %d minor and %d full collections, want one minor", seed, st.MinorGCs, st.FullGCs)
+		}
+		if top := hp.promoteTop.Load(); top > hp.oldEnd {
+			t.Fatalf("seed %d: promotion cursor %#x ran past the old generation's end %#x", seed, top, hp.oldEnd)
+		}
+		for _, c := range []struct {
+			rs  []Addr
+			off int
+		}{{arrays, ArrayHeader}, {nodes, ScalarHeader + val.Offset}} {
+			for i, a := range c.rs {
+				if got := get[int32](hp, a, c.off); got != int32(i) || hp.inYoung(a) {
+					t.Fatalf("seed %d: root %d at %#x reads %d", seed, i, a, got)
 				}
-				cur = get[Addr](hp, cur, ScalarHeader+next.Offset)
-				d++
-			}
-			if d != 200 {
-				t.Fatalf("workers=%d: chain %d lost nodes (%d)", workers, i, d)
 			}
 		}
-		return hp, hp.Stats().LiveAfterGC
-	}
-	_, live1 := build(1)
-	_, live4 := build(4)
-	if live1 != live4 {
-		t.Fatalf("live bytes differ: serial %d parallel %d", live1, live4)
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // as fast as it can. After every safepoint crossing each worker re-walks
 // its graph and verifies the checksum, so any collection that loses an
 // edge, misdirects a forwarding pointer, or drops a buffered remembered-
-// set entry fails immediately and locally.
+// set entry fails immediately and locally. Each round also fans in: four
+// arrays name the same list nodes in the same order, so GC workers scanning
+// them claim the same nursery objects at once, and an object copied twice
+// shows as arrays that no longer agree.
 //
 // CI runs this under -race as its own step: the thread-local allocation
 // batching and remembered-set buffers introduced for the fast paths are
@@ -31,12 +34,16 @@ const (
 	tortureRounds  = 60
 	tortureList    = 400
 	tortureMinGCs  = 14 // workers churn extra rounds until this many ran
+	tortureFans    = 4
+	tortureStride  = 2 // every other list node is in every fan array
+	tortureFanLen  = tortureList / tortureStride
 )
 
 type tortureWorker struct {
 	id     int
 	head   Addr // current young list (GC root)
 	anchor Addr // long-lived node carrying old->young edges (GC root)
+	fans   Addr // Node[] of the round's fan arrays (GC root)
 }
 
 func TestGCTorture(t *testing.T) { gcTorture(t) }
@@ -55,7 +62,7 @@ func gcTorture(t *testing.T) {
 		rounds = 15
 	}
 	h := testHierarchy(t)
-	hp := New(Config{HeapSize: 48 << 20}, h, testArrayTypes)
+	hp := New(Config{HeapSize: 48 << 20, GCWorkers: 4}, h, testArrayTypes)
 	node := h.Class("Node")
 	val := node.FindField("val")
 	next := node.FindField("next")
@@ -68,6 +75,7 @@ func gcTorture(t *testing.T) {
 		hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 			w.head = visit(w.head)
 			w.anchor = visit(w.anchor)
+			w.fans = visit(w.fans)
 		}))
 	}
 
@@ -163,6 +171,29 @@ func gcTorture(t *testing.T) {
 						tc.Safepoint()
 					}
 				}
+				// The fan-in. Allocate first (that may collect), then fill
+				// with no allocation in between, so the walk's addresses hold.
+				if w.fans, err = hp.AllocArray(tc, nodeArr, tortureFans); err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k < tortureFans; k++ {
+					fan, err := hp.AllocArray(tc, nodeArr, tortureFanLen)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					putRef(hp, tc, w.fans, ArrayHeader+8*k, fan)
+				}
+				i := 0
+				for c := w.head; c != 0; c = get[Addr](hp, c, ScalarHeader+next.Offset) {
+					if i%tortureStride == 0 {
+						for k := 0; k < tortureFans; k++ {
+							putRef(hp, tc, get[Addr](hp, w.fans, ArrayHeader+8*k), ArrayHeader+8*(i/tortureStride), c)
+						}
+					}
+					i++
+				}
 				tc.Safepoint()
 				// Verify after the safepoint: everything may have moved.
 				got := int64(0)
@@ -173,6 +204,16 @@ func gcTorture(t *testing.T) {
 						if get[Addr](hp, arr, ArrayHeader) != c {
 							t.Errorf("worker %d round %d: kids[0] no longer points at owner", w.id, round)
 							return
+						}
+					}
+					if cnt%tortureStride == 0 {
+						for k := 0; k < tortureFans; k++ {
+							fan := get[Addr](hp, w.fans, ArrayHeader+8*k)
+							if get[Addr](hp, fan, ArrayHeader+8*(cnt/tortureStride)) != c {
+								t.Errorf("worker %d round %d: fan %d slot %d no longer names list node %d",
+									w.id, round, k, cnt/tortureStride, cnt)
+								return
+							}
 						}
 					}
 					cnt++

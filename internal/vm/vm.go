@@ -43,7 +43,7 @@ type Config struct {
 	Out io.Writer
 	// RandSeed seeds the deterministic Sys.rand source.
 	RandSeed int64
-	// GCWorkers is the heap full-collection mark parallelism
+	// GCWorkers is the number of workers every heap collection runs on
 	// (heap.Config.GCWorkers); 0 picks the heap's default.
 	GCWorkers int
 	// Tiering, when non-nil, attaches a disk tier to the page store
