@@ -286,6 +286,7 @@ func BenchmarkTransformSpeed(b *testing.B) {
 	}
 	for _, tg := range targets {
 		b.Run(tg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			p, err := facade.Compile(map[string]string{"b.fj": tg.src})
 			if err != nil {
 				b.Fatal(err)
@@ -318,6 +319,7 @@ func BenchmarkInlineShare(b *testing.B) {
 			data = append(data, facade.DataClassesDirective(src)...)
 		}
 		b.Run(sc.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			var compile, inline time.Duration
 			for i := 0; i < b.N; i++ {
 				start := time.Now()

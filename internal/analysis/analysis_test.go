@@ -39,13 +39,13 @@ func add(dst, a, b ir.Reg) ir.Instr {
 
 func jmp(blk int) ir.Instr {
 	in := instr(ir.OpJump)
-	in.Blk = blk
+	in.Blk = int32(blk)
 	return in
 }
 
 func br(cond ir.Reg, t, f int) ir.Instr {
 	in := instr(ir.OpBranch)
-	in.A, in.Blk, in.Blk2 = cond, t, f
+	in.A, in.Blk, in.Blk2 = cond, int32(t), int32(f)
 	return in
 }
 
@@ -119,10 +119,10 @@ func TestBitSet(t *testing.T) {
 
 func TestCFGDiamond(t *testing.T) {
 	c := BuildCFG(diamond())
-	if got := c.Succs[0]; !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := c.Succs(0); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("succs(b0) = %v", got)
 	}
-	if got := c.Preds[3]; len(got) != 2 {
+	if got := c.Preds(3); len(got) != 2 {
 		t.Fatalf("preds(b3) = %v", got)
 	}
 	if len(c.RPO) != 4 || c.RPO[0] != 0 || c.RPO[len(c.RPO)-1] != 3 {
@@ -168,12 +168,11 @@ func TestLiveness(t *testing.T) {
 		[]ir.Instr{ret(0)},
 	)
 	c := BuildCFG(f)
-	_, liveOut := Liveness(c)
-	if !liveOut[0].Has(0) || liveOut[0].Has(1) {
-		t.Fatalf("liveOut(b0): r0=%v r1=%v, want true,false", liveOut[0].Has(0), liveOut[0].Has(1))
+	_, liveOut := liveness(c, &scratch{})
+	if b0 := liveOut.row(0); !b0.Has(0) || b0.Has(1) {
+		t.Fatalf("liveOut(b0): r0=%v r1=%v, want true,false", b0.Has(0), b0.Has(1))
 	}
-	after := liveAfterAll(c, liveOut)[0]
-	if !after[0].Has(0) {
+	if after := liveAfterAll(c, liveOut, &scratch{}); !after.at(0, 0).Has(0) {
 		t.Fatal("r0 must be live after its def")
 	}
 }
@@ -214,7 +213,7 @@ func TestDCERemovesDeadPure(t *testing.T) {
 	f := mkFunc(2,
 		[]ir.Instr{konst(0, 7), konst(1, 8), ret(0)},
 	)
-	if n, _ := eliminateFunc(f); n != 1 {
+	if n, _ := eliminateFunc(f, &scratch{}, &scratch{}); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	if got := f.Blocks[0].Instrs; len(got) != 2 || got[0].Op != ir.OpConst || got[0].Dst != 0 {
@@ -231,7 +230,7 @@ func TestDCEKeepsTrappingAndImpure(t *testing.T) {
 	f := mkFunc(3,
 		[]ir.Instr{konst(0, 7), konst(1, 0), div, ret(ir.NoReg)},
 	)
-	if n, _ := eliminateFunc(f); n != 0 {
+	if n, _ := eliminateFunc(f, &scratch{}, &scratch{}); n != 0 {
 		t.Fatalf("removed %d, want 0 (int div may trap)", n)
 	}
 }
@@ -241,7 +240,7 @@ func TestDCECoalescesMoves(t *testing.T) {
 	f := mkFunc(4,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), ret(3)},
 	)
-	if n, _ := eliminateFunc(f); n != 1 {
+	if n, _ := eliminateFunc(f, &scratch{}, &scratch{}); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -254,7 +253,7 @@ func TestDCERemovesSelfMove(t *testing.T) {
 	f := mkFunc(1,
 		[]ir.Instr{konst(0, 1), mov(0, 0), ret(0)},
 	)
-	if n, _ := eliminateFunc(f); n != 1 {
+	if n, _ := eliminateFunc(f, &scratch{}, &scratch{}); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 }
@@ -265,7 +264,7 @@ func TestSweepFoldsEveryPairInABlock(t *testing.T) {
 	f := mkFunc(6,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), add(4, 3, 3), mov(5, 4), ret(5)},
 	)
-	if n, _ := sweep(BuildCFG(f)); n != 2 {
+	if n, _ := sweep(BuildCFG(f), &scratch{}); n != 2 {
 		t.Fatalf("one sweep removed %d, want 2", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -279,7 +278,7 @@ func TestSweepCollapsesAMoveChain(t *testing.T) {
 	f := mkFunc(5,
 		[]ir.Instr{konst(0, 1), konst(1, 2), add(2, 0, 1), mov(3, 2), mov(4, 3), ret(4)},
 	)
-	if n, _ := sweep(BuildCFG(f)); n != 2 {
+	if n, _ := sweep(BuildCFG(f), &scratch{}); n != 2 {
 		t.Fatalf("one sweep removed %d, want 2", n)
 	}
 	got := f.Blocks[0].Instrs
@@ -298,7 +297,7 @@ func TestSweepNeedsASecondRoundAcrossBlocks(t *testing.T) {
 	)
 	c := BuildCFG(f)
 	for round, want := range []int{1, 1, 0} {
-		if n, _ := sweep(c); n != want {
+		if n, _ := sweep(c, &scratch{}); n != want {
 			t.Fatalf("sweep %d removed %d, want %d", round+1, n, want)
 		}
 	}

@@ -138,99 +138,95 @@ func Uses(in *ir.Instr, buf []ir.Reg) []ir.Reg {
 // Def returns the register defined by in, or NoReg.
 func Def(in *ir.Instr) ir.Reg { return in.Dst }
 
-// Direction selects how a dataflow problem propagates facts.
-type Direction int
+// direction selects how a dataflow problem propagates facts.
+type direction int
 
 // Dataflow directions.
 const (
-	Forward Direction = iota
-	Backward
+	forward direction = iota
+	backward
 )
 
-// Problem describes a gen/kill bit-vector dataflow problem over a CFG.
-// Transfer per block is out = Gen ∪ (in − Kill) (forward) or the mirror
-// image (backward); the meet over edges is union (May) or intersection
-// (Must).
-type Problem struct {
-	Dir Direction
-	// May selects union meet; false means intersection (must) meet.
-	May  bool
-	Bits int
-	// Boundary is the entry value (forward: entry block in-set; backward:
+// problem describes a gen/kill bit-vector dataflow problem over a CFG.
+// Transfer per block is out = gen ∪ (in − kill) (forward) or the mirror
+// image (backward); the meet over edges is union (may) or intersection
+// (must).
+type problem struct {
+	dir direction
+	// may selects union meet; false means intersection (must) meet.
+	may  bool
+	bits int
+	// boundary is the entry value (forward: entry block in-set; backward:
 	// out-set of blocks with no successors). Nil means empty.
-	Boundary BitSet
-	// Init is the initial interior value for all non-boundary in/out sets.
+	boundary BitSet
+	// init is the initial interior value for all non-boundary in/out sets.
 	// Nil means empty; must problems typically pass the universal set.
-	Init BitSet
-	// Gen and Kill are per-block transfer sets, indexed by block ID.
-	Gen, Kill []BitSet
+	init BitSet
+	// gen and kill are per-block transfer sets, one row per block ID.
+	gen, kill bitTable
 }
 
-// Solve runs the iterative worklist algorithm and returns the fixpoint
-// in/out set per block. For Must problems, unreachable blocks keep Init.
-func Solve(c *CFG, p Problem) (in, out []BitSet) {
+// solve runs the iterative worklist algorithm and returns the fixpoint
+// in/out set per block, carved out of s. For must problems, unreachable
+// blocks keep init.
+func solve(c *CFG, p problem, s *scratch) (in, out bitTable) {
 	n := len(c.F.Blocks)
-	in = make([]BitSet, n)
-	out = make([]BitSet, n)
-	for i := 0; i < n; i++ {
-		in[i] = NewBitSet(p.Bits)
-		out[i] = NewBitSet(p.Bits)
-		if p.Init != nil {
-			in[i].CopyFrom(p.Init)
-			out[i].CopyFrom(p.Init)
+	in = s.table(n, p.bits)
+	out = s.table(n, p.bits)
+	if p.init != nil {
+		for i := 0; i < n; i++ {
+			in.row(i).CopyFrom(p.init)
+			out.row(i).CopyFrom(p.init)
 		}
 	}
-	boundary := p.Boundary
+	boundary := p.boundary
 	if boundary == nil {
-		boundary = NewBitSet(p.Bits)
+		boundary = s.bitSet(p.bits)
 	}
+	tmp := s.bitSet(p.bits)
 	transfer := func(dst, src BitSet, b int) {
+		gen, kill := p.gen.row(b), p.kill.row(b)
 		for i := range dst {
-			dst[i] = p.Gen[b][i] | (src[i] &^ p.Kill[b][i])
+			dst[i] = gen[i] | (src[i] &^ kill[i])
 		}
 	}
-	meetInto := func(dst BitSet, edges []int, get func(int) BitSet) {
+	// meetInto folds the rows of sets over edges into dst.
+	meetInto := func(dst BitSet, edges []int, sets bitTable) {
 		if len(edges) == 0 {
 			dst.CopyFrom(boundary)
 			return
 		}
-		dst.CopyFrom(get(edges[0]))
+		dst.CopyFrom(sets.row(edges[0]))
 		for _, e := range edges[1:] {
-			if p.May {
-				dst.UnionWith(get(e))
+			if p.may {
+				dst.UnionWith(sets.row(e))
 			} else {
-				dst.IntersectWith(get(e))
+				dst.IntersectWith(sets.row(e))
 			}
 		}
 	}
 	// Iterate in RPO (forward) or reverse RPO (backward) until stable.
-	order := c.RPO
-	if p.Dir == Backward {
-		order = make([]int, len(c.RPO))
-		for i, b := range c.RPO {
-			order[len(c.RPO)-1-i] = b
-		}
-	}
-	tmp := NewBitSet(p.Bits)
 	for changed := true; changed; {
 		changed = false
-		for _, b := range order {
-			if p.Dir == Forward {
+		for k := range c.RPO {
+			if p.dir == forward {
+				b := c.RPO[k]
 				if b == 0 {
-					in[b].CopyFrom(boundary)
+					in.row(b).CopyFrom(boundary)
 				} else {
-					meetInto(in[b], c.Preds[b], func(e int) BitSet { return out[e] })
+					meetInto(in.row(b), c.Preds(b), out)
 				}
-				transfer(tmp, in[b], b)
-				if !tmp.Equal(out[b]) {
-					out[b].CopyFrom(tmp)
+				transfer(tmp, in.row(b), b)
+				if !tmp.Equal(out.row(b)) {
+					out.row(b).CopyFrom(tmp)
 					changed = true
 				}
 			} else {
-				meetInto(out[b], c.Succs[b], func(e int) BitSet { return in[e] })
-				transfer(tmp, out[b], b)
-				if !tmp.Equal(in[b]) {
-					in[b].CopyFrom(tmp)
+				b := c.RPO[len(c.RPO)-1-k]
+				meetInto(out.row(b), c.Succs(b), in)
+				transfer(tmp, out.row(b), b)
+				if !tmp.Equal(in.row(b)) {
+					in.row(b).CopyFrom(tmp)
 					changed = true
 				}
 			}
@@ -240,32 +236,45 @@ func Solve(c *CFG, p Problem) (in, out []BitSet) {
 }
 
 // Liveness computes per-block live-in/live-out register sets (backward
-// may problem: gen = upward-exposed uses, kill = defs).
+// may problem: gen = upward-exposed uses, kill = defs). Every set's words
+// are carved out of one slab.
 func Liveness(c *CFG) (liveIn, liveOut []BitSet) {
+	in, out := liveness(c, newScratch(livenessWords(c)))
+	return in.sets(), out.sets()
+}
+
+// livenessWords is the number of words a liveness solve of c carves.
+func livenessWords(c *CFG) int { return (4*len(c.F.Blocks) + 2) * wordsFor(c.F.NumRegs) }
+
+// liveness is Liveness with its sets carved out of s.
+func liveness(c *CFG, s *scratch) (liveIn, liveOut bitTable) {
 	f := c.F
 	n := len(f.Blocks)
-	gen := make([]BitSet, n)
-	kill := make([]BitSet, n)
-	var ubuf []ir.Reg
+	gen := s.table(n, f.NumRegs)
+	kill := s.table(n, f.NumRegs)
 	for i, b := range f.Blocks {
-		gen[i] = NewBitSet(f.NumRegs)
-		kill[i] = NewBitSet(f.NumRegs)
+		g, k := gen.row(i), kill.row(i)
+		use := func(r ir.Reg) {
+			if r != ir.NoReg && !k.Has(int(r)) {
+				g.Set(int(r))
+			}
+		}
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
-			ubuf = Uses(in, ubuf[:0])
-			for _, r := range ubuf {
-				if !kill[i].Has(int(r)) {
-					gen[i].Set(int(r))
-				}
+			use(in.A)
+			use(in.B)
+			use(in.C)
+			for _, r := range in.Args {
+				use(r)
 			}
 			if d := Def(in); d != ir.NoReg {
-				kill[i].Set(int(d))
+				k.Set(int(d))
 			}
 		}
 	}
-	return Solve(c, Problem{
-		Dir: Backward, May: true, Bits: f.NumRegs, Gen: gen, Kill: kill,
-	})
+	return solve(c, problem{
+		dir: backward, may: true, bits: f.NumRegs, gen: gen, kill: kill,
+	}, s)
 }
 
 // StepBack updates live in place across one instruction, walking backward:
@@ -289,31 +298,35 @@ func StepBack(live BitSet, in *ir.Instr) {
 // MustDefined computes, per block, the set of registers guaranteed to be
 // defined on entry (forward must problem). The entry boundary is the
 // parameter set; unreachable blocks keep the universal set, so dead code
-// never reports use-before-def.
+// never reports use-before-def. Every set's words are carved out of one
+// slab.
 func MustDefined(c *CFG) (in []BitSet) {
+	return mustDefined(c, newScratch((4*len(c.F.Blocks)+3)*wordsFor(c.F.NumRegs))).sets()
+}
+
+// mustDefined is MustDefined with its sets carved out of s.
+func mustDefined(c *CFG, s *scratch) (in bitTable) {
 	f := c.F
 	n := len(f.Blocks)
-	gen := make([]BitSet, n)
-	kill := make([]BitSet, n)
+	gen := s.table(n, f.NumRegs)
+	kill := s.table(n, f.NumRegs)
 	for i, b := range f.Blocks {
-		gen[i] = NewBitSet(f.NumRegs)
-		kill[i] = NewBitSet(f.NumRegs)
 		for j := range b.Instrs {
 			if d := Def(&b.Instrs[j]); d != ir.NoReg {
-				gen[i].Set(int(d))
+				gen.row(i).Set(int(d))
 			}
 		}
 	}
-	boundary := NewBitSet(f.NumRegs)
+	boundary := s.bitSet(f.NumRegs)
 	for _, r := range f.Params {
 		boundary.Set(int(r))
 	}
-	universal := NewBitSet(f.NumRegs)
+	universal := s.bitSet(f.NumRegs)
 	universal.Fill(f.NumRegs)
-	in, _ = Solve(c, Problem{
-		Dir: Forward, May: false, Bits: f.NumRegs,
-		Boundary: boundary, Init: universal, Gen: gen, Kill: kill,
-	})
+	in, _ = solve(c, problem{
+		dir: forward, may: false, bits: f.NumRegs,
+		boundary: boundary, init: universal, gen: gen, kill: kill,
+	}, s)
 	return in
 }
 
@@ -326,22 +339,25 @@ type DefSite struct {
 // ReachingDefs computes which of the given definition sites reach the
 // entry of each block (forward may problem over site indices). A site is
 // killed by any instruction in a block that defines the same register.
+// Every set's words are carved out of one slab.
 func ReachingDefs(c *CFG, sites []DefSite) (in []BitSet) {
+	return reachingDefs(c, sites, newScratch((4*len(c.F.Blocks)+2)*wordsFor(len(sites)))).sets()
+}
+
+// reachingDefs is ReachingDefs with its sets carved out of s.
+func reachingDefs(c *CFG, sites []DefSite, s *scratch) (in bitTable) {
 	f := c.F
 	n := len(f.Blocks)
 	// sitesByReg[r] lists site indices defining register r.
 	sitesByReg := map[ir.Reg][]int{}
-	for i, s := range sites {
-		d := Def(&f.Blocks[s.Block].Instrs[s.Index])
+	for i, site := range sites {
+		d := Def(&f.Blocks[site.Block].Instrs[site.Index])
 		sitesByReg[d] = append(sitesByReg[d], i)
 	}
-	gen := make([]BitSet, n)
-	kill := make([]BitSet, n)
-	for b := 0; b < n; b++ {
-		gen[b] = NewBitSet(len(sites))
-		kill[b] = NewBitSet(len(sites))
-	}
+	gen := s.table(n, len(sites))
+	kill := s.table(n, len(sites))
 	for b, blk := range f.Blocks {
+		g, k := gen.row(b), kill.row(b)
 		for j := range blk.Instrs {
 			d := Def(&blk.Instrs[j])
 			if d == ir.NoReg {
@@ -349,20 +365,20 @@ func ReachingDefs(c *CFG, sites []DefSite) (in []BitSet) {
 			}
 			// Any def of r kills all monitored sites for r...
 			for _, si := range sitesByReg[d] {
-				kill[b].Set(si)
-				gen[b].Clear(si)
+				k.Set(si)
+				g.Clear(si)
 			}
 			// ...and if this instruction is itself a monitored site, it is
 			// (for now) downward-exposed.
-			for si, s := range sites {
-				if s.Block == b && s.Index == j {
-					gen[b].Set(si)
+			for si, site := range sites {
+				if site.Block == b && site.Index == j {
+					g.Set(si)
 				}
 			}
 		}
 	}
-	in, _ = Solve(c, Problem{
-		Dir: Forward, May: true, Bits: len(sites), Gen: gen, Kill: kill,
-	})
+	in, _ = solve(c, problem{
+		dir: forward, may: true, bits: len(sites), gen: gen, kill: kill,
+	}, s)
 	return in
 }

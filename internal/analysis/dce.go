@@ -46,9 +46,17 @@ func regClassOf(f *ir.Func, r ir.Reg) kclass {
 func Eliminate(p *ir.Program) int {
 	total := 0
 	facts := make(programFacts, len(p.FuncList))
+	// DCE changes no function's blocks or registers, so the live-out sets
+	// it hands forward fit one slab, sized up front.
+	nwords := 0
+	for _, f := range p.FuncList {
+		nwords += len(f.Blocks) * wordsFor(f.NumRegs)
+	}
+	kept := newScratch(nwords)
+	var s scratch
 	for i, f := range p.FuncList {
 		var n int
-		n, facts[i] = eliminateFunc(f)
+		n, facts[i] = eliminateFunc(f, &s, kept)
 		total += n
 	}
 	p.DCERemoved += total
@@ -61,13 +69,16 @@ func Eliminate(p *ir.Program) int {
 // sets of that last sweep. A sweep's live set is exact within a block, but
 // a removal can end the last use of a value that a predecessor defines, or
 // bring a producer next to its move, and only the next sweep sees that.
-func eliminateFunc(f *ir.Func) (int, flowFacts) {
+// The sweeps solve in s; the live-out sets handed back are copied into
+// kept, which the program keeps.
+func eliminateFunc(f *ir.Func, s, kept *scratch) (int, flowFacts) {
 	removed := 0
 	c := BuildCFG(f) // CFG shape never changes: terminators are not pure
 	for {
-		n, liveOut := sweep(c)
+		s.reset()
+		n, liveOut := sweep(c, s)
 		if n == 0 {
-			return removed, flowFacts{c: c, liveOut: liveOut}
+			return removed, flowFacts{c: c, liveOut: kept.copyTable(liveOut)}
 		}
 		removed += n
 	}
@@ -82,14 +93,14 @@ func eliminateFunc(f *ir.Func) (int, flowFacts) {
 // into one instruction writing v, when t and v share a machine register
 // class. The folded producer is visited next with the same live set, so a
 // chain of moves collapses in one walk. Returns the number removed and the
-// live-out sets it started from.
-func sweep(c *CFG) (int, []BitSet) {
+// live-out sets it started from, carved out of s.
+func sweep(c *CFG, s *scratch) (int, bitTable) {
 	f := c.F
-	_, liveOut := Liveness(c)
-	live := NewBitSet(f.NumRegs)
+	_, liveOut := liveness(c, s)
+	live := s.bitSet(f.NumRegs)
 	removed := 0
 	for b, blk := range f.Blocks {
-		live.CopyFrom(liveOut[b])
+		live.CopyFrom(liveOut.row(b))
 		instrs := blk.Instrs
 		w := len(instrs) // kept instructions fill instrs[w:], back to front
 		for j := len(instrs) - 1; j >= 0; j-- {

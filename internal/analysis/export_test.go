@@ -52,14 +52,15 @@ func CheckHeldFacts(p *ir.Program) error {
 		switch {
 		case held.c.F != f:
 			return fmt.Errorf("%s: facts of another function (%s)", f.Name, held.c.F.Name)
-		case fmt.Sprint(held.c.Succs, held.c.Preds, held.c.RPO) != fmt.Sprint(fresh.Succs, fresh.Preds, fresh.RPO):
+		case fmt.Sprint(held.c.succ, held.c.succAt, held.c.pred, held.c.predAt, held.c.RPO) !=
+			fmt.Sprint(fresh.succ, fresh.succAt, fresh.pred, fresh.predAt, fresh.RPO):
 			return fmt.Errorf("%s: held CFG differs from a fresh one", f.Name)
-		case len(held.liveOut) != len(liveOut):
-			return fmt.Errorf("%s: live-out sets for %d blocks, want %d", f.Name, len(held.liveOut), len(liveOut))
+		case held.liveOut.n != len(liveOut):
+			return fmt.Errorf("%s: live-out sets for %d blocks, want %d", f.Name, held.liveOut.n, len(liveOut))
 		}
 		for b := range liveOut {
-			if !held.liveOut[b].Equal(liveOut[b]) {
-				return fmt.Errorf("%s: b%d live-out %v, fresh %v", f.Name, b, held.liveOut[b], liveOut[b])
+			if !held.liveOut.row(b).Equal(liveOut[b]) {
+				return fmt.Errorf("%s: b%d live-out %v, fresh %v", f.Name, b, held.liveOut.row(b), liveOut[b])
 			}
 		}
 	}

@@ -19,10 +19,11 @@ import "repro/internal/ir"
 // (TestClassifiedProgramsRetainNoFacts, TestBuiltProgramsRetainNoFacts).
 
 // flowFacts is one function's CFG and, once solved, its per-block live-out
-// register sets.
+// register sets (a function has at least one block, so an unsolved
+// liveOut has no rows).
 type flowFacts struct {
 	c       *CFG
-	liveOut []BitSet
+	liveOut bitTable
 }
 
 // programFacts is what Eliminate publishes: flowFacts per function,
@@ -39,12 +40,12 @@ func (pf programFacts) factsOf(p *ir.Program, i int) flowFacts {
 	return flowFacts{c: BuildCFG(f)}
 }
 
-// live returns the per-block live-out sets, solving them if no one
+// live returns the per-block live-out sets, solving them in s if no one
 // handed them over. This is the one liveness solve of the linter and the
 // lifetime pass.
-func (ff *flowFacts) live() []BitSet {
-	if ff.liveOut == nil {
-		_, ff.liveOut = Liveness(ff.c)
+func (ff *flowFacts) live(s *scratch) bitTable {
+	if ff.liveOut.n == 0 {
+		_, ff.liveOut = liveness(ff.c, s)
 	}
 	return ff.liveOut
 }

@@ -290,10 +290,10 @@ func (il *inliner) rewrite(fi int) int {
 		in := &b.Instrs[len(b.Instrs)-1]
 		switch in.Op {
 		case ir.OpBranch:
-			in.Blk2 = start[in.Blk2]
+			in.Blk2 = int32(start[in.Blk2])
 			fallthrough
 		case ir.OpJump:
-			in.Blk = start[in.Blk]
+			in.Blk = int32(start[in.Blk])
 		}
 	}
 	f.Blocks = s.out
@@ -456,7 +456,7 @@ func (s *splicer) splice(cur *ir.Block, call *ir.Instr, callee *inlineFunc) *ir.
 				if cont == nil {
 					after = dst
 				} else {
-					emit(dst, ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: cont.ID})
+					emit(dst, ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: int32(cont.ID)})
 				}
 				continue
 			}
@@ -470,9 +470,9 @@ func (s *splicer) splice(cur *ir.Block, call *ir.Instr, callee *inlineFunc) *ir.
 			}
 			switch in.Op {
 			case ir.OpJump:
-				in.Blk = blocks[in.Blk].ID
+				in.Blk = int32(blocks[in.Blk].ID)
 			case ir.OpBranch:
-				in.Blk, in.Blk2 = blocks[in.Blk].ID, blocks[in.Blk2].ID
+				in.Blk, in.Blk2 = int32(blocks[in.Blk].ID), int32(blocks[in.Blk2].ID)
 			}
 			if in.Site != 0 {
 				s.il.p.NumSites++

@@ -71,9 +71,13 @@ func (s SiteClass) String() string {
 // takes the facts DCE handed forward on p (facts.go), which releases them.
 func Lifetimes(p *ir.Program) []ir.Lifetime {
 	pf, _ := p.TakeFacts().(programFacts)
+	la := newLifetimeAnalysis(p, pf)
+	la.solve()
 	out := make([]ir.Lifetime, p.NumSites+1)
-	for _, sc := range newLifetimeAnalysis(p, pf).report() {
-		out[sc.Site] = sc.Class
+	for _, fn := range la.funcs {
+		for i, in := range fn.sites {
+			out[in.Site], _ = fn.classOf(i, false)
+		}
 	}
 	return out
 }
@@ -85,12 +89,21 @@ func LifetimeReport(p *ir.Program) []SiteClass {
 	return newLifetimeAnalysis(p, nil).report()
 }
 
-func (la *lifetimeAnalysis) report() []SiteClass {
+// solve computes every function's summaries and final result.
+func (la *lifetimeAnalysis) solve() {
 	la.solveSummaries()
 	la.refineEntries()
-	var out []SiteClass
+}
+
+func (la *lifetimeAnalysis) report() []SiteClass {
+	la.solve()
+	n := 0
 	for _, fn := range la.funcs {
-		out = append(out, fn.classify()...)
+		n += len(fn.sites)
+	}
+	out := make([]SiteClass, 0, n)
+	for _, fn := range la.funcs {
+		out = fn.classify(out)
 	}
 	return out
 }
@@ -98,14 +111,15 @@ func (la *lifetimeAnalysis) report() []SiteClass {
 // --- interprocedural summaries ---------------------------------------------
 
 // ltFunc is everything the pass holds about one function: the facts that
-// never change during a LifetimeReport call (CFG, live-after sets, the
+// never change during a LifetimeReport call (CFG, live-out sets, the
 // tracked sites), built once; its conservative interprocedural summary; the
 // entry region assumed for it; and the result of its latest analysis. All
 // of it is garbage once LifetimeReport returns.
 type ltFunc struct {
-	f     *ir.Func
-	c     *CFG
-	after [][]BitSet
+	index   int // in lifetimeAnalysis.funcs
+	f       *ir.Func
+	c       *CFG
+	liveOut bitTable
 	// sites lists the numbered allocations in reachable blocks, in (block,
 	// index) order. Tracked values are the parameters (0..len(Params)-1)
 	// followed by the sites.
@@ -119,7 +133,7 @@ type ltFunc struct {
 	touches bool
 	// entry is the region assumed on entry; unknown unless proven otherwise.
 	entry region
-	res   *ltResult
+	res   ltResult
 	// callees are the indices in lifetimeAnalysis.funcs of the functions
 	// this one's summaries read: every static callee and, for a virtual
 	// call, every instance method of its selector (virtTouches is per
@@ -140,6 +154,9 @@ type lifetimeAnalysis struct {
 	// analyses counts analyze calls; repeats counts those that re-analyse
 	// a member of a recursive component after its first round.
 	analyses, repeats int
+	// s is the working memory of one analyze call: the live-after sets
+	// and the taint states of the function it analyses.
+	s scratch
 }
 
 // newLifetimeAnalysis sets the pass up over p, taking each function's CFG
@@ -151,12 +168,17 @@ func newLifetimeAnalysis(p *ir.Program, pf programFacts) *lifetimeAnalysis {
 		virtTouches: make(map[string]bool),
 		virtTargets: make(map[string]bool),
 	}
-	indexOf := make(map[string]int, len(p.FuncList)) // by byKey's key
-	methods := make(map[string][]int)                // instance methods, by selector
+	methods := make(map[string][]int) // instance methods, by selector
+	fns := make([]ltFunc, len(p.FuncList))
 	for i, f := range p.FuncList {
 		ff := pf.factsOf(p, i)
-		fn := &ltFunc{
-			f: f, c: ff.c, after: liveAfterAll(ff.c, ff.live()),
+		if ff.liveOut.n == 0 {
+			la.s.reset()
+			ff.liveOut = ownTable(ff.live(&la.s))
+		}
+		fn := &fns[i]
+		*fn = ltFunc{
+			index: i, f: f, c: ff.c, liveOut: ff.liveOut,
 			paramEsc: make([]bool, len(f.Params)),
 			entry:    regionUnknown,
 		}
@@ -176,7 +198,6 @@ func newLifetimeAnalysis(p *ir.Program, pf programFacts) *lifetimeAnalysis {
 		}
 		la.funcs = append(la.funcs, fn)
 		la.byKey[f.Name] = fn
-		indexOf[f.Name] = i
 	}
 	// The call graph, with each edge once.
 	seen := make([]int, len(la.funcs)) // caller index + 1 of the last edge
@@ -194,8 +215,8 @@ func newLifetimeAnalysis(p *ir.Program, pf programFacts) *lifetimeAnalysis {
 				switch {
 				case in.M == nil:
 				case in.Op == ir.OpCallStatic:
-					if g, ok := indexOf[calleeSummaryKey(in.M)]; ok {
-						edge(g)
+					if g := la.byKey[calleeSummaryKey(in.M)]; g != nil {
+						edge(g.index)
 					}
 				case in.Op == ir.OpCall:
 					for _, g := range methods[in.M.Name] {
@@ -307,12 +328,10 @@ func (la *lifetimeAnalysis) refineEntries() {
 	}
 }
 
-// classify renders fn's stored result as its per-site classification.
-func (fn *ltFunc) classify() []SiteClass {
-	r := fn.res
-	out := make([]SiteClass, 0, len(fn.sites))
+// classify appends fn's stored result, rendered as its per-site
+// classification, to out.
+func (fn *ltFunc) classify(out []SiteClass) []SiteClass {
 	for i, in := range fn.sites {
-		ti := len(fn.f.Params) + i
 		what := "new ?"
 		switch {
 		case in.Op == ir.OpNew && in.Cls != nil:
@@ -322,27 +341,35 @@ func (fn *ltFunc) classify() []SiteClass {
 		case in.Op == ir.OpIntr && in.Cls != nil:
 			what = "Sys.fillNew " + in.Cls.Name
 		}
-		sc := SiteClass{Site: in.Site, Func: fn.f.Name, Pos: in.Pos, What: what}
-		switch {
-		case !r.escaped[ti] && !r.crossed[ti] && r.inside[i]:
-			sc.Class = ir.LifetimeEpochLocal
-			sc.Reason = "allocated inside an iteration, never escapes, dead before every boundary"
-		case r.escaped[ti] && !r.inside[i]:
-			sc.Class = ir.LifetimeLongLived
-			sc.Reason = "escapes (" + r.escapeWhy[ti] + ") outside any proven iteration"
-		case r.escaped[ti]:
-			sc.Class = ir.LifetimeUnknown
-			sc.Reason = "escapes (" + r.escapeWhy[ti] + ") inside an iteration"
-		case r.crossed[ti]:
-			sc.Class = ir.LifetimeUnknown
-			sc.Reason = "live across a possible iteration boundary"
-		default:
-			sc.Class = ir.LifetimeUnknown
-			sc.Reason = "allocation not proven inside an iteration"
-		}
-		out = append(out, sc)
+		class, reason := fn.classOf(i, true)
+		out = append(out, SiteClass{Site: in.Site, Func: fn.f.Name, Pos: in.Pos, What: what, Class: class, Reason: reason})
 	}
 	return out
+}
+
+// classOf returns the class of fn's i-th site under its stored result
+// and, when why is set, the reason for it.
+func (fn *ltFunc) classOf(i int, why bool) (ir.Lifetime, string) {
+	r := &fn.res
+	ti := len(fn.f.Params) + i
+	escapes := func(where string) string {
+		if !why {
+			return ""
+		}
+		return "escapes (" + r.escapeWhy[ti] + ") " + where
+	}
+	switch {
+	case !r.escaped[ti] && !r.crossed[ti] && r.inside[i]:
+		return ir.LifetimeEpochLocal, "allocated inside an iteration, never escapes, dead before every boundary"
+	case r.escaped[ti] && !r.inside[i]:
+		return ir.LifetimeLongLived, escapes("outside any proven iteration")
+	case r.escaped[ti]:
+		return ir.LifetimeUnknown, escapes("inside an iteration")
+	case r.crossed[ti]:
+		return ir.LifetimeUnknown, "live across a possible iteration boundary"
+	default:
+		return ir.LifetimeUnknown, "allocation not proven inside an iteration"
+	}
 }
 
 // --- intra-function flow analysis ------------------------------------------
@@ -385,14 +412,22 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 	f, sites := fn.f, fn.sites
 	nParams := len(f.Params)
 	nTracked := nParams + len(sites)
-	r := &ltResult{
-		escaped:       make([]bool, nTracked),
-		escapeWhy:     make([]string, nTracked),
-		crossed:       make([]bool, nTracked),
-		inside:        make([]bool, len(sites)),
-		calleeOutside: make(map[string]bool),
+	// The result is fn's own, cleared for this analysis.
+	r := &fn.res
+	if r.calleeOutside == nil {
+		flags := make([]bool, 2*nTracked+len(sites))
+		r.escaped, flags = flags[:nTracked:nTracked], flags[nTracked:]
+		r.crossed, r.inside = flags[:nTracked:nTracked], flags[nTracked:]
+		r.escapeWhy = make([]string, nTracked)
+		r.calleeOutside = make(map[string]bool)
+	} else {
+		clear(r.escaped)
+		clear(r.crossed)
+		clear(r.inside)
+		clear(r.escapeWhy)
+		clear(r.calleeOutside)
+		r.touches = false
 	}
-	fn.res = r
 	// siteOf returns the tracked index of allocation in, or -1.
 	siteOf := func(in *ir.Instr) int {
 		for i, site := range sites {
@@ -406,7 +441,7 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 	seed := func(entry *taintState) {
 		entry.at = fn.entry
 		for i, pr := range f.Params {
-			entry.sets[i].Set(int(pr))
+			entry.set(i).Set(int(pr))
 		}
 	}
 
@@ -422,8 +457,8 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 		// Moves and casts carry their source's taint, the defining
 		// allocation generates its own, everything else kills.
 		carries := in.Op == ir.OpMove || in.Op == ir.OpCast
-		for _, set := range s.sets {
-			if carries && set.Has(int(in.A)) {
+		for t := range s.sets.n {
+			if set := s.set(t); carries && set.Has(int(in.A)) {
 				set.Set(int(d))
 			} else {
 				set.Clear(int(d))
@@ -431,7 +466,7 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 		}
 		if in.Op == ir.OpNew || in.Op == ir.OpNewArr {
 			if t := siteOf(in); t >= 0 {
-				s.sets[t].Set(int(d))
+				s.set(t).Set(int(d))
 			}
 		}
 	}
@@ -443,8 +478,8 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 			if reg == ir.NoReg {
 				return
 			}
-			for t, set := range s.sets {
-				if set.Has(int(reg)) && !r.escaped[t] {
+			for t := range s.sets.n {
+				if s.set(t).Has(int(reg)) && !r.escaped[t] {
 					r.escaped[t] = true
 					r.escapeWhy[t] = why
 				}
@@ -518,10 +553,11 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 		if !boundary && !unsafe {
 			return
 		}
-		for t, set := range s.sets {
+		for t := range s.sets.n {
 			if r.crossed[t] {
 				continue
 			}
+			set := s.set(t)
 			crossed := intersects(set, live)
 			if !crossed && unsafe {
 				crossed = in.A != ir.NoReg && set.Has(int(in.A))
@@ -533,6 +569,7 @@ func (la *lifetimeAnalysis) analyze(fn *ltFunc) *ltResult {
 		}
 	}
 
-	runTaint(fn.c, fn.after, nTracked, seed, step, visit)
+	la.s.reset()
+	runTaint(fn.c, liveAfterAll(fn.c, fn.liveOut, &la.s), nTracked, &la.s, seed, step, visit)
 	return r
 }

@@ -16,7 +16,7 @@ func oracleLifetimeReport(p *ir.Program) ([]SiteClass, int) {
 	la.refineEntries()
 	var out []SiteClass
 	for _, fn := range la.funcs {
-		out = append(out, fn.classify()...)
+		out = fn.classify(out)
 	}
 	return out, la.analyses
 }

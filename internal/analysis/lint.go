@@ -51,13 +51,15 @@ func LintProgram(p *ir.Program) []Finding {
 	facade := FacadeClasses(p)
 	pf, _ := p.Facts().(programFacts)
 	var out []Finding
+	var s scratch
 	for i, f := range p.FuncList {
+		s.reset()
 		ff := pf.factsOf(p, i)
-		out = append(out, lintUseBeforeDef(ff.c)...)
+		out = append(out, lintUseBeforeDef(ff.c, &s)...)
 		if p.Transformed && f.Class != nil && facade[f.Class.Name] {
-			after := liveAfterAll(ff.c, ff.live())
-			out = append(out, lintLeaks(p, ff.c, after, facade)...)
-			out = append(out, lintPoolClobber(ff.c, after)...)
+			after := liveAfterAll(ff.c, ff.live(&s), &s)
+			out = append(out, lintLeaks(p, ff.c, after, facade, &s)...)
+			out = append(out, lintPoolClobber(ff.c, after, &s)...)
 		}
 	}
 	return out
@@ -65,16 +67,18 @@ func LintProgram(p *ir.Program) []Finding {
 
 // lintUseBeforeDef flags registers read on some path before any definition
 // (parameters count as defined). Unreachable blocks are skipped.
-func lintUseBeforeDef(c *CFG) []Finding {
+func lintUseBeforeDef(c *CFG, s *scratch) []Finding {
 	f := c.F
-	mustIn := MustDefined(c)
+	mustIn := mustDefined(c, s)
+	defined := s.bitSet(f.NumRegs)
 	var out []Finding
-	var ubuf []ir.Reg
+	var ubufArr [8]ir.Reg // room for the uses of most instructions
+	ubuf := ubufArr[:0]
 	for b, blk := range f.Blocks {
 		if !c.Reachable(b) {
 			continue
 		}
-		defined := mustIn[b].Copy()
+		defined.CopyFrom(mustIn.row(b))
 		for j := range blk.Instrs {
 			in := &blk.Instrs[j]
 			ubuf = Uses(in, ubuf[:0])
@@ -148,7 +152,7 @@ func leakStep(p *ir.Program, s *taintState, in *ir.Instr) {
 	if d == ir.NoReg {
 		return
 	}
-	taint, itaint := s.sets[leakTaint], s.sets[leakIter]
+	taint, itaint := s.set(leakTaint), s.set(leakIter)
 	gen := taintGen(p, in)
 	genIter := false
 	switch in.Op {
@@ -178,7 +182,7 @@ func leakStep(p *ir.Program, s *taintState, in *ir.Instr) {
 // into control-heap fields/statics/arrays, raw references passed to
 // control-path methods, and iteration-scoped records still live after
 // Sys.iterEnd.
-func lintLeaks(p *ir.Program, c *CFG, after [][]BitSet, facade map[string]bool) []Finding {
+func lintLeaks(p *ir.Program, c *CFG, after liveAfter, facade map[string]bool, s *scratch) []Finding {
 	f := c.F
 	var out []Finding
 	leak := func(in *ir.Instr, format string, args ...any) {
@@ -186,13 +190,13 @@ func lintLeaks(p *ir.Program, c *CFG, after [][]BitSet, facade map[string]bool) 
 			Check: "facade-leak", Func: f.Name, Pos: in.Pos, Msg: fmt.Sprintf(format, args...),
 		})
 	}
-	runTaint(c, after, leakSets,
+	runTaint(c, after, leakSets, s,
 		// The entry is conservative: the function may be invoked either
 		// inside or outside an iteration, so neither region is proven.
 		func(entry *taintState) { entry.at = regionUnknown },
 		func(s *taintState, in *ir.Instr) { leakStep(p, s, in) },
 		func(s *taintState, in *ir.Instr, live BitSet) {
-			tainted := func(r ir.Reg) bool { return r != ir.NoReg && s.sets[leakTaint].Has(int(r)) }
+			tainted := func(r ir.Reg) bool { return r != ir.NoReg && s.set(leakTaint).Has(int(r)) }
 			switch in.Op {
 			case ir.OpStore:
 				if tainted(in.B) && in.Field != nil && in.Field.Name != "pageRef" {
@@ -217,7 +221,7 @@ func lintLeaks(p *ir.Program, c *CFG, after [][]BitSet, facade map[string]bool) 
 			case ir.OpIntr:
 				if in.Sym == "iterEnd" {
 					for r := 0; r < f.NumRegs; r++ {
-						if s.sets[leakIter].Has(r) && live.Has(r) {
+						if s.set(leakIter).Has(r) && live.Has(r) {
 							leak(in, "page record in r%d, allocated inside the iteration, is still live after Sys.iterEnd (reclaimed storage escapes its iteration, §2.2)", r)
 						}
 					}
@@ -241,7 +245,7 @@ func ownerName(fl *lang.Field) string {
 // the singleton facade at that slot, so the earlier register would see its
 // record silently swapped. A witness path of block IDs accompanies each
 // finding. (Fetches above the §3.3 bound are a verifier error, not a lint.)
-func lintPoolClobber(c *CFG, after [][]BitSet) []Finding {
+func lintPoolClobber(c *CFG, after liveAfter, s *scratch) []Finding {
 	f := c.F
 	var sites []DefSite
 	slot := func(in *ir.Instr) string {
@@ -259,7 +263,8 @@ func lintPoolClobber(c *CFG, after [][]BitSet) []Finding {
 	if len(sites) < 2 {
 		return nil
 	}
-	reachIn := ReachingDefs(c, sites)
+	reachIn := reachingDefs(c, sites, s)
+	reach := s.bitSet(len(sites))
 	sitesByReg := map[ir.Reg][]int{}
 	for i, s := range sites {
 		d := f.Blocks[s.Block].Instrs[s.Index].Dst
@@ -267,7 +272,7 @@ func lintPoolClobber(c *CFG, after [][]BitSet) []Finding {
 	}
 	var out []Finding
 	for _, b := range c.RPO {
-		reach := reachIn[b].Copy()
+		reach.CopyFrom(reachIn.row(b))
 		for j := range f.Blocks[b].Instrs {
 			in := &f.Blocks[b].Instrs[j]
 			if in.Op == ir.OpPoolGet {
@@ -279,7 +284,7 @@ func lintPoolClobber(c *CFG, after [][]BitSet) []Finding {
 					if slot(s1) != slot(in) || s1.Dst == in.Dst {
 						continue
 					}
-					if after[b][j].Has(int(s1.Dst)) {
+					if after.at(b, j).Has(int(s1.Dst)) {
 						// PoolGets are transform-synthesized and usually carry
 						// no source position; fall back to the earlier fetch's,
 						// then to the function's first, so the diagnostic still

@@ -47,69 +47,68 @@ func (r *region) merge(t region) bool {
 	return changed
 }
 
-// taintState is the abstract state at one program point: sets[i] holds the
+// taintState is the abstract state at one program point: set(i) holds the
 // registers that may carry the client's i-th tracked value, at is the
 // iteration region.
 type taintState struct {
-	sets []BitSet
+	sets bitTable
 	at   region
 }
 
-// newTaintStates returns count empty states of nsets register sets each,
-// carved out of one backing array.
-func newTaintStates(count, nsets, regs int) []taintState {
-	w := (regs + 63) / 64 // NewBitSet's word count
-	words := make([]uint64, count*nsets*w)
-	sets := make([]BitSet, count*nsets)
-	for i := range sets {
-		sets[i] = words[i*w : (i+1)*w : (i+1)*w]
-	}
-	states := make([]taintState, count)
+// set returns the state's i-th register set.
+func (s *taintState) set(i int) BitSet { return s.sets.row(i) }
+
+// newTaintStates carves count empty states of nsets register sets each
+// out of sc.
+func newTaintStates(count, nsets, regs int, sc *scratch) []taintState {
+	all := sc.table(count*nsets, regs)
+	states := carve(&sc.states, count)
+	k := nsets * all.w
 	for i := range states {
-		states[i].sets = sets[i*nsets : (i+1)*nsets : (i+1)*nsets]
+		states[i].sets = bitTable{words: all.words[i*k : (i+1)*k : (i+1)*k], n: nsets, w: all.w}
 	}
 	return states
 }
 
 func (s *taintState) copyFrom(t *taintState) {
-	for i := range s.sets {
-		s.sets[i].CopyFrom(t.sets[i])
-	}
+	copy(s.sets.words, t.sets.words)
 	s.at = t.at
 }
 
 func (s *taintState) mergeFrom(t *taintState) bool {
 	changed := s.at.merge(t.at)
-	for i := range s.sets {
-		changed = s.sets[i].UnionWith(t.sets[i]) || changed
-	}
-	return changed
+	return BitSet(s.sets.words).UnionWith(t.sets.words) || changed
 }
 
-// liveAfterAll returns, for every reachable block of c, the register set
-// live immediately after each instruction (i.e. before the next one
-// executes), indexed by block ID; unreachable blocks stay nil. Like
-// newTaintStates, it carves every set out of one backing array.
-func liveAfterAll(c *CFG, liveOut []BitSet) [][]BitSet {
+// liveAfter holds the register set live immediately after each
+// instruction (i.e. before the next one executes) of the reachable blocks
+// of a function, one row per instruction.
+type liveAfter struct {
+	bitTable
+	first []int // first[b] is the row of block b's first instruction
+}
+
+// at returns the set live after instruction j of block b.
+func (a liveAfter) at(b, j int) BitSet { return a.row(a.first[b] + j) }
+
+// liveAfterAll computes the live-after sets of every reachable block of c
+// from its live-out sets, carved out of s.
+func liveAfterAll(c *CFG, liveOut bitTable, s *scratch) liveAfter {
 	f := c.F
 	n := 0
 	for _, b := range c.RPO {
 		n += len(f.Blocks[b].Instrs)
 	}
-	w := (f.NumRegs + 63) / 64 // NewBitSet's word count
-	words := make([]uint64, n*w)
-	sets := make([]BitSet, n)
-	after := make([][]BitSet, len(f.Blocks))
-	live := NewBitSet(f.NumRegs)
+	after := liveAfter{bitTable: s.table(n, f.NumRegs), first: carve(&s.ints, len(f.Blocks))}
+	live := s.bitSet(f.NumRegs)
+	row := 0
 	for _, b := range c.RPO {
 		instrs := f.Blocks[b].Instrs
-		after[b], sets = sets[:len(instrs):len(instrs)], sets[len(instrs):]
-		live.CopyFrom(liveOut[b])
+		after.first[b] = row
+		row += len(instrs)
+		live.CopyFrom(liveOut.row(b))
 		for j := len(instrs) - 1; j >= 0; j-- {
-			s := BitSet(words[:w:w])
-			words = words[w:]
-			s.CopyFrom(live)
-			after[b][j] = s
+			after.at(b, j).CopyFrom(live)
 			StepBack(live, &instrs[j])
 		}
 	}
@@ -128,19 +127,19 @@ func liveAfterAll(c *CFG, liveOut []BitSet) [][]BitSet {
 // liveAfterAll's result), then the state is stepped.
 //
 // The returned in- and out-states are indexed by block ID; unreachable
-// blocks keep the zero state.
-func runTaint(c *CFG, after [][]BitSet, nsets int, seed func(entry *taintState),
+// blocks keep the zero state. Every state is carved out of sc.
+func runTaint(c *CFG, after liveAfter, nsets int, sc *scratch, seed func(entry *taintState),
 	step func(s *taintState, in *ir.Instr),
 	visit func(s *taintState, in *ir.Instr, live BitSet)) (ins, outs []taintState) {
 	f := c.F
 	n := len(f.Blocks)
-	states := newTaintStates(2*n+1, nsets, f.NumRegs)
+	states := newTaintStates(2*n+1, nsets, f.NumRegs, sc)
 	ins, outs, cur := states[:n], states[n:2*n], &states[2*n]
 	seed(&ins[0])
 	for changed := true; changed; {
 		changed = false
 		for _, b := range c.RPO {
-			for _, pred := range c.Preds[b] {
+			for _, pred := range c.Preds(b) {
 				if c.Reachable(pred) {
 					ins[b].mergeFrom(&outs[pred])
 				}
@@ -160,7 +159,7 @@ func runTaint(c *CFG, after [][]BitSet, nsets int, seed func(entry *taintState),
 		cur.copyFrom(&ins[b])
 		instrs := f.Blocks[b].Instrs
 		for j := range instrs {
-			visit(cur, &instrs[j], after[b][j])
+			visit(cur, &instrs[j], after.at(b, j))
 			cur.at.step(&instrs[j])
 			step(cur, &instrs[j])
 		}

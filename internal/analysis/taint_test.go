@@ -21,8 +21,8 @@ func intr(sym string) ir.Instr {
 
 func (s *taintState) String() string {
 	var regs []string
-	for r := 0; r < 64*len(s.sets[0]); r++ {
-		if s.sets[0].Has(r) {
+	for r := 0; r < 64*len(s.set(0)); r++ {
+		if s.set(0).Has(r) {
 			regs = append(regs, fmt.Sprintf("r%d", r))
 		}
 	}
@@ -81,29 +81,29 @@ func TestRunTaint(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := BuildCFG(tc.f)
-			_, liveOut := Liveness(c)
-			after := liveAfterAll(c, liveOut)
+			_, liveOut := liveness(c, &scratch{})
+			after := liveAfterAll(c, liveOut, &scratch{})
 			at := map[*ir.Instr]string{}
 			liveAt := map[*ir.Instr]BitSet{}
 			for b, blk := range tc.f.Blocks {
 				for j := range blk.Instrs {
 					at[&blk.Instrs[j]] = fmt.Sprintf("%d.%d", b, j)
-					if after[b] != nil {
-						liveAt[&blk.Instrs[j]] = after[b][j]
+					if c.Reachable(b) {
+						liveAt[&blk.Instrs[j]] = after.at(b, j)
 					}
 				}
 			}
 			var replay []string
-			ins, outs := runTaint(c, after, 1,
+			ins, outs := runTaint(c, after, 1, &scratch{},
 				func(entry *taintState) { entry.at = regionOutside },
 				func(s *taintState, in *ir.Instr) {
 					switch {
 					case in.Dst == ir.NoReg:
 					case in.Op == ir.OpConst && in.Imm == 7,
-						in.Op == ir.OpMove && s.sets[0].Has(int(in.A)):
-						s.sets[0].Set(int(in.Dst))
+						in.Op == ir.OpMove && s.set(0).Has(int(in.A)):
+						s.set(0).Set(int(in.Dst))
 					default:
-						s.sets[0].Clear(int(in.Dst))
+						s.set(0).Clear(int(in.Dst))
 					}
 				},
 				func(s *taintState, in *ir.Instr, live BitSet) {

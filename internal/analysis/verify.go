@@ -95,18 +95,19 @@ func VerifyProgram(p *ir.Program) error {
 	if err := p.Verify(); err != nil {
 		return err
 	}
-	facade := FacadeClasses(p)
+	v := &verifier{p: p, facade: FacadeClasses(p)}
 	for _, f := range p.FuncList {
-		if err := verifyFunc(p, f, facade); err != nil {
+		if err := v.verifyFunc(f); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func verifyFunc(p *ir.Program, f *ir.Func, facade map[string]bool) error {
-	v := &verifier{p: p, f: f, facade: facade}
-	v.merged = p.Transformed && f.Class != nil && facade[f.Class.Name]
+// verifyFunc checks f; one verifier visits every function of a program.
+func (v *verifier) verifyFunc(f *ir.Func) error {
+	v.f = f
+	v.merged = v.p.Transformed && f.Class != nil && v.facade[f.Class.Name]
 	for _, b := range f.Blocks {
 		for j := range b.Instrs {
 			if err := v.instr(&b.Instrs[j]); err != nil {

@@ -16,28 +16,28 @@ func (tr *transformer) transformBody(of *ir.Func, fc *lang.Class, nm *lang.Metho
 		return nil, fmt.Errorf("facade: missing original body for %s", key)
 	}
 	nf := &ir.Func{
-		Name:     key,
-		Class:    fc,
-		Method:   nm,
-		NumRegs:  of.NumRegs,
-		RegTypes: make([]*lang.Type, of.NumRegs),
+		Name:    key,
+		Class:   fc,
+		Method:  nm,
+		NumRegs: of.NumRegs,
 	}
+	tr.em.Start(nf)
 	c := &bodyCtx{tr: tr, of: of, nf: nf, ot: of.RegTypes}
 	// Register retyping: every data-typed register becomes a page
 	// reference.
-	for i, t := range of.RegTypes {
+	for _, t := range of.RegTypes {
 		if tr.isDataType(t) {
-			nf.RegTypes[i] = refType(t)
-		} else {
-			nf.RegTypes[i] = t
+			t = refType(t)
 		}
+		nf.RegTypes = append(nf.RegTypes, t)
 	}
 
 	// Parameters and prologue (Table 1, case 1): data-class parameters
-	// arrive as facades; the prologue copies their pageRef into the
-	// original (now long) register. Data arrays arrive as raw longs in
-	// the original register; everything else is unchanged.
-	var prologue []ir.Instr
+	// arrive as facades; the prologue, which opens block 0, copies their
+	// pageRef into the original (now long) register. Data arrays arrive as
+	// raw longs in the original register; everything else is unchanged.
+	c.blk = tr.em.NewBlock()
+	nf.Params = make([]ir.Reg, 0, len(of.Params))
 	isStatic := of.Method == nil || of.Method.Static
 	for i, p := range of.Params {
 		var origType *lang.Type
@@ -57,7 +57,7 @@ func (tr *transformer) transformBody(of *ir.Func, fc *lang.Class, nm *lang.Metho
 			}
 			fp := c.nf.NewReg(ft)
 			nf.Params = append(nf.Params, fp)
-			prologue = append(prologue, ir.Instr{
+			c.emit(ir.Instr{
 				Op: ir.OpLoad, Dst: p, A: fp, B: ir.NoReg, C: ir.NoReg,
 				Field: tr.pageRefField(),
 			})
@@ -67,11 +67,8 @@ func (tr *transformer) transformBody(of *ir.Func, fc *lang.Class, nm *lang.Metho
 	}
 
 	for bi, ob := range of.Blocks {
-		nb := &ir.Block{ID: ob.ID}
-		nf.Blocks = append(nf.Blocks, nb)
-		c.b = nb
-		if bi == 0 {
-			nb.Instrs = append(nb.Instrs, prologue...)
+		if bi > 0 {
+			c.blk = tr.em.NewBlock()
 		}
 		for i := range ob.Instrs {
 			if err := c.instr(&ob.Instrs[i]); err != nil {
@@ -79,20 +76,20 @@ func (tr *transformer) transformBody(of *ir.Func, fc *lang.Class, nm *lang.Metho
 			}
 		}
 	}
-	return nf, nil
+	return tr.em.Finish(), nil
 }
 
 func (tr *transformer) pageRefField() *lang.Field { return tr.facadeBase.Fields[0] }
 
 type bodyCtx struct {
-	tr *transformer
-	of *ir.Func
-	nf *ir.Func
-	ot []*lang.Type // original register types
-	b  *ir.Block
+	tr  *transformer
+	of  *ir.Func
+	nf  *ir.Func
+	ot  []*lang.Type // original register types
+	blk int          // the block being emitted into
 }
 
-func (c *bodyCtx) emit(in ir.Instr) { c.b.Instrs = append(c.b.Instrs, in) }
+func (c *bodyCtx) emit(in ir.Instr) { c.tr.em.Emit(c.blk, in) }
 
 // d reports whether register r held a data value in the original body.
 func (c *bodyCtx) d(r ir.Reg) bool {
@@ -101,10 +98,7 @@ func (c *bodyCtx) d(r ir.Reg) bool {
 
 func (c *bodyCtx) instr(in *ir.Instr) error {
 	tr := c.tr
-	cp := *in
-	if cp.Args != nil {
-		cp.Args = append([]ir.Reg(nil), cp.Args...)
-	}
+	cp := *in // Finish copies cp.Args; nothing here writes them
 	switch in.Op {
 	case ir.OpNop, ir.OpConst, ir.OpMove, ir.OpBin, ir.OpUn, ir.OpConv,
 		ir.OpJump, ir.OpBranch:

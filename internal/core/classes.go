@@ -222,9 +222,21 @@ func sortedKeys[V any](m map[string]V) []string {
 // for every data-class method, the synthesized Facade base methods, and
 // conversion functions.
 func (tr *transformer) buildProgram() error {
+	// Room for the copies, the two base methods and the twins; conversion
+	// functions come on top.
+	n := len(tr.p.FuncList) + 2
+	for _, c := range tr.p.H.ClassList {
+		if tr.data[c.Name] {
+			n += len(c.Methods)
+			if c.Ctor != nil {
+				n++
+			}
+		}
+	}
 	out := &ir.Program{
 		H:           tr.newH,
-		Funcs:       make(map[string]*ir.Func),
+		Funcs:       make(map[string]*ir.Func, n),
+		FuncList:    make([]*ir.Func, 0, n),
 		StringPool:  append([]string(nil), tr.p.StringPool...),
 		Transformed: true,
 		Bounds:      tr.bounds,
@@ -237,9 +249,10 @@ func (tr *transformer) buildProgram() error {
 	tr.convFromArr = make(map[string]*ir.Func)
 	tr.convToArr = make(map[string]*ir.Func)
 
-	// Control path: verbatim copies.
+	// Control path: verbatim copies. P′ cannot share P's functions because
+	// dead-code elimination and the inliner edit P′'s instructions in place.
 	for _, f := range tr.p.FuncList {
-		out.AddFunc(copyFunc(f))
+		out.AddFunc(f.Clone())
 	}
 	// Facade base methods.
 	out.AddFunc(tr.synthFacadeHashCode())
@@ -279,31 +292,6 @@ func (tr *transformer) buildProgram() error {
 	return nil
 }
 
-// copyFunc deep-copies a function so the two programs never share mutable
-// instruction state (the VM caches link data in instructions).
-func copyFunc(f *ir.Func) *ir.Func {
-	nf := &ir.Func{
-		Name:      f.Name,
-		Class:     f.Class,
-		Method:    f.Method,
-		NumRegs:   f.NumRegs,
-		RegTypes:  append([]*lang.Type(nil), f.RegTypes...),
-		Params:    append([]ir.Reg(nil), f.Params...),
-		Synthetic: f.Synthetic,
-	}
-	for _, b := range f.Blocks {
-		nb := &ir.Block{ID: b.ID, Instrs: make([]ir.Instr, len(b.Instrs))}
-		copy(nb.Instrs, b.Instrs)
-		for i := range nb.Instrs {
-			if nb.Instrs[i].Args != nil {
-				nb.Instrs[i].Args = append([]ir.Reg(nil), nb.Instrs[i].Args...)
-			}
-		}
-		nf.Blocks = append(nf.Blocks, nb)
-	}
-	return nf
-}
-
 // synthFacadeHashCode emits Facade.hashCode, the record twin of
 // Object.hashCode.
 func (tr *transformer) synthFacadeHashCode() *ir.Func {
@@ -314,13 +302,13 @@ func (tr *transformer) synthFacadeHashCode() *ir.Func {
 		Method:    fb.Methods["hashCode"],
 		Synthetic: true,
 	}
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	this := b.f.NewReg(lang.ClassType("Facade"))
 	f.Params = []ir.Reg{this}
 	zero := b.f.NewReg(lang.IntType)
 	b.emit(ir.Instr{Op: ir.OpConst, Dst: zero, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, NumKind: ir.KInt, Type: lang.IntType})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: zero, B: ir.NoReg, C: ir.NoReg})
-	return f
+	return b.finish()
 }
 
 // synthFacadeEquals emits Facade.equals: page-reference identity, the
@@ -333,7 +321,7 @@ func (tr *transformer) synthFacadeEquals() *ir.Func {
 		Method:    fb.Methods["equals"],
 		Synthetic: true,
 	}
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	this := b.f.NewReg(lang.ClassType("Facade"))
 	other := b.f.NewReg(lang.ClassType("Facade"))
 	f.Params = []ir.Reg{this, other}
@@ -345,32 +333,36 @@ func (tr *transformer) synthFacadeEquals() *ir.Func {
 	eq := b.f.NewReg(lang.BoolType)
 	b.emit(ir.Instr{Op: ir.OpBin, Sub: ir.BinEq, NumKind: ir.KLong, Dst: eq, A: tRef, B: oRef, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: eq, B: ir.NoReg, C: ir.NoReg})
-	return f
+	return b.finish()
 }
 
-// funcBuilder is a minimal straight-line IR builder for synthesized
-// functions.
+// funcBuilder is a minimal IR builder for synthesized functions. It emits
+// through the transformer's emitter, so one function is built at a time,
+// and finish gives the function its blocks and register types.
 type funcBuilder struct {
 	f   *ir.Func
-	cur *ir.Block
+	em  *ir.Emitter
+	cur int
 }
 
-func newFuncBuilder(f *ir.Func) *funcBuilder {
-	b := &funcBuilder{f: f}
-	b.cur = &ir.Block{ID: 0}
-	f.Blocks = []*ir.Block{b.cur}
-	return b
+func (tr *transformer) newFuncBuilder(f *ir.Func) *funcBuilder {
+	tr.em.Start(f)
+	return &funcBuilder{f: f, em: &tr.em, cur: tr.em.NewBlock()}
 }
 
-func (b *funcBuilder) emit(in ir.Instr) { b.cur.Instrs = append(b.cur.Instrs, in) }
+func (b *funcBuilder) emit(in ir.Instr) { b.em.Emit(b.cur, in) }
 
 // newBlock appends a block and makes it current.
 func (b *funcBuilder) newBlock() int {
-	nb := &ir.Block{ID: len(b.f.Blocks)}
-	b.f.Blocks = append(b.f.Blocks, nb)
-	b.cur = nb
-	return nb.ID
+	b.cur = b.em.NewBlock()
+	return b.cur
 }
 
+// numBlocks returns the number of blocks so far.
+func (b *funcBuilder) numBlocks() int { return b.em.NumBlocks() }
+
 // useBlock switches the current block.
-func (b *funcBuilder) useBlock(id int) { b.cur = b.f.Blocks[id] }
+func (b *funcBuilder) useBlock(id int) { b.cur = id }
+
+// finish gives the function its blocks and register types.
+func (b *funcBuilder) finish() *ir.Func { return b.em.Finish() }

@@ -141,7 +141,7 @@ func (tr *transformer) dataClassesMostDerivedFirst() []*lang.Class {
 // genFromAny builds: if (x == null) return 0; if (x instanceof C1) return
 // fromC1(x); ... ; trap.
 func (tr *transformer) genFromAny(f *ir.Func) error {
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	x := b.f.NewReg(lang.ClassType("Object"))
 	f.Params = []ir.Reg{x}
 	nullRet := b.f.NewReg(lang.LongType)
@@ -165,9 +165,9 @@ func (tr *transformer) genFromAny(f *ir.Func) error {
 		b.useBlock(cur)
 		is := b.f.NewReg(lang.BoolType)
 		b.emit(ir.Instr{Op: ir.OpInstOf, Dst: is, A: x, B: ir.NoReg, C: ir.NoReg, Type: lang.ClassType(cls.Name)})
-		hit := len(f.Blocks)
+		hit := b.numBlocks()
 		next := hit + 1
-		b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: is, B: ir.NoReg, C: ir.NoReg, Blk: hit, Blk2: next})
+		b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: is, B: ir.NoReg, C: ir.NoReg, Blk: int32(hit), Blk2: int32(next)})
 		b.newBlock() // hit
 		ret := b.f.NewReg(lang.LongType)
 		b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ret, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{x}})
@@ -177,12 +177,13 @@ func (tr *transformer) genFromAny(f *ir.Func) error {
 	b.useBlock(cur)
 	b.emit(ir.Instr{Op: ir.OpIntr, Sym: "trapNoReturn", Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg})
+	b.finish()
 	return nil
 }
 
 // genToAny builds the record->heap dispatcher over record type IDs.
 func (tr *transformer) genToAny(f *ir.Func) error {
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	x := b.f.NewReg(lang.LongType)
 	f.Params = []ir.Reg{x}
 	isNull := b.f.NewReg(lang.BoolType)
@@ -205,9 +206,9 @@ func (tr *transformer) genToAny(f *ir.Func) error {
 		b.useBlock(cur)
 		is := b.f.NewReg(lang.BoolType)
 		b.emit(ir.Instr{Op: ir.OpPInstOf, Dst: is, A: x, B: ir.NoReg, C: ir.NoReg, Cls: tr.facades[cls.Name]})
-		hit := len(f.Blocks)
+		hit := b.numBlocks()
 		next := hit + 1
-		b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: is, B: ir.NoReg, C: ir.NoReg, Blk: hit, Blk2: next})
+		b.emit(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, A: is, B: ir.NoReg, C: ir.NoReg, Blk: int32(hit), Blk2: int32(next)})
 		b.newBlock()
 		ret := b.f.NewReg(lang.ClassType("Object"))
 		b.emit(ir.Instr{Op: ir.OpCallStatic, Dst: ret, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, M: m, Args: []ir.Reg{x}})
@@ -217,6 +218,7 @@ func (tr *transformer) genToAny(f *ir.Func) error {
 	b.useBlock(cur)
 	b.emit(ir.Instr{Op: ir.OpIntr, Sym: "trapNoReturn", Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg})
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg})
+	b.finish()
 	return nil
 }
 
@@ -226,7 +228,7 @@ func (tr *transformer) genToAny(f *ir.Func) error {
 func (tr *transformer) genFromClass(f *ir.Func, name string) error {
 	cls := tr.p.H.Class(name)
 	fc := tr.facades[name]
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	x := b.f.NewReg(lang.ClassType("Object"))
 	f.Params = []ir.Reg{x}
 	rec := b.f.NewReg(lang.LongType)
@@ -260,13 +262,14 @@ func (tr *transformer) genFromClass(f *ir.Func, name string) error {
 		}
 	}
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: rec, B: ir.NoReg, C: ir.NoReg})
+	b.finish()
 	return nil
 }
 
 // genToClass copies each record field back into a fresh heap object.
 func (tr *transformer) genToClass(f *ir.Func, name string) error {
 	cls := tr.p.H.Class(name)
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	x := b.f.NewReg(lang.LongType)
 	f.Params = []ir.Reg{x}
 	obj := b.f.NewReg(lang.ClassType(name))
@@ -300,13 +303,14 @@ func (tr *transformer) genToClass(f *ir.Func, name string) error {
 		}
 	}
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: obj, B: ir.NoReg, C: ir.NoReg})
+	b.finish()
 	return nil
 }
 
 // genFromArr converts a heap array to a page array element by element.
 func (tr *transformer) genFromArr(f *ir.Func, t *lang.Type) error {
 	elem := t.Elem
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	x := b.f.NewReg(t)
 	f.Params = []ir.Reg{x}
 	// if (x == null) return 0;
@@ -357,13 +361,14 @@ func (tr *transformer) genFromArr(f *ir.Func, t *lang.Type) error {
 	b.emit(ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: 3})
 	b.newBlock() // 5: done
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: rec, B: ir.NoReg, C: ir.NoReg})
+	b.finish()
 	return nil
 }
 
 // genToArr converts a page array back to a heap array.
 func (tr *transformer) genToArr(f *ir.Func, t *lang.Type) error {
 	elem := t.Elem
-	b := newFuncBuilder(f)
+	b := tr.newFuncBuilder(f)
 	x := b.f.NewReg(lang.LongType)
 	f.Params = []ir.Reg{x}
 	isNull := b.f.NewReg(lang.BoolType)
@@ -424,6 +429,7 @@ func (tr *transformer) genToArr(f *ir.Func, t *lang.Type) error {
 	b.emit(ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Blk: 3})
 	b.newBlock() // 5
 	b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: arr, B: ir.NoReg, C: ir.NoReg})
+	b.finish()
 	return nil
 }
 

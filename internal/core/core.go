@@ -121,6 +121,10 @@ type transformer struct {
 	convFromArr map[string]*ir.Func // array type string -> converter
 	convToArr   map[string]*ir.Func
 	convQueue   []func() error
+
+	// em collects the instructions of the P′ function being built; every
+	// function of one Transform reuses its buffers.
+	em ir.Emitter
 }
 
 // isDataType reports whether a type is a data type inside the data path:

@@ -179,7 +179,7 @@ func Parse(spec string) (Config, error) {
 		switch k {
 		case "drop", "dup", "reorder", "delayp", "alloc", "page", "tierspill", "tierload":
 			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN is in no interval
 				return c, fmt.Errorf("faults: %s wants a probability in [0,1], got %q", k, v)
 			}
 			switch k {

@@ -28,11 +28,39 @@ func TestParseFullSpec(t *testing.T) {
 }
 
 func TestParseRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{"drop=2", "drop=x", "delay=fast", "crash=-1", "allocat=0", "bogus=1", "noequals"} {
+	for _, spec := range []string{"drop=2", "drop=x", "drop=NaN", "alloc=nan", "delay=fast", "crash=-1", "allocat=0", "bogus=1", "noequals"} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
 	}
+}
+
+// FuzzParse holds Parse, the decoder of the -faults flag and of a daemon
+// job's faults field, to its contract on any input: it never panics, and
+// every probability of a spec it accepts lies in [0,1].
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"drop=NaN",
+		"drop=0.05,dup=0.02,delay=5ms,reorder=0.01,crash=1,alloc=0.001,page=0.002,allocat=7,pageat=9,seed=42",
+		"tierspill=1,tierload=0,tierspillat=3,killat=2,delayp=0.5",
+		"alloc=1e-400,page=-0,drop=+Inf",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for name, p := range map[string]float64{
+			"drop": c.Drop, "dup": c.Dup, "reorder": c.Reorder, "delayp": c.DelayProb,
+			"alloc": c.AllocProb, "page": c.PageProb, "tierspill": c.TierSpillProb, "tierload": c.TierLoadProb,
+		} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("Parse(%q) accepted %s=%v", spec, name, p)
+			}
+		}
+	})
 }
 
 func TestParseEmptyDisabled(t *testing.T) {

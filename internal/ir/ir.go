@@ -18,6 +18,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,7 @@ const (
 	OpNop Op = iota
 
 	// Values and arithmetic.
-	OpConst  // Dst = Imm / F (interpreted per Type)
+	OpConst  // Dst = Imm (a KDouble constant holds its value's bits)
 	OpStrLit // Dst = interned String for StringPool[Imm]
 	OpMove   // Dst = A
 	OpBin    // Dst = A <Sub> B, numeric kind in NumKind
@@ -208,6 +209,8 @@ func KindOf(t *lang.Type) NumKind {
 // Instr is one IR instruction, as the compiler passes see it: a single fat
 // struct, unused operands zero/NoReg. The VM does not execute it; it lowers
 // each function once to a Code and reads Instr only through Code.Src.
+// Every instruction a compile keeps is one of these, so the fields are
+// ordered to leave no padding (136 bytes on 64-bit targets).
 type Instr struct {
 	Op       Op
 	Sub      Sub
@@ -215,17 +218,6 @@ type Instr struct {
 	NumKind2 NumKind
 	Dst      Reg
 	A, B, C  Reg
-	Args     []Reg
-	Imm      int64
-	F        float64
-	Type     *lang.Type
-	Cls      *lang.Class
-	Field    *lang.Field
-	M        *lang.Method
-	Sym      string
-	Blk      int
-	Blk2     int
-	Pos      lang.Pos
 	// Site is the stable allocation-site ID of an OpNew/OpNewArr or a
 	// Sys.fillNew OpIntr (which allocates instances of Cls) emitted by the
 	// lowering pass (1..Program.NumSites). 0 means "no site":
@@ -235,7 +227,25 @@ type Instr struct {
 	// site classified on P applies to the control-heap allocations P'
 	// retains.
 	Site int32
+	Args []Reg
+	// Imm is the instruction's immediate; a KDouble OpConst keeps its
+	// value's bits here (Float, SetFloat).
+	Imm   int64
+	Type  *lang.Type
+	Cls   *lang.Class
+	Field *lang.Field
+	M     *lang.Method
+	Sym   string
+	Blk   int32
+	Blk2  int32
+	Pos   lang.Pos
 }
+
+// Float returns the value of a KDouble OpConst, kept in Imm's bits.
+func (in *Instr) Float() float64 { return math.Float64frombits(uint64(in.Imm)) }
+
+// SetFloat stores v as the value of a KDouble OpConst.
+func (in *Instr) SetFloat(v float64) { in.Imm = int64(math.Float64bits(v)) }
 
 // Block is a basic block; the last instruction is always a terminator
 // (OpJump, OpBranch, or OpRet).

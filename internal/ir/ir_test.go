@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -92,12 +93,14 @@ func TestInstrsInClasses(t *testing.T) {
 	}
 }
 
-// TestInstrSize pins the compiler's unit of work. The VM no longer executes
-// Instr (it runs the 32-byte Slot, pinned in internal/vm), so nothing of the
-// linker's lives here: 168 bytes is the struct without the Callee link.
+// TestInstrSize pins the compiler's unit of work: every instruction a
+// compile keeps is one Instr. The VM no longer executes it (it runs the
+// 32-byte Slot, pinned in internal/vm). 136 bytes is the struct with int32
+// block targets, a double constant in Imm's bits and a lang.Pos of two
+// int32s, laid out without padding.
 func TestInstrSize(t *testing.T) {
-	if n := unsafe.Sizeof(Instr{}); n > 168 {
-		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want <= 168", n)
+	if n := unsafe.Sizeof(Instr{}); n > 136 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want <= 136", n)
 	}
 }
 
@@ -127,7 +130,7 @@ func TestInstrPrinterCoversAllOps(t *testing.T) {
 	m := &lang.Method{Name: "m", Owner: cls, Ret: lang.IntType}
 	instrs := []Instr{
 		{Op: OpConst, Dst: 0, NumKind: KInt, Imm: 5, Type: lang.IntType},
-		{Op: OpConst, Dst: 0, NumKind: KDouble, F: 1.5, Type: lang.DoubleType},
+		{Op: OpConst, Dst: 0, NumKind: KDouble, Imm: int64(math.Float64bits(1.5)), Type: lang.DoubleType},
 		{Op: OpStrLit, Dst: 0, Imm: 2},
 		{Op: OpMove, Dst: 0, A: 1},
 		{Op: OpBin, Dst: 0, A: 1, B: 2, Sub: BinAdd, NumKind: KInt},

@@ -86,7 +86,7 @@ func (in *Instr) String() string {
 	switch in.Op {
 	case OpConst:
 		if in.Type != nil && in.NumKind == KDouble {
-			fmt.Fprintf(&sb, " %g", in.F)
+			fmt.Fprintf(&sb, " %g", in.Float())
 		} else {
 			fmt.Fprintf(&sb, " %d", in.Imm)
 		}
@@ -181,7 +181,7 @@ func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	nb := len(f.Blocks)
+	nb := int32(len(f.Blocks))
 	for i, b := range f.Blocks {
 		if b.ID != i {
 			return fmt.Errorf("%s: block %d has ID %d", f.Name, i, b.ID)

@@ -35,10 +35,12 @@ func TestInstrStringCoversEveryOpcode(t *testing.T) {
 	c0 := mk(OpConst)
 	c0.Dst, c0.Imm, c0.NumKind, c0.Type = 0, 42, KInt, typ
 	put(c0)
-	cd := mk(OpConst) // double constants print F, not Imm
-	cd.Dst, cd.F, cd.NumKind, cd.Type = 0, 2.5, KDouble, lang.DoubleType
-	// (covered by the same Op entry; just exercise String on it)
-	_ = cd.String()
+	cd := mk(OpConst) // double constants print the value in Imm's bits
+	cd.Dst, cd.NumKind, cd.Type = 0, KDouble, lang.DoubleType
+	cd.SetFloat(2.5)
+	if got, want := cd.String(), "r0 = const 2.5"; got != want {
+		t.Errorf("double constant prints %q, want %q", got, want)
+	}
 
 	sl := mk(OpStrLit)
 	sl.Dst, sl.Imm = 1, 0

@@ -13,8 +13,8 @@ type Lexer struct {
 	src  string
 	file string
 	off  int
-	line int
-	col  int
+	line int32
+	col  int32
 }
 
 // NewLexer returns a lexer over src; file is used in positions and errors.
@@ -123,7 +123,7 @@ func (lx *Lexer) Next() (Token, error) {
 	}
 	p := lx.pos()
 	if lx.off >= len(lx.src) {
-		return Token{Kind: TokEOF, Pos: p}, nil
+		return Token{Kind: TokEOF, Line: p.Line, Col: p.Col}, nil
 	}
 	c := lx.peek()
 	switch {
@@ -134,9 +134,9 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		text := lx.src[start:lx.off]
 		if k, ok := keywords[text]; ok {
-			return Token{Kind: k, Text: text, Pos: p}, nil
+			return Token{Kind: k, Text: text, Line: p.Line, Col: p.Col}, nil
 		}
-		return Token{Kind: TokIdent, Text: text, Pos: p}, nil
+		return Token{Kind: TokIdent, Text: text, Line: p.Line, Col: p.Col}, nil
 	case isDigit(c):
 		return lx.lexNumber(p)
 	case c == '"':
@@ -146,41 +146,41 @@ func (lx *Lexer) Next() (Token, error) {
 	two := func(next byte, k2, k1 TokKind) Token {
 		if lx.peek() == next {
 			lx.advance()
-			return Token{Kind: k2, Text: tokNames[k2], Pos: p}
+			return Token{Kind: k2, Text: tokNames[k2], Line: p.Line, Col: p.Col}
 		}
-		return Token{Kind: k1, Text: tokNames[k1], Pos: p}
+		return Token{Kind: k1, Text: tokNames[k1], Line: p.Line, Col: p.Col}
 	}
 	switch c {
 	case '(':
-		return Token{Kind: TokLParen, Text: "(", Pos: p}, nil
+		return Token{Kind: TokLParen, Text: "(", Line: p.Line, Col: p.Col}, nil
 	case ')':
-		return Token{Kind: TokRParen, Text: ")", Pos: p}, nil
+		return Token{Kind: TokRParen, Text: ")", Line: p.Line, Col: p.Col}, nil
 	case '{':
-		return Token{Kind: TokLBrace, Text: "{", Pos: p}, nil
+		return Token{Kind: TokLBrace, Text: "{", Line: p.Line, Col: p.Col}, nil
 	case '}':
-		return Token{Kind: TokRBrace, Text: "}", Pos: p}, nil
+		return Token{Kind: TokRBrace, Text: "}", Line: p.Line, Col: p.Col}, nil
 	case '[':
-		return Token{Kind: TokLBracket, Text: "[", Pos: p}, nil
+		return Token{Kind: TokLBracket, Text: "[", Line: p.Line, Col: p.Col}, nil
 	case ']':
-		return Token{Kind: TokRBracket, Text: "]", Pos: p}, nil
+		return Token{Kind: TokRBracket, Text: "]", Line: p.Line, Col: p.Col}, nil
 	case ';':
-		return Token{Kind: TokSemi, Text: ";", Pos: p}, nil
+		return Token{Kind: TokSemi, Text: ";", Line: p.Line, Col: p.Col}, nil
 	case ',':
-		return Token{Kind: TokComma, Text: ",", Pos: p}, nil
+		return Token{Kind: TokComma, Text: ",", Line: p.Line, Col: p.Col}, nil
 	case '.':
-		return Token{Kind: TokDot, Text: ".", Pos: p}, nil
+		return Token{Kind: TokDot, Text: ".", Line: p.Line, Col: p.Col}, nil
 	case '+':
-		return Token{Kind: TokPlus, Text: "+", Pos: p}, nil
+		return Token{Kind: TokPlus, Text: "+", Line: p.Line, Col: p.Col}, nil
 	case '-':
-		return Token{Kind: TokMinus, Text: "-", Pos: p}, nil
+		return Token{Kind: TokMinus, Text: "-", Line: p.Line, Col: p.Col}, nil
 	case '*':
-		return Token{Kind: TokStar, Text: "*", Pos: p}, nil
+		return Token{Kind: TokStar, Text: "*", Line: p.Line, Col: p.Col}, nil
 	case '/':
-		return Token{Kind: TokSlash, Text: "/", Pos: p}, nil
+		return Token{Kind: TokSlash, Text: "/", Line: p.Line, Col: p.Col}, nil
 	case '%':
-		return Token{Kind: TokPercent, Text: "%", Pos: p}, nil
+		return Token{Kind: TokPercent, Text: "%", Line: p.Line, Col: p.Col}, nil
 	case '^':
-		return Token{Kind: TokCaret, Text: "^", Pos: p}, nil
+		return Token{Kind: TokCaret, Text: "^", Line: p.Line, Col: p.Col}, nil
 	case '=':
 		return two('=', TokEq, TokAssign), nil
 	case '!':
@@ -188,13 +188,13 @@ func (lx *Lexer) Next() (Token, error) {
 	case '<':
 		if lx.peek() == '<' {
 			lx.advance()
-			return Token{Kind: TokShl, Text: "<<", Pos: p}, nil
+			return Token{Kind: TokShl, Text: "<<", Line: p.Line, Col: p.Col}, nil
 		}
 		return two('=', TokLe, TokLt), nil
 	case '>':
 		if lx.peek() == '>' {
 			lx.advance()
-			return Token{Kind: TokShr, Text: ">>", Pos: p}, nil
+			return Token{Kind: TokShr, Text: ">>", Line: p.Line, Col: p.Col}, nil
 		}
 		return two('=', TokGe, TokGt), nil
 	case '&':
@@ -235,13 +235,13 @@ func (lx *Lexer) lexNumber(p Pos) (Token, error) {
 	}
 	text := lx.src[start:lx.off]
 	if isDouble {
-		return Token{Kind: TokDoubleLit, Text: text, Pos: p}, nil
+		return Token{Kind: TokDoubleLit, Text: text, Line: p.Line, Col: p.Col}, nil
 	}
 	if lx.peek() == 'L' || lx.peek() == 'l' {
 		lx.advance()
-		return Token{Kind: TokLongLit, Text: text, Pos: p}, nil
+		return Token{Kind: TokLongLit, Text: text, Line: p.Line, Col: p.Col}, nil
 	}
-	return Token{Kind: TokIntLit, Text: text, Pos: p}, nil
+	return Token{Kind: TokIntLit, Text: text, Line: p.Line, Col: p.Col}, nil
 }
 
 func (lx *Lexer) lexString(p Pos) (Token, error) {
@@ -254,7 +254,7 @@ func (lx *Lexer) lexString(p Pos) (Token, error) {
 		c := lx.advance()
 		switch c {
 		case '"':
-			return Token{Kind: TokStringLit, Text: sb.String(), Pos: p}, nil
+			return Token{Kind: TokStringLit, Text: sb.String(), Line: p.Line, Col: p.Col}, nil
 		case '\n':
 			return Token{}, lx.errf(p, "newline in string literal")
 		case '\\':

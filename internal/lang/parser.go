@@ -43,6 +43,9 @@ func (p *Parser) peekKind(n int) TokKind {
 	return p.toks[p.pos+n].Kind
 }
 
+// posOf returns t's position in the file being parsed.
+func (p *Parser) posOf(t Token) Pos { return Pos{File: p.file, Line: t.Line, Col: t.Col} }
+
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
 		p.pos++
@@ -56,7 +59,7 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 		return p.next(), nil
 	}
 	t := p.cur()
-	return t, fmt.Errorf("%s: expected %s, found %s %q", t.Pos, k, t.Kind, t.Text)
+	return t, fmt.Errorf("%s: expected %s, found %s %q", p.posOf(t), k, t.Kind, t.Text)
 }
 
 func (p *Parser) parseFile() (*File, error) {
@@ -77,7 +80,7 @@ func (p *Parser) parseFile() (*File, error) {
 			f.Ifaces = append(f.Ifaces, i)
 		default:
 			t := p.cur()
-			return nil, fmt.Errorf("%s: expected class or interface, found %q", t.Pos, t.Text)
+			return nil, fmt.Errorf("%s: expected class or interface, found %q", p.posOf(t), t.Text)
 		}
 	}
 	return f, nil
@@ -89,7 +92,7 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &ClassDecl{Pos: kw.Pos, Name: name.Text}
+	c := &ClassDecl{Pos: p.posOf(kw), Name: name.Text}
 	if p.accept(TokExtends) {
 		s, err := p.expect(TokIdent)
 		if err != nil {
@@ -127,7 +130,7 @@ func (p *Parser) parseIface() (*IfaceDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	i := &IfaceDecl{Pos: kw.Pos, Name: name.Text}
+	i := &IfaceDecl{Pos: p.posOf(kw), Name: name.Text}
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
@@ -148,7 +151,7 @@ func (p *Parser) parseIface() (*IfaceDecl, error) {
 			return nil, err
 		}
 		i.Methods = append(i.Methods, &MethodDecl{
-			Pos: mn.Pos, Name: mn.Text, Params: params, Ret: ret,
+			Pos: p.posOf(mn), Name: mn.Text, Params: params, Ret: ret,
 		})
 	}
 	p.next() // }
@@ -170,10 +173,10 @@ func (p *Parser) parseMember(c *ClassDecl) error {
 			return err
 		}
 		if c.Ctor != nil {
-			return fmt.Errorf("%s: duplicate constructor for %s", nameTok.Pos, c.Name)
+			return fmt.Errorf("%s: duplicate constructor for %s", p.posOf(nameTok), c.Name)
 		}
 		c.Ctor = &MethodDecl{
-			Pos: nameTok.Pos, Name: c.Name, IsCtor: true,
+			Pos: p.posOf(nameTok), Name: c.Name, IsCtor: true,
 			Params: params, Ret: TypeExpr{Kind: TVoid}, Body: body,
 		}
 		return nil
@@ -196,7 +199,7 @@ func (p *Parser) parseMember(c *ClassDecl) error {
 			return err
 		}
 		c.Methods = append(c.Methods, &MethodDecl{
-			Pos: name.Pos, Name: name.Text, Static: static,
+			Pos: p.posOf(name), Name: name.Text, Static: static,
 			Params: params, Ret: t, Body: body,
 		})
 		return nil
@@ -205,7 +208,7 @@ func (p *Parser) parseMember(c *ClassDecl) error {
 		return err
 	}
 	c.Fields = append(c.Fields, &FieldDecl{
-		Pos: name.Pos, Name: name.Text, Type: t, Static: static,
+		Pos: p.posOf(name), Name: name.Text, Type: t, Static: static,
 	})
 	return nil
 }
@@ -229,7 +232,7 @@ func (p *Parser) parseParams() ([]Param, error) {
 		if err != nil {
 			return nil, err
 		}
-		params = append(params, Param{Pos: n.Pos, Name: n.Text, Type: t})
+		params = append(params, Param{Pos: p.posOf(n), Name: n.Text, Type: t})
 	}
 	p.next() // )
 	return params, nil
@@ -237,7 +240,7 @@ func (p *Parser) parseParams() ([]Param, error) {
 
 func (p *Parser) parseTypeExpr() (TypeExpr, error) {
 	t := p.cur()
-	te := TypeExpr{Pos: t.Pos}
+	te := TypeExpr{Pos: p.posOf(t)}
 	switch t.Kind {
 	case TokBooleanKw:
 		te.Kind = TBool
@@ -255,7 +258,7 @@ func (p *Parser) parseTypeExpr() (TypeExpr, error) {
 		te.Kind = TClass
 		te.Name = t.Text
 	default:
-		return te, fmt.Errorf("%s: expected type, found %q", t.Pos, t.Text)
+		return te, fmt.Errorf("%s: expected type, found %q", p.posOf(t), t.Text)
 	}
 	p.next()
 	for p.at(TokLBracket) && p.peekKind(1) == TokRBracket {
@@ -274,7 +277,7 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockStmt{Pos: lb.Pos}
+	b := &BlockStmt{Pos: p.posOf(lb)}
 	for !p.at(TokRBrace) {
 		s, err := p.parseStmt()
 		if err != nil {
@@ -299,7 +302,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseFor()
 	case TokReturn:
 		p.next()
-		rs := &ReturnStmt{Pos: t.Pos}
+		rs := &ReturnStmt{Pos: p.posOf(t)}
 		if !p.at(TokSemi) {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -316,13 +319,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{Pos: t.Pos}, nil
+		return &BreakStmt{Pos: p.posOf(t)}, nil
 	case TokContinue:
 		p.next()
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &ContinueStmt{Pos: t.Pos}, nil
+		return &ContinueStmt{Pos: p.posOf(t)}, nil
 	case TokSynchronized:
 		p.next()
 		if _, err := p.expect(TokLParen); err != nil {
@@ -339,7 +342,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SyncStmt{Pos: t.Pos, Lock: lock, Body: body}, nil
+		return &SyncStmt{Pos: p.posOf(t), Lock: lock, Body: body}, nil
 	}
 	s, err := p.parseSimpleStmt()
 	if err != nil {
@@ -370,14 +373,14 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 		switch e.(type) {
 		case *IdentExpr, *FieldExpr, *IndexExpr:
 		default:
-			return nil, fmt.Errorf("%s: invalid assignment target", p.cur().Pos)
+			return nil, fmt.Errorf("%s: invalid assignment target", p.posOf(p.cur()))
 		}
-		return &AssignStmt{Pos: p.cur().Pos, Target: e, Value: v}, nil
+		return &AssignStmt{Pos: p.posOf(p.cur()), Target: e, Value: v}, nil
 	}
 	if _, ok := e.(*CallExpr); !ok {
-		return nil, fmt.Errorf("%s: expression statement must be a call", p.cur().Pos)
+		return nil, fmt.Errorf("%s: expression statement must be a call", p.posOf(p.cur()))
 	}
-	return &ExprStmt{Pos: p.cur().Pos, X: e}, nil
+	return &ExprStmt{Pos: p.posOf(p.cur()), X: e}, nil
 }
 
 // isDeclStart reports whether the upcoming tokens begin a local variable
@@ -405,7 +408,7 @@ func (p *Parser) parseVarDecl() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &VarDeclStmt{Pos: n.Pos, Name: n.Text, Type: t}
+	d := &VarDeclStmt{Pos: p.posOf(n), Name: n.Text, Type: t}
 	if p.accept(TokAssign) {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -432,7 +435,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	is := &IfStmt{Pos: kw.Pos, Cond: cond, Then: then}
+	is := &IfStmt{Pos: p.posOf(kw), Cond: cond, Then: then}
 	if p.accept(TokElse) {
 		els, err := p.parseStmt()
 		if err != nil {
@@ -459,7 +462,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WhileStmt{Pos: kw.Pos, Cond: cond, Body: body}, nil
+	return &WhileStmt{Pos: p.posOf(kw), Cond: cond, Body: body}, nil
 }
 
 func (p *Parser) parseFor() (Stmt, error) {
@@ -467,7 +470,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	fs := &ForStmt{Pos: kw.Pos}
+	fs := &ForStmt{Pos: p.posOf(kw)}
 	if !p.at(TokSemi) {
 		s, err := p.parseSimpleStmt()
 		if err != nil {
@@ -525,7 +528,7 @@ func (p *Parser) parseBinaryLevel(sub func() (Expr, error), ops ...TokKind) (Exp
 				if err != nil {
 					return nil, err
 				}
-				x = &BinaryExpr{Pos: t.Pos, Op: op, X: x, Y: y}
+				x = &BinaryExpr{Pos: p.posOf(t), Op: op, X: x, Y: y}
 				matched = true
 				break
 			}
@@ -568,14 +571,14 @@ func (p *Parser) parseRelational() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			x = &BinaryExpr{Pos: t.Pos, Op: t.Kind, X: x, Y: y}
+			x = &BinaryExpr{Pos: p.posOf(t), Op: t.Kind, X: x, Y: y}
 		case p.at(TokInstanceof):
 			t := p.next()
 			target, err := p.parseTypeExpr()
 			if err != nil {
 				return nil, err
 			}
-			x = &InstanceOfExpr{Pos: t.Pos, X: x, Target: target}
+			x = &InstanceOfExpr{Pos: p.posOf(t), X: x, Target: target}
 		default:
 			return x, nil
 		}
@@ -601,7 +604,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Pos: t.Pos, Op: t.Kind, X: x}, nil
+		return &UnaryExpr{Pos: p.posOf(t), Op: t.Kind, X: x}, nil
 	}
 	if t.Kind == TokLParen && p.isCastStart() {
 		p.next() // (
@@ -616,7 +619,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CastExpr{Pos: t.Pos, Target: target, X: x}, nil
+		return &CastExpr{Pos: p.posOf(t), Target: target, X: x}, nil
 	}
 	return p.parsePostfix()
 }
@@ -668,9 +671,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				x = &CallExpr{Pos: name.Pos, Recv: x, Method: name.Text, Args: args}
+				x = &CallExpr{Pos: p.posOf(name), Recv: x, Method: name.Text, Args: args}
 			} else {
-				x = &FieldExpr{Pos: name.Pos, X: x, Name: name.Text}
+				x = &FieldExpr{Pos: p.posOf(name), X: x, Name: name.Text}
 			}
 		case p.at(TokLBracket):
 			lb := p.next()
@@ -681,7 +684,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
-			x = &IndexExpr{Pos: lb.Pos, X: x, Index: idx}
+			x = &IndexExpr{Pos: p.posOf(lb), X: x, Index: idx}
 		default:
 			return x, nil
 		}
@@ -716,38 +719,38 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		p.next()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil || v > 1<<31 {
-			return nil, fmt.Errorf("%s: bad int literal %q", t.Pos, t.Text)
+			return nil, fmt.Errorf("%s: bad int literal %q", p.posOf(t), t.Text)
 		}
-		return &IntLit{Pos: t.Pos, Val: int32(v)}, nil
+		return &IntLit{Pos: p.posOf(t), Val: int32(v)}, nil
 	case TokLongLit:
 		p.next()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s: bad long literal %q", t.Pos, t.Text)
+			return nil, fmt.Errorf("%s: bad long literal %q", p.posOf(t), t.Text)
 		}
-		return &LongLit{Pos: t.Pos, Val: v}, nil
+		return &LongLit{Pos: p.posOf(t), Val: v}, nil
 	case TokDoubleLit:
 		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%s: bad double literal %q", t.Pos, t.Text)
+			return nil, fmt.Errorf("%s: bad double literal %q", p.posOf(t), t.Text)
 		}
-		return &DoubleLit{Pos: t.Pos, Val: v}, nil
+		return &DoubleLit{Pos: p.posOf(t), Val: v}, nil
 	case TokStringLit:
 		p.next()
-		return &StringLit{Pos: t.Pos, Val: t.Text}, nil
+		return &StringLit{Pos: p.posOf(t), Val: t.Text}, nil
 	case TokTrue, TokFalse:
 		p.next()
-		return &BoolLit{Pos: t.Pos, Val: t.Kind == TokTrue}, nil
+		return &BoolLit{Pos: p.posOf(t), Val: t.Kind == TokTrue}, nil
 	case TokNull:
 		p.next()
-		return &NullLit{Pos: t.Pos}, nil
+		return &NullLit{Pos: p.posOf(t)}, nil
 	case TokThis:
 		p.next()
-		return &ThisExpr{Pos: t.Pos}, nil
+		return &ThisExpr{Pos: p.posOf(t)}, nil
 	case TokIdent:
 		p.next()
-		return &IdentExpr{Pos: t.Pos, Name: t.Text}, nil
+		return &IdentExpr{Pos: p.posOf(t), Name: t.Text}, nil
 	case TokLParen:
 		p.next()
 		e, err := p.parseExpr()
@@ -761,7 +764,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	case TokNew:
 		return p.parseNew()
 	}
-	return nil, fmt.Errorf("%s: unexpected token %q in expression", t.Pos, t.Text)
+	return nil, fmt.Errorf("%s: unexpected token %q in expression", p.posOf(t), t.Text)
 }
 
 func (p *Parser) parseNew() (Expr, error) {
@@ -772,13 +775,13 @@ func (p *Parser) parseNew() (Expr, error) {
 	}
 	if p.at(TokLParen) {
 		if te.Kind != TClass {
-			return nil, fmt.Errorf("%s: cannot construct primitive type", kw.Pos)
+			return nil, fmt.Errorf("%s: cannot construct primitive type", p.posOf(kw))
 		}
 		args, err := p.parseArgs()
 		if err != nil {
 			return nil, err
 		}
-		return &NewExpr{Pos: kw.Pos, Class: te.Name, Args: args}, nil
+		return &NewExpr{Pos: p.posOf(kw), Class: te.Name, Args: args}, nil
 	}
 	if _, err := p.expect(TokLBracket); err != nil {
 		return nil, err
@@ -796,14 +799,14 @@ func (p *Parser) parseNew() (Expr, error) {
 		p.next()
 		te.Dims++
 	}
-	return &NewArrayExpr{Pos: kw.Pos, Elem: te, Len: length}, nil
+	return &NewArrayExpr{Pos: p.posOf(kw), Elem: te, Len: length}, nil
 }
 
 // parseBaseTypeForNew parses the base type after `new` (no [] suffixes —
 // those are handled by the caller).
 func (p *Parser) parseBaseTypeForNew() (TypeExpr, error) {
 	t := p.cur()
-	te := TypeExpr{Pos: t.Pos}
+	te := TypeExpr{Pos: p.posOf(t)}
 	switch t.Kind {
 	case TokBooleanKw:
 		te.Kind = TBool
@@ -819,7 +822,7 @@ func (p *Parser) parseBaseTypeForNew() (TypeExpr, error) {
 		te.Kind = TClass
 		te.Name = t.Text
 	default:
-		return te, fmt.Errorf("%s: expected type after new, found %q", t.Pos, t.Text)
+		return te, fmt.Errorf("%s: expected type after new, found %q", p.posOf(t), t.Text)
 	}
 	p.next()
 	return te, nil

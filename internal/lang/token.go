@@ -144,8 +144,8 @@ func (k TokKind) String() string {
 // Pos is a source position.
 type Pos struct {
 	File string
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 func (p Pos) String() string {
@@ -155,9 +155,11 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// Token is a lexical token with its literal text and position.
+// Token is a lexical token with its literal text and position. The file
+// is not repeated in every token: the parser, which is handed it, makes
+// the token's Pos (Parser.posOf).
 type Token struct {
-	Kind TokKind
-	Text string
-	Pos  Pos
+	Kind      TokKind
+	Text      string
+	Line, Col int32
 }

@@ -15,10 +15,18 @@ import (
 
 // Program lowers every method of every class in h into an ir.Program.
 func Program(h *lang.Hierarchy) (*ir.Program, error) {
-	p := &ir.Program{H: h, Funcs: make(map[string]*ir.Func)}
+	n := 0
 	for _, c := range h.ClassList {
 		if c.Ctor != nil {
-			f, err := lowerMethod(p, c, c.Ctor, ir.CtorKey(c.Name))
+			n++
+		}
+		n += len(c.Methods)
+	}
+	p := &ir.Program{H: h, Funcs: make(map[string]*ir.Func, n), FuncList: make([]*ir.Func, 0, n)}
+	b := &builder{p: p, h: h}
+	for _, c := range h.ClassList {
+		if c.Ctor != nil {
+			f, err := b.lowerMethod(c, c.Ctor, ir.CtorKey(c.Name))
 			if err != nil {
 				return nil, err
 			}
@@ -26,7 +34,7 @@ func Program(h *lang.Hierarchy) (*ir.Program, error) {
 		}
 		for _, name := range sortedMethodNames(c) {
 			m := c.Methods[name]
-			f, err := lowerMethod(p, c, m, ir.FuncKey(c.Name, name))
+			f, err := b.lowerMethod(c, m, ir.FuncKey(c.Name, name))
 			if err != nil {
 				return nil, err
 			}
@@ -54,13 +62,17 @@ type loopCtx struct {
 	syncDepth   int
 }
 
+// builder lowers the methods of one Program, one at a time. Its buffers
+// live for that one call: a method's instructions and register types
+// collect in the emitter, whose Finish copies them into the method's
+// exact-size arrays.
 type builder struct {
 	p      *ir.Program
 	h      *lang.Hierarchy
 	cls    *lang.Class
 	m      *lang.Method
 	fn     *ir.Func
-	cur    *ir.Block
+	cur    int  // ID of the block being emitted into
 	sealed bool // current block already has a terminator
 	vars   []map[string]ir.Reg
 	loops  []loopCtx
@@ -68,14 +80,22 @@ type builder struct {
 	// pos is the source position of the statement/expression being
 	// lowered; emit stamps it onto instructions that carry none.
 	pos lang.Pos
+
+	em     ir.Emitter
+	scopes []map[string]ir.Reg // every scope map made so far, for reuse
 }
 
-func lowerMethod(p *ir.Program, c *lang.Class, m *lang.Method, key string) (*ir.Func, error) {
-	b := &builder{
-		p: p, h: p.H, cls: c, m: m,
-		fn: &ir.Func{Name: key, Class: c, Method: m},
-	}
+func (b *builder) lowerMethod(c *lang.Class, m *lang.Method, key string) (*ir.Func, error) {
+	b.cls, b.m = c, m
+	b.fn = &ir.Func{Name: key, Class: c, Method: m}
+	b.em.Start(b.fn)
+	b.vars, b.loops, b.syncs, b.pos = b.vars[:0], b.loops[:0], b.syncs[:0], lang.Pos{}
 	b.pushScope()
+	nparams := len(m.ParamNames)
+	if !m.Static {
+		nparams++
+	}
+	b.fn.Params = make([]ir.Reg, 0, nparams)
 	if !m.Static {
 		this := b.fn.NewReg(lang.ClassType(c.Name))
 		b.fn.Params = append(b.fn.Params, this)
@@ -100,11 +120,22 @@ func lowerMethod(p *ir.Program, c *lang.Class, m *lang.Method, key string) (*ir.
 			b.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg})
 		}
 	}
-	return b.fn, nil
+	return b.em.Finish(), nil
 }
 
-func (b *builder) pushScope() { b.vars = append(b.vars, make(map[string]ir.Reg)) }
-func (b *builder) popScope()  { b.vars = b.vars[:len(b.vars)-1] }
+// pushScope opens a scope, reusing a map an earlier scope of this Program
+// made when there is one.
+func (b *builder) pushScope() {
+	if n := len(b.vars); n < len(b.scopes) {
+		clear(b.scopes[n])
+		b.vars = append(b.vars, b.scopes[n])
+		return
+	}
+	m := make(map[string]ir.Reg)
+	b.scopes = append(b.scopes, m)
+	b.vars = append(b.vars, m)
+}
+func (b *builder) popScope() { b.vars = b.vars[:len(b.vars)-1] }
 func (b *builder) scope() map[string]ir.Reg {
 	return b.vars[len(b.vars)-1]
 }
@@ -129,23 +160,19 @@ func (b *builder) newSite() int32 {
 }
 
 // newBlock appends an empty block and returns its ID.
-func (b *builder) newBlock() int {
-	blk := &ir.Block{ID: len(b.fn.Blocks)}
-	b.fn.Blocks = append(b.fn.Blocks, blk)
-	return blk.ID
-}
+func (b *builder) newBlock() int { return b.em.NewBlock() }
 
 // startBlock creates a new block and makes it current.
 func (b *builder) startBlock() int {
 	id := b.newBlock()
-	b.cur = b.fn.Blocks[id]
+	b.cur = id
 	b.sealed = false
 	return id
 }
 
 // useBlock makes an existing block current.
 func (b *builder) useBlock(id int) {
-	b.cur = b.fn.Blocks[id]
+	b.cur = id
 	b.sealed = false
 }
 
@@ -158,7 +185,7 @@ func (b *builder) emit(in ir.Instr) {
 	if in.Pos == (lang.Pos{}) {
 		in.Pos = b.pos
 	}
-	b.cur.Instrs = append(b.cur.Instrs, in)
+	b.em.Emit(b.cur, in)
 	switch in.Op {
 	case ir.OpJump, ir.OpBranch, ir.OpRet:
 		b.sealed = true
@@ -172,15 +199,15 @@ func instr(op ir.Op) ir.Instr {
 
 func (b *builder) jump(target int) {
 	in := instr(ir.OpJump)
-	in.Blk = target
+	in.Blk = int32(target)
 	b.emit(in)
 }
 
 func (b *builder) branch(cond ir.Reg, t, f int) {
 	in := instr(ir.OpBranch)
 	in.A = cond
-	in.Blk = t
-	in.Blk2 = f
+	in.Blk = int32(t)
+	in.Blk2 = int32(f)
 	b.emit(in)
 }
 
@@ -497,7 +524,7 @@ func (b *builder) expr(e lang.Expr) (ir.Reg, error) {
 		r := b.fn.NewReg(lang.DoubleType)
 		in := instr(ir.OpConst)
 		in.Dst = r
-		in.F = x.Val
+		in.SetFloat(x.Val)
 		in.NumKind = ir.KDouble
 		in.Type = lang.DoubleType
 		b.emit(in)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/facade"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -265,6 +266,11 @@ func (r *SubmitRequest) Validate() error {
 	}
 	if r.MaxAttempts < 0 || r.MaxAttempts > maxAttemptsCap {
 		return fmt.Errorf("max_attempts %d out of range [0,%d]", r.MaxAttempts, maxAttemptsCap)
+	}
+	// A spec that does not parse would fail every attempt the same way;
+	// refuse it before the job is journaled or compiled.
+	if _, err := faults.Parse(r.Faults); err != nil {
+		return err
 	}
 	return nil
 }

@@ -144,6 +144,7 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		"neg deadline":  {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, DeadlineMillis: -1},
 		"neg attempts":  {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, MaxAttempts: -1},
 		"huge attempts": {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, MaxAttempts: 99},
+		"bad faults":    {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, Faults: "drop=NaN"},
 	}
 	for name, req := range cases {
 		if err := req.Validate(); err == nil {

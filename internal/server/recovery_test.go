@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -40,6 +43,37 @@ func newJournaledServer(t *testing.T, cfg Config) (*Server, *Client) {
 		s.Shutdown(ctx)
 	})
 	return s, &Client{BaseURL: "http://" + s.Addr()}
+}
+
+// TestMalformedFaultsRefusedAtSubmit: a job whose faults spec does not
+// parse is answered 400 at submit, before anything about it reaches the
+// journal, instead of being admitted and failing at run time.
+func TestMalformedFaultsRefusedAtSubmit(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "faults.journal")
+	s, _ := newJournaledServer(t, Config{MaxConcurrent: 1, JournalPath: jp})
+	for _, spec := range []string{"drop=NaN", "alloc=2", "bogus=1"} {
+		body, err := json.Marshal(SubmitRequest{Schema: Schema, Sources: map[string]string{"s.fj": seededSrc}, HeapSize: 8 << 20, Faults: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post("http://"+s.Addr()+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("faults %q: HTTP %d, want 400", spec, resp.StatusCode)
+		}
+	}
+	events, err := readJournal(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.JobID != "" {
+			t.Errorf("a refused job reached the journal: %+v", ev)
+		}
+	}
 }
 
 func waitReady(t *testing.T, s *Server) {

@@ -364,14 +364,6 @@ func (vm *VM) lowerFunc(f *ir.Func, index map[*ir.Func]int64) (*ir.Code, error) 
 	return c, nil
 }
 
-// constBits is the register image an OpConst writes.
-func constBits(in *ir.Instr) int64 {
-	if in.NumKind == ir.KDouble {
-		return int64(math.Float64bits(in.F))
-	}
-	return in.Imm
-}
-
 // fuse recognises the instruction groups that lower to one slot and
 // reports how many IR instructions the slot covers (zero: none, lower
 // ins[0] alone). The set is the pairs a dynamic histogram of the engine
@@ -389,7 +381,7 @@ func fuse(ins []ir.Instr) (ir.Slot, int) {
 	a, b := &ins[0], &ins[1]
 	switch {
 	case a.Op == ir.OpConst && b.Op == ir.OpBin && b.B == a.Dst && binOp(b) == xAddI32:
-		s := ir.Slot{Op: xAddI32Imm, Dst: int32(b.Dst), A: int32(b.A), B: int32(a.Dst), Imm: constBits(a)}
+		s := ir.Slot{Op: xAddI32Imm, Dst: int32(b.Dst), A: int32(b.A), B: int32(a.Dst), Imm: a.Imm}
 		if len(ins) > 2 && ins[2].Op == ir.OpJump {
 			s.Op, s.C = xAddI32ImmJmp, int32(ins[2].Blk)
 			return s, 3
@@ -443,7 +435,7 @@ func (vm *VM) lowerInstr(f *ir.Func, in *ir.Instr, index map[*ir.Func]int64) (ir
 	switch in.Op {
 	case ir.OpNop:
 	case ir.OpConst:
-		s.Op, s.Imm = xConst, constBits(in)
+		s.Op, s.Imm = xConst, in.Imm // a double's bits, as the register holds it
 	case ir.OpMove:
 		s.Op = xMove
 	case ir.OpBin:
