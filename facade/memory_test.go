@@ -7,65 +7,79 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/heap"
-	"repro/internal/offheap"
+	"repro/internal/ir"
+	"repro/internal/region"
 )
 
-// A heap's arena and mark bitmap are memory Go neither zeroes nor scans,
-// mapped by heap.New and unmapped by a finalizer once the heap is
-// unreachable; spilled page bodies are frames that promotions and fresh
-// pages reuse. The tests below hold that memory to three rules: every
-// arena is returned, the runtime never reads a byte of it that it did not
-// write or zero, and no view of an arena outlives its heap.
+// A heap's arena and mark bitmap, and every standard page body, are
+// regions (internal/region): memory Go neither zeroes nor scans, handed out
+// by one recycled source and returned by a finalizer once their heap or
+// page store is unreachable, or by a spill at once. The tests below hold
+// that memory to three rules: every region is returned, the runtime never
+// reads a byte of one that it did not write or zero, and no view of a
+// region outlives its owner.
 
-// TestDroppedVMsReturnTheirArenas builds and drops 64 VMs, P and P', and
-// waits for Go's collector to unmap every arena they mapped: no owner has
-// a call to make for its arena to go.
-func TestDroppedVMsReturnTheirArenas(t *testing.T) {
+// TestDroppedVMsReturnTheirRegions builds and drops 64 VMs — P, P' and a
+// P' whose pages spill and promote — and waits for Go's collector to
+// return every region they took: no owner has a call to make for its
+// memory to go.
+func TestDroppedVMsReturnTheirRegions(t *testing.T) {
 	const vms = 64
-	p, p2, err := Build(map[string]string{"arena.fj": diffPrograms[0].src}, diffPrograms[0].dataClasses)
+	p, err := Compile(map[string]string{"tier.fj": tierSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Arenas earlier tests dropped may still be waiting for their
+	p2, err := Transform(p, TransformOptions{DataClasses: []string{"Big", "Main"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	legs := []struct {
+		prog *ir.Program
+		opts []Option
+	}{
+		{p, []Option{WithHeapSize(2 << 20)}},
+		{p2, []Option{WithHeapSize(2 << 20)}},
+		{p2, []Option{WithHeapSize(2 << 20), WithTiering(dir, 4, 2)}},
+	}
+	// Regions earlier tests dropped may still be waiting for their
 	// finalizers; they can only make the wait below shorter.
 	runtime.GC()
-	base := heap.LiveArenas()
+	base := region.InUse()
 	held := make([]*Result, 0, vms)
 	for i := 0; i < vms; i++ {
-		prog := p
-		if i%2 == 1 {
-			prog = p2
-		}
-		res, err := Run(prog, WithHeapSize(2<<20))
+		leg := legs[i%len(legs)]
+		res, err := Run(leg.prog, leg.opts...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 2 && res.Stats().Offheap.PagesSpilled == 0 {
+			t.Fatal("the tiered leg never spilled")
 		}
 		res.Close()
 		held = append(held, res)
 	}
-	if n := heap.LiveArenas(); n < vms {
-		t.Fatalf("%d arenas mapped with %d VMs held", n, vms)
+	if n := region.InUse(); n < base+vms {
+		t.Fatalf("%d regions handed out with %d VMs held, baseline %d", n, vms, base)
 	}
 	runtime.KeepAlive(held)
-	for deadline := time.Now().Add(10 * time.Second); heap.LiveArenas() > base; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); region.InUse() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d arenas still mapped 10 s after dropping %d VMs, baseline %d", heap.LiveArenas(), vms, base)
+			t.Fatalf("%d regions still handed out 10 s after dropping %d VMs, baseline %d", region.InUse(), vms, base)
 		}
 		runtime.GC()
 	}
 }
 
 // TestDifferentialBatteryOnPoisonedMemory runs the battery with every
-// fresh heap arena and every reused page frame filled with 0xAA. The heap
+// region, fresh or reused, filled with 0xAA as it is handed out. The heap
 // and the page store must read no byte they did not write or zero, so every
 // cell prints, fails and allocates exactly as on clean memory.
 func TestDifferentialBatteryOnPoisonedMemory(t *testing.T) {
 	for _, dp := range diffPrograms {
 		t.Run(dp.name, func(t *testing.T) {
 			clean := runBattery(t, dp)
-			defer heap.PoisonArenas(0xAA)()
-			defer offheap.PoisonFrames(0xAA)()
+			defer region.Poison(0xAA)()
 			if poisoned := runBattery(t, dp); !slices.Equal(poisoned, clean) {
 				t.Fatalf("poisoned memory changed the battery:\nclean:    %q\npoisoned: %q", clean, poisoned)
 			}
@@ -75,10 +89,11 @@ func TestDifferentialBatteryOnPoisonedMemory(t *testing.T) {
 
 // TestNoArenaViewOutlivesItsHeap runs the battery's programs side by side
 // while Go collects after almost every allocation, so VMs are built and
-// dropped and their arenas unmapped while others run. A view of an arena
-// used after its heap became unreachable would fault. Race builds keep
-// arenas in Go memory, which nothing unmaps, so only a build without
-// -race puts this to the test.
+// dropped and their regions returned, held PROT_NONE or unmapped, while
+// others run. A view of an arena or a page body used after its owner
+// became unreachable would fault. Race builds keep regions in Go memory,
+// which nothing protects, so only a build without -race puts this to the
+// test.
 func TestNoArenaViewOutlivesItsHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects after almost every allocation")

@@ -8,8 +8,9 @@
 // # Layout
 //
 // The heap is one contiguous byte arena addressed by 32-bit offsets
-// (Addr); address 0 is null. The arena is memory Go neither zeroes nor
-// scans, unmapped once the heap is unreachable (arena.go). The low part of
+// (Addr); address 0 is null. The arena and the mark bitmap are one region
+// (internal/region): memory Go neither zeroes nor scans, returned to the
+// region source once the heap is unreachable. The low part of
 // the arena is the old generation, the high part is the nursery (young
 // generation). Objects are allocated in the nursery through per-thread
 // TLABs; a minor collection evacuates live nursery objects into the old
@@ -46,10 +47,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/obs"
+	"repro/internal/region"
 )
 
 // Addr is a heap address: a byte offset into the arena. 0 is null.
@@ -114,10 +117,9 @@ type Stats struct {
 // multiple VM threads; collections stop the world via the safepoint
 // protocol in safepoint.go.
 type Heap struct {
-	// arena and markBits are views of mapping, which only the heap
-	// references; it is unmapped once the heap is unreachable (arena.go).
-	arena   []byte
-	mapping *arenaMapping
+	// arena and markBits are views of the one region mem holds.
+	arena []byte
+	mem   *region.Set
 
 	oldBase  Addr
 	oldEnd   Addr
@@ -242,7 +244,12 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	}
 	hp.workers = make([]gcWorker, hp.gcWorkers)
 	hp.work.cond.L = &hp.work.mu
-	hp.mapping, hp.arena, hp.markBits = newArenaMapping(cfg.HeapSize)
+	// The arena, then the mark bitmap: one bit per 8 arena bytes.
+	bitsOff, words := roundUp8(cfg.HeapSize), (cfg.HeapSize/8+31)/32
+	hp.mem = region.NewSet()
+	mem := hp.mem.Get(bitsOff + 4*words)
+	hp.arena = mem[:cfg.HeapSize:cfg.HeapSize]
+	hp.markBits = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[bitsOff])), words)
 	hp.bindInstruments(cfg.Obs, cfg.Faults)
 	hp.buildLayouts()
 	hp.sp.init()

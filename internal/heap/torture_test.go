@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/region"
 )
 
 // GC torture test: several mutator goroutines churn linked object graphs
@@ -52,7 +54,7 @@ func TestGCTorture(t *testing.T) { gcTorture(t) }
 // that start out filled with 0xAA: the heap must read no byte it did not
 // write or zero, so every checksum holds as it does on zeroed memory.
 func TestGCTortureOnPoisonedArena(t *testing.T) {
-	defer PoisonArenas(0xAA)()
+	defer region.Poison(0xAA)()
 	gcTorture(t)
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/region"
 )
 
 // Typed allocation errors. These propagate through the VM boundary like
@@ -169,6 +170,10 @@ type Runtime struct {
 	// tier is the disk tier, nil unless EnableTiering attached one.
 	// Set before the store is shared between threads, cleared by Reset.
 	tier *tier
+
+	// mem holds the standard page bodies in DRAM, live or free; oversize
+	// bodies are Go memory.
+	mem *region.Set
 }
 
 // Stats is a snapshot of the native store counters. It is
@@ -193,7 +198,6 @@ type Stats struct {
 	PagesDisk     int64 `json:"pages_disk,omitempty"`     // live pages currently spilled
 	SpillBytes    int64 `json:"spill_bytes,omitempty"`
 	PromoteBytes  int64 `json:"promote_bytes,omitempty"`
-	Frames        int64 `json:"frames,omitempty"` // spilled bodies kept in DRAM for reuse
 }
 
 // NewRuntime creates an empty native store with a private observability
@@ -206,6 +210,7 @@ func NewRuntimeWith(reg *obs.Registry) *Runtime {
 	rt := &Runtime{
 		live:  make(map[*PageManager]struct{}),
 		Locks: NewLockPool(defaultLockPoolSize),
+		mem:   region.NewSet(),
 	}
 	rt.bindInstruments(reg, nil)
 	empty := make([]*page, 0)
@@ -352,9 +357,6 @@ func (rt *Runtime) Stats() Stats {
 		s.PagesDisk = t.gDisk.Load()
 		s.SpillBytes = t.cSpillBytes.Load()
 		s.PromoteBytes = t.cPromoteBytes.Load()
-		t.mu.Lock()
-		s.Frames = int64(len(t.frames))
-		t.mu.Unlock()
 	}
 	return s
 }
@@ -393,7 +395,12 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	}
 	old := *rt.table.Load()
 	p := &page{idx: len(old), candIdx: -1}
-	buf := rt.newBody(size)
+	var buf []byte
+	if size == PageSize {
+		buf = rt.mem.Get(PageSize)
+	} else {
+		buf = make([]byte, size)
+	}
 	p.buf.Store(&buf)
 	next := make([]*page, len(old)+1)
 	copy(next, old)
@@ -405,49 +412,8 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	return p, nil
 }
 
-// newBody returns a body for a page entering DRAM: a frame a spill left
-// behind when the tier holds one and the page is a standard one, else
-// fresh memory. A frame keeps its old bytes, which nobody reads: a
-// promotion overwrites the whole body and a manager zeroes every record it
-// carves (initRecord), as it does on a page recycled through the pool.
-// Callers hold no tier.mu.
-func (rt *Runtime) newBody(size int) []byte {
-	if t := rt.tier; t != nil && size == PageSize {
-		t.mu.Lock()
-		n := len(t.frames)
-		if n > 0 {
-			b := t.frames[n-1]
-			t.frames[n-1] = nil
-			t.frames = t.frames[:n-1]
-			t.mu.Unlock()
-			if p := byte(framePoison.Load()); p != 0 {
-				for i := range b {
-					b[i] = p
-				}
-			}
-			return b
-		}
-		t.mu.Unlock()
-	}
-	return make([]byte, size)
-}
-
-// framePoison, when nonzero, is the byte written over every frame newBody
-// hands out again (PoisonFrames).
-var framePoison atomic.Uint32
-
-// PoisonFrames makes every reused frame reach its new page filled with b,
-// until the returned function restores the previous setting. It is a test
-// hook: a poisoned run that matches a clean one bit for bit shows the page
-// store reads no byte it did not write or zero. No run sets it.
-func PoisonFrames(b byte) (restore func()) {
-	old := framePoison.Swap(uint32(b))
-	return func() { framePoison.Store(old) }
-}
-
-// releasePage returns a page to the free pool (or drops oversize pages
-// entirely; their table slot keeps the buffer reachable until Go reclaims
-// it on table growth, mirroring free() of a large malloc block).
+// releasePage returns a page to the free pool, or drops an oversize
+// page's body, which Go then reclaims like free() of a large malloc block.
 // Idempotent: a page freed early by ReleaseOversize is skipped when its
 // manager releases the iteration.
 func (rt *Runtime) releasePage(p *page) {
@@ -467,6 +433,8 @@ func (rt *Runtime) releasePage(p *page) {
 	if n == PageSize {
 		p.released.Store(false) // recyclable pages are reborn via the pool
 		rt.free = append(rt.free, p)
+	} else {
+		p.buf.Store(nil)
 	}
 }
 

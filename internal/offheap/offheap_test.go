@@ -564,6 +564,11 @@ func TestReleaseOversizeEarly(t *testing.T) {
 	if rt.Stats().BytesInUse >= before {
 		t.Fatal("bytes not reclaimed")
 	}
+	// The body leaves the page table, which every growth copies whole:
+	// kept there, it would stay reachable until the store is reset.
+	if idx, _ := splitRef(big); (*rt.table.Load())[idx].bytes() != nil {
+		t.Fatal("the page table still holds the released body")
+	}
 	// Double release (iteration end) must be harmless, and small records
 	// on shared pages must be refused.
 	if rt.ReleaseOversize(small) {

@@ -55,10 +55,9 @@ type TierConfig struct {
 // tier is the disk tier's state: the spill file (fixed PageSize slots,
 // pread/pwrite on every platform — bodies are copied under tier.mu either
 // way, so a mapping measured no faster: docs/OFFHEAP.md), the slot
-// allocator, the eviction candidate list (live resident PageSize pages) and
-// the frames: the bodies spills took out of DRAM, which promotions and
-// fresh standard pages reuse (newBody), so the tier's DRAM is a bounded set
-// of frames rather than Go garbage.
+// allocator and the eviction candidate list (live resident PageSize pages).
+// A spill returns the evicted body to the region source at once, and a
+// promotion takes one from it.
 type tier struct {
 	cfg TierConfig
 
@@ -68,7 +67,6 @@ type tier struct {
 	nextSlot   int
 	candidates []*page
 	hand       int // clock hand into candidates
-	frames     [][]byte
 
 	cSpilled      *obs.Counter
 	cPromoted     *obs.Counter
@@ -164,7 +162,6 @@ func (rt *Runtime) CloseTier() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.candidates = nil
-	t.frames = nil
 	return errors.Join(t.file.Close(), os.Remove(t.file.Name()))
 }
 
@@ -342,10 +339,11 @@ func (t *tier) selectVictim(keep *page) *page {
 	return nil
 }
 
-// spillLocked writes p's body to a disk slot and keeps the body as a
-// frame: the world is stopped, so no thread holds it. p.tierMu is held and
-// p is a validated victim. On error the page stays resident — spill is best
-// effort, the store degrades toward the quota/OME rungs instead.
+// spillLocked writes p's body to a disk slot and returns the body to the
+// region source: the world is stopped, so no thread holds it. p.tierMu is
+// held and p is a validated victim. On error the page stays resident —
+// spill is best effort, the store degrades toward the quota/OME rungs
+// instead.
 func (rt *Runtime) spillLocked(p *page) error {
 	t := rt.tier
 	if rt.inj != nil && rt.inj.Fire(faults.TierSpill) {
@@ -371,12 +369,13 @@ func (rt *Runtime) spillLocked(p *page) error {
 		return fmt.Errorf("offheap: tier spill: %w", err)
 	}
 	t.removeCandidateLocked(p)
-	t.frames = append(t.frames, p.bytes())
 	t.mu.Unlock()
 	t.hSpillStall.Observe(time.Since(start).Nanoseconds())
+	body := p.bytes()
 	p.slot = slot
 	p.spilled = true
 	p.buf.Store(nil)
+	rt.mem.Put(body)
 	t.gResident.Add(-1)
 	t.gDisk.Add(1)
 	t.cSpilled.Inc()
@@ -385,10 +384,10 @@ func (rt *Runtime) spillLocked(p *page) error {
 	return nil
 }
 
-// promoteLocked reads p's body back from its disk slot into a frame, which
+// promoteLocked reads p's body back from its disk slot into a region, which
 // the read overwrites whole, and publishes it. p.tierMu is held and
 // p.spilled is true. A failed read (injected TierLoad or real I/O error)
-// returns the frame, leaves the page spilled and returns an error wrapping
+// returns the region, leaves the page spilled and returns an error wrapping
 // ErrPageExhausted so the caller's error rides the OOM degradation rails.
 func (rt *Runtime) promoteLocked(p *page) error {
 	t := rt.tier
@@ -398,12 +397,12 @@ func (rt *Runtime) promoteLocked(p *page) error {
 		rt.obs.Emit(obs.EvFault, string(faults.TierLoad), n, 0, 0)
 		return fmt.Errorf("%w (injected tier load fault)", ErrPageExhausted)
 	}
-	buf := rt.newBody(PageSize)
+	buf := rt.mem.Get(PageSize)
 	start := time.Now()
 	t.mu.Lock()
 	if _, err := t.file.ReadAt(buf, int64(p.slot)*PageSize); err != nil {
-		t.frames = append(t.frames, buf)
 		t.mu.Unlock()
+		rt.mem.Put(buf)
 		return fmt.Errorf("%w (tier load: %v)", ErrPageExhausted, err)
 	}
 	t.freeSlots = append(t.freeSlots, p.slot)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/heap"
 	"repro/internal/lang"
+	"repro/internal/region"
 )
 
 // threadParker parks a registered heap thread: the offheap.Parker a VM
@@ -31,13 +32,13 @@ func (p threadParker) StopTheWorld(f func()) { p.hp.StopTheWorld(p.tc, f) }
 // GC torture test, one storage level down.
 func TestTierTorture(t *testing.T) { tierTorture(t) }
 
-// TestTierTortureOnPoisonedFrames runs the torture with every frame a
-// spill left behind filled with 0xAA before a promotion or a fresh page
-// reuses it: the store must read no byte it did not write or zero, so every
-// record reads back as it does on fresh memory.
-func TestTierTortureOnPoisonedFrames(t *testing.T) {
-	defer PoisonFrames(0xAA)()
-	defer heap.PoisonArenas(0xAA)()
+// TestTierTortureOnPoisonedRegions runs the torture with every region
+// filled with 0xAA as it is handed out, the bodies spills returned and
+// promotions and fresh pages reuse among them: the store must read no byte
+// it did not write or zero, so every record reads back as it does on fresh
+// memory.
+func TestTierTortureOnPoisonedRegions(t *testing.T) {
+	defer region.Poison(0xAA)()
 	tierTorture(t)
 }
 

@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/region"
 )
 
 // mediumSrc runs for roughly half a second at interpreter speed — long
@@ -218,8 +221,24 @@ func TestReadyzDuringReplay(t *testing.T) {
 // TestDrainPreservesQueuedJobs pins the SIGTERM semantics: a drain lets
 // the running job finish (journaled terminal), refuses new submissions,
 // leaves the queued job non-terminal in the sealed journal, and the next
-// incarnation replays it to completion.
+// incarnation replays it to completion. Once both incarnations are stopped
+// and dropped, every heap arena and page body their VMs took, warm pool
+// included, goes back to the region source.
 func TestDrainPreservesQueuedJobs(t *testing.T) {
+	runtime.GC()
+	base := region.InUse()
+	drainAndReplay(t)
+	for deadline := time.Now().Add(10 * time.Second); region.InUse() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d regions still handed out 10 s after the daemons were dropped, baseline %d", region.InUse(), base)
+		}
+		runtime.GC()
+	}
+}
+
+// drainAndReplay drains one incarnation of a journaled daemon and replays
+// its queued job in a second, which it stops before returning.
+func drainAndReplay(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "drain.journal")
 	cfg := Config{MaxConcurrent: 1, JournalPath: jp, DrainTimeout: 60 * time.Second}
 	s1, err := New(cfg)
@@ -278,7 +297,16 @@ func TestDrainPreservesQueuedJobs(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	s2, c2 := newJournaledServer(t, cfg)
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+		defer stop()
+		s2.Shutdown(ctx)
+	}()
+	c2 := &Client{BaseURL: "http://" + s2.Addr()}
 	waitReady(t, s2)
 	// The running job finished during the drain; its outcome survived in
 	// the journal and is queryable without re-running.

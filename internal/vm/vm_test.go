@@ -19,6 +19,7 @@ import (
 	"repro/internal/lower"
 	"repro/internal/obs"
 	"repro/internal/offheap"
+	"repro/internal/region"
 	"repro/internal/stdlib"
 )
 
@@ -801,12 +802,11 @@ func TestRecordOpsTieredMatchesUntiered(t *testing.T) {
 	}
 	var clean spillOpsResult
 	t.Run("spill-each-op", func(t *testing.T) { clean = spillEachOp(t) })
-	// The same legs on poisoned memory: every fresh heap arena and every
-	// frame a spill left behind start out filled with 0xAA, and the output
-	// and per-op instruction counts must not move.
+	// The same legs on poisoned memory: every heap arena and page body,
+	// fresh or reused, starts out filled with 0xAA, and the output and
+	// per-op instruction counts must not move.
 	t.Run("spill-each-op-poisoned", func(t *testing.T) {
-		defer heap.PoisonArenas(0xAA)()
-		defer offheap.PoisonFrames(0xAA)()
+		defer region.Poison(0xAA)()
 		if got := spillEachOp(t); got.out != clean.out || !slices.Equal(got.instrs, clean.instrs) {
 			t.Fatalf("poisoned memory changed the run:\nclean:    %q %v\npoisoned: %q %v", clean.out, clean.instrs, got.out, got.instrs)
 		}
