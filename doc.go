@@ -14,10 +14,11 @@
 //
 // The public API lives in the facade package: Compile, Transform, and Run
 // with functional options (WithHeapSize, WithEntry, WithRandSeed,
-// WithObserver); Result.Stats returns a self-contained RunStats mirror of
-// everything a run measured. The measurements come from a per-VM stats
-// registry (internal/obs) — counters, gauges, GC-pause histograms, and a
-// bounded event stream — documented in docs/OBSERVABILITY.md.
+// WithObserver); Result.Stats returns RunStats, the snapshot of everything
+// a run measured in its per-VM registry (internal/obs) — counters, gauges,
+// GC-pause histograms, and a bounded event stream — with typed views of the
+// heap, page-store and interpreter counts, documented in
+// docs/OBSERVABILITY.md.
 //
 // cmd/repro regenerates every table and figure of the paper's §4 (add
 // -json for machine-readable run reports); cmd/facadec is the standalone

@@ -2,8 +2,11 @@ package facade
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestCompileErrorsSurface(t *testing.T) {
@@ -185,18 +188,38 @@ func TestRunTransformedStats(t *testing.T) {
 	}
 }
 
-// TestAliasedStatsFieldsCarryJSONTags: HeapStats and OffheapStats are the
-// internal snapshot types, so a field added there lands in facade.run/v1
-// and facade.job/v1 — it must at least choose its key, not default to the
-// Go field name.
+// TestAliasedStatsFieldsCarryJSONTags: HeapStats, OffheapStats and
+// Histogram are the internal snapshot types, so a field added there lands
+// in facade.run/v1 and facade.job/v1 — it must at least choose its key, not
+// default to the Go field name.
 func TestAliasedStatsFieldsCarryJSONTags(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(HeapStats{}), reflect.TypeOf(OffheapStats{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(HeapStats{}), reflect.TypeOf(OffheapStats{}), reflect.TypeOf(Histogram{})} {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" {
 				t.Errorf("%s.%s has no json key", typ, f.Name)
 			}
 		}
+	}
+}
+
+// TestRunStatsIsTheSnapshotAndItsViews pins RunStats' fields: the
+// embedded registry snapshot and the typed views of it. A run keeps one
+// book, so a counter belongs in the registry, not in a struct here that
+// copies it by hand.
+func TestRunStatsIsTheSnapshotAndItsViews(t *testing.T) {
+	typ := reflect.TypeOf(RunStats{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Anonymous && f.Type != reflect.TypeOf(obs.Snapshot{}) {
+			t.Errorf("RunStats embeds %s, want only obs.Snapshot", f.Type)
+		}
+		got = append(got, f.Name)
+	}
+	slices.Sort(got)
+	if want := []string{"ClassAllocs", "Heap", "Offheap", "Snapshot", "VM"}; !slices.Equal(got, want) {
+		t.Fatalf("RunStats fields %v, want %v", got, want)
 	}
 }
 
@@ -322,7 +345,7 @@ func TestWithFaultsInjectsAndCounts(t *testing.T) {
 	}
 
 	// An injected allocation failure surfaces as OutOfMemoryError and is
-	// counted in RunStats.Faults.
+	// counted in RunStats' faults.* counters.
 	res, err := Run(prog, WithHeapSize(2<<20), WithFaults("allocat=1,seed=7"))
 	if err == nil || !strings.Contains(err.Error(), "OutOfMemoryError") {
 		t.Fatalf("injected alloc fault not surfaced as OOM: %v", err)
@@ -331,8 +354,8 @@ func TestWithFaultsInjectsAndCounts(t *testing.T) {
 		t.Fatal("Result must be returned alongside the program error")
 	}
 	defer res.Close()
-	if got := res.Stats().Faults.HeapAllocInjected; got != 1 {
-		t.Fatalf("HeapAllocInjected = %d, want 1", got)
+	if got := res.Stats().Counters[obs.CtrFaultHeapAlloc]; got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.CtrFaultHeapAlloc, got)
 	}
 
 	// An empty spec disables injection entirely.
@@ -341,8 +364,10 @@ func TestWithFaultsInjectsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	if st := clean.Stats().Faults; st != (FaultStats{}) {
-		t.Fatalf("fault-free run reports injections: %+v", st)
+	for name, n := range clean.Stats().Counters {
+		if strings.HasPrefix(name, "faults.") && n != 0 {
+			t.Fatalf("fault-free run reports %s = %d", name, n)
+		}
 	}
 }
 
@@ -363,7 +388,7 @@ func TestWithFaultsPageInjection(t *testing.T) {
 		t.Fatal("Result must be returned alongside the program error")
 	}
 	defer res.Close()
-	if got := res.Stats().Faults.PageAcquireInjected; got != 1 {
-		t.Fatalf("PageAcquireInjected = %d, want 1", got)
+	if got := res.Stats().Counters[obs.CtrFaultPageAcquire]; got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.CtrFaultPageAcquire, got)
 	}
 }

@@ -4,9 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 // slowLoopSrc runs for seconds at interpreter speed — long enough that a
@@ -184,40 +190,106 @@ class Main {
 }
 `
 
-// TestWithReusedVMMatchesFreshHeap runs promotionSrc three times on one
-// warm VM: ResetForReuse must leave the heap as a fresh VM's, so every run
-// matches a fresh VM in output, promotions and minor collections.
+// TestWithReusedVMMatchesFreshHeap runs promotionSrc (P) and reuseSrc's P′
+// three times each on one warm VM at one GC worker: ResetForReuse
+// rebinds the heap and the page store to the next job's registry instead of
+// zeroing their counts by hand, so every run must match a fresh VM's in
+// output and on every count — each field of Heap and Offheap, every
+// counter, gauge and histogram of the snapshot, the per-class allocations.
+// Only time-valued entries are skipped (GCTime and the *_ns histograms),
+// and a warm page store takes from its pool what a fresh one creates, so
+// P′ compares created plus recycled pages.
 func TestWithReusedVMMatchesFreshHeap(t *testing.T) {
 	prog, err := Compile(map[string]string{"t.fj": promotionSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type outcome struct {
-		out                string
-		promoted, minorGCs int64
+	iters, err := Compile(map[string]string{"t.fj": reuseSrc})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(extra ...Option) (outcome, *Result) {
-		t.Helper()
-		res, err := Run(prog, append([]Option{WithHeapSize(2 << 20)}, extra...)...)
-		if err != nil {
-			t.Fatal(err)
+	p2, err := Transform(iters, TransformOptions{DataClasses: []string{"Rec", "Main"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		p    *ir.Program
+	}{{"P", prog}, {"P'", p2}} {
+		t.Run(leg.name, func(t *testing.T) {
+			run := func(extra ...Option) (RunStats, *Result) {
+				t.Helper()
+				res, err := Run(leg.p, append([]Option{WithHeapSize(2 << 20), WithGCWorkers(1)}, extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats()
+				res.Close()
+				return st, res
+			}
+			fresh, res := run()
+			want := res.Output()
+			if !leg.p.Transformed && (fresh.Heap.Promoted == 0 || fresh.Heap.MinorGCs == 0) {
+				t.Fatalf("program neither collects nor promotes: %+v", fresh.Heap)
+			}
+			if leg.p.Transformed && (fresh.Offheap.PagesRecycled == 0 || fresh.Counters[obs.CtrRecordsReleased] == 0) {
+				t.Fatalf("P′ leg neither recycles pages nor releases records: %+v", fresh.Offheap)
+			}
+			for i := 1; i <= 3; i++ {
+				var warm RunStats
+				warm, res = run(WithReusedVM(res.VM))
+				if got := res.Output(); got != want {
+					t.Fatalf("warm run %d output %q, fresh VM %q", i, got, want)
+				}
+				if leg.p.Transformed && warm.Offheap.PagesCreated != 0 {
+					t.Errorf("warm run %d created %d page(s) on a warm store", i, warm.Offheap.PagesCreated)
+				}
+				for _, d := range booksDiffer(fresh, warm) {
+					t.Errorf("warm run %d: %s", i, d)
+				}
+			}
+		})
+	}
+}
+
+// booksDiffer lists every count in which a warm run's stats differ from a
+// fresh run's, skipping time-valued entries; a warm page store's created
+// and recycled pages are compared as their sum.
+func booksDiffer(fresh, warm RunStats) []string {
+	var diffs []string
+	differ := func(what string, f, w any) {
+		if !reflect.DeepEqual(f, w) {
+			diffs = append(diffs, fmt.Sprintf("%s: fresh %+v, warm %+v", what, f, w))
 		}
-		st := res.Stats()
-		res.Close()
-		return outcome{res.Output(), st.Heap.Promoted, st.Heap.MinorGCs}, res
 	}
-	fresh, _ := run()
-	if fresh.promoted == 0 || fresh.minorGCs == 0 {
-		t.Fatalf("program neither collects nor promotes: %+v", fresh)
+	fh, wh := fresh.Heap, warm.Heap
+	fh.GCTime, wh.GCTime = 0, 0
+	differ("Heap", fh, wh)
+	fo, wo := fresh.Offheap, warm.Offheap
+	fo.PagesRecycled, fo.PagesCreated = fo.PagesRecycled+fo.PagesCreated, 0
+	wo.PagesRecycled, wo.PagesCreated = wo.PagesRecycled+wo.PagesCreated, 0
+	differ("Offheap (created+recycled as recycled)", fo, wo)
+	differ("VM", fresh.VM, warm.VM)
+	differ("ClassAllocs", fresh.ClassAllocs, warm.ClassAllocs)
+	pool := func(m map[string]int64) map[string]int64 {
+		out := maps.Clone(m)
+		out[obs.CtrPageRecycles] += out[obs.CtrPagesCreated]
+		delete(out, obs.CtrPagesCreated)
+		return out
 	}
-	var warm []Option
-	for i := 0; i < 3; i++ {
-		got, res := run(warm...)
-		if got != fresh {
-			t.Fatalf("run %d (warm=%v) = %+v, fresh VM = %+v", i, i > 0, got, fresh)
+	differ("counters (created+recycled as recycles)", pool(fresh.Counters), pool(warm.Counters))
+	differ("gauges", fresh.Gauges, warm.Gauges)
+	untimed := func(m map[string]Histogram) map[string]Histogram {
+		out := maps.Clone(m)
+		for name := range out {
+			if strings.HasSuffix(name, "_ns") {
+				delete(out, name)
+			}
 		}
-		warm = []Option{WithReusedVM(res.VM)}
+		return out
 	}
+	differ("histograms", untimed(fresh.Histograms), untimed(warm.Histograms))
+	return diffs
 }
 
 // TestWithReusedVMClearsPageQuota guards cross-job isolation: a warm VM

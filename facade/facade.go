@@ -14,8 +14,8 @@
 // cancellation — a canceled context unwinds the interpreter at the next
 // safepoint and surfaces as a *CanceledError.
 //
-// Result.Stats returns RunStats, a self-contained mirror of everything the
-// run measured, so reporting code needs no internal packages.
+// Result.Stats returns RunStats, the run's registry snapshot with typed
+// views of it, so reporting code needs no internal packages.
 //
 // Framework integrations (GraphChi, Hyracks, GPS in internal/...) create a
 // VM directly with vm.New and drive the data path through vm.Thread's

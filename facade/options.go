@@ -81,8 +81,7 @@ func WithObserver(fn func(Event)) Option {
 // WithVerify runs the IR verifier and the facade-safety linter
 // (internal/analysis) over the program before execution. A verifier error
 // or any lint finding fails the Run call; the number of functions checked
-// and findings raised appear in RunStats.Analysis and under the
-// analysis.* counters.
+// and findings raised appear in RunStats' analysis.* counters.
 func WithVerify() Option {
 	return func(o *runOptions) { o.verify = true }
 }
@@ -144,8 +143,8 @@ func WithFaultAttempt(n int) Option {
 // "alloc=0.001,page=0.001,seed=7" (see docs/ROBUSTNESS.md for the grammar;
 // an empty spec disables injection). Injected heap and page-store failures
 // surface exactly like real memory exhaustion — as OutOfMemoryError /
-// heap.ErrOutOfMemory — and the counts absorbed appear in
-// RunStats.Faults. A malformed spec fails the Run call.
+// heap.ErrOutOfMemory — and the counts absorbed appear in RunStats'
+// faults.* counters. A malformed spec fails the Run call.
 func WithFaults(spec string) Option {
 	return func(o *runOptions) {
 		cfg, err := faults.Parse(spec)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/obs"
 )
 
 const vetSrc = `
@@ -39,17 +40,14 @@ func TestWithVerifyPublishesAnalysisStats(t *testing.T) {
 		t.Fatalf("output %q", res.Output())
 	}
 	st := res.Stats()
-	if st.Analysis.VerifiedFuncs == 0 {
-		t.Fatal("Analysis.VerifiedFuncs not published")
+	if st.Counters[obs.CtrVerifyFuncs] == 0 {
+		t.Fatalf("%s not published", obs.CtrVerifyFuncs)
 	}
-	if st.Analysis.LintFindings != 0 {
-		t.Fatalf("unexpected lint findings: %d", st.Analysis.LintFindings)
+	if n := st.Counters[obs.CtrLintFindings]; n != 0 {
+		t.Fatalf("unexpected lint findings: %d", n)
 	}
-	if st.Analysis.DCERemoved == 0 {
-		t.Fatal("Analysis.DCERemoved not published (DCE is on by default)")
-	}
-	if st.Analysis.DCERemoved != int64(p2.DCERemoved) {
-		t.Fatalf("DCERemoved stat %d != program's %d", st.Analysis.DCERemoved, p2.DCERemoved)
+	if n := st.Counters[obs.CtrDCERemoved]; n == 0 || n != int64(p2.DCERemoved) {
+		t.Fatalf("%s = %d, program's DCERemoved %d (DCE is on by default)", obs.CtrDCERemoved, n, p2.DCERemoved)
 	}
 }
 

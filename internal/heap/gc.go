@@ -168,7 +168,7 @@ func (hp *Heap) collectSTW(full bool) error {
 	if n == 0 {
 		full = true
 	}
-	promotedBefore := hp.stats.promoted.Load()
+	promotedBefore := hp.cPromoted.Load()
 	if full {
 		err = hp.fullGC()
 	} else {
@@ -178,10 +178,10 @@ func (hp *Heap) collectSTW(full bool) error {
 	hp.hPause.Observe(pause)
 	if full {
 		hp.hPauseFull.Observe(pause)
-		hp.obs.Emit(obs.EvGC, "full", pause, hp.stats.liveAfterGC.Load(), 0)
+		hp.obs.Emit(obs.EvGC, "full", pause, hp.gLiveAfterGC.Load(), 0)
 	} else {
 		hp.hPauseMinor.Observe(pause)
-		hp.obs.Emit(obs.EvGC, "minor", pause, hp.stats.promoted.Load()-promotedBefore, 0)
+		hp.obs.Emit(obs.EvGC, "minor", pause, hp.cPromoted.Load()-promotedBefore, 0)
 	}
 	return err
 }
@@ -300,8 +300,8 @@ func (hp *Heap) minorGC(n int) {
 		w.plab, w.wasted, w.promoted, w.promotedBytes = span{}, 0, 0, 0
 	}
 	hp.oldPos = top
-	hp.stats.promoted.Add(promoted)
-	hp.stats.marked.Add(promoted)
+	hp.cPromoted.Add(promoted)
+	hp.cMarked.Add(promoted)
 	hp.cPromotedBytes.Add(promotedBytes)
 
 	hp.youngPos = hp.oldEnd
@@ -419,7 +419,7 @@ func (hp *Heap) markHeap() {
 		total += hp.workers[i].marked
 		hp.workers[i].marked = 0
 	}
-	hp.stats.marked.Add(total)
+	hp.cMarked.Add(total)
 }
 
 // chunk is a full collection's unit of work: an address range, the live
@@ -543,7 +543,7 @@ func (hp *Heap) fullGC() error {
 	// evacuated, so they are all stale — drop them with the remset.
 	hp.sp.eachThread(func(tc *ThreadCtx) { tc.remBuf = tc.remBuf[:0] })
 	hp.invalidateTLABs()
-	hp.stats.liveAfterGC.Store(liveBytes)
+	hp.gLiveAfterGC.Set(liveBytes)
 	hp.notePeakLocked()
 	return nil
 }

@@ -167,17 +167,10 @@ type Heap struct {
 	remSlots   []Addr
 	chunks     []chunk
 
-	// stats holds the counts that have no obs instrument; allocations and
-	// collections are counted by the instruments alone.
-	stats struct {
-		promoted    atomic.Int64
-		marked      atomic.Int64
-		peakUsed    atomic.Int64
-		liveAfterGC atomic.Int64
-	}
-
-	// Observability instruments (internal/obs). Hot paths use the direct
-	// pointers; the registry is only consulted at creation/snapshot time.
+	// Observability instruments (internal/obs), the heap's only books:
+	// Stats reads them and Reset rebinds them to the next job's registry.
+	// Hot paths use the direct pointers; the registry is only consulted at
+	// creation/snapshot time.
 	obs            *obs.Registry
 	hPause         *obs.Histogram // every collection pause, ns
 	hPauseMinor    *obs.Histogram
@@ -187,6 +180,10 @@ type Heap struct {
 	cPromotedBytes *obs.Counter   // bytes evacuated young -> old
 	cEvacuated     *obs.Counter   // bytes moved by full-collection compaction
 	cRemsetScanned *obs.Counter   // remembered-set slots scanned by minor GCs
+	cPromoted      *obs.Counter   // objects promoted young -> old
+	cMarked        *obs.Counter   // objects traced across all collections
+	gUsed          *obs.Gauge     // live+garbage bytes present; its high water is PeakUsed
+	gLiveAfterGC   *obs.Gauge     // live bytes at the last full collection
 
 	// Fault injection: nil when disabled, so the slow path pays one nil
 	// check.
@@ -312,14 +309,19 @@ func (hp *Heap) bindInstruments(reg *obs.Registry, inj *faults.Injector) {
 	hp.cPromotedBytes = reg.Counter(obs.CtrPromotedBytes)
 	hp.cEvacuated = reg.Counter(obs.CtrEvacuated)
 	hp.cRemsetScanned = reg.Counter(obs.CtrRemsetScanned)
+	hp.cPromoted = reg.Counter(obs.CtrPromoted)
+	hp.cMarked = reg.Counter(obs.CtrMarked)
+	hp.gUsed = reg.Gauge(obs.GaugeHeapUsed)
+	hp.gLiveAfterGC = reg.Gauge(obs.GaugeLiveAfterGC)
 	hp.inj = inj
 	hp.cFaultsInj = reg.Counter(obs.CtrFaultHeapAlloc)
 }
 
 // Reset returns the heap to its post-New state so a long-lived VM can be
 // reused for another job without re-allocating the arena: allocation
-// cursors rewind, the remembered set and allocation counters clear, and
-// the instruments rebind to reg. The arena and GC-worker configuration are
+// cursors rewind, the remembered set and the per-class allocation table
+// clear, and the instruments rebind to reg, whose fresh instruments are how
+// every other count rewinds. The arena and GC-worker configuration are
 // retained — that is the warm state a daemon keeps between jobs. Every
 // thread must have been unregistered first; Reset fails otherwise, so a
 // poisoned heap (a job that leaked a thread) is rebuilt rather than
@@ -339,10 +341,6 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	for i := range hp.allocCounts {
 		atomic.StoreInt64(&hp.allocCounts[i], 0)
 	}
-	hp.stats.promoted.Store(0)
-	hp.stats.marked.Store(0)
-	hp.stats.peakUsed.Store(0)
-	hp.stats.liveAfterGC.Store(0)
 	hp.bindInstruments(reg, inj)
 	return nil
 }
@@ -560,16 +558,10 @@ func (hp *Heap) allocLarge(tc *ThreadCtx, size int) (Addr, error) {
 	}
 }
 
-// notePeakLocked updates the high-water mark; callers hold hp.mu or have
-// the world stopped.
+// notePeakLocked publishes the bytes in use, which raises the gauge's
+// high-water mark; callers hold hp.mu or have the world stopped.
 func (hp *Heap) notePeakLocked() {
-	used := int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.oldEnd)
-	for {
-		cur := hp.stats.peakUsed.Load()
-		if used <= cur || hp.stats.peakUsed.CompareAndSwap(cur, used) {
-			return
-		}
-	}
+	hp.gUsed.Set(int64(hp.oldPos-hp.oldBase) + int64(hp.youngPos-hp.oldEnd))
 }
 
 func (hp *Heap) zero(a Addr, size int) {
@@ -637,9 +629,9 @@ func (hp *Heap) GetLock(a Addr) uint32 { return hp.getU32(a + hdrLock) }
 // SetLock stores the lock word of object a.
 func (hp *Heap) SetLock(a Addr, v uint32) { hp.setU32(a+hdrLock, v) }
 
-// Stats returns a snapshot of the heap counters. Allocations and
-// collections are read off the instruments that count them: the
-// allocation-size histogram and the pause histograms.
+// Stats returns a snapshot of the heap counters, read off the instruments
+// that count them: allocations off the allocation-size histogram,
+// collections off the pause histograms.
 func (hp *Heap) Stats() Stats {
 	return Stats{
 		AllocBytes:   hp.hAllocSize.Sum(),
@@ -647,10 +639,10 @@ func (hp *Heap) Stats() Stats {
 		MinorGCs:     hp.hPauseMinor.Count(),
 		FullGCs:      hp.hPauseFull.Count(),
 		GCTime:       time.Duration(hp.hPause.Sum()),
-		Promoted:     hp.stats.promoted.Load(),
-		MarkedNodes:  hp.stats.marked.Load(),
-		PeakUsed:     hp.stats.peakUsed.Load(),
-		LiveAfterGC:  hp.stats.liveAfterGC.Load(),
+		Promoted:     hp.cPromoted.Load(),
+		MarkedNodes:  hp.cMarked.Load(),
+		PeakUsed:     hp.gUsed.HighWater(),
+		LiveAfterGC:  hp.gLiveAfterGC.Load(),
 		HeapSize:     int64(len(hp.arena)),
 	}
 }

@@ -893,6 +893,10 @@ func TestHeapStatsReadTheInstruments(t *testing.T) {
 			{"MinorGCs", st.MinorGCs, snap.Histograms[obs.HistGCPauseMinor].Count},
 			{"FullGCs", st.FullGCs, snap.Histograms[obs.HistGCPauseFull].Count},
 			{"GCTime", int64(st.GCTime), snap.Histograms[obs.HistGCPause].Sum},
+			{"Promoted", st.Promoted, snap.Counters[obs.CtrPromoted]},
+			{"MarkedNodes", st.MarkedNodes, snap.Counters[obs.CtrMarked]},
+			{"PeakUsed", st.PeakUsed, snap.Gauges[obs.GaugeHeapUsed+".hw"]},
+			{"LiveAfterGC", st.LiveAfterGC, snap.Gauges[obs.GaugeLiveAfterGC]},
 		} {
 			if c.got != c.instr {
 				t.Errorf("%s: Stats.%s = %d, instrument = %d", when, c.field, c.got, c.instr)
@@ -935,7 +939,7 @@ func TestHeapStatsReadTheInstruments(t *testing.T) {
 	if err := hp.Reset(obs.NewRegistry(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := check("after reset", hp); st.AllocObjects != 0 || st.AllocBytes != 0 || st.MinorGCs != 0 || st.FullGCs != 0 || st.GCTime != 0 {
+	if st := check("after reset", hp); st != (Stats{HeapSize: st.HeapSize}) {
 		t.Fatalf("Reset kept the previous job's counts: %+v", st)
 	}
 	job(hp)

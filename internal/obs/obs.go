@@ -6,9 +6,10 @@
 //
 //   - internal/heap records per-collection pause times (minor/full),
 //     safepoint wait times, allocation sizes, promoted/evacuated bytes,
-//     and remembered-set scan counts;
-//   - internal/offheap records page acquire/release/recycle traffic and
-//     the live-page high-water mark;
+//     remembered-set scan counts and every other count heap.Stats reports;
+//   - internal/offheap records page acquire/release/recycle traffic, the
+//     live-page and byte high-water marks and every other count
+//     offheap.Stats reports;
 //   - internal/vm records instructions executed, boundary crossings, and
 //     facade-pool hits;
 //   - the framework engines (graphchi, hyracks, gps) emit iteration and
@@ -214,12 +215,21 @@ const (
 	CtrPromotedBytes  = "heap.promoted_bytes"    // bytes evacuated young->old by minor GCs
 	CtrEvacuated      = "heap.evacuated_bytes"   // bytes moved by full-GC compaction
 	CtrRemsetScanned  = "heap.remset_slots_scanned"
+	CtrPromoted       = "heap.promoted"            // objects promoted young->old
+	CtrMarked         = "heap.marked_nodes"        // objects traced across all collections
+	GaugeHeapUsed     = "heap.used_bytes"          // live+garbage bytes present; .hw is the peak
+	GaugeLiveAfterGC  = "heap.live_after_gc_bytes" // live bytes measured at the last full GC
 
 	// Off-heap page store (internal/offheap).
-	CtrPageAcquires = "offheap.page_acquires"
-	CtrPageReleases = "offheap.page_releases"
-	CtrPageRecycles = "offheap.page_recycles"
-	GaugePagesLive  = "offheap.pages_live"
+	CtrPageAcquires    = "offheap.page_acquires"
+	CtrPageReleases    = "offheap.page_releases"
+	CtrPageRecycles    = "offheap.page_recycles"
+	GaugePagesLive     = "offheap.pages_live"
+	CtrPagesCreated    = "offheap.pages_created"    // pages allocated rather than recycled
+	CtrOversize        = "offheap.oversize"         // oversize (> PageSize) page allocations
+	CtrManagers        = "offheap.managers"         // page managers created
+	CtrRecordsReleased = "offheap.records_released" // records of released page managers
+	GaugeBytesInUse    = "offheap.bytes_in_use"     // DRAM bytes held by live pages; .hw is the peak
 
 	// Disk tier (internal/offheap tiering).
 	CtrPagesSpilled    = "offheap.pages_spilled"    // evictions DRAM -> disk

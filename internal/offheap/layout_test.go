@@ -46,7 +46,7 @@ func TestRuntimeTableOwnsItsLines(t *testing.T) {
 		{"live", unsafe.Offsetof(rt.live), unsafe.Sizeof(rt.live)},
 		{"nextIter", unsafe.Offsetof(rt.nextIter), unsafe.Sizeof(rt.nextIter)},
 		{"Locks", unsafe.Offsetof(rt.Locks), unsafe.Sizeof(rt.Locks)},
-		{"stats", unsafe.Offsetof(rt.stats), unsafe.Sizeof(rt.stats)},
+		{"gBytesInUse", unsafe.Offsetof(rt.gBytesInUse), unsafe.Sizeof(rt.gBytesInUse)},
 		{"quota", unsafe.Offsetof(rt.quota), unsafe.Sizeof(rt.quota)},
 		{"tier", unsafe.Offsetof(rt.tier), unsafe.Sizeof(rt.tier)},
 	} {

@@ -118,8 +118,8 @@ func (p *page) bytes() []byte {
 type Runtime struct {
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse
-	// live holds the managers not yet released; their record counts are
-	// folded into Stats.
+	// live holds the managers not yet released; Stats folds their record
+	// counts in.
 	live map[*PageManager]struct{}
 
 	_ [cacheLinePair]byte
@@ -136,25 +136,20 @@ type Runtime struct {
 
 	Locks *LockPool
 
-	// stats holds the counts that have no obs instrument; live, recycled,
-	// resident and spilled pages are kept by the instruments alone.
-	stats struct {
-		pagesCreated atomic.Int64
-		oversize     atomic.Int64
-		records      atomic.Int64
-		bytesInUse   atomic.Int64
-		peakBytes    atomic.Int64
-		managers     atomic.Int64
-	}
-
-	// Observability instruments (internal/obs). The page instruments are
-	// the store's own books (quota, watermarks, Stats and Reset read them),
-	// so a registry serves one store at a time.
-	obs           *obs.Registry
-	cPageAcquires *obs.Counter
-	cPageReleases *obs.Counter
-	cPageRecycles *obs.Counter
-	gPagesLive    *obs.Gauge
+	// Observability instruments (internal/obs). They are the store's only
+	// books (quota, watermarks, Stats and Reset read them; Reset rewinds
+	// them by rebinding to the next job's registry), so a registry serves
+	// one store at a time.
+	obs              *obs.Registry
+	cPageAcquires    *obs.Counter
+	cPageReleases    *obs.Counter
+	cPageRecycles    *obs.Counter
+	cPagesCreated    *obs.Counter
+	cOversize        *obs.Counter
+	cManagers        *obs.Counter
+	cRecordsReleased *obs.Counter // records of released managers only: see Stats
+	gPagesLive       *obs.Gauge
+	gBytesInUse      *obs.Gauge // DRAM bytes of live pages; its high water is PeakBytes
 
 	// Fault injection: nil when disabled.
 	inj        *faults.Injector
@@ -230,7 +225,12 @@ func (rt *Runtime) bindInstruments(reg *obs.Registry, inj *faults.Injector) {
 	rt.cPageAcquires = reg.Counter(obs.CtrPageAcquires)
 	rt.cPageReleases = reg.Counter(obs.CtrPageReleases)
 	rt.cPageRecycles = reg.Counter(obs.CtrPageRecycles)
+	rt.cPagesCreated = reg.Counter(obs.CtrPagesCreated)
+	rt.cOversize = reg.Counter(obs.CtrOversize)
+	rt.cManagers = reg.Counter(obs.CtrManagers)
+	rt.cRecordsReleased = reg.Counter(obs.CtrRecordsReleased)
 	rt.gPagesLive = reg.Gauge(obs.GaugePagesLive)
+	rt.gBytesInUse = reg.Gauge(obs.GaugeBytesInUse)
 	rt.cFaultsInj = nil
 	rt.SetFaultInjector(inj)
 }
@@ -286,11 +286,10 @@ func (rt *Runtime) checkQuota(pk Parker) error {
 // Reset returns the store to its post-New state for reuse by another job,
 // keeping the recycled-page free pool and the built pool locks warm: free
 // pages are re-indexed into a fresh page table so the table does not grow
-// without bound across jobs, counters rewind to zero, and the instruments
-// rebind to reg (the next job's registry, whose fresh instruments are how
-// the page counts rewind). It fails if any page or pool lock is still live
-// — a job that leaked either poisons the store, and the daemon rebuilds
-// instead of reusing it.
+// without bound across jobs, and the instruments rebind to reg (the next
+// job's registry, whose fresh instruments are how every count rewinds). It
+// fails if any page or pool lock is still live — a job that leaked either
+// poisons the store, and the daemon rebuilds instead of reusing it.
 func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -308,13 +307,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 		next[i] = p
 	}
 	rt.table.Store(&next)
-	rt.stats.pagesCreated.Store(0)
-	rt.stats.oversize.Store(0)
-	rt.stats.records.Store(0)
 	rt.live = make(map[*PageManager]struct{})
-	rt.stats.bytesInUse.Store(0)
-	rt.stats.peakBytes.Store(0)
-	rt.stats.managers.Store(0)
 	rt.nextIter.Store(0)
 	rt.quota.Store(0) // a reused store must not inherit the previous job's cap
 	rt.bindInstruments(reg, inj)
@@ -326,29 +319,31 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	return nil
 }
 
-// Stats returns a snapshot of the counters. Every field but Records is
-// atomic and may be sampled at any time; Records folds in the unsynchronised
-// per-manager counts of managers still live, so call Stats only while no
-// thread is allocating (every caller reports after its run has finished).
-// A mid-run observer reads the page counters and gauges in the obs
-// registry instead.
+// Stats returns a snapshot of the counters, read off the instruments.
+// Every field but Records may be sampled at any time. Records is the one
+// count kept outside the registry: a manager counts its records in a plain
+// field and adds them to the records_released counter when it is released,
+// so that counter reads low while managers are live, and Stats folds in
+// the unsynchronised counts of the managers still live. Call Stats only
+// while no thread is allocating (every caller reports after its run has
+// finished); a mid-run observer reads the registry instead.
 func (rt *Runtime) Stats() Stats {
 	rt.mu.Lock()
-	records := rt.stats.records.Load()
+	records := rt.cRecordsReleased.Load()
 	for m := range rt.live {
 		records += m.records
 	}
 	rt.mu.Unlock()
 	s := Stats{
-		PagesCreated:  rt.stats.pagesCreated.Load(),
+		PagesCreated:  rt.cPagesCreated.Load(),
 		PagesLive:     rt.gPagesLive.Load(),
 		PagesLiveHW:   rt.gPagesLive.HighWater(),
 		PagesRecycled: rt.cPageRecycles.Load(),
-		Oversize:      rt.stats.oversize.Load(),
+		Oversize:      rt.cOversize.Load(),
 		Records:       records,
-		BytesInUse:    rt.stats.bytesInUse.Load(),
-		PeakBytes:     rt.stats.peakBytes.Load(),
-		Managers:      rt.stats.managers.Load(),
+		BytesInUse:    rt.gBytesInUse.Load(),
+		PeakBytes:     rt.gBytesInUse.HighWater(),
+		Managers:      rt.cManagers.Load(),
 	}
 	if t := rt.tier; t != nil {
 		s.PagesSpilled = t.cSpilled.Load()
@@ -386,12 +381,12 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 			p := rt.free[n-1]
 			rt.free = rt.free[:n-1]
 			rt.cPageRecycles.Inc()
-			rt.addBytes(PageSize)
+			rt.gBytesInUse.Add(PageSize)
 			rt.tierAcquire(p)
 			return p, nil
 		}
 	} else {
-		rt.stats.oversize.Add(1)
+		rt.cOversize.Inc()
 	}
 	old := *rt.table.Load()
 	p := &page{idx: len(old), candIdx: -1}
@@ -406,8 +401,8 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	copy(next, old)
 	next[len(old)] = p
 	rt.table.Store(&next)
-	rt.stats.pagesCreated.Add(1)
-	rt.addBytes(int64(size))
+	rt.cPagesCreated.Inc()
+	rt.gBytesInUse.Add(int64(size))
 	rt.tierAcquire(p)
 	return p, nil
 }
@@ -429,7 +424,7 @@ func (rt *Runtime) releasePage(p *page) {
 	rt.cPageReleases.Inc()
 	rt.gPagesLive.Add(-1)
 	n := len(p.bytes())
-	rt.addBytes(-int64(n)) // 0 for a spilled page: its DRAM was freed at spill
+	rt.gBytesInUse.Add(-int64(n)) // 0 for a spilled page: its DRAM was freed at spill
 	if n == PageSize {
 		p.released.Store(false) // recyclable pages are reborn via the pool
 		rt.free = append(rt.free, p)
@@ -456,14 +451,4 @@ func (rt *Runtime) ReleaseOversize(ref PageRef) bool {
 	}
 	rt.releasePage(p)
 	return true
-}
-
-func (rt *Runtime) addBytes(d int64) {
-	v := rt.stats.bytesInUse.Add(d)
-	for {
-		cur := rt.stats.peakBytes.Load()
-		if v <= cur || rt.stats.peakBytes.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

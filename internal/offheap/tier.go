@@ -380,7 +380,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 	t.gDisk.Add(1)
 	t.cSpilled.Inc()
 	t.cSpillBytes.Add(PageSize)
-	rt.addBytes(-PageSize) // bytesInUse counts DRAM only
+	rt.gBytesInUse.Add(-PageSize) // bytes in use count DRAM only
 	return nil
 }
 
@@ -417,7 +417,7 @@ func (rt *Runtime) promoteLocked(p *page) error {
 	t.gResident.Add(1)
 	t.cPromoted.Inc()
 	t.cPromoteBytes.Add(PageSize)
-	rt.addBytes(PageSize)
+	rt.gBytesInUse.Add(PageSize)
 	return nil
 }
 

@@ -512,6 +512,11 @@ func TestStatsReadTheInstruments(t *testing.T) {
 			{"PagesDisk", st.PagesDisk, snap.Gauges[obs.GaugePagesDisk]},
 			{"SpillBytes", st.SpillBytes, snap.Counters[obs.CtrSpillBytes]},
 			{"PromoteBytes", st.PromoteBytes, snap.Counters[obs.CtrPromoteBytes]},
+			{"PagesCreated", st.PagesCreated, snap.Counters[obs.CtrPagesCreated]},
+			{"Oversize", st.Oversize, snap.Counters[obs.CtrOversize]},
+			{"Managers", st.Managers, snap.Counters[obs.CtrManagers]},
+			{"BytesInUse", st.BytesInUse, snap.Gauges[obs.GaugeBytesInUse]},
+			{"PeakBytes", st.PeakBytes, snap.Gauges[obs.GaugeBytesInUse+".hw"]},
 		} {
 			if c.got != c.instr {
 				t.Errorf("%s: Stats.%s = %d, instrument = %d", when, c.field, c.got, c.instr)
@@ -551,7 +556,7 @@ func TestStatsReadTheInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after reset", rt)
-	if got := rt.Stats(); got.PagesLiveHW != 0 || got.PagesRecycled != 0 {
+	if got := rt.Stats(); got != (Stats{}) {
 		t.Fatalf("Reset kept the previous job's page counts: %+v", got)
 	}
 	s = newScope(rt, 0)

@@ -38,11 +38,13 @@ func (b *budget) limitOf(tenant string) int64 {
 
 // room reports why n more bytes for tenant do not fit, or nil if they do.
 func (b *budget) room(tenant string, n int64) error {
-	if b.reserved+n > b.limit {
+	// Compared as room left, so a huge request cannot overflow past the
+	// check.
+	if n > b.limit-b.reserved {
 		return fmt.Errorf("aggregate heap budget exhausted: %d reserved + %d requested > %d",
 			b.reserved, n, b.limit)
 	}
-	if tl := b.limitOf(tenant); tl > 0 && b.tenants[tenant]+n > tl {
+	if tl := b.limitOf(tenant); tl > 0 && n > tl-b.tenants[tenant] {
 		return fmt.Errorf("tenant %q heap budget exhausted: %d reserved + %d requested > %d",
 			tenant, b.tenants[tenant], n, tl)
 	}

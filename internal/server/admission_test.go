@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -53,6 +54,9 @@ func TestBudgetRoomAndPressure(t *testing.T) {
 	}
 	if err := b.room("big", 71); err == nil {
 		t.Fatal("aggregate limit not enforced")
+	}
+	if err := b.room("unmetered", math.MaxInt64); err == nil {
+		t.Fatal("a request that overflows the reservation was given room")
 	}
 	if got := b.pressure(100); got != 130 {
 		t.Fatalf("pressure at 30%% full = %d, want 130", got)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -46,12 +48,8 @@ func (s *Server) handler() http.Handler {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
-		return
-	}
-	if err := req.normalize(); err != nil {
+	req, err := decodeSubmit(r.Body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
@@ -61,6 +59,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{Schema: Schema, JobID: j.id, State: StateQueued})
+}
+
+// decodeSubmit reads a submit body into a normalized request; an error
+// is the client's (400).
+func decodeSubmit(body io.Reader) (SubmitRequest, error) {
+	var req SubmitRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, fmt.Errorf("bad request body: %w", err)
+	}
+	return req, req.normalize()
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

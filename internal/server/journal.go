@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -217,10 +218,8 @@ func (j *journal) shut(flush bool) {
 	f.Close()
 }
 
-// readJournal loads every event from a journal file, tolerating a torn
-// final line (the signature of a crash mid-append). A missing file is an
-// empty journal. Lines with the wrong schema fail loudly: a journal
-// written by an incompatible daemon must not be half-replayed.
+// readJournal loads every event from a journal file (decodeJournal); a
+// missing file is an empty journal.
 func readJournal(path string) ([]journalEvent, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -230,7 +229,19 @@ func readJournal(path string) ([]journalEvent, error) {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	events, err := decodeJournal(f)
+	if err != nil {
+		return nil, fmt.Errorf("journal %s: %w", path, err)
+	}
+	return events, nil
+}
+
+// decodeJournal reads journal lines, tolerating a torn final line (the
+// signature of a crash mid-append). Lines with the wrong schema fail
+// loudly: a journal written by an incompatible daemon must not be
+// half-replayed.
+func decodeJournal(r io.Reader) ([]journalEvent, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64<<20)
 	var events []journalEvent
 	for sc.Scan() {
@@ -245,7 +256,7 @@ func readJournal(path string) ([]journalEvent, error) {
 			break
 		}
 		if ev.Schema != JournalSchema {
-			return nil, fmt.Errorf("journal %s: event speaks %q, daemon wants %q", path, ev.Schema, JournalSchema)
+			return nil, fmt.Errorf("event speaks %q, daemon wants %q", ev.Schema, JournalSchema)
 		}
 		events = append(events, ev)
 	}
@@ -271,14 +282,8 @@ func rewriteJournal(path string, events []journalEvent) (err error) {
 		}
 	}()
 	w := bufio.NewWriter(f)
-	for _, ev := range events {
-		ev.Schema = JournalSchema
-		line, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		w.Write(line)
-		w.WriteByte('\n')
+	if err := encodeJournal(w, events); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -290,6 +295,21 @@ func rewriteJournal(path string, events []journalEvent) (err error) {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// encodeJournal writes events as journal lines, stamped with the schema.
+func encodeJournal(w io.Writer, events []journalEvent) error {
+	for _, ev := range events {
+		ev.Schema = JournalSchema
+		line, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // replayedJob is one job reconstructed from the journal: terminal jobs
@@ -320,10 +340,17 @@ func replayJournal(events []journalEvent) (jobs []*replayedJob, maxSeq int64) {
 				continue
 			}
 			rj := &replayedJob{seq: ev.Seq, id: ev.JobID, tenant: ev.Tenant, req: *ev.Req}
+			if err := rj.req.normalize(); err != nil {
+				// Submit journals only requests it accepted; one it would
+				// refuse is not re-run but restored as failed.
+				rj.result = result{state: StateFailed, errKind: ErrKindDeterministic, errMsg: "journal replay: " + err.Error()}
+			}
 			byID[ev.JobID] = rj
 			jobs = append(jobs, rj)
 		case jevDone:
-			if rj, ok := byID[ev.JobID]; ok {
+			// Only a terminal state ends a job: a done event without one
+			// is not one this daemon wrote, and must not re-open the job.
+			if rj, ok := byID[ev.JobID]; ok && (ev.State == StateDone || ev.State == StateFailed || ev.State == StateCanceled) {
 				rj.result = result{state: ev.State, errKind: ev.ErrKind, output: ev.Output, errMsg: ev.Error}
 			}
 		}

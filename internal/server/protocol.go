@@ -161,7 +161,7 @@ type JobStatus struct {
 	// classifies it (transient, deterministic, deadline, canceled).
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
-	// Stats mirrors facade.RunStats for completed runs.
+	// Stats is facade.RunStats for completed runs.
 	Stats *facade.RunStats `json:"stats,omitempty"`
 
 	// Attempt is the execution attempt this status describes (1-based;
@@ -263,6 +263,9 @@ func (r *SubmitRequest) Validate() error {
 	}
 	if r.DeadlineMillis < 0 {
 		return fmt.Errorf("negative deadline_ms")
+	}
+	if r.DeadlineMillis > int64(time.Duration(1<<63-1)/time.Millisecond) {
+		return fmt.Errorf("deadline_ms %d overflows a duration", r.DeadlineMillis)
 	}
 	if r.MaxAttempts < 0 || r.MaxAttempts > maxAttemptsCap {
 		return fmt.Errorf("max_attempts %d out of range [0,%d]", r.MaxAttempts, maxAttemptsCap)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/facade"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden protocol fixtures")
@@ -44,13 +45,25 @@ func TestGoldenJobSchema(t *testing.T) {
 			State:  StateQueued,
 		}},
 		{"job_status", JobStatus{
-			Schema:       Schema,
-			JobID:        "job-000001",
-			Tenant:       "analytics",
-			State:        StateDone,
-			WarmHit:      true,
-			Output:       "42\n",
-			Stats:        &facade.RunStats{},
+			Schema:  Schema,
+			JobID:   "job-000001",
+			Tenant:  "analytics",
+			State:   StateDone,
+			WarmHit: true,
+			Output:  "42\n",
+			Stats: &facade.RunStats{Snapshot: obs.Snapshot{
+				// The instruments the heap and the page store count in,
+				// besides those the views below the snapshot read.
+				Counters: map[string]int64{
+					obs.CtrPromoted: 0, obs.CtrMarked: 0,
+					obs.CtrPagesCreated: 0, obs.CtrOversize: 0, obs.CtrManagers: 0, obs.CtrRecordsReleased: 0,
+				},
+				Gauges: map[string]int64{
+					obs.GaugeHeapUsed: 0, obs.GaugeHeapUsed + ".hw": 0,
+					obs.GaugeLiveAfterGC: 0, obs.GaugeLiveAfterGC + ".hw": 0,
+					obs.GaugeBytesInUse: 0, obs.GaugeBytesInUse + ".hw": 0,
+				},
+			}},
 			QueuedNanos:  1500,
 			RunningNanos: 250000,
 		}},
@@ -142,6 +155,7 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		"neg heap":      {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, HeapSize: -1},
 		"neg quota":     {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, PageQuota: -1},
 		"neg deadline":  {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, DeadlineMillis: -1},
+		"huge deadline": {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, DeadlineMillis: 1<<63 - 1},
 		"neg attempts":  {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, MaxAttempts: -1},
 		"huge attempts": {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, MaxAttempts: 99},
 		"bad faults":    {Schema: Schema, Sources: map[string]string{"a.fj": "x"}, Faults: "drop=NaN"},
