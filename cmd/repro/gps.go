@@ -23,7 +23,6 @@ func gpsCmd(args []string) error {
 	heap := fs.Int64("heap", 16<<20, "per-node heap")
 	steps := fs.Int("steps", 4, "supersteps")
 	faultSpec := fs.String("faults", "", `deterministic fault-injection spec (e.g. "drop=0.05,crash=1,seed=7")`)
-	ckpt := fs.Int("ckpt", 1, "checkpoint every k supersteps (recovery rewinds to the last checkpoint)")
 	rpt := reportFlag(fs)
 	fs.Parse(args)
 
@@ -41,7 +40,7 @@ func gpsCmd(args []string) error {
 	for _, app := range []gps.App{gps.PageRank, gps.KMeans, gps.RandomWalk} {
 		for s := 1; s <= *scales; s++ {
 			g := datagen.PowerLawGraph(*v*s, *e*s, uint64(100+s))
-			cfg := gps.Config{App: app, Nodes: *nodes, HeapPerNode: int(*heap), Supersteps: *steps, Seed: 7, Faults: fcfg, CheckpointInterval: *ckpt}
+			cfg := gps.Config{App: app, Nodes: *nodes, HeapPerNode: int(*heap), Supersteps: *steps, Seed: 7, Faults: fcfg}
 			r1, err := gps.Run(p, g, cfg)
 			if err != nil {
 				return fmt.Errorf("%s x%d P: %w", app, s, err)

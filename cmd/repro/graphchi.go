@@ -25,7 +25,6 @@ func table2Cmd(args []string) error {
 	faultSpec := fs.String("faults", "", `deterministic fault-injection spec (e.g. "crash=1,allocat=8,seed=7")`)
 	tierDir := fs.String("tier-dir", "", "spill directory for P' runs' off-heap disk tier (requires -tier-high)")
 	tierHigh := fs.Int("tier-high", 0, "DRAM high watermark in pages for P' runs (0 = no tier)")
-	tierLow := fs.Int("tier-low", 0, "eviction target in pages (default half of -tier-high)")
 	rpt := reportFlag(fs)
 	fs.Parse(args)
 
@@ -39,7 +38,7 @@ func table2Cmd(args []string) error {
 	}
 	var tiering *offheap.TierConfig
 	if *tierHigh > 0 {
-		tiering = &offheap.TierConfig{Dir: *tierDir, HighWater: *tierHigh, LowWater: *tierLow}
+		tiering = &offheap.TierConfig{Dir: *tierDir, HighWater: *tierHigh}
 	}
 	heaps := []int64{*baseHeap, *baseHeap * 6 / 8, *baseHeap * 4 / 8}
 	labels := []string{"8g", "6g", "4g"} // paper-relative labels

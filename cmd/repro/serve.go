@@ -88,7 +88,6 @@ func submitCmd(argv []string) error {
 	quota := fs.Int64("quota", 0, "live off-heap page quota (0 = unlimited)")
 	tierDir := fs.String("tier-dir", "", "spill directory for the off-heap disk tier (requires -tier-high)")
 	tierHigh := fs.Int("tier-high", 0, "DRAM high watermark in pages; cold pages past it spill to disk (0 = no tier)")
-	tierLow := fs.Int("tier-low", 0, "eviction target in pages (default half of -tier-high)")
 	seed := fs.Int64("seed", 1, "Sys.rand seed")
 	faults := fs.String("faults", "", `fault-injection spec (e.g. "alloc=0.001,seed=7")`)
 	deadline := fs.Duration("deadline", 0, "per-job deadline (0 = none); exceeding it fails the job")
@@ -126,7 +125,6 @@ func submitCmd(argv []string) error {
 		PageQuota:      *quota,
 		TierDir:        *tierDir,
 		TierHighPages:  *tierHigh,
-		TierLowPages:   *tierLow,
 		RandSeed:       seed,
 		Faults:         *faults,
 		DeadlineMillis: deadline.Milliseconds(),

@@ -14,7 +14,7 @@
 //
 // The public API lives in the facade package: Compile, Transform, and Run
 // with functional options (WithHeapSize, WithEntry, WithRandSeed,
-// WithObserver); Result.Stats returns RunStats, the snapshot of everything
+// WithTiering); Result.Stats returns RunStats, the snapshot of everything
 // a run measured in its per-VM registry (internal/obs) — counters, gauges,
 // GC-pause histograms, and a bounded event stream — with typed views of the
 // heap, page-store and interpreter counts, documented in

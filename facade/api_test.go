@@ -146,6 +146,9 @@ func TestRunStatsMirrorsInternal(t *testing.T) {
 	if st.ClassAllocs["Rec"] == 0 {
 		t.Fatalf("per-class allocation counts missing: %v", st.ClassAllocs)
 	}
+	if !slices.ContainsFunc(st.Events, func(e Event) bool { return e.Kind == obs.EvGC }) {
+		t.Fatalf("no gc event among the run's %d events", len(st.Events))
+	}
 	// Every collection records one pause observation.
 	p := st.GCPauses()
 	if p.Count != st.Heap.MinorGCs+st.Heap.FullGCs {
@@ -186,6 +189,9 @@ func TestRunTransformedStats(t *testing.T) {
 	if st.VM.FacadePoolHits == 0 {
 		t.Fatal("facade pool hits not counted on transformed run")
 	}
+	if n := st.Counters[obs.CtrDCERemoved]; n == 0 || n != int64(p2.DCERemoved) {
+		t.Fatalf("%s = %d, program's DCERemoved %d (DCE is on by default)", obs.CtrDCERemoved, n, p2.DCERemoved)
+	}
 }
 
 // TestAliasedStatsFieldsCarryJSONTags: HeapStats, OffheapStats and
@@ -220,36 +226,6 @@ func TestRunStatsIsTheSnapshotAndItsViews(t *testing.T) {
 	slices.Sort(got)
 	if want := []string{"ClassAllocs", "Heap", "Offheap", "Snapshot", "VM"}; !slices.Equal(got, want) {
 		t.Fatalf("RunStats fields %v, want %v", got, want)
-	}
-}
-
-func TestRunObserverAndOutputTee(t *testing.T) {
-	prog, err := Compile(map[string]string{"x.fj": allocHeavySrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	var tee strings.Builder
-	res, err := Run(prog,
-		WithHeapSize(2<<20),
-		WithOutput(&tee),
-		WithObserver(func(e Event) { events = append(events, e) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Close()
-	if tee.String() != res.Output() {
-		t.Fatalf("tee %q != output %q", tee.String(), res.Output())
-	}
-	sawGC := false
-	for _, e := range events {
-		if e.Kind == "gc" {
-			sawGC = true
-			break
-		}
-	}
-	if !sawGC {
-		t.Fatalf("observer saw no gc events among %d events", len(events))
 	}
 }
 

@@ -60,7 +60,7 @@ func tierOpts(t *testing.T, mode string) []Option {
 	if mode == "off" {
 		return nil
 	}
-	return []Option{WithTiering(t.TempDir(), 4, 2)}
+	return []Option{WithTiering(t.TempDir(), 4)}
 }
 
 var diffPrograms = []diffProgram{

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/analysis"
@@ -135,7 +134,7 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 
 // Run creates a VM for p, runs the entry function on a fresh thread, and
 // returns the Result. Options configure the heap budget, entry point,
-// random seed, output tee, and event observer:
+// random seed, fault injection, the disk tier and warm-VM reuse:
 //
 //	res, err := facade.Run(p, facade.WithHeapSize(32<<20), facade.WithEntry("App.start"))
 //
@@ -157,26 +156,11 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 	for _, opt := range opts {
 		opt(&o)
 	}
-	out := &bytes.Buffer{}
-	var w io.Writer = out
-	if o.out != nil {
-		w = io.MultiWriter(out, o.out)
-	}
 	if o.faultsErr != nil {
 		return nil, o.faultsErr
 	}
+	out := &bytes.Buffer{}
 	reg := obs.NewRegistry()
-	reg.SetEventSink(o.observer) // nil: no sink
-	if o.verify {
-		if err := analysis.VerifyProgram(p); err != nil {
-			return nil, fmt.Errorf("facade verify: %w", err)
-		}
-		reg.Counter(obs.CtrVerifyFuncs).Add(int64(len(p.FuncList)))
-		if findings := analysis.LintProgram(p); len(findings) > 0 {
-			reg.Counter(obs.CtrLintFindings).Add(int64(len(findings)))
-			return nil, fmt.Errorf("facade lint: %d finding(s), first: %s", len(findings), findings[0])
-		}
-	}
 	if p.DCERemoved > 0 {
 		reg.Counter(obs.CtrDCERemoved).Add(int64(p.DCERemoved))
 	}
@@ -188,7 +172,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 	inj := faults.New(faultCfg)
 	var tiering *offheap.TierConfig
 	if o.tierHigh > 0 && p.Transformed {
-		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh, LowWater: o.tierLow}
+		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh}
 	}
 	var m *vm.VM
 	if o.reuseVM != nil {
@@ -201,7 +185,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 				m.Heap.Size(), o.heapSize)
 		}
 		if err := m.ResetForReuse(vm.ResetConfig{
-			Out: w, RandSeed: o.randSeed, Obs: reg, Faults: inj,
+			Out: out, RandSeed: o.randSeed, Obs: reg, Faults: inj,
 			Tiering: tiering,
 		}); err != nil {
 			return nil, err
@@ -209,7 +193,7 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 	} else {
 		var err error
 		m, err = vm.New(p, vm.Config{
-			HeapSize: o.heapSize, Out: w, RandSeed: o.randSeed, Obs: reg,
+			HeapSize: o.heapSize, Out: out, RandSeed: o.randSeed, Obs: reg,
 			GCWorkers: o.gcWorkers,
 			Faults:    inj,
 			Tiering:   tiering,

@@ -283,7 +283,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			// Tiered leg: P' under a watermark tight enough that pages spill
 			// to disk mid-run. The disk tier is pure mechanism — residency
 			// moves, output must not.
-			resPT, err := Run(p2, WithHeapSize(16<<20), WithTiering(t.TempDir(), 2, 1))
+			resPT, err := Run(p2, WithHeapSize(16<<20), WithTiering(t.TempDir(), 2))
 			if err != nil {
 				t.Fatalf("P' (tiered): %v\n%s", err, src)
 			}

@@ -40,7 +40,7 @@ func TestDroppedVMsReturnTheirRegions(t *testing.T) {
 	}{
 		{p, []Option{WithHeapSize(2 << 20)}},
 		{p2, []Option{WithHeapSize(2 << 20)}},
-		{p2, []Option{WithHeapSize(2 << 20), WithTiering(dir, 4, 2)}},
+		{p2, []Option{WithHeapSize(2 << 20), WithTiering(dir, 4)}},
 	}
 	// Regions earlier tests dropped may still be waiting for their
 	// finalizers; they can only make the wait below shorter.

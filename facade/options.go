@@ -2,7 +2,6 @@ package facade
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/faults"
 	"repro/internal/vm"
@@ -15,18 +14,14 @@ type runOptions struct {
 	heapSize     int
 	entry        string
 	randSeed     int64
-	out          io.Writer
-	observer     func(Event)
 	faults       *faults.Config
 	faultsErr    error
 	faultAttempt int
-	verify       bool
 	gcWorkers    int
 	reuseVM      *vm.VM
 	pageQuota    int64
 	tierDir      string
 	tierHigh     int
-	tierLow      int
 }
 
 func defaultRunOptions() runOptions {
@@ -65,27 +60,6 @@ func WithGCWorkers(n int) Option {
 	return func(o *runOptions) { o.gcWorkers = n }
 }
 
-// WithOutput duplicates Sys.print output to w as the program runs; the
-// full output remains available from Result.Output.
-func WithOutput(w io.Writer) Option {
-	return func(o *runOptions) { o.out = w }
-}
-
-// WithObserver streams runtime events (GC cycles, iteration boundaries,
-// page-manager releases) to fn as they happen. fn runs on VM threads and
-// must be fast and must not call back into the VM.
-func WithObserver(fn func(Event)) Option {
-	return func(o *runOptions) { o.observer = fn }
-}
-
-// WithVerify runs the IR verifier and the facade-safety linter
-// (internal/analysis) over the program before execution. A verifier error
-// or any lint finding fails the Run call; the number of functions checked
-// and findings raised appear in RunStats' analysis.* counters.
-func WithVerify() Option {
-	return func(o *runOptions) { o.verify = true }
-}
-
 // WithReusedVM runs the program on a warm VM from a previous run instead of
 // building a fresh one. The VM must have been built for the same *ir.Program
 // and with the same heap size as this run requests; Run resets all job
@@ -108,23 +82,21 @@ func WithPageQuota(pages int64) Option {
 }
 
 // WithTiering spills cold off-heap pages to a spill file under dir once
-// more than highPages pages are resident in DRAM, evicting down to
-// lowPages (half of highPages when lowPages is outside 1..highPages). The
-// file is read and written with plain pread/pwrite on every
-// platform: page bodies are copied under the tier lock either way, so a
-// mapping measured no faster (docs/OFFHEAP.md). Spilled pages promote
-// back transparently on access, and iteration-end bulk release drops them
-// without reading them back. Program output is bit-identical with tiering
-// on or off (the tier-equivalence battery enforces it); only residency
-// changes. Applies to transformed programs only — untransformed programs
-// have no off-heap pages — and composes with WithPageQuota, which then
-// caps resident pages rather than live pages: the run spills before it
-// fails. Pass highPages <= 0 to disable.
-func WithTiering(dir string, highPages, lowPages int) Option {
+// more than highPages pages are resident in DRAM, evicting down to half of
+// highPages (at least one page). The file is read and written with plain
+// pread/pwrite on every platform: page bodies are copied under the tier
+// lock either way, so a mapping measured no faster (docs/OFFHEAP.md).
+// Spilled pages promote back transparently on access, and iteration-end
+// bulk release drops them without reading them back. Program output is
+// bit-identical with tiering on or off (the tier-equivalence battery
+// enforces it); only residency changes. Applies to transformed programs
+// only — untransformed programs have no off-heap pages — and composes with
+// WithPageQuota, which then caps resident pages rather than live pages:
+// the run spills before it fails. Pass highPages <= 0 to disable.
+func WithTiering(dir string, highPages int) Option {
 	return func(o *runOptions) {
 		o.tierDir = dir
 		o.tierHigh = highPages
-		o.tierLow = lowPages
 	}
 }
 

@@ -113,7 +113,7 @@ func TestTierEquivalence(t *testing.T) {
 	for _, high := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("high=%d", high), func(t *testing.T) {
 			dir := t.TempDir()
-			res, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir, high, high/2))
+			res, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir, high))
 			if err != nil {
 				t.Fatalf("tiered: %v", err)
 			}
@@ -176,7 +176,7 @@ func TestTierEquivalenceExamples(t *testing.T) {
 			refOut := ref.Output()
 			ref.Close()
 			dir := t.TempDir()
-			res, err := Run(r.P2, WithHeapSize(64<<20), WithTiering(dir, 2, 1))
+			res, err := Run(r.P2, WithHeapSize(64<<20), WithTiering(dir, 2))
 			if err != nil {
 				t.Fatalf("tiered: %v", err)
 			}
@@ -210,7 +210,7 @@ func TestTierReusedVMTearsDownSpill(t *testing.T) {
 	}
 
 	dir1 := t.TempDir()
-	r1, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir1, 4, 2))
+	r1, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTierReusedVMTearsDownSpill(t *testing.T) {
 	// Reuse tiered into a different directory: the reset must drop the
 	// old spill file before the new job starts.
 	dir2 := t.TempDir()
-	r2, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir2, 4, 2), WithReusedVM(r1.VM))
+	r2, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir2, 4), WithReusedVM(r1.VM))
 	if err != nil {
 		t.Fatalf("tiered reuse: %v", err)
 	}

@@ -1,12 +1,6 @@
 package facade
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/analysis"
-	"repro/internal/obs"
-)
+import "testing"
 
 const vetSrc = `
 // facadec: data=Item,Main
@@ -21,54 +15,6 @@ class Main {
     }
 }
 `
-
-func TestWithVerifyPublishesAnalysisStats(t *testing.T) {
-	prog, err := Compile(map[string]string{"v.fj": vetSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Transform(prog, TransformOptions{DataClasses: []string{"Item", "Main"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(p2, WithHeapSize(8<<20), WithVerify())
-	if err != nil {
-		t.Fatalf("run with verify: %v", err)
-	}
-	defer res.Close()
-	if res.Output() != "42\n" {
-		t.Fatalf("output %q", res.Output())
-	}
-	st := res.Stats()
-	if st.Counters[obs.CtrVerifyFuncs] == 0 {
-		t.Fatalf("%s not published", obs.CtrVerifyFuncs)
-	}
-	if n := st.Counters[obs.CtrLintFindings]; n != 0 {
-		t.Fatalf("unexpected lint findings: %d", n)
-	}
-	if n := st.Counters[obs.CtrDCERemoved]; n == 0 || n != int64(p2.DCERemoved) {
-		t.Fatalf("%s = %d, program's DCERemoved %d (DCE is on by default)", obs.CtrDCERemoved, n, p2.DCERemoved)
-	}
-}
-
-func TestWithVerifyFailsOnSeededViolation(t *testing.T) {
-	prog, err := Compile(map[string]string{"v.fj": vetSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Transform(prog, TransformOptions{DataClasses: []string{"Item", "Main"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := analysis.SeedViolation(p2, "use-before-def"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(p2, WithHeapSize(8<<20), WithVerify()); err == nil {
-		t.Fatal("run with verify accepted a seeded use-before-def")
-	} else if !strings.Contains(err.Error(), "facade lint") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
 
 func TestDataClassesDirective(t *testing.T) {
 	if got := DataClassesDirective(vetSrc); len(got) != 2 || got[0] != "Item" || got[1] != "Main" {

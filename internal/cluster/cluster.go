@@ -58,9 +58,9 @@ const (
 	backoffCap      = 1 * time.Millisecond
 )
 
-// DefaultRecvTimeout bounds how long Recv waits before declaring the link
+// recvTimeout bounds how long Recv waits before declaring the link
 // stalled.
-const DefaultRecvTimeout = 10 * time.Second
+const recvTimeout = 10 * time.Second
 
 // mailbox is one node's unbounded receive queue. A single goroutine
 // consumes each mailbox (the node's main loop); any goroutine may send.
@@ -97,7 +97,7 @@ type NetStats struct {
 type Network struct {
 	boxes       []*mailbox
 	inj         *faults.Injector // keyed points only; nil when disabled
-	recvTimeout time.Duration
+	recvTimeout time.Duration    // the constant recvTimeout; a stall test shortens it
 
 	seqMu sync.Mutex
 	seqs  map[uint64]uint64 // (from,to) link -> last sequence number
@@ -114,10 +114,7 @@ type Network struct {
 	blackHoled      atomic.Int64
 }
 
-func newNetwork(nodes int, inj *faults.Injector, recvTimeout time.Duration) *Network {
-	if recvTimeout <= 0 {
-		recvTimeout = DefaultRecvTimeout
-	}
+func newNetwork(nodes int, inj *faults.Injector) *Network {
 	n := &Network{inj: inj, recvTimeout: recvTimeout, seqs: make(map[uint64]uint64)}
 	for i := 0; i < nodes; i++ {
 		n.boxes = append(n.boxes, &mailbox{
@@ -379,10 +376,6 @@ type Config struct {
 	// private injector derived with ForNode; the network shares one keyed
 	// injector.
 	Faults *faults.Config
-
-	// RecvTimeout bounds how long Network.Recv waits before reporting a
-	// stalled link (DefaultRecvTimeout when zero).
-	RecvTimeout time.Duration
 }
 
 // New builds a cluster of NumNodes nodes, each with a private VM for prog.
@@ -400,7 +393,7 @@ func New(prog *ir.Program, cfg Config) (*Cluster, error) {
 	} else {
 		c.nodeInj = make([]*faults.Injector, cfg.NumNodes)
 	}
-	c.Net = newNetwork(cfg.NumNodes, c.inj, cfg.RecvTimeout)
+	c.Net = newNetwork(cfg.NumNodes, c.inj)
 	for i := 0; i < cfg.NumNodes; i++ {
 		n, err := c.newNode(i)
 		if err != nil {

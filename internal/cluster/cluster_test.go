@@ -239,11 +239,12 @@ func TestUnboundedMailboxNoDeadlock(t *testing.T) {
 // error naming the quiet link instead of hanging.
 func TestRecvStallNamesNodes(t *testing.T) {
 	p := testProgram(t)
-	cl, err := New(p, Config{NumNodes: 3, HeapPerNode: 4 << 20, RecvTimeout: 50 * time.Millisecond})
+	cl, err := New(p, Config{NumNodes: 3, HeapPerNode: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.Net.recvTimeout = 50 * time.Millisecond
 	cl.Net.Send(Frame{From: 1, To: 2, Data: []byte("only one")})
 	if _, err := cl.Net.Recv(2); err != nil {
 		t.Fatalf("first frame should arrive: %v", err)
@@ -268,7 +269,7 @@ func TestGatherFilesBySender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(p, Config{NumNodes: 4, HeapPerNode: 4 << 20, Faults: &fc, RecvTimeout: 5 * time.Second})
+	cl, err := New(p, Config{NumNodes: 4, HeapPerNode: 4 << 20, Faults: &fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestFaultyLinkStillDeliversExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := New(p, Config{NumNodes: 2, HeapPerNode: 4 << 20, Faults: &fc, RecvTimeout: 5 * time.Second})
+	cl, err := New(p, Config{NumNodes: 2, HeapPerNode: 4 << 20, Faults: &fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestFaultyLinkStillDeliversExactlyOnce(t *testing.T) {
 // a restarted node receives again on a fresh VM.
 func TestCrashBlackHolesAndRestartRevives(t *testing.T) {
 	p := testProgram(t)
-	cl, err := New(p, Config{NumNodes: 2, HeapPerNode: 4 << 20, RecvTimeout: 100 * time.Millisecond})
+	cl, err := New(p, Config{NumNodes: 2, HeapPerNode: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,21 +49,10 @@ type Config struct {
 
 	// Faults configures deterministic fault injection (nil disables).
 	// When any fault is enabled the engine checkpoints vertex state at
-	// superstep boundaries so crashed or OOM-killed nodes can be
-	// rebuilt and the computation replayed from the last checkpoint.
+	// every superstep boundary so a crashed or OOM-killed node can be
+	// rebuilt and the superstep replayed from its own start. Only the
+	// newest checkpoint is retained.
 	Faults *faults.Config
-
-	// CheckpointInterval checkpoints every k superstep boundaries
-	// (default 1: every boundary). Larger k trades checkpoint cost for a
-	// longer replay: a failure rewinds to the last checkpointed step and
-	// re-runs everything after it. Only the newest checkpoint is
-	// retained; the superseded one is dropped as soon as its successor
-	// is durably taken.
-	CheckpointInterval int
-
-	// RecvTimeout bounds the superstep barrier's wait for peer frames
-	// (cluster.DefaultRecvTimeout when zero).
-	RecvTimeout time.Duration
 }
 
 // Result reports one run (§4.3's ET/GT/space comparison).
@@ -161,8 +150,7 @@ type nodeState struct {
 // walker-conserving, not bit-identical), plus the k-means master's
 // centroids. A k-means node holds nothing a superstep reads: every
 // superstep re-assigns every point from the centroids. Restoring the
-// checkpoint and re-running the supersteps since replays the computation
-// exactly.
+// checkpoint and re-running its superstep replays the computation exactly.
 type checkpoint struct {
 	step     int
 	vals     [][]byte   // per node: n × (u32 id, f64 value); nil for k-means
@@ -178,14 +166,13 @@ const maxReplays = 4
 // engine carries one run's cluster-side state. Recovery is counted in
 // the cluster's registry.
 type engine struct {
-	cl      *cluster.Cluster
-	cfg     Config
-	g       *datagen.Graph
-	parts   []*partition
-	states  []*nodeState
-	plan    faults.Plan
-	ckpt    *checkpoint
-	replays map[int]int // recovery attempts per failing superstep
+	cl     *cluster.Cluster
+	cfg    Config
+	g      *datagen.Graph
+	parts  []*partition
+	states []*nodeState
+	plan   faults.Plan
+	ckpt   *checkpoint
 
 	// cents are the k-means centroids (every x, then every y): the global
 	// object GPS's master computes between supersteps and broadcasts.
@@ -207,15 +194,11 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (_ *Result, err error) 
 	if cfg.Walkers <= 0 {
 		cfg.Walkers = g.NumVertices / 4
 	}
-	if cfg.CheckpointInterval <= 0 {
-		cfg.CheckpointInterval = 1
-	}
 	cl, err := cluster.New(prog, cluster.Config{
 		NumNodes:    cfg.Nodes,
 		HeapPerNode: cfg.HeapPerNode,
 		RandSeed:    cfg.Seed,
 		Faults:      cfg.Faults,
-		RecvTimeout: cfg.RecvTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -230,13 +213,12 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (_ *Result, err error) 
 		return 0.0
 	}
 	e := &engine{
-		cl:      cl,
-		cfg:     cfg,
-		g:       g,
-		parts:   partitionGraph(g, cfg.Nodes, initVal),
-		states:  make([]*nodeState, cfg.Nodes),
-		plan:    cl.CrashPlan(cfg.Supersteps),
-		replays: make(map[int]int),
+		cl:     cl,
+		cfg:    cfg,
+		g:      g,
+		parts:  partitionGraph(g, cfg.Nodes, initVal),
+		states: make([]*nodeState, cfg.Nodes),
+		plan:   cl.CrashPlan(cfg.Supersteps),
 	}
 	if cfg.App == KMeans {
 		// Spread the initial centroids over the embedding's range.
@@ -264,12 +246,10 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (_ *Result, err error) 
 		}
 	}
 
-	for step := 0; step < cfg.Supersteps; {
-		next, err := e.runSuperstep(step)
-		if err != nil {
+	for step := 0; step < cfg.Supersteps; step++ {
+		if err := e.runSuperstep(step); err != nil {
 			return nil, err
 		}
-		step = next
 	}
 
 	// Extract final values.
@@ -304,7 +284,7 @@ func (e *engine) tolerant() bool { return e.cl.Injector() != nil }
 
 // seedWalkers plants cfg.Walkers walkers round-robin across vertices by
 // calling GPSDriver.seedWalkers on each owning node. Seeded walkers live
-// in vertex message lists — not in any frame — so a rewind to the
+// in vertex message lists — not in any frame — so a restore of the
 // step-0 checkpoint (whose node states are rebuilt empty) re-runs this.
 func (e *engine) seedWalkers() error {
 	seedByNode := make([][]int32, e.cfg.Nodes)
@@ -440,21 +420,38 @@ func (e *engine) buildPoints(n *cluster.Node, st *nodeState) error {
 	return nil
 }
 
-// runSuperstep drives one superstep through checkpointing, compute,
-// recovery (if a crash was planned or a node OOMed), and the frame
-// barrier. It returns the next superstep to run: step+1 on success, or
-// the last checkpointed step after a recovery — with CheckpointInterval
-// > 1 that rewinds several supersteps, which replay deterministically.
-func (e *engine) runSuperstep(step int) (int, error) {
-	if e.tolerant() && step%e.cfg.CheckpointInterval == 0 && (e.ckpt == nil || e.ckpt.step != step) {
+// runSuperstep drives one superstep through its checkpoint, compute and
+// the frame barrier. A fault-tolerant run checkpoints at every superstep
+// boundary, so a recovery (a planned crash, or a node out of memory)
+// restores this superstep's start and runs it again.
+func (e *engine) runSuperstep(step int) error {
+	if e.tolerant() {
 		c, err := e.takeCheckpoint(step)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		e.retain(c)
 	}
-	// Taking the planned crash consumes it: a replay of this superstep
-	// after a multi-step rewind must not re-fire it.
+	for replays := 0; ; replays++ {
+		failed, kind, err := e.attempt(step)
+		if kind == "" {
+			return err
+		}
+		if replays == maxReplays {
+			return fmt.Errorf("gps: superstep %d still failing after %d recovery attempts", step, maxReplays)
+		}
+		if err := e.recover(step, failed, kind); err != nil {
+			return err
+		}
+	}
+}
+
+// attempt runs a superstep once. A failure the checkpoint recovers from
+// comes back as the failed node and its kind, "crash" or "oom"; any other
+// failure as err.
+func (e *engine) attempt(step int) (failed int, kind string, err error) {
+	// Taking the planned crash consumes it: the replay of this superstep
+	// must not re-fire it.
 	if node, ok := e.plan.Take(step); ok {
 		// The node dies mid-superstep: it computes nothing and its
 		// mailbox black-holes, while the surviving nodes finish their
@@ -462,40 +459,20 @@ func (e *engine) runSuperstep(step int) (int, error) {
 		e.cl.Obs().Counter(obs.CtrCrashes).Inc()
 		e.cl.Net.Crash(node)
 		if err := e.compute(step, node); err != nil {
-			return 0, err
+			return 0, "", err
 		}
-		return e.recoverAndRewind(step, node, "crash")
+		return node, "crash", nil
 	}
-	err := e.compute(step, -1)
+	err = e.compute(step, -1)
 	if err == nil {
-		if err := e.barrier(); err != nil {
-			return 0, err
-		}
-		return step + 1, nil
+		return 0, "", e.barrier()
 	}
 	ne := cluster.FirstNodeError(err)
-	if e.ckpt == nil || ne == nil || !vm.IsOOM(ne.Err) {
-		return 0, err
+	if !e.tolerant() || ne == nil || !vm.IsOOM(ne.Err) {
+		return 0, "", err
 	}
 	e.cl.Obs().Counter(obs.CtrOOMRecoveries).Inc()
-	return e.recoverAndRewind(step, ne.ID, "oom")
-}
-
-// recoverAndRewind recovers from the retained checkpoint and returns the
-// superstep to resume from (the checkpointed one), bounding how often a
-// single superstep may fail before the run gives up.
-func (e *engine) recoverAndRewind(step, failed int, kind string) (int, error) {
-	e.replays[step]++
-	if e.replays[step] > maxReplays {
-		return 0, fmt.Errorf("gps: superstep %d still failing after %d recovery attempts", step, maxReplays)
-	}
-	if e.ckpt == nil {
-		return 0, fmt.Errorf("gps: superstep %d failed (%s, node %d) with no checkpoint to rewind to", step, kind, failed)
-	}
-	if err := e.recover(step, e.ckpt, failed, kind); err != nil {
-		return 0, err
-	}
-	return e.ckpt.step, nil
+	return ne.ID, "oom", nil
 }
 
 // compute runs the superstep's compute phase on every node except skip.
@@ -602,9 +579,9 @@ func (e *engine) takeCheckpoint(step int) (*checkpoint, error) {
 }
 
 // recover rebuilds the failed node with a fresh VM, discards the aborted
-// attempt's frames, and winds every node back to the checkpoint so the
-// superstep can replay.
-func (e *engine) recover(step int, ckpt *checkpoint, failed int, kind string) error {
+// attempt's frames, and winds every node back to this superstep's
+// checkpoint so the superstep can replay.
+func (e *engine) recover(step int, failed int, kind string) error {
 	if err := e.cl.RestartNode(failed); err != nil {
 		return err
 	}
@@ -618,7 +595,7 @@ func (e *engine) recover(step int, ckpt *checkpoint, failed int, kind string) er
 			}
 		}
 	}
-	return e.restore(ckpt)
+	return e.restore(e.ckpt)
 }
 
 // restore rebuilds every node's vertex state, incoming frames, and
@@ -652,7 +629,7 @@ func (e *engine) restore(ckpt *checkpoint) error {
 		reg.Emit(obs.EvCheckpoint, "restore", int64(ckpt.step), int64(len(b)), int64(id))
 	}
 	// Seeded walkers live in vertex message lists, which buildNodeState
-	// rebuilds empty; a rewind to the pre-step-0 state must replant them.
+	// rebuilds empty; a restore of the step-0 checkpoint must replant them.
 	if ckpt.step == 0 && e.cfg.App == RandomWalk {
 		return e.seedWalkers()
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/faults"
@@ -213,7 +212,6 @@ func faultMatrix(t *testing.T, g *datagen.Graph, base Config, cases []faultCase)
 				}
 				cfg := base
 				cfg.Faults = &fc
-				cfg.RecvTimeout = 5 * time.Second
 				res, err := Run(prog, g, cfg)
 				if err != nil {
 					t.Fatalf("faulty run: %v", err)
@@ -293,7 +291,6 @@ func TestRandomWalkCrashReplayBitIdentical(t *testing.T) {
 			}
 			cfg := base
 			cfg.Faults = &fc
-			cfg.RecvTimeout = 5 * time.Second
 			res, err := Run(prog, g, cfg)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, spec, err)
@@ -318,8 +315,7 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 	p, _ := programs(t)
 	g := datagen.PowerLawGraph(250, 2000, 7)
 	fc := faults.Config{Seed: 15, Crashes: 1}
-	cfg := Config{App: PageRank, Nodes: 3, HeapPerNode: 16 << 20, Supersteps: 4,
-		Faults: &fc, RecvTimeout: 5 * time.Second}
+	cfg := Config{App: PageRank, Nodes: 3, HeapPerNode: 16 << 20, Supersteps: 4, Faults: &fc}
 	res, err := Run(p, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -332,58 +328,6 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 	}
 }
 
-// TestCheckpointIntervalReplays runs with checkpoints every 2 supersteps:
-// a crash rewinds more than one superstep to the last checkpoint, the
-// intervening supersteps replay deterministically, and the result is
-// still bit-identical to the fault-free run.
-func TestCheckpointIntervalReplays(t *testing.T) {
-	p, _ := programs(t)
-	g := datagen.PowerLawGraph(250, 2000, 7)
-	base := Config{App: PageRank, Nodes: 3, HeapPerNode: 16 << 20, Supersteps: 4}
-	clean, err := Run(p, g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range []App{PageRank, RandomWalk, KMeans} {
-		fc := faults.Config{Seed: 15, Crashes: 1}
-		cfg := base
-		cfg.App = app
-		cfg.CheckpointInterval = 2
-		cfg.Faults = &fc
-		cfg.RecvTimeout = 5 * time.Second
-		if app == RandomWalk {
-			cfg.Walkers = 50
-			cfg.Seed = 3
-		}
-		res, err := Run(p, g, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", app, err)
-		}
-		// Supersteps 0 and 2 checkpoint; the crash replays from one of
-		// them without re-taking it.
-		rec := res.Obs.Counters
-		if rec[obs.CtrCheckpoints] != 2 {
-			t.Fatalf("%v: checkpoints = %d, want 2 (every 2nd superstep)", app, rec[obs.CtrCheckpoints])
-		}
-		if rec[obs.CtrCheckpointsDropped] != 1 {
-			t.Fatalf("%v: checkpoints dropped = %d, want 1", app, rec[obs.CtrCheckpointsDropped])
-		}
-		if rec[obs.CtrCrashes] != 1 || rec[obs.CtrRestores] != 1 {
-			t.Fatalf("%v: crash recovery missing from counters: %v", app, rec)
-		}
-		ref := clean
-		if app != PageRank {
-			cleanCfg := cfg
-			cleanCfg.Faults = nil
-			cleanCfg.CheckpointInterval = 0
-			if ref, err = Run(p, g, cleanCfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameBits(t, app.String()+" under interval checkpointing", ref, res)
-	}
-}
-
 // TestCrashRecoveryCountsOnce reads a 2-node PageRank crash recovery off
 // the cluster registry: every recovery action is counted once per run,
 // and the crashed node's restart does not take its share of the books
@@ -392,8 +336,7 @@ func TestCrashRecoveryCountsOnce(t *testing.T) {
 	p, _ := programs(t)
 	g := datagen.PowerLawGraph(250, 2000, 7)
 	fc := faults.Config{Seed: 15, Crashes: 1}
-	cfg := Config{App: PageRank, Nodes: 2, HeapPerNode: 16 << 20, Supersteps: 4,
-		Faults: &fc, RecvTimeout: 5 * time.Second}
+	cfg := Config{App: PageRank, Nodes: 2, HeapPerNode: 16 << 20, Supersteps: 4, Faults: &fc}
 	res, err := Run(p, g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/datagen"
@@ -261,8 +260,7 @@ func TestFaultMatrixJobsMatchBaseline(t *testing.T) {
 					}
 					fs := dfs.New()
 					res, err := RunJob(prog, j.job, j.parts, cluster.Config{
-						NumNodes: 3, HeapPerNode: 16 << 20,
-						Faults: &fc, RecvTimeout: 5 * time.Second,
+						NumNodes: 3, HeapPerNode: 16 << 20, Faults: &fc,
 					}, 0, fs)
 					if err != nil {
 						t.Fatalf("faulty run: %v", err)

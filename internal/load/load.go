@@ -58,10 +58,10 @@ type Config struct {
 	// MaxRetries bounds client-side resubmits per job when the daemon
 	// answers 429/503 (default 16).
 	MaxRetries int
-	// SampleEvery is the queue-depth sampling interval (default 100ms).
-	SampleEvery time.Duration
 	// Progress receives one line per 100 completed jobs when non-nil.
 	Progress io.Writer
+
+	sampleEvery time.Duration // queue-depth sampling interval: 100ms outside tests
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -78,8 +78,8 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.MaxRetries == 0 {
 		out.MaxRetries = 16
 	}
-	if out.SampleEvery <= 0 {
-		out.SampleEvery = 100 * time.Millisecond
+	if out.sampleEvery <= 0 {
+		out.sampleEvery = 100 * time.Millisecond
 	}
 	if out.Mix == nil {
 		out.Mix = map[string]int{}
@@ -275,7 +275,7 @@ func Run(c *server.Client, cfg Config) (*Report, error) {
 	wallStart := time.Now()
 	go func() {
 		defer close(samplerDone)
-		tick := time.NewTicker(cfg.SampleEvery)
+		tick := time.NewTicker(cfg.sampleEvery)
 		defer tick.Stop()
 		for {
 			select {

@@ -142,7 +142,7 @@ func TestRunOpenLoop(t *testing.T) {
 		Jobs:        8,
 		Clients:     4,
 		Rate:        50,
-		SampleEvery: 5 * time.Millisecond,
+		sampleEvery: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 
 	events *Ring
-	sink   atomic.Pointer[func(Event)]
 }
 
 // NewRegistry creates an empty registry with a default-capacity event
@@ -137,32 +136,17 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// SetEventSink installs a callback invoked synchronously for every emitted
-// event (nil uninstalls). Sinks must be fast; they run on the emitting
-// thread, which may be a stopped-world collector.
-func (r *Registry) SetEventSink(fn func(Event)) {
-	if fn == nil {
-		r.sink.Store(nil)
-		return
-	}
-	r.sink.Store(&fn)
-}
-
 // Emit records an event in the ring buffer, stamped with nanoseconds since
-// the registry was created, and forwards it to the sink if one is set.
+// the registry was created.
 func (r *Registry) Emit(kind, label string, a, b, c int64) {
-	e := Event{
+	r.events.Append(Event{
 		Nanos: time.Since(r.start).Nanoseconds(),
 		Kind:  kind,
 		Label: label,
 		A:     a,
 		B:     b,
 		C:     c,
-	}
-	r.events.Append(e)
-	if fn := r.sink.Load(); fn != nil {
-		(*fn)(e)
-	}
+	})
 }
 
 // Events returns the registry's event ring.
@@ -267,10 +251,8 @@ const (
 	CtrCrashes            = "recovery.crashes"             // planned node/worker crashes survived
 	CtrOOMRecoveries      = "recovery.oom_recoveries"      // out-of-memory failures recovered
 
-	// Static analysis (internal/analysis via facade.Run / facadec vet).
-	CtrVerifyFuncs  = "analysis.verify_funcs"  // functions checked by the IR verifier
-	CtrLintFindings = "analysis.lint_findings" // facade-safety lint findings
-	CtrDCERemoved   = "analysis.dce_removed"   // instructions removed by dead-code elimination
+	// Static analysis (internal/analysis via facade.Run).
+	CtrDCERemoved = "analysis.dce_removed" // instructions removed by dead-code elimination
 
 	// Daemon (internal/server, the repro serve runtime-as-a-service layer).
 	CtrServerSubmitted  = "server.jobs_submitted"      // jobs accepted into the queue

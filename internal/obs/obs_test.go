@@ -191,18 +191,6 @@ func TestQuietRegistryHoldsNoEvents(t *testing.T) {
 	}
 }
 
-func TestEventSink(t *testing.T) {
-	r := NewRegistry()
-	var got []Event
-	r.SetEventSink(func(e Event) { got = append(got, e) })
-	r.Emit(EvGC, "minor", 123, 4, 0)
-	r.SetEventSink(nil)
-	r.Emit(EvGC, "full", 456, 0, 0)
-	if len(got) != 1 || got[0].Label != "minor" || got[0].A != 123 {
-		t.Fatalf("sink saw %+v", got)
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(CtrInstructions).Add(42)

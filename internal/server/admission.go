@@ -13,27 +13,19 @@ import (
 // the gauge that mirrors them. Invariant: reserved equals the sum of
 // tenants, which equals the sum of job.reserved() over non-terminal jobs.
 type budget struct {
-	limit        int64            // aggregate bound
-	tenantLimit  int64            // default per-tenant bound (0 = none)
-	tenantLimits map[string]int64 // per-tenant overrides
-	reserved     int64
-	tenants      map[string]int64 // reservations by tenant; entries stay at 0 once seen
-	gauge        *obs.Gauge
+	limit       int64 // aggregate bound
+	tenantLimit int64 // per-tenant bound (0 = none)
+	reserved    int64
+	tenants     map[string]int64 // reservations by tenant; entries stay at 0 once seen
+	gauge       *obs.Gauge
 }
 
-func newBudget(limit, tenantLimit int64, tenantLimits map[string]int64, reg *obs.Registry) budget {
+func newBudget(limit, tenantLimit int64, reg *obs.Registry) budget {
 	return budget{
-		limit: limit, tenantLimit: tenantLimit, tenantLimits: tenantLimits,
+		limit: limit, tenantLimit: tenantLimit,
 		tenants: make(map[string]int64),
 		gauge:   reg.Gauge(obs.GaugeServerReserved),
 	}
-}
-
-func (b *budget) limitOf(tenant string) int64 {
-	if l, ok := b.tenantLimits[tenant]; ok {
-		return l
-	}
-	return b.tenantLimit
 }
 
 // room reports why n more bytes for tenant do not fit, or nil if they do.
@@ -44,7 +36,7 @@ func (b *budget) room(tenant string, n int64) error {
 		return fmt.Errorf("aggregate heap budget exhausted: %d reserved + %d requested > %d",
 			b.reserved, n, b.limit)
 	}
-	if tl := b.limitOf(tenant); tl > 0 && n > tl-b.tenants[tenant] {
+	if tl := b.tenantLimit; tl > 0 && n > tl-b.tenants[tenant] {
 		return fmt.Errorf("tenant %q heap budget exhausted: %d reserved + %d requested > %d",
 			tenant, b.tenants[tenant], n, tl)
 	}

@@ -41,29 +41,34 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestBudgetRoomAndPressure(t *testing.T) {
-	b := newBudget(100, 40, map[string]int64{"big": 90, "unmetered": 0}, obs.NewRegistry())
+	b := newBudget(100, 40, obs.NewRegistry())
 	b.reserve("a", 30)
 	if err := b.room("a", 20); err == nil {
-		t.Fatal("tenant a over its default limit was given room")
+		t.Fatal("tenant a over its limit was given room")
 	}
-	if err := b.room("big", 70); err != nil {
-		t.Fatalf("override not honoured: %v", err)
-	}
-	if err := b.room("unmetered", 70); err != nil {
-		t.Fatalf("a zero override means no tenant limit: %v", err)
-	}
-	if err := b.room("big", 71); err == nil {
-		t.Fatal("aggregate limit not enforced")
-	}
-	if err := b.room("unmetered", math.MaxInt64); err == nil {
-		t.Fatal("a request that overflows the reservation was given room")
+	if err := b.room("b", 40); err != nil {
+		t.Fatalf("tenant b within its limit refused: %v", err)
 	}
 	if got := b.pressure(100); got != 130 {
 		t.Fatalf("pressure at 30%% full = %d, want 130", got)
 	}
-	b.reserve("big", 70)
+	b.reserve("b", 40)
+	b.reserve("c", 20)
+	if err := b.room("d", 11); err == nil {
+		t.Fatal("aggregate limit not enforced")
+	}
+	b.reserve("d", 10)
 	if got := b.pressure(100); got != 200 {
 		t.Fatalf("pressure at a full budget = %d, want 200", got)
+	}
+	unmetered := newBudget(100, 0, obs.NewRegistry())
+	if err := unmetered.room("x", 70); err != nil {
+		t.Fatalf("a zero tenant limit means no tenant limit: %v", err)
+	}
+	// Only with something reserved does reserved+n wrap past MaxInt64.
+	unmetered.reserve("y", 30)
+	if err := unmetered.room("x", math.MaxInt64); err == nil {
+		t.Fatal("a request that overflows the reservation was given room")
 	}
 }
 
@@ -73,7 +78,8 @@ func TestBudgetRoomAndPressure(t *testing.T) {
 // the per-tenant split and the gauge agree, and that it all returns to 0.
 func TestBudgetSymmetry(t *testing.T) {
 	const heap = 8 << 20
-	s := newCore(Config{HeapBudget: 10 << 20, RetryBase: time.Hour, RetryMax: time.Hour})
+	s := newCore(Config{HeapBudget: 10 << 20})
+	s.retryBase, s.retryMax = time.Hour, time.Hour // no retry fires while the test looks
 	check := func(s *Server, want int64) {
 		t.Helper()
 		s.mu.Lock()

@@ -190,7 +190,7 @@ func (s *Server) Status() ServerStatus {
 		Tenants:      make(map[string]TenantStatus, len(s.budget.tenants)),
 	}
 	for tenant, res := range s.budget.tenants {
-		st.Tenants[tenant] = TenantStatus{HeapBudget: s.budget.limitOf(tenant), HeapReserved: res}
+		st.Tenants[tenant] = TenantStatus{HeapBudget: s.budget.tenantLimit, HeapReserved: res}
 	}
 	// Every non-terminal job holds a reservation, so its tenant is in the
 	// map; terminal jobs are skipped before the lookup.

@@ -83,6 +83,9 @@ const (
 	// job turn into a 404 under sustained load. It must exceed the
 	// long-poll window plus client turnaround. Aging evicts regardless.
 	fetchGrace = 3 * longPollWindow
+	// maxJobHistory caps the terminal jobs kept regardless of age, oldest
+	// evicted first.
+	maxJobHistory = 512
 )
 
 // jobStore owns the jobs the daemon can answer for: every non-terminal one,
@@ -91,7 +94,7 @@ const (
 type jobStore struct {
 	byID       map[string]*job
 	finished   []*job
-	maxHistory int // Config.MaxJobHistory; <= 0 means no cap
+	maxHistory int // maxJobHistory outside tests
 }
 
 func newJobStore(maxHistory int) jobStore {
@@ -120,7 +123,7 @@ func (st *jobStore) finish(j *job) { st.finished = append(st.finished, j) }
 // scan past it.
 func (st *jobStore) prune(now time.Time) {
 	excess := 0
-	if st.maxHistory > 0 && len(st.finished) > st.maxHistory {
+	if len(st.finished) > st.maxHistory {
 		excess = len(st.finished) - st.maxHistory
 	}
 	for len(st.finished) > 0 && st.evict(st.finished[0], now, &excess) {

@@ -79,7 +79,7 @@ func TestPruneCapHonoursFetchGrace(t *testing.T) {
 // every call, kept as the oracle for the head-popping one.
 func pruneByScan(st *jobStore, now time.Time) {
 	excess := 0
-	if st.maxHistory > 0 && len(st.finished) > st.maxHistory {
+	if len(st.finished) > st.maxHistory {
 		excess = len(st.finished) - st.maxHistory
 	}
 	if excess == 0 && (len(st.finished) == 0 || now.Sub(st.finished[0].finishedAt) < jobRetention) {
@@ -117,7 +117,7 @@ func finishedIDs(st *jobStore) []string {
 func TestPruneMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(30, 1))
 	for trial := 0; trial < 300; trial++ {
-		maxHistory := rng.IntN(6) // 0: no cap
+		maxHistory := 1 + rng.IntN(5)
 		got, want := newJobStore(maxHistory), newJobStore(maxHistory)
 		now := time.Now()
 		for step := 0; step < 200; step++ {

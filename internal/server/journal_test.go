@@ -136,9 +136,10 @@ func TestJournalRoundTripAndReplay(t *testing.T) {
 // TestJournalReplayIgnoresRemovedKeys pins that no decoder on the replay
 // path is strict: a facade.journal/v1 record still carrying keys a later
 // daemon no longer knows (here the lifetime profile facade.run/v1 dropped:
-// lifetime_region_allocs, lifetime_demotions, the lifetimes array) is read
-// as a whole record, not taken for a torn tail, and replays to the same job
-// results as the journal without them.
+// lifetime_region_allocs, lifetime_demotions, the lifetimes array; and the
+// submit request's tier_low_pages, on the job that replays) is read as a
+// whole record, not taken for a torn tail, and replays to the same jobs as
+// the journal without them.
 func TestJournalReplayIgnoresRemovedKeys(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "journal_v1.golden"))
 	if err != nil {
@@ -148,8 +149,11 @@ func TestJournalReplayIgnoresRemovedKeys(t *testing.T) {
 	const removed = `"state":"done","output":"42\n","stats":{"analysis":{"lifetime_pretenured":0,` +
 		`"lifetime_region_allocs":3,"lifetime_demotions":1},` +
 		`"lifetimes":[{"site":1,"class":"epoch-local","allocs":2,"bytes":48}]}}`
-	if strings.Count(string(golden), done) != 1 {
-		t.Fatalf("golden journal no longer has exactly one %s record", done)
+	const pending = `"seq":3,"job_id":"job-000003","tenant":"batch","req":{`
+	for _, rec := range []string{done, pending} {
+		if strings.Count(string(golden), rec) != 1 {
+			t.Fatalf("golden journal no longer has exactly one %s record", rec)
+		}
 	}
 	replay := func(content string) []*replayedJob {
 		t.Helper()
@@ -168,7 +172,8 @@ func TestJournalReplayIgnoresRemovedKeys(t *testing.T) {
 		return jobs
 	}
 	want := replay(string(golden))
-	got := replay(strings.Replace(string(golden), done, removed, 1))
+	old := strings.Replace(string(golden), done, removed, 1)
+	got := replay(strings.Replace(old, pending, pending+`"tier_low_pages":1,`, 1))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("record with removed keys replays to different jobs (%d vs %d)", len(got), len(want))
 	}

@@ -125,12 +125,15 @@ func TestSubmitWithRetryPrefersBodyHint(t *testing.T) {
 }
 
 // TestPruneKeepsUnfetchedTerminalJob fills the job history past
-// MaxJobHistory while a client still has a Wait outstanding on an
+// its cap while a client still has a Wait outstanding on an
 // already-completed job (it finished between the client's long-poll
 // windows and was never fetched). The cap must not turn that completed
 // job into a 404; once its result HAS been served, the cap applies again.
 func TestPruneKeepsUnfetchedTerminalJob(t *testing.T) {
-	s, c := newTestServer(t, Config{MaxConcurrent: 2, MaxJobHistory: 2})
+	s, c := newTestServer(t, Config{MaxConcurrent: 2})
+	s.mu.Lock()
+	s.jobs.maxHistory = 2
+	s.mu.Unlock()
 	seed := int64(3)
 	req := SubmitRequest{
 		Sources:  map[string]string{"s.fj": seededSrc},

@@ -110,14 +110,12 @@ type SubmitRequest struct {
 	PageQuota int64 `json:"page_quota,omitempty"`
 	// TierDir enables the off-heap disk tier for transformed jobs: cold
 	// pages spill to a file under this directory once more than
-	// TierHighPages are resident in DRAM, evicting down to TierLowPages.
+	// TierHighPages are resident in DRAM, evicting down to half of them.
 	// Empty TierDir with TierHighPages > 0 spills to the daemon's temp
 	// directory. With a PageQuota the job spills before the quota fails.
 	TierDir string `json:"tier_dir,omitempty"`
 	// TierHighPages is the DRAM high watermark in pages (0 = no tier).
 	TierHighPages int `json:"tier_high_pages,omitempty"`
-	// TierLowPages is the eviction target (default TierHighPages / 2).
-	TierLowPages int `json:"tier_low_pages,omitempty"`
 	// RandSeed seeds Sys.rand; nil means the default seed 1 (the pointer
 	// distinguishes "unset" from an explicit zero seed).
 	RandSeed *int64 `json:"rand_seed,omitempty"`
@@ -255,11 +253,8 @@ func (r *SubmitRequest) Validate() error {
 	if r.PageQuota < 0 {
 		return fmt.Errorf("negative page_quota")
 	}
-	if r.TierHighPages < 0 || r.TierLowPages < 0 {
+	if r.TierHighPages < 0 {
 		return fmt.Errorf("negative tier watermark")
-	}
-	if r.TierLowPages > r.TierHighPages {
-		return fmt.Errorf("tier_low_pages %d above tier_high_pages %d", r.TierLowPages, r.TierHighPages)
 	}
 	if r.DeadlineMillis < 0 {
 		return fmt.Errorf("negative deadline_ms")

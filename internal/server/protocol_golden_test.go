@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/facade"
@@ -164,5 +166,16 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		if err := req.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// An older client's body may carry tier_low_pages, even above the high
+	// watermark: it decodes to the request without the key, which runs at
+	// the default watermark.
+	const body = `{"schema":"facade.job/v1","sources":{"a.fj":"x"},"tier_high_pages":2`
+	withKey, err := decodeSubmit(strings.NewReader(body + `,"tier_low_pages":5}`))
+	if err != nil {
+		t.Fatalf("older client's tier_low_pages refused: %v", err)
+	}
+	if without, err := decodeSubmit(strings.NewReader(body + `}`)); err != nil || !reflect.DeepEqual(withKey, without) {
+		t.Fatalf("tier_low_pages changed the request: %+v vs %+v (%v)", withKey, without, err)
 	}
 }

@@ -415,11 +415,7 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 // classified transient and re-run with a re-derived fault stream; the
 // second attempt succeeds with output identical to a fault-free run.
 func TestTransientRetrySucceeds(t *testing.T) {
-	_, c := newTestServer(t, Config{
-		MaxConcurrent: 1,
-		RetryBase:     time.Millisecond,
-		RetryMax:      4 * time.Millisecond,
-	})
+	_, c := newTestServer(t, Config{MaxConcurrent: 1})
 	clean := SubmitRequest{Sources: map[string]string{"churn.fj": churnSrc}, HeapSize: 8 << 20}
 	want := oneShot(t, clean)
 	faulty := clean
@@ -449,11 +445,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 // (alloc=1) burns the whole attempt budget and fails transient with the
 // attempt count on record.
 func TestTransientRetryExhaustsAttempts(t *testing.T) {
-	_, c := newTestServer(t, Config{
-		MaxConcurrent: 1,
-		RetryBase:     time.Millisecond,
-		RetryMax:      4 * time.Millisecond,
-	})
+	_, c := newTestServer(t, Config{MaxConcurrent: 1})
 	st := submitWait(t, c, SubmitRequest{
 		Sources:     map[string]string{"churn.fj": churnSrc},
 		HeapSize:    8 << 20,

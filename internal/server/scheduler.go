@@ -220,7 +220,7 @@ func (s *Server) retryLater(j *job) bool {
 	j.state = StateQueued
 	s.runq.stopped()
 	s.cRetried.Add(1)
-	delay := jittered(backoff(s.cfg.RetryBase, s.cfg.RetryMax, j.attempt-2), j.seq, j.attempt)
+	delay := jittered(backoff(s.retryBase, s.retryMax, j.attempt-2), j.seq, j.attempt)
 	time.AfterFunc(delay, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -303,7 +303,7 @@ func runOptions(req *SubmitRequest) []facade.Option {
 		if dir == "" {
 			dir = os.TempDir()
 		}
-		opts = append(opts, facade.WithTiering(dir, req.TierHighPages, req.TierLowPages))
+		opts = append(opts, facade.WithTiering(dir, req.TierHighPages))
 	}
 	if req.Faults != "" {
 		opts = append(opts, facade.WithFaults(req.Faults))

@@ -37,11 +37,9 @@ type Config struct {
 	// and running jobs (default 1 GiB). Submissions that would exceed it
 	// are rejected with 429 + Retry-After.
 	HeapBudget int64
-	// TenantBudget is the default per-tenant heap budget (0 = no
-	// per-tenant limit beyond the aggregate).
+	// TenantBudget is every tenant's heap budget (0 = no per-tenant
+	// limit beyond the aggregate).
 	TenantBudget int64
-	// TenantBudgets overrides TenantBudget for specific tenants.
-	TenantBudgets map[string]int64
 
 	// MaxConcurrent is the number of jobs executing at once (default 2).
 	MaxConcurrent int
@@ -55,15 +53,6 @@ type Config struct {
 	// 10s). Jobs still queued or running at the deadline stay non-terminal
 	// in the journal and are replayed by the next incarnation.
 	DrainTimeout time.Duration
-
-	// RetryBase and RetryMax shape the capped exponential backoff between
-	// automatic re-runs of transiently failed jobs (defaults 50ms / 2s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-
-	// MaxJobHistory caps the number of retained terminal jobs regardless
-	// of age, oldest evicted first (default 512, negative = unlimited).
-	MaxJobHistory int
 
 	// FaultSpec enables daemon-level fault injection (internal/faults);
 	// "killat=N" crashes the process at the N-th journal append — the
@@ -87,9 +76,6 @@ func (c *Config) withDefaults() Config {
 	out.MaxConcurrent = cmp.Or(out.MaxConcurrent, 2)
 	out.WarmPoolCap = cmp.Or(out.WarmPoolCap, 8)
 	out.DrainTimeout = cmp.Or(out.DrainTimeout, 10*time.Second)
-	out.RetryBase = cmp.Or(out.RetryBase, 50*time.Millisecond)
-	out.RetryMax = cmp.Or(out.RetryMax, 2*time.Second)
-	out.MaxJobHistory = cmp.Or(out.MaxJobHistory, 512)
 	return out
 }
 
@@ -116,6 +102,10 @@ type Server struct {
 	draining      bool
 	replayLeft    int // recovered jobs not yet terminal (phase "replaying")
 	replayedTotal int
+
+	// retryBase and retryMax shape the capped exponential backoff between
+	// automatic re-runs of transiently failed jobs: 50ms doubling to 2s.
+	retryBase, retryMax time.Duration
 
 	// inflight counts HTTP requests currently being served (every
 	// endpoint, health probes included). The idle watch treats a nonzero
@@ -145,9 +135,11 @@ func newServer(cfg Config) *Server {
 		pool:         newWarmPool(cfg.WarmPoolCap, reg),
 		started:      now,
 		lastActivity: now,
-		budget:       newBudget(cfg.HeapBudget, cfg.TenantBudget, cfg.TenantBudgets, reg),
+		budget:       newBudget(cfg.HeapBudget, cfg.TenantBudget, reg),
 		runq:         newRunQueue(reg),
-		jobs:         newJobStore(cfg.MaxJobHistory),
+		jobs:         newJobStore(maxJobHistory),
+		retryBase:    50 * time.Millisecond,
+		retryMax:     2 * time.Second,
 		kick:         make(chan struct{}, 1),
 		ready:        make(chan struct{}),
 		stopped:      make(chan struct{}),

@@ -219,7 +219,6 @@ class Main {
 
 	req.TierDir = tierDir
 	req.TierHighPages = 2
-	req.TierLowPages = 1
 	first := submitWait(t, c, req)
 	second := submitWait(t, c, req)
 	for i, st := range []JobStatus{first, second} {
@@ -323,10 +322,7 @@ func TestAggregateBudgetRejectsWithRetryAfter(t *testing.T) {
 }
 
 func TestTenantBudgetIsolation(t *testing.T) {
-	_, c := newTestServer(t, Config{
-		MaxConcurrent: 1,
-		TenantBudgets: map[string]int64{"small": 64 << 20},
-	})
+	_, c := newTestServer(t, Config{MaxConcurrent: 1, TenantBudget: 64 << 20})
 	// A slow job from "small" holds its 48 MiB reservation...
 	slow, err := c.Submit(SubmitRequest{
 		Tenant:   "small",
