@@ -1,6 +1,7 @@
 package facade
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -268,8 +269,20 @@ class Main {
 
 func TestGCStressUnderTinyHeapBothPrograms(t *testing.T) {
 	// Run a heavy allocation workload under a minimal heap: P must
-	// survive via many collections, P' via page recycling.
-	src := `
+	// survive via many collections, P' via page recycling. The iterations
+	// allocate six times the nursery a 2 MiB heap starts with, in 32-byte
+	// Recs, 3000 an iteration.
+	empty, err := Compile(map[string]string{"e.fj": "class Main { static void main() { } }"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := Run(empty, WithHeapSize(2<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := 6*probe.Stats().Gauges[obs.GaugeNurseryBytes]/(3000*32) + 1
+	probe.Close()
+	src := fmt.Sprintf(`
 class Rec {
     long a;
     long b;
@@ -278,7 +291,7 @@ class Rec {
 class Main {
     static void main() {
         long acc = 0L;
-        for (int it = 0; it < 40; it = it + 1) {
+        for (int it = 0; it < %d; it = it + 1) {
             Sys.iterStart();
             for (int i = 0; i < 3000; i = i + 1) {
                 Rec r = new Rec(i);
@@ -289,10 +302,10 @@ class Main {
         Sys.println(acc);
     }
 }
-`
+`, iters)
 	out := runBoth(t, src, []string{"Rec", "Main"})
-	if out != "359880000\n" {
-		t.Fatalf("got %q", out)
+	if want := fmt.Sprintf("%d\n", iters*8997000); out != want { // 2 × (0 + … + 2999) an iteration
+		t.Fatalf("got %q, want %q", out, want)
 	}
 	// And explicitly with a 2 MiB heap for P.
 	prog, _ := Compile(map[string]string{"x.fj": src})

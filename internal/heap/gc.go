@@ -17,15 +17,18 @@ import (
 // collector runs inline.
 //
 // A minor collection is a parallel scavenge that copies every live nursery
-// object into the old generation (promotion on first survival). A worker
-// claims an object with a CAS on its GC word and copies it into its own
-// promotion buffer, carved from the old generation by an atomic bump.
+// object into the old generation. A worker claims an object with a CAS on
+// its GC word and copies it into its own promotion buffer, carved from the
+// old generation by an atomic bump.
 //
 // A full collection is a Lisp-2 mark-compact driven by the mark bitmap.
 // Workers mark both generations; forwarding addresses and reference
 // updates are then computed per address chunk, visiting only the objects
 // whose mark bit is set; the slide is serial and in address order, and the
 // nursery's survivors land right behind the compacted old generation.
+//
+// Each collection ends with an empty nursery, and resize (heap.go) then
+// moves the boundary between the generations for the room that is left.
 
 const (
 	// gcBusy is the GC word of a nursery object a worker is copying; no
@@ -304,7 +307,7 @@ func (hp *Heap) minorGC(n int) {
 	hp.cMarked.Add(promoted)
 	hp.cPromotedBytes.Add(promotedBytes)
 
-	hp.youngPos = hp.oldEnd
+	hp.resize()
 	hp.remset = make(map[Addr]struct{})
 	hp.invalidateTLABs()
 	hp.notePeakLocked()
@@ -488,9 +491,9 @@ func (hp *Heap) fullGC() error {
 		hp.chunks[i].dest = hp.oldBase + Addr(liveBytes)
 		liveBytes += int64(hp.chunks[i].live)
 	}
-	if int64(hp.oldBase)+liveBytes > int64(hp.oldEnd) {
-		// The live set does not fit in the old generation: the program
-		// has outgrown the heap.
+	if int64(hp.oldBase)+liveBytes > int64(hp.oldBound) {
+		// The live set does not fit in the largest old generation: the
+		// program has outgrown the heap.
 		return ErrOutOfMemory
 	}
 	hp.eachChunk(func(c *chunk) {
@@ -537,7 +540,7 @@ func (hp *Heap) fullGC() error {
 	hp.cEvacuated.Add(movedBytes)
 
 	hp.oldPos = hp.oldBase + Addr(liveBytes)
-	hp.youngPos = hp.oldEnd
+	hp.resize()
 	hp.remset = make(map[Addr]struct{})
 	// Buffered barrier entries name pre-compaction slots; the nursery was
 	// evacuated, so they are all stale — drop them with the remset.

@@ -14,9 +14,19 @@
 // the arena is the old generation, the high part is the nursery (young
 // generation). Objects are allocated in the nursery through per-thread
 // TLABs; a minor collection evacuates live nursery objects into the old
-// generation (promotion on first survival); a full collection marks both
-// generations and slides the old generation (Lisp-2 compaction). Both run
-// on every GC worker (gc.go).
+// generation; a full collection marks both generations and slides the old
+// generation (Lisp-2 compaction). Both run on every GC worker (gc.go).
+//
+// The nursery takes the room the old generation leaves (Appel's variable
+// nursery): whenever it is empty — at New, Reset and the end of every
+// collection — the boundary between the generations moves to the middle
+// of the free room above the old generation's cursor, high enough that
+// the old room can take the whole nursery in a minor collection. An
+// object that survives a scavenge is promoted, but a larger nursery gives
+// a medium-lived one more time to die first. The boundary never rises past
+// the fixed bound heap − min(heap/4, 64 MiB), which is also the largest
+// live set a full collection accepts: the OutOfMemoryError frontier does
+// not depend on where the boundary stands.
 //
 // Neither generation is address-walkable: the collector finds objects
 // through references and the mark bitmap only, so the gaps that promotion
@@ -121,13 +131,19 @@ type Heap struct {
 	arena []byte
 	mem   *region.Set
 
+	// oldEnd is the boundary between the generations, the nursery's
+	// start; resize moves it, never past oldBound.
 	oldBase  Addr
 	oldEnd   Addr
+	oldBound Addr
 	youngEnd Addr
 
-	mu       sync.Mutex // guards oldPos, youngPos, remset, TLAB handout
+	mu       sync.Mutex // guards oldPos, youngPos, largeWant, remset, TLAB handout
 	oldPos   Addr
 	youngPos Addr
+	// largeWant is the largest allocation that did not fit below oldEnd
+	// since the last collection; the next resize leaves room for it.
+	largeWant Addr
 
 	// remset holds absolute addresses of reference slots in the old
 	// generation that may point into the nursery (filled by the write
@@ -184,6 +200,7 @@ type Heap struct {
 	cMarked        *obs.Counter   // objects traced across all collections
 	gUsed          *obs.Gauge     // live+garbage bytes present; its high water is PeakUsed
 	gLiveAfterGC   *obs.Gauge     // live bytes at the last full collection
+	gNursery       *obs.Gauge     // the nursery size resize last chose
 
 	// Fault injection: nil when disabled, so the slow path pays one nil
 	// check.
@@ -212,12 +229,6 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	if cfg.HeapSize < 1<<20 {
 		cfg.HeapSize = 1 << 20
 	}
-	// The nursery is a quarter of the heap (so at least 256 KiB), at most
-	// 64 MiB.
-	young := cfg.HeapSize / 4
-	if young > 64<<20 {
-		young = 64 << 20
-	}
 	hp := &Heap{
 		h:           h,
 		arrTypes:    arrTypes,
@@ -225,13 +236,12 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 		allocCounts: make([]int64, len(h.ClassList)+arrTypes.Len()),
 	}
 	hp.oldBase = 8 // reserve null
-	// The nursery starts on a mark-bitmap word (256 heap bytes) whatever
-	// the heap size, so every nursery object is 8-aligned and the full
-	// collection's bitmap walk stays inside the bitmap.
-	hp.oldEnd = Addr(cfg.HeapSize-young) &^ 255
+	// The old generation holds at most the heap less a quarter of it (so
+	// at least 768 KiB), less at most 64 MiB, on a mark-bitmap word; the
+	// nursery is the rest, whose size resize picks.
+	hp.oldBound = Addr(cfg.HeapSize-min(cfg.HeapSize/4, 64<<20)) &^ 255
 	hp.youngEnd = Addr(cfg.HeapSize)
 	hp.oldPos = hp.oldBase
-	hp.youngPos = hp.oldEnd
 	hp.gcWorkers = cfg.GCWorkers
 	if hp.gcWorkers <= 0 {
 		hp.gcWorkers = runtime.GOMAXPROCS(0)
@@ -248,9 +258,28 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	hp.arena = mem[:cfg.HeapSize:cfg.HeapSize]
 	hp.markBits = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[bitsOff])), words)
 	hp.bindInstruments(cfg.Obs, cfg.Faults)
+	hp.resize()
 	hp.buildLayouts()
 	hp.sp.init()
 	return hp
+}
+
+// resize moves the boundary between the generations while the nursery is
+// empty, and the world stopped or no thread registered. The boundary goes
+// to the middle of the room above the old generation's cursor and any
+// large allocation waiting for room, but no lower than leaves the old
+// generation a packed nursery plus every worker's promotion slack, so a
+// minor collection can promote the whole nursery on all of them; and never
+// past oldBound. It lands on a mark-bitmap word (256 heap bytes), so every
+// nursery object is 8-aligned and the full collection's bitmap walk stays
+// inside the bitmap.
+func (hp *Heap) resize() {
+	base := int64(hp.oldPos) + int64(hp.largeWant)
+	end := (base + int64(hp.youngEnd) + promotionSlack(hp.gcWorkers) + 1) / 2
+	hp.oldEnd = Addr(min((end+255)&^255, int64(hp.oldBound)))
+	hp.youngPos = hp.oldEnd
+	hp.largeWant = 0
+	hp.gNursery.Set(int64(hp.youngEnd - hp.oldEnd))
 }
 
 // classLayout is what the allocator and the collector need of a class.
@@ -313,6 +342,7 @@ func (hp *Heap) bindInstruments(reg *obs.Registry, inj *faults.Injector) {
 	hp.cMarked = reg.Counter(obs.CtrMarked)
 	hp.gUsed = reg.Gauge(obs.GaugeHeapUsed)
 	hp.gLiveAfterGC = reg.Gauge(obs.GaugeLiveAfterGC)
+	hp.gNursery = reg.Gauge(obs.GaugeNurseryBytes)
 	hp.inj = inj
 	hp.cFaultsInj = reg.Counter(obs.CtrFaultHeapAlloc)
 }
@@ -333,15 +363,16 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	if live != 0 {
 		return fmt.Errorf("heap: %w with %d registered thread(s)", faults.ErrNotReusable, live)
 	}
-	hp.mu.Lock()
-	hp.oldPos = hp.oldBase
-	hp.youngPos = hp.oldEnd
-	hp.remset = make(map[Addr]struct{})
-	hp.mu.Unlock()
 	for i := range hp.allocCounts {
 		atomic.StoreInt64(&hp.allocCounts[i], 0)
 	}
 	hp.bindInstruments(reg, inj)
+	hp.mu.Lock()
+	hp.oldPos = hp.oldBase
+	hp.largeWant = 0
+	hp.resize()
+	hp.remset = make(map[Addr]struct{})
+	hp.mu.Unlock()
 	return nil
 }
 
@@ -547,11 +578,14 @@ func (hp *Heap) allocLarge(tc *ThreadCtx, size int) (Addr, error) {
 			hp.zero(a, size)
 			return a, nil
 		}
-		hp.mu.Unlock()
 		if attempt >= 2 {
+			hp.mu.Unlock()
 			return 0, ErrOutOfMemory
 		}
-		// Large allocation pressure goes straight to a full collection.
+		hp.largeWant = max(hp.largeWant, Addr(size))
+		hp.mu.Unlock()
+		// Large allocation pressure goes straight to a full collection,
+		// which leaves room for the allocation if the bound does.
 		if err := hp.Collect(tc, true); err != nil {
 			return 0, err
 		}

@@ -624,7 +624,10 @@ func TestScavengeNarrowsToTheRoom(t *testing.T) {
 // old generation and every object must survive. The roots name arrays of
 // about 3.3 KiB first, which a 16 KiB buffer holds four of before it
 // retires a 3 KiB tail, and then the nodes that fill each TLAB's tail, so
-// the nursery's used bytes are nearly all promoted.
+// the nursery's used bytes are nearly all promoted. The boundary leaves
+// the old generation at least that room; whatever it leaves beyond it
+// becomes a gap below the old cursor, which the collector never reads (a
+// filler array would land in the nursery when the excess is small).
 func TestPromotionFitsTheSlack(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		hp, tc := newTestHeapOn(t, 4<<20, 4)
@@ -660,9 +663,11 @@ func TestPromotionFitsTheSlack(t *testing.T) {
 		}
 		used := int64(hp.youngPos - hp.oldEnd)
 		filler := int64(hp.oldEnd-hp.oldPos) - used - promotionSlack(4)
-		if _, err := hp.AllocArray(tc, intArr, int(filler-ArrayHeader)/4); err != nil {
-			t.Fatal(err)
+		if filler < 0 {
+			t.Fatalf("seed %d: %d free old bytes cannot take %d used nursery bytes and the slack",
+				seed, hp.oldEnd-hp.oldPos, used)
 		}
+		hp.oldPos += Addr(filler)
 		if n := hp.scavengeWorkers(); n != 4 {
 			t.Fatalf("seed %d: the scavenge runs on %d workers, want 4", seed, n)
 		}
@@ -684,6 +689,197 @@ func TestPromotionFitsTheSlack(t *testing.T) {
 					t.Fatalf("seed %d: root %d at %#x reads %d", seed, i, a, got)
 				}
 			}
+		}
+	}
+}
+
+// oldGenBound is the most the old generation may hold in a heap of size
+// bytes: the heap less a quarter of it, less at most 64 MiB, on a
+// mark-bitmap word.
+func oldGenBound(size int) Addr { return Addr(size-min(size/4, 64<<20)) &^ 255 }
+
+// TestNurseryTakesUnusedOldRoom churns nodes through a 4 MiB heap while a
+// ballast of rooted large arrays grows to most of the old generation's
+// bound and shrinks again. After every collection the boundary between
+// the generations lies on a mark-bitmap word, at or above the old cursor
+// and at or below the bound, and it leaves the old generation room for
+// the whole nursery and every worker's promotion slack unless it stands
+// at the bound. The churn must see the nursery grow past the fixed quarter
+// and must see the boundary clamped; Reset returns it to a fresh heap's.
+func TestNurseryTakesUnusedOldRoom(t *testing.T) {
+	const size = 4 << 20
+	bound := oldGenBound(size)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			hp := New(Config{HeapSize: size, GCWorkers: workers}, testHierarchy(t), testArrayTypes)
+			tc := hp.RegisterThread()
+			tc.EndExternal()
+			fresh := hp.oldEnd
+			node := hp.Hierarchy().Class("Node")
+			var ring [256]Addr
+			var ballast []Addr
+			hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
+				for i := range ring {
+					ring[i] = visit(ring[i])
+				}
+				for i := range ballast {
+					ballast[i] = visit(ballast[i])
+				}
+			}))
+			var grown, clamped int
+			gcs := int64(0)
+			check := func() {
+				t.Helper()
+				st := hp.Stats()
+				if st.MinorGCs+st.FullGCs == gcs {
+					return
+				}
+				gcs = st.MinorGCs + st.FullGCs
+				nursery := int64(hp.youngEnd - hp.oldEnd)
+				switch {
+				case hp.oldEnd%256 != 0:
+					t.Fatalf("after collection %d the boundary %#x is not on a mark-bitmap word", gcs, hp.oldEnd)
+				case hp.oldEnd < hp.oldPos || hp.oldEnd > bound:
+					t.Fatalf("after collection %d the boundary %#x is outside [old cursor %#x, bound %#x]",
+						gcs, hp.oldEnd, hp.oldPos, bound)
+				case hp.oldEnd < bound && int64(hp.oldEnd-hp.oldPos) < nursery+promotionSlack(workers):
+					t.Fatalf("after collection %d the old room %d cannot take the %d-byte nursery and its slack",
+						gcs, hp.oldEnd-hp.oldPos, nursery)
+				}
+				if got := hp.Obs().Snapshot().Gauges[obs.GaugeNurseryBytes]; got != nursery {
+					t.Fatalf("%s = %d, the nursery is %d bytes", obs.GaugeNurseryBytes, got, nursery)
+				}
+				if nursery > size/4 {
+					grown++
+				}
+				if hp.oldEnd == bound {
+					clamped++
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			ballastBytes, target := 0, int(bound)*7/8
+			for step := 0; step < 400; step++ {
+				for i := 0; i < 2000; i++ {
+					a, err := hp.AllocObject(tc, node)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ring[rng.Intn(len(ring))] = a
+					check()
+				}
+				// The ballast climbs to its target in the first half and
+				// is dropped in the second, an array every fourth step.
+				if step%4 != 0 {
+					continue
+				}
+				if step < 200 && ballastBytes < target {
+					n := 5000 + rng.Intn(20000) // 20 to 100 KB: large
+					a, err := hp.AllocArray(tc, intArr, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check()
+					ballast = append(ballast, a)
+					ballastBytes += int(hp.objSize(a))
+				} else if step >= 200 && len(ballast) > 0 {
+					ballastBytes -= int(hp.objSize(ballast[len(ballast)-1]))
+					ballast = ballast[:len(ballast)-1]
+				}
+			}
+			if grown == 0 || clamped == 0 {
+				t.Fatalf("of %d collections, %d left a nursery above a quarter of the heap and %d clamped the boundary; want some of each",
+					gcs, grown, clamped)
+			}
+			hp.UnregisterThread(tc)
+			if err := hp.Reset(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if hp.oldEnd != fresh || hp.youngPos != fresh {
+				t.Fatalf("after Reset the boundary is %#x and the nursery cursor %#x, a fresh heap's %#x",
+					hp.oldEnd, hp.youngPos, fresh)
+			}
+		})
+	}
+	// A live set past the boundary but within the bound survives a full
+	// collection, which moves the boundary up behind it.
+	t.Run("past the boundary", func(t *testing.T) {
+		hp, tc := newTestHeap(t, size)
+		node := hp.Hierarchy().Class("Node")
+		var objs []Addr
+		hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
+			for i := range objs {
+				objs[i] = visit(objs[i])
+			}
+		}))
+		live := 0
+		alloc := func(a Addr, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs = append(objs, a)
+			live += int(hp.objSize(a))
+		}
+		for hp.oldEnd-hp.oldPos >= 32<<10 {
+			alloc(hp.AllocArray(tc, intArr, (32<<10-ArrayHeader)/4))
+		}
+		for hp.youngPos-hp.oldEnd < (hp.youngEnd-hp.oldEnd)/4 {
+			alloc(hp.AllocObject(tc, node))
+		}
+		end := hp.oldEnd
+		if st := hp.Stats(); st.MinorGCs+st.FullGCs != 0 || hp.oldBase+Addr(live) <= end {
+			t.Fatalf("%d live bytes after %d collections do not outgrow the boundary %#x", live, st.MinorGCs+st.FullGCs, end)
+		}
+		if err := hp.ForceGC(tc, true); err != nil {
+			t.Fatalf("%d live bytes, within the bound %#x: %v", live, bound, err)
+		}
+		if hp.oldEnd <= end || hp.Stats().LiveAfterGC != int64(live) {
+			t.Fatalf("the boundary went from %#x to %#x and %d bytes are live, want it higher and %d",
+				end, hp.oldEnd, hp.Stats().LiveAfterGC, live)
+		}
+	})
+	// The largest live set a full collection accepts is the bound, as it
+	// was when the nursery was a fixed quarter of the heap.
+	for _, size := range []int{4 << 20, 16 << 20} {
+		for _, over := range []bool{false, true} {
+			t.Run(fmt.Sprintf("size=%d,over=%v", size, over), func(t *testing.T) {
+				hp, tc := newTestHeap(t, size)
+				var arrays []Addr
+				hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
+					for i := range arrays {
+						arrays[i] = visit(arrays[i])
+					}
+				}))
+				live := int(oldGenBound(size) - hp.oldBase)
+				if over {
+					live += 8
+				}
+				// 32 KiB arrays, the first taking the remainder: every
+				// one is large, so allocated in the old generation.
+				var err error
+				for rest := live; rest > 0 && err == nil; {
+					n := 32 << 10
+					if rest%n != 0 {
+						n += rest % n
+					}
+					var a Addr
+					if a, err = hp.AllocArray(tc, intArr, (n-ArrayHeader)/4); err == nil {
+						arrays = append(arrays, a)
+						rest -= n
+					}
+				}
+				if err == nil {
+					err = hp.ForceGC(tc, true)
+				}
+				switch {
+				case over && !errors.Is(err, ErrOutOfMemory):
+					t.Fatalf("a live set of %d bytes, 8 over the bound: %v, want ErrOutOfMemory", live, err)
+				case !over && err != nil:
+					t.Fatalf("a live set of %d bytes, at the bound: %v", live, err)
+				case !over && hp.Stats().LiveAfterGC != int64(live):
+					t.Fatalf("live after the full collection %d, want %d", hp.Stats().LiveAfterGC, live)
+				}
+			})
 		}
 	}
 }
@@ -778,6 +974,8 @@ func TestOutOfMemory(t *testing.T) {
 	}
 }
 
+// TestConcurrentAllocAndGC churns eight threads through twice the nursery
+// the heap starts with, so collections run while they allocate.
 func TestConcurrentAllocAndGC(t *testing.T) {
 	h := testHierarchy(t)
 	hp := New(Config{HeapSize: 16 << 20}, h, testArrayTypes)
@@ -785,7 +983,7 @@ func TestConcurrentAllocAndGC(t *testing.T) {
 	val := node.FindField("val")
 
 	const nThreads = 8
-	const perThread = 20000
+	perThread := 2 * int(hp.youngEnd-hp.oldEnd) / (nThreads * int(hp.classes[node.ID].size))
 	var wg sync.WaitGroup
 	errs := make(chan error, nThreads)
 	for i := 0; i < nThreads; i++ {
@@ -819,7 +1017,7 @@ func TestConcurrentAllocAndGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := hp.Stats()
-	if st.AllocObjects != nThreads*perThread {
+	if st.AllocObjects != int64(nThreads*perThread) {
 		t.Fatalf("alloc count %d want %d", st.AllocObjects, nThreads*perThread)
 	}
 	if st.MinorGCs+st.FullGCs == 0 {

@@ -203,6 +203,7 @@ const (
 	CtrMarked         = "heap.marked_nodes"        // objects traced across all collections
 	GaugeHeapUsed     = "heap.used_bytes"          // live+garbage bytes present; .hw is the peak
 	GaugeLiveAfterGC  = "heap.live_after_gc_bytes" // live bytes measured at the last full GC
+	GaugeNurseryBytes = "heap.nursery_bytes"       // the nursery size the collector last chose
 
 	// Off-heap page store (internal/offheap).
 	CtrPageAcquires    = "offheap.page_acquires"

@@ -55,13 +55,17 @@ var errJournalClosed = errors.New("journal closed")
 // under mu; durability is group-committed — concurrent durable appenders
 // share one fsync issued by a background loop, so a submission burst pays
 // one disk flush, not one per job. Only durable appends wake the loop; the
-// non-durable lines written before a flush ride along with it.
+// non-durable lines written before a flush ride along with it. A failed
+// fsync sticks: the kernel may have dropped the bytes it covered, so no
+// later fsync can vouch for them, and every durable append from then on
+// fails with it.
 type journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	dead     bool
 	writeGen int64 // generation of the last buffered write
 	syncGen  int64 // generation covered by the last fsync
+	syncErr  error // the first failed fsync's error
 	synced   *sync.Cond
 
 	wake     chan struct{}
@@ -84,6 +88,11 @@ func createJournal(path string, reg *obs.Registry) (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newJournal(f, reg), nil
+}
+
+// newJournal starts the group-commit sync loop over f, open for appending.
+func newJournal(f *os.File, reg *obs.Registry) *journal {
 	j := &journal{
 		f:        f,
 		wake:     make(chan struct{}, 1),
@@ -94,7 +103,7 @@ func createJournal(path string, reg *obs.Registry) (*journal, error) {
 	}
 	j.synced = sync.NewCond(&j.mu)
 	go j.syncLoop()
-	return j, nil
+	return j
 }
 
 // append writes one event. With durable set it does not return until an
@@ -103,7 +112,8 @@ func createJournal(path string, reg *obs.Registry) (*journal, error) {
 // (started, done, drain) return immediately and do not wake the sync
 // loop: the next durable append's fsync covers them, or seal does. Losing
 // one to a crash only means the job is re-run on recovery, which is
-// deterministic and therefore harmless.
+// deterministic and therefore harmless. A durable append fails with the
+// sync error once an fsync has failed, without writing.
 func (j *journal) append(ev journalEvent, durable bool) error {
 	ev.Schema = JournalSchema
 	line, err := json.Marshal(ev)
@@ -116,6 +126,10 @@ func (j *journal) append(ev journalEvent, durable bool) error {
 	if j.dead {
 		j.mu.Unlock()
 		return errJournalClosed
+	}
+	if durable && j.syncErr != nil {
+		j.mu.Unlock()
+		return j.syncErr
 	}
 	if _, err := j.f.Write(line); err != nil {
 		j.mu.Unlock()
@@ -140,15 +154,18 @@ func (j *journal) append(ev journalEvent, durable bool) error {
 		return nil
 	}
 	j.mu.Lock()
-	for j.syncGen < g && !j.dead {
+	defer j.mu.Unlock()
+	for j.syncGen < g && !j.dead && j.syncErr == nil {
 		j.synced.Wait()
 	}
-	dead := j.dead && j.syncGen < g
-	j.mu.Unlock()
-	if dead {
+	switch {
+	case j.syncGen >= g:
+		return nil
+	case j.syncErr != nil:
+		return j.syncErr
+	default:
 		return errJournalClosed
 	}
-	return nil
 }
 
 // syncLoop is the group-commit flusher: each pass covers every write that
@@ -177,7 +194,10 @@ func (j *journal) syncLoop() {
 		err := f.Sync() // outside mu: appends batch behind this flush
 
 		j.mu.Lock()
-		if err == nil && g > j.syncGen {
+		switch {
+		case err != nil && j.syncErr == nil:
+			j.syncErr = fmt.Errorf("journal sync: %w", err)
+		case err == nil && j.syncErr == nil && g > j.syncGen:
 			j.syncGen = g
 			j.cSyncs.Add(1)
 		}
@@ -208,8 +228,9 @@ func (j *journal) shut(flush bool) {
 	j.quitOnce.Do(func() { close(j.quit) })
 	<-j.loopDone
 	j.mu.Lock()
-	// The flush covers the non-durable tail no submission's fsync reached.
-	if flush && j.syncGen < j.writeGen && f.Sync() == nil {
+	// The flush covers the non-durable tail no submission's fsync reached,
+	// unless an fsync failed, which no later one undoes.
+	if flush && j.syncErr == nil && j.syncGen < j.writeGen && f.Sync() == nil {
 		j.syncGen = j.writeGen
 		j.cSyncs.Add(1)
 	}

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -332,5 +334,62 @@ func TestNonDurableAppendsRideTheNextCommit(t *testing.T) {
 	}
 	if len(events) != n+2 {
 		t.Fatalf("journal holds %d events, want %d", len(events), n+2)
+	}
+}
+
+// TestFailedSyncFailsDurableAppends journals to a pipe, whose fsync fails:
+// the durable append that fsync covered returns the error instead of
+// waiting for a commit that never comes, every later durable append fails
+// with it, and a submission over the journal is answered 503 and left
+// neither queued nor running.
+func TestFailedSyncFailsDurableAppends(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, r)
+	t.Cleanup(func() { r.Close() })
+	cfg := Config{}
+	s := newServer(cfg.withDefaults())
+	s.journal = newJournal(w, s.reg)
+	defer s.journal.seal()
+	// within runs f and fails the test if it is still waiting after 5 s.
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still waiting for its fsync after 5 s", what)
+		}
+	}
+	req := SubmitRequest{Schema: Schema, Sources: map[string]string{"a.fj": "x"}}
+	for i := int64(1); i <= 2; i++ {
+		var err error
+		within(fmt.Sprintf("durable append %d", i), func() {
+			err = s.journal.append(journalEvent{Kind: jevSubmitted, Seq: i, JobID: fmt.Sprintf("job-%06d", i), Req: &req}, true)
+		})
+		if err == nil || !strings.Contains(err.Error(), "journal sync") {
+			t.Fatalf("durable append %d over a failed fsync: %v, want the sync error", i, err)
+		}
+	}
+	if err := req.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	var j *job
+	var ref *refusal
+	within("submit", func() { j, ref = s.submit(req) })
+	if j != nil || ref == nil || ref.code != http.StatusServiceUnavailable || !strings.HasPrefix(ref.msg, "journal write failed") {
+		t.Fatalf("submit over a failed journal: job %v, refusal %+v; want 503 journal write failed", j, ref)
+	}
+	s.mu.Lock()
+	depth := s.runq.depth()
+	s.mu.Unlock()
+	if depth != 0 {
+		t.Fatalf("the refused job left the run queue %d deep", depth)
 	}
 }

@@ -63,6 +63,7 @@ func TestGoldenJobSchema(t *testing.T) {
 				Gauges: map[string]int64{
 					obs.GaugeHeapUsed: 0, obs.GaugeHeapUsed + ".hw": 0,
 					obs.GaugeLiveAfterGC: 0, obs.GaugeLiveAfterGC + ".hw": 0,
+					obs.GaugeNurseryBytes: 0, obs.GaugeNurseryBytes + ".hw": 0,
 					obs.GaugeBytesInUse: 0, obs.GaugeBytesInUse + ".hw": 0,
 				},
 			}},

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/offheap"
 )
 
@@ -193,19 +194,19 @@ func TestFillNewTrapsLeaveTheDestinationUntouched(t *testing.T) {
 }
 
 // fillGCProgram's fill allocates more than the nursery has left after
-// setup — 2000 records of 80 bytes against a 256 KiB nursery that setup's
-// columns, garbage and destination have half filled — while dst and both
-// columns are small enough to be nursery objects themselves. The columns
-// come first, so the records allocated after the collection reuse the
-// nursery bytes they moved out of.
+// setup — n records of 80 bytes against a nursery that setup's columns,
+// garbage and destination fill to within n/2 records of its end — while
+// dst and both columns are small enough to be nursery objects themselves.
+// The columns come first, so the records allocated after the collection
+// reuse the nursery bytes they moved out of.
 const fillGCProgram = `
 class Wide { long a; long b; long c; long d; long e; long f; long g; long h; }
 class Main {
     static Wide[] ws; static long[] xs; static long[] ys;
-    static void setup(int n) {
+    static void setup(int n, int junks) {
         Main.xs = new long[n]; Main.ys = new long[n];
         for (int k = 0; k < n; k = k + 1) { Main.xs[k] = 7L * k + 1L; Main.ys[k] = 0L - 3L * k; }
-        for (int k = 0; k < 1500; k = k + 1) { Wide junk = new Wide(); }
+        for (int k = 0; k < junks; k = k + 1) { Wide junk = new Wide(); }
         Main.ws = new Wide[n];
     }
     static void fill() {
@@ -230,7 +231,17 @@ func TestFillNewAcrossCollections(t *testing.T) {
 	p := compile(t, fillGCProgram)
 	main := p.H.Class("Main")
 	statics := []string{"ws", "xs", "ys"}
-	r := runFill(t, p, Config{HeapSize: 1 << 20}, []fillCall{call("setup", 2000), call("fill"), call("dump")},
+	cfg := Config{HeapSize: 1 << 20}
+	probe, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The junk leaves the nursery room for half the fill's records, after
+	// the columns and dst (three arrays of 2000 8-byte slots).
+	const n, wide = 2000, 80
+	nursery := probe.Heap.Obs().Snapshot().Gauges[obs.GaugeNurseryBytes]
+	junks := (nursery - 3*(16+8*n) - n/2*wide) / wide
+	r := runFill(t, p, cfg, []fillCall{call("setup", n, junks), call("fill"), call("dump")},
 		map[string]func(m *VM) func(){
 			"fill": func(m *VM) func() {
 				st := m.Heap.Stats()

@@ -313,8 +313,8 @@ class Node {
     Node(int v) { this.v = v; }
 }
 class Main {
-    static void churn() {
-        for (int i = 0; i < 50000; i = i + 1) {
+    static void churn(int n) {
+        for (int i = 0; i < n; i = i + 1) {
             Node n = new Node(i);
         }
     }
@@ -331,7 +331,8 @@ class Main {
 		t.Fatal(err)
 	}
 	defer th.Close()
-	// Hold objects via handles, churn to force collections, verify the
+	// Hold objects via handles, churn through at least twice the nursery
+	// (a Node takes 16 bytes or more) to force collections, verify the
 	// held objects moved but stayed intact.
 	var objs []Obj
 	for i := 0; i < 20; i++ {
@@ -341,7 +342,8 @@ class Main {
 		}
 		objs = append(objs, o)
 	}
-	if _, err := th.InvokeStatic("Main", "churn"); err != nil {
+	churn := m.Heap.Obs().Snapshot().Gauges[obs.GaugeNurseryBytes] / 8
+	if _, err := th.InvokeStatic("Main", "churn", I(churn)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Heap.Stats().MinorGCs+m.Heap.Stats().FullGCs == 0 {
