@@ -559,7 +559,7 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 				root = arr
 				putRef := func(obj heap.Addr, off int, v heap.Addr) {
 					binary.LittleEndian.PutUint64(hp.Bytes(obj)[off:], uint64(v))
-					hp.Barrier(tc, obj+heap.Addr(off), v)
+					hp.Barrier(obj+heap.Addr(off), v)
 				}
 				// build hangs a fresh two-node chain off every array slot.
 				build := func() {

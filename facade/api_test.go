@@ -322,6 +322,48 @@ class Main {
 	}
 }
 
+// TestHugeArraysRunOutOfMemory: an array larger than P's old generation
+// can ever hold, 4 GiB and up included, ends the run in OutOfMemoryError
+// without a collection; the array's byte size must not wrap into a small
+// heap address.
+func TestHugeArraysRunOutOfMemory(t *testing.T) {
+	for _, c := range []struct{ elem, n string }{
+		{"long", "536870912"},   // 4 GiB of elements
+		{"Object", "536870912"}, // 4 GiB of references
+		{"int", "1073741824"},   // 4 GiB of ints
+		{"int", "2147483647"},   // the longest array there is
+		{"long", "1048576"},     // 8 MiB: past the bound, short of 4 GiB
+	} {
+		t.Run(c.elem+"["+c.n+"]", func(t *testing.T) {
+			src := fmt.Sprintf(`
+class Main {
+    static void main() {
+        Sys.println(1);
+        %s[] a = new %s[%s];
+        Sys.println(a.length);
+    }
+}
+`, c.elem, c.elem, c.n)
+			prog, err := Compile(map[string]string{"x.fj": src})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(prog, WithHeapSize(8<<20))
+			if err == nil || !strings.Contains(err.Error(), "OutOfMemoryError") {
+				t.Fatalf("new %s[%s] in an 8 MiB heap: %v, want OutOfMemoryError", c.elem, c.n, err)
+			}
+			defer res.Close()
+			if res.Output() != "1\n" {
+				t.Fatalf("output %q, want the line before the allocation", res.Output())
+			}
+			if st := res.Stats().Heap; st.MinorGCs+st.FullGCs != 0 {
+				t.Fatalf("%d minor and %d full collections for an allocation no collection can make room for",
+					st.MinorGCs, st.FullGCs)
+			}
+		})
+	}
+}
+
 func TestWithFaultsInjectsAndCounts(t *testing.T) {
 	prog, err := Compile(map[string]string{"x.fj": allocHeavySrc})
 	if err != nil {

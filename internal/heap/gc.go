@@ -17,9 +17,10 @@ import (
 // collector runs inline.
 //
 // A minor collection is a parallel scavenge that copies every live nursery
-// object into the old generation. A worker claims an object with a CAS on
-// its GC word and copies it into its own promotion buffer, carved from the
-// old generation by an atomic bump.
+// object into the old generation. Its roots are the root sources and the
+// old slots whose bit the write barrier set; a worker claims an object with
+// a CAS on its GC word and copies it into its own promotion buffer, carved
+// from the old generation by an atomic bump.
 //
 // A full collection is a Lisp-2 mark-compact driven by the mark bitmap.
 // Workers mark both generations; forwarding addresses and reference
@@ -221,18 +222,6 @@ func (hp *Heap) visitAllRoots(visit func(Addr) Addr) {
 // ---------------------------------------------------------------------------
 // Minor collection
 
-// drainRemBuffers merges every thread's write-barrier buffer into the
-// remset. Runs with the world stopped: parked threads publish their
-// buffers via the safepoint mutex, so the reads here are race-free.
-func (hp *Heap) drainRemBuffers() {
-	hp.sp.eachThread(func(tc *ThreadCtx) {
-		for _, s := range tc.remBuf {
-			hp.remset[s] = struct{}{}
-		}
-		tc.remBuf = tc.remBuf[:0]
-	})
-}
-
 // scavengeWorkers is the number of workers a minor collection runs on:
 // the most, up to gcWorkers, whose promotion slack the old generation
 // holds beyond the used nursery. A lone worker needs no slack, so only a
@@ -258,7 +247,6 @@ func promotionSlack(n int) int64 {
 
 // minorGC scavenges the nursery on n workers.
 func (hp *Heap) minorGC(n int) {
-	hp.drainRemBuffers()
 	w0 := &hp.workers[0]
 	if n == 1 {
 		w0.plab = span{hp.oldPos, hp.oldEnd}
@@ -268,23 +256,28 @@ func (hp *Heap) minorGC(n int) {
 	}
 
 	// Roots on the collecting thread (root sources are not thread-safe);
-	// the remembered set split among the workers.
+	// the remembered-slot bitmap split among the workers, each of which
+	// forwards its words' slots in address order and clears the words.
 	hp.visitAllRoots(func(a Addr) Addr {
 		if hp.inYoung(a) {
 			return hp.evacuate(w0, a)
 		}
 		return a
 	})
-	slots := hp.remSlots[:0]
-	for s := range hp.remset {
-		slots = append(slots, s)
-	}
-	hp.remSlots = slots
-	hp.cRemsetScanned.Add(int64(len(slots)))
+	rem := hp.oldRemBits()
 	hp.drain(n, func(w *gcWorker, i int) {
-		for _, slot := range slots[i*len(slots)/n : (i+1)*len(slots)/n] {
-			hp.forwardSlot(w, slot)
+		lo, scanned := i*len(rem)/n, 0
+		for k, word := range rem[lo : (i+1)*len(rem)/n] {
+			if word == 0 {
+				continue
+			}
+			rem[lo+k] = 0
+			scanned += bits.OnesCount32(word)
+			for base := 128 * Addr(lo+k); word != 0; word &= word - 1 {
+				hp.forwardSlot(w, base+4*Addr(bits.TrailingZeros32(word)))
+			}
 		}
+		hp.cRemsetScanned.Add(int64(scanned))
 	}, func(w *gcWorker, a Addr) {
 		hp.refSlots(a, func(slot Addr) { hp.forwardSlot(w, slot) })
 	})
@@ -308,7 +301,6 @@ func (hp *Heap) minorGC(n int) {
 	hp.cPromotedBytes.Add(promotedBytes)
 
 	hp.resize()
-	hp.remset = make(map[Addr]struct{})
 	hp.invalidateTLABs()
 	hp.notePeakLocked()
 }
@@ -384,20 +376,7 @@ func (hp *Heap) promoteAlloc(w *gcWorker, size Addr) Addr {
 // then use the whole GC header word.
 
 // tryMark sets a's mark bit, reporting whether this call set it.
-func (hp *Heap) tryMark(a Addr) bool {
-	w := a / 8
-	idx := w / 32
-	bit := uint32(1) << (w % 32)
-	for {
-		old := atomic.LoadUint32(&hp.markBits[idx])
-		if old&bit != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(&hp.markBits[idx], old, old|bit) {
-			return true
-		}
-	}
-}
+func (hp *Heap) tryMark(a Addr) bool { return setBit(hp.markBits, a/8) }
 
 // markHeap traces the live set into the mark bitmap on every worker.
 func (hp *Heap) markHeap() {
@@ -539,12 +518,11 @@ func (hp *Heap) fullGC() error {
 	}
 	hp.cEvacuated.Add(movedBytes)
 
+	// No slot names the emptied nursery any more. A failed collection
+	// returned above with every remembered bit still set.
+	clear(hp.oldRemBits())
 	hp.oldPos = hp.oldBase + Addr(liveBytes)
 	hp.resize()
-	hp.remset = make(map[Addr]struct{})
-	// Buffered barrier entries name pre-compaction slots; the nursery was
-	// evacuated, so they are all stale — drop them with the remset.
-	hp.sp.eachThread(func(tc *ThreadCtx) { tc.remBuf = tc.remBuf[:0] })
 	hp.invalidateTLABs()
 	hp.gLiveAfterGC.Set(liveBytes)
 	hp.notePeakLocked()

@@ -8,14 +8,15 @@
 // # Layout
 //
 // The heap is one contiguous byte arena addressed by 32-bit offsets
-// (Addr); address 0 is null. The arena and the mark bitmap are one region
-// (internal/region): memory Go neither zeroes nor scans, returned to the
-// region source once the heap is unreachable. The low part of
-// the arena is the old generation, the high part is the nursery (young
-// generation). Objects are allocated in the nursery through per-thread
-// TLABs; a minor collection evacuates live nursery objects into the old
-// generation; a full collection marks both generations and slides the old
-// generation (Lisp-2 compaction). Both run on every GC worker (gc.go).
+// (Addr); address 0 is null. The arena and its two side bitmaps, the mark
+// bitmap and the remembered-slot bitmap, are one region (internal/region):
+// memory Go neither zeroes nor scans, returned to the region source once
+// the heap is unreachable. The low part of the arena is the old
+// generation, the high part is the nursery (young generation). Objects are
+// allocated in the nursery through per-thread TLABs; a minor collection
+// evacuates live nursery objects into the old generation; a full
+// collection marks both generations and slides the old generation (Lisp-2
+// compaction). Both run on every GC worker (gc.go).
 //
 // The nursery takes the room the old generation leaves (Appel's variable
 // nursery): whenever it is empty — at New, Reset and the end of every
@@ -46,7 +47,8 @@
 // from the header on, and the caller adds the header size its operation
 // implies (ScalarHeader for a field, ArrayHeader for an element) — the same
 // discipline offheap.Runtime.Bytes gives page records. A reference store is
-// the slot write followed by Barrier.
+// the slot write followed by Barrier, which sets the slot's bit in the
+// remembered-slot bitmap when an old slot takes a nursery reference.
 package heap
 
 import (
@@ -138,17 +140,12 @@ type Heap struct {
 	oldBound Addr
 	youngEnd Addr
 
-	mu       sync.Mutex // guards oldPos, youngPos, largeWant, remset, TLAB handout
+	mu       sync.Mutex // guards oldPos, youngPos, largeWant, remValid, TLAB handout
 	oldPos   Addr
 	youngPos Addr
 	// largeWant is the largest allocation that did not fit below oldEnd
 	// since the last collection; the next resize leaves room for it.
 	largeWant Addr
-
-	// remset holds absolute addresses of reference slots in the old
-	// generation that may point into the nursery (filled by the write
-	// barrier, consumed and cleared by minor collections).
-	remset map[Addr]struct{}
 
 	h *lang.Hierarchy
 	// arrTypes is the program's array type table: an array's type word
@@ -175,12 +172,18 @@ type Heap struct {
 	gcWorkers int
 	workers   []gcWorker
 	markBits  []uint32
+	// remBits is the remembered set: one bit per 4 heap bytes, set by the
+	// write barrier for an old slot that took a nursery reference. A field
+	// slot lies 4 bytes past an 8-byte boundary and an element slot on one,
+	// so each has its own bit. No bit is set at or above oldPos. Only the
+	// first remValid words are valid, and they cover oldPos; the rest may
+	// be a reused region's garbage (coverRemBits).
+	remBits  []uint32
+	remValid int
 	// Working state that collections reuse: the work-sharing stack, the
-	// promotion cursor, the remembered set as a slice and the full
-	// collection's chunks.
+	// promotion cursor and the full collection's chunks.
 	work       workStack
 	promoteTop atomic.Uint32
-	remSlots   []Addr
 	chunks     []chunk
 
 	// Observability instruments (internal/obs), the heap's only books:
@@ -195,7 +198,7 @@ type Heap struct {
 	hAllocSize     *obs.Histogram // per-allocation sizes, bytes
 	cPromotedBytes *obs.Counter   // bytes evacuated young -> old
 	cEvacuated     *obs.Counter   // bytes moved by full-collection compaction
-	cRemsetScanned *obs.Counter   // remembered-set slots scanned by minor GCs
+	cRemsetScanned *obs.Counter   // distinct old-generation slots minor GCs scanned
 	cPromoted      *obs.Counter   // objects promoted young -> old
 	cMarked        *obs.Counter   // objects traced across all collections
 	gUsed          *obs.Gauge     // live+garbage bytes present; its high water is PeakUsed
@@ -232,7 +235,6 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	hp := &Heap{
 		h:           h,
 		arrTypes:    arrTypes,
-		remset:      make(map[Addr]struct{}),
 		allocCounts: make([]int64, len(h.ClassList)+arrTypes.Len()),
 	}
 	hp.oldBase = 8 // reserve null
@@ -251,12 +253,15 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 	}
 	hp.workers = make([]gcWorker, hp.gcWorkers)
 	hp.work.cond.L = &hp.work.mu
-	// The arena, then the mark bitmap: one bit per 8 arena bytes.
+	// The arena, the mark bitmap (one bit per 8 arena bytes), then the
+	// remembered-slot bitmap (one per 4).
 	bitsOff, words := roundUp8(cfg.HeapSize), (cfg.HeapSize/8+31)/32
+	remOff, remWords := bitsOff+4*words, (cfg.HeapSize/4+31)/32
 	hp.mem = region.NewSet()
-	mem := hp.mem.Get(bitsOff + 4*words)
+	mem := hp.mem.Get(remOff + 4*remWords)
 	hp.arena = mem[:cfg.HeapSize:cfg.HeapSize]
 	hp.markBits = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[bitsOff])), words)
+	hp.remBits = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[remOff])), remWords)
 	hp.bindInstruments(cfg.Obs, cfg.Faults)
 	hp.resize()
 	hp.buildLayouts()
@@ -272,8 +277,10 @@ func New(cfg Config, h *lang.Hierarchy, arrTypes *lang.ArrayTypes) *Heap {
 // minor collection can promote the whole nursery on all of them; and never
 // past oldBound. It lands on a mark-bitmap word (256 heap bytes), so every
 // nursery object is 8-aligned and the full collection's bitmap walk stays
-// inside the bitmap.
+// inside the bitmap. Every move of the old cursor but a large allocation's
+// ends here, so here the remembered-slot bitmap comes to cover it.
 func (hp *Heap) resize() {
+	hp.coverRemBits()
 	base := int64(hp.oldPos) + int64(hp.largeWant)
 	end := (base + int64(hp.youngEnd) + promotionSlack(hp.gcWorkers) + 1) / 2
 	hp.oldEnd = Addr(min((end+255)&^255, int64(hp.oldBound)))
@@ -368,10 +375,10 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	}
 	hp.bindInstruments(reg, inj)
 	hp.mu.Lock()
+	clear(hp.oldRemBits())
 	hp.oldPos = hp.oldBase
 	hp.largeWant = 0
 	hp.resize()
-	hp.remset = make(map[Addr]struct{})
 	hp.mu.Unlock()
 	return nil
 }
@@ -568,11 +575,16 @@ func (hp *Heap) allocLarge(tc *ThreadCtx, size int) (Addr, error) {
 	if err := hp.injectAllocFault(); err != nil {
 		return 0, err
 	}
+	// No collection makes room past the bound, and an Addr may not hold size.
+	if size > int(hp.oldBound-hp.oldBase) {
+		return 0, ErrOutOfMemory
+	}
 	for attempt := 0; ; attempt++ {
 		hp.mu.Lock()
 		if hp.oldPos+Addr(size) <= hp.oldEnd {
 			a := hp.oldPos
 			hp.oldPos += Addr(size)
+			hp.coverRemBits()
 			hp.notePeakLocked()
 			hp.mu.Unlock()
 			hp.zero(a, size)
@@ -622,38 +634,44 @@ func (hp *Heap) Bytes(a Addr) []byte { return hp.arena[a:] }
 // ArrayLength reads the length from the resolved bytes of an array object.
 func ArrayLength(b []byte) int { return int(binary.LittleEndian.Uint32(b[12:])) }
 
-// remBufSpill bounds the per-thread write-barrier buffer; a full buffer
-// spills into the shared remset under mu.
-const remBufSpill = 1024
-
 // Barrier is the generational write barrier. Mutator code calls it after
-// writing reference v into the slot at absolute address slot: old->young
-// slots go to the thread's local buffer; buffers merge into the remset when
-// a collection stops the world (drainRemBuffers) or when the buffer fills,
-// so the hot store path takes no lock.
-func (hp *Heap) Barrier(tc *ThreadCtx, slot, v Addr) {
+// writing reference v into the slot at absolute address slot: an old slot
+// that now names a nursery object gets its bit in the remembered-slot
+// bitmap, so the store path takes no lock and, once the bit is set, writes
+// nothing shared.
+func (hp *Heap) Barrier(slot, v Addr) {
 	if hp.inOld(slot) && hp.inYoung(v) {
-		tc.remBuf = append(tc.remBuf, slot)
-		if len(tc.remBuf) >= remBufSpill {
-			tc.flushRemBuf()
+		setBit(hp.remBits, slot/4)
+	}
+}
+
+// setBit sets bit i of bitmap, reporting whether this call set it. Callers
+// on other goroutines may set bits of the same word at the same time.
+func setBit(bitmap []uint32, i Addr) bool {
+	p, bit := &bitmap[i/32], uint32(1)<<(i%32)
+	for {
+		old := atomic.LoadUint32(p)
+		if old&bit != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint32(p, old, old|bit) {
+			return true
 		}
 	}
 }
 
-// flushRemBuf spills the thread's write-barrier buffer into the shared
-// remset. Called by the owning thread (spill, unregister); the stop-the-
-// world drain in the collector uses drainRemBuffers instead.
-func (tc *ThreadCtx) flushRemBuf() {
-	if len(tc.remBuf) == 0 {
-		return
+// oldRemBits returns the remembered-slot bitmap words that cover the old
+// generation up to its cursor: every word a bit may be set in.
+func (hp *Heap) oldRemBits() []uint32 { return hp.remBits[:(hp.oldPos+127)/128] }
+
+// coverRemBits zeroes the bitmap words the old cursor has moved onto since
+// they were last valid, so a small job does not pay for a large heap's
+// whole bitmap. Callers hold mu or have the world stopped.
+func (hp *Heap) coverRemBits() {
+	if n := len(hp.oldRemBits()); n > hp.remValid {
+		clear(hp.remBits[hp.remValid:n])
+		hp.remValid = n
 	}
-	hp := tc.hp
-	hp.mu.Lock()
-	for _, s := range tc.remBuf {
-		hp.remset[s] = struct{}{}
-	}
-	hp.mu.Unlock()
-	tc.remBuf = tc.remBuf[:0]
 }
 
 // GetLock reads the lock word of object a. Callers (the VM's monitor

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/obs"
+	"repro/internal/region"
 )
 
 // testHierarchy builds a tiny hierarchy: Object, Node{int val; Node next;
@@ -92,9 +93,9 @@ func put[T int32 | Addr](hp *Heap, a Addr, off int, v T) {
 }
 
 // putRef is a mutator's reference store: the slot write, then the barrier.
-func putRef(hp *Heap, tc *ThreadCtx, a Addr, off int, v Addr) {
+func putRef(hp *Heap, a Addr, off int, v Addr) {
 	put(hp, a, off, v)
-	hp.Barrier(tc, a+Addr(off), v)
+	hp.Barrier(a+Addr(off), v)
 }
 
 func TestAllocAndFieldAccess(t *testing.T) {
@@ -114,7 +115,7 @@ func TestAllocAndFieldAccess(t *testing.T) {
 		t.Fatal("fresh ref field not null")
 	}
 	b, _ := hp.AllocObject(tc, node)
-	putRef(hp, tc, a, ScalarHeader+next.Offset, b)
+	putRef(hp, a, ScalarHeader+next.Offset, b)
 	if get[Addr](hp, a, ScalarHeader+next.Offset) != b {
 		t.Fatal("ref field roundtrip failed")
 	}
@@ -185,7 +186,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 					return false
 				}
 				put[int32](hp, b, ScalarHeader+val.Offset, int32(i*1000+d))
-				putRef(hp, tc, cur, ScalarHeader+next.Offset, b)
+				putRef(hp, cur, ScalarHeader+next.Offset, b)
 				cur = b
 			}
 			// Allocate garbage in between.
@@ -223,7 +224,7 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 
 // TestGCShadowModel interleaves random allocation, pointer mutation, and
 // minor/full collections, checking the heap against a Go shadow model
-// after every collection. This covers barrier/remset/compaction
+// after every collection. This covers barrier/remembered-set/compaction
 // interactions that the chain test cannot reach.
 func TestGCShadowModel(t *testing.T) {
 	type shadowNode struct {
@@ -278,13 +279,13 @@ func TestGCShadowModel(t *testing.T) {
 				if len(shadow) > 1 {
 					i := rng.Intn(len(shadow))
 					j := rng.Intn(len(shadow))
-					putRef(hp, tc, addrs[i], ScalarHeader+nextF.Offset, addrs[j])
+					putRef(hp, addrs[i], ScalarHeader+nextF.Offset, addrs[j])
 					shadow[i].next = j
 				}
 			case 6: // null out a pointer
 				if len(shadow) > 0 {
 					i := rng.Intn(len(shadow))
-					putRef(hp, tc, addrs[i], ScalarHeader+nextF.Offset, 0)
+					putRef(hp, addrs[i], ScalarHeader+nextF.Offset, 0)
 					shadow[i].next = -1
 				}
 			case 7: // garbage
@@ -362,14 +363,14 @@ func TestCollectorsAgreeAcrossWorkers(t *testing.T) {
 				for d := 0; d < n; d++ {
 					b := alloc()
 					put[int32](hp, b, ScalarHeader+val.Offset, int32(round<<20|i<<12|d))
-					putRef(hp, tc, b, ScalarHeader+next.Offset, roots[i])
+					putRef(hp, b, ScalarHeader+next.Offset, roots[i])
 					if d%50 == 0 {
 						arr, err := hp.AllocArray(tc, nodeArr, 8)
 						if err != nil {
 							t.Fatal(err)
 						}
-						putRef(hp, tc, arr, ArrayHeader+(d%8)*8, roots[i])
-						putRef(hp, tc, b, ScalarHeader+kids.Offset, arr)
+						putRef(hp, arr, ArrayHeader+(d%8)*8, roots[i])
+						putRef(hp, b, ScalarHeader+kids.Offset, arr)
 					}
 					roots[i] = b
 					for g := 0; g < d%3; g++ {
@@ -395,8 +396,8 @@ func TestCollectorsAgreeAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			putRef(hp, tc, arr, ArrayHeader, b)
-			putRef(hp, tc, roots[i], ScalarHeader+kids.Offset, arr)
+			putRef(hp, arr, ArrayHeader, b)
+			putRef(hp, roots[i], ScalarHeader+kids.Offset, arr)
 		}
 		grow(1, 400)
 		collect(false)
@@ -406,7 +407,7 @@ func TestCollectorsAgreeAcrossWorkers(t *testing.T) {
 			for d := 0; d < 900; d++ {
 				c = get[Addr](hp, c, ScalarHeader+next.Offset)
 			}
-			putRef(hp, tc, c, ScalarHeader+next.Offset, 0)
+			putRef(hp, c, ScalarHeader+next.Offset, 0)
 		}
 		grow(2, 300)
 		collect(true)
@@ -475,11 +476,18 @@ func canonicalGraph(hp *Heap, roots []Addr) []int64 {
 	return enc
 }
 
+// remembered reports whether the write barrier's bit for slot is set.
+func remembered(hp *Heap, slot Addr) bool {
+	return hp.remBits[slot/128]&(1<<(slot/4%32)) != 0
+}
+
 // TestFailedFullCollectionLeavesTheHeapAlone fills the old generation with
-// rooted large arrays and the nursery with a rooted chain until the live
-// set no longer fits: the full collection fails with ErrOutOfMemory before
-// it writes anything, so every rooted object still reads as it was written,
-// and once half the arrays are dropped the next full collection succeeds.
+// rooted large arrays and the nursery with a chain, which only a slot of an
+// old-generation array names, until the live set no longer fits: the full
+// collection fails with ErrOutOfMemory before it writes anything, so every
+// object still reads as it was written and the slot is still remembered;
+// once half the arrays are dropped the next full collection succeeds,
+// reaches the chain through the slot and forgets it.
 func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -488,14 +496,18 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 			val := node.FindField("val")
 			next := node.FindField("next")
 			arrays := make([]Addr, 40)
-			var chain Addr
+			var holder Addr
 			hp.AddRoots(RootFunc(func(visit func(Addr) Addr) {
 				for i := range arrays {
 					arrays[i] = visit(arrays[i])
 				}
-				chain = visit(chain)
+				holder = visit(holder)
 			}))
 			const elems = 8192 // 32 KiB: large, so allocated in the old generation
+			var err error
+			if holder, err = hp.AllocArray(tc, nodeArr, elems/2); err != nil {
+				t.Fatal(err)
+			}
 			for i := range arrays {
 				a, err := hp.AllocArray(tc, intArr, elems)
 				if err != nil {
@@ -507,14 +519,21 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 				arrays[i] = a
 			}
 			const nodes = 10000 // 400 KB, within the 512 KiB nursery
+			gcs := func() int64 { st := hp.Stats(); return st.MinorGCs + st.FullGCs }
+			before := gcs()
+			var chain Addr // no root: the build must not collect
 			for d := 0; d < nodes; d++ {
 				b, err := hp.AllocObject(tc, node)
 				if err != nil {
 					t.Fatal(err)
 				}
 				put[int32](hp, b, ScalarHeader+val.Offset, int32(d))
-				putRef(hp, tc, b, ScalarHeader+next.Offset, chain)
+				putRef(hp, b, ScalarHeader+next.Offset, chain)
 				chain = b
+			}
+			putRef(hp, holder, ArrayHeader, chain)
+			if gcs() != before || hp.inYoung(holder) || !hp.inYoung(chain) {
+				t.Fatal("the chain is not a nursery chain named by an old slot")
 			}
 			check := func(when string) {
 				t.Helper()
@@ -529,7 +548,7 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 					}
 				}
 				d := nodes
-				for c := chain; c != 0; c = get[Addr](hp, c, ScalarHeader+next.Offset) {
+				for c := get[Addr](hp, holder, ArrayHeader); c != 0; c = get[Addr](hp, c, ScalarHeader+next.Offset) {
 					d--
 					if got := get[int32](hp, c, ScalarHeader+val.Offset); got != int32(d) {
 						t.Fatalf("%s: chain node %d reads %d", when, d, got)
@@ -543,6 +562,9 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 				t.Fatalf("full collection of an oversized live set: %v, want ErrOutOfMemory", err)
 			}
 			check("after the failed collection")
+			if !remembered(hp, holder+ArrayHeader) {
+				t.Fatal("the failed collection forgot the old slot that names the chain")
+			}
 			for i := 0; i < len(arrays); i += 2 {
 				arrays[i] = 0
 			}
@@ -550,6 +572,9 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("after the next full collection")
+			if slices.ContainsFunc(hp.remBits[:hp.remValid], func(w uint32) bool { return w != 0 }) {
+				t.Fatal("a remembered bit survived the successful full collection")
+			}
 		})
 	}
 }
@@ -668,6 +693,7 @@ func TestPromotionFitsTheSlack(t *testing.T) {
 				seed, hp.oldEnd-hp.oldPos, used)
 		}
 		hp.oldPos += Addr(filler)
+		hp.coverRemBits()
 		if n := hp.scavengeWorkers(); n != 4 {
 			t.Fatalf("seed %d: the scavenge runs on %d workers, want 4", seed, n)
 		}
@@ -925,7 +951,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	// barrier must keep it alive across a minor collection.
 	b, _ := hp.AllocObject(tc, node)
 	put[int32](hp, b, ScalarHeader+val.Offset, 13)
-	putRef(hp, tc, root, ScalarHeader+next.Offset, b)
+	putRef(hp, root, ScalarHeader+next.Offset, b)
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
 	}
@@ -935,8 +961,122 @@ func TestOldToYoungBarrier(t *testing.T) {
 	}
 }
 
+// TestFullCollectionCoversItsSurvivors compacts a rooted nursery chain of
+// about 100 KB into the old generation, onto remembered-slot bitmap words no
+// earlier cursor reached, then stores a young array into the chain's last
+// node and runs a minor collection. The full collection must leave those
+// words zeroed: a large allocation made in between must not wipe the
+// barrier's bit, and on a region handed out dirty the minor collection must
+// find no bit but the barrier's.
+func TestFullCollectionCoversItsSurvivors(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		poisoned bool
+		large    bool
+	}{
+		{"large allocation between", false, true},
+		{"poisoned region", true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.poisoned {
+				defer region.Poison(0xAA)()
+			}
+			hp, tc := newTestHeapOn(t, 8<<20, 1)
+			node := hp.Hierarchy().Class("Node")
+			val := node.FindField("val")
+			next := node.FindField("next")
+			kids := node.FindField("kids")
+			var chain Addr
+			hp.AddRoots(RootFunc(func(visit func(Addr) Addr) { chain = visit(chain) }))
+			const nodes = 3200
+			for d := 0; d < nodes; d++ {
+				b, err := hp.AllocObject(tc, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				put[int32](hp, b, ScalarHeader+val.Offset, int32(d))
+				putRef(hp, b, ScalarHeader+next.Offset, chain)
+				chain = b
+			}
+			if !hp.inYoung(chain) {
+				t.Fatal("the chain left the nursery before the full collection")
+			}
+			if err := hp.ForceGC(tc, true); err != nil {
+				t.Fatal(err)
+			}
+			// The chain's head, allocated last, is compacted last.
+			if hp.inYoung(chain) || chain < 64<<10 {
+				t.Fatalf("the chain's head lies at %#x after the full collection", chain)
+			}
+			arr, err := hp.AllocArray(tc, nodeArr, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf, err := hp.AllocObject(tc, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put[int32](hp, leaf, ScalarHeader+val.Offset, -1)
+			put(hp, arr, ArrayHeader, leaf)
+			putRef(hp, chain, ScalarHeader+kids.Offset, arr)
+			if c.large {
+				if _, err := hp.AllocArray(tc, intArr, tlabSize/4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A minor collection over words a dirty region left may not
+			// even finish, so this is checked before it runs.
+			if n := len(hp.oldRemBits()); n > hp.remValid {
+				t.Fatalf("%d bitmap words lie under the old cursor, only the first %d zeroed", n, hp.remValid)
+			}
+			scanned := func() int64 { return hp.Obs().Snapshot().Counters[obs.CtrRemsetScanned] }
+			before, nursery := scanned(), hp.oldEnd
+			if err := hp.ForceGC(tc, false); err != nil {
+				t.Fatal(err)
+			}
+			if got := scanned() - before; got != 1 {
+				t.Fatalf("the minor collection scanned %d remembered slots, want the barrier's one", got)
+			}
+			arr = get[Addr](hp, chain, ScalarHeader+kids.Offset)
+			if arr == 0 || arr >= nursery {
+				t.Fatalf("the promoted head's slot names %#x, at or past the nursery's start %#x", arr, nursery)
+			}
+			if leaf = get[Addr](hp, arr, ArrayHeader); leaf == 0 || leaf >= nursery ||
+				get[int32](hp, leaf, ScalarHeader+val.Offset) != -1 {
+				t.Fatalf("the array's element names %#x after the minor collection", leaf)
+			}
+			d := nodes
+			for n := chain; n != 0; n = get[Addr](hp, n, ScalarHeader+next.Offset) {
+				d--
+				if got := get[int32](hp, n, ScalarHeader+val.Offset); got != int32(d) {
+					t.Fatalf("chain node %d reads %d", d, got)
+				}
+			}
+			if d != 0 {
+				t.Fatalf("the chain lost %d nodes", d)
+			}
+		})
+	}
+}
+
 func TestOutOfMemory(t *testing.T) {
 	hp, tc := newTestHeap(t, 2<<20)
+	// An array past the old generation's bound fails at once, with no
+	// collection, however large: from 4 GiB on its size does not fit an
+	// Addr.
+	for _, c := range []struct{ arrType, n int }{
+		{intArr, (2 << 20) / 4}, // 2 MiB: past the bound
+		{nodeArr, 1 << 29},      // 4 GiB of references
+		{intArr, 1 << 30},       // 4 GiB of ints
+		{intArr, 1<<31 - 1},
+	} {
+		if _, err := hp.AllocArray(tc, c.arrType, c.n); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("an array of %d elements of type %d: %v, want ErrOutOfMemory", c.n, c.arrType, err)
+		}
+	}
+	if st := hp.Stats(); st.MinorGCs+st.FullGCs != 0 {
+		t.Fatalf("allocations no collection can make room for ran %d minor and %d full collections", st.MinorGCs, st.FullGCs)
+	}
 	node := hp.Hierarchy().Class("Node")
 	kids := node.FindField("kids")
 	var root Addr
@@ -965,8 +1105,8 @@ func TestOutOfMemory(t *testing.T) {
 			}
 			return
 		}
-		putRef(hp, tc, n, ScalarHeader+kids.Offset, arr)
-		putRef(hp, tc, n, ScalarHeader+node.FindField("next").Offset, root)
+		putRef(hp, n, ScalarHeader+kids.Offset, arr)
+		putRef(hp, n, ScalarHeader+node.FindField("next").Offset, root)
 		root = n
 		if i > 10000 {
 			t.Fatal("never ran out of memory")
@@ -1041,13 +1181,78 @@ func TestArrayElementWriteBarrier(t *testing.T) {
 	arr = root
 	young, _ := hp.AllocObject(tc, node)
 	put[int32](hp, young, ScalarHeader+val.Offset, 99)
-	putRef(hp, tc, arr, ArrayHeader+3*8, young) // old array -> young element
+	putRef(hp, arr, ArrayHeader+3*8, young) // old array -> young element
 	if err := hp.ForceGC(tc, false); err != nil {
 		t.Fatal(err)
 	}
 	got := get[Addr](hp, root, ArrayHeader+3*8)
 	if got == 0 || get[int32](hp, got, ScalarHeader+val.Offset) != 99 {
 		t.Fatal("array element barrier lost old->young reference")
+	}
+}
+
+// TestConcurrentBarriersShareWords: four mutator threads store old->young
+// references into interleaved slots of one old Node[] at once, so their
+// barriers set bits of the same bitmap words together. The minor collection
+// that follows, on four workers, must forward every slot and scan each once:
+// a bit lost to a racing store leaves its slot naming the emptied nursery.
+func TestConcurrentBarriersShareWords(t *testing.T) {
+	const threads, perThread = 4, 2000
+	hp, tc := newTestHeapOn(t, 8<<20, 4)
+	node := hp.Hierarchy().Class("Node")
+	val := node.FindField("val")
+	arr, err := hp.AllocArray(tc, nodeArr, threads*perThread) // large: old
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp.AddRoots(RootFunc(func(visit func(Addr) Addr) { arr = visit(arr) }))
+	gcs := func() int64 { st := hp.Stats(); return st.MinorGCs + st.FullGCs }
+	before := gcs()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for id := 0; id < threads; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tc := hp.RegisterThread()
+			tc.EndExternal()
+			defer hp.UnregisterThread(tc)
+			// Allocate first, then store, so the stores of all four
+			// threads overlap with nothing between them.
+			nodes := make([]Addr, perThread)
+			for i := range nodes {
+				a, err := hp.AllocObject(tc, node)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				slot := i*threads + id
+				put[int32](hp, a, ScalarHeader+val.Offset, int32(slot))
+				nodes[i] = a
+			}
+			<-start
+			for i, a := range nodes {
+				putRef(hp, arr, ArrayHeader+8*(i*threads+id), a)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if gcs() != before {
+		t.Fatal("a collection ran while the threads stored: the nodes had no roots")
+	}
+	nursery := hp.oldEnd // every node lies above it, every copy below
+	if err := hp.ForceGC(tc, false); err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < threads*perThread; slot++ {
+		a := get[Addr](hp, arr, ArrayHeader+8*slot)
+		if a >= nursery || get[int32](hp, a, ScalarHeader+val.Offset) != int32(slot) {
+			t.Fatalf("slot %d names %#x after the minor collection: its remembered bit was lost", slot, a)
+		}
+	}
+	if got := hp.Obs().Snapshot().Counters[obs.CtrRemsetScanned]; got != threads*perThread {
+		t.Fatalf("the minor collection scanned %d remembered slots, want %d", got, threads*perThread)
 	}
 }
 
@@ -1151,35 +1356,53 @@ func TestHeapStatsReadTheInstruments(t *testing.T) {
 }
 
 // TestResetRewindsTheOldGeneration: a reused heap places its first
-// old-generation object where a fresh heap would.
+// old-generation object where a fresh heap would, and forgets the old slots
+// the last job left remembered: the next job's minor collection scans its
+// own slots only.
 func TestResetRewindsTheOldGeneration(t *testing.T) {
 	hp := New(Config{HeapSize: 8 << 20}, testHierarchy(t), testArrayTypes)
-	// large allocates past half a TLAB, which goes straight to the old
-	// generation, on a thread of its own so the heap is quiescent between
-	// steps.
-	large := func() Addr {
+	node := hp.Hierarchy().Class("Node")
+	// large allocates a Node[] past half a TLAB, which goes straight to the
+	// old generation, and stores young nodes into its first refs slots, on
+	// a thread of its own so the heap is quiescent between steps.
+	large := func(refs int, gc bool) Addr {
 		t.Helper()
 		tc := hp.RegisterThread()
 		tc.EndExternal()
-		a, err := hp.AllocArray(tc, intArr, tlabSize)
+		a, err := hp.AllocArray(tc, nodeArr, tlabSize/8)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := 0; i < refs; i++ {
+			b, err := hp.AllocObject(tc, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putRef(hp, a, ArrayHeader+8*i, b)
+		}
+		if gc {
+			if err := hp.ForceGC(tc, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tc.BeginExternal()
 		hp.UnregisterThread(tc)
 		return a
 	}
-	if a := large(); a != hp.oldBase {
+	if a := large(0, false); a != hp.oldBase {
 		t.Fatalf("first large array at %#x, want the old base %#x", a, hp.oldBase)
 	}
-	if a := large(); a == hp.oldBase {
-		t.Fatal("second large array reused the old base")
+	if a := large(100, false); a == hp.oldBase || !remembered(hp, a+ArrayHeader) {
+		t.Fatal("second large array reused the old base or its slots are not remembered")
 	}
 	if err := hp.Reset(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if a := large(); a != hp.oldBase {
+	if a := large(10, true); a != hp.oldBase {
 		t.Fatalf("after reset the large array is at %#x, want the rewound old base %#x", a, hp.oldBase)
+	}
+	if got := hp.Obs().Snapshot().Counters[obs.CtrRemsetScanned]; got != 10 {
+		t.Fatalf("the job after Reset scanned %d remembered slots, want its own 10", got)
 	}
 }
 

@@ -32,11 +32,11 @@ func (sp *safepointState) init() {
 // state. Every thread that executes IR must hold one and call Safepoint
 // regularly (the interpreter does so on calls and loop back-edges).
 //
-// The context also batches allocation accounting and write-barrier
-// entries thread-locally, so the TLAB bump-pointer path touches no shared
-// cache line: counters flush to the heap's shared atomics when the thread
-// crosses the boundary (BeginExternal); the remembered-set buffer is
-// merged when a collection stops the world, or under mu when it fills.
+// The context also batches allocation accounting thread-locally, so the
+// TLAB bump-pointer path touches no shared cache line: counters flush to
+// the heap's shared atomics when the thread crosses the boundary
+// (BeginExternal). The write barrier keeps nothing here; it sets a bit in
+// the heap's remembered-slot bitmap.
 type ThreadCtx struct {
 	hp      *Heap
 	tlab    TLAB
@@ -48,10 +48,6 @@ type ThreadCtx struct {
 	histSum     int64
 	histMin     int64
 	histMax     int64
-
-	// remBuf holds old->young reference slots recorded by the write
-	// barrier (Barrier) since the last drain.
-	remBuf []Addr
 }
 
 // RegisterThread creates a thread context. The context starts external;
@@ -73,14 +69,14 @@ func (hp *Heap) RegisterThread() *ThreadCtx {
 }
 
 // UnregisterThread removes the context, leaving mutator state first if the
-// thread was still running. It waits out a collection in progress (gcMu):
-// the thread's buffered barrier entries merge into the remembered set, which
-// a collector owns for as long as the world is stopped.
+// thread was still running. It waits out a stop of the world in progress
+// (gcMu), so the thread list shrinks only between stops: once it returns,
+// no collection or spill that began with this thread registered is still
+// running.
 func (hp *Heap) UnregisterThread(tc *ThreadCtx) {
 	tc.BeginExternal()
 	sp := &hp.sp
 	sp.gcMu.Lock()
-	tc.flushRemBuf()
 	sp.mu.Lock()
 	delete(sp.threads, tc)
 	sp.mu.Unlock()

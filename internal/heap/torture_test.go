@@ -11,19 +11,19 @@ import (
 )
 
 // GC torture test: several mutator goroutines churn linked object graphs
-// (lists with array fan-out, old->young edges through the batched write
-// barrier) while a collector goroutine forces minor and full collections
-// as fast as it can. After every safepoint crossing each worker re-walks
-// its graph and verifies the checksum, so any collection that loses an
-// edge, misdirects a forwarding pointer, or drops a buffered remembered-
-// set entry fails immediately and locally. Each round also fans in: four
+// (lists with array fan-out, old->young edges through the write barrier)
+// while a collector goroutine forces minor and full collections as fast as
+// it can. After every safepoint crossing each worker re-walks its graph and
+// verifies the checksum, so any collection that loses an edge, misdirects a
+// forwarding pointer, or misses a remembered slot fails immediately and
+// locally. Each round also fans in: four
 // arrays name the same list nodes in the same order, so GC workers scanning
 // them claim the same nursery objects at once, and an object copied twice
 // shows as arrays that no longer agree.
 //
 // CI runs this under -race as its own step: the thread-local allocation
-// batching and remembered-set buffers introduced for the fast paths are
-// exactly the kind of state a racy flush would corrupt.
+// batching and the barrier's bits, set by every mutator in one shared
+// bitmap, are exactly the kind of state a racy update would corrupt.
 //
 // Root visibility is safe without extra locking for the same reason as in
 // the other concurrent tests: workers publish w.head/w.anchor by parking
@@ -155,21 +155,21 @@ func gcTorture(t *testing.T) {
 					}
 					v := int32(w.id*1_000_000 + round*1000 + i)
 					put[int32](hp, n, ScalarHeader+val.Offset, v)
-					putRef(hp, tc, n, ScalarHeader+next.Offset, w.head)
+					putRef(hp, n, ScalarHeader+next.Offset, w.head)
 					w.head = n
 					want += int64(v)
 					if i%64 == 0 {
 						// Array fan-out pointing back into the list, plus
 						// an old->young edge through the anchor: exactly
-						// the stores the batched barrier buffers.
+						// the stores the barrier remembers.
 						arr, err := hp.AllocArray(tc, nodeArr, 4)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						putRef(hp, tc, arr, ArrayHeader, n)
-						putRef(hp, tc, n, ScalarHeader+kids.Offset, arr)
-						putRef(hp, tc, w.anchor, ScalarHeader+next.Offset, n)
+						putRef(hp, arr, ArrayHeader, n)
+						putRef(hp, n, ScalarHeader+kids.Offset, arr)
+						putRef(hp, w.anchor, ScalarHeader+next.Offset, n)
 						tc.Safepoint()
 					}
 				}
@@ -185,13 +185,13 @@ func gcTorture(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					putRef(hp, tc, w.fans, ArrayHeader+8*k, fan)
+					putRef(hp, w.fans, ArrayHeader+8*k, fan)
 				}
 				i := 0
 				for c := w.head; c != 0; c = get[Addr](hp, c, ScalarHeader+next.Offset) {
 					if i%tortureStride == 0 {
 						for k := 0; k < tortureFans; k++ {
-							putRef(hp, tc, get[Addr](hp, w.fans, ArrayHeader+8*k), ArrayHeader+8*(i/tortureStride), c)
+							putRef(hp, get[Addr](hp, w.fans, ArrayHeader+8*k), ArrayHeader+8*(i/tortureStride), c)
 						}
 					}
 					i++
@@ -229,8 +229,8 @@ func gcTorture(t *testing.T) {
 					t.Errorf("worker %d round %d: anchor payload corrupted", w.id, round)
 					return
 				}
-				// The anchor's old->young edge must survive the buffered
-				// write barrier across any number of collections.
+				// The anchor's old->young edge must survive the write
+				// barrier across any number of collections.
 				if get[Addr](hp, w.anchor, ScalarHeader+next.Offset) == 0 {
 					t.Errorf("worker %d round %d: anchor lost its old->young edge", w.id, round)
 					return
@@ -252,10 +252,10 @@ func gcTorture(t *testing.T) {
 
 // TestRegisterDuringCollection pins the thread-list handshake: a stopped
 // world keeps mutators off the heap, not off the list, so external threads
-// may register and unregister while the collector walks it (drainRemBuffers,
-// the full collection's stale-buffer drop, invalidateTLABs). Before the walks
-// took sp.mu this died of "concurrent map iteration and map write" within a
-// few hundred iterations; CI runs it under -race.
+// may register while the collector walks it (invalidateTLABs) and wait in
+// UnregisterThread for the stop to end. Before the walks took sp.mu this
+// died of "concurrent map iteration and map write" within a few hundred
+// iterations; CI runs it under -race.
 func TestRegisterDuringCollection(t *testing.T) {
 	hp := New(Config{HeapSize: 4 << 20}, testHierarchy(t), testArrayTypes)
 	const nRegistrars = 3

@@ -1,5 +1,5 @@
 // Package region is the one source of a VM's bulk memory: a heap's arena
-// with its mark bitmap and every standard 32 KB page body is a region,
+// with its two side bitmaps and every standard 32 KB page body is a region,
 // memory Go neither zeroes nor scans (an anonymous mapping on linux and
 // darwin, map_unix.go; Go memory elsewhere and in race builds,
 // map_other.go).
@@ -23,8 +23,9 @@ import (
 
 // poolBytes bounds the free regions of every size together, because they
 // stay resident outside any job's budget: three 16 MiB GraphChi heaps (a
-// unit builds two) and a GraphChi P′ store's 430 page bodies fit. A region
-// larger than the whole bound is never pooled.
+// unit builds two), 16.75 MiB each with their mark and remembered-slot
+// bitmaps, and a GraphChi P′ store's 430 page bodies fit, 63.7 MiB in all.
+// A region larger than the whole bound is never pooled.
 const poolBytes = 64 << 20
 
 var pool = struct {

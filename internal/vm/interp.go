@@ -312,7 +312,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 				return 0, errNPE("field write " + c.Src[pc-1].Field.Name)
 			}
 			binary.LittleEndian.PutUint64(hp.Bytes(obj)[in.Imm:], regs[in.B])
-			hp.Barrier(t.tc, obj+heap.Addr(in.Imm), heap.Addr(regs[in.B]))
+			hp.Barrier(obj+heap.Addr(in.Imm), heap.Addr(regs[in.B]))
 		case xALoad1:
 			arr := heap.Addr(regs[in.A])
 			if arr == 0 {
@@ -383,7 +383,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 				return 0, errBounds(i, n)
 			}
 			binary.LittleEndian.PutUint64(b[heap.ArrayHeader+i*8:], regs[in.C])
-			hp.Barrier(t.tc, arr+heap.Addr(heap.ArrayHeader+i*8), heap.Addr(regs[in.C]))
+			hp.Barrier(arr+heap.Addr(heap.ArrayHeader+i*8), heap.Addr(regs[in.C]))
 		case xALen:
 			arr := heap.Addr(regs[in.A])
 			if arr == 0 {

@@ -248,7 +248,7 @@ func (t *Thread) arraycopyHeap(in *ir.Instr, regs []Value) error {
 	move := func(i int) {
 		v := loadSlot(sb[so+i*es:], elem.Kind)
 		storeSlot(db[do+i*es:], elem.Kind, v)
-		hp.Barrier(t.tc, dst+heap.Addr(do+i*es), heap.Addr(v))
+		hp.Barrier(dst+heap.Addr(do+i*es), heap.Addr(v))
 	}
 	if src == dst && dstPos > srcPos {
 		for i := n - 1; i >= 0; i-- {
@@ -396,7 +396,7 @@ func (t *Thread) fillHeap(in *ir.Instr, regs []Value) error {
 		}
 		dst, slot := heap.Addr(regs[args[0]]), heap.ArrayHeader+i*8
 		binary.LittleEndian.PutUint64(hp.Bytes(dst)[slot:], uint64(obj))
-		hp.Barrier(t.tc, dst+heap.Addr(slot), obj)
+		hp.Barrier(dst+heap.Addr(slot), obj)
 	}
 	return nil
 }
@@ -523,7 +523,7 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 	t.vm.Drop(h)
 	off := heap.ScalarHeader + t.vm.strField.Offset
 	storeSlot(hp.Bytes(obj)[off:], t.vm.strField.Type.Kind, Value(arr))
-	hp.Barrier(t.tc, obj+heap.Addr(off), arr)
+	hp.Barrier(obj+heap.Addr(off), arr)
 	return Value(obj), nil
 }
 
