@@ -584,13 +584,13 @@ func BenchmarkAblationParallelMark(b *testing.B) {
 						// build fresh ones in the nursery, all untimed.
 						b.StopTimer()
 						clear(hp.Bytes(root)[heap.ArrayHeader : heap.ArrayHeader+fanout*8])
-						if err := hp.ForceGC(tc, true); err != nil {
+						if err := hp.Collect(tc, true); err != nil {
 							b.Fatal(err)
 						}
 						build()
 						b.StartTimer()
 					}
-					if err := hp.ForceGC(tc, kind == "full"); err != nil {
+					if err := hp.Collect(tc, kind == "full"); err != nil {
 						b.Fatal(err)
 					}
 				}

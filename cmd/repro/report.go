@@ -69,15 +69,8 @@ func gpsReport(name, program string, cfg gps.Config, edges int, r *gps.Result) o
 		rep.Config["faults"] = cfg.Faults
 	}
 	rep.WallNanos = r.ET.Nanoseconds()
-	rep.Metrics = map[string]float64{
-		"et_s":        r.ET.Seconds(),
-		"gt_s":        r.GT.Seconds(),
-		"pm_bytes":    float64(r.PM),
-		"heap_peak":   float64(r.HeapPeak),
-		"native_peak": float64(r.NativePeak),
-		"minor_gcs":   float64(r.MinorGCs),
-		"full_gcs":    float64(r.FullGCs),
-	}
+	rep.Metrics = map[string]float64{"et_s": r.ET.Seconds()}
+	addMemoryMetrics(rep.Metrics, r.Memory)
 	addRecoveryMetrics(rep.Metrics, r.Obs, obs.CtrCheckpoints, obs.CtrCheckpointBytes, obs.CtrCheckpointsDropped,
 		obs.CtrRestores, obs.CtrNodeRestarts, obs.CtrCrashes, obs.CtrOOMRecoveries)
 	addNetMetrics(rep.Metrics, r.Net)
@@ -102,16 +95,11 @@ func hyracksReport(name, program string, sizeGB int, r *hyracks.Result) obs.RunR
 	}
 	rep.Metrics = map[string]float64{
 		"et_s":         r.ET.Seconds(),
-		"gt_s":         r.GT.Seconds(),
 		"ome":          ome,
-		"pm_bytes":     float64(r.PM),
-		"heap_peak":    float64(r.HeapPeak),
-		"native_peak":  float64(r.NativePeak),
-		"minor_gcs":    float64(r.MinorGCs),
-		"full_gcs":     float64(r.FullGCs),
 		"shuffled_mb":  r.ShuffledMB,
 		"output_bytes": float64(r.OutputBytes),
 	}
+	addMemoryMetrics(rep.Metrics, r.Memory)
 	addRecoveryMetrics(rep.Metrics, r.Obs, obs.CtrCrashes, obs.CtrNodeRestarts, obs.CtrTaskRetries,
 		obs.CtrTasksDegraded, obs.CtrOOMRecoveries)
 	addNetMetrics(rep.Metrics, r.Net)
@@ -119,6 +107,16 @@ func hyracksReport(name, program string, sizeGB int, r *hyracks.Result) obs.RunR
 		rep.Obs = r.NodeObs[0]
 	}
 	return rep
+}
+
+// addMemoryMetrics copies a run's memory book into a metrics map.
+func addMemoryMetrics(m map[string]float64, mem obs.Memory) {
+	m["gt_s"] = mem.GT.Seconds()
+	m["pm_bytes"] = float64(mem.PM)
+	m["heap_peak"] = float64(mem.HeapPeak)
+	m["native_peak"] = float64(mem.NativePeak)
+	m["minor_gcs"] = float64(mem.MinorGCs)
+	m["full_gcs"] = float64(mem.FullGCs)
 }
 
 // addRecoveryMetrics copies the named recovery.* counters of a run's
@@ -187,12 +185,6 @@ func graphchiReport(name, program string, cfg graphchi.Config, heapBytes int64, 
 		"et_s":           m.ET.Seconds(),
 		"ut_s":           m.UT.Seconds(),
 		"lt_s":           m.LT.Seconds(),
-		"gt_s":           m.GT.Seconds(),
-		"pm_bytes":       float64(m.PM),
-		"heap_peak":      float64(m.HeapPeak),
-		"native_peak":    float64(m.NativePeak),
-		"minor_gcs":      float64(m.MinorGCs),
-		"full_gcs":       float64(m.FullGCs),
 		"sub_iters":      float64(m.SubIters),
 		"data_objects":   float64(m.DataObjects),
 		"pages":          float64(m.Pages),
@@ -201,6 +193,7 @@ func graphchiReport(name, program string, cfg graphchi.Config, heapBytes int64, 
 		"edges":          float64(m.Edges),
 		"throughput_eps": m.Throughput(),
 	}
+	addMemoryMetrics(rep.Metrics, m.Memory)
 	addRecoveryMetrics(rep.Metrics, m.Obs, obs.CtrIntervalRetries, obs.CtrCrashes, obs.CtrWorkerRestarts,
 		obs.CtrOOMRecoveries, obs.CtrBudgetHalvings)
 	rep.ClassAllocs = m.ClassAllocs

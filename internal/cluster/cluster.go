@@ -20,6 +20,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -328,9 +329,6 @@ func (n *Network) Stats() NetStats {
 	}
 }
 
-// BytesSent returns total bytes shuffled.
-func (n *Network) BytesSent() int64 { return n.bytesSent.Load() }
-
 // NodeError tags an error with the cluster node it occurred on.
 type NodeError struct {
 	ID  int
@@ -353,11 +351,11 @@ type Cluster struct {
 	nodeInj []*faults.Injector // per-node counter-based injectors
 	inj     *faults.Injector   // shared keyed injector (network, crash plan)
 
-	// retired accumulates the stats of VMs replaced by RestartNode so a
-	// crash does not erase the dead node's GC history or peaks from the
-	// books.
+	// retired holds the final snapshots of VMs replaced by RestartNode,
+	// so a crash does not erase the dead node's GC history or peaks from
+	// the run's Memory.
 	retiredMu sync.Mutex
-	retired   Stats
+	retired   []obs.Snapshot
 
 	// obs is the run's cluster-level registry: the engines' recovery
 	// counters and events, which must outlive the node VMs a restart
@@ -436,14 +434,15 @@ func (c *Cluster) Obs() *obs.Registry { return c.obs }
 
 // RestartNode replaces a crashed node with a fresh VM (empty heap, empty
 // page store) and re-opens its mailbox, counting recovery.node_restarts.
-// The dead VM's GC statistics and memory peaks are folded into the
-// cluster's retired books first, so aggregate stats span the whole run,
-// not just the surviving incarnations; then the dead VM is released. A
-// release that fails is the restart's error, with the new node in place.
+// The dead VM's final snapshot is kept first, so the Report's Memory spans
+// the whole run, not just the surviving incarnations; then the dead VM is
+// released. A release that fails is the restart's error, with the new node
+// in place.
 func (c *Cluster) RestartNode(id int) error {
 	old := c.Nodes[id]
+	snap := old.VM.Obs().Snapshot()
 	c.retiredMu.Lock()
-	c.retired.add(old)
+	c.retired = append(c.retired, snap)
 	c.retiredMu.Unlock()
 	relErr := old.close()
 	n, err := c.newNode(id)
@@ -458,8 +457,7 @@ func (c *Cluster) RestartNode(id int) error {
 
 // Close closes every node's thread and releases its VM: the root scope's
 // records and any spill file go now, not when Go's collector finds the VM.
-// It returns every node's release error. Read Stats and the node
-// registries first.
+// It returns every node's release error. Take the Report first.
 func (c *Cluster) Close() error {
 	var errs []error
 	for _, n := range c.Nodes {
@@ -479,53 +477,28 @@ func (n *Node) close() error {
 	return nil
 }
 
-// Stats aggregates per-node memory/GC statistics.
-type Stats struct {
-	GCTime      time.Duration // summed across nodes (including retired VMs)
-	MaxHeapPeak int64         // worst node heap peak
-	MaxNative   int64         // worst node native peak
-	MaxTotal    int64         // worst node heap+native peak
-	MinorGCs    int64
-	FullGCs     int64
+// Report is what a cluster run measured: the Memory of every node VM,
+// restarted incarnations included, the network's traffic, the cluster
+// registry's snapshot (the run's recovery counters and events) and each
+// live node's snapshot, indexed by node ID.
+type Report struct {
+	obs.Memory
+	Net     NetStats
+	Obs     obs.Snapshot
+	NodeObs []obs.Snapshot
 }
 
-// Stats collects current counters from every node.
-func (c *Cluster) Stats() Stats {
-	c.retiredMu.Lock()
-	s := c.retired
-	c.retiredMu.Unlock()
-	for _, n := range c.Nodes {
-		s.add(n)
-	}
-	return s
-}
-
-// add folds one node's VM into s: GC time and counts sum, peaks take the
-// max, so a retired VM's peak still bounds the run's worst node.
-func (s *Stats) add(n *Node) {
-	hs := n.VM.Heap.Stats()
-	s.GCTime += hs.GCTime
-	s.MinorGCs += hs.MinorGCs
-	s.FullGCs += hs.FullGCs
-	s.MaxHeapPeak = max(s.MaxHeapPeak, hs.PeakUsed)
-	total := hs.PeakUsed
-	if n.VM.RT != nil {
-		ns := n.VM.RT.Stats()
-		total += ns.PeakBytes
-		s.MaxNative = max(s.MaxNative, ns.PeakBytes)
-	}
-	s.MaxTotal = max(s.MaxTotal, total)
-}
-
-// ObsSnapshots returns every node's observability snapshot, indexed by
-// node ID (each node's VM has a private registry; a restarted node reports
-// its current incarnation).
-func (c *Cluster) ObsSnapshots() []obs.Snapshot {
-	out := make([]obs.Snapshot, len(c.Nodes))
+// Report snapshots the cluster: every live node's registry, folded with the
+// retired VMs' final snapshots into the run's Memory.
+func (c *Cluster) Report() Report {
+	nodes := make([]obs.Snapshot, len(c.Nodes))
 	for i, n := range c.Nodes {
-		out[i] = n.VM.Obs().Snapshot()
+		nodes[i] = n.VM.Obs().Snapshot()
 	}
-	return out
+	c.retiredMu.Lock()
+	all := append(slices.Clone(c.retired), nodes...)
+	c.retiredMu.Unlock()
+	return Report{Memory: obs.MemoryOf(all...), Net: c.Net.Stats(), Obs: c.obs.Snapshot(), NodeObs: nodes}
 }
 
 // ParallelEach runs fn on every node concurrently. Every failing node

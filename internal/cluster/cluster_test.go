@@ -137,8 +137,8 @@ func TestNetworkDeliversAndCounts(t *testing.T) {
 	if g.Tag != "y" {
 		t.Fatalf("frame: %+v", g)
 	}
-	if cl.Net.BytesSent() != 6 {
-		t.Fatalf("bytes: %d", cl.Net.BytesSent())
+	if b := cl.Net.Stats().BytesSent; b != 6 {
+		t.Fatalf("bytes: %d", b)
 	}
 }
 
@@ -166,44 +166,89 @@ func TestStatsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cl.Stats()
-	if st.MaxHeapPeak == 0 {
+	if cl.Report().HeapPeak == 0 {
 		t.Fatal("no heap peak recorded")
 	}
 }
 
 // TestRestartKeepsPeaks: restarting a node must not lose its memory peak;
-// the retired VM still bounds the worst node.
+// the retired VM still bounds the worst node, and its GC history still
+// counts. On P and P′ alike, the Report's Memory after the restart is the
+// fold of the heap and page-store books of every VM the cluster built: the
+// retired one as it stood just before the restart, and the live ones.
 func TestRestartKeepsPeaks(t *testing.T) {
-	p := testProgram(t)
-	cl, err := New(p, Config{NumNodes: 2, HeapPerNode: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
+	for _, leg := range []struct {
+		name string
+		prog func(*testing.T) *ir.Program
+		run  func(*testing.T, *Node) // a P′ leg's run leaves records behind
+	}{
+		{"P", testProgram, func(*testing.T, *Node) {}},
+		{"P'", keepProgram, func(t *testing.T, n *Node) {
+			if _, err := n.Main.Call("MainFacade.main"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			cl, err := New(leg.prog(t), Config{NumNodes: 2, HeapPerNode: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			n := cl.Nodes[0]
+			leg.run(t, n)
+			for i := 0; i < 1000; i++ {
+				o, err := n.Main.NewArr("int", 1000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Main.FreeObj(o)
+			}
+			leg.run(t, cl.Nodes[1])
+			before := cl.Report()
+			if before.HeapPeak == 0 || before.PM == 0 {
+				t.Fatalf("no peak recorded: %+v", before.Memory)
+			}
+			retired := memoryOf(n)
+			cl.Net.Crash(0)
+			if err := cl.RestartNode(0); err != nil {
+				t.Fatal(err)
+			}
+			leg.run(t, cl.Nodes[0])
+			after := cl.Report()
+			if after.HeapPeak < before.HeapPeak || after.NativePeak < before.NativePeak || after.PM < before.PM {
+				t.Fatalf("restart lost peaks: before %+v, after %+v", before.Memory, after.Memory)
+			}
+			if after.GT < before.GT || after.MinorGCs < before.MinorGCs || after.FullGCs < before.FullGCs {
+				t.Fatalf("restart lost GC history: before %+v, after %+v", before.Memory, after.Memory)
+			}
+			want := retired
+			for _, n := range cl.Nodes {
+				m := memoryOf(n)
+				want.GT += m.GT
+				want.MinorGCs += m.MinorGCs
+				want.FullGCs += m.FullGCs
+				want.HeapPeak = max(want.HeapPeak, m.HeapPeak)
+				want.NativePeak = max(want.NativePeak, m.NativePeak)
+				want.PM = max(want.PM, m.PM)
+			}
+			if after.Memory != want {
+				t.Fatalf("Report().Memory = %+v, want the fold of every VM's heap and page-store books %+v", after.Memory, want)
+			}
+		})
 	}
-	defer cl.Close()
-	n := cl.Nodes[0]
-	for i := 0; i < 100; i++ {
-		o, err := n.Main.NewArr("int", 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Main.FreeObj(o)
+}
+
+// memoryOf reads one node VM's Memory off its heap and page-store books,
+// not its registry.
+func memoryOf(n *Node) obs.Memory {
+	hs := n.VM.Heap.Stats()
+	m := obs.Memory{GT: hs.GCTime, HeapPeak: hs.PeakUsed, MinorGCs: hs.MinorGCs, FullGCs: hs.FullGCs}
+	if n.VM.RT != nil {
+		m.NativePeak = n.VM.RT.Stats().PeakBytes
 	}
-	before := cl.Stats()
-	if before.MaxHeapPeak == 0 || before.MaxTotal == 0 {
-		t.Fatalf("no peak recorded: %+v", before)
-	}
-	cl.Net.Crash(0)
-	if err := cl.RestartNode(0); err != nil {
-		t.Fatal(err)
-	}
-	after := cl.Stats()
-	if after.MaxHeapPeak < before.MaxHeapPeak || after.MaxNative < before.MaxNative || after.MaxTotal < before.MaxTotal {
-		t.Fatalf("restart lost peaks: before %+v, after %+v", before, after)
-	}
-	if after.GCTime < before.GCTime || after.MinorGCs < before.MinorGCs || after.FullGCs < before.FullGCs {
-		t.Fatalf("restart lost GC history: before %+v, after %+v", before, after)
-	}
+	m.PM = m.HeapPeak + m.NativePeak
+	return m
 }
 
 // TestUnboundedMailboxNoDeadlock is the regression test for the fixed-cap
@@ -368,12 +413,10 @@ func TestCrashBlackHolesAndRestartRevives(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesEveryNode runs a P' program that leaves records in each
-// node's root scope and spills them to a disk tier, crashes and restarts
-// one node, and closes the cluster: every VM it built, the crashed one
-// included, must hold no live page manager and leave no spill file. A node
-// with a thread still open must make Close fail, naming the node.
-func TestCloseReleasesEveryNode(t *testing.T) {
+// keepProgram is a P′ program whose MainFacade.main leaves 20,000 records in
+// the calling thread's root scope.
+func keepProgram(t *testing.T) *ir.Program {
+	t.Helper()
 	_, p2, err := facade.Build(map[string]string{"keep.fj": `
 class Cell { int v; Cell next; Cell(int v) { this.v = v; } }
 class Main {
@@ -389,6 +432,16 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p2
+}
+
+// TestCloseReleasesEveryNode runs a P' program that leaves records in each
+// node's root scope and spills them to a disk tier, crashes and restarts
+// one node, and closes the cluster: every VM it built, the crashed one
+// included, must hold no live page manager and leave no spill file. A node
+// with a thread still open must make Close fail, naming the node.
+func TestCloseReleasesEveryNode(t *testing.T) {
+	p2 := keepProgram(t)
 	cl, err := New(p2, Config{NumNodes: 2, HeapPerNode: 4 << 20})
 	if err != nil {
 		t.Fatal(err)

@@ -57,27 +57,15 @@ type Config struct {
 
 // Result reports one run (§4.3's ET/GT/space comparison).
 type Result struct {
-	ET         time.Duration
-	GT         time.Duration
-	PM         int64 // worst per-node heap+native peak
-	HeapPeak   int64
-	NativePeak int64
-	MinorGCs   int64
-	FullGCs    int64
-	Values     []float64 // final vertex values / point assignments
-	Centroids  [][2]float64
+	ET        time.Duration
+	Values    []float64 // final vertex values / point assignments
+	Centroids [][2]float64
 
-	// Net reports the network's traffic and injected misbehaviour.
-	Net cluster.NetStats
-
-	// Obs is the cluster registry's snapshot: the run's recovery.*
-	// counters and its checkpoint and recovery events. A fault-free run
-	// has none.
-	Obs obs.Snapshot
-
-	// NodeObs holds each node's observability snapshot (indexed by node
-	// ID); supersteps appear as EvIteration events in each.
-	NodeObs []obs.Snapshot
+	// Report is what the cluster measured: the memory book, the network's
+	// traffic, the run's recovery.* counters with its checkpoint and
+	// recovery events (a fault-free run has none), and each node's
+	// snapshot, where supersteps appear as EvIteration events.
+	cluster.Report
 }
 
 // partition is one node's share of the graph.
@@ -842,17 +830,5 @@ func readDoublePrefix(t *vm.Thread, o vm.Obj, n int) ([]float64, error) {
 }
 
 func resultFrom(cl *cluster.Cluster, start time.Time) *Result {
-	st := cl.Stats()
-	return &Result{
-		ET:         time.Since(start),
-		GT:         st.GCTime,
-		PM:         st.MaxTotal,
-		HeapPeak:   st.MaxHeapPeak,
-		NativePeak: st.MaxNative,
-		MinorGCs:   st.MinorGCs,
-		FullGCs:    st.FullGCs,
-		Net:        cl.Net.Stats(),
-		Obs:        cl.Obs().Snapshot(),
-		NodeObs:    cl.ObsSnapshots(),
-	}
+	return &Result{ET: time.Since(start), Report: cl.Report()}
 }

@@ -74,13 +74,11 @@ type Metrics struct {
 	ET time.Duration // total execution time
 	UT time.Duration // engine update time
 	LT time.Duration // data load (+store) time
-	GT time.Duration // garbage collection time
-	PM int64         // peak memory: managed heap peak + native peak
 
-	HeapPeak    int64
-	NativePeak  int64
-	MinorGCs    int64
-	FullGCs     int64
+	// Memory is the run's GC time GT, its peak memory PM (managed heap
+	// peak + native peak) and the collection counts, read off Obs.
+	obs.Memory
+
 	SubIters    int
 	DataObjects int64 // heap objects allocated for the data classes
 	Pages       int64 // native pages created (P' only)
@@ -204,24 +202,18 @@ func run(machine *vm.VM, sg *ShardedGraph, cfg Config, afterSubIter func([2]int,
 	}
 
 	met.ET = time.Since(start)
-	hs := machine.Heap.Stats()
-	met.GT = hs.GCTime
-	met.MinorGCs = hs.MinorGCs
-	met.FullGCs = hs.FullGCs
-	met.HeapPeak = hs.PeakUsed
 	if machine.RT != nil {
 		ns := machine.RT.Stats()
-		met.NativePeak = ns.PeakBytes
 		met.Pages = ns.PagesCreated
 		met.PagesLiveHW = ns.PagesLiveHW
 		met.Records = ns.Records
 		met.PagesSpilled = ns.PagesSpilled
 		met.PagesPromoted = ns.PagesPromoted
 	}
-	met.PM = met.HeapPeak + met.NativePeak
 	met.DataObjects = countDataObjects(machine)
 	met.ClassAllocs = machine.Heap.ClassAllocCounts()
 	met.Obs = reg.Snapshot()
+	met.Memory = obs.MemoryOf(met.Obs)
 	return met, values, nil
 }
 

@@ -528,8 +528,3 @@ func (hp *Heap) fullGC() error {
 	hp.notePeakLocked()
 	return nil
 }
-
-// ForceGC runs a collection on behalf of tests and tools.
-func (hp *Heap) ForceGC(tc *ThreadCtx, full bool) error {
-	return hp.Collect(tc, full)
-}

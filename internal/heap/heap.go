@@ -547,7 +547,8 @@ func (hp *Heap) allocSlow(tc *ThreadCtx, size int) (Addr, error) {
 	if err := hp.injectAllocFault(); err != nil {
 		return 0, err
 	}
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; ; {
+		seen := hp.hPause.Count()
 		hp.mu.Lock()
 		if hp.youngPos+tlabSize <= hp.youngEnd {
 			start := hp.youngPos
@@ -565,8 +566,12 @@ func (hp *Heap) allocSlow(tc *ThreadCtx, size int) (Addr, error) {
 		if attempt >= 2 {
 			return 0, ErrOutOfMemory
 		}
-		if err := hp.Collect(tc, attempt > 0); err != nil {
+		collected, err := hp.collectFor(tc, attempt > 0, seen)
+		if err != nil {
 			return 0, err
+		}
+		if collected {
+			attempt++
 		}
 	}
 }
@@ -579,7 +584,8 @@ func (hp *Heap) allocLarge(tc *ThreadCtx, size int) (Addr, error) {
 	if size > int(hp.oldBound-hp.oldBase) {
 		return 0, ErrOutOfMemory
 	}
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; ; {
+		seen := hp.hPause.Count()
 		hp.mu.Lock()
 		if hp.oldPos+Addr(size) <= hp.oldEnd {
 			a := hp.oldPos
@@ -598,8 +604,12 @@ func (hp *Heap) allocLarge(tc *ThreadCtx, size int) (Addr, error) {
 		hp.mu.Unlock()
 		// Large allocation pressure goes straight to a full collection,
 		// which leaves room for the allocation if the bound does.
-		if err := hp.Collect(tc, true); err != nil {
+		collected, err := hp.collectFor(tc, true, seen)
+		if err != nil {
 			return 0, err
+		}
+		if collected {
+			attempt++
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -196,10 +197,10 @@ func TestGCPreservesRandomGraph(t *testing.T) {
 				}
 			}
 		}
-		if err := hp.ForceGC(tc, false); err != nil {
+		if err := hp.Collect(tc, false); err != nil {
 			return false
 		}
-		if err := hp.ForceGC(tc, true); err != nil {
+		if err := hp.Collect(tc, true); err != nil {
 			return false
 		}
 		// Verify all chains.
@@ -295,18 +296,18 @@ func TestGCShadowModel(t *testing.T) {
 					}
 				}
 			case 8: // minor GC
-				if err := hp.ForceGC(tc, false); err != nil {
+				if err := hp.Collect(tc, false); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				verify(step)
 			case 9: // full GC
-				if err := hp.ForceGC(tc, true); err != nil {
+				if err := hp.Collect(tc, true); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				verify(step)
 			}
 		}
-		if err := hp.ForceGC(tc, true); err != nil {
+		if err := hp.Collect(tc, true); err != nil {
 			t.Fatal(err)
 		}
 		verify(-1)
@@ -381,7 +382,7 @@ func TestCollectorsAgreeAcrossWorkers(t *testing.T) {
 		}
 		var out outcome
 		collect := func(full bool) {
-			if err := hp.ForceGC(tc, full); err != nil {
+			if err := hp.Collect(tc, full); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			out.graphs = append(out.graphs, canonicalGraph(hp, roots))
@@ -558,7 +559,7 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 					t.Fatalf("%s: chain lost %d nodes", when, d)
 				}
 			}
-			if err := hp.ForceGC(tc, true); !errors.Is(err, ErrOutOfMemory) {
+			if err := hp.Collect(tc, true); !errors.Is(err, ErrOutOfMemory) {
 				t.Fatalf("full collection of an oversized live set: %v, want ErrOutOfMemory", err)
 			}
 			check("after the failed collection")
@@ -568,7 +569,7 @@ func TestFailedFullCollectionLeavesTheHeapAlone(t *testing.T) {
 			for i := 0; i < len(arrays); i += 2 {
 				arrays[i] = 0
 			}
-			if err := hp.ForceGC(tc, true); err != nil {
+			if err := hp.Collect(tc, true); err != nil {
 				t.Fatal(err)
 			}
 			check("after the next full collection")
@@ -624,7 +625,7 @@ func TestScavengeNarrowsToTheRoom(t *testing.T) {
 				t.Fatalf("%d free old bytes for %d used nursery bytes give %d scavenging workers, want %d",
 					hp.oldEnd-hp.oldPos, used, n, c.wantScavengers)
 			}
-			if err := hp.ForceGC(tc, false); err != nil {
+			if err := hp.Collect(tc, false); err != nil {
 				t.Fatal(err)
 			}
 			if st := hp.Stats(); st.MinorGCs != c.wantMinor || st.FullGCs != c.wantFull {
@@ -697,7 +698,7 @@ func TestPromotionFitsTheSlack(t *testing.T) {
 		if n := hp.scavengeWorkers(); n != 4 {
 			t.Fatalf("seed %d: the scavenge runs on %d workers, want 4", seed, n)
 		}
-		if err := hp.ForceGC(tc, false); err != nil {
+		if err := hp.Collect(tc, false); err != nil {
 			t.Fatal(err)
 		}
 		if st := hp.Stats(); st.MinorGCs != 1 || st.FullGCs != 0 {
@@ -856,7 +857,7 @@ func TestNurseryTakesUnusedOldRoom(t *testing.T) {
 		if st := hp.Stats(); st.MinorGCs+st.FullGCs != 0 || hp.oldBase+Addr(live) <= end {
 			t.Fatalf("%d live bytes after %d collections do not outgrow the boundary %#x", live, st.MinorGCs+st.FullGCs, end)
 		}
-		if err := hp.ForceGC(tc, true); err != nil {
+		if err := hp.Collect(tc, true); err != nil {
 			t.Fatalf("%d live bytes, within the bound %#x: %v", live, bound, err)
 		}
 		if hp.oldEnd <= end || hp.Stats().LiveAfterGC != int64(live) {
@@ -895,7 +896,7 @@ func TestNurseryTakesUnusedOldRoom(t *testing.T) {
 					}
 				}
 				if err == nil {
-					err = hp.ForceGC(tc, true)
+					err = hp.Collect(tc, true)
 				}
 				switch {
 				case over && !errors.Is(err, ErrOutOfMemory):
@@ -919,7 +920,7 @@ func TestGCReclaimsGarbage(t *testing.T) {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
-	if err := hp.ForceGC(tc, true); err != nil {
+	if err := hp.Collect(tc, true); err != nil {
 		t.Fatal(err)
 	}
 	st := hp.Stats()
@@ -944,7 +945,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	root = a
 	put[int32](hp, root, ScalarHeader+val.Offset, 7)
 	// Promote root to the old generation.
-	if err := hp.ForceGC(tc, false); err != nil {
+	if err := hp.Collect(tc, false); err != nil {
 		t.Fatal(err)
 	}
 	// New young object referenced ONLY from the old object: the write
@@ -952,7 +953,7 @@ func TestOldToYoungBarrier(t *testing.T) {
 	b, _ := hp.AllocObject(tc, node)
 	put[int32](hp, b, ScalarHeader+val.Offset, 13)
 	putRef(hp, root, ScalarHeader+next.Offset, b)
-	if err := hp.ForceGC(tc, false); err != nil {
+	if err := hp.Collect(tc, false); err != nil {
 		t.Fatal(err)
 	}
 	got := get[Addr](hp, root, ScalarHeader+next.Offset)
@@ -1001,7 +1002,7 @@ func TestFullCollectionCoversItsSurvivors(t *testing.T) {
 			if !hp.inYoung(chain) {
 				t.Fatal("the chain left the nursery before the full collection")
 			}
-			if err := hp.ForceGC(tc, true); err != nil {
+			if err := hp.Collect(tc, true); err != nil {
 				t.Fatal(err)
 			}
 			// The chain's head, allocated last, is compacted last.
@@ -1031,7 +1032,7 @@ func TestFullCollectionCoversItsSurvivors(t *testing.T) {
 			}
 			scanned := func() int64 { return hp.Obs().Snapshot().Counters[obs.CtrRemsetScanned] }
 			before, nursery := scanned(), hp.oldEnd
-			if err := hp.ForceGC(tc, false); err != nil {
+			if err := hp.Collect(tc, false); err != nil {
 				t.Fatal(err)
 			}
 			if got := scanned() - before; got != 1 {
@@ -1165,6 +1166,69 @@ func TestConcurrentAllocAndGC(t *testing.T) {
 	}
 }
 
+// TestAllocationSkipsACollectionAnotherThreadRan: an allocation that finds
+// no room while another thread stops the world for a collection retries
+// against the room that collection made, and does not run a second one
+// over the space it just emptied. The collecting thread waits for the
+// allocating one to leave the running state, so the allocation reads the
+// collection count before that collection ends: the count rises by exactly
+// one, deterministically.
+func TestAllocationSkipsACollectionAnotherThreadRan(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		n    int  // int elements per array
+		full bool // the other thread's collection, and the one a failed allocation asks for
+	}{
+		{"tlab-refill", 8, false},
+		{"large", tlabSize / 4, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			hp, b := newTestHeap(t, 4<<20)
+			size := Addr(roundUp8(ArrayHeader + 4*leg.n))
+			alloc := func() {
+				t.Helper()
+				if _, err := hp.AllocArray(b, intArr, leg.n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Fill the space the next allocation needs, with garbage and
+			// without a collection.
+			if leg.full {
+				for hp.oldPos+size <= hp.oldEnd {
+					alloc()
+				}
+			} else {
+				for hp.youngPos+tlabSize <= hp.youngEnd || b.tlab.pos+size <= b.tlab.end {
+					alloc()
+				}
+			}
+			before := hp.Stats()
+
+			a := hp.RegisterThread()
+			defer hp.UnregisterThread(a)
+			done := make(chan error)
+			go func() {
+				err := hp.Collect(a, leg.full)
+				a.BeginExternal() // a mutator's next safepoint
+				done <- err
+			}()
+			for !hp.sp.wanted.Load() {
+				runtime.Gosched()
+			}
+			alloc()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+
+			after := hp.Stats()
+			minor, full := after.MinorGCs-before.MinorGCs, after.FullGCs-before.FullGCs
+			if minor+full != 1 || (full == 1) != leg.full {
+				t.Fatalf("collections: %d minor, %d full; want the other thread's one only", minor, full)
+			}
+		})
+	}
+}
+
 func TestArrayElementWriteBarrier(t *testing.T) {
 	hp, tc := newTestHeap(t, 8<<20)
 	node := hp.Hierarchy().Class("Node")
@@ -1175,14 +1239,14 @@ func TestArrayElementWriteBarrier(t *testing.T) {
 	}))
 	arr, _ := hp.AllocArray(tc, nodeArr, 8)
 	root = arr
-	if err := hp.ForceGC(tc, false); err != nil { // promote the array
+	if err := hp.Collect(tc, false); err != nil { // promote the array
 		t.Fatal(err)
 	}
 	arr = root
 	young, _ := hp.AllocObject(tc, node)
 	put[int32](hp, young, ScalarHeader+val.Offset, 99)
 	putRef(hp, arr, ArrayHeader+3*8, young) // old array -> young element
-	if err := hp.ForceGC(tc, false); err != nil {
+	if err := hp.Collect(tc, false); err != nil {
 		t.Fatal(err)
 	}
 	got := get[Addr](hp, root, ArrayHeader+3*8)
@@ -1242,7 +1306,7 @@ func TestConcurrentBarriersShareWords(t *testing.T) {
 		t.Fatal("a collection ran while the threads stored: the nodes had no roots")
 	}
 	nursery := hp.oldEnd // every node lies above it, every copy below
-	if err := hp.ForceGC(tc, false); err != nil {
+	if err := hp.Collect(tc, false); err != nil {
 		t.Fatal(err)
 	}
 	for slot := 0; slot < threads*perThread; slot++ {
@@ -1324,7 +1388,7 @@ func TestHeapStatsReadTheInstruments(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, full := range []bool{false, true} {
-			if err := hp.ForceGC(tc, full); err != nil {
+			if err := hp.Collect(tc, full); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1381,7 +1445,7 @@ func TestResetRewindsTheOldGeneration(t *testing.T) {
 			putRef(hp, a, ArrayHeader+8*i, b)
 		}
 		if gc {
-			if err := hp.ForceGC(tc, false); err != nil {
+			if err := hp.Collect(tc, false); err != nil {
 				t.Fatal(err)
 			}
 		}

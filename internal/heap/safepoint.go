@@ -181,6 +181,21 @@ func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
 	return err
 }
 
+// collectFor runs the collection an allocation that found no room asks
+// for, unless a collection has ended since the allocation read seen off
+// the pause histogram: while this thread waited for the stop, another
+// thread's collection made the room the allocation retries against, and a
+// second one would only sweep the nursery it just emptied. It reports
+// whether it collected.
+func (hp *Heap) collectFor(tc *ThreadCtx, full bool, seen int64) (collected bool, err error) {
+	hp.StopTheWorld(tc, func() {
+		if hp.hPause.Count() == seen {
+			collected, err = true, hp.collectSTW(full)
+		}
+	})
+	return collected, err
+}
+
 // invalidateTLABs resets every thread's TLAB after the nursery has been
 // recycled. Called with the world stopped.
 func (hp *Heap) invalidateTLABs() {

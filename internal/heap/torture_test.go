@@ -86,7 +86,7 @@ func gcTorture(t *testing.T) {
 	alloc := func(tc *ThreadCtx) (Addr, error) {
 		a, err := hp.AllocObject(tc, node)
 		if errors.Is(err, ErrOutOfMemory) {
-			if err = hp.ForceGC(tc, true); err == nil {
+			if err = hp.Collect(tc, true); err == nil {
 				a, err = hp.AllocObject(tc, node)
 			}
 		}
@@ -102,7 +102,7 @@ func gcTorture(t *testing.T) {
 		defer hp.UnregisterThread(tc)
 		full := false
 		for !stop.Load() {
-			if err := hp.ForceGC(tc, full); err != nil {
+			if err := hp.Collect(tc, full); err != nil {
 				t.Errorf("forced GC: %v", err)
 				return
 			}
@@ -272,7 +272,7 @@ func TestRegisterDuringCollection(t *testing.T) {
 		tc := hp.RegisterThread()
 		defer hp.UnregisterThread(tc)
 		for full := false; !stop.Load(); full = !full {
-			if err := hp.ForceGC(tc, full); err != nil {
+			if err := hp.Collect(tc, full); err != nil {
 				t.Errorf("forced GC: %v", err)
 				return
 			}

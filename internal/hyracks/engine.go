@@ -29,32 +29,20 @@ type Job interface {
 // Result reports one job run (a row of Table 3 plus the memory points of
 // Figure 4b/4c).
 type Result struct {
-	Job   string
-	ET    time.Duration
-	GT    time.Duration
-	OME   bool          // ran out of memory (or, for P', exceeded the fair cap)
-	OMEAt time.Duration // when the failure surfaced
-	// PM is the peak per-node memory (heap + native), the bars/lines of
-	// Figure 4(b)/(c).
-	PM          int64
-	HeapPeak    int64
-	NativePeak  int64
-	MinorGCs    int64
-	FullGCs     int64
+	Job         string
+	ET          time.Duration
+	OME         bool          // ran out of memory (or, for P', exceeded the fair cap)
+	OMEAt       time.Duration // when the failure surfaced
 	ShuffledMB  float64
 	OutputBytes int64
 
-	// Net reports the network's traffic and injected misbehaviour.
-	Net cluster.NetStats
-
-	// Obs is the cluster registry's snapshot: the run's recovery.*
-	// counters and its recovery and degraded events. A fault-free run
-	// has none.
-	Obs obs.Snapshot
-
-	// NodeObs holds each node's observability snapshot (indexed by node
-	// ID); the map/reduce phases appear as EvPhase events in each.
-	NodeObs []obs.Snapshot
+	// Report is what the cluster measured: the memory book (PM, the peak
+	// per-node heap plus native memory, is Figure 4(b)/(c)'s bars and
+	// lines), the network's traffic, the run's recovery.* counters with
+	// its recovery and degraded events (a fault-free run has none), and
+	// each node's snapshot, where the map/reduce phases appear as EvPhase
+	// events.
+	cluster.Report
 }
 
 // Hyracks recovery occasions for the crash plan: 0 = map, 1 = reduce.
@@ -194,8 +182,8 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 	}
 
 	res.ET = time.Since(start)
-	res.fill(cl)
-	res.ShuffledMB = float64(cl.Net.BytesSent()) / (1 << 20)
+	res.Report = cl.Report()
+	res.ShuffledMB = float64(res.Net.BytesSent) / (1 << 20)
 	for _, p := range fs.List(fmt.Sprintf("/out/%s/", job.Name())) {
 		res.OutputBytes += int64(fs.Size(p))
 	}
@@ -204,22 +192,6 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		res.OMEAt = res.ET
 	}
 	return res, nil
-}
-
-// fill records what the cluster measured — memory and GC books, network
-// and recovery activity, per-node observability — on a finished or
-// OME-failed run alike.
-func (res *Result) fill(cl *cluster.Cluster) {
-	st := cl.Stats()
-	res.GT = st.GCTime
-	res.HeapPeak = st.MaxHeapPeak
-	res.NativePeak = st.MaxNative
-	res.PM = st.MaxTotal
-	res.MinorGCs = st.MinorGCs
-	res.FullGCs = st.FullGCs
-	res.Net = cl.Net.Stats()
-	res.Obs = cl.Obs().Snapshot()
-	res.NodeObs = cl.ObsSnapshots()
 }
 
 // recoverTask runs the degradation ladder for a failed task: retry once on
@@ -271,7 +243,7 @@ func failOrErr(res *Result, err error, start time.Time, cl *cluster.Cluster) (*R
 		res.OME = true
 		res.OMEAt = time.Since(start)
 		res.ET = res.OMEAt
-		res.fill(cl)
+		res.Report = cl.Report()
 		return res, nil
 	}
 	return nil, err
