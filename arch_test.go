@@ -20,7 +20,7 @@ func TestArchitecture(t *testing.T) {
 		// Recovery is counted once, in registry counters: the cluster's for
 		// GPS and Hyracks, the VM's for GraphChi. k-means runs on the one
 		// checkpointed superstep loop.
-		for _, f := range parseTree(t, "internal") {
+		for _, f := range parseTree(t, "internal", false) {
 			ast.Inspect(f.ast, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
@@ -42,7 +42,7 @@ func TestArchitecture(t *testing.T) {
 		// the registry snapshots of every VM it used: no cluster-side stats
 		// struct, no second byte counter beside the network's NetStats, and
 		// no reader of the peak gauges but the fold.
-		for _, f := range parseTree(t, ".") {
+		for _, f := range parseTree(t, ".", false) {
 			inCluster := filepath.Dir(f.path) == filepath.Join("internal", "cluster")
 			inObs := filepath.Dir(f.path) == filepath.Join("internal", "obs")
 			ast.Inspect(f.ast, func(n ast.Node) bool {
@@ -68,21 +68,58 @@ func TestArchitecture(t *testing.T) {
 			})
 		}
 	})
+
+	t.Run("one region source", func(t *testing.T) {
+		// Heap arenas with their mark bitmaps and every page body, standard
+		// or oversize, come from internal/region, with its one poison hook
+		// and one leak probe: nothing else maps memory (tests included), the
+		// heap and the page store make no byte slice of their own, and a
+		// spill returns its body to the region source instead of keeping
+		// frames.
+		offheap, heap := filepath.Join("internal", "offheap"), filepath.Join("internal", "heap")
+		for _, f := range parseTree(t, ".", true) {
+			dir := filepath.Dir(f.path)
+			inRegion := dir == filepath.Join("internal", "region")
+			store := !f.test && (dir == offheap || dir == heap)
+			tier := f.path == filepath.Join(offheap, "tier.go")
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if !inRegion && isIdent(n.X, "syscall") && (n.Sel.Name == "Mmap" || n.Sel.Name == "Munmap") {
+						t.Errorf("%s: syscall.%s: memory is mapped outside internal/region", f.pos(n), n.Sel.Name)
+					}
+				case *ast.Ident:
+					if store && (n.Name == "PoisonFrames" || n.Name == "LiveArenas") {
+						t.Errorf("%s: %s: a second poison hook or leak probe bypasses internal/region", f.pos(n), n.Name)
+					}
+					if tier && n.Name == "frames" {
+						t.Errorf("%s: frames: the tier keeps frames again", f.pos(n))
+					}
+				case *ast.CallExpr:
+					if store && isMakeBytes(n) {
+						t.Errorf("%s: make([]byte, …): a body bypasses internal/region", f.pos(n))
+					}
+				}
+				return true
+			})
+		}
+	})
 }
 
-// parsedFile is one parsed non-test Go file and the path it was read from,
-// relative to the repository root.
+// parsedFile is one parsed Go file and the path it was read from, relative
+// to the repository root.
 type parsedFile struct {
 	path string
+	test bool // a _test.go file
 	fset *token.FileSet
 	ast  *ast.File
 }
 
 func (f parsedFile) pos(n ast.Node) token.Position { return f.fset.Position(n.Pos()) }
 
-// parseTree parses every non-test Go file under root, skipping testdata and
-// hidden directories.
-func parseTree(t *testing.T, root string) []parsedFile {
+// parseTree parses every non-test Go file under root, and every test file
+// too when tests is set, skipping testdata and hidden directories.
+func parseTree(t *testing.T, root string, tests bool) []parsedFile {
 	t.Helper()
 	fset := token.NewFileSet()
 	var files []parsedFile
@@ -97,14 +134,15 @@ func parseTree(t *testing.T, root string) []parsedFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		test := strings.HasSuffix(name, "_test.go")
+		if !strings.HasSuffix(name, ".go") || test && !tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, parsedFile{path: path, fset: fset, ast: f})
+		files = append(files, parsedFile{path: path, test: test, fset: fset, ast: f})
 		return nil
 	})
 	if err != nil {
@@ -140,6 +178,21 @@ func isPeakGauge(e ast.Expr) bool {
 	}
 	id, ok := e.(*ast.Ident)
 	return ok && (id.Name == "GaugeHeapUsed" || id.Name == "GaugeBytesInUse")
+}
+
+// isIdent reports whether e is the identifier name.
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// isMakeBytes reports whether call is make([]byte, …) or make([]uint8, …).
+func isMakeBytes(call *ast.CallExpr) bool {
+	if !isIdent(call.Fun, "make") || len(call.Args) == 0 {
+		return false
+	}
+	arr, ok := call.Args[0].(*ast.ArrayType)
+	return ok && arr.Len == nil && (isIdent(arr.Elt, "byte") || isIdent(arr.Elt, "uint8"))
 }
 
 // stringLit is the value of a string literal ("" for anything else).

@@ -190,8 +190,31 @@ class Main {
 }
 `
 
-// TestWithReusedVMMatchesFreshHeap runs promotionSrc (P) and reuseSrc's P′
-// three times each on one warm VM at one GC worker: ResetForReuse
+// oversizeSrc fills a data array larger than a page in every iteration,
+// each shorter than the last, so a store takes every one after the first
+// from its oversize pool, dirty past the new array's end.
+const oversizeSrc = `
+class Main {
+    static void main() {
+        long acc = 0L;
+        for (int it = 0; it < 5; it = it + 1) {
+            Sys.iterStart();
+            long[] xs = new long[20000 - 3000 * it];
+            for (int i = 0; i < xs.length; i = i + 1) {
+                xs[i] = Sys.rand(1000) + i;
+            }
+            for (int i = 0; i < xs.length; i = i + 1) {
+                acc = acc * 31L + xs[i];
+            }
+            Sys.iterEnd();
+        }
+        Sys.println(acc);
+    }
+}
+`
+
+// TestWithReusedVMMatchesFreshHeap runs promotionSrc (P), reuseSrc's P′
+// and oversizeSrc's P′ three times each on one warm VM at one GC worker: ResetForReuse
 // rebinds the heap and the page store to the next job's registry instead of
 // zeroing their counts by hand, so every run must match a fresh VM's in
 // output and on every count — each field of Heap and Offheap, every
@@ -212,10 +235,18 @@ func TestWithReusedVMMatchesFreshHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	big, err := Compile(map[string]string{"t.fj": oversizeSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2big, err := Transform(big, TransformOptions{DataClasses: []string{"Main"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, leg := range []struct {
 		name string
 		p    *ir.Program
-	}{{"P", prog}, {"P'", p2}} {
+	}{{"P", prog}, {"P'", p2}, {"P' oversize", p2big}} {
 		t.Run(leg.name, func(t *testing.T) {
 			run := func(extra ...Option) (RunStats, *Result) {
 				t.Helper()
@@ -234,6 +265,9 @@ func TestWithReusedVMMatchesFreshHeap(t *testing.T) {
 			}
 			if leg.p.Transformed && (fresh.Offheap.PagesRecycled == 0 || fresh.Counters[obs.CtrRecordsReleased] == 0) {
 				t.Fatalf("P′ leg neither recycles pages nor releases records: %+v", fresh.Offheap)
+			}
+			if leg.p == p2big && fresh.Offheap.Oversize < 5 {
+				t.Fatalf("oversize leg made %d oversize arrays, want 5: %+v", fresh.Offheap.Oversize, fresh.Offheap)
 			}
 			for i := 1; i <= 3; i++ {
 				var warm RunStats

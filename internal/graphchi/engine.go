@@ -129,6 +129,10 @@ type engine struct {
 	// attempt on the vertex range iv, failed or not, once its page managers
 	// are closed.
 	afterSubIter func(iv [2]int, err error)
+
+	// out receives an interval's updated values until the whole interval
+	// has succeeded; it is sized once per run to the largest interval.
+	out []float64
 }
 
 // Run executes cfg.Iterations passes of the vertex program over sg on the
@@ -181,6 +185,11 @@ func run(machine *vm.VM, sg *ShardedGraph, cfg Config, afterSubIter func([2]int,
 	}
 
 	intervals := sg.Intervals(cfg.MemoryBudget / bytesPerEdge)
+	longest := 0
+	for _, iv := range intervals {
+		longest = max(longest, iv[1]-iv[0])
+	}
+	e.out = make([]float64, longest)
 	e.plan = e.inj.CrashPlan(cfg.Iterations*len(intervals), cfg.Workers)
 	met := &Metrics{Edges: int64(sg.NumEdges()) * int64(cfg.Iterations)}
 	start := time.Now()
@@ -278,10 +287,10 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 		if attempt > maxIntervalReplays {
 			return fmt.Errorf("still failing after %d recovery attempts", maxIntervalReplays)
 		}
-		out, err := e.runIntervalAt(iv, values, budget, crashChunk, met)
+		err := e.runIntervalAt(iv, values, budget, crashChunk, met)
 		crashChunk = -1 // a planned crash fires on the first attempt only
 		if err == nil {
-			copy(values[iv[0]:iv[1]], out)
+			copy(values[iv[0]:iv[1]], e.out)
 			return nil
 		}
 		switch {
@@ -314,30 +323,28 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 }
 
 // runIntervalAt runs the interval as one or more pieces under the given
-// budget, collecting the updated values without touching the values
-// slice. Every piece reads the same pre-interval values, so the result is
-// bit-identical whatever the split.
-func (e *engine) runIntervalAt(iv [2]int, values []float64, budget int64, crashChunk int, met *Metrics) ([]float64, error) {
-	out := make([]float64, iv[1]-iv[0])
+// budget, collecting the updated values in e.out[:b-a] without touching
+// the values slice. Every piece reads the same pre-interval values, so the
+// result is bit-identical whatever the split.
+func (e *engine) runIntervalAt(iv [2]int, values []float64, budget int64, crashChunk int, met *Metrics) error {
 	for _, sub := range e.sg.IntervalsIn(iv[0], iv[1], budget/bytesPerEdge) {
-		o, err := e.runIntervalOnce(sub, values, crashChunk, met)
+		err := e.runIntervalOnce(sub, values, crashChunk, met, e.out[sub[0]-iv[0]:sub[1]-iv[0]])
 		if e.afterSubIter != nil {
 			e.afterSubIter(sub, err)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		crashChunk = -1
-		copy(out[sub[0]-iv[0]:], o)
 	}
-	return out, nil
+	return nil
 }
 
 // runIntervalOnce loads [a, b) from the shard into the data path, updates
 // it and extracts the values, each phase on the worker pool over the same
-// chunks, and returns the values for the range. The caller owns the
+// chunks, and reads the values for the range into out. The caller owns the
 // write-back; on any error the values slice is untouched.
-func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, met *Metrics) ([]float64, error) {
+func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, met *Metrics, out []float64) error {
 	main, sg, cfg := e.main, e.sg, e.cfg
 	a, b := iv[0], iv[1]
 	n := b - a
@@ -347,29 +354,19 @@ func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, me
 	loadStart := time.Now()
 	eStart, eEnd := sg.InStart[a], sg.InStart[b]
 	srcs := sg.InSrc[eStart:eEnd]
-	inCounts := make([]int32, n)
-	outDegs := make([]int32, n)
-	initVals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		inCounts[i] = sg.InDeg[a+i]
-		outDegs[i] = sg.OutDeg[a+i]
-		initVals[i] = values[a+i]
-	}
-	srcVals := make([]float64, len(srcs))
-	for i, s := range srcs {
-		if cfg.App == PageRank {
-			d := sg.OutDeg[s]
-			if d == 0 {
-				d = 1
+	srcVals := func(from int, dst []float64) {
+		for i, s := range srcs[from : from+len(dst)] {
+			dst[i] = values[s]
+			if cfg.App == PageRank {
+				dst[i] /= float64(max(sg.OutDeg[s], 1))
 			}
-			srcVals[i] = values[s] / float64(d)
-		} else {
-			srcVals[i] = values[s]
 		}
 	}
 
 	// Boundary: ship the shard slice into the data path, in the main
-	// thread's sub-iteration manager with the vertex array.
+	// thread's sub-iteration manager with the vertex array. The columns go
+	// in straight from the shard and the vertex values, and the source
+	// values are computed into their array's body: no Go copy of either.
 	var objs []vm.Obj
 	defer func() {
 		for _, o := range objs {
@@ -380,29 +377,29 @@ func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, me
 		objs = append(objs, o)
 		return o, err
 	}
-	oInCounts, err := ship(main.NewIntArr(inCounts))
+	oInCounts, err := ship(main.NewIntArr(sg.InDeg[a:b]))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	oOutDegs, err := ship(main.NewIntArr(outDegs))
+	oOutDegs, err := ship(main.NewIntArr(sg.OutDeg[a:b]))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	oSrcs, err := ship(main.NewIntArr(srcs))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	oSrcVals, err := ship(main.NewDoubleArr(srcVals))
+	oSrcVals, err := ship(main.NewDoubleArrOf(len(srcs), srcVals))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	oInit, err := ship(main.NewDoubleArr(initVals))
+	oInit, err := ship(main.NewDoubleArr(values[a:b]))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vs, err := ship(main.NewArr("ChiVertex", n))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Build on the pool: each worker allocates its chunks' vertices and
@@ -420,7 +417,7 @@ func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, me
 			vm.O(oInCounts), vm.O(oOutDegs), vm.O(oSrcs), vm.O(oSrcVals), vm.O(oInit)}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	met.LT += time.Since(loadStart)
 
@@ -431,7 +428,7 @@ func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, me
 	})
 	met.UT += time.Since(updStart)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Extract the updated values (exit conversion), on the same chunks;
@@ -440,20 +437,19 @@ func (e *engine) runIntervalOnce(iv [2]int, values []float64, crashChunk int, me
 	storeStart := time.Now()
 	oOut, err := ship(main.NewArr("double", n))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	err = e.pool.each("extractRange", chunks, -1, func(c [2]int) []vm.Arg {
 		return []vm.Arg{vm.O(vs), vm.O(oOut), vm.I(int64(c[0])), vm.I(int64(c[1]))}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := main.ReadDoubleArr(oOut)
-	if err != nil {
-		return nil, err
+	if err := main.ReadDoubleArrInto(oOut, out); err != nil {
+		return err
 	}
 	met.LT += time.Since(storeStart)
-	return out, nil
+	return nil
 }
 
 // restartPool tears down the worker fleet (closing every thread, dead or

@@ -205,7 +205,7 @@ func (m *PageManager) ReleaseAll() {
 		m.rt.unpinAcquire(m.cur[i]) // drop the bump-page pins before releasing
 	}
 	for _, p := range m.pages {
-		m.rt.releasePage(p)
+		m.rt.releasePage(p, true)
 	}
 	m.pages = nil
 	for i := range m.cur {

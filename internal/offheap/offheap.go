@@ -23,8 +23,10 @@
 package offheap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,6 +94,10 @@ type page struct {
 	// body while other threads run, so a reader sees nil or the full page.
 	buf atomic.Pointer[[]byte]
 	idx int // index in the runtime page table
+	// size is the record size an oversize page was acquired for, which
+	// the store counts as in use; its body is rounded up to whole pages,
+	// so it may be longer. PageSize for a standard page.
+	size int
 	// released guards against double release: oversize pages can be freed
 	// early (§3.6) and would otherwise be freed again at iteration end.
 	released atomic.Bool
@@ -118,6 +124,14 @@ func (p *page) bytes() []byte {
 type Runtime struct {
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse
+	// big holds the oversize pages released at an iteration end, each with
+	// its body and table slot, ascending by body length: an oversize
+	// acquire takes the shortest that fits. Their bodies total bigBytes,
+	// which never exceeds bigHW, the most oversize body bytes this store
+	// has had live at once (bigLive now); a body past that goes back to
+	// the region source.
+	big                      []*page
+	bigBytes, bigLive, bigHW int
 	// live holds the managers not yet released; Stats folds their record
 	// counts in.
 	live map[*PageManager]struct{}
@@ -166,8 +180,8 @@ type Runtime struct {
 	// Set before the store is shared between threads, cleared by Reset.
 	tier *tier
 
-	// mem holds the standard page bodies in DRAM, live or free; oversize
-	// bodies are Go memory.
+	// mem holds every page body in DRAM, live or free: standard ones and
+	// oversize ones rounded up to whole pages.
 	mem *region.Set
 }
 
@@ -259,37 +273,41 @@ func (rt *Runtime) SetPageQuota(pages int64) { rt.quota.Store(pages) }
 // PageQuota returns the current live-page cap (0 = unlimited).
 func (rt *Runtime) PageQuota() int64 { return rt.quota.Load() }
 
-// checkQuota admits one more live page or returns ErrPageQuota. With a
-// disk tier the quota caps DRAM-resident pages, and a spill (pk parks the
-// caller for it) runs first — spill is the first rung of the degradation
-// ladder, before budget-halving, before OME.
-func (rt *Runtime) checkQuota(pk Parker) error {
+// checkQuota admits a page whose body spans pages whole pages, or returns
+// ErrPageQuota: an oversize body is charged every page it maps, so a
+// request larger than the quota fails before any of it is mapped (the live
+// count then goes up by one page, as for any acquire). With a disk tier the
+// quota caps DRAM-resident pages, and a spill (pk parks the caller for it)
+// runs first — spill is the first rung of the degradation ladder, before
+// budget-halving, before OME.
+func (rt *Runtime) checkQuota(pk Parker, pages int64) error {
 	q := rt.quota.Load()
 	if q <= 0 {
 		return nil
 	}
 	if t := rt.tier; t != nil {
-		if t.gResident.Load() >= q {
-			rt.spill(pk, q-1, nil)
+		if t.gResident.Load()+pages > q {
+			rt.spill(pk, q-pages, nil)
 		}
-		if t.gResident.Load() >= q {
+		if t.gResident.Load()+pages > q {
 			return fmt.Errorf("%w (quota %d resident pages)", ErrPageQuota, q)
 		}
 		return nil
 	}
-	if rt.gPagesLive.Load() >= q {
+	if rt.gPagesLive.Load()+pages > q {
 		return fmt.Errorf("%w (quota %d pages)", ErrPageQuota, q)
 	}
 	return nil
 }
 
 // Reset returns the store to its post-New state for reuse by another job,
-// keeping the recycled-page free pool and the built pool locks warm: free
-// pages are re-indexed into a fresh page table so the table does not grow
-// without bound across jobs, and the instruments rebind to reg (the next
-// job's registry, whose fresh instruments are how every count rewinds). It
-// fails if any page or pool lock is still live — a job that leaked either
-// poisons the store, and the daemon rebuilds instead of reusing it.
+// keeping the free pages and the built pool locks warm: free pages,
+// standard and oversize, are re-indexed into a fresh page table so the
+// table does not grow without bound across jobs, and the instruments
+// rebind to reg (the next job's registry, whose fresh instruments are how
+// every count rewinds). It fails if any page or pool lock is still live —
+// a job that leaked either poisons the store, and the daemon rebuilds
+// instead of reusing it.
 func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -299,12 +317,11 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	if err := rt.Locks.rewind(); err != nil {
 		return err
 	}
-	next := make([]*page, len(rt.free))
-	for i, p := range rt.free {
+	next := slices.Concat(rt.free, rt.big)
+	for i, p := range next {
 		p.idx = i
 		p.released.Store(false)
 		p.candIdx = -1
-		next[i] = p
 	}
 	rt.table.Store(&next)
 	rt.live = make(map[*PageManager]struct{})
@@ -357,10 +374,12 @@ func (rt *Runtime) Stats() Stats {
 }
 
 // getPage allocates or recycles a page of at least size bytes — the one
-// acquire path: every page a manager owns came through here. Pages larger
-// than PageSize ("oversize") are never recycled through the pool. The
-// faults.PageAcquire point is evaluated first: a firing point fails the
-// acquire with ErrPageExhausted, modeling native allocation failure.
+// acquire path: every page a manager owns came through here. A standard
+// page comes from the free pool; an oversize one (larger than PageSize)
+// reuses the shortest released oversize page whose body fits, and a new
+// one's body is rounded up to whole pages. The faults.PageAcquire point is
+// evaluated first: a firing point fails the acquire with ErrPageExhausted,
+// modeling native allocation failure.
 func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 	if rt.inj != nil && rt.inj.Fire(faults.PageAcquire) {
 		n := rt.cFaultsInj.Load() + 1
@@ -368,50 +387,62 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
 		return nil, fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
 	}
-	if err := rt.checkQuota(pk); err != nil {
+	size = max(size, PageSize)
+	body := (size + PageSize - 1) &^ (PageSize - 1)
+	if err := rt.checkQuota(pk, int64(body/PageSize)); err != nil {
 		return nil, err
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.cPageAcquires.Inc()
 	rt.gPagesLive.Add(1)
-	if size <= PageSize {
-		size = PageSize
+	rt.gBytesInUse.Add(int64(size))
+	var p *page
+	if size == PageSize {
 		if n := len(rt.free); n > 0 {
-			p := rt.free[n-1]
+			p = rt.free[n-1]
 			rt.free = rt.free[:n-1]
-			rt.cPageRecycles.Inc()
-			rt.gBytesInUse.Add(PageSize)
-			rt.tierAcquire(p)
-			return p, nil
 		}
 	} else {
 		rt.cOversize.Inc()
+		if i, _ := slices.BinarySearchFunc(rt.big, body, byBodyLen); i < len(rt.big) {
+			p = rt.big[i]
+			rt.big = slices.Delete(rt.big, i, i+1)
+			body = len(p.bytes())
+			rt.bigBytes -= body
+		}
+		rt.bigLive += body
+		rt.bigHW = max(rt.bigHW, rt.bigLive)
+	}
+	if p != nil {
+		p.size = size
+		rt.cPageRecycles.Inc()
+		rt.tierAcquire(p)
+		return p, nil
 	}
 	old := *rt.table.Load()
-	p := &page{idx: len(old), candIdx: -1}
-	var buf []byte
-	if size == PageSize {
-		buf = rt.mem.Get(PageSize)
-	} else {
-		buf = make([]byte, size)
-	}
+	p = &page{idx: len(old), size: size, candIdx: -1}
+	buf := rt.mem.Get(body)
 	p.buf.Store(&buf)
 	next := make([]*page, len(old)+1)
 	copy(next, old)
 	next[len(old)] = p
 	rt.table.Store(&next)
 	rt.cPagesCreated.Inc()
-	rt.gBytesInUse.Add(int64(size))
 	rt.tierAcquire(p)
 	return p, nil
 }
 
-// releasePage returns a page to the free pool, or drops an oversize
-// page's body, which Go then reclaims like free() of a large malloc block.
-// Idempotent: a page freed early by ReleaseOversize is skipped when its
-// manager releases the iteration.
-func (rt *Runtime) releasePage(p *page) {
+// releasePage takes a page out of the live set. A standard page goes back
+// to the free pool. An oversize page released at its iteration's end
+// (reuse) goes to the oversize pool, body and table slot, unless its body
+// would take that pool past bigHW; otherwise, and always when ReleaseOversize
+// frees it early, the body goes back to the region source at once and the
+// slot stays dead. An early-released page is never reused: its manager
+// still lists it and releases it again at the iteration's end, which must
+// then be a no-op rather than the release of another manager's page.
+// Idempotent for that reason.
+func (rt *Runtime) releasePage(p *page, reuse bool) {
 	if p.released.Swap(true) {
 		return
 	}
@@ -423,15 +454,30 @@ func (rt *Runtime) releasePage(p *page) {
 	rt.tierRelease(p)
 	rt.cPageReleases.Inc()
 	rt.gPagesLive.Add(-1)
-	n := len(p.bytes())
-	rt.gBytesInUse.Add(-int64(n)) // 0 for a spilled page: its DRAM was freed at spill
-	if n == PageSize {
-		p.released.Store(false) // recyclable pages are reborn via the pool
-		rt.free = append(rt.free, p)
-	} else {
-		p.buf.Store(nil)
+	body := p.bytes() // nil for a spilled page: its DRAM was freed at spill
+	if p.size == PageSize {
+		rt.gBytesInUse.Add(-int64(len(body)))
+		if body != nil {
+			p.released.Store(false) // recyclable pages are reborn via the pool
+			rt.free = append(rt.free, p)
+		}
+		return
 	}
+	rt.gBytesInUse.Add(-int64(p.size))
+	rt.bigLive -= len(body)
+	if reuse && rt.bigBytes+len(body) <= rt.bigHW {
+		i, _ := slices.BinarySearchFunc(rt.big, len(body), byBodyLen)
+		p.released.Store(false)
+		rt.big = slices.Insert(rt.big, i, p)
+		rt.bigBytes += len(body)
+		return
+	}
+	p.buf.Store(nil)
+	rt.mem.Put(body)
 }
+
+// byBodyLen orders the oversize pool by body length.
+func byBodyLen(p *page, n int) int { return cmp.Compare(len(p.bytes()), n) }
 
 // ReleaseOversize frees the oversize page backing ref before its iteration
 // ends — §3.6's optimization for large arrays dropped by data-structure
@@ -449,6 +495,6 @@ func (rt *Runtime) ReleaseOversize(ref PageRef) bool {
 	if len(p.bytes()) <= PageSize {
 		return false
 	}
-	rt.releasePage(p)
+	rt.releasePage(p, false)
 	return true
 }

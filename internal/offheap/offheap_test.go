@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/faults"
+	"repro/internal/region"
 )
 
 func newScope(rt *Runtime, tid int) *IterScope {
@@ -580,6 +581,94 @@ func TestReleaseOversizeEarly(t *testing.T) {
 	s.IterationEnd()
 	if rt.Stats().PagesLive != 0 {
 		t.Fatalf("%d pages live after iteration end", rt.Stats().PagesLive)
+	}
+}
+
+// TestEarlyReleasedOversizeIsNeverReused frees an oversize array early and
+// then acquires oversize arrays of its size, in its own iteration and in
+// the next: none may land on its page. Its manager still lists the page
+// and releases it again at the iteration's end, so a reuse would put the
+// page in two managers, and the second release would free the new owner's
+// array. Only an iteration-end release feeds the oversize pool.
+func TestEarlyReleasedOversizeIsNeverReused(t *testing.T) {
+	rt := NewRuntime()
+	s := newScope(rt, 0)
+	defer s.Close()
+	// Prime the pool: an iteration-end release keeps the body for reuse.
+	s.IterationStart()
+	first, _ := s.Current().AllocArray(nil, 0, 1, 3*PageSize)
+	s.IterationEnd()
+	s.IterationStart()
+	again, _ := s.Current().AllocArray(nil, 0, 1, 3*PageSize)
+	if pa, pb := refPage(first), refPage(again); pa != pb {
+		t.Fatalf("an oversize page released at iteration end was not reused: page %d, then %d", pa, pb)
+	}
+	if !rt.ReleaseOversize(again) {
+		t.Fatal("oversize page not released")
+	}
+	dead := refPage(again)
+	for i := 0; i < 3; i++ {
+		ref, err := s.Current().AllocArray(nil, 0, 1, 3*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refPage(ref) == dead {
+			t.Fatalf("acquire %d in the same iteration reused the early-released page %d", i, dead)
+		}
+	}
+	s.IterationEnd()
+	s.IterationStart()
+	defer s.IterationEnd()
+	for i := 0; i < 4; i++ {
+		ref, err := s.Current().AllocArray(nil, 0, 1, 3*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refPage(ref) == dead {
+			t.Fatalf("acquire %d in the next iteration reused the early-released page %d", i, dead)
+		}
+	}
+	if st := rt.Stats(); st.PagesLive != 4 || st.PagesRecycled != 4 {
+		t.Fatalf("want the first reuse and the three pages of the iteration before recycled: %+v", st)
+	}
+}
+
+// refPage is the page-table index of a record.
+func refPage(ref PageRef) int {
+	idx, _ := splitRef(ref)
+	return idx
+}
+
+// TestQuotaChargesAnOversizeBodyEveryPage puts a four-page quota on a store
+// and asks for an array whose body spans five pages: the acquire fails with
+// ErrPageQuota before any body is mapped, and one spanning four pages fits.
+// A quota therefore bounds what a single huge array maps, tiered or not.
+func TestQuotaChargesAnOversizeBodyEveryPage(t *testing.T) {
+	for _, tiered := range []bool{false, true} {
+		rt := NewRuntime()
+		if tiered {
+			if err := rt.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.SetPageQuota(4)
+		s := newScope(rt, 0)
+		// Only finalizers of stores other tests dropped run beside this
+		// test, and they only return regions.
+		before := region.InUse()
+		if _, err := s.Current().AllocArray(nil, 0, 1, 4*PageSize); !errors.Is(err, ErrPageQuota) {
+			t.Fatalf("tiered %v: a five-page body under a four-page quota: %v, want ErrPageQuota", tiered, err)
+		}
+		if st := rt.Stats(); st.PagesCreated != 0 || st.PagesLive != 0 || region.InUse() > before {
+			t.Fatalf("tiered %v: the refused acquire mapped something: %+v, regions %d → %d", tiered, st, before, region.InUse())
+		}
+		if _, err := s.Current().AllocArray(nil, 0, 1, 4*PageSize-ArrayHeader); err != nil {
+			t.Fatalf("tiered %v: a four-page body under a four-page quota: %v", tiered, err)
+		}
+		s.Close()
+		if err := rt.CloseTier(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package region is the one source of a VM's bulk memory: a heap's arena
-// with its two side bitmaps and every standard 32 KB page body is a region,
-// memory Go neither zeroes nor scans (an anonymous mapping on linux and
-// darwin, map_unix.go; Go memory elsewhere and in race builds,
+// with its two side bitmaps and every page body, standard or oversize, is
+// a region, memory Go neither zeroes nor scans (an anonymous mapping on
+// linux and darwin, map_unix.go; Go memory elsewhere and in race builds,
 // map_other.go).
 //
 // An owner holds its regions in a Set only it references, and a finalizer
@@ -22,10 +22,14 @@ import (
 )
 
 // poolBytes bounds the free regions of every size together, because they
-// stay resident outside any job's budget: three 16 MiB GraphChi heaps (a
-// unit builds two), 16.75 MiB each with their mark and remembered-slot
-// bitmaps, and a GraphChi P′ store's 430 page bodies fit, 63.7 MiB in all.
-// A region larger than the whole bound is never pooled.
+// stay resident outside any job's budget. A GraphChi unit builds two VMs:
+// two 16 MiB heaps, 16.75 MiB each with their mark and remembered-slot
+// bitmaps, and, on P′, two page stores holding 374 standard bodies and 12
+// oversize ones rounded to whole pages, 16.4 MiB, fit with 14 MiB to spare.
+// A third heap beside them (a previous unit's VM the finalizers return
+// late) does not: 66.6 MiB, and the region that overflows is unmapped and
+// mapped afresh later. A region larger than the whole bound is never
+// pooled.
 const poolBytes = 64 << 20
 
 var pool = struct {

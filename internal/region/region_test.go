@@ -108,31 +108,39 @@ func TestPoolStaysWithinItsBound(t *testing.T) {
 }
 
 // TestReusedRegionArrivesPoisoned returns a written region and takes it
-// again under the hook: the hook fills every handout, the reused one as
-// well as a fresh one.
+// again under the hook: the pool keeps it open, and the hook fills every
+// handout, the reused one as well as a fresh one. The sizes are a page
+// store's: a standard 32 KB page body and an oversize body rounded up to
+// whole pages.
 func TestReusedRegionArrivesPoisoned(t *testing.T) {
-	const size = 3 << 12
-	drain()
-	s := NewSet()
-	a := s.Get(size)
-	for i := range a {
-		a[i] = 0x55
-	}
-	s.Put(a)
-	defer Poison(0xAA)()
-	b, fresh := s.Get(size), s.Get(size)
-	if &b[0] != &a[0] {
-		t.Fatal("the returned region was not reused")
-	}
-	for _, v := range [][]byte{b, fresh} {
-		for i, c := range v {
-			if c != 0xAA {
-				t.Fatalf("region at %p byte %d = %#x, want 0xaa", &v[0], i, c)
+	const page = 32 << 10
+	for _, size := range []int{page, 5 * page} {
+		drain()
+		s := NewSet()
+		a := s.Get(size)
+		for i := range a {
+			a[i] = 0x55
+		}
+		s.Put(a)
+		if found, guarded := pooledAt(a); !found || guarded {
+			t.Fatalf("%d-byte region returned with Put: pooled %v, guarded %v; want pooled and open", size, found, guarded)
+		}
+		restore := Poison(0xAA)
+		b, fresh := s.Get(size), s.Get(size)
+		restore()
+		if &b[0] != &a[0] {
+			t.Fatalf("the returned %d-byte region was not reused", size)
+		}
+		for _, v := range [][]byte{b, fresh} {
+			for i, c := range v {
+				if c != 0xAA {
+					t.Fatalf("%d-byte region at %p byte %d = %#x, want 0xaa", size, &v[0], i, c)
+				}
 			}
 		}
+		s.Put(b)
+		s.Put(fresh)
 	}
-	s.Put(b)
-	s.Put(fresh)
 }
 
 // sink keeps the stale read below from being optimised away.

@@ -583,6 +583,27 @@ func (t *Thread) NewDoubleArr(vals []float64) (Obj, error) {
 	})
 }
 
+// NewDoubleArrOf builds an n-element double[] data array whose values
+// fill computes straight into it, a chunk at a time: each call sets dst to
+// the elements from index from on. It is NewDoubleArr for a caller that
+// would fill a Go slice only to ship it; fill must not call into the VM.
+func (t *Thread) NewDoubleArrOf(n int, fill func(from int, dst []float64)) (Obj, error) {
+	o, err := t.NewArr("double", n)
+	if err != nil {
+		return NilObj, err
+	}
+	var chunk [256]float64
+	return o, t.withArrBody(o, 8*n, func(b []byte) {
+		for from := 0; from < n; from += len(chunk) {
+			dst := chunk[:min(len(chunk), n-from)]
+			fill(from, dst)
+			for i, v := range dst {
+				binary.LittleEndian.PutUint64(b[8*(from+i):], math.Float64bits(v))
+			}
+		}
+	})
+}
+
 // NewByteArr builds a byte[] data array initialized from vals.
 func (t *Thread) NewByteArr(vals []byte) (Obj, error) {
 	o, err := t.NewArr("byte", len(vals))
@@ -623,9 +644,26 @@ func (t *Thread) ReadDoubleArr(o Obj) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, n)
-	return out, t.withArrBody(o, 8*n, func(b []byte) {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	return out, t.readDoubles(o, out)
+}
+
+// ReadDoubleArrInto copies a double[] data array into dst, which must be
+// exactly as long: ReadDoubleArr for a caller that reuses its buffer.
+func (t *Thread) ReadDoubleArrInto(o Obj, dst []float64) error {
+	n, err := t.ArrLen(o)
+	if err != nil {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("vm: reading a %d-element double[] into %d doubles", n, len(dst))
+	}
+	return t.readDoubles(o, dst)
+}
+
+func (t *Thread) readDoubles(o Obj, dst []float64) error {
+	return t.withArrBody(o, 8*len(dst), func(b []byte) {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 	})
 }

@@ -458,6 +458,26 @@ func TestBulkArrayHelpers(t *testing.T) {
 				t.Fatalf("transformed=%v double[%d]", tr, i)
 			}
 		}
+		// The fill and read-into variants see the same array, over
+		// several of the fill's chunks.
+		many := make([]float64, 1000)
+		for i := range many {
+			many[i] = float64(i) / 7
+		}
+		of, err := th.NewDoubleArrOf(len(many), func(from int, dst []float64) { copy(dst, many[from:]) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := make([]float64, len(many))
+		if err := th.ReadDoubleArrInto(of, into); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(into, many) {
+			t.Fatalf("transformed=%v NewDoubleArrOf then ReadDoubleArrInto differs", tr)
+		}
+		if err := th.ReadDoubleArrInto(of, into[:2]); err == nil {
+			t.Fatalf("transformed=%v read a %d-element array into 2 doubles", tr, len(many))
+		}
 		// Element access agrees with bulk writes.
 		v, err := th.ArrGet(oi, 4)
 		if err != nil {
