@@ -104,6 +104,149 @@ func TestArchitecture(t *testing.T) {
 			})
 		}
 	})
+
+	t.Run("setup is proportional to use", func(t *testing.T) {
+		// Per-job setup costs what the job uses. The VM's one lock pool is
+		// built in vm.New and grows a lock at a time; ResetForReuse keeps it
+		// (and refuses it while a lock is in use), so nothing else builds or
+		// replaces one. The obs event ring grows as events arrive instead of
+		// reserving its capacity up front.
+		vmDir, obsDir := filepath.Join("internal", "vm"), filepath.Join("internal", "obs")
+		built := 0
+		for _, f := range parseTree(t, ".", false) {
+			dir := filepath.Dir(f.path)
+			for _, d := range f.ast.Decls {
+				fn, _ := d.(*ast.FuncDecl)
+				inNew := dir == vmDir && fn != nil && fn.Name.Name == "New" && receiver(fn) == ""
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						if calleeName(n) == "NewLockPool" {
+							if !inNew {
+								t.Errorf("%s: NewLockPool: a lock pool is built outside vm.New", f.pos(n))
+							}
+							built++
+						}
+						if dir == obsDir && isMakeOf(n, "Event") && len(n.Args) == 3 && isZero(n.Args[1]) {
+							t.Errorf("%s: make([]Event, 0, …): internal/obs preallocates event storage again", f.pos(n))
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Locks" {
+								t.Errorf("%s: a lock pool is replaced after vm.New built it", f.pos(n))
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		if built != 1 {
+			t.Errorf("vm.New builds %d lock pools, want 1", built)
+		}
+	})
+
+	t.Run("one record path", func(t *testing.T) {
+		// A page record resolves one way on every store: Bytes, and the
+		// fault path when the page is on disk. Spills wait for a stopped
+		// world, so the per-operation pin, a second resolver, the
+		// interpreter's tiered arm and the evictor's handshake flag stay
+		// deleted.
+		vmDir, offheapDir := filepath.Join("internal", "vm"), filepath.Join("internal", "offheap")
+		for _, f := range parseTree(t, "internal", false) {
+			dir := filepath.Dir(f.path)
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if dir == vmDir && n.Sel.Name == "Pin" {
+						t.Errorf("%s: .Pin: internal/vm pins records again", f.pos(n))
+					}
+				case *ast.CallExpr:
+					if dir == vmDir && strings.HasSuffix(calleeName(n), "Resolve") {
+						t.Errorf("%s: %s(: internal/vm takes a second record path again", f.pos(n), calleeName(n))
+					}
+				case *ast.FuncDecl:
+					if dir == vmDir && strings.HasSuffix(n.Name.Name, "Resolve") {
+						t.Errorf("%s: func %s: internal/vm takes a second record path again", f.pos(n), n.Name.Name)
+					}
+				case *ast.Ident:
+					if dir == vmDir && (strings.Contains(n.Name, "Unpin") || n.Name == "tiered") {
+						t.Errorf("%s: %s: internal/vm pins records or takes a second record path again", f.pos(n), n.Name)
+					}
+					if dir == offheapDir && strings.Contains(n.Name, "evicting") {
+						t.Errorf("%s: %s: internal/offheap carries the pin/evict handshake again", f.pos(n), n.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("one fault path", func(t *testing.T) {
+		// A failed promotion is an error every record resolution returns,
+		// never a panic for the call boundary to recover: no recover() in
+		// the interpreter, no TierFault type anywhere, no panic in the
+		// record resolution or the tier.
+		vmDir := filepath.Join("internal", "vm")
+		noPanic := map[string]bool{
+			filepath.Join("internal", "offheap", "record.go"): true,
+			filepath.Join("internal", "offheap", "tier.go"):   true,
+		}
+		for _, f := range parseTree(t, ".", false) {
+			inVM := filepath.Dir(f.path) == vmDir
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if inVM && isIdent(n.Fun, "recover") {
+						t.Errorf("%s: recover(): internal/vm recovers a panic again", f.pos(n))
+					}
+					if noPanic[f.path] && isIdent(n.Fun, "panic") {
+						t.Errorf("%s: panic(: the record resolution or the tier panics again", f.pos(n))
+					}
+				case *ast.Ident:
+					if strings.Contains(n.Name, "TierFault") {
+						t.Errorf("%s: %s: a tier fault travels as a panic again", f.pos(n), n.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("one monitor implementation", func(t *testing.T) {
+		// Every synchronized block, on a heap object or a page record, locks
+		// through the VM's one lock pool (offheap.LockPool, §3.4): the
+		// per-object monitor table, its monitor type, the heap's lock-word
+		// getter and setter and the page store's own pool stay deleted.
+		deleted := map[string]bool{
+			"monitorFor": true, "monEnter": true, "monExit": true,
+			"monitors": true, "monMu": true, "nextMonID": true,
+			"GetLock": true, "SetLock": true,
+		}
+		vmDir, offheapDir := filepath.Join("internal", "vm"), filepath.Join("internal", "offheap")
+		for _, f := range parseTree(t, ".", false) {
+			dir := filepath.Dir(f.path)
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if deleted[n.Name] {
+						t.Errorf("%s: %s: a second monitor implementation is back", f.pos(n), n.Name)
+					}
+				case *ast.TypeSpec:
+					if dir == vmDir && n.Name.Name == "monitor" {
+						t.Errorf("%s: type monitor: the VM keeps per-object monitors again", f.pos(n))
+					}
+				case *ast.Field:
+					for _, name := range n.Names {
+						if dir == offheapDir && name.Name == "Locks" {
+							t.Errorf("%s: field Locks: the page store keeps a lock pool of its own again", f.pos(n))
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
 }
 
 // parsedFile is one parsed Go file and the path it was read from, relative
@@ -180,19 +323,42 @@ func isPeakGauge(e ast.Expr) bool {
 	return ok && (id.Name == "GaugeHeapUsed" || id.Name == "GaugeBytesInUse")
 }
 
+// calleeName names the function a call calls: f for f(…) and x.f(…), ""
+// for anything else.
+func calleeName(call *ast.CallExpr) string {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
+}
+
 // isIdent reports whether e is the identifier name.
 func isIdent(e ast.Expr, name string) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == name
 }
 
+// isZero reports whether e is the literal 0.
+func isZero(e ast.Expr) bool {
+	lit, ok := e.(*ast.BasicLit)
+	return ok && lit.Kind == token.INT && lit.Value == "0"
+}
+
 // isMakeBytes reports whether call is make([]byte, …) or make([]uint8, …).
 func isMakeBytes(call *ast.CallExpr) bool {
+	return isMakeOf(call, "byte") || isMakeOf(call, "uint8")
+}
+
+// isMakeOf reports whether call is make([]elem, …).
+func isMakeOf(call *ast.CallExpr, elem string) bool {
 	if !isIdent(call.Fun, "make") || len(call.Args) == 0 {
 		return false
 	}
 	arr, ok := call.Args[0].(*ast.ArrayType)
-	return ok && arr.Len == nil && (isIdent(arr.Elt, "byte") || isIdent(arr.Elt, "uint8"))
+	return ok && arr.Len == nil && isIdent(arr.Elt, elem)
 }
 
 // stringLit is the value of a string literal ("" for anything else).

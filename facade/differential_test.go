@@ -397,7 +397,7 @@ type cellResult struct {
 }
 
 // runCell executes one program in one grid cell (err is nil for clean
-// completion). A P' cell, trapped or not, must close without a leak.
+// completion). A cell, P or P', trapped or not, must close without a leak.
 func runCell(t *testing.T, p *ir.Program, heapSize, gcWorkers int, extra ...Option) cellResult {
 	t.Helper()
 	opts := append([]Option{WithHeapSize(heapSize), WithGCWorkers(gcWorkers)}, extra...)
@@ -410,9 +410,7 @@ func runCell(t *testing.T, p *ir.Program, heapSize, gcWorkers int, extra ...Opti
 			c.records, c.nativePeak = st.Records, st.PeakBytes
 		}
 		res.Close()
-		if res.VM.RT != nil {
-			noLeaks(t, fmt.Sprintf("P' cell heap=%dMiB,gcworkers=%d", heapSize>>20, gcWorkers), res.VM.RT)
-		}
+		noLeaks(t, fmt.Sprintf("cell heap=%dMiB,gcworkers=%d", heapSize>>20, gcWorkers), res.VM)
 	}
 	return c
 }

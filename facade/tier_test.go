@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/offheap"
+	"repro/internal/vm"
 )
 
 // Tier-equivalence battery: the disk tier is mechanism, not semantics.
@@ -52,18 +52,21 @@ class Main {
 }
 `
 
-// noLeaks is the postcondition of every closed P' run: no pinned page, no
-// live page manager and no pool lock in use. what names the run.
-func noLeaks(t *testing.T, what string, rt *offheap.Runtime) {
+// noLeaks is the postcondition of every closed run: no pool lock in use,
+// and on P' no pinned page and no live page manager. what names the run.
+func noLeaks(t *testing.T, what string, m *vm.VM) {
 	t.Helper()
-	if n := rt.Pins(); n != 0 {
+	if n := m.Locks.InUse(); n != 0 {
+		t.Errorf("%s: %d pool lock(s) in use after Close", what, n)
+	}
+	if m.RT == nil {
+		return
+	}
+	if n := m.RT.Pins(); n != 0 {
 		t.Errorf("%s: %d pin(s) left after Close", what, n)
 	}
-	if n := rt.LiveManagers(); n != 0 {
+	if n := m.RT.LiveManagers(); n != 0 {
 		t.Errorf("%s: %d live page manager(s) left after Close", what, n)
-	}
-	if n := rt.Locks.InUse(); n != 0 {
-		t.Errorf("%s: %d pool lock(s) in use after Close", what, n)
 	}
 }
 
@@ -72,7 +75,7 @@ func noLeaks(t *testing.T, what string, rt *offheap.Runtime) {
 func closeClean(t *testing.T, res *Result, dir string) {
 	t.Helper()
 	res.Close()
-	noLeaks(t, "tiered run", res.VM.RT)
+	noLeaks(t, "tiered run", res.VM)
 	files, err := filepath.Glob(filepath.Join(dir, "spill-*.pages"))
 	if err != nil {
 		t.Fatal(err)

@@ -684,12 +684,11 @@ func (hp *Heap) coverRemBits() {
 	}
 }
 
-// GetLock reads the lock word of object a. Callers (the VM's monitor
-// implementation) serialize access with their own lock.
-func (hp *Heap) GetLock(a Addr) uint32 { return hp.getU32(a + hdrLock) }
-
-// SetLock stores the lock word of object a.
-func (hp *Heap) SetLock(a Addr, v uint32) { hp.setU32(a+hdrLock, v) }
+// LockWord returns the 2-byte lock field of object a at its current
+// address: the low half of its header lock word, which the VM's lock pool
+// (offheap.LockPool) reads and writes under its own mutex. A collection
+// carries the word along when it moves the object.
+func (hp *Heap) LockWord(a Addr) []byte { return hp.arena[a+hdrLock : a+hdrLock+2] }
 
 // Stats returns a snapshot of the heap counters, read off the instruments
 // that count them: allocations off the allocation-size histogram,

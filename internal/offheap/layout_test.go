@@ -45,7 +45,6 @@ func TestRuntimeTableOwnsItsLines(t *testing.T) {
 		{"free", unsafe.Offsetof(rt.free), unsafe.Sizeof(rt.free)},
 		{"live", unsafe.Offsetof(rt.live), unsafe.Sizeof(rt.live)},
 		{"nextIter", unsafe.Offsetof(rt.nextIter), unsafe.Sizeof(rt.nextIter)},
-		{"Locks", unsafe.Offsetof(rt.Locks), unsafe.Sizeof(rt.Locks)},
 		{"gBytesInUse", unsafe.Offsetof(rt.gBytesInUse), unsafe.Sizeof(rt.gBytesInUse)},
 		{"quota", unsafe.Offsetof(rt.quota), unsafe.Sizeof(rt.quota)},
 		{"tier", unsafe.Offsetof(rt.tier), unsafe.Sizeof(rt.tier)},

@@ -8,19 +8,21 @@ import (
 	"repro/internal/faults"
 )
 
-// LockPool is the shared pool of reentrant monitor locks backing
-// synchronized blocks on page records (§3.4). A record's 2-byte lock
-// field holds the 1-based index of the pool lock currently protecting it,
-// or 0. A bit vector tracks which pool locks are in use; when the last
-// thread using a lock exits, the lock is returned to the pool and the
-// record's lock field is zeroed, so the number of live lock objects is
-// O(threads × nesting), not O(records). A lock is built only when every
-// built one is in use, and defaultLockPoolSize caps how many ever are.
+// LockPool is the shared pool of reentrant monitor locks backing every
+// synchronized block of a VM (§3.4), on heap objects and page records
+// alike. The object's or record's 2-byte lock field holds the 1-based index
+// of the pool lock currently protecting it, or 0. A bit vector tracks which
+// pool locks are in use; when the last thread using a lock exits, the lock
+// is returned to the pool and the lock field is zeroed, so the number of
+// live lock objects is O(threads × nesting), not O(objects). A lock is
+// built only when every built one is in use, and lockPoolSize caps how
+// many ever are.
 //
-// The pool never resolves a record: Enter and Exit take the record bytes
-// their caller resolved, so nothing under the pool mutex can promote, spill
-// or fail on a page fault.
-const defaultLockPoolSize = 4096
+// The pool never resolves an address: Enter and Exit take the lock field
+// their caller resolved (b[2:4] of a record's bytes, heap.LockWord of an
+// object), so nothing under the pool mutex can promote, spill, collect or
+// fail on a page fault.
+const lockPoolSize = 4096
 
 // Parker is the calling thread's hook into the heap's safepoint protocol: a
 // blocking monitor operation marks the thread parked for the duration of
@@ -50,20 +52,17 @@ type LockPool struct {
 	bits []uint64 // in-use bit vector, bit i == lock i in use
 	// locks holds pointers so that growing the slice never moves a lock a
 	// thread is blocked on.
-	locks    []*poolLock
-	capacity int // most locks the pool will build
+	locks []*poolLock
 	// InUse is maintained for stats/tests.
 	inUse int
 	peak  int
 }
 
-// NewLockPool creates a pool that builds up to capacity locks, each on
+// NewLockPool creates a pool that builds up to lockPoolSize locks, each on
 // the first acquire that finds every built lock in use.
-func NewLockPool(capacity int) *LockPool {
-	return &LockPool{capacity: capacity}
-}
+func NewLockPool() *LockPool { return &LockPool{} }
 
-// InUse returns the number of pool locks currently assigned to records.
+// InUse returns the number of pool locks currently assigned to lock fields.
 func (lp *LockPool) InUse() int {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
@@ -84,10 +83,10 @@ func (lp *LockPool) Built() int {
 	return len(lp.locks)
 }
 
-// rewind readies the pool for the next job on a reused store: the built
-// locks stay (all unowned once none is in use) and the peak restarts. It
-// refuses while a lock is still in use, as Reset refuses live pages.
-func (lp *LockPool) rewind() error {
+// Reset readies the pool for the next job on a reused VM: the built locks
+// stay (all unowned once none is in use) and the peak restarts. It refuses
+// while a lock is still in use, as Runtime.Reset refuses live pages.
+func (lp *LockPool) Reset() error {
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	if lp.inUse != 0 {
@@ -109,8 +108,8 @@ func (lp *LockPool) acquireFreeLocked() (uint16, error) {
 		}
 	}
 	if i == len(lp.locks) {
-		if i == lp.capacity {
-			return 0, fmt.Errorf("offheap: lock pool exhausted (%d locks)", lp.capacity)
+		if i == lockPoolSize {
+			return 0, fmt.Errorf("offheap: lock pool exhausted (%d locks)", lockPoolSize)
 		}
 		l := &poolLock{}
 		l.cond = sync.NewCond(&l.mu)
@@ -133,14 +132,14 @@ func (lp *LockPool) freeLocked(id uint16) {
 	lp.inUse--
 }
 
-// Enter implements enterMonitor(record) over rec, the record's resolved
-// bytes: it binds a pool lock to the record if none is bound, then acquires
+// Enter implements enterMonitor over lock, the lock field of the object or
+// record: it binds a pool lock to the field if none is bound, then acquires
 // it reentrantly on behalf of owner. The Parker, if non-nil, marks the
-// thread parked while blocked; rec is not touched after that, since a
-// parked thread's pages may be spilled.
-func (lp *LockPool) Enter(rec []byte, owner any, pk Parker) error {
+// thread parked while blocked; lock is not touched after that, since a
+// parked thread's object may move and its record's page may be spilled.
+func (lp *LockPool) Enter(lock []byte, owner any, pk Parker) error {
 	lp.mu.Lock()
-	id := getU16(rec[2:])
+	id := getU16(lock)
 	if id == 0 {
 		var err error
 		id, err = lp.acquireFreeLocked()
@@ -148,7 +147,7 @@ func (lp *LockPool) Enter(rec []byte, owner any, pk Parker) error {
 			lp.mu.Unlock()
 			return err
 		}
-		putU16(rec[2:], id)
+		putU16(lock, id)
 	}
 	l := lp.locks[id-1]
 	l.users++
@@ -172,15 +171,15 @@ func (lp *LockPool) Enter(rec []byte, owner any, pk Parker) error {
 	return nil
 }
 
-// Exit implements exitMonitor(record) over rec, the record's resolved
-// bytes. When the last user releases the lock it is returned to the pool
-// and the record's lock field is zeroed.
-func (lp *LockPool) Exit(rec []byte, owner any) error {
+// Exit implements exitMonitor over lock, the lock field of the object or
+// record at its current address. When the last user releases the pool lock
+// it is returned to the pool and the field is zeroed.
+func (lp *LockPool) Exit(lock []byte, owner any) error {
 	lp.mu.Lock()
-	id := getU16(rec[2:])
+	id := getU16(lock)
 	if id == 0 {
 		lp.mu.Unlock()
-		return fmt.Errorf("offheap: exitMonitor on unlocked record")
+		return fmt.Errorf("IllegalMonitorStateException: exit without enter")
 	}
 	l := lp.locks[id-1]
 	lp.mu.Unlock()
@@ -188,7 +187,7 @@ func (lp *LockPool) Exit(rec []byte, owner any) error {
 	l.mu.Lock()
 	if l.owner != owner {
 		l.mu.Unlock()
-		return fmt.Errorf("offheap: exitMonitor by non-owner")
+		return fmt.Errorf("IllegalMonitorStateException: exit by non-owner")
 	}
 	l.depth--
 	if l.depth == 0 {
@@ -202,7 +201,7 @@ func (lp *LockPool) Exit(rec []byte, owner any) error {
 	if l.users == 0 {
 		// No thread holds or waits on this lock: recycle it.
 		if l.owner == nil {
-			putU16(rec[2:], 0)
+			putU16(lock, 0)
 			lp.freeLocked(id)
 		}
 	}

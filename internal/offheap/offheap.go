@@ -120,7 +120,7 @@ func (p *page) bytes() []byte {
 	return nil
 }
 
-// Runtime owns all pages, the free-page pool and the shared lock pool.
+// Runtime owns all pages and the free-page pool.
 type Runtime struct {
 	mu   sync.Mutex
 	free []*page // recycled pages awaiting reuse
@@ -137,18 +137,17 @@ type Runtime struct {
 	live map[*PageManager]struct{}
 
 	_ [cacheLinePair]byte
-	// table is a copy-on-write page table so record accesses resolve page
-	// references without locking. Every record access of every thread
-	// loads it, while mu, free and live above are written on each page
-	// acquire and nextIter below on each iteration start, so it keeps a
-	// cache-line pair to itself on both sides (vm.Thread's reason again).
+	// table is the page table, grown by append under mu and published
+	// whole, so record accesses resolve page references without locking
+	// (getPage says why an append is safe). Every record access of every
+	// thread loads it, while mu, free and live above are written on each
+	// page acquire and nextIter below on each iteration start, so it keeps
+	// a cache-line pair to itself on both sides (vm.Thread's reason again).
 	table atomic.Pointer[[]*page]
 	_     [cacheLinePair]byte
 
 	// nextIter supplies this store's iteration IDs, dense from 0.
 	nextIter atomic.Int64
-
-	Locks *LockPool
 
 	// Observability instruments (internal/obs). They are the store's only
 	// books (quota, watermarks, Stats and Reset read them; Reset rewinds
@@ -217,9 +216,8 @@ func NewRuntime() *Runtime { return NewRuntimeWith(nil) }
 // to reg (a fresh private registry when nil).
 func NewRuntimeWith(reg *obs.Registry) *Runtime {
 	rt := &Runtime{
-		live:  make(map[*PageManager]struct{}),
-		Locks: NewLockPool(defaultLockPoolSize),
-		mem:   region.NewSet(),
+		live: make(map[*PageManager]struct{}),
+		mem:  region.NewSet(),
 	}
 	rt.bindInstruments(reg, nil)
 	empty := make([]*page, 0)
@@ -301,21 +299,17 @@ func (rt *Runtime) checkQuota(pk Parker, pages int64) error {
 }
 
 // Reset returns the store to its post-New state for reuse by another job,
-// keeping the free pages and the built pool locks warm: free pages,
-// standard and oversize, are re-indexed into a fresh page table so the
-// table does not grow without bound across jobs, and the instruments
-// rebind to reg (the next job's registry, whose fresh instruments are how
-// every count rewinds). It fails if any page or pool lock is still live —
-// a job that leaked either poisons the store, and the daemon rebuilds
-// instead of reusing it.
+// keeping the free pages warm: free pages, standard and oversize, are
+// re-indexed into a fresh page table so the table does not grow without
+// bound across jobs, and the instruments rebind to reg (the next job's
+// registry, whose fresh instruments are how every count rewinds). It fails
+// if any page is still live — a job that leaked one poisons the store, and
+// the daemon rebuilds instead of reusing it.
 func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if live := rt.gPagesLive.Load(); live != 0 {
 		return fmt.Errorf("offheap: %w with %d live page(s)", faults.ErrNotReusable, live)
-	}
-	if err := rt.Locks.rewind(); err != nil {
-		return err
 	}
 	next := slices.Concat(rt.free, rt.big)
 	for i, p := range next {
@@ -420,13 +414,15 @@ func (rt *Runtime) getPage(size int, pk Parker) (*page, error) {
 		rt.tierAcquire(p)
 		return p, nil
 	}
+	// The new slot goes into the table's spare capacity when it has some,
+	// so a store pays for its table once, not once per page: a reader
+	// indexes only below the length it loaded, so the append changes
+	// nothing it can see, and publishing the longer header shows it p.
 	old := *rt.table.Load()
 	p = &page{idx: len(old), size: size, candIdx: -1}
 	buf := rt.mem.Get(body)
 	p.buf.Store(&buf)
-	next := make([]*page, len(old)+1)
-	copy(next, old)
-	next[len(old)] = p
+	next := append(old, p)
 	rt.table.Store(&next)
 	rt.cPagesCreated.Inc()
 	rt.tierAcquire(p)

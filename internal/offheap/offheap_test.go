@@ -293,7 +293,7 @@ func TestContiguousSmallAllocations(t *testing.T) {
 // Lock pool
 
 func TestLockPoolMutualExclusion(t *testing.T) {
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
@@ -310,13 +310,13 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 			// equal, which makes every goroutine the same (reentrant) owner.
 			owner := new(int)
 			for j := 0; j < perThread; j++ {
-				if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
+				if err := lp.Enter(lockOf(rt, rec), owner, nil); err != nil {
 					t.Error(err)
 					return
 				}
 				v := get[int32](rt, rec, 0)
 				put(rt, rec, 0, v+1)
-				if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
+				if err := lp.Exit(lockOf(rt, rec), owner); err != nil {
 					t.Error(err)
 					return
 				}
@@ -329,31 +329,31 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 	}
 	// After the last exit the lock returns to the pool and the record's
 	// lock field is zeroed (§3.4).
-	if getU16(rt.Bytes(rec)[2:]) != 0 {
+	if getU16(lockOf(rt, rec)) != 0 {
 		t.Fatal("record lock field not zeroed after release")
 	}
-	if rt.Locks.InUse() != 0 {
-		t.Fatalf("%d locks still in use", rt.Locks.InUse())
+	if lp.InUse() != 0 {
+		t.Fatalf("%d locks still in use", lp.InUse())
 	}
 }
 
 func TestLockPoolReentrancy(t *testing.T) {
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
 	owner := &struct{}{}
 	for i := 0; i < 3; i++ {
-		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
+		if err := lp.Enter(lockOf(rt, rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
+		if err := lp.Exit(lockOf(rt, rec), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rt.Locks.InUse() != 0 {
+	if lp.InUse() != 0 {
 		t.Fatal("reentrant lock not released")
 	}
 }
@@ -361,68 +361,71 @@ func TestLockPoolReentrancy(t *testing.T) {
 func TestLockPoolBound(t *testing.T) {
 	// The number of pool locks in use is bounded by concurrent
 	// synchronization, not by the number of records ever locked.
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	owner := &struct{}{}
 	for i := 0; i < 10000; i++ {
 		rec := mustRecord(t, s.Current(), 1, 16)
-		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
+		if err := lp.Enter(lockOf(rt, rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
+		if err := lp.Exit(lockOf(rt, rec), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if peak := rt.Locks.PeakInUse(); peak != 1 {
+	if peak := lp.PeakInUse(); peak != 1 {
 		t.Fatalf("peak locks %d, want 1: locks are not recycled", peak)
 	}
 }
 
 func TestLockPoolExitErrors(t *testing.T) {
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
-	if err := rt.Locks.Exit(rt.Bytes(rec), &struct{}{}); err == nil {
+	if err := lp.Exit(lockOf(rt, rec), &struct{}{}); err == nil {
 		t.Fatal("exit without enter must fail")
 	}
 	a, b := new(int), new(int) // distinct: zero-size pointers need not be
-	if err := rt.Locks.Enter(rt.Bytes(rec), a, nil); err != nil {
+	if err := lp.Enter(lockOf(rt, rec), a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Locks.Exit(rt.Bytes(rec), b); err == nil {
+	if err := lp.Exit(lockOf(rt, rec), b); err == nil {
 		t.Fatal("exit by non-owner must fail")
 	}
-	if err := rt.Locks.Exit(rt.Bytes(rec), a); err != nil {
+	if err := lp.Exit(lockOf(rt, rec), a); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// lockOf is the lock field of record rec, the bytes a VM hands the pool.
+func lockOf(rt *Runtime, rec PageRef) []byte { return rt.Bytes(rec)[2:4] }
+
 // nestLocks enters the monitors of recs in order on behalf of owner,
 // returning the lock ID each record was given, then exits them in reverse.
-func nestLocks(t *testing.T, rt *Runtime, owner any, recs []PageRef) []uint16 {
+func nestLocks(t *testing.T, rt *Runtime, lp *LockPool, owner any, recs []PageRef) []uint16 {
 	t.Helper()
 	ids := make([]uint16, len(recs))
 	for i, rec := range recs {
-		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
+		if err := lp.Enter(lockOf(rt, rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = getU16(rt.Bytes(rec)[2:])
+		ids[i] = getU16(lockOf(rt, rec))
 	}
 	for i := len(recs) - 1; i >= 0; i-- {
-		if err := rt.Locks.Exit(rt.Bytes(recs[i]), owner); err != nil {
+		if err := lp.Exit(lockOf(rt, recs[i]), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return ids
 }
 
-// TestLockPoolBuildsOnDemand: a store whose job never enters a monitor
-// builds no pool lock; the locks one job builds serve the next job after
-// Reset, under the same IDs and without growing.
+// TestLockPoolBuildsOnDemand: a job that never enters a monitor builds no
+// pool lock; the locks one job builds serve the next job after the pool's
+// and the store's Reset, under the same IDs and without growing.
 func TestLockPoolBuildsOnDemand(t *testing.T) {
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	job := func(lock bool) []uint16 {
 		t.Helper()
 		s := newScope(rt, 0)
@@ -434,74 +437,58 @@ func TestLockPoolBuildsOnDemand(t *testing.T) {
 		if !lock {
 			return nil
 		}
-		return nestLocks(t, rt, new(int), recs)
+		return nestLocks(t, rt, lp, new(int), recs)
 	}
 	job(false)
-	if n := rt.Locks.Built(); n != 0 {
+	if n := lp.Built(); n != 0 {
 		t.Fatalf("a monitor-free job built %d pool lock(s)", n)
 	}
-	pool := rt.Locks
 	for round := 0; round < 2; round++ {
+		if err := lp.Reset(); err != nil {
+			t.Fatal(err)
+		}
 		if err := rt.Reset(nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if rt.Locks != pool {
-			t.Fatalf("round %d: Reset replaced the lock pool", round)
-		}
-		if peak := rt.Locks.PeakInUse(); peak != 0 {
+		if peak := lp.PeakInUse(); peak != 0 {
 			t.Fatalf("round %d: peak %d survived Reset", round, peak)
 		}
 		if ids := job(true); !slices.Equal(ids, []uint16{1, 2, 3}) {
 			t.Fatalf("round %d: lock IDs %v, want [1 2 3]", round, ids)
 		}
-		if n := rt.Locks.Built(); n != 3 {
+		if n := lp.Built(); n != 3 {
 			t.Fatalf("round %d: %d pool locks built, want 3", round, n)
 		}
-	}
-}
-
-// TestResetRefusesLockInUse: a job that ends holding a pool lock poisons the
-// store the way a leaked page does.
-func TestResetRefusesLockInUse(t *testing.T) {
-	rt := NewRuntime()
-	s := newScope(rt, 0)
-	rec := mustRecord(t, s.Current(), 1, 16)
-	if err := rt.Locks.Enter(rt.Bytes(rec), new(int), nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Close() // no live page left: only the lock can refuse
-	if err := rt.Reset(nil, nil); !errors.Is(err, faults.ErrNotReusable) {
-		t.Fatalf("Reset with a lock in use = %v, want ErrNotReusable", err)
 	}
 }
 
 // TestLockPoolExhaustion: the pool builds up to its cap and the next
 // concurrent lock fails with the cap in the message.
 func TestLockPoolExhaustion(t *testing.T) {
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	owner := new(int)
-	recs := make([]PageRef, defaultLockPoolSize+1)
+	recs := make([]PageRef, lockPoolSize+1)
 	for i := range recs {
 		recs[i] = mustRecord(t, s.Current(), 1, 16)
 	}
-	for _, rec := range recs[:defaultLockPoolSize] {
-		if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
+	for _, rec := range recs[:lockPoolSize] {
+		if err := lp.Enter(lockOf(rt, rec), owner, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := rt.Locks.Enter(rt.Bytes(recs[defaultLockPoolSize]), owner, nil)
+	err := lp.Enter(lockOf(rt, recs[lockPoolSize]), owner, nil)
 	if err == nil || err.Error() != "offheap: lock pool exhausted (4096 locks)" {
-		t.Fatalf("lock %d: %v, want the exhaustion error", defaultLockPoolSize+1, err)
+		t.Fatalf("lock %d: %v, want the exhaustion error", lockPoolSize+1, err)
 	}
-	for _, rec := range recs[:defaultLockPoolSize] {
-		if err := rt.Locks.Exit(rt.Bytes(rec), owner); err != nil {
+	for _, rec := range recs[:lockPoolSize] {
+		if err := lp.Exit(lockOf(rt, rec), owner); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rt.Locks.InUse() != 0 || rt.Locks.Built() != defaultLockPoolSize {
-		t.Fatalf("in use %d, built %d after exhaustion", rt.Locks.InUse(), rt.Locks.Built())
+	if lp.InUse() != 0 || lp.Built() != lockPoolSize {
+		t.Fatalf("in use %d, built %d after exhaustion", lp.InUse(), lp.Built())
 	}
 }
 
@@ -510,7 +497,7 @@ func TestLockPoolExhaustion(t *testing.T) {
 // -race, it checks that growing the lock slice and the bit vector never
 // races with another thread's Enter or Exit.
 func TestLockPoolGrowsUnderContention(t *testing.T) {
-	rt := NewRuntime()
+	rt, lp := NewRuntime(), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	const workers, nest = 8, 4
@@ -528,13 +515,13 @@ func TestLockPoolGrowsUnderContention(t *testing.T) {
 			owner := new(int)
 			for j := 0; j < 200; j++ {
 				for _, rec := range recs {
-					if err := rt.Locks.Enter(rt.Bytes(rec), owner, nil); err != nil {
+					if err := lp.Enter(lockOf(rt, rec), owner, nil); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				for i := len(recs) - 1; i >= 0; i-- {
-					if err := rt.Locks.Exit(rt.Bytes(recs[i]), owner); err != nil {
+					if err := lp.Exit(lockOf(rt, recs[i]), owner); err != nil {
 						t.Error(err)
 						return
 					}
@@ -543,10 +530,10 @@ func TestLockPoolGrowsUnderContention(t *testing.T) {
 		}(recs[w])
 	}
 	wg.Wait()
-	if rt.Locks.InUse() != 0 {
-		t.Fatalf("%d locks still in use", rt.Locks.InUse())
+	if lp.InUse() != 0 {
+		t.Fatalf("%d locks still in use", lp.InUse())
 	}
-	if n, peak := rt.Locks.Built(), rt.Locks.PeakInUse(); n != peak || n > workers*nest {
+	if n, peak := lp.Built(), lp.PeakInUse(); n != peak || n > workers*nest {
 		t.Fatalf("built %d locks for a peak of %d (at most %d held at once)", n, peak, workers*nest)
 	}
 }

@@ -9,7 +9,7 @@ import "encoding/binary"
 // Every access is one resolution of the page reference followed by reads
 // or writes of the resolved bytes, which start at the record header. One
 // rule governs every resolution, on every store, tiered or not: call Bytes
-// first — a lock-free copy-on-write table read, no pin, no atomic write,
+// first — a lock-free page-table read, no pin, no atomic write,
 // small enough to inline at the call site. Bytes returns nil for a page on
 // disk, and the caller then brings the page back and resolves again: with
 // Fault if it holds no other record's bytes (Fault may spill other pages,

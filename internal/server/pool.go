@@ -121,9 +121,10 @@ type vmKey struct {
 }
 
 // warmPool keeps reset-verified VMs for reuse. Entries are verified at
-// put time: a VM that fails ResetForReuse (leaked threads, live pages —
-// the signature of a job that crashed mid-iteration) is dropped and
-// counted as a pool rebuild instead of poisoning later jobs.
+// put time: a VM that fails ResetForReuse (leaked threads, live pages, a
+// pool lock held — the signature of a job that crashed mid-iteration or
+// trapped inside synchronized) is dropped and counted as a pool rebuild
+// instead of poisoning later jobs.
 type warmPool struct {
 	mu      sync.Mutex
 	entries map[vmKey][]*vm.VM
@@ -167,9 +168,10 @@ func (wp *warmPool) take(key vmKey) *vm.VM {
 
 // put verifies a VM is safe to reuse and returns it to the pool. The
 // verification is a full ResetForReuse: it fails exactly when the VM
-// still has registered threads or live off-heap pages — the state a
-// mid-run crash can leave behind — and such VMs are discarded (counted
-// under server.pool_rebuilds) rather than stored.
+// still has registered threads, live off-heap pages or a pool lock in use
+// — the state a mid-run crash or a trap inside synchronized can leave
+// behind — and such VMs are discarded (counted under
+// server.pool_rebuilds) rather than stored.
 func (wp *warmPool) put(key vmKey, m *vm.VM) {
 	if m == nil {
 		return

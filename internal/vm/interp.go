@@ -702,11 +702,19 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			}
 			regs[in.Dst] = regs[in.A]
 		case xMonEnter:
-			if err := t.monEnter(heap.Addr(regs[in.A])); err != nil {
+			a := heap.Addr(regs[in.A])
+			if a == 0 {
+				return 0, errNPE("synchronized on null")
+			}
+			if err := vm.Locks.Enter(vm.Heap.LockWord(a), t, parker{t}); err != nil {
 				return 0, err
 			}
 		case xMonExit:
-			if err := t.monExit(heap.Addr(regs[in.A])); err != nil {
+			a := heap.Addr(regs[in.A])
+			if a == 0 {
+				return 0, errNPE("monitor exit on null")
+			}
+			if err := vm.Locks.Exit(vm.Heap.LockWord(a), t); err != nil {
 				return 0, err
 			}
 		case xPNewArr:
@@ -745,7 +753,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			if b == nil {
 				goto fault
 			}
-			if err := rt.Locks.Enter(b, t, parker{t}); err != nil {
+			if err := vm.Locks.Enter(b[2:4], t, parker{t}); err != nil {
 				return 0, err
 			}
 		case xPMonExit:
@@ -754,7 +762,7 @@ func (t *Thread) run(c *ir.Code, regs []Value) (Value, error) {
 			if b == nil {
 				goto fault
 			}
-			if err := rt.Locks.Exit(b, t); err != nil {
+			if err := vm.Locks.Exit(b[2:4], t); err != nil {
 				return 0, err
 			}
 		default:

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/heap"
 	"repro/internal/ir"
@@ -259,78 +258,6 @@ func (t *Thread) Call(key string, args ...Value) (Value, error) {
 	t.enterBoundary()
 	defer t.tc.BeginExternal()
 	return t.exec(fn, args)
-}
-
-// ---------------------------------------------------------------------------
-// Monitors for heap objects (program P's intrinsic locks). The object's
-// lock word holds a monitor ID; monitors are reentrant.
-
-type monitor struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	owner *Thread
-	depth int
-}
-
-func (t *Thread) monitorFor(obj heap.Addr) *monitor {
-	vm := t.vm
-	vm.monMu.Lock()
-	id := vm.Heap.GetLock(obj)
-	if id == 0 {
-		vm.nextMonID++
-		id = vm.nextMonID
-		m := &monitor{}
-		m.cond = sync.NewCond(&m.mu)
-		vm.monitors[id] = m
-		vm.Heap.SetLock(obj, id)
-	}
-	m := vm.monitors[id]
-	vm.monMu.Unlock()
-	return m
-}
-
-func (t *Thread) monEnter(obj heap.Addr) error {
-	if obj == 0 {
-		return fmt.Errorf("NullPointerException: synchronized on null")
-	}
-	m := t.monitorFor(obj)
-	m.mu.Lock()
-	for m.owner != nil && m.owner != t {
-		t.tc.BeginExternal()
-		m.cond.Wait()
-		m.mu.Unlock()
-		t.tc.EndExternal()
-		m.mu.Lock()
-	}
-	m.owner = t
-	m.depth++
-	m.mu.Unlock()
-	return nil
-}
-
-func (t *Thread) monExit(obj heap.Addr) error {
-	if obj == 0 {
-		return fmt.Errorf("NullPointerException: monitor exit on null")
-	}
-	vm := t.vm
-	vm.monMu.Lock()
-	id := vm.Heap.GetLock(obj)
-	m := vm.monitors[id]
-	vm.monMu.Unlock()
-	if m == nil {
-		return fmt.Errorf("IllegalMonitorStateException: exit without enter")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.owner != t {
-		return fmt.Errorf("IllegalMonitorStateException: exit by non-owner")
-	}
-	m.depth--
-	if m.depth == 0 {
-		m.owner = nil
-		m.cond.Broadcast()
-	}
-	return nil
 }
 
 // parker adapts the thread to offheap.Parker: lock-pool waits park it, and

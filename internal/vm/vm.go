@@ -65,6 +65,9 @@ type VM struct {
 	Prog *ir.Program
 	Heap *heap.Heap
 	RT   *offheap.Runtime // nil for untransformed programs
+	// Locks backs every synchronized block, on heap objects and page
+	// records alike (§3.4): built in New, rewound by ResetForReuse.
+	Locks *offheap.LockPool
 
 	out io.Writer
 	inj *faults.Injector // the injector the VM was built with (may be nil)
@@ -91,11 +94,6 @@ type VM struct {
 	pageRefField *lang.Field            // Facade.pageRef
 	bounds       map[int]int            // facade class ID -> pool bound
 	rootScope    *offheap.PageManager   // allocation scope for literals/globals
-
-	// Monitor table for heap objects (program P's intrinsic locks).
-	monMu     sync.Mutex
-	monitors  map[uint32]*monitor
-	nextMonID uint32
 
 	// Handles: Go-side roots for framework code.
 	handles handleTable
@@ -137,9 +135,9 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 	vm := &VM{
 		Prog:      prog,
 		byKey:     make(map[string]*ir.Func),
-		monitors:  make(map[uint32]*monitor),
 		threads:   make(map[*Thread]struct{}),
 		selectors: make(map[string]int),
+		Locks:     offheap.NewLockPool(),
 	}
 	if err := vm.link(); err != nil {
 		return nil, err
@@ -387,19 +385,23 @@ type ResetConfig struct {
 
 // ResetForReuse returns the VM to its post-New state so a daemon can run
 // another job on it without rebuilding the expensive parts: the heap arena,
-// the linked dispatch tables, the facade metadata and §3.3 pool bounds, and
-// the page store's recycled-page pool all stay warm, while every piece of
-// job state — statics, string literals, handles, monitors, the random
-// stream, thread and iteration ID counters, heap contents, live pages —
-// rewinds to its initial value. The reset is observable-state complete: a
-// run on a reused VM is bit-identical to the same run on a fresh VM.
+// the linked dispatch tables, the facade metadata and §3.3 pool bounds, the
+// page store's recycled-page pool and the built pool locks all stay warm,
+// while every piece of job state — statics, string literals, handles, the
+// lock pool's peak, the random stream, thread and iteration ID counters,
+// heap contents, live pages — rewinds to its initial value. The reset is
+// observable-state complete: a run on a reused VM is bit-identical to the
+// same run on a fresh VM.
 //
-// All threads must have been closed first; a job that leaked a thread or a
-// page fails the reset, in which case the caller must discard the VM and
-// rebuild (this is how the daemon keeps a crashed tenant job from
-// poisoning the warm pool).
+// All threads must have been closed first; a job that leaked a thread, a
+// page or a pool lock (it trapped inside synchronized) fails the reset, in
+// which case the caller must discard the VM and rebuild (this is how the
+// daemon keeps a crashed tenant job from poisoning the warm pool).
 func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 	if err := vm.Release(); err != nil {
+		return err
+	}
+	if err := vm.Locks.Reset(); err != nil {
 		return err
 	}
 	if cfg.Obs == nil {
@@ -425,10 +427,6 @@ func (vm *VM) ResetForReuse(cfg ResetConfig) error {
 		vm.strDone[i] = false
 	}
 	vm.strMu.Unlock()
-	vm.monMu.Lock()
-	vm.monitors = make(map[uint32]*monitor)
-	vm.nextMonID = 0
-	vm.monMu.Unlock()
 	vm.handles.reset()
 	vm.threadsMu.Lock()
 	vm.nextTID = 0
@@ -523,15 +521,6 @@ func (vm *VM) Get(h Handle) Value {
 	ht.mu.Lock()
 	defer ht.mu.Unlock()
 	return ht.vals[h]
-}
-
-// Set updates the value of h.
-func (vm *VM) Set(h Handle, v Value, isRef bool) {
-	ht := &vm.handles
-	ht.mu.Lock()
-	defer ht.mu.Unlock()
-	ht.vals[h] = v
-	ht.isRef[h] = isRef
 }
 
 // Drop releases h.

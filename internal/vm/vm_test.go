@@ -184,125 +184,182 @@ class Main {
 	}
 }
 
+// TestMonitorContention has eight threads bump one synchronized counter
+// through the boundary API, on P (a heap object) and on P' (a page record):
+// one lock pool serves both. Each bump allocates inside the block, in a heap
+// small enough that collections run while waiters are parked on the lock,
+// so on P they move the Counter the lock field lives in. The count must be
+// exact and every pool lock back in the pool at the end (§3.4).
 func TestMonitorContention(t *testing.T) {
-	// Many Go-side threads hammer a synchronized counter through the
-	// boundary API; the monitor must serialize them (program P).
 	src := `
+class Junk { long a; long b; long c; long d; }
 class Counter {
     int n;
     void bump() {
         synchronized (this) {
+            Junk[] js = new Junk[8];
+            for (int k = 0; k < 8; k = k + 1) { js[k] = new Junk(); }
             int v = this.n;
-            this.n = v + 1;
+            this.n = v + js.length - 7;
         }
     }
 }
 class Main { static void main() { } }
 `
 	p := compile(t, src)
-	m, err := New(p, Config{HeapSize: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	main, err := m.NewThread(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer main.Close()
-	obj, err := main.NewObj("Counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th, err := m.NewThread(main)
+	for _, leg := range []struct {
+		name string
+		prog *ir.Program
+	}{
+		{"P", p},
+		{"P2", transform(t, p, "Counter")},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			m, err := New(leg.prog, Config{HeapSize: 1 << 20})
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			defer th.Close()
-			for j := 0; j < per; j++ {
-				if _, err := th.Invoke(obj, "bump"); err != nil {
-					t.Error(err)
-					return
-				}
+			main, err := m.NewThread(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	v, err := main.GetField(obj, "Counter", "n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int32(v) != workers*per {
-		t.Fatalf("counter = %d want %d", int32(v), workers*per)
+			defer main.Close()
+			obj, err := main.NewObj("Counter")
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := m.Get(obj)
+			const workers, per = 8, 500
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					th, err := m.NewThread(main)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer th.Close()
+					for j := 0; j < per; j++ {
+						if _, err := th.Invoke(obj, "bump"); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			// A lock field lost in a move strands the waiters: fail, not hang.
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the threads did not finish within 30s")
+			}
+			v, err := main.GetField(obj, "Counter", "n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int32(v) != workers*per {
+				t.Fatalf("counter = %d want %d", int32(v), workers*per)
+			}
+			if st := m.Heap.Stats(); st.MinorGCs+st.FullGCs == 0 {
+				t.Fatal("no collection ran while the threads contended")
+			}
+			if !leg.prog.Transformed && m.Get(obj) == at {
+				t.Fatal("no collection moved the Counter")
+			}
+			if n := m.Locks.InUse(); n != 0 {
+				t.Fatalf("%d pool lock(s) leaked", n)
+			}
+		})
 	}
 }
 
-func TestLockPoolContentionTransformed(t *testing.T) {
-	// The same contention through the FACADE lock pool (program P').
-	src := `
-class Counter {
-    int n;
-    void bump() {
+// TestShortLivedMonitorsShareOneLock synchronizes on 10,000 distinct
+// objects that die at once: on P as on P', the pool lock goes back when the
+// block exits, so one lock serves them all.
+func TestShortLivedMonitorsShareOneLock(t *testing.T) {
+	p := compile(t, `
+class Box { int v; }
+class Main {
+    static void main() {
+        long acc = 0L;
+        for (int i = 0; i < 10000; i = i + 1) {
+            Box b = new Box();
+            synchronized (b) { b.v = i; }
+            acc = acc + (long) b.v;
+        }
+        Sys.println(acc);
+    }
+}`)
+	var out bytes.Buffer
+	m, err := New(p, Config{HeapSize: 1 << 20, Out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := m.NewThread(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := th.Call("Main.main"); err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+	if out.String() != "49995000\n" {
+		t.Fatalf("output %q", out.String())
+	}
+	if built, peak := m.Locks.Built(), m.Locks.PeakInUse(); built > 1 || peak > 1 {
+		t.Fatalf("10,000 short-lived monitors built %d pool lock(s), %d in use at once; want at most 1", built, peak)
+	}
+}
+
+// TestResetRefusesLockInUse: a job that traps inside synchronized ends
+// holding a pool lock, which poisons the VM the way a leaked page does, on
+// P (a heap object's lock) as on P' (a record's).
+func TestResetRefusesLockInUse(t *testing.T) {
+	p := compile(t, `
+class Rec {
+    int v;
+    void poke(int i) {
         synchronized (this) {
-            int v = this.n;
-            this.n = v + 1;
+            int[] a = new int[1];
+            a[i] = 1;
+            this.v = a[0];
         }
     }
 }
-class Main { static void main() { } }
-`
-	p := compile(t, src)
-	p2 := transform(t, p, "Counter")
-	m, err := New(p2, Config{HeapSize: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	main, err := m.NewThread(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer main.Close()
-	obj, err := main.NewObj("Counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th, err := m.NewThread(main)
+class Main {
+    static void main() { new Rec().poke(3); }
+}`)
+	for _, leg := range []struct {
+		name, entry string
+		prog        *ir.Program
+	}{
+		{"P", "Main.main", p},
+		{"P2", "MainFacade.main", transform(t, p, "Rec", "Main")},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			m, err := New(leg.prog, Config{HeapSize: 1 << 20})
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			defer th.Close()
-			for j := 0; j < per; j++ {
-				if _, err := th.Invoke(obj, "bump"); err != nil {
-					t.Error(err)
-					return
-				}
+			th, err := m.NewThread(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	v, err := main.GetField(obj, "Counter", "n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int32(v) != workers*per {
-		t.Fatalf("counter = %d want %d", int32(v), workers*per)
-	}
-	// All pool locks returned (§3.4).
-	if m.RT.Locks.InUse() != 0 {
-		t.Fatalf("%d pool locks leaked", m.RT.Locks.InUse())
+			if _, err := th.Call(leg.entry); err == nil || !strings.HasPrefix(err.Error(), "ArrayIndexOutOfBoundsException") {
+				t.Fatalf("the job ended with %v, want the bounds trap", err)
+			}
+			th.Close()
+			if n := m.Locks.InUse(); n != 1 {
+				t.Fatalf("%d pool lock(s) in use after the trap, want 1", n)
+			}
+			if err := m.ResetForReuse(ResetConfig{}); !errors.Is(err, faults.ErrNotReusable) {
+				t.Fatalf("ResetForReuse with a lock in use = %v, want ErrNotReusable", err)
+			}
+		})
 	}
 }
 
@@ -992,7 +1049,7 @@ func spillEachOp(t *testing.T) spillOpsResult {
 				if !errors.Is(err, offheap.ErrPageExhausted) {
 					t.Fatalf("%s under a failed promotion: error %v, want one wrapping ErrPageExhausted", o.fn, err)
 				}
-				if n := m.RT.Locks.InUse(); n != 0 {
+				if n := m.Locks.InUse(); n != 0 {
 					t.Fatalf("%s: %d pool lock(s) held after a failed promotion", o.fn, n)
 				}
 			}
@@ -1008,7 +1065,7 @@ func spillEachOp(t *testing.T) spillOpsResult {
 		}
 		th.Close()
 		m.rootScope.ReleaseAll()
-		if pins, locks := m.RT.Pins(), m.RT.Locks.InUse(); pins != 0 || locks != 0 {
+		if pins, locks := m.RT.Pins(), m.Locks.InUse(); pins != 0 || locks != 0 {
 			t.Fatalf("%s: %d pin(s) and %d pool lock(s) leaked", leg, pins, locks)
 		}
 		res.out = out.String()
@@ -1067,7 +1124,7 @@ func TestFailedPromotionLeavesNoLockHeld(t *testing.T) {
 		t.Fatalf("synchronized on a spilled record under a failed promotion: %v, want an error wrapping ErrPageExhausted", err)
 	}
 	within("Locks.InUse", func() {
-		if n := m.RT.Locks.InUse(); n != 0 {
+		if n := m.Locks.InUse(); n != 0 {
 			t.Errorf("%d pool lock(s) in use after the failed call", n)
 		}
 	})
@@ -1416,7 +1473,7 @@ func TestWarmSynchronizedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, pool := 0, m.RT.Locks
+	built, pool := 0, m.Locks
 	for run, seed := range []int64{1, 2} {
 		if run > 0 {
 			out.Reset()
@@ -1428,10 +1485,10 @@ func TestWarmSynchronizedMatchesFresh(t *testing.T) {
 			t.Fatalf("run %d: warm %+v, fresh %+v", run, got, want)
 		}
 		if run == 0 {
-			if built = m.RT.Locks.Built(); built != 2 {
+			if built = m.Locks.Built(); built != 2 {
 				t.Fatalf("nested monitors built %d pool locks, want 2", built)
 			}
-		} else if n := m.RT.Locks.Built(); m.RT.Locks != pool || n != built {
+		} else if n := m.Locks.Built(); m.Locks != pool || n != built {
 			t.Fatalf("the warm run rebuilt or grew the lock pool (%d locks, then %d)", built, n)
 		}
 	}
