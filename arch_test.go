@@ -5,16 +5,21 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	pathpkg "path"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestArchitecture holds the design in place where a compiler would not:
 // each subtest names a mechanism that was made one, and fails when a second
 // copy of it comes back. The queries read the syntax trees of the
-// repository's non-test Go files.
+// repository's Go files — identifiers, selectors, calls, struct fields,
+// imports and the contents of string literals, never comments — and each
+// names its scope: the non-test files unless it says otherwise.
 func TestArchitecture(t *testing.T) {
 	t.Run("engine recovery books stay deleted", func(t *testing.T) {
 		// Recovery is counted once, in registry counters: the cluster's for
@@ -247,6 +252,241 @@ func TestArchitecture(t *testing.T) {
 			})
 		}
 	})
+
+	t.Run("the server stays split", func(t *testing.T) {
+		// internal/server is split by concern (admission, scheduler, pool,
+		// journal, jobstore, protocol, http, client); no program file of it
+		// grows back past 500 lines.
+		for _, f := range parseDir(t, filepath.Join("internal", "server"), false) {
+			if n := f.fset.File(f.ast.FileStart).LineCount(); n > 500 {
+				t.Errorf("%s: %d lines, want at most 500: internal/server grows back into one file", f.path, n)
+			}
+		}
+	})
+
+	t.Run("deleted knobs stay deleted", func(t *testing.T) {
+		// Each of these options, config fields and instruments, and the page
+		// store's second constructor, had no caller but tests, or only its
+		// default in use; nothing names them again, tests and the benchmark
+		// included. The deleted repro flags and the
+		// daemon's submit key stay out of program code (tests feed the key
+		// to the decoder as an older client would).
+		forbidNames(t, parseTree(t, ".", true), regexp.MustCompile(`\b(Devirtualize|NativeRT|YoungSize|BytesPerEdge|seedSet|WithObserver|WithOutput|WithVerify|SetEventSink|CtrVerifyFuncs|CtrLintFindings|TenantBudgets|RetryBase|RetryMax|MaxJobHistory|TierLowPages|CheckpointInterval|RecvTimeout|SampleEvery|NewRuntimeWith)\b`),
+			"a deleted option or config field is back")
+		program := parseTree(t, ".", false)
+		forbidLiterals(t, program, regexp.MustCompile(`^(tier-low|ckpt)$|"(tier-low|ckpt)"`), "a deleted repro flag is back")
+		forbidNames(t, program, regexp.MustCompile(`tier_low_pages`), "a deleted submit key is back")
+	})
+
+	t.Run("one iteration-region machine", func(t *testing.T) {
+		// canIn/canOut are the fields of taint.go's region type; a second
+		// struct declaring them is a second copy of the machine.
+		declared := 0
+		for _, f := range parseTree(t, filepath.Join("internal", "analysis"), false) {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.Name == "canIn" && isIdent(field.Type, "bool") {
+								declared++
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		if declared != 1 {
+			t.Errorf("canIn is declared as a bool struct field %d times under internal/analysis, want exactly 1", declared)
+		}
+	})
+
+	t.Run("one object-access path", func(t *testing.T) {
+		// Both halves of the interpreter resolve an object to bytes once and
+		// share loadSlot/storeSlot; the per-access helpers, the header
+		// re-read and the process-global iteration lock stay deleted, and
+		// ir.Instr carries no boxed link cache.
+		forbidNames(t, parseTree(t, "internal", false), regexp.MustCompile(`\b(loadField|storeField|loadElem|storeElem|FieldBase|iterIDMu)\b`),
+			"a deleted object-access helper is back")
+		f := parseFile(t, filepath.Join("internal", "ir", "ir.go"))
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					if isIdent(field.Type, "any") {
+						t.Errorf("%s: internal/ir declares a field of type any", f.pos(field))
+					}
+				}
+			}
+			return true
+		})
+	})
+
+	t.Run("one executor", func(t *testing.T) {
+		// The interpreter runs the execution form and nothing else: no
+		// handler table beside the switch, no linker result in ir.Instr, and
+		// no walk over Blocks/Instrs in internal/vm outside the lowering.
+		forbidNames(t, parseTree(t, ".", true), regexp.MustCompile(`\bopHandlers\b`), "the opHandlers table is back")
+		forbidNames(t, []parsedFile{parseFile(t, filepath.Join("internal", "ir", "ir.go"))}, regexp.MustCompile(`\bCallee\b`),
+			"internal/ir carries a linker-written callee again")
+		for _, f := range parseDir(t, filepath.Join("internal", "vm"), false) {
+			if filepath.Base(f.path) == "lower.go" {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				var x ast.Expr
+				switch n := n.(type) {
+				case *ast.IndexExpr:
+					x = n.X
+				case *ast.SliceExpr:
+					x = n.X
+				}
+				if x != nil && (selects(x, "Blocks") || selects(x, "Instrs")) {
+					t.Errorf("%s: internal/vm walks the IR outside lower.go", f.pos(n))
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("one load path", func(t *testing.T) {
+		// GraphChi loads and extracts on its worker pool (buildRange,
+		// extractRange); the serial main-thread boundary calls stay deleted.
+		forbidLiterals(t, parseTree(t, filepath.Join("internal", "graphchi"), false), regexp.MustCompile(`^(build|initValues|extract)$|"(build|initValues|extract)"`),
+			"a serial GraphChi load or extract boundary call is back")
+	})
+
+	t.Run("bulk conversion at the boundary", func(t *testing.T) {
+		// GraphChi builds a vertex's in-edges with one Sys.fillNew from the
+		// shard's columns; the interpreted per-edge conversion, Go or FJ,
+		// stays deleted.
+		forbidNames(t, parseTree(t, filepath.Join("internal", "graphchi"), true), regexp.MustCompile(`addInEdge`),
+			"GraphChi converts in-edges one interpreted call at a time again")
+	})
+
+	t.Run("one pass per encode", func(t *testing.T) {
+		// EncodeDeterministic walks the value once; the json.Marshal +
+		// decode + re-walk round trip lives on only as the fuzz oracle in
+		// internal/obs's tests.
+		files := parseDir(t, filepath.Join("internal", "obs"), false)
+		forbidNames(t, files, regexp.MustCompile(`UseNumber`), "internal/obs decodes JSON again")
+		for _, f := range files {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if m := f.member(n, "encoding/json"); m == "NewDecoder" || strings.HasPrefix(m, "Unmarshal") {
+					t.Errorf("%s: json.%s: internal/obs decodes JSON again", f.pos(n), m)
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("array types are fixed at link", func(t *testing.T) {
+		// The VM's linker builds one immutable array type table per program
+		// and writes each array op's index into its slot; nothing registers
+		// an array type after vm.New, so the lazy registries, their lock and
+		// the heap's grow-on-demand array counts stay deleted.
+		forbidNames(t, parseTree(t, "internal", true), regexp.MustCompile(`\b(ArrayTypeIndex|ArrayElemType|arrMu|arrCounts)\b`),
+			"an array type is registered after link again")
+		f := parseFile(t, filepath.Join("internal", "lang", "arraytypes.go"))
+		for _, imp := range f.ast.Imports {
+			if p := stringLit(imp.Path); p == "sync" || p == "sync/atomic" {
+				t.Errorf("%s: import %q: the array type table takes a lock or publishes atomically again", f.pos(imp), p)
+			}
+		}
+	})
+
+	t.Run("DCE is one sweep", func(t *testing.T) {
+		// Each DCE round solves liveness once and walks every block backward
+		// once, dropping dead code and folding moves on the same live set;
+		// the two-pass fixpoint it replaced lives on only as the oracle in
+		// internal/analysis/dce_oracle_test.go, under other names.
+		forbidNames(t, parseTree(t, filepath.Join("internal", "analysis"), true), regexp.MustCompile(`\b(deadPass|coalescePass|LiveAfter)\b`),
+			"DCE runs a second pass or reads precomputed live-after sets again")
+		if n := livenessSolves(parseFile(t, filepath.Join("internal", "analysis", "dce.go"))); n > 1 {
+			t.Errorf("internal/analysis/dce.go solves liveness %d times, want at most 1", n)
+		}
+	})
+
+	t.Run("a compile does each thing once", func(t *testing.T) {
+		// The stdlib is lexed once per process and parsed from those tokens
+		// (internal/stdlib); the linter and the lifetime pass take the CFG
+		// and live-out sets DCE's last sweep handed forward, and solve
+		// liveness only in the one fallback, flowFacts.live
+		// (internal/analysis/facts.go).
+		for _, f := range parseDir(t, filepath.Join("internal", "stdlib"), false) {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && f.member(call.Fun, "repro/internal/lang") == "Parse" {
+					t.Errorf("%s: lang.Parse(: internal/stdlib lexes source text through lang.Parse again", f.pos(n))
+				}
+				return true
+			})
+		}
+		for _, name := range []string{"lifetime.go", "lint.go"} {
+			f := parseFile(t, filepath.Join("internal", "analysis", name))
+			if n := livenessSolves(f); n > 0 {
+				t.Errorf("%s solves liveness %d times outside flowFacts.live, want 0", f.path, n)
+			}
+		}
+	})
+
+	t.Run("a compile's scratch lives in one call", func(t *testing.T) {
+		// Lowering and the transform emit into buffers one call owns, and a
+		// dataflow pass carves its sets from a scratch it owns: the daemon
+		// compiles jobs concurrently, and compile_cold's peak_mb counts what
+		// a compile leaves reachable. No pool, and no tuning of Go's
+		// collector outside the benchmark.
+		for _, pkg := range []string{"lang", "lower", "core", "analysis"} {
+			for _, f := range parseTree(t, filepath.Join("internal", pkg), false) {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if f.member(n, "sync") == "Pool" {
+						t.Errorf("%s: sync.Pool: a compiler package keeps scratch in a pool", f.pos(n))
+					}
+					return true
+				})
+			}
+		}
+		for _, f := range parseTree(t, ".", false) {
+			if strings.HasPrefix(f.path, "benchmark"+string(filepath.Separator)) {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if m := f.member(n, "runtime/debug"); m == "SetGCPercent" || m == "SetMemoryLimit" {
+					t.Errorf("%s: debug.%s: a program file tunes Go's collector", f.pos(n), m)
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("collections visit only live objects", func(t *testing.T) {
+		// A full collection's forwarding, reference update and slide iterate
+		// the mark bitmap's set bits, and a failed one writes nothing: the
+		// walks over every old-generation object, the live-nursery list and
+		// the pass that undid forwarding words stay deleted.
+		f := parseFile(t, filepath.Join("internal", "heap", "gc.go"))
+		forbidNames(t, []parsedFile{f}, regexp.MustCompile(`clearMarks|liveYoung`), "a collection walks dead objects again")
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			loop, ok := n.(*ast.ForStmt)
+			if !ok {
+				return true
+			}
+			init, ok := loop.Init.(*ast.AssignStmt)
+			cond, _ := loop.Cond.(*ast.BinaryExpr)
+			if ok && len(init.Rhs) == 1 && selects(init.Rhs[0], "oldBase") && cond != nil && selects(cond.Y, "oldPos") {
+				t.Errorf("%s: a loop from oldBase to oldPos: a collection walks every old object again", f.pos(n))
+			}
+			return true
+		})
+	})
+
+	t.Run("placement stays off the run path", func(t *testing.T) {
+		// Lifetime classes are reported by facadec vet -lifetimes and feed
+		// later analyses; no runtime places objects by them. Pretenuring was
+		// measured slower (docs/PERFORMANCE.md).
+		re := regexp.MustCompile(`\b(WithLifetimes|SetLifetimes|LifetimeConfig|CtrLifetimePretenured|SiteLifetimes)\b`)
+		for _, root := range []string{"facade", filepath.Join("internal", "vm"), filepath.Join("internal", "heap"), "cmd"} {
+			forbidNames(t, parseTree(t, root, false), re, "lifetime-guided placement is back on the run path")
+		}
+	})
 }
 
 // parsedFile is one parsed Go file and the path it was read from, relative
@@ -260,41 +500,169 @@ type parsedFile struct {
 
 func (f parsedFile) pos(n ast.Node) token.Position { return f.fset.Position(n.Pos()) }
 
-// parseTree parses every non-test Go file under root, and every test file
-// too when tests is set, skipping testdata and hidden directories.
-func parseTree(t *testing.T, root string, tests bool) []parsedFile {
-	t.Helper()
+// tree is every Go file of the repository, test files included, parsed
+// once per test binary: the subtests pick their scope out of it.
+var tree = sync.OnceValues(func() ([]parsedFile, error) {
 	fset := token.NewFileSet()
 	var files []parsedFile
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		test := strings.HasSuffix(name, "_test.go")
-		if !strings.HasSuffix(name, ".go") || test && !tests {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, parsedFile{path: path, test: test, fset: fset, ast: f})
+		files = append(files, parsedFile{path: path, test: strings.HasSuffix(name, "_test.go"), fset: fset, ast: f})
 		return nil
 	})
+	return files, err
+})
+
+// parseTree returns the non-test Go files under root, and the test files
+// too when tests is set, skipping testdata and hidden directories.
+func parseTree(t *testing.T, root string, tests bool) []parsedFile {
+	t.Helper()
+	all, err := tree()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var files []parsedFile
+	for _, f := range all {
+		if (tests || !f.test) && (root == "." || strings.HasPrefix(f.path, root+string(filepath.Separator))) {
+			files = append(files, f)
+		}
 	}
 	if len(files) == 0 {
 		t.Fatalf("no Go file under %s", root)
 	}
 	return files
+}
+
+// parseDir returns the Go files directly in dir, as parseTree does.
+func parseDir(t *testing.T, dir string, tests bool) []parsedFile {
+	t.Helper()
+	var files []parsedFile
+	for _, f := range parseTree(t, dir, tests) {
+		if filepath.Dir(f.path) == dir {
+			files = append(files, f)
+		}
+	}
+	return files
+}
+
+// parseFile returns the non-test Go file at path.
+func parseFile(t *testing.T, path string) parsedFile {
+	t.Helper()
+	for _, f := range parseTree(t, filepath.Dir(path), false) {
+		if f.path == path {
+			return f
+		}
+	}
+	t.Fatalf("no Go file %s", path)
+	return parsedFile{}
+}
+
+// forbidNames fails t wherever re matches an identifier, or the contents of
+// a string literal (import paths and struct tags included), in files: what
+// a grep over the source would match, less the comments.
+func forbidNames(t *testing.T, files []parsedFile, re *regexp.Regexp, why string) {
+	t.Helper()
+	forbid(t, files, re, true, why)
+}
+
+// forbidLiterals is forbidNames over string literals alone.
+func forbidLiterals(t *testing.T, files []parsedFile, re *regexp.Regexp, why string) {
+	t.Helper()
+	forbid(t, files, re, false, why)
+}
+
+func forbid(t *testing.T, files []parsedFile, re *regexp.Regexp, idents bool, why string) {
+	t.Helper()
+	for _, f := range files {
+		if f.path == "arch_test.go" { // this file names what it forbids
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			var text string
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !idents {
+					return true
+				}
+				text = n.Name
+			case *ast.BasicLit:
+				text = stringLit(n)
+			default:
+				return true
+			}
+			if m := re.FindString(text); m != "" {
+				t.Errorf("%s: %s: %s", f.pos(n), m, why)
+			}
+			return true
+		})
+	}
+}
+
+// member names what n selects from the package f imports from path, under
+// whatever name f gives it: "Pool" for sync.Pool, "" for anything else.
+func (f parsedFile) member(n ast.Node, path string) string {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	for _, imp := range f.ast.Imports {
+		if stringLit(imp.Path) != path {
+			continue
+		}
+		name := pathpkg.Base(path)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		if isIdent(sel.X, name) {
+			return sel.Sel.Name
+		}
+	}
+	return ""
+}
+
+// livenessSolves counts the liveness solvers f calls or declares: every
+// call or function whose name ends in liveness or Liveness.
+func livenessSolves(f parsedFile) int {
+	n := 0
+	solver := func(name string) bool {
+		return strings.HasSuffix(name, "liveness") || strings.HasSuffix(name, "Liveness")
+	}
+	ast.Inspect(f.ast, func(node ast.Node) bool {
+		switch node := node.(type) {
+		case *ast.CallExpr:
+			if solver(calleeName(node)) {
+				n++
+			}
+		case *ast.FuncDecl:
+			if solver(node.Name.Name) {
+				n++
+			}
+		}
+		return true
+	})
+	return n
+}
+
+// selects reports whether e is x.name for some x.
+func selects(e ast.Expr, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == name
 }
 
 // receiver names the type of a method's receiver ("" for a function).

@@ -408,7 +408,7 @@ func BenchmarkAblationPageRecycling(b *testing.B) {
 		b.Run(fmt.Sprintf("iters-%d", iters), func(b *testing.B) {
 			var st offheap.Stats
 			for i := 0; i < b.N; i++ {
-				rt := offheap.NewRuntime()
+				rt := offheap.NewRuntime(nil)
 				s := rt.NewIterScope(nil, 0)
 				for it := 0; it < iters; it++ {
 					s.IterationStart()

@@ -38,7 +38,7 @@ func TestSizeClassBoundaries(t *testing.T) {
 	// Allocation-level behavior at the boundaries. Two records of exactly
 	// PageSize/2 must share one page; one byte more forces a dedicated
 	// empty page; more than a page is oversize and counted as such.
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	m := s.Current()
@@ -78,7 +78,7 @@ func TestPageHighWaterMonotonic(t *testing.T) {
 	// never decrease, never undershoot the current count, and survive
 	// ReleaseAll as a record of the peak.
 	check := func(seed int64) bool {
-		rt := NewRuntime()
+		rt := NewRuntime(nil)
 		s := newScope(rt, 0)
 		defer s.Close()
 		s.IterationStart()
@@ -126,7 +126,7 @@ func TestPageHighWaterMonotonic(t *testing.T) {
 }
 
 func TestDoubleReleaseIsIdempotent(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	s.IterationStart()
 	m := s.Current()
@@ -167,7 +167,7 @@ func TestPoolNeverSharesAPage(t *testing.T) {
 		workers = 3
 		ops     = 300
 	)
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	var iterMu sync.Mutex // the iteration-ID counter is shared and plain
 	scopes := make([]*IterScope, workers)
 	for w := range scopes {

@@ -208,13 +208,9 @@ type Stats struct {
 	PromoteBytes  int64 `json:"promote_bytes,omitempty"`
 }
 
-// NewRuntime creates an empty native store with a private observability
-// registry.
-func NewRuntime() *Runtime { return NewRuntimeWith(nil) }
-
-// NewRuntimeWith creates an empty native store publishing its instruments
-// to reg (a fresh private registry when nil).
-func NewRuntimeWith(reg *obs.Registry) *Runtime {
+// NewRuntime creates an empty native store publishing its instruments to
+// reg (a fresh private registry when nil).
+func NewRuntime(reg *obs.Registry) *Runtime {
 	rt := &Runtime{
 		live: make(map[*PageManager]struct{}),
 		mem:  region.NewSet(),

@@ -80,7 +80,7 @@ func put[T int8 | int32 | int64 | float64](rt *Runtime, ref PageRef, off int, v 
 }
 
 func TestRecordRoundtrip(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	ref := mustRecord(t, s.Current(), 7, 64)
@@ -100,7 +100,7 @@ func TestRecordRoundtrip(t *testing.T) {
 }
 
 func TestArrayRecord(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	idx := MaxArrayTypes - 1 // the store keeps the index it is handed, up to the type word's last
@@ -134,7 +134,7 @@ func TestHeaderSizesMatchPaper(t *testing.T) {
 // writes: values read back must match a shadow model.
 func TestRecordValuesSurviveRandomOps(t *testing.T) {
 	check := func(seed int64) bool {
-		rt := NewRuntime()
+		rt := NewRuntime(nil)
 		s := newScope(rt, 0)
 		defer s.Close()
 		rng := rand.New(rand.NewSource(seed))
@@ -166,7 +166,7 @@ func TestRecordValuesSurviveRandomOps(t *testing.T) {
 }
 
 func TestIterationReclaimsPages(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	for iter := 0; iter < 10; iter++ {
@@ -191,7 +191,7 @@ func TestIterationReclaimsPages(t *testing.T) {
 }
 
 func TestNestedIterations(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
@@ -222,7 +222,7 @@ func TestThreadManagerParentedUnderIteration(t *testing.T) {
 	// A thread spawned during an iteration gets a manager parented under
 	// that iteration's manager; ending the iteration reclaims the
 	// (closed) thread's pages too.
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	main := newScope(rt, 0)
 	defer main.Close()
 	main.IterationStart()
@@ -240,7 +240,7 @@ func TestThreadManagerParentedUnderIteration(t *testing.T) {
 }
 
 func TestOversizeAllocation(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	ref, err := s.Current().AllocArray(nil, 0, 1, 5*PageSize)
@@ -260,7 +260,7 @@ func TestOversizeAllocation(t *testing.T) {
 }
 
 func TestLargeRecordGetsOwnPage(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	// Two large-but-not-oversize arrays must land on distinct pages
@@ -275,7 +275,7 @@ func TestLargeRecordGetsOwnPage(t *testing.T) {
 }
 
 func TestContiguousSmallAllocations(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	// Policy 1: consecutive small records of the same size class are
@@ -293,7 +293,7 @@ func TestContiguousSmallAllocations(t *testing.T) {
 // Lock pool
 
 func TestLockPoolMutualExclusion(t *testing.T) {
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
@@ -338,7 +338,7 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 }
 
 func TestLockPoolReentrancy(t *testing.T) {
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
@@ -361,7 +361,7 @@ func TestLockPoolReentrancy(t *testing.T) {
 func TestLockPoolBound(t *testing.T) {
 	// The number of pool locks in use is bounded by concurrent
 	// synchronization, not by the number of records ever locked.
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	owner := &struct{}{}
@@ -380,7 +380,7 @@ func TestLockPoolBound(t *testing.T) {
 }
 
 func TestLockPoolExitErrors(t *testing.T) {
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	rec := mustRecord(t, s.Current(), 1, 16)
@@ -425,7 +425,7 @@ func nestLocks(t *testing.T, rt *Runtime, lp *LockPool, owner any, recs []PageRe
 // pool lock; the locks one job builds serve the next job after the pool's
 // and the store's Reset, under the same IDs and without growing.
 func TestLockPoolBuildsOnDemand(t *testing.T) {
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	job := func(lock bool) []uint16 {
 		t.Helper()
 		s := newScope(rt, 0)
@@ -465,7 +465,7 @@ func TestLockPoolBuildsOnDemand(t *testing.T) {
 // TestLockPoolExhaustion: the pool builds up to its cap and the next
 // concurrent lock fails with the cap in the message.
 func TestLockPoolExhaustion(t *testing.T) {
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	owner := new(int)
@@ -497,7 +497,7 @@ func TestLockPoolExhaustion(t *testing.T) {
 // -race, it checks that growing the lock slice and the bit vector never
 // races with another thread's Enter or Exit.
 func TestLockPoolGrowsUnderContention(t *testing.T) {
-	rt, lp := NewRuntime(), NewLockPool()
+	rt, lp := NewRuntime(nil), NewLockPool()
 	s := newScope(rt, 0)
 	defer s.Close()
 	const workers, nest = 8, 4
@@ -539,7 +539,7 @@ func TestLockPoolGrowsUnderContention(t *testing.T) {
 }
 
 func TestReleaseOversizeEarly(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
@@ -578,7 +578,7 @@ func TestReleaseOversizeEarly(t *testing.T) {
 // page in two managers, and the second release would free the new owner's
 // array. Only an iteration-end release feeds the oversize pool.
 func TestEarlyReleasedOversizeIsNeverReused(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	// Prime the pool: an iteration-end release keeps the body for reuse.
@@ -632,7 +632,7 @@ func refPage(ref PageRef) int {
 // A quota therefore bounds what a single huge array maps, tiered or not.
 func TestQuotaChargesAnOversizeBodyEveryPage(t *testing.T) {
 	for _, tiered := range []bool{false, true} {
-		rt := NewRuntime()
+		rt := NewRuntime(nil)
 		if tiered {
 			if err := rt.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: 64}); err != nil {
 				t.Fatal(err)
@@ -660,7 +660,7 @@ func TestQuotaChargesAnOversizeBodyEveryPage(t *testing.T) {
 }
 
 func TestReleasedManagerAllocError(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	defer s.Close()
 	s.IterationStart()
@@ -675,7 +675,7 @@ func TestReleasedManagerAllocError(t *testing.T) {
 }
 
 func TestInjectedPageFault(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 3, PageAt: 1}))
 	s := newScope(rt, 0)
 	defer s.Close()

@@ -16,7 +16,7 @@ import (
 func newTieredRuntime(t *testing.T, high, low int) (*Runtime, string) {
 	t.Helper()
 	dir := t.TempDir()
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	if err := rt.EnableTiering(TierConfig{Dir: dir, HighWater: high, LowWater: low}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +304,13 @@ func TestTierResetTearsDownSpillFile(t *testing.T) {
 }
 
 func TestEnableTieringValidation(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	if err := rt.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: 0, LowWater: 0}); err == nil {
 		t.Fatal("zero high watermark accepted")
 	}
 	// A low watermark outside 1..high selects the default, half of high.
 	for _, c := range []struct{ high, low, want int }{{2, 5, 1}, {64, 0, 32}, {1, 0, 1}, {8, 8, 8}} {
-		d := NewRuntime()
+		d := NewRuntime(nil)
 		if err := d.EnableTiering(TierConfig{Dir: t.TempDir(), HighWater: c.high, LowWater: c.low}); err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 		return st
 	}
 	tieredRT, _ := newTieredRuntime(t, 3, 1)
-	plain, tiered := build(NewRuntime()), build(tieredRT)
+	plain, tiered := build(NewRuntime(nil)), build(tieredRT)
 	defer plain.s.Close()
 	defer tiered.s.Close()
 
@@ -457,7 +457,7 @@ func TestRecordAccessTieredMatchesUntiered(t *testing.T) {
 // still be exact while managers are live, after they release, and for
 // managers in nested iterations.
 func TestRecordCountExactAcrossManagers(t *testing.T) {
-	rt := NewRuntime()
+	rt := NewRuntime(nil)
 	s := newScope(rt, 0)
 	want := int64(0)
 	alloc := func(k int) {

@@ -32,7 +32,7 @@ class Main { static void main() { } }`)
 	th.tc.EndExternal()
 	defer th.tc.BeginExternal()
 	hp, rec := m.Heap, p.H.Class("Rec")
-	rt := offheap.NewRuntime()
+	rt := offheap.NewRuntime(nil)
 	pm := rt.NewIterScope(nil, 0)
 	defer pm.Close()
 

@@ -149,7 +149,7 @@ func New(prog *ir.Program, cfg Config) (*VM, error) {
 		Faults:    job.Faults,
 	}, prog.H, prog.ArrayTypes)
 	if prog.Transformed {
-		vm.RT = offheap.NewRuntimeWith(job.Obs)
+		vm.RT = offheap.NewRuntime(job.Obs)
 		if job.Faults != nil {
 			vm.RT.SetFaultInjector(job.Faults)
 		}
