@@ -17,8 +17,8 @@ import (
 // (internal/load) and reports sustained throughput, latency percentiles,
 // backpressure, and memory health. The -seed contract: two runs with the
 // same seed produce bit-identical per-job results (-results files diff
-// clean), so the harness doubles as a correctness check under load. CI
-// runs (see .github/workflows/ci.yml load-smoke):
+// clean), so the harness doubles as a correctness check under load;
+// internal/load's TestRunDeterministicAcrossRuns holds that contract:
 //
 //	repro load -seed 7 -jobs 40 -clients 8 -results r1.txt
 //	repro load -seed 7 -jobs 40 -clients 8 -results r2.txt   # diff r1 r2

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -12,8 +13,9 @@ import (
 )
 
 // beMainEnv makes the test binary behave as the repro command, so the
-// tests below can read what a user sees (usage on stderr, flag -h output)
-// from subcommands that os.Exit.
+// tests can read what a user sees (usage on stderr, flag -h output, exit
+// codes) from subcommands that os.Exit, and run daemons and experiments as
+// processes of their own without building the command.
 const beMainEnv = "REPRO_TEST_BE_MAIN"
 
 func TestMain(m *testing.M) {
@@ -24,15 +26,43 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// reproCmd is `repro args...`, run by this test binary.
+func reproCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), beMainEnv+"=1")
+	return cmd
+}
+
 // repro runs the command with args and returns its stderr.
 func repro(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), beMainEnv+"=1")
+	cmd := reproCmd(args...)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	_ = cmd.Run() // usage exits 2 and -h exits 0; the text is what is under test
 	return stderr.String()
+}
+
+// run runs the command to its end and returns its stdout; a nonzero exit
+// is an error that carries the command line and its stderr.
+func run(args ...string) (string, error) {
+	cmd := reproCmd(args...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return stdout.String(), fmt.Errorf("repro %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String(), nil
+}
+
+// mustRun is run that fails the test unless the command exits 0.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := run(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func sortedKeys(set map[string]bool) []string {

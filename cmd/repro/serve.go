@@ -166,8 +166,8 @@ func submitCmd(argv []string) error {
 
 // waitCmd waits for one or more previously submitted jobs (by id) to
 // reach a terminal state, printing each job's output. It exits nonzero if
-// any job failed — the recovery smoke uses it to collect results that
-// were submitted before a daemon crash.
+// any job failed — TestServeRecoversFromKillat uses it to collect results
+// that were submitted before a daemon crash.
 func waitCmd(argv []string) error {
 	fs := flag.NewFlagSet("repro wait", flag.ExitOnError)
 	portFile := fs.String("portfile", server.DefaultPortFile(), "daemon discovery file")

@@ -83,8 +83,8 @@ const (
 	// NodeCrash kills a whole node (planned via CrashPlan, not sampled).
 	NodeCrash Point = "node.crash"
 	// ServerCrash kills the whole daemon process at a scheduled journal
-	// append (the repro serve crash-recovery smoke uses it to die
-	// mid-batch deterministically, standing in for kill -9).
+	// append (the daemon's crash-recovery tests use it to die mid-batch
+	// deterministically, standing in for kill -9).
 	ServerCrash Point = "server.crash"
 )
 
@@ -128,7 +128,7 @@ type Config struct {
 
 	// KillAt crashes the daemon process at exactly the KillAt-th journal
 	// append (1-based) — the deterministic stand-in for SIGKILL that the
-	// daemon crash-recovery smoke schedules via "killat=N".
+	// daemon's crash-recovery tests schedule via "killat=N".
 	KillAt int64
 }
 

@@ -218,7 +218,7 @@ func TestForNodeDistinctStreams(t *testing.T) {
 
 // TestKillAtSchedule pins the daemon-level crash point: killat=N fires
 // server.crash on exactly the N-th evaluation — the deterministic SIGKILL
-// stand-in the crash-recovery smoke schedules.
+// stand-in the daemon's crash-recovery tests schedule.
 func TestKillAtSchedule(t *testing.T) {
 	c, err := Parse("killat=3")
 	if err != nil {

@@ -11,7 +11,7 @@
 // seed. Two runs with the same seed therefore produce bit-identical
 // per-job outputs (Report.ResultsDigest) no matter how the daemon
 // interleaves them; only the timing sections of the report differ. That
-// is what lets the CI load smoke assert correctness under load.
+// is what lets TestRunDeterministicAcrossRuns assert correctness under load.
 package load
 
 import (

@@ -156,7 +156,7 @@ func writeResultLine(w io.Writer, jr JobResult) {
 
 // WriteResults writes one line per job — the material ResultsDigest
 // hashes. Two same-seed runs must produce byte-identical output here;
-// the CI load smoke diffs these files directly.
+// TestRunDeterministicAcrossRuns compares them byte for byte.
 func (r *Report) WriteResults(w io.Writer) error {
 	for _, jr := range r.Results {
 		if _, err := fmt.Fprintf(w, "%d|%s|%s|%d|%s|%s\n",

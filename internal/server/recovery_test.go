@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -510,58 +510,117 @@ class Main {
 	}
 }
 
-// TestDaemonFaultSpecCrashHook wires the daemon-level killat schedule to
-// an in-process CrashFn: after the scheduled journal append the hook
-// fires, the daemon is killed, and a clean restart (no fault spec)
-// recovers every acknowledged job — the in-process twin of the CI
-// daemon-recovery smoke, which does the same with a real os.Exit.
+// TestDaemonFaultSpecCrashHook crashes a daemon at every journal append a
+// small batch makes: killat=N for each N from 1 to the number of appends
+// the same batch makes crash-free, counted from that run's journal. The
+// CrashFn stands in for os.Exit(137): it abandons the journal at the
+// scheduled append, so nothing later reaches the disk, and the daemon is
+// killed. A clean restart on the journal must bring every job whose
+// submission reached it, each acknowledged one included, to done with its
+// one-shot output; a submit the crash left unacknowledged is resubmitted
+// and must match too. cmd/repro's TestServeRecoversFromKillat crashes a
+// real process the same way at killat=7.
 func TestDaemonFaultSpecCrashHook(t *testing.T) {
+	var reqs []SubmitRequest
+	want := map[int64]string{} // by RandSeed
+	for i := 0; i < 3; i++ {
+		seed := int64(200 + i)
+		req := SubmitRequest{Sources: map[string]string{"s.fj": seededSrc}, HeapSize: 8 << 20, RandSeed: &seed}
+		reqs = append(reqs, req)
+		want[seed] = oneShot(t, req)
+	}
+
+	jp := filepath.Join(t.TempDir(), "clean.journal")
+	s, c := newJournaledServer(t, Config{MaxConcurrent: 1, JournalPath: jp})
+	for _, req := range reqs {
+		if st := submitWait(t, c, req); st.State != StateDone {
+			t.Fatalf("crash-free batch: %s (%s)", st.State, st.Error)
+		}
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	s.Shutdown(ctx) // every done record is written before the seal
+	events, err := readJournal(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) < len(reqs) {
+		t.Fatalf("crash-free batch made %d journal appends for %d jobs", len(events), len(reqs))
+	}
+	for n := 1; n <= len(events); n++ {
+		t.Run(fmt.Sprintf("killat=%d", n), func(t *testing.T) { crashAndRecover(t, n, reqs, want) })
+	}
+}
+
+// crashAndRecover runs reqs on a daemon that crashes at its n-th journal
+// append, then checks a clean restart's outcome for every job.
+func crashAndRecover(t *testing.T, n int, reqs []SubmitRequest, want map[int64]string) {
 	jp := filepath.Join(t.TempDir(), "killat.journal")
+	var victim atomic.Pointer[Server]
 	crashed := make(chan struct{})
-	var once sync.Once
 	cfg := Config{
 		MaxConcurrent: 1,
 		JournalPath:   jp,
-		FaultSpec:     "killat=3",
-		CrashFn:       func() { once.Do(func() { close(crashed) }) },
+		FaultSpec:     fmt.Sprintf("killat=%d", n),
+		CrashFn: func() {
+			victim.Load().journal.kill()
+			close(crashed)
+		},
 	}
 	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim.Store(s1)
+	t.Cleanup(s1.Kill)
 	c1 := &Client{BaseURL: "http://" + s1.Addr()}
-
-	type item struct {
-		id   string
-		want string
-	}
-	var items []item
-	for i := 0; i < 3; i++ {
-		seed := int64(200 + i)
-		req := SubmitRequest{Sources: map[string]string{"s.fj": seededSrc}, HeapSize: 8 << 20, RandSeed: &seed}
-		want := oneShot(t, req)
-		resp, err := c1.Submit(req)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	acked := map[string]bool{}
+	var unacked []SubmitRequest
+	for _, req := range reqs {
+		if resp, err := c1.Submit(req); err == nil {
+			acked[resp.JobID] = true
+		} else {
+			unacked = append(unacked, req)
 		}
-		items = append(items, item{resp.JobID, want})
 	}
 	select {
 	case <-crashed:
 	case <-time.After(30 * time.Second):
-		t.Fatal("killat=3 crash hook never fired")
+		t.Fatal("the crash hook never fired")
 	}
 	s1.Kill()
+
+	events, err := readJournal(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[string]int64{} // job ID -> RandSeed
+	for _, ev := range events {
+		if ev.Kind == jevSubmitted {
+			journaled[ev.JobID] = *ev.Req.RandSeed
+		}
+	}
+	for id := range acked {
+		if _, ok := journaled[id]; !ok {
+			t.Errorf("acknowledged job %s is not in the journal", id)
+		}
+	}
 
 	clean := cfg
 	clean.FaultSpec = ""
 	clean.CrashFn = nil
 	s2, c2 := newJournaledServer(t, clean)
 	waitReady(t, s2)
-	for i, it := range items {
-		st, err := c2.Wait(it.id)
-		if err != nil || st.State != StateDone || st.Output != it.want {
-			t.Fatalf("job %d after killat crash: %v %s output %q (want %q)", i, err, st.State, st.Output, it.want)
+	for id, seed := range journaled {
+		st, err := c2.Wait(id)
+		if err != nil || st.State != StateDone || st.Output != want[seed] {
+			t.Errorf("journaled job %s (acknowledged %v) after the crash: %v %s output %q, want %q",
+				id, acked[id], err, st.State, st.Output, want[seed])
+		}
+	}
+	for _, req := range unacked {
+		if st := submitWait(t, c2, req); st.State != StateDone || st.Output != want[*req.RandSeed] {
+			t.Errorf("resubmitted job: %s output %q, want %q", st.State, st.Output, want[*req.RandSeed])
 		}
 	}
 }

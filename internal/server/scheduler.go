@@ -313,8 +313,8 @@ func runOptions(req *SubmitRequest) []facade.Option {
 
 // OneShot runs a submit request in-process, without a daemon: the exact
 // compile-and-run path runJob takes, minus warm-pool reuse. `repro submit
-// -oneshot` uses it, and the CI daemon smoke compares daemon outputs
-// against it byte for byte.
+// -oneshot` uses it, and cmd/repro's TestServeMatchesOneShot compares
+// daemon outputs against it byte for byte.
 func OneShot(req SubmitRequest) (string, *facade.RunStats, error) {
 	req.Schema = Schema
 	if err := req.normalize(); err != nil {

@@ -56,7 +56,7 @@ type Config struct {
 
 	// FaultSpec enables daemon-level fault injection (internal/faults);
 	// "killat=N" crashes the process at the N-th journal append — the
-	// deterministic SIGKILL the crash-recovery smoke schedules.
+	// deterministic SIGKILL the crash-recovery tests schedule.
 	FaultSpec string
 	// CrashFn overrides how an injected daemon crash dies (tests);
 	// default prints a note and os.Exit(137), mimicking SIGKILL.
