@@ -29,6 +29,10 @@ func serveCmd(argv []string) error {
 	faultSpec := fs.String("faults", "", `daemon-level fault spec (e.g. "killat=5" crashes at the 5th journal append)`)
 	fs.Parse(argv)
 
+	// Catch the signals before server.New writes the port file: a
+	// supervisor waits for that file and may signal at once.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s, err := server.New(server.Config{
 		Addr:          *addr,
 		PortFile:      *portFile,
@@ -49,8 +53,6 @@ func serveCmd(argv []string) error {
 	// SIGTERM drains: admission closes, running jobs finish, the queue
 	// stays checkpointed in the journal. SIGINT (ctrl-C) and a second
 	// signal of either kind stop hard.
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		first := <-sig
 		go func() {
@@ -193,15 +195,15 @@ func waitCmd(argv []string) error {
 	return firstErr
 }
 
-// statusCmd prints the daemon's status, or reports that none is running.
+// statusCmd prints the daemon's status. It fails when no daemon answers,
+// so a script can wait on its exit code.
 func statusCmd(argv []string) error {
 	fs := flag.NewFlagSet("repro status", flag.ExitOnError)
 	portFile := fs.String("portfile", server.DefaultPortFile(), "daemon discovery file")
 	fs.Parse(argv)
 	c, err := server.Discover(*portFile)
 	if err != nil {
-		fmt.Println("no daemon running")
-		return nil
+		return fmt.Errorf("no daemon running: %w", err)
 	}
 	st, err := c.Status()
 	if err != nil {

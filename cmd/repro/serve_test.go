@@ -127,7 +127,8 @@ class Main {
 // faults, which must exit nonzero and leave the next job's output alone.
 // Two `repro load` runs of one seed write the same per-job results. A
 // shutdown ends the daemon with exit 0, its port file and the tiered job's
-// spill file gone.
+// spill file gone; then `repro status` exits nonzero and a second shutdown
+// exits 0.
 func TestServeMatchesOneShot(t *testing.T) {
 	names, files := examples(t)
 	// No example has a static field; this program reads one before it
@@ -146,9 +147,10 @@ func TestServeMatchesOneShot(t *testing.T) {
 	}
 	pf := portFile(t)
 	tierDir := t.TempDir()
-	// -pool holds every VM this test returns, so each second P run finds
-	// the VM its first run left.
-	d := serve(t, pf, "-jobs", "4", "-pool", "16")
+	// The default -pool (8) holds fewer VMs than the P′ and P programs
+	// return (9): each second P run still finds the VM its first run left,
+	// because a full pool evicts the least recently returned VM.
+	d := serve(t, pf, "-jobs", "4")
 	submit := func(args ...string) []string {
 		return append([]string{"submit", "-portfile", pf, "-nostart"}, args...)
 	}
@@ -218,6 +220,10 @@ func TestServeMatchesOneShot(t *testing.T) {
 	if left, err := os.ReadDir(tierDir); err != nil || len(left) > 0 {
 		t.Errorf("spill directory after shutdown: %v %v, want it empty", left, err)
 	}
+	if out, err := run("status", "-portfile", pf); err == nil || !strings.Contains(err.Error(), "no daemon running") {
+		t.Errorf("repro status with no daemon: %v, output %q; want a nonzero exit saying no daemon is running", err, out)
+	}
+	mustRun(t, "shutdown", "-portfile", pf) // no daemon: nothing to stop
 }
 
 // TestServeRecoversFromKillat: a daemon under "killat=7" os.Exit(137)s

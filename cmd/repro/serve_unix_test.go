@@ -20,8 +20,6 @@ func TestServeDrainsOnSIGTERM(t *testing.T) {
 	want := mustRun(t, "submit", "-oneshot", "-transform", qs)
 	pf := portFile(t)
 	d := serve(t, pf, "-drain", "60s")
-	// The submit's round trip outlasts the few statements between the
-	// port file's write and serve's signal.Notify.
 	id := strings.TrimSpace(mustRun(t, "submit", "-portfile", pf, "-nostart", "-nowait", "-transform", qs))
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

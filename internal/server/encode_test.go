@@ -1,12 +1,15 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"testing"
 	"time"
 
 	"repro/internal/load"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -73,10 +76,10 @@ func BenchmarkEncodeJobStatus(b *testing.B) {
 
 // TestEncodeJobStatusAllocations bounds the encoder's allocations on a
 // warm job's status: the struct walk and the map[string]int64 counters
-// allocate nothing, so what is left (12) is boxing the status and the few
-// maps of structs. The bound leaves room for the race detector, under
-// which sync.Pool drops some of the encoder states it is given back; an
-// allocation per map entry would cost hundreds.
+// and gauges allocate nothing, so what is left (1) is boxing the status.
+// The bound leaves room for the race detector, under which sync.Pool
+// drops some of the encoder states it is given back; an allocation per
+// map entry would cost hundreds.
 func TestEncodeJobStatusAllocations(t *testing.T) {
 	const bound = 32
 	for _, w := range warmJobStatuses(t) {
@@ -88,6 +91,44 @@ func TestEncodeJobStatusAllocations(t *testing.T) {
 		t.Logf("%s: %.0f allocations per encode", w.name, allocs)
 		if allocs > bound {
 			t.Errorf("%s: %.0f allocations per encode, want <= %d", w.name, allocs, bound)
+		}
+	}
+}
+
+// TestJobStatusCarriesNumbersNotDistributions: a finished job's status
+// carries the run's numbers (the heap, offheap and vm views, counters and
+// gauges) and none of its distributions (histograms, events,
+// class_allocs), which no daemon client reads and which would make the
+// body 7–12 KB. The body stays within 2 KiB.
+func TestJobStatusCarriesNumbersNotDistributions(t *testing.T) {
+	const maxBody = 2 << 10
+	for _, w := range warmJobStatuses(t) {
+		var body bytes.Buffer
+		if err := server.EncodeJob(&body, w.st); err != nil {
+			t.Fatal(err)
+		}
+		var msg struct {
+			Stats map[string]json.RawMessage `json:"stats"`
+		}
+		if err := json.Unmarshal(body.Bytes(), &msg); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"heap", "offheap", "vm", "counters", "gauges"} {
+			if _, ok := msg.Stats[k]; !ok {
+				t.Errorf("%s: the status has no stats.%s", w.name, k)
+			}
+		}
+		for _, k := range []string{"histograms", "events", "class_allocs"} {
+			if _, ok := msg.Stats[k]; ok {
+				t.Errorf("%s: the status carries stats.%s", w.name, k)
+			}
+		}
+		if sc, _ := load.ScenarioByName(w.name); sc.Transform && w.st.Stats.Counters[obs.CtrPageAcquires] == 0 {
+			t.Errorf("%s: a P′ job's status counts no %s", w.name, obs.CtrPageAcquires)
+		}
+		t.Logf("%s: %d-byte status", w.name, body.Len())
+		if body.Len() > maxBody {
+			t.Errorf("%s: the status is %d bytes, want <= %d", w.name, body.Len(), maxBody)
 		}
 	}
 }

@@ -124,10 +124,12 @@ type vmKey struct {
 // put time: a VM that fails ResetForReuse (leaked threads, live pages, a
 // pool lock held — the signature of a job that crashed mid-iteration or
 // trapped inside synchronized) is dropped and counted as a pool rebuild
-// instead of poisoning later jobs.
+// instead of poisoning later jobs. At capacity, put evicts the least
+// recently returned VM, so the programs a daemon ran last stay warm.
 type warmPool struct {
 	mu      sync.Mutex
-	entries map[vmKey][]*vm.VM
+	tick    int64
+	entries map[vmKey][]pooledVM // each bucket in put order
 	size    int
 	cap     int
 
@@ -137,9 +139,15 @@ type warmPool struct {
 	gauge    *obs.Gauge
 }
 
+// pooledVM is a pooled VM and the recency stamp of the put that stored it.
+type pooledVM struct {
+	m    *vm.VM
+	last int64
+}
+
 func newWarmPool(capacity int, reg *obs.Registry) *warmPool {
 	return &warmPool{
-		entries:  make(map[vmKey][]*vm.VM),
+		entries:  make(map[vmKey][]pooledVM),
 		cap:      capacity,
 		hits:     reg.Counter(obs.CtrServerWarmHits),
 		misses:   reg.Counter(obs.CtrServerWarmMisses),
@@ -158,9 +166,7 @@ func (wp *warmPool) take(key vmKey) *vm.VM {
 		wp.misses.Add(1)
 		return nil
 	}
-	m := vs[len(vs)-1]
-	wp.entries[key] = vs[:len(vs)-1]
-	wp.size--
+	m := wp.removeLocked(key, len(vs)-1)
 	wp.gauge.Set(int64(wp.size))
 	wp.hits.Add(1)
 	return m
@@ -182,12 +188,50 @@ func (wp *warmPool) put(key vmKey, m *vm.VM) {
 	}
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
-	if wp.size >= wp.cap {
+	if wp.cap <= 0 {
 		return
 	}
-	wp.entries[key] = append(wp.entries[key], m)
+	if wp.size >= wp.cap {
+		wp.evictLRULocked()
+	}
+	wp.tick++
+	wp.entries[key] = append(wp.entries[key], pooledVM{m, wp.tick})
 	wp.size++
 	wp.gauge.Set(int64(wp.size))
+}
+
+// evictLRULocked drops the least recently returned VM: the oldest head of
+// the put-ordered buckets. Caller holds wp.mu and the pool is not empty.
+func (wp *warmPool) evictLRULocked() {
+	var victim vmKey
+	oldest := wp.tick + 1
+	for k, vs := range wp.entries {
+		if vs[0].last < oldest {
+			oldest, victim = vs[0].last, k
+		}
+	}
+	wp.removeLocked(victim, 0)
+}
+
+// removeLocked takes the i-th VM, the first or the last, out of key's
+// bucket and returns it. The vacated slot is cleared, because a VM the
+// pool still points at is never collected, and a VM's regions return
+// only when it is (internal/region). An emptied bucket is deleted, so no
+// bucket in entries is empty. Caller holds wp.mu.
+func (wp *warmPool) removeLocked(key vmKey, i int) *vm.VM {
+	vs := wp.entries[key]
+	m := vs[i].m
+	vs[i] = pooledVM{}
+	switch {
+	case len(vs) == 1:
+		delete(wp.entries, key)
+	case i == 0:
+		wp.entries[key] = vs[1:]
+	default:
+		wp.entries[key] = vs[:i]
+	}
+	wp.size--
+	return m
 }
 
 // drop discards a taken VM that turned out to be unusable (e.g. its

@@ -159,7 +159,9 @@ type JobStatus struct {
 	// classifies it (transient, deterministic, deadline, canceled).
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
-	// Stats is facade.RunStats for completed runs.
+	// Stats is a completed run's numbers: facade.RunStats's heap, offheap
+	// and vm views, counters and gauges. Its histograms, events and
+	// class_allocs stay empty (see collect).
 	Stats *facade.RunStats `json:"stats,omitempty"`
 
 	// Attempt is the execution attempt this status describes (1-based;

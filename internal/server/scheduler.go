@@ -312,9 +312,10 @@ func runOptions(req *SubmitRequest) []facade.Option {
 }
 
 // OneShot runs a submit request in-process, without a daemon: the exact
-// compile-and-run path runJob takes, minus warm-pool reuse. `repro submit
-// -oneshot` uses it, and cmd/repro's TestServeMatchesOneShot compares
-// daemon outputs against it byte for byte.
+// compile-and-run path runJob takes, minus warm-pool reuse, and the same
+// stats a daemon job's status carries. `repro submit -oneshot` uses it,
+// and cmd/repro's TestServeMatchesOneShot compares daemon outputs against
+// it byte for byte.
 func OneShot(req SubmitRequest) (string, *facade.RunStats, error) {
 	req.Schema = Schema
 	if err := req.normalize(); err != nil {
@@ -329,8 +330,12 @@ func OneShot(req SubmitRequest) (string, *facade.RunStats, error) {
 	return out, stats, err
 }
 
-// collect closes a finished run and returns what it printed and measured
-// (nothing for a run that never got a VM).
+// collect closes a finished run and returns what it printed and its
+// numbers (nothing for a run that never got a VM): Result.Stats without
+// its histograms, event ring and per-class allocation counts. No daemon
+// client reads those distributions, and they would be most of the bytes a
+// job's status carries and the job store keeps; a facade.Run caller still
+// has them.
 func collect(res *facade.Result) (string, *facade.RunStats) {
 	if res == nil {
 		return "", nil
@@ -340,5 +345,6 @@ func collect(res *facade.Result) (string, *facade.RunStats) {
 		return res.Output(), nil
 	}
 	st := res.Stats()
+	st.Histograms, st.Events, st.ClassAllocs = nil, nil, nil
 	return res.Output(), &st
 }
